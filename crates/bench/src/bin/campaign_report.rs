@@ -7,16 +7,17 @@
 //! Drives every adversarial scenario of the default campaign — Byzantine
 //! proposers, healing partitions, WAN tails, crashes under reconfiguration,
 //! a long soak — with machine-checked safety/liveness invariants after each
-//! run, and writes `CAMPAIGN_report.json` (or the given path). Scale is
-//! controlled by `TB_BENCH_SMOKE=1` (CI chaos-smoke) or left at the quick
-//! profile. The schema is documented in `docs/PERF.md` and the scenarios in
+//! run, and writes `CAMPAIGN_report.json` (or the given path):
+//! `{"scale": …, "campaigns": [one `ScenarioResult` row per scenario]}`.
+//! Scale is controlled by `TB_BENCH_SMOKE=1` (CI chaos-smoke) or left at the
+//! quick profile. The scenarios and the rows are documented in
 //! `docs/CHAOS.md`.
 //!
-//! Exits non-zero if any scenario fails an invariant, so CI can gate on a
-//! broken safety or liveness property.
+//! Exits non-zero if the campaign fails `validate_campaigns`, so CI gates on
+//! a broken safety or liveness property.
 
-use tb_bench::report::generate_campaigns;
 use tb_bench::Scale;
+use tb_core::campaign::{default_campaign, run_campaign, validate_campaigns, CampaignProfile};
 
 fn main() {
     let scale = Scale::from_env();
@@ -29,10 +30,25 @@ fn main() {
         tb_executor::available_cores()
     );
 
-    let report = generate_campaigns(scale);
+    // `tb-core` cannot depend on `tb-bench`, so the campaign defines its own
+    // scale knobs and the bench scale is mapped onto them here.
+    let profile = if scale == Scale::smoke() {
+        CampaignProfile::smoke()
+    } else {
+        CampaignProfile::quick()
+    };
+    let campaigns = run_campaign(default_campaign(profile));
 
-    let json = tb_bench::to_json(&report);
-    if let Err(err) = std::fs::write(&out_path, &json) {
+    let rows: Vec<String> = campaigns
+        .iter()
+        .map(|row| format!("    {}", row.to_json()))
+        .collect();
+    let json = format!(
+        "{{\n  \"scale\": \"{}\",\n  \"campaigns\": [\n{}\n  ]\n}}\n",
+        scale.label(),
+        rows.join(",\n")
+    );
+    if let Err(err) = std::fs::write(&out_path, json) {
         eprintln!("campaign_report: cannot write {out_path}: {err}");
         std::process::exit(1);
     }
@@ -42,7 +58,7 @@ fn main() {
         "{:<26} {:<6} {:>10} {:>9} {:>9} {:>9} {:>8} {:>12}",
         "scenario", "pass", "committed", "invalid", "dropped", "reconfig", "faults", "tps"
     );
-    for row in &report.campaigns {
+    for row in &campaigns {
         println!(
             "{:<26} {:<6} {:>10} {:>9} {:>9} {:>9} {:>5}/{:<2} {:>12.0}",
             row.scenario,
@@ -60,9 +76,9 @@ fn main() {
         }
     }
 
-    if let Err(reason) = report.validate() {
-        eprintln!("campaign_report: INVALID report: {reason}");
+    if let Err(reason) = validate_campaigns(&campaigns) {
+        eprintln!("campaign_report: INVALID campaign: {reason}");
         std::process::exit(1);
     }
-    println!("\nwrote {out_path} (schema v{})", report.schema_version);
+    println!("\nwrote {out_path}");
 }

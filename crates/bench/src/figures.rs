@@ -2,9 +2,7 @@
 //!
 //! Each function sweeps the same parameter grid as the corresponding figure
 //! in the paper (scaled by [`Scale`]) and prints the measured rows; the
-//! `figNN` binaries and `all_figures` are thin wrappers around these
-//! functions, and EXPERIMENTS.md records the measured shapes next to the
-//! paper's numbers.
+//! `figures` binary is a thin wrapper around these functions.
 
 use crate::{print_exec_rows, print_reports, run_executor_cell, Engine, ExecRow, Scale, SystemRun};
 use tb_core::{ExecutionMode, RunReport};

@@ -1,29 +1,27 @@
 //! Benchmark harness regenerating the paper's evaluation figures.
 //!
-//! Every figure of the evaluation (Sections 11 and 12) has a corresponding
-//! binary (`fig11` … `fig17`, plus `all_figures`) that prints the same rows
-//! or series the paper reports, and a Criterion bench exercising one
-//! representative configuration. Absolute numbers differ from the paper —
-//! the substrate is a laptop-scale simulation, not a 64-machine AWS cluster —
+//! Every figure of the evaluation (Sections 11 and 12) has an entry point in
+//! [`figures`], and the `figures <11|…|17|all>` binary prints the same rows
+//! or series the paper reports. Absolute numbers differ from the paper — the
+//! substrate is a laptop-scale simulation, not a 64-machine AWS cluster —
 //! but the *shape* (which system wins, by roughly what factor, where the
-//! crossover points are) is what the harness reproduces; see EXPERIMENTS.md.
+//! crossover points are) is what the harness reproduces; see
+//! `docs/FIGURES.md`. Throughput and latency *measurements* of this
+//! repository come from `benchmark/` (see `benchmark/README.md`), not from
+//! here.
 //!
-//! By default the harness runs scaled-down parameters so that
-//! `cargo bench --workspace` and the figure binaries finish quickly. Set
-//! `TB_BENCH_FULL=1` to use paper-scale parameters (more accounts, bigger
-//! batches, more rounds — minutes instead of seconds).
+//! By default the harness runs scaled-down parameters so that the figure
+//! binary finishes quickly. Set `TB_BENCH_FULL=1` to use paper-scale
+//! parameters (more accounts, bigger batches, more rounds — minutes instead
+//! of seconds).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod figures;
-pub mod report;
 
-use serde::Serialize;
 use tb_core::{ExecutionMode, RunReport, ScenarioBuilder};
-use tb_executor::{
-    BatchExecutor, ConcurrentExecutor, OccExecutor, SerialExecutor, TwoPlNoWaitExecutor,
-};
+use tb_executor::{BatchExecutor, ConcurrentExecutor, OccExecutor, TwoPlNoWaitExecutor};
 use tb_network::FaultPlan;
 use tb_storage::MemStore;
 use tb_types::{CeConfig, LatencyModel, ReconfigConfig, SimTime};
@@ -50,7 +48,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Scaled-down defaults used by CI and `cargo bench`.
+    /// Scaled-down defaults.
     pub fn quick() -> Self {
         Scale {
             executor_accounts: 2_000,
@@ -76,9 +74,9 @@ impl Scale {
         }
     }
 
-    /// Minimal parameters for the CI `perf-smoke` job (set
-    /// `TB_BENCH_SMOKE=1`): every engine and scenario still runs, but with
-    /// batch counts sized for a shared single- or dual-core runner.
+    /// Minimal parameters for the CI `chaos-smoke` job (set
+    /// `TB_BENCH_SMOKE=1`): every scenario still runs, but with batch counts
+    /// sized for a shared single- or dual-core runner.
     pub fn smoke() -> Self {
         Scale {
             executor_accounts: 512,
@@ -104,7 +102,7 @@ impl Scale {
         }
     }
 
-    /// The label recorded in `BENCH_report.json`.
+    /// The label recorded in `CAMPAIGN_report.json`.
     pub fn label(&self) -> &'static str {
         if *self == Scale::smoke() {
             "smoke"
@@ -117,7 +115,7 @@ impl Scale {
 }
 
 /// One row of an executor experiment (Figures 11 and 12).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ExecRow {
     /// Engine label (Thunderbolt, OCC, 2PL-No-Wait).
     pub engine: String,
@@ -146,22 +144,11 @@ pub enum Engine {
     Occ,
     /// Two-phase locking, no-wait.
     TwoPlNoWait,
-    /// Serial in-order execution (the lower baseline).
-    Serial,
 }
 
 impl Engine {
     /// The engines compared in Figures 11 and 12.
     pub const ALL: [Engine; 3] = [Engine::Thunderbolt, Engine::Occ, Engine::TwoPlNoWait];
-
-    /// Every engine the perf-regression harness records, including the
-    /// serial baseline (which the paper's figures omit).
-    pub const BENCHED: [Engine; 4] = [
-        Engine::Thunderbolt,
-        Engine::Occ,
-        Engine::TwoPlNoWait,
-        Engine::Serial,
-    ];
 
     /// Display label.
     pub fn label(&self) -> &'static str {
@@ -169,7 +156,6 @@ impl Engine {
             Engine::Thunderbolt => "Thunderbolt",
             Engine::Occ => "OCC",
             Engine::TwoPlNoWait => "2PL-No-Wait",
-            Engine::Serial => "Serial",
         }
     }
 
@@ -178,7 +164,6 @@ impl Engine {
             Engine::Thunderbolt => Box::new(ConcurrentExecutor::new(config)),
             Engine::Occ => Box::new(OccExecutor::new(config)),
             Engine::TwoPlNoWait => Box::new(TwoPlNoWaitExecutor::new(config)),
-            Engine::Serial => Box::new(SerialExecutor::from_config(&config)),
         }
     }
 }
@@ -360,11 +345,6 @@ pub fn print_reports(title: &str, rows: &[(String, RunReport)]) {
             report.committed_txs
         );
     }
-}
-
-/// Serializes rows to JSON for EXPERIMENTS.md regeneration.
-pub fn to_json<T: Serialize>(rows: &T) -> String {
-    serde_json::to_string_pretty(rows).expect("rows serialize")
 }
 
 #[cfg(test)]

@@ -14,7 +14,6 @@
 //! so that programs are easy to assemble, disassemble and fuzz.
 
 use crate::state::{CallResult, ExecError, StateAccess};
-use serde::{Deserialize, Serialize};
 use tb_types::{Key, KeySpace, Value};
 
 /// Maximum number of instructions a single call may execute before it is
@@ -26,7 +25,7 @@ pub const DEFAULT_GAS_LIMIT: u64 = 100_000;
 const MAX_STACK: usize = 1_024;
 
 /// One interpreter instruction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Instr {
     /// Push an immediate value.
     Push(i64),
@@ -140,7 +139,7 @@ fn bad(reason: impl std::fmt::Display) -> ExecError {
 const INSTR_LEN: usize = 9;
 
 /// An assembled contract program.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Program {
     code: Vec<u8>,
 }

@@ -19,16 +19,15 @@
 //!   dropped ([`MessageLossObserved`]).
 //!
 //! [`default_campaign`] assembles the standard scenario list; the
-//! `campaign_report` binary in `tb-bench` runs it and emits the pass/fail
-//! table that lands in `BENCH_report.json` (schema v3, `campaigns`) and is
-//! gated by the `chaos-smoke` CI job. The invariants are ordinary values, so
-//! the root integration tests share them (see `tests/chaos_campaign.rs`).
+//! `campaign_report` binary in `tb-bench` runs it, writes the pass/fail
+//! table to `CAMPAIGN_report.json` and gates the `chaos-smoke` CI job on
+//! [`validate_campaigns`]. The invariants are ordinary values, so the root
+//! integration tests share them (see `tests/chaos_campaign.rs`).
 
 use crate::cluster::ClusterSimulation;
 use crate::metrics::RunReport;
 use crate::proposer::ByzantineBehavior;
 use crate::scenario::ScenarioBuilder;
-use serde::Serialize;
 use std::sync::Arc;
 use tb_network::FaultPlan;
 use tb_storage::{Store, TempDir, WalOptions, WalStore};
@@ -492,11 +491,11 @@ impl CampaignScenario {
     }
 }
 
-/// The pass/fail + metrics row of one scenario (the `campaigns` table of
-/// `BENCH_report.json` schema v3).
-#[derive(Clone, Debug, Serialize)]
+/// The pass/fail + metrics row of one scenario (one entry of the
+/// `campaigns` array in `CAMPAIGN_report.json`).
+#[derive(Clone, Debug)]
 pub struct ScenarioResult {
-    /// Scenario name (stable, used by CI jq checks).
+    /// Scenario name (stable across runs).
     pub scenario: String,
     /// One-line description of the adversarial setup.
     pub description: String,
@@ -527,6 +526,109 @@ pub struct ScenarioResult {
     pub throughput_tps: f64,
     /// The observer's FNV-1a commit-order digest.
     pub commit_order_digest: String,
+}
+
+impl ScenarioResult {
+    /// The row as one JSON object — the only JSON the workspace emits, so it
+    /// is written by hand rather than through a serialization framework.
+    pub fn to_json(&self) -> String {
+        let strings = |items: &[String]| {
+            let quoted: Vec<String> = items.iter().map(|s| json_string(s)).collect();
+            format!("[{}]", quoted.join(", "))
+        };
+        let fields = [
+            ("scenario", json_string(&self.scenario)),
+            ("description", json_string(&self.description)),
+            ("passed", self.passed.to_string()),
+            ("failures", strings(&self.failures)),
+            ("invariants", strings(&self.invariants)),
+            ("committed_txs", self.committed_txs.to_string()),
+            ("invalid_blocks", self.invalid_blocks.to_string()),
+            ("reconfigurations", self.reconfigurations.to_string()),
+            ("msgs_sent", self.msgs_sent.to_string()),
+            ("msgs_delivered", self.msgs_delivered.to_string()),
+            ("msgs_dropped", self.msgs_dropped.to_string()),
+            ("faults_applied", self.faults_applied.to_string()),
+            ("faults_unapplied", self.faults_unapplied.to_string()),
+            // Finite by construction (`RunReport::throughput_tps`), and
+            // `f64`'s `Display` never prints an exponent, so this is a
+            // valid JSON number.
+            ("throughput_tps", self.throughput_tps.to_string()),
+            (
+                "commit_order_digest",
+                json_string(&self.commit_order_digest),
+            ),
+        ];
+        let body: Vec<String> = fields
+            .iter()
+            .map(|(name, value)| format!("\"{name}\": {value}"))
+            .collect();
+        format!("{{{}}}", body.join(", "))
+    }
+}
+
+/// `s` as a quoted JSON string literal.
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if c.is_control() => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// The gate on a finished campaign, shared by the `campaign_report` binary
+/// (CI `chaos-smoke`) and `tests/chaos_campaign.rs`: at least six scenarios,
+/// every one passed, committed transactions and fired all of its scheduled
+/// faults, and the campaign as a whole exercised real adversity — some
+/// scenario lost messages, some detected invalid (Byzantine) blocks, some
+/// completed a reconfiguration.
+pub fn validate_campaigns(campaigns: &[ScenarioResult]) -> Result<(), String> {
+    if campaigns.len() < 6 {
+        return Err(format!(
+            "only {} campaign scenarios recorded, need at least 6",
+            campaigns.len()
+        ));
+    }
+    for row in campaigns {
+        if !row.passed {
+            return Err(format!(
+                "campaign scenario {} failed: {}",
+                row.scenario,
+                row.failures.join("; ")
+            ));
+        }
+        if row.committed_txs == 0 {
+            return Err(format!(
+                "campaign scenario {} committed nothing",
+                row.scenario
+            ));
+        }
+        if row.faults_unapplied > 0 {
+            return Err(format!(
+                "campaign scenario {}: {} scheduled faults never applied",
+                row.scenario, row.faults_unapplied
+            ));
+        }
+    }
+    type Probe = fn(&ScenarioResult) -> u64;
+    let adversity: [(&str, Probe); 3] = [
+        ("msgs_dropped", |r| r.msgs_dropped),
+        ("invalid_blocks", |r| r.invalid_blocks),
+        ("reconfigurations", |r| r.reconfigurations),
+    ];
+    for (counter, probe) in adversity {
+        if campaigns.iter().all(|row| probe(row) == 0) {
+            return Err(format!("no campaign scenario reported {counter} > 0"));
+        }
+    }
+    Ok(())
 }
 
 /// Runs every scenario in order, returning one result row each.
@@ -840,6 +942,75 @@ mod tests {
         .run();
         assert!(result.passed, "failures: {:?}", result.failures);
         assert!(result.invalid_blocks > 0);
+    }
+
+    fn passing_row(name: &str) -> ScenarioResult {
+        ScenarioResult {
+            scenario: name.to_string(),
+            description: String::new(),
+            passed: true,
+            failures: Vec::new(),
+            invariants: vec!["honest-agreement".to_string()],
+            committed_txs: 10,
+            invalid_blocks: 1,
+            reconfigurations: 1,
+            msgs_sent: 5,
+            msgs_delivered: 4,
+            msgs_dropped: 1,
+            faults_applied: 0,
+            faults_unapplied: 0,
+            throughput_tps: 1250.5,
+            commit_order_digest: "00000000deadbeef".to_string(),
+        }
+    }
+
+    #[test]
+    fn validate_campaigns_gates_rows_and_campaign_wide_adversity() {
+        let rows: Vec<ScenarioResult> = (0..6).map(|i| passing_row(&format!("s{i}"))).collect();
+        assert_eq!(validate_campaigns(&rows), Ok(()));
+        assert!(validate_campaigns(&rows[..5]).is_err(), "too few scenarios");
+
+        type Break = fn(&mut ScenarioResult);
+        let per_row: [(Break, &str); 3] = [
+            (|r| r.passed = false, "failed"),
+            (|r| r.committed_txs = 0, "committed nothing"),
+            (|r| r.faults_unapplied = 2, "never applied"),
+        ];
+        for (break_row, expected) in per_row {
+            let mut broken = rows.clone();
+            break_row(&mut broken[3]);
+            let err = validate_campaigns(&broken).expect_err(expected);
+            assert!(err.contains("s3") && err.contains(expected), "{err}");
+        }
+
+        let campaign_wide: [(Break, &str); 3] = [
+            (|r| r.msgs_dropped = 0, "msgs_dropped"),
+            (|r| r.invalid_blocks = 0, "invalid_blocks"),
+            (|r| r.reconfigurations = 0, "reconfigurations"),
+        ];
+        for (zero, counter) in campaign_wide {
+            let mut quiet = rows.clone();
+            quiet.iter_mut().for_each(zero);
+            let err = validate_campaigns(&quiet).expect_err(counter);
+            assert!(err.contains(counter), "{err}");
+        }
+    }
+
+    #[test]
+    fn scenario_result_json_escapes_strings_and_keeps_every_field() {
+        let mut row = passing_row("byz \"quoted\"");
+        row.passed = false;
+        row.failures = vec!["liveness: path C:\\tmp\nline two".to_string()];
+        assert_eq!(
+            row.to_json(),
+            "{\"scenario\": \"byz \\\"quoted\\\"\", \"description\": \"\", \"passed\": false, \
+             \"failures\": [\"liveness: path C:\\\\tmp\\u000aline two\"], \
+             \"invariants\": [\"honest-agreement\"], \"committed_txs\": 10, \
+             \"invalid_blocks\": 1, \"reconfigurations\": 1, \"msgs_sent\": 5, \
+             \"msgs_delivered\": 4, \"msgs_dropped\": 1, \"faults_applied\": 0, \
+             \"faults_unapplied\": 0, \"throughput_tps\": 1250.5, \
+             \"commit_order_digest\": \"00000000deadbeef\"}"
+        );
     }
 
     #[test]

@@ -274,14 +274,12 @@ impl ClusterSimulation {
             .last()
             .map(|sample| sample.committed_at)
             .unwrap_or_else(|| self.network.now());
-        let mut report = observer.report(&self.config.label(), duration);
-        report.workload = self.workload.name().to_string();
-        let stats = self.network.stats();
-        report.msgs_sent = stats.sent;
-        report.msgs_delivered = stats.delivered;
-        report.msgs_dropped = stats.dropped;
-        report.bytes_sent = stats.bytes_sent;
-        report.bytes_delivered = stats.bytes_delivered;
+        let mut report = observer.report(
+            &self.config.label(),
+            self.workload.name(),
+            duration,
+            self.network.stats(),
+        );
         report.faults_applied = self.faults.applied() as u64;
         report.faults_unapplied = self.faults.remaining() as u64;
         if report.faults_unapplied > 0 {

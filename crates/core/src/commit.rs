@@ -28,32 +28,26 @@ use tb_types::{BlockKind, Key, PreplayedTx, ShardId, SimTime, Transaction, TxId,
 /// How the pipeline executes transactions after consensus.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PostCommitExecution {
-    /// Thunderbolt: validate preplayed single-shard results in parallel,
-    /// execute cross-shard transactions with shard-level parallelism. The
-    /// stages run strictly one after the other: every block is validated and
-    /// applied before the next block is looked at.
-    Parallel {
-        /// Number of validator / executor workers.
-        workers: usize,
-    },
-    /// Thunderbolt with the staged commit pipeline: the validation worker
-    /// pool re-executes block N+1 while earlier blocks' write batches sit in
-    /// a bounded queue drained by a dedicated applier thread, which
-    /// coalesces everything queued into one stripe-coalesced
-    /// [`Store::apply_batches`] call per wake-up. Commit order, applied
-    /// state, the commit-order digest and all commit statistics except the
-    /// stage timings, `coalesced_batches` and `apply_calls` are identical to
-    /// [`Parallel`] (and to [`Serial`]); only the wall-clock overlap and the
-    /// apply granularity differ. Pinned by
+    /// Thunderbolt: preplayed single-shard results are validated in parallel
+    /// and cross-shard transactions execute with shard-level parallelism.
+    /// The validation worker pool re-executes block N+1 while earlier
+    /// blocks' write batches sit in a bounded queue drained by a dedicated
+    /// applier thread, which coalesces everything queued into one
+    /// stripe-coalesced [`Store::apply_batches`] call per wake-up. Commit
+    /// order, applied state, the commit-order digest and all commit
+    /// statistics except the stage timings, `coalesced_batches` and
+    /// `apply_calls` are identical to [`Serial`]; only the wall-clock
+    /// overlap and the apply granularity differ. Pinned by
     /// `crates/core/tests/pipeline_determinism.rs`.
     ///
-    /// [`Parallel`]: PostCommitExecution::Parallel
     /// [`Serial`]: PostCommitExecution::Serial
     Pipelined {
         /// Number of validator / executor workers.
         workers: usize,
     },
-    /// Tusk baseline: execute everything serially in commit order.
+    /// Tusk baseline, and the oracle the pipelined path is tested against:
+    /// every block is validated and applied before the next block is looked
+    /// at, and everything executes serially in commit order.
     Serial,
 }
 
@@ -91,12 +85,12 @@ pub struct CommitOutput {
     /// Number of write batches the applier drained in one
     /// [`Store::apply_batches`] call together with at least one other batch
     /// (a measure of how often the pipeline actually coalesced). Always 0 on
-    /// the staged and serial paths, which apply one batch at a time.
+    /// the serial path, which applies one batch at a time.
     pub coalesced_batches: u64,
     /// Number of storage apply calls the commit path performed: one
-    /// [`Store::apply_batch`] per valid block on the staged/serial paths,
-    /// one [`Store::apply_batches`] drain per applier wake-up on the
-    /// pipelined path. `apply_calls` strictly below the number of valid
+    /// [`Store::apply_batch`] per valid block on the serial path, one
+    /// [`Store::apply_batches`] drain per applier wake-up on the pipelined
+    /// path. `apply_calls` strictly below the number of valid
     /// blocks is direct evidence that batches were coalesced.
     pub apply_calls: u64,
     /// Per-transaction commit latencies in seconds of simulated time,
@@ -130,8 +124,7 @@ impl CommitPipeline {
     /// matching the cost model used during preplay.
     pub fn with_op_cost(execution: PostCommitExecution, op_cost_ns: u64) -> Self {
         let mut validation = match execution {
-            PostCommitExecution::Parallel { workers }
-            | PostCommitExecution::Pipelined { workers } => {
+            PostCommitExecution::Pipelined { workers } => {
                 ValidationConfig::new(effective_workers(workers))
             }
             PostCommitExecution::Serial => ValidationConfig::new(1),
@@ -157,7 +150,7 @@ impl CommitPipeline {
     /// For a given `(sub_dag, store, commit_time)` the committed transaction
     /// sequence, the applied state and every commit counter except the
     /// wall-clock stage timings, `coalesced_batches` and `apply_calls` are
-    /// identical across all three [`PostCommitExecution`] modes and any
+    /// identical across both [`PostCommitExecution`] modes and any
     /// worker count — the execution mode is a pure wall-clock/granularity
     /// choice, never a semantic one.
     ///
@@ -215,8 +208,7 @@ impl CommitPipeline {
                     record_commit(&mut output, tx.id, tx.submitted_at, commit_time);
                 }
             }
-            PostCommitExecution::Parallel { workers }
-            | PostCommitExecution::Pipelined { workers } => {
+            PostCommitExecution::Pipelined { workers } => {
                 for wave in shard_disjoint_waves(&cross_shard) {
                     execute_wave(&wave, store, workers, self.op_cost_ns);
                     for tx in wave {
@@ -660,7 +652,7 @@ mod tests {
         let ce = ConcurrentExecutor::new(CeConfig::new(2, 16).without_synthetic_cost());
         let preplay = ce.preplay(&txs, &store);
         let sub_dag = sub_dag_with(committee, preplay.preplayed.clone(), vec![], &[]);
-        let pipeline = CommitPipeline::new(PostCommitExecution::Parallel { workers: 4 });
+        let pipeline = CommitPipeline::new(PostCommitExecution::Pipelined { workers: 4 });
         let output = pipeline.process(&sub_dag, &store, SimTime::from_secs(2));
         assert_eq!(output.single_shard_committed, 2);
         assert_eq!(output.invalid_blocks, 0);
@@ -685,7 +677,7 @@ mod tests {
         let mut preplay = ce.preplay(&txs, &store);
         preplay.preplayed[0].outcome.write_set[0].value = Value::int(77_777);
         let sub_dag = sub_dag_with(committee, preplay.preplayed.clone(), vec![], &[]);
-        let pipeline = CommitPipeline::new(PostCommitExecution::Parallel { workers: 2 });
+        let pipeline = CommitPipeline::new(PostCommitExecution::Pipelined { workers: 2 });
         let before = store.snapshot();
         let output = pipeline.process(&sub_dag, &store, SimTime::from_secs(1));
         assert_eq!(output.invalid_blocks, 1);
@@ -709,7 +701,7 @@ mod tests {
         let cross = payment(2, 0, 1, 400, 4);
         assert_eq!(cross.shards.len(), 2);
         let sub_dag = sub_dag_with(committee, preplay.preplayed.clone(), vec![cross], &[]);
-        let pipeline = CommitPipeline::new(PostCommitExecution::Parallel { workers: 2 });
+        let pipeline = CommitPipeline::new(PostCommitExecution::Pipelined { workers: 2 });
         let output = pipeline.process(&sub_dag, &store, SimTime::from_secs(1));
         assert_eq!(output.single_shard_committed, 1);
         assert_eq!(output.cross_shard_committed, 1);
@@ -719,22 +711,22 @@ mod tests {
     }
 
     #[test]
-    fn serial_mode_produces_the_same_state_as_parallel_mode() {
+    fn serial_mode_produces_the_same_state_as_pipelined_mode() {
         let committee = Committee::new(4);
-        let store_parallel = funded_store(16);
+        let store_pipelined = funded_store(16);
         let store_serial = funded_store(16);
         let cross: Vec<Transaction> = (0..20)
             .map(|i| payment(i, i % 16, (i + 5) % 16, 7, 4))
             .collect();
         let sub_dag = sub_dag_with(committee, vec![], cross, &[]);
-        let parallel = CommitPipeline::new(PostCommitExecution::Parallel { workers: 4 });
+        let pipelined = CommitPipeline::new(PostCommitExecution::Pipelined { workers: 4 });
         let serial = CommitPipeline::new(PostCommitExecution::Serial);
-        parallel.process(&sub_dag, &store_parallel, SimTime::ZERO);
+        pipelined.process(&sub_dag, &store_pipelined, SimTime::ZERO);
         serial.process(&sub_dag, &store_serial, SimTime::ZERO);
-        let diff = store_parallel
+        let diff = store_pipelined
             .snapshot()
             .diff_values(&store_serial.snapshot());
-        assert!(diff.is_empty(), "parallel and serial disagree on {diff:?}");
+        assert!(diff.is_empty(), "pipelined and serial disagree on {diff:?}");
     }
 
     #[test]
@@ -742,7 +734,7 @@ mod tests {
         let committee = Committee::new(4);
         let store = funded_store(4);
         let sub_dag = sub_dag_with(committee, vec![], vec![], &[2, 3]);
-        let pipeline = CommitPipeline::new(PostCommitExecution::Parallel { workers: 2 });
+        let pipeline = CommitPipeline::new(PostCommitExecution::Pipelined { workers: 2 });
         let output = pipeline.process(&sub_dag, &store, SimTime::ZERO);
         assert_eq!(output.shift_blocks, 2);
         assert_eq!(output.shift_authors.len(), 2);
@@ -800,7 +792,7 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_path_matches_staged_path_exactly() {
+    fn pipelined_path_matches_serial_path_exactly() {
         let committee = Committee::new(4);
         let blocks = chained_blocks(8, 6, 10);
         let staged_store = funded_store(8);
@@ -808,7 +800,7 @@ mod tests {
         let sub_dag_staged = sub_dag_with_blocks(committee, blocks.clone());
         let sub_dag_pipelined = sub_dag_with_blocks(committee, blocks);
 
-        let staged = CommitPipeline::new(PostCommitExecution::Parallel { workers: 2 });
+        let staged = CommitPipeline::new(PostCommitExecution::Serial);
         let pipelined = CommitPipeline::new(PostCommitExecution::Pipelined { workers: 2 });
         let staged_out = staged.process(&sub_dag_staged, &staged_store, SimTime::from_secs(1));
         let pipelined_out =
@@ -842,7 +834,7 @@ mod tests {
         blocks[1][0].outcome.write_set[0].value = Value::int(123_456_789);
         let staged_store = funded_store(8);
         let pipelined_store = funded_store(8);
-        let staged = CommitPipeline::new(PostCommitExecution::Parallel { workers: 2 });
+        let staged = CommitPipeline::new(PostCommitExecution::Serial);
         let pipelined = CommitPipeline::new(PostCommitExecution::Pipelined { workers: 2 });
         let staged_out = staged.process(
             &sub_dag_with_blocks(committee, blocks.clone()),

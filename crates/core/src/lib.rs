@@ -47,13 +47,14 @@ pub mod scenario;
 
 pub use campaign::{
     assert_honest_agreement, check_honest_agreement, default_campaign, run_campaign,
-    CampaignProfile, CampaignScenario, Invariant, InvariantContext, ScenarioResult,
+    validate_campaigns, CampaignProfile, CampaignScenario, Invariant, InvariantContext,
+    ScenarioResult,
 };
 pub use cluster::{ClusterConfig, ClusterSimulation, ExecutionMode};
 pub use commit::{CommitOutput, CommitPipeline, PostCommitExecution};
 pub use messages::Message;
 pub use metrics::{LatencyHistogram, RoundCommitSample, RunReport};
-pub use node::{run_node, NodeReport, NodeSpec};
+pub use node::{run_node, NodeSpec};
 pub use proposer::{ByzantineBehavior, ProposalDecision, ShardProposer};
 pub use replica::{Destination, Outbound, Replica};
 pub use scenario::{RealNetPlan, ScenarioBuilder, ScenarioError, TransportKind};

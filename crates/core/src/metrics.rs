@@ -1,6 +1,5 @@
-//! Run reports produced by the cluster simulation.
+//! Run reports produced by a cluster run, simulated or over TCP.
 
-use serde::{Deserialize, Serialize};
 use tb_types::wire::{Wire, WireError, WireReader, WireWriter};
 use tb_types::{Round, SimTime};
 
@@ -14,7 +13,7 @@ const HIST_BUCKETS: usize = 64;
 /// so they are conservative (never under-report) and deterministic — exactly
 /// what a CI perf gate wants. Memory is constant regardless of run length,
 /// so every committed transaction of a simulation can be recorded.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LatencyHistogram {
     /// Per-bucket sample counts.
     buckets: Vec<u64>,
@@ -76,7 +75,7 @@ impl LatencyHistogram {
 
 /// Commit-time sample for one leader round (Figure 16 plots the average of
 /// consecutive differences over windows of 100 rounds).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RoundCommitSample {
     /// The DAG instance the round belongs to.
     pub dag: u64,
@@ -109,10 +108,12 @@ impl Wire for RoundCommitSample {
     }
 }
 
-/// Aggregated result of one simulation run, measured on the observer replica
-/// (replica 0 unless it is crashed). Honest replicas commit identical
-/// sequences, so any observer yields the same counts.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+/// Aggregated result of one run, measured on the observer replica (replica 0
+/// unless it is crashed). Honest replicas commit identical sequences, so any
+/// observer yields the same counts. A node process of a TCP cluster reports
+/// itself in the same shape (its [`Wire`] encoding is what travels back to
+/// the launcher), with `duration` and commit times on its wall clock.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunReport {
     /// Human-readable label of the system variant (Thunderbolt,
     /// Thunderbolt-OCC, Tusk).
@@ -156,19 +157,19 @@ pub struct RunReport {
     /// busy.
     pub execute_busy_secs: f64,
     /// Write batches the pipelined applier drained together with at least
-    /// one other batch (0 on the strictly staged and serial paths).
+    /// one other batch (0 on the serial path).
     pub coalesced_batches: u64,
     /// Storage apply calls the observer's commit path performed: one per
-    /// valid block on the staged/serial paths, one per applier drain on the
+    /// valid block on the serial path, one per applier drain on the
     /// pipelined path. `apply_calls < single-shard blocks` is direct
     /// evidence of coalescing (see `docs/PIPELINE.md`).
     pub apply_calls: u64,
     /// FNV-1a digest over the committed transaction ids in commit order,
     /// as a 16-hex-digit string (a string so JSON consumers never round it
     /// to a 53-bit double). Two runs that committed the same transactions
-    /// in the same order have the same digest; note the converse workflow
-    /// caveat in `docs/PERF.md` — simulation schedules are timing-dependent,
-    /// so digests from independently regenerated reports normally differ.
+    /// in the same order have the same digest. The converse needs care:
+    /// outside lockstep, simulation schedules are timing-dependent, so
+    /// digests from two independent runs of one scenario normally differ.
     pub commit_order_digest: String,
     /// Commit-time samples per leader round (for Figure 16).
     pub round_commits: Vec<RoundCommitSample>,
@@ -193,6 +194,72 @@ pub struct RunReport {
     /// non-zero value means the fault schedule outlived the run — the
     /// scenario did not test what it claimed to.
     pub faults_unapplied: u64,
+}
+
+impl Wire for RunReport {
+    fn encode(&self, w: &mut WireWriter) {
+        self.label.encode(w);
+        self.workload.encode(w);
+        w.put_u32(self.replicas);
+        w.put_u64(self.committed_txs);
+        w.put_u64(self.single_shard_txs);
+        w.put_u64(self.cross_shard_txs);
+        w.put_u64(self.invalid_blocks);
+        w.put_u64(self.reexecutions);
+        w.put_u64(self.reconfigurations);
+        self.duration.encode(w);
+        w.put_f64(self.total_latency_secs);
+        w.put_f64(self.latency_p50_secs);
+        w.put_f64(self.latency_p99_secs);
+        w.put_f64(self.validate_busy_secs);
+        w.put_f64(self.apply_busy_secs);
+        w.put_f64(self.execute_busy_secs);
+        w.put_u64(self.coalesced_batches);
+        w.put_u64(self.apply_calls);
+        self.commit_order_digest.encode(w);
+        self.round_commits.encode(w);
+        self.highest_round.encode(w);
+        w.put_u64(self.msgs_sent);
+        w.put_u64(self.msgs_delivered);
+        w.put_u64(self.msgs_dropped);
+        w.put_u64(self.bytes_sent);
+        w.put_u64(self.bytes_delivered);
+        w.put_u64(self.faults_applied);
+        w.put_u64(self.faults_unapplied);
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(RunReport {
+            label: String::decode(r)?,
+            workload: String::decode(r)?,
+            replicas: r.u32()?,
+            committed_txs: r.u64()?,
+            single_shard_txs: r.u64()?,
+            cross_shard_txs: r.u64()?,
+            invalid_blocks: r.u64()?,
+            reexecutions: r.u64()?,
+            reconfigurations: r.u64()?,
+            duration: SimTime::decode(r)?,
+            total_latency_secs: r.f64()?,
+            latency_p50_secs: r.f64()?,
+            latency_p99_secs: r.f64()?,
+            validate_busy_secs: r.f64()?,
+            apply_busy_secs: r.f64()?,
+            execute_busy_secs: r.f64()?,
+            coalesced_batches: r.u64()?,
+            apply_calls: r.u64()?,
+            commit_order_digest: String::decode(r)?,
+            round_commits: Vec::<RoundCommitSample>::decode(r)?,
+            highest_round: Round::decode(r)?,
+            msgs_sent: r.u64()?,
+            msgs_delivered: r.u64()?,
+            msgs_dropped: r.u64()?,
+            bytes_sent: r.u64()?,
+            bytes_delivered: r.u64()?,
+            faults_applied: r.u64()?,
+            faults_unapplied: r.u64()?,
+        })
+    }
 }
 
 impl RunReport {
@@ -241,8 +308,7 @@ impl RunReport {
 
     /// The share of measured stage time spent in each commit stage, as
     /// `(validate, apply, execute)` fractions summing to 1 (all zero when
-    /// nothing was measured). This is the pipeline-stage-occupancy metric
-    /// recorded in `BENCH_report.json`.
+    /// nothing was measured).
     pub fn stage_occupancy(&self) -> (f64, f64, f64) {
         let total = self.validate_busy_secs + self.apply_busy_secs + self.execute_busy_secs;
         if total <= 0.0 {

@@ -4,7 +4,7 @@
 //! The launcher (`tb-launcher`) expands a
 //! [`RealNetPlan`](crate::scenario::RealNetPlan) into one [`NodeSpec`] per
 //! replica, ships each spec to a child process (hex-encoded in an
-//! environment variable), and collects one [`NodeReport`] per process from
+//! environment variable), and collects one [`RunReport`] per process from
 //! stdout. Both structs implement [`Wire`], so the whole exchange uses the
 //! same versioned encoding as the replica-to-replica protocol.
 //!
@@ -21,7 +21,7 @@
 
 use crate::cluster::{ClusterConfig, ExecutionMode};
 use crate::messages::Message;
-use crate::metrics::{RoundCommitSample, RunReport};
+use crate::metrics::RunReport;
 use crate::replica::{Destination, Replica};
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
@@ -227,128 +227,18 @@ impl Wire for NodeSpec {
     }
 }
 
-/// What one node process reports back to the launcher when it stops.
-#[derive(Clone, Debug, PartialEq)]
-pub struct NodeReport {
-    /// The reporting replica.
-    pub node: u32,
-    /// Committed transactions (single-shard + cross-shard).
-    pub committed_txs: u64,
-    /// Committed single-shard transactions.
-    pub single_shard_txs: u64,
-    /// Committed cross-shard transactions.
-    pub cross_shard_txs: u64,
-    /// Preplayed blocks discarded by validation.
-    pub invalid_blocks: u64,
-    /// Highest DAG round reached.
-    pub highest_round: u64,
-    /// Run duration up to the last commit, in (wall-clock) microseconds.
-    pub duration_micros: u64,
-    /// Summed per-transaction commit latencies in seconds.
-    pub total_latency_secs: f64,
-    /// Median per-transaction commit latency in seconds.
-    pub latency_p50_secs: f64,
-    /// 99th-percentile per-transaction commit latency in seconds.
-    pub latency_p99_secs: f64,
-    /// Final FNV-1a commit-order digest.
-    pub commit_digest: u64,
-    /// Per-round commit samples (digest snapshots included), the basis of
-    /// both cross-node and sim-vs-TCP agreement checks.
-    pub round_commits: Vec<RoundCommitSample>,
-    /// Messages handed to the transport.
-    pub msgs_sent: u64,
-    /// Messages delivered to this node.
-    pub msgs_delivered: u64,
-    /// Messages that could not be sent (peer connect/write failures).
-    pub msgs_dropped: u64,
-    /// Wire-encoded payload bytes sent.
-    pub bytes_sent: u64,
-    /// Wire-encoded payload bytes delivered.
-    pub bytes_delivered: u64,
-}
-
-impl Wire for NodeReport {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(self.node);
-        w.put_u64(self.committed_txs);
-        w.put_u64(self.single_shard_txs);
-        w.put_u64(self.cross_shard_txs);
-        w.put_u64(self.invalid_blocks);
-        w.put_u64(self.highest_round);
-        w.put_u64(self.duration_micros);
-        w.put_f64(self.total_latency_secs);
-        w.put_f64(self.latency_p50_secs);
-        w.put_f64(self.latency_p99_secs);
-        w.put_u64(self.commit_digest);
-        self.round_commits.encode(w);
-        w.put_u64(self.msgs_sent);
-        w.put_u64(self.msgs_delivered);
-        w.put_u64(self.msgs_dropped);
-        w.put_u64(self.bytes_sent);
-        w.put_u64(self.bytes_delivered);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(NodeReport {
-            node: r.u32()?,
-            committed_txs: r.u64()?,
-            single_shard_txs: r.u64()?,
-            cross_shard_txs: r.u64()?,
-            invalid_blocks: r.u64()?,
-            highest_round: r.u64()?,
-            duration_micros: r.u64()?,
-            total_latency_secs: r.f64()?,
-            latency_p50_secs: r.f64()?,
-            latency_p99_secs: r.f64()?,
-            commit_digest: r.u64()?,
-            round_commits: Vec::<RoundCommitSample>::decode(r)?,
-            msgs_sent: r.u64()?,
-            msgs_delivered: r.u64()?,
-            msgs_dropped: r.u64()?,
-            bytes_sent: r.u64()?,
-            bytes_delivered: r.u64()?,
-        })
-    }
-}
-
-impl NodeReport {
-    /// Folds this node's counters into a [`RunReport`] shaped like a sim
-    /// run's, so real-net rows can reuse the report tooling.
-    pub fn to_run_report(&self, label: &str, workload: &str, replicas: u32) -> RunReport {
-        RunReport {
-            label: label.to_string(),
-            workload: workload.to_string(),
-            replicas,
-            committed_txs: self.committed_txs,
-            single_shard_txs: self.single_shard_txs,
-            cross_shard_txs: self.cross_shard_txs,
-            invalid_blocks: self.invalid_blocks,
-            duration: SimTime::from_micros(self.duration_micros),
-            total_latency_secs: self.total_latency_secs,
-            latency_p50_secs: self.latency_p50_secs,
-            latency_p99_secs: self.latency_p99_secs,
-            commit_order_digest: format!("{:016x}", self.commit_digest),
-            round_commits: self.round_commits.clone(),
-            highest_round: tb_types::Round::new(self.highest_round),
-            msgs_sent: self.msgs_sent,
-            msgs_delivered: self.msgs_delivered,
-            msgs_dropped: self.msgs_dropped,
-            bytes_sent: self.bytes_sent,
-            bytes_delivered: self.bytes_delivered,
-            ..RunReport::default()
-        }
-    }
-}
-
 /// Runs one replica over real TCP to completion, per `spec`.
 ///
 /// Binds the node's listener, dials peers lazily on first send (with the
 /// transport's connect deadline absorbing start-up skew), expands the
 /// client stream locally, and drives the replica until it has seen
 /// [`NodeSpec::target_commits`] round commits (plus a short linger for
-/// slower peers) or the wall-clock deadline expires.
-pub fn run_node(spec: NodeSpec) -> io::Result<NodeReport> {
+/// slower peers) or the wall-clock deadline expires. The returned report is
+/// this node's own view: its replica's counters and stage timers, its
+/// transport's traffic, `duration` up to its last commit on its wall clock.
+pub fn run_node(spec: NodeSpec) -> io::Result<RunReport> {
     let config = spec.cluster_config();
+    let label = config.label();
     let batch = config.system.ce.batch_size;
     let id = ReplicaId::new(spec.node);
     let mut replica = Replica::new(id, config);
@@ -410,31 +300,13 @@ pub fn run_node(spec: NodeSpec) -> io::Result<NodeReport> {
     let stats = transport.stats();
     transport.shutdown();
 
-    let metrics = replica.metrics();
-    let duration_micros = metrics
+    let duration = replica
+        .metrics()
         .round_commits
         .last()
-        .map(|sample| sample.committed_at.as_micros())
-        .unwrap_or_else(|| started.elapsed().as_micros() as u64);
-    Ok(NodeReport {
-        node: spec.node,
-        committed_txs: metrics.committed_txs,
-        single_shard_txs: metrics.single_shard_txs,
-        cross_shard_txs: metrics.cross_shard_txs,
-        invalid_blocks: metrics.invalid_blocks,
-        highest_round: replica.current_round().as_u64(),
-        duration_micros,
-        total_latency_secs: metrics.total_latency_secs,
-        latency_p50_secs: metrics.latency_hist.quantile_secs(0.5),
-        latency_p99_secs: metrics.latency_hist.quantile_secs(0.99),
-        commit_digest: metrics.commit_order_digest,
-        round_commits: metrics.round_commits.clone(),
-        msgs_sent: stats.sent,
-        msgs_delivered: stats.delivered,
-        msgs_dropped: stats.dropped,
-        bytes_sent: stats.bytes_sent,
-        bytes_delivered: stats.bytes_delivered,
-    })
+        .map(|sample| sample.committed_at)
+        .unwrap_or_else(|| SimTime::from_micros(started.elapsed().as_micros() as u64));
+    Ok(replica.report(&label, workload.name(), duration, stats))
 }
 
 /// Generates the shared client stream and enqueues this replica's share
@@ -528,41 +400,5 @@ mod tests {
         assert_eq!(spec.target_commits(), 4);
         assert_eq!(spec.peers()[2].id, ReplicaId::new(2));
         assert_eq!(spec.peers()[2].addr.port(), 9003);
-    }
-
-    #[test]
-    fn node_report_round_trips_and_converts_to_a_run_report() {
-        let report = NodeReport {
-            node: 2,
-            committed_txs: 640,
-            single_shard_txs: 640,
-            cross_shard_txs: 0,
-            invalid_blocks: 0,
-            highest_round: 9,
-            duration_micros: 1_500_000,
-            total_latency_secs: 12.5,
-            latency_p50_secs: 0.02,
-            latency_p99_secs: 0.08,
-            commit_digest: 0xdead_beef,
-            round_commits: vec![RoundCommitSample {
-                dag: 0,
-                round: tb_types::Round::new(1),
-                committed_at: SimTime::from_millis(250),
-                digest: 0xdead_beef,
-            }],
-            msgs_sent: 100,
-            msgs_delivered: 90,
-            msgs_dropped: 0,
-            bytes_sent: 40_000,
-            bytes_delivered: 36_000,
-        };
-        let bytes = report.to_wire_bytes();
-        assert_eq!(NodeReport::from_wire_bytes(&bytes), Ok(report.clone()));
-
-        let run = report.to_run_report("Thunderbolt", "smallbank", 4);
-        assert_eq!(run.committed_txs, 640);
-        assert_eq!(run.commit_order_digest, format!("{:016x}", 0xdead_beefu64));
-        assert!((run.throughput_tps() - 640.0 / 1.5).abs() < 1e-6);
-        assert_eq!(run.bytes_sent, 40_000);
     }
 }

@@ -24,6 +24,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
 use tb_dag::{Committer, DagError, DagStore};
 use tb_executor::{BatchExecutor, ConcurrentExecutor, OccExecutor};
+use tb_network::NetworkStats;
 use tb_storage::{CommitMarker, KvRead, MemStore, Store, Versioned, WalOptions, WalStore};
 use tb_types::{
     Block, BlockKind, BlockPayload, Certificate, Committee, DagId, Digest, Hashable, Header, Key,
@@ -203,23 +204,15 @@ impl Replica {
         let assignment = ShardAssignment::new(committee, dag_id);
         let shard = assignment.shard_of(id);
         let op_cost = config.system.ce.synthetic_op_cost_ns;
-        let pipeline = match config.mode {
-            ExecutionMode::Tusk => {
-                CommitPipeline::with_op_cost(PostCommitExecution::Serial, op_cost)
-            }
-            _ if config.system.pipelined_commit => CommitPipeline::with_op_cost(
+        let execution = match config.mode {
+            ExecutionMode::Tusk => PostCommitExecution::Serial,
+            ExecutionMode::Thunderbolt | ExecutionMode::ThunderboltOcc => {
                 PostCommitExecution::Pipelined {
                     workers: config.system.validators,
-                },
-                op_cost,
-            ),
-            _ => CommitPipeline::with_op_cost(
-                PostCommitExecution::Parallel {
-                    workers: config.system.validators,
-                },
-                op_cost,
-            ),
+                }
+            }
         };
+        let pipeline = CommitPipeline::with_op_cost(execution, op_cost);
         Replica {
             id,
             committee,
@@ -311,13 +304,21 @@ impl Replica {
         std::mem::take(&mut self.busy)
     }
 
-    /// Builds the run report from this replica's point of view.
-    pub fn report(&self, label: &str, duration: SimTime) -> RunReport {
+    /// Builds the run report from this replica's point of view. The replica
+    /// does not know what generated its traffic or what the transport
+    /// carried, so its driver (the cluster simulation or the node loop)
+    /// supplies the workload name and the network statistics; fault
+    /// accounting is left at zero for a driver that injects faults to fill.
+    pub fn report(
+        &self,
+        label: &str,
+        workload: &str,
+        duration: SimTime,
+        net: NetworkStats,
+    ) -> RunReport {
         RunReport {
             label: label.to_string(),
-            // The replica does not know what generated its traffic; the
-            // cluster harness stamps the workload name onto the report.
-            workload: String::new(),
+            workload: workload.to_string(),
             replicas: self.committee.size(),
             committed_txs: self.metrics.committed_txs,
             single_shard_txs: self.metrics.single_shard_txs,
@@ -337,13 +338,11 @@ impl Replica {
             commit_order_digest: format!("{:016x}", self.metrics.commit_order_digest),
             round_commits: self.metrics.round_commits.clone(),
             highest_round: self.dag.highest_round(),
-            // Network-level accounting lives in the simulator; the cluster
-            // harness fills these in after the run.
-            msgs_sent: 0,
-            msgs_delivered: 0,
-            msgs_dropped: 0,
-            bytes_sent: 0,
-            bytes_delivered: 0,
+            msgs_sent: net.sent,
+            msgs_delivered: net.delivered,
+            msgs_dropped: net.dropped,
+            bytes_sent: net.bytes_sent,
+            bytes_delivered: net.bytes_delivered,
             faults_applied: 0,
             faults_unapplied: 0,
         }

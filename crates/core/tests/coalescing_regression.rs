@@ -4,9 +4,9 @@
 //! The pipelined commit path's applier thread drains every write batch that
 //! queued up into a single [`MemStore::apply_many`] call, and
 //! `CommitOutput::coalesced_batches` counts how many batches were drained
-//! together with at least one other. Three consecutive committed
-//! `BENCH_report.json` baselines recorded `coalesced_batches: 0` on every
-//! scenario: the old one-batch mpsc handoff woke the applier per batch, and
+//! together with at least one other. Three consecutive committed perf
+//! baselines recorded `coalesced_batches: 0` on every scenario: the old
+//! one-batch mpsc handoff woke the applier per batch, and
 //! because a `MemStore` apply is far cheaper than validating the next
 //! block, the applier never fell behind — the coalescing machinery was dead
 //! weight on every measured configuration.
@@ -17,7 +17,7 @@
 //! on any scheduler, including a single hardware thread. This file pins the
 //! fix from both sides:
 //!
-//! * the accounting stays exclusive to the pipelined applier (the staged
+//! * the accounting stays exclusive to the pipelined applier (the serial
 //!   path never reports coalescing) and a deep backlog commits identically
 //!   on both paths;
 //! * the formerly-`#[ignore]`d red anchor — a backlogged pipelined commit
@@ -97,7 +97,7 @@ fn backlogged_sub_dag(accounts: u64, rounds: usize, per_block: usize) -> Committ
 }
 
 /// Green half of the anchor: `coalesced_batches` is an exclusive property
-/// of the pipelined applier (the staged path always reports zero), and a
+/// of the pipelined applier (the serial path always reports zero), and a
 /// deep backlog of chained blocks commits identically on both paths — the
 /// same transactions in the same order ending in the same state — whether
 /// or not the applier happened to coalesce.
@@ -106,15 +106,15 @@ fn coalescing_accounting_is_pipelined_only_and_backlogs_stay_correct() {
     let sub_dag = backlogged_sub_dag(16, 40, 8);
 
     let staged_store = funded_store(16);
-    let staged = CommitPipeline::new(PostCommitExecution::Parallel { workers: 2 });
+    let staged = CommitPipeline::new(PostCommitExecution::Serial);
     let staged_out = staged.process(&sub_dag, &staged_store, SimTime::from_secs(1));
     assert_eq!(
         staged_out.coalesced_batches, 0,
-        "the staged path has no applier thread, so it must never coalesce"
+        "the serial path has no applier thread, so it must never coalesce"
     );
     assert_eq!(staged_out.invalid_blocks, 0);
 
-    // The staged path applies one batch per valid block.
+    // The serial path applies one batch per valid block.
     assert_eq!(staged_out.apply_calls, 40);
 
     let pipelined_store = funded_store(16);
@@ -148,7 +148,7 @@ fn coalescing_accounting_is_pipelined_only_and_backlogs_stay_correct() {
 /// day the drain policy made coalescing a property of the design instead of
 /// an accident of preemption.
 #[test]
-fn backlogged_pipelined_commit_actually_coalesces() {
+fn backlogged_pipelined_path_actually_coalesces() {
     let sub_dag = backlogged_sub_dag(16, 160, 4);
     let store = funded_store(16);
     let pipeline = CommitPipeline::new(PostCommitExecution::Pipelined { workers: 2 });

@@ -139,8 +139,8 @@ impl BatchResult {
     /// are canonicalized (walked in serialized order, access sets sorted by
     /// key), so two runs of the same batch produce the same digest iff they
     /// agree on the order and on every declared outcome — digest equality
-    /// across worker counts is the machine-checked determinism proof behind
-    /// the `executor_scaling` bench table (docs/PERF.md).
+    /// across worker counts is the machine-checked determinism proof that
+    /// multi-worker preplay serializes to one order.
     pub fn commit_digest(&self) -> u64 {
         let mut sorted: Vec<&PreplayedTx> = self.preplayed.iter().collect();
         sorted.sort_by_key(|p| p.order);

@@ -41,6 +41,6 @@ pub use ce::ConcurrentExecutor;
 pub use occ::OccExecutor;
 pub use pool::{Backoff, WorkerPool};
 pub use serial::SerialExecutor;
-pub use traits::{available_cores, effective_workers, strict_figures_enabled, BatchExecutor};
+pub use traits::{available_cores, effective_workers, BatchExecutor};
 pub use two_pl::TwoPlNoWaitExecutor;
 pub use validation::{validate_block, ValidationConfig, ValidationReport};

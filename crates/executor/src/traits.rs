@@ -41,15 +41,6 @@ pub fn effective_workers(requested: usize) -> usize {
     requested.clamp(1, available_cores())
 }
 
-/// True if the environment opted into the strict wall-clock figure
-/// assertions (`TB_STRICT_FIGURES=1`) *and* the machine has at least two
-/// hardware threads. Wall-clock comparisons between threaded engines are
-/// decided by preemption luck on a single-core runner, so the gate refuses
-/// to arm itself there even when the variable is set.
-pub fn strict_figures_enabled() -> bool {
-    std::env::var("TB_STRICT_FIGURES").is_ok_and(|v| v == "1") && available_cores() >= 2
-}
-
 /// Spin-waits for approximately `nanos` nanoseconds.
 ///
 /// Used to model the interpretation overhead a real contract VM adds to every

@@ -56,17 +56,16 @@ fn main() {
         "{} processes over localhost TCP, {} leader rounds requested",
         replicas, rounds
     );
-    for report in &outcome.reports {
+    for (node, report) in outcome.reports.iter().enumerate() {
         println!(
-            "  node {}: {} txs committed, {} rounds, {} msgs sent / {} delivered, \
-             {} B sent, digest {:016x}",
-            report.node,
+            "  node {node}: {} txs committed, {} rounds, {} msgs sent / {} delivered, \
+             {} B sent, digest {}",
             report.committed_txs,
             report.round_commits.len(),
             report.msgs_sent,
             report.msgs_delivered,
             report.bytes_sent,
-            report.commit_digest
+            report.commit_order_digest
         );
     }
     println!(

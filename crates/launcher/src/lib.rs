@@ -4,7 +4,7 @@
 //! [`ScenarioBuilder::build_real_net`](tb_core::ScenarioBuilder::build_real_net)),
 //! expands it into one [`NodeSpec`] per replica, spawns N copies of the
 //! current executable as node processes on localhost TCP, and collects one
-//! [`NodeReport`] per process. Any binary can serve as the node image by
+//! [`RunReport`] per process. Any binary can serve as the node image by
 //! calling [`maybe_run_node_from_env`] at the top of `main` — the launcher
 //! re-executes `std::env::current_exe()` with the spec hex-encoded in the
 //! [`NODE_SPEC_ENV`] environment variable, and the child answers with a
@@ -24,7 +24,7 @@ use std::io::{self, Read};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 use tb_core::scenario::RealNetPlan;
-use tb_core::{run_node, ClusterSimulation, NodeReport, NodeSpec, RoundCommitSample, RunReport};
+use tb_core::{run_node, ClusterSimulation, NodeSpec, RoundCommitSample, RunReport};
 use tb_network::FaultPlan;
 use tb_types::wire::{from_hex, to_hex, Wire};
 
@@ -90,8 +90,8 @@ impl Default for LaunchOptions {
 #[derive(Clone, Debug)]
 pub struct RealNetOutcome {
     /// One report per node, indexed by replica id.
-    pub reports: Vec<NodeReport>,
-    /// Node 0's counters folded into a sim-shaped [`RunReport`].
+    pub reports: Vec<RunReport>,
+    /// Node 0's report.
     pub observer: RunReport,
     /// All nodes carry identical `(dag, round, digest)` samples on the
     /// common prefix of their commit sequences, and every node committed
@@ -190,7 +190,7 @@ pub fn run_real_net_scenario(
             .lines()
             .find_map(|line| line.strip_prefix(NODE_REPORT_PREFIX))
             .and_then(|hex| from_hex(hex.trim()).ok())
-            .and_then(|bytes| NodeReport::from_wire_bytes(&bytes).ok())
+            .and_then(|bytes| RunReport::from_wire_bytes(&bytes).ok())
             .ok_or_else(|| {
                 io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -199,15 +199,13 @@ pub fn run_real_net_scenario(
             })?;
         reports.push(report);
     }
-    reports.sort_by_key(|report| report.node);
 
     let nodes_agree = reports.iter().all(|r| !r.round_commits.is_empty())
         && reports
             .windows(2)
             .all(|pair| prefixes_agree(&pair[0].round_commits, &pair[1].round_commits));
 
-    let label = plan.config.label();
-    let observer = reports[0].to_run_report(&label, "smallbank", plan.config.system.n_replicas);
+    let observer = reports[0].clone();
 
     let (sim_digest_checked, sim_digest_match, sim_report) = if options.check_sim_digest {
         // The twin runs the configuration *as the nodes rebuilt it* — not

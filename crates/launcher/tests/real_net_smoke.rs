@@ -39,29 +39,32 @@ fn main() {
     let outcome = run_real_net_scenario(&plan, &options).expect("cluster launch failed");
 
     assert_eq!(outcome.reports.len(), 4, "one report per node process");
-    for report in &outcome.reports {
-        assert!(
-            report.committed_txs > 0,
-            "node {} committed nothing",
-            report.node
-        );
+    for (node, report) in outcome.reports.iter().enumerate() {
+        assert!(report.committed_txs > 0, "node {node} committed nothing");
         assert!(
             report.round_commits.len() >= target,
-            "node {} committed {} rounds, wanted {}",
-            report.node,
+            "node {node} committed {} rounds, wanted {target}",
             report.round_commits.len(),
-            target
         );
         assert!(report.bytes_sent > 0, "byte accounting must be wired up");
         assert!(report.msgs_delivered > 0);
+        assert_eq!(report.workload, "smallbank");
     }
+    // A node reports its replica's own commit-path counters, not zeros: on
+    // this all-single-shard scenario every committed block went through the
+    // storage apply stage.
+    assert!(
+        outcome.observer.apply_calls > 0,
+        "the observer's report lost its commit-path counters: {:?}",
+        outcome.observer
+    );
     assert!(
         outcome.nodes_agree,
         "nodes disagreed on commit-order digests: {:?}",
         outcome
             .reports
             .iter()
-            .map(|r| (r.node, r.commit_digest))
+            .map(|r| &r.commit_order_digest)
             .collect::<Vec<_>>()
     );
     assert!(outcome.sim_digest_checked);

@@ -7,11 +7,10 @@
 //! scheduled time.
 
 use crate::sim::SimNetwork;
-use serde::{Deserialize, Serialize};
 use tb_types::{ReplicaId, SimTime};
 
 /// A single fault action.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultAction {
     /// Crash the replica (no sending, no receiving).
     Crash(ReplicaId),
@@ -30,7 +29,7 @@ pub enum FaultAction {
 }
 
 /// A scheduled fault.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScheduledFault {
     /// When the fault takes effect.
     pub at: SimTime,
@@ -39,7 +38,7 @@ pub struct ScheduledFault {
 }
 
 /// An ordered collection of faults to inject during a run.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     faults: Vec<ScheduledFault>,
     cursor: usize,

@@ -2,10 +2,10 @@
 //!
 //! The paper evaluates Thunderbolt on clusters of up to 64 machines; this
 //! reproduction runs the same protocol logic over a **discrete-event
-//! simulated network** instead (see DESIGN.md, "Substitutions"). Replicas
-//! are deterministic state machines; every message is scheduled for delivery
-//! after a latency drawn from a configurable model (LAN / WAN), and the
-//! simulation clock jumps from event to event. Crash faults, censoring
+//! simulated network** instead. Replicas are deterministic state machines;
+//! every message is scheduled for delivery after a latency drawn from a
+//! configurable model (LAN / WAN), and the simulation clock jumps from event
+//! to event. Crash faults, censoring
 //! (silenced) replicas, link partitions and random message loss can be
 //! injected at any point, which is how the failure and reconfiguration
 //! experiments (Figures 15–17) are driven.

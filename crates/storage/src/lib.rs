@@ -3,7 +3,7 @@
 //!
 //! The paper stores account balances in LevelDB; this reproduction keeps a
 //! versioned store with two interchangeable backends behind the [`Store`]
-//! trait (see DESIGN.md, "Substitutions", and docs/STORAGE.md):
+//! trait (see docs/STORAGE.md):
 //!
 //! * [`MemStore`] — striped, concurrently readable, volatile. The version
 //!   counter per key is what the OCC baseline validates against; atomic

@@ -13,12 +13,11 @@ use crate::ids::{DagId, ReplicaId, Round, SeqNo, ShardId};
 use crate::ops::ExecOutcome;
 use crate::time::SimTime;
 use crate::transaction::Transaction;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single-shard transaction together with its preplay outcome and its
 /// position in the serialized order produced by the concurrent executor.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PreplayedTx {
     /// The original transaction.
     pub tx: Transaction,
@@ -37,7 +36,7 @@ impl PreplayedTx {
 }
 
 /// The role of a block in the protocol.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum BlockKind {
     /// An ordinary block carrying transactions.
     #[default]
@@ -61,7 +60,7 @@ impl fmt::Display for BlockKind {
 }
 
 /// The transaction payload of a block.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BlockPayload {
     /// Single-shard transactions preplayed by the concurrent executor, in
     /// their serialized order.
@@ -89,7 +88,7 @@ impl BlockPayload {
 }
 
 /// A block produced by a shard proposer for one DAG round.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Block {
     /// The DAG instance this block belongs to.
     pub dag: DagId,

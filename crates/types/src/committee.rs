@@ -9,10 +9,9 @@
 //! is `R_((i mod n) + 1)` (paper Section 6).
 
 use crate::ids::{DagId, ReplicaId, Round, ShardId};
-use serde::{Deserialize, Serialize};
 
 /// Static description of the replica committee.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Committee {
     /// Total number of replicas (`n`). Also the number of shards, since every
     /// replica doubles as a shard proposer.
@@ -90,7 +89,7 @@ impl Committee {
 }
 
 /// The rotating assignment between shards and replicas for one DAG instance.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardAssignment {
     committee: Committee,
     dag: DagId,

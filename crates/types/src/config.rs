@@ -2,11 +2,10 @@
 //! simulation.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the concurrent executor (paper Section 7) and of the
 /// baseline executors.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CeConfig {
     /// Number of executor workers executing transactions in parallel.
     pub executors: usize,
@@ -25,7 +24,7 @@ pub struct CeConfig {
     /// nearly free, which would make every executor bottleneck on its central
     /// coordination structure instead of on execution. Charging a small,
     /// configurable busy-wait per operation (outside any critical section)
-    /// restores the paper's cost balance. See DESIGN.md, "Substitutions".
+    /// restores the paper's cost balance.
     pub synthetic_op_cost_ns: u64,
 }
 
@@ -58,7 +57,7 @@ impl CeConfig {
 }
 
 /// Reconfiguration parameters (paper Section 6).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReconfigConfig {
     /// `K`: a replica emits a Shift block if a shard proposer has been silent
     /// for `K` rounds.
@@ -103,7 +102,7 @@ impl ReconfigConfig {
 }
 
 /// Message latency models used by the simulated transport.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LatencyModel {
     /// Zero-latency delivery, for deterministic unit tests.
     Instant,
@@ -151,7 +150,7 @@ impl LatencyModel {
 }
 
 /// Which storage backend a replica keeps its committed state in.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StorageBackend {
     /// The striped in-memory store: volatile, nearly free, the default.
     #[default]
@@ -165,7 +164,7 @@ pub enum StorageBackend {
 }
 
 /// Storage backend selection and tuning.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StorageConfig {
     /// The backend every replica of the cluster uses.
     pub backend: StorageBackend,
@@ -208,7 +207,7 @@ impl StorageConfig {
 }
 
 /// Top-level configuration of a multi-replica experiment.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SystemConfig {
     /// Number of replicas (and therefore shards).
     pub n_replicas: u32,
@@ -217,11 +216,6 @@ pub struct SystemConfig {
     /// Number of validator workers re-checking preplay results after
     /// consensus (the paper uses 16).
     pub validators: usize,
-    /// Overlap post-consensus validation of block N+1 with the storage apply
-    /// of block N (the staged commit pipeline). Disable to force the
-    /// strictly staged path; commit order and applied state are identical
-    /// either way.
-    pub pipelined_commit: bool,
     /// Reconfiguration parameters.
     pub reconfig: ReconfigConfig,
     /// Network latency model.
@@ -241,7 +235,6 @@ impl Default for SystemConfig {
             n_replicas: 4,
             ce: CeConfig::default(),
             validators: 16,
-            pipelined_commit: true,
             reconfig: ReconfigConfig::default(),
             latency: LatencyModel::lan(),
             leader_timeout: SimTime::from_millis(50),

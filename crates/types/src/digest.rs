@@ -5,15 +5,12 @@
 //! deterministic *structural digest* (a 256-bit value derived from a
 //! SplitMix64-based mixing of the structure's fields) and replaces signatures
 //! with explicit signer sets. The quorum logic — which is all the protocol
-//! depends on — is unchanged; see DESIGN.md "Substitutions".
+//! depends on — is unchanged.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 256-bit structural digest identifying a block, header or vertex.
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Digest(pub [u64; 4]);
 
 impl Digest {

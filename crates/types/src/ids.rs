@@ -4,17 +4,12 @@
 //! they can be used as map keys and serialized cheaply, while keeping the
 //! type system able to distinguish e.g. a replica index from a shard index.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $inner:ty, $prefix:expr) => {
         $(#[$doc])*
-        #[derive(
-            Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash,
-            Serialize, Deserialize,
-        )]
-        #[serde(transparent)]
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub $inner);
 
         impl $name {
@@ -97,10 +92,7 @@ id_type!(
 
 /// A DAG round. Rounds advance in lock step inside one DAG instance; the
 /// round counter restarts from the *ending round* when a new DAG begins.
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Round(pub u64);
 
 impl Round {

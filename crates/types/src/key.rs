@@ -8,13 +8,10 @@
 //! that both accounts of a `SendPayment` land in predictable shards.
 
 use crate::ids::ShardId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Logical table / namespace a key belongs to.
-#[derive(
-    Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum KeySpace {
     /// SmallBank checking balances.
     #[default]
@@ -60,9 +57,7 @@ impl fmt::Display for KeySpace {
 }
 
 /// A data key: a row inside a [`KeySpace`].
-#[derive(
-    Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Key {
     /// The namespace the key lives in.
     pub space: KeySpace,

@@ -9,11 +9,10 @@
 
 use crate::key::Key;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Kind of a state operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// `<Read, K>`: observe the current value of a key.
     Read,
@@ -31,7 +30,7 @@ impl fmt::Display for OpKind {
 }
 
 /// A single state operation issued by an executing contract.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Operation {
     /// Read the value stored under `key`.
     Read {
@@ -84,7 +83,7 @@ impl fmt::Display for Operation {
 }
 
 /// Whether an access observed or produced the associated value.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// The value was read.
     Read,
@@ -94,7 +93,7 @@ pub enum AccessKind {
 
 /// One entry of a read or write set: the key together with the value that was
 /// observed (reads) or produced (writes) during preplay.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AccessRecord {
     /// The accessed key.
     pub key: Key,
@@ -124,7 +123,7 @@ pub type ReadSet = Vec<AccessRecord>;
 pub type WriteSet = Vec<AccessRecord>;
 
 /// The result of executing (or preplaying) one transaction.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecOutcome {
     /// Keys read and the values observed.
     pub read_set: ReadSet,

@@ -11,13 +11,12 @@ use crate::ids::{ClientId, ShardId, TxId};
 use crate::key::Key;
 use crate::ops::Operation;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The six SmallBank procedures (paper Section 11.2). The evaluation focuses
 /// on `SendPayment` and `GetBalance`, but the full suite is implemented so the
 /// workload generator can produce any mix.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum SmallBankProcedure {
     /// Move the entire savings + checking balance of `from` into the checking
     /// balance of `to`.
@@ -111,7 +110,7 @@ impl fmt::Display for SmallBankProcedure {
 
 /// The payload of a transaction: which contract to run and with which
 /// arguments. The interpretation of the payload lives in `tb-contracts`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ContractCall {
     /// One of the native SmallBank procedures.
     SmallBank(SmallBankProcedure),
@@ -168,7 +167,7 @@ impl ContractCall {
 }
 
 /// Classification of a transaction with respect to the shard map.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TxClass {
     /// All declared keys live in a single shard: eligible for the EOV preplay
     /// path through the concurrent executor.
@@ -189,7 +188,7 @@ impl fmt::Display for TxClass {
 }
 
 /// A client transaction.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Transaction {
     /// Globally unique identifier.
     pub id: TxId,

@@ -5,12 +5,11 @@
 //! store opaque byte strings, and a missing key reads as [`Value::None`].
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A value stored in the state, read by a `<Read, K>` operation or written by
 /// a `<Write, K, V>` operation (paper Section 3.1 data model).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Value {
     /// The key is absent (or was deleted).
     #[default]

@@ -13,11 +13,10 @@ use crate::committee::Committee;
 use crate::digest::{Digest, Hashable, StructuralHasher};
 use crate::ids::{DagId, ReplicaId, Round};
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The header of a DAG vertex: everything except the block body.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Header {
     /// DAG instance the header belongs to.
     pub dag: DagId,
@@ -85,9 +84,8 @@ impl fmt::Display for Header {
 ///
 /// Signatures are modelled as an explicit, deduplicated list of signer ids;
 /// [`Certificate::is_valid`] checks the quorum threshold against the
-/// committee (see DESIGN.md "Substitutions" for why this is equivalent for
-/// the protocol logic).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// committee, which is all the protocol logic depends on.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Certificate {
     /// Digest of the certified header.
     pub header_digest: Digest,
@@ -170,7 +168,7 @@ impl fmt::Display for Certificate {
 }
 
 /// A certified DAG vertex: header, block body and certificate.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Vertex {
     /// The vertex header.
     pub header: Header,

@@ -1,9 +1,8 @@
 //! Hand-rolled binary wire codec for everything that crosses a process
 //! boundary.
 //!
-//! The vendored serde shim (`shims/serde`) is serialize-only — `Deserialize`
-//! is a methodless marker — so the real-network transport cannot use it. This
-//! module provides the [`Wire`] trait instead: a compact, deterministic,
+//! The workspace builds offline with no serialization framework, so this
+//! module is the one codec: the [`Wire`] trait is a compact, deterministic,
 //! little-endian binary encoding with explicit enum tags and `u32`-prefixed
 //! collections, implemented by hand for every type that appears inside a
 //! consensus message ([`crate::vertex::Vertex`] and below).

@@ -11,12 +11,11 @@
 use crate::zipf::ZipfianGenerator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use tb_contracts::ProgramBuilder;
 use tb_types::{ClientId, ContractCall, Key, SimTime, Transaction, TxId, Value};
 
 /// Configuration of the contract workload.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ContractWorkloadConfig {
     /// Number of token/counter slots.
     pub slots: u64,

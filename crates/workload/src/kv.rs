@@ -21,11 +21,10 @@
 use crate::zipf::ZipfianGenerator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use tb_types::{ClientId, ContractCall, Key, Operation, SimTime, Transaction, TxId, Value};
 
 /// Configuration of the hot-key KV workload.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct KvWorkloadConfig {
     /// Number of keys in the pool.
     pub keys: u64,

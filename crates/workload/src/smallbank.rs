@@ -15,14 +15,13 @@
 use crate::zipf::ZipfianGenerator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use tb_contracts::SMALLBANK_DEFAULT_BALANCE;
 use tb_types::{
     ClientId, ContractCall, Key, ShardId, SimTime, SmallBankProcedure, Transaction, TxId, Value,
 };
 
 /// Configuration of the SmallBank workload.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SmallBankConfig {
     /// Number of accounts in the pool.
     pub accounts: u64,

@@ -34,8 +34,7 @@ use tb_types::{Key, SimTime, Transaction, Value};
 /// what makes scenario reports comparable run over run and what the
 /// SmallBank digest-equivalence test pins down.
 pub trait Workload: Send {
-    /// Stable name recorded in run reports (`RunReport::workload`) and in
-    /// `BENCH_report.json` scenario rows.
+    /// Stable name recorded in run reports (`RunReport::workload`).
     fn name(&self) -> &str;
 
     /// The number of shards produced transactions are tagged with.

@@ -96,17 +96,6 @@ impl<'a> IntoIterator for &'a Bytes {
     }
 }
 
-impl serde::Serialize for Bytes {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Array(
-            self.0
-                .iter()
-                .map(|b| serde::Value::UInt(*b as u64))
-                .collect(),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -68,7 +68,8 @@ pub use tb_core::{
 pub mod prelude {
     pub use tb_core::campaign::{
         assert_honest_agreement, check_honest_agreement, default_campaign, run_campaign,
-        CampaignProfile, CampaignScenario, Invariant, InvariantContext, ScenarioResult,
+        validate_campaigns, CampaignProfile, CampaignScenario, Invariant, InvariantContext,
+        ScenarioResult,
     };
     pub use tb_core::cluster::{ClusterConfig, ClusterSimulation, ExecutionMode};
     pub use tb_core::metrics::{LatencyHistogram, RoundCommitSample, RunReport};
@@ -83,8 +84,8 @@ pub mod prelude {
     };
 
     pub use tb_executor::{
-        strict_figures_enabled, validate_block, BatchExecutor, ConcurrentExecutor, OccExecutor,
-        SerialExecutor, TwoPlNoWaitExecutor, ValidationConfig,
+        validate_block, BatchExecutor, ConcurrentExecutor, OccExecutor, SerialExecutor,
+        TwoPlNoWaitExecutor, ValidationConfig,
     };
 
     pub use tb_contracts::{

@@ -60,7 +60,7 @@ fn every_engine_conserves_total_balance_under_high_contention() {
 }
 
 #[test]
-fn concurrent_executor_and_two_pl_survive_contention_with_bounded_reexecutions() {
+fn concurrent_executor_and_two_pl_survive_contention() {
     // The qualitative claim behind Figure 11 — the CE's rescheduling produces
     // fewer aborts than 2PL-No-Wait on a contended workload — is inherently a
     // statement about genuinely parallel executors. The wall-clock engines
@@ -69,14 +69,10 @@ fn concurrent_executor_and_two_pl_survive_contention_with_bounded_reexecutions()
     // the concurrency control. The deterministic version of the comparison
     // (fixed round-robin interleaving, no scheduler) lives in
     // `tb_executor::two_pl::tests::deterministic_interleaving_ce_reschedules_where_no_wait_locking_aborts`;
-    // here we always check both engines stay live and correct under
-    // contention, and enforce the strict inequality only when the environment
-    // opts in (`TB_STRICT_FIGURES=1`) *and* the machine actually has more
-    // than one hardware thread (`strict_figures_enabled` checks both, so a
-    // single-core CI runner can export the variable without flaking).
+    // here we check both engines stay live and correct under contention.
+    // Re-execution counts of the threaded engines are measured by the
+    // benchmark's executor probes (`benchmark/README.md`), not asserted.
     let config = CeConfig::new(8, 256).without_synthetic_cost();
-    let mut total_ce = 0u64;
-    let mut total_2pl = 0u64;
     for seed in 0..3u64 {
         let batch = workload(64, 0.0, 0.9, 100 + seed).batch(256, SimTime::ZERO);
         let ce_store = funded_store(64);
@@ -92,14 +88,6 @@ fn concurrent_executor_and_two_pl_survive_contention_with_bounded_reexecutions()
         );
         assert_eq!(ce_store.stats().int_sum, expected_total);
         assert_eq!(two_pl_store.stats().int_sum, expected_total);
-        total_ce += ce_result.reexecutions;
-        total_2pl += two_pl_result.reexecutions;
-    }
-    if strict_figures_enabled() {
-        assert!(
-            total_ce <= total_2pl,
-            "CE re-executed {total_ce} times, 2PL-No-Wait {total_2pl} times"
-        );
     }
 }
 

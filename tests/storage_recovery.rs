@@ -121,3 +121,31 @@ fn restarted_replicas_recover_exact_state_without_reloading_genesis() {
         "recovered digest must equal the reported commit-order digest"
     );
 }
+
+/// Persistence is a refinement, not a behaviour change: the same seeded
+/// lockstep scenario (all single-shard, so block content is a function of
+/// the seed alone) commits the identical order on the in-memory backend and
+/// on the WAL backend.
+#[test]
+fn mem_and_wal_backends_commit_the_identical_order() {
+    let dir = TempDir::new("storage-backend-equivalence").expect("scoped temp dir");
+    let run = |storage: StorageConfig| {
+        wal_scenario(storage, 8)
+            .lockstep()
+            .workload(SmallBankConfig {
+                accounts: 128,
+                n_shards: 4,
+                cross_shard_fraction: 0.0,
+                ..SmallBankConfig::default()
+            })
+            .run()
+    };
+    let mem = run(StorageConfig::mem());
+    let wal = run(wal_config(&dir));
+    assert!(mem.committed_txs > 0, "the scenario must commit");
+    assert_eq!(mem.committed_txs, wal.committed_txs);
+    assert_eq!(
+        mem.commit_order_digest, wal.commit_order_digest,
+        "the storage backend changed commit semantics"
+    );
+}

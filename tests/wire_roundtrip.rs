@@ -6,6 +6,8 @@
 //! of all three kinds, headers, certificates and vertices — including
 //! batch-sized payloads. `encoded_len` must also agree with the actual
 //! encoding, because the transport and the byte accounting both rely on it.
+//! The `RunReport` a node process hands back to its launcher travels in the
+//! same encoding and is round-tripped here too.
 
 use proptest::prelude::*;
 use thunderbolt::tb_types::wire::Wire;
@@ -14,7 +16,7 @@ use thunderbolt::tb_types::{
     Digest, ExecOutcome, Header, Key, KeySpace, Operation, PreplayedTx, ReplicaId, Round, SeqNo,
     ShardId, SimTime, SmallBankProcedure, Transaction, TxId, Value, Vertex,
 };
-use thunderbolt::Message;
+use thunderbolt::{Message, RoundCommitSample, RunReport};
 
 /// Encode → decode must reproduce the value exactly, consume every byte, and
 /// agree with the allocation-free `encoded_len`.
@@ -337,4 +339,55 @@ fn max_size_batch_roundtrips() {
         frame.len()
     );
     roundtrips(msg);
+}
+
+/// The report a TCP node prints for its launcher: every field distinct and
+/// non-default, so a field written in one order and read in another (or
+/// dropped from either side) cannot round-trip.
+#[test]
+fn run_reports_roundtrip() {
+    roundtrips(RunReport {
+        label: "Thunderbolt/tcp".to_string(),
+        workload: "smallbank".to_string(),
+        replicas: 4,
+        committed_txs: 640,
+        single_shard_txs: 600,
+        cross_shard_txs: 40,
+        invalid_blocks: 1,
+        reexecutions: 17,
+        reconfigurations: 2,
+        duration: SimTime(1_500_000),
+        total_latency_secs: 12.5,
+        latency_p50_secs: 0.02,
+        latency_p99_secs: 0.08,
+        validate_busy_secs: 0.31,
+        apply_busy_secs: 0.07,
+        execute_busy_secs: 0.11,
+        coalesced_batches: 9,
+        apply_calls: 21,
+        commit_order_digest: format!("{:016x}", 0xdead_beefu64),
+        round_commits: vec![
+            RoundCommitSample {
+                dag: 0,
+                round: Round::new(1),
+                committed_at: SimTime(250_000),
+                digest: 0xfeed,
+            },
+            RoundCommitSample {
+                dag: 1,
+                round: Round::new(3),
+                committed_at: SimTime(900_000),
+                digest: 0xdead_beef,
+            },
+        ],
+        highest_round: Round::new(9),
+        msgs_sent: 100,
+        msgs_delivered: 90,
+        msgs_dropped: 3,
+        bytes_sent: 40_000,
+        bytes_delivered: 36_000,
+        faults_applied: 5,
+        faults_unapplied: 6,
+    });
+    roundtrips(RunReport::default());
 }
