@@ -519,6 +519,49 @@ mod tests {
         assert_eq!(report.faults_unapplied, 1);
     }
 
+    /// The protocol constant this file's messages add up to: at `n = 4` a
+    /// block crosses the network `n + f = 5` times (four headers, one full
+    /// vertex for the replica that is not a signer) and, inside one process,
+    /// exists once however many replicas hold it.
+    #[test]
+    fn a_block_is_shipped_n_plus_f_times_and_held_once() {
+        use std::sync::Arc;
+        use tb_types::wire::Wire;
+
+        let mut config = small_config(ExecutionMode::Thunderbolt, 4, 20).with_lockstep();
+        config.system.ce = CeConfig::new(2, 200).without_synthetic_cost();
+        let mut sim = ClusterSimulation::with_defaults(
+            config,
+            SmallBankConfig {
+                accounts: 1_000,
+                ..workload(4, 0.0)
+            },
+        );
+        let report = sim.run();
+        assert!(report.committed_txs > 0);
+
+        let observer = sim.replica(ReplicaId::new(0)).dag();
+        let block_bytes: usize = observer.iter().map(|v| v.block.encoded_len()).sum();
+        let copies = report.bytes_sent as f64 / block_bytes as f64;
+        assert!(
+            (5.0..6.0).contains(&copies),
+            "{} bytes sent for {block_bytes} bytes of blocks: {copies:.2} copies per vertex",
+            report.bytes_sent
+        );
+
+        let mut compared = 0;
+        for vertex in observer.iter() {
+            for peer in 1..4 {
+                let peer_dag = sim.replica(ReplicaId::new(peer)).dag();
+                if let Some(theirs) = peer_dag.by_author_round(vertex.author(), vertex.round()) {
+                    assert!(Arc::ptr_eq(&vertex.block, &theirs.block));
+                    compared += 1;
+                }
+            }
+        }
+        assert!(compared > 0);
+    }
+
     #[test]
     fn occ_mode_runs_and_reports_its_label() {
         let mut sim = ClusterSimulation::with_defaults(

@@ -18,7 +18,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
-use tb_contracts::{execute_call, StateAccess, TrackingState};
+use tb_contracts::{execute_call, StateAccess};
 use tb_dag::CommittedSubDag;
 use tb_executor::effective_workers;
 use tb_executor::validation::{validate_block, ValidationConfig};
@@ -210,7 +210,7 @@ impl CommitPipeline {
             }
             PostCommitExecution::Pipelined { workers } => {
                 for wave in shard_disjoint_waves(&cross_shard) {
-                    execute_wave(&wave, store, workers, self.op_cost_ns);
+                    execute_wave(wave, store, workers, self.op_cost_ns);
                     for tx in wave {
                         record_commit(&mut output, tx.id, tx.submitted_at, commit_time);
                     }
@@ -333,9 +333,7 @@ impl CommitPipeline {
     /// Executes a single transaction directly against the store (the OE
     /// path: order first, execute after).
     fn execute_one(tx: &Transaction, store: &dyn Store, op_cost_ns: u64) {
-        let mut session = StoreSession { store, op_cost_ns };
-        let mut tracking = TrackingState::new(&mut session);
-        let _ = execute_call(&tx.call, &mut tracking);
+        let _ = execute_call(&tx.call, &mut StoreSession { store, op_cost_ns });
     }
 }
 
@@ -506,33 +504,50 @@ impl KvRead for PendingApplyView<'_> {
 /// pairwise disjoint. Transactions within one wave can execute concurrently
 /// without conflicting, because keys never cross shards; waves execute in
 /// order, preserving the deterministic total order.
-fn shard_disjoint_waves<'a>(txs: &[&'a Transaction]) -> Vec<Vec<&'a Transaction>> {
-    let mut waves: Vec<(HashSet<ShardId>, Vec<&Transaction>)> = Vec::new();
-    for tx in txs {
-        let shards: HashSet<ShardId> = tx.shards.iter().copied().collect();
-        // A transaction can only join the *last* wave (otherwise it would
-        // overtake a conflicting transaction in an earlier wave), and only if
-        // it does not conflict with anything in it.
-        let fits_last = waves
-            .last()
-            .map(|(used, _)| used.is_disjoint(&shards))
-            .unwrap_or(false);
-        if fits_last {
-            let (used, wave) = waves.last_mut().expect("checked non-empty");
-            used.extend(shards);
-            wave.push(tx);
-        } else {
-            waves.push((shards, vec![tx]));
+///
+/// A transaction can only join the *last* wave (otherwise it would overtake
+/// a conflicting transaction in an earlier wave), so a wave is a run of
+/// consecutive transactions that ends where the next one touches a shard the
+/// run already uses.
+fn shard_disjoint_waves<'s, 'a>(txs: &'s [&'a Transaction]) -> Vec<&'s [&'a Transaction]> {
+    let mut waves = Vec::new();
+    let mut used: HashSet<ShardId> = HashSet::new();
+    let mut start = 0;
+    for (i, tx) in txs.iter().enumerate() {
+        if tx.shards.iter().any(|shard| used.contains(shard)) {
+            waves.push(&txs[start..i]);
+            start = i;
+            used.clear();
         }
+        used.extend(tx.shards.iter().copied());
     }
-    waves.into_iter().map(|(_, wave)| wave).collect()
+    if start < txs.len() {
+        waves.push(&txs[start..]);
+    }
+    waves
+}
+
+/// Starting a scoped thread for a share of a wave and joining it costs tens
+/// of microseconds, and how many depends on the host's scheduler; a wave gets
+/// one thread per this much estimated work, and runs on the caller below two.
+const MIN_SHARE_NS: u64 = 50_000;
+
+/// Estimated execution time of one cross-shard transaction: the
+/// interpreter's fixed cost of about a microsecond plus the synthetic cost of
+/// the four state operations of a two-account call.
+fn estimated_tx_ns(op_cost_ns: u64) -> u64 {
+    1_000 + 4 * op_cost_ns
 }
 
 /// Executes one wave of shard-disjoint transactions with up to `workers`
-/// threads.
+/// threads, fewer when the wave is too small to repay them (at zero op cost,
+/// any wave a small committee can build runs on the calling thread).
 fn execute_wave(wave: &[&Transaction], store: &dyn Store, workers: usize, op_cost_ns: u64) {
-    let workers = effective_workers(workers);
-    if wave.len() <= 1 || workers <= 1 {
+    let worth = (wave.len() as u64).saturating_mul(estimated_tx_ns(op_cost_ns)) / MIN_SHARE_NS;
+    let workers = effective_workers(workers)
+        .min(wave.len())
+        .min(usize::try_from(worth).unwrap_or(usize::MAX));
+    if workers <= 1 {
         for tx in wave {
             CommitPipeline::execute_one(tx, store, op_cost_ns);
         }
@@ -572,6 +587,7 @@ impl StateAccess for StoreSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use tb_contracts::SMALLBANK_DEFAULT_BALANCE;
     use tb_dag::DagBuilder;
     use tb_executor::ConcurrentExecutor;
@@ -615,7 +631,7 @@ mod tests {
         let mut push = |kind: BlockKind, payload: BlockPayload, builder: &mut DagBuilder| {
             let v = builder.make_vertex(ReplicaId::new(author), Round::ZERO, kind, payload, vec![]);
             author += 1;
-            v
+            Arc::new(v)
         };
         vertices.push(push(
             BlockKind::Normal,
@@ -712,21 +728,28 @@ mod tests {
 
     #[test]
     fn serial_mode_produces_the_same_state_as_pipelined_mode() {
-        let committee = Committee::new(4);
-        let store_pipelined = funded_store(16);
-        let store_serial = funded_store(16);
-        let cross: Vec<Transaction> = (0..20)
-            .map(|i| payment(i, i % 16, (i + 5) % 16, 7, 4))
-            .collect();
-        let sub_dag = sub_dag_with(committee, vec![], cross, &[]);
-        let pipelined = CommitPipeline::new(PostCommitExecution::Pipelined { workers: 4 });
-        let serial = CommitPipeline::new(PostCommitExecution::Serial);
-        pipelined.process(&sub_dag, &store_pipelined, SimTime::ZERO);
-        serial.process(&sub_dag, &store_serial, SimTime::ZERO);
-        let diff = store_pipelined
-            .snapshot()
-            .diff_values(&store_serial.snapshot());
-        assert!(diff.is_empty(), "pipelined and serial disagree on {diff:?}");
+        // At zero op cost every wave runs on the calling thread; at 20 µs
+        // per operation a two-transaction wave is worth two threads.
+        for op_cost_ns in [0, 20_000] {
+            let committee = Committee::new(4);
+            let store_pipelined = funded_store(16);
+            let store_serial = funded_store(16);
+            let cross: Vec<Transaction> = (0..20)
+                .map(|i| payment(i, i % 16, (i + 5) % 16, 7, 4))
+                .collect();
+            let sub_dag = sub_dag_with(committee, vec![], cross, &[]);
+            let pipelined = CommitPipeline::with_op_cost(
+                PostCommitExecution::Pipelined { workers: 4 },
+                op_cost_ns,
+            );
+            let serial = CommitPipeline::with_op_cost(PostCommitExecution::Serial, op_cost_ns);
+            pipelined.process(&sub_dag, &store_pipelined, SimTime::ZERO);
+            serial.process(&sub_dag, &store_serial, SimTime::ZERO);
+            let diff = store_pipelined
+                .snapshot()
+                .diff_values(&store_serial.snapshot());
+            assert!(diff.is_empty(), "pipelined and serial disagree on {diff:?}");
+        }
     }
 
     #[test]
@@ -751,13 +774,13 @@ mod tests {
                 single_shard: block,
                 cross_shard: vec![],
             };
-            vertices.push(builder.make_vertex(
+            vertices.push(Arc::new(builder.make_vertex(
                 ReplicaId::new(author as u32),
                 Round::ZERO,
                 BlockKind::Normal,
                 payload,
                 vec![],
-            ));
+            )));
         }
         let leader = vertices.last().expect("at least one vertex").clone();
         CommittedSubDag {

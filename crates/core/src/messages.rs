@@ -1,9 +1,32 @@
 //! The wire protocol between replicas.
 //!
-//! Thunderbolt piggybacks everything on the DAG construction messages: block
-//! dissemination (`Header`), acknowledgements (`Ack`) and certified vertices
-//! (`Vertex`). There is no extra coordination protocol for cross-shard
-//! transactions — that is the point of the design.
+//! Thunderbolt piggybacks everything on the DAG construction messages; there
+//! is no extra coordination protocol for cross-shard transactions — that is
+//! the point of the design. Four messages build one vertex:
+//!
+//! | message       | from → to                         | carries                         |
+//! |---------------|-----------------------------------|---------------------------------|
+//! | `Header`      | author → all `n` (loop-back too)  | header + block                  |
+//! | `Ack`         | each receiver → author            | header digest, signer (~60 B)   |
+//! | `Certificate` | author → the `2f + 1` signers     | certificate only (~80 B)        |
+//! | `Vertex`      | author → the other `f` replicas   | header + block + certificate    |
+//!
+//! A replica that acknowledges a header keeps the `(header, block)` pair,
+//! keyed by header digest, so it provably holds the block: the author sends
+//! it the bare certificate and it assembles the vertex locally. The author
+//! counts itself as a signer from the moment it proposes, so the certificate
+//! forms on the second remote `Ack` and always names exactly `2f + 1`
+//! signers. Only the `f` replicas whose acknowledgement the author had not
+//! seen by then get the block a second time, inside a full `Vertex`.
+//!
+//! Block copies per vertex are therefore `n` (headers) `+ f` (vertices):
+//! 5 at `n = 4`, where broadcasting the vertex to everyone cost `2n = 8`.
+//! The arithmetic is a protocol constant, not a race: who gets which message
+//! is decided by the signer list inside the certificate.
+//!
+//! In memory a block is shared content: `Message::Header.block` and
+//! `Vertex.block` are `Arc<Block>`, so cloning a message for fan-out copies
+//! no transaction.
 //!
 //! # Wire encoding
 //!
@@ -14,16 +37,18 @@
 //! wrong magic or unknown versions up front, so two nodes built from
 //! different wire revisions fail loudly instead of mis-parsing each other.
 
+use std::sync::Arc;
 use tb_network::WireSized;
 use tb_types::wire::{Wire, WireError, WireReader, WireWriter};
-use tb_types::{Block, DagId, Digest, Header, ReplicaId, Round, Vertex};
+use tb_types::{Block, Certificate, DagId, Digest, Header, ReplicaId, Round, Vertex};
 
 /// First four bytes of every encoded [`Message`]: `"TBM1"` little-endian.
 pub const WIRE_MAGIC: u32 = 0x314d_4254;
 
 /// Version of the message wire format. Bump on any change to the encoding of
-/// [`Message`] or the types it contains.
-pub const WIRE_FORMAT_VERSION: u16 = 1;
+/// [`Message`] or the types it contains (version 2 added
+/// [`Message::Certificate`]); `tb_network::TCP_FRAME_VERSION` moves with it.
+pub const WIRE_FORMAT_VERSION: u16 = 2;
 
 /// A protocol message exchanged between replicas.
 #[derive(Clone, Debug, PartialEq)]
@@ -33,7 +58,7 @@ pub enum Message {
         /// The header under certification.
         header: Header,
         /// The block the header commits to.
-        block: Block,
+        block: Arc<Block>,
     },
     /// A replica acknowledges a header it considers valid (the simulated
     /// equivalent of a signature share).
@@ -47,8 +72,12 @@ pub enum Message {
         /// The acknowledging replica.
         signer: ReplicaId,
     },
-    /// A fully certified vertex (header + block + certificate), broadcast by
-    /// its author once a `2f + 1` quorum of acknowledgements arrived.
+    /// The certificate of a header, sent by its author to each signer: a
+    /// signer kept the `(header, block)` pair it acknowledged and assembles
+    /// the vertex locally.
+    Certificate(Certificate),
+    /// A fully certified vertex (header + block + certificate), sent by its
+    /// author to the replicas that are not among the certificate's signers.
     Vertex(Box<Vertex>),
 }
 
@@ -58,6 +87,7 @@ impl Message {
         match self {
             Message::Header { .. } => "header",
             Message::Ack { .. } => "ack",
+            Message::Certificate(_) => "certificate",
             Message::Vertex(_) => "vertex",
         }
     }
@@ -67,6 +97,7 @@ impl Message {
         match self {
             Message::Header { header, .. } => header.round,
             Message::Ack { round, .. } => *round,
+            Message::Certificate(certificate) => certificate.round,
             Message::Vertex(vertex) => vertex.round(),
         }
     }
@@ -98,6 +129,10 @@ impl Wire for Message {
                 w.put_u8(2);
                 vertex.encode(w);
             }
+            Message::Certificate(certificate) => {
+                w.put_u8(3);
+                certificate.encode(w);
+            }
         }
     }
 
@@ -113,7 +148,7 @@ impl Wire for Message {
         match r.u8()? {
             0 => Ok(Message::Header {
                 header: Header::decode(r)?,
-                block: Block::decode(r)?,
+                block: Arc::decode(r)?,
             }),
             1 => Ok(Message::Ack {
                 header_digest: Digest::decode(r)?,
@@ -122,6 +157,7 @@ impl Wire for Message {
                 signer: ReplicaId::decode(r)?,
             }),
             2 => Ok(Message::Vertex(Box::new(Vertex::decode(r)?))),
+            3 => Ok(Message::Certificate(Certificate::decode(r)?)),
             tag => Err(WireError::InvalidTag {
                 type_name: "Message",
                 tag: u32::from(tag),
@@ -143,7 +179,7 @@ mod tests {
 
     #[test]
     fn message_accessors() {
-        let block = Block::normal(
+        let block = Arc::new(Block::normal(
             DagId::new(0),
             Round::new(3),
             ReplicaId::new(1),
@@ -151,7 +187,7 @@ mod tests {
             SeqNo::new(0),
             BlockPayload::empty(),
             SimTime::ZERO,
-        );
+        ));
         let header = Header::new(
             DagId::new(0),
             Round::new(3),
@@ -176,8 +212,10 @@ mod tests {
         assert_eq!(ack.round(), Round::new(3));
 
         let committee = Committee::new(4);
-        let cert =
-            tb_types::Certificate::for_header(&header, committee.replicas().take(3).collect());
+        let cert = Certificate::for_header(&header, committee.replicas().take(3).collect());
+        let certificate = Message::Certificate(cert.clone());
+        assert_eq!(certificate.kind(), "certificate");
+        assert_eq!(certificate.round(), Round::new(3));
         let vertex = Message::Vertex(Box::new(Vertex::new(header, block, cert)));
         assert_eq!(vertex.kind(), "vertex");
         assert_eq!(vertex.round(), Round::new(3));
@@ -208,6 +246,14 @@ mod tests {
         assert!(matches!(
             Message::from_wire_bytes(&bytes),
             Err(WireError::UnsupportedVersion { found: 0xfe })
+        ));
+
+        // An envelope from a version-1 build (no `Certificate` message, the
+        // vertex broadcast to everyone) is refused by this one.
+        bytes[4] = 1;
+        assert!(matches!(
+            Message::from_wire_bytes(&bytes),
+            Err(WireError::UnsupportedVersion { found: 1 })
         ));
     }
 }

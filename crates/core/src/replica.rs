@@ -21,6 +21,7 @@ use crate::proposer::{
     decide, ByzantineBehavior, ProposalContext, ProposalDecision, ShardProposer,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tb_dag::{Committer, DagError, DagStore};
 use tb_executor::{BatchExecutor, ConcurrentExecutor, OccExecutor};
@@ -67,13 +68,27 @@ impl Outbound {
 }
 
 /// A header the replica proposed and is collecting acknowledgements for.
+/// The `(header, block)` pair itself sits in [`Replica::retained`] under
+/// `digest`, like every pair the replica acknowledged.
 #[derive(Clone, Debug)]
 struct PendingHeader {
-    header: Header,
-    block: Block,
+    digest: Digest,
+    /// Signers so far. The author signs its own header by proposing it, so
+    /// the set starts with the author and the certificate forms on the
+    /// second remote acknowledgement at `n = 4` (`2f` remote ones in
+    /// general).
     acks: HashSet<ReplicaId>,
-    vertex_sent: bool,
+    certified: bool,
 }
+
+/// How many of its author's later rounds an unclaimed `(header, block)` pair
+/// (or a certificate without its header) is kept for. Only a certificate
+/// from the author can claim a pair, and the author sends it before it
+/// proposes again, so on an ordered link one round would do; the slack is
+/// for transports that reorder one sender's messages. Measured against the
+/// author's own headers, not this replica's commit frontier, so a slow
+/// sender's late certificates still find their pairs.
+const RETENTION_ROUNDS: u64 = 32;
 
 /// FNV-1a 64-bit offset basis: the initial value of the commit-order digest
 /// (an all-zero seed would collapse zero-valued transaction ids).
@@ -114,6 +129,10 @@ pub struct ReplicaMetrics {
     pub commit_order_digest: u64,
     /// Per-leader-round commit times.
     pub round_commits: Vec<RoundCommitSample>,
+    /// Vertices and certificates dropped on receipt because certificate,
+    /// header and block did not bind together (or the certificate lacked a
+    /// quorum). Zero unless a peer is Byzantine.
+    pub rejected_vertices: u64,
 }
 
 impl Default for ReplicaMetrics {
@@ -134,6 +153,7 @@ impl Default for ReplicaMetrics {
             apply_calls: 0,
             commit_order_digest: COMMIT_DIGEST_SEED,
             round_commits: Vec::new(),
+            rejected_vertices: 0,
         }
     }
 }
@@ -158,7 +178,24 @@ pub struct Replica {
     proposed_current: bool,
     seq: u64,
     my_header: Option<PendingHeader>,
-    pending_vertices: Vec<Vertex>,
+    /// The `(header, block)` pairs this replica proposed or acknowledged,
+    /// keyed by header digest, until the vertex arrives: a bare certificate
+    /// is completed from here, and a full vertex for a retained header
+    /// reuses the block that was already hashed. A pair leaves when its
+    /// vertex is admitted; one whose header was abandoned leaves once its
+    /// author proposes [`RETENTION_ROUNDS`] further on; reconfiguration
+    /// clears the map.
+    retained: HashMap<Digest, (Header, Arc<Block>)>,
+    /// Quorum certificates whose header this replica does not hold (yet),
+    /// keyed by header digest. Honest authors only send a certificate to
+    /// replicas that acknowledged the header, so this stays empty unless a
+    /// peer misbehaves; it is capped at two rounds' worth and pruned with
+    /// `retained`.
+    held_certificates: HashMap<Digest, Certificate>,
+    pending_vertices: Vec<Arc<Vertex>>,
+    /// Undelivered DAG vertices that carry a cross-shard transaction
+    /// touching this replica's shard: the input to rules P3/P4.
+    conflicting_undelivered: HashSet<Digest>,
     future_messages: Vec<(ReplicaId, Message)>,
 
     /// Write sets of this replica's own preplayed-but-uncommitted blocks,
@@ -230,7 +267,10 @@ impl Replica {
             proposed_current: false,
             seq: 0,
             my_header: None,
+            retained: HashMap::new(),
+            held_certificates: HashMap::new(),
             pending_vertices: Vec::new(),
+            conflicting_undelivered: HashSet::new(),
             future_messages: Vec::new(),
             overlay: VecDeque::new(),
             shifted_in_dag: false,
@@ -265,6 +305,11 @@ impl Replica {
     /// The replica's local storage.
     pub fn store(&self) -> &dyn Store {
         self.store.as_ref()
+    }
+
+    /// The replica's view of the current DAG instance.
+    pub fn dag(&self) -> &DagStore {
+        &self.dag
     }
 
     /// Loads initial state into the replica's store (used before a run). A
@@ -356,13 +401,14 @@ impl Replica {
     /// Handles one protocol message.
     pub fn handle(&mut self, from: ReplicaId, msg: Message, now: SimTime) -> Vec<Outbound> {
         match msg {
-            Message::Header { header, block } => self.on_header(from, header, block),
+            Message::Header { header, block } => self.on_header(from, header, block, now),
             Message::Ack {
                 header_digest,
                 dag,
                 signer,
                 ..
-            } => self.on_ack(dag, header_digest, signer),
+            } => self.on_ack(from, dag, header_digest, signer),
+            Message::Certificate(certificate) => self.on_certificate(from, certificate, now),
             Message::Vertex(vertex) => self.on_vertex(from, *vertex, now),
         }
     }
@@ -469,25 +515,28 @@ impl Replica {
             now,
         );
         block.kind = kind;
+        let block = Arc::new(block);
         let header = Header::new(
             self.dag_id,
             self.current_round,
             self.id,
             block.digest(),
-            parents.clone(),
+            parents,
             now,
         );
+        let digest = header.digest();
+        self.retained
+            .insert(digest, (header.clone(), Arc::clone(&block)));
         self.my_header = Some(PendingHeader {
-            header: header.clone(),
-            block: block.clone(),
-            acks: HashSet::new(),
-            vertex_sent: false,
+            digest,
+            acks: HashSet::from([self.id]),
+            certified: false,
         });
         self.proposed_current = true;
         self.rounds_proposed_in_dag += 1;
         self.busy += started.elapsed();
         if byzantine == Some(ByzantineBehavior::Equivocate) && kind == BlockKind::Normal {
-            return self.equivocate(header, block, parents, now);
+            return self.equivocate(header, block, now);
         }
         vec![Outbound::broadcast(Message::Header { header, block })]
     }
@@ -532,13 +581,7 @@ impl Replica {
     /// to itself plus the smallest quorum of peers, and a conflicting empty
     /// variant for the same round to everyone else. Only one variant can
     /// gather a certificate, so honest replicas adopt a single vertex.
-    fn equivocate(
-        &mut self,
-        header: Header,
-        block: Block,
-        parents: Vec<Digest>,
-        now: SimTime,
-    ) -> Vec<Outbound> {
+    fn equivocate(&mut self, header: Header, block: Arc<Block>, now: SimTime) -> Vec<Outbound> {
         let mut alt_block = Block::normal(
             self.dag_id,
             self.current_round,
@@ -549,12 +592,13 @@ impl Replica {
             now,
         );
         alt_block.kind = BlockKind::Normal;
+        let alt_block = Arc::new(alt_block);
         let alt_header = Header::new(
             self.dag_id,
             self.current_round,
             self.id,
             alt_block.digest(),
-            parents,
+            header.parents.clone(),
             now,
         );
         let quorum = self.committee.quorum_threshold();
@@ -562,7 +606,7 @@ impl Replica {
             self.id,
             Message::Header {
                 header: header.clone(),
-                block: block.clone(),
+                block: Arc::clone(&block),
             },
         )];
         let mut primary_recipients = 1; // the self-ack counts toward quorum
@@ -575,7 +619,7 @@ impl Replica {
                     peer,
                     Message::Header {
                         header: header.clone(),
-                        block: block.clone(),
+                        block: Arc::clone(&block),
                     },
                 ));
                 primary_recipients += 1;
@@ -584,7 +628,7 @@ impl Replica {
                     peer,
                     Message::Header {
                         header: alt_header.clone(),
-                        block: alt_block.clone(),
+                        block: Arc::clone(&alt_block),
                     },
                 ));
             }
@@ -655,16 +699,24 @@ impl Replica {
     }
 
     fn conflicting_cross_pending(&self) -> bool {
+        !self.conflicting_undelivered.is_empty()
+    }
+
+    /// Bookkeeping for a vertex the DAG just accepted: remember it while it
+    /// is undelivered and carries a cross-shard transaction on this
+    /// replica's shard. The shard only changes on reconfiguration, which
+    /// starts a new DAG and clears the set.
+    fn track_inserted(&mut self, id: Digest, vertex: &Vertex) {
         let my_shard = self.proposer.shard();
-        self.dag.iter().any(|vertex| {
-            !self.committer.is_delivered(&vertex.id())
-                && vertex
-                    .block
-                    .payload
-                    .cross_shard
-                    .iter()
-                    .any(|tx| tx.touches_shard(my_shard))
-        })
+        let conflicts = vertex
+            .block
+            .payload
+            .cross_shard
+            .iter()
+            .any(|tx| tx.touches_shard(my_shard));
+        if conflicts && !self.committer.is_delivered(&id) {
+            self.conflicting_undelivered.insert(id);
+        }
     }
 
     fn should_shift(&self) -> bool {
@@ -710,7 +762,27 @@ impl Replica {
     // Message handlers
     // ------------------------------------------------------------------
 
-    fn on_header(&mut self, from: ReplicaId, header: Header, block: Block) -> Vec<Outbound> {
+    /// A header for `round` shows how far `author` has come: its pairs and
+    /// held certificates from more than [`RETENTION_ROUNDS`] earlier were
+    /// certified or abandoned long ago, and everything the author sent about
+    /// them has arrived.
+    fn drop_stale(&mut self, author: ReplicaId, round: Round) {
+        let stale = |of: ReplicaId, at: Round| {
+            of == author && at.as_u64() + RETENTION_ROUNDS < round.as_u64()
+        };
+        self.retained
+            .retain(|_, (header, _)| !stale(header.author, header.round));
+        self.held_certificates
+            .retain(|_, certificate| !stale(certificate.author, certificate.round));
+    }
+
+    fn on_header(
+        &mut self,
+        from: ReplicaId,
+        header: Header,
+        block: Arc<Block>,
+        now: SimTime,
+    ) -> Vec<Outbound> {
         if header.dag > self.dag_id {
             self.future_messages
                 .push((from, Message::Header { header, block }));
@@ -719,44 +791,144 @@ impl Replica {
         if header.dag < self.dag_id
             || header.author != from
             || header.round < self.dag.start_round()
-            || block.digest() != header.block_digest
         {
             return Vec::new();
         }
-        vec![Outbound::to(
+        let header_digest = header.digest();
+        // A retained pair (this replica's own proposal coming back on the
+        // loop-back, or a duplicate) was hashed when it was first seen.
+        let known = self.retained.contains_key(&header_digest);
+        if !known && block.digest() != header.block_digest {
+            return Vec::new();
+        }
+        self.drop_stale(header.author, header.round);
+        let mut out = vec![Outbound::to(
             from,
             Message::Ack {
-                header_digest: header.digest(),
+                header_digest,
                 dag: header.dag,
                 round: header.round,
                 signer: self.id,
             },
-        )]
+        )];
+        if known {
+            return out;
+        }
+        if let Some(certificate) = self.held_certificates.remove(&header_digest) {
+            if certificate.certifies(&header) {
+                let vertex = Vertex::new(header, block, certificate);
+                out.extend(self.admit(Arc::new(vertex), now));
+                return out;
+            }
+            self.metrics.rejected_vertices += 1;
+        }
+        // Once the author's vertex for this round is in the DAG no
+        // certificate for the pair can be of use any more.
+        if self
+            .dag
+            .by_author_round(header.author, header.round)
+            .is_none()
+        {
+            self.retained.insert(header_digest, (header, block));
+        }
+        out
     }
 
-    fn on_ack(&mut self, dag: DagId, header_digest: Digest, signer: ReplicaId) -> Vec<Outbound> {
-        if dag != self.dag_id {
+    fn on_ack(
+        &mut self,
+        from: ReplicaId,
+        dag: DagId,
+        header_digest: Digest,
+        signer: ReplicaId,
+    ) -> Vec<Outbound> {
+        // An acknowledgement speaks for its sender only: a signer is sent
+        // the bare certificate, so it must really hold the block.
+        if dag != self.dag_id || signer != from || !self.committee.contains(signer) {
             return Vec::new();
         }
         let quorum = self.committee.quorum_threshold();
         let Some(pending) = self.my_header.as_mut() else {
             return Vec::new();
         };
-        if pending.header.digest() != header_digest || pending.vertex_sent {
+        if pending.digest != header_digest || pending.certified {
             return Vec::new();
         }
         pending.acks.insert(signer);
         if pending.acks.len() < quorum {
             return Vec::new();
         }
-        pending.vertex_sent = true;
-        let certificate =
-            Certificate::for_header(&pending.header, pending.acks.iter().copied().collect());
-        let vertex = Vertex::new(pending.header.clone(), pending.block.clone(), certificate);
-        vec![Outbound::broadcast(Message::Vertex(Box::new(vertex)))]
+        let Some((header, block)) = self.retained.get(&header_digest) else {
+            return Vec::new();
+        };
+        pending.certified = true;
+        let certificate = Certificate::for_header(header, pending.acks.iter().copied().collect());
+        // One send per replica, in the replica-id order a broadcast fans out
+        // in: the certificate alone to the signers (this replica included,
+        // on the loop-back), the whole vertex to everyone else.
+        self.committee
+            .replicas()
+            .map(|peer| {
+                let msg = if certificate.signers.contains(&peer) {
+                    Message::Certificate(certificate.clone())
+                } else {
+                    Message::Vertex(Box::new(Vertex::new(
+                        header.clone(),
+                        Arc::clone(block),
+                        certificate.clone(),
+                    )))
+                };
+                Outbound::to(peer, msg)
+            })
+            .collect()
     }
 
-    fn on_vertex(&mut self, from: ReplicaId, vertex: Vertex, now: SimTime) -> Vec<Outbound> {
+    /// A bare certificate from its author: completed from the retained
+    /// pair, or held until the header lands.
+    fn on_certificate(
+        &mut self,
+        from: ReplicaId,
+        certificate: Certificate,
+        now: SimTime,
+    ) -> Vec<Outbound> {
+        if certificate.dag > self.dag_id {
+            self.future_messages
+                .push((from, Message::Certificate(certificate)));
+            return Vec::new();
+        }
+        if certificate.dag < self.dag_id {
+            return Vec::new();
+        }
+        if certificate.author != from || !certificate.is_valid(&self.committee) {
+            self.metrics.rejected_vertices += 1;
+            return Vec::new();
+        }
+        let header_digest = certificate.header_digest;
+        match self.retained.get(&header_digest) {
+            Some((header, _)) if certificate.certifies(header) => {
+                let (header, block) = self
+                    .retained
+                    .remove(&header_digest)
+                    .expect("looked up just above");
+                self.admit(Arc::new(Vertex::new(header, block, certificate)), now)
+            }
+            Some(_) => {
+                self.metrics.rejected_vertices += 1;
+                Vec::new()
+            }
+            None => {
+                if self.held_certificates.len() < 2 * self.committee.size() as usize {
+                    self.held_certificates.insert(header_digest, certificate);
+                }
+                Vec::new()
+            }
+        }
+    }
+
+    /// A full vertex from the wire. Its id is derived from the certificate
+    /// alone, so before it may enter the DAG the certificate must carry a
+    /// quorum and certify exactly this header, and the block must be the one
+    /// the header commits to.
+    fn on_vertex(&mut self, from: ReplicaId, mut vertex: Vertex, now: SimTime) -> Vec<Outbound> {
         if vertex.dag() > self.dag_id {
             self.future_messages
                 .push((from, Message::Vertex(Box::new(vertex))));
@@ -765,8 +937,30 @@ impl Replica {
         if vertex.dag() < self.dag_id {
             return Vec::new();
         }
-        match self.dag.insert(vertex.clone()) {
-            Ok(_) => {}
+        if !vertex.certificate.is_valid(&self.committee)
+            || !vertex.certificate.certifies(&vertex.header)
+        {
+            self.metrics.rejected_vertices += 1;
+            return Vec::new();
+        }
+        match self.retained.remove(&vertex.certificate.header_digest) {
+            // The retained block was hashed against this header when it was
+            // acknowledged; use it and skip hashing the copy that arrived.
+            Some((_, block)) => vertex.block = block,
+            None if vertex.block.digest() != vertex.header.block_digest => {
+                self.metrics.rejected_vertices += 1;
+                return Vec::new();
+            }
+            None => {}
+        }
+        self.admit(Arc::new(vertex), now)
+    }
+
+    /// Inserts a vertex whose certificate, header and block are known to
+    /// bind together, then runs whatever the insert unblocks.
+    fn admit(&mut self, vertex: Arc<Vertex>, now: SimTime) -> Vec<Outbound> {
+        match self.dag.insert(Arc::clone(&vertex)) {
+            Ok(id) => self.track_inserted(id, &vertex),
             Err(DagError::MissingParent { .. }) => {
                 self.pending_vertices.push(vertex);
                 return Vec::new();
@@ -789,8 +983,11 @@ impl Replica {
                 if vertex.dag() != self.dag_id {
                     continue;
                 }
-                match self.dag.insert(vertex.clone()) {
-                    Ok(_) => progressed = true,
+                match self.dag.insert(Arc::clone(&vertex)) {
+                    Ok(id) => {
+                        self.track_inserted(id, &vertex);
+                        progressed = true;
+                    }
                     Err(DagError::MissingParent { .. }) => self.pending_vertices.push(vertex),
                     Err(_) => {}
                 }
@@ -807,8 +1004,7 @@ impl Replica {
 
     fn run_commit_loop(&mut self, now: SimTime) -> Vec<Outbound> {
         let mut out = Vec::new();
-        let sub_dags = self.committer.try_commit(&self.dag);
-        for sub_dag in sub_dags {
+        for sub_dag in self.committer.try_commit(&self.dag) {
             let output = self.pipeline.process(&sub_dag, self.store.as_ref(), now);
             self.busy += output.busy;
             self.metrics.committed_txs += output.committed_count() as u64;
@@ -845,8 +1041,10 @@ impl Replica {
                 round: sub_dag.leader_round.as_u64(),
                 digest: self.metrics.commit_order_digest,
             });
-            // Drop overlay entries for this replica's own delivered blocks.
+            // Delivered vertices no longer hold back preplay (P3/P4), and
+            // this replica's own delivered blocks leave the overlay.
             for vertex in &sub_dag.vertices {
+                self.conflicting_undelivered.remove(&vertex.id());
                 if vertex.author() == self.id {
                     let delivered_round = vertex.round();
                     while self
@@ -880,7 +1078,10 @@ impl Replica {
         self.current_round = ending_round;
         self.proposed_current = false;
         self.my_header = None;
+        self.retained.clear();
+        self.held_certificates.clear();
         self.pending_vertices.retain(|v| v.dag() == self.dag_id);
+        self.conflicting_undelivered.clear();
         self.overlay.clear();
         self.shifted_in_dag = false;
         self.rounds_proposed_in_dag = 0;
@@ -1035,44 +1236,334 @@ mod tests {
         assert_eq!(replica.current_dag(), DagId::new(0));
     }
 
-    #[test]
-    fn header_is_acknowledged_and_quorum_builds_a_vertex() {
-        let cfg = config(4);
-        let mut proposer = Replica::new(ReplicaId::new(0), cfg.clone());
-        let mut other = Replica::new(ReplicaId::new(1), cfg);
+    fn ack(header: &Header, signer: u32) -> Message {
+        Message::Ack {
+            header_digest: header.digest(),
+            dag: header.dag,
+            round: header.round,
+            signer: ReplicaId::new(signer),
+        }
+    }
+
+    /// Starts replica 0 of a 4-cluster and returns it with its round-0
+    /// proposal.
+    fn proposer_with_header() -> (Replica, Header, Arc<Block>) {
+        let mut proposer = Replica::new(ReplicaId::new(0), config(4));
         let out = proposer.start(SimTime::ZERO);
         let Message::Header { header, block } = out[0].msg.clone() else {
             panic!("expected header");
         };
+        (proposer, header, block)
+    }
+
+    fn quorum_certificate(header: &Header) -> Certificate {
+        Certificate::for_header(header, (0..3).map(ReplicaId::new).collect())
+    }
+
+    #[test]
+    fn two_remote_acks_send_certificates_to_signers_and_the_vertex_to_the_rest() {
+        let (mut proposer, header, block) = proposer_with_header();
+        let mut other = Replica::new(ReplicaId::new(1), config(4));
         // Another replica acknowledges the header.
         let acks = other.handle(
             ReplicaId::new(0),
             Message::Header {
                 header: header.clone(),
-                block: block.clone(),
+                block: Arc::clone(&block),
             },
             SimTime::ZERO,
         );
         assert_eq!(acks.len(), 1);
         assert_eq!(acks[0].msg.kind(), "ack");
         assert_eq!(acks[0].dest, Destination::To(ReplicaId::new(0)));
-        // Feed three distinct acks to the proposer: a vertex is broadcast.
-        let mut vertex_msgs = Vec::new();
-        for signer in 1..4u32 {
-            let out = proposer.handle(
-                ReplicaId::new(signer),
-                Message::Ack {
-                    header_digest: header.digest(),
-                    dag: DagId::new(0),
-                    round: Round::ZERO,
-                    signer: ReplicaId::new(signer),
-                },
+
+        // An acknowledgement speaks for its sender only.
+        let forged = proposer.handle(ReplicaId::new(2), ack(&header, 3), SimTime::ZERO);
+        assert!(forged.is_empty());
+        // The author signed by proposing: the second remote ack completes
+        // the quorum, the third changes nothing.
+        let first = proposer.handle(ReplicaId::new(1), ack(&header, 1), SimTime::ZERO);
+        assert!(first.is_empty());
+        let out = proposer.handle(ReplicaId::new(3), ack(&header, 3), SimTime::ZERO);
+        let late = proposer.handle(ReplicaId::new(2), ack(&header, 2), SimTime::ZERO);
+        assert!(late.is_empty());
+
+        let shape: Vec<(Destination, &str)> =
+            out.iter().map(|o| (o.dest.clone(), o.msg.kind())).collect();
+        assert_eq!(
+            shape,
+            vec![
+                (Destination::To(ReplicaId::new(0)), "certificate"),
+                (Destination::To(ReplicaId::new(1)), "certificate"),
+                (Destination::To(ReplicaId::new(2)), "vertex"),
+                (Destination::To(ReplicaId::new(3)), "certificate"),
+            ]
+        );
+        let Message::Vertex(vertex) = &out[2].msg else {
+            panic!("expected vertex");
+        };
+        assert_eq!(
+            vertex.certificate.signers,
+            vec![ReplicaId::new(0), ReplicaId::new(1), ReplicaId::new(3)]
+        );
+        assert!(Arc::ptr_eq(&vertex.block, &block), "the block is shared");
+
+        // The signer completes the certificate from the pair it retained.
+        let Message::Certificate(certificate) = out[1].msg.clone() else {
+            panic!("expected certificate");
+        };
+        other.handle(
+            ReplicaId::new(0),
+            Message::Certificate(certificate),
+            SimTime::ZERO,
+        );
+        let stored = other
+            .dag()
+            .by_author_round(ReplicaId::new(0), Round::ZERO)
+            .expect("vertex assembled locally");
+        assert!(Arc::ptr_eq(&stored.block, &block));
+        assert!(other.retained.is_empty());
+    }
+
+    #[test]
+    fn certificate_before_its_header_waits_for_the_header() {
+        let (_, header, block) = proposer_with_header();
+        let mut other = Replica::new(ReplicaId::new(1), config(4));
+        let certificate = Message::Certificate(quorum_certificate(&header));
+        assert!(other
+            .handle(ReplicaId::new(0), certificate, SimTime::ZERO)
+            .is_empty());
+        assert!(other.dag().is_empty());
+        assert_eq!(other.held_certificates.len(), 1);
+
+        let out = other.handle(
+            ReplicaId::new(0),
+            Message::Header { header, block },
+            SimTime::ZERO,
+        );
+        assert_eq!(out[0].msg.kind(), "ack");
+        assert_eq!(other.dag().len(), 1);
+        assert!(other.held_certificates.is_empty());
+        assert!(other.retained.is_empty());
+    }
+
+    #[test]
+    fn unmatched_certificates_and_retained_pairs_stay_bounded() {
+        // Certificates whose headers never arrive are held up to a cap.
+        let mut replica = Replica::new(ReplicaId::new(1), config(4));
+        for round in 0..100 {
+            let header = Header::new(
+                DagId::new(0),
+                Round::new(round),
+                ReplicaId::new(0),
+                Digest::ZERO,
+                vec![],
                 SimTime::ZERO,
             );
-            vertex_msgs.extend(out);
+            let certificate = Message::Certificate(quorum_certificate(&header));
+            assert!(replica
+                .handle(ReplicaId::new(0), certificate, SimTime::ZERO)
+                .is_empty());
         }
-        assert_eq!(vertex_msgs.len(), 1);
-        assert_eq!(vertex_msgs[0].msg.kind(), "vertex");
+        assert_eq!(replica.held_certificates.len(), 8);
+        assert_eq!(replica.metrics().rejected_vertices, 0);
+
+        // A long fault-free run consumes every pair it retains: what is left
+        // is the round in flight.
+        let mut cfg = config(4);
+        cfg.lockstep = true;
+        let mut replicas: Vec<Replica> = (0..4)
+            .map(|i| Replica::new(ReplicaId::new(i), cfg.clone()))
+            .collect();
+        run_synchronously(&mut replicas, 50);
+        for replica in &replicas {
+            assert!(replica.current_round().as_u64() >= 50);
+            assert!(
+                replica.retained.len() <= 4,
+                "replica {} retains {} pairs",
+                replica.id(),
+                replica.retained.len()
+            );
+            assert!(replica.held_certificates.is_empty());
+        }
+    }
+
+    /// Delivers every message eventually, in an order drawn from `seed`,
+    /// with replica 0's sends picked only one time in eight while anything
+    /// else is queued (a slow sender whose headers, certificates and
+    /// vertices all arrive late and out of order). Headers for `target` and
+    /// later rounds are dropped so the run quiesces with every replica at
+    /// `target`. Returns `false` if the inbox drained before that.
+    fn run_reordered(replicas: &mut [Replica], target: u64, seed: u64) -> bool {
+        let mut state = seed;
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let n = replicas.len();
+        let now = SimTime::ZERO;
+        let mut inbox: VecDeque<(ReplicaId, ReplicaId, Message)> = VecDeque::new();
+        for replica in replicas.iter_mut() {
+            for outbound in replica.start(now) {
+                enqueue(&mut inbox, replica.id(), outbound, n);
+            }
+        }
+        while !inbox.is_empty() {
+            let slow = ReplicaId::new(0);
+            let fast: Vec<usize> = (0..inbox.len()).filter(|&i| inbox[i].0 != slow).collect();
+            let pick = if fast.is_empty() || next() % 8 == 0 {
+                next() as usize % inbox.len()
+            } else {
+                fast[next() as usize % fast.len()]
+            };
+            let (from, to, msg) = inbox.swap_remove_back(pick).expect("index in range");
+            if matches!(&msg, Message::Header { header, .. } if header.round.as_u64() >= target) {
+                continue;
+            }
+            let replica = &mut replicas[to.as_inner() as usize];
+            for outbound in replica.handle(from, msg, now) {
+                enqueue(&mut inbox, replica.id(), outbound, n);
+            }
+        }
+        replicas
+            .iter()
+            .all(|replica| replica.current_round().as_u64() == target)
+    }
+
+    /// Runs a fresh 4-replica cluster through [`run_reordered`] and checks
+    /// that it reached `target` with nothing stuck, every certified vertex
+    /// on every replica, and one committed sequence.
+    fn reordered_cluster(cfg: &ClusterConfig, target: u64, seed: u64) -> Vec<Replica> {
+        let mut replicas: Vec<Replica> = (0..4)
+            .map(|i| Replica::new(ReplicaId::new(i), cfg.clone()))
+            .collect();
+        let reached = run_reordered(&mut replicas, target, seed);
+        let rounds: Vec<u64> = replicas
+            .iter()
+            .map(|r| r.current_round().as_u64())
+            .collect();
+        let pending: Vec<usize> = replicas.iter().map(|r| r.pending_vertices.len()).collect();
+        assert!(
+            reached,
+            "seed {seed}: stalled at rounds {rounds:?}, pending {pending:?}"
+        );
+        assert_eq!(pending, vec![0; 4], "seed {seed}: vertices stuck");
+
+        let ids = |replica: &Replica| -> Vec<Digest> {
+            replica.dag().iter().map(|vertex| vertex.id()).collect()
+        };
+        let reference = ids(&replicas[0]);
+        let observer = replicas[0].metrics();
+        assert!(!observer.round_commits.is_empty());
+        for replica in &replicas[1..] {
+            assert!(
+                ids(replica) == reference,
+                "seed {seed}: replica {} holds {} vertices, replica 0 holds {}",
+                replica.id(),
+                replica.dag().len(),
+                reference.len()
+            );
+            let metrics = replica.metrics();
+            assert_eq!(metrics.round_commits.len(), observer.round_commits.len());
+            assert_eq!(metrics.commit_order_digest, observer.commit_order_digest);
+            assert_eq!(metrics.reconfigurations, observer.reconfigurations);
+            assert_eq!(metrics.rejected_vertices, 0);
+        }
+        replicas
+    }
+
+    #[test]
+    fn reordered_delivery_with_a_slow_sender_neither_stalls_nor_diverges() {
+        // Non-lockstep: replicas advance on a 2f+1 quorum, so the slow
+        // sender's headers are acknowledged rounds late, its certificates
+        // land after later leaders committed, and it abandons headers while
+        // catching up.
+        for seed in 0..200 {
+            reordered_cluster(&config(4), 24, seed);
+        }
+        // Long enough for the others to declare the slow sender silent
+        // (K = 50) and reconfigure around it.
+        for seed in 0..5 {
+            let replicas = reordered_cluster(&config(4), 120, seed);
+            assert!(replicas[0].metrics().reconfigurations >= 1);
+        }
+    }
+
+    #[test]
+    fn abandoned_pairs_are_dropped_as_their_author_moves_on() {
+        let mut cfg = config(4);
+        cfg.system.reconfig = tb_types::ReconfigConfig::new(1 << 40, 1 << 41);
+        for seed in 0..5 {
+            let replicas = reordered_cluster(&cfg, 120, seed);
+            // The slow sender abandoned nearly every one of its 120 headers
+            // and all four replicas acknowledged each of them.
+            assert!(replicas[0].dag().len() < 3 * 120 + 10);
+            for replica in &replicas {
+                assert!(
+                    replica.retained.len() < 2 * RETENTION_ROUNDS as usize,
+                    "seed {seed}: replica {} retains {} pairs",
+                    replica.id(),
+                    replica.retained.len()
+                );
+                assert!(replica.held_certificates.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn a_vertex_that_does_not_bind_to_its_certificate_is_rejected() {
+        let (_, header, block) = proposer_with_header();
+        let certificate = quorum_certificate(&header);
+        let mut swapped = Block::clone(&block);
+        swapped.seq = SeqNo::new(99);
+        let mut other_header = header.clone();
+        other_header.round = Round::new(1);
+
+        let mut replica = Replica::new(ReplicaId::new(2), config(4));
+        // Same certified header, different block.
+        let swapped_vertex = Vertex::new(header.clone(), swapped.clone(), certificate.clone());
+        // An honest certificate stapled to another header.
+        let foreign_certificate =
+            Vertex::new(other_header, Arc::clone(&block), certificate.clone());
+        // Too few signers.
+        let mut no_quorum = certificate.clone();
+        no_quorum.signers.truncate(2);
+        let no_quorum = Vertex::new(header.clone(), Arc::clone(&block), no_quorum);
+        for vertex in [swapped_vertex.clone(), foreign_certificate, no_quorum] {
+            let out = replica.handle(
+                ReplicaId::new(0),
+                Message::Vertex(Box::new(vertex)),
+                SimTime::ZERO,
+            );
+            assert!(out.is_empty());
+        }
+        assert_eq!(replica.metrics().rejected_vertices, 3);
+        assert!(replica.dag().is_empty());
+
+        // A replica that acknowledged the header keeps the block it hashed:
+        // the swapped copy inside a later full vertex never reaches the DAG.
+        replica.handle(
+            ReplicaId::new(0),
+            Message::Header {
+                header,
+                block: Arc::clone(&block),
+            },
+            SimTime::ZERO,
+        );
+        replica.handle(
+            ReplicaId::new(0),
+            Message::Vertex(Box::new(swapped_vertex)),
+            SimTime::ZERO,
+        );
+        let stored = replica
+            .dag()
+            .by_author_round(ReplicaId::new(0), Round::ZERO)
+            .expect("the certified vertex is accepted");
+        assert!(Arc::ptr_eq(&stored.block, &block));
     }
 
     #[test]

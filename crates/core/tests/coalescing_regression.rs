@@ -24,6 +24,7 @@
 //!   must actually coalesce — is now a hard CI gate. If it ever goes red
 //!   again, the drain policy regressed to one-batch handoffs.
 
+use std::sync::Arc;
 use tb_core::commit::{CommitPipeline, PostCommitExecution};
 use tb_dag::{CommittedSubDag, DagBuilder};
 use tb_executor::ConcurrentExecutor;
@@ -80,13 +81,13 @@ fn backlogged_sub_dag(accounts: u64, rounds: usize, per_block: usize) -> Committ
             single_shard: block,
             cross_shard: vec![],
         };
-        vertices.push(builder.make_vertex(
+        vertices.push(Arc::new(builder.make_vertex(
             ReplicaId::new((i % 4) as u32),
             Round::new(i as u64 / 4),
             BlockKind::Normal,
             payload,
             vec![],
-        ));
+        )));
     }
     let leader = vertices.last().expect("at least one vertex").clone();
     CommittedSubDag {

@@ -5,6 +5,7 @@
 //! here.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 use tb_core::commit::{CommitPipeline, PostCommitExecution};
 use tb_core::{ClusterConfig, ExecutionMode, Message, Replica};
 use tb_dag::{CommittedSubDag, DagBuilder};
@@ -57,13 +58,13 @@ fn sub_dag_of(blocks: &[Vec<PreplayedTx>]) -> CommittedSubDag {
             single_shard: block.clone(),
             cross_shard: vec![],
         };
-        vertices.push(builder.make_vertex(
+        vertices.push(Arc::new(builder.make_vertex(
             ReplicaId::new((i % 4) as u32),
             Round::new((i / 4) as u64),
             BlockKind::Normal,
             payload,
             vec![],
-        ));
+        )));
     }
     let leader = vertices.last().expect("at least one block").clone();
     CommittedSubDag {

@@ -11,18 +11,20 @@
 
 use crate::store::DagStore;
 use std::collections::HashSet;
+use std::sync::Arc;
 use tb_types::{Committee, DagId, Digest, Round, Vertex};
 
 /// One committed leader together with the undelivered part of its causal
-/// history (the leader itself is the last element).
+/// history (the leader itself is the last element). The vertices are the
+/// store's own `Arc`s: delivering a sub-DAG copies no block.
 #[derive(Clone, Debug)]
 pub struct CommittedSubDag {
     /// The committed leader vertex.
-    pub leader: Vertex,
+    pub leader: Arc<Vertex>,
     /// The leader round that triggered the commit.
     pub leader_round: Round,
     /// Every newly delivered vertex, ordered by `(round, author)`.
-    pub vertices: Vec<Vertex>,
+    pub vertices: Vec<Arc<Vertex>>,
 }
 
 impl CommittedSubDag {
@@ -116,14 +118,14 @@ impl Committer {
     fn commit_chain(
         &mut self,
         store: &DagStore,
-        leader_vertex: Vertex,
+        leader_vertex: Arc<Vertex>,
         leader_round: Round,
     ) -> Vec<CommittedSubDag> {
         // Walk back through the leader rounds that were skipped since the
         // last committed leader and pick up those that are ancestors of the
         // commit chain (indirect commitment).
-        let mut chain = vec![(leader_round, leader_vertex.clone())];
         let mut current = leader_vertex.id();
+        let mut chain = vec![(leader_round, leader_vertex)];
         let lower_bound = self
             .last_committed_leader_round
             .map(|r| r.as_u64() + 2)
@@ -135,8 +137,8 @@ impl Committer {
             let author = self.committee.leader(self.dag, round);
             if let Some(prev_leader) = store.by_author_round(author, round) {
                 if store.is_ancestor(&prev_leader.id(), &current) {
-                    chain.push((round, prev_leader.clone()));
                     current = prev_leader.id();
+                    chain.push((round, Arc::clone(prev_leader)));
                 }
             }
         }
@@ -147,12 +149,11 @@ impl Committer {
             let mut vertices = Vec::new();
             for digest in store.causal_history(&leader.id()) {
                 if self.delivered.insert(digest) {
-                    vertices.push(
+                    vertices.push(Arc::clone(
                         store
                             .get(&digest)
-                            .expect("causal history only returns stored vertices")
-                            .clone(),
-                    );
+                            .expect("causal history only returns stored vertices"),
+                    ));
                 }
             }
             out.push(CommittedSubDag {
@@ -210,6 +211,19 @@ mod tests {
         assert_eq!(delivered, 4 * 5 + 1);
         assert_eq!(committer.delivered_count(), 21);
         assert_eq!(committer.next_leader_round(), Round::new(7));
+        // Delivery shares the store's vertices (and so their blocks): no
+        // copy is made on the way to the commit pipeline.
+        for sub_dag in &committed {
+            assert!(Arc::ptr_eq(
+                &sub_dag.leader,
+                store.get(&sub_dag.leader.id()).unwrap()
+            ));
+            for vertex in &sub_dag.vertices {
+                let stored = store.get(&vertex.id()).unwrap();
+                assert!(Arc::ptr_eq(vertex, stored));
+                assert!(Arc::ptr_eq(&vertex.block, &stored.block));
+            }
+        }
     }
 
     #[test]
@@ -239,7 +253,7 @@ mod tests {
         let mut sequence = Vec::new();
         for round in 0..10 {
             for vertex in full.at_round(Round::new(round)) {
-                incremental_store.insert(vertex.clone()).unwrap();
+                incremental_store.insert(Arc::clone(vertex)).unwrap();
             }
             for sub_dag in incremental.try_commit(&incremental_store) {
                 sequence.extend(sub_dag.vertices.iter().map(|v| v.id()));

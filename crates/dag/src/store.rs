@@ -1,6 +1,11 @@
 //! Local storage of one DAG instance.
+//!
+//! Vertices are held as `Arc<Vertex>`: lookups hand out references to the
+//! shared vertex, and the committer delivers clones of the `Arc`, never of
+//! the block it carries.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 use tb_types::{Committee, DagId, Digest, ReplicaId, Round, Vertex};
 
 /// Errors raised when inserting vertices.
@@ -66,7 +71,7 @@ pub struct DagStore {
     committee: Committee,
     dag: DagId,
     start_round: Round,
-    vertices: HashMap<Digest, Vertex>,
+    vertices: HashMap<Digest, Arc<Vertex>>,
     by_round: BTreeMap<Round, HashMap<ReplicaId, Digest>>,
 }
 
@@ -108,7 +113,9 @@ impl DagStore {
     }
 
     /// Inserts a certified vertex after validating it against the local view.
-    pub fn insert(&mut self, vertex: Vertex) -> Result<Digest, DagError> {
+    /// Takes an owned [`Vertex`] or an already shared `Arc<Vertex>`.
+    pub fn insert(&mut self, vertex: impl Into<Arc<Vertex>>) -> Result<Digest, DagError> {
+        let vertex: Arc<Vertex> = vertex.into();
         if vertex.dag() != self.dag {
             return Err(DagError::WrongDag {
                 expected: self.dag,
@@ -150,7 +157,7 @@ impl DagStore {
     }
 
     /// Looks a vertex up by digest.
-    pub fn get(&self, id: &Digest) -> Option<&Vertex> {
+    pub fn get(&self, id: &Digest) -> Option<&Arc<Vertex>> {
         self.vertices.get(id)
     }
 
@@ -160,7 +167,7 @@ impl DagStore {
     }
 
     /// The vertex proposed by `author` in `round`, if any.
-    pub fn by_author_round(&self, author: ReplicaId, round: Round) -> Option<&Vertex> {
+    pub fn by_author_round(&self, author: ReplicaId, round: Round) -> Option<&Arc<Vertex>> {
         self.by_round
             .get(&round)
             .and_then(|slot| slot.get(&author))
@@ -168,7 +175,7 @@ impl DagStore {
     }
 
     /// All vertices of a round, ordered by author.
-    pub fn at_round(&self, round: Round) -> Vec<&Vertex> {
+    pub fn at_round(&self, round: Round) -> Vec<&Arc<Vertex>> {
         let Some(slot) = self.by_round.get(&round) else {
             return Vec::new();
         };
@@ -265,7 +272,7 @@ impl DagStore {
     }
 
     /// Iterates over all vertices in `(round, author)` order.
-    pub fn iter(&self) -> impl Iterator<Item = &Vertex> {
+    pub fn iter(&self) -> impl Iterator<Item = &Arc<Vertex>> {
         self.by_round.values().flat_map(move |slot| {
             let mut authors: Vec<_> = slot.keys().copied().collect();
             authors.sort_unstable();
@@ -330,21 +337,21 @@ mod tests {
         // Same vertex again: fine.
         copy.insert(vertex.clone()).unwrap();
         // A different vertex by the same author in the same round: rejected.
-        let mut dup = vertex.clone();
-        dup.block.seq = tb_types::SeqNo::new(99);
+        let mut block = tb_types::Block::clone(&vertex.block);
+        block.seq = tb_types::SeqNo::new(99);
         let header = tb_types::Header::new(
-            dup.header.dag,
-            dup.header.round,
-            dup.header.author,
-            tb_types::Hashable::digest(&dup.block),
+            vertex.header.dag,
+            vertex.header.round,
+            vertex.header.author,
+            tb_types::Hashable::digest(&block),
             vec![],
-            dup.header.created_at,
+            vertex.header.created_at,
         );
         let cert = tb_types::Certificate::for_header(
             &header,
             vec![ReplicaId::new(0), ReplicaId::new(1), ReplicaId::new(2)],
         );
-        let dup = Vertex::new(header, dup.block, cert);
+        let dup = Vertex::new(header, block, cert);
         assert!(matches!(
             copy.insert(dup),
             Err(DagError::DuplicateAuthor { .. })
@@ -397,7 +404,7 @@ mod tests {
     fn invalid_certificates_are_rejected() {
         let mut builder = DagBuilder::new(committee(), DagId::new(0), Round::ZERO);
         let store = builder.build_rounds(1, |_, _| BlockKind::Normal);
-        let mut vertex = store.at_round(Round::new(0))[0].clone();
+        let mut vertex = Vertex::clone(store.at_round(Round::new(0))[0]);
         vertex.certificate.signers.truncate(1);
         let mut fresh = DagStore::new(committee(), DagId::new(0), Round::ZERO);
         assert_eq!(fresh.insert(vertex), Err(DagError::InvalidCertificate));

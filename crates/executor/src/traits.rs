@@ -1,6 +1,7 @@
 //! The common interface of all batch executors.
 
 use crate::batch::{BatchResult, ExecutorKind};
+use std::sync::OnceLock;
 use tb_storage::MemStore;
 use tb_types::Transaction;
 
@@ -25,10 +26,19 @@ pub trait BatchExecutor: Send + Sync {
 
 /// Number of hardware threads the current process may use, falling back to 1
 /// when the platform cannot tell (the conservative answer for perf gates).
+///
+/// Asked once per process: on Linux `available_parallelism` reads the
+/// affinity mask and the cgroup CPU quota files on every call, ~10 µs of
+/// system calls, and [`effective_workers`] is called on hot paths (once per
+/// wave of post-consensus execution, once per validated block). The shared
+/// worker pool is sized from the same first answer.
 pub fn available_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Clamps a requested worker count to `[1, available_cores()]`.

@@ -22,7 +22,8 @@
 //!
 //! Statistics count payload bytes (the `Wire` encoding), matching the
 //! simulator's [`crate::transport::WireSized`] accounting, so sim and TCP runs of the same
-//! scenario report comparable `bytes_sent` / `bytes_delivered`.
+//! scenario report comparable `bytes_sent` / `bytes_delivered` (asserted by
+//! `crates/launcher/tests/real_net_smoke.rs`).
 
 use crate::sim::NetworkStats;
 use crate::transport::{Inbound, RecvError, Transport, TransportError};
@@ -41,7 +42,7 @@ use tb_types::ReplicaId;
 pub const TCP_MAGIC: u32 = 0x314e_4254;
 /// Version of the framing layer (bumped together with the message wire
 /// format, see `tb_core::messages::WIRE_FORMAT_VERSION`).
-pub const TCP_FRAME_VERSION: u16 = 1;
+pub const TCP_FRAME_VERSION: u16 = 2;
 /// Upper bound on a single frame's payload, far above any real block.
 pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 /// How long a dial keeps retrying before the peer counts as unreachable.
@@ -213,74 +214,86 @@ impl<M: Wire + Send + 'static> TcpTransport<M> {
         unreachable!("loop always returns by the second attempt")
     }
 
-    fn send_encoded(
-        &mut self,
-        from: ReplicaId,
-        to: ReplicaId,
-        msg: M,
-        payload: &[u8],
-    ) -> Result<(), TransportError> {
+    /// Every send starts here: refused once the transport is shut down,
+    /// otherwise counted as `size` payload bytes handed to the network.
+    fn begin_send(&self, size: u64) -> Result<(), TransportError> {
         if self.shut_down {
             return Err(TransportError::ShutDown);
         }
-        let size = payload.len() as u64;
         self.counters.sent.fetch_add(1, Ordering::Relaxed);
         self.counters.bytes_sent.fetch_add(size, Ordering::Relaxed);
-        if to == self.local {
-            // Loop-back: skip the wire entirely.
-            if self.loopback_tx.send(Inbound { from, to, msg }).is_err() {
-                self.counters.dropped.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .bytes_dropped
-                    .fetch_add(size, Ordering::Relaxed);
-                return Err(TransportError::ShutDown);
-            }
-            self.counters.delivered.fetch_add(1, Ordering::Relaxed);
-            self.counters
-                .bytes_delivered
-                .fetch_add(size, Ordering::Relaxed);
-            return Ok(());
+        Ok(())
+    }
+
+    fn count_dropped(&self, size: u64) {
+        self.counters.dropped.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .bytes_dropped
+            .fetch_add(size, Ordering::Relaxed);
+    }
+
+    /// Loop-back: the message skips the wire and goes straight into the
+    /// inbound channel, but counts like any other send.
+    fn send_local(&mut self, from: ReplicaId, msg: M, size: u64) -> Result<(), TransportError> {
+        self.begin_send(size)?;
+        let to = self.local;
+        if self.loopback_tx.send(Inbound { from, to, msg }).is_err() {
+            self.count_dropped(size);
+            return Err(TransportError::ShutDown);
         }
-        match self.send_payload(to, payload) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.counters.dropped.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .bytes_dropped
-                    .fetch_add(size, Ordering::Relaxed);
-                Err(e)
-            }
-        }
+        self.counters.delivered.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .bytes_delivered
+            .fetch_add(size, Ordering::Relaxed);
+        Ok(())
+    }
+
+    fn send_remote(&mut self, to: ReplicaId, payload: &[u8]) -> Result<(), TransportError> {
+        let size = payload.len() as u64;
+        self.begin_send(size)?;
+        self.send_payload(to, payload)
+            .inspect_err(|_| self.count_dropped(size))
     }
 }
 
-impl<M: Wire + Send + Clone + 'static> Transport<M> for TcpTransport<M> {
+impl<M: Wire + Send + 'static> Transport<M> for TcpTransport<M> {
     fn replicas(&self) -> u32 {
         self.peers.len() as u32
     }
 
     fn send(&mut self, from: ReplicaId, to: ReplicaId, msg: M) -> Result<(), TransportError> {
         let payload = msg.to_wire_bytes();
-        self.send_encoded(from, to, msg, &payload)
+        if to == self.local {
+            self.send_local(from, msg, payload.len() as u64)
+        } else {
+            self.send_remote(to, &payload)
+        }
     }
 
     fn broadcast(&mut self, from: ReplicaId, msg: M) -> Result<(), TransportError> {
-        // Encode once, write the same payload to every peer. Delivery is
-        // best-effort per peer: an unreachable peer counts as dropped but
-        // does not stop the remaining sends (matching how real packet loss
-        // behaves); the first error is reported after the fan-out.
+        // Encode once, write the same payload to every remote peer, then
+        // move the message itself into the loop-back delivery — the only
+        // one that needs the value. Delivery is best-effort per peer: an
+        // unreachable peer counts as dropped but does not stop the remaining
+        // sends (matching how real packet loss behaves); the first error is
+        // reported after the fan-out.
         let payload = msg.to_wire_bytes();
-        let ids: Vec<ReplicaId> = self.peers.iter().map(|p| p.id).collect();
+        let remote: Vec<ReplicaId> = self
+            .peers
+            .iter()
+            .map(|p| p.id)
+            .filter(|id| *id != self.local)
+            .collect();
         let mut first_err = None;
-        for to in ids {
-            if let Err(e) = self.send_encoded(from, to, msg.clone(), &payload) {
+        for to in remote {
+            if let Err(e) = self.send_remote(to, &payload) {
                 first_err.get_or_insert(e);
             }
         }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
+        if let Err(e) = self.send_local(from, msg, payload.len() as u64) {
+            first_err.get_or_insert(e);
         }
+        first_err.map_or(Ok(()), Err)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Inbound<M>, RecvError> {

@@ -6,7 +6,9 @@
 //! acknowledge the header, a *certificate* is formed; certificates of round
 //! `r` become the parents of headers in round `r + 1`. A [`Vertex`] bundles a
 //! certified header with its block payload, which is what the local DAG
-//! stores.
+//! stores. The block is immutable shared content (`Arc<Block>`): the header
+//! names it by digest, and every holder of the vertex — the proposer, the
+//! transports' fan-out, the DAG, the commit pipeline — shares one allocation.
 
 use crate::block::Block;
 use crate::committee::Committee;
@@ -14,6 +16,7 @@ use crate::digest::{Digest, Hashable, StructuralHasher};
 use crate::ids::{DagId, ReplicaId, Round};
 use crate::time::SimTime;
 use std::fmt;
+use std::sync::Arc;
 
 /// The header of a DAG vertex: everything except the block body.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -130,6 +133,17 @@ impl Certificate {
         )
     }
 
+    /// True if this certificate is for exactly `header`: it names the
+    /// header's digest and repeats its `(dag, round, author)`. The vertex id
+    /// is derived from the certificate alone, so a vertex whose certificate
+    /// does not certify its header must never enter a DAG.
+    pub fn certifies(&self, header: &Header) -> bool {
+        self.dag == header.dag
+            && self.round == header.round
+            && self.author == header.author
+            && self.header_digest == header.digest()
+    }
+
     /// True if the certificate carries a `2f + 1` quorum of distinct,
     /// committee-member signers.
     pub fn is_valid(&self, committee: &Committee) -> bool {
@@ -172,18 +186,18 @@ impl fmt::Display for Certificate {
 pub struct Vertex {
     /// The vertex header.
     pub header: Header,
-    /// The block carried by the vertex.
-    pub block: Block,
+    /// The block carried by the vertex, shared with every other holder.
+    pub block: Arc<Block>,
     /// The certificate proving `2f + 1` replicas acknowledged the header.
     pub certificate: Certificate,
 }
 
 impl Vertex {
-    /// Creates a vertex.
-    pub fn new(header: Header, block: Block, certificate: Certificate) -> Self {
+    /// Creates a vertex from a block it owns or already shares.
+    pub fn new(header: Header, block: impl Into<Arc<Block>>, certificate: Certificate) -> Self {
         Vertex {
             header,
-            block,
+            block: block.into(),
             certificate,
         }
     }
@@ -301,6 +315,19 @@ mod tests {
             vec![ReplicaId::new(1), ReplicaId::new(2), ReplicaId::new(3)],
         );
         assert_eq!(a.digest(), b.digest());
+    }
+
+    #[test]
+    fn certificate_certifies_only_its_own_header() {
+        let h = header(1, 2);
+        let signers = vec![ReplicaId::new(0), ReplicaId::new(1), ReplicaId::new(2)];
+        let cert = Certificate::for_header(&h, signers.clone());
+        assert!(cert.certifies(&h));
+        assert!(!cert.certifies(&header(1, 3)));
+        assert!(!cert.certifies(&header(2, 2)));
+        // Same header digest, different claimed round: a different vertex id.
+        let relabelled = Certificate::new(h.digest(), h.dag, Round::new(9), h.author, signers);
+        assert!(!relabelled.certifies(&h));
     }
 
     #[test]

@@ -33,6 +33,7 @@ use crate::value::Value;
 use crate::vertex::{Certificate, Header, Vertex};
 use bytes::Bytes;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors produced while decoding (or validating) a wire buffer.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -364,6 +365,17 @@ impl<T: Wire> Wire for Vec<T> {
             out.push(T::decode(r)?);
         }
         Ok(out)
+    }
+}
+
+/// Shared content encodes as the content itself; decoding allocates the one
+/// copy every later holder shares.
+impl<T: Wire> Wire for Arc<T> {
+    fn encode(&self, w: &mut WireWriter) {
+        (**self).encode(w);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        T::decode(r).map(Arc::new)
     }
 }
 
@@ -824,7 +836,7 @@ impl Wire for Vertex {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(Vertex {
             header: Header::decode(r)?,
-            block: Block::decode(r)?,
+            block: Arc::decode(r)?,
             certificate: Certificate::decode(r)?,
         })
     }
@@ -958,6 +970,7 @@ mod tests {
         );
         round_trip(header.clone());
         round_trip(cert.clone());
+        round_trip(Arc::new(block.clone()));
         round_trip(Vertex::new(header, block, cert));
     }
 

@@ -10,6 +10,7 @@
 //! same encoding and is round-tripped here too.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use thunderbolt::tb_types::wire::Wire;
 use thunderbolt::tb_types::{
     AccessRecord, Block, BlockKind, BlockPayload, Certificate, ClientId, ContractCall, DagId,
@@ -224,7 +225,10 @@ fn arb_vertex() -> impl Strategy<Value = Vertex> {
 
 fn arb_message() -> impl Strategy<Value = Message> {
     prop_oneof![
-        (arb_header(), arb_block()).prop_map(|(header, block)| Message::Header { header, block }),
+        (arb_header(), arb_block()).prop_map(|(header, block)| Message::Header {
+            header,
+            block: Arc::new(block)
+        }),
         (arb_digest(), (any::<u64>(), any::<u64>(), any::<u32>()),).prop_map(
             |(header_digest, (dag, round, signer))| Message::Ack {
                 header_digest,
@@ -233,6 +237,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
                 signer: ReplicaId::new(signer),
             }
         ),
+        arb_certificate().prop_map(Message::Certificate),
         arb_vertex().prop_map(|v| Message::Vertex(Box::new(v))),
     ]
 }
@@ -259,6 +264,10 @@ proptest! {
 
     #[test]
     fn blocks_of_every_kind_roundtrip(block in arb_block()) {
+        // Shared content encodes as the content itself.
+        let shared = Arc::new(block.clone());
+        prop_assert_eq!(shared.to_wire_bytes(), block.to_wire_bytes());
+        roundtrips(shared);
         roundtrips(block);
     }
 
@@ -331,7 +340,10 @@ fn max_size_batch_roundtrips() {
         vec![Digest([5, 6, 7, 8]); 4],
         SimTime(123_455),
     );
-    let msg = Message::Header { header, block };
+    let msg = Message::Header {
+        header,
+        block: Arc::new(block),
+    };
     let frame = msg.to_wire_bytes();
     assert!(
         frame.len() > 64 * 1024,
