@@ -18,6 +18,7 @@
 //! should not construct it directly but go through the fluent
 //! [`ScenarioBuilder`](crate::scenario::ScenarioBuilder).
 
+use crate::feed::ClientFeed;
 use crate::messages::Message;
 use crate::metrics::RunReport;
 use crate::proposer::ByzantineBehavior;
@@ -150,7 +151,7 @@ pub struct ClusterSimulation {
     config: ClusterConfig,
     replicas: Vec<Replica>,
     network: SimNetwork<Message>,
-    workload: Box<dyn Workload>,
+    feed: ClientFeed,
     faults: FaultPlan,
     busy_until: Vec<SimTime>,
     events_processed: u64,
@@ -186,10 +187,10 @@ impl ClusterSimulation {
         let network = SimNetwork::new(n, config.system.latency, config.seed);
         ClusterSimulation {
             busy_until: vec![SimTime::ZERO; n as usize],
+            feed: ClientFeed::new(workload, config.system.ce.batch_size),
             config,
             replicas,
             network,
-            workload,
             faults,
             events_processed: 0,
         }
@@ -202,7 +203,7 @@ impl ClusterSimulation {
 
     /// The name of the workload driving this simulation.
     pub fn workload_name(&self) -> &str {
-        self.workload.name()
+        self.feed.workload().name()
     }
 
     /// Access to a replica (used by tests to inspect state).
@@ -228,7 +229,7 @@ impl ClusterSimulation {
 
         // Prime the client queues and start every replica.
         for i in 0..self.replicas.len() {
-            self.feed(i, SimTime::ZERO);
+            self.feed.top_up(&mut self.replicas, i, SimTime::ZERO);
         }
         for i in 0..self.replicas.len() {
             let id = ReplicaId::new(i as u32);
@@ -276,7 +277,7 @@ impl ClusterSimulation {
             .unwrap_or_else(|| self.network.now());
         let mut report = observer.report(
             &self.config.label(),
-            self.workload.name(),
+            self.feed.workload().name(),
             duration,
             self.network.stats(),
         );
@@ -321,10 +322,8 @@ impl ClusterSimulation {
         let extra = self.busy_until[idx].saturating_since(self.network.now());
         self.dispatch_outbound(to, outbound, extra);
         // Keep the proposer's client queue topped up, modelling clients that
-        // submit continuously.
-        if self.replicas[idx].pending_client_txs() < self.config.system.ce.batch_size {
-            self.feed(idx, effective_now);
-        }
+        // submit as fast as the cluster commits.
+        self.feed.top_up(&mut self.replicas, idx, effective_now);
     }
 
     fn dispatch_outbound(
@@ -341,24 +340,6 @@ impl ClusterSimulation {
                 Destination::To(to) => {
                     self.network.send_delayed(from, to, out.msg, extra);
                 }
-            }
-        }
-    }
-
-    /// Generates client transactions until the given replica's queues hold at
-    /// least two batches. Generated transactions are routed to whichever
-    /// replica currently serves their home shard.
-    fn feed(&mut self, target_idx: usize, now: SimTime) {
-        let batch = self.config.system.ce.batch_size;
-        let target_goal = batch * 2;
-        let mut generated = 0usize;
-        let cap = batch * 8;
-        while self.replicas[target_idx].pending_client_txs() < target_goal && generated < cap {
-            let tx = self.workload.next_transaction(now);
-            generated += 1;
-            let home = tx.home_shard();
-            if let Some(idx) = self.replicas.iter().position(|r| r.current_shard() == home) {
-                self.replicas[idx].enqueue(tx);
             }
         }
     }

@@ -18,6 +18,8 @@
 //!   validation, deterministic cross-shard execution, storage apply),
 //! * [`replica`] — the per-replica state machine tying DAG construction,
 //!   commit and reconfiguration together,
+//! * [`feed`] — the closed-loop client: one shared transaction stream
+//!   routed by home shard, drawn as fast as the proposers take it,
 //! * [`cluster`] — the multi-replica simulation harness used by the
 //!   examples, the integration tests and every system benchmark
 //!   (Figures 13–17),
@@ -38,6 +40,7 @@
 pub mod campaign;
 pub mod cluster;
 pub mod commit;
+pub mod feed;
 pub mod messages;
 pub mod metrics;
 pub mod node;
@@ -52,6 +55,7 @@ pub use campaign::{
 };
 pub use cluster::{ClusterConfig, ClusterSimulation, ExecutionMode};
 pub use commit::{CommitOutput, CommitPipeline, PostCommitExecution};
+pub use feed::ClientFeed;
 pub use messages::Message;
 pub use metrics::{LatencyHistogram, RoundCommitSample, RunReport};
 pub use node::{run_node, NodeSpec};

@@ -11,15 +11,16 @@
 //! # Determinism
 //!
 //! A node does not receive client transactions from anywhere: it expands the
-//! SmallBank spec into the *shared* client stream locally and enqueues the
-//! transactions whose home shard it currently serves, exactly as the sim
-//! harness routes them. Under lockstep (complete rounds) with full batches,
+//! SmallBank spec into the *shared* client stream locally, through the same
+//! [`ClientFeed`] the sim harness runs, and enqueues the transactions whose
+//! home shard it currently serves. Under lockstep (complete rounds) with full batches,
 //! block `r` of shard `i` contains positions `[r·b, (r+1)·b)` of the
 //! shard-`i` subsequence of that stream regardless of wall-clock timing —
 //! which is why a TCP run and a sim run of the same scenario commit the same
 //! order (see `docs/NET.md`).
 
 use crate::cluster::{ClusterConfig, ExecutionMode};
+use crate::feed::ClientFeed;
 use crate::messages::Message;
 use crate::metrics::RunReport;
 use crate::replica::{Destination, Replica};
@@ -246,6 +247,9 @@ pub fn run_node(spec: NodeSpec) -> io::Result<RunReport> {
     let mut workload: Box<dyn Workload> = Box::new(SmallBankWorkload::new(spec.smallbank));
     workload.configure_for_cluster(spec.replicas, spec.seed);
     replica.load_state(workload.initial_state());
+    // This node's copy of the shared client stream; it serves this replica
+    // alone, the other nodes enqueue the rest from theirs.
+    let mut feed = ClientFeed::new(workload, batch);
 
     let peers = spec.peers();
     let mut transport: TcpTransport<Message> = TcpTransport::bind(id, peers)?;
@@ -255,13 +259,7 @@ pub fn run_node(spec: NodeSpec) -> io::Result<RunReport> {
     let target_commits = spec.target_commits();
 
     // Prime the client queue before the first proposal, as the sim does.
-    top_up(
-        &mut replica,
-        workload.as_mut(),
-        batch,
-        spec.replicas,
-        SimTime::ZERO,
-    );
+    feed.top_up(std::slice::from_mut(&mut replica), 0, SimTime::ZERO);
     let outbound = replica.start(SimTime::ZERO);
     let _ = replica.take_busy();
     dispatch(&mut transport, id, outbound);
@@ -285,9 +283,7 @@ pub fn run_node(spec: NodeSpec) -> io::Result<RunReport> {
                 // busy tracker only matters to the simulated clock.
                 let _ = replica.take_busy();
                 dispatch(&mut transport, id, outbound);
-                if replica.pending_client_txs() < batch {
-                    top_up(&mut replica, workload.as_mut(), batch, spec.replicas, at);
-                }
+                feed.top_up(std::slice::from_mut(&mut replica), 0, at);
             }
             Err(RecvError::TimedOut) => {}
             Err(RecvError::Closed) => break,
@@ -306,33 +302,7 @@ pub fn run_node(spec: NodeSpec) -> io::Result<RunReport> {
         .last()
         .map(|sample| sample.committed_at)
         .unwrap_or_else(|| SimTime::from_micros(started.elapsed().as_micros() as u64));
-    Ok(replica.report(&label, workload.name(), duration, stats))
-}
-
-/// Generates the shared client stream and enqueues this replica's share
-/// until its queue holds two batches — the open-loop client. Transactions
-/// homed on other shards are *generated and discarded*: stream positions
-/// must advance identically on every node.
-fn top_up(
-    replica: &mut Replica,
-    workload: &mut dyn Workload,
-    batch: usize,
-    replicas: u32,
-    now: SimTime,
-) {
-    let goal = batch * 2;
-    // The shard filter passes roughly 1/n of the stream, so the generation
-    // cap scales with the committee where the sim's (which routes every
-    // transaction to some replica) does not.
-    let cap = batch * 8 * replicas.max(1) as usize;
-    let mut generated = 0usize;
-    while replica.pending_client_txs() < goal && generated < cap {
-        let tx = workload.next_transaction(now);
-        generated += 1;
-        if tx.home_shard() == replica.current_shard() {
-            replica.enqueue(tx);
-        }
-    }
+    Ok(replica.report(&label, feed.workload().name(), duration, stats))
 }
 
 fn dispatch(

@@ -306,7 +306,7 @@ mod tests {
         let mut proposer = ShardProposer::new(ShardId::new(0), 10);
         // Single-shard for shard 0 (accounts 0 and 4 both map to shard 0).
         assert!(proposer.enqueue(tx(1, 0, 4, 4)));
-        // Cross-shard with home shard 0 (accounts 0 and 1).
+        // Cross-shard between shards 0 and 1; the even id homes it on 0.
         assert!(proposer.enqueue(tx(2, 0, 1, 4)));
         // Wrong shard: home shard of accounts {1, 5} is shard 1.
         assert!(!proposer.enqueue(tx(3, 1, 5, 4)));
@@ -361,7 +361,18 @@ mod tests {
     #[test]
     fn enqueue_all_counts_accepted_transactions() {
         let mut proposer = ShardProposer::new(ShardId::new(1), 10);
-        let txs = vec![tx(1, 1, 5, 4), tx(2, 0, 4, 4), tx(3, 1, 2, 4)];
+        // Shard 1 only; shard 0 only; shards {1, 2} with an even id, homed
+        // on the first of them; the same pair with an odd id, homed on 2.
+        let txs = vec![
+            tx(1, 1, 5, 4),
+            tx(2, 0, 4, 4),
+            tx(4, 1, 2, 4),
+            tx(3, 1, 2, 4),
+        ];
         assert_eq!(proposer.enqueue_all(txs), 2);
+        assert_eq!(
+            (proposer.pending_single(), proposer.pending_cross()),
+            (1, 1)
+        );
     }
 }

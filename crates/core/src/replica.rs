@@ -1620,8 +1620,10 @@ mod tests {
             })
             .collect();
         // A cross-shard payment from account 0 (shard 0) to account 1
-        // (shard 1), routed to its home shard proposer (replica 0).
-        assert!(replicas[0].enqueue(payment(1, 0, 1, 4)));
+        // (shard 1). Its odd id homes it on the second of its shards, so
+        // replica 1 proposes it and replica 0 turns it away.
+        assert!(!replicas[0].enqueue(payment(1, 0, 1, 4)));
+        assert!(replicas[1].enqueue(payment(1, 0, 1, 4)));
         run_synchronously(&mut replicas, 8);
         for replica in &replicas {
             assert!(replica.metrics().cross_shard_txs >= 1);

@@ -41,7 +41,10 @@ pub struct Committer {
     dag: DagId,
     next_leader_round: Round,
     last_committed_leader_round: Option<Round>,
+    /// Closed under ancestry: a vertex enters only together with its whole
+    /// undelivered history, which is what lets history walks stop here.
     delivered: HashSet<Digest>,
+    walk_steps: u64,
 }
 
 impl Committer {
@@ -58,6 +61,7 @@ impl Committer {
             next_leader_round,
             last_committed_leader_round: None,
             delivered: HashSet::new(),
+            walk_steps: 0,
         }
     }
 
@@ -74,6 +78,14 @@ impl Committer {
     /// Number of vertices delivered so far.
     pub fn delivered_count(&self) -> usize {
         self.delivered.len()
+    }
+
+    /// References the history walks have followed so far, counted inside
+    /// [`DagStore::causal_history`]. A walk enters only what it delivers, so
+    /// this grows with the sub-DAGs delivered (a vertex and its parent
+    /// references each), not with the depth of the DAG under them.
+    pub fn walk_steps(&self) -> u64 {
+        self.walk_steps
     }
 
     /// True if the vertex has already been delivered.
@@ -144,25 +156,18 @@ impl Committer {
         }
         chain.reverse();
 
-        let mut out = Vec::new();
-        for (round, leader) in chain {
-            let mut vertices = Vec::new();
-            for digest in store.causal_history(&leader.id()) {
-                if self.delivered.insert(digest) {
-                    vertices.push(Arc::clone(
-                        store
-                            .get(&digest)
-                            .expect("causal history only returns stored vertices"),
-                    ));
+        chain
+            .into_iter()
+            .map(|(leader_round, leader)| {
+                let vertices =
+                    store.causal_history(&leader.id(), &mut self.delivered, &mut self.walk_steps);
+                CommittedSubDag {
+                    leader,
+                    leader_round,
+                    vertices,
                 }
-            }
-            out.push(CommittedSubDag {
-                leader,
-                leader_round: round,
-                vertices,
-            });
-        }
-        out
+            })
+            .collect()
     }
 
     fn first_leader_round(&self, store: &DagStore) -> Round {
@@ -386,5 +391,155 @@ mod tests {
         let committed = committer.try_commit(&store);
         let rounds: Vec<u64> = committed.iter().map(|c| c.leader_round.as_u64()).collect();
         assert_eq!(rounds, vec![1, 3]);
+    }
+
+    /// SplitMix64: a seeded stream without a dev-dependency.
+    fn next_u64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// True once in `n` calls, on average.
+    fn one_in(n: u64, state: &mut u64) -> bool {
+        next_u64(state).is_multiple_of(n)
+    }
+
+    /// Everything reachable from `from`, by a walk that knows nothing about
+    /// delivery.
+    fn reachable(store: &DagStore, from: Digest) -> HashSet<Digest> {
+        let mut seen = HashSet::from([from]);
+        let mut queue = vec![from];
+        while let Some(id) = queue.pop() {
+            for parent in store.get(&id).unwrap().parents() {
+                if store.contains(parent) && seen.insert(*parent) {
+                    queue.push(*parent);
+                }
+            }
+        }
+        seen
+    }
+
+    #[test]
+    fn pruned_delivery_matches_full_history_minus_delivered_on_random_dags() {
+        // DAGs with holes: a replica may sit a round out, and a vertex
+        // references a random quorum of the previous round, so leaders go
+        // missing, lack support, are skipped and are committed indirectly.
+        let committee = Committee::new(7);
+        let quorum = committee.quorum_threshold();
+        let (mut indirect, mut skipped) = (0, 0);
+        for seed in 0..20u64 {
+            let mut rng = seed;
+            let mut builder = DagBuilder::new(committee, DagId::new(0), Round::ZERO);
+            let mut store = DagStore::new(committee, DagId::new(0), Round::ZERO);
+            let mut committer = Committer::new(committee, DagId::new(0), Round::ZERO);
+            let mut delivered: HashSet<Digest> = HashSet::new();
+            for round in 0..40 {
+                let round = Round::new(round);
+                let previous = if round == Round::ZERO {
+                    Vec::new()
+                } else {
+                    store.certificates_at_round(round.prev())
+                };
+                let mut authors: Vec<ReplicaId> = committee.replicas().collect();
+                while authors.len() > quorum && one_in(3, &mut rng) {
+                    authors.swap_remove(next_u64(&mut rng) as usize % authors.len());
+                }
+                // Every other support round shuns its leader: most vertices
+                // leave it out, so it misses f + 1 support and can only be
+                // committed through a later leader, if at all.
+                let shunned = store
+                    .by_author_round(committee.leader(DagId::new(0), round.prev()), round.prev())
+                    .map(|v| v.id())
+                    .filter(|_| round.prev().is_leader_round() && one_in(2, &mut rng));
+                for author in authors {
+                    let mut parents = previous.clone();
+                    if parents.len() > quorum && !one_in(4, &mut rng) {
+                        parents.retain(|p| Some(*p) != shunned);
+                    }
+                    while parents.len() > quorum && one_in(2, &mut rng) {
+                        parents.swap_remove(next_u64(&mut rng) as usize % parents.len());
+                    }
+                    let vertex = builder.make_vertex(
+                        author,
+                        round,
+                        BlockKind::Normal,
+                        Default::default(),
+                        parents,
+                    );
+                    store.insert(vertex).unwrap();
+                }
+
+                let committed = committer.try_commit(&store);
+                indirect += committed.len().saturating_sub(1);
+                for sub_dag in committed {
+                    let mut expected: Vec<&Arc<Vertex>> = reachable(&store, sub_dag.leader.id())
+                        .difference(&delivered)
+                        .map(|id| store.get(id).unwrap())
+                        .collect();
+                    expected.sort_unstable_by_key(|v| (v.round(), v.author()));
+                    let expected: Vec<Digest> = expected.iter().map(|v| v.id()).collect();
+                    let got: Vec<Digest> = sub_dag.vertices.iter().map(|v| v.id()).collect();
+                    assert_eq!(
+                        got, expected,
+                        "seed {seed}, leader {}",
+                        sub_dag.leader_round
+                    );
+                    assert_eq!(got.last(), Some(&sub_dag.leader.id()));
+                    delivered.extend(got);
+                }
+                assert_eq!(committer.delivered_count(), delivered.len());
+            }
+            // The full history is the empty-set case of the same walk.
+            let tip = store.at_round(Round::new(39))[0].id();
+            let full: HashSet<Digest> = store
+                .causal_history(&tip, &mut HashSet::new(), &mut 0)
+                .iter()
+                .map(|v| v.id())
+                .collect();
+            assert_eq!(full, reachable(&store, tip));
+            let decided = (committer.next_leader_round().as_u64() - 1) / 2;
+            let leaders = (0..decided)
+                .map(|i| Round::new(2 * i + 1))
+                .filter(|r| {
+                    store
+                        .by_author_round(committee.leader(DagId::new(0), *r), *r)
+                        .is_some_and(|v| committer.is_delivered(&v.id()))
+                })
+                .count() as u64;
+            skipped += decided - leaders;
+        }
+        assert!(indirect > 0, "no seed produced an indirect commit");
+        assert!(skipped > 0, "no seed skipped a leader for good");
+    }
+
+    #[test]
+    fn history_walks_cost_what_they_deliver_however_deep_the_dag() {
+        let mut builder = DagBuilder::new(committee(), DagId::new(0), Round::ZERO);
+        let mut store = DagStore::new(committee(), DagId::new(0), Round::ZERO);
+        let mut committer = Committer::new(committee(), DagId::new(0), Round::ZERO);
+        let mut delivered = 0;
+        for _ in 0..4_000 {
+            store = builder
+                .extend_rounds(store, 1, |_, _| true, |_, _| BlockKind::Normal)
+                .unwrap();
+            for sub_dag in committer.try_commit(&store) {
+                delivered += sub_dag.vertices.len() as u64;
+            }
+        }
+        // Leaders up to round 3 997 committed: every vertex below that round
+        // plus the last leader itself.
+        assert_eq!(delivered, 4 * 3_997 + 1);
+        // Each delivered vertex is entered once and its n parent references
+        // are looked at once. Walking every leader's history to round 0 and
+        // filtering afterwards takes some 64 000 000 steps here.
+        let n = u64::from(committee().size());
+        assert!(
+            committer.walk_steps() <= (n + 1) * delivered,
+            "{} walk steps to deliver {delivered} vertices",
+            committer.walk_steps()
+        );
     }
 }

@@ -4,7 +4,7 @@
 //! shared vertex, and the committer delivers clones of the `Arc`, never of
 //! the block it carries.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use tb_types::{Committee, DagId, Digest, ReplicaId, Round, Vertex};
 
@@ -31,6 +31,15 @@ pub enum DagError {
         /// The missing parent digest.
         parent: Digest,
     },
+    /// A parent reference does not point back in time: it names a vertex of
+    /// the same or a later round, or the vertex sits in the DAG's first
+    /// round, which has nothing before it.
+    ParentNotEarlier {
+        /// The offending parent digest.
+        parent: Digest,
+        /// Round carried by the vertex.
+        round: Round,
+    },
     /// The author already has a vertex in this round (equivocation or a
     /// duplicate delivery); the insert is rejected.
     DuplicateAuthor {
@@ -55,6 +64,13 @@ impl std::fmt::Display for DagError {
             DagError::MissingParent { parent } => {
                 write!(f, "missing parent certificate {}", parent.short())
             }
+            DagError::ParentNotEarlier { parent, round } => {
+                write!(
+                    f,
+                    "parent {} of a {round} vertex is not older",
+                    parent.short()
+                )
+            }
             DagError::DuplicateAuthor { author, round } => {
                 write!(f, "{author} already proposed in {round}")
             }
@@ -72,7 +88,9 @@ pub struct DagStore {
     dag: DagId,
     start_round: Round,
     vertices: HashMap<Digest, Arc<Vertex>>,
-    by_round: BTreeMap<Round, HashMap<ReplicaId, Digest>>,
+    /// Per round, the vertex of each author — ordered by author, so every
+    /// `(round, author)`-ordered read is a plain walk of the slot.
+    by_round: BTreeMap<Round, BTreeMap<ReplicaId, Digest>>,
 }
 
 impl DagStore {
@@ -131,12 +149,21 @@ impl DagStore {
         if !vertex.certificate.is_valid(&self.committee) {
             return Err(DagError::InvalidCertificate);
         }
-        // Vertices in the first round of a DAG have no parents; all others
-        // must reference certificates we already hold (validity property).
-        if vertex.round() > self.start_round {
-            for parent in vertex.parents() {
-                if !self.vertices.contains_key(parent) {
+        // Every parent must be a certificate we already hold (validity
+        // property) of an earlier round — what lets `is_ancestor` stop at the
+        // ancestor's round. The first round of a DAG has nothing before it,
+        // so its vertices carry no parents at all.
+        for parent in vertex.parents() {
+            match self.vertices.get(parent) {
+                Some(p) if p.round() < vertex.round() => {}
+                None if vertex.round() > self.start_round => {
                     return Err(DagError::MissingParent { parent: *parent });
+                }
+                _ => {
+                    return Err(DagError::ParentNotEarlier {
+                        parent: *parent,
+                        round: vertex.round(),
+                    });
                 }
             }
         }
@@ -176,21 +203,21 @@ impl DagStore {
 
     /// All vertices of a round, ordered by author.
     pub fn at_round(&self, round: Round) -> Vec<&Arc<Vertex>> {
-        let Some(slot) = self.by_round.get(&round) else {
-            return Vec::new();
-        };
-        let mut authors: Vec<_> = slot.keys().copied().collect();
-        authors.sort_unstable();
-        authors
-            .into_iter()
-            .filter_map(|a| self.vertices.get(&slot[&a]))
-            .collect()
+        self.slot(round).map(|id| &self.vertices[id]).collect()
     }
 
     /// Digests of all vertices of a round (the certificates a proposer of the
     /// next round references as parents), ordered by author.
     pub fn certificates_at_round(&self, round: Round) -> Vec<Digest> {
-        self.at_round(round).iter().map(|v| v.id()).collect()
+        self.slot(round).copied().collect()
+    }
+
+    /// The vertex ids of a round in author order.
+    fn slot(&self, round: Round) -> impl Iterator<Item = &Digest> {
+        self.by_round
+            .get(&round)
+            .into_iter()
+            .flat_map(|s| s.values())
     }
 
     /// Number of distinct authors with a vertex in `round`.
@@ -216,47 +243,63 @@ impl DagStore {
     /// Number of vertices in `round` that reference `target` as a parent
     /// (the "support" used by the commit rule).
     pub fn support(&self, target: &Digest, round: Round) -> usize {
-        self.at_round(round)
-            .iter()
-            .filter(|v| v.parents().contains(target))
+        self.slot(round)
+            .filter(|id| self.vertices[*id].parents().contains(target))
             .count()
     }
 
-    /// Every vertex reachable from `from` through parent references,
-    /// including `from` itself. The result is sorted by `(round, author)`,
-    /// which is the deterministic delivery order used at commit time.
-    pub fn causal_history(&self, from: &Digest) -> Vec<Digest> {
-        let mut seen: HashSet<Digest> = HashSet::new();
-        let mut queue = VecDeque::new();
-        if self.vertices.contains_key(from) {
-            queue.push_back(*from);
-            seen.insert(*from);
-        }
-        while let Some(current) = queue.pop_front() {
-            let vertex = &self.vertices[&current];
-            for parent in vertex.parents() {
-                if self.vertices.contains_key(parent) && seen.insert(*parent) {
-                    queue.push_back(*parent);
-                }
+    /// The part of `from`'s causal history (`from` included) that `delivered`
+    /// does not hold yet, sorted by `(round, author)` — the deterministic
+    /// delivery order used at commit time. Every returned vertex is added to
+    /// `delivered`.
+    ///
+    /// The walk never enters a vertex that is already in `delivered`, so it
+    /// expands exactly the vertices it returns. Nothing is missed as long as
+    /// `delivered` is closed under ancestry — it holds the stored history of
+    /// every vertex it holds — which this call preserves; see the
+    /// [crate docs](crate). With an empty set the result is the full history.
+    ///
+    /// `steps` is advanced once per reference the walk follows (`from`
+    /// counts as one): the cost of the call, whatever it returns.
+    pub fn causal_history(
+        &self,
+        from: &Digest,
+        delivered: &mut HashSet<Digest>,
+        steps: &mut u64,
+    ) -> Vec<Arc<Vertex>> {
+        let mut history = Vec::new();
+        let mut stack = vec![*from];
+        while let Some(id) = stack.pop() {
+            *steps += 1;
+            if delivered.contains(&id) {
+                continue;
             }
+            let Some(vertex) = self.vertices.get(&id) else {
+                continue;
+            };
+            delivered.insert(id);
+            stack.extend(vertex.parents());
+            history.push(Arc::clone(vertex));
         }
-        let mut result: Vec<Digest> = seen.into_iter().collect();
-        result.sort_by_key(|d| {
-            let v = &self.vertices[d];
-            (v.round(), v.author())
-        });
-        result
+        history.sort_unstable_by_key(|v| (v.round(), v.author()));
+        history
     }
 
     /// True if `ancestor` lies in the causal history of `descendant`.
     pub fn is_ancestor(&self, ancestor: &Digest, descendant: &Digest) -> bool {
+        let Some(floor) = self.vertices.get(ancestor).map(|v| v.round()) else {
+            return false;
+        };
         if ancestor == descendant {
-            return self.vertices.contains_key(ancestor);
+            return true;
         }
         let mut seen: HashSet<Digest> = HashSet::new();
-        let mut queue = VecDeque::from([*descendant]);
-        while let Some(current) = queue.pop_front() {
-            let Some(vertex) = self.vertices.get(&current) else {
+        let mut stack = vec![*descendant];
+        while let Some(current) = stack.pop() {
+            // A vertex references certificates of earlier rounds only
+            // (`insert` refuses anything else), so nothing at or below the
+            // ancestor's round can lead to it.
+            let Some(vertex) = self.vertices.get(&current).filter(|v| v.round() > floor) else {
                 continue;
             };
             for parent in vertex.parents() {
@@ -264,7 +307,7 @@ impl DagStore {
                     return true;
                 }
                 if seen.insert(*parent) {
-                    queue.push_back(*parent);
+                    stack.push(*parent);
                 }
             }
         }
@@ -273,11 +316,10 @@ impl DagStore {
 
     /// Iterates over all vertices in `(round, author)` order.
     pub fn iter(&self) -> impl Iterator<Item = &Arc<Vertex>> {
-        self.by_round.values().flat_map(move |slot| {
-            let mut authors: Vec<_> = slot.keys().copied().collect();
-            authors.sort_unstable();
-            authors.into_iter().map(move |a| &self.vertices[&slot[&a]])
-        })
+        self.by_round
+            .values()
+            .flat_map(|slot| slot.values())
+            .map(|id| &self.vertices[id])
     }
 }
 
@@ -324,6 +366,50 @@ mod tests {
         assert!(matches!(
             fresh.insert(some_vertex),
             Err(DagError::MissingParent { .. })
+        ));
+    }
+
+    #[test]
+    fn insert_rejects_parents_that_are_not_older_than_the_vertex() {
+        // Replica 3 sits round 1 out, then proposes its round-1 vertex late,
+        // referencing what the others have built on top in the meantime.
+        let late = ReplicaId::new(3);
+        let mut builder = DagBuilder::new(committee(), DagId::new(0), Round::ZERO);
+        let mut store = builder
+            .build_partial(
+                3,
+                |round, author| round != Round::new(1) || author != late,
+                |_, _| BlockKind::Normal,
+            )
+            .unwrap();
+        let older = store.certificates_at_round(Round::new(0));
+        let mut propose = |extra_parent: Option<Digest>| {
+            let parents = older.iter().copied().chain(extra_parent).collect();
+            let kind = BlockKind::Normal;
+            builder.make_vertex(late, Round::new(1), kind, Default::default(), parents)
+        };
+        for parent_round in [1, 2] {
+            let parent = store.certificates_at_round(Round::new(parent_round))[0];
+            assert_eq!(
+                store.insert(propose(Some(parent))),
+                Err(DagError::ParentNotEarlier {
+                    parent,
+                    round: Round::new(1)
+                })
+            );
+        }
+        assert_eq!(store.len(), 11);
+        store.insert(propose(None)).unwrap();
+
+        // The first round has nothing before it: whatever a vertex there
+        // names as a parent, stored or not, is refused.
+        let parents = vec![store.certificates_at_round(Round::new(2))[0]];
+        let kind = BlockKind::Normal;
+        let first = builder.make_vertex(late, Round::ZERO, kind, Default::default(), parents);
+        let mut fresh = DagStore::new(committee(), DagId::new(0), Round::ZERO);
+        assert!(matches!(
+            fresh.insert(first),
+            Err(DagError::ParentNotEarlier { .. })
         ));
     }
 
@@ -380,16 +466,27 @@ mod tests {
             .by_author_round(ReplicaId::new(1), Round::new(2))
             .unwrap()
             .id();
-        let history = store.causal_history(&tip);
+        let mut delivered = HashSet::new();
+        let history = store.causal_history(&tip, &mut delivered, &mut 0);
         // Full DAG up to round 1 plus the tip itself.
         assert_eq!(history.len(), 9);
-        let rounds: Vec<u64> = history
-            .iter()
-            .map(|d| store.get(d).unwrap().round().as_u64())
-            .collect();
-        let mut sorted = rounds.clone();
+        assert_eq!(delivered.len(), 9);
+        let order: Vec<(Round, ReplicaId)> =
+            history.iter().map(|v| (v.round(), v.author())).collect();
+        let mut sorted = order.clone();
         sorted.sort_unstable();
-        assert_eq!(rounds, sorted, "history must be ordered by round");
+        assert_eq!(order, sorted, "history must be ordered by (round, author)");
+        // What is delivered is not entered again: a sibling of the tip adds
+        // only itself.
+        let sibling = store
+            .by_author_round(ReplicaId::new(2), Round::new(2))
+            .unwrap();
+        let rest = store.causal_history(&sibling.id(), &mut delivered, &mut 0);
+        assert_eq!(rest.len(), 1);
+        assert!(Arc::ptr_eq(&rest[0], sibling));
+        assert!(store
+            .causal_history(&tip, &mut delivered, &mut 0)
+            .is_empty());
         // Ancestor checks agree with the history.
         let ancestor = store
             .by_author_round(ReplicaId::new(3), Round::new(0))
@@ -398,6 +495,10 @@ mod tests {
         assert!(store.is_ancestor(&ancestor, &tip));
         assert!(!store.is_ancestor(&tip, &ancestor));
         assert!(store.is_ancestor(&tip, &tip));
+        // Same round, different author: a miss that stops at the ancestor's
+        // round rather than walking to round 0.
+        assert!(!store.is_ancestor(&sibling.id(), &tip));
+        assert!(!store.is_ancestor(&Digest::ZERO, &tip));
     }
 
     #[test]

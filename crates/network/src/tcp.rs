@@ -5,9 +5,13 @@
 //! is deliberately boring:
 //!
 //! - **Outbound**: one lazily-dialed `TcpStream` per peer, used only for
-//!   writing. Dialing retries with backoff until [`CONNECT_DEADLINE`] so
-//!   peers may start in any order; a stream that breaks mid-run is re-dialed
-//!   once per send before the message counts as dropped.
+//!   writing. The first dial of a peer retries with backoff until
+//!   [`CONNECT_DEADLINE`] so peers may start in any order. A peer that has
+//!   been reached once and is gone has exited, not yet started: a stream
+//!   that breaks mid-run gets one immediate reconnect attempt per send
+//!   before the message counts as dropped. Restarting a node mid-run is
+//!   therefore not supported: what is sent to it while it is away is lost,
+//!   and nothing retransmits it (`docs/NET.md`).
 //! - **Inbound**: a listener thread accepts connections; each accepted
 //!   stream gets a reader thread that decodes frames and pushes them into an
 //!   in-process channel. A peer that reconnects simply gets a fresh reader
@@ -27,7 +31,7 @@
 
 use crate::sim::NetworkStats;
 use crate::transport::{Inbound, RecvError, Transport, TransportError};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -45,7 +49,8 @@ pub const TCP_MAGIC: u32 = 0x314e_4254;
 pub const TCP_FRAME_VERSION: u16 = 2;
 /// Upper bound on a single frame's payload, far above any real block.
 pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
-/// How long a dial keeps retrying before the peer counts as unreachable.
+/// How long the first dial of a peer keeps retrying before the peer counts
+/// as unreachable.
 pub const CONNECT_DEADLINE: Duration = Duration::from_secs(10);
 /// Poll interval used by the accept loop and reader timeouts so worker
 /// threads notice shutdown promptly.
@@ -75,6 +80,8 @@ pub struct TcpTransport<M> {
     local: ReplicaId,
     peers: Vec<TcpPeer>,
     outbound: HashMap<ReplicaId, TcpStream>,
+    /// Peers a dial has reached at least once.
+    reached: HashSet<ReplicaId>,
     inbound_rx: mpsc::Receiver<Inbound<M>>,
     loopback_tx: mpsc::Sender<Inbound<M>>,
     counters: Arc<Counters>,
@@ -129,6 +136,7 @@ impl<M: Wire + Send + 'static> TcpTransport<M> {
             local,
             peers,
             outbound: HashMap::new(),
+            reached: HashSet::new(),
             inbound_rx: rx,
             loopback_tx: tx,
             counters,
@@ -147,9 +155,15 @@ impl<M: Wire + Send + 'static> TcpTransport<M> {
         self.peers.iter().find(|p| p.id == id).map(|p| p.addr)
     }
 
-    /// Dials `addr` with retry/backoff, then writes the hello frame.
-    fn dial(&self, peer: ReplicaId, addr: SocketAddr) -> Result<TcpStream, TransportError> {
-        let deadline = Instant::now() + CONNECT_DEADLINE;
+    /// Dials `addr`, retrying with backoff for as long as `patience` lasts,
+    /// then writes the hello frame.
+    fn dial(
+        &self,
+        peer: ReplicaId,
+        addr: SocketAddr,
+        patience: Duration,
+    ) -> Result<TcpStream, TransportError> {
+        let deadline = Instant::now() + patience;
         let mut backoff = Duration::from_millis(10);
         loop {
             match TcpStream::connect_timeout(&addr, Duration::from_secs(1)) {
@@ -194,7 +208,16 @@ impl<M: Wire + Send + 'static> TcpTransport<M> {
         let addr = self.peer_addr(to).ok_or(TransportError::UnknownPeer(to))?;
         for attempt in 0..2 {
             if !self.outbound.contains_key(&to) {
-                let stream = self.dial(to, addr)?;
+                // Start-up skew is waited out on first contact only: a node
+                // lingering after its commit target must not spend the
+                // connect deadline on every peer that has already exited.
+                let patience = if self.reached.contains(&to) {
+                    Duration::ZERO
+                } else {
+                    CONNECT_DEADLINE
+                };
+                let stream = self.dial(to, addr, patience)?;
+                self.reached.insert(to);
                 self.outbound.insert(to, stream);
             }
             let stream = self.outbound.get_mut(&to).expect("just inserted");
@@ -547,6 +570,40 @@ mod tests {
         a2.send(ReplicaId::new(0), ReplicaId::new(1), 2).unwrap();
         assert_eq!(b.recv_timeout(Duration::from_secs(5)).unwrap().msg, 2);
         a2.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn a_peer_that_left_fails_fast_instead_of_being_redialled_until_the_deadline() {
+        let peers = peers_for(2);
+        let mut a: TcpTransport<u64> =
+            TcpTransport::bind(ReplicaId::new(0), peers.clone()).expect("bind a");
+        let mut b: TcpTransport<u64> =
+            TcpTransport::bind(ReplicaId::new(1), peers).expect("bind b");
+        a.send(ReplicaId::new(0), ReplicaId::new(1), 1).unwrap();
+        assert_eq!(b.recv_timeout(Duration::from_secs(5)).unwrap().msg, 1);
+        b.send(ReplicaId::new(1), ReplicaId::new(0), 2).unwrap();
+        assert_eq!(a.recv_timeout(Duration::from_secs(5)).unwrap().msg, 2);
+
+        a.shutdown();
+        drop(a);
+        // Sends keep landing in the kernel until `a`'s reader thread has
+        // noticed the shutdown and closed its end; from then on a send must
+        // fail at once, not after CONNECT_DEADLINE of re-dialling.
+        let started = Instant::now();
+        while b.send(ReplicaId::new(1), ReplicaId::new(0), 3).is_ok() {
+            std::thread::sleep(Duration::from_millis(5));
+            assert!(
+                started.elapsed() < Duration::from_secs(2),
+                "sends to an exited peer keep succeeding"
+            );
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "an exited peer was re-dialled for {:?}",
+            started.elapsed()
+        );
+        assert!(b.stats().dropped >= 1);
         b.shutdown();
     }
 

@@ -237,12 +237,17 @@ impl Transaction {
         }
     }
 
-    /// The shard the transaction is routed to: its only shard when
-    /// single-shard, otherwise the lowest associated shard (the paper routes
-    /// cross-shard transactions to any involved proposer; using the lowest
-    /// keeps routing deterministic).
+    /// The shard whose proposer the transaction is routed to: its only shard
+    /// when single-shard, otherwise `shards[id % shards.len()]`. The paper
+    /// routes a cross-shard transaction to *any* involved proposer; picking
+    /// by id keeps that choice deterministic and spreads cross-shard traffic
+    /// evenly over the involved shards, so no proposer is left without
+    /// supply (always picking the lowest shard starves the highest one).
     pub fn home_shard(&self) -> ShardId {
-        self.shards.first().copied().unwrap_or(ShardId::new(0))
+        match self.shards.len() {
+            0 => ShardId::new(0),
+            len => self.shards[(self.id.as_inner() % len as u64) as usize],
+        }
     }
 
     /// True if the transaction touches the given shard.
@@ -283,7 +288,13 @@ mod tests {
         let t = tx(call, 4);
         assert_eq!(t.class(), TxClass::CrossShard);
         assert_eq!(t.shards, vec![ShardId::new(0), ShardId::new(1)]);
-        assert_eq!(t.home_shard(), ShardId::new(0));
+        // Id 1 of two shards: the second one. The next id goes to the first.
+        assert_eq!(t.home_shard(), ShardId::new(1));
+        let next = Transaction {
+            id: TxId::new(2),
+            ..t
+        };
+        assert_eq!(next.home_shard(), ShardId::new(0));
     }
 
     #[test]

@@ -353,6 +353,25 @@ mod tests {
     }
 
     #[test]
+    fn cross_shard_homes_are_spread_over_every_involved_shard() {
+        let total = 10_000;
+        let mut w = workload(SmallBankConfig::system_eval(4, 1.0));
+        let mut homes = [0usize; 4];
+        for tx in w.batch(total, SimTime::ZERO) {
+            assert_eq!(tx.class(), TxClass::CrossShard);
+            assert!(tx.shards.contains(&tx.home_shard()), "{tx}");
+            homes[tx.home_shard().as_inner() as usize] += 1;
+        }
+        // Lowest-shard routing would leave shard 3 at zero.
+        assert!(homes.iter().all(|n| *n * 100 >= total * 15), "{homes:?}");
+
+        let mut w = workload(SmallBankConfig::system_eval(4, 0.0));
+        for tx in w.batch(total, SimTime::ZERO) {
+            assert_eq!(tx.shards, vec![tx.home_shard()]);
+        }
+    }
+
+    #[test]
     fn deterministic_for_equal_seeds() {
         let cfg = SmallBankConfig::default().with_seed(7);
         let mut a = workload(cfg);
