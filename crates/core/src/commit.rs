@@ -6,38 +6,41 @@
 //!
 //! 1. **Single-shard first (G1).** The preplayed single-shard payloads of the
 //!    delivered blocks are validated in parallel against the read/write sets
-//!    they declare; valid payloads are applied to storage in their serialized
-//!    order. Invalid blocks are discarded (their transactions are simply not
-//!    applied — a Byzantine proposer can only hurt its own shard).
+//!    they declare — all blocks of the sub-DAG in one fan-out; valid payloads
+//!    are applied to storage in their serialized order, all of them in one
+//!    storage call. Invalid blocks are discarded (their transactions are
+//!    simply not applied — a Byzantine proposer can only hurt its own shard).
 //! 2. **Cross-shard second (G2).** The cross-shard transactions of the same
 //!    delivered sub-DAG are executed deterministically in `(round, author,
 //!    position)` order. Execution is parallelised QueCC-style: transactions
 //!    whose declared shard sets are disjoint run concurrently, conflicting
 //!    ones run in waves.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::{Condvar, Mutex};
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
 use tb_contracts::{execute_call, StateAccess};
 use tb_dag::CommittedSubDag;
-use tb_executor::effective_workers;
-use tb_executor::validation::{validate_block, ValidationConfig};
-use tb_storage::{KvRead, Store, Versioned, WriteBatch};
-use tb_types::{BlockKind, Key, PreplayedTx, ShardId, SimTime, Transaction, TxId, Value};
+use tb_executor::validation::{validate_block, validate_blocks, ValidationConfig};
+use tb_executor::{effective_workers, pool};
+use tb_storage::{Store, WriteBatch};
+use tb_types::{BlockKind, PreplayedTx, ShardId, SimTime, Transaction, TxId, Value};
 
 /// How the pipeline executes transactions after consensus.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PostCommitExecution {
     /// Thunderbolt: preplayed single-shard results are validated in parallel
     /// and cross-shard transactions execute with shard-level parallelism.
-    /// The validation worker pool re-executes block N+1 while earlier
-    /// blocks' write batches sit in a bounded queue drained by a dedicated
-    /// applier thread, which coalesces everything queued into one
-    /// stripe-coalesced [`Store::apply_batches`] call per wake-up. Commit
+    /// The variant keeps this name because the benchmark harness constructs
+    /// it by name; no two stages run at the same time. The preplayed blocks
+    /// of a committed sub-DAG go through **one** validation fan-out over the
+    /// shared worker pool and their write batches through **one**
+    /// stripe-coalesced [`Store::apply_batches`] call; a block found invalid
+    /// is dropped and the blocks after it are validated once more over the
+    /// applied prefix. No thread is created and nothing is queued. Commit
     /// order, applied state, the commit-order digest and all commit
     /// statistics except the stage timings, `coalesced_batches` and
-    /// `apply_calls` are identical to [`Serial`]; only the wall-clock
-    /// overlap and the apply granularity differ. Pinned by
+    /// `apply_calls` are identical to [`Serial`]; only the granularity of
+    /// validation and apply differs. Pinned by
     /// `crates/core/tests/pipeline_determinism.rs`.
     ///
     /// [`Serial`]: PostCommitExecution::Serial
@@ -69,29 +72,25 @@ pub struct CommitOutput {
     pub shift_blocks: usize,
     /// Authors of the delivered Shift blocks.
     pub shift_authors: Vec<tb_types::ReplicaId>,
-    /// Wall-clock time spent validating and executing, which the cluster
-    /// driver charges to the replica's simulated clock. With the pipelined
-    /// path this is the *overlapped* wall-clock time, which is why pipelining
-    /// shows up as throughput in the cluster simulation.
+    /// Wall-clock time spent validating, applying and executing, which the
+    /// cluster driver charges to the replica's simulated clock.
     pub busy: std::time::Duration,
     /// Wall-clock time the validation stage was busy re-executing preplayed
     /// blocks.
     pub stage_validate: Duration,
-    /// Wall-clock time the apply stage was busy draining write batches to
-    /// storage.
+    /// Wall-clock time the apply stage was busy writing batches to storage.
     pub stage_apply: Duration,
     /// Wall-clock time the cross-shard execution stage was busy.
     pub stage_execute: Duration,
-    /// Number of write batches the applier drained in one
-    /// [`Store::apply_batches`] call together with at least one other batch
-    /// (a measure of how often the pipeline actually coalesced). Always 0 on
-    /// the serial path, which applies one batch at a time.
+    /// Number of write batches that went to storage in one
+    /// [`Store::apply_batches`] call together with at least one other batch:
+    /// on the pipelined path, every valid block of a commit that has two or
+    /// more. Always 0 on the serial path, which applies one batch at a time.
     pub coalesced_batches: u64,
     /// Number of storage apply calls the commit path performed: one
-    /// [`Store::apply_batch`] per valid block on the serial path, one
-    /// [`Store::apply_batches`] drain per applier wake-up on the pipelined
-    /// path. `apply_calls` strictly below the number of valid
-    /// blocks is direct evidence that batches were coalesced.
+    /// [`Store::apply_batch`] per valid block on the serial path; on the
+    /// pipelined path one [`Store::apply_batches`] per commit, plus one per
+    /// invalid block that has valid blocks after it.
     pub apply_calls: u64,
     /// Per-transaction commit latencies in seconds of simulated time,
     /// parallel to `committed`.
@@ -157,9 +156,9 @@ impl CommitPipeline {
     /// # Panics
     ///
     /// Never panics on malformed, tampered or Byzantine block contents —
-    /// those surface as `invalid_blocks`. A panic inside a worker or applier
-    /// thread (a bug, not an input condition) propagates to the caller
-    /// rather than being swallowed.
+    /// those surface as `invalid_blocks`. A panic inside a pool worker (a
+    /// bug, not an input condition) propagates to the caller rather than
+    /// being swallowed.
     pub fn process(
         &self,
         sub_dag: &CommittedSubDag,
@@ -187,14 +186,12 @@ impl CommitPipeline {
             cross_shard.extend(vertex.block.payload.cross_shard.iter());
         }
 
-        // G1: single-shard (preplayed) transactions first. The pipelined
-        // path only pays its thread overhead when there is actual overlap to
-        // exploit (at least two blocks).
+        // G1: single-shard (preplayed) transactions first.
         match self.execution {
-            PostCommitExecution::Pipelined { .. } if preplayed_blocks.len() > 1 => {
-                self.commit_preplayed_pipelined(&preplayed_blocks, store, commit_time, &mut output);
+            PostCommitExecution::Pipelined { .. } => {
+                self.commit_preplayed_batched(&preplayed_blocks, store, commit_time, &mut output);
             }
-            _ => {
+            PostCommitExecution::Serial => {
                 self.commit_preplayed_staged(&preplayed_blocks, store, commit_time, &mut output);
             }
         }
@@ -252,82 +249,54 @@ impl CommitPipeline {
         }
     }
 
-    /// The pipelined G1 path: the calling thread validates block N+1 while a
-    /// dedicated applier thread drains validated write batches to storage,
-    /// coalescing everything that queued up into one
-    /// [`Store::apply_batches`] call per wake-up (see [`ApplyQueue`]).
-    ///
-    /// Validation of block N+1 must observe block N's writes (consecutive
-    /// blocks from the same shard proposer chain on each other), so the
-    /// validator keeps the union of all sent-but-possibly-unapplied write
-    /// batches as an overlay and reads through it. A key present in the
-    /// overlay never reaches the store from the validation read path, which
-    /// is what makes the concurrent (and now deliberately deferred) apply
-    /// safe: the applier only ever writes keys that are in the overlay, and
-    /// the overlay always carries the final value and post-apply version of
-    /// every in-flight key.
-    ///
-    /// # Panics
-    ///
-    /// If the applier thread panics (only possible through a panicking
-    /// store backend — the queue logic itself never panics, and a durable
-    /// backend panics when it loses its log), the panic is re-raised here
-    /// when the scope joins.
-    fn commit_preplayed_pipelined(
+    /// The batched G1 path: one validation fan-out over all remaining blocks,
+    /// one storage call for the valid blocks in front of the first invalid
+    /// one. A report is exact only while every block before it is valid
+    /// ([`validate_blocks`]), so an invalid block is counted and dropped and
+    /// the blocks after it are validated again — the store then holds the
+    /// prefix, exactly the state the staged path would show them. Fault-free
+    /// that is one fan-out and one apply per sub-DAG; each Byzantine block
+    /// costs one more fan-out.
+    fn commit_preplayed_batched(
         &self,
         blocks: &[&[PreplayedTx]],
         store: &dyn Store,
         commit_time: SimTime,
         output: &mut CommitOutput,
     ) {
-        let queue = ApplyQueue::new();
-        let mut overlay: HashMap<Key, Versioned> = HashMap::new();
-        let stats = std::thread::scope(|scope| {
-            let applier = scope.spawn(|| queue.drain_loop(store));
-
-            for block in blocks {
-                let validate_started = Instant::now();
-                let view = PendingApplyView {
-                    store,
-                    overlay: &overlay,
-                };
-                let report = validate_block(block, &view, &self.validation);
-                output.stage_validate += validate_started.elapsed();
-                if !report.is_valid() {
-                    output.invalid_blocks += 1;
-                    continue;
+        let mut remaining = blocks;
+        while !remaining.is_empty() {
+            let validate_started = Instant::now();
+            let reports = validate_blocks(remaining, store, &self.validation);
+            output.stage_validate += validate_started.elapsed();
+            let valid = reports.iter().take_while(|r| r.is_valid()).count();
+            let (prefix, rest) = remaining.split_at(valid);
+            if !prefix.is_empty() {
+                let (batches, ordered): (Vec<_>, Vec<_>) = prefix
+                    .iter()
+                    .map(|block| ordered_write_batch(block))
+                    .unzip();
+                let apply_started = Instant::now();
+                store.apply_batches(&batches);
+                output.stage_apply += apply_started.elapsed();
+                output.apply_calls += 1;
+                if batches.len() > 1 {
+                    output.coalesced_batches += batches.len() as u64;
                 }
-                let (batch, ordered) = ordered_write_batch(block);
-                // Extend the overlay *before* handing the batch to the
-                // applier so the next block's validation reads never race
-                // with the concurrent apply. Pending entries carry the
-                // version the key will have once its batches are applied: a
-                // key absent from the overlay is in no in-flight batch, so
-                // the store's version is stable and the read is race-free.
-                for (key, value) in batch.iter() {
-                    match overlay.get_mut(key) {
-                        Some(pending) => {
-                            pending.version += 1;
-                            pending.value = value.clone();
-                        }
-                        None => {
-                            let base = store.get_versioned(key);
-                            overlay.insert(*key, Versioned::new(value.clone(), base.version + 1));
-                        }
-                    }
-                }
-                queue.push(batch);
-                for p in ordered {
+                for p in ordered.into_iter().flatten() {
                     record_commit(output, p.tx.id, p.tx.submitted_at, commit_time);
+                    output.single_shard_committed += 1;
                 }
-                output.single_shard_committed += block.len();
             }
-            queue.close();
-            applier.join().expect("applier thread never panics")
-        });
-        output.stage_apply += stats.busy;
-        output.coalesced_batches += stats.coalesced;
-        output.apply_calls += stats.calls;
+            // `rest` is empty or starts with the first invalid block.
+            remaining = match rest.split_first() {
+                Some((_invalid, after)) => {
+                    output.invalid_blocks += 1;
+                    after
+                }
+                None => rest,
+            };
+        }
     }
 
     /// Executes a single transaction directly against the store (the OE
@@ -359,147 +328,6 @@ fn ordered_write_batch(block: &[PreplayedTx]) -> (WriteBatch, Vec<&PreplayedTx>)
     (batch, ordered)
 }
 
-/// Maximum number of validated-but-unapplied write batches the pipelined
-/// path buffers before the validator blocks (backpressure): the queue bounds
-/// the memory held in flight and the distance the validator can run ahead of
-/// storage.
-const APPLY_QUEUE_CAPACITY: usize = 8;
-
-/// Number of queued batches the applier waits for before draining. The old
-/// one-batch mpsc handoff woke the applier per batch; because a `MemStore`
-/// apply is far cheaper than validating the next block, the applier always
-/// kept up and [`Store::apply_batches`] never saw more than one batch — the
-/// `coalesced_batches: 0` pathology pinned by
-/// `crates/core/tests/coalescing_regression.rs`. Waiting for a second batch
-/// (or queue close, whichever comes first) makes every drain a real
-/// multi-batch coalesce whenever the sub-DAG has two or more valid blocks,
-/// deterministically on any scheduler — including a single hardware thread.
-const COALESCE_TARGET: usize = 2;
-
-/// What the applier thread measured while draining its queue.
-#[derive(Default)]
-struct ApplierStats {
-    /// Wall-clock time spent inside [`Store::apply_batches`].
-    busy: Duration,
-    /// Batches drained together with at least one other batch.
-    coalesced: u64,
-    /// Number of [`Store::apply_batches`] drains.
-    calls: u64,
-}
-
-/// Bounded drain-on-wake handoff between the pipelined validator and its
-/// applier thread (the Bε-tree idea of buffering updates and applying them
-/// in batches, applied to the commit path).
-///
-/// The validator [`push`es](ApplyQueue::push) one write batch per validated
-/// block and blocks only when [`APPLY_QUEUE_CAPACITY`] batches are in
-/// flight. The applier sleeps until [`COALESCE_TARGET`] batches are queued
-/// (or the queue is closed), then drains *everything* queued into a single
-/// [`Store::apply_batches`] call. Batches are drained in push order, so the
-/// per-key write order of [`ordered_write_batch`] is preserved end to end.
-struct ApplyQueue {
-    state: Mutex<ApplyQueueState>,
-    /// Signalled by the applier when capacity frees up.
-    space: Condvar,
-    /// Signalled by the validator when a drain is worth waking up for.
-    ready: Condvar,
-}
-
-struct ApplyQueueState {
-    batches: Vec<WriteBatch>,
-    closed: bool,
-}
-
-impl ApplyQueue {
-    fn new() -> Self {
-        ApplyQueue {
-            state: Mutex::new(ApplyQueueState {
-                batches: Vec::new(),
-                closed: false,
-            }),
-            space: Condvar::new(),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Enqueues one validated batch, blocking while the queue is full. Wakes
-    /// the applier once at least [`COALESCE_TARGET`] batches are queued.
-    fn push(&self, batch: WriteBatch) {
-        let mut state = self.state.lock().expect("apply queue lock poisoned");
-        while state.batches.len() >= APPLY_QUEUE_CAPACITY {
-            state = self.space.wait(state).expect("apply queue lock poisoned");
-        }
-        state.batches.push(batch);
-        if state.batches.len() >= COALESCE_TARGET {
-            self.ready.notify_one();
-        }
-    }
-
-    /// Marks the producer side finished; the applier flushes whatever is
-    /// still queued (possibly a single batch) and exits.
-    fn close(&self) {
-        let mut state = self.state.lock().expect("apply queue lock poisoned");
-        state.closed = true;
-        self.ready.notify_one();
-    }
-
-    /// The applier thread body: sleep until a drain is due, swap the whole
-    /// queue out under the lock, apply it outside the lock, repeat until the
-    /// queue is closed and empty.
-    fn drain_loop(&self, store: &dyn Store) -> ApplierStats {
-        let mut stats = ApplierStats::default();
-        loop {
-            let drained = {
-                let mut state = self.state.lock().expect("apply queue lock poisoned");
-                while !state.closed && state.batches.len() < COALESCE_TARGET {
-                    state = self.ready.wait(state).expect("apply queue lock poisoned");
-                }
-                if state.batches.is_empty() {
-                    debug_assert!(state.closed, "woke with an empty, open queue");
-                    return stats;
-                }
-                std::mem::take(&mut state.batches)
-            };
-            self.space.notify_all();
-            let apply_started = Instant::now();
-            store.apply_batches(&drained);
-            stats.busy += apply_started.elapsed();
-            stats.calls += 1;
-            if drained.len() > 1 {
-                stats.coalesced += drained.len() as u64;
-            }
-        }
-    }
-}
-
-/// Committed storage plus the write batches the pipelined committer has
-/// already handed to the applier thread. Reads prefer the overlay, so a key
-/// whose batch is still in flight never reaches the store from the
-/// validation path (see [`CommitPipeline::commit_preplayed_pipelined`]).
-struct PendingApplyView<'a> {
-    store: &'a dyn Store,
-    overlay: &'a HashMap<Key, Versioned>,
-}
-
-impl KvRead for PendingApplyView<'_> {
-    fn get(&self, key: &Key) -> Value {
-        match self.overlay.get(key) {
-            Some(pending) => pending.value.clone(),
-            None => self.store.get(key),
-        }
-    }
-
-    fn get_versioned(&self, key: &Key) -> Versioned {
-        // Overlay entries already carry the post-apply version (maintained
-        // by the validator), so this never reads the store for a key the
-        // applier might be writing concurrently.
-        match self.overlay.get(key) {
-            Some(pending) => pending.clone(),
-            None => self.store.get_versioned(key),
-        }
-    }
-}
-
 /// Groups cross-shard transactions into waves whose declared shard sets are
 /// pairwise disjoint. Transactions within one wave can execute concurrently
 /// without conflicting, because keys never cross shards; waves execute in
@@ -527,9 +355,9 @@ fn shard_disjoint_waves<'s, 'a>(txs: &'s [&'a Transaction]) -> Vec<&'s [&'a Tran
     waves
 }
 
-/// Starting a scoped thread for a share of a wave and joining it costs tens
+/// Handing a share of a wave to a pool worker and waiting for it costs tens
 /// of microseconds, and how many depends on the host's scheduler; a wave gets
-/// one thread per this much estimated work, and runs on the caller below two.
+/// one worker per this much estimated work, and runs on the caller below two.
 const MIN_SHARE_NS: u64 = 50_000;
 
 /// Estimated execution time of one cross-shard transaction: the
@@ -539,9 +367,10 @@ fn estimated_tx_ns(op_cost_ns: u64) -> u64 {
     1_000 + 4 * op_cost_ns
 }
 
-/// Executes one wave of shard-disjoint transactions with up to `workers`
-/// threads, fewer when the wave is too small to repay them (at zero op cost,
-/// any wave a small committee can build runs on the calling thread).
+/// Executes one wave of shard-disjoint transactions on up to `workers` slots
+/// of the shared worker pool, fewer when the wave is too small to repay them
+/// (at zero op cost, any wave a small committee can build runs on the calling
+/// thread).
 fn execute_wave(wave: &[&Transaction], store: &dyn Store, workers: usize, op_cost_ns: u64) {
     let worth = (wave.len() as u64).saturating_mul(estimated_tx_ns(op_cost_ns)) / MIN_SHARE_NS;
     let workers = effective_workers(workers)
@@ -553,14 +382,10 @@ fn execute_wave(wave: &[&Transaction], store: &dyn Store, workers: usize, op_cos
         }
         return;
     }
-    let chunk = wave.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for slice in wave.chunks(chunk) {
-            scope.spawn(move || {
-                for tx in slice {
-                    CommitPipeline::execute_one(tx, store, op_cost_ns);
-                }
-            });
+    let shares: Vec<_> = wave.chunks(wave.len().div_ceil(workers)).collect();
+    pool::global().run(shares.len(), &|slot| {
+        for tx in shares[slot] {
+            CommitPipeline::execute_one(tx, store, op_cost_ns);
         }
     });
 }
@@ -591,7 +416,7 @@ mod tests {
     use tb_contracts::SMALLBANK_DEFAULT_BALANCE;
     use tb_dag::DagBuilder;
     use tb_executor::ConcurrentExecutor;
-    use tb_storage::{KvWrite, MemStore};
+    use tb_storage::{KvRead, KvWrite, MemStore};
     use tb_types::{
         BlockPayload, CeConfig, ClientId, Committee, ContractCall, DagId, Key, ReplicaId, Round,
         SmallBankProcedure,
@@ -765,7 +590,7 @@ mod tests {
     }
 
     /// Builds one sub-DAG whose vertices carry one preplayed block each, in
-    /// delivery order — the shape the pipelined G1 path overlaps on.
+    /// delivery order — the shape the batched G1 path validates in one pass.
     fn sub_dag_with_blocks(committee: Committee, blocks: Vec<Vec<PreplayedTx>>) -> CommittedSubDag {
         let mut builder = DagBuilder::new(committee, DagId::new(0), Round::ZERO);
         let mut vertices = Vec::new();
@@ -792,7 +617,7 @@ mod tests {
 
     /// Preplays `rounds` consecutive SmallBank payment blocks, each chained
     /// on the previous block's writes (the proposer-overlay situation the
-    /// pipelined validator must reproduce with its pending-apply overlay).
+    /// batched validator must reproduce from the declared writes alone).
     fn chained_blocks(accounts: u64, rounds: usize, per_block: usize) -> Vec<Vec<PreplayedTx>> {
         let scratch = funded_store(accounts);
         let ce = ConcurrentExecutor::new(CeConfig::new(2, 64).without_synthetic_cost());
@@ -875,6 +700,38 @@ mod tests {
             .snapshot()
             .diff_values(&pipelined_store.snapshot());
         assert!(diff.is_empty(), "state divergence on {diff:?}");
+    }
+
+    #[test]
+    fn a_block_with_duplicate_order_values_is_discarded_and_money_is_conserved() {
+        // Two payments out of account 1, each preplayed alone against the
+        // same state and shipped together at position 0. Each re-executes
+        // as declared; applying both would debit one balance once and
+        // credit two accounts.
+        let ce = ConcurrentExecutor::new(CeConfig::new(1, 8).without_synthetic_cost());
+        let genesis = funded_store(4);
+        let total = genesis.stats().int_sum;
+        let double_spend: Vec<PreplayedTx> = [payment(1, 1, 2, 10, 1), payment(2, 1, 3, 10, 1)]
+            .iter()
+            .flat_map(|tx| ce.preplay(std::slice::from_ref(tx), &genesis).preplayed)
+            .collect();
+        assert!(double_spend.iter().all(|p| p.order == 0));
+        let honest = ce.preplay(&[payment(3, 0, 2, 5, 1)], &genesis).preplayed;
+        for execution in [
+            PostCommitExecution::Serial,
+            PostCommitExecution::Pipelined { workers: 2 },
+        ] {
+            let store = funded_store(4);
+            let sub_dag = sub_dag_with_blocks(
+                Committee::new(4),
+                vec![double_spend.clone(), honest.clone()],
+            );
+            let output = CommitPipeline::new(execution).process(&sub_dag, &store, SimTime::ZERO);
+            assert_eq!(output.invalid_blocks, 1, "{execution:?}");
+            assert_eq!(output.single_shard_committed, 1, "{execution:?}");
+            assert_eq!(output.committed, vec![(TxId::new(3), SimTime::ZERO)]);
+            assert_eq!(store.stats().int_sum, total, "{execution:?} minted money");
+        }
     }
 
     #[test]

@@ -156,13 +156,13 @@ pub struct RunReport {
     /// Wall-clock seconds the observer's cross-shard execution stage was
     /// busy.
     pub execute_busy_secs: f64,
-    /// Write batches the pipelined applier drained together with at least
-    /// one other batch (0 on the serial path).
+    /// Write batches the pipelined commit path applied together with at
+    /// least one other batch (0 on the serial path).
     pub coalesced_batches: u64,
     /// Storage apply calls the observer's commit path performed: one per
-    /// valid block on the serial path, one per applier drain on the
-    /// pipelined path. `apply_calls < single-shard blocks` is direct
-    /// evidence of coalescing (see `docs/PIPELINE.md`).
+    /// valid block on the serial path; on the pipelined path one per commit,
+    /// plus one per invalid block with valid blocks after it (see
+    /// `docs/PIPELINE.md`).
     pub apply_calls: u64,
     /// FNV-1a digest over the committed transaction ids in commit order,
     /// as a 16-hex-digit string (a string so JSON consumers never round it

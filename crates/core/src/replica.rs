@@ -29,8 +29,8 @@ use tb_network::NetworkStats;
 use tb_storage::{CommitMarker, KvRead, MemStore, Store, Versioned, WalOptions, WalStore};
 use tb_types::{
     Block, BlockKind, BlockPayload, Certificate, Committee, DagId, Digest, Hashable, Header, Key,
-    PreplayedTx, ReplicaId, Round, SeqNo, ShardAssignment, ShardId, SimTime, StorageBackend,
-    StorageConfig, Transaction, Value, Vertex,
+    KeyMap, PreplayedTx, ReplicaId, Round, SeqNo, ShardAssignment, ShardId, SimTime,
+    StorageBackend, StorageConfig, Transaction, Value, Vertex,
 };
 
 /// Where an outbound message should go.
@@ -119,11 +119,12 @@ pub struct ReplicaMetrics {
     pub apply_busy: Duration,
     /// Wall-clock time the cross-shard execution stage was busy.
     pub execute_busy: Duration,
-    /// Write batches drained together with at least one other batch by the
-    /// pipelined applier.
+    /// Write batches applied together with at least one other batch by the
+    /// pipelined commit path.
     pub coalesced_batches: u64,
     /// Storage apply calls performed by the commit path (one per valid block
-    /// when staged, one per applier drain when pipelined).
+    /// when staged; one per commit, plus one per invalid block with valid
+    /// blocks after it, when pipelined).
     pub apply_calls: u64,
     /// FNV-1a digest over committed transaction ids in commit order.
     pub commit_order_digest: u64,
@@ -201,7 +202,7 @@ pub struct Replica {
     /// Write sets of this replica's own preplayed-but-uncommitted blocks,
     /// newest last. Preplay reads see them on top of committed storage so
     /// that consecutive blocks from the same shard chain correctly.
-    overlay: VecDeque<(Round, HashMap<Key, Value>)>,
+    overlay: VecDeque<(Round, KeyMap<Value>)>,
 
     shifted_in_dag: bool,
     rounds_proposed_in_dag: u64,
@@ -642,17 +643,11 @@ impl Replica {
         if singles.is_empty() {
             return Vec::new();
         }
-        let mut overlay_map: HashMap<Key, Value> = HashMap::new();
-        for (_, writes) in &self.overlay {
-            for (key, value) in writes {
-                overlay_map.insert(*key, value.clone());
-            }
-        }
         let result = match self.mode {
             ExecutionMode::Thunderbolt => {
                 let base = OverlayRead {
                     store: self.store.as_ref(),
-                    overlay: &overlay_map,
+                    overlay: &self.overlay,
                 };
                 self.ce.preplay(singles, &base)
             }
@@ -666,13 +661,15 @@ impl Replica {
                         .iter()
                         .map(|(k, v)| (*k, v.value.clone())),
                 );
-                scratch.load(overlay_map.iter().map(|(k, v)| (*k, v.clone())));
+                for (_, writes) in &self.overlay {
+                    scratch.load(writes.iter().map(|(k, v)| (*k, v.clone())));
+                }
                 self.occ.execute_batch(singles, &scratch)
             }
             ExecutionMode::Tusk => unreachable!("Tusk never preplays"),
         };
         self.metrics.reexecutions += result.reexecutions;
-        let writes: HashMap<Key, Value> = result.write_batch().into_writes().into_iter().collect();
+        let writes: KeyMap<Value> = result.write_batch().into_writes().into_iter().collect();
         self.overlay.push_back((self.current_round, writes));
         result.preplayed
     }
@@ -1120,22 +1117,32 @@ impl Replica {
     }
 }
 
-/// Committed storage plus the proposer's own uncommitted preplay writes.
+/// Committed storage plus the proposer's own uncommitted preplay writes,
+/// one map per uncommitted round, oldest first.
 struct OverlayRead<'a> {
     store: &'a dyn Store,
-    overlay: &'a HashMap<Key, Value>,
+    overlay: &'a VecDeque<(Round, KeyMap<Value>)>,
+}
+
+impl OverlayRead<'_> {
+    /// The newest uncommitted write to `key`: newer rounds shadow older ones.
+    fn pending(&self, key: &Key) -> Option<&Value> {
+        self.overlay
+            .iter()
+            .rev()
+            .find_map(|(_, writes)| writes.get(key))
+    }
 }
 
 impl KvRead for OverlayRead<'_> {
     fn get(&self, key: &Key) -> Value {
-        self.overlay
-            .get(key)
+        self.pending(key)
             .cloned()
             .unwrap_or_else(|| self.store.get(key))
     }
 
     fn get_versioned(&self, key: &Key) -> Versioned {
-        match self.overlay.get(key) {
+        match self.pending(key) {
             Some(value) => {
                 let base = self.store.get_versioned(key);
                 Versioned::new(value.clone(), base.version + 1)

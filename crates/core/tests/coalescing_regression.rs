@@ -1,28 +1,19 @@
-//! Regression gate for the `coalesced_batches: 0` pathology (the closed
-//! ROADMAP item 2).
+//! Gate on the apply granularity of the pipelined commit path.
 //!
-//! The pipelined commit path's applier thread drains every write batch that
-//! queued up into a single [`MemStore::apply_many`] call, and
-//! `CommitOutput::coalesced_batches` counts how many batches were drained
-//! together with at least one other. Three consecutive committed perf
-//! baselines recorded `coalesced_batches: 0` on every scenario: the old
-//! one-batch mpsc handoff woke the applier per batch, and
-//! because a `MemStore` apply is far cheaper than validating the next
-//! block, the applier never fell behind — the coalescing machinery was dead
-//! weight on every measured configuration.
+//! A committed sub-DAG is the batch: the pipelined path validates all of its
+//! preplayed blocks in one fan-out and hands all of their write batches to
+//! storage in **one** [`Store::apply_batches`](tb_storage::Store) call, so
+//! `CommitOutput::apply_calls` is 1 per fault-free `process` and
+//! `coalesced_batches` is the number of valid blocks whenever there are at
+//! least two. Both are properties of the code's structure, not of thread
+//! scheduling, so they can be asserted exactly. This file pins the structure
+//! from both sides:
 //!
-//! The bounded drain-on-wake `ApplyQueue` fixed this: the applier now waits
-//! until a second batch is queued (or the queue closes) before draining, so
-//! every sub-DAG with two or more valid blocks coalesces *deterministically*
-//! on any scheduler, including a single hardware thread. This file pins the
-//! fix from both sides:
-//!
-//! * the accounting stays exclusive to the pipelined applier (the serial
-//!   path never reports coalescing) and a deep backlog commits identically
-//!   on both paths;
-//! * the formerly-`#[ignore]`d red anchor — a backlogged pipelined commit
-//!   must actually coalesce — is now a hard CI gate. If it ever goes red
-//!   again, the drain policy regressed to one-batch handoffs.
+//! * the accounting stays exclusive to the pipelined path (the serial path
+//!   applies one batch per block and never reports coalescing), and a deep
+//!   backlog commits identically on both paths;
+//! * a backlogged pipelined commit coalesces all of its blocks into one
+//!   storage call.
 
 use std::sync::Arc;
 use tb_core::commit::{CommitPipeline, PostCommitExecution};
@@ -55,7 +46,7 @@ fn payment(id: u64, from: u64, to: u64, amount: i64) -> Transaction {
 
 /// Preplays `rounds` consecutive SmallBank payment blocks, each chained on
 /// the previous block's writes, and wraps them in one committed sub-DAG —
-/// the shape the pipelined G1 path overlaps on.
+/// the shape the pipelined G1 path batches.
 fn backlogged_sub_dag(accounts: u64, rounds: usize, per_block: usize) -> CommittedSubDag {
     let scratch = funded_store(accounts);
     let ce = ConcurrentExecutor::new(CeConfig::new(2, 64).without_synthetic_cost());
@@ -97,11 +88,10 @@ fn backlogged_sub_dag(accounts: u64, rounds: usize, per_block: usize) -> Committ
     }
 }
 
-/// Green half of the anchor: `coalesced_batches` is an exclusive property
-/// of the pipelined applier (the serial path always reports zero), and a
-/// deep backlog of chained blocks commits identically on both paths — the
-/// same transactions in the same order ending in the same state — whether
-/// or not the applier happened to coalesce.
+/// `coalesced_batches` is an exclusive property of the pipelined path (the
+/// serial path always reports zero), and a deep backlog of chained blocks
+/// commits identically on both paths — the same transactions in the same
+/// order ending in the same state — at either apply granularity.
 #[test]
 fn coalescing_accounting_is_pipelined_only_and_backlogs_stay_correct() {
     let sub_dag = backlogged_sub_dag(16, 40, 8);
@@ -111,7 +101,7 @@ fn coalescing_accounting_is_pipelined_only_and_backlogs_stay_correct() {
     let staged_out = staged.process(&sub_dag, &staged_store, SimTime::from_secs(1));
     assert_eq!(
         staged_out.coalesced_batches, 0,
-        "the serial path has no applier thread, so it must never coalesce"
+        "the serial path applies block by block, so it must never coalesce"
     );
     assert_eq!(staged_out.invalid_blocks, 0);
 
@@ -122,13 +112,15 @@ fn coalescing_accounting_is_pipelined_only_and_backlogs_stay_correct() {
     let pipelined = CommitPipeline::new(PostCommitExecution::Pipelined { workers: 2 });
     let pipelined_out = pipelined.process(&sub_dag, &pipelined_store, SimTime::from_secs(1));
     assert_eq!(pipelined_out.invalid_blocks, 0);
-    // The pipelined applier drains at least two batches per wake-up, so it
-    // needs strictly fewer apply calls than there are blocks.
+    // The pipelined path needs strictly fewer apply calls than there are
+    // blocks — fault-free, exactly one for the whole sub-DAG.
     assert!(
         pipelined_out.apply_calls < 40,
         "pipelined path made {} apply calls for 40 blocks — no coalescing",
         pipelined_out.apply_calls
     );
+    assert_eq!(pipelined_out.apply_calls, 1);
+    assert_eq!(pipelined_out.coalesced_batches, 40);
 
     // Identical commit sequence and state regardless of coalescing.
     assert_eq!(staged_out.committed, pipelined_out.committed);
@@ -142,12 +134,8 @@ fn coalescing_accounting_is_pipelined_only_and_backlogs_stay_correct() {
     assert!(diff.is_empty(), "state divergence on {diff:?}");
 }
 
-/// The promoted red anchor of ROADMAP item 2, now a hard gate: a pipelined
-/// commit of 160 chained blocks must coalesce. With the drain-on-wake
-/// `ApplyQueue` the applier waits for a second batch before draining, so
-/// this holds deterministically on any scheduler — `#[ignore]` removed the
-/// day the drain policy made coalescing a property of the design instead of
-/// an accident of preemption.
+/// A pipelined commit of 160 chained blocks must coalesce — all of them,
+/// into one storage call, on any scheduler.
 #[test]
 fn backlogged_pipelined_path_actually_coalesces() {
     let sub_dag = backlogged_sub_dag(16, 160, 4);
@@ -157,15 +145,13 @@ fn backlogged_pipelined_path_actually_coalesces() {
     assert_eq!(output.invalid_blocks, 0);
     assert!(
         output.coalesced_batches > 0,
-        "160 back-to-back blocks never coalesced: the drain policy in \
-         commit_preplayed_pipelined regressed to one-batch handoffs \
-         (the coalesced_batches:0 pathology)"
+        "160 back-to-back blocks never coalesced: the pipelined path went \
+         back to one storage call per block (the coalesced_batches:0 pathology)"
     );
-    // 160 blocks drained at >= 2 batches per wake-up (plus at most one
-    // single-batch flush at close) bounds the apply calls at 81.
     assert!(
         output.apply_calls <= 81,
         "{} apply calls for 160 blocks",
         output.apply_calls
     );
+    assert_eq!(output.apply_calls, 1, "fault-free: one apply per `process`");
 }

@@ -1,8 +1,10 @@
-//! The pipelined commit path must be a pure wall-clock optimisation: commit
-//! order and applied state are identical between it and the serial oracle,
-//! at any validation-worker and preplay-executor count. How much faster it is
-//! is measured by `benchmark/` (see `benchmark/README.md`), not asserted
-//! here.
+//! The pipelined commit path (one validation fan-out and one storage apply
+//! per sub-DAG) must be a pure granularity choice: commit order and applied
+//! state are identical between it and the serial oracle (validate a block,
+//! apply it, look at the next), at any validation-worker and
+//! preplay-executor count, with honest and with invalid blocks. How much
+//! faster it is is measured by `benchmark/` (see `benchmark/README.md`), not
+//! asserted here.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -12,8 +14,8 @@ use tb_dag::{CommittedSubDag, DagBuilder};
 use tb_executor::ConcurrentExecutor;
 use tb_storage::MemStore;
 use tb_types::{
-    BlockKind, BlockPayload, CeConfig, Committee, DagId, PreplayedTx, ReplicaId, Round, SimTime,
-    SystemConfig, Transaction,
+    BlockKind, BlockPayload, CeConfig, ClientId, Committee, ContractCall, DagId, PreplayedTx,
+    ReplicaId, Round, SimTime, SmallBankProcedure, SystemConfig, Transaction, TxId, Value,
 };
 use tb_workload::{SmallBankConfig, SmallBankWorkload};
 
@@ -74,11 +76,10 @@ fn sub_dag_of(blocks: &[Vec<PreplayedTx>]) -> CommittedSubDag {
     }
 }
 
-/// A seeded 20-block SmallBank sub-DAG — more blocks than the apply queue
-/// holds, so the validator hits its backpressure — commits the identical
-/// sequence and final storage state on the pipelined path and on the
-/// sequential oracle (`PostCommitExecution::Serial`: one validation worker,
-/// no overlap — the Tusk-style baseline).
+/// A seeded 20-block SmallBank sub-DAG commits the identical sequence and
+/// final storage state on the pipelined path and on the sequential oracle
+/// (`PostCommitExecution::Serial`: one validation worker, one block at a
+/// time — the Tusk-style baseline).
 #[test]
 fn pipelined_path_matches_the_sequential_path_on_twenty_blocks() {
     let blocks = seeded_blocks(20, 100);
@@ -111,17 +112,10 @@ fn pipelined_path_matches_the_sequential_path_on_twenty_blocks() {
 /// alike.
 #[test]
 fn all_commit_paths_agree_on_the_fnv1a_commit_digest() {
-    let fnv = |committed: &[(tb_types::TxId, SimTime)]| -> u64 {
-        committed
-            .iter()
-            .fold(tb_core::replica::COMMIT_DIGEST_SEED, |digest, (id, _)| {
-                (digest ^ id.as_inner()).wrapping_mul(0x0100_0000_01b3)
-            })
-    };
     let mut blocks = seeded_blocks(8, 40);
     // One tampered block: the digest agreement must also hold when the
     // paths discard a block (its transactions never enter the fold).
-    blocks[3][0].outcome.write_set[0].value = tb_types::Value::int(999_999);
+    blocks[3][0].outcome.write_set[0].value = Value::int(999_999);
     let sub_dag = sub_dag_of(&blocks);
     let workload = seeded_workload(64, 7);
 
@@ -130,7 +124,7 @@ fn all_commit_paths_agree_on_the_fnv1a_commit_digest() {
         let pipeline = CommitPipeline::new(execution);
         let output = pipeline.process(&sub_dag, &store, SimTime::from_secs(1));
         (
-            fnv(&output.committed),
+            commit_digest(&output.committed),
             output.invalid_blocks,
             store.snapshot(),
         )
@@ -150,6 +144,178 @@ fn all_commit_paths_agree_on_the_fnv1a_commit_digest() {
         );
         let diff = state.diff_values(&serial_state);
         assert!(diff.is_empty(), "{execution:?} state diverged on {diff:?}");
+    }
+}
+
+/// The FNV-1a fold over the committed transaction ids: the digest replicas
+/// and run reports carry.
+fn commit_digest(committed: &[(TxId, SimTime)]) -> u64 {
+    committed
+        .iter()
+        .fold(tb_core::replica::COMMIT_DIGEST_SEED, |digest, (id, _)| {
+            (digest ^ id.as_inner()).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// SplitMix64: a seeded stream of test decisions without a dependency.
+struct TestRng(u64);
+
+impl TestRng {
+    fn below(&mut self, bound: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % bound as u64) as usize
+    }
+}
+
+/// The four ways a Byzantine proposer can misdeclare a preplayed block.
+#[derive(Clone, Copy, Debug)]
+enum Tamper {
+    Write,
+    ReadValue,
+    ReturnValue,
+    DuplicateOrder,
+}
+
+const TAMPERS: [Tamper; 4] = [
+    Tamper::Write,
+    Tamper::ReadValue,
+    Tamper::ReturnValue,
+    Tamper::DuplicateOrder,
+];
+
+fn tamper(block: &mut [PreplayedTx], how: Tamper) {
+    match how {
+        Tamper::Write => {
+            let victim = block
+                .iter_mut()
+                .find(|p| !p.outcome.write_set.is_empty())
+                .expect("the hot payment writes");
+            victim.outcome.write_set[0].value = Value::int(999_999);
+        }
+        Tamper::ReadValue => {
+            let victim = block
+                .iter_mut()
+                .find(|p| !p.outcome.read_set.is_empty())
+                .expect("the hot payment reads");
+            victim.outcome.read_set[0].value = Value::int(-1);
+        }
+        // No SmallBank procedure returns this, so it is wrong for any call.
+        Tamper::ReturnValue => block[0].outcome.return_value = Value::int(i64::MIN),
+        Tamper::DuplicateOrder => block[1].order = block[0].order,
+    }
+}
+
+/// Preplays `rounds` chained blocks of one shard proposer (consecutive
+/// rounds, each on the state the previous block left). Every block opens
+/// with a payment out of account 0, so every block reads a value that only
+/// its predecessor wrote.
+fn hot_chained_blocks(seed: u64, rounds: usize, per_block: usize) -> Vec<Vec<PreplayedTx>> {
+    let mut workload = seeded_workload(16, seed);
+    let scratch = funded_store(&workload);
+    let ce = ConcurrentExecutor::new(CeConfig::new(2, per_block).without_synthetic_cost());
+    (0..rounds)
+        .map(|round| {
+            let mut txs = vec![Transaction::new(
+                TxId::new(1_000_000 + round as u64),
+                ClientId::new(0),
+                ContractCall::SmallBank(SmallBankProcedure::SendPayment {
+                    from: 0,
+                    to: 1 + round as u64 % 15,
+                    amount: 1,
+                }),
+                1,
+                SimTime::ZERO,
+            )];
+            txs.extend(workload.batch(per_block - 1, SimTime::ZERO));
+            let result = ce.preplay(&txs, &scratch);
+            result.apply_to(&scratch);
+            result.preplayed
+        })
+        .collect()
+}
+
+/// What a commit of `blocks` over 16 funded accounts leaves behind under
+/// `execution`.
+fn commit_blocks(
+    blocks: &[Vec<PreplayedTx>],
+    execution: PostCommitExecution,
+) -> (tb_core::commit::CommitOutput, tb_storage::Snapshot) {
+    let store = funded_store(&seeded_workload(16, 0));
+    let output =
+        CommitPipeline::new(execution).process(&sub_dag_of(blocks), &store, SimTime::from_secs(1));
+    (output, store.snapshot())
+}
+
+/// Asserts that every pipelined worker count commits `blocks` exactly as the
+/// serial oracle does, and returns the oracle's output.
+fn assert_pipelined_matches_serial(
+    blocks: &[Vec<PreplayedTx>],
+    case: &str,
+) -> tb_core::commit::CommitOutput {
+    let (serial, serial_state) = commit_blocks(blocks, PostCommitExecution::Serial);
+    for workers in [1, 2, 4] {
+        let what = format!("{case}, {workers} workers");
+        let (out, state) = commit_blocks(blocks, PostCommitExecution::Pipelined { workers });
+        assert_eq!(out.committed, serial.committed, "{what}");
+        assert_eq!(out.invalid_blocks, serial.invalid_blocks, "{what}");
+        assert_eq!(
+            out.single_shard_committed, serial.single_shard_committed,
+            "{what}"
+        );
+        assert_eq!(
+            commit_digest(&out.committed),
+            commit_digest(&serial.committed),
+            "{what}"
+        );
+        let diff = state.diff_values(&serial_state);
+        assert!(diff.is_empty(), "{what}: state diverged on {diff:?}");
+        assert_eq!(state.len(), serial_state.len(), "{what}");
+    }
+    serial
+}
+
+/// Seeded random sub-DAGs of 1–12 chained blocks, 0–3 of them invalid in one
+/// of the four ways: one fan-out with restarts must discard exactly the
+/// blocks the validate-apply loop discards — the tampered ones and every
+/// later block that read a value only a discarded block wrote.
+#[test]
+fn random_sub_dags_with_invalid_blocks_commit_like_the_serial_oracle() {
+    let mut discarded = 0;
+    for seed in 0..40u64 {
+        let mut rng = TestRng(seed);
+        let rounds = 1 + rng.below(12);
+        let mut blocks = hot_chained_blocks(seed, rounds, 12);
+        let invalid = rng.below(4).min(rounds);
+        for _ in 0..invalid {
+            let position = rng.below(rounds);
+            tamper(&mut blocks[position], TAMPERS[rng.below(TAMPERS.len())]);
+        }
+        let serial = assert_pipelined_matches_serial(&blocks, &format!("seed {seed}"));
+        assert!(invalid == 0 || serial.invalid_blocks >= 1, "seed {seed}");
+        discarded += serial.invalid_blocks;
+    }
+    assert!(
+        discarded >= 20,
+        "only {discarded} blocks were ever discarded"
+    );
+}
+
+/// The case a single fan-out gets wrong without the restart rule: block 1
+/// declares honest writes but a wrong return value, so block 2 — which read
+/// the balance of account 0 that only block 1 wrote — re-executes exactly as
+/// declared over block 1's *declared* writes. Block 1 is discarded, so block
+/// 2 must be too, and block 3 with it; block 0 commits.
+#[test]
+fn a_block_that_read_what_only_a_discarded_block_wrote_is_discarded_too() {
+    for how in TAMPERS {
+        let mut blocks = hot_chained_blocks(3, 4, 12);
+        tamper(&mut blocks[1], how);
+        let serial = assert_pipelined_matches_serial(&blocks, &format!("{how:?}"));
+        assert_eq!(serial.invalid_blocks, 3, "{how:?}");
+        assert_eq!(serial.single_shard_committed, 12, "{how:?}");
     }
 }
 

@@ -10,13 +10,17 @@
 //! The structure itself is not thread-safe; [`super::controller`] wraps it in
 //! a mutex and exposes the operation-level API used by executor workers.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::cell::RefCell;
+use std::collections::HashSet;
 use std::time::Instant;
 use tb_contracts::CallResult;
-use tb_types::{ExecOutcome, Key, TxId, Value};
+use tb_types::{ExecOutcome, Key, KeyHashBuilder, KeyMap, TxId, Value};
 
 /// Index of a transaction inside one batch.
 pub type TxIdx = usize;
+
+/// A set of transaction indices, hashed like the key maps beside it.
+pub type TxSet = HashSet<TxIdx, KeyHashBuilder>;
 
 /// Lifecycle of a transaction inside the concurrency controller.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,14 +59,14 @@ pub struct TxnNode {
     /// Current lifecycle state.
     pub status: TxnStatus,
     /// Per-key first-read / last-write records.
-    pub records: HashMap<Key, KeyRecord>,
+    pub records: KeyMap<KeyRecord>,
     /// For every key read externally: the writer the value was taken from
     /// (`None` means the root, i.e. committed storage).
-    pub read_from: HashMap<Key, Option<TxIdx>>,
+    pub read_from: KeyMap<Option<TxIdx>>,
     /// Incoming edges: transactions that must commit before this one.
-    pub preds: HashSet<TxIdx>,
+    pub preds: TxSet,
     /// Outgoing edges: transactions that must commit after this one.
-    pub succs: HashSet<TxIdx>,
+    pub succs: TxSet,
     /// Result reported by the executor on completion.
     pub result: Option<CallResult>,
     /// Position in the committed order, once committed.
@@ -81,10 +85,10 @@ impl TxnNode {
             id,
             epoch: 0,
             status: TxnStatus::Pending,
-            records: HashMap::new(),
-            read_from: HashMap::new(),
-            preds: HashSet::new(),
-            succs: HashSet::new(),
+            records: KeyMap::default(),
+            read_from: KeyMap::default(),
+            preds: TxSet::default(),
+            succs: TxSet::default(),
             result: None,
             commit_index: None,
             retries: 0,
@@ -126,24 +130,36 @@ pub struct KeyState {
     /// Writers of the key in tentative serialization order.
     pub write_chain: Vec<TxIdx>,
     /// Transactions that performed an external read of the key.
-    pub readers: HashSet<TxIdx>,
+    pub readers: TxSet,
 }
 
 /// Error returned when an edge insertion would create a cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CycleError;
 
+/// Working memory of [`DependencyGraph::reaches`], kept between calls so a
+/// search allocates nothing once the buffers have grown to the batch size.
+#[derive(Debug, Default)]
+struct ReachScratch {
+    /// `visited[i] == generation` marks node `i` as seen by the current
+    /// search; bumping `generation` clears every mark at once.
+    visited: Vec<u64>,
+    generation: u64,
+    frontier: Vec<TxIdx>,
+}
+
 /// The dependency graph over one batch of transactions.
 #[derive(Debug, Default)]
 pub struct DependencyGraph {
     nodes: Vec<TxnNode>,
-    keys: HashMap<Key, KeyState>,
+    keys: KeyMap<KeyState>,
     committed_order: Vec<TxIdx>,
     /// Transactions aborted by cascades that the executor pool has not yet
     /// been told to re-execute.
     pending_aborts: Vec<TxIdx>,
     /// Total number of aborts (re-executions) across the batch.
     total_aborts: u64,
+    reach_scratch: RefCell<ReachScratch>,
 }
 
 impl DependencyGraph {
@@ -209,17 +225,28 @@ impl DependencyGraph {
         if from == to {
             return true;
         }
-        let mut visited = vec![false; self.nodes.len()];
-        let mut queue = VecDeque::from([from]);
-        visited[from] = true;
-        while let Some(current) = queue.pop_front() {
+        if self.nodes[from].succs.is_empty() {
+            return false;
+        }
+        let mut scratch = self.reach_scratch.borrow_mut();
+        let ReachScratch {
+            visited,
+            generation,
+            frontier,
+        } = &mut *scratch;
+        visited.resize(self.nodes.len(), 0);
+        *generation += 1;
+        frontier.clear();
+        frontier.push(from);
+        visited[from] = *generation;
+        while let Some(current) = frontier.pop() {
             for &next in &self.nodes[current].succs {
                 if next == to {
                     return true;
                 }
-                if !visited[next] {
-                    visited[next] = true;
-                    queue.push_back(next);
+                if visited[next] != *generation {
+                    visited[next] = *generation;
+                    frontier.push(next);
                 }
             }
         }
@@ -335,7 +362,7 @@ impl DependencyGraph {
     /// simply skips it.
     pub fn abort_cascade(&mut self, root: TxIdx) -> Vec<TxIdx> {
         let mut to_abort = vec![root];
-        let mut seen: HashSet<TxIdx> = to_abort.iter().copied().collect();
+        let mut seen: TxSet = to_abort.iter().copied().collect();
         let mut cursor = 0;
         while cursor < to_abort.len() {
             let current = to_abort[cursor];

@@ -35,11 +35,10 @@ use crate::pool::{self, Backoff};
 use crate::traits::{effective_workers, synthetic_work, BatchExecutor};
 use crossbeam::queue::SegQueue;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::time::Instant;
 use tb_contracts::{execute_call, ExecError, StateAccess, TrackingState};
 use tb_storage::{KvRead, MemStore};
-use tb_types::{CeConfig, ExecOutcome, Key, PreplayedTx, Transaction, Value};
+use tb_types::{CeConfig, ExecOutcome, Key, KeyMap, PreplayedTx, Transaction, Value};
 
 /// The Thunderbolt concurrent executor.
 #[derive(Clone, Debug)]
@@ -180,7 +179,7 @@ fn finalize_batch(
     base: &(dyn KvRead + Sync),
     op_cost: u64,
 ) -> (Vec<PreplayedTx>, u64) {
-    let mut overlay: HashMap<Key, Value> = HashMap::new();
+    let mut overlay: KeyMap<Value> = KeyMap::default();
     let mut preplayed = Vec::with_capacity(txs.len());
     let mut repairs = 0u64;
     for (idx, (tx, outcome)) in txs.iter().zip(speculative).enumerate() {
@@ -207,7 +206,7 @@ fn finalize_batch(
 /// with it the write set and result — identical by induction.
 fn reads_match_serial_view(
     outcome: &ExecOutcome,
-    overlay: &HashMap<Key, Value>,
+    overlay: &KeyMap<Value>,
     base: &(dyn KvRead + Sync),
 ) -> bool {
     outcome
@@ -224,14 +223,14 @@ fn reads_match_serial_view(
 /// sets are sorted by key to match the convention of speculative outcomes.
 fn reexecute_serially(
     tx: &Transaction,
-    overlay: &HashMap<Key, Value>,
+    overlay: &KeyMap<Value>,
     base: &(dyn KvRead + Sync),
     op_cost: u64,
 ) -> ExecOutcome {
     let session = FinalizeSession {
         base,
         overlay,
-        local: HashMap::new(),
+        local: KeyMap::default(),
         op_cost,
     };
     let mut tracking = TrackingState::new(session);
@@ -249,8 +248,8 @@ fn reexecute_serially(
 /// committed storage.
 struct FinalizeSession<'a> {
     base: &'a (dyn KvRead + Sync),
-    overlay: &'a HashMap<Key, Value>,
-    local: HashMap<Key, Value>,
+    overlay: &'a KeyMap<Value>,
+    local: KeyMap<Value>,
     op_cost: u64,
 }
 

@@ -43,4 +43,4 @@ pub use pool::{Backoff, WorkerPool};
 pub use serial::SerialExecutor;
 pub use traits::{available_cores, effective_workers, BatchExecutor};
 pub use two_pl::TwoPlNoWaitExecutor;
-pub use validation::{validate_block, ValidationConfig, ValidationReport};
+pub use validation::{validate_block, validate_blocks, ValidationConfig, ValidationReport};

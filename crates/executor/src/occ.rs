@@ -12,12 +12,11 @@ use crate::batch::{BatchResult, ExecutorKind};
 use crate::traits::{synthetic_work, BatchExecutor};
 use crossbeam::queue::SegQueue;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use tb_contracts::{execute_call, ExecError, StateAccess, TrackingState};
 use tb_storage::{KvRead, KvWrite, MemStore};
-use tb_types::{CeConfig, Key, PreplayedTx, Transaction, Value};
+use tb_types::{CeConfig, Key, KeyMap, PreplayedTx, Transaction, Value};
 
 /// The OCC baseline executor.
 #[derive(Clone, Debug)]
@@ -46,8 +45,8 @@ impl Default for OccExecutor {
 /// Transaction-private session: optimistic reads, buffered writes.
 struct OccSession<'a> {
     store: &'a MemStore,
-    read_versions: HashMap<Key, u64>,
-    writes: HashMap<Key, Value>,
+    read_versions: KeyMap<u64>,
+    writes: KeyMap<Value>,
     op_cost: u64,
 }
 
@@ -55,8 +54,8 @@ impl<'a> OccSession<'a> {
     fn new(store: &'a MemStore, op_cost: u64) -> Self {
         OccSession {
             store,
-            read_versions: HashMap::new(),
-            writes: HashMap::new(),
+            read_versions: KeyMap::default(),
+            writes: KeyMap::default(),
             op_cost,
         }
     }

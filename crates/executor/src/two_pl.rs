@@ -7,21 +7,21 @@
 //! applied to the store at commit time, before the locks are released.
 
 use crate::batch::{BatchResult, ExecutorKind};
+use crate::cc::graph::TxSet;
 use crate::traits::{synthetic_work, BatchExecutor};
 use crossbeam::queue::SegQueue;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use tb_contracts::{execute_call, ExecError, StateAccess, TrackingState};
 use tb_storage::{KvRead, KvWrite, MemStore};
-use tb_types::{CeConfig, Key, PreplayedTx, Transaction, Value};
+use tb_types::{CeConfig, Key, KeyMap, PreplayedTx, Transaction, Value};
 
 /// Lock modes in the central lock table.
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum LockState {
     /// Held in shared mode by the given transactions.
-    Shared(HashSet<usize>),
+    Shared(TxSet),
     /// Held exclusively by one transaction.
     Exclusive(usize),
 }
@@ -29,7 +29,7 @@ enum LockState {
 /// The central lock table.
 #[derive(Debug, Default)]
 struct LockTable {
-    locks: Mutex<HashMap<Key, LockState>>,
+    locks: Mutex<KeyMap<LockState>>,
 }
 
 impl LockTable {
@@ -42,7 +42,7 @@ impl LockTable {
         let mut locks = self.locks.lock();
         match locks.get_mut(&key) {
             None => {
-                locks.insert(key, LockState::Shared(HashSet::from([owner])));
+                locks.insert(key, LockState::Shared(TxSet::from_iter([owner])));
                 true
             }
             Some(LockState::Shared(holders)) => {
@@ -115,7 +115,7 @@ struct TwoPlSession<'a> {
     store: &'a MemStore,
     table: &'a LockTable,
     owner: usize,
-    writes: HashMap<Key, Value>,
+    writes: KeyMap<Value>,
     op_cost: u64,
 }
 
@@ -176,7 +176,7 @@ impl BatchExecutor for TwoPlNoWaitExecutor {
                                 store,
                                 table: &table,
                                 owner: idx,
-                                writes: HashMap::new(),
+                                writes: KeyMap::default(),
                                 op_cost,
                             };
                             let mut tracking = TrackingState::new(session);

@@ -5,35 +5,35 @@
 //! read/write sets declared in the block and re-executes every transaction
 //! *in parallel*, each against a read view assembled from the declared write
 //! sets of the transactions ordered before it (and committed storage below
-//! that). A block is valid iff every transaction's re-executed read set,
-//! write set and result match what the block declares. Invalid blocks are
-//! discarded.
+//! that). A block is valid iff its `order` values are pairwise distinct and
+//! every transaction's re-executed read set, write set and result match what
+//! the block declares. Invalid blocks are discarded.
 //!
 //! # Two-stage structure
 //!
-//! [`validate_block`] is split into a **stateless parallel stage** and a
-//! **cheap sequential finalize** (the same shape oskr uses to verify
-//! messages in parallel):
+//! [`validate_blocks`] takes the whole run of blocks a commit delivered and
+//! is split into a **stateless parallel stage** and a **cheap sequential
+//! finalize** (the same shape oskr uses to verify messages in parallel):
 //!
-//! 1. *Fan-out.* Each transaction's re-execution depends only on the block's
+//! 1. *Fan-out.* Each transaction's re-execution depends only on the run's
 //!    immutable write timeline (the per-key index of declared writes,
-//!    ordered by block position) and committed storage, never on another
-//!    worker's progress, so the per-transaction checks are embarrassingly
-//!    parallel. The block is chunked across at most
+//!    ordered by `(block, order)` position) and committed storage, never on
+//!    another worker's progress, so the per-transaction checks are
+//!    embarrassingly parallel. The transactions of all blocks are flattened
+//!    and chunked across at most
 //!    [`effective_workers`](crate::traits::effective_workers)`(validators)`
-//!    slots of the shared long-lived [`pool`](crate::pool) (no per-block
-//!    thread spawn); each slot produces the verdicts of its chunk.
+//!    slots of the shared long-lived [`pool`](crate::pool): one pool job per
+//!    run, however many blocks it has.
 //! 2. *Finalize.* The verdict vectors are joined back **in chunk order** on
-//!    the calling thread and folded into the [`ValidationReport`].
+//!    the calling thread and folded into one [`ValidationReport`] per block.
 //!
 //! See `docs/PIPELINE.md` for how this stage slots into the commit pipeline.
 
 use crate::traits::synthetic_work;
-use std::collections::HashMap;
 use std::sync::Mutex;
 use tb_contracts::{execute_call, ExecError, StateAccess, TrackingState};
 use tb_storage::KvRead;
-use tb_types::{Key, PreplayedTx, TxId, Value};
+use tb_types::{Key, KeyMap, PreplayedTx, TxId, Value};
 
 /// Configuration of the validation pass.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,55 +80,51 @@ impl ValidationReport {
     }
 }
 
-/// The per-key timeline of declared writes, ordered by the block's serialized
-/// order. A transaction's read of a key resolves to the latest declared write
-/// before it, or to committed storage if there is none.
-struct WriteTimeline {
-    per_key: HashMap<Key, Vec<(u32, Value)>>,
+/// Where a transaction sits in a run of blocks: `(block index, order)`.
+type Position = (usize, u32);
+
+/// The per-key timeline of the writes a run of blocks declares, sorted by
+/// position. A transaction's read of a key resolves to the latest declared
+/// write before it, or to committed storage if there is none.
+struct WriteTimeline<'a> {
+    per_key: KeyMap<Vec<(Position, &'a Value)>>,
 }
 
-impl WriteTimeline {
-    fn build(preplayed: &[PreplayedTx]) -> Self {
-        let mut per_key: HashMap<Key, Vec<(u32, Value)>> = HashMap::new();
-        for p in preplayed {
-            for rec in &p.outcome.write_set {
-                per_key
-                    .entry(rec.key)
-                    .or_default()
-                    .push((p.order, rec.value.clone()));
+impl<'a> WriteTimeline<'a> {
+    fn build(blocks: &[&'a [PreplayedTx]]) -> Self {
+        let mut per_key: KeyMap<Vec<(Position, &'a Value)>> = KeyMap::default();
+        for (block, preplayed) in blocks.iter().enumerate() {
+            for p in *preplayed {
+                for rec in &p.outcome.write_set {
+                    per_key
+                        .entry(rec.key)
+                        .or_default()
+                        .push(((block, p.order), &rec.value));
+                }
             }
         }
         for timeline in per_key.values_mut() {
-            timeline.sort_by_key(|(order, _)| *order);
+            timeline.sort_by_key(|(position, _)| *position);
         }
         WriteTimeline { per_key }
     }
 
-    /// The value a transaction at `order` should observe for `key`, if any
-    /// transaction before it wrote the key.
-    fn value_before(&self, key: &Key, order: u32) -> Option<Value> {
+    /// The value the transaction at `position` should observe for `key`, if
+    /// any transaction before it wrote the key.
+    fn value_before(&self, key: &Key, position: Position) -> Option<&'a Value> {
         let timeline = self.per_key.get(key)?;
-        timeline
-            .iter()
-            .take_while(|(o, _)| *o < order)
-            .last()
-            .map(|(_, v)| v.clone())
-    }
-
-    /// The final value of a key after the whole block, if written.
-    fn final_value(&self, key: &Key) -> Option<Value> {
-        self.per_key
-            .get(key)
-            .and_then(|timeline| timeline.last().map(|(_, v)| v.clone()))
+        let earlier = timeline.partition_point(|(p, _)| *p < position);
+        earlier.checked_sub(1).map(|last| timeline[last].1)
     }
 }
 
-/// Read view of one transaction during validation.
+/// Read view of one transaction during validation: its own writes, over the
+/// declared writes before its position, over committed storage.
 struct ValidationSession<'a> {
     base: &'a (dyn KvRead + Sync),
-    timeline: &'a WriteTimeline,
-    order: u32,
-    local_writes: HashMap<Key, Value>,
+    timeline: &'a WriteTimeline<'a>,
+    position: Position,
+    local_writes: KeyMap<Value>,
     op_cost: u64,
 }
 
@@ -138,8 +134,8 @@ impl StateAccess for ValidationSession<'_> {
         if let Some(local) = self.local_writes.get(&key) {
             return Ok(local.clone());
         }
-        if let Some(value) = self.timeline.value_before(&key, self.order) {
-            return Ok(value);
+        if let Some(value) = self.timeline.value_before(&key, self.position) {
+            return Ok(value.clone());
         }
         Ok(self.base.get(&key))
     }
@@ -151,21 +147,49 @@ impl StateAccess for ValidationSession<'_> {
     }
 }
 
-/// Validates the single-shard payload of a block: re-executes every
-/// transaction in parallel against the declared dependency structure and
-/// checks that read sets, write sets and results match the declaration.
+/// Validates the single-shard payload of one block: [`validate_blocks`] on a
+/// run of one.
+pub fn validate_block(
+    preplayed: &[PreplayedTx],
+    base: &(dyn KvRead + Sync),
+    config: &ValidationConfig,
+) -> ValidationReport {
+    validate_blocks(&[preplayed], base, config)
+        .pop()
+        .expect("one report per block")
+}
+
+/// Validates a run of blocks delivered together, in delivery order, with one
+/// fan-out: re-executes every transaction of every block in parallel against
+/// the declared dependency structure and checks that read sets, write sets
+/// and results match the declaration. Returns one report per block.
+///
+/// The transaction at `(block, order)` reads its own writes first, then the
+/// last write declared strictly before its position, then `base`. Report `k`
+/// is therefore exact **provided blocks `0..k` are valid**: block `k` then
+/// sees its own earlier writes over the final writes of blocks `0..k` over
+/// `base`, which is the state a validate-apply-validate loop would show it.
+/// Reports after the first invalid one were computed over writes that will
+/// never be applied; the caller discards them and validates those blocks
+/// again once the valid prefix is in `base`.
+///
+/// A block whose `order` values are not pairwise distinct is reported
+/// invalid, every transaction a mismatch, without being re-executed: two
+/// transactions at one position would each miss the other's write and both
+/// be applied (executors emit a permutation,
+/// [`BatchResult::order_is_permutation`](crate::batch::BatchResult::order_is_permutation)).
 ///
 /// # Parallelism contract
 ///
 /// The fan-out occupies at most `effective_workers(config.validators)`
-/// slots of the shared worker pool (clamped to the block size); with one
-/// effective worker — a single-core machine, or `validators: 1` — no pool
-/// job is submitted and the whole pass runs inline on the caller, so
+/// slots of the shared worker pool (clamped to the transaction count); with
+/// one effective worker — a single-core machine, or `validators: 1` — no
+/// pool job is submitted and the whole pass runs inline on the caller, so
 /// single-core CI measures exactly the sequential cost.
 ///
 /// # Determinism
 ///
-/// The report is a pure function of `(preplayed, base, config)` — it does
+/// The reports are a pure function of `(blocks, base, config)` — they do
 /// not depend on the worker count, chunk boundaries or thread scheduling.
 /// Per-chunk verdicts are joined in chunk order and `mismatches` is sorted
 /// by [`TxId`], so two calls with different `validators` values return
@@ -180,48 +204,71 @@ impl StateAccess for ValidationSession<'_> {
 /// the contract interpreter, or a panicking [`KvRead`] implementation), the
 /// pool re-throws the panic on the calling thread once the job drains; it
 /// is never swallowed.
-pub fn validate_block(
-    preplayed: &[PreplayedTx],
+pub fn validate_blocks(
+    blocks: &[&[PreplayedTx]],
     base: &(dyn KvRead + Sync),
     config: &ValidationConfig,
-) -> ValidationReport {
-    if preplayed.is_empty() {
-        return ValidationReport::default();
+) -> Vec<ValidationReport> {
+    let timeline = WriteTimeline::build(blocks);
+    let well_ordered: Vec<bool> = blocks.iter().map(|b| orders_are_distinct(b)).collect();
+    let txs: Vec<(usize, &PreplayedTx)> = blocks
+        .iter()
+        .enumerate()
+        .filter(|(block, _)| well_ordered[*block])
+        .flat_map(|(block, preplayed)| preplayed.iter().map(move |p| (block, p)))
+        .collect();
+    let mut verdicts = parallel_verdicts(&txs, base, &timeline, config).into_iter();
+    let mut reports = Vec::with_capacity(blocks.len());
+    for (preplayed, well_ordered) in blocks.iter().zip(well_ordered) {
+        let mut mismatches = Vec::new();
+        for p in *preplayed {
+            // Only well-ordered blocks went through the fan-out.
+            if !(well_ordered && verdicts.next().expect("one verdict per transaction")) {
+                mismatches.push(p.tx.id);
+            }
+        }
+        mismatches.sort_unstable();
+        reports.push(ValidationReport {
+            checked: preplayed.len(),
+            mismatches,
+        });
     }
-    let timeline = WriteTimeline::build(preplayed);
-    let verdicts = parallel_verdicts(preplayed, base, &timeline, config);
-    finalize_verdicts(preplayed, &verdicts)
+    reports
 }
 
-/// Stage 1 — the stateless fan-out: re-executes every transaction against
-/// the shared [`WriteTimeline`] and returns one verdict per transaction, in
-/// block order. Workers share only immutable state, so no synchronisation
-/// is needed beyond the final join.
+fn orders_are_distinct(preplayed: &[PreplayedTx]) -> bool {
+    let mut orders: Vec<u32> = preplayed.iter().map(|p| p.order).collect();
+    orders.sort_unstable();
+    orders.windows(2).all(|pair| pair[0] != pair[1])
+}
+
+/// The stateless fan-out: re-executes every transaction against the shared
+/// [`WriteTimeline`] and returns one verdict per transaction, in input
+/// order. Workers share only immutable state, so no synchronisation is
+/// needed beyond the final join.
 fn parallel_verdicts(
-    preplayed: &[PreplayedTx],
+    txs: &[(usize, &PreplayedTx)],
     base: &(dyn KvRead + Sync),
-    timeline: &WriteTimeline,
+    timeline: &WriteTimeline<'_>,
     config: &ValidationConfig,
 ) -> Vec<bool> {
-    let workers = crate::traits::effective_workers(config.validators).min(preplayed.len());
+    let workers = crate::traits::effective_workers(config.validators).min(txs.len());
     let op_cost = config.op_cost_ns;
-    if workers <= 1 {
-        return preplayed
+    let revalidate_all = |chunk: &[(usize, &PreplayedTx)]| -> Vec<bool> {
+        chunk
             .iter()
-            .map(|p| revalidate_one(p, base, timeline, op_cost))
-            .collect();
+            .map(|(block, p)| revalidate_one(p, *block, base, timeline, op_cost))
+            .collect()
+    };
+    if workers <= 1 {
+        return revalidate_all(txs);
     }
-    let chunk_size = preplayed.len().div_ceil(workers);
-    let chunks: Vec<&[PreplayedTx]> = preplayed.chunks(chunk_size).collect();
+    let chunks: Vec<_> = txs.chunks(txs.len().div_ceil(workers)).collect();
     let verdicts: Vec<Mutex<Vec<bool>>> = chunks.iter().map(|_| Mutex::new(Vec::new())).collect();
     crate::pool::global().run(chunks.len(), &|slot| {
-        let chunk_verdicts: Vec<bool> = chunks[slot]
-            .iter()
-            .map(|p| revalidate_one(p, base, timeline, op_cost))
-            .collect();
-        *verdicts[slot].lock().unwrap() = chunk_verdicts;
+        *verdicts[slot].lock().unwrap() = revalidate_all(chunks[slot]);
     });
-    // Flattening in chunk order keeps the verdict vector in block order no
+    // Flattening in chunk order keeps the verdict vector in input order no
     // matter which pool worker ran which chunk.
     verdicts
         .into_iter()
@@ -229,34 +276,18 @@ fn parallel_verdicts(
         .collect()
 }
 
-/// Stage 2 — the cheap sequential finalize: folds the ordered verdicts into
-/// a [`ValidationReport`], with `mismatches` sorted by [`TxId`].
-fn finalize_verdicts(preplayed: &[PreplayedTx], verdicts: &[bool]) -> ValidationReport {
-    debug_assert_eq!(preplayed.len(), verdicts.len());
-    let mut mismatches: Vec<TxId> = preplayed
-        .iter()
-        .zip(verdicts)
-        .filter(|(_, ok)| !**ok)
-        .map(|(p, _)| p.tx.id)
-        .collect();
-    mismatches.sort_unstable();
-    ValidationReport {
-        checked: preplayed.len(),
-        mismatches,
-    }
-}
-
 fn revalidate_one(
     p: &PreplayedTx,
+    block: usize,
     base: &(dyn KvRead + Sync),
-    timeline: &WriteTimeline,
+    timeline: &WriteTimeline<'_>,
     op_cost: u64,
 ) -> bool {
     let session = ValidationSession {
         base,
         timeline,
-        order: p.order,
-        local_writes: HashMap::new(),
+        position: (block, p.order),
+        local_writes: KeyMap::default(),
         op_cost,
     };
     let mut tracking = TrackingState::new(session);
@@ -279,21 +310,6 @@ fn same_access_set(a: &[tb_types::AccessRecord], b: &[tb_types::AccessRecord]) -
         b.iter()
             .any(|other| other.key == rec.key && other.value == rec.value)
     })
-}
-
-/// Computes the state the block leaves behind: for every written key the last
-/// declared value in serialized order. This is what the commit path applies
-/// to storage once the block validates.
-pub fn final_writes(preplayed: &[PreplayedTx]) -> Vec<(Key, Value)> {
-    let timeline = WriteTimeline::build(preplayed);
-    let mut keys: Vec<Key> = timeline.per_key.keys().copied().collect();
-    keys.sort_unstable();
-    keys.into_iter()
-        .map(|k| {
-            let value = timeline.final_value(&k).expect("key taken from timeline");
-            (k, value)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -412,41 +428,110 @@ mod tests {
         assert!(!report.is_valid());
     }
 
+    fn payment(id: u64, from: u64, to: u64, amount: i64) -> Transaction {
+        Transaction::new(
+            TxId::new(id),
+            ClientId::new(0),
+            ContractCall::SmallBank(SmallBankProcedure::SendPayment { from, to, amount }),
+            1,
+            SimTime::ZERO,
+        )
+    }
+
     #[test]
-    fn final_writes_reflect_the_last_write_per_key() {
+    fn duplicate_order_values_make_the_block_invalid() {
+        // Two payments out of account 1, each preplayed alone against the
+        // same state and both shipped at position 0: neither sees the
+        // other's write, so each re-executes exactly as declared, and
+        // applying both would pay out of one balance twice.
         let store = funded_store(4);
-        let txs = vec![
-            Transaction::new(
-                TxId::new(1),
-                ClientId::new(0),
-                ContractCall::SmallBank(SmallBankProcedure::DepositChecking {
-                    account: 0,
-                    amount: 10,
-                }),
-                1,
-                SimTime::ZERO,
-            ),
-            Transaction::new(
-                TxId::new(2),
-                ClientId::new(0),
-                ContractCall::SmallBank(SmallBankProcedure::DepositChecking {
-                    account: 0,
-                    amount: 5,
-                }),
-                1,
-                SimTime::ZERO,
-            ),
-        ];
-        let ce = ConcurrentExecutor::new(CeConfig::new(2, 8).without_synthetic_cost());
-        let result = ce.preplay(&txs, &store);
-        let finals = final_writes(&result.preplayed);
-        assert_eq!(finals.len(), 1);
-        assert_eq!(finals[0].0, tb_types::Key::checking(0));
+        let ce = ConcurrentExecutor::new(CeConfig::new(1, 8).without_synthetic_cost());
+        let mut block = Vec::new();
+        for tx in [payment(1, 1, 2, 10), payment(2, 1, 3, 10)] {
+            let alone = ce.preplay(std::slice::from_ref(&tx), &store).preplayed;
+            assert!(validate_block(&alone, &store, &ValidationConfig::new(1)).is_valid());
+            block.extend(alone);
+        }
+        assert!(block.iter().all(|p| p.order == 0));
+        let report = validate_block(&block, &store, &ValidationConfig::new(2));
+        assert!(!report.is_valid());
+        assert_eq!(report.checked, 2);
+        assert_eq!(report.mismatches, vec![TxId::new(1), TxId::new(2)]);
+        // The same two transactions at distinct positions do not validate
+        // either: the second now sees the first one's debit.
+        block[1].order = 1;
+        assert!(!validate_block(&block, &store, &ValidationConfig::new(2)).is_valid());
+    }
+
+    /// Preplays `rounds` blocks over 8 funded accounts, each chained on the
+    /// state the previous one left behind.
+    fn chained_blocks(rounds: usize) -> Vec<Vec<PreplayedTx>> {
+        let scratch = funded_store(8);
+        let ce = ConcurrentExecutor::new(CeConfig::new(2, 64).without_synthetic_cost());
+        let mut workload = SmallBankWorkload::new(SmallBankConfig {
+            accounts: 8,
+            theta: 0.9,
+            n_shards: 1,
+            ..SmallBankConfig::default()
+        });
+        (0..rounds)
+            .map(|_| {
+                let result = ce.preplay(&workload.batch(20, SimTime::ZERO), &scratch);
+                result.apply_to(&scratch);
+                result.preplayed
+            })
+            .collect()
+    }
+
+    /// The oracle: validate a block, apply it if valid, move to the next.
+    fn validate_apply_loop(
+        blocks: &[Vec<PreplayedTx>],
+        store: &MemStore,
+        config: &ValidationConfig,
+    ) -> Vec<ValidationReport> {
+        let mut reports = Vec::new();
+        for block in blocks {
+            let report = validate_block(block, store, config);
+            if report.is_valid() {
+                let mut ordered: Vec<&PreplayedTx> = block.iter().collect();
+                ordered.sort_by_key(|p| p.order);
+                for rec in ordered.iter().flat_map(|p| &p.outcome.write_set) {
+                    tb_storage::KvWrite::put(store, rec.key, rec.value.clone());
+                }
+            }
+            reports.push(report);
+        }
+        reports
+    }
+
+    #[test]
+    fn a_run_of_blocks_validates_like_a_validate_apply_loop() {
+        let config = ValidationConfig::new(3);
+        let mut blocks = chained_blocks(5);
+        let as_run = |blocks: &[Vec<PreplayedTx>]| {
+            let run: Vec<&[PreplayedTx]> = blocks.iter().map(Vec::as_slice).collect();
+            validate_blocks(&run, &funded_store(8), &config)
+        };
+        let reports = as_run(&blocks);
+        assert!(reports.iter().all(|r| r.is_valid()));
         assert_eq!(
-            finals[0].1,
-            Value::int(SMALLBANK_DEFAULT_BALANCE + 15),
-            "both deposits must be reflected in the final value"
+            reports,
+            validate_apply_loop(&blocks, &funded_store(8), &config)
         );
+
+        // Tamper block 2: the reports up to and including the first invalid
+        // one are still the loop's. The later ones are not — they saw writes
+        // the loop never applies — which is why callers validate the rest
+        // again.
+        let victim = blocks[2]
+            .iter_mut()
+            .find(|p| !p.outcome.write_set.is_empty())
+            .expect("some transaction writes");
+        victim.outcome.write_set[0].value = Value::int(-1);
+        let reports = as_run(&blocks);
+        let oracle = validate_apply_loop(&blocks, &funded_store(8), &config);
+        assert!(reports[0].is_valid() && reports[1].is_valid() && !reports[2].is_valid());
+        assert_eq!(reports[..3], oracle[..3]);
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! write sets at once; a [`WriteBatch`] collects those writes (last write per
 //! key wins) so the store can apply them atomically.
 
-use std::collections::HashMap;
-use tb_types::{AccessRecord, Key, Value, WriteSet};
+use tb_types::{AccessRecord, Key, KeyHashBuilder, KeyMap, Value, WriteSet};
 
 /// A set of writes applied atomically. Within a batch, later writes to the
 /// same key overwrite earlier ones.
@@ -16,7 +15,7 @@ use tb_types::{AccessRecord, Key, Value, WriteSet};
 #[derive(Clone, Debug, Default)]
 pub struct WriteBatch {
     writes: Vec<(Key, Value)>,
-    index: HashMap<Key, usize>,
+    index: KeyMap<usize>,
 }
 
 impl PartialEq for WriteBatch {
@@ -37,7 +36,7 @@ impl WriteBatch {
     pub fn with_capacity(cap: usize) -> Self {
         WriteBatch {
             writes: Vec::with_capacity(cap),
-            index: HashMap::with_capacity(cap),
+            index: KeyMap::with_capacity_and_hasher(cap, KeyHashBuilder::default()),
         }
     }
 

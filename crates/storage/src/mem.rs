@@ -6,7 +6,7 @@ use crate::traits::{KvRead, KvWrite, Versioned};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use tb_types::{Key, Value};
+use tb_types::{Key, KeyMap, Value};
 
 /// Number of internal lock stripes. A power of two so the stripe index is a
 /// cheap mask of the key hash.
@@ -31,7 +31,7 @@ pub struct StoreStats {
 /// key's version counter.
 #[derive(Debug)]
 pub struct MemStore {
-    stripes: Vec<RwLock<HashMap<Key, Versioned>>>,
+    stripes: Vec<RwLock<KeyMap<Versioned>>>,
     total_writes: AtomicU64,
 }
 
@@ -45,7 +45,7 @@ impl MemStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         MemStore {
-            stripes: (0..STRIPES).map(|_| RwLock::new(HashMap::new())).collect(),
+            stripes: (0..STRIPES).map(|_| RwLock::default()).collect(),
             total_writes: AtomicU64::new(0),
         }
     }
@@ -70,8 +70,8 @@ impl MemStore {
     /// batch in order — same final values, same per-key versions, same
     /// [`StoreStats`] — but each lock stripe is written under a single lock
     /// acquisition for the whole sequence instead of one acquisition per key
-    /// per batch. This is what the pipelined commit path uses to drain the
-    /// apply queue while the next block is still being validated.
+    /// per batch. This is what the pipelined commit path uses to write all
+    /// valid blocks of a committed sub-DAG in one call.
     ///
     /// Writes to one key keep their cross-batch order because a key always
     /// hashes to the same stripe and the per-stripe buckets preserve the

@@ -4,8 +4,8 @@
 //! [`WalStore`] wraps the striped [`MemStore`] with three layers (see
 //! `docs/STORAGE.md` for the full format and the recovery argument):
 //!
-//! 1. **Append-only WAL.** Every mutation — a coalesced batch sequence from
-//!    the pipelined applier, a single cross-shard `put`, a commit marker —
+//! 1. **Append-only WAL.** Every mutation — the write batches of a
+//!    committed sub-DAG, a single cross-shard `put`, a commit marker —
 //!    is appended to `wal.log` as a length-prefixed, CRC-32-guarded frame
 //!    whose payload is a [`WalRecord`] in the standard [`Wire`] encoding.
 //!    Appends are buffered; [`Store::commit_marker`] flushes and fsyncs, so
@@ -34,12 +34,11 @@ use crate::snapshot::Snapshot;
 use crate::store::{CommitMarker, Store};
 use crate::traits::{KvRead, KvWrite, Versioned};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use tb_types::wire::{Wire, WireError, WireReader, WireWriter};
-use tb_types::{Key, Value};
+use tb_types::{Key, KeyMap, Value};
 
 /// File name of the write-ahead log inside a [`WalStore`] directory.
 pub const WAL_FILE: &str = "wal.log";
@@ -347,7 +346,7 @@ struct WalState {
     buffered_writes: usize,
     /// Key → (value, version-after-flush) for every pending write, serving
     /// reads without draining the buffer.
-    overlay: HashMap<Key, Versioned>,
+    overlay: KeyMap<Versioned>,
     last_commit: Option<CommitMarker>,
     compactions: u64,
 }
@@ -455,7 +454,7 @@ impl WalStore {
                 generation,
                 buffer: Vec::new(),
                 buffered_writes: 0,
-                overlay: HashMap::new(),
+                overlay: KeyMap::default(),
                 last_commit,
                 compactions: 0,
             }),

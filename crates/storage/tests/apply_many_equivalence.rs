@@ -2,8 +2,8 @@
 //! to applying the batches one at a time, in order — same values, same
 //! per-key versions, same [`StoreStats`].
 //!
-//! This is the invariant the pipelined commit path leans on: the applier
-//! thread may drain any prefix of the queued batches in one
+//! This is the invariant the pipelined commit path leans on: it hands the
+//! write batches of a whole committed sub-DAG to one
 //! [`MemStore::apply_many`] call without changing what any later reader can
 //! observe.
 

@@ -35,7 +35,7 @@ pub use config::{
 };
 pub use digest::{Digest, Hashable, StructuralHasher};
 pub use ids::{ClientId, DagId, ReplicaId, Round, SeqNo, ShardId, TxId};
-pub use key::{Key, KeySpace};
+pub use key::{Key, KeyHashBuilder, KeyHasher, KeyMap, KeySet, KeySpace};
 pub use ops::{AccessKind, AccessRecord, ExecOutcome, OpKind, Operation, ReadSet, WriteSet};
 pub use time::SimTime;
 pub use transaction::{ContractCall, SmallBankProcedure, Transaction, TxClass};
