@@ -660,8 +660,14 @@ pub fn default_campaign(profile: CampaignProfile) -> Vec<CampaignScenario> {
         CampaignScenario::new(
             "byz-tamper-writes",
             "replica 3 corrupts the declared write sets of its preplayed blocks",
+            // Lockstep: a proposer waits for the complete previous round, so
+            // whether it preplays or converts a batch no longer depends on
+            // host timing and replica 3 always has preplayed blocks to
+            // tamper with. Every other scenario still runs on the host's
+            // clock (ROADMAP item 1).
             move || {
                 base(4, p.rounds, 11, 0.1)
+                    .lockstep()
                     .byzantine(ReplicaId::new(3), ByzantineBehavior::TamperWrites)
             },
         )
@@ -931,8 +937,12 @@ mod tests {
 
     #[test]
     fn tampering_proposer_is_detected_and_tolerated() {
+        // Lockstep, as in `byz-tamper-writes`: without it host timing can
+        // leave replica 3 no preplayed block to tamper with (ROADMAP item 1).
         let result = CampaignScenario::new("tamper", "byzantine writes", || {
-            tiny(4, 8).byzantine(ReplicaId::new(3), ByzantineBehavior::TamperWrites)
+            tiny(4, 8)
+                .lockstep()
+                .byzantine(ReplicaId::new(3), ByzantineBehavior::TamperWrites)
         })
         .faulty([3])
         .invariant(Liveness {

@@ -669,7 +669,12 @@ impl Replica {
             ExecutionMode::Tusk => unreachable!("Tusk never preplays"),
         };
         self.metrics.reexecutions += result.reexecutions;
-        let writes: KeyMap<Value> = result.write_batch().into_writes().into_iter().collect();
+        // Executors return the batch sorted by `order`, so later writes of a
+        // key overwrite earlier ones here.
+        let mut writes: KeyMap<Value> = KeyMap::default();
+        for rec in result.preplayed.iter().flat_map(|p| &p.outcome.write_set) {
+            writes.insert(rec.key, rec.value.clone());
+        }
         self.overlay.push_back((self.current_round, writes));
         result.preplayed
     }

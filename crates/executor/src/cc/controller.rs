@@ -23,7 +23,7 @@ use parking_lot::Mutex;
 use std::time::{Duration, Instant};
 use tb_contracts::{CallResult, ExecError};
 use tb_storage::KvRead;
-use tb_types::{Key, PreplayedTx, Transaction, TxId, Value};
+use tb_types::{Key, Transaction, Value};
 
 /// A lease on a transaction for one execution attempt. Operations carry the
 /// epoch so that attempts invalidated by a cascade abort are rejected.
@@ -62,11 +62,6 @@ impl<'a> ConcurrencyController<'a> {
             graph: Mutex::new(DependencyGraph::new()),
             base,
         }
-    }
-
-    /// Registers a transaction, returning its batch index.
-    pub fn register(&self, id: TxId) -> TxIdx {
-        self.graph.lock().register(id)
     }
 
     /// Registers every transaction of a batch in order.
@@ -112,7 +107,7 @@ impl<'a> ConcurrencyController<'a> {
 
         // Read-after-own-write and repeated reads are served from the node's
         // own records.
-        if let Some(record) = graph.node(idx).records.get(&key) {
+        if let Some(record) = graph.node(idx).record(&key) {
             if let Some(write) = &record.last_write {
                 return Ok(write.clone());
             }
@@ -121,11 +116,11 @@ impl<'a> ConcurrencyController<'a> {
             }
         }
 
-        let chain: Vec<TxIdx> = graph.write_chain(&key).to_vec();
-
         // Walk the write chain from the latest writer towards the oldest,
         // looking for a writer the reader can be placed after (and, when the
         // writer is not the tail, before the next writer in the chain).
+        let chain = graph.write_chain(&key);
+        let mut source = None;
         for pos in (0..chain.len()).rev() {
             let writer = chain[pos];
             if writer == idx {
@@ -139,15 +134,17 @@ impl<'a> ConcurrencyController<'a> {
                     break;
                 }
             }
-            let feasible =
-                graph.can_add_edge(writer, idx) && next.is_none_or(|n| graph.can_add_edge(idx, n));
-            if !feasible {
-                continue;
+            if graph.can_add_edge(writer, idx) && next.is_none_or(|n| graph.can_add_edge(idx, n)) {
+                source = Some((writer, next));
+                break;
             }
+        }
+        let first = chain.first().copied();
+
+        if let Some((writer, next)) = source {
             let value = graph
                 .node(writer)
-                .records
-                .get(&key)
+                .record(&key)
                 .and_then(|r| r.last_write.clone())
                 .expect("chain members always carry a write record");
             graph
@@ -164,15 +161,15 @@ impl<'a> ConcurrencyController<'a> {
 
         // Root fallback: read committed storage, ordering the reader before
         // the first uncommitted writer of the key.
-        let root_ok = match chain.first() {
+        let root_ok = match first {
             None => true,
-            Some(&first) => {
+            Some(first) => {
                 graph.node(first).status != TxnStatus::Committed && graph.can_add_edge(idx, first)
             }
         };
         if root_ok {
             let value = self.base.get(&key);
-            if let Some(&first) = chain.first() {
+            if let Some(first) = first {
                 graph
                     .add_edge(idx, first)
                     .expect("feasibility was just checked");
@@ -197,13 +194,12 @@ impl<'a> ConcurrencyController<'a> {
 
         let already_wrote = graph
             .node(idx)
-            .records
-            .get(&key)
+            .record(&key)
             .is_some_and(|r| r.last_write.is_some());
         if already_wrote {
             // Rewriting a value that other transactions already read makes
             // their reads stale: cascade-abort them (Table 1, time 5).
-            let stale_readers = graph.dependent_readers(&key, idx);
+            let stale_readers: Vec<TxIdx> = graph.dependent_readers(&key, idx).collect();
             for reader in stale_readers {
                 // The reader may already have been aborted by an earlier
                 // iteration of this loop.
@@ -220,40 +216,41 @@ impl<'a> ConcurrencyController<'a> {
         // common case) serializes it last; if that is impossible — e.g. a
         // later writer already depends on this transaction — the writer is
         // rescheduled to an earlier slot instead of aborting (Figure 1).
-        let chain: Vec<TxIdx> = graph.write_chain(&key).to_vec();
+        let chain = graph.write_chain(&key);
         // The order of already-committed writers is fixed, so the new writer
         // can only be placed after the last committed one.
         let min_pos = chain
             .iter()
             .rposition(|&w| graph.node(w).status == TxnStatus::Committed)
             .map_or(0, |i| i + 1);
-        let readers: Vec<(TxIdx, Option<TxIdx>)> = graph
-            .readers_of(&key, idx)
-            .into_iter()
-            .filter(|&r| graph.node(r).status != TxnStatus::Committed)
-            .map(|r| {
-                let source = graph.node(r).read_from.get(&key).copied().flatten();
-                (r, source)
-            })
-            .collect();
+        let readers = graph
+            .key_state(&key)
+            .map_or(&[][..], |state| &state.readers);
 
-        let mut placement: Option<(usize, Vec<TxIdx>)> = None;
+        let mut placement = None;
         for pos in (min_pos..=chain.len()).rev() {
-            let prev_ok = pos == 0 || graph.can_add_edge(chain[pos - 1], idx);
-            let next_ok = pos == chain.len() || graph.can_add_edge(idx, chain[pos]);
-            if !(prev_ok && next_ok) {
+            let prev = pos.checked_sub(1).map(|p| chain[p]);
+            let next = chain.get(pos).copied();
+            if !(prev.is_none_or(|p| graph.can_add_edge(p, idx))
+                && next.is_none_or(|n| graph.can_add_edge(idx, n)))
+            {
                 continue;
             }
             // Readers that observed a value older than this position must be
             // serialized before the new writer.
             let mut reader_edges = Vec::new();
             let mut feasible = true;
-            for (reader, source) in &readers {
+            for &reader in readers {
+                let node = graph.node(reader);
+                if reader == idx || node.status == TxnStatus::Committed {
+                    continue;
+                }
+                let source = node.record(&key).and_then(|r| r.read_from);
                 let source_pos = source.and_then(|w| chain.iter().position(|&c| c == w));
                 let reads_older_value = source_pos.is_none_or(|j| j < pos);
                 if reads_older_value {
-                    if graph.can_add_edge(*reader, idx) {
-                        reader_edges.push(*reader);
+                    if graph.can_add_edge(reader, idx) {
+                        reader_edges.push(reader);
                     } else {
                         feasible = false;
                         break;
@@ -261,23 +258,23 @@ impl<'a> ConcurrencyController<'a> {
                 }
             }
             if feasible {
-                placement = Some((pos, reader_edges));
+                placement = Some((pos, prev, next, reader_edges));
                 break;
             }
         }
 
-        let Some((pos, reader_edges)) = placement else {
+        let Some((pos, prev, next, reader_edges)) = placement else {
             graph.abort_cascade(idx);
             return Err(ExecError::aborted(format!(
                 "no serializable position for write of {key}"
             )));
         };
         let mut edges_ok = true;
-        if pos > 0 {
-            edges_ok &= graph.add_edge(chain[pos - 1], idx).is_ok();
+        if let Some(prev) = prev {
+            edges_ok &= graph.add_edge(prev, idx).is_ok();
         }
-        if pos < chain.len() {
-            edges_ok &= graph.add_edge(idx, chain[pos]).is_ok();
+        if let Some(next) = next {
+            edges_ok &= graph.add_edge(idx, next).is_ok();
         }
         for reader in reader_edges {
             edges_ok &= graph.add_edge(reader, idx).is_ok();
@@ -319,16 +316,6 @@ impl<'a> ConcurrencyController<'a> {
     /// Number of committed transactions so far.
     pub fn committed_count(&self) -> usize {
         self.graph.lock().committed_count()
-    }
-
-    /// Number of registered transactions.
-    pub fn len(&self) -> usize {
-        self.graph.lock().len()
-    }
-
-    /// True if no transaction is registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// True once every registered transaction committed.
@@ -380,41 +367,13 @@ impl<'a> ConcurrencyController<'a> {
         }
         (outcomes, total_latency, latencies)
     }
-
-    /// Assembles the preplay output for the batch: every committed
-    /// transaction with its outcome, ordered by commit index, plus the sum
-    /// and the individual per-transaction latencies.
-    pub fn collect_results(
-        &self,
-        txs: &[Transaction],
-    ) -> (Vec<PreplayedTx>, Duration, Vec<Duration>) {
-        let graph = self.graph.lock();
-        let mut total_latency = Duration::ZERO;
-        let mut latencies = Vec::with_capacity(graph.committed_count());
-        let mut preplayed = Vec::with_capacity(graph.committed_count());
-        for (idx, node) in graph.iter() {
-            if node.status != TxnStatus::Committed {
-                continue;
-            }
-            let order = node.commit_index.expect("committed nodes have an index");
-            let outcome = node.outcome();
-            if let (Some(started), Some(committed)) = (node.started_at, node.committed_at) {
-                let latency = committed.duration_since(started);
-                total_latency += latency;
-                latencies.push(latency);
-            }
-            preplayed.push(PreplayedTx::new(txs[idx].clone(), outcome, order));
-        }
-        preplayed.sort_by_key(|p| p.order);
-        (preplayed, total_latency, latencies)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tb_storage::{KvWrite, MemStore};
-    use tb_types::{ClientId, ContractCall, SimTime};
+    use tb_types::{ClientId, ContractCall, SimTime, TxId};
 
     fn tx(id: u64) -> Transaction {
         Transaction::new(
@@ -478,7 +437,7 @@ mod tests {
     #[test]
     fn write_write_order_follows_first_write_arrival() {
         let store = MemStore::new();
-        let (cc, txs) = setup(&store, 2);
+        let (cc, _txs) = setup(&store, 2);
         let a = cc.begin(0).unwrap();
         let b = cc.begin(1).unwrap();
         cc.write(a, key(1), Value::int(1)).unwrap();
@@ -486,13 +445,11 @@ mod tests {
         cc.finish(b, CallResult::ok(Value::None));
         cc.finish(a, CallResult::ok(Value::None));
         assert!(cc.all_committed());
-        assert_eq!(cc.committed_order(), vec![0, 1]);
-        let (preplayed, _, _) = cc.collect_results(&txs);
         // Serialized order puts a's write first, so the final value is b's.
-        assert_eq!(preplayed[0].tx.id, TxId::new(0));
-        assert_eq!(preplayed[1].tx.id, TxId::new(1));
+        assert_eq!(cc.committed_order(), vec![0, 1]);
+        let (outcomes, _, _) = cc.collect_speculative(2);
         assert_eq!(
-            preplayed[1].outcome.written_value(&key(1)),
+            outcomes[1].as_ref().unwrap().written_value(&key(1)),
             Some(&Value::int(2))
         );
     }
@@ -537,7 +494,7 @@ mod tests {
         // final order is [T1, T3, T2].
         let store = MemStore::new();
         store.put(key(0), Value::int(3)); // initial D = 3
-        let (cc, txs) = setup(&store, 3);
+        let (cc, _txs) = setup(&store, 3);
         let t1 = cc.begin(0).unwrap();
         let t2 = cc.begin(1).unwrap();
         let t3 = cc.begin(2).unwrap();
@@ -580,9 +537,9 @@ mod tests {
         assert!(cc.all_committed());
         assert_eq!(cc.committed_order(), vec![0, 2, 1]);
         assert_eq!(cc.total_aborts(), 2);
-        let (preplayed, _, _) = cc.collect_results(&txs);
-        assert_eq!(preplayed.len(), 3);
-        assert!(preplayed.iter().all(|p| p.order < 3));
+        let (outcomes, _, latencies) = cc.collect_speculative(3);
+        assert!(outcomes.iter().all(Option::is_some));
+        assert_eq!(latencies.len(), 3);
     }
 
     #[test]
@@ -672,20 +629,21 @@ mod tests {
     }
 
     #[test]
-    fn collect_results_orders_by_commit_index() {
+    fn collect_speculative_indexes_outcomes_by_batch_position() {
         let store = MemStore::new();
-        let (cc, txs) = setup(&store, 3);
+        let (cc, _txs) = setup(&store, 3);
         for idx in [2usize, 0, 1] {
             let h = cc.begin(idx).unwrap();
             cc.write(h, key(idx as u64 + 100), Value::int(idx as i64))
                 .unwrap();
             cc.finish(h, CallResult::ok(Value::int(idx as i64)));
         }
-        let (preplayed, _, _) = cc.collect_results(&txs);
-        assert_eq!(preplayed.len(), 3);
-        assert_eq!(preplayed[0].tx.id, TxId::new(2));
-        assert_eq!(preplayed[0].order, 0);
-        assert_eq!(preplayed[2].order, 2);
+        assert_eq!(cc.committed_order(), vec![2, 0, 1]);
+        let (outcomes, _, _) = cc.collect_speculative(3);
+        for (idx, outcome) in outcomes.iter().enumerate() {
+            let outcome = outcome.as_ref().expect("every transaction committed");
+            assert_eq!(outcome.return_value, Value::int(idx as i64));
+        }
     }
 
     #[test]

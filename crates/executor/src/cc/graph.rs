@@ -39,13 +39,18 @@ pub enum TxnStatus {
 
 /// Per-key record kept inside a transaction node: at most the first read and
 /// the last write (Section 8.1, "we remain at most two operations in the
-/// nodes").
-#[derive(Clone, Debug, Default)]
+/// nodes"), and where the first read took its value from.
+#[derive(Clone, Debug)]
 pub struct KeyRecord {
+    /// The key.
+    pub key: Key,
     /// Value observed by the first (external) read of the key.
     pub first_read: Option<Value>,
     /// Value produced by the last write to the key.
     pub last_write: Option<Value>,
+    /// The writer the first read took its value from (`None` means the
+    /// root, i.e. committed storage, or no external read).
+    pub read_from: Option<TxIdx>,
 }
 
 /// One transaction node.
@@ -58,15 +63,13 @@ pub struct TxnNode {
     pub epoch: u64,
     /// Current lifecycle state.
     pub status: TxnStatus,
-    /// Per-key first-read / last-write records.
-    pub records: KeyMap<KeyRecord>,
-    /// For every key read externally: the writer the value was taken from
-    /// (`None` means the root, i.e. committed storage).
-    pub read_from: KeyMap<Option<TxIdx>>,
+    /// Per-key first-read / last-write records, sorted by key. A
+    /// transaction touches a handful of keys, so a sorted `Vec` beats a map.
+    pub records: Vec<KeyRecord>,
     /// Incoming edges: transactions that must commit before this one.
-    pub preds: TxSet,
+    pub preds: Vec<TxIdx>,
     /// Outgoing edges: transactions that must commit after this one.
-    pub succs: TxSet,
+    pub succs: Vec<TxIdx>,
     /// Result reported by the executor on completion.
     pub result: Option<CallResult>,
     /// Position in the committed order, once committed.
@@ -85,10 +88,9 @@ impl TxnNode {
             id,
             epoch: 0,
             status: TxnStatus::Pending,
-            records: KeyMap::default(),
-            read_from: KeyMap::default(),
-            preds: TxSet::default(),
-            succs: TxSet::default(),
+            records: Vec::new(),
+            preds: Vec::new(),
+            succs: Vec::new(),
             result: None,
             commit_index: None,
             retries: 0,
@@ -99,21 +101,41 @@ impl TxnNode {
 
     /// True if the node has any write record.
     pub fn has_writes(&self) -> bool {
-        self.records.values().any(|r| r.last_write.is_some())
+        self.records.iter().any(|r| r.last_write.is_some())
+    }
+
+    /// The node's record of `key`, if it touched the key.
+    pub fn record(&self, key: &Key) -> Option<&KeyRecord> {
+        let at = self.records.binary_search_by_key(key, |r| r.key).ok()?;
+        Some(&self.records[at])
+    }
+
+    fn record_mut(&mut self, key: Key) -> &mut KeyRecord {
+        let at = self
+            .records
+            .binary_search_by_key(&key, |r| r.key)
+            .unwrap_or_else(|at| {
+                let record = KeyRecord {
+                    key,
+                    first_read: None,
+                    last_write: None,
+                    read_from: None,
+                };
+                self.records.insert(at, record);
+                at
+            });
+        &mut self.records[at]
     }
 
     /// Builds the externally visible outcome of the node.
     pub fn outcome(&self) -> ExecOutcome {
         let mut outcome = ExecOutcome::empty();
-        let mut keys: Vec<&Key> = self.records.keys().collect();
-        keys.sort_unstable();
-        for key in keys {
-            let record = &self.records[key];
+        for record in &self.records {
             if let Some(read) = &record.first_read {
-                outcome.record_read(*key, read.clone());
+                outcome.record_read(record.key, read.clone());
             }
             if let Some(write) = &record.last_write {
-                outcome.record_write(*key, write.clone());
+                outcome.record_write(record.key, write.clone());
             }
         }
         if let Some(result) = &self.result {
@@ -130,7 +152,7 @@ pub struct KeyState {
     /// Writers of the key in tentative serialization order.
     pub write_chain: Vec<TxIdx>,
     /// Transactions that performed an external read of the key.
-    pub readers: TxSet,
+    pub readers: Vec<TxIdx>,
 }
 
 /// Error returned when an edge insertion would create a cycle.
@@ -262,8 +284,8 @@ impl DependencyGraph {
         if self.reaches(to, from) {
             return Err(CycleError);
         }
-        self.nodes[from].succs.insert(to);
-        self.nodes[to].preds.insert(from);
+        self.nodes[from].succs.push(to);
+        self.nodes[to].preds.push(from);
         Ok(())
     }
 
@@ -273,31 +295,17 @@ impl DependencyGraph {
         from == to || self.nodes[from].succs.contains(&to) || !self.reaches(to, from)
     }
 
-    /// Readers of `key` (excluding `except`), in arbitrary order.
-    pub fn readers_of(&self, key: &Key, except: TxIdx) -> Vec<TxIdx> {
-        self.keys
-            .get(key)
-            .map(|state| {
-                state
-                    .readers
-                    .iter()
-                    .copied()
-                    .filter(|&r| r != except)
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
     /// Registers `idx` as a reader of `key` that took its value from
-    /// `from_writer` (`None` = storage).
+    /// `from_writer` (`None` = storage). Only the first read is kept.
     pub fn record_read(&mut self, idx: TxIdx, key: Key, value: Value, from_writer: Option<TxIdx>) {
-        let entry = self.keys.entry(key).or_default();
-        entry.readers.insert(idx);
-        let node = &mut self.nodes[idx];
-        node.read_from.insert(key, from_writer);
-        let record = node.records.entry(key).or_default();
+        let readers = &mut self.keys.entry(key).or_default().readers;
+        if !readers.contains(&idx) {
+            readers.push(idx);
+        }
+        let record = self.nodes[idx].record_mut(key);
         if record.first_read.is_none() {
             record.first_read = Some(value);
+            record.read_from = from_writer;
         }
     }
 
@@ -319,8 +327,7 @@ impl DependencyGraph {
             let position = position.min(entry.write_chain.len());
             entry.write_chain.insert(position, idx);
         }
-        let record = self.nodes[idx].records.entry(key).or_default();
-        record.last_write = Some(value);
+        self.nodes[idx].record_mut(key).last_write = Some(value);
     }
 
     /// The writers of `key` in chain order.
@@ -333,20 +340,19 @@ impl DependencyGraph {
 
     /// Active (not aborted, not committed) transactions whose recorded read
     /// of `key` came from `writer`.
-    pub fn dependent_readers(&self, key: &Key, writer: TxIdx) -> Vec<TxIdx> {
-        let Some(state) = self.keys.get(key) else {
-            return Vec::new();
-        };
-        state
-            .readers
-            .iter()
-            .copied()
-            .filter(|&r| {
-                r != writer
-                    && self.nodes[r].status != TxnStatus::Aborted
-                    && self.nodes[r].read_from.get(key) == Some(&Some(writer))
-            })
-            .collect()
+    pub fn dependent_readers<'a>(
+        &'a self,
+        key: &'a Key,
+        writer: TxIdx,
+    ) -> impl Iterator<Item = TxIdx> + 'a {
+        let readers = self.keys.get(key).map_or(&[][..], |state| &state.readers);
+        readers.iter().copied().filter(move |&r| {
+            r != writer
+                && self.nodes[r].status != TxnStatus::Aborted
+                && self.nodes[r]
+                    .record(key)
+                    .is_some_and(|rec| rec.read_from == Some(writer))
+        })
     }
 
     /// Aborts a transaction and cascades through every transaction that read
@@ -369,14 +375,9 @@ impl DependencyGraph {
             cursor += 1;
             // Every reader that took a value written by `current` must also
             // be re-executed.
-            let written_keys: Vec<Key> = self.nodes[current]
-                .records
-                .iter()
-                .filter(|(_, rec)| rec.last_write.is_some())
-                .map(|(k, _)| *k)
-                .collect();
-            for key in written_keys {
-                for reader in self.dependent_readers(&key, current) {
+            let written = self.nodes[current].records.iter();
+            for rec in written.filter(|rec| rec.last_write.is_some()) {
+                for reader in self.dependent_readers(&rec.key, current) {
                     if seen.insert(reader) {
                         to_abort.push(reader);
                     }
@@ -409,31 +410,31 @@ impl DependencyGraph {
         to_abort
     }
 
-    /// Removes a transaction from every per-key structure and from the edge
-    /// set, bumps its epoch and marks it aborted.
+    /// Removes a transaction from the per-key structures of the keys it
+    /// touched and from the edge set, bumps its epoch and marks it aborted.
     fn detach(&mut self, idx: TxIdx) {
         debug_assert_ne!(
             self.nodes[idx].status,
             TxnStatus::Committed,
             "committed transactions must never be aborted"
         );
-        let preds: Vec<TxIdx> = self.nodes[idx].preds.iter().copied().collect();
-        let succs: Vec<TxIdx> = self.nodes[idx].succs.iter().copied().collect();
+        let node = &mut self.nodes[idx];
+        let preds = std::mem::take(&mut node.preds);
+        let succs = std::mem::take(&mut node.succs);
+        let records = std::mem::take(&mut node.records);
         for p in preds {
-            self.nodes[p].succs.remove(&idx);
+            self.nodes[p].succs.retain(|&s| s != idx);
         }
         for s in succs {
-            self.nodes[s].preds.remove(&idx);
+            self.nodes[s].preds.retain(|&p| p != idx);
         }
-        for state in self.keys.values_mut() {
-            state.readers.remove(&idx);
-            state.write_chain.retain(|&w| w != idx);
+        for rec in &records {
+            if let Some(state) = self.keys.get_mut(&rec.key) {
+                state.readers.retain(|&r| r != idx);
+                state.write_chain.retain(|&w| w != idx);
+            }
         }
         let node = &mut self.nodes[idx];
-        node.preds.clear();
-        node.succs.clear();
-        node.records.clear();
-        node.read_from.clear();
         node.result = None;
         node.epoch += 1;
         node.retries += 1;
@@ -462,10 +463,10 @@ impl DependencyGraph {
             node.committed_at = Some(Instant::now());
         }
         self.committed_order.push(idx);
-        // Committing this node may unblock finishing successors.
-        let succs: Vec<TxIdx> = self.nodes[idx].succs.iter().copied().collect();
-        for s in succs {
-            self.try_commit(s);
+        // Committing this node may unblock finishing successors. Committing
+        // never changes an edge, so the successor list can be walked by index.
+        for at in 0..self.nodes[idx].succs.len() {
+            self.try_commit(self.nodes[idx].succs[at]);
         }
         true
     }
@@ -525,7 +526,10 @@ mod tests {
         let k = Key::scratch(1);
         g.record_read(0, k, Value::int(1), None);
         g.record_read(0, k, Value::int(2), None);
-        assert_eq!(g.node(0).records[&k].first_read, Some(Value::int(1)));
+        assert_eq!(
+            g.node(0).record(&k).unwrap().first_read,
+            Some(Value::int(1))
+        );
         assert!(g.key_state(&k).unwrap().readers.contains(&0));
     }
 
@@ -537,7 +541,10 @@ mod tests {
         g.record_write(0, k, Value::int(2));
         g.record_write(1, k, Value::int(3));
         assert_eq!(g.write_chain(&k), &[0, 1]);
-        assert_eq!(g.node(0).records[&k].last_write, Some(Value::int(2)));
+        assert_eq!(
+            g.node(0).record(&k).unwrap().last_write,
+            Some(Value::int(2))
+        );
         assert!(g.node(0).has_writes());
     }
 
@@ -548,9 +555,7 @@ mod tests {
         g.record_write(0, k, Value::int(1));
         g.record_read(1, k, Value::int(1), Some(0));
         g.record_read(2, k, Value::int(0), None);
-        let mut deps = g.dependent_readers(&k, 0);
-        deps.sort_unstable();
-        assert_eq!(deps, vec![1]);
+        assert_eq!(g.dependent_readers(&k, 0).collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]
@@ -584,7 +589,7 @@ mod tests {
         assert!(g.take_pending_aborts().is_empty());
         // The key structures no longer mention the aborted transactions.
         assert!(g.write_chain(&k).is_empty());
-        assert!(g.readers_of(&k, usize::MAX).contains(&3));
+        assert_eq!(g.key_state(&k).unwrap().readers, vec![3]);
     }
 
     #[test]

@@ -9,24 +9,20 @@
 //! transaction's read/write set, result and its position in the serialized
 //! execution order.
 //!
-//! # Deterministic finalize
+//! # One serial pass
 //!
-//! The parallel phase alone cannot produce a reproducible serialization:
-//! the dependency graph's conflict edges follow *arrival* order (e.g. a
-//! write-write conflict is oriented towards whichever worker wrote first),
-//! so its commit sequence depends on OS scheduling. Preplay therefore adds
-//! a sequential **finalize pass** that re-orients every conflict edge from
-//! lower to higher batch index, making batch order the unique tie-broken
-//! topological order of the conflict graph. Concretely, the pass walks the
-//! batch in index order keeping an overlay of finalized writes, accepts a
-//! speculative outcome iff each of its recorded reads matches the
-//! overlay-over-storage view (identical read values imply an identical
-//! execution trace), and serially re-executes the transaction against that
-//! view otherwise (counted as a re-execution). The emitted
-//! [`BatchResult`] is thus a pure function of `(txs, base)` — independent
-//! of worker count and scheduling — which is what lets digest-gated
-//! deployments run `executors(N)` instead of pinning `executors(1)`
-//! (`BatchResult::commit_digest`, docs/PIPELINE.md).
+//! The serialization is always **batch order**, emitted by one sequential
+//! walk (`finalize_batch`) that executes each transaction against the writes
+//! of those before it over `base`. With one effective worker that walk *is*
+//! preplay: no controller, no dependency graph, no pool job. With N, the
+//! workers first speculate through the controller, whose commit order
+//! follows arrival order and so OS scheduling; the walk then keeps a
+//! speculative outcome iff its recorded reads match the walk's view
+//! (identical reads imply an identical trace) and re-executes it otherwise,
+//! re-orienting every conflict edge from lower to higher batch index. The
+//! [`BatchResult`] is thus a pure function of `(txs, base)`, independent of
+//! worker count, core count and scheduling (`BatchResult::commit_digest`,
+//! docs/PIPELINE.md).
 
 use crate::batch::{BatchResult, ExecutorKind};
 use crate::cc::controller::{ConcurrencyController, FinishStatus};
@@ -35,8 +31,8 @@ use crate::pool::{self, Backoff};
 use crate::traits::{effective_workers, synthetic_work, BatchExecutor};
 use crossbeam::queue::SegQueue;
 use parking_lot::Mutex;
-use std::time::Instant;
-use tb_contracts::{execute_call, ExecError, StateAccess, TrackingState};
+use std::time::{Duration, Instant};
+use tb_contracts::{execute_call, ExecError, StateAccess};
 use tb_storage::{KvRead, MemStore};
 use tb_types::{CeConfig, ExecOutcome, Key, KeyMap, PreplayedTx, Transaction, Value};
 
@@ -63,9 +59,35 @@ impl ConcurrentExecutor {
     /// proposer ships inside its block (Figure 3, step 1).
     pub fn preplay(&self, txs: &[Transaction], base: &(dyn KvRead + Sync)) -> BatchResult {
         let started = Instant::now();
-        if txs.is_empty() {
-            return BatchResult::default();
+        let workers = effective_workers(self.config.executors).min(txs.len());
+        let op_cost = self.config.synthetic_op_cost_ns;
+        let (preplayed, reexecutions, latencies) = if workers <= 1 {
+            finalize_batch(txs, std::iter::repeat_with(|| None), base, op_cost)
+        } else {
+            self.speculate_and_finalize(txs, base, workers)
+        };
+        let logical_rejections = preplayed
+            .iter()
+            .filter(|p| p.outcome.logically_aborted)
+            .count() as u64;
+        BatchResult {
+            preplayed,
+            reexecutions,
+            logical_rejections,
+            elapsed: started.elapsed(),
+            total_latency: latencies.iter().sum(),
+            latencies,
         }
+    }
+
+    /// Speculation through the controller on `workers` pool slots, then
+    /// [`finalize_batch`]; latencies run from first attempt to commit.
+    fn speculate_and_finalize(
+        &self,
+        txs: &[Transaction],
+        base: &(dyn KvRead + Sync),
+        workers: usize,
+    ) -> (Vec<PreplayedTx>, u64, Vec<Duration>) {
         let controller = ConcurrencyController::new(base);
         controller.register_batch(txs);
 
@@ -78,7 +100,6 @@ impl ConcurrentExecutor {
         // to succeed because no concurrent transaction can abort them then.
         let deferred: Mutex<Vec<TxIdx>> = Mutex::new(Vec::new());
 
-        let workers = effective_workers(self.config.executors).min(txs.len());
         let op_cost = self.config.synthetic_op_cost_ns;
         let max_retries = self.config.max_retries as u64;
 
@@ -141,61 +162,52 @@ impl ConcurrentExecutor {
         }
         debug_assert!(controller.all_committed());
 
-        let (speculative, total_latency, latencies) = controller.collect_speculative(txs.len());
-        let (preplayed, repairs) = finalize_batch(txs, speculative, base, op_cost);
-        let logical_rejections = preplayed
-            .iter()
-            .filter(|p| p.outcome.logically_aborted)
-            .count() as u64;
-        BatchResult {
-            preplayed,
-            reexecutions: controller.total_aborts() + repairs,
-            logical_rejections,
-            elapsed: started.elapsed(),
-            total_latency,
-            latencies,
-        }
+        let (speculative, _, latencies) = controller.collect_speculative(txs.len());
+        let (preplayed, repairs, _) = finalize_batch(txs, speculative, base, op_cost);
+        (preplayed, controller.total_aborts() + repairs, latencies)
     }
 }
 
-/// The sequential finalize pass: re-serializes the batch in **batch order**,
-/// which is the canonical topological order of the conflict graph once every
-/// conflict edge is oriented from lower to higher batch index (batch-index
-/// tie-break). For each transaction the pass accepts the speculative outcome
-/// iff every recorded read matches the view `overlay ∪ base` (the writes of
-/// transactions finalized before it over committed storage); matching read
-/// values imply the speculative execution trace is exactly the serial one,
-/// so write set and result carry over. A mismatch — or a transaction that
-/// never committed speculatively — is re-executed serially against that view
-/// and counted as a repair.
-///
-/// A single-worker speculative phase *is* a serial batch-order run, so it
-/// validates without repairs; `executors(N)` converges to the same fixed
-/// point, which is the `executors(N) ≡ executors(1)` determinism proof
-/// pinned by `tests/proptest_invariants.rs`.
+/// The serial pass: serializes the batch in **batch order**, the canonical
+/// topological order of the conflict graph once every conflict edge is
+/// oriented from lower to higher batch index. `speculative` yields one entry
+/// per transaction. A speculative outcome is accepted iff every recorded
+/// read matches the view `overlay ∪ base` (the writes of the transactions
+/// before it over committed storage): matching reads imply the speculative
+/// trace is the serial one. A mismatch is re-executed against that view and
+/// counted as a repair; a transaction without an outcome — every one on one
+/// worker — is just executed. Returns the batch, the repair count and each
+/// transaction's time in the pass. `tests/proptest_invariants.rs` pins
+/// `executors(N) ≡ executors(1)`.
 fn finalize_batch(
     txs: &[Transaction],
-    speculative: Vec<Option<ExecOutcome>>,
+    speculative: impl IntoIterator<Item = Option<ExecOutcome>>,
     base: &(dyn KvRead + Sync),
     op_cost: u64,
-) -> (Vec<PreplayedTx>, u64) {
+) -> (Vec<PreplayedTx>, u64, Vec<Duration>) {
     let mut overlay: KeyMap<Value> = KeyMap::default();
     let mut preplayed = Vec::with_capacity(txs.len());
+    let mut latencies = Vec::with_capacity(txs.len());
     let mut repairs = 0u64;
+    let mut tx_started = Instant::now();
     for (idx, (tx, outcome)) in txs.iter().zip(speculative).enumerate() {
         let outcome = match outcome {
             Some(outcome) if reads_match_serial_view(&outcome, &overlay, base) => outcome,
-            _ => {
-                repairs += 1;
-                reexecute_serially(tx, &overlay, base, op_cost)
+            speculated => {
+                repairs += u64::from(speculated.is_some());
+                execute_serially(tx, &overlay, base, op_cost)
             }
         };
         for rec in &outcome.write_set {
             overlay.insert(rec.key, rec.value.clone());
         }
         preplayed.push(PreplayedTx::new(tx.clone(), outcome, idx as u32));
+        // One clock read per transaction: its end is the next one's start.
+        let tx_done = Instant::now();
+        latencies.push(tx_done - tx_started);
+        tx_started = tx_done;
     }
-    (preplayed, repairs)
+    (preplayed, repairs, latencies)
 }
 
 /// True if every read the speculative attempt recorded observes exactly the
@@ -218,25 +230,23 @@ fn reads_match_serial_view(
         })
 }
 
-/// Serially re-executes `tx` against the finalized prefix view, charging the
-/// same synthetic per-operation cost as the parallel phase. The read/write
-/// sets are sorted by key to match the convention of speculative outcomes.
-fn reexecute_serially(
+/// Executes `tx` against the finalized prefix view. The read/write sets are
+/// sorted by key, the convention of speculative outcomes.
+fn execute_serially(
     tx: &Transaction,
     overlay: &KeyMap<Value>,
     base: &(dyn KvRead + Sync),
     op_cost: u64,
 ) -> ExecOutcome {
-    let session = FinalizeSession {
+    let mut view = SerialView {
         base,
         overlay,
-        local: KeyMap::default(),
+        outcome: ExecOutcome::empty(),
         op_cost,
     };
-    let mut tracking = TrackingState::new(session);
-    let result = execute_call(&tx.call, &mut tracking)
-        .expect("serial re-execution over a plain overlay never conflicts");
-    let (mut outcome, _) = tracking.finish();
+    let result = execute_call(&tx.call, &mut view)
+        .expect("serial execution over a plain overlay never conflicts");
+    let mut outcome = view.outcome;
     outcome.read_set.sort_by_key(|r| r.key);
     outcome.write_set.sort_by_key(|r| r.key);
     outcome.return_value = result.return_value;
@@ -244,29 +254,33 @@ fn reexecute_serially(
     outcome
 }
 
-/// Read view of a finalize repair: own writes over the finalized prefix over
-/// committed storage.
-struct FinalizeSession<'a> {
+/// Read view of the serial pass — own writes over the finalized prefix over
+/// committed storage — recording first reads and last writes as it goes.
+struct SerialView<'a> {
     base: &'a (dyn KvRead + Sync),
     overlay: &'a KeyMap<Value>,
-    local: KeyMap<Value>,
+    outcome: ExecOutcome,
     op_cost: u64,
 }
 
-impl StateAccess for FinalizeSession<'_> {
+impl StateAccess for SerialView<'_> {
     fn read(&mut self, key: Key) -> Result<Value, ExecError> {
         synthetic_work(self.op_cost);
-        Ok(self
-            .local
+        if let Some(own) = self.outcome.written_value(&key) {
+            return Ok(own.clone());
+        }
+        let value = self
+            .overlay
             .get(&key)
-            .or_else(|| self.overlay.get(&key))
             .cloned()
-            .unwrap_or_else(|| self.base.get(&key)))
+            .unwrap_or_else(|| self.base.get(&key));
+        self.outcome.record_read(key, value.clone());
+        Ok(value)
     }
 
     fn write(&mut self, key: Key, value: Value) -> Result<(), ExecError> {
         synthetic_work(self.op_cost);
-        self.local.insert(key, value);
+        self.outcome.record_write(key, value);
         Ok(())
     }
 }
@@ -561,10 +575,9 @@ mod tests {
 
     #[test]
     fn finalize_repairs_schedule_skewed_speculative_outcomes() {
-        // On a single-core machine the parallel phase cannot interleave, so
-        // this test feeds the finalize pass speculative outcomes from a
-        // *different* schedule directly: the ones a completion-order run
-        // that executed t1 before t0 would have produced.
+        // Feeds the finalize pass speculative outcomes from a *different*
+        // schedule directly: the ones a completion-order run that executed
+        // t1 before t0 would have produced.
         let store = funded_store(4);
         let t0 = send_payment(0, 0, 1, 10);
         let t1 = send_payment(1, 0, 2, 5);
@@ -576,7 +589,7 @@ mod tests {
             Some(swapped.preplayed[1].outcome.clone()), // t0, but executed second
             Some(swapped.preplayed[0].outcome.clone()), // t1, but executed first
         ];
-        let (preplayed, repairs) = finalize_batch(&txs, speculative, &store, 0);
+        let (preplayed, repairs, _) = finalize_batch(&txs, speculative, &store, 0);
         assert_eq!(repairs, 2, "both outcomes observed stale reads");
         let repaired = BatchResult {
             preplayed,
@@ -588,14 +601,203 @@ mod tests {
             "finalize must repair a schedule-skewed run back to batch order"
         );
 
-        // Transactions that never committed speculatively are repaired too.
-        let (preplayed, repairs) = finalize_batch(&txs, vec![None, None], &store, 0);
-        assert_eq!(repairs, 2);
+        // Transactions that never speculated are executed, not repaired.
+        let (preplayed, repairs, _) = finalize_batch(&txs, vec![None, None], &store, 0);
+        assert_eq!(repairs, 0);
         let rebuilt = BatchResult {
             preplayed,
             ..BatchResult::default()
         };
         assert_eq!(rebuilt.commit_digest(), reference.commit_digest());
+    }
+
+    /// One logical executor's transaction, stepped one controller operation
+    /// per turn: the contract call is re-run from the start, the operations
+    /// of earlier turns are answered from `log`, one new operation goes to
+    /// the controller and the next one yields. Contracts are deterministic,
+    /// so any call — SmallBank, raw KV, bytecode — can be interleaved at
+    /// operation grain without threads.
+    struct Stepper<'c, 'b> {
+        controller: &'c ConcurrencyController<'b>,
+        idx: TxIdx,
+        handle: crate::cc::controller::TxHandle,
+        log: Vec<Value>,
+        replayed: usize,
+        stepped: bool,
+        aborted: bool,
+    }
+
+    impl Stepper<'_, '_> {
+        fn op(
+            &mut self,
+            run: impl FnOnce(&ConcurrencyController<'_>) -> Result<Value, ExecError>,
+        ) -> Result<Value, ExecError> {
+            if let Some(value) = self.log.get(self.replayed) {
+                self.replayed += 1;
+                return Ok(value.clone());
+            }
+            if self.stepped {
+                return Err(ExecError::aborted("yield the turn"));
+            }
+            self.stepped = true;
+            match run(self.controller) {
+                Ok(value) => {
+                    self.log.push(value.clone());
+                    self.replayed += 1;
+                    Ok(value)
+                }
+                Err(err) => {
+                    self.aborted = true;
+                    Err(err)
+                }
+            }
+        }
+
+        /// Runs one turn; `Some(finished)` once the transaction is done
+        /// with this attempt, `finished` telling whether it needs a retry.
+        fn turn(&mut self, tx: &Transaction) -> Option<bool> {
+            self.replayed = 0;
+            self.stepped = false;
+            match execute_call(&tx.call, &mut *self) {
+                Ok(result) => {
+                    Some(self.controller.finish(self.handle, result) != FinishStatus::Aborted)
+                }
+                Err(_) if self.aborted => Some(false),
+                Err(_) => None,
+            }
+        }
+    }
+
+    impl StateAccess for Stepper<'_, '_> {
+        fn read(&mut self, key: Key) -> Result<Value, ExecError> {
+            let handle = self.handle;
+            self.op(|cc| cc.read(handle, key))
+        }
+
+        fn write(&mut self, key: Key, value: Value) -> Result<(), ExecError> {
+            let handle = self.handle;
+            self.op(|cc| cc.write(handle, key, value).map(|()| Value::None))
+                .map(drop)
+        }
+    }
+
+    /// Speculates `txs` through the controller under one fixed round-robin
+    /// interleaving of `slots` logical executors (the scheme of `two_pl.rs`'
+    /// interleaving test) and returns the speculative outcomes and the
+    /// speculative commit order. Like `preplay`, a transaction that keeps
+    /// losing its conflicts is deferred and run alone once the slots drain,
+    /// which breaks the abort cycles a fixed interleaving can repeat forever.
+    fn round_robin_speculation(
+        txs: &[Transaction],
+        base: &MemStore,
+        slots: usize,
+    ) -> (Vec<Option<ExecOutcome>>, Vec<TxIdx>) {
+        const RETRY_BUDGET: u64 = 4;
+        let controller = ConcurrencyController::new(base);
+        controller.register_batch(txs);
+        let start = |idx: TxIdx| {
+            controller.begin(idx).map(|handle| Stepper {
+                controller: &controller,
+                idx,
+                handle,
+                log: Vec::new(),
+                replayed: 0,
+                stepped: false,
+                aborted: false,
+            })
+        };
+        let mut queue: std::collections::VecDeque<TxIdx> = (0..txs.len()).collect();
+        let mut deferred: Vec<TxIdx> = Vec::new();
+        let mut running: Vec<Option<Stepper>> = (0..slots).map(|_| None).collect();
+        let mut turns = 0;
+        while !controller.all_committed() {
+            turns += 1;
+            assert!(turns < 100_000, "interleaved CC run did not converge");
+            for slot in running.iter_mut() {
+                if slot.is_none() && deferred.is_empty() {
+                    // `begin` refuses committed or running transactions
+                    // (stale duplicates from the abort queue).
+                    match queue.pop_front() {
+                        Some(idx) if controller.retries(idx) > RETRY_BUDGET => deferred.push(idx),
+                        Some(idx) => *slot = start(idx),
+                        None => {}
+                    }
+                }
+                let Some(stepper) = slot else {
+                    continue;
+                };
+                if let Some(finished) = stepper.turn(&txs[stepper.idx]) {
+                    if !finished {
+                        queue.push_back(stepper.idx);
+                    }
+                    *slot = None;
+                }
+            }
+            queue.extend(controller.take_aborted());
+            if running.iter().all(Option::is_none) {
+                for idx in deferred.drain(..) {
+                    while let Some(mut alone) = start(idx) {
+                        if let Some(true) =
+                            std::iter::repeat_with(|| alone.turn(&txs[idx])).find_map(|turn| turn)
+                        {
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        let (speculative, _, _) = controller.collect_speculative(txs.len());
+        (speculative, controller.committed_order())
+    }
+
+    #[test]
+    fn interleaved_speculation_finalizes_to_the_one_worker_pass() {
+        // The N-worker path checked without depending on the host's cores:
+        // with one core `preplay` never reaches the controller, so this
+        // drives it through a fixed interleaving instead.
+        let smallbank = SmallBankWorkload::new(SmallBankConfig {
+            accounts: 8,
+            theta: 0.95,
+            pr_read: 0.2,
+            n_shards: 1,
+            ..SmallBankConfig::default()
+        })
+        .batch(96, SimTime::ZERO);
+        let kv: Vec<Transaction> = (0..64u64)
+            .map(|i| {
+                let (a, b) = (Key::scratch(i % 3), Key::scratch(i * 7 % 5));
+                let ops = vec![
+                    tb_types::Operation::read(a),
+                    tb_types::Operation::write(b, Value::int(i as i64)),
+                    tb_types::Operation::read(b),
+                    tb_types::Operation::write(a, Value::int(-(i as i64))),
+                ];
+                Transaction::new(
+                    TxId::new(i),
+                    ClientId::new(0),
+                    ContractCall::KvOps(ops),
+                    1,
+                    SimTime::ZERO,
+                )
+            })
+            .collect();
+        for (txs, store) in [(smallbank, funded_store(8)), (kv, MemStore::new())] {
+            use tb_types::wire::Wire;
+            let one_worker = ce(1).preplay(&txs, &store);
+            let (speculative, order) = round_robin_speculation(&txs, &store, 8);
+            assert_ne!(
+                order,
+                (0..txs.len()).collect::<Vec<_>>(),
+                "the interleaving must serialize against batch order"
+            );
+            let (preplayed, repairs, _) = finalize_batch(&txs, speculative, &store, 0);
+            assert!(repairs > 0, "finalize must have had something to repair");
+            assert_eq!(
+                preplayed.to_wire_bytes(),
+                one_worker.preplayed.to_wire_bytes(),
+                "finalize must turn any interleaving into the one-worker pass"
+            );
+        }
     }
 
     #[test]

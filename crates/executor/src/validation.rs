@@ -27,13 +27,21 @@
 //! 2. *Finalize.* The verdict vectors are joined back **in chunk order** on
 //!    the calling thread and folded into one [`ValidationReport`] per block.
 //!
+//! # Checking while executing
+//!
+//! A re-execution is compared with the declaration as it runs, not recorded
+//! and compared afterwards: each first read is matched on the spot against
+//! the declared read set, and the first mismatch ends the transaction as
+//! invalid. The buffers are reused across a chunk, so checking an honest
+//! transaction allocates nothing once they have grown.
+//!
 //! See `docs/PIPELINE.md` for how this stage slots into the commit pipeline.
 
 use crate::traits::synthetic_work;
 use std::sync::Mutex;
-use tb_contracts::{execute_call, ExecError, StateAccess, TrackingState};
+use tb_contracts::{execute_call, ExecError, StateAccess};
 use tb_storage::KvRead;
-use tb_types::{Key, KeyMap, PreplayedTx, TxId, Value};
+use tb_types::{AccessRecord, Key, KeyMap, PreplayedTx, TxId, Value};
 
 /// Configuration of the validation pass.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -118,31 +126,73 @@ impl<'a> WriteTimeline<'a> {
     }
 }
 
-/// Read view of one transaction during validation: its own writes, over the
-/// declared writes before its position, over committed storage.
-struct ValidationSession<'a> {
+/// Re-executes transactions and checks them against their declarations as
+/// they run. The transaction at `position` reads its own `writes` (last value
+/// per key), over the declared writes before it, over committed storage.
+struct CheckSession<'a> {
     base: &'a (dyn KvRead + Sync),
     timeline: &'a WriteTimeline<'a>,
-    position: Position,
-    local_writes: KeyMap<Value>,
     op_cost: u64,
+    position: Position,
+    declared_reads: &'a [AccessRecord],
+    reads: Vec<Key>,
+    writes: Vec<AccessRecord>,
 }
 
-impl StateAccess for ValidationSession<'_> {
+impl<'a> CheckSession<'a> {
+    /// True iff re-executing `p` reproduces its declared outcome. A set
+    /// matches when it has as many records as the declaration, each with an
+    /// equal declared record, so a duplicate, extra or missing key fails.
+    fn check(&mut self, p: &'a PreplayedTx, block: usize) -> bool {
+        let declared = &p.outcome;
+        self.position = (block, p.order);
+        self.declared_reads = &declared.read_set;
+        self.reads.clear();
+        self.writes.clear();
+        let Ok(result) = execute_call(&p.tx.call, &mut *self) else {
+            return false;
+        };
+        self.reads.len() == declared.read_set.len()
+            && self.writes.len() == declared.write_set.len()
+            && self
+                .writes
+                .iter()
+                .all(|rec| declared.write_set.contains(rec))
+            && result.return_value == declared.return_value
+            && result.logically_aborted == declared.logically_aborted
+    }
+}
+
+impl StateAccess for CheckSession<'_> {
     fn read(&mut self, key: Key) -> Result<Value, ExecError> {
         synthetic_work(self.op_cost);
-        if let Some(local) = self.local_writes.get(&key) {
-            return Ok(local.clone());
+        if let Some(own) = self.writes.iter().find(|rec| rec.key == key) {
+            return Ok(own.value.clone());
         }
-        if let Some(value) = self.timeline.value_before(&key, self.position) {
-            return Ok(value.clone());
+        let value = match self.timeline.value_before(&key, self.position) {
+            Some(value) => value.clone(),
+            None => self.base.get(&key),
+        };
+        // A repeated read observes the same value; only the first is declared.
+        if !self.reads.contains(&key) {
+            if !self
+                .declared_reads
+                .iter()
+                .any(|r| r.key == key && r.value == value)
+            {
+                return Err(ExecError::aborted("read differs from the declaration"));
+            }
+            self.reads.push(key);
         }
-        Ok(self.base.get(&key))
+        Ok(value)
     }
 
     fn write(&mut self, key: Key, value: Value) -> Result<(), ExecError> {
         synthetic_work(self.op_cost);
-        self.local_writes.insert(key, value);
+        match self.writes.iter_mut().find(|rec| rec.key == key) {
+            Some(own) => own.value = value,
+            None => self.writes.push(AccessRecord::new(key, value)),
+        }
         Ok(())
     }
 }
@@ -161,8 +211,9 @@ pub fn validate_block(
 
 /// Validates a run of blocks delivered together, in delivery order, with one
 /// fan-out: re-executes every transaction of every block in parallel against
-/// the declared dependency structure and checks that read sets, write sets
-/// and results match the declaration. Returns one report per block.
+/// the declared dependency structure, checking while it executes that read
+/// sets, write sets and results match the declaration. Returns one report
+/// per block.
 ///
 /// The transaction at `(block, order)` reads its own writes first, then the
 /// last write declared strictly before its position, then `base`. Report `k`
@@ -253,11 +304,19 @@ fn parallel_verdicts(
     config: &ValidationConfig,
 ) -> Vec<bool> {
     let workers = crate::traits::effective_workers(config.validators).min(txs.len());
-    let op_cost = config.op_cost_ns;
     let revalidate_all = |chunk: &[(usize, &PreplayedTx)]| -> Vec<bool> {
+        let mut session = CheckSession {
+            base,
+            timeline,
+            op_cost: config.op_cost_ns,
+            position: (0, 0),
+            declared_reads: &[],
+            reads: Vec::new(),
+            writes: Vec::new(),
+        };
         chunk
             .iter()
-            .map(|(block, p)| revalidate_one(p, *block, base, timeline, op_cost))
+            .map(|(block, p)| session.check(p, *block))
             .collect()
     };
     if workers <= 1 {
@@ -276,42 +335,6 @@ fn parallel_verdicts(
         .collect()
 }
 
-fn revalidate_one(
-    p: &PreplayedTx,
-    block: usize,
-    base: &(dyn KvRead + Sync),
-    timeline: &WriteTimeline<'_>,
-    op_cost: u64,
-) -> bool {
-    let session = ValidationSession {
-        base,
-        timeline,
-        position: (block, p.order),
-        local_writes: KeyMap::default(),
-        op_cost,
-    };
-    let mut tracking = TrackingState::new(session);
-    let Ok(result) = execute_call(&p.tx.call, &mut tracking) else {
-        return false;
-    };
-    let (outcome, _) = tracking.finish();
-    same_access_set(&outcome.read_set, &p.outcome.read_set)
-        && same_access_set(&outcome.write_set, &p.outcome.write_set)
-        && result.return_value == p.outcome.return_value
-        && result.logically_aborted == p.outcome.logically_aborted
-}
-
-/// Order-insensitive comparison of access sets.
-fn same_access_set(a: &[tb_types::AccessRecord], b: &[tb_types::AccessRecord]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    a.iter().all(|rec| {
-        b.iter()
-            .any(|other| other.key == rec.key && other.value == rec.value)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,6 +347,202 @@ mod tests {
         CeConfig, ClientId, ContractCall, SimTime, SmallBankProcedure, Transaction, TxId,
     };
     use tb_workload::{SmallBankConfig, SmallBankWorkload};
+
+    /// The reference verdict: record the re-execution's whole outcome
+    /// through `TrackingState` over the same view, then compare it with the
+    /// declaration, order-insensitively.
+    fn oracle_verdict(
+        p: &PreplayedTx,
+        block: usize,
+        base: &(dyn KvRead + Sync),
+        timeline: &WriteTimeline<'_>,
+    ) -> bool {
+        let session = OracleSession {
+            base,
+            timeline,
+            position: (block, p.order),
+            local_writes: KeyMap::default(),
+        };
+        let mut tracking = tb_contracts::TrackingState::new(session);
+        let Ok(result) = execute_call(&p.tx.call, &mut tracking) else {
+            return false;
+        };
+        let (outcome, _) = tracking.finish();
+        same_access_set(&outcome.read_set, &p.outcome.read_set)
+            && same_access_set(&outcome.write_set, &p.outcome.write_set)
+            && result.return_value == p.outcome.return_value
+            && result.logically_aborted == p.outcome.logically_aborted
+    }
+
+    fn same_access_set(a: &[AccessRecord], b: &[AccessRecord]) -> bool {
+        a.len() == b.len()
+            && a.iter().all(|rec| {
+                b.iter()
+                    .any(|other| other.key == rec.key && other.value == rec.value)
+            })
+    }
+
+    /// The oracle's read view: own writes, over the declared writes before
+    /// `position`, over committed storage.
+    struct OracleSession<'a> {
+        base: &'a (dyn KvRead + Sync),
+        timeline: &'a WriteTimeline<'a>,
+        position: Position,
+        local_writes: KeyMap<Value>,
+    }
+
+    impl StateAccess for OracleSession<'_> {
+        fn read(&mut self, key: Key) -> Result<Value, ExecError> {
+            if let Some(local) = self.local_writes.get(&key) {
+                return Ok(local.clone());
+            }
+            if let Some(value) = self.timeline.value_before(&key, self.position) {
+                return Ok(value.clone());
+            }
+            Ok(self.base.get(&key))
+        }
+
+        fn write(&mut self, key: Key, value: Value) -> Result<(), ExecError> {
+            self.local_writes.insert(key, value);
+            Ok(())
+        }
+    }
+
+    /// [`validate_blocks`] as the oracle computes it, one transaction at a
+    /// time.
+    fn oracle_reports(blocks: &[&[PreplayedTx]], base: &MemStore) -> Vec<ValidationReport> {
+        let timeline = WriteTimeline::build(blocks);
+        blocks
+            .iter()
+            .enumerate()
+            .map(|(block, preplayed)| {
+                let well_ordered = orders_are_distinct(preplayed);
+                let mut mismatches: Vec<TxId> = preplayed
+                    .iter()
+                    .filter(|p| !(well_ordered && oracle_verdict(p, block, base, &timeline)))
+                    .map(|p| p.tx.id)
+                    .collect();
+                mismatches.sort_unstable();
+                ValidationReport {
+                    checked: preplayed.len(),
+                    mismatches,
+                }
+            })
+            .collect()
+    }
+
+    /// A batch of one of the three call kinds — SmallBank, raw KV,
+    /// interpreter `Program`s — over a small hot key pool, and a store
+    /// holding the workload's initial state.
+    fn contended_batch(kind: usize, seed: u64, len: usize) -> (Vec<Transaction>, MemStore) {
+        let store = MemStore::new();
+        let txs = match kind {
+            0 => {
+                let mut workload = SmallBankWorkload::new(SmallBankConfig {
+                    accounts: 8,
+                    theta: 0.9,
+                    n_shards: 1,
+                    seed,
+                    ..SmallBankConfig::default()
+                });
+                store.load(workload.initial_state());
+                workload.batch(len, SimTime::ZERO)
+            }
+            1 => {
+                let mut workload = tb_workload::KvWorkload::new(tb_workload::KvWorkloadConfig {
+                    keys: 12,
+                    ops_per_tx: 3,
+                    n_shards: 1,
+                    seed,
+                    ..tb_workload::KvWorkloadConfig::default()
+                });
+                store.load(workload.initial_state());
+                workload.batch(len, SimTime::ZERO)
+            }
+            _ => {
+                let mut workload =
+                    tb_workload::ContractWorkload::new(tb_workload::ContractWorkloadConfig {
+                        slots: 12,
+                        n_shards: 1,
+                        seed,
+                        ..tb_workload::ContractWorkloadConfig::default()
+                    });
+                store.load(workload.initial_state());
+                workload.batch(len, SimTime::ZERO)
+            }
+        };
+        (txs, store)
+    }
+
+    /// Changes one declared field of `p`: a read value; an extra, missing or
+    /// duplicate read key; a write value; an extra or missing write; the
+    /// return value; the abort flag.
+    fn tamper(p: &mut PreplayedTx, field: usize, forged: i64) {
+        let outcome = &mut p.outcome;
+        let stranger = AccessRecord::new(Key::scratch(1 << 40), Value::int(forged));
+        match field {
+            0 => outcome
+                .read_set
+                .iter_mut()
+                .for_each(|r| r.value = Value::int(forged)),
+            1 => outcome.read_set.push(stranger),
+            2 => drop(outcome.read_set.pop()),
+            3 => {
+                if let Some(first) = outcome.read_set.first().cloned() {
+                    outcome.read_set.push(first);
+                }
+            }
+            4 => outcome
+                .write_set
+                .iter_mut()
+                .for_each(|r| r.value = Value::int(forged)),
+            5 => outcome.write_set.push(stranger),
+            6 => drop(outcome.write_set.pop()),
+            7 => outcome.return_value = Value::int(forged),
+            _ => outcome.logically_aborted = !outcome.logically_aborted,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Checking while executing reaches the recording oracle's verdict
+        /// on two chained blocks with one tampered declaration, for every
+        /// call kind and tampered field, at one validator and at several.
+        #[test]
+        fn check_while_executing_matches_the_recording_oracle(
+            kind in 0usize..3,
+            seed in 0u64..1_000,
+            len in 2usize..40,
+            field in 0usize..9,
+            victim in 0usize..64,
+            forged in -3i64..3,
+            validators in 2usize..9,
+        ) {
+            let (txs, store) = contended_batch(kind, seed, len);
+            let ce = ConcurrentExecutor::new(CeConfig::new(1, len).without_synthetic_cost());
+            let scratch = MemStore::new();
+            scratch.load(store.snapshot().iter().map(|(k, v)| (*k, v.value.clone())));
+            let mut blocks: Vec<Vec<PreplayedTx>> = txs
+                .chunks(len.div_ceil(2))
+                .map(|half| {
+                    let result = ce.preplay(half, &scratch);
+                    result.apply_to(&scratch);
+                    result.preplayed
+                })
+                .collect();
+            let victim = victim % len;
+            let (block, index) = (victim / len.div_ceil(2), victim % len.div_ceil(2));
+            tamper(&mut blocks[block][index], field, forged);
+
+            let run: Vec<&[PreplayedTx]> = blocks.iter().map(Vec::as_slice).collect();
+            let oracle = oracle_reports(&run, &store);
+            for validators in [1, validators] {
+                let reports = validate_blocks(&run, &store, &ValidationConfig::new(validators));
+                proptest::prop_assert_eq!(&reports, &oracle);
+            }
+        }
+    }
 
     fn funded_store(accounts: u64) -> MemStore {
         let store = MemStore::new();

@@ -7,7 +7,12 @@ use crate::time::SimTime;
 /// baseline executors.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CeConfig {
-    /// Number of executor workers executing transactions in parallel.
+    /// Number of executor workers executing transactions in parallel,
+    /// clamped to the host's cores and to the batch size. With one worker
+    /// the concurrent executor preplays in a single serial pass, with no
+    /// concurrency controller; with more, the workers speculate through
+    /// the controller and the same serial pass then repairs what they
+    /// serialized against batch order. Both emit the identical batch.
     pub executors: usize,
     /// Number of transactions per preplay batch (the paper evaluates 300 and
     /// 500).
