@@ -194,6 +194,10 @@ pub struct RunReport {
     /// non-zero value means the fault schedule outlived the run — the
     /// scenario did not test what it claimed to.
     pub faults_unapplied: u64,
+    /// The part of `total_latency_secs` the committed transactions spent in
+    /// their proposer's client queue (submission to block creation); the
+    /// rest is propose to commit.
+    pub total_queue_wait_secs: f64,
 }
 
 impl Wire for RunReport {
@@ -226,6 +230,7 @@ impl Wire for RunReport {
         w.put_u64(self.bytes_delivered);
         w.put_u64(self.faults_applied);
         w.put_u64(self.faults_unapplied);
+        w.put_f64(self.total_queue_wait_secs);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -258,6 +263,7 @@ impl Wire for RunReport {
             bytes_delivered: r.u64()?,
             faults_applied: r.u64()?,
             faults_unapplied: r.u64()?,
+            total_queue_wait_secs: r.f64()?,
         })
     }
 }
@@ -278,6 +284,17 @@ impl RunReport {
             return 0.0;
         }
         self.total_latency_secs / self.committed_txs as f64
+    }
+
+    /// Average time a committed transaction waited in its proposer's client
+    /// queue, in seconds: the first part of [`avg_latency_secs`].
+    ///
+    /// [`avg_latency_secs`]: RunReport::avg_latency_secs
+    pub fn avg_queue_wait_secs(&self) -> f64 {
+        if self.committed_txs == 0 {
+            return 0.0;
+        }
+        self.total_queue_wait_secs / self.committed_txs as f64
     }
 
     /// Average commit-to-commit runtime per leader round, over windows of
@@ -329,13 +346,15 @@ impl RunReport {
             format!("{} [{}]", self.label, self.workload)
         };
         format!(
-            "{}: {} replicas, {} txs committed in {} ({:.0} tps, avg latency {:.3}s, {} reconfigs)",
+            "{}: {} replicas, {} txs committed in {} ({:.0} tps, avg latency {:.3}s \
+             of which {:.3}s queued, {} reconfigs)",
             scenario,
             self.replicas,
             self.committed_txs,
             self.duration,
             self.throughput_tps(),
             self.avg_latency_secs(),
+            self.avg_queue_wait_secs(),
             self.reconfigurations
         )
     }
@@ -352,6 +371,7 @@ mod tests {
             committed_txs: 1_000,
             duration: SimTime::from_secs(2),
             total_latency_secs: 500.0,
+            total_queue_wait_secs: 100.0,
             round_commits: (0..5)
                 .map(|i| RoundCommitSample {
                     dag: 0,
@@ -369,7 +389,9 @@ mod tests {
         let report = sample_report();
         assert!((report.throughput_tps() - 500.0).abs() < 1e-9);
         assert!((report.avg_latency_secs() - 0.5).abs() < 1e-9);
+        assert!((report.avg_queue_wait_secs() - 0.1).abs() < 1e-9);
         assert!(report.summary().contains("500 tps"));
+        assert!(report.summary().contains("0.500s of which 0.100s queued"));
     }
 
     #[test]
@@ -377,6 +399,7 @@ mod tests {
         let report = RunReport::default();
         assert_eq!(report.throughput_tps(), 0.0);
         assert_eq!(report.avg_latency_secs(), 0.0);
+        assert_eq!(report.avg_queue_wait_secs(), 0.0);
         assert!(report.per_round_runtime(100).is_empty());
     }
 

@@ -111,6 +111,8 @@ pub struct ReplicaMetrics {
     pub reconfigurations: u64,
     /// Summed commit latencies in seconds.
     pub total_latency_secs: f64,
+    /// The part of `total_latency_secs` spent in proposer client queues.
+    pub total_queue_wait_secs: f64,
     /// Histogram of per-transaction commit latencies.
     pub latency_hist: LatencyHistogram,
     /// Wall-clock time the validation stage was busy.
@@ -146,6 +148,7 @@ impl Default for ReplicaMetrics {
             reexecutions: 0,
             reconfigurations: 0,
             total_latency_secs: 0.0,
+            total_queue_wait_secs: 0.0,
             latency_hist: LatencyHistogram::default(),
             validate_busy: Duration::ZERO,
             apply_busy: Duration::ZERO,
@@ -374,6 +377,7 @@ impl Replica {
             reconfigurations: self.metrics.reconfigurations,
             duration,
             total_latency_secs: self.metrics.total_latency_secs,
+            total_queue_wait_secs: self.metrics.total_queue_wait_secs,
             latency_p50_secs: self.metrics.latency_hist.quantile_secs(0.5),
             latency_p99_secs: self.metrics.latency_hist.quantile_secs(0.99),
             validate_busy_secs: self.metrics.validate_busy.as_secs_f64(),
@@ -1014,6 +1018,7 @@ impl Replica {
             self.metrics.cross_shard_txs += output.cross_shard_committed as u64;
             self.metrics.invalid_blocks += output.invalid_blocks as u64;
             self.metrics.total_latency_secs += output.total_latency_secs;
+            self.metrics.total_queue_wait_secs += output.total_queue_wait_secs;
             self.metrics.validate_busy += output.stage_validate;
             self.metrics.apply_busy += output.stage_apply;
             self.metrics.execute_busy += output.stage_execute;

@@ -16,8 +16,9 @@
 //! finalize** (the same shape oskr uses to verify messages in parallel):
 //!
 //! 1. *Fan-out.* Each transaction's re-execution depends only on the run's
-//!    immutable write timeline (the per-key index of declared writes,
-//!    ordered by `(block, order)` position) and committed storage, never on
+//!    immutable write timeline (one flat list of the declared writes, grouped
+//!    by key and sorted by `(block, order)` position within each key, plus
+//!    one index from key to group) and committed storage, never on
 //!    another worker's progress, so the per-transaction checks are
 //!    embarrassingly parallel. The transactions of all blocks are flattened
 //!    and chunked across at most
@@ -38,6 +39,7 @@
 //! See `docs/PIPELINE.md` for how this stage slots into the commit pipeline.
 
 use crate::traits::synthetic_work;
+use std::ops::Range;
 use std::sync::Mutex;
 use tb_contracts::{execute_call, ExecError, StateAccess};
 use tb_storage::KvRead;
@@ -91,38 +93,72 @@ impl ValidationReport {
 /// Where a transaction sits in a run of blocks: `(block index, order)`.
 type Position = (usize, u32);
 
-/// The per-key timeline of the writes a run of blocks declares, sorted by
-/// position. A transaction's read of a key resolves to the latest declared
-/// write before it, or to committed storage if there is none.
+/// The timeline of the writes a run of blocks declares: one flat list in
+/// which each written key's writes are a contiguous run sorted by position,
+/// and an index from each key to its run. A transaction's read of a key
+/// resolves to the latest declared write before it, or to committed storage
+/// if there is none.
 struct WriteTimeline<'a> {
-    per_key: KeyMap<Vec<(Position, &'a Value)>>,
+    writes: Vec<(Position, &'a Value)>,
+    runs: KeyMap<Range<usize>>,
 }
 
 impl<'a> WriteTimeline<'a> {
+    /// A counting sort by key: count each key's writes, give each key its
+    /// slice of one list, fill the slices in declaration order, then sort
+    /// each by position. Two allocations however many keys are written.
     fn build(blocks: &[&'a [PreplayedTx]]) -> Self {
-        let mut per_key: KeyMap<Vec<(Position, &'a Value)>> = KeyMap::default();
-        for (block, preplayed) in blocks.iter().enumerate() {
-            for p in *preplayed {
-                for rec in &p.outcome.write_set {
-                    per_key
-                        .entry(rec.key)
-                        .or_default()
-                        .push(((block, p.order), &rec.value));
-                }
-            }
+        let declared = || {
+            blocks.iter().enumerate().flat_map(|(block, preplayed)| {
+                preplayed.iter().flat_map(move |p| {
+                    let position = (block, p.order);
+                    p.outcome
+                        .write_set
+                        .iter()
+                        .map(move |rec| (rec.key, position, &rec.value))
+                })
+            })
+        };
+        let Some((_, _, placeholder)) = declared().next() else {
+            return WriteTimeline {
+                writes: Vec::new(),
+                runs: KeyMap::default(),
+            };
+        };
+        let total = declared().count();
+        let mut runs: KeyMap<Range<usize>> =
+            KeyMap::with_capacity_and_hasher(total, Default::default());
+        for (key, _, _) in declared() {
+            runs.entry(key).or_insert(0..0).end += 1;
         }
-        for timeline in per_key.values_mut() {
-            timeline.sort_by_key(|(position, _)| *position);
+        // Each run starts empty at its offset and grows as it is filled.
+        let mut offset = 0;
+        for run in runs.values_mut() {
+            let len = run.end;
+            *run = offset..offset;
+            offset += len;
         }
-        WriteTimeline { per_key }
+        // Placeholders: the loop below writes every slot exactly once.
+        let mut writes = vec![((0, 0), placeholder); total];
+        for (key, position, value) in declared() {
+            let run = runs.get_mut(&key).expect("every declared key was counted");
+            writes[run.end] = (position, value);
+            run.end += 1;
+        }
+        // Stable: writes a malformed block declares twice at one position
+        // keep their declaration order.
+        for run in runs.values() {
+            writes[run.clone()].sort_by_key(|(position, _)| *position);
+        }
+        WriteTimeline { writes, runs }
     }
 
     /// The value the transaction at `position` should observe for `key`, if
     /// any transaction before it wrote the key.
     fn value_before(&self, key: &Key, position: Position) -> Option<&'a Value> {
-        let timeline = self.per_key.get(key)?;
-        let earlier = timeline.partition_point(|(p, _)| *p < position);
-        earlier.checked_sub(1).map(|last| timeline[last].1)
+        let run = &self.writes[self.runs.get(key)?.clone()];
+        let earlier = run.partition_point(|(p, _)| *p < position);
+        earlier.checked_sub(1).map(|last| run[last].1)
     }
 }
 
@@ -344,7 +380,7 @@ mod tests {
     use tb_contracts::SMALLBANK_DEFAULT_BALANCE;
     use tb_storage::MemStore;
     use tb_types::{
-        CeConfig, ClientId, ContractCall, SimTime, SmallBankProcedure, Transaction, TxId,
+        CeConfig, ClientId, ContractCall, KeyMap, SimTime, SmallBankProcedure, Transaction, TxId,
     };
     use tb_workload::{SmallBankConfig, SmallBankWorkload};
 
@@ -540,6 +576,57 @@ mod tests {
             for validators in [1, validators] {
                 let reports = validate_blocks(&run, &store, &ValidationConfig::new(validators));
                 proptest::prop_assert_eq!(&reports, &oracle);
+            }
+        }
+
+        /// The timeline answers every read as a scan of the declared writes
+        /// would, malformed declarations included: positions repeated within
+        /// a block, and a key written twice at one position (the later
+        /// declaration wins, as it does in the write set).
+        #[test]
+        fn write_timeline_matches_a_scan_of_the_declared_writes(
+            seed in 0u64..1_000,
+            len in 1usize..40,
+            n_blocks in 1usize..4,
+        ) {
+            let (txs, store) = contended_batch(1, seed, len * n_blocks);
+            let ce = ConcurrentExecutor::new(CeConfig::new(1, len).without_synthetic_cost());
+            let mut blocks: Vec<Vec<PreplayedTx>> =
+                txs.chunks(len).map(|chunk| ce.preplay(chunk, &store).preplayed).collect();
+            let mut mix = seed;
+            for (i, p) in blocks.iter_mut().flatten().enumerate() {
+                mix = mix.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(i as u64);
+                p.order = (mix >> 60) as u32 % 5;
+                if let Some(first) = p.outcome.write_set.first().cloned() {
+                    if mix % 3 == 0 {
+                        p.outcome.write_set.push(AccessRecord::new(first.key, Value::int(-(i as i64))));
+                    }
+                }
+            }
+            let run: Vec<&[PreplayedTx]> = blocks.iter().map(Vec::as_slice).collect();
+            let declared: Vec<(Key, Position, &Value)> = run
+                .iter()
+                .enumerate()
+                .flat_map(|(b, preplayed)| preplayed.iter().map(move |p| (b, p)))
+                .flat_map(|(b, p)| p.outcome.write_set.iter().map(move |r| (r.key, (b, p.order), &r.value)))
+                .collect();
+            let timeline = WriteTimeline::build(&run);
+            let mut keys: Vec<Key> = declared.iter().map(|(key, _, _)| *key).collect();
+            keys.push(Key::scratch(1 << 40));
+            for key in keys {
+                for position in (0..=n_blocks).flat_map(|b| (0..6).map(move |o| (b, o))) {
+                    let scan = declared
+                        .iter()
+                        .filter(|(k, at, _)| *k == key && *at < position)
+                        .fold(None, |best: Option<(Position, &Value)>, &(_, at, value)| {
+                            match best {
+                                Some((seen, _)) if seen > at => best,
+                                _ => Some((at, value)),
+                            }
+                        })
+                        .map(|(_, value)| value);
+                    proptest::prop_assert_eq!(timeline.value_before(&key, position), scan);
+                }
             }
         }
     }

@@ -17,6 +17,9 @@ pub struct ZipfianGenerator {
     alpha: f64,
     zetan: f64,
     eta: f64,
+    /// `1 + 0.5^θ`: below `uz` of this the sample is rank 1 (YCSB's
+    /// `zeta2theta`, `1 + 1/2^θ`, computed once instead of per draw).
+    rank1_bound: f64,
     scrambled: bool,
 }
 
@@ -49,6 +52,7 @@ impl ZipfianGenerator {
             alpha,
             zetan,
             eta,
+            rank1_bound: 1.0 + 0.5f64.powf(theta),
             scrambled,
         }
     }
@@ -73,7 +77,7 @@ impl ZipfianGenerator {
         let uz = u * self.zetan;
         let rank = if uz < 1.0 {
             0
-        } else if uz < 1.0 + 0.5f64.powf(self.theta) {
+        } else if uz < self.rank1_bound {
             1
         } else {
             ((self.n as f64) * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64
@@ -172,6 +176,45 @@ mod tests {
         // the mean.
         let max = *hist.iter().max().unwrap() as f64;
         assert!(max > (total as f64 / 1_000.0) * 5.0);
+    }
+
+    /// `next` as it was before the rank-1 bound was hoisted out of it.
+    fn next_recomputing_the_bound(gen: &ZipfianGenerator, rng: &mut StdRng) -> u64 {
+        let u: f64 = rng.gen();
+        let uz = u * gen.zetan;
+        let rank = if uz < 1.0 {
+            0
+        } else if uz < 1.0 + 0.5f64.powf(gen.theta) {
+            1
+        } else {
+            ((gen.n as f64) * (gen.eta * u - gen.eta + 1.0).powf(gen.alpha)) as u64
+        };
+        let rank = rank.min(gen.n - 1);
+        if gen.scrambled {
+            scramble(rank) % gen.n
+        } else {
+            rank
+        }
+    }
+
+    #[test]
+    fn hoisted_rank1_bound_draws_what_the_per_draw_formula_drew() {
+        for n in [1_000, 10_000] {
+            for gen in [
+                ZipfianGenerator::new(n, 0.85),
+                ZipfianGenerator::scrambled(n, 0.85),
+            ] {
+                let mut a = StdRng::seed_from_u64(n);
+                let mut b = StdRng::seed_from_u64(n);
+                for draw in 0..10_000 {
+                    assert_eq!(
+                        gen.next(&mut a),
+                        next_recomputing_the_bound(&gen, &mut b),
+                        "draw {draw} of {gen:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -400,6 +400,7 @@ fn run_reports_roundtrip() {
         bytes_delivered: 36_000,
         faults_applied: 5,
         faults_unapplied: 6,
+        total_queue_wait_secs: 2.25,
     });
     roundtrips(RunReport::default());
 }
