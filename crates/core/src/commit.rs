@@ -438,7 +438,7 @@ mod tests {
     use std::sync::Arc;
     use tb_contracts::SMALLBANK_DEFAULT_BALANCE;
     use tb_dag::DagBuilder;
-    use tb_executor::ConcurrentExecutor;
+    use tb_executor::{BatchExecutor, ConcurrentExecutor};
     use tb_storage::{KvRead, KvWrite, MemStore};
     use tb_types::{
         BlockPayload, CeConfig, ClientId, Committee, ContractCall, DagId, Key, ReplicaId, Round,

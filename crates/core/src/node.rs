@@ -29,7 +29,7 @@ use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 use std::time::{Duration, Instant};
 use tb_network::{RecvError, TcpPeer, TcpTransport, Transport};
 use tb_types::wire::{Wire, WireError, WireReader, WireWriter};
-use tb_types::{CeConfig, ReplicaId, SimTime, StorageBackend, StorageConfig};
+use tb_types::{CeConfig, ReconfigConfig, ReplicaId, SimTime, StorageBackend, StorageConfig};
 use tb_workload::{SmallBankConfig, SmallBankWorkload, Workload};
 
 /// How long a node keeps serving acks and vertices after reaching its own
@@ -69,10 +69,14 @@ pub struct NodeSpec {
     pub executors: u32,
     /// Transactions per block.
     pub batch: u32,
+    /// Re-executions per transaction before the CE runs it alone.
+    pub max_retries: u64,
     /// Validation worker threads.
     pub validators: u32,
     /// Synthetic per-operation cost in nanoseconds (0 for smoke runs).
     pub op_cost_ns: u64,
+    /// Reconfiguration parameters `K` and `K'`.
+    pub reconfig: ReconfigConfig,
     /// Report label (empty string = engine default).
     pub label: String,
     /// Hard wall-clock deadline for the whole run, in milliseconds.
@@ -96,9 +100,11 @@ impl NodeSpec {
         config.use_skip_blocks = self.use_skip_blocks;
         config.system.max_rounds = self.max_rounds;
         let mut ce = CeConfig::new(self.executors as usize, self.batch as usize);
+        ce.max_retries = self.max_retries as usize;
         ce.synthetic_op_cost_ns = self.op_cost_ns;
         config.system.ce = ce;
         config.system.validators = self.validators as usize;
+        config.system.reconfig = self.reconfig;
         config.system.storage = self.storage.clone();
         if !self.label.is_empty() {
             config.label = Some(self.label.clone());
@@ -144,8 +150,11 @@ impl Wire for NodeSpec {
         w.put_u64(self.max_rounds);
         w.put_u32(self.executors);
         w.put_u32(self.batch);
+        w.put_u64(self.max_retries);
         w.put_u32(self.validators);
         w.put_u64(self.op_cost_ns);
+        w.put_u64(self.reconfig.silent_rounds_k);
+        w.put_u64(self.reconfig.period_k_prime);
         self.label.encode(w);
         w.put_u64(self.run_deadline_millis);
         w.put_u64(self.smallbank.accounts);
@@ -195,8 +204,13 @@ impl Wire for NodeSpec {
             max_rounds: r.u64()?,
             executors: r.u32()?,
             batch: r.u32()?,
+            max_retries: r.u64()?,
             validators: r.u32()?,
             op_cost_ns: r.u64()?,
+            reconfig: ReconfigConfig {
+                silent_rounds_k: r.u64()?,
+                period_k_prime: r.u64()?,
+            },
             label: String::decode(r)?,
             run_deadline_millis: r.u64()?,
             smallbank: SmallBankConfig {
@@ -337,8 +351,10 @@ mod tests {
             max_rounds: 8,
             executors: 2,
             batch: 32,
+            max_retries: 9,
             validators: 2,
             op_cost_ns: 0,
+            reconfig: ReconfigConfig::new(3, 7),
             label: "real-net".to_string(),
             run_deadline_millis: 30_000,
             smallbank: SmallBankConfig {
@@ -361,7 +377,9 @@ mod tests {
         assert_eq!(config.mode, ExecutionMode::ThunderboltOcc);
         assert!(config.lockstep);
         assert_eq!(config.system.ce.batch_size, 32);
+        assert_eq!(config.system.ce.max_retries, 9);
         assert_eq!(config.system.validators, 2);
+        assert_eq!(config.system.reconfig, ReconfigConfig::new(3, 7));
         assert_eq!(
             config.system.storage,
             StorageConfig::wal("/tmp/tb-node-test")

@@ -166,10 +166,10 @@ impl Default for ReplicaMetrics {
 pub struct Replica {
     id: ReplicaId,
     committee: Committee,
-    mode: ExecutionMode,
     config: ClusterConfig,
-    ce: ConcurrentExecutor,
-    occ: OccExecutor,
+    /// The preplay engine: the CE for Thunderbolt, OCC for Thunderbolt-OCC,
+    /// none for Tusk, which orders everything before executing it.
+    executor: Option<Box<dyn BatchExecutor>>,
     pipeline: CommitPipeline,
     store: Box<dyn Store>,
     proposer: ShardProposer,
@@ -254,12 +254,15 @@ impl Replica {
             }
         };
         let pipeline = CommitPipeline::with_op_cost(execution, op_cost);
+        let executor: Option<Box<dyn BatchExecutor>> = match config.mode {
+            ExecutionMode::Thunderbolt => Some(Box::new(ConcurrentExecutor::new(config.system.ce))),
+            ExecutionMode::ThunderboltOcc => Some(Box::new(OccExecutor::new(config.system.ce))),
+            ExecutionMode::Tusk => None,
+        };
         Replica {
             id,
             committee,
-            mode: config.mode,
-            ce: ConcurrentExecutor::new(config.system.ce),
-            occ: OccExecutor::new(config.system.ce),
+            executor,
             pipeline,
             store: Self::open_store(id, &config.system.storage),
             proposer: ShardProposer::new(shard, config.system.ce.batch_size),
@@ -433,7 +436,7 @@ impl Replica {
             should_shift: self.should_shift(),
             use_skip_blocks: self.config.use_skip_blocks,
         };
-        let decision = if self.mode == ExecutionMode::Tusk {
+        let decision = if self.executor.is_none() {
             // Tusk has no preplay path: everything is ordered first and
             // executed after consensus. Shift blocks still apply.
             if context.should_shift {
@@ -642,36 +645,20 @@ impl Replica {
     }
 
     /// Preplays a batch of single-shard transactions against committed state
-    /// plus this replica's own uncommitted preplay results.
+    /// plus this replica's own uncommitted preplay results. Without an
+    /// engine (Tusk) nothing is preplayed.
     fn preplay(&mut self, singles: &[Transaction]) -> Vec<PreplayedTx> {
+        let Some(executor) = self.executor.as_deref() else {
+            return Vec::new();
+        };
         if singles.is_empty() {
             return Vec::new();
         }
-        let result = match self.mode {
-            ExecutionMode::Thunderbolt => {
-                let base = OverlayRead {
-                    store: self.store.as_ref(),
-                    overlay: &self.overlay,
-                };
-                self.ce.preplay(singles, &base)
-            }
-            ExecutionMode::ThunderboltOcc => {
-                // OCC preplays against a scratch copy of the committed state
-                // (plus the overlay) and throws the copy away.
-                let scratch = MemStore::new();
-                scratch.load(
-                    self.store
-                        .snapshot()
-                        .iter()
-                        .map(|(k, v)| (*k, v.value.clone())),
-                );
-                for (_, writes) in &self.overlay {
-                    scratch.load(writes.iter().map(|(k, v)| (*k, v.clone())));
-                }
-                self.occ.execute_batch(singles, &scratch)
-            }
-            ExecutionMode::Tusk => unreachable!("Tusk never preplays"),
+        let base = OverlayRead {
+            store: self.store.as_ref(),
+            overlay: &self.overlay,
         };
+        let result = executor.preplay(singles, &base);
         self.metrics.reexecutions += result.reexecutions;
         // Executors return the batch sorted by `order`, so later writes of a
         // key overwrite earlier ones here.
@@ -1719,5 +1706,48 @@ mod tests {
             assert!(replica.metrics().committed_txs >= 40);
             assert_eq!(replica.store().get(&Key::checking(0)), Value::int(960));
         }
+    }
+
+    #[test]
+    fn occ_preplay_through_the_overlay_matches_a_scratch_copy_of_it() {
+        // The oracle is how Thunderbolt-OCC used to preplay: copy committed
+        // state and every overlay round into a scratch store, execute there.
+        let oracle = |replica: &Replica, occ: &OccExecutor, txs: &[Transaction]| {
+            let scratch = MemStore::new();
+            scratch.load(
+                replica
+                    .store
+                    .snapshot()
+                    .iter()
+                    .map(|(k, v)| (*k, v.value.clone())),
+            );
+            for (_, writes) in &replica.overlay {
+                scratch.load(writes.iter().map(|(k, v)| (*k, v.clone())));
+            }
+            occ.execute_batch(txs, &scratch).commit_digest()
+        };
+        let mut cfg = config(4);
+        cfg.mode = ExecutionMode::ThunderboltOcc;
+        cfg.system.ce = CeConfig::new(1, 64).without_synthetic_cost();
+        let occ = OccExecutor::new(cfg.system.ce);
+        let mut replica = Replica::new(ReplicaId::new(0), cfg);
+        replica.load_state(tb_workload::initial_smallbank_state(16, 1_000));
+        // Hot accounts, so every round reads what earlier rounds wrote.
+        let mut workload = tb_workload::SmallBankWorkload::new(tb_workload::SmallBankConfig {
+            accounts: 16,
+            theta: 0.9,
+            n_shards: 1,
+            ..tb_workload::SmallBankConfig::default()
+        });
+        for round in 0..6 {
+            let txs = workload.batch(48, SimTime::ZERO);
+            let expected = oracle(&replica, &occ, &txs);
+            let preplayed = tb_executor::BatchResult {
+                preplayed: replica.preplay(&txs),
+                ..Default::default()
+            };
+            assert_eq!(preplayed.commit_digest(), expected, "round {round}");
+        }
+        assert_eq!(replica.overlay.len(), 6, "six chained overlay rounds");
     }
 }

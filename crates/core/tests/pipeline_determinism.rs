@@ -11,7 +11,7 @@ use std::sync::Arc;
 use tb_core::commit::{CommitPipeline, PostCommitExecution};
 use tb_core::{ClusterConfig, ExecutionMode, Message, Replica};
 use tb_dag::{CommittedSubDag, DagBuilder};
-use tb_executor::ConcurrentExecutor;
+use tb_executor::{BatchExecutor, ConcurrentExecutor};
 use tb_storage::MemStore;
 use tb_types::{
     BlockKind, BlockPayload, CeConfig, ClientId, Committee, ContractCall, DagId, PreplayedTx,

@@ -1,6 +1,6 @@
 //! Batch execution results and statistics.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tb_storage::{KvWrite, MemStore, WriteBatch};
 use tb_types::{AccessRecord, PreplayedTx, TxId, Value};
 
@@ -77,6 +77,28 @@ pub struct BatchResult {
 }
 
 impl BatchResult {
+    /// The result of an engine that emitted `log` — each transaction in
+    /// serialized order with its time from first attempt to commit — after
+    /// `reexecutions` re-executions, in a batch that began at `started`.
+    pub(crate) fn from_log(
+        log: Vec<(PreplayedTx, Duration)>,
+        reexecutions: u64,
+        started: Instant,
+    ) -> Self {
+        let (preplayed, latencies): (Vec<PreplayedTx>, Vec<Duration>) = log.into_iter().unzip();
+        BatchResult {
+            logical_rejections: preplayed
+                .iter()
+                .filter(|p| p.outcome.logically_aborted)
+                .count() as u64,
+            total_latency: latencies.iter().sum(),
+            preplayed,
+            reexecutions,
+            elapsed: started.elapsed(),
+            latencies,
+        }
+    }
+
     /// Number of committed transactions.
     pub fn committed(&self) -> usize {
         self.preplayed.len()

@@ -342,7 +342,7 @@ impl<'a> ConcurrencyController<'a> {
     /// position, plus the total and per-transaction latencies (first
     /// execution attempt to speculative commit). A `None` entry means the
     /// transaction never committed speculatively; the deterministic finalize
-    /// pass in [`ConcurrentExecutor::preplay`](crate::ce::ConcurrentExecutor::preplay)
+    /// pass of [`ConcurrentExecutor`](crate::ce::ConcurrentExecutor)'s preplay
     /// re-executes such entries serially.
     pub fn collect_speculative(
         &self,

@@ -29,11 +29,11 @@ use crate::cc::controller::{ConcurrencyController, FinishStatus};
 use crate::cc::graph::TxIdx;
 use crate::pool::{self, Backoff};
 use crate::traits::{effective_workers, synthetic_work, BatchExecutor};
-use crossbeam::queue::SegQueue;
 use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 use tb_contracts::{execute_call, ExecError, StateAccess};
-use tb_storage::{KvRead, MemStore};
+use tb_storage::KvRead;
 use tb_types::{CeConfig, ExecOutcome, Key, KeyMap, PreplayedTx, Transaction, Value};
 
 /// The Thunderbolt concurrent executor.
@@ -53,33 +53,6 @@ impl ConcurrentExecutor {
         &self.config
     }
 
-    /// Preplays a batch of transactions against the committed state in
-    /// `base` **without** applying any writes: the results live only in the
-    /// returned [`BatchResult`], exactly like the preplay outcomes a shard
-    /// proposer ships inside its block (Figure 3, step 1).
-    pub fn preplay(&self, txs: &[Transaction], base: &(dyn KvRead + Sync)) -> BatchResult {
-        let started = Instant::now();
-        let workers = effective_workers(self.config.executors).min(txs.len());
-        let op_cost = self.config.synthetic_op_cost_ns;
-        let (preplayed, reexecutions, latencies) = if workers <= 1 {
-            finalize_batch(txs, std::iter::repeat_with(|| None), base, op_cost)
-        } else {
-            self.speculate_and_finalize(txs, base, workers)
-        };
-        let logical_rejections = preplayed
-            .iter()
-            .filter(|p| p.outcome.logically_aborted)
-            .count() as u64;
-        BatchResult {
-            preplayed,
-            reexecutions,
-            logical_rejections,
-            elapsed: started.elapsed(),
-            total_latency: latencies.iter().sum(),
-            latencies,
-        }
-    }
-
     /// Speculation through the controller on `workers` pool slots, then
     /// [`finalize_batch`]; latencies run from first attempt to commit.
     fn speculate_and_finalize(
@@ -91,10 +64,7 @@ impl ConcurrentExecutor {
         let controller = ConcurrencyController::new(base);
         controller.register_batch(txs);
 
-        let queue: SegQueue<TxIdx> = SegQueue::new();
-        for idx in 0..txs.len() {
-            queue.push(idx);
-        }
+        let queue: Mutex<VecDeque<TxIdx>> = Mutex::new((0..txs.len()).collect());
         // Transactions that exceeded the retry budget; they are executed
         // serially once the parallel phase has drained, which is guaranteed
         // to succeed because no concurrent transaction can abort them then.
@@ -106,7 +76,10 @@ impl ConcurrentExecutor {
         pool::global().run(workers, &|_slot| {
             let mut backoff = Backoff::new();
             loop {
-                match queue.pop() {
+                // Bound first: a guard in the `match` scrutinee would hold
+                // the queue lock for the whole attempt.
+                let next = queue.lock().pop_front();
+                match next {
                     Some(idx) => {
                         backoff.reset();
                         if controller.retries(idx) > max_retries {
@@ -119,13 +92,11 @@ impl ConcurrentExecutor {
                         let aborted = controller.take_aborted();
                         if !aborted.is_empty() {
                             backoff.reset();
-                            for idx in aborted {
-                                queue.push(idx);
-                            }
+                            queue.lock().extend(aborted);
                             continue;
                         }
                         let done = controller.committed_count() + deferred.lock().len();
-                        if done >= txs.len() && queue.is_empty() {
+                        if done >= txs.len() && queue.lock().is_empty() {
                             break;
                         }
                         backoff.wait();
@@ -296,10 +267,27 @@ impl BatchExecutor for ConcurrentExecutor {
         ExecutorKind::ConcurrentExecutor
     }
 
-    fn execute_batch(&self, txs: &[Transaction], store: &MemStore) -> BatchResult {
-        let result = self.preplay(txs, store);
-        result.apply_to(store);
-        result
+    fn preplay(&self, txs: &[Transaction], base: &(dyn KvRead + Sync)) -> BatchResult {
+        let started = Instant::now();
+        let workers = effective_workers(self.config.executors).min(txs.len());
+        let op_cost = self.config.synthetic_op_cost_ns;
+        let (preplayed, reexecutions, latencies) = if workers <= 1 {
+            finalize_batch(txs, std::iter::repeat_with(|| None), base, op_cost)
+        } else {
+            self.speculate_and_finalize(txs, base, workers)
+        };
+        let logical_rejections = preplayed
+            .iter()
+            .filter(|p| p.outcome.logically_aborted)
+            .count() as u64;
+        BatchResult {
+            preplayed,
+            reexecutions,
+            logical_rejections,
+            elapsed: started.elapsed(),
+            total_latency: latencies.iter().sum(),
+            latencies,
+        }
     }
 }
 
@@ -355,7 +343,7 @@ impl StateAccess for CcSession<'_, '_> {
 mod tests {
     use super::*;
     use tb_contracts::SMALLBANK_DEFAULT_BALANCE;
-    use tb_storage::KvRead;
+    use tb_storage::MemStore;
     use tb_types::{ClientId, ContractCall, SimTime, SmallBankProcedure, TxId};
     use tb_workload::{SmallBankConfig, SmallBankWorkload};
 

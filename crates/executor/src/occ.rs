@@ -1,21 +1,23 @@
 //! Optimistic concurrency control (paper Section 11.1).
 //!
-//! Each executor runs a transaction locally: reads fetch versioned values
-//! from the store, writes stay in a transaction-private buffer. On
+//! Executors on the shared [`pool`] claim transactions and run them locally:
+//! reads fetch versioned values from the writes committed earlier in the
+//! batch over the read view, writes stay in a transaction-private buffer. On
 //! completion the executor hands the read versions and the write buffer to a
-//! central verifier, which re-checks every read version against the current
-//! store; a mismatch rejects the commit and the transaction is re-executed.
-//! Valid transactions apply their writes while still holding the verifier
-//! lock, which is what makes commits atomic.
+//! central verifier, which re-checks every read version against the batch's
+//! committed writes; a mismatch rejects the commit and the transaction is
+//! re-executed. Valid transactions commit their writes into a batch-local
+//! store while still holding the verifier lock, which is what makes commits
+//! atomic; the read view itself is never written.
 
 use crate::batch::{BatchResult, ExecutorKind};
-use crate::traits::{synthetic_work, BatchExecutor};
-use crossbeam::queue::SegQueue;
+use crate::pool;
+use crate::traits::{read_committed, synthetic_work, BatchExecutor};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use tb_contracts::{execute_call, ExecError, StateAccess, TrackingState};
-use tb_storage::{KvRead, KvWrite, MemStore};
+use tb_storage::{KvRead, MemStore};
 use tb_types::{CeConfig, Key, KeyMap, PreplayedTx, Transaction, Value};
 
 /// The OCC baseline executor.
@@ -44,21 +46,11 @@ impl Default for OccExecutor {
 
 /// Transaction-private session: optimistic reads, buffered writes.
 struct OccSession<'a> {
-    store: &'a MemStore,
+    committed: &'a MemStore,
+    base: &'a (dyn KvRead + Sync),
     read_versions: KeyMap<u64>,
     writes: KeyMap<Value>,
     op_cost: u64,
-}
-
-impl<'a> OccSession<'a> {
-    fn new(store: &'a MemStore, op_cost: u64) -> Self {
-        OccSession {
-            store,
-            read_versions: KeyMap::default(),
-            writes: KeyMap::default(),
-            op_cost,
-        }
-    }
 }
 
 impl StateAccess for OccSession<'_> {
@@ -67,7 +59,7 @@ impl StateAccess for OccSession<'_> {
         if let Some(local) = self.writes.get(&key) {
             return Ok(local.clone());
         }
-        let versioned = self.store.get_versioned(&key);
+        let versioned = read_committed(self.committed, self.base, &key);
         self.read_versions.entry(key).or_insert(versioned.version);
         Ok(versioned.value)
     }
@@ -84,93 +76,53 @@ impl BatchExecutor for OccExecutor {
         ExecutorKind::Occ
     }
 
-    fn execute_batch(&self, txs: &[Transaction], store: &MemStore) -> BatchResult {
+    fn preplay(&self, txs: &[Transaction], base: &(dyn KvRead + Sync)) -> BatchResult {
         let started = Instant::now();
-        if txs.is_empty() {
-            return BatchResult::default();
-        }
-        let queue: SegQueue<usize> = SegQueue::new();
-        for idx in 0..txs.len() {
-            queue.push(idx);
-        }
+        let committed = MemStore::new();
+        // The central verifier: validation and commit happen under this
+        // lock, and the log's length is the next commit's order.
+        let verifier: Mutex<Vec<(PreplayedTx, Duration)>> =
+            Mutex::new(Vec::with_capacity(txs.len()));
         let reexecutions = AtomicU64::new(0);
-        let remaining = AtomicU64::new(txs.len() as u64);
-        // The central verifier: validation + commit happen under this lock.
-        let verifier: Mutex<Vec<Option<(PreplayedTx, Duration)>>> =
-            Mutex::new((0..txs.len()).map(|_| None).collect());
-        let commit_counter = AtomicU64::new(0);
         let op_cost = self.config.synthetic_op_cost_ns;
-        let workers = self.config.executors.max(1);
 
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    while let Some(idx) = queue.pop() {
-                        let tx = &txs[idx];
-                        let tx_started = Instant::now();
-                        let mut attempts = 0u64;
-                        loop {
-                            attempts += 1;
-                            let mut tracking = TrackingState::new(OccSession::new(store, op_cost));
-                            let result = execute_call(&tx.call, &mut tracking)
-                                .expect("the OCC session never aborts mid-execution");
-                            let (mut outcome, session) = tracking.finish();
-                            outcome.return_value = result.return_value;
-                            outcome.logically_aborted = result.logically_aborted;
-
-                            // Validation + commit under the verifier lock.
-                            let mut slots = verifier.lock();
-                            let valid = session
-                                .read_versions
-                                .iter()
-                                .all(|(key, version)| store.get_versioned(key).version == *version);
-                            if valid {
-                                for (key, value) in &session.writes {
-                                    store.put(*key, value.clone());
-                                }
-                                let order = commit_counter.fetch_add(1, Ordering::Relaxed) as u32;
-                                slots[idx] = Some((
-                                    PreplayedTx::new(tx.clone(), outcome, order),
-                                    tx_started.elapsed(),
-                                ));
-                                drop(slots);
-                                remaining.fetch_sub(1, Ordering::Relaxed);
-                                if attempts > 1 {
-                                    reexecutions.fetch_add(attempts - 1, Ordering::Relaxed);
-                                }
-                                break;
-                            }
-                            drop(slots);
-                            // Validation failed: re-execute from scratch.
-                        }
-                    }
+        pool::for_each_index(self.config.executors, txs.len(), &|idx| {
+            let tx = &txs[idx];
+            let tx_started = Instant::now();
+            loop {
+                let mut tracking = TrackingState::new(OccSession {
+                    committed: &committed,
+                    base,
+                    read_versions: KeyMap::default(),
+                    writes: KeyMap::default(),
+                    op_cost,
                 });
+                let result = execute_call(&tx.call, &mut tracking)
+                    .expect("the OCC session never aborts mid-execution");
+                let (mut outcome, session) = tracking.finish();
+                outcome.return_value = result.return_value;
+                outcome.logically_aborted = result.logically_aborted;
+
+                let mut log = verifier.lock();
+                let valid = session
+                    .read_versions
+                    .iter()
+                    .all(|(key, version)| committed.get_versioned(key).version == *version);
+                if valid {
+                    committed.load(session.writes);
+                    let order = log.len() as u32;
+                    log.push((
+                        PreplayedTx::new(tx.clone(), outcome, order),
+                        tx_started.elapsed(),
+                    ));
+                    return;
+                }
+                drop(log);
+                // Validation failed: re-execute from scratch.
+                reexecutions.fetch_add(1, Ordering::Relaxed);
             }
         });
-        debug_assert_eq!(remaining.load(Ordering::Relaxed), 0);
-
-        let slots = verifier.into_inner();
-        let mut total_latency = Duration::ZERO;
-        let mut latencies = Vec::with_capacity(txs.len());
-        let mut preplayed: Vec<PreplayedTx> = Vec::with_capacity(txs.len());
-        let mut logical_rejections = 0;
-        for slot in slots.into_iter().flatten() {
-            total_latency += slot.1;
-            latencies.push(slot.1);
-            if slot.0.outcome.logically_aborted {
-                logical_rejections += 1;
-            }
-            preplayed.push(slot.0);
-        }
-        preplayed.sort_by_key(|p| p.order);
-        BatchResult {
-            preplayed,
-            reexecutions: reexecutions.into_inner(),
-            logical_rejections,
-            elapsed: started.elapsed(),
-            total_latency,
-            latencies,
-        }
+        BatchResult::from_log(verifier.into_inner(), reexecutions.into_inner(), started)
     }
 }
 

@@ -1,12 +1,12 @@
 //! A shared, long-lived worker pool for batch-parallel stages.
 //!
-//! CE preplay and post-consensus validation are invoked once per block, and
-//! both used to spawn a fresh `std::thread::scope` for every batch — paying
-//! thread creation and teardown thousands of times per run. This module
-//! replaces that with one process-wide pool of parked helper threads
-//! ([`global`]): a stage submits a *job* of `slots` independent tasks, idle
-//! helpers wake up and claim slots, and the submitting thread participates
-//! too, blocking until every slot has finished.
+//! Preplay (every engine) and post-consensus validation are invoked once per
+//! block, and both used to spawn a fresh `std::thread::scope` for every
+//! batch — paying thread creation and teardown thousands of times per run.
+//! This module replaces that with one process-wide pool of parked helper
+//! threads ([`global`]): a stage submits a *job* of `slots` independent
+//! tasks, idle helpers wake up and claim slots, and the submitting thread
+//! participates too, blocking until every slot has finished.
 //!
 //! # Design notes
 //!
@@ -31,7 +31,7 @@
 //! thread once the job completes, mirroring the propagation a scoped join
 //! would give.
 
-use crate::traits::available_cores;
+use crate::traits::{available_cores, effective_workers};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -228,6 +228,21 @@ fn helper_loop(shared: &Shared) {
 pub fn global() -> &'static WorkerPool {
     static POOL: OnceLock<WorkerPool> = OnceLock::new();
     POOL.get_or_init(|| WorkerPool::start(available_cores().saturating_sub(1)))
+}
+
+/// Runs `task(idx)` once for every `idx` in `0..len` on
+/// `effective_workers(requested)` slots of the [`global`] pool (never more
+/// slots than indices). Each slot claims the next index from a shared
+/// cursor, so one slow index never holds up the others.
+pub(crate) fn for_each_index(requested: usize, len: usize, task: &(dyn Fn(usize) + Sync)) {
+    let cursor = AtomicUsize::new(0);
+    global().run(effective_workers(requested).min(len), &|_slot| loop {
+        let idx = cursor.fetch_add(1, Ordering::Relaxed);
+        if idx >= len {
+            break;
+        }
+        task(idx);
+    });
 }
 
 /// Escalating wait for loops that poll a shared queue and cannot park

@@ -7,13 +7,13 @@
 
 use crate::batch::{BatchResult, ExecutorKind};
 use crate::traits::{synthetic_work, BatchExecutor};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use tb_contracts::{execute_call, ExecError, StateAccess, TrackingState};
-use tb_storage::{KvRead, KvWrite, MemStore};
-use tb_types::{CeConfig, Key, PreplayedTx, Transaction, Value};
+use tb_storage::KvRead;
+use tb_types::{CeConfig, Key, KeyMap, PreplayedTx, Transaction, Value};
 
-/// Executes transactions serially, applying each transaction's writes before
-/// the next one starts.
+/// Executes transactions serially, each one seeing the writes of those
+/// before it.
 #[derive(Clone, Debug, Default)]
 pub struct SerialExecutor {
     /// Synthetic per-operation cost, matching the other engines so that
@@ -35,21 +35,28 @@ impl SerialExecutor {
     }
 }
 
-/// Session reading from / writing straight to the store.
+/// Session over the batch's writes so far (`overlay`) over the read view:
+/// writes land in the overlay at once, where the next read — of this
+/// transaction or a later one — finds them.
 struct SerialSession<'a> {
-    store: &'a MemStore,
+    base: &'a (dyn KvRead + Sync),
+    overlay: &'a mut KeyMap<Value>,
     op_cost: u64,
 }
 
 impl StateAccess for SerialSession<'_> {
     fn read(&mut self, key: Key) -> Result<Value, ExecError> {
         synthetic_work(self.op_cost);
-        Ok(self.store.get(&key))
+        Ok(self
+            .overlay
+            .get(&key)
+            .cloned()
+            .unwrap_or_else(|| self.base.get(&key)))
     }
 
     fn write(&mut self, key: Key, value: Value) -> Result<(), ExecError> {
         synthetic_work(self.op_cost);
-        self.store.put(key, value);
+        self.overlay.insert(key, value);
         Ok(())
     }
 }
@@ -59,46 +66,35 @@ impl BatchExecutor for SerialExecutor {
         ExecutorKind::Serial
     }
 
-    fn execute_batch(&self, txs: &[Transaction], store: &MemStore) -> BatchResult {
+    fn preplay(&self, txs: &[Transaction], base: &(dyn KvRead + Sync)) -> BatchResult {
         let started = Instant::now();
-        let mut preplayed = Vec::with_capacity(txs.len());
-        let mut total_latency = Duration::ZERO;
-        let mut latencies = Vec::with_capacity(txs.len());
-        let mut logical_rejections = 0;
+        let mut overlay = KeyMap::default();
+        let mut log = Vec::with_capacity(txs.len());
         for (order, tx) in txs.iter().enumerate() {
             let tx_started = Instant::now();
-            let session = SerialSession {
-                store,
+            let mut tracking = TrackingState::new(SerialSession {
+                base,
+                overlay: &mut overlay,
                 op_cost: self.op_cost_ns,
-            };
-            let mut tracking = TrackingState::new(session);
+            });
             let result =
                 execute_call(&tx.call, &mut tracking).expect("serial execution never aborts");
             let (mut outcome, _) = tracking.finish();
             outcome.return_value = result.return_value;
             outcome.logically_aborted = result.logically_aborted;
-            if outcome.logically_aborted {
-                logical_rejections += 1;
-            }
-            let latency = tx_started.elapsed();
-            total_latency += latency;
-            latencies.push(latency);
-            preplayed.push(PreplayedTx::new(tx.clone(), outcome, order as u32));
+            log.push((
+                PreplayedTx::new(tx.clone(), outcome, order as u32),
+                tx_started.elapsed(),
+            ));
         }
-        BatchResult {
-            preplayed,
-            reexecutions: 0,
-            logical_rejections,
-            elapsed: started.elapsed(),
-            total_latency,
-            latencies,
-        }
+        BatchResult::from_log(log, 0, started)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tb_storage::{KvWrite, MemStore};
     use tb_types::{ClientId, ContractCall, SimTime, SmallBankProcedure, TxId};
 
     fn payment(id: u64, from: u64, to: u64, amount: i64) -> Transaction {

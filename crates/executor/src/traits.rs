@@ -2,21 +2,35 @@
 
 use crate::batch::{BatchResult, ExecutorKind};
 use std::sync::OnceLock;
-use tb_storage::MemStore;
-use tb_types::Transaction;
+use tb_storage::{KvRead, MemStore, Versioned};
+use tb_types::{Key, Transaction};
 
 /// A transaction execution engine that processes whole batches.
 ///
 /// The concurrent executor, the OCC and 2PL-No-Wait baselines and the serial
-/// executor all implement this trait, so the evaluation harness (Figures 11
-/// and 12) can sweep over engines generically.
+/// executor all implement this trait, so a replica can preplay with any of
+/// them and the evaluation harness (Figures 11 and 12) can sweep over
+/// engines generically. An engine only ever *reads* state: its one required
+/// method, [`BatchExecutor::preplay`], returns the batch's effects instead
+/// of writing them, and only a commit path writes a store.
 pub trait BatchExecutor: Send + Sync {
     /// Which engine this is (used for labelling results).
     fn kind(&self) -> ExecutorKind;
 
-    /// Executes the batch against `store`, leaving the store updated with the
-    /// batch's effects, and returns the per-batch result and statistics.
-    fn execute_batch(&self, txs: &[Transaction], store: &MemStore) -> BatchResult;
+    /// Preplays the batch against the read view `base` **without** writing
+    /// anything: the serialized order, read/write sets and results live only
+    /// in the returned [`BatchResult`], exactly like the preplay outcomes a
+    /// shard proposer ships inside its block (Figure 3, step 1). `base` must
+    /// not change while the call runs.
+    fn preplay(&self, txs: &[Transaction], base: &(dyn KvRead + Sync)) -> BatchResult;
+
+    /// Preplays the batch against `store`, then applies the result to it in
+    /// serialized order: the standalone engine of the executor experiments.
+    fn execute_batch(&self, txs: &[Transaction], store: &MemStore) -> BatchResult {
+        let result = self.preplay(txs, store);
+        result.apply_to(store);
+        result
+    }
 
     /// Human-readable engine label.
     fn label(&self) -> &'static str {
@@ -49,6 +63,24 @@ pub fn available_cores() -> usize {
 /// single-core CI runner instead of oversubscribing it.
 pub fn effective_workers(requested: usize) -> usize {
     requested.clamp(1, available_cores())
+}
+
+/// What the OCC and 2PL-No-Wait engines read for `key` mid-batch: the writes
+/// committed earlier in the batch, held in the batch-local `committed` store,
+/// over `base`. The version is the key's version in `committed` — zero until
+/// a transaction of this batch commits a write to it — which is all a read
+/// needs to stay checkable, because `base` cannot change during a batch.
+pub(crate) fn read_committed(
+    committed: &MemStore,
+    base: &(dyn KvRead + Sync),
+    key: &Key,
+) -> Versioned {
+    let local = committed.get_versioned(key);
+    if local.version == 0 {
+        Versioned::new(base.get(key), 0)
+    } else {
+        local
+    }
 }
 
 /// Spin-waits for approximately `nanos` nanoseconds.

@@ -1,20 +1,23 @@
 //! 2PL-No-Wait (paper Section 11.1).
 //!
-//! Executors acquire read/write locks through a central lock table as they
-//! touch keys. If a lock cannot be granted immediately, the transaction
-//! releases everything it holds and re-executes from scratch (the "no wait"
-//! policy, which trades aborts for deadlock freedom). Writes are buffered and
-//! applied to the store at commit time, before the locks are released.
+//! Executors on the shared [`pool`] claim transactions and acquire read/write
+//! locks through a central lock table as they touch keys. If a lock cannot
+//! be granted immediately, the transaction releases everything it holds and
+//! re-executes from scratch (the "no wait" policy, which trades aborts for
+//! deadlock freedom). Reads see the writes committed earlier in the batch
+//! over the read view. Writes are buffered and committed into a batch-local
+//! store, and the commit takes its place in the serialized order, before
+//! the locks are released.
 
 use crate::batch::{BatchResult, ExecutorKind};
 use crate::cc::graph::TxSet;
-use crate::traits::{synthetic_work, BatchExecutor};
-use crossbeam::queue::SegQueue;
+use crate::pool;
+use crate::traits::{read_committed, synthetic_work, BatchExecutor};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use tb_contracts::{execute_call, ExecError, StateAccess, TrackingState};
-use tb_storage::{KvRead, KvWrite, MemStore};
+use tb_storage::{KvRead, MemStore};
 use tb_types::{CeConfig, Key, KeyMap, PreplayedTx, Transaction, Value};
 
 /// Lock modes in the central lock table.
@@ -112,7 +115,8 @@ impl Default for TwoPlNoWaitExecutor {
 
 /// Per-attempt session: acquires locks as keys are touched.
 struct TwoPlSession<'a> {
-    store: &'a MemStore,
+    committed: &'a MemStore,
+    base: &'a (dyn KvRead + Sync),
     table: &'a LockTable,
     owner: usize,
     writes: KeyMap<Value>,
@@ -128,7 +132,7 @@ impl StateAccess for TwoPlSession<'_> {
         if !self.table.lock_shared(key, self.owner) {
             return Err(ExecError::aborted(format!("read lock on {key} denied")));
         }
-        Ok(self.store.get(&key))
+        Ok(read_committed(self.committed, self.base, &key).value)
     }
 
     fn write(&mut self, key: Key, value: Value) -> Result<(), ExecError> {
@@ -146,97 +150,59 @@ impl BatchExecutor for TwoPlNoWaitExecutor {
         ExecutorKind::TwoPlNoWait
     }
 
-    fn execute_batch(&self, txs: &[Transaction], store: &MemStore) -> BatchResult {
+    fn preplay(&self, txs: &[Transaction], base: &(dyn KvRead + Sync)) -> BatchResult {
         let started = Instant::now();
-        if txs.is_empty() {
-            return BatchResult::default();
-        }
-        let queue: SegQueue<usize> = SegQueue::new();
-        for idx in 0..txs.len() {
-            queue.push(idx);
-        }
+        let committed = MemStore::new();
         let table = LockTable::new();
+        // The commit log: its length is the next commit's order.
+        let log: Mutex<Vec<(PreplayedTx, Duration)>> = Mutex::new(Vec::with_capacity(txs.len()));
         let reexecutions = AtomicU64::new(0);
-        let commit_counter = AtomicU64::new(0);
-        let slots: Mutex<Vec<Option<(PreplayedTx, Duration)>>> =
-            Mutex::new((0..txs.len()).map(|_| None).collect());
         let op_cost = self.config.synthetic_op_cost_ns;
-        let workers = self.config.executors.max(1);
 
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    while let Some(idx) = queue.pop() {
-                        let tx = &txs[idx];
-                        let tx_started = Instant::now();
-                        let mut attempts = 0u64;
-                        loop {
-                            attempts += 1;
-                            let session = TwoPlSession {
-                                store,
-                                table: &table,
-                                owner: idx,
-                                writes: KeyMap::default(),
-                                op_cost,
-                            };
-                            let mut tracking = TrackingState::new(session);
-                            match execute_call(&tx.call, &mut tracking) {
-                                Ok(result) => {
-                                    let (mut outcome, session) = tracking.finish();
-                                    outcome.return_value = result.return_value;
-                                    outcome.logically_aborted = result.logically_aborted;
-                                    // Commit: apply buffered writes, then
-                                    // release the locks.
-                                    for (key, value) in &session.writes {
-                                        store.put(*key, value.clone());
-                                    }
-                                    table.release_all(idx);
-                                    let order =
-                                        commit_counter.fetch_add(1, Ordering::Relaxed) as u32;
-                                    slots.lock()[idx] = Some((
-                                        PreplayedTx::new(tx.clone(), outcome, order),
-                                        tx_started.elapsed(),
-                                    ));
-                                    if attempts > 1 {
-                                        reexecutions.fetch_add(attempts - 1, Ordering::Relaxed);
-                                    }
-                                    break;
-                                }
-                                Err(err) => {
-                                    debug_assert!(err.is_abort());
-                                    // No-wait: drop every lock and retry.
-                                    table.release_all(idx);
-                                    std::thread::yield_now();
-                                }
-                            }
-                        }
-                    }
+        pool::for_each_index(self.config.executors, txs.len(), &|idx| {
+            let tx = &txs[idx];
+            let tx_started = Instant::now();
+            loop {
+                let mut tracking = TrackingState::new(TwoPlSession {
+                    committed: &committed,
+                    base,
+                    table: &table,
+                    owner: idx,
+                    writes: KeyMap::default(),
+                    op_cost,
                 });
+                match execute_call(&tx.call, &mut tracking) {
+                    Ok(result) => {
+                        let (mut outcome, session) = tracking.finish();
+                        outcome.return_value = result.return_value;
+                        outcome.logically_aborted = result.logically_aborted;
+                        // Commit and take the order while every lock is
+                        // still held: a transaction that read this one's
+                        // writes cannot have locked them yet, so it is
+                        // numbered after it and the order replays.
+                        committed.load(session.writes);
+                        {
+                            let mut log = log.lock();
+                            let order = log.len() as u32;
+                            log.push((
+                                PreplayedTx::new(tx.clone(), outcome, order),
+                                tx_started.elapsed(),
+                            ));
+                        }
+                        table.release_all(idx);
+                        return;
+                    }
+                    Err(err) => {
+                        debug_assert!(err.is_abort());
+                        // No-wait: drop every lock and retry.
+                        table.release_all(idx);
+                        reexecutions.fetch_add(1, Ordering::Relaxed);
+                        std::thread::yield_now();
+                    }
+                }
             }
         });
-
-        let slots = slots.into_inner();
-        let mut preplayed = Vec::with_capacity(txs.len());
-        let mut total_latency = Duration::ZERO;
-        let mut latencies = Vec::with_capacity(txs.len());
-        let mut logical_rejections = 0;
-        for slot in slots.into_iter().flatten() {
-            total_latency += slot.1;
-            latencies.push(slot.1);
-            if slot.0.outcome.logically_aborted {
-                logical_rejections += 1;
-            }
-            preplayed.push(slot.0);
-        }
-        preplayed.sort_by_key(|p| p.order);
-        BatchResult {
-            preplayed,
-            reexecutions: reexecutions.into_inner(),
-            logical_rejections,
-            elapsed: started.elapsed(),
-            total_latency,
-            latencies,
-        }
+        BatchResult::from_log(log.into_inner(), reexecutions.into_inner(), started)
     }
 }
 

@@ -122,8 +122,10 @@ pub fn node_specs(plan: &RealNetPlan, options: &LaunchOptions) -> io::Result<Vec
         max_rounds: plan.config.system.max_rounds,
         executors: plan.config.system.ce.executors as u32,
         batch: plan.config.system.ce.batch_size as u32,
+        max_retries: plan.config.system.ce.max_retries as u64,
         validators: plan.config.system.validators as u32,
         op_cost_ns: plan.config.system.ce.synthetic_op_cost_ns,
+        reconfig: plan.config.system.reconfig,
         label: plan.config.label.clone().unwrap_or_default(),
         run_deadline_millis: options.node_deadline.as_millis() as u64,
         smallbank: plan.smallbank,
@@ -309,5 +311,28 @@ mod tests {
         ports.sort_unstable();
         ports.dedup();
         assert_eq!(ports.len(), 4);
+    }
+
+    #[test]
+    fn every_node_rebuilds_the_plan_system_config() {
+        let plan = ScenarioBuilder::new(4)
+            .lockstep()
+            .rounds(12)
+            .executors(3, 48)
+            .validators(5)
+            .reconfig(tb_types::ReconfigConfig::new(3, 9))
+            .storage(tb_types::StorageConfig::wal("/tmp/tb-launcher-test"))
+            .tune(|system| {
+                system.ce.max_retries = 11;
+                system.ce.synthetic_op_cost_ns = 250;
+            })
+            .build_real_net()
+            .expect("scenario is launchable");
+        for spec in node_specs(&plan, &LaunchOptions::default()).expect("ports reserved") {
+            let mut rebuilt = spec.cluster_config().system;
+            // The one knob a real network has no use for.
+            rebuilt.latency = plan.config.system.latency;
+            assert_eq!(rebuilt, plan.config.system, "node {}", spec.node);
+        }
     }
 }

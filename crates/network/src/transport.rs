@@ -13,10 +13,9 @@
 //!
 //! The trait is deliberately small and object-safe so a node runtime can hold
 //! a `Box<dyn Transport<Message>>`. Fault injection is *not* part of the
-//! contract — [`Transport::supports_fault_injection`] advertises whether the
-//! implementation can honor a `FaultPlan`, and scenario builders refuse to
-//! schedule faults on transports that cannot (see
-//! `tb_core::scenario::ScenarioBuilder::build_real_net`).
+//! contract: only the simulator honors a `FaultPlan`, and
+//! `tb_core::scenario::ScenarioBuilder::build_real_net` refuses a scenario
+//! whose plan is not empty.
 
 use crate::sim::{NetEvent, NetworkStats, SimNetwork};
 use std::fmt;
@@ -147,13 +146,6 @@ pub trait Transport<M> {
     /// Traffic statistics so far, in messages and bytes.
     fn stats(&self) -> NetworkStats;
 
-    /// Whether a `FaultPlan` (crashes, partitions, message loss) can be
-    /// injected into this transport. Real networks cannot fake faults, so
-    /// the default is `false`.
-    fn supports_fault_injection(&self) -> bool {
-        false
-    }
-
     /// Tears the transport down: closes connections, stops worker threads
     /// and discards undelivered messages.
     fn shutdown(&mut self);
@@ -192,10 +184,6 @@ impl<M: Clone + WireSized> Transport<M> for SimNetwork<M> {
         SimNetwork::stats(self)
     }
 
-    fn supports_fault_injection(&self) -> bool {
-        true
-    }
-
     fn shutdown(&mut self) {
         while self.next_event().is_some() {}
     }
@@ -215,7 +203,6 @@ mod tests {
         let mut net = sim();
         let t: &mut dyn Transport<&'static str> = &mut net;
         assert_eq!(t.replicas(), 4);
-        assert!(t.supports_fault_injection());
         t.send(ReplicaId::new(0), ReplicaId::new(1), "direct")
             .unwrap();
         t.broadcast(ReplicaId::new(2), "fanout").unwrap();

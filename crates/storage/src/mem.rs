@@ -120,7 +120,9 @@ impl MemStore {
         Snapshot::from_map(map)
     }
 
-    /// Bulk-loads initial state without bumping versions beyond 1 per key.
+    /// Writes every entry in turn, bumping each key's version like
+    /// [`KvWrite::put`]: initial state, or the commit of one transaction's
+    /// writes into an engine's batch-local store.
     pub fn load(&self, entries: impl IntoIterator<Item = (Key, Value)>) {
         for (k, v) in entries {
             self.put(k, v);

@@ -225,9 +225,6 @@ pub struct SystemConfig {
     pub reconfig: ReconfigConfig,
     /// Network latency model.
     pub latency: LatencyModel,
-    /// Timeout a shard proposer waits for the leader's proposal before
-    /// converting its single-shard transactions to cross-shard (rule P6).
-    pub leader_timeout: SimTime,
     /// Maximum number of rounds an experiment runs for.
     pub max_rounds: u64,
     /// Storage backend every replica keeps its committed state in.
@@ -242,7 +239,6 @@ impl Default for SystemConfig {
             validators: 16,
             reconfig: ReconfigConfig::default(),
             latency: LatencyModel::lan(),
-            leader_timeout: SimTime::from_millis(50),
             max_rounds: 50,
             storage: StorageConfig::default(),
         }

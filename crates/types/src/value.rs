@@ -4,8 +4,8 @@
 //! dominant representation is a signed integer. Contract programs may also
 //! store opaque byte strings, and a missing key reads as [`Value::None`].
 
-use bytes::Bytes;
 use std::fmt;
+use std::sync::Arc;
 
 /// A value stored in the state, read by a `<Read, K>` operation or written by
 /// a `<Write, K, V>` operation (paper Section 3.1 data model).
@@ -16,8 +16,9 @@ pub enum Value {
     None,
     /// A signed 64-bit integer; used for all SmallBank balances.
     Int(i64),
-    /// An opaque byte string produced by contract programs.
-    Bytes(Bytes),
+    /// An opaque byte string produced by contract programs; clones share
+    /// the buffer.
+    Bytes(Arc<[u8]>),
 }
 
 impl Value {
@@ -27,7 +28,7 @@ impl Value {
     }
 
     /// Convenience constructor for byte values.
-    pub fn bytes(v: impl Into<Bytes>) -> Self {
+    pub fn bytes(v: impl Into<Arc<[u8]>>) -> Self {
         Value::Bytes(v.into())
     }
 

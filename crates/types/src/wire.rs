@@ -31,7 +31,6 @@ use crate::time::SimTime;
 use crate::transaction::{ContractCall, SmallBankProcedure, Transaction};
 use crate::value::Value;
 use crate::vertex::{Certificate, Header, Vertex};
-use bytes::Bytes;
 use std::fmt;
 use std::sync::Arc;
 
@@ -506,7 +505,7 @@ impl Wire for Value {
             1 => Ok(Value::Int(r.i64()?)),
             2 => {
                 let n = r.seq_len()?;
-                Ok(Value::Bytes(Bytes::copy_from_slice(r.take(n)?)))
+                Ok(Value::Bytes(r.take(n)?.into()))
             }
             tag => Err(WireError::InvalidTag {
                 type_name: "Value",

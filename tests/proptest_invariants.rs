@@ -1,7 +1,7 @@
 //! Property-based tests on the core invariants of the reproduction:
 //!
-//! * the concurrent executor's emitted order replays serially to the same
-//!   write sets and final state (serializability, paper Section 10);
+//! * every engine's emitted order replays serially to the same read/write
+//!   sets, results and final state (serializability, paper Section 10);
 //! * money is conserved by every engine for arbitrary SmallBank batches;
 //! * the key→shard assignment is a stable partition;
 //! * the structural digest is injective in practice on transaction batches.
@@ -87,35 +87,46 @@ fn funded_store(accounts: u64) -> MemStore {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Replaying the CE's serialized order one transaction at a time yields
-    /// exactly the read/write sets the CE declared, and the same final state.
+    /// Replaying any engine's serialized order one transaction at a time
+    /// yields exactly the read/write sets and results the engine declared,
+    /// and the same final state.
     #[test]
-    fn ce_schedule_is_serializable(txs in batch(6, 60)) {
+    fn every_engine_schedule_is_serializable(txs in batch(6, 60), engine in 0usize..4) {
+        let config = CeConfig::new(4, 128).without_synthetic_cost();
+        let executor: Box<dyn BatchExecutor> = match engine {
+            0 => Box::new(ConcurrentExecutor::new(config)),
+            1 => Box::new(OccExecutor::new(config)),
+            2 => Box::new(TwoPlNoWaitExecutor::new(config)),
+            _ => Box::new(SerialExecutor::from_config(&config)),
+        };
         let store = funded_store(6);
-        let ce = ConcurrentExecutor::new(CeConfig::new(4, 128).without_synthetic_cost());
-        let result = ce.preplay(&txs, &store);
+        let result = executor.preplay(&txs, &store);
         prop_assert_eq!(result.committed(), txs.len());
         prop_assert!(result.order_is_permutation());
+        prop_assert!(store.snapshot().diff_values(&funded_store(6).snapshot()).is_empty());
 
         // Serial replay in the emitted order.
         let replay = funded_store(6);
         let mut ordered = result.preplayed.clone();
         ordered.sort_by_key(|p| p.order);
+        let sorted = |mut records: Vec<thunderbolt::tb_types::AccessRecord>| {
+            records.sort_by_key(|r| r.key);
+            records
+        };
         for p in &ordered {
             let mut session = MapState::over(|k| replay.get(k));
-            let outcome = {
+            let (outcome, returned) = {
                 let mut tracking = TrackingState::new(&mut session);
-                execute_call(&p.tx.call, &mut tracking).expect("replay never aborts");
-                tracking.outcome().clone()
+                let returned = execute_call(&p.tx.call, &mut tracking).expect("replay never aborts");
+                (tracking.outcome().clone(), returned)
             };
             for record in &outcome.write_set {
                 replay.put(record.key, record.value.clone());
             }
-            let mut declared_writes = p.outcome.write_set.clone();
-            let mut replayed_writes = outcome.write_set.clone();
-            declared_writes.sort_by_key(|r| r.key);
-            replayed_writes.sort_by_key(|r| r.key);
-            prop_assert_eq!(declared_writes, replayed_writes);
+            let label = executor.label();
+            prop_assert_eq!(sorted(p.outcome.read_set.clone()), sorted(outcome.read_set), "{}", label);
+            prop_assert_eq!(sorted(p.outcome.write_set.clone()), sorted(outcome.write_set), "{}", label);
+            prop_assert_eq!(&p.outcome.return_value, &returned.return_value, "{}", label);
         }
         let applied = funded_store(6);
         result.apply_to(&applied);
