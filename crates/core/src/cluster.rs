@@ -18,14 +18,15 @@
 //! should not construct it directly but go through the fluent
 //! [`ScenarioBuilder`](crate::scenario::ScenarioBuilder).
 
+use crate::driver::drive;
 use crate::feed::ClientFeed;
 use crate::messages::Message;
 use crate::metrics::RunReport;
 use crate::proposer::ByzantineBehavior;
-use crate::replica::{Destination, Replica};
-use std::time::Duration;
-use tb_network::{FaultPlan, NetEvent, SimNetwork};
-use tb_types::{ReplicaId, SimTime, SystemConfig};
+use crate::replica::Replica;
+use tb_network::{FaultPlan, SimNetwork};
+use tb_types::wire::{Wire, WireError, WireReader, WireWriter};
+use tb_types::{ReplicaId, SystemConfig};
 use tb_workload::Workload;
 
 /// Which execution engine the replicas use (the three systems compared in
@@ -51,8 +52,14 @@ impl ExecutionMode {
     }
 }
 
+tb_types::wire_enum!(ExecutionMode {
+    0 => Thunderbolt,
+    1 => ThunderboltOcc,
+    2 => Tusk,
+});
+
 /// Configuration of one simulated cluster.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ClusterConfig {
     /// Protocol and executor parameters.
     pub system: SystemConfig,
@@ -95,54 +102,36 @@ impl ClusterConfig {
         }
     }
 
-    /// A Thunderbolt-OCC cluster of `n` replicas.
-    pub fn thunderbolt_occ(n: u32) -> Self {
-        ClusterConfig {
-            mode: ExecutionMode::ThunderboltOcc,
-            ..ClusterConfig::thunderbolt(n)
-        }
-    }
-
-    /// A Tusk (serial execution) cluster of `n` replicas.
-    pub fn tusk(n: u32) -> Self {
-        ClusterConfig {
-            mode: ExecutionMode::Tusk,
-            ..ClusterConfig::thunderbolt(n)
-        }
-    }
-
-    /// Overrides the seed for network jitter and workload generation.
-    /// Experiments sweeping seeds should use this (or
-    /// [`ScenarioBuilder::seed`](crate::scenario::ScenarioBuilder::seed))
-    /// instead of struct-literal surgery.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Overrides the label recorded in reports.
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
-        self.label = Some(label.into());
-        self
-    }
-
-    /// Makes `replica`'s proposer exhibit `behavior` (chaos campaigns).
-    pub fn with_byzantine(mut self, replica: ReplicaId, behavior: ByzantineBehavior) -> Self {
-        self.byzantine = Some((replica, behavior));
-        self
-    }
-
-    /// Enables lockstep proposal mode (see [`ClusterConfig::lockstep`]).
-    pub fn with_lockstep(mut self) -> Self {
-        self.lockstep = true;
-        self
-    }
-
     /// The label used in reports.
     pub fn label(&self) -> String {
         self.label
             .clone()
             .unwrap_or_else(|| self.mode.label().to_string())
+    }
+}
+
+/// What a node process is launched with. The decoder is a struct literal, so
+/// a field added to the config does not compile until it travels too.
+impl Wire for ClusterConfig {
+    fn encode(&self, w: &mut WireWriter) {
+        self.system.encode(w);
+        self.mode.encode(w);
+        w.put_bool(self.use_skip_blocks);
+        w.put_u64(self.seed);
+        self.label.encode(w);
+        self.byzantine.encode(w);
+        w.put_bool(self.lockstep);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(ClusterConfig {
+            system: SystemConfig::decode(r)?,
+            mode: ExecutionMode::decode(r)?,
+            use_skip_blocks: r.bool()?,
+            seed: r.u64()?,
+            label: Option::decode(r)?,
+            byzantine: Option::decode(r)?,
+            lockstep: r.bool()?,
+        })
     }
 }
 
@@ -152,9 +141,6 @@ pub struct ClusterSimulation {
     replicas: Vec<Replica>,
     network: SimNetwork<Message>,
     feed: ClientFeed,
-    faults: FaultPlan,
-    busy_until: Vec<SimTime>,
-    events_processed: u64,
 }
 
 /// Hard cap on processed events, protecting against configuration mistakes.
@@ -184,36 +170,18 @@ impl ClusterSimulation {
             replica.load_state(initial_state.iter().cloned());
             replicas.push(replica);
         }
-        let network = SimNetwork::new(n, config.system.latency, config.seed);
+        let network = SimNetwork::new(n, config.system.latency, config.seed).with_faults(faults);
         ClusterSimulation {
-            busy_until: vec![SimTime::ZERO; n as usize],
             feed: ClientFeed::new(workload, config.system.ce.batch_size),
             config,
             replicas,
             network,
-            faults,
-            events_processed: 0,
         }
-    }
-
-    /// Convenience constructor with no faults.
-    pub fn with_defaults(config: ClusterConfig, workload: impl Into<Box<dyn Workload>>) -> Self {
-        Self::new(config, workload, FaultPlan::none())
-    }
-
-    /// The name of the workload driving this simulation.
-    pub fn workload_name(&self) -> &str {
-        self.feed.workload().name()
     }
 
     /// Access to a replica (used by tests to inspect state).
     pub fn replica(&self, id: ReplicaId) -> &Replica {
         &self.replicas[id.as_inner() as usize]
-    }
-
-    /// The simulated network statistics.
-    pub fn network_stats(&self) -> tb_network::NetworkStats {
-        self.network.stats()
     }
 
     /// Runs the simulation until the observer replica has committed
@@ -225,50 +193,26 @@ impl ClusterSimulation {
     pub fn run(&mut self) -> RunReport {
         let max_rounds = self.config.system.max_rounds;
         let target_commits = (max_rounds / 2).max(1) as usize;
-        self.faults.apply_due(SimTime::ZERO, &mut self.network);
-
-        // Prime the client queues and start every replica.
-        for i in 0..self.replicas.len() {
-            self.feed.top_up(&mut self.replicas, i, SimTime::ZERO);
-        }
-        for i in 0..self.replicas.len() {
-            let id = ReplicaId::new(i as u32);
-            if self.network.is_crashed(id) {
-                continue;
-            }
-            let outbound = self.replicas[i].start(SimTime::ZERO);
-            let busy = self.replicas[i].take_busy();
-            self.busy_until[i] = SimTime::ZERO + duration_to_sim(busy);
-            let extra = self.busy_until[i];
-            self.dispatch_outbound(id, outbound, extra);
-        }
-
-        while let Some((at, event)) = self.network.next_event() {
-            self.events_processed += 1;
-            if self.events_processed > EVENT_BUDGET {
-                break;
-            }
-            self.faults.apply_due(at, &mut self.network);
-            match event {
-                NetEvent::Message { from, to, msg } => {
-                    self.deliver(from, to, msg, at);
-                }
-                NetEvent::Timer { .. } => {}
-            }
-            let observer = self.observer();
-            if observer.metrics().round_commits.len() >= target_commits
-                || observer.current_round().as_u64() >= max_rounds * 4
-            {
-                break;
-            }
-        }
+        let mut events = 0u64;
+        drive(
+            &mut self.replicas,
+            &mut self.feed,
+            &mut self.network,
+            |replicas, network| {
+                events += 1;
+                let observer = observer(replicas, network);
+                events >= EVENT_BUDGET
+                    || observer.metrics().round_commits.len() >= target_commits
+                    || observer.current_round().as_u64() >= max_rounds * 4
+            },
+        );
 
         // Duration is measured up to the observer's last commit *including*
         // the execution time it had to spend to get there (its busy-inflated
         // clock), so serial post-consensus execution (Tusk) pays for its
         // execution cost in the throughput figures even though consensus
         // itself keeps progressing underneath.
-        let observer = self.observer();
+        let observer = observer(&self.replicas, &self.network);
         let duration = observer
             .metrics()
             .round_commits
@@ -281,8 +225,9 @@ impl ClusterSimulation {
             duration,
             self.network.stats(),
         );
-        report.faults_applied = self.faults.applied() as u64;
-        report.faults_unapplied = self.faults.remaining() as u64;
+        let faults = self.network.faults();
+        report.faults_applied = faults.applied() as u64;
+        report.faults_unapplied = faults.remaining() as u64;
         if report.faults_unapplied > 0 {
             // A fault schedule that outlives the run silently tested nothing;
             // surface it both on stderr and in the report.
@@ -290,7 +235,7 @@ impl ClusterSimulation {
                 "warning: {} of {} scheduled faults never applied — the fault \
                  schedule outlived the run (ended at {})",
                 report.faults_unapplied,
-                self.faults.len(),
+                faults.len(),
                 self.network.now()
             );
         }
@@ -301,68 +246,32 @@ impl ClusterSimulation {
     pub fn replica_count(&self) -> u32 {
         self.replicas.len() as u32
     }
-
-    fn observer(&self) -> &Replica {
-        // The first non-crashed replica; honest replicas commit identical
-        // sequences so any of them is representative.
-        for replica in &self.replicas {
-            if !self.network.is_crashed(replica.id()) {
-                return replica;
-            }
-        }
-        &self.replicas[0]
-    }
-
-    fn deliver(&mut self, from: ReplicaId, to: ReplicaId, msg: Message, at: SimTime) {
-        let idx = to.as_inner() as usize;
-        let effective_now = at.max(self.busy_until[idx]);
-        let outbound = self.replicas[idx].handle(from, msg, effective_now);
-        let busy = self.replicas[idx].take_busy();
-        self.busy_until[idx] = effective_now + duration_to_sim(busy);
-        let extra = self.busy_until[idx].saturating_since(self.network.now());
-        self.dispatch_outbound(to, outbound, extra);
-        // Keep the proposer's client queue topped up, modelling clients that
-        // submit as fast as the cluster commits.
-        self.feed.top_up(&mut self.replicas, idx, effective_now);
-    }
-
-    fn dispatch_outbound(
-        &mut self,
-        from: ReplicaId,
-        outbound: Vec<crate::replica::Outbound>,
-        extra: SimTime,
-    ) {
-        for out in outbound {
-            match out.dest {
-                Destination::Broadcast => {
-                    self.network.broadcast_delayed(from, out.msg, extra);
-                }
-                Destination::To(to) => {
-                    self.network.send_delayed(from, to, out.msg, extra);
-                }
-            }
-        }
-    }
 }
 
-fn duration_to_sim(duration: Duration) -> SimTime {
-    SimTime::from_micros(duration.as_micros() as u64)
+/// The first non-crashed replica; honest replicas commit identical sequences
+/// so any of them is representative.
+fn observer<'a>(replicas: &'a [Replica], network: &SimNetwork<Message>) -> &'a Replica {
+    replicas
+        .iter()
+        .find(|replica| !network.is_crashed(replica.id()))
+        .unwrap_or(&replicas[0])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tb_types::{CeConfig, LatencyModel};
+    use crate::scenario::ScenarioBuilder;
+    use tb_types::{LatencyModel, SimTime};
     use tb_workload::{ContractWorkloadConfig, KvWorkloadConfig, SmallBankConfig};
 
-    fn small_config(mode: ExecutionMode, n: u32, rounds: u64) -> ClusterConfig {
-        let mut config = ClusterConfig::thunderbolt(n);
-        config.mode = mode;
-        config.system.ce = CeConfig::new(2, 32).without_synthetic_cost();
-        config.system.validators = 2;
-        config.system.max_rounds = rounds;
-        config.system.latency = LatencyModel::Fixed { micros: 100 };
-        config
+    fn small(mode: ExecutionMode, n: u32, rounds: u64) -> ScenarioBuilder {
+        ScenarioBuilder::new(n)
+            .engine(mode)
+            .executors(2, 32)
+            .validators(2)
+            .rounds(rounds)
+            .latency(LatencyModel::Fixed { micros: 100 })
+            .tune(|system| system.ce = system.ce.without_synthetic_cost())
     }
 
     fn workload(n: u32, cross: f64) -> SmallBankConfig {
@@ -376,11 +285,9 @@ mod tests {
 
     #[test]
     fn thunderbolt_cluster_commits_transactions() {
-        let mut sim = ClusterSimulation::with_defaults(
-            small_config(ExecutionMode::Thunderbolt, 4, 10),
-            workload(4, 0.0),
-        );
-        let report = sim.run();
+        let report = small(ExecutionMode::Thunderbolt, 4, 10)
+            .workload(workload(4, 0.0))
+            .run();
         assert!(report.committed_txs > 0, "nothing committed: {report:?}");
         assert!(report.throughput_tps() > 0.0);
         assert_eq!(report.replicas, 4);
@@ -391,32 +298,25 @@ mod tests {
 
     #[test]
     fn contract_workload_drives_a_cluster_through_the_trait() {
-        let workload = ContractWorkloadConfig {
-            slots: 64,
-            ..ContractWorkloadConfig::default()
-        };
-        let mut sim = ClusterSimulation::with_defaults(
-            small_config(ExecutionMode::Thunderbolt, 4, 10),
-            workload,
-        );
-        let report = sim.run();
+        let report = small(ExecutionMode::Thunderbolt, 4, 10)
+            .workload(ContractWorkloadConfig {
+                slots: 64,
+                ..ContractWorkloadConfig::default()
+            })
+            .run();
         assert!(report.committed_txs > 0, "nothing committed: {report:?}");
         assert_eq!(report.workload, "contract");
-        assert_eq!(sim.workload_name(), "contract");
     }
 
     #[test]
     fn hot_key_kv_workload_drives_a_cluster_through_the_trait() {
-        let workload = KvWorkloadConfig {
-            keys: 64,
-            cross_shard_fraction: 0.2,
-            ..KvWorkloadConfig::default()
-        };
-        let mut sim = ClusterSimulation::with_defaults(
-            small_config(ExecutionMode::Thunderbolt, 4, 10),
-            workload,
-        );
-        let report = sim.run();
+        let report = small(ExecutionMode::Thunderbolt, 4, 10)
+            .workload(KvWorkloadConfig {
+                keys: 64,
+                cross_shard_fraction: 0.2,
+                ..KvWorkloadConfig::default()
+            })
+            .run();
         assert!(report.committed_txs > 0, "nothing committed: {report:?}");
         assert_eq!(report.workload, "kv-hot");
     }
@@ -426,10 +326,9 @@ mod tests {
         // The run stops at an arbitrary event, so replicas may have processed
         // different *amounts* of the committed sequence — but the sequences
         // themselves (DAG id, leader round) must be prefixes of one another.
-        let mut sim = ClusterSimulation::with_defaults(
-            small_config(ExecutionMode::Thunderbolt, 4, 8),
-            workload(4, 0.2),
-        );
+        let mut sim = small(ExecutionMode::Thunderbolt, 4, 8)
+            .workload(workload(4, 0.2))
+            .build();
         let _ = sim.run();
         let sequences: Vec<Vec<(u64, u64)>> = (0..4)
             .map(|i| {
@@ -457,16 +356,12 @@ mod tests {
     #[test]
     fn tusk_commits_fewer_transactions_than_thunderbolt_per_round_budget() {
         let rounds = 10;
-        let mut thunderbolt = ClusterSimulation::with_defaults(
-            small_config(ExecutionMode::Thunderbolt, 4, rounds),
-            workload(4, 0.0),
-        );
-        let mut tusk = ClusterSimulation::with_defaults(
-            small_config(ExecutionMode::Tusk, 4, rounds),
-            workload(4, 0.0),
-        );
-        let tb = thunderbolt.run();
-        let tk = tusk.run();
+        let tb = small(ExecutionMode::Thunderbolt, 4, rounds)
+            .workload(workload(4, 0.0))
+            .run();
+        let tk = small(ExecutionMode::Tusk, 4, rounds)
+            .workload(workload(4, 0.0))
+            .run();
         assert!(tb.committed_txs > 0 && tk.committed_txs > 0);
         assert_eq!(tk.single_shard_txs, 0);
         assert!(tb.single_shard_txs > 0);
@@ -474,16 +369,15 @@ mod tests {
 
     #[test]
     fn crashed_replicas_do_not_stop_the_cluster() {
-        let config = small_config(ExecutionMode::Thunderbolt, 4, 10);
-        let faults = FaultPlan::crash_replicas(4, 1, SimTime::ZERO);
-        let mut sim = ClusterSimulation::new(config, workload(4, 0.0), faults);
-        let report = sim.run();
+        let report = small(ExecutionMode::Thunderbolt, 4, 10)
+            .workload(workload(4, 0.0))
+            .faults(FaultPlan::crash_replicas(4, 1, SimTime::ZERO))
+            .run();
         assert!(report.committed_txs > 0, "f=1 crash must not halt commits");
     }
 
     #[test]
     fn run_reports_message_loss_and_fault_accounting() {
-        let config = small_config(ExecutionMode::Thunderbolt, 4, 8);
         let mut faults = FaultPlan::crash_replicas(4, 1, SimTime::ZERO);
         // A recovery scheduled an hour out can never fire in this run; the
         // report must say so instead of silently dropping it.
@@ -491,8 +385,10 @@ mod tests {
             SimTime::from_secs(3_600),
             tb_network::FaultAction::Recover(ReplicaId::new(3)),
         );
-        let mut sim = ClusterSimulation::new(config, workload(4, 0.0), faults);
-        let report = sim.run();
+        let report = small(ExecutionMode::Thunderbolt, 4, 8)
+            .workload(workload(4, 0.0))
+            .faults(faults)
+            .run();
         assert!(report.msgs_sent > 0);
         assert!(report.msgs_delivered > 0);
         assert!(report.msgs_dropped > 0, "crashed replica must drop traffic");
@@ -507,17 +403,16 @@ mod tests {
     #[test]
     fn a_block_is_shipped_n_plus_f_times_and_held_once() {
         use std::sync::Arc;
-        use tb_types::wire::Wire;
 
-        let mut config = small_config(ExecutionMode::Thunderbolt, 4, 20).with_lockstep();
-        config.system.ce = CeConfig::new(2, 200).without_synthetic_cost();
-        let mut sim = ClusterSimulation::with_defaults(
-            config,
-            SmallBankConfig {
+        let mut sim = small(ExecutionMode::Thunderbolt, 4, 20)
+            .lockstep()
+            .executors(2, 200)
+            .tune(|system| system.ce = system.ce.without_synthetic_cost())
+            .workload(SmallBankConfig {
                 accounts: 1_000,
                 ..workload(4, 0.0)
-            },
-        );
+            })
+            .build();
         let report = sim.run();
         assert!(report.committed_txs > 0);
 
@@ -545,11 +440,9 @@ mod tests {
 
     #[test]
     fn occ_mode_runs_and_reports_its_label() {
-        let mut sim = ClusterSimulation::with_defaults(
-            small_config(ExecutionMode::ThunderboltOcc, 4, 8),
-            workload(4, 0.0),
-        );
-        let report = sim.run();
+        let report = small(ExecutionMode::ThunderboltOcc, 4, 8)
+            .workload(workload(4, 0.0))
+            .run();
         assert_eq!(report.label, "Thunderbolt-OCC");
         assert!(report.committed_txs > 0);
     }

@@ -76,7 +76,7 @@ pub struct CommitOutput {
     /// Authors of the delivered Shift blocks.
     pub shift_authors: Vec<tb_types::ReplicaId>,
     /// Wall-clock time spent validating, applying and executing, which the
-    /// cluster driver charges to the replica's simulated clock.
+    /// replica driver charges to the replica's clock.
     pub busy: std::time::Duration,
     /// Wall-clock time the validation stage was busy re-executing preplayed
     /// blocks.

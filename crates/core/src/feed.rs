@@ -1,8 +1,8 @@
-//! The closed-loop client both cluster drivers run.
+//! The closed-loop client the replica driver runs.
 //!
 //! A [`ClientFeed`] owns the workload's transaction stream and keeps the
 //! client queues of the proposers it serves between one and two batches
-//! deep. The sim driver has one feed serving all `n` replicas; a TCP node
+//! deep. The simulation has one feed serving all `n` replicas; a TCP node
 //! has its own, serving itself alone, and every node expands the identical
 //! stream.
 //!

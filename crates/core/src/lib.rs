@@ -20,9 +20,12 @@
 //!   commit and reconfiguration together,
 //! * [`feed`] — the closed-loop client: one shared transaction stream
 //!   routed by home shard, drawn as fast as the proposers take it,
+//! * [`driver`] — the one loop that runs replicas over any transport: the
+//!   simulated network in-process, TCP in a node process,
 //! * [`cluster`] — the multi-replica simulation harness used by the
 //!   examples, the integration tests and every system benchmark
 //!   (Figures 13–17),
+//! * [`node`] — one replica as an OS process over TCP,
 //! * [`scenario`] — the fluent [`ScenarioBuilder`] assembling engine,
 //!   workload, rounds, faults, seed and label into a runnable simulation,
 //! * [`metrics`] — run reports (throughput, latency, per-round commit times),
@@ -40,6 +43,7 @@
 pub mod campaign;
 pub mod cluster;
 pub mod commit;
+pub mod driver;
 pub mod feed;
 pub mod messages;
 pub mod metrics;
@@ -61,4 +65,4 @@ pub use metrics::{LatencyHistogram, RoundCommitSample, RunReport};
 pub use node::{run_node, NodeSpec};
 pub use proposer::{ByzantineBehavior, ProposalDecision, ShardProposer};
 pub use replica::{Destination, Outbound, Replica};
-pub use scenario::{RealNetPlan, ScenarioBuilder, ScenarioError, TransportKind};
+pub use scenario::{RealNetPlan, ScenarioBuilder, ScenarioError};

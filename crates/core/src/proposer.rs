@@ -91,6 +91,12 @@ impl ByzantineBehavior {
     }
 }
 
+tb_types::wire_enum!(ByzantineBehavior {
+    0 => TamperWrites,
+    1 => Equivocate,
+    2 => OverfullWrongShard,
+});
+
 /// What kind of block the proposer should build this round.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProposalDecision {

@@ -8,10 +8,10 @@
 //!
 //! The replica is written as a deterministic state machine: it consumes
 //! protocol messages and produces outbound messages, so it can be driven
-//! either by the discrete-event simulator (`tb-network`) or directly by unit
+//! by [`drive`](crate::driver::drive) over any transport or directly by unit
 //! tests. All heavy work (preplay, validation, post-commit execution) is
-//! timed and surfaced through [`Replica::take_busy`], which the simulator
-//! charges to the replica's virtual clock.
+//! timed and surfaced through [`Replica::take_busy`], which the driver
+//! charges to the replica's clock.
 
 use crate::cluster::{ClusterConfig, ExecutionMode};
 use crate::commit::{CommitPipeline, PostCommitExecution};
@@ -350,15 +350,15 @@ impl Replica {
     }
 
     /// Returns (and resets) the wall-clock execution time accumulated by the
-    /// last handler invocation; the simulator charges it to this replica's
-    /// virtual clock.
+    /// last handler invocation; the driver charges it to this replica's
+    /// clock.
     pub fn take_busy(&mut self) -> Duration {
         std::mem::take(&mut self.busy)
     }
 
     /// Builds the run report from this replica's point of view. The replica
     /// does not know what generated its traffic or what the transport
-    /// carried, so its driver (the cluster simulation or the node loop)
+    /// carried, so its owner (the cluster simulation or a node process)
     /// supplies the workload name and the network statistics; fault
     /// accounting is left at zero for a driver that injects faults to fill.
     pub fn report(

@@ -36,29 +36,11 @@ use tb_network::FaultPlan;
 use tb_types::{CeConfig, LatencyModel, ReconfigConfig, ReplicaId, StorageConfig, SystemConfig};
 use tb_workload::{SmallBankConfig, Workload};
 
-/// Which transport a scenario targets.
-///
-/// [`TransportKind::Sim`] (the default) runs the whole committee in-process
-/// over the discrete-event [`SimNetwork`](tb_network::SimNetwork);
-/// [`TransportKind::Tcp`] describes an out-of-process cluster where each
-/// replica is its own OS process speaking length-prefixed frames over
-/// `std::net::TcpStream` (see `docs/NET.md`). The TCP transport cannot
-/// inject simulated faults, so [`ScenarioBuilder::build_real_net`] rejects
-/// scenarios carrying a fault plan instead of silently ignoring it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TransportKind {
-    /// In-process discrete-event simulation (the default).
-    #[default]
-    Sim,
-    /// Out-of-process cluster over real localhost TCP.
-    Tcp,
-}
-
 /// Why a scenario cannot be taken out-of-process over TCP.
 ///
 /// Returned by [`ScenarioBuilder::build_real_net`]. Each variant names a
 /// capability the real transport does not have; the fix is always to drop
-/// the offending knob or stay on [`TransportKind::Sim`].
+/// the offending knob or stay in the simulation ([`ScenarioBuilder::build`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ScenarioError {
     /// The scenario carries a fault plan, but crashes, censoring, partitions
@@ -130,7 +112,6 @@ pub struct ScenarioBuilder {
     config: ClusterConfig,
     workload: Box<dyn Workload>,
     faults: FaultPlan,
-    transport: TransportKind,
     /// The compact spec behind `workload`, kept whenever the workload was
     /// set as a `SmallBankConfig` — the only workload the real-net path can
     /// ship to node processes. `None` after [`ScenarioBuilder::workload`]
@@ -145,7 +126,6 @@ impl ScenarioBuilder {
             config: ClusterConfig::thunderbolt(replicas),
             workload: SmallBankConfig::default().into(),
             faults: FaultPlan::none(),
-            transport: TransportKind::Sim,
             smallbank: Some(SmallBankConfig::default()),
         }
     }
@@ -175,15 +155,6 @@ impl ScenarioBuilder {
     pub fn smallbank(mut self, config: SmallBankConfig) -> Self {
         self.workload = config.into();
         self.smallbank = Some(config);
-        self
-    }
-
-    /// Selects the transport the scenario targets. [`TransportKind::Sim`]
-    /// (the default) is consumed by [`ScenarioBuilder::build`] /
-    /// [`ScenarioBuilder::run`]; [`TransportKind::Tcp`] by
-    /// [`ScenarioBuilder::build_real_net`].
-    pub fn transport(mut self, transport: TransportKind) -> Self {
-        self.transport = transport;
         self
     }
 
@@ -290,9 +261,7 @@ impl ScenarioBuilder {
         &self.config
     }
 
-    /// Builds the in-process simulation without running it (the
-    /// [`TransportKind::Sim`] path, regardless of the
-    /// [`ScenarioBuilder::transport`] setting — use
+    /// Builds the in-process simulation without running it (use
     /// [`ScenarioBuilder::build_real_net`] for the TCP path).
     pub fn build(self) -> ClusterSimulation {
         ClusterSimulation::new(self.config, self.workload, self.faults)
@@ -416,7 +385,6 @@ mod tests {
         // A fault plan on the TCP transport is a build-time error, not a
         // post-run stderr warning.
         let err = ScenarioBuilder::new(4)
-            .transport(TransportKind::Tcp)
             .faults(FaultPlan::crash_replicas(4, 1, SimTime::ZERO))
             .build_real_net()
             .unwrap_err();
@@ -449,7 +417,6 @@ mod tests {
             ..tb_workload::SmallBankConfig::default()
         };
         let plan = ScenarioBuilder::new(4)
-            .transport(TransportKind::Tcp)
             .smallbank(spec)
             .lockstep()
             .rounds(8)
@@ -474,6 +441,6 @@ mod tests {
         let report = sim.run();
         assert!(report.committed_txs > 0);
         assert!(sim.replica(ReplicaId::new(0)).metrics().committed_txs > 0);
-        assert_eq!(sim.workload_name(), "smallbank");
+        assert_eq!(report.workload, "smallbank");
     }
 }

@@ -10,10 +10,12 @@
 //! proposer, so latency does not grow with the length of the run.
 
 use std::sync::{Arc, Mutex};
-use tb_core::{ClientFeed, ClusterConfig, ClusterSimulation, Message, Replica, RunReport};
+use tb_core::{
+    ClientFeed, ClusterConfig, ClusterSimulation, Message, Replica, RunReport, ScenarioBuilder,
+};
 use tb_types::{
-    CeConfig, ClientId, ContractCall, Key, LatencyModel, ReplicaId, ShardId, SimTime,
-    SmallBankProcedure, Transaction, TxId, Value,
+    ClientId, ContractCall, Key, LatencyModel, ReplicaId, ShardId, SimTime, SmallBankProcedure,
+    Transaction, TxId, Value,
 };
 use tb_workload::{SmallBankConfig, SmallBankWorkload, Workload};
 
@@ -104,13 +106,18 @@ impl Workload for Skewed {
     }
 }
 
+fn lockstep(rounds: u64, batch: usize) -> ScenarioBuilder {
+    ScenarioBuilder::new(4)
+        .lockstep()
+        .executors(2, batch)
+        .validators(2)
+        .rounds(rounds)
+        .latency(LatencyModel::lan())
+        .tune(|system| system.ce = system.ce.without_synthetic_cost())
+}
+
 fn lockstep_config(rounds: u64, batch: usize) -> ClusterConfig {
-    let mut config = ClusterConfig::thunderbolt(4).with_lockstep();
-    config.system.ce = CeConfig::new(2, batch).without_synthetic_cost();
-    config.system.validators = 2;
-    config.system.max_rounds = rounds;
-    config.system.latency = LatencyModel::lan();
-    config
+    lockstep(rounds, batch).config().clone()
 }
 
 /// The single-shard Zipf workload of the benchmark's `sim-single`.
@@ -173,7 +180,7 @@ fn every_proposer_of_a_cross_shard_workload_is_supplied_and_none_hoards() {
         cross_shard_fraction: 1.0,
         ..zipf_single_shard()
     }));
-    let mut sim = ClusterSimulation::with_defaults(lockstep_config(120, batch), workload);
+    let mut sim = lockstep(120, batch).workload(workload).build();
     let report = sim.run();
     assert_eq!(report.cross_shard_txs, report.committed_txs);
 
@@ -204,10 +211,9 @@ fn no_proposer_of_a_lockstep_sim_holds_more_than_two_batches() {
     // runs of every length samples them after top-ups all through a run.
     let batch = 50;
     for rounds in (10..=160).step_by(30) {
-        let mut sim = ClusterSimulation::with_defaults(
-            lockstep_config(rounds, batch),
-            SmallBankWorkload::new(zipf_single_shard()),
-        );
+        let mut sim = lockstep(rounds, batch)
+            .workload(SmallBankWorkload::new(zipf_single_shard()))
+            .build();
         let report = sim.run();
         assert!(report.committed_txs > 0);
         for replica in 0..4 {
@@ -285,11 +291,9 @@ fn a_skewed_stream_fills_each_queue_in_stream_order_and_stamps_at_hand_over() {
 #[test]
 fn latency_does_not_grow_with_the_length_of_the_run() {
     let run = |rounds| -> RunReport {
-        let mut sim = ClusterSimulation::with_defaults(
-            lockstep_config(rounds, 50),
-            SmallBankWorkload::new(zipf_single_shard()),
-        );
-        sim.run()
+        lockstep(rounds, 50)
+            .workload(SmallBankWorkload::new(zipf_single_shard()))
+            .run()
     };
     let (short, long) = (run(60), run(240));
     let ratio = long.avg_latency_secs() / short.avg_latency_secs();

@@ -3,7 +3,8 @@
 //! The failure experiments (Figures 15–17) crash or silence specific replicas
 //! at specific points of a run. A [`FaultPlan`] collects those actions up
 //! front so a benchmark configuration fully describes the faults it injects,
-//! and the cluster driver applies them when the simulated clock reaches the
+//! and the simulated network it is installed in
+//! ([`SimNetwork::with_faults`]) applies them when its clock reaches the
 //! scheduled time.
 
 use crate::sim::SimNetwork;

@@ -19,6 +19,6 @@ pub mod tcp;
 pub mod transport;
 
 pub use faults::{FaultAction, FaultPlan, ScheduledFault};
-pub use sim::{NetEvent, NetworkStats, SimNetwork};
+pub use sim::{NetworkStats, SimNetwork};
 pub use tcp::{TcpPeer, TcpTransport};
 pub use transport::{Inbound, RecvError, Transport, TransportError, WireSized};

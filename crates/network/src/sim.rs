@@ -1,32 +1,12 @@
 //! The discrete-event network simulator.
 
-use crate::transport::WireSized;
+use crate::faults::FaultPlan;
+use crate::transport::{Inbound, WireSized};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use tb_types::{LatencyModel, ReplicaId, SimTime};
-
-/// An event surfaced to the cluster driver.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum NetEvent<M> {
-    /// A message delivered to a replica.
-    Message {
-        /// Sender.
-        from: ReplicaId,
-        /// Receiver.
-        to: ReplicaId,
-        /// The payload.
-        msg: M,
-    },
-    /// A timer armed by a replica has fired.
-    Timer {
-        /// The replica whose timer fired.
-        replica: ReplicaId,
-        /// The token passed when the timer was armed.
-        token: u64,
-    },
-}
 
 /// Aggregate statistics of a transport (simulated or real).
 ///
@@ -44,8 +24,6 @@ pub struct NetworkStats {
     /// Messages dropped by faults (crashes, silenced senders, partitions,
     /// random loss).
     pub dropped: u64,
-    /// Timers fired.
-    pub timers_fired: u64,
     /// Payload bytes handed to the network.
     pub bytes_sent: u64,
     /// Payload bytes delivered to their destination.
@@ -61,7 +39,7 @@ struct Scheduled<M> {
     /// Wire size of the payload, captured at send time so delivery-side
     /// accounting does not need to re-measure (or re-bound) the message.
     size: u64,
-    event: NetEvent<M>,
+    inbound: Inbound<M>,
 }
 
 impl<M> PartialEq for Scheduled<M> {
@@ -95,6 +73,8 @@ pub struct SimNetwork<M> {
     blocked_links: HashSet<(ReplicaId, ReplicaId)>,
     drop_probability: f64,
     stats: NetworkStats,
+    /// The fault schedule, applied as the clock reaches each entry.
+    faults: FaultPlan,
 }
 
 impl<M> SimNetwork<M> {
@@ -114,7 +94,31 @@ impl<M> SimNetwork<M> {
             blocked_links: HashSet::new(),
             drop_probability: 0.0,
             stats: NetworkStats::default(),
+            faults: FaultPlan::none(),
         }
+    }
+
+    /// Installs the fault schedule this network applies as its clock
+    /// advances. Faults due at the current time apply at once, so a replica
+    /// crashed at time zero is crashed before anything is sent.
+    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
+        self.faults = faults;
+        self.apply_due_faults(self.now);
+        self
+    }
+
+    /// The installed fault schedule, with its applied and remaining counts.
+    pub fn faults(&self) -> &FaultPlan {
+        &self.faults
+    }
+
+    fn apply_due_faults(&mut self, now: SimTime) {
+        if self.faults.exhausted() {
+            return;
+        }
+        let mut faults = std::mem::take(&mut self.faults);
+        faults.apply_due(now, self);
+        self.faults = faults;
     }
 
     /// The current simulated time.
@@ -191,47 +195,25 @@ impl<M> SimNetwork<M> {
         }
     }
 
-    fn schedule(&mut self, at: SimTime, size: u64, event: NetEvent<M>) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue.push(Reverse(Scheduled {
-            at,
-            seq,
-            size,
-            event,
-        }));
-    }
-
-    /// Arms a timer for `replica` that fires after `delay`.
-    pub fn set_timer(&mut self, replica: ReplicaId, token: u64, delay: SimTime) {
-        let at = self.now + delay;
-        self.schedule(at, 0, NetEvent::Timer { replica, token });
-    }
-
-    /// Pops the next event, advancing the simulated clock to its timestamp.
-    /// Events addressed to crashed replicas are skipped (and counted as
-    /// dropped).
-    pub fn next_event(&mut self) -> Option<(SimTime, NetEvent<M>)> {
+    /// Pops the next message with its arrival time, advancing the simulated
+    /// clock to it. Messages addressed to crashed replicas are skipped (and
+    /// counted as dropped).
+    pub fn next_event(&mut self) -> Option<(SimTime, Inbound<M>)> {
         while let Some(Reverse(scheduled)) = self.queue.pop() {
             self.now = self.now.max(scheduled.at);
-            match &scheduled.event {
-                NetEvent::Message { to, .. } => {
-                    if self.crashed.contains(to) {
-                        self.stats.dropped += 1;
-                        self.stats.bytes_dropped += scheduled.size;
-                        continue;
-                    }
-                    self.stats.delivered += 1;
-                    self.stats.bytes_delivered += scheduled.size;
-                }
-                NetEvent::Timer { replica, .. } => {
-                    if self.crashed.contains(replica) {
-                        continue;
-                    }
-                    self.stats.timers_fired += 1;
-                }
+            if self.crashed.contains(&scheduled.inbound.to) {
+                self.stats.dropped += 1;
+                self.stats.bytes_dropped += scheduled.size;
+                continue;
             }
-            return Some((scheduled.at, scheduled.event));
+            self.stats.delivered += 1;
+            self.stats.bytes_delivered += scheduled.size;
+            // Faults due by now apply before the receiver handles the
+            // message but after the crash check above: a replica crashing
+            // at this very instant still receives it, and is silent from
+            // then on.
+            self.apply_due_faults(scheduled.at);
+            return Some((scheduled.at, scheduled.inbound));
         }
         None
     }
@@ -250,23 +232,24 @@ impl<M> SimNetwork<M> {
 impl<M: WireSized> SimNetwork<M> {
     /// Sends a message from `from` to `to`, applying faults and latency.
     pub fn send(&mut self, from: ReplicaId, to: ReplicaId, msg: M) {
-        self.send_delayed(from, to, msg, SimTime::ZERO);
+        self.send_at(from, to, msg, SimTime::ZERO);
     }
 
-    /// Sends a message whose emission is delayed by `extra` beyond the
-    /// current simulated time (used to model the sender being busy executing
-    /// transactions when it produced the message).
-    pub fn send_delayed(&mut self, from: ReplicaId, to: ReplicaId, msg: M, extra: SimTime) {
+    /// Sends a message emitted at `not_before` or now, whichever is later;
+    /// it arrives one sampled latency after emission. A sender that was busy
+    /// executing transactions when it produced the message emits it when
+    /// that work is done.
+    pub fn send_at(&mut self, from: ReplicaId, to: ReplicaId, msg: M, not_before: SimTime) {
         let size = msg.wire_size() as u64;
-        self.send_delayed_sized(from, to, msg, extra, size);
+        self.send_sized(from, to, msg, not_before, size);
     }
 
-    fn send_delayed_sized(
+    fn send_sized(
         &mut self,
         from: ReplicaId,
         to: ReplicaId,
         msg: M,
-        extra: SimTime,
+        not_before: SimTime,
         size: u64,
     ) {
         self.stats.sent += 1;
@@ -286,8 +269,15 @@ impl<M: WireSized> SimNetwork<M> {
         } else {
             self.sample_latency()
         };
-        let at = self.now + extra + latency;
-        self.schedule(at, size, NetEvent::Message { from, to, msg });
+        let at = not_before.max(self.now) + latency;
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.queue.push(Reverse(Scheduled {
+            at,
+            seq,
+            size,
+            inbound: Inbound { from, to, msg },
+        }));
     }
 }
 
@@ -295,16 +285,16 @@ impl<M: Clone + WireSized> SimNetwork<M> {
     /// Broadcasts a message from `from` to every replica (including itself,
     /// which models the local loop-back delivery DAG protocols rely on).
     pub fn broadcast(&mut self, from: ReplicaId, msg: M) {
-        self.broadcast_delayed(from, msg, SimTime::ZERO);
+        self.broadcast_at(from, msg, SimTime::ZERO);
     }
 
-    /// Broadcasts with an extra emission delay (see [`Self::send_delayed`]).
-    pub fn broadcast_delayed(&mut self, from: ReplicaId, msg: M, extra: SimTime) {
+    /// Broadcasts with an earliest emission time (see [`Self::send_at`]).
+    pub fn broadcast_at(&mut self, from: ReplicaId, msg: M, not_before: SimTime) {
         // The payload is measured once; every per-recipient clone has the
         // same wire size.
         let size = msg.wire_size() as u64;
         for to in 0..self.n {
-            self.send_delayed_sized(from, ReplicaId::new(to), msg.clone(), extra, size);
+            self.send_sized(from, ReplicaId::new(to), msg.clone(), not_before, size);
         }
     }
 }
@@ -321,19 +311,27 @@ mod tests {
 
     #[test]
     fn events_are_delivered_in_timestamp_order() {
-        let mut net: Net = SimNetwork::new(2, LatencyModel::Instant, 1);
-        net.set_timer(ReplicaId::new(0), 1, SimTime::from_millis(5));
-        net.set_timer(ReplicaId::new(0), 2, SimTime::from_millis(1));
-        net.send(ReplicaId::new(0), ReplicaId::new(1), "hello");
+        let mut net: Net = SimNetwork::new(2, LatencyModel::Fixed { micros: 1_000 }, 1);
+        net.send_at(
+            ReplicaId::new(0),
+            ReplicaId::new(1),
+            "late",
+            SimTime::from_millis(4),
+        );
+        net.send(ReplicaId::new(0), ReplicaId::new(1), "remote");
+        net.send(ReplicaId::new(1), ReplicaId::new(1), "loopback");
         let mut order = Vec::new();
-        while let Some((at, event)) = net.next_event() {
-            order.push((at, event));
+        while let Some((at, inbound)) = net.next_event() {
+            order.push((at, inbound.msg));
         }
-        assert_eq!(order.len(), 3);
-        assert!(order.windows(2).all(|w| w[0].0 <= w[1].0));
-        assert!(matches!(order[0].1, NetEvent::Message { .. }));
-        assert!(matches!(order[1].1, NetEvent::Timer { token: 2, .. }));
-        assert!(matches!(order[2].1, NetEvent::Timer { token: 1, .. }));
+        assert_eq!(
+            order,
+            vec![
+                (SimTime::ZERO, "loopback"),
+                (SimTime::from_millis(1), "remote"),
+                (SimTime::from_millis(5), "late"),
+            ]
+        );
         assert!(net.is_idle());
     }
 
@@ -391,8 +389,8 @@ mod tests {
         net.send(ReplicaId::new(0), ReplicaId::new(1), "blocked");
         net.send(ReplicaId::new(1), ReplicaId::new(0), "open");
         let mut received = Vec::new();
-        while let Some((_, NetEvent::Message { msg, .. })) = net.next_event() {
-            received.push(msg);
+        while let Some((_, inbound)) = net.next_event() {
+            received.push(inbound.msg);
         }
         assert_eq!(received, vec!["open"]);
         net.unblock_link(ReplicaId::new(0), ReplicaId::new(1));
@@ -405,8 +403,8 @@ mod tests {
         let mut net = lan();
         net.broadcast(ReplicaId::new(0), "hi");
         let mut recipients = Vec::new();
-        while let Some((_, NetEvent::Message { to, .. })) = net.next_event() {
-            recipients.push(to.as_inner());
+        while let Some((_, inbound)) = net.next_event() {
+            recipients.push(inbound.to.as_inner());
         }
         recipients.sort_unstable();
         assert_eq!(recipients, vec![0, 1, 2, 3]);
@@ -441,20 +439,46 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_sent_delivered_and_timers() {
+    fn stats_count_sent_and_delivered() {
         let mut net = lan();
         net.send(ReplicaId::new(0), ReplicaId::new(1), "a");
-        net.set_timer(ReplicaId::new(2), 9, SimTime::from_millis(1));
+        net.send(ReplicaId::new(2), ReplicaId::new(2), "bc");
+        assert_eq!(net.pending(), 2);
         while net.next_event().is_some() {}
         let stats = net.stats();
-        assert_eq!(stats.sent, 1);
-        assert_eq!(stats.delivered, 1);
-        assert_eq!(stats.timers_fired, 1);
+        assert_eq!(stats.sent, 2);
+        assert_eq!(stats.delivered, 2);
         assert_eq!(stats.dropped, 0);
-        assert_eq!(stats.bytes_sent, 1);
-        assert_eq!(stats.bytes_delivered, 1);
+        assert_eq!(stats.bytes_sent, 3);
+        assert_eq!(stats.bytes_delivered, 3);
         assert_eq!(stats.bytes_dropped, 0);
         assert_eq!(net.pending(), 0);
+    }
+
+    #[test]
+    fn installed_faults_apply_as_the_clock_reaches_them() {
+        let mut plan = FaultPlan::crash_replicas(4, 1, SimTime::ZERO);
+        plan.push(
+            SimTime::from_millis(2),
+            crate::FaultAction::Recover(ReplicaId::new(3)),
+        );
+        let mut net: Net =
+            SimNetwork::new(4, LatencyModel::Fixed { micros: 1_000 }, 1).with_faults(plan);
+        // Due at time zero: applied on installation.
+        assert!(net.is_crashed(ReplicaId::new(3)));
+        assert_eq!(net.faults().applied(), 1);
+        net.send_at(
+            ReplicaId::new(0),
+            ReplicaId::new(1),
+            "at 3 ms",
+            SimTime::from_millis(2),
+        );
+        assert_eq!(
+            net.next_event().map(|(at, _)| at),
+            Some(SimTime::from_millis(3))
+        );
+        assert!(!net.is_crashed(ReplicaId::new(3)));
+        assert_eq!(net.faults().remaining(), 0);
     }
 
     #[test]

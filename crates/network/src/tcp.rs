@@ -40,7 +40,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tb_types::wire::Wire;
-use tb_types::ReplicaId;
+use tb_types::{ReplicaId, SimTime};
 
 /// Connection hello magic: `"TBN1"` little-endian.
 pub const TCP_MAGIC: u32 = 0x314e_4254;
@@ -88,6 +88,8 @@ pub struct TcpTransport<M> {
     stop: Arc<AtomicBool>,
     listener_thread: Option<JoinHandle<()>>,
     shut_down: bool,
+    /// Origin of the arrival clock.
+    bound_at: Instant,
 }
 
 impl<M> std::fmt::Debug for TcpTransport<M> {
@@ -143,6 +145,7 @@ impl<M: Wire + Send + 'static> TcpTransport<M> {
             stop,
             listener_thread: Some(listener_thread),
             shut_down: false,
+            bound_at: Instant::now(),
         })
     }
 
@@ -284,7 +287,15 @@ impl<M: Wire + Send + 'static> Transport<M> for TcpTransport<M> {
         self.peers.len() as u32
     }
 
-    fn send(&mut self, from: ReplicaId, to: ReplicaId, msg: M) -> Result<(), TransportError> {
+    /// Writes at once: the sender's work before this send already took real
+    /// time, so there is nothing to wait for.
+    fn send_at(
+        &mut self,
+        from: ReplicaId,
+        to: ReplicaId,
+        msg: M,
+        _not_before: SimTime,
+    ) -> Result<(), TransportError> {
         let payload = msg.to_wire_bytes();
         if to == self.local {
             self.send_local(from, msg, payload.len() as u64)
@@ -293,7 +304,13 @@ impl<M: Wire + Send + 'static> Transport<M> for TcpTransport<M> {
         }
     }
 
-    fn broadcast(&mut self, from: ReplicaId, msg: M) -> Result<(), TransportError> {
+    /// Writes at once, like `send_at`.
+    fn broadcast_at(
+        &mut self,
+        from: ReplicaId,
+        msg: M,
+        _not_before: SimTime,
+    ) -> Result<(), TransportError> {
         // Encode once, write the same payload to every remote peer, then
         // move the message itself into the loop-back delivery — the only
         // one that needs the value. Delivery is best-effort per peer: an
@@ -319,12 +336,17 @@ impl<M: Wire + Send + 'static> Transport<M> for TcpTransport<M> {
         first_err.map_or(Ok(()), Err)
     }
 
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Inbound<M>, RecvError> {
-        match self.inbound_rx.recv_timeout(timeout) {
-            Ok(inbound) => Ok(inbound),
-            Err(mpsc::RecvTimeoutError::Timeout) => Err(RecvError::TimedOut),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(RecvError::Closed),
-        }
+    /// The arrival time is read when the caller takes the message, not when
+    /// a reader thread queued it: the clock is then monotone, and a message
+    /// that waited while the caller was busy arrives when the caller is free.
+    fn recv_stamped(&mut self, timeout: Duration) -> Result<(SimTime, Inbound<M>), RecvError> {
+        let inbound = match self.inbound_rx.recv_timeout(timeout) {
+            Ok(inbound) => inbound,
+            Err(mpsc::RecvTimeoutError::Timeout) => return Err(RecvError::TimedOut),
+            Err(mpsc::RecvTimeoutError::Disconnected) => return Err(RecvError::Closed),
+        };
+        let arrived = SimTime::from_micros(self.bound_at.elapsed().as_micros() as u64);
+        Ok((arrived, inbound))
     }
 
     fn stats(&self) -> NetworkStats {
@@ -332,7 +354,6 @@ impl<M: Wire + Send + 'static> Transport<M> for TcpTransport<M> {
             sent: self.counters.sent.load(Ordering::Relaxed),
             delivered: self.counters.delivered.load(Ordering::Relaxed),
             dropped: self.counters.dropped.load(Ordering::Relaxed),
-            timers_fired: 0,
             bytes_sent: self.counters.bytes_sent.load(Ordering::Relaxed),
             bytes_delivered: self.counters.bytes_delivered.load(Ordering::Relaxed),
             bytes_dropped: self.counters.bytes_dropped.load(Ordering::Relaxed),
@@ -604,6 +625,34 @@ mod tests {
             started.elapsed()
         );
         assert!(b.stats().dropped >= 1);
+        b.shutdown();
+    }
+
+    #[test]
+    fn arrival_clock_is_monotone_and_emission_times_hold_nothing_back() {
+        let peers = peers_for(2);
+        let mut a: TcpTransport<u64> =
+            TcpTransport::bind(ReplicaId::new(0), peers.clone()).expect("bind a");
+        let mut b: TcpTransport<u64> =
+            TcpTransport::bind(ReplicaId::new(1), peers).expect("bind b");
+        let (from, to) = (ReplicaId::new(0), ReplicaId::new(1));
+        let hour = SimTime::from_secs(3_600);
+        // Stamped at the clock's origin and an hour ahead: both are written
+        // at once.
+        a.send_at(from, to, 1, SimTime::ZERO).unwrap();
+        a.send_at(from, to, 2, hour).unwrap();
+        a.broadcast_at(from, 3, hour).unwrap();
+        let mut last = SimTime::ZERO;
+        for expected in [1, 2, 3] {
+            let (at, inbound) = b.recv_stamped(Duration::from_secs(5)).expect("deliver");
+            assert_eq!(inbound.msg, expected);
+            assert!(at >= last, "arrival clock went back from {last} to {at}");
+            last = at;
+        }
+        assert!(last < hour);
+        let (_, inbound) = a.recv_stamped(Duration::from_secs(5)).expect("loop-back");
+        assert_eq!(inbound.msg, 3);
+        a.shutdown();
         b.shutdown();
     }
 

@@ -16,11 +16,29 @@
 //! contract: only the simulator honors a `FaultPlan`, and
 //! `tb_core::scenario::ScenarioBuilder::build_real_net` refuses a scenario
 //! whose plan is not empty.
+//!
+//! # Two clocks
+//!
+//! One replica driver (`tb_core::driver::drive`) runs on both transports;
+//! the clock is the transport's. Each received message carries its
+//! **arrival time**, and each send names its **emission time**, the
+//! earliest moment the message may leave the sender:
+//!
+//! | | arrival time | emission time |
+//! |---|---|---|
+//! | `SimNetwork` | the simulated time of the delivery event | honoured: the message leaves at the later of its emission time and the current time, and arrives one sampled latency after that |
+//! | `TcpTransport` | wall-clock time since `bind`, read when the caller takes the message | ignored: the message is written at once |
+//!
+//! The simulator needs the emission time because it charges a replica's
+//! execution work to simulated time: a message produced after a busy spell
+//! leaves when the spell ends. Over TCP that work has already taken real
+//! time by the moment the send is made. An empty simulated queue reports
+//! [`RecvError::Closed`], because nothing can arrive any more.
 
-use crate::sim::{NetEvent, NetworkStats, SimNetwork};
+use crate::sim::{NetworkStats, SimNetwork};
 use std::fmt;
 use std::time::Duration;
-use tb_types::ReplicaId;
+use tb_types::{ReplicaId, SimTime};
 
 /// Size of a message on the wire, used for byte-level traffic accounting.
 ///
@@ -108,7 +126,7 @@ impl fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
-/// Errors surfaced by [`Transport::recv_timeout`].
+/// Errors surfaced by [`Transport::recv_stamped`] and [`Transport::recv_timeout`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecvError {
     /// No message arrived within the timeout.
@@ -133,15 +151,52 @@ pub trait Transport<M> {
     /// Number of replicas attached to the transport (committee size).
     fn replicas(&self) -> u32;
 
-    /// Sends `msg` from `from` to `to`.
-    fn send(&mut self, from: ReplicaId, to: ReplicaId, msg: M) -> Result<(), TransportError>;
+    /// Sends `msg` from `from` to `to`, emitted no earlier than `not_before`
+    /// (see the module docs for what each transport makes of it).
+    fn send_at(
+        &mut self,
+        from: ReplicaId,
+        to: ReplicaId,
+        msg: M,
+        not_before: SimTime,
+    ) -> Result<(), TransportError>;
 
     /// Broadcasts `msg` from `from` to every replica **including the sender**
-    /// (DAG protocols rely on local loop-back delivery).
-    fn broadcast(&mut self, from: ReplicaId, msg: M) -> Result<(), TransportError>;
+    /// (DAG protocols rely on local loop-back delivery), emitted no earlier
+    /// than `not_before`.
+    fn broadcast_at(
+        &mut self,
+        from: ReplicaId,
+        msg: M,
+        not_before: SimTime,
+    ) -> Result<(), TransportError>;
+
+    /// Sends `msg` from `from` to `to` now.
+    fn send(&mut self, from: ReplicaId, to: ReplicaId, msg: M) -> Result<(), TransportError> {
+        self.send_at(from, to, msg, SimTime::ZERO)
+    }
+
+    /// Broadcasts `msg` from `from` to every replica, the sender included,
+    /// now.
+    fn broadcast(&mut self, from: ReplicaId, msg: M) -> Result<(), TransportError> {
+        self.broadcast_at(from, msg, SimTime::ZERO)
+    }
+
+    /// Blocks up to `timeout` for the next inbound message and returns it
+    /// with its arrival time on this transport's clock.
+    fn recv_stamped(&mut self, timeout: Duration) -> Result<(SimTime, Inbound<M>), RecvError>;
 
     /// Blocks up to `timeout` for the next inbound message.
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Inbound<M>, RecvError>;
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Inbound<M>, RecvError> {
+        self.recv_stamped(timeout).map(|(_, inbound)| inbound)
+    }
+
+    /// True if `replica` is crashed and must not run. Only a simulated
+    /// network crashes replicas; on a real one a dead process is simply
+    /// absent.
+    fn is_crashed(&self, _replica: ReplicaId) -> bool {
+        false
+    }
 
     /// Traffic statistics so far, in messages and bytes.
     fn stats(&self) -> NetworkStats;
@@ -156,28 +211,35 @@ impl<M: Clone + WireSized> Transport<M> for SimNetwork<M> {
         self.size()
     }
 
-    fn send(&mut self, from: ReplicaId, to: ReplicaId, msg: M) -> Result<(), TransportError> {
-        SimNetwork::send(self, from, to, msg);
+    fn send_at(
+        &mut self,
+        from: ReplicaId,
+        to: ReplicaId,
+        msg: M,
+        not_before: SimTime,
+    ) -> Result<(), TransportError> {
+        SimNetwork::send_at(self, from, to, msg, not_before);
         Ok(())
     }
 
-    fn broadcast(&mut self, from: ReplicaId, msg: M) -> Result<(), TransportError> {
-        SimNetwork::broadcast(self, from, msg);
+    fn broadcast_at(
+        &mut self,
+        from: ReplicaId,
+        msg: M,
+        not_before: SimTime,
+    ) -> Result<(), TransportError> {
+        SimNetwork::broadcast_at(self, from, msg, not_before);
         Ok(())
     }
 
-    /// Pops the next pending *message* event, advancing the simulated clock.
-    /// Timer events are handed to the simulation driver through
-    /// [`SimNetwork::next_event`] and are skipped here. The timeout is
-    /// ignored: simulated time jumps straight to the next event, and an
-    /// empty queue means nothing will ever arrive.
-    fn recv_timeout(&mut self, _timeout: Duration) -> Result<Inbound<M>, RecvError> {
-        while let Some((_, event)) = self.next_event() {
-            if let NetEvent::Message { from, to, msg } = event {
-                return Ok(Inbound { from, to, msg });
-            }
-        }
-        Err(RecvError::TimedOut)
+    /// Pops the next pending message, advancing the simulated clock. The
+    /// timeout is ignored: simulated time jumps straight to the next event.
+    fn recv_stamped(&mut self, _timeout: Duration) -> Result<(SimTime, Inbound<M>), RecvError> {
+        self.next_event().ok_or(RecvError::Closed)
+    }
+
+    fn is_crashed(&self, replica: ReplicaId) -> bool {
+        SimNetwork::is_crashed(self, replica)
     }
 
     fn stats(&self) -> NetworkStats {
@@ -222,16 +284,21 @@ mod tests {
     }
 
     #[test]
-    fn sim_recv_skips_timer_events() {
-        let mut net = sim();
-        net.set_timer(ReplicaId::new(0), 9, tb_types::SimTime::from_millis(1));
-        net.send(ReplicaId::new(0), ReplicaId::new(1), "late");
-        let inbound = Transport::recv_timeout(&mut net, Duration::ZERO).unwrap();
-        assert_eq!(inbound.msg, "late");
-        assert_eq!(
-            Transport::recv_timeout(&mut net, Duration::ZERO),
-            Err(RecvError::TimedOut)
-        );
+    fn sim_arrival_is_emission_plus_latency_and_an_empty_queue_is_closed() {
+        let mut net: SimNetwork<&'static str> =
+            SimNetwork::new(2, LatencyModel::Fixed { micros: 300 }, 7);
+        let t: &mut dyn Transport<&'static str> = &mut net;
+        let (a, b) = (ReplicaId::new(0), ReplicaId::new(1));
+        t.send_at(a, b, "stamped 2 ms", SimTime::from_millis(2))
+            .unwrap();
+        t.send(a, b, "now").unwrap();
+        let mut next = || {
+            t.recv_stamped(Duration::ZERO)
+                .map(|(at, inbound)| (at, inbound.msg))
+        };
+        assert_eq!(next(), Ok((SimTime::from_micros(300), "now")));
+        assert_eq!(next(), Ok((SimTime::from_micros(2_300), "stamped 2 ms")));
+        assert_eq!(next(), Err(RecvError::Closed));
     }
 
     #[test]

@@ -23,6 +23,9 @@
 //! `tb-core`).
 
 use crate::block::{Block, BlockKind, BlockPayload, PreplayedTx};
+use crate::config::{
+    CeConfig, LatencyModel, ReconfigConfig, StorageBackend, StorageConfig, SystemConfig,
+};
 use crate::digest::Digest;
 use crate::ids::{ClientId, DagId, ReplicaId, Round, SeqNo, ShardId, TxId};
 use crate::key::{Key, KeySpace};
@@ -400,6 +403,43 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
+/// Implements [`Wire`] for a fieldless enum as the one-byte tags listed.
+/// Encoding matches every variant, so a variant without a tag does not
+/// compile; decoding an unlisted tag is [`WireError::InvalidTag`].
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ident { $($tag:literal => $variant:ident),+ $(,)? }) => {
+        impl $crate::wire::Wire for $ty {
+            fn encode(&self, w: &mut $crate::wire::WireWriter) {
+                w.put_u8(match self {
+                    $($ty::$variant => $tag,)+
+                });
+            }
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> Result<Self, $crate::wire::WireError> {
+                match r.u8()? {
+                    $($tag => Ok($ty::$variant),)+
+                    tag => Err($crate::wire::WireError::InvalidTag {
+                        type_name: stringify!($ty),
+                        tag: u32::from(tag),
+                    }),
+                }
+            }
+        }
+    };
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn encode(&self, w: &mut WireWriter) {
+        self.0.encode(w);
+        self.1.encode(w);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok((A::decode(r)?, B::decode(r)?))
+    }
+}
+
 macro_rules! wire_id {
     ($ty:ty, $inner:ty, $put:ident, $get:ident) => {
         impl Wire for $ty {
@@ -453,23 +493,12 @@ impl Wire for Digest {
     }
 }
 
-impl Wire for KeySpace {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u8(self.tag() as u8);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(KeySpace::Checking),
-            1 => Ok(KeySpace::Savings),
-            2 => Ok(KeySpace::Contract),
-            3 => Ok(KeySpace::Scratch),
-            tag => Err(WireError::InvalidTag {
-                type_name: "KeySpace",
-                tag: u32::from(tag),
-            }),
-        }
-    }
-}
+wire_enum!(KeySpace {
+    0 => Checking,
+    1 => Savings,
+    2 => Contract,
+    3 => Scratch,
+});
 
 impl Wire for Key {
     fn encode(&self, w: &mut WireWriter) {
@@ -724,27 +753,11 @@ impl Wire for PreplayedTx {
     }
 }
 
-impl Wire for BlockKind {
-    fn encode(&self, w: &mut WireWriter) {
-        let tag: u8 = match self {
-            BlockKind::Normal => 0,
-            BlockKind::Skip => 1,
-            BlockKind::Shift => 2,
-        };
-        w.put_u8(tag);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(BlockKind::Normal),
-            1 => Ok(BlockKind::Skip),
-            2 => Ok(BlockKind::Shift),
-            tag => Err(WireError::InvalidTag {
-                type_name: "BlockKind",
-                tag: u32::from(tag),
-            }),
-        }
-    }
-}
+wire_enum!(BlockKind {
+    0 => Normal,
+    1 => Skip,
+    2 => Shift,
+});
 
 impl Wire for BlockPayload {
     fn encode(&self, w: &mut WireWriter) {
@@ -837,6 +850,89 @@ impl Wire for Vertex {
             header: Header::decode(r)?,
             block: Arc::decode(r)?,
             certificate: Certificate::decode(r)?,
+        })
+    }
+}
+
+// The configuration a node process is launched with. Decoders are struct
+// literals, so a field added to a config type does not compile until it
+// travels too.
+
+impl Wire for LatencyModel {
+    fn encode(&self, w: &mut WireWriter) {
+        match *self {
+            LatencyModel::Instant => w.put_u8(0),
+            LatencyModel::Fixed { micros } => {
+                w.put_u8(1);
+                w.put_u64(micros);
+            }
+            LatencyModel::Jittered {
+                base_micros,
+                jitter_micros,
+            } => {
+                w.put_u8(2);
+                w.put_u64(base_micros);
+                w.put_u64(jitter_micros);
+            }
+        }
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        match r.u8()? {
+            0 => Ok(LatencyModel::Instant),
+            1 => Ok(LatencyModel::Fixed { micros: r.u64()? }),
+            2 => Ok(LatencyModel::Jittered {
+                base_micros: r.u64()?,
+                jitter_micros: r.u64()?,
+            }),
+            tag => Err(WireError::InvalidTag {
+                type_name: "LatencyModel",
+                tag: u32::from(tag),
+            }),
+        }
+    }
+}
+
+wire_enum!(StorageBackend { 0 => Mem, 1 => Wal });
+
+impl Wire for SystemConfig {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put_u32(self.n_replicas);
+        w.put_u64(self.ce.executors as u64);
+        w.put_u64(self.ce.batch_size as u64);
+        w.put_u64(self.ce.max_retries as u64);
+        w.put_u64(self.ce.synthetic_op_cost_ns);
+        w.put_u64(self.validators as u64);
+        w.put_u64(self.reconfig.silent_rounds_k);
+        w.put_u64(self.reconfig.period_k_prime);
+        self.latency.encode(w);
+        w.put_u64(self.max_rounds);
+        self.storage.backend.encode(w);
+        self.storage.data_dir.encode(w);
+        w.put_u64(self.storage.compact_wal_bytes);
+        w.put_u64(self.storage.flush_buffered_writes);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(SystemConfig {
+            n_replicas: r.u32()?,
+            ce: CeConfig {
+                executors: r.u64()? as usize,
+                batch_size: r.u64()? as usize,
+                max_retries: r.u64()? as usize,
+                synthetic_op_cost_ns: r.u64()?,
+            },
+            validators: r.u64()? as usize,
+            reconfig: ReconfigConfig {
+                silent_rounds_k: r.u64()?,
+                period_k_prime: r.u64()?,
+            },
+            latency: LatencyModel::decode(r)?,
+            max_rounds: r.u64()?,
+            storage: StorageConfig {
+                backend: StorageBackend::decode(r)?,
+                data_dir: String::decode(r)?,
+                compact_wal_bytes: r.u64()?,
+                flush_buffered_writes: r.u64()?,
+            },
         })
     }
 }

@@ -55,7 +55,7 @@ pub use tb_core::{
     CampaignScenario, ClusterConfig, ClusterSimulation, CommitOutput, CommitPipeline, Destination,
     ExecutionMode, Invariant, InvariantContext, LatencyHistogram, Message, Outbound,
     PostCommitExecution, RealNetPlan, Replica, RoundCommitSample, RunReport, ScenarioBuilder,
-    ScenarioError, ScenarioResult, ShardProposer, TransportKind,
+    ScenarioError, ScenarioResult, ShardProposer,
 };
 
 /// The curated single-import surface for writing scenarios.
@@ -75,7 +75,7 @@ pub mod prelude {
     pub use tb_core::metrics::{LatencyHistogram, RoundCommitSample, RunReport};
     pub use tb_core::proposer::ByzantineBehavior;
     pub use tb_core::replica::{Destination, Outbound, Replica};
-    pub use tb_core::scenario::{RealNetPlan, ScenarioBuilder, ScenarioError, TransportKind};
+    pub use tb_core::scenario::{RealNetPlan, ScenarioBuilder, ScenarioError};
     pub use tb_core::Message;
 
     pub use tb_workload::{

@@ -3,17 +3,6 @@
 
 use thunderbolt::prelude::*;
 
-fn base_config(mode: ExecutionMode, n: u32, rounds: u64) -> ClusterConfig {
-    let mut config = ClusterConfig::thunderbolt(n);
-    config.mode = mode;
-    config.system.ce = CeConfig::new(2, 32).without_synthetic_cost();
-    config.system.validators = 2;
-    config.system.max_rounds = rounds;
-    config.system.latency = LatencyModel::Fixed { micros: 200 };
-    config
-}
-
-/// The same setup as [`base_config`], expressed scenario-first.
 fn base_scenario(mode: ExecutionMode, n: u32, rounds: u64) -> ScenarioBuilder {
     ScenarioBuilder::new(n)
         .engine(mode)
@@ -35,10 +24,9 @@ fn workload(n: u32, cross: f64) -> SmallBankConfig {
 
 #[test]
 fn seven_replica_cluster_commits_and_agrees() {
-    let mut sim = ClusterSimulation::with_defaults(
-        base_config(ExecutionMode::Thunderbolt, 7, 10),
-        workload(7, 0.1),
-    );
+    let mut sim = base_scenario(ExecutionMode::Thunderbolt, 7, 10)
+        .workload(workload(7, 0.1))
+        .build();
     let report = sim.run();
     assert!(report.committed_txs > 0);
     assert!(report.single_shard_txs > 0);
@@ -58,8 +46,7 @@ fn all_three_modes_commit_under_the_same_setup() {
         ExecutionMode::ThunderboltOcc,
         ExecutionMode::Tusk,
     ] {
-        let mut sim = ClusterSimulation::with_defaults(base_config(mode, 4, 8), workload(4, 0.0));
-        let report = sim.run();
+        let report = base_scenario(mode, 4, 8).workload(workload(4, 0.0)).run();
         assert!(
             report.committed_txs > 0,
             "{} committed nothing",
@@ -70,12 +57,14 @@ fn all_three_modes_commit_under_the_same_setup() {
 
 #[test]
 fn wan_latency_slows_rounds_but_does_not_block_commits() {
-    let mut lan_cfg = base_config(ExecutionMode::Thunderbolt, 4, 8);
-    lan_cfg.system.latency = LatencyModel::lan();
-    let mut wan_cfg = base_config(ExecutionMode::Thunderbolt, 4, 8);
-    wan_cfg.system.latency = LatencyModel::wan();
-    let lan = ClusterSimulation::with_defaults(lan_cfg, workload(4, 0.0)).run();
-    let wan = ClusterSimulation::with_defaults(wan_cfg, workload(4, 0.0)).run();
+    let run = |latency| {
+        base_scenario(ExecutionMode::Thunderbolt, 4, 8)
+            .latency(latency)
+            .workload(workload(4, 0.0))
+            .run()
+    };
+    let lan = run(LatencyModel::lan());
+    let wan = run(LatencyModel::wan());
     assert!(lan.committed_txs > 0 && wan.committed_txs > 0);
     assert!(
         wan.duration > lan.duration,
@@ -86,10 +75,10 @@ fn wan_latency_slows_rounds_but_does_not_block_commits() {
 #[test]
 fn crash_faults_up_to_f_do_not_stop_progress() {
     let n = 7; // f = 2
-    let config = base_config(ExecutionMode::Thunderbolt, n, 10);
-    let faults = FaultPlan::crash_replicas(n, 2, SimTime::ZERO);
-    let mut sim = ClusterSimulation::new(config, workload(n, 0.1), faults);
-    let report = sim.run();
+    let report = base_scenario(ExecutionMode::Thunderbolt, n, 10)
+        .workload(workload(n, 0.1))
+        .faults(FaultPlan::crash_replicas(n, 2, SimTime::ZERO))
+        .run();
     assert!(
         report.committed_txs > 0,
         "f crashes must not halt the system"
@@ -98,10 +87,11 @@ fn crash_faults_up_to_f_do_not_stop_progress() {
 
 #[test]
 fn censorship_triggers_non_blocking_reconfiguration() {
-    let mut config = base_config(ExecutionMode::Thunderbolt, 4, 26);
-    config.system.reconfig = ReconfigConfig::new(3, 1_000);
-    let faults = FaultPlan::silence_from_start(ReplicaId::new(2));
-    let mut sim = ClusterSimulation::new(config, workload(4, 0.0), faults);
+    let mut sim = base_scenario(ExecutionMode::Thunderbolt, 4, 26)
+        .reconfig(ReconfigConfig::new(3, 1_000))
+        .workload(workload(4, 0.0))
+        .faults(FaultPlan::silence_from_start(ReplicaId::new(2)))
+        .build();
     let report = sim.run();
     assert!(
         report.reconfigurations >= 1,
@@ -117,10 +107,10 @@ fn censorship_triggers_non_blocking_reconfiguration() {
 
 #[test]
 fn periodic_reconfiguration_with_small_k_prime_still_makes_progress() {
-    let mut config = base_config(ExecutionMode::Thunderbolt, 4, 24);
-    config.system.reconfig = ReconfigConfig::new(4, 6);
-    let mut sim = ClusterSimulation::with_defaults(config, workload(4, 0.0));
-    let report = sim.run();
+    let report = base_scenario(ExecutionMode::Thunderbolt, 4, 24)
+        .reconfig(ReconfigConfig::new(4, 6))
+        .workload(workload(4, 0.0))
+        .run();
     assert!(report.reconfigurations >= 1);
     assert!(report.committed_txs > 0);
     assert!(!report.round_commits.is_empty());
@@ -128,10 +118,10 @@ fn periodic_reconfiguration_with_small_k_prime_still_makes_progress() {
 
 #[test]
 fn skip_block_mode_commits_with_cross_shard_traffic() {
-    let mut config = base_config(ExecutionMode::Thunderbolt, 4, 12);
-    config.use_skip_blocks = true;
-    let mut sim = ClusterSimulation::with_defaults(config, workload(4, 0.3));
-    let report = sim.run();
+    let report = base_scenario(ExecutionMode::Thunderbolt, 4, 12)
+        .skip_blocks(true)
+        .workload(workload(4, 0.3))
+        .run();
     assert!(report.committed_txs > 0);
     assert!(report.cross_shard_txs > 0);
 }
@@ -212,18 +202,16 @@ fn scenario_seed_sweeps_produce_distinct_but_valid_runs() {
 }
 
 #[test]
-fn legacy_constructor_shims_still_compile_and_run() {
-    // The pre-redesign call shape: ClusterConfig constructors plus a bare
-    // SmallBankConfig handed to ClusterSimulation::new.
-    let config = ClusterConfig::thunderbolt(4)
-        .with_seed(5)
-        .with_label("shim");
-    let mut config = config;
-    config.system.ce = CeConfig::new(2, 32).without_synthetic_cost();
-    config.system.max_rounds = 8;
-    config.system.latency = LatencyModel::Fixed { micros: 200 };
-    let mut sim = ClusterSimulation::new(config, workload(4, 0.0), FaultPlan::none());
-    let report = sim.run();
+fn a_labelled_seeded_run_reports_its_label_and_workload() {
+    let report = ScenarioBuilder::new(4)
+        .seed(5)
+        .label("shim")
+        .executors(2, 32)
+        .rounds(8)
+        .latency(LatencyModel::Fixed { micros: 200 })
+        .tune(|system| system.ce = system.ce.without_synthetic_cost())
+        .workload(workload(4, 0.0))
+        .run();
     assert!(report.committed_txs > 0);
     assert_eq!(report.label, "shim");
     assert_eq!(report.workload, "smallbank");
