@@ -117,7 +117,7 @@ impl Wire for ClusterConfig {
         self.system.encode(w);
         self.mode.encode(w);
         w.put_bool(self.use_skip_blocks);
-        w.put_u64(self.seed);
+        w.put_varint(self.seed);
         self.label.encode(w);
         self.byzantine.encode(w);
         w.put_bool(self.lockstep);
@@ -127,7 +127,7 @@ impl Wire for ClusterConfig {
             system: SystemConfig::decode(r)?,
             mode: ExecutionMode::decode(r)?,
             use_skip_blocks: r.bool()?,
-            seed: r.u64()?,
+            seed: r.varint()?,
             label: Option::decode(r)?,
             byzantine: Option::decode(r)?,
             lockstep: r.bool()?,

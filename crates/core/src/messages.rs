@@ -7,8 +7,8 @@
 //! | message       | from → to                         | carries                         |
 //! |---------------|-----------------------------------|---------------------------------|
 //! | `Header`      | author → all `n` (loop-back too)  | header + block                  |
-//! | `Ack`         | each receiver → author            | header digest, signer (~60 B)   |
-//! | `Certificate` | author → the `2f + 1` signers     | certificate only (~80 B)        |
+//! | `Ack`         | each receiver → author            | header digest, signer (~43 B)   |
+//! | `Certificate` | author → the `2f + 1` signers     | certificate only (~47 B)        |
 //! | `Vertex`      | author → the other `f` replicas   | header + block + certificate    |
 //!
 //! A replica that acknowledges a header keeps the `(header, block)` pair,
@@ -47,8 +47,10 @@ pub const WIRE_MAGIC: u32 = 0x314d_4254;
 
 /// Version of the message wire format. Bump on any change to the encoding of
 /// [`Message`] or the types it contains (version 2 added
-/// [`Message::Certificate`]); `tb_network::TCP_FRAME_VERSION` moves with it.
-pub const WIRE_FORMAT_VERSION: u16 = 2;
+/// [`Message::Certificate`], version 3 made integers varints);
+/// `tb_network::TCP_FRAME_VERSION` moves with it, and `tests::format_golden`
+/// pins the encoding it names.
+pub const WIRE_FORMAT_VERSION: u16 = 3;
 
 /// A protocol message exchanged between replicas.
 #[derive(Clone, Debug, PartialEq)]
@@ -105,8 +107,8 @@ impl Message {
 
 impl Wire for Message {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(WIRE_MAGIC);
-        w.put_u16(WIRE_FORMAT_VERSION);
+        w.put_u32_le(WIRE_MAGIC);
+        w.put_u16_le(WIRE_FORMAT_VERSION);
         match self {
             Message::Header { header, block } => {
                 w.put_u8(0);
@@ -137,11 +139,11 @@ impl Wire for Message {
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let magic = r.u32()?;
+        let magic = r.u32_le()?;
         if magic != WIRE_MAGIC {
             return Err(WireError::BadMagic { found: magic });
         }
-        let version = r.u16()?;
+        let version = r.u16_le()?;
         if version != WIRE_FORMAT_VERSION {
             return Err(WireError::UnsupportedVersion { found: version });
         }
@@ -175,7 +177,10 @@ impl WireSized for Message {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tb_types::{BlockPayload, Committee, Hashable, SeqNo, ShardId, SimTime};
+    use tb_types::{
+        BlockPayload, ClientId, Committee, ContractCall, ExecOutcome, Hashable, Key, PreplayedTx,
+        SeqNo, ShardId, SimTime, SmallBankProcedure, Transaction, TxId, Value,
+    };
 
     #[test]
     fn message_accessors() {
@@ -232,6 +237,12 @@ mod tests {
         let mut bytes = ack.to_wire_bytes();
         assert_eq!(Message::from_wire_bytes(&bytes), Ok(ack.clone()));
         assert_eq!(WireSized::wire_size(&ack), bytes.len());
+        // A fixed-width envelope (magic `u32`, version `u16`), the tag, the
+        // 32-byte digest, then dag, round and signer as one-byte varints.
+        assert_eq!(bytes[..4], WIRE_MAGIC.to_le_bytes());
+        assert_eq!(bytes[4..6], WIRE_FORMAT_VERSION.to_le_bytes());
+        assert_eq!(bytes[6], 1);
+        assert_eq!(bytes[39..], [0, 1, 0]);
 
         // Corrupt the magic.
         bytes[0] ^= 0xff;
@@ -248,12 +259,111 @@ mod tests {
             Err(WireError::UnsupportedVersion { found: 0xfe })
         ));
 
-        // An envelope from a version-1 build (no `Certificate` message, the
-        // vertex broadcast to everyone) is refused by this one.
-        bytes[4] = 1;
-        assert!(matches!(
-            Message::from_wire_bytes(&bytes),
-            Err(WireError::UnsupportedVersion { found: 1 })
+        // Envelopes from older builds are refused by this one: version 1
+        // (no `Certificate` message, the vertex broadcast to everyone) and
+        // version 2 (fixed-width integers).
+        for old in [1u8, 2] {
+            bytes[4] = old;
+            assert_eq!(
+                Message::from_wire_bytes(&bytes),
+                Err(WireError::UnsupportedVersion {
+                    found: u16::from(old)
+                })
+            );
+        }
+    }
+
+    /// The encoding of a fixed message set, hashed. A change to how any
+    /// message encodes changes this hash; it must come with a bump of
+    /// [`WIRE_FORMAT_VERSION`] (and `tb_network::TCP_FRAME_VERSION`), and the
+    /// pair below is then re-recorded together.
+    #[test]
+    fn format_golden() {
+        const GOLDEN: (u16, u64) = (3, 0xb0dd_c91a_7494_cc35);
+        let tx = |id: u64, call: SmallBankProcedure| {
+            Transaction::new(
+                TxId::new(id),
+                ClientId::new(id as u32 % 4),
+                ContractCall::SmallBank(call),
+                4,
+                SimTime::from_micros(1_000 + id),
+            )
+        };
+        let mut send = ExecOutcome::empty();
+        send.record_read(Key::checking(17), Value::int(100_000));
+        send.record_read(Key::checking(401), Value::int(-3));
+        send.record_write(Key::checking(17), Value::int(99_990));
+        send.record_write(Key::checking(401), Value::int(7));
+        let mut balance = ExecOutcome::empty();
+        balance.record_read(Key::checking(5), Value::int(100_000));
+        balance.record_read(Key::savings(5), Value::None);
+        balance.return_value = Value::int(100_000);
+        let block = Arc::new(Block::normal(
+            DagId::new(0),
+            Round::new(9),
+            ReplicaId::new(2),
+            ShardId::new(2),
+            SeqNo::new(4),
+            BlockPayload {
+                single_shard: vec![
+                    PreplayedTx::new(
+                        tx(
+                            7,
+                            SmallBankProcedure::SendPayment {
+                                from: 17,
+                                to: 401,
+                                amount: 10,
+                            },
+                        ),
+                        send,
+                        0,
+                    ),
+                    PreplayedTx::new(
+                        tx(8, SmallBankProcedure::GetBalance { account: 5 }),
+                        balance,
+                        1,
+                    ),
+                ],
+                cross_shard: vec![tx(9, SmallBankProcedure::Amalgamate { from: 2, to: 3 })],
+            },
+            SimTime::from_micros(5_000),
         ));
+        let header = Header::new(
+            DagId::new(0),
+            Round::new(9),
+            ReplicaId::new(2),
+            block.digest(),
+            vec![Digest([1, 2, 3, 4]), Digest([5, 6, 7, u64::MAX])],
+            SimTime::from_micros(5_001),
+        );
+        let certificate = Certificate::for_header(
+            &header,
+            vec![ReplicaId::new(0), ReplicaId::new(1), ReplicaId::new(2)],
+        );
+        let messages = [
+            Message::Header {
+                header: header.clone(),
+                block: Arc::clone(&block),
+            },
+            Message::Ack {
+                header_digest: header.digest(),
+                dag: DagId::new(0),
+                round: Round::new(9),
+                signer: ReplicaId::new(1),
+            },
+            Message::Certificate(certificate.clone()),
+            Message::Vertex(Box::new(Vertex::new(header, block, certificate))),
+        ];
+        let hash = messages.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, msg| {
+            msg.to_wire_bytes().iter().fold(hash, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+        });
+        assert_eq!(
+            (WIRE_FORMAT_VERSION, hash),
+            GOLDEN,
+            "the message encoding changed: bump WIRE_FORMAT_VERSION and \
+             TCP_FRAME_VERSION, then record the new (version, hash) pair"
+        );
     }
 }

@@ -92,18 +92,18 @@ pub struct RoundCommitSample {
 
 impl Wire for RoundCommitSample {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_u64(self.dag);
+        w.put_varint(self.dag);
         self.round.encode(w);
         self.committed_at.encode(w);
-        w.put_u64(self.digest);
+        w.put_u64_le(self.digest);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(RoundCommitSample {
-            dag: r.u64()?,
+            dag: r.varint()?,
             round: Round::decode(r)?,
             committed_at: SimTime::decode(r)?,
-            digest: r.u64()?,
+            digest: r.u64_le()?,
         })
     }
 }
@@ -204,13 +204,13 @@ impl Wire for RunReport {
     fn encode(&self, w: &mut WireWriter) {
         self.label.encode(w);
         self.workload.encode(w);
-        w.put_u32(self.replicas);
-        w.put_u64(self.committed_txs);
-        w.put_u64(self.single_shard_txs);
-        w.put_u64(self.cross_shard_txs);
-        w.put_u64(self.invalid_blocks);
-        w.put_u64(self.reexecutions);
-        w.put_u64(self.reconfigurations);
+        self.replicas.encode(w);
+        w.put_varint(self.committed_txs);
+        w.put_varint(self.single_shard_txs);
+        w.put_varint(self.cross_shard_txs);
+        w.put_varint(self.invalid_blocks);
+        w.put_varint(self.reexecutions);
+        w.put_varint(self.reconfigurations);
         self.duration.encode(w);
         w.put_f64(self.total_latency_secs);
         w.put_f64(self.latency_p50_secs);
@@ -218,18 +218,18 @@ impl Wire for RunReport {
         w.put_f64(self.validate_busy_secs);
         w.put_f64(self.apply_busy_secs);
         w.put_f64(self.execute_busy_secs);
-        w.put_u64(self.coalesced_batches);
-        w.put_u64(self.apply_calls);
+        w.put_varint(self.coalesced_batches);
+        w.put_varint(self.apply_calls);
         self.commit_order_digest.encode(w);
         self.round_commits.encode(w);
         self.highest_round.encode(w);
-        w.put_u64(self.msgs_sent);
-        w.put_u64(self.msgs_delivered);
-        w.put_u64(self.msgs_dropped);
-        w.put_u64(self.bytes_sent);
-        w.put_u64(self.bytes_delivered);
-        w.put_u64(self.faults_applied);
-        w.put_u64(self.faults_unapplied);
+        w.put_varint(self.msgs_sent);
+        w.put_varint(self.msgs_delivered);
+        w.put_varint(self.msgs_dropped);
+        w.put_varint(self.bytes_sent);
+        w.put_varint(self.bytes_delivered);
+        w.put_varint(self.faults_applied);
+        w.put_varint(self.faults_unapplied);
         w.put_f64(self.total_queue_wait_secs);
     }
 
@@ -237,13 +237,13 @@ impl Wire for RunReport {
         Ok(RunReport {
             label: String::decode(r)?,
             workload: String::decode(r)?,
-            replicas: r.u32()?,
-            committed_txs: r.u64()?,
-            single_shard_txs: r.u64()?,
-            cross_shard_txs: r.u64()?,
-            invalid_blocks: r.u64()?,
-            reexecutions: r.u64()?,
-            reconfigurations: r.u64()?,
+            replicas: r.varint_u32()?,
+            committed_txs: r.varint()?,
+            single_shard_txs: r.varint()?,
+            cross_shard_txs: r.varint()?,
+            invalid_blocks: r.varint()?,
+            reexecutions: r.varint()?,
+            reconfigurations: r.varint()?,
             duration: SimTime::decode(r)?,
             total_latency_secs: r.f64()?,
             latency_p50_secs: r.f64()?,
@@ -251,18 +251,18 @@ impl Wire for RunReport {
             validate_busy_secs: r.f64()?,
             apply_busy_secs: r.f64()?,
             execute_busy_secs: r.f64()?,
-            coalesced_batches: r.u64()?,
-            apply_calls: r.u64()?,
+            coalesced_batches: r.varint()?,
+            apply_calls: r.varint()?,
             commit_order_digest: String::decode(r)?,
             round_commits: Vec::<RoundCommitSample>::decode(r)?,
             highest_round: Round::decode(r)?,
-            msgs_sent: r.u64()?,
-            msgs_delivered: r.u64()?,
-            msgs_dropped: r.u64()?,
-            bytes_sent: r.u64()?,
-            bytes_delivered: r.u64()?,
-            faults_applied: r.u64()?,
-            faults_unapplied: r.u64()?,
+            msgs_sent: r.varint()?,
+            msgs_delivered: r.varint()?,
+            msgs_dropped: r.varint()?,
+            bytes_sent: r.varint()?,
+            bytes_delivered: r.varint()?,
+            faults_applied: r.varint()?,
+            faults_unapplied: r.varint()?,
             total_queue_wait_secs: r.f64()?,
         })
     }

@@ -83,35 +83,35 @@ impl NodeSpec {
 
 impl Wire for NodeSpec {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(self.node);
+        self.node.encode(w);
         self.ports.encode(w);
-        w.put_u64(self.run_deadline_millis);
+        w.put_varint(self.run_deadline_millis);
         self.config.encode(w);
-        w.put_u64(self.smallbank.accounts);
+        w.put_varint(self.smallbank.accounts);
         w.put_f64(self.smallbank.theta);
         w.put_f64(self.smallbank.pr_read);
         w.put_f64(self.smallbank.cross_shard_fraction);
-        w.put_u32(self.smallbank.n_shards);
-        w.put_i64(self.smallbank.max_amount);
-        w.put_i64(self.smallbank.initial_balance);
-        w.put_u64(self.smallbank.seed);
+        self.smallbank.n_shards.encode(w);
+        w.put_zigzag(self.smallbank.max_amount);
+        w.put_zigzag(self.smallbank.initial_balance);
+        w.put_varint(self.smallbank.seed);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(NodeSpec {
-            node: r.u32()?,
+            node: r.varint_u32()?,
             ports: Vec::decode(r)?,
-            run_deadline_millis: r.u64()?,
+            run_deadline_millis: r.varint()?,
             config: ClusterConfig::decode(r)?,
             smallbank: SmallBankConfig {
-                accounts: r.u64()?,
+                accounts: r.varint()?,
                 theta: r.f64()?,
                 pr_read: r.f64()?,
                 cross_shard_fraction: r.f64()?,
-                n_shards: r.u32()?,
-                max_amount: r.i64()?,
-                initial_balance: r.i64()?,
-                seed: r.u64()?,
+                n_shards: r.varint_u32()?,
+                max_amount: r.zigzag()?,
+                initial_balance: r.zigzag()?,
+                seed: r.varint()?,
             },
         })
     }
@@ -267,8 +267,13 @@ mod tests {
             + spec.run_deadline_millis.encoded_len();
         let mode_at = config_at + system.encoded_len();
         // The system config ends with the storage backend tag, the data
-        // directory and two `u64`s.
-        let backend_at = mode_at - 1 - storage.data_dir.encoded_len() - 2 * 8;
+        // directory and two varints.
+        let backend_at = mode_at
+            - 1
+            - storage.data_dir.encoded_len()
+            - storage.compact_wal_bytes.encoded_len()
+            - storage.flush_buffered_writes.encoded_len();
+        assert_eq!(bytes[backend_at], 1, "the Wal backend's tag");
         for (at, type_name) in [(mode_at, "ExecutionMode"), (backend_at, "StorageBackend")] {
             let mut corrupt = bytes.clone();
             corrupt[at] = 9;

@@ -15,11 +15,16 @@
 //! - **Inbound**: a listener thread accepts connections; each accepted
 //!   stream gets a reader thread that decodes frames and pushes them into an
 //!   in-process channel. A peer that reconnects simply gets a fresh reader
-//!   thread (reconnect-on-accept); the stale reader exits on EOF.
+//!   thread (reconnect-on-accept); the stale reader exits on EOF. Each
+//!   reader owns one buffered socket reader and one payload buffer, reused
+//!   for every frame of its connection.
 //! - **Framing**: every connection starts with a fixed hello
 //!   (`magic`, wire-format version, sender id), then carries length-prefixed
 //!   frames: `[u32 LE payload length][payload]` where the payload is the
-//!   message's [`Wire`] encoding. Frames above [`MAX_FRAME_BYTES`] are
+//!   message's [`Wire`] encoding. A message is encoded once, straight into a
+//!   frame buffer, and each frame leaves in one `write`. A hello whose sender
+//!   is not a committee peer, or is the local replica, closes the connection
+//!   before any frame is read. Frames above [`MAX_FRAME_BYTES`] are
 //!   rejected — a corrupt length prefix must not allocate gigabytes.
 //! - **Loop-back**: sends addressed to the local replica bypass TCP and go
 //!   straight into the inbound channel (DAG broadcasts include the sender).
@@ -32,21 +37,21 @@
 use crate::sim::NetworkStats;
 use crate::transport::{Inbound, RecvError, Transport, TransportError};
 use std::collections::{HashMap, HashSet};
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use tb_types::wire::Wire;
+use tb_types::wire::{Wire, WireWriter};
 use tb_types::{ReplicaId, SimTime};
 
 /// Connection hello magic: `"TBN1"` little-endian.
 pub const TCP_MAGIC: u32 = 0x314e_4254;
 /// Version of the framing layer (bumped together with the message wire
 /// format, see `tb_core::messages::WIRE_FORMAT_VERSION`).
-pub const TCP_FRAME_VERSION: u16 = 2;
+pub const TCP_FRAME_VERSION: u16 = 3;
 /// Upper bound on a single frame's payload, far above any real block.
 pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 /// How long the first dial of a peer keeps retrying before the peer counts
@@ -55,6 +60,13 @@ pub const CONNECT_DEADLINE: Duration = Duration::from_secs(10);
 /// Poll interval used by the accept loop and reader timeouts so worker
 /// threads notice shutdown promptly.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
+/// Bytes of the hello: magic `u32`, version `u16`, sender id `u32`.
+const HELLO_LEN: usize = 10;
+/// Bytes of the length prefix in front of every frame's payload.
+const FRAME_PREFIX: usize = 4;
+/// Capacity of each connection's buffered reader: many small frames per
+/// `read`, while a block-sized payload is read straight into its buffer.
+const READ_BUFFER_BYTES: usize = 64 * 1024;
 
 /// A peer of the TCP transport: its committee id and socket address.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -126,12 +138,17 @@ impl<M: Wire + Send + 'static> TcpTransport<M> {
         let counters = Arc::new(Counters::default());
         let stop = Arc::new(AtomicBool::new(false));
         let listener_thread = {
+            let senders: Arc<[ReplicaId]> = peers
+                .iter()
+                .map(|p| p.id)
+                .filter(|id| *id != local)
+                .collect();
             let tx = tx.clone();
             let counters = Arc::clone(&counters);
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name(format!("tb-accept-{}", local.as_inner()))
-                .spawn(move || accept_loop(listener, local, tx, counters, stop))?
+                .spawn(move || accept_loop(listener, local, senders, tx, counters, stop))?
         };
 
         Ok(TcpTransport {
@@ -172,7 +189,7 @@ impl<M: Wire + Send + 'static> TcpTransport<M> {
             match TcpStream::connect_timeout(&addr, Duration::from_secs(1)) {
                 Ok(mut stream) => {
                     stream.set_nodelay(true).ok();
-                    let mut hello = Vec::with_capacity(10);
+                    let mut hello = Vec::with_capacity(HELLO_LEN);
                     hello.extend_from_slice(&TCP_MAGIC.to_le_bytes());
                     hello.extend_from_slice(&TCP_FRAME_VERSION.to_le_bytes());
                     hello.extend_from_slice(&self.local.as_inner().to_le_bytes());
@@ -198,16 +215,23 @@ impl<M: Wire + Send + 'static> TcpTransport<M> {
         }
     }
 
-    fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> std::io::Result<()> {
-        let len = u32::try_from(payload.len()).map_err(|_| {
-            std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large")
-        })?;
-        stream.write_all(&len.to_le_bytes())?;
-        stream.write_all(payload)
+    /// Encodes `msg` once, straight into a complete frame
+    /// (`[u32 LE payload length][payload]`), so that each send is a single
+    /// `write`. A payload above [`MAX_FRAME_BYTES`] is refused by the
+    /// receiving reader.
+    fn encode_frame(msg: &M) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.put_u32_le(0); // the payload length, patched in below
+        msg.encode(&mut w);
+        let mut frame = w.into_bytes();
+        let len = u32::try_from(frame.len() - FRAME_PREFIX).unwrap_or(u32::MAX);
+        frame[..FRAME_PREFIX].copy_from_slice(&len.to_le_bytes());
+        frame
     }
 
-    /// Sends `payload` to `to`, re-dialing once if the cached stream broke.
-    fn send_payload(&mut self, to: ReplicaId, payload: &[u8]) -> Result<(), TransportError> {
+    /// Sends one encoded `frame` to `to`, re-dialing once if the cached
+    /// stream broke.
+    fn send_frame(&mut self, to: ReplicaId, frame: &[u8]) -> Result<(), TransportError> {
         let addr = self.peer_addr(to).ok_or(TransportError::UnknownPeer(to))?;
         for attempt in 0..2 {
             if !self.outbound.contains_key(&to) {
@@ -224,7 +248,7 @@ impl<M: Wire + Send + 'static> TcpTransport<M> {
                 self.outbound.insert(to, stream);
             }
             let stream = self.outbound.get_mut(&to).expect("just inserted");
-            match Self::write_frame(stream, payload) {
+            match stream.write_all(frame) {
                 Ok(()) => return Ok(()),
                 Err(e) => {
                     self.outbound.remove(&to);
@@ -274,10 +298,12 @@ impl<M: Wire + Send + 'static> TcpTransport<M> {
         Ok(())
     }
 
-    fn send_remote(&mut self, to: ReplicaId, payload: &[u8]) -> Result<(), TransportError> {
-        let size = payload.len() as u64;
+    /// Counts and sends one frame; like every counter here, `size` is the
+    /// payload alone, without the length prefix.
+    fn send_remote(&mut self, to: ReplicaId, frame: &[u8]) -> Result<(), TransportError> {
+        let size = (frame.len() - FRAME_PREFIX) as u64;
         self.begin_send(size)?;
-        self.send_payload(to, payload)
+        self.send_frame(to, frame)
             .inspect_err(|_| self.count_dropped(size))
     }
 }
@@ -296,11 +322,11 @@ impl<M: Wire + Send + 'static> Transport<M> for TcpTransport<M> {
         msg: M,
         _not_before: SimTime,
     ) -> Result<(), TransportError> {
-        let payload = msg.to_wire_bytes();
         if to == self.local {
-            self.send_local(from, msg, payload.len() as u64)
+            let size = msg.encoded_len() as u64;
+            self.send_local(from, msg, size)
         } else {
-            self.send_remote(to, &payload)
+            self.send_remote(to, &Self::encode_frame(&msg))
         }
     }
 
@@ -311,13 +337,13 @@ impl<M: Wire + Send + 'static> Transport<M> for TcpTransport<M> {
         msg: M,
         _not_before: SimTime,
     ) -> Result<(), TransportError> {
-        // Encode once, write the same payload to every remote peer, then
+        // Encode once, write the same frame to every remote peer, then
         // move the message itself into the loop-back delivery — the only
         // one that needs the value. Delivery is best-effort per peer: an
         // unreachable peer counts as dropped but does not stop the remaining
         // sends (matching how real packet loss behaves); the first error is
         // reported after the fan-out.
-        let payload = msg.to_wire_bytes();
+        let frame = Self::encode_frame(&msg);
         let remote: Vec<ReplicaId> = self
             .peers
             .iter()
@@ -326,11 +352,11 @@ impl<M: Wire + Send + 'static> Transport<M> for TcpTransport<M> {
             .collect();
         let mut first_err = None;
         for to in remote {
-            if let Err(e) = self.send_remote(to, &payload) {
+            if let Err(e) = self.send_remote(to, &frame) {
                 first_err.get_or_insert(e);
             }
         }
-        if let Err(e) = self.send_local(from, msg, payload.len() as u64) {
+        if let Err(e) = self.send_local(from, msg, (frame.len() - FRAME_PREFIX) as u64) {
             first_err.get_or_insert(e);
         }
         first_err.map_or(Ok(()), Err)
@@ -389,6 +415,7 @@ impl<M> Drop for TcpTransport<M> {
 fn accept_loop<M: Wire + Send + 'static>(
     listener: TcpListener,
     local: ReplicaId,
+    senders: Arc<[ReplicaId]>,
     tx: mpsc::Sender<Inbound<M>>,
     counters: Arc<Counters>,
     stop: Arc<AtomicBool>,
@@ -396,13 +423,14 @@ fn accept_loop<M: Wire + Send + 'static>(
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
+                let senders = Arc::clone(&senders);
                 let tx = tx.clone();
                 let counters = Arc::clone(&counters);
                 let stop = Arc::clone(&stop);
                 let name = format!("tb-read-{}", local.as_inner());
                 if std::thread::Builder::new()
                     .name(name)
-                    .spawn(move || reader_loop(stream, local, tx, counters, stop))
+                    .spawn(move || reader_loop(stream, local, &senders, tx, counters, stop))
                     .is_err()
                 {
                     // Thread spawn failure: drop the connection; the peer
@@ -418,7 +446,7 @@ fn accept_loop<M: Wire + Send + 'static>(
 }
 
 fn read_exact_interruptible(
-    stream: &mut TcpStream,
+    stream: &mut impl Read,
     buf: &mut [u8],
     stop: &AtomicBool,
 ) -> std::io::Result<()> {
@@ -451,17 +479,20 @@ fn read_exact_interruptible(
 }
 
 /// Per-connection reader: validate the hello, then decode frames until EOF,
-/// error or shutdown.
+/// error or shutdown. `senders` are the replicas allowed to dial in: the
+/// committee without the local replica.
 fn reader_loop<M: Wire>(
-    mut stream: TcpStream,
+    stream: TcpStream,
     local: ReplicaId,
+    senders: &[ReplicaId],
     tx: mpsc::Sender<Inbound<M>>,
     counters: Arc<Counters>,
     stop: Arc<AtomicBool>,
 ) {
     stream.set_read_timeout(Some(POLL_INTERVAL)).ok();
+    let mut stream = BufReader::with_capacity(READ_BUFFER_BYTES, stream);
 
-    let mut hello = [0u8; 10];
+    let mut hello = [0u8; HELLO_LEN];
     if read_exact_interruptible(&mut stream, &mut hello, &stop).is_err() {
         return;
     }
@@ -471,8 +502,15 @@ fn reader_loop<M: Wire>(
         return;
     }
     let from = ReplicaId::new(u32::from_le_bytes([hello[6], hello[7], hello[8], hello[9]]));
+    // The hello is the only word a connection has for who sent its frames:
+    // an id outside the committee, or this replica's own, is a stranger or
+    // a forgery, and none of its frames is read.
+    if !senders.contains(&from) {
+        return;
+    }
 
-    let mut len_buf = [0u8; 4];
+    let mut len_buf = [0u8; FRAME_PREFIX];
+    let mut buffer = Vec::new();
     loop {
         if read_exact_interruptible(&mut stream, &mut len_buf, &stop).is_err() {
             return;
@@ -481,16 +519,20 @@ fn reader_loop<M: Wire>(
         if len > MAX_FRAME_BYTES {
             return;
         }
-        let mut payload = vec![0u8; len as usize];
-        if read_exact_interruptible(&mut stream, &mut payload, &stop).is_err() {
+        let len = len as usize;
+        if buffer.len() < len {
+            buffer.resize(len, 0);
+        }
+        let payload = &mut buffer[..len];
+        if read_exact_interruptible(&mut stream, payload, &stop).is_err() {
             return;
         }
-        match M::from_wire_bytes(&payload) {
+        match M::from_wire_bytes(payload) {
             Ok(msg) => {
                 counters.delivered.fetch_add(1, Ordering::Relaxed);
                 counters
                     .bytes_delivered
-                    .fetch_add(u64::from(len), Ordering::Relaxed);
+                    .fetch_add(len as u64, Ordering::Relaxed);
                 if tx
                     .send(Inbound {
                         from,
@@ -549,10 +591,53 @@ mod tests {
         b.send(ReplicaId::new(1), ReplicaId::new(0), 7).unwrap();
         assert_eq!(a.recv_timeout(Duration::from_secs(5)).unwrap().msg, 7);
 
+        // Stats count the payload alone: 42 is a one-byte varint, and the
+        // length prefix and the hello are not counted.
         let stats = a.stats();
         assert_eq!(stats.sent, 1);
-        assert_eq!(stats.bytes_sent, 8);
+        assert_eq!(stats.bytes_sent, 1);
+        assert_eq!(b.stats().bytes_delivered, 1);
+        a.send(ReplicaId::new(0), ReplicaId::new(1), 300).unwrap();
+        assert_eq!(b.recv_timeout(Duration::from_secs(5)).unwrap().msg, 300);
+        assert_eq!(a.stats().bytes_sent, 1 + 2);
         a.shutdown();
+        b.shutdown();
+    }
+
+    /// Dials `addr` by hand and sends a hello claiming `sender`, then one
+    /// frame carrying `msg`.
+    fn dial_claiming(addr: SocketAddr, sender: u32, msg: u64) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).expect("dial");
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&TCP_MAGIC.to_le_bytes());
+        bytes.extend_from_slice(&TCP_FRAME_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&sender.to_le_bytes());
+        let payload = msg.to_wire_bytes();
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        stream.write_all(&bytes).expect("write hello and frame");
+        stream
+    }
+
+    #[test]
+    fn a_hello_from_outside_the_committee_or_from_ourselves_is_dropped() {
+        let peers = peers_for(2);
+        let mut b: TcpTransport<u64> =
+            TcpTransport::bind(ReplicaId::new(1), peers.clone()).expect("bind b");
+        let addr = peers[1].addr;
+        let _stranger = dial_claiming(addr, 99, 1);
+        let _forger = dial_claiming(addr, 1, 2);
+        assert_eq!(
+            b.recv_timeout(Duration::from_millis(300)),
+            Err(RecvError::TimedOut),
+            "a frame behind an untrusted hello was delivered"
+        );
+        // The same bytes from a committee peer are delivered, so the two
+        // above were refused for their sender id alone.
+        let _peer = dial_claiming(addr, 0, 3);
+        let inbound = b.recv_timeout(Duration::from_secs(5)).expect("deliver");
+        assert_eq!((inbound.from, inbound.msg), (ReplicaId::new(0), 3));
+        assert_eq!(b.stats().delivered, 1);
         b.shutdown();
     }
 

@@ -78,7 +78,7 @@ impl WireSized for u8 {
 
 impl WireSized for u64 {
     fn wire_size(&self) -> usize {
-        8
+        tb_types::wire::Wire::encoded_len(self)
     }
 }
 

@@ -51,38 +51,53 @@ const SNAPSHOT_TMP_FILE: &str = "snapshot.tmp";
 const WAL_MAGIC: u32 = 0x3157_4254;
 /// Magic number opening `snapshot.bin` ("TBS1" little-endian).
 const SNAPSHOT_MAGIC: u32 = 0x3153_4254;
-/// On-disk format version of both files.
-const FORMAT_VERSION: u16 = 1;
+/// On-disk format version of both files. Bump on any change to the file
+/// headers, the frame layout or the [`Wire`] encoding of a record (version 2:
+/// varint integers); `tests::format_golden` pins the encoding it names.
+pub const FORMAT_VERSION: u16 = 2;
 /// Encoded size of the WAL header: magic `u32` + version `u16` +
 /// generation `u64`.
 const WAL_HEADER_LEN: usize = 14;
 
+/// The CRC-32 remainder of every byte value, so [`crc32`] takes one lookup
+/// per byte instead of eight shift-and-xor steps.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `bytes` —
 /// the checksum guarding every WAL and snapshot frame.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xffff_ffffu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
-    }
-    !crc
+    !bytes.iter().fold(0xffff_ffffu32, |crc, &b| {
+        CRC32_TABLE[((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8)
+    })
 }
 
 impl Wire for CommitMarker {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_u64(self.dag);
-        w.put_u64(self.round);
-        w.put_u64(self.digest);
+        w.put_varint(self.dag);
+        w.put_varint(self.round);
+        w.put_u64_le(self.digest);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(CommitMarker {
-            dag: r.u64()?,
-            round: r.u64()?,
-            digest: r.u64()?,
+            dag: r.varint()?,
+            round: r.varint()?,
+            digest: r.u64_le()?,
         })
     }
 }
@@ -142,8 +157,15 @@ impl Wire for WalRecord {
                 for _ in 0..n_batches {
                     let n_writes = r.seq_len()?;
                     let mut batch = WriteBatch::with_capacity(n_writes);
-                    for _ in 0..n_writes {
+                    for written in 1..=n_writes {
                         batch.put(Key::decode(r)?, Value::decode(r)?);
+                        // A batch holds each key once; a repeated key would
+                        // collapse here and not re-encode to its own bytes.
+                        if batch.len() != written {
+                            return Err(WireError::NonCanonical {
+                                type_name: "WriteBatch",
+                            });
+                        }
                     }
                     batches.push(batch);
                 }
@@ -206,9 +228,9 @@ pub fn decode_frames(buf: &[u8]) -> (Vec<WalRecord>, usize) {
 /// Encodes the 14-byte WAL file header for the given generation.
 pub fn wal_header_bytes(generation: u64) -> Vec<u8> {
     let mut w = WireWriter::new();
-    w.put_u32(WAL_MAGIC);
-    w.put_u16(FORMAT_VERSION);
-    w.put_u64(generation);
+    w.put_u32_le(WAL_MAGIC);
+    w.put_u16_le(FORMAT_VERSION);
+    w.put_u64_le(generation);
     w.into_bytes()
 }
 
@@ -219,10 +241,10 @@ fn decode_wal_header(buf: &[u8]) -> Option<u64> {
         return None;
     }
     let mut r = WireReader::new(&buf[..WAL_HEADER_LEN]);
-    if r.u32().ok()? != WAL_MAGIC || r.u16().ok()? != FORMAT_VERSION {
+    if r.u32_le().ok()? != WAL_MAGIC || r.u16_le().ok()? != FORMAT_VERSION {
         return None;
     }
-    r.u64().ok()
+    r.u64_le().ok()
 }
 
 /// The decoded contents of `snapshot.bin`.
@@ -235,27 +257,27 @@ struct SnapshotRecord {
 
 impl Wire for SnapshotRecord {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_u64(self.generation);
-        w.put_u64(self.total_writes);
+        w.put_varint(self.generation);
+        w.put_varint(self.total_writes);
         self.last_commit.encode(w);
         w.put_len(self.entries.len());
         for (key, versioned) in &self.entries {
             Wire::encode(key, w);
             versioned.value.encode(w);
-            w.put_u64(versioned.version);
+            w.put_varint(versioned.version);
         }
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let generation = r.u64()?;
-        let total_writes = r.u64()?;
+        let generation = r.varint()?;
+        let total_writes = r.varint()?;
         let last_commit = Option::<CommitMarker>::decode(r)?;
         let n = r.seq_len()?;
         let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
             let key = Key::decode(r)?;
             let value = Value::decode(r)?;
-            let version = r.u64()?;
+            let version = r.varint()?;
             entries.push((key, Versioned::new(value, version)));
         }
         Ok(SnapshotRecord {
@@ -269,8 +291,8 @@ impl Wire for SnapshotRecord {
 
 fn encode_snapshot_file(record: &SnapshotRecord) -> Vec<u8> {
     let mut header = WireWriter::new();
-    header.put_u32(SNAPSHOT_MAGIC);
-    header.put_u16(FORMAT_VERSION);
+    header.put_u32_le(SNAPSHOT_MAGIC);
+    header.put_u16_le(FORMAT_VERSION);
     let mut out = header.into_bytes();
     out.extend_from_slice(&frame_payload(&record.to_wire_bytes()));
     out
@@ -278,10 +300,10 @@ fn encode_snapshot_file(record: &SnapshotRecord) -> Vec<u8> {
 
 fn decode_snapshot_file(buf: &[u8]) -> Result<SnapshotRecord, String> {
     let mut r = WireReader::new(buf);
-    if r.u32().map_err(|e| e.to_string())? != SNAPSHOT_MAGIC {
+    if r.u32_le().map_err(|e| e.to_string())? != SNAPSHOT_MAGIC {
         return Err("bad snapshot magic".to_string());
     }
-    if r.u16().map_err(|e| e.to_string())? != FORMAT_VERSION {
+    if r.u16_le().map_err(|e| e.to_string())? != FORMAT_VERSION {
         return Err("unsupported snapshot version".to_string());
     }
     // The body is a single `[len][crc][payload]` frame, same as the WAL.
@@ -679,10 +701,70 @@ mod tests {
             .collect()
     }
 
+    /// The definition the table is derived from: eight shift-and-xor steps
+    /// per byte.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xffff_ffffu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+    }
+
+    #[test]
+    fn crc32_table_matches_the_bitwise_definition() {
+        // xorshift64: a seeded stream of buffers of every length to 600.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for len in 0..600 {
+            let buf: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            assert_eq!(crc32(&buf), crc32_bitwise(&buf), "length {len}");
+        }
+    }
+
+    /// The bytes of a WAL file header and of one frame of each record kind,
+    /// hashed. A change to either layout changes this hash; it must come with
+    /// a bump of [`FORMAT_VERSION`], and the pair below is then re-recorded
+    /// together.
+    #[test]
+    fn format_golden() {
+        const GOLDEN: (u16, u32) = (2, 0x2cb3_8e28);
+        let mut bytes = wal_header_bytes(3);
+        let mut batch_a = batch(&[(1, 100_000), (700, -3)]);
+        batch_a.put(Key::savings(5), Value::None);
+        batch_a.put(Key::contract(9), Value::bytes(vec![1, 2, 3]));
+        for record in [
+            WalRecord::Batches(vec![batch_a, batch(&[(2, 7)])]),
+            WalRecord::Put(Key::checking(u64::MAX), Value::int(i64::MIN)),
+            WalRecord::Commit(CommitMarker {
+                dag: 1,
+                round: 400,
+                digest: 0xfeed_f00d_dead_beef,
+            }),
+        ] {
+            bytes.extend_from_slice(&encode_frame(&record));
+        }
+        assert_eq!(
+            (FORMAT_VERSION, crc32(&bytes)),
+            GOLDEN,
+            "the WAL encoding changed: bump FORMAT_VERSION, then record the \
+             new (version, hash) pair"
+        );
     }
 
     #[test]
@@ -789,8 +871,12 @@ mod tests {
     #[test]
     fn compaction_snapshots_and_truncates_then_recovers() {
         let dir = TempDir::new("wal-compact").unwrap();
+        // A round logs a 15-byte batch frame and a 19-byte marker frame after
+        // the 14-byte header, so the log crosses 96 bytes every third round:
+        // two compactions, then rounds 6 and 7 left to replay on top of the
+        // snapshot.
         let options = WalOptions {
-            compact_wal_bytes: 256,
+            compact_wal_bytes: 96,
             flush_buffered_writes: 4,
         };
         {
@@ -803,11 +889,12 @@ mod tests {
                     digest: round,
                 });
             }
-            assert!(store.compactions() > 0, "threshold must have triggered");
-            assert!(store.wal_bytes() < 256 + 64);
+            assert_eq!(store.compactions(), 2, "threshold must have triggered");
+            assert_eq!(store.wal_bytes(), (WAL_HEADER_LEN + 2 * (15 + 19)) as u64);
         }
         let recovered = WalStore::open(dir.path(), options).unwrap();
         assert!(recovered.recovery().snapshot_loaded);
+        assert_eq!(recovered.recovery().replayed_records, 4);
         assert_eq!(
             recovered.last_commit(),
             Some(CommitMarker {

@@ -9,7 +9,7 @@
 //! through the same functions on every open.
 
 use proptest::prelude::*;
-use tb_storage::wal::{decode_frames, encode_frame, wal_header_bytes};
+use tb_storage::wal::{decode_frames, encode_frame, wal_header_bytes, FORMAT_VERSION};
 use tb_storage::{CommitMarker, WalRecord, WriteBatch};
 use tb_types::{Key, KeySpace, Value};
 
@@ -132,14 +132,22 @@ proptest! {
         prop_assert_eq!(redecoded, decoded);
     }
 
-    /// The file header is a fixed-width 14-byte stamp and never collides
-    /// with a frame start for distinct generations.
+    /// The file header stays a fixed-width, positional 14-byte stamp while
+    /// the records behind it are varints: magic, format version, then the
+    /// generation as a little-endian `u64` at offset 6, whatever its size.
+    /// Distinct generations never give the same header.
     #[test]
     fn header_is_fixed_width_and_generation_distinct(
         a in any::<u64>(),
         b in any::<u64>(),
     ) {
-        prop_assert_eq!(wal_header_bytes(a).len(), 14);
+        for generation in [a, b, 0, 1, u64::MAX] {
+            let header = wal_header_bytes(generation);
+            prop_assert_eq!(header.len(), 14);
+            prop_assert_eq!(&header[..4], b"TBW1");
+            prop_assert_eq!(&header[4..6], &FORMAT_VERSION.to_le_bytes());
+            prop_assert_eq!(&header[6..], &generation.to_le_bytes());
+        }
         if a != b {
             prop_assert_ne!(wal_header_bytes(a), wal_header_bytes(b));
         }

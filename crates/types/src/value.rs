@@ -53,16 +53,6 @@ impl Value {
     pub fn is_none(&self) -> bool {
         matches!(self, Value::None)
     }
-
-    /// Approximate in-memory footprint in bytes, used by the simulator to
-    /// size block payloads.
-    pub fn encoded_len(&self) -> usize {
-        match self {
-            Value::None => 1,
-            Value::Int(_) => 9,
-            Value::Bytes(b) => 1 + b.len(),
-        }
-    }
 }
 
 impl fmt::Display for Value {
@@ -130,8 +120,10 @@ mod tests {
 
     #[test]
     fn encoded_len_reflects_payload() {
+        use crate::wire::Wire;
         assert_eq!(Value::None.encoded_len(), 1);
-        assert_eq!(Value::int(1).encoded_len(), 9);
-        assert_eq!(Value::bytes(vec![0; 10]).encoded_len(), 11);
+        assert_eq!(Value::int(1).encoded_len(), 2);
+        assert_eq!(Value::int(100_000).encoded_len(), 4);
+        assert_eq!(Value::bytes(vec![0; 10]).encoded_len(), 12);
     }
 }

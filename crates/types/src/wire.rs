@@ -2,25 +2,38 @@
 //! boundary.
 //!
 //! The workspace builds offline with no serialization framework, so this
-//! module is the one codec: the [`Wire`] trait is a compact, deterministic,
-//! little-endian binary encoding with explicit enum tags and `u32`-prefixed
-//! collections, implemented by hand for every type that appears inside a
-//! consensus message ([`crate::vertex::Vertex`] and below).
+//! module is the one codec: the [`Wire`] trait is a compact, deterministic
+//! binary encoding with explicit enum tags and varint-prefixed collections,
+//! implemented by hand for every type that appears inside a consensus message
+//! ([`crate::vertex::Vertex`] and below).
 //!
 //! Format rules (see `docs/NET.md` for the full frame layout):
 //!
-//! - integers are fixed-width little-endian (`u8`/`u16`/`u32`/`u64`/`i64`);
-//!   `f64` travels as its IEEE-754 bit pattern in a `u64`,
+//! - every value-like integer — ids, rounds, times, sequence numbers,
+//!   collection lengths, key rows, balances, configuration fields — is an
+//!   unsigned LEB128 varint: seven bits per byte, least significant group
+//!   first, the high bit set on every byte but the last; `i64` is zigzag
+//!   mapped first (`0, -1, 1, -2, …` → `0, 1, 2, 3, …`), so small magnitudes
+//!   of either sign stay short,
+//! - fixed-width little-endian only where the bits are uniformly random or
+//!   the layout is positional: [`Digest`] limbs, `f64` bit patterns, the FNV
+//!   digests in commit markers and commit samples, the message envelope's
+//!   magic and version, and the hand-written TCP and WAL frame and file
+//!   headers ([`WireWriter::put_u32_le`] and friends),
 //! - enums are a `u8` tag followed by the variant fields in declaration
 //!   order,
-//! - collections (`Vec<T>`, byte strings, `String`) are a `u32` element
+//! - collections (`Vec<T>`, byte strings, `String`) are a varint element
 //!   count followed by the elements,
 //! - structs are their fields in declaration order, no framing.
 //!
-//! Decoding is strict: unknown tags fail with [`WireError::InvalidTag`] and
-//! [`Wire::from_wire_bytes`] rejects trailing garbage, so `encode → decode`
-//! is identity and nothing else parses (pinned by proptest round-trips in
-//! `tb-core`).
+//! Decoding is strict, so every buffer that decodes re-encodes to itself:
+//! unknown tags fail with [`WireError::InvalidTag`], a varint that is
+//! overlong (a zero final byte after the first) or longer than ten bytes
+//! fails with [`WireError::InvalidVarint`], a value too large for its field
+//! with [`WireError::OutOfRange`], a count larger than the bytes left with
+//! [`WireError::LengthOverflow`], and [`Wire::from_wire_bytes`] rejects
+//! trailing garbage. `encode → decode` is identity (pinned by proptest
+//! round-trips at the repository root).
 
 use crate::block::{Block, BlockKind, BlockPayload, PreplayedTx};
 use crate::config::{
@@ -36,6 +49,9 @@ use crate::value::Value;
 use crate::vertex::{Certificate, Header, Vertex};
 use std::fmt;
 use std::sync::Arc;
+
+/// Longest varint encoding: a `u64` needs ⌈64 / 7⌉ = 10 bytes.
+const MAX_VARINT_LEN: usize = 10;
 
 /// Errors produced while decoding (or validating) a wire buffer.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -66,6 +82,23 @@ pub enum WireError {
     },
     /// A length prefix was too large for the remaining buffer.
     LengthOverflow,
+    /// A varint was overlong (ended in a zero byte after its first) or ran
+    /// past ten bytes or 64 bits.
+    InvalidVarint,
+    /// A varint decoded to a value its field cannot hold.
+    OutOfRange {
+        /// Name of the field's type.
+        type_name: &'static str,
+        /// The decoded value.
+        value: u64,
+    },
+    /// A value decoded, but not in the one form its encoder produces (a
+    /// signer list out of order, a key written twice in one batch), so it
+    /// would not re-encode to the same bytes.
+    NonCanonical {
+        /// Name of the type being decoded.
+        type_name: &'static str,
+    },
     /// A string field was not valid UTF-8.
     InvalidUtf8,
     /// A hex string contained a non-hex character or had odd length.
@@ -87,6 +120,13 @@ impl fmt::Display for WireError {
                 write!(f, "unsupported wire format version {found}")
             }
             WireError::LengthOverflow => f.write_str("length prefix exceeds remaining buffer"),
+            WireError::InvalidVarint => f.write_str("overlong or oversized varint"),
+            WireError::OutOfRange { type_name, value } => {
+                write!(f, "value {value} out of range for {type_name}")
+            }
+            WireError::NonCanonical { type_name } => {
+                write!(f, "non-canonical encoding of {type_name}")
+            }
             WireError::InvalidUtf8 => f.write_str("string field is not valid UTF-8"),
             WireError::InvalidHex => f.write_str("invalid hex string"),
         }
@@ -94,6 +134,27 @@ impl fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+/// Encoded length of `v` as a varint, from its highest set bit:
+/// ⌈bits / 7⌉, computed as `(9 · bits + 64) / 64`, which agrees with it for
+/// every `bits` in 1..=64 and costs a multiply-add and a shift.
+#[inline]
+const fn varint_len(v: u64) -> usize {
+    let bits = 64 - (v | 1).leading_zeros() as usize;
+    (bits * 9 + 64) / 64
+}
+
+/// Zigzag mapping of a signed integer onto an unsigned one.
+#[inline]
+const fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+/// Inverse of [`zigzag`].
+#[inline]
+const fn unzigzag(u: u64) -> i64 {
+    (u >> 1) as i64 ^ -((u & 1) as i64)
+}
 
 /// Append-only encoder. In *counting* mode it only tracks the encoded size,
 /// which lets [`Wire::encoded_len`] measure a value without allocating.
@@ -153,29 +214,25 @@ impl WireWriter {
         self.put_raw(&[v]);
     }
 
-    /// Appends a little-endian `u16`.
-    pub fn put_u16(&mut self, v: u16) {
+    /// Appends a fixed-width little-endian `u16` (positional headers only).
+    pub fn put_u16_le(&mut self, v: u16) {
         self.put_raw(&v.to_le_bytes());
     }
 
-    /// Appends a little-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) {
+    /// Appends a fixed-width little-endian `u32` (positional headers only).
+    pub fn put_u32_le(&mut self, v: u32) {
         self.put_raw(&v.to_le_bytes());
     }
 
-    /// Appends a little-endian `u64`.
-    pub fn put_u64(&mut self, v: u64) {
+    /// Appends a fixed-width little-endian `u64`, for bits that are
+    /// uniformly random (digests) or sit at a fixed offset.
+    pub fn put_u64_le(&mut self, v: u64) {
         self.put_raw(&v.to_le_bytes());
     }
 
-    /// Appends a little-endian `i64`.
-    pub fn put_i64(&mut self, v: i64) {
-        self.put_raw(&v.to_le_bytes());
-    }
-
-    /// Appends an `f64` as its IEEE-754 bit pattern.
+    /// Appends an `f64` as its fixed-width IEEE-754 bit pattern.
     pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
+        self.put_u64_le(v.to_bits());
     }
 
     /// Appends a bool as one byte (0 or 1).
@@ -183,10 +240,31 @@ impl WireWriter {
         self.put_u8(u8::from(v));
     }
 
-    /// Appends a `u32` element-count prefix, failing loudly on overflow.
+    /// Appends `v` as an unsigned LEB128 varint.
+    #[inline]
+    pub fn put_varint(&mut self, mut v: u64) {
+        if self.counting {
+            self.count += varint_len(v);
+            return;
+        }
+        // With the longest encoding reserved up front, no push below takes
+        // the growth path.
+        self.buf.reserve(MAX_VARINT_LEN);
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
+    /// Appends `v` zigzag-mapped, as a varint.
+    pub fn put_zigzag(&mut self, v: i64) {
+        self.put_varint(zigzag(v));
+    }
+
+    /// Appends a collection's element count as a varint.
     pub fn put_len(&mut self, len: usize) {
-        let len32 = u32::try_from(len).expect("collection length exceeds u32::MAX");
-        self.put_u32(len32);
+        self.put_varint(len as u64);
     }
 }
 
@@ -218,39 +296,35 @@ impl<'a> WireReader<'a> {
         Ok(out)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
 
-    /// Reads a little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, WireError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+    /// Reads a fixed-width little-endian `u16`.
+    pub fn u16_le(&mut self) -> Result<u16, WireError> {
+        self.array().map(u16::from_le_bytes)
     }
 
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    /// Reads a fixed-width little-endian `u32`.
+    pub fn u32_le(&mut self) -> Result<u32, WireError> {
+        self.array().map(u32::from_le_bytes)
     }
 
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    /// Reads a little-endian `i64`.
-    pub fn i64(&mut self) -> Result<i64, WireError> {
-        Ok(self.u64()? as i64)
+    /// Reads a fixed-width little-endian `u64`.
+    pub fn u64_le(&mut self) -> Result<u64, WireError> {
+        self.array().map(u64::from_le_bytes)
     }
 
     /// Reads an `f64` from its bit pattern.
     pub fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
+        Ok(f64::from_bits(self.u64_le()?))
     }
 
     /// Reads a bool byte, rejecting anything but 0 or 1.
@@ -265,16 +339,65 @@ impl<'a> WireReader<'a> {
         }
     }
 
-    /// Reads a `u32` element count, sanity-checked against the remaining
+    /// Reads an unsigned LEB128 varint in its one canonical form.
+    #[inline]
+    pub fn varint(&mut self) -> Result<u64, WireError> {
+        match self.buf.get(self.pos) {
+            Some(&byte) if byte < 0x80 => {
+                self.pos += 1;
+                Ok(u64::from(byte))
+            }
+            _ => self.varint_multi_byte(),
+        }
+    }
+
+    #[inline]
+    fn varint_multi_byte(&mut self) -> Result<u64, WireError> {
+        let mut value = 0u64;
+        for (i, &byte) in self.buf[self.pos..].iter().take(MAX_VARINT_LEN).enumerate() {
+            // The tenth byte carries bit 63 alone: 1 is the only value that
+            // neither overflows nor continues.
+            if i == MAX_VARINT_LEN - 1 && byte > 1 {
+                return Err(WireError::InvalidVarint);
+            }
+            value |= u64::from(byte & 0x7f) << (7 * i);
+            if byte < 0x80 {
+                if byte == 0 && i > 0 {
+                    return Err(WireError::InvalidVarint);
+                }
+                self.pos += i + 1;
+                return Ok(value);
+            }
+        }
+        Err(WireError::UnexpectedEof)
+    }
+
+    /// Reads a varint that must fit in `T`.
+    fn varint_in<T: TryFrom<u64>>(&mut self, type_name: &'static str) -> Result<T, WireError> {
+        let value = self.varint()?;
+        T::try_from(value).map_err(|_| WireError::OutOfRange { type_name, value })
+    }
+
+    /// Reads a varint that must fit in a `u32`.
+    pub fn varint_u32(&mut self) -> Result<u32, WireError> {
+        self.varint_in("u32")
+    }
+
+    /// Reads a zigzag-mapped varint.
+    pub fn zigzag(&mut self) -> Result<i64, WireError> {
+        self.varint().map(unzigzag)
+    }
+
+    /// Reads a varint element count, sanity-checked against the remaining
     /// buffer so a corrupt prefix cannot trigger huge allocations.
     pub fn seq_len(&mut self) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
+        let n = self.varint()?;
         // Every encoded element occupies at least one byte, so a count
         // exceeding the remaining bytes is necessarily corrupt.
-        if n > self.remaining() {
-            return Err(WireError::LengthOverflow);
+        match usize::try_from(n) {
+            Ok(n) if n <= self.remaining() => Ok(n),
+            _ => Err(WireError::LengthOverflow),
         }
-        Ok(n)
     }
 
     /// Succeeds only if the whole buffer was consumed.
@@ -321,25 +444,27 @@ pub trait Wire: Sized {
 }
 
 macro_rules! wire_prim {
-    ($ty:ty, $put:ident, $get:ident) => {
+    ($ty:ty, |$w:ident, $v:ident| $put:expr, |$r:ident| $get:expr) => {
         impl Wire for $ty {
-            fn encode(&self, w: &mut WireWriter) {
-                w.$put(*self);
+            fn encode(&self, $w: &mut WireWriter) {
+                let $v = *self;
+                $put
             }
-            fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-                r.$get()
+            fn decode($r: &mut WireReader<'_>) -> Result<Self, WireError> {
+                $get
             }
         }
     };
 }
 
-wire_prim!(u8, put_u8, u8);
-wire_prim!(u16, put_u16, u16);
-wire_prim!(u32, put_u32, u32);
-wire_prim!(u64, put_u64, u64);
-wire_prim!(i64, put_i64, i64);
-wire_prim!(f64, put_f64, f64);
-wire_prim!(bool, put_bool, bool);
+wire_prim!(u8, |w, v| w.put_u8(v), |r| r.u8());
+wire_prim!(u16, |w, v| w.put_varint(u64::from(v)), |r| r
+    .varint_in("u16"));
+wire_prim!(u32, |w, v| w.put_varint(u64::from(v)), |r| r.varint_u32());
+wire_prim!(u64, |w, v| w.put_varint(v), |r| r.varint());
+wire_prim!(i64, |w, v| w.put_zigzag(v), |r| r.zigzag());
+wire_prim!(f64, |w, v| w.put_f64(v), |r| r.f64());
+wire_prim!(bool, |w, v| w.put_bool(v), |r| r.bool());
 
 impl Wire for String {
     fn encode(&self, w: &mut WireWriter) {
@@ -440,54 +565,41 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     }
 }
 
-macro_rules! wire_id {
-    ($ty:ty, $inner:ty, $put:ident, $get:ident) => {
+/// Ids, rounds and times are varints of their inner integer.
+macro_rules! wire_newtype {
+    ($ty:ty, |$v:ident| $inner:expr, $new:expr) => {
         impl Wire for $ty {
             fn encode(&self, w: &mut WireWriter) {
-                w.$put(self.as_inner());
+                let $v = *self;
+                $inner.encode(w);
             }
             fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-                Ok(<$ty>::new(r.$get()?))
+                Wire::decode(r).map($new)
             }
         }
     };
 }
 
-wire_id!(ReplicaId, u32, put_u32, u32);
-wire_id!(ShardId, u32, put_u32, u32);
-wire_id!(ClientId, u32, put_u32, u32);
-wire_id!(TxId, u64, put_u64, u64);
-wire_id!(SeqNo, u64, put_u64, u64);
-wire_id!(DagId, u64, put_u64, u64);
+wire_newtype!(ReplicaId, |v| v.as_inner(), ReplicaId::new);
+wire_newtype!(ShardId, |v| v.as_inner(), ShardId::new);
+wire_newtype!(ClientId, |v| v.as_inner(), ClientId::new);
+wire_newtype!(TxId, |v| v.as_inner(), TxId::new);
+wire_newtype!(SeqNo, |v| v.as_inner(), SeqNo::new);
+wire_newtype!(DagId, |v| v.as_inner(), DagId::new);
+wire_newtype!(Round, |v| v.as_u64(), Round::new);
+wire_newtype!(SimTime, |v| v.as_micros(), SimTime::from_micros);
 
-impl Wire for Round {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u64(self.as_u64());
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Round::new(r.u64()?))
-    }
-}
-
-impl Wire for SimTime {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u64(self.as_micros());
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(SimTime::from_micros(r.u64()?))
-    }
-}
-
+/// Digest limbs are uniformly random: a varint would only lengthen them.
 impl Wire for Digest {
     fn encode(&self, w: &mut WireWriter) {
         for limb in self.0 {
-            w.put_u64(limb);
+            w.put_u64_le(limb);
         }
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let mut limbs = [0u64; 4];
         for limb in &mut limbs {
-            *limb = r.u64()?;
+            *limb = r.u64_le()?;
         }
         Ok(Digest(limbs))
     }
@@ -503,12 +615,12 @@ wire_enum!(KeySpace {
 impl Wire for Key {
     fn encode(&self, w: &mut WireWriter) {
         self.space.encode(w);
-        w.put_u64(self.row);
+        w.put_varint(self.row);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(Key {
             space: KeySpace::decode(r)?,
-            row: r.u64()?,
+            row: r.varint()?,
         })
     }
 }
@@ -519,7 +631,7 @@ impl Wire for Value {
             Value::None => w.put_u8(0),
             Value::Int(v) => {
                 w.put_u8(1);
-                w.put_i64(*v);
+                w.put_zigzag(*v);
             }
             Value::Bytes(b) => {
                 w.put_u8(2);
@@ -531,7 +643,7 @@ impl Wire for Value {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
             0 => Ok(Value::None),
-            1 => Ok(Value::Int(r.i64()?)),
+            1 => Ok(Value::Int(r.zigzag()?)),
             2 => {
                 let n = r.seq_len()?;
                 Ok(Value::Bytes(r.take(n)?.into()))
@@ -607,62 +719,64 @@ impl Wire for ExecOutcome {
 
 impl Wire for SmallBankProcedure {
     fn encode(&self, w: &mut WireWriter) {
-        match self {
+        match *self {
             SmallBankProcedure::Amalgamate { from, to } => {
                 w.put_u8(0);
-                w.put_u64(*from);
-                w.put_u64(*to);
+                w.put_varint(from);
+                w.put_varint(to);
             }
             SmallBankProcedure::GetBalance { account } => {
                 w.put_u8(1);
-                w.put_u64(*account);
+                w.put_varint(account);
             }
             SmallBankProcedure::DepositChecking { account, amount } => {
                 w.put_u8(2);
-                w.put_u64(*account);
-                w.put_i64(*amount);
+                w.put_varint(account);
+                w.put_zigzag(amount);
             }
             SmallBankProcedure::SendPayment { from, to, amount } => {
                 w.put_u8(3);
-                w.put_u64(*from);
-                w.put_u64(*to);
-                w.put_i64(*amount);
+                w.put_varint(from);
+                w.put_varint(to);
+                w.put_zigzag(amount);
             }
             SmallBankProcedure::TransactSavings { account, amount } => {
                 w.put_u8(4);
-                w.put_u64(*account);
-                w.put_i64(*amount);
+                w.put_varint(account);
+                w.put_zigzag(amount);
             }
             SmallBankProcedure::WriteCheck { account, amount } => {
                 w.put_u8(5);
-                w.put_u64(*account);
-                w.put_i64(*amount);
+                w.put_varint(account);
+                w.put_zigzag(amount);
             }
         }
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
             0 => Ok(SmallBankProcedure::Amalgamate {
-                from: r.u64()?,
-                to: r.u64()?,
+                from: r.varint()?,
+                to: r.varint()?,
             }),
-            1 => Ok(SmallBankProcedure::GetBalance { account: r.u64()? }),
+            1 => Ok(SmallBankProcedure::GetBalance {
+                account: r.varint()?,
+            }),
             2 => Ok(SmallBankProcedure::DepositChecking {
-                account: r.u64()?,
-                amount: r.i64()?,
+                account: r.varint()?,
+                amount: r.zigzag()?,
             }),
             3 => Ok(SmallBankProcedure::SendPayment {
-                from: r.u64()?,
-                to: r.u64()?,
-                amount: r.i64()?,
+                from: r.varint()?,
+                to: r.varint()?,
+                amount: r.zigzag()?,
             }),
             4 => Ok(SmallBankProcedure::TransactSavings {
-                account: r.u64()?,
-                amount: r.i64()?,
+                account: r.varint()?,
+                amount: r.zigzag()?,
             }),
             5 => Ok(SmallBankProcedure::WriteCheck {
-                account: r.u64()?,
-                amount: r.i64()?,
+                account: r.varint()?,
+                amount: r.zigzag()?,
             }),
             tag => Err(WireError::InvalidTag {
                 type_name: "SmallBankProcedure",
@@ -742,13 +856,13 @@ impl Wire for PreplayedTx {
     fn encode(&self, w: &mut WireWriter) {
         self.tx.encode(w);
         self.outcome.encode(w);
-        w.put_u32(self.order);
+        self.order.encode(w);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(PreplayedTx {
             tx: Transaction::decode(r)?,
             outcome: ExecOutcome::decode(r)?,
-            order: r.u32()?,
+            order: r.varint_u32()?,
         })
     }
 }
@@ -827,15 +941,26 @@ impl Wire for Certificate {
         self.signers.encode(w);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        // `Certificate::new` re-normalizes the signer list, so a peer cannot
-        // smuggle duplicates past `is_valid`'s distinct-signer count.
-        Ok(Certificate::new(
-            Digest::decode(r)?,
-            DagId::decode(r)?,
-            Round::decode(r)?,
-            ReplicaId::decode(r)?,
-            Vec::decode(r)?,
-        ))
+        let certificate = Certificate {
+            header_digest: Digest::decode(r)?,
+            dag: DagId::decode(r)?,
+            round: Round::decode(r)?,
+            author: ReplicaId::decode(r)?,
+            signers: Vec::decode(r)?,
+        };
+        // `Certificate::new` keeps signers sorted and distinct; a list in
+        // any other form would smuggle duplicates past `is_valid`'s
+        // distinct-signer count and would not re-encode to its own bytes.
+        if certificate
+            .signers
+            .windows(2)
+            .any(|pair| pair[0] >= pair[1])
+        {
+            return Err(WireError::NonCanonical {
+                type_name: "Certificate",
+            });
+        }
+        Ok(certificate)
     }
 }
 
@@ -864,25 +989,27 @@ impl Wire for LatencyModel {
             LatencyModel::Instant => w.put_u8(0),
             LatencyModel::Fixed { micros } => {
                 w.put_u8(1);
-                w.put_u64(micros);
+                w.put_varint(micros);
             }
             LatencyModel::Jittered {
                 base_micros,
                 jitter_micros,
             } => {
                 w.put_u8(2);
-                w.put_u64(base_micros);
-                w.put_u64(jitter_micros);
+                w.put_varint(base_micros);
+                w.put_varint(jitter_micros);
             }
         }
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
             0 => Ok(LatencyModel::Instant),
-            1 => Ok(LatencyModel::Fixed { micros: r.u64()? }),
+            1 => Ok(LatencyModel::Fixed {
+                micros: r.varint()?,
+            }),
             2 => Ok(LatencyModel::Jittered {
-                base_micros: r.u64()?,
-                jitter_micros: r.u64()?,
+                base_micros: r.varint()?,
+                jitter_micros: r.varint()?,
             }),
             tag => Err(WireError::InvalidTag {
                 type_name: "LatencyModel",
@@ -896,42 +1023,42 @@ wire_enum!(StorageBackend { 0 => Mem, 1 => Wal });
 
 impl Wire for SystemConfig {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(self.n_replicas);
-        w.put_u64(self.ce.executors as u64);
-        w.put_u64(self.ce.batch_size as u64);
-        w.put_u64(self.ce.max_retries as u64);
-        w.put_u64(self.ce.synthetic_op_cost_ns);
-        w.put_u64(self.validators as u64);
-        w.put_u64(self.reconfig.silent_rounds_k);
-        w.put_u64(self.reconfig.period_k_prime);
+        self.n_replicas.encode(w);
+        w.put_varint(self.ce.executors as u64);
+        w.put_varint(self.ce.batch_size as u64);
+        w.put_varint(self.ce.max_retries as u64);
+        w.put_varint(self.ce.synthetic_op_cost_ns);
+        w.put_varint(self.validators as u64);
+        w.put_varint(self.reconfig.silent_rounds_k);
+        w.put_varint(self.reconfig.period_k_prime);
         self.latency.encode(w);
-        w.put_u64(self.max_rounds);
+        w.put_varint(self.max_rounds);
         self.storage.backend.encode(w);
         self.storage.data_dir.encode(w);
-        w.put_u64(self.storage.compact_wal_bytes);
-        w.put_u64(self.storage.flush_buffered_writes);
+        w.put_varint(self.storage.compact_wal_bytes);
+        w.put_varint(self.storage.flush_buffered_writes);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(SystemConfig {
-            n_replicas: r.u32()?,
+            n_replicas: r.varint_u32()?,
             ce: CeConfig {
-                executors: r.u64()? as usize,
-                batch_size: r.u64()? as usize,
-                max_retries: r.u64()? as usize,
-                synthetic_op_cost_ns: r.u64()?,
+                executors: r.varint_in("usize")?,
+                batch_size: r.varint_in("usize")?,
+                max_retries: r.varint_in("usize")?,
+                synthetic_op_cost_ns: r.varint()?,
             },
-            validators: r.u64()? as usize,
+            validators: r.varint_in("usize")?,
             reconfig: ReconfigConfig {
-                silent_rounds_k: r.u64()?,
-                period_k_prime: r.u64()?,
+                silent_rounds_k: r.varint()?,
+                period_k_prime: r.varint()?,
             },
             latency: LatencyModel::decode(r)?,
-            max_rounds: r.u64()?,
+            max_rounds: r.varint()?,
             storage: StorageConfig {
                 backend: StorageBackend::decode(r)?,
                 data_dir: String::decode(r)?,
-                compact_wal_bytes: r.u64()?,
-                flush_buffered_writes: r.u64()?,
+                compact_wal_bytes: r.varint()?,
+                flush_buffered_writes: r.varint()?,
             },
         })
     }
@@ -992,6 +1119,56 @@ mod tests {
         round_trip(vec![1u32, 2, 3]);
         round_trip(Option::<u64>::None);
         round_trip(Some(7u64));
+    }
+
+    #[test]
+    fn varints_have_their_documented_bytes_at_the_edges() {
+        let cases: [(u64, &[u8]); 7] = [
+            (0, &[0x00]),
+            (1, &[0x01]),
+            (127, &[0x7f]),
+            (128, &[0x80, 0x01]),
+            (300, &[0xac, 0x02]),
+            (u64::from(u32::MAX), &[0xff, 0xff, 0xff, 0xff, 0x0f]),
+            (
+                u64::MAX,
+                &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01],
+            ),
+        ];
+        for (value, bytes) in cases {
+            assert_eq!(value.to_wire_bytes(), bytes, "{value}");
+            assert_eq!(varint_len(value), bytes.len(), "{value}");
+            assert_eq!(u64::from_wire_bytes(bytes), Ok(value));
+        }
+        // Zigzag keeps small magnitudes of either sign short and reaches
+        // both ends of the range.
+        for (value, bytes) in [
+            (0i64, &[0x00][..]),
+            (-1, &[0x01]),
+            (1, &[0x02]),
+            (-64, &[0x7f]),
+        ] {
+            assert_eq!(value.to_wire_bytes(), bytes, "{value}");
+        }
+        for value in [i64::MIN, i64::MAX, i64::MIN + 1, -100_000, 100_000] {
+            let bytes = value.to_wire_bytes();
+            assert_eq!(i64::from_wire_bytes(&bytes), Ok(value));
+        }
+        assert_eq!(i64::MAX.to_wire_bytes().len(), MAX_VARINT_LEN);
+        assert_eq!(i64::MIN.to_wire_bytes().len(), MAX_VARINT_LEN);
+        // Every length boundary agrees with counting mode, and decodes the
+        // same at the end of a buffer and with bytes after it.
+        for shift in 0..64 {
+            for value in [(1u64 << shift) - 1, 1u64 << shift] {
+                assert_eq!(value.encoded_len(), value.to_wire_bytes().len(), "{value}");
+                round_trip(value);
+                let mut padded = value.to_wire_bytes();
+                padded.extend_from_slice(&[0xff; 8]);
+                let mut r = WireReader::new(&padded);
+                assert_eq!(r.varint(), Ok(value));
+                assert_eq!(r.remaining(), 8, "{value}");
+            }
+        }
     }
 
     #[test]
@@ -1078,18 +1255,87 @@ mod tests {
                 tag: 9
             })
         );
-        assert_eq!(u32::from_wire_bytes(&[1, 2]), Err(WireError::UnexpectedEof));
+        // A varint cut short, and a fixed-width field cut short.
+        assert_eq!(u32::from_wire_bytes(&[0x81]), Err(WireError::UnexpectedEof));
+        assert_eq!(
+            Digest::from_wire_bytes(&[1, 2]),
+            Err(WireError::UnexpectedEof)
+        );
         assert_eq!(
             u8::from_wire_bytes(&[1, 2]),
             Err(WireError::TrailingBytes { remaining: 1 })
         );
+        assert_eq!(
+            u64::from_wire_bytes(&[5, 0]),
+            Err(WireError::TrailingBytes { remaining: 1 })
+        );
+        // Overlong: zero written in two bytes, 1 in three — alone, and with
+        // bytes behind them.
+        for overlong in [&[0x80, 0x00][..], &[0x81, 0x80, 0x00]] {
+            assert_eq!(
+                u64::from_wire_bytes(overlong),
+                Err(WireError::InvalidVarint)
+            );
+            let mut padded = overlong.to_vec();
+            padded.extend_from_slice(&[0; 8]);
+            assert_eq!(
+                WireReader::new(&padded).varint(),
+                Err(WireError::InvalidVarint)
+            );
+        }
+        // Eleven bytes, and ten whose last carries more than bit 63.
+        let mut eleven = vec![0xff; MAX_VARINT_LEN];
+        eleven.push(0x01);
+        assert_eq!(u64::from_wire_bytes(&eleven), Err(WireError::InvalidVarint));
+        let mut past_u64 = vec![0xff; MAX_VARINT_LEN - 1];
+        past_u64.push(0x02);
+        assert_eq!(
+            u64::from_wire_bytes(&past_u64),
+            Err(WireError::InvalidVarint)
+        );
+        // A value past its field's width.
+        let too_big = (u64::from(u32::MAX) + 1).to_wire_bytes();
+        assert_eq!(
+            u32::from_wire_bytes(&too_big),
+            Err(WireError::OutOfRange {
+                type_name: "u32",
+                value: u64::from(u32::MAX) + 1
+            })
+        );
+        assert!(matches!(
+            ReplicaId::from_wire_bytes(&too_big),
+            Err(WireError::OutOfRange { .. })
+        ));
+        assert_eq!(
+            u32::from_wire_bytes(&u32::MAX.to_wire_bytes()),
+            Ok(u32::MAX)
+        );
         // A corrupt huge length prefix must not allocate.
-        let mut bad = 0xffff_ffffu32.to_le_bytes().to_vec();
+        let mut bad = u64::MAX.to_wire_bytes();
         bad.push(0);
         assert_eq!(
             Vec::<u64>::from_wire_bytes(&bad),
             Err(WireError::LengthOverflow)
         );
+        // Signers out of order or repeated are refused, not normalised.
+        let header = Header::new(
+            DagId::new(0),
+            Round::new(1),
+            ReplicaId::new(0),
+            Digest::ZERO,
+            vec![],
+            SimTime::ZERO,
+        );
+        let mut cert = Certificate::for_header(&header, vec![ReplicaId::new(1)]);
+        for signers in [vec![2, 1], vec![1, 1]] {
+            cert.signers = signers.into_iter().map(ReplicaId::new).collect();
+            assert_eq!(
+                Certificate::from_wire_bytes(&cert.to_wire_bytes()),
+                Err(WireError::NonCanonical {
+                    type_name: "Certificate"
+                })
+            );
+        }
     }
 
     #[test]

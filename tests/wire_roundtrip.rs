@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use thunderbolt::tb_types::wire::Wire;
+use thunderbolt::tb_types::wire::{Wire, WireError};
 use thunderbolt::tb_types::{
     AccessRecord, Block, BlockKind, BlockPayload, Certificate, ClientId, ContractCall, DagId,
     Digest, ExecOutcome, Header, Key, KeySpace, Operation, PreplayedTx, ReplicaId, Round, SeqNo,
@@ -291,9 +291,12 @@ proptest! {
         roundtrips(msg);
     }
 
+    /// The envelope stays fixed-width and positional while everything
+    /// behind it is varints: magic at 0..4, version at 4..6, the variant tag
+    /// at 6. A copy stamped with the fixed-width version 2 is refused.
     #[test]
     fn message_encodings_start_with_the_versioned_envelope(msg in arb_message()) {
-        let bytes = msg.to_wire_bytes();
+        let mut bytes = msg.to_wire_bytes();
         prop_assert_eq!(
             u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]),
             thunderbolt::core::messages::WIRE_MAGIC
@@ -301,6 +304,18 @@ proptest! {
         prop_assert_eq!(
             u16::from_le_bytes([bytes[4], bytes[5]]),
             thunderbolt::core::messages::WIRE_FORMAT_VERSION
+        );
+        let tag = match msg.kind() {
+            "header" => 0,
+            "ack" => 1,
+            "vertex" => 2,
+            _ => 3,
+        };
+        prop_assert_eq!(bytes[6], tag);
+        bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
+        prop_assert_eq!(
+            Message::from_wire_bytes(&bytes),
+            Err(WireError::UnsupportedVersion { found: 2 })
         );
     }
 }
@@ -403,4 +418,60 @@ fn run_reports_roundtrip() {
         total_queue_wait_secs: 2.25,
     });
     roundtrips(RunReport::default());
+}
+
+/// The per-transaction byte budget of the two SmallBank procedures every
+/// proposer preplays: a `SendPayment` and a `GetBalance` with their read
+/// set, write set and result, as they ride in a `Header` block to each of
+/// the `n − 1` peers. Measured on the blocks of a short run of the
+/// benchmark's cluster (1 000 accounts, θ 0.85, half reads, batches of 200),
+/// where they average 49.9 and 32.9 bytes; the ceilings leave room for the
+/// longer transaction ids and times of a full-length run. With fixed-width
+/// integers they cost 148 and 96 bytes.
+#[test]
+fn preplayed_smallbank_transactions_fit_the_byte_budget() {
+    use thunderbolt::prelude::*;
+
+    const SEND_PAYMENT_CEILING: f64 = 53.0;
+    const GET_BALANCE_CEILING: f64 = 36.0;
+
+    let mut sim = ScenarioBuilder::new(4)
+        .engine(ExecutionMode::Thunderbolt)
+        .smallbank(SmallBankConfig {
+            accounts: 1_000,
+            theta: 0.85,
+            pr_read: 0.5,
+            ..SmallBankConfig::default()
+        })
+        .executors(1, 200)
+        .rounds(12)
+        .seed(42)
+        .lockstep()
+        .tune(|system| system.ce = system.ce.without_synthetic_cost())
+        .build();
+    assert!(sim.run().committed_txs > 0);
+
+    let mut sizes: std::collections::BTreeMap<&str, (usize, usize)> = Default::default();
+    for vertex in sim.replica(ReplicaId::new(0)).dag().iter() {
+        for preplayed in &vertex.block.payload.single_shard {
+            let ContractCall::SmallBank(procedure) = &preplayed.tx.call else {
+                panic!("a SmallBank run preplayed {:?}", preplayed.tx.call);
+            };
+            let entry = sizes.entry(procedure.name()).or_default();
+            entry.0 += preplayed.encoded_len();
+            entry.1 += 1;
+        }
+    }
+    for (name, ceiling) in [
+        ("SendPayment", SEND_PAYMENT_CEILING),
+        ("GetBalance", GET_BALANCE_CEILING),
+    ] {
+        let (bytes, count) = sizes[name];
+        assert!(count >= 100, "only {count} preplayed {name} transactions");
+        let mean = bytes as f64 / count as f64;
+        assert!(
+            mean <= ceiling,
+            "a preplayed {name} encodes to {mean:.1} B on average, over its {ceiling} B budget"
+        );
+    }
 }
