@@ -3,43 +3,56 @@
 //! When a replica receives a block through the DAG it does not trust the
 //! proposer's preplay results: it rebuilds the dependency structure from the
 //! read/write sets declared in the block and re-executes every transaction
-//! *in parallel*, each against a read view assembled from the declared write
-//! sets of the transactions ordered before it (and committed storage below
-//! that). A block is valid iff its `order` values are pairwise distinct and
-//! every transaction's re-executed read set, write set and result match what
-//! the block declares. Invalid blocks are discarded.
+//! *in parallel*. The transaction at position `(block, order)` of a run of
+//! blocks must observe, for every key it reads, the last write declared
+//! strictly before its position, or committed storage if there is none. A
+//! block is valid iff its `order` values are pairwise distinct and every
+//! transaction's re-executed read set, write set and result match what the
+//! block declares. Invalid blocks are discarded.
 //!
-//! # Two-stage structure
+//! # Two stages
 //!
-//! [`validate_blocks`] takes the whole run of blocks a commit delivered and
-//! is split into a **stateless parallel stage** and a **cheap sequential
-//! finalize** (the same shape oskr uses to verify messages in parallel):
+//! [`validate_blocks`] takes the whole run of blocks a commit delivered:
 //!
-//! 1. *Fan-out.* Each transaction's re-execution depends only on the run's
-//!    immutable write timeline (one flat list of the declared writes, grouped
-//!    by key and sorted by `(block, order)` position within each key, plus
-//!    one index from key to group) and committed storage, never on
-//!    another worker's progress, so the per-transaction checks are
-//!    embarrassingly parallel. The transactions of all blocks are flattened
-//!    and chunked across at most
+//! 1. *Read check* (sequential, on the caller). One pass walks the run in
+//!    position order, keeping the last declared write per key in one map
+//!    sized to the run. Every declared read is checked against that map, or
+//!    against committed storage when no earlier declared write shadows it;
+//!    then the transaction's declared writes enter the map. The per-block
+//!    sort that orders the walk also finds a repeated `order`. This is the
+//!    only stage that reads state, and it resolves each declared read once.
+//! 2. *Re-execution* (parallel). Each transaction whose reads passed runs
+//!    again with its own writes over its own declared reads as its whole
+//!    state. No worker touches a store, another transaction's writes or a
+//!    lock, so the transactions of all blocks are chunked across at most
 //!    [`effective_workers`](crate::traits::effective_workers)`(validators)`
-//!    slots of the shared long-lived [`pool`](crate::pool): one pool job per
-//!    run, however many blocks it has.
-//! 2. *Finalize.* The verdict vectors are joined back **in chunk order** on
-//!    the calling thread and folded into one [`ValidationReport`] per block.
+//!    slots of the shared [`pool`](crate::pool): one pool job per run. The
+//!    verdicts are joined **in chunk order** on the caller and folded into
+//!    one [`ValidationReport`] per block.
 //!
-//! # Checking while executing
+//! # Why two stages give the verdict of one re-execution against the view
 //!
-//! A re-execution is compared with the declaration as it runs, not recorded
-//! and compared afterwards: each first read is matched on the spot against
-//! the declared read set, and the first mismatch ends the transaction as
-//! invalid. The buffers are reused across a chunk, so checking an honest
-//! transaction allocates nothing once they have grown.
+//! A re-execution is checked as it runs. Reading a key the transaction has
+//! neither written nor declared ends it as invalid. On return, the number of
+//! distinct first reads must equal the number of declared reads, the write
+//! set (last value per key) must equal the declared one record for record,
+//! and the return value and abort flag must match. The count rule makes the
+//! declared read keys exactly the keys the transaction reads, once each.
 //!
-//! See `docs/PIPELINE.md` for how this stage slots into the commit pipeline.
+//! * If stage 1 passes, every declared read holds the value the view holds,
+//!   so each read of the re-execution returns what a read of the view would.
+//!   By induction over its operations the two executions are identical (the
+//!   argument the CE's `finalize_batch` makes for speculative reads), and so
+//!   are their verdicts.
+//! * If stage 1 fails, some declared record disagrees with the view. A
+//!   re-execution against the view either reads that key and finds a
+//!   different value, or leaves a record unread and fails the count rule.
+//!
+//! The buffers of stage 2 are reused across a chunk, so checking an honest
+//! transaction allocates nothing once they have grown. See
+//! `docs/PIPELINE.md` for how validation slots into the commit pipeline.
 
 use crate::traits::synthetic_work;
-use std::ops::Range;
 use std::sync::Mutex;
 use tb_contracts::{execute_call, ExecError, StateAccess};
 use tb_storage::KvRead;
@@ -90,98 +103,64 @@ impl ValidationReport {
     }
 }
 
-/// Where a transaction sits in a run of blocks: `(block index, order)`.
-type Position = (usize, u32);
-
-/// The timeline of the writes a run of blocks declares: one flat list in
-/// which each written key's writes are a contiguous run sorted by position,
-/// and an index from each key to its run. A transaction's read of a key
-/// resolves to the latest declared write before it, or to committed storage
-/// if there is none.
-struct WriteTimeline<'a> {
-    writes: Vec<(Position, &'a Value)>,
-    runs: KeyMap<Range<usize>>,
+/// Stage 1, the read check. Returns one flag per transaction of the run, in
+/// block and then declaration order: true iff the transaction's block has
+/// pairwise distinct `order` values and every read it declares holds the
+/// value of the last write declared before its position, or `base`'s value
+/// if there is none. Every transaction's writes enter the map, whether its
+/// reads passed or not, so later flags judge the run as it was declared.
+fn check_reads(blocks: &[&[PreplayedTx]], base: &(dyn KvRead + Sync)) -> Vec<bool> {
+    let run = || blocks.iter().flat_map(|preplayed| preplayed.iter());
+    let writes = run().map(|p| p.outcome.write_set.len()).sum();
+    let mut last_write: KeyMap<&Value> =
+        KeyMap::with_capacity_and_hasher(writes, Default::default());
+    let mut reads_pass = Vec::with_capacity(run().count());
+    let mut by_position: Vec<usize> = Vec::new();
+    for preplayed in blocks {
+        by_position.clear();
+        by_position.extend(0..preplayed.len());
+        // The index breaks ties as a stable sort would: the writes a
+        // malformed block declares at one position enter in block order.
+        by_position.sort_unstable_by_key(|&i| (preplayed[i].order, i));
+        let well_ordered = by_position
+            .windows(2)
+            .all(|pair| preplayed[pair[0]].order != preplayed[pair[1]].order);
+        let first = reads_pass.len();
+        reads_pass.resize(first + preplayed.len(), false);
+        for &i in &by_position {
+            let outcome = &preplayed[i].outcome;
+            reads_pass[first + i] = well_ordered
+                && outcome
+                    .read_set
+                    .iter()
+                    .all(|rec| match last_write.get(&rec.key) {
+                        Some(value) => **value == rec.value,
+                        None => base.get(&rec.key) == rec.value,
+                    });
+            for rec in &outcome.write_set {
+                last_write.insert(rec.key, &rec.value);
+            }
+        }
+    }
+    reads_pass
 }
 
-impl<'a> WriteTimeline<'a> {
-    /// A counting sort by key: count each key's writes, give each key its
-    /// slice of one list, fill the slices in declaration order, then sort
-    /// each by position. Two allocations however many keys are written.
-    fn build(blocks: &[&'a [PreplayedTx]]) -> Self {
-        let declared = || {
-            blocks.iter().enumerate().flat_map(|(block, preplayed)| {
-                preplayed.iter().flat_map(move |p| {
-                    let position = (block, p.order);
-                    p.outcome
-                        .write_set
-                        .iter()
-                        .map(move |rec| (rec.key, position, &rec.value))
-                })
-            })
-        };
-        let Some((_, _, placeholder)) = declared().next() else {
-            return WriteTimeline {
-                writes: Vec::new(),
-                runs: KeyMap::default(),
-            };
-        };
-        let total = declared().count();
-        let mut runs: KeyMap<Range<usize>> =
-            KeyMap::with_capacity_and_hasher(total, Default::default());
-        for (key, _, _) in declared() {
-            runs.entry(key).or_insert(0..0).end += 1;
-        }
-        // Each run starts empty at its offset and grows as it is filled.
-        let mut offset = 0;
-        for run in runs.values_mut() {
-            let len = run.end;
-            *run = offset..offset;
-            offset += len;
-        }
-        // Placeholders: the loop below writes every slot exactly once.
-        let mut writes = vec![((0, 0), placeholder); total];
-        for (key, position, value) in declared() {
-            let run = runs.get_mut(&key).expect("every declared key was counted");
-            writes[run.end] = (position, value);
-            run.end += 1;
-        }
-        // Stable: writes a malformed block declares twice at one position
-        // keep their declaration order.
-        for run in runs.values() {
-            writes[run.clone()].sort_by_key(|(position, _)| *position);
-        }
-        WriteTimeline { writes, runs }
-    }
-
-    /// The value the transaction at `position` should observe for `key`, if
-    /// any transaction before it wrote the key.
-    fn value_before(&self, key: &Key, position: Position) -> Option<&'a Value> {
-        let run = &self.writes[self.runs.get(key)?.clone()];
-        let earlier = run.partition_point(|(p, _)| *p < position);
-        earlier.checked_sub(1).map(|last| run[last].1)
-    }
-}
-
-/// Re-executes transactions and checks them against their declarations as
-/// they run. The transaction at `position` reads its own `writes` (last value
-/// per key), over the declared writes before it, over committed storage.
-struct CheckSession<'a> {
-    base: &'a (dyn KvRead + Sync),
-    timeline: &'a WriteTimeline<'a>,
+/// Stage 2's whole state for one transaction: its own writes over its own
+/// declared reads. Re-executes the transaction and checks it against its
+/// declaration as it runs.
+struct ReplaySession<'a> {
     op_cost: u64,
-    position: Position,
     declared_reads: &'a [AccessRecord],
     reads: Vec<Key>,
     writes: Vec<AccessRecord>,
 }
 
-impl<'a> CheckSession<'a> {
+impl<'a> ReplaySession<'a> {
     /// True iff re-executing `p` reproduces its declared outcome. A set
     /// matches when it has as many records as the declaration, each with an
     /// equal declared record, so a duplicate, extra or missing key fails.
-    fn check(&mut self, p: &'a PreplayedTx, block: usize) -> bool {
+    fn check(&mut self, p: &'a PreplayedTx) -> bool {
         let declared = &p.outcome;
-        self.position = (block, p.order);
         self.declared_reads = &declared.read_set;
         self.reads.clear();
         self.writes.clear();
@@ -199,28 +178,20 @@ impl<'a> CheckSession<'a> {
     }
 }
 
-impl StateAccess for CheckSession<'_> {
+impl StateAccess for ReplaySession<'_> {
     fn read(&mut self, key: Key) -> Result<Value, ExecError> {
         synthetic_work(self.op_cost);
         if let Some(own) = self.writes.iter().find(|rec| rec.key == key) {
             return Ok(own.value.clone());
         }
-        let value = match self.timeline.value_before(&key, self.position) {
-            Some(value) => value.clone(),
-            None => self.base.get(&key),
+        let Some(declared) = self.declared_reads.iter().find(|rec| rec.key == key) else {
+            return Err(ExecError::aborted("read of an undeclared key"));
         };
-        // A repeated read observes the same value; only the first is declared.
+        // A repeated read observes the same value; only the first counts.
         if !self.reads.contains(&key) {
-            if !self
-                .declared_reads
-                .iter()
-                .any(|r| r.key == key && r.value == value)
-            {
-                return Err(ExecError::aborted("read differs from the declaration"));
-            }
             self.reads.push(key);
         }
-        Ok(value)
+        Ok(declared.value.clone())
     }
 
     fn write(&mut self, key: Key, value: Value) -> Result<(), ExecError> {
@@ -245,20 +216,21 @@ pub fn validate_block(
         .expect("one report per block")
 }
 
-/// Validates a run of blocks delivered together, in delivery order, with one
-/// fan-out: re-executes every transaction of every block in parallel against
-/// the declared dependency structure, checking while it executes that read
-/// sets, write sets and results match the declaration. Returns one report
-/// per block.
+/// Validates a run of blocks delivered together, in delivery order, and
+/// returns one report per block. Two stages: one sequential pass checks
+/// every declared read against the last write declared before it, or
+/// `base`; then one parallel fan-out re-executes every transaction whose
+/// reads passed over its own declarations, checking while it executes that
+/// its reads, write set and result match them.
 ///
-/// The transaction at `(block, order)` reads its own writes first, then the
-/// last write declared strictly before its position, then `base`. Report `k`
-/// is therefore exact **provided blocks `0..k` are valid**: block `k` then
-/// sees its own earlier writes over the final writes of blocks `0..k` over
-/// `base`, which is the state a validate-apply-validate loop would show it.
-/// Reports after the first invalid one were computed over writes that will
-/// never be applied; the caller discards them and validates those blocks
-/// again once the valid prefix is in `base`.
+/// The transaction at `(block, order)` is judged against its own writes,
+/// over the last write declared strictly before its position, over `base`.
+/// Report `k` is therefore exact **provided blocks `0..k` are valid**: block
+/// `k` then sees its own earlier writes over the final writes of blocks
+/// `0..k` over `base`, which is the state a validate-apply-validate loop
+/// would show it. Reports after the first invalid one were computed over
+/// writes that will never be applied; the caller discards them and validates
+/// those blocks again once the valid prefix is in `base`.
 ///
 /// A block whose `order` values are not pairwise distinct is reported
 /// invalid, every transaction a mismatch, without being re-executed: two
@@ -266,9 +238,16 @@ pub fn validate_block(
 /// be applied (executors emit a permutation,
 /// [`BatchResult::order_is_permutation`](crate::batch::BatchResult::order_is_permutation)).
 ///
+/// The two stages reach the verdicts of re-executing every transaction
+/// against that view; the module documentation gives the argument, and a
+/// proptest pins it against the single-stage re-execution on honest,
+/// tampered and malformed runs.
+///
 /// # Parallelism contract
 ///
-/// The fan-out occupies at most `effective_workers(config.validators)`
+/// Only the read check reads `base`: on the calling thread, at most once per
+/// declared read that no earlier declared write shadows. The re-execution
+/// reads no state. It occupies at most `effective_workers(config.validators)`
 /// slots of the shared worker pool (clamped to the transaction count); with
 /// one effective worker — a single-core machine, or `validators: 1` — no
 /// pool job is submitted and the whole pass runs inline on the caller, so
@@ -288,29 +267,31 @@ pub fn validate_block(
 /// Worker threads never panic on malformed or Byzantine block contents —
 /// interpreter failures are verdicts (`Err` from [`execute_call`] marks the
 /// transaction as a mismatch), not panics. If a worker does panic (a bug in
-/// the contract interpreter, or a panicking [`KvRead`] implementation), the
-/// pool re-throws the panic on the calling thread once the job drains; it
-/// is never swallowed.
+/// the contract interpreter), the pool re-throws the panic on the calling
+/// thread once the job drains; it is never swallowed. A panicking [`KvRead`]
+/// panics on the calling thread, in the read check.
 pub fn validate_blocks(
     blocks: &[&[PreplayedTx]],
     base: &(dyn KvRead + Sync),
     config: &ValidationConfig,
 ) -> Vec<ValidationReport> {
-    let timeline = WriteTimeline::build(blocks);
-    let well_ordered: Vec<bool> = blocks.iter().map(|b| orders_are_distinct(b)).collect();
-    let txs: Vec<(usize, &PreplayedTx)> = blocks
+    let reads_pass = check_reads(blocks, base);
+    let txs: Vec<&PreplayedTx> = blocks
         .iter()
-        .enumerate()
-        .filter(|(block, _)| well_ordered[*block])
-        .flat_map(|(block, preplayed)| preplayed.iter().map(move |p| (block, p)))
+        .flat_map(|preplayed| preplayed.iter())
+        .zip(&reads_pass)
+        .filter_map(|(p, pass)| pass.then_some(p))
         .collect();
-    let mut verdicts = parallel_verdicts(&txs, base, &timeline, config).into_iter();
+    let mut verdicts = parallel_verdicts(&txs, config).into_iter();
+    let mut reads_pass = reads_pass.into_iter();
     let mut reports = Vec::with_capacity(blocks.len());
-    for (preplayed, well_ordered) in blocks.iter().zip(well_ordered) {
+    for preplayed in blocks {
         let mut mismatches = Vec::new();
         for p in *preplayed {
-            // Only well-ordered blocks went through the fan-out.
-            if !(well_ordered && verdicts.next().expect("one verdict per transaction")) {
+            // Only transactions whose reads passed went through the fan-out.
+            let pass = reads_pass.next().expect("one flag per transaction")
+                && verdicts.next().expect("one verdict per re-execution");
+            if !pass {
                 mismatches.push(p.tx.id);
             }
         }
@@ -323,37 +304,20 @@ pub fn validate_blocks(
     reports
 }
 
-fn orders_are_distinct(preplayed: &[PreplayedTx]) -> bool {
-    let mut orders: Vec<u32> = preplayed.iter().map(|p| p.order).collect();
-    orders.sort_unstable();
-    orders.windows(2).all(|pair| pair[0] != pair[1])
-}
-
-/// The stateless fan-out: re-executes every transaction against the shared
-/// [`WriteTimeline`] and returns one verdict per transaction, in input
-/// order. Workers share only immutable state, so no synchronisation is
-/// needed beyond the final join.
-fn parallel_verdicts(
-    txs: &[(usize, &PreplayedTx)],
-    base: &(dyn KvRead + Sync),
-    timeline: &WriteTimeline<'_>,
-    config: &ValidationConfig,
-) -> Vec<bool> {
+/// Stage 2, the stateless fan-out: re-executes every transaction over its
+/// own declarations and returns one verdict per transaction, in input order.
+/// Workers share only the immutable blocks, so no synchronisation is needed
+/// beyond the final join.
+fn parallel_verdicts(txs: &[&PreplayedTx], config: &ValidationConfig) -> Vec<bool> {
     let workers = crate::traits::effective_workers(config.validators).min(txs.len());
-    let revalidate_all = |chunk: &[(usize, &PreplayedTx)]| -> Vec<bool> {
-        let mut session = CheckSession {
-            base,
-            timeline,
+    let revalidate_all = |chunk: &[&PreplayedTx]| -> Vec<bool> {
+        let mut session = ReplaySession {
             op_cost: config.op_cost_ns,
-            position: (0, 0),
             declared_reads: &[],
             reads: Vec::new(),
             writes: Vec::new(),
         };
-        chunk
-            .iter()
-            .map(|(block, p)| session.check(p, *block))
-            .collect()
+        chunk.iter().map(|p| session.check(p)).collect()
     };
     if workers <= 1 {
         return revalidate_all(txs);
@@ -377,17 +341,173 @@ mod tests {
     use crate::ce::ConcurrentExecutor;
     use crate::serial::SerialExecutor;
     use crate::traits::BatchExecutor;
+    use std::ops::Range;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::thread::{self, ThreadId};
     use tb_contracts::SMALLBANK_DEFAULT_BALANCE;
-    use tb_storage::MemStore;
+    use tb_storage::{MemStore, Versioned};
     use tb_types::{
-        CeConfig, ClientId, ContractCall, KeyMap, SimTime, SmallBankProcedure, Transaction, TxId,
+        CeConfig, ClientId, ContractCall, KeySet, Operation, SimTime, SmallBankProcedure,
+        Transaction,
     };
     use tb_workload::{SmallBankConfig, SmallBankWorkload};
 
-    /// The reference verdict: record the re-execution's whole outcome
+    /// Where a transaction sits in a run of blocks: `(block index, order)`.
+    type Position = (usize, u32);
+
+    /// The oracle's view of the writes a run of blocks declares: one flat
+    /// list in which each written key's writes are a contiguous run sorted by
+    /// position, and an index from each key to its run. A transaction's read
+    /// of a key resolves to the latest declared write before it, or to
+    /// committed storage if there is none.
+    struct WriteTimeline<'a> {
+        writes: Vec<(Position, &'a Value)>,
+        runs: KeyMap<Range<usize>>,
+    }
+
+    impl<'a> WriteTimeline<'a> {
+        /// A counting sort by key: count each key's writes, give each key its
+        /// slice of one list, fill the slices in declaration order, then sort
+        /// each by position.
+        fn build(blocks: &[&'a [PreplayedTx]]) -> Self {
+            let declared = || {
+                blocks.iter().enumerate().flat_map(|(block, preplayed)| {
+                    preplayed.iter().flat_map(move |p| {
+                        let position = (block, p.order);
+                        p.outcome
+                            .write_set
+                            .iter()
+                            .map(move |rec| (rec.key, position, &rec.value))
+                    })
+                })
+            };
+            let Some((_, _, placeholder)) = declared().next() else {
+                return WriteTimeline {
+                    writes: Vec::new(),
+                    runs: KeyMap::default(),
+                };
+            };
+            let total = declared().count();
+            let mut runs: KeyMap<Range<usize>> = KeyMap::default();
+            for (key, _, _) in declared() {
+                runs.entry(key).or_insert(0..0).end += 1;
+            }
+            // Each run starts empty at its offset and grows as it is filled.
+            let mut offset = 0;
+            for run in runs.values_mut() {
+                let len = run.end;
+                *run = offset..offset;
+                offset += len;
+            }
+            let mut writes = vec![((0, 0), placeholder); total];
+            for (key, position, value) in declared() {
+                let run = runs.get_mut(&key).expect("every declared key was counted");
+                writes[run.end] = (position, value);
+                run.end += 1;
+            }
+            // Stable: writes a malformed block declares twice at one position
+            // keep their declaration order.
+            for run in runs.values() {
+                writes[run.clone()].sort_by_key(|(position, _)| *position);
+            }
+            WriteTimeline { writes, runs }
+        }
+
+        /// The value the transaction at `position` should observe for `key`,
+        /// if any transaction before it wrote the key.
+        fn value_before(&self, key: &Key, position: Position) -> Option<&'a Value> {
+            let run = &self.writes[self.runs.get(key)?.clone()];
+            let earlier = run.partition_point(|(p, _)| *p < position);
+            earlier.checked_sub(1).map(|last| run[last].1)
+        }
+    }
+
+    fn orders_are_distinct(preplayed: &[PreplayedTx]) -> bool {
+        let mut orders: Vec<u32> = preplayed.iter().map(|p| p.order).collect();
+        orders.sort_unstable();
+        orders.windows(2).all(|pair| pair[0] != pair[1])
+    }
+
+    /// The single-stage validator as an oracle: re-executes the transaction
+    /// at `position` against its own writes, over the declared writes before
+    /// it, over committed storage, and checks each first read against the
+    /// declared read set as it runs.
+    struct CheckSession<'a> {
+        base: &'a (dyn KvRead + Sync),
+        timeline: &'a WriteTimeline<'a>,
+        position: Position,
+        declared_reads: &'a [AccessRecord],
+        reads: Vec<Key>,
+        writes: Vec<AccessRecord>,
+    }
+
+    impl StateAccess for CheckSession<'_> {
+        fn read(&mut self, key: Key) -> Result<Value, ExecError> {
+            if let Some(own) = self.writes.iter().find(|rec| rec.key == key) {
+                return Ok(own.value.clone());
+            }
+            let value = match self.timeline.value_before(&key, self.position) {
+                Some(value) => value.clone(),
+                None => self.base.get(&key),
+            };
+            if !self.reads.contains(&key) {
+                if !self
+                    .declared_reads
+                    .iter()
+                    .any(|r| r.key == key && r.value == value)
+                {
+                    return Err(ExecError::aborted("read differs from the declaration"));
+                }
+                self.reads.push(key);
+            }
+            Ok(value)
+        }
+
+        fn write(&mut self, key: Key, value: Value) -> Result<(), ExecError> {
+            match self.writes.iter_mut().find(|rec| rec.key == key) {
+                Some(own) => own.value = value,
+                None => self.writes.push(AccessRecord::new(key, value)),
+            }
+            Ok(())
+        }
+    }
+
+    /// One transaction's verdict from an oracle.
+    type Verdict = fn(&PreplayedTx, usize, &(dyn KvRead + Sync), &WriteTimeline<'_>) -> bool;
+
+    /// The verdict of the single-stage check-while-executing validator.
+    fn check_while_executing_verdict(
+        p: &PreplayedTx,
+        block: usize,
+        base: &(dyn KvRead + Sync),
+        timeline: &WriteTimeline<'_>,
+    ) -> bool {
+        let declared = &p.outcome;
+        let mut session = CheckSession {
+            base,
+            timeline,
+            position: (block, p.order),
+            declared_reads: &declared.read_set,
+            reads: Vec::new(),
+            writes: Vec::new(),
+        };
+        let Ok(result) = execute_call(&p.tx.call, &mut session) else {
+            return false;
+        };
+        session.reads.len() == declared.read_set.len()
+            && session.writes.len() == declared.write_set.len()
+            && session
+                .writes
+                .iter()
+                .all(|rec| declared.write_set.contains(rec))
+            && result.return_value == declared.return_value
+            && result.logically_aborted == declared.logically_aborted
+    }
+
+    /// The recording verdict: record the re-execution's whole outcome
     /// through `TrackingState` over the same view, then compare it with the
     /// declaration, order-insensitively.
-    fn oracle_verdict(
+    fn recording_verdict(
         p: &PreplayedTx,
         block: usize,
         base: &(dyn KvRead + Sync),
@@ -418,8 +538,8 @@ mod tests {
             })
     }
 
-    /// The oracle's read view: own writes, over the declared writes before
-    /// `position`, over committed storage.
+    /// The recording oracle's read view: own writes, over the declared
+    /// writes before `position`, over committed storage.
     struct OracleSession<'a> {
         base: &'a (dyn KvRead + Sync),
         timeline: &'a WriteTimeline<'a>,
@@ -444,9 +564,13 @@ mod tests {
         }
     }
 
-    /// [`validate_blocks`] as the oracle computes it, one transaction at a
+    /// [`validate_blocks`] as an oracle computes it, one transaction at a
     /// time.
-    fn oracle_reports(blocks: &[&[PreplayedTx]], base: &MemStore) -> Vec<ValidationReport> {
+    fn oracle_reports(
+        blocks: &[&[PreplayedTx]],
+        base: &MemStore,
+        verdict: Verdict,
+    ) -> Vec<ValidationReport> {
         let timeline = WriteTimeline::build(blocks);
         blocks
             .iter()
@@ -455,7 +579,7 @@ mod tests {
                 let well_ordered = orders_are_distinct(preplayed);
                 let mut mismatches: Vec<TxId> = preplayed
                     .iter()
-                    .filter(|p| !(well_ordered && oracle_verdict(p, block, base, &timeline)))
+                    .filter(|p| !(well_ordered && verdict(p, block, base, &timeline)))
                     .map(|p| p.tx.id)
                     .collect();
                 mismatches.sort_unstable();
@@ -510,6 +634,22 @@ mod tests {
         (txs, store)
     }
 
+    /// Preplays each chunk with the one-worker CE on a copy of `store`, each
+    /// chunk chained on the state the previous one left behind.
+    fn preplay_chained(chunks: &[Vec<Transaction>], store: &MemStore) -> Vec<Vec<PreplayedTx>> {
+        let ce = ConcurrentExecutor::new(CeConfig::new(1, 64).without_synthetic_cost());
+        let scratch = MemStore::new();
+        scratch.load(store.snapshot().iter().map(|(k, v)| (*k, v.value.clone())));
+        chunks
+            .iter()
+            .map(|chunk| {
+                let result = ce.preplay(chunk, &scratch);
+                result.apply_to(&scratch);
+                result.preplayed
+            })
+            .collect()
+    }
+
     /// Changes one declared field of `p`: a read value; an extra, missing or
     /// duplicate read key; a write value; an extra or missing write; the
     /// return value; the abort flag.
@@ -539,6 +679,20 @@ mod tests {
         }
     }
 
+    /// The first transaction of `block` at or after index `from`, wrapping
+    /// around, for which `wanted` holds.
+    fn pick(
+        block: &mut [PreplayedTx],
+        from: usize,
+        wanted: impl Fn(&PreplayedTx) -> bool,
+    ) -> Option<&mut PreplayedTx> {
+        let len = block.len();
+        let index = (0..len)
+            .map(|step| (from + step) % len)
+            .find(|&i| wanted(&block[i]))?;
+        Some(&mut block[index])
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
@@ -556,23 +710,99 @@ mod tests {
             validators in 2usize..9,
         ) {
             let (txs, store) = contended_batch(kind, seed, len);
-            let ce = ConcurrentExecutor::new(CeConfig::new(1, len).without_synthetic_cost());
-            let scratch = MemStore::new();
-            scratch.load(store.snapshot().iter().map(|(k, v)| (*k, v.value.clone())));
-            let mut blocks: Vec<Vec<PreplayedTx>> = txs
-                .chunks(len.div_ceil(2))
-                .map(|half| {
-                    let result = ce.preplay(half, &scratch);
-                    result.apply_to(&scratch);
-                    result.preplayed
-                })
-                .collect();
+            let chunks: Vec<Vec<Transaction>> =
+                txs.chunks(len.div_ceil(2)).map(<[Transaction]>::to_vec).collect();
+            let mut blocks = preplay_chained(&chunks, &store);
             let victim = victim % len;
             let (block, index) = (victim / len.div_ceil(2), victim % len.div_ceil(2));
             tamper(&mut blocks[block][index], field, forged);
 
             let run: Vec<&[PreplayedTx]> = blocks.iter().map(Vec::as_slice).collect();
-            let oracle = oracle_reports(&run, &store);
+            let oracle = oracle_reports(&run, &store, recording_verdict);
+            for validators in [1, validators] {
+                let reports = validate_blocks(&run, &store, &ValidationConfig::new(validators));
+                proptest::prop_assert_eq!(&reports, &oracle);
+            }
+        }
+
+        /// Every report of the two stages equals the single-stage
+        /// check-while-executing oracle's, and the recording oracle's, on
+        /// three chained blocks with any mix of: an ill-ordered middle
+        /// block; a key written twice by one transaction (same value or
+        /// another); a read key declared twice; a forged read value; and a
+        /// transaction that reads a key after writing it, honestly declared
+        /// or with that read declared at the value the view holds.
+        #[test]
+        fn two_stages_match_the_single_stage_oracle_on_malformed_runs(
+            kind in 0usize..3,
+            seed in 0u64..1_000,
+            len in 2usize..24,
+            ill_ordered in 0usize..2,
+            write_twice in 0usize..3,
+            read_twice in 0usize..2,
+            forge_read in 0usize..2,
+            read_after_write in 0usize..3,
+            victim in 0usize..64,
+            validators in 2usize..9,
+        ) {
+            let (txs, store) = contended_batch(kind, seed, 3 * len);
+            let mut chunks: Vec<Vec<Transaction>> =
+                txs.chunks(len).map(<[Transaction]>::to_vec).collect();
+            let (target, at) = (victim % 3, victim % len);
+            let rereader = TxId::new(1 << 40);
+            let reread = chunks[target][at]
+                .call
+                .declared_keys()
+                .first()
+                .copied()
+                .unwrap_or(Key::scratch(0));
+            if read_after_write > 0 {
+                let call = ContractCall::KvOps(vec![
+                    Operation::write(reread, Value::int(victim as i64)),
+                    Operation::read(reread),
+                ]);
+                chunks[target].insert(at, Transaction::new(rereader, ClientId::new(0), call, 1, SimTime::ZERO));
+            }
+            let mut blocks = preplay_chained(&chunks, &store);
+            if read_after_write == 2 {
+                let run: Vec<&[PreplayedTx]> = blocks.iter().map(Vec::as_slice).collect();
+                let order = run[target].iter().find(|p| p.tx.id == rereader).expect("inserted").order;
+                let seen = WriteTimeline::build(&run)
+                    .value_before(&reread, (target, order))
+                    .cloned()
+                    .unwrap_or_else(|| store.get(&reread));
+                let p = pick(&mut blocks[target], 0, |p| p.tx.id == rereader).expect("inserted");
+                p.outcome.read_set.push(AccessRecord::new(reread, seen));
+            }
+            if write_twice > 0 {
+                if let Some(p) = pick(&mut blocks[(target + 1) % 3], at, |p| !p.outcome.write_set.is_empty()) {
+                    let mut again = p.outcome.write_set[0].clone();
+                    if write_twice == 2 {
+                        again.value = Value::int(-7);
+                    }
+                    p.outcome.write_set.push(again);
+                }
+            }
+            if read_twice == 1 {
+                if let Some(p) = pick(&mut blocks[(target + 2) % 3], at, |p| !p.outcome.read_set.is_empty()) {
+                    let again = p.outcome.read_set[0].clone();
+                    p.outcome.read_set.push(again);
+                }
+            }
+            if forge_read == 1 {
+                if let Some(p) = pick(&mut blocks[target], at + 1, |p| !p.outcome.read_set.is_empty()) {
+                    p.outcome.read_set[0].value = Value::int(-424_242);
+                }
+            }
+            if ill_ordered == 1 {
+                let middle = &mut blocks[1];
+                let (a, b) = (at % middle.len(), (at + 1) % middle.len());
+                middle[a].order = middle[b].order;
+            }
+
+            let run: Vec<&[PreplayedTx]> = blocks.iter().map(Vec::as_slice).collect();
+            let oracle = oracle_reports(&run, &store, check_while_executing_verdict);
+            proptest::prop_assert_eq!(&oracle, &oracle_reports(&run, &store, recording_verdict));
             for validators in [1, validators] {
                 let reports = validate_blocks(&run, &store, &ValidationConfig::new(validators));
                 proptest::prop_assert_eq!(&reports, &oracle);
@@ -629,6 +859,76 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A [`KvRead`] over a store that counts reads made on the thread that
+    /// created it and on every other thread.
+    struct CountingRead<'a> {
+        inner: &'a MemStore,
+        caller: ThreadId,
+        on_caller: AtomicUsize,
+        elsewhere: AtomicUsize,
+    }
+
+    impl CountingRead<'_> {
+        fn count(&self) {
+            let counter = if thread::current().id() == self.caller {
+                &self.on_caller
+            } else {
+                &self.elsewhere
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    impl KvRead for CountingRead<'_> {
+        fn get(&self, key: &Key) -> Value {
+            self.count();
+            self.inner.get(key)
+        }
+
+        fn get_versioned(&self, key: &Key) -> Versioned {
+            self.count();
+            self.inner.get_versioned(key)
+        }
+    }
+
+    #[test]
+    fn the_fan_out_reads_no_state() {
+        let blocks = chained_blocks(8);
+        let store = funded_store(8);
+        let counting = CountingRead {
+            inner: &store,
+            caller: thread::current().id(),
+            on_caller: AtomicUsize::new(0),
+            elsewhere: AtomicUsize::new(0),
+        };
+        let run: Vec<&[PreplayedTx]> = blocks.iter().map(Vec::as_slice).collect();
+        let reports = validate_blocks(&run, &counting, &ValidationConfig::new(2));
+        assert!(reports.iter().all(|r| r.is_valid()));
+        assert_eq!(counting.elsewhere.load(Ordering::Relaxed), 0);
+
+        // The declared reads no earlier declared write shadows.
+        let mut written = KeySet::default();
+        let mut unshadowed = 0;
+        for block in &blocks {
+            let mut by_position: Vec<&PreplayedTx> = block.iter().collect();
+            by_position.sort_by_key(|p| p.order);
+            for p in by_position {
+                unshadowed += p
+                    .outcome
+                    .read_set
+                    .iter()
+                    .filter(|rec| !written.contains(&rec.key))
+                    .count();
+                written.extend(p.outcome.write_set.iter().map(|rec| rec.key));
+            }
+        }
+        let on_caller = counting.on_caller.load(Ordering::Relaxed);
+        assert!(
+            on_caller <= unshadowed,
+            "{on_caller} reads on the caller, {unshadowed} unshadowed declared reads"
+        );
     }
 
     fn funded_store(accounts: u64) -> MemStore {

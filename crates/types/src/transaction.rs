@@ -68,19 +68,23 @@ impl SmallBankProcedure {
     /// The accounts named by the procedure parameters. These determine the
     /// shards the transaction is associated with before execution.
     pub fn accounts(&self) -> Vec<u64> {
+        match self.account_pair() {
+            (first, second) if first == second => vec![first],
+            (first, second) => vec![first, second],
+        }
+    }
+
+    /// The accounts named by the procedure parameters without allocating:
+    /// `(from, to)` for a two-account procedure, the one account twice
+    /// otherwise.
+    fn account_pair(&self) -> (u64, u64) {
         match self {
             SmallBankProcedure::Amalgamate { from, to }
-            | SmallBankProcedure::SendPayment { from, to, .. } => {
-                if from == to {
-                    vec![*from]
-                } else {
-                    vec![*from, *to]
-                }
-            }
+            | SmallBankProcedure::SendPayment { from, to, .. } => (*from, *to),
             SmallBankProcedure::GetBalance { account }
             | SmallBankProcedure::DepositChecking { account, .. }
             | SmallBankProcedure::TransactSavings { account, .. }
-            | SmallBankProcedure::WriteCheck { account, .. } => vec![*account],
+            | SmallBankProcedure::WriteCheck { account, .. } => (*account, *account),
         }
     }
 
@@ -212,13 +216,31 @@ impl Transaction {
         n_shards: u32,
         submitted_at: SimTime,
     ) -> Self {
-        let mut shards: Vec<ShardId> = call
-            .declared_keys()
-            .iter()
-            .map(|k| k.shard(n_shards))
-            .collect();
-        shards.sort_unstable();
-        shards.dedup();
+        let shards = match &call {
+            // Both balances of an account live in one shard, so a SmallBank
+            // call's shards come straight from its one or two accounts: one
+            // allocation, the result.
+            ContractCall::SmallBank(procedure) => {
+                let (first, second) = procedure.account_pair();
+                let a = Key::checking(first).shard(n_shards);
+                let b = Key::checking(second).shard(n_shards);
+                if a == b {
+                    vec![a]
+                } else {
+                    vec![a.min(b), a.max(b)]
+                }
+            }
+            _ => {
+                let mut shards: Vec<ShardId> = call
+                    .declared_keys()
+                    .iter()
+                    .map(|k| k.shard(n_shards))
+                    .collect();
+                shards.sort_unstable();
+                shards.dedup();
+                shards
+            }
+        };
         Transaction {
             id,
             client,
@@ -336,6 +358,46 @@ mod tests {
         assert!(t.shards.is_empty());
         assert_eq!(t.class(), TxClass::SingleShard);
         assert_eq!(t.home_shard(), ShardId::new(0));
+    }
+
+    #[test]
+    fn smallbank_shards_equal_the_derivation_from_declared_keys() {
+        for n_shards in 1..=8u32 {
+            for (a, b) in [(0, 0), (3, 3), (0, 1), (5, 2), (7, 15), (9, 1), (12, 4)] {
+                let procedures = [
+                    SmallBankProcedure::Amalgamate { from: a, to: b },
+                    SmallBankProcedure::GetBalance { account: a },
+                    SmallBankProcedure::DepositChecking {
+                        account: b,
+                        amount: 1,
+                    },
+                    SmallBankProcedure::SendPayment {
+                        from: a,
+                        to: b,
+                        amount: 1,
+                    },
+                    SmallBankProcedure::TransactSavings {
+                        account: a,
+                        amount: -1,
+                    },
+                    SmallBankProcedure::WriteCheck {
+                        account: b,
+                        amount: 1,
+                    },
+                ];
+                for procedure in procedures {
+                    let call = ContractCall::SmallBank(procedure);
+                    let mut derived: Vec<ShardId> = call
+                        .declared_keys()
+                        .iter()
+                        .map(|k| k.shard(n_shards))
+                        .collect();
+                    derived.sort_unstable();
+                    derived.dedup();
+                    assert_eq!(tx(call, n_shards).shards, derived, "{n_shards} shards");
+                }
+            }
+        }
     }
 
     #[test]
