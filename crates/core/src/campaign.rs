@@ -287,7 +287,6 @@ impl Invariant for DurableRecovery {
     fn check(&self, ctx: &InvariantContext<'_>) -> Result<(), String> {
         let options = WalOptions {
             compact_wal_bytes: self.storage.compact_wal_bytes,
-            flush_buffered_writes: self.storage.flush_buffered_writes as usize,
         };
         let observer_commits: Vec<(u64, u64, u64)> = ctx
             .report
@@ -800,10 +799,9 @@ pub fn default_campaign(profile: CampaignProfile) -> Vec<CampaignScenario> {
             let storage = StorageConfig {
                 backend: StorageBackend::Wal,
                 data_dir: data_dir.path().display().to_string(),
-                // Small thresholds so a smoke-sized run still exercises
-                // buffering, flushing AND snapshot compaction.
+                // A small threshold so a smoke-sized run still exercises
+                // snapshot compaction.
                 compact_wal_bytes: 64 * 1024,
-                flush_buffered_writes: 64,
             };
             let builder_storage = storage.clone();
             CampaignScenario::new(

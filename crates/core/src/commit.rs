@@ -12,17 +12,27 @@
 //!    simply not applied — a Byzantine proposer can only hurt its own shard).
 //! 2. **Cross-shard second (G2).** The cross-shard transactions of the same
 //!    delivered sub-DAG are executed deterministically in `(round, author,
-//!    position)` order. Execution is parallelised QueCC-style: transactions
-//!    whose declared shard sets are disjoint run concurrently, conflicting
-//!    ones run in waves.
+//!    position)` order against a read view — their own writes, over the G2
+//!    writes of the transactions before them, over the store — and their
+//!    writes are collected into one [`WriteBatch`] that goes to storage in
+//!    one call. Execution is parallelised QueCC-style: transactions whose
+//!    declared shard sets are disjoint form a wave, and a wave worth the pool
+//!    runs concurrently on private writes, kept only if no key was touched by
+//!    two of its transactions and re-run inline otherwise.
+//!
+//! Only [`Store::apply_batches`] writes the store, so G2 equals serial
+//! execution at any worker count, even for a contract that touches keys it
+//! never declared.
 
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use tb_contracts::{execute_call, StateAccess};
+use tb_contracts::{execute_call, ExecError, StateAccess};
 use tb_dag::CommittedSubDag;
+use tb_executor::traits::synthetic_work;
 use tb_executor::validation::{validate_block, validate_blocks, ValidationConfig};
 use tb_executor::{effective_workers, pool};
 use tb_storage::{Store, WriteBatch};
-use tb_types::{BlockKind, PreplayedTx, ShardId, SimTime, Transaction, TxId, Value};
+use tb_types::{BlockKind, Key, KeyMap, PreplayedTx, ShardId, SimTime, Transaction, TxId, Value};
 
 /// How the pipeline executes transactions after consensus.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,14 +43,13 @@ pub enum PostCommitExecution {
     /// it by name; no two stages run at the same time. The preplayed blocks
     /// of a committed sub-DAG go through **one** validation fan-out over the
     /// shared worker pool and their write batches through **one**
-    /// stripe-coalesced [`Store::apply_batches`] call; a block found invalid
-    /// is dropped and the blocks after it are validated once more over the
-    /// applied prefix. No thread is created and nothing is queued. Commit
-    /// order, applied state, the commit-order digest and all commit
-    /// statistics except the stage timings, `coalesced_batches` and
-    /// `apply_calls` are identical to [`Serial`]; only the granularity of
-    /// validation and apply differs. Pinned by
-    /// `crates/core/tests/pipeline_determinism.rs`.
+    /// [`Store::apply_batches`] call; a block found invalid is dropped and
+    /// the blocks after it are validated once more over the applied prefix.
+    /// No thread is created and nothing is queued. Commit order, applied
+    /// state, the commit-order digest and all commit statistics except the
+    /// stage timings, `coalesced_batches` and `apply_calls` are identical to
+    /// [`Serial`]; only the granularity of validation and apply differs.
+    /// Pinned by `crates/core/tests/pipeline_determinism.rs`.
     ///
     /// [`Serial`]: PostCommitExecution::Serial
     Pipelined {
@@ -49,7 +58,7 @@ pub enum PostCommitExecution {
     },
     /// Tusk baseline, and the oracle the pipelined path is tested against:
     /// every block is validated and applied before the next block is looked
-    /// at, and everything executes serially in commit order.
+    /// at, and everything executes on one worker in commit order.
     Serial,
 }
 
@@ -93,7 +102,8 @@ pub struct CommitOutput {
     /// Number of storage apply calls the commit path performed: one
     /// [`Store::apply_batch`] per valid block on the serial path; on the
     /// pipelined path one [`Store::apply_batches`] per commit, plus one per
-    /// invalid block that has valid blocks after it.
+    /// invalid block that has valid blocks after it. Either path adds one
+    /// for a sub-DAG whose cross-shard transactions write anything.
     pub apply_calls: u64,
     /// Per-transaction commit latencies in seconds of simulated time,
     /// parallel to `committed`.
@@ -111,8 +121,9 @@ impl CommitOutput {
 #[derive(Clone, Debug)]
 pub struct CommitPipeline {
     execution: PostCommitExecution,
+    /// Worker count and synthetic op cost, shared by G1's validation and
+    /// G2's execution: one worker on the serial path.
     validation: ValidationConfig,
-    op_cost_ns: u64,
 }
 
 impl CommitPipeline {
@@ -135,13 +146,7 @@ impl CommitPipeline {
         CommitPipeline {
             execution,
             validation,
-            op_cost_ns,
         }
-    }
-
-    /// The configured execution mode.
-    pub fn execution(&self) -> PostCommitExecution {
-        self.execution
     }
 
     /// Processes one delivered sub-DAG against `store`, applying effects and
@@ -204,25 +209,23 @@ impl CommitPipeline {
             }
         }
 
-        // G2: cross-shard transactions afterwards, in a deterministic order.
+        // G2: cross-shard transactions afterwards, in a deterministic order,
+        // their writes collected into one batch and applied in one call.
         let execute_started = Instant::now();
-        match self.execution {
-            PostCommitExecution::Serial => {
-                for tx in &cross_shard {
-                    Self::execute_one(tx, store, self.op_cost_ns);
-                    record_commit(&mut output, tx.id, tx.submitted_at, commit_time);
-                }
-            }
-            PostCommitExecution::Pipelined { workers } => {
-                for wave in shard_disjoint_waves(&cross_shard) {
-                    execute_wave(wave, store, workers, self.op_cost_ns);
-                    for tx in wave {
-                        record_commit(&mut output, tx.id, tx.submitted_at, commit_time);
-                    }
-                }
+        let mut g2 = WriteBatch::new();
+        for wave in shard_disjoint_waves(&cross_shard) {
+            execute_wave(wave, store, &mut g2, &self.validation);
+            for tx in wave {
+                record_commit(&mut output, tx.id, tx.submitted_at, commit_time);
             }
         }
         output.stage_execute += execute_started.elapsed();
+        if !g2.is_empty() {
+            let apply_started = Instant::now();
+            store.apply_batch(&g2);
+            output.stage_apply += apply_started.elapsed();
+            output.apply_calls += 1;
+        }
         output.cross_shard_committed += cross_shard.len();
         output.busy = started.elapsed();
         output
@@ -313,12 +316,6 @@ impl CommitPipeline {
             };
         }
     }
-
-    /// Executes a single transaction directly against the store (the OE
-    /// path: order first, execute after).
-    fn execute_one(tx: &Transaction, store: &dyn Store, op_cost_ns: u64) {
-        let _ = execute_call(&tx.call, &mut StoreSession { store, op_cost_ns });
-    }
 }
 
 /// Records one committed transaction in the output: commit entry, summed
@@ -381,53 +378,136 @@ fn shard_disjoint_waves<'s, 'a>(txs: &'s [&'a Transaction]) -> Vec<&'s [&'a Tran
 /// Handing a share of a wave to a pool worker and waiting for it costs tens
 /// of microseconds, and how many depends on the host's scheduler; a wave gets
 /// one worker per this much estimated work, and runs on the caller below two.
+/// A cross-shard transaction is estimated at the interpreter's fixed cost of
+/// about a microsecond plus the synthetic cost of the four state operations
+/// of a two-account call.
 const MIN_SHARE_NS: u64 = 50_000;
 
-/// Estimated execution time of one cross-shard transaction: the
-/// interpreter's fixed cost of about a microsecond plus the synthetic cost of
-/// the four state operations of a two-account call.
-fn estimated_tx_ns(op_cost_ns: u64) -> u64 {
-    1_000 + 4 * op_cost_ns
-}
-
-/// Executes one wave of shard-disjoint transactions on up to `workers` slots
-/// of the shared worker pool, fewer when the wave is too small to repay them
-/// (at zero op cost, any wave a small committee can build runs on the calling
-/// thread).
-fn execute_wave(wave: &[&Transaction], store: &dyn Store, workers: usize, op_cost_ns: u64) {
-    let worth = (wave.len() as u64).saturating_mul(estimated_tx_ns(op_cost_ns)) / MIN_SHARE_NS;
-    let workers = effective_workers(workers)
+/// Executes one wave of shard-disjoint transactions into `g2`, with the
+/// outcome of executing them one after the other in wave order.
+///
+/// The wave gets up to `config.validators` slots of the shared worker pool,
+/// fewer when it is too small to repay them (at zero op cost, any wave a
+/// small committee can build runs inline). Inline, each transaction reads and
+/// writes `g2` itself. In parallel, each writes only its own batch; the wave
+/// keeps those batches, in wave order, when no key was touched by two of its
+/// transactions. Otherwise one of them may have missed a write that serial
+/// order shows it, and the wave re-runs inline from the same `g2`, which
+/// nothing has written yet.
+fn execute_wave(
+    wave: &[&Transaction],
+    store: &dyn Store,
+    g2: &mut WriteBatch,
+    config: &ValidationConfig,
+) {
+    let worth = (wave.len() as u64).saturating_mul(1_000 + 4 * config.op_cost_ns) / MIN_SHARE_NS;
+    let workers = config
+        .validators
         .min(wave.len())
         .min(usize::try_from(worth).unwrap_or(usize::MAX));
-    if workers <= 1 {
-        for tx in wave {
-            CommitPipeline::execute_one(tx, store, op_cost_ns);
+    if workers > 1 {
+        if let Some(writes) = execute_in_parallel(wave, store, g2, workers, config.op_cost_ns) {
+            for batch in writes {
+                g2.extend(batch.into_writes());
+            }
+            return;
         }
-        return;
     }
-    let shares: Vec<_> = wave.chunks(wave.len().div_ceil(workers)).collect();
-    pool::global().run(shares.len(), &|slot| {
-        for tx in shares[slot] {
-            CommitPipeline::execute_one(tx, store, op_cost_ns);
-        }
-    });
+    let mut session = G2Session::new(store, None, std::mem::take(g2), config.op_cost_ns);
+    for tx in wave {
+        session.execute(tx);
+    }
+    *g2 = session.writes;
 }
 
-/// Direct store access used for cross-shard (OE) execution.
-struct StoreSession<'a> {
+/// Executes `wave` on `workers` pool slots, each transaction over `g2` into
+/// a batch of its own. Returns those batches in wave order, or `None` when a
+/// key was touched — read or written — by two of the transactions.
+fn execute_in_parallel(
+    wave: &[&Transaction],
+    store: &dyn Store,
+    g2: &WriteBatch,
+    workers: usize,
+    op_cost_ns: u64,
+) -> Option<Vec<WriteBatch>> {
+    let shares: Vec<_> = wave.chunks(wave.len().div_ceil(workers)).collect();
+    let done: Vec<Mutex<Vec<G2Session>>> = shares.iter().map(|_| Mutex::default()).collect();
+    pool::global().run(shares.len(), &|slot| {
+        let sessions = shares[slot].iter().map(|tx| {
+            let mut session = G2Session::new(store, Some(g2), WriteBatch::new(), op_cost_ns);
+            session.execute(tx);
+            session
+        });
+        *done[slot]
+            .lock()
+            .expect("each slot locks only its own entry") = sessions.collect();
+    });
+    // Joined in share order, the sessions are in wave order.
+    let sessions: Vec<G2Session> = done
+        .into_iter()
+        .flat_map(|m| m.into_inner().expect("a panicked slot re-throws in `run`"))
+        .collect();
+    let mut toucher: KeyMap<usize> = KeyMap::default();
+    for (i, session) in sessions.iter().enumerate() {
+        let reads = session.reads.iter().flatten();
+        for key in reads.chain(session.writes.iter().map(|(key, _)| key)) {
+            if *toucher.entry(*key).or_insert(i) != i {
+                return None;
+            }
+        }
+    }
+    Some(sessions.into_iter().map(|s| s.writes).collect())
+}
+
+/// A cross-shard transaction's state: its `writes`, over the G2 writes of the
+/// transactions before its wave (`earlier`), over the store. Inline,
+/// `writes` is the G2 batch itself, there is no `earlier` and no read is
+/// recorded.
+struct G2Session<'a> {
     store: &'a dyn Store,
+    earlier: Option<&'a WriteBatch>,
+    writes: WriteBatch,
+    /// Every key read, for a parallel wave's conflict check; `None` inline.
+    reads: Option<Vec<Key>>,
     op_cost_ns: u64,
 }
 
-impl StateAccess for StoreSession<'_> {
-    fn read(&mut self, key: tb_types::Key) -> Result<Value, tb_contracts::ExecError> {
-        tb_executor::traits::synthetic_work(self.op_cost_ns);
-        Ok(self.store.get(&key))
+impl<'a> G2Session<'a> {
+    fn new(
+        store: &'a dyn Store,
+        earlier: Option<&'a WriteBatch>,
+        writes: WriteBatch,
+        op_cost_ns: u64,
+    ) -> Self {
+        G2Session {
+            store,
+            earlier,
+            reads: earlier.map(|_| Vec::new()),
+            writes,
+            op_cost_ns,
+        }
     }
 
-    fn write(&mut self, key: tb_types::Key, value: Value) -> Result<(), tb_contracts::ExecError> {
-        tb_executor::traits::synthetic_work(self.op_cost_ns);
-        self.store.put(key, value);
+    /// Executes `tx`. A cross-shard transaction commits whatever its call
+    /// does: a rejection is its result, and no access here fails.
+    fn execute(&mut self, tx: &Transaction) {
+        let _ = execute_call(&tx.call, self);
+    }
+}
+
+impl StateAccess for G2Session<'_> {
+    fn read(&mut self, key: Key) -> Result<Value, ExecError> {
+        synthetic_work(self.op_cost_ns);
+        if let Some(reads) = &mut self.reads {
+            reads.push(key);
+        }
+        let pending = self.writes.get(&key).or_else(|| self.earlier?.get(&key));
+        Ok(pending.cloned().unwrap_or_else(|| self.store.get(&key)))
+    }
+
+    fn write(&mut self, key: Key, value: Value) -> Result<(), ExecError> {
+        synthetic_work(self.op_cost_ns);
+        self.writes.put(key, value);
         Ok(())
     }
 }
@@ -438,8 +518,8 @@ mod tests {
     use std::sync::Arc;
     use tb_contracts::SMALLBANK_DEFAULT_BALANCE;
     use tb_dag::DagBuilder;
-    use tb_executor::{BatchExecutor, ConcurrentExecutor};
-    use tb_storage::{KvRead, KvWrite, MemStore};
+    use tb_executor::{BatchExecutor, ConcurrentExecutor, SerialExecutor};
+    use tb_storage::{KvRead, MemStore, Store};
     use tb_types::{
         BlockPayload, CeConfig, ClientId, Committee, ContractCall, DagId, Key, ReplicaId, Round,
         SmallBankProcedure,
@@ -557,8 +637,10 @@ mod tests {
         let committee = Committee::new(4);
         let store = funded_store(8);
         // empty account 1's checking first so the effect is visible
-        store.put(Key::checking(1), Value::int(0));
-        store.put(Key::checking(0), Value::int(0));
+        store.load([
+            (Key::checking(1), Value::int(0)),
+            (Key::checking(0), Value::int(0)),
+        ]);
         let single = payment(1, 4, 0, 500, 1); // both map to shard 0 of 4
         let ce = ConcurrentExecutor::new(CeConfig::new(1, 16).without_synthetic_cost());
         let preplay = ce.preplay(std::slice::from_ref(&single), &store);
@@ -597,6 +679,73 @@ mod tests {
                 .snapshot()
                 .diff_values(&store_serial.snapshot());
             assert!(diff.is_empty(), "pipelined and serial disagree on {diff:?}");
+        }
+    }
+
+    #[test]
+    fn g2_equals_serial_execution_when_a_program_strays_from_its_declaration() {
+        // Pointer slot 4 (shard 0) names slot 1 (shard 1). The indirect call
+        // declares only the pointer, so it shares a wave with a counter
+        // declared on slot 1, and at 20 µs per operation the wave is worth
+        // two workers: both read-modify-write slot 1 from different threads.
+        let (pointer, target) = (4, 1);
+        let program = |code: tb_contracts::Program, slot: u64, delta: i64| ContractCall::Program {
+            code: code.into_bytes(),
+            args: vec![slot as i64, delta],
+            declared_keys: vec![Key::contract(slot)],
+        };
+        let txs = vec![
+            Transaction::new(
+                TxId::new(1),
+                ClientId::new(0),
+                program(tb_contracts::ProgramBuilder::indirect_touch(), pointer, 5),
+                4,
+                SimTime::ZERO,
+            ),
+            Transaction::new(
+                TxId::new(2),
+                ClientId::new(0),
+                program(tb_contracts::ProgramBuilder::counter_add(), target, 1),
+                4,
+                SimTime::ZERO,
+            ),
+        ];
+        assert_eq!(
+            shard_disjoint_waves(&txs.iter().collect::<Vec<_>>()).len(),
+            1
+        );
+        let genesis = || {
+            let store = MemStore::new();
+            store.load([
+                (Key::contract(pointer), Value::int(target as i64)),
+                (Key::contract(target), Value::int(100)),
+            ]);
+            store
+        };
+        let sub_dag = sub_dag_with(Committee::new(4), vec![], txs.clone(), &[]);
+        let op_cost_ns = 20_000;
+
+        let serial = genesis();
+        CommitPipeline::with_op_cost(PostCommitExecution::Serial, op_cost_ns).process(
+            &sub_dag,
+            &serial,
+            SimTime::ZERO,
+        );
+        let oracle = genesis();
+        oracle.apply_batch(&SerialExecutor::new().preplay(&txs, &oracle).write_batch());
+        assert_eq!(oracle.get(&Key::contract(target)), Value::int(106));
+        assert!(serial.snapshot().diff_values(&oracle.snapshot()).is_empty());
+
+        let pipelined =
+            CommitPipeline::with_op_cost(PostCommitExecution::Pipelined { workers: 2 }, op_cost_ns);
+        for iteration in 0..200 {
+            let store = genesis();
+            pipelined.process(&sub_dag, &store, SimTime::ZERO);
+            let diff = store.snapshot().diff_values(&oracle.snapshot());
+            assert!(
+                diff.is_empty(),
+                "iteration {iteration} diverged on {diff:?}"
+            );
         }
     }
 

@@ -207,7 +207,6 @@ mod tests {
                 backend: StorageBackend::Wal,
                 data_dir: "/tmp/tb-node-test".to_string(),
                 compact_wal_bytes: 12_345,
-                flush_buffered_writes: 67,
             })
             .tune(|system| {
                 system.ce.max_retries = 11;
@@ -233,10 +232,6 @@ mod tests {
         assert_ne!(storage.backend, default_storage.backend);
         assert_ne!(storage.data_dir, default_storage.data_dir);
         assert_ne!(storage.compact_wal_bytes, default_storage.compact_wal_bytes);
-        assert_ne!(
-            storage.flush_buffered_writes,
-            default_storage.flush_buffered_writes
-        );
 
         let spec = NodeSpec {
             node: 1,
@@ -267,12 +262,9 @@ mod tests {
             + spec.run_deadline_millis.encoded_len();
         let mode_at = config_at + system.encoded_len();
         // The system config ends with the storage backend tag, the data
-        // directory and two varints.
-        let backend_at = mode_at
-            - 1
-            - storage.data_dir.encoded_len()
-            - storage.compact_wal_bytes.encoded_len()
-            - storage.flush_buffered_writes.encoded_len();
+        // directory and a varint.
+        let backend_at =
+            mode_at - 1 - storage.data_dir.encoded_len() - storage.compact_wal_bytes.encoded_len();
         assert_eq!(bytes[backend_at], 1, "the Wal backend's tag");
         for (at, type_name) in [(mode_at, "ExecutionMode"), (backend_at, "StorageBackend")] {
             let mut corrupt = bytes.clone();

@@ -227,7 +227,6 @@ impl Replica {
                     .join(format!("replica-{}", id.as_inner()));
                 let options = WalOptions {
                     compact_wal_bytes: storage.compact_wal_bytes,
-                    flush_buffered_writes: storage.flush_buffered_writes as usize,
                 };
                 Box::new(
                     WalStore::open(&dir, options)

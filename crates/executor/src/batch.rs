@@ -1,7 +1,7 @@
 //! Batch execution results and statistics.
 
 use std::time::{Duration, Instant};
-use tb_storage::{KvWrite, MemStore, WriteBatch};
+use tb_storage::{MemStore, Store, WriteBatch};
 use tb_types::{AccessRecord, PreplayedTx, TxId, Value};
 
 /// FNV-1a offset basis; the same seed tb-core replicas use for the
@@ -140,11 +140,10 @@ impl BatchResult {
         batch
     }
 
-    /// Applies the batch's write sets to a store in serialized order.
+    /// Applies the batch's write sets to a store in serialized order, as one
+    /// [`Store::apply_batch`] of [`BatchResult::write_batch`].
     pub fn apply_to(&self, store: &MemStore) {
-        for (key, value) in self.write_batch().into_writes() {
-            store.put(key, value);
-        }
+        store.apply_batch(&self.write_batch());
     }
 
     /// The return value recorded for a transaction, if it committed in this

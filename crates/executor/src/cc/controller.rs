@@ -372,7 +372,7 @@ impl<'a> ConcurrencyController<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tb_storage::{KvWrite, MemStore};
+    use tb_storage::MemStore;
     use tb_types::{ClientId, ContractCall, SimTime, TxId};
 
     fn tx(id: u64) -> Transaction {
@@ -399,7 +399,7 @@ mod tests {
     #[test]
     fn reads_fall_back_to_storage_through_the_root() {
         let store = MemStore::new();
-        store.put(key(1), Value::int(42));
+        store.load([(key(1), Value::int(42))]);
         let (cc, _txs) = setup(&store, 1);
         let h = cc.begin(0).unwrap();
         assert_eq!(cc.read(h, key(1)).unwrap(), Value::int(42));
@@ -460,8 +460,8 @@ mod tests {
         // T2 reads A before T1 writes it; the CC orders T2 before T1 instead
         // of aborting either transaction.
         let store = MemStore::new();
-        store.put(key(10), Value::int(5)); // A
-        store.put(key(11), Value::int(8)); // B
+        store.load([(key(10), Value::int(5))]); // A
+        store.load([(key(11), Value::int(8))]); // B
         let (cc, _txs) = setup(&store, 2);
         let t1 = cc.begin(0).unwrap();
         let t2 = cc.begin(1).unwrap();
@@ -493,7 +493,7 @@ mod tests {
         // writes D=5 which invalidates both readers; they re-execute and the
         // final order is [T1, T3, T2].
         let store = MemStore::new();
-        store.put(key(0), Value::int(3)); // initial D = 3
+        store.load([(key(0), Value::int(3))]); // initial D = 3
         let (cc, _txs) = setup(&store, 3);
         let t1 = cc.begin(0).unwrap();
         let t2 = cc.begin(1).unwrap();
@@ -569,8 +569,8 @@ mod tests {
         // T1 reads A then writes B; T2 reads B then writes A. Whatever edges
         // exist, one of the two writes closes a cycle and aborts its issuer.
         let store = MemStore::new();
-        store.put(key(1), Value::int(1)); // A
-        store.put(key(2), Value::int(2)); // B
+        store.load([(key(1), Value::int(1))]); // A
+        store.load([(key(2), Value::int(2))]); // B
         let (cc, _txs) = setup(&store, 2);
         let t1 = cc.begin(0).unwrap();
         let t2 = cc.begin(1).unwrap();
@@ -599,8 +599,8 @@ mod tests {
         // Figure 10a-style recovery: the reader walks back to the root value
         // when reading from the latest writer would create a cycle.
         let store = MemStore::new();
-        store.put(key(1), Value::int(100)); // A
-        store.put(key(2), Value::int(200)); // B
+        store.load([(key(1), Value::int(100))]); // A
+        store.load([(key(2), Value::int(200))]); // B
         let (cc, _txs) = setup(&store, 2);
         let t1 = cc.begin(0).unwrap();
         let t3 = cc.begin(1).unwrap();

@@ -442,10 +442,12 @@ mod tests {
                 execute_call(&p.tx.call, &mut tracking).unwrap();
                 tracking.outcome().clone()
             };
-            for rec in &outcome.write_set {
-                use tb_storage::KvWrite;
-                replay_store.put(rec.key, rec.value.clone());
-            }
+            replay_store.load(
+                outcome
+                    .write_set
+                    .iter()
+                    .map(|rec| (rec.key, rec.value.clone())),
+            );
             let sort = |mut set: Vec<tb_types::AccessRecord>| {
                 set.sort_by_key(|r| r.key);
                 set

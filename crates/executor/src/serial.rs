@@ -94,7 +94,7 @@ impl BatchExecutor for SerialExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tb_storage::{KvWrite, MemStore};
+    use tb_storage::MemStore;
     use tb_types::{ClientId, ContractCall, SimTime, SmallBankProcedure, TxId};
 
     fn payment(id: u64, from: u64, to: u64, amount: i64) -> Transaction {
@@ -110,8 +110,8 @@ mod tests {
     #[test]
     fn executes_in_input_order_and_applies_writes() {
         let store = MemStore::new();
-        store.put(Key::checking(0), Value::int(100));
-        store.put(Key::checking(1), Value::int(0));
+        store.load([(Key::checking(0), Value::int(100))]);
+        store.load([(Key::checking(1), Value::int(0))]);
         let txs = vec![payment(1, 0, 1, 60), payment(2, 0, 1, 60)];
         let result = SerialExecutor::new().execute_batch(&txs, &store);
         assert_eq!(result.committed(), 2);
@@ -127,7 +127,7 @@ mod tests {
     #[test]
     fn tracks_read_and_write_sets() {
         let store = MemStore::new();
-        store.put(Key::checking(3), Value::int(10));
+        store.load([(Key::checking(3), Value::int(10))]);
         let txs = vec![payment(1, 3, 4, 5)];
         let result = SerialExecutor::new().execute_batch(&txs, &store);
         let outcome = &result.preplayed[0].outcome;

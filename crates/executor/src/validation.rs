@@ -1101,9 +1101,12 @@ mod tests {
             if report.is_valid() {
                 let mut ordered: Vec<&PreplayedTx> = block.iter().collect();
                 ordered.sort_by_key(|p| p.order);
-                for rec in ordered.iter().flat_map(|p| &p.outcome.write_set) {
-                    tb_storage::KvWrite::put(store, rec.key, rec.value.clone());
-                }
+                store.load(
+                    ordered
+                        .iter()
+                        .flat_map(|p| &p.outcome.write_set)
+                        .map(|rec| (rec.key, rec.value.clone())),
+                );
             }
             reports.push(report);
         }

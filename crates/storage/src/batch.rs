@@ -58,6 +58,11 @@ impl WriteBatch {
         }
     }
 
+    /// The value the batch writes to `key`, if it writes it.
+    pub fn get(&self, key: &Key) -> Option<&Value> {
+        self.index.get(key).map(|&slot| &self.writes[slot].1)
+    }
+
     /// Number of distinct keys written.
     pub fn len(&self) -> usize {
         self.writes.len()
@@ -79,12 +84,18 @@ impl WriteBatch {
     }
 }
 
+impl Extend<(Key, Value)> for WriteBatch {
+    fn extend<T: IntoIterator<Item = (Key, Value)>>(&mut self, iter: T) {
+        for (k, v) in iter {
+            self.put(k, v);
+        }
+    }
+}
+
 impl FromIterator<(Key, Value)> for WriteBatch {
     fn from_iter<T: IntoIterator<Item = (Key, Value)>>(iter: T) -> Self {
         let mut batch = WriteBatch::new();
-        for (k, v) in iter {
-            batch.put(k, v);
-        }
+        batch.extend(iter);
         batch
     }
 }
@@ -100,6 +111,8 @@ mod tests {
         b.put(Key::scratch(2), Value::int(2));
         b.put(Key::scratch(1), Value::int(3));
         assert_eq!(b.len(), 2);
+        assert_eq!(b.get(&Key::scratch(1)), Some(&Value::int(3)));
+        assert_eq!(b.get(&Key::scratch(3)), None);
         let writes = b.into_writes();
         assert!(writes.contains(&(Key::scratch(1), Value::int(3))));
         assert!(writes.contains(&(Key::scratch(2), Value::int(2))));

@@ -1,18 +1,21 @@
-//! Versioned key-value storage: in-memory stripes plus a durable
+//! Versioned key-value storage: an in-memory store plus a durable
 //! WAL-backed backend.
 //!
 //! The paper stores account balances in LevelDB; this reproduction keeps a
 //! versioned store with two interchangeable backends behind the [`Store`]
 //! trait (see docs/STORAGE.md):
 //!
-//! * [`MemStore`] — striped, concurrently readable, volatile. The version
-//!   counter per key is what the OCC baseline validates against; atomic
-//!   write batches and point-in-time snapshots are what the Thunderbolt
-//!   commit path applies validated preplay results through.
+//! * [`MemStore`] — one map behind one lock, volatile. The version counter
+//!   per key is what the OCC baseline validates against; atomic write
+//!   batches and point-in-time snapshots are what the Thunderbolt commit
+//!   path applies validated preplay and cross-shard results through.
 //! * [`WalStore`] — the same store fronted by a CRC-guarded write-ahead
-//!   log with B^ε-style batch buffering, snapshot compaction and crash
-//!   recovery ([`WalStore::open`] replays snapshot + WAL tail back to the
-//!   exact pre-crash state and commit digest).
+//!   log, snapshot compaction and crash recovery ([`WalStore::open`]
+//!   replays snapshot + WAL tail back to the exact pre-crash state and
+//!   commit digest).
+//!
+//! Everything outside this crate reads through [`KvRead`]; after genesis,
+//! [`Store::apply_batches`] is the one way to change state.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,5 +33,5 @@ pub use mem::{MemStore, StoreStats};
 pub use snapshot::Snapshot;
 pub use store::{CommitMarker, Store};
 pub use tempdir::TempDir;
-pub use traits::{KvRead, KvWrite, Versioned};
+pub use traits::{KvRead, Versioned};
 pub use wal::{RecoveryInfo, WalOptions, WalRecord, WalStore};

@@ -1,16 +1,9 @@
-//! The in-memory store.
+//! The in-memory store: one versioned map behind one lock.
 
-use crate::batch::WriteBatch;
 use crate::snapshot::Snapshot;
-use crate::traits::{KvRead, KvWrite, Versioned};
+use crate::traits::{KvRead, Versioned};
 use parking_lot::RwLock;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use tb_types::{Key, KeyMap, Value};
-
-/// Number of internal lock stripes. A power of two so the stripe index is a
-/// cheap mask of the key hash.
-const STRIPES: usize = 64;
 
 /// Aggregate statistics of a store, used by tests and benchmark reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -24,165 +17,82 @@ pub struct StoreStats {
     pub int_sum: i64,
 }
 
-/// A striped, versioned, in-memory key-value store.
+/// A versioned in-memory key-value store.
 ///
-/// Reads and writes to different stripes proceed in parallel; writes to the
-/// same stripe serialize on a `parking_lot` rwlock. Every write bumps the
-/// key's version counter.
-#[derive(Debug)]
+/// Readers share one lock, and a writer takes it once per call: a replica's
+/// commit path once per [`Store::apply_batches`](crate::Store::apply_batches),
+/// an engine's batch-local store once per committed transaction. Every write
+/// bumps the key's version counter.
+#[derive(Debug, Default)]
 pub struct MemStore {
-    stripes: Vec<RwLock<KeyMap<Versioned>>>,
-    total_writes: AtomicU64,
+    state: RwLock<MemState>,
 }
 
-impl Default for MemStore {
-    fn default() -> Self {
-        Self::new()
-    }
+/// The map and its lifetime write counter, guarded together.
+#[derive(Debug, Default)]
+struct MemState {
+    map: KeyMap<Versioned>,
+    total_writes: u64,
 }
 
 impl MemStore {
     /// Creates an empty store.
     pub fn new() -> Self {
-        MemStore {
-            stripes: (0..STRIPES).map(|_| RwLock::default()).collect(),
-            total_writes: AtomicU64::new(0),
-        }
-    }
-
-    fn stripe_of(&self, key: &Key) -> usize {
-        // Multiply-shift hash of the compact key encoding.
-        let h = key.encode().wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        (h >> 32) as usize & (STRIPES - 1)
-    }
-
-    /// Applies a write batch atomically with respect to per-key versioning.
-    ///
-    /// The batch is applied stripe by stripe; the per-key versions are bumped
-    /// exactly once per written key.
-    pub fn apply_batch(&self, batch: &WriteBatch) {
-        self.apply_many(std::iter::once(batch));
-    }
-
-    /// Applies a sequence of write batches, coalescing them stripe by stripe.
-    ///
-    /// Observably equivalent to calling [`MemStore::apply_batch`] on each
-    /// batch in order — same final values, same per-key versions, same
-    /// [`StoreStats`] — but each lock stripe is written under a single lock
-    /// acquisition for the whole sequence instead of one acquisition per key
-    /// per batch. This is what the pipelined commit path uses to write all
-    /// valid blocks of a committed sub-DAG in one call.
-    ///
-    /// Writes to one key keep their cross-batch order because a key always
-    /// hashes to the same stripe and the per-stripe buckets preserve the
-    /// `(batch, insertion)` order of the input.
-    pub fn apply_many<'a, I>(&self, batches: I)
-    where
-        I: IntoIterator<Item = &'a WriteBatch>,
-    {
-        let mut per_stripe: Vec<Vec<(Key, &'a Value)>> = vec![Vec::new(); STRIPES];
-        let mut total = 0u64;
-        for batch in batches {
-            for (key, value) in batch.iter() {
-                per_stripe[self.stripe_of(key)].push((*key, value));
-                total += 1;
-            }
-        }
-        if total == 0 {
-            return;
-        }
-        for (idx, writes) in per_stripe.into_iter().enumerate() {
-            if writes.is_empty() {
-                continue;
-            }
-            let mut guard = self.stripes[idx].write();
-            for (key, value) in writes {
-                let entry = guard.entry(key).or_default();
-                entry.version += 1;
-                entry.value = value.clone();
-            }
-        }
-        self.total_writes.fetch_add(total, Ordering::Relaxed);
+        MemStore::default()
     }
 
     /// Takes a consistent point-in-time snapshot of the whole store.
     pub fn snapshot(&self) -> Snapshot {
-        // Acquire read locks on all stripes before copying any of them so the
-        // snapshot cannot observe a torn multi-key update from apply_batch
-        // callers that hold an external commit lock.
-        let guards: Vec<_> = self.stripes.iter().map(|s| s.read()).collect();
-        let mut map = HashMap::new();
-        for guard in &guards {
-            for (k, v) in guard.iter() {
-                map.insert(*k, v.clone());
-            }
-        }
-        Snapshot::from_map(map)
+        let state = self.state.read();
+        Snapshot::from_map(state.map.iter().map(|(k, v)| (*k, v.clone())).collect())
     }
 
-    /// Writes every entry in turn, bumping each key's version like
-    /// [`KvWrite::put`]: initial state, or the commit of one transaction's
-    /// writes into an engine's batch-local store.
+    /// Writes every entry in turn under one lock acquisition, bumping the
+    /// key's version once per entry: initial state, a commit-path batch, or
+    /// the commit of one transaction's writes into an engine's batch-local
+    /// store.
     pub fn load(&self, entries: impl IntoIterator<Item = (Key, Value)>) {
-        for (k, v) in entries {
-            self.put(k, v);
+        let mut state = self.state.write();
+        for (key, value) in entries {
+            let entry = state.map.entry(key).or_default();
+            entry.version += 1;
+            entry.value = value;
+            state.total_writes += 1;
         }
     }
 
     /// Restores entries with their exact version counters, bypassing the
-    /// version-bump and write-count bookkeeping of [`MemStore::put`].
+    /// version-bump and write-count bookkeeping of [`MemStore::load`].
     ///
     /// Only crash recovery should use this: a recovered store must report
     /// the same per-key versions as the store that wrote the snapshot, not
     /// versions restarted from 1. Pair with [`MemStore::set_total_writes`].
     pub fn restore(&self, entries: impl IntoIterator<Item = (Key, Versioned)>) {
-        for (key, versioned) in entries {
-            let stripe = &self.stripes[self.stripe_of(&key)];
-            stripe.write().insert(key, versioned);
-        }
+        self.state.write().map.extend(entries);
     }
 
     /// Overwrites the lifetime write counter. Only crash recovery should
     /// use this, to carry [`StoreStats::total_writes`] across a restart.
     pub fn set_total_writes(&self, total: u64) {
-        self.total_writes.store(total, Ordering::Relaxed);
+        self.state.write().total_writes = total;
     }
 
     /// Returns aggregate statistics.
     pub fn stats(&self) -> StoreStats {
+        let state = self.state.read();
         let mut stats = StoreStats {
-            total_writes: self.total_writes.load(Ordering::Relaxed),
+            total_writes: state.total_writes,
             ..StoreStats::default()
         };
-        for stripe in &self.stripes {
-            let guard = stripe.read();
-            for v in guard.values() {
-                if !v.value.is_none() {
-                    stats.keys += 1;
-                    // Wrapping: conservation checks compare sums for
-                    // equality, and adversarial values must not panic.
-                    stats.int_sum = stats.int_sum.wrapping_add(v.value.as_int());
-                }
+        for v in state.map.values() {
+            if !v.value.is_none() {
+                stats.keys += 1;
+                // Wrapping: conservation checks compare sums for equality,
+                // and adversarial values must not panic.
+                stats.int_sum = stats.int_sum.wrapping_add(v.value.as_int());
             }
         }
         stats
-    }
-
-    /// Number of keys currently holding a value.
-    pub fn len(&self) -> usize {
-        self.stats().keys
-    }
-
-    /// True if no key holds a value.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Removes every key. Used between benchmark iterations.
-    pub fn clear(&self) {
-        for stripe in &self.stripes {
-            stripe.write().clear();
-        }
     }
 }
 
@@ -192,26 +102,19 @@ impl KvRead for MemStore {
     }
 
     fn get_versioned(&self, key: &Key) -> Versioned {
-        let stripe = &self.stripes[self.stripe_of(key)];
-        stripe.read().get(key).cloned().unwrap_or_default()
-    }
-}
-
-impl KvWrite for MemStore {
-    fn put(&self, key: Key, value: Value) {
-        let stripe = &self.stripes[self.stripe_of(&key)];
-        let mut guard = stripe.write();
-        let entry = guard.entry(key).or_default();
-        entry.version += 1;
-        entry.value = value;
-        self.total_writes.fetch_add(1, Ordering::Relaxed);
+        self.state.read().map.get(key).cloned().unwrap_or_default()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Store, WriteBatch};
     use std::sync::Arc;
+
+    fn put(store: &MemStore, key: Key, value: Value) {
+        store.load([(key, value)]);
+    }
 
     #[test]
     fn absent_keys_read_as_none_with_version_zero() {
@@ -219,30 +122,28 @@ mod tests {
         let v = store.get_versioned(&Key::scratch(1));
         assert!(v.value.is_none());
         assert_eq!(v.version, 0);
-        assert!(!store.contains(&Key::scratch(1)));
     }
 
     #[test]
     fn writes_bump_versions() {
         let store = MemStore::new();
         let k = Key::checking(7);
-        store.put(k, Value::int(10));
+        put(&store, k, Value::int(10));
         assert_eq!(store.get_versioned(&k), Versioned::new(Value::int(10), 1));
-        store.put(k, Value::int(20));
+        put(&store, k, Value::int(20));
         assert_eq!(store.get_versioned(&k), Versioned::new(Value::int(20), 2));
-        assert!(store.contains(&k));
     }
 
     #[test]
-    fn delete_writes_none_but_keeps_version_history() {
+    fn writing_none_deletes_but_keeps_version_history() {
         let store = MemStore::new();
         let k = Key::scratch(3);
-        store.put(k, Value::int(1));
-        store.delete(k);
+        put(&store, k, Value::int(1));
+        put(&store, k, Value::None);
         let v = store.get_versioned(&k);
         assert!(v.value.is_none());
         assert_eq!(v.version, 2);
-        assert!(!store.contains(&k));
+        assert_eq!(store.stats().keys, 0);
     }
 
     #[test]
@@ -261,24 +162,21 @@ mod tests {
     #[test]
     fn stats_track_keys_sum_and_writes() {
         let store = MemStore::new();
+        assert_eq!(store.stats(), StoreStats::default());
         store.load((0..10).map(|i| (Key::checking(i), Value::int(100))));
         let stats = store.stats();
         assert_eq!(stats.keys, 10);
         assert_eq!(stats.int_sum, 1000);
         assert_eq!(stats.total_writes, 10);
-        assert_eq!(store.len(), 10);
-        assert!(!store.is_empty());
-        store.clear();
-        assert!(store.is_empty());
     }
 
     #[test]
     fn snapshot_is_immutable_under_later_writes() {
         let store = MemStore::new();
-        store.put(Key::scratch(1), Value::int(1));
+        put(&store, Key::scratch(1), Value::int(1));
         let snap = store.snapshot();
-        store.put(Key::scratch(1), Value::int(2));
-        store.put(Key::scratch(2), Value::int(9));
+        put(&store, Key::scratch(1), Value::int(2));
+        put(&store, Key::scratch(2), Value::int(9));
         assert_eq!(snap.get(&Key::scratch(1)), Value::int(1));
         assert!(snap.get(&Key::scratch(2)).is_none());
         assert_eq!(store.get(&Key::scratch(1)), Value::int(2));
@@ -293,7 +191,7 @@ mod tests {
             let store = Arc::clone(&store);
             handles.push(std::thread::spawn(move || {
                 for _ in 0..100 {
-                    store.put(k, Value::int(1));
+                    put(&store, k, Value::int(1));
                 }
             }));
         }

@@ -2,24 +2,28 @@
 //!
 //! Every consumer of committed state — the commit pipeline, the campaign
 //! invariants, the bench harness — talks to a `&dyn Store` instead of a
-//! concrete [`MemStore`]. The trait is deliberately object-safe: the commit
-//! path holds one boxed store per replica and fans work out to scoped
-//! threads, so the trait requires `Send + Sync` and takes batch slices
-//! rather than generic iterators.
+//! concrete [`MemStore`]. The trait is deliberately object-safe: a replica
+//! holds one boxed store, so the trait requires `Send + Sync` and takes batch
+//! slices rather than generic iterators.
+//!
+//! After genesis, [`Store::apply_batches`] is the only way state changes.
+//! Engines, the validator and cross-shard execution read through [`KvRead`]
+//! and hand the commit path write batches; the commit path applies them, one
+//! call per stage of a committed sub-DAG.
 //!
 //! Two backends exist:
 //!
-//! * [`MemStore`] — the original striped in-memory store; volatile, nearly
+//! * [`MemStore`] — one versioned map behind one lock; volatile, nearly
 //!   free, the default.
 //! * [`WalStore`](crate::WalStore) — a durable backend that logs every
-//!   batch to a CRC-guarded write-ahead log, buffers it B^ε-style in front
-//!   of the in-memory stripes, and compacts into on-disk snapshots (see
+//!   applied slice of batches as one CRC-guarded write-ahead-log frame in
+//!   front of a [`MemStore`], and compacts into on-disk snapshots (see
 //!   `docs/STORAGE.md`).
 
 use crate::batch::WriteBatch;
 use crate::mem::{MemStore, StoreStats};
 use crate::snapshot::Snapshot;
-use crate::traits::{KvRead, KvWrite};
+use crate::traits::KvRead;
 use tb_types::{Key, Value};
 
 /// A committed `(dag, leader round, FNV-1a commit-order digest)` triple.
@@ -43,10 +47,11 @@ pub struct CommitMarker {
 ///
 /// `&MemStore` coerces to `&dyn Store`, so existing call sites that pass a
 /// concrete store keep working unchanged.
-pub trait Store: KvRead + KvWrite + Send + Sync {
-    /// Applies a sequence of write batches, coalescing where the backend
-    /// can. Observably equivalent to applying each batch in order: same
-    /// final values, same per-key versions, same [`StoreStats`].
+pub trait Store: KvRead + Send + Sync {
+    /// Applies a sequence of write batches as one unit: after genesis
+    /// ([`Store::load_entries`]) the only way state changes. Observably
+    /// equivalent to applying each batch in order: same final values, same
+    /// per-key versions, same [`StoreStats`].
     fn apply_batches(&self, batches: &[WriteBatch]);
 
     /// Applies one write batch atomically.
@@ -83,7 +88,7 @@ pub trait Store: KvRead + KvWrite + Send + Sync {
 
 impl Store for MemStore {
     fn apply_batches(&self, batches: &[WriteBatch]) {
-        self.apply_many(batches.iter());
+        self.load(batches.iter().flat_map(WriteBatch::iter).cloned());
     }
 
     fn snapshot(&self) -> Snapshot {
@@ -133,7 +138,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_batches_coalesces_like_apply_many() {
+    fn apply_batches_bumps_a_key_once_per_batch() {
         let mem = MemStore::new();
         let store: &dyn Store = &mem;
         let batches: Vec<WriteBatch> = (0..3)

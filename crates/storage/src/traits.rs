@@ -1,4 +1,5 @@
-//! Storage access traits.
+//! Read access to storage. Writing is [`Store::apply_batches`](crate::Store::apply_batches)'s
+//! job alone.
 
 use tb_types::{Key, Value};
 
@@ -16,11 +17,6 @@ pub struct Versioned {
 }
 
 impl Versioned {
-    /// A versioned view of an absent key.
-    pub fn absent() -> Self {
-        Versioned::default()
-    }
-
     /// Creates a versioned value.
     pub fn new(value: Value, version: u64) -> Self {
         Versioned { value, version }
@@ -34,22 +30,6 @@ pub trait KvRead {
 
     /// Returns the current value and version of `key`.
     fn get_versioned(&self, key: &Key) -> Versioned;
-
-    /// Returns `true` if `key` currently holds a value.
-    fn contains(&self, key: &Key) -> bool {
-        !self.get(key).is_none()
-    }
-}
-
-/// Write access to a key-value state.
-pub trait KvWrite {
-    /// Sets `key` to `value`, bumping its version.
-    fn put(&self, key: Key, value: Value);
-
-    /// Removes `key` (equivalent to writing [`Value::None`]).
-    fn delete(&self, key: Key) {
-        self.put(key, Value::None);
-    }
 }
 
 #[cfg(test)]
@@ -58,7 +38,7 @@ mod tests {
 
     #[test]
     fn absent_versioned_is_zero() {
-        let v = Versioned::absent();
+        let v = Versioned::default();
         assert_eq!(v.version, 0);
         assert!(v.value.is_none());
     }

@@ -1,21 +1,17 @@
-//! The durable, batch-optimized storage backend: write-ahead log +
-//! snapshots + crash recovery.
+//! The durable storage backend: write-ahead log + snapshots + crash
+//! recovery.
 //!
-//! [`WalStore`] wraps the striped [`MemStore`] with three layers (see
-//! `docs/STORAGE.md` for the full format and the recovery argument):
+//! [`WalStore`] wraps a [`MemStore`] with two layers (see `docs/STORAGE.md`
+//! for the full format and the recovery argument):
 //!
-//! 1. **Append-only WAL.** Every mutation — the write batches of a
-//!    committed sub-DAG, a single cross-shard `put`, a commit marker —
-//!    is appended to `wal.log` as a length-prefixed, CRC-32-guarded frame
-//!    whose payload is a [`WalRecord`] in the standard [`Wire`] encoding.
-//!    Appends are buffered; [`Store::commit_marker`] flushes and fsyncs, so
-//!    everything up to the last commit boundary is durable.
-//! 2. **B^ε-style buffer.** Applied batches park in an ordered in-memory
-//!    buffer (with a key → pending-version overlay serving reads) and are
-//!    flushed into the striped store in bulk once enough writes accumulate
-//!    — the Sky^ε-Tree idea of buffering batch updates in front of the
-//!    structure they amortize into.
-//! 3. **Snapshot compaction.** When the WAL grows past a threshold (checked
+//! 1. **Append-only WAL.** Every mutation — one [`Store::apply_batches`]
+//!    call, a commit marker — is appended to `wal.log` as a length-prefixed,
+//!    CRC-32-guarded frame whose payload is a [`WalRecord`] in the standard
+//!    [`Wire`] encoding, and the batches then go straight into the
+//!    [`MemStore`], which serves every read. Appends are buffered;
+//!    [`Store::commit_marker`] flushes and fsyncs, so everything up to the
+//!    last commit boundary is durable.
+//! 2. **Snapshot compaction.** When the WAL grows past a threshold (checked
 //!    at commit boundaries, where the log is consistent), the store writes
 //!    the full versioned state to `snapshot.bin` (tmp + atomic rename) and
 //!    truncates the WAL. Generation counters stitch the two files together:
@@ -32,13 +28,13 @@ use crate::batch::WriteBatch;
 use crate::mem::{MemStore, StoreStats};
 use crate::snapshot::Snapshot;
 use crate::store::{CommitMarker, Store};
-use crate::traits::{KvRead, KvWrite, Versioned};
+use crate::traits::{KvRead, Versioned};
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use tb_types::wire::{Wire, WireError, WireReader, WireWriter};
-use tb_types::{Key, KeyMap, Value};
+use tb_types::{Key, Value};
 
 /// File name of the write-ahead log inside a [`WalStore`] directory.
 pub const WAL_FILE: &str = "wal.log";
@@ -53,8 +49,9 @@ const WAL_MAGIC: u32 = 0x3157_4254;
 const SNAPSHOT_MAGIC: u32 = 0x3153_4254;
 /// On-disk format version of both files. Bump on any change to the file
 /// headers, the frame layout or the [`Wire`] encoding of a record (version 2:
-/// varint integers); `tests::format_golden` pins the encoding it names.
-pub const FORMAT_VERSION: u16 = 2;
+/// varint integers; version 3: no per-key `Put` record, so a commit marker
+/// is tag 1); `tests::format_golden` pins the encoding it names.
+pub const FORMAT_VERSION: u16 = 3;
 /// Encoded size of the WAL header: magic `u32` + version `u16` +
 /// generation `u64`.
 const WAL_HEADER_LEN: usize = 14;
@@ -107,29 +104,23 @@ impl Wire for CommitMarker {
 /// [`Wire`] encoding ([`encode_frame`] / [`decode_frames`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WalRecord {
-    /// A coalesced sequence of write batches from the commit pipeline,
-    /// logged and replayed in order.
+    /// The write batches of one [`Store::apply_batches`] call, logged and
+    /// replayed in order.
     Batches(Vec<WriteBatch>),
-    /// A single write from the cross-shard execution path.
-    Put(Key, Value),
     /// A commit boundary: everything before this frame belongs to the
     /// committed prefix ending at `(dag, round)` with the given digest.
     Commit(CommitMarker),
-}
-
-fn encode_batch_writes(batch: &WriteBatch, w: &mut WireWriter) {
-    w.put_len(batch.len());
-    for (key, value) in batch.iter() {
-        Wire::encode(key, w);
-        value.encode(w);
-    }
 }
 
 fn encode_batches_payload(batches: &[WriteBatch], w: &mut WireWriter) {
     w.put_u8(0);
     w.put_len(batches.len());
     for batch in batches {
-        encode_batch_writes(batch, w);
+        w.put_len(batch.len());
+        for (key, value) in batch.iter() {
+            Wire::encode(key, w);
+            value.encode(w);
+        }
     }
 }
 
@@ -137,13 +128,8 @@ impl Wire for WalRecord {
     fn encode(&self, w: &mut WireWriter) {
         match self {
             WalRecord::Batches(batches) => encode_batches_payload(batches, w),
-            WalRecord::Put(key, value) => {
-                w.put_u8(1);
-                Wire::encode(key, w);
-                value.encode(w);
-            }
             WalRecord::Commit(marker) => {
-                w.put_u8(2);
+                w.put_u8(1);
                 marker.encode(w);
             }
         }
@@ -171,8 +157,7 @@ impl Wire for WalRecord {
                 }
                 Ok(WalRecord::Batches(batches))
             }
-            1 => Ok(WalRecord::Put(Key::decode(r)?, Value::decode(r)?)),
-            2 => Ok(WalRecord::Commit(CommitMarker::decode(r)?)),
+            1 => Ok(WalRecord::Commit(CommitMarker::decode(r)?)),
             tag => Err(WireError::InvalidTag {
                 type_name: "WalRecord",
                 tag: u32::from(tag),
@@ -323,23 +308,19 @@ fn decode_snapshot_file(buf: &[u8]) -> Result<SnapshotRecord, String> {
     SnapshotRecord::from_wire_bytes(payload).map_err(|e| format!("malformed snapshot payload: {e}"))
 }
 
-/// Tuning knobs of a [`WalStore`]. Neither knob affects correctness or the
-/// recovered state — only when the buffer drains and the log compacts.
+/// Tuning of a [`WalStore`]. It does not affect correctness or the
+/// recovered state — only when the log compacts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WalOptions {
     /// Compact the WAL into a snapshot once it exceeds this many bytes
     /// (checked at commit boundaries).
     pub compact_wal_bytes: u64,
-    /// Flush the B^ε buffer into the striped store once it holds this many
-    /// pending writes.
-    pub flush_buffered_writes: usize,
 }
 
 impl Default for WalOptions {
     fn default() -> Self {
         WalOptions {
             compact_wal_bytes: 4 * 1024 * 1024,
-            flush_buffered_writes: 1024,
         }
     }
 }
@@ -358,17 +339,13 @@ pub struct RecoveryInfo {
     pub last_commit: Option<CommitMarker>,
 }
 
+/// The log writer and its bookkeeping. Appending a record and applying it
+/// to the [`MemStore`] happen under this one lock, so replay order is apply
+/// order.
 struct WalState {
     writer: BufWriter<File>,
     wal_bytes: u64,
     generation: u64,
-    /// Ordered pending batches: the B^ε buffer. Replay order equals apply
-    /// order because WAL append and buffer insertion happen under one lock.
-    buffer: Vec<WriteBatch>,
-    buffered_writes: usize,
-    /// Key → (value, version-after-flush) for every pending write, serving
-    /// reads without draining the buffer.
-    overlay: KeyMap<Versioned>,
     last_commit: Option<CommitMarker>,
     compactions: u64,
 }
@@ -378,7 +355,8 @@ struct WalState {
 ///
 /// # Panics
 ///
-/// Mutating methods panic on I/O errors: a replica whose commit path can no
+/// Mutating methods panic on I/O errors, including a failed fsync of the
+/// directory after a snapshot rename: a replica whose commit path can no
 /// longer reach its log has no safe way to continue, and the harness treats
 /// the panic like a crash.
 pub struct WalStore {
@@ -397,7 +375,8 @@ impl WalStore {
     /// matches the snapshot's, truncates anything past that prefix, and
     /// leaves the log open for appending. A fresh directory starts empty at
     /// generation 0. A corrupt snapshot file is an error — unlike a torn
-    /// WAL tail it cannot result from a clean crash window.
+    /// WAL tail it cannot result from a clean crash window — and so is any
+    /// failure to read an existing log.
     pub fn open(dir: impl AsRef<Path>, options: WalOptions) -> io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
@@ -423,7 +402,13 @@ impl WalStore {
         }
 
         let wal_path = dir.join(WAL_FILE);
-        let existing = std::fs::read(&wal_path).unwrap_or_default();
+        let existing = match std::fs::read(&wal_path) {
+            Ok(bytes) => bytes,
+            Err(err) if err.kind() == io::ErrorKind::NotFound => Vec::new(),
+            // Anything else must not pass for an empty log: the file would
+            // be truncated below.
+            Err(err) => return Err(err),
+        };
         let mut valid_len = 0usize;
         match decode_wal_header(&existing) {
             // A log from the snapshot's own generation: replay it.
@@ -431,8 +416,7 @@ impl WalStore {
                 let (records, consumed) = decode_frames(&existing[WAL_HEADER_LEN..]);
                 for record in &records {
                     match record {
-                        WalRecord::Batches(batches) => inner.apply_many(batches.iter()),
-                        WalRecord::Put(key, value) => inner.put(*key, value.clone()),
+                        WalRecord::Batches(batches) => inner.apply_batches(batches),
                         WalRecord::Commit(marker) => last_commit = Some(*marker),
                     }
                 }
@@ -474,9 +458,6 @@ impl WalStore {
                 writer,
                 wal_bytes,
                 generation,
-                buffer: Vec::new(),
-                buffered_writes: 0,
-                overlay: KeyMap::default(),
                 last_commit,
                 compactions: 0,
             }),
@@ -498,10 +479,9 @@ impl WalStore {
         self.state.lock().wal_bytes
     }
 
-    /// Forces a compaction: flushes the buffer, writes a fresh snapshot and
-    /// truncates the WAL. Normally triggered automatically at a commit
-    /// boundary once the log exceeds
-    /// [`WalOptions::compact_wal_bytes`].
+    /// Forces a compaction: writes a fresh snapshot and truncates the WAL.
+    /// Normally triggered automatically at a commit boundary once the log
+    /// exceeds [`WalOptions::compact_wal_bytes`].
     pub fn compact(&self) {
         let mut state = self.state.lock();
         self.compact_locked(&mut state);
@@ -523,40 +503,15 @@ impl WalStore {
             .unwrap_or_else(|err| panic!("WAL fsync in {} failed: {err}", self.dir.display()));
     }
 
-    /// Parks `batch`'s writes in the B^ε buffer and overlay. The WAL record
-    /// covering them must already be appended by the caller.
-    fn buffer_batch(&self, state: &mut WalState, batch: WriteBatch) {
-        for (key, value) in batch.iter() {
-            let version = match state.overlay.get(key) {
-                Some(pending) => pending.version + 1,
-                None => self.inner.get_versioned(key).version + 1,
-            };
-            state
-                .overlay
-                .insert(*key, Versioned::new(value.clone(), version));
-        }
-        state.buffered_writes += batch.len();
-        state.buffer.push(batch);
-    }
-
-    fn flush_locked(&self, state: &mut WalState) {
-        if state.buffer.is_empty() {
-            return;
-        }
-        self.inner.apply_many(state.buffer.iter());
-        state.buffer.clear();
-        state.overlay.clear();
-        state.buffered_writes = 0;
-    }
-
-    fn maybe_flush(&self, state: &mut WalState) {
-        if state.buffered_writes >= self.options.flush_buffered_writes {
-            self.flush_locked(state);
-        }
+    /// Logs `batches` as one `Batches` frame and applies them.
+    fn append_batches(&self, state: &mut WalState, batches: &[WriteBatch]) {
+        let mut payload = WireWriter::new();
+        encode_batches_payload(batches, &mut payload);
+        self.append_frame(state, &frame_payload(&payload.into_bytes()));
+        self.inner.apply_batches(batches);
     }
 
     fn compact_locked(&self, state: &mut WalState) {
-        self.flush_locked(state);
         let generation = state.generation + 1;
         let snapshot = self.inner.snapshot();
         let record = SnapshotRecord {
@@ -574,10 +529,7 @@ impl WalStore {
             drop(file);
             std::fs::rename(&tmp_path, &final_path)?;
             // Make the rename itself durable before the WAL is truncated.
-            if let Ok(dir) = File::open(&self.dir) {
-                let _ = dir.sync_all();
-            }
-            Ok(())
+            File::open(&self.dir)?.sync_all()
         };
         write_snapshot()
             .unwrap_or_else(|err| panic!("snapshot write in {} failed: {err}", self.dir.display()));
@@ -605,23 +557,7 @@ impl KvRead for WalStore {
     }
 
     fn get_versioned(&self, key: &Key) -> Versioned {
-        let state = self.state.lock();
-        if let Some(pending) = state.overlay.get(key) {
-            return pending.clone();
-        }
         self.inner.get_versioned(key)
-    }
-}
-
-impl KvWrite for WalStore {
-    fn put(&self, key: Key, value: Value) {
-        let mut state = self.state.lock();
-        let record = WalRecord::Put(key, value.clone());
-        self.append_frame(&mut state, &encode_frame(&record));
-        let mut batch = WriteBatch::with_capacity(1);
-        batch.put(key, value);
-        self.buffer_batch(&mut state, batch);
-        self.maybe_flush(&mut state);
     }
 }
 
@@ -630,27 +566,14 @@ impl Store for WalStore {
         if batches.iter().all(WriteBatch::is_empty) {
             return;
         }
-        let mut state = self.state.lock();
-        let mut payload = WireWriter::new();
-        encode_batches_payload(batches, &mut payload);
-        self.append_frame(&mut state, &frame_payload(&payload.into_bytes()));
-        for batch in batches {
-            if !batch.is_empty() {
-                self.buffer_batch(&mut state, batch.clone());
-            }
-        }
-        self.maybe_flush(&mut state);
+        self.append_batches(&mut self.state.lock(), batches);
     }
 
     fn snapshot(&self) -> Snapshot {
-        let mut state = self.state.lock();
-        self.flush_locked(&mut state);
         self.inner.snapshot()
     }
 
     fn stats(&self) -> StoreStats {
-        let mut state = self.state.lock();
-        self.flush_locked(&mut state);
         self.inner.stats()
     }
 
@@ -660,13 +583,9 @@ impl Store for WalStore {
             return;
         }
         let mut state = self.state.lock();
-        let mut payload = WireWriter::new();
-        encode_batches_payload(std::slice::from_ref(&batch), &mut payload);
-        self.append_frame(&mut state, &frame_payload(&payload.into_bytes()));
-        // Initial state is applied directly (the buffer is for steady-state
-        // batches) and made durable immediately: a replica that crashes
+        self.append_batches(&mut state, std::slice::from_ref(&batch));
+        // Initial state is made durable immediately: a replica that crashes
         // before its first commit must still recover its genesis state.
-        self.inner.apply_batch(&batch);
         self.sync_locked(&mut state);
     }
 
@@ -743,14 +662,14 @@ mod tests {
     /// together.
     #[test]
     fn format_golden() {
-        const GOLDEN: (u16, u32) = (2, 0x2cb3_8e28);
+        const GOLDEN: (u16, u32) = (3, 0x8ac0_7c11);
         let mut bytes = wal_header_bytes(3);
         let mut batch_a = batch(&[(1, 100_000), (700, -3)]);
         batch_a.put(Key::savings(5), Value::None);
         batch_a.put(Key::contract(9), Value::bytes(vec![1, 2, 3]));
+        batch_a.put(Key::checking(u64::MAX), Value::int(i64::MIN));
         for record in [
             WalRecord::Batches(vec![batch_a, batch(&[(2, 7)])]),
-            WalRecord::Put(Key::checking(u64::MAX), Value::int(i64::MIN)),
             WalRecord::Commit(CommitMarker {
                 dag: 1,
                 round: 400,
@@ -792,13 +711,11 @@ mod tests {
     }
 
     #[test]
-    fn reads_see_buffered_writes_through_the_overlay() {
-        let dir = TempDir::new("wal-overlay").unwrap();
+    fn reads_see_applied_batches_at_once() {
+        let dir = TempDir::new("wal-reads").unwrap();
         let store = WalStore::open(dir.path(), WalOptions::default()).unwrap();
         store.apply_batch(&batch(&[(1, 10)]));
         store.apply_batch(&batch(&[(1, 20)]));
-        // Still buffered (threshold not reached), but reads see the writes
-        // with their post-flush versions.
         assert_eq!(store.get(&Key::checking(1)), Value::int(20));
         assert_eq!(store.get_versioned(&Key::checking(1)).version, 2);
         assert_eq!(store.stats().total_writes, 2);
@@ -811,7 +728,7 @@ mod tests {
             let store = WalStore::open(dir.path(), WalOptions::default()).unwrap();
             store.load_entries(&mut (0..4u64).map(|i| (Key::checking(i), Value::int(100))));
             store.apply_batch(&batch(&[(0, 90), (1, 110)]));
-            store.put(Key::savings(7), Value::int(5));
+            store.apply_batch(&[(Key::savings(7), Value::int(5))].into_iter().collect());
             store.commit_marker(CommitMarker {
                 dag: 0,
                 round: 2,
@@ -852,7 +769,7 @@ mod tests {
         // Simulate a crash mid-append: half a frame after the last commit.
         let wal_path = dir.path().join(WAL_FILE);
         let mut bytes = std::fs::read(&wal_path).unwrap();
-        let torn = encode_frame(&WalRecord::Put(Key::checking(9), Value::int(9)));
+        let torn = encode_frame(&WalRecord::Batches(vec![batch(&[(9, 9)])]));
         bytes.extend_from_slice(&torn[..torn.len() / 2]);
         std::fs::write(&wal_path, &bytes).unwrap();
 
@@ -864,7 +781,7 @@ mod tests {
         assert_eq!(recovered.get(&Key::checking(1)), Value::int(10));
         assert!(recovered.get(&Key::checking(9)).is_none());
         // The truncated store keeps working.
-        recovered.put(Key::checking(9), Value::int(1));
+        recovered.apply_batch(&batch(&[(9, 1)]));
         assert_eq!(recovered.get(&Key::checking(9)), Value::int(1));
     }
 
@@ -877,7 +794,6 @@ mod tests {
         // snapshot.
         let options = WalOptions {
             compact_wal_bytes: 96,
-            flush_buffered_writes: 4,
         };
         {
             let store = WalStore::open(dir.path(), options).unwrap();
@@ -913,7 +829,6 @@ mod tests {
         let dir = TempDir::new("wal-stale").unwrap();
         let options = WalOptions {
             compact_wal_bytes: 1, // compact at every commit boundary
-            flush_buffered_writes: 1024,
         };
         {
             let store = WalStore::open(dir.path(), options).unwrap();

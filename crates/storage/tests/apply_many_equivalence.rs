@@ -1,14 +1,14 @@
 //! Property test: the coalesced multi-batch apply is observably equivalent
 //! to applying the batches one at a time, in order — same values, same
-//! per-key versions, same [`StoreStats`].
+//! per-key versions, same [`tb_storage::StoreStats`].
 //!
 //! This is the invariant the pipelined commit path leans on: it hands the
 //! write batches of a whole committed sub-DAG to one
-//! [`MemStore::apply_many`] call without changing what any later reader can
+//! [`Store::apply_batches`] call without changing what any later reader can
 //! observe.
 
 use proptest::prelude::*;
-use tb_storage::{KvRead, MemStore, WriteBatch};
+use tb_storage::{KvRead, MemStore, Store, WriteBatch};
 use tb_types::{Key, Value};
 
 /// A small hot key pool so batches genuinely overlap on keys (the
@@ -44,7 +44,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn apply_many_equals_sequential_apply(raw_batches in batches(8, 24, 12)) {
+    fn apply_batches_equals_sequential_apply(raw_batches in batches(8, 24, 12)) {
         let sequential = MemStore::new();
         let coalesced = MemStore::new();
         // Seed both stores so versions start above zero for some keys.
@@ -56,7 +56,7 @@ proptest! {
         for batch in &built {
             sequential.apply_batch(batch);
         }
-        coalesced.apply_many(built.iter());
+        coalesced.apply_batches(&built);
 
         // Same values on every key either store has ever seen.
         let seq_snapshot = sequential.snapshot();
@@ -69,18 +69,5 @@ proptest! {
         }
         // Aggregate statistics agree (keys, total writes, integer sum).
         prop_assert_eq!(sequential.stats(), coalesced.stats());
-    }
-
-    #[test]
-    fn apply_many_of_single_batches_equals_apply_batch(raw in prop::collection::vec((0..10u64, -100..100i64), 0..20)) {
-        let one = MemStore::new();
-        let many = MemStore::new();
-        let batch = build(&raw);
-        one.apply_batch(&batch);
-        many.apply_many(std::iter::once(&batch));
-        for (k, versioned) in one.snapshot().iter() {
-            prop_assert_eq!(versioned, &many.get_versioned(k));
-        }
-        prop_assert_eq!(one.stats(), many.stats());
     }
 }

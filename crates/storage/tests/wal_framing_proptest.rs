@@ -44,7 +44,6 @@ fn arb_marker() -> impl Strategy<Value = CommitMarker> {
 fn arb_record() -> impl Strategy<Value = WalRecord> {
     prop_oneof![
         prop::collection::vec(arb_batch(), 0..4).prop_map(WalRecord::Batches),
-        (arb_key(), arb_value()).prop_map(|(k, v)| WalRecord::Put(k, v)),
         arb_marker().prop_map(WalRecord::Commit),
     ]
 }

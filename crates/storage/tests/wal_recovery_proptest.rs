@@ -9,48 +9,39 @@
 //!   window) recovers precisely the state reached by replaying the valid
 //!   frame prefix, with the torn tail cleanly discarded.
 //!
-//! Scripts are random sequences of commit-pipeline operations (coalesced
-//! batch applies, cross-shard puts, commit boundaries) over a small key
-//! range, so overwrites and version bumps are common; options vary across
-//! the buffer-flush and compaction regimes, which must not change any
-//! recovered state.
+//! Scripts are random sequences of commit-pipeline operations (a coalesced
+//! single-shard apply, a cross-shard apply, commit boundaries) over a small
+//! key range, so overwrites and version bumps are common; options vary
+//! across compaction regimes, which must not change any recovered state.
 
 use proptest::prelude::*;
 use tb_storage::wal::{decode_frames, wal_header_bytes, WAL_FILE};
 use tb_storage::{
-    CommitMarker, KvWrite, MemStore, Snapshot, Store, TempDir, WalOptions, WalRecord, WalStore,
-    WriteBatch,
+    CommitMarker, MemStore, Snapshot, Store, TempDir, WalOptions, WalRecord, WalStore, WriteBatch,
 };
 use tb_types::{Key, Value};
 
-/// Flush/compaction regimes the recovered state must be invariant under:
-/// everything buffered, flush-per-write, compact-often, compact-always.
-const OPTIONS: [WalOptions; 4] = [
+/// Compaction regimes the recovered state must be invariant under: never,
+/// often, at every commit boundary.
+const OPTIONS: [WalOptions; 3] = [
     WalOptions {
         compact_wal_bytes: 4 * 1024 * 1024,
-        flush_buffered_writes: 1024,
-    },
-    WalOptions {
-        compact_wal_bytes: 4 * 1024 * 1024,
-        flush_buffered_writes: 1,
     },
     WalOptions {
         compact_wal_bytes: 512,
-        flush_buffered_writes: 4,
     },
     WalOptions {
         compact_wal_bytes: 1,
-        flush_buffered_writes: 1,
     },
 ];
 
 /// One step of a write script, shaped like the commit pipeline's usage:
-/// coalesced batches, an optional cross-shard put, an optional commit
-/// boundary sealing everything so far.
+/// the single-shard (G1) batches, the cross-shard (G2) batch, an optional
+/// commit boundary sealing everything so far.
 #[derive(Clone, Debug)]
 struct Step {
     batches: Vec<WriteBatch>,
-    put: Option<(Key, Value)>,
+    cross_shard: WriteBatch,
     commit: bool,
 }
 
@@ -75,12 +66,12 @@ fn arb_batch() -> impl Strategy<Value = WriteBatch> {
 fn arb_step() -> impl Strategy<Value = Step> {
     (
         prop::collection::vec(arb_batch(), 0..3),
-        (any::<bool>(), arb_key(), arb_value()),
+        arb_batch(),
         any::<bool>(),
     )
-        .prop_map(|(batches, (has_put, key, value), commit)| Step {
+        .prop_map(|(batches, cross_shard, commit)| Step {
             batches,
-            put: if has_put { Some((key, value)) } else { None },
+            cross_shard,
             commit,
         })
 }
@@ -92,13 +83,13 @@ fn arb_script() -> impl Strategy<Value = Vec<Step>> {
 // --- driver and state comparison -------------------------------------------
 
 /// Replays `script` against any backend exactly as the commit path would.
-fn run_script<S: Store + KvWrite>(store: &S, script: &[Step]) {
+fn run_script<S: Store>(store: &S, script: &[Step]) {
     for (i, step) in script.iter().enumerate() {
         if !step.batches.is_empty() {
             store.apply_batches(&step.batches);
         }
-        if let Some((key, value)) = &step.put {
-            store.put(*key, value.clone());
+        if !step.cross_shard.is_empty() {
+            store.apply_batch(&step.cross_shard);
         }
         if step.commit {
             let seq = i as u64;
@@ -126,7 +117,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Recovering twice equals recovering once equals the pre-drop state,
-    /// under every flush/compaction regime.
+    /// under every compaction regime.
     #[test]
     fn recovery_is_idempotent(script in arb_script(), opts_sel in 0usize..OPTIONS.len()) {
         let opts = OPTIONS[opts_sel];
@@ -163,7 +154,7 @@ proptest! {
     ) {
         // No compaction: the WAL holds the full history at generation 0, so
         // byte-truncating it simulates a crash at any point in that history.
-        let opts = WalOptions { compact_wal_bytes: u64::MAX, flush_buffered_writes: 8 };
+        let opts = WalOptions { compact_wal_bytes: u64::MAX };
         let dir = TempDir::new("wal-prop-prefix").expect("scoped temp dir");
         let store = WalStore::open(dir.path(), opts).expect("fresh open");
         run_script(&store, &script);
@@ -186,7 +177,6 @@ proptest! {
         for record in &records {
             match record {
                 WalRecord::Batches(batches) => shadow.apply_batches(batches),
-                WalRecord::Put(key, value) => shadow.put(*key, value.clone()),
                 WalRecord::Commit(marker) => shadow_marker = Some(*marker),
             }
         }

@@ -157,7 +157,7 @@ impl LatencyModel {
 /// Which storage backend a replica keeps its committed state in.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StorageBackend {
-    /// The striped in-memory store: volatile, nearly free, the default.
+    /// The in-memory store: volatile, nearly free, the default.
     #[default]
     Mem,
     /// The durable WAL-backed store: every committed batch is logged to an
@@ -179,9 +179,6 @@ pub struct StorageConfig {
     /// Compact the WAL into a snapshot once it exceeds this many bytes
     /// (checked at commit boundaries). Ignored by [`StorageBackend::Mem`].
     pub compact_wal_bytes: u64,
-    /// Flush the write-buffer into the in-memory stripes once it holds this
-    /// many pending writes. Ignored by [`StorageBackend::Mem`].
-    pub flush_buffered_writes: u64,
 }
 
 impl Default for StorageConfig {
@@ -190,7 +187,6 @@ impl Default for StorageConfig {
             backend: StorageBackend::Mem,
             data_dir: String::new(),
             compact_wal_bytes: 4 * 1024 * 1024,
-            flush_buffered_writes: 1024,
         }
     }
 }
@@ -305,6 +301,5 @@ mod tests {
         assert_eq!(wal.backend, StorageBackend::Wal);
         assert_eq!(wal.data_dir, "/tmp/tb-data");
         assert!(wal.compact_wal_bytes > 0);
-        assert!(wal.flush_buffered_writes > 0);
     }
 }

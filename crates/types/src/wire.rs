@@ -1036,7 +1036,6 @@ impl Wire for SystemConfig {
         self.storage.backend.encode(w);
         self.storage.data_dir.encode(w);
         w.put_varint(self.storage.compact_wal_bytes);
-        w.put_varint(self.storage.flush_buffered_writes);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(SystemConfig {
@@ -1058,7 +1057,6 @@ impl Wire for SystemConfig {
                 backend: StorageBackend::decode(r)?,
                 data_dir: String::decode(r)?,
                 compact_wal_bytes: r.varint()?,
-                flush_buffered_writes: r.varint()?,
             },
         })
     }

@@ -93,9 +93,7 @@ pub mod prelude {
     };
 
     pub use tb_network::{FaultAction, FaultPlan, TcpPeer, TcpTransport, Transport};
-    pub use tb_storage::{
-        CommitMarker, KvRead, KvWrite, MemStore, Store, TempDir, WalOptions, WalStore,
-    };
+    pub use tb_storage::{CommitMarker, KvRead, MemStore, Store, TempDir, WalOptions, WalStore};
 
     pub use tb_types::{
         CeConfig, ClientId, ContractCall, Key, KeySpace, LatencyModel, Operation, ReconfigConfig,

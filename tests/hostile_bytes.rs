@@ -232,7 +232,9 @@ fn mutated_wal_frames_never_panic_over_allocate_or_decode_to_other_bytes() {
     }
     let records = [
         WalRecord::Batches(vec![batch, WriteBatch::new()]),
-        WalRecord::Put(Key::savings(7), Value::int(-250)),
+        WalRecord::Batches(vec![[(Key::savings(7), Value::int(-250))]
+            .into_iter()
+            .collect()]),
         WalRecord::Commit(CommitMarker {
             dag: 0,
             round: vertex.round().as_u64(),

@@ -120,9 +120,7 @@ proptest! {
                 let returned = execute_call(&p.tx.call, &mut tracking).expect("replay never aborts");
                 (tracking.outcome().clone(), returned)
             };
-            for record in &outcome.write_set {
-                replay.put(record.key, record.value.clone());
-            }
+            replay.load(outcome.write_set.iter().map(|r| (r.key, r.value.clone())));
             let label = executor.label();
             prop_assert_eq!(sorted(p.outcome.read_set.clone()), sorted(outcome.read_set), "{}", label);
             prop_assert_eq!(sorted(p.outcome.write_set.clone()), sorted(outcome.write_set), "{}", label);

@@ -9,15 +9,16 @@
 //! in `chaos_campaign.rs` covers the same scenario as part of the campaign.
 
 use thunderbolt::prelude::*;
+use thunderbolt::tb_storage::wal::{decode_frames, wal_header_bytes, WAL_FILE};
+use thunderbolt::tb_storage::{Snapshot, WalRecord};
 
 fn wal_config(dir: &TempDir) -> StorageConfig {
     StorageConfig {
         backend: StorageBackend::Wal,
         data_dir: dir.path().display().to_string(),
-        // Small thresholds so even a smoke-sized run flushes the write
-        // buffer and compacts the WAL into a snapshot at least once.
+        // A small threshold so even a smoke-sized run compacts the WAL into
+        // a snapshot at least once.
         compact_wal_bytes: 32 * 1024,
-        flush_buffered_writes: 32,
     }
 }
 
@@ -122,30 +123,90 @@ fn restarted_replicas_recover_exact_state_without_reloading_genesis() {
     );
 }
 
+/// A seeded lockstep run whose block content is a function of the seed
+/// alone: all single-shard (`cross_shard_fraction` 0) or all cross-shard (1),
+/// with the observer's final store. The run ends when the observer reaches
+/// its round budget, so the other replicas stop wherever they are and only
+/// the observer's state is a function of the seed.
+fn lockstep_run(storage: StorageConfig, cross_shard_fraction: f64) -> (RunReport, Snapshot) {
+    let mut sim = wal_scenario(storage, 8)
+        .lockstep()
+        .workload(SmallBankConfig {
+            accounts: 128,
+            n_shards: 4,
+            cross_shard_fraction,
+            ..SmallBankConfig::default()
+        })
+        .build();
+    let report = sim.run();
+    let observer = sim.replica(ReplicaId::new(0)).store().snapshot();
+    (report, observer)
+}
+
 /// Persistence is a refinement, not a behaviour change: the same seeded
-/// lockstep scenario (all single-shard, so block content is a function of
-/// the seed alone) commits the identical order on the in-memory backend and
-/// on the WAL backend.
+/// lockstep scenario commits the identical order on the in-memory backend and
+/// on the WAL backend, single-shard and cross-shard alike, and the observer's
+/// directory reopens to the values its in-memory twin ended on.
 #[test]
 fn mem_and_wal_backends_commit_the_identical_order() {
-    let dir = TempDir::new("storage-backend-equivalence").expect("scoped temp dir");
-    let run = |storage: StorageConfig| {
-        wal_scenario(storage, 8)
-            .lockstep()
-            .workload(SmallBankConfig {
-                accounts: 128,
-                n_shards: 4,
-                cross_shard_fraction: 0.0,
-                ..SmallBankConfig::default()
-            })
-            .run()
-    };
-    let mem = run(StorageConfig::mem());
-    let wal = run(wal_config(&dir));
-    assert!(mem.committed_txs > 0, "the scenario must commit");
-    assert_eq!(mem.committed_txs, wal.committed_txs);
-    assert_eq!(
-        mem.commit_order_digest, wal.commit_order_digest,
-        "the storage backend changed commit semantics"
+    for cross_shard_fraction in [0.0, 1.0] {
+        let dir = TempDir::new("storage-backend-equivalence").expect("scoped temp dir");
+        let (mem, mem_observer) = lockstep_run(StorageConfig::mem(), cross_shard_fraction);
+        let (wal, _) = lockstep_run(wal_config(&dir), cross_shard_fraction);
+        assert!(mem.committed_txs > 0, "the scenario must commit");
+        assert_eq!(mem.committed_txs, wal.committed_txs);
+        assert_eq!(
+            mem.commit_order_digest, wal.commit_order_digest,
+            "the storage backend changed commit semantics at cross-shard fraction \
+             {cross_shard_fraction}"
+        );
+        let options = WalOptions {
+            compact_wal_bytes: wal_config(&dir).compact_wal_bytes,
+        };
+        let reopened = WalStore::open(dir.path().join("replica-0"), options)
+            .expect("reopen the observer's directory");
+        let diverged = reopened.snapshot().diff_values(&mem_observer);
+        assert!(
+            diverged.is_empty(),
+            "at cross-shard fraction {cross_shard_fraction} the observer reopened to \
+             different values on {diverged:?}"
+        );
+    }
+}
+
+/// The WAL holds whole batches only: after genesis, a commit marker follows
+/// at most two `Batches` frames — the single-shard (G1) apply and the
+/// cross-shard (G2) apply of its sub-DAG — even on an all-cross-shard run.
+#[test]
+fn the_wal_logs_one_frame_per_commit_stage() {
+    let dir = TempDir::new("storage-wal-frames").expect("scoped temp dir");
+    let storage = StorageConfig::wal(dir.path().display().to_string());
+    let (report, _) = lockstep_run(storage, 1.0);
+    assert!(
+        report.cross_shard_txs > 0,
+        "the scenario must commit cross-shard"
+    );
+
+    let log = std::fs::read(dir.path().join("replica-0").join(WAL_FILE)).expect("read wal.log");
+    let (records, _) = decode_frames(&log[wal_header_bytes(0).len()..]);
+    let (mut commits, mut since_commit, mut longest) = (0, 0, 0);
+    // The first frame is genesis.
+    for record in &records[1..] {
+        match record {
+            WalRecord::Commit(_) => {
+                commits += 1;
+                since_commit = 0;
+            }
+            _ => {
+                since_commit += 1;
+                longest = longest.max(since_commit);
+            }
+        }
+    }
+    assert!(commits > 0, "no commit marker logged");
+    assert!(longest > 0, "no cross-shard write logged");
+    assert!(
+        longest <= 2,
+        "{longest} frames between two commit markers; a commit logs at most G1 and G2"
     );
 }
