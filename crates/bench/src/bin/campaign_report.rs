@@ -55,18 +55,27 @@ fn main() {
 
     // Human-readable recap on stdout; the JSON on disk is the interface.
     println!(
-        "{:<26} {:<6} {:>10} {:>9} {:>9} {:>9} {:>8} {:>12}",
-        "scenario", "pass", "committed", "invalid", "dropped", "reconfig", "faults", "tps"
+        "{:<26} {:<6} {:>10} {:>9} {:>9} {:>9} {:>9} {:>8} {:>12}",
+        "scenario",
+        "pass",
+        "committed",
+        "invalid",
+        "dropped",
+        "reconfig",
+        "fetched",
+        "faults",
+        "tps"
     );
     for row in &campaigns {
         println!(
-            "{:<26} {:<6} {:>10} {:>9} {:>9} {:>9} {:>5}/{:<2} {:>12.0}",
+            "{:<26} {:<6} {:>10} {:>9} {:>9} {:>9} {:>9} {:>5}/{:<2} {:>12.0}",
             row.scenario,
             if row.passed { "ok" } else { "FAIL" },
             row.committed_txs,
             row.invalid_blocks,
             row.msgs_dropped,
             row.reconfigurations,
+            row.vertices_fetched,
             row.faults_applied,
             row.faults_unapplied,
             row.throughput_tps,

@@ -16,7 +16,10 @@
 //!   DAG-instance boundary ([`ReconfigurationCompletes`]);
 //! * **no vacuous faults** — every scheduled fault actually fired
 //!   ([`FaultsAllApplied`]), and chaos runs report the messages their faults
-//!   dropped ([`MessageLossObserved`]).
+//!   dropped ([`MessageLossObserved`]);
+//! * **no missing vertices** — honest replicas hold the same certified
+//!   vertices for every settled round, so a replica that never got a block
+//!   fetched it ([`EveryCertifiedVertexEverywhere`]).
 //!
 //! [`default_campaign`] assembles the standard scenario list; the
 //! `campaign_report` binary in `tb-bench` runs it, writes the pass/fail
@@ -27,11 +30,15 @@
 use crate::cluster::ClusterSimulation;
 use crate::metrics::RunReport;
 use crate::proposer::ByzantineBehavior;
+use crate::replica::Replica;
 use crate::scenario::ScenarioBuilder;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use tb_network::FaultPlan;
 use tb_storage::{Store, TempDir, WalOptions, WalStore};
-use tb_types::{LatencyModel, ReconfigConfig, ReplicaId, SimTime, StorageBackend, StorageConfig};
+use tb_types::{
+    Digest, LatencyModel, ReconfigConfig, ReplicaId, SimTime, StorageBackend, StorageConfig,
+};
 use tb_workload::SmallBankConfig;
 
 /// Everything an [`Invariant`] may inspect after a run: the finished
@@ -253,6 +260,95 @@ impl Invariant for InvalidBlocksDetected {
         }
         Ok(())
     }
+}
+
+/// Honest replicas hold the same certified vertices: for every round the
+/// most advanced of them has passed, minus the round in flight, their DAGs
+/// hold the same vertex ids. Replicas are compared with the others in the
+/// same DAG instance (a reconfiguration starts an empty DAG). A certificate
+/// that reaches a replica without its block leaves a hole here unless the
+/// replica fetches the vertex, and so does a replica stuck behind a parent
+/// it lacks. The observer's commits do not show either: the others commit
+/// on without it.
+pub struct EveryCertifiedVertexEverywhere;
+
+impl Invariant for EveryCertifiedVertexEverywhere {
+    fn name(&self) -> &'static str {
+        "every-certified-vertex-everywhere"
+    }
+
+    fn check(&self, ctx: &InvariantContext<'_>) -> Result<(), String> {
+        let mut by_dag: BTreeMap<u64, Vec<&Replica>> = BTreeMap::new();
+        for id in (0..ctx.sim.replica_count()).map(ReplicaId::new) {
+            if !ctx.faulty.contains(&id) {
+                let replica = ctx.sim.replica(id);
+                by_dag
+                    .entry(replica.current_dag().as_inner())
+                    .or_default()
+                    .push(replica);
+            }
+        }
+        for replicas in by_dag.values() {
+            // The rounds the most advanced replica has passed, minus the one
+            // in flight: a replica stuck behind a vertex it lacks must not
+            // pull the horizon down to where it stopped.
+            let settled = replicas
+                .iter()
+                .map(|replica| replica.current_round().as_u64())
+                .max()
+                .unwrap_or(0)
+                .saturating_sub(1);
+            let held = |replica: &Replica| -> BTreeMap<(u32, u64), Digest> {
+                replica
+                    .dag()
+                    .iter()
+                    .filter(|vertex| vertex.round().as_u64() < settled)
+                    .map(|vertex| {
+                        let key = (vertex.author().as_inner(), vertex.round().as_u64());
+                        (key, vertex.id())
+                    })
+                    .collect()
+            };
+            let reference = held(replicas[0]);
+            for replica in &replicas[1..] {
+                let theirs = held(replica);
+                for (has, lacks, holder, lacker) in [
+                    (&reference, &theirs, replicas[0], replica),
+                    (&theirs, &reference, replica, &replicas[0]),
+                ] {
+                    let missing: Vec<(u32, u64)> = has
+                        .iter()
+                        .filter(|(key, id)| lacks.get(key) != Some(id))
+                        .map(|(key, _)| *key)
+                        .collect();
+                    if !missing.is_empty() {
+                        return Err(format!(
+                            "replica {} lacks {} vertices replica {} holds below round \
+                             {settled}: {}",
+                            lacker.id().as_inner(),
+                            missing.len(),
+                            holder.id().as_inner(),
+                            describe_vertices(&missing)
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// `(author, round)` pairs as "author A rounds [x, y]; author B …".
+fn describe_vertices(vertices: &[(u32, u64)]) -> String {
+    let mut by_author: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
+    for (author, round) in vertices {
+        by_author.entry(*author).or_default().push(*round);
+    }
+    let authors: Vec<String> = by_author
+        .iter()
+        .map(|(author, rounds)| format!("author {author} rounds {rounds:?}"))
+        .collect();
+    authors.join("; ")
 }
 
 /// Crash recovery reconstructs exactly the pre-crash state from disk.
@@ -479,6 +575,9 @@ impl CampaignScenario {
             committed_txs: report.committed_txs,
             invalid_blocks: report.invalid_blocks,
             reconfigurations: report.reconfigurations,
+            vertices_fetched: (0..sim.replica_count())
+                .map(|id| sim.replica(ReplicaId::new(id)).metrics().vertices_fetched)
+                .sum(),
             msgs_sent: report.msgs_sent,
             msgs_delivered: report.msgs_delivered,
             msgs_dropped: report.msgs_dropped,
@@ -510,6 +609,9 @@ pub struct ScenarioResult {
     pub invalid_blocks: u64,
     /// Completed reconfigurations.
     pub reconfigurations: u64,
+    /// Vertices admitted from the answer to a fetch, summed over all
+    /// replicas: certificates that arrived without their block.
+    pub vertices_fetched: u64,
     /// Messages handed to the network.
     pub msgs_sent: u64,
     /// Messages delivered.
@@ -544,6 +646,7 @@ impl ScenarioResult {
             ("committed_txs", self.committed_txs.to_string()),
             ("invalid_blocks", self.invalid_blocks.to_string()),
             ("reconfigurations", self.reconfigurations.to_string()),
+            ("vertices_fetched", self.vertices_fetched.to_string()),
             ("msgs_sent", self.msgs_sent.to_string()),
             ("msgs_delivered", self.msgs_delivered.to_string()),
             ("msgs_dropped", self.msgs_dropped.to_string()),
@@ -587,7 +690,8 @@ fn json_string(s: &str) -> String {
 /// every one passed, committed transactions and fired all of its scheduled
 /// faults, and the campaign as a whole exercised real adversity — some
 /// scenario lost messages, some detected invalid (Byzantine) blocks, some
-/// completed a reconfiguration.
+/// completed a reconfiguration, and some replica fetched a vertex it was
+/// missing.
 pub fn validate_campaigns(campaigns: &[ScenarioResult]) -> Result<(), String> {
     if campaigns.len() < 6 {
         return Err(format!(
@@ -617,10 +721,11 @@ pub fn validate_campaigns(campaigns: &[ScenarioResult]) -> Result<(), String> {
         }
     }
     type Probe = fn(&ScenarioResult) -> u64;
-    let adversity: [(&str, Probe); 3] = [
+    let adversity: [(&str, Probe); 4] = [
         ("msgs_dropped", |r| r.msgs_dropped),
         ("invalid_blocks", |r| r.invalid_blocks),
         ("reconfigurations", |r| r.reconfigurations),
+        ("vertices_fetched", |r| r.vertices_fetched),
     ];
     for (counter, probe) in adversity {
         if campaigns.iter().all(|row| probe(row) == 0) {
@@ -674,6 +779,7 @@ pub fn default_campaign(profile: CampaignProfile) -> Vec<CampaignScenario> {
         .invariant(Liveness {
             min_round_commits: 1,
         })
+        .invariant(EveryCertifiedVertexEverywhere)
         .invariant(InvalidBlocksDetected),
         CampaignScenario::new(
             "byz-equivocate",
@@ -686,7 +792,8 @@ pub fn default_campaign(profile: CampaignProfile) -> Vec<CampaignScenario> {
         .faulty([3])
         .invariant(Liveness {
             min_round_commits: 1,
-        }),
+        })
+        .invariant(EveryCertifiedVertexEverywhere),
         CampaignScenario::new(
             "byz-overfull-wrong-shard",
             "replica 3 preplays cross-shard transactions and overfills its blocks (P1 violation)",
@@ -698,7 +805,8 @@ pub fn default_campaign(profile: CampaignProfile) -> Vec<CampaignScenario> {
         .faulty([3])
         .invariant(Liveness {
             min_round_commits: 1,
-        }),
+        })
+        .invariant(EveryCertifiedVertexEverywhere),
         CampaignScenario::new(
             "partition-heal",
             "replica 2's outbound links to replicas 0 and 1 are cut from the start and heal mid-run",
@@ -719,6 +827,7 @@ pub fn default_campaign(profile: CampaignProfile) -> Vec<CampaignScenario> {
         .invariant(Liveness {
             min_round_commits: 1,
         })
+        .invariant(EveryCertifiedVertexEverywhere)
         .invariant(MessageLossObserved)
         .invariant(FaultsAllApplied),
         CampaignScenario::new(
@@ -733,7 +842,8 @@ pub fn default_campaign(profile: CampaignProfile) -> Vec<CampaignScenario> {
         )
         .invariant(Liveness {
             min_round_commits: 1,
-        }),
+        })
+        .invariant(EveryCertifiedVertexEverywhere),
         CampaignScenario::new(
             "crash-two-of-seven",
             "two of seven replicas (f = 2) crash at the start",
@@ -745,6 +855,7 @@ pub fn default_campaign(profile: CampaignProfile) -> Vec<CampaignScenario> {
         .invariant(Liveness {
             min_round_commits: 1,
         })
+        .invariant(EveryCertifiedVertexEverywhere)
         .invariant(MessageLossObserved)
         .invariant(FaultsAllApplied),
         CampaignScenario::new(
@@ -760,6 +871,7 @@ pub fn default_campaign(profile: CampaignProfile) -> Vec<CampaignScenario> {
         .invariant(Liveness {
             min_round_commits: 1,
         })
+        .invariant(EveryCertifiedVertexEverywhere)
         .invariant(ReconfigurationCompletes { min: 1 })
         .invariant(MessageLossObserved)
         .invariant(FaultsAllApplied),
@@ -781,6 +893,7 @@ pub fn default_campaign(profile: CampaignProfile) -> Vec<CampaignScenario> {
         .invariant(Liveness {
             min_round_commits: 1,
         })
+        .invariant(EveryCertifiedVertexEverywhere)
         .invariant(ReconfigurationCompletes { min: 1 })
         .invariant(FaultsAllApplied),
         CampaignScenario::new(
@@ -790,7 +903,8 @@ pub fn default_campaign(profile: CampaignProfile) -> Vec<CampaignScenario> {
         )
         .invariant(Liveness {
             min_round_commits: (p.soak_rounds / 4).max(1) as usize,
-        }),
+        })
+        .invariant(EveryCertifiedVertexEverywhere),
         {
             let data_dir = Arc::new(
                 TempDir::new("campaign-durable")
@@ -845,6 +959,7 @@ pub fn default_campaign(profile: CampaignProfile) -> Vec<CampaignScenario> {
             .invariant(Liveness {
                 min_round_commits: 1,
             })
+            .invariant(EveryCertifiedVertexEverywhere)
             .invariant(FaultsAllApplied)
             .invariant(DurableRecovery { data_dir, storage })
         },
@@ -962,6 +1077,7 @@ mod tests {
             committed_txs: 10,
             invalid_blocks: 1,
             reconfigurations: 1,
+            vertices_fetched: 1,
             msgs_sent: 5,
             msgs_delivered: 4,
             msgs_dropped: 1,
@@ -991,10 +1107,11 @@ mod tests {
             assert!(err.contains("s3") && err.contains(expected), "{err}");
         }
 
-        let campaign_wide: [(Break, &str); 3] = [
+        let campaign_wide: [(Break, &str); 4] = [
             (|r| r.msgs_dropped = 0, "msgs_dropped"),
             (|r| r.invalid_blocks = 0, "invalid_blocks"),
             (|r| r.reconfigurations = 0, "reconfigurations"),
+            (|r| r.vertices_fetched = 0, "vertices_fetched"),
         ];
         for (zero, counter) in campaign_wide {
             let mut quiet = rows.clone();
@@ -1014,8 +1131,8 @@ mod tests {
             "{\"scenario\": \"byz \\\"quoted\\\"\", \"description\": \"\", \"passed\": false, \
              \"failures\": [\"liveness: path C:\\\\tmp\\u000aline two\"], \
              \"invariants\": [\"honest-agreement\"], \"committed_txs\": 10, \
-             \"invalid_blocks\": 1, \"reconfigurations\": 1, \"msgs_sent\": 5, \
-             \"msgs_delivered\": 4, \"msgs_dropped\": 1, \"faults_applied\": 0, \
+             \"invalid_blocks\": 1, \"reconfigurations\": 1, \"vertices_fetched\": 1, \
+             \"msgs_sent\": 5, \"msgs_delivered\": 4, \"msgs_dropped\": 1, \"faults_applied\": 0, \
              \"faults_unapplied\": 0, \"throughput_tps\": 1250.5, \
              \"commit_order_digest\": \"00000000deadbeef\"}"
         );

@@ -397,11 +397,11 @@ mod tests {
     }
 
     /// The protocol constant this file's messages add up to: at `n = 4` a
-    /// block crosses the network `n + f = 5` times (four headers, one full
-    /// vertex for the replica that is not a signer) and, inside one process,
+    /// block crosses the network `n = 4` times (four headers; everything
+    /// else is digests, and nobody has to fetch) and, inside one process,
     /// exists once however many replicas hold it.
     #[test]
-    fn a_block_is_shipped_n_plus_f_times_and_held_once() {
+    fn a_block_is_shipped_n_times_and_held_once() {
         use std::sync::Arc;
 
         let mut sim = small(ExecutionMode::Thunderbolt, 4, 20)
@@ -420,10 +420,13 @@ mod tests {
         let block_bytes: usize = observer.iter().map(|v| v.block.encoded_len()).sum();
         let copies = report.bytes_sent as f64 / block_bytes as f64;
         assert!(
-            (5.0..6.0).contains(&copies),
+            (4.0..5.0).contains(&copies),
             "{} bytes sent for {block_bytes} bytes of blocks: {copies:.2} copies per vertex",
             report.bytes_sent
         );
+        for id in 0..4 {
+            assert_eq!(sim.replica(ReplicaId::new(id)).metrics().fetches_sent, 0);
+        }
 
         let mut compared = 0;
         for vertex in observer.iter() {

@@ -2,27 +2,32 @@
 //!
 //! Thunderbolt piggybacks everything on the DAG construction messages; there
 //! is no extra coordination protocol for cross-shard transactions — that is
-//! the point of the design. Four messages build one vertex:
+//! the point of the design. Four messages build one vertex, and one
+//! request–answer pair repairs a replica that missed a block:
 //!
-//! | message       | from → to                         | carries                         |
-//! |---------------|-----------------------------------|---------------------------------|
-//! | `Header`      | author → all `n` (loop-back too)  | header + block                  |
-//! | `Ack`         | each receiver → author            | header digest, signer (~43 B)   |
-//! | `Certificate` | author → the `2f + 1` signers     | certificate only (~47 B)        |
-//! | `Vertex`      | author → the other `f` replicas   | header + block + certificate    |
+//! | message       | from → to                               | carries                       |
+//! |---------------|-----------------------------------------|-------------------------------|
+//! | `Header`      | author → all `n` (loop-back too)        | header + block                |
+//! | `Ack`         | each receiver → author                  | header digest, signer (~43 B) |
+//! | `Certificate` | author → all `n` (loop-back too)        | certificate only (~47 B)      |
+//! | `Fetch`       | replica without the block → one signer  | the certificate (~47 B)       |
+//! | `Vertex`      | that signer → the requester             | header + block + certificate  |
 //!
 //! A replica that acknowledges a header keeps the `(header, block)` pair,
-//! keyed by header digest, so it provably holds the block: the author sends
-//! it the bare certificate and it assembles the vertex locally. The author
-//! counts itself as a signer from the moment it proposes, so the certificate
-//! forms on the second remote `Ack` and always names exactly `2f + 1`
-//! signers. Only the `f` replicas whose acknowledgement the author had not
-//! seen by then get the block a second time, inside a full `Vertex`.
+//! keyed by header digest, and assembles the vertex locally when the
+//! certificate arrives. The author counts itself as a signer from the moment
+//! it proposes, so the certificate forms on the second remote `Ack` and
+//! always names exactly `2f + 1` signers. The `f` replicas whose
+//! acknowledgement came too late to be counted acknowledged all the same, so
+//! they hold the pair too. Only a replica whose header never arrived (a lost
+//! or withheld message, an equivocating author) holds a bare certificate; it
+//! asks one signer at a time for the vertex with `Fetch`, and the answer is an
+//! ordinary `Vertex` that passes the same checks as any other.
 //!
-//! Block copies per vertex are therefore `n` (headers) `+ f` (vertices):
-//! 5 at `n = 4`, where broadcasting the vertex to everyone cost `2n = 8`.
-//! The arithmetic is a protocol constant, not a race: who gets which message
-//! is decided by the signer list inside the certificate.
+//! Block copies per vertex are therefore `n` (headers) in a run without
+//! faults, where nobody fetches: 4 at `n = 4`, down from `n + f = 5` when the
+//! late `f` were sent a full vertex, and `2n = 8` when the vertex was
+//! broadcast.
 //!
 //! In memory a block is shared content: `Message::Header.block` and
 //! `Vertex.block` are `Arc<Block>`, so cloning a message for fan-out copies
@@ -47,10 +52,11 @@ pub const WIRE_MAGIC: u32 = 0x314d_4254;
 
 /// Version of the message wire format. Bump on any change to the encoding of
 /// [`Message`] or the types it contains (version 2 added
-/// [`Message::Certificate`], version 3 made integers varints);
+/// [`Message::Certificate`], version 3 made integers varints, version 4 added
+/// [`Message::Fetch`]);
 /// `tb_network::TCP_FRAME_VERSION` moves with it, and `tests::format_golden`
 /// pins the encoding it names.
-pub const WIRE_FORMAT_VERSION: u16 = 3;
+pub const WIRE_FORMAT_VERSION: u16 = 4;
 
 /// A protocol message exchanged between replicas.
 #[derive(Clone, Debug, PartialEq)]
@@ -74,12 +80,15 @@ pub enum Message {
         /// The acknowledging replica.
         signer: ReplicaId,
     },
-    /// The certificate of a header, sent by its author to each signer: a
-    /// signer kept the `(header, block)` pair it acknowledged and assembles
+    /// The certificate of a header, broadcast by its author: a replica that
+    /// acknowledged the header kept the `(header, block)` pair and assembles
     /// the vertex locally.
     Certificate(Certificate),
-    /// A fully certified vertex (header + block + certificate), sent by its
-    /// author to the replicas that are not among the certificate's signers.
+    /// A request for the vertex a certificate names, sent to one of its
+    /// signers by a replica that holds the certificate but not the block.
+    Fetch(Certificate),
+    /// A fully certified vertex (header + block + certificate): the answer
+    /// to a [`Message::Fetch`].
     Vertex(Box<Vertex>),
 }
 
@@ -90,6 +99,7 @@ impl Message {
             Message::Header { .. } => "header",
             Message::Ack { .. } => "ack",
             Message::Certificate(_) => "certificate",
+            Message::Fetch(_) => "fetch",
             Message::Vertex(_) => "vertex",
         }
     }
@@ -99,7 +109,7 @@ impl Message {
         match self {
             Message::Header { header, .. } => header.round,
             Message::Ack { round, .. } => *round,
-            Message::Certificate(certificate) => certificate.round,
+            Message::Certificate(certificate) | Message::Fetch(certificate) => certificate.round,
             Message::Vertex(vertex) => vertex.round(),
         }
     }
@@ -135,6 +145,10 @@ impl Wire for Message {
                 w.put_u8(3);
                 certificate.encode(w);
             }
+            Message::Fetch(certificate) => {
+                w.put_u8(4);
+                certificate.encode(w);
+            }
         }
     }
 
@@ -160,6 +174,7 @@ impl Wire for Message {
             }),
             2 => Ok(Message::Vertex(Box::new(Vertex::decode(r)?))),
             3 => Ok(Message::Certificate(Certificate::decode(r)?)),
+            4 => Ok(Message::Fetch(Certificate::decode(r)?)),
             tag => Err(WireError::InvalidTag {
                 type_name: "Message",
                 tag: u32::from(tag),
@@ -221,6 +236,9 @@ mod tests {
         let certificate = Message::Certificate(cert.clone());
         assert_eq!(certificate.kind(), "certificate");
         assert_eq!(certificate.round(), Round::new(3));
+        let fetch = Message::Fetch(cert.clone());
+        assert_eq!(fetch.kind(), "fetch");
+        assert_eq!(fetch.round(), Round::new(3));
         let vertex = Message::Vertex(Box::new(Vertex::new(header, block, cert)));
         assert_eq!(vertex.kind(), "vertex");
         assert_eq!(vertex.round(), Round::new(3));
@@ -260,9 +278,10 @@ mod tests {
         ));
 
         // Envelopes from older builds are refused by this one: version 1
-        // (no `Certificate` message, the vertex broadcast to everyone) and
-        // version 2 (fixed-width integers).
-        for old in [1u8, 2] {
+        // (no `Certificate` message, the vertex broadcast to everyone),
+        // version 2 (fixed-width integers) and version 3 (no `Fetch`, the
+        // vertex sent to the replicas that were not signers).
+        for old in [1u8, 2, 3] {
             bytes[4] = old;
             assert_eq!(
                 Message::from_wire_bytes(&bytes),
@@ -279,7 +298,7 @@ mod tests {
     /// pair below is then re-recorded together.
     #[test]
     fn format_golden() {
-        const GOLDEN: (u16, u64) = (3, 0xb0dd_c91a_7494_cc35);
+        const GOLDEN: (u16, u64) = (4, 0xd602_0a4a_73c2_d626);
         let tx = |id: u64, call: SmallBankProcedure| {
             Transaction::new(
                 TxId::new(id),
@@ -352,6 +371,7 @@ mod tests {
                 signer: ReplicaId::new(1),
             },
             Message::Certificate(certificate.clone()),
+            Message::Fetch(certificate.clone()),
             Message::Vertex(Box::new(Vertex::new(header, block, certificate))),
         ];
         let hash = messages.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, msg| {

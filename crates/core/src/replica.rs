@@ -20,7 +20,7 @@ use crate::metrics::{LatencyHistogram, RoundCommitSample, RunReport};
 use crate::proposer::{
     decide, ByzantineBehavior, ProposalContext, ProposalDecision, ShardProposer,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tb_dag::{Committer, DagError, DagStore};
@@ -90,6 +90,107 @@ struct PendingHeader {
 /// sender's late certificates still find their pairs.
 const RETENTION_ROUNDS: u64 = 32;
 
+/// How long a replica waits for the signer it asked for a vertex before it
+/// asks the next one. Measured on the `now` the handlers are called with and
+/// checked whenever a message is handled, so a replica that hears nothing
+/// asks nothing more. Longer than a wide-area round trip (75 ms ± 70 ms a
+/// hop in the `wan-tail` scenario), so a slow answer is not asked for twice.
+const FETCH_RETRY: SimTime = SimTime::from_millis(300);
+
+/// A certificate held without its `(header, block)` pair, and the signer
+/// last asked for the vertex it names.
+struct HeldCertificate {
+    certificate: Certificate,
+    asked: ReplicaId,
+    asked_at: SimTime,
+}
+
+/// Certificates this replica holds without their `(header, block)` pair,
+/// keyed by header digest, each with a request for its vertex out to one of
+/// its signers. Ordered by digest, so retries leave in the same order on
+/// every run. An entry leaves when its header lands, when the vertex arrives,
+/// when its author moves [`RETENTION_ROUNDS`] on, or on reconfiguration.
+struct Fetches {
+    /// The replica that fetches, never asked itself.
+    me: ReplicaId,
+    held: BTreeMap<Digest, HeldCertificate>,
+}
+
+impl Fetches {
+    fn new(me: ReplicaId) -> Self {
+        Fetches {
+            me,
+            held: BTreeMap::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.held.len()
+    }
+
+    fn contains(&self, header_digest: &Digest) -> bool {
+        self.held.contains_key(header_digest)
+    }
+
+    /// Holds `certificate` and returns the first request for its vertex: to
+    /// the signer after this replica in signer order, if there is one.
+    fn hold(&mut self, certificate: Certificate, now: SimTime) -> Option<(ReplicaId, Certificate)> {
+        let asked = next_signer(&certificate, self.me, self.me);
+        let request = asked.map(|to| (to, certificate.clone()));
+        self.held.insert(
+            certificate.header_digest,
+            HeldCertificate {
+                certificate,
+                asked: asked.unwrap_or(self.me),
+                asked_at: now,
+            },
+        );
+        request
+    }
+
+    /// Every vertex whose last request went out [`FETCH_RETRY`] or more
+    /// before `now`, to be asked of the next signer.
+    fn due(&mut self, now: SimTime) -> Vec<(ReplicaId, Certificate)> {
+        let me = self.me;
+        let mut requests = Vec::new();
+        for entry in self.held.values_mut() {
+            if now < entry.asked_at + FETCH_RETRY {
+                continue;
+            }
+            if let Some(next) = next_signer(&entry.certificate, entry.asked, me) {
+                entry.asked = next;
+                entry.asked_at = now;
+                requests.push((next, entry.certificate.clone()));
+            }
+        }
+        requests
+    }
+
+    fn take(&mut self, header_digest: &Digest) -> Option<Certificate> {
+        self.held
+            .remove(header_digest)
+            .map(|entry| entry.certificate)
+    }
+
+    fn retain(&mut self, mut keep: impl FnMut(&Certificate) -> bool) {
+        self.held.retain(|_, entry| keep(&entry.certificate));
+    }
+
+    fn clear(&mut self) {
+        self.held.clear();
+    }
+}
+
+/// The signer after `after` in `certificate`'s (sorted) signer list,
+/// wrapping around and skipping `me`; `None` if `me` is the only signer.
+fn next_signer(certificate: &Certificate, after: ReplicaId, me: ReplicaId) -> Option<ReplicaId> {
+    let signers = &certificate.signers;
+    let start = signers.partition_point(|signer| *signer <= after);
+    (0..signers.len())
+        .map(|i| signers[(start + i) % signers.len()])
+        .find(|signer| *signer != me)
+}
+
 /// FNV-1a 64-bit offset basis: the initial value of the commit-order digest
 /// (an all-zero seed would collapse zero-valued transaction ids).
 pub const COMMIT_DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
@@ -136,6 +237,19 @@ pub struct ReplicaMetrics {
     /// header and block did not bind together (or the certificate lacked a
     /// quorum). Zero unless a peer is Byzantine.
     pub rejected_vertices: u64,
+    /// `Fetch` requests sent: one when a certificate arrives without its
+    /// block, one more per retry period (300 ms) until the vertex comes.
+    pub fetches_sent: u64,
+    /// `Fetch` requests this replica answered with the vertex.
+    pub fetches_answered: u64,
+    /// `Fetch` requests dropped unanswered: a certificate of another DAG or
+    /// without a quorum, or a vertex this replica does not hold.
+    pub fetches_refused: u64,
+    /// Vertices admitted from the answer to one of this replica's fetches.
+    pub vertices_fetched: u64,
+    /// Certificates without their block dropped because two rounds' worth
+    /// were held already: vertices this replica never fetches.
+    pub certificates_dropped: u64,
 }
 
 impl Default for ReplicaMetrics {
@@ -158,6 +272,11 @@ impl Default for ReplicaMetrics {
             commit_order_digest: COMMIT_DIGEST_SEED,
             round_commits: Vec::new(),
             rejected_vertices: 0,
+            fetches_sent: 0,
+            fetches_answered: 0,
+            fetches_refused: 0,
+            vertices_fetched: 0,
+            certificates_dropped: 0,
         }
     }
 }
@@ -184,18 +303,18 @@ pub struct Replica {
     my_header: Option<PendingHeader>,
     /// The `(header, block)` pairs this replica proposed or acknowledged,
     /// keyed by header digest, until the vertex arrives: a bare certificate
-    /// is completed from here, and a full vertex for a retained header
-    /// reuses the block that was already hashed. A pair leaves when its
-    /// vertex is admitted; one whose header was abandoned leaves once its
-    /// author proposes [`RETENTION_ROUNDS`] further on; reconfiguration
-    /// clears the map.
+    /// is completed from here, a fetch for it is answered from here, and a
+    /// full vertex for a retained header reuses the block that was already
+    /// hashed. A pair leaves when its vertex is admitted; one whose header
+    /// was abandoned leaves once its author proposes [`RETENTION_ROUNDS`]
+    /// further on; reconfiguration clears the map.
     retained: HashMap<Digest, (Header, Arc<Block>)>,
     /// Quorum certificates whose header this replica does not hold (yet),
-    /// keyed by header digest. Honest authors only send a certificate to
-    /// replicas that acknowledged the header, so this stays empty unless a
-    /// peer misbehaves; it is capped at two rounds' worth and pruned with
-    /// `retained`.
-    held_certificates: HashMap<Digest, Certificate>,
+    /// with the fetches out for their vertices. Every replica acknowledges
+    /// every header it receives, so this stays empty unless a message was
+    /// lost or a peer misbehaves; it is capped at two rounds' worth and
+    /// pruned with `retained`.
+    fetches: Fetches,
     pending_vertices: Vec<Arc<Vertex>>,
     /// Undelivered DAG vertices that carry a cross-shard transaction
     /// touching this replica's shard: the input to rules P3/P4.
@@ -274,7 +393,7 @@ impl Replica {
             seq: 0,
             my_header: None,
             retained: HashMap::new(),
-            held_certificates: HashMap::new(),
+            fetches: Fetches::new(id),
             pending_vertices: Vec::new(),
             conflicting_undelivered: HashSet::new(),
             future_messages: Vec::new(),
@@ -407,7 +526,7 @@ impl Replica {
 
     /// Handles one protocol message.
     pub fn handle(&mut self, from: ReplicaId, msg: Message, now: SimTime) -> Vec<Outbound> {
-        match msg {
+        let mut out = match msg {
             Message::Header { header, block } => self.on_header(from, header, block, now),
             Message::Ack {
                 header_digest,
@@ -416,8 +535,13 @@ impl Replica {
                 ..
             } => self.on_ack(from, dag, header_digest, signer),
             Message::Certificate(certificate) => self.on_certificate(from, certificate, now),
+            Message::Fetch(certificate) => self.on_fetch(from, certificate),
             Message::Vertex(vertex) => self.on_vertex(from, *vertex, now),
+        };
+        for (to, certificate) in self.fetches.due(now) {
+            out.push(self.fetch(to, certificate));
         }
+        out
     }
 
     // ------------------------------------------------------------------
@@ -764,8 +888,8 @@ impl Replica {
         };
         self.retained
             .retain(|_, (header, _)| !stale(header.author, header.round));
-        self.held_certificates
-            .retain(|_, certificate| !stale(certificate.author, certificate.round));
+        self.fetches
+            .retain(|certificate| !stale(certificate.author, certificate.round));
     }
 
     fn on_header(
@@ -806,7 +930,7 @@ impl Replica {
         if known {
             return out;
         }
-        if let Some(certificate) = self.held_certificates.remove(&header_digest) {
+        if let Some(certificate) = self.fetches.take(&header_digest) {
             if certificate.certifies(&header) {
                 let vertex = Vertex::new(header, block, certificate);
                 out.extend(self.admit(Arc::new(vertex), now));
@@ -833,8 +957,8 @@ impl Replica {
         header_digest: Digest,
         signer: ReplicaId,
     ) -> Vec<Outbound> {
-        // An acknowledgement speaks for its sender only: a signer is sent
-        // the bare certificate, so it must really hold the block.
+        // An acknowledgement speaks for its sender only: a signer must
+        // really hold the block, since it answers fetches for it.
         if dag != self.dag_id || signer != from || !self.committee.contains(signer) {
             return Vec::new();
         }
@@ -849,33 +973,19 @@ impl Replica {
         if pending.acks.len() < quorum {
             return Vec::new();
         }
-        let Some((header, block)) = self.retained.get(&header_digest) else {
+        let Some((header, _)) = self.retained.get(&header_digest) else {
             return Vec::new();
         };
         pending.certified = true;
         let certificate = Certificate::for_header(header, pending.acks.iter().copied().collect());
-        // One send per replica, in the replica-id order a broadcast fans out
-        // in: the certificate alone to the signers (this replica included,
-        // on the loop-back), the whole vertex to everyone else.
-        self.committee
-            .replicas()
-            .map(|peer| {
-                let msg = if certificate.signers.contains(&peer) {
-                    Message::Certificate(certificate.clone())
-                } else {
-                    Message::Vertex(Box::new(Vertex::new(
-                        header.clone(),
-                        Arc::clone(block),
-                        certificate.clone(),
-                    )))
-                };
-                Outbound::to(peer, msg)
-            })
-            .collect()
+        // The certificate alone, to everyone: a replica whose acknowledgement
+        // was not counted acknowledged all the same and holds the pair, and
+        // one whose header went missing fetches the vertex from a signer.
+        vec![Outbound::broadcast(Message::Certificate(certificate))]
     }
 
     /// A bare certificate from its author: completed from the retained
-    /// pair, or held until the header lands.
+    /// pair, or held, and its vertex fetched, until the header lands.
     fn on_certificate(
         &mut self,
         from: ReplicaId,
@@ -907,19 +1017,66 @@ impl Replica {
                 self.metrics.rejected_vertices += 1;
                 Vec::new()
             }
+            None => self.hold(certificate, now),
+        }
+    }
+
+    /// Holds a certificate whose `(header, block)` pair this replica does
+    /// not have, and asks a signer for its vertex at once: in lockstep a
+    /// replica missing one vertex holds up everyone's next round, so waiting
+    /// for a later message to ask could wait forever.
+    fn hold(&mut self, certificate: Certificate, now: SimTime) -> Vec<Outbound> {
+        if self.fetches.contains(&certificate.header_digest)
+            || self.dag.contains(&certificate.digest())
+        {
+            return Vec::new();
+        }
+        if self.fetches.len() >= 2 * self.committee.size() as usize {
+            self.metrics.certificates_dropped += 1;
+            return Vec::new();
+        }
+        match self.fetches.hold(certificate, now) {
+            Some((to, certificate)) => vec![self.fetch(to, certificate)],
+            None => Vec::new(),
+        }
+    }
+
+    fn fetch(&mut self, to: ReplicaId, certificate: Certificate) -> Outbound {
+        self.metrics.fetches_sent += 1;
+        Outbound::to(to, Message::Fetch(certificate))
+    }
+
+    /// A request for the vertex `certificate` names. It is answered when the
+    /// certificate is a valid one of the current DAG and this replica holds
+    /// the vertex, admitted or as the pair it acknowledged; anything else is
+    /// dropped and counted.
+    fn on_fetch(&mut self, from: ReplicaId, certificate: Certificate) -> Vec<Outbound> {
+        let vertex = if certificate.dag != self.dag_id || !certificate.is_valid(&self.committee) {
+            None
+        } else if let Some(vertex) = self.dag.get(&certificate.digest()) {
+            Some(Vertex::clone(vertex))
+        } else {
+            self.retained
+                .get(&certificate.header_digest)
+                .filter(|(header, _)| certificate.certifies(header))
+                .map(|(header, block)| Vertex::new(header.clone(), Arc::clone(block), certificate))
+        };
+        match vertex {
+            Some(vertex) => {
+                self.metrics.fetches_answered += 1;
+                vec![Outbound::to(from, Message::Vertex(Box::new(vertex)))]
+            }
             None => {
-                if self.held_certificates.len() < 2 * self.committee.size() as usize {
-                    self.held_certificates.insert(header_digest, certificate);
-                }
+                self.metrics.fetches_refused += 1;
                 Vec::new()
             }
         }
     }
 
-    /// A full vertex from the wire. Its id is derived from the certificate
-    /// alone, so before it may enter the DAG the certificate must carry a
-    /// quorum and certify exactly this header, and the block must be the one
-    /// the header commits to.
+    /// A full vertex from the wire, the answer to a fetch. Its id is derived
+    /// from the certificate alone, so before it may enter the DAG the
+    /// certificate must carry a quorum and certify exactly this header, and
+    /// the block must be the one the header commits to.
     fn on_vertex(&mut self, from: ReplicaId, mut vertex: Vertex, now: SimTime) -> Vec<Outbound> {
         if vertex.dag() > self.dag_id {
             self.future_messages
@@ -944,6 +1101,13 @@ impl Replica {
                 return Vec::new();
             }
             None => {}
+        }
+        if self
+            .fetches
+            .take(&vertex.certificate.header_digest)
+            .is_some()
+        {
+            self.metrics.vertices_fetched += 1;
         }
         self.admit(Arc::new(vertex), now)
     }
@@ -1072,7 +1236,7 @@ impl Replica {
         self.proposed_current = false;
         self.my_header = None;
         self.retained.clear();
-        self.held_certificates.clear();
+        self.fetches.clear();
         self.pending_vertices.retain(|v| v.dag() == self.dag_id);
         self.conflicting_undelivered.clear();
         self.overlay.clear();
@@ -1264,21 +1428,24 @@ mod tests {
     }
 
     #[test]
-    fn two_remote_acks_send_certificates_to_signers_and_the_vertex_to_the_rest() {
+    fn two_remote_acks_broadcast_the_bare_certificate() {
         let (mut proposer, header, block) = proposer_with_header();
-        let mut other = Replica::new(ReplicaId::new(1), config(4));
-        // Another replica acknowledges the header.
-        let acks = other.handle(
-            ReplicaId::new(0),
-            Message::Header {
-                header: header.clone(),
-                block: Arc::clone(&block),
-            },
-            SimTime::ZERO,
-        );
-        assert_eq!(acks.len(), 1);
-        assert_eq!(acks[0].msg.kind(), "ack");
-        assert_eq!(acks[0].dest, Destination::To(ReplicaId::new(0)));
+        let mut signer = Replica::new(ReplicaId::new(1), config(4));
+        let mut late = Replica::new(ReplicaId::new(2), config(4));
+        // Two other replicas acknowledge the header.
+        for replica in [&mut signer, &mut late] {
+            let acks = replica.handle(
+                ReplicaId::new(0),
+                Message::Header {
+                    header: header.clone(),
+                    block: Arc::clone(&block),
+                },
+                SimTime::ZERO,
+            );
+            assert_eq!(acks.len(), 1);
+            assert_eq!(acks[0].msg.kind(), "ack");
+            assert_eq!(acks[0].dest, Destination::To(ReplicaId::new(0)));
+        }
 
         // An acknowledgement speaks for its sender only.
         let forged = proposer.handle(ReplicaId::new(2), ack(&header, 3), SimTime::ZERO);
@@ -1288,57 +1455,68 @@ mod tests {
         let first = proposer.handle(ReplicaId::new(1), ack(&header, 1), SimTime::ZERO);
         assert!(first.is_empty());
         let out = proposer.handle(ReplicaId::new(3), ack(&header, 3), SimTime::ZERO);
-        let late = proposer.handle(ReplicaId::new(2), ack(&header, 2), SimTime::ZERO);
-        assert!(late.is_empty());
+        let counted_too_late = proposer.handle(ReplicaId::new(2), ack(&header, 2), SimTime::ZERO);
+        assert!(counted_too_late.is_empty());
 
-        let shape: Vec<(Destination, &str)> =
-            out.iter().map(|o| (o.dest.clone(), o.msg.kind())).collect();
+        // One broadcast: the same bare certificate for all four replicas.
+        assert_eq!(out.len(), 1);
+        let mut inbox = VecDeque::new();
+        enqueue(&mut inbox, ReplicaId::new(0), out[0].clone(), 4);
+        let delivered: Vec<(ReplicaId, &str)> =
+            inbox.iter().map(|(_, to, msg)| (*to, msg.kind())).collect();
         assert_eq!(
-            shape,
-            vec![
-                (Destination::To(ReplicaId::new(0)), "certificate"),
-                (Destination::To(ReplicaId::new(1)), "certificate"),
-                (Destination::To(ReplicaId::new(2)), "vertex"),
-                (Destination::To(ReplicaId::new(3)), "certificate"),
-            ]
+            delivered,
+            (0..4)
+                .map(|to| (ReplicaId::new(to), "certificate"))
+                .collect::<Vec<_>>()
         );
-        let Message::Vertex(vertex) = &out[2].msg else {
-            panic!("expected vertex");
-        };
-        assert_eq!(
-            vertex.certificate.signers,
-            vec![ReplicaId::new(0), ReplicaId::new(1), ReplicaId::new(3)]
-        );
-        assert!(Arc::ptr_eq(&vertex.block, &block), "the block is shared");
-
-        // The signer completes the certificate from the pair it retained.
-        let Message::Certificate(certificate) = out[1].msg.clone() else {
+        let Message::Certificate(certificate) = out[0].msg.clone() else {
             panic!("expected certificate");
         };
-        other.handle(
-            ReplicaId::new(0),
-            Message::Certificate(certificate),
-            SimTime::ZERO,
+        assert_eq!(
+            certificate.signers,
+            vec![ReplicaId::new(0), ReplicaId::new(1), ReplicaId::new(3)]
         );
-        let stored = other
-            .dag()
-            .by_author_round(ReplicaId::new(0), Round::ZERO)
-            .expect("vertex assembled locally");
-        assert!(Arc::ptr_eq(&stored.block, &block));
-        assert!(other.retained.is_empty());
+
+        // The signer and the replica whose ack came too late to count both
+        // complete the certificate from the pair they retained: nobody
+        // fetches, and the block is the one shared copy.
+        for replica in [&mut signer, &mut late] {
+            let out = replica.handle(
+                ReplicaId::new(0),
+                Message::Certificate(certificate.clone()),
+                SimTime::ZERO,
+            );
+            assert!(out.iter().all(|o| o.msg.kind() != "fetch"));
+            let stored = replica
+                .dag()
+                .by_author_round(ReplicaId::new(0), Round::ZERO)
+                .expect("vertex assembled locally");
+            assert!(Arc::ptr_eq(&stored.block, &block));
+            assert!(replica.retained.is_empty());
+            assert_eq!(replica.metrics().fetches_sent, 0);
+        }
     }
 
     #[test]
     fn certificate_before_its_header_waits_for_the_header() {
         let (_, header, block) = proposer_with_header();
         let mut other = Replica::new(ReplicaId::new(1), config(4));
-        let certificate = Message::Certificate(quorum_certificate(&header));
-        assert!(other
-            .handle(ReplicaId::new(0), certificate, SimTime::ZERO)
-            .is_empty());
+        let certificate = quorum_certificate(&header);
+        // Signers 0, 1 and 2: replica 1 asks the next one after itself.
+        let out = other.handle(
+            ReplicaId::new(0),
+            Message::Certificate(certificate.clone()),
+            SimTime::ZERO,
+        );
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].dest, Destination::To(ReplicaId::new(2)));
+        assert_eq!(out[0].msg, Message::Fetch(certificate));
         assert!(other.dag().is_empty());
-        assert_eq!(other.held_certificates.len(), 1);
+        assert_eq!(other.fetches.len(), 1);
 
+        // The header overtakes the answer: the held certificate completes
+        // it, and the answer arriving later changes nothing.
         let out = other.handle(
             ReplicaId::new(0),
             Message::Header { header, block },
@@ -1346,13 +1524,17 @@ mod tests {
         );
         assert_eq!(out[0].msg.kind(), "ack");
         assert_eq!(other.dag().len(), 1);
-        assert!(other.held_certificates.is_empty());
+        assert_eq!(other.fetches.len(), 0);
         assert!(other.retained.is_empty());
+        assert_eq!(other.metrics().fetches_sent, 1);
+        assert_eq!(other.metrics().vertices_fetched, 0);
     }
 
     #[test]
     fn unmatched_certificates_and_retained_pairs_stay_bounded() {
-        // Certificates whose headers never arrive are held up to a cap.
+        // Certificates whose headers never arrive are held, and their
+        // vertices fetched, up to a cap; beyond it they are dropped and
+        // counted.
         let mut replica = Replica::new(ReplicaId::new(1), config(4));
         for round in 0..100 {
             let header = Header::new(
@@ -1364,12 +1546,16 @@ mod tests {
                 SimTime::ZERO,
             );
             let certificate = Message::Certificate(quorum_certificate(&header));
-            assert!(replica
-                .handle(ReplicaId::new(0), certificate, SimTime::ZERO)
-                .is_empty());
+            let out = replica.handle(ReplicaId::new(0), certificate, SimTime::ZERO);
+            let kinds: Vec<&str> = out.iter().map(|o| o.msg.kind()).collect();
+            let expected: &[&str] = if round < 8 { &["fetch"] } else { &[] };
+            assert_eq!(kinds, expected, "round {round}");
         }
-        assert_eq!(replica.held_certificates.len(), 8);
-        assert_eq!(replica.metrics().rejected_vertices, 0);
+        assert_eq!(replica.fetches.len(), 8);
+        let metrics = replica.metrics();
+        assert_eq!(metrics.fetches_sent, 8);
+        assert_eq!(metrics.certificates_dropped, 92);
+        assert_eq!(metrics.rejected_vertices, 0);
 
         // A long fault-free run consumes every pair it retains: what is left
         // is the round in flight.
@@ -1387,7 +1573,8 @@ mod tests {
                 replica.id(),
                 replica.retained.len()
             );
-            assert!(replica.held_certificates.is_empty());
+            assert_eq!(replica.fetches.len(), 0);
+            assert_eq!(replica.metrics().fetches_sent, 0);
         }
     }
 
@@ -1512,9 +1699,169 @@ mod tests {
                     replica.id(),
                     replica.retained.len()
                 );
-                assert!(replica.held_certificates.is_empty());
+                assert_eq!(replica.fetches.len(), 0);
             }
         }
+    }
+
+    /// Delivers every message in send order, dropping the headers of
+    /// `target` and later rounds (so the run quiesces with every replica at
+    /// `target`) and every message `lost` picks.
+    fn run_fifo(
+        replicas: &mut [Replica],
+        target: u64,
+        lost: impl Fn(ReplicaId, ReplicaId, &Message) -> bool,
+    ) {
+        let n = replicas.len();
+        let now = SimTime::ZERO;
+        let mut inbox: VecDeque<(ReplicaId, ReplicaId, Message)> = VecDeque::new();
+        for replica in replicas.iter_mut() {
+            for outbound in replica.start(now) {
+                enqueue(&mut inbox, replica.id(), outbound, n);
+            }
+        }
+        while let Some((from, to, msg)) = inbox.pop_front() {
+            if lost(from, to, &msg)
+                || matches!(&msg, Message::Header { header, .. } if header.round.as_u64() >= target)
+            {
+                continue;
+            }
+            let replica = &mut replicas[to.as_inner() as usize];
+            for outbound in replica.handle(from, msg, now) {
+                enqueue(&mut inbox, replica.id(), outbound, n);
+            }
+        }
+    }
+
+    #[test]
+    fn a_replica_that_missed_a_header_fetches_the_vertex_once() {
+        let mut replicas: Vec<Replica> = (0..4)
+            .map(|i| Replica::new(ReplicaId::new(i), config(4)))
+            .collect();
+        // Replica 0's round-2 header never reaches replica 3, so replica 3
+        // cannot acknowledge it and receives a certificate it cannot
+        // complete.
+        run_fifo(&mut replicas, 8, |from, to, msg| {
+            from == ReplicaId::new(0)
+                && to == ReplicaId::new(3)
+                && matches!(msg, Message::Header { header, .. } if header.round == Round::new(2))
+        });
+        let fetches: Vec<(u64, u64, u64)> = replicas
+            .iter()
+            .map(|r| {
+                let m = r.metrics();
+                (m.fetches_sent, m.fetches_answered, m.vertices_fetched)
+            })
+            .collect();
+        // It asks the signer after itself, wrapping to replica 0, the
+        // author, which answers.
+        assert_eq!(fetches, vec![(0, 1, 0), (0, 0, 0), (0, 0, 0), (1, 0, 1)]);
+        let ids = |replica: &Replica| -> Vec<Digest> {
+            replica.dag().iter().map(|vertex| vertex.id()).collect()
+        };
+        let reference = ids(&replicas[0]);
+        assert_eq!(reference.len(), 4 * 8, "every round up to the target");
+        for replica in &replicas {
+            assert_eq!(replica.current_round(), Round::new(8));
+            assert_eq!(ids(replica), reference, "replica {}", replica.id());
+            assert_eq!(replica.fetches.len(), 0);
+            assert!(replica.pending_vertices.is_empty());
+            assert_eq!(replica.metrics().fetches_refused, 0);
+            assert_eq!(replica.metrics().rejected_vertices, 0);
+        }
+    }
+
+    #[test]
+    fn an_unanswered_fetch_is_asked_of_the_next_signer_after_the_retry_time() {
+        let (_, header, _) = proposer_with_header();
+        let certificate =
+            Certificate::for_header(&header, [0, 2, 3].into_iter().map(ReplicaId::new).collect());
+        let mut replica = Replica::new(ReplicaId::new(1), config(4));
+        let asked = |out: Vec<Outbound>| -> Vec<Destination> {
+            out.into_iter()
+                .filter(|o| o.msg == Message::Fetch(certificate.clone()))
+                .map(|o| o.dest)
+                .collect()
+        };
+        let at = SimTime::from_micros;
+        let first = replica.handle(
+            ReplicaId::new(0),
+            Message::Certificate(certificate.clone()),
+            at(1_000),
+        );
+        assert_eq!(asked(first), vec![Destination::To(ReplicaId::new(2))]);
+        // Any later message is a chance to re-ask, but only once the retry
+        // time has passed since the last request.
+        let unrelated = || ack(&header, 2);
+        let just_before = at(1_000) + FETCH_RETRY - at(1);
+        let out = replica.handle(ReplicaId::new(2), unrelated(), just_before);
+        assert!(out.is_empty());
+        let out = replica.handle(ReplicaId::new(2), unrelated(), at(1_000) + FETCH_RETRY);
+        assert_eq!(asked(out), vec![Destination::To(ReplicaId::new(3))]);
+        let again = at(1_000) + FETCH_RETRY + FETCH_RETRY;
+        let out = replica.handle(ReplicaId::new(2), unrelated(), again);
+        assert_eq!(asked(out), vec![Destination::To(ReplicaId::new(0))]);
+        assert_eq!(replica.metrics().fetches_sent, 3);
+        assert_eq!(replica.fetches.len(), 1);
+    }
+
+    #[test]
+    fn a_fetch_is_answered_only_for_a_valid_certificate_of_a_held_vertex() {
+        let (_, header, block) = proposer_with_header();
+        let certificate = quorum_certificate(&header);
+        let mut responder = Replica::new(ReplicaId::new(2), config(4));
+        let fetch = |responder: &mut Replica, certificate: Certificate| {
+            responder.handle(
+                ReplicaId::new(3),
+                Message::Fetch(certificate),
+                SimTime::ZERO,
+            )
+        };
+        // Before it saw the header the responder has nothing to send.
+        assert!(fetch(&mut responder, certificate.clone()).is_empty());
+
+        responder.handle(
+            ReplicaId::new(0),
+            Message::Header {
+                header: header.clone(),
+                block: Arc::clone(&block),
+            },
+            SimTime::ZERO,
+        );
+        // Too few signers, or another DAG instance.
+        let mut no_quorum = certificate.clone();
+        no_quorum.signers.truncate(2);
+        assert!(fetch(&mut responder, no_quorum).is_empty());
+        let mut other_dag = certificate.clone();
+        other_dag.dag = DagId::new(1);
+        assert!(fetch(&mut responder, other_dag).is_empty());
+        // A header the responder never saw.
+        let mut unseen = header.clone();
+        unseen.round = Round::new(1);
+        assert!(fetch(&mut responder, quorum_certificate(&unseen)).is_empty());
+        assert_eq!(responder.metrics().fetches_refused, 4);
+
+        // From the pair it acknowledged, before the vertex is admitted, and
+        // from its DAG after: the requester gets the vertex either way.
+        let expected = Message::Vertex(Box::new(Vertex::new(
+            header.clone(),
+            Arc::clone(&block),
+            certificate.clone(),
+        )));
+        let from_pair = fetch(&mut responder, certificate.clone());
+        responder.handle(
+            ReplicaId::new(0),
+            Message::Certificate(certificate.clone()),
+            SimTime::ZERO,
+        );
+        assert!(responder.retained.is_empty());
+        let from_dag = fetch(&mut responder, certificate.clone());
+        for out in [from_pair, from_dag] {
+            assert_eq!(out.len(), 1);
+            assert_eq!(out[0].dest, Destination::To(ReplicaId::new(3)));
+            assert_eq!(out[0].msg, expected);
+        }
+        assert_eq!(responder.metrics().fetches_answered, 2);
     }
 
     #[test]

@@ -15,8 +15,16 @@ fn default_campaign_passes_at_smoke_scale() {
     let results = run_campaign(default_campaign(CampaignProfile::smoke()));
     // The same gate CI's `chaos-smoke` job applies: every scenario passed,
     // committed and fired all its faults, and the campaign exercised real
-    // adversity (message loss, invalid Byzantine blocks, a reconfiguration).
+    // adversity (message loss, invalid Byzantine blocks, a reconfiguration,
+    // a fetched vertex).
     validate_campaigns(&results).expect("the default campaign passes its gate");
+    let equivocate = results
+        .iter()
+        .find(|result| result.scenario == "byz-equivocate")
+        .expect("the equivocation scenario runs");
+    // The replica an equivocator sends the other variant to holds the
+    // certificate without the block every round and must fetch it.
+    assert!(equivocate.vertices_fetched > 0);
     for result in &results {
         assert!(!result.invariants.is_empty());
         assert_eq!(result.commit_order_digest.len(), 16, "16-hex-digit digest");

@@ -202,6 +202,7 @@ fn mutated_messages_never_panic_over_allocate_or_decode_to_other_bytes() {
         },
         Message::Vertex(Box::new(vertex.clone())),
         Message::Certificate(vertex.certificate.clone()),
+        Message::Fetch(vertex.certificate.clone()),
         Message::Ack {
             header_digest: vertex.header.digest(),
             dag: vertex.dag(),

@@ -238,6 +238,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
             }
         ),
         arb_certificate().prop_map(Message::Certificate),
+        arb_certificate().prop_map(Message::Fetch),
         arb_vertex().prop_map(|v| Message::Vertex(Box::new(v))),
     ]
 }
@@ -309,7 +310,8 @@ proptest! {
             "header" => 0,
             "ack" => 1,
             "vertex" => 2,
-            _ => 3,
+            "certificate" => 3,
+            _ => 4,
         };
         prop_assert_eq!(bytes[6], tag);
         bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
