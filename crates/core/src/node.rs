@@ -275,4 +275,103 @@ mod tests {
             );
         }
     }
+
+    /// The encodings that cross the launcher–node boundary, hashed: a
+    /// `NodeSpec` with every knob off its default (shipped in `TB_NODE_SPEC`)
+    /// and a `RunReport` with every field non-zero (returned on the
+    /// `TB_NODE_REPORT` line). Like `messages::tests::format_golden`, it
+    /// moves only when an encoding does.
+    #[test]
+    fn launch_and_report_golden() {
+        const GOLDEN: u64 = 0x9984_f64c_c7f5_00af;
+        let spec = NodeSpec {
+            node: 2,
+            ports: vec![7001, 7002, 7003, 65_535],
+            run_deadline_millis: 45_000,
+            config: ClusterConfig {
+                system: SystemConfig {
+                    n_replicas: 7,
+                    ce: tb_types::CeConfig {
+                        executors: 3,
+                        batch_size: 48,
+                        max_retries: 11,
+                        synthetic_op_cost_ns: 250,
+                    },
+                    validators: 5,
+                    reconfig: ReconfigConfig::new(3, 9),
+                    latency: LatencyModel::Jittered {
+                        base_micros: 70,
+                        jitter_micros: 300,
+                    },
+                    max_rounds: 1_200,
+                    storage: StorageConfig {
+                        backend: StorageBackend::Wal,
+                        data_dir: "/var/tb/golden".to_string(),
+                        compact_wal_bytes: 12_345,
+                    },
+                },
+                mode: ExecutionMode::ThunderboltOcc,
+                use_skip_blocks: true,
+                seed: 0xdead_beef,
+                label: Some("golden".to_string()),
+                byzantine: Some((ReplicaId::new(3), ByzantineBehavior::OverfullWrongShard)),
+                lockstep: true,
+            },
+            smallbank: SmallBankConfig {
+                accounts: 1_234,
+                theta: 0.75,
+                pr_read: 0.25,
+                cross_shard_fraction: 0.125,
+                n_shards: 7,
+                max_amount: 250,
+                initial_balance: -40,
+                seed: 77,
+            },
+        };
+        let report = RunReport {
+            label: "Thunderbolt-OCC".to_string(),
+            workload: "smallbank".to_string(),
+            replicas: 7,
+            committed_txs: 9_000,
+            single_shard_txs: 8_000,
+            cross_shard_txs: 1_000,
+            invalid_blocks: 3,
+            reexecutions: 41,
+            reconfigurations: 2,
+            duration: SimTime::from_micros(2_500_000),
+            total_latency_secs: 45.5,
+            latency_p50_secs: 0.004,
+            latency_p99_secs: 0.016,
+            validate_busy_secs: 0.3,
+            apply_busy_secs: 0.07,
+            execute_busy_secs: 0.11,
+            coalesced_batches: 12,
+            apply_calls: 30,
+            commit_order_digest: "00c0ffee00c0ffee".to_string(),
+            round_commits: (1..=3)
+                .map(|i| crate::metrics::RoundCommitSample {
+                    dag: i / 2,
+                    round: tb_types::Round::new(2 * i + 1),
+                    committed_at: SimTime::from_micros(300_000 * i),
+                    digest: 0x0123_4567_89ab_cdef ^ i,
+                })
+                .collect(),
+            highest_round: tb_types::Round::new(61),
+            msgs_sent: 700,
+            msgs_delivered: 690,
+            msgs_dropped: 10,
+            bytes_sent: 400_000,
+            bytes_delivered: 390_000,
+            faults_applied: 4,
+            faults_unapplied: 1,
+            total_queue_wait_secs: 9.25,
+        };
+        let bytes = [spec.to_wire_bytes(), report.to_wire_bytes()];
+        let hash = bytes.iter().flatten().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(hash, GOLDEN, "the launch or report encoding changed: {hash:#x}");
+        assert_eq!(NodeSpec::from_wire_bytes(&bytes[0]), Ok(spec));
+        assert_eq!(RunReport::from_wire_bytes(&bytes[1]), Ok(report));
+    }
 }
