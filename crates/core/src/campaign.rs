@@ -269,7 +269,10 @@ impl Invariant for InvalidBlocksDetected {
 /// that reaches a replica without its block leaves a hole here unless the
 /// replica fetches the vertex, and so does a replica stuck behind a parent
 /// it lacks. The observer's commits do not show either: the others commit
-/// on without it.
+/// on without it. A vertex a replica lacks but awaits when the run stops
+/// ([`Replica::awaits_vertex`]: its certificate or its answer to a fetch is
+/// on the way, or it waits for a parent) is in flight, not a hole; the
+/// parent it waits for is then either awaited too or reported.
 pub struct EveryCertifiedVertexEverywhere;
 
 impl Invariant for EveryCertifiedVertexEverywhere {
@@ -298,14 +301,16 @@ impl Invariant for EveryCertifiedVertexEverywhere {
                 .max()
                 .unwrap_or(0)
                 .saturating_sub(1);
-            let held = |replica: &Replica| -> BTreeMap<(u32, u64), Digest> {
+            // Each vertex by (author, round): its id, and its header digest
+            // to ask a replica that lacks it whether it awaits it.
+            let held = |replica: &Replica| -> BTreeMap<(u32, u64), (Digest, Digest)> {
                 replica
                     .dag()
                     .iter()
                     .filter(|vertex| vertex.round().as_u64() < settled)
                     .map(|vertex| {
                         let key = (vertex.author().as_inner(), vertex.round().as_u64());
-                        (key, vertex.id())
+                        (key, (vertex.id(), vertex.certificate.header_digest))
                     })
                     .collect()
             };
@@ -318,7 +323,10 @@ impl Invariant for EveryCertifiedVertexEverywhere {
                 ] {
                     let missing: Vec<(u32, u64)> = has
                         .iter()
-                        .filter(|(key, id)| lacks.get(key) != Some(id))
+                        .filter(|(key, (id, header))| match lacks.get(key) {
+                            None => !lacker.awaits_vertex(header),
+                            Some((other, _)) => other != id,
+                        })
                         .map(|(key, _)| *key)
                         .collect();
                     if !missing.is_empty() {

@@ -25,7 +25,6 @@ use crate::metrics::RunReport;
 use crate::proposer::ByzantineBehavior;
 use crate::replica::Replica;
 use tb_network::{FaultPlan, SimNetwork};
-use tb_types::wire::{Wire, WireError, WireReader, WireWriter};
 use tb_types::{ReplicaId, SystemConfig};
 use tb_workload::Workload;
 
@@ -110,30 +109,16 @@ impl ClusterConfig {
     }
 }
 
-/// What a node process is launched with. The decoder is a struct literal, so
-/// a field added to the config does not compile until it travels too.
-impl Wire for ClusterConfig {
-    fn encode(&self, w: &mut WireWriter) {
-        self.system.encode(w);
-        self.mode.encode(w);
-        w.put_bool(self.use_skip_blocks);
-        w.put_varint(self.seed);
-        self.label.encode(w);
-        self.byzantine.encode(w);
-        w.put_bool(self.lockstep);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ClusterConfig {
-            system: SystemConfig::decode(r)?,
-            mode: ExecutionMode::decode(r)?,
-            use_skip_blocks: r.bool()?,
-            seed: r.varint()?,
-            label: Option::decode(r)?,
-            byzantine: Option::decode(r)?,
-            lockstep: r.bool()?,
-        })
-    }
-}
+// What a node process is launched with.
+tb_types::wire_struct!(ClusterConfig {
+    system,
+    mode,
+    use_skip_blocks,
+    seed,
+    label,
+    byzantine,
+    lockstep,
+});
 
 /// The simulation driver.
 pub struct ClusterSimulation {
@@ -261,6 +246,7 @@ fn observer<'a>(replicas: &'a [Replica], network: &SimNetwork<Message>) -> &'a R
 mod tests {
     use super::*;
     use crate::scenario::ScenarioBuilder;
+    use tb_types::wire::Wire;
     use tb_types::{LatencyModel, SimTime};
     use tb_workload::{ContractWorkloadConfig, KvWorkloadConfig, SmallBankConfig};
 

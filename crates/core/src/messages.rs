@@ -115,41 +115,15 @@ impl Message {
     }
 }
 
-impl Wire for Message {
+/// The fixed-width envelope in front of every [`Message`]: [`WIRE_MAGIC`]
+/// and [`WIRE_FORMAT_VERSION`]. Decoding it refuses any other magic or
+/// version before the variant tag is read.
+struct Envelope;
+
+impl Wire for Envelope {
     fn encode(&self, w: &mut WireWriter) {
         w.put_u32_le(WIRE_MAGIC);
         w.put_u16_le(WIRE_FORMAT_VERSION);
-        match self {
-            Message::Header { header, block } => {
-                w.put_u8(0);
-                header.encode(w);
-                block.encode(w);
-            }
-            Message::Ack {
-                header_digest,
-                dag,
-                round,
-                signer,
-            } => {
-                w.put_u8(1);
-                header_digest.encode(w);
-                dag.encode(w);
-                round.encode(w);
-                signer.encode(w);
-            }
-            Message::Vertex(vertex) => {
-                w.put_u8(2);
-                vertex.encode(w);
-            }
-            Message::Certificate(certificate) => {
-                w.put_u8(3);
-                certificate.encode(w);
-            }
-            Message::Fetch(certificate) => {
-                w.put_u8(4);
-                certificate.encode(w);
-            }
-        }
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -161,27 +135,17 @@ impl Wire for Message {
         if version != WIRE_FORMAT_VERSION {
             return Err(WireError::UnsupportedVersion { found: version });
         }
-        match r.u8()? {
-            0 => Ok(Message::Header {
-                header: Header::decode(r)?,
-                block: Arc::decode(r)?,
-            }),
-            1 => Ok(Message::Ack {
-                header_digest: Digest::decode(r)?,
-                dag: DagId::decode(r)?,
-                round: Round::decode(r)?,
-                signer: ReplicaId::decode(r)?,
-            }),
-            2 => Ok(Message::Vertex(Box::new(Vertex::decode(r)?))),
-            3 => Ok(Message::Certificate(Certificate::decode(r)?)),
-            4 => Ok(Message::Fetch(Certificate::decode(r)?)),
-            tag => Err(WireError::InvalidTag {
-                type_name: "Message",
-                tag: u32::from(tag),
-            }),
-        }
+        Ok(Envelope)
     }
 }
+
+tb_types::wire_enum!(Message: Envelope {
+    0 => Header { header, block },
+    1 => Ack { header_digest, dag, round, signer },
+    2 => Vertex(vertex),
+    3 => Certificate(certificate),
+    4 => Fetch(certificate),
+});
 
 impl WireSized for Message {
     fn wire_size(&self) -> usize {

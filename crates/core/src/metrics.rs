@@ -1,6 +1,5 @@
 //! Run reports produced by a cluster run, simulated or over TCP.
 
-use tb_types::wire::{Wire, WireError, WireReader, WireWriter};
 use tb_types::{Round, SimTime};
 
 /// Number of power-of-two microsecond buckets in a [`LatencyHistogram`].
@@ -90,29 +89,19 @@ pub struct RoundCommitSample {
     pub digest: u64,
 }
 
-impl Wire for RoundCommitSample {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_varint(self.dag);
-        self.round.encode(w);
-        self.committed_at.encode(w);
-        w.put_u64_le(self.digest);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(RoundCommitSample {
-            dag: r.varint()?,
-            round: Round::decode(r)?,
-            committed_at: SimTime::decode(r)?,
-            digest: r.u64_le()?,
-        })
-    }
-}
+tb_types::wire_struct!(RoundCommitSample {
+    dag,
+    round,
+    committed_at,
+    digest: le
+});
 
 /// Aggregated result of one run, measured on the observer replica (replica 0
 /// unless it is crashed). Honest replicas commit identical sequences, so any
 /// observer yields the same counts. A node process of a TCP cluster reports
-/// itself in the same shape (its [`Wire`] encoding is what travels back to
-/// the launcher), with `duration` and commit times on its wall clock.
+/// itself in the same shape (its [`Wire`](tb_types::wire::Wire) encoding is
+/// what travels back to the launcher), with `duration` and commit times on
+/// its wall clock.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunReport {
     /// Human-readable label of the system variant (Thunderbolt,
@@ -200,73 +189,37 @@ pub struct RunReport {
     pub total_queue_wait_secs: f64,
 }
 
-impl Wire for RunReport {
-    fn encode(&self, w: &mut WireWriter) {
-        self.label.encode(w);
-        self.workload.encode(w);
-        self.replicas.encode(w);
-        w.put_varint(self.committed_txs);
-        w.put_varint(self.single_shard_txs);
-        w.put_varint(self.cross_shard_txs);
-        w.put_varint(self.invalid_blocks);
-        w.put_varint(self.reexecutions);
-        w.put_varint(self.reconfigurations);
-        self.duration.encode(w);
-        w.put_f64(self.total_latency_secs);
-        w.put_f64(self.latency_p50_secs);
-        w.put_f64(self.latency_p99_secs);
-        w.put_f64(self.validate_busy_secs);
-        w.put_f64(self.apply_busy_secs);
-        w.put_f64(self.execute_busy_secs);
-        w.put_varint(self.coalesced_batches);
-        w.put_varint(self.apply_calls);
-        self.commit_order_digest.encode(w);
-        self.round_commits.encode(w);
-        self.highest_round.encode(w);
-        w.put_varint(self.msgs_sent);
-        w.put_varint(self.msgs_delivered);
-        w.put_varint(self.msgs_dropped);
-        w.put_varint(self.bytes_sent);
-        w.put_varint(self.bytes_delivered);
-        w.put_varint(self.faults_applied);
-        w.put_varint(self.faults_unapplied);
-        w.put_f64(self.total_queue_wait_secs);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(RunReport {
-            label: String::decode(r)?,
-            workload: String::decode(r)?,
-            replicas: r.varint_u32()?,
-            committed_txs: r.varint()?,
-            single_shard_txs: r.varint()?,
-            cross_shard_txs: r.varint()?,
-            invalid_blocks: r.varint()?,
-            reexecutions: r.varint()?,
-            reconfigurations: r.varint()?,
-            duration: SimTime::decode(r)?,
-            total_latency_secs: r.f64()?,
-            latency_p50_secs: r.f64()?,
-            latency_p99_secs: r.f64()?,
-            validate_busy_secs: r.f64()?,
-            apply_busy_secs: r.f64()?,
-            execute_busy_secs: r.f64()?,
-            coalesced_batches: r.varint()?,
-            apply_calls: r.varint()?,
-            commit_order_digest: String::decode(r)?,
-            round_commits: Vec::<RoundCommitSample>::decode(r)?,
-            highest_round: Round::decode(r)?,
-            msgs_sent: r.varint()?,
-            msgs_delivered: r.varint()?,
-            msgs_dropped: r.varint()?,
-            bytes_sent: r.varint()?,
-            bytes_delivered: r.varint()?,
-            faults_applied: r.varint()?,
-            faults_unapplied: r.varint()?,
-            total_queue_wait_secs: r.f64()?,
-        })
-    }
-}
+tb_types::wire_struct!(RunReport {
+    label,
+    workload,
+    replicas,
+    committed_txs,
+    single_shard_txs,
+    cross_shard_txs,
+    invalid_blocks,
+    reexecutions,
+    reconfigurations,
+    duration,
+    total_latency_secs,
+    latency_p50_secs,
+    latency_p99_secs,
+    validate_busy_secs,
+    apply_busy_secs,
+    execute_busy_secs,
+    coalesced_batches,
+    apply_calls,
+    commit_order_digest,
+    round_commits,
+    highest_round,
+    msgs_sent,
+    msgs_delivered,
+    msgs_dropped,
+    bytes_sent,
+    bytes_delivered,
+    faults_applied,
+    faults_unapplied,
+    total_queue_wait_secs,
+});
 
 impl RunReport {
     /// Throughput in transactions per second of simulated time.

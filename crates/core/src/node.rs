@@ -5,8 +5,8 @@
 //! [`RealNetPlan`](crate::scenario::RealNetPlan) into one [`NodeSpec`] per
 //! replica, ships each spec to a child process (hex-encoded in an
 //! environment variable), and collects one [`RunReport`] per process from
-//! stdout. Both structs implement [`Wire`], so the whole exchange uses the
-//! same versioned encoding as the replica-to-replica protocol.
+//! stdout. Both structs implement [`Wire`](tb_types::wire::Wire), so the
+//! whole exchange uses the same encoding as the replica-to-replica protocol.
 //!
 //! # Determinism
 //!
@@ -29,7 +29,6 @@ use std::io;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 use std::time::{Duration, Instant};
 use tb_network::{TcpPeer, TcpTransport, Transport};
-use tb_types::wire::{Wire, WireError, WireReader, WireWriter};
 use tb_types::{ReplicaId, SimTime};
 use tb_workload::{SmallBankConfig, SmallBankWorkload, Workload};
 
@@ -81,41 +80,13 @@ impl NodeSpec {
     }
 }
 
-impl Wire for NodeSpec {
-    fn encode(&self, w: &mut WireWriter) {
-        self.node.encode(w);
-        self.ports.encode(w);
-        w.put_varint(self.run_deadline_millis);
-        self.config.encode(w);
-        w.put_varint(self.smallbank.accounts);
-        w.put_f64(self.smallbank.theta);
-        w.put_f64(self.smallbank.pr_read);
-        w.put_f64(self.smallbank.cross_shard_fraction);
-        self.smallbank.n_shards.encode(w);
-        w.put_zigzag(self.smallbank.max_amount);
-        w.put_zigzag(self.smallbank.initial_balance);
-        w.put_varint(self.smallbank.seed);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(NodeSpec {
-            node: r.varint_u32()?,
-            ports: Vec::decode(r)?,
-            run_deadline_millis: r.varint()?,
-            config: ClusterConfig::decode(r)?,
-            smallbank: SmallBankConfig {
-                accounts: r.varint()?,
-                theta: r.f64()?,
-                pr_read: r.f64()?,
-                cross_shard_fraction: r.f64()?,
-                n_shards: r.varint_u32()?,
-                max_amount: r.zigzag()?,
-                initial_balance: r.zigzag()?,
-                seed: r.varint()?,
-            },
-        })
-    }
-}
+tb_types::wire_struct!(NodeSpec {
+    node,
+    ports,
+    run_deadline_millis,
+    config,
+    smallbank,
+});
 
 /// Runs one replica over real TCP to completion, per `spec`.
 ///
@@ -178,6 +149,7 @@ mod tests {
     use crate::cluster::ExecutionMode;
     use crate::proposer::ByzantineBehavior;
     use crate::scenario::ScenarioBuilder;
+    use tb_types::wire::{Wire, WireError};
     use tb_types::{LatencyModel, ReconfigConfig, StorageBackend, StorageConfig, SystemConfig};
 
     /// Every knob of the cluster and system configuration, off its default,
@@ -367,10 +339,16 @@ mod tests {
             total_queue_wait_secs: 9.25,
         };
         let bytes = [spec.to_wire_bytes(), report.to_wire_bytes()];
-        let hash = bytes.iter().flatten().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-        });
-        assert_eq!(hash, GOLDEN, "the launch or report encoding changed: {hash:#x}");
+        let hash = bytes
+            .iter()
+            .flatten()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            });
+        assert_eq!(
+            hash, GOLDEN,
+            "the launch or report encoding changed: {hash:#x}"
+        );
         assert_eq!(NodeSpec::from_wire_bytes(&bytes[0]), Ok(spec));
         assert_eq!(RunReport::from_wire_bytes(&bytes[1]), Ok(report));
     }

@@ -437,6 +437,20 @@ impl Replica {
         &self.dag
     }
 
+    /// Whether this replica is waiting for the vertex of the header with
+    /// digest `header_digest`: it acknowledged the header and waits for the
+    /// certificate, it holds the certificate and has asked a signer for the
+    /// vertex, or it holds the vertex and waits for a parent to insert it
+    /// under.
+    pub fn awaits_vertex(&self, header_digest: &Digest) -> bool {
+        self.retained.contains_key(header_digest)
+            || self.fetches.contains(header_digest)
+            || self
+                .pending_vertices
+                .iter()
+                .any(|vertex| vertex.certificate.header_digest == *header_digest)
+    }
+
     /// Loads initial state into the replica's store (used before a run). A
     /// durable backend logs the entries too, so a replica that crashes
     /// before its first commit still recovers its genesis state.
@@ -1482,11 +1496,13 @@ mod tests {
         // complete the certificate from the pair they retained: nobody
         // fetches, and the block is the one shared copy.
         for replica in [&mut signer, &mut late] {
+            assert!(replica.awaits_vertex(&certificate.header_digest));
             let out = replica.handle(
                 ReplicaId::new(0),
                 Message::Certificate(certificate.clone()),
                 SimTime::ZERO,
             );
+            assert!(!replica.awaits_vertex(&certificate.header_digest));
             assert!(out.iter().all(|o| o.msg.kind() != "fetch"));
             let stored = replica
                 .dag()
@@ -1503,6 +1519,8 @@ mod tests {
         let (_, header, block) = proposer_with_header();
         let mut other = Replica::new(ReplicaId::new(1), config(4));
         let certificate = quorum_certificate(&header);
+        let header_digest = certificate.header_digest;
+        assert!(!other.awaits_vertex(&header_digest));
         // Signers 0, 1 and 2: replica 1 asks the next one after itself.
         let out = other.handle(
             ReplicaId::new(0),
@@ -1514,6 +1532,7 @@ mod tests {
         assert_eq!(out[0].msg, Message::Fetch(certificate));
         assert!(other.dag().is_empty());
         assert_eq!(other.fetches.len(), 1);
+        assert!(other.awaits_vertex(&header_digest));
 
         // The header overtakes the answer: the held certificate completes
         // it, and the answer arriving later changes nothing.
@@ -1526,6 +1545,7 @@ mod tests {
         assert_eq!(other.dag().len(), 1);
         assert_eq!(other.fetches.len(), 0);
         assert!(other.retained.is_empty());
+        assert!(!other.awaits_vertex(&header_digest));
         assert_eq!(other.metrics().fetches_sent, 1);
         assert_eq!(other.metrics().vertices_fetched, 0);
     }

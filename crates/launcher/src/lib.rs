@@ -22,6 +22,7 @@
 
 use std::io::{self, Read};
 use std::process::{Child, Command, Stdio};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tb_core::scenario::RealNetPlan;
 use tb_core::{run_node, ClusterSimulation, NodeSpec, RoundCommitSample, RunReport};
@@ -132,7 +133,7 @@ pub fn run_real_net_scenario(
         .map(Wire::to_wire_bytes)
         .collect();
     let exe = std::env::current_exe()?;
-    let mut children: Vec<Child> = Vec::with_capacity(shipped.len());
+    let mut nodes: Vec<NodeProcess> = Vec::with_capacity(shipped.len());
     for spec in &shipped {
         let child = Command::new(&exe)
             .env(NODE_SPEC_ENV, to_hex(spec))
@@ -140,11 +141,9 @@ pub fn run_real_net_scenario(
             .stderr(Stdio::inherit())
             .spawn();
         match child {
-            Ok(child) => children.push(child),
+            Ok(child) => nodes.push(NodeProcess::new(child)),
             Err(err) => {
-                for mut child in children {
-                    let _ = child.kill();
-                }
+                nodes.into_iter().for_each(NodeProcess::kill);
                 return Err(err);
             }
         }
@@ -153,39 +152,11 @@ pub fn run_real_net_scenario(
     // Nodes self-terminate at their own deadline; the watchdog margin only
     // catches a hung child (which would otherwise hang CI).
     let watchdog = Instant::now() + options.node_deadline + Duration::from_secs(15);
-    let mut reports = Vec::with_capacity(children.len());
-    for (i, mut child) in children.into_iter().enumerate() {
-        loop {
-            match child.try_wait()? {
-                Some(_) => break,
-                None if Instant::now() >= watchdog => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        format!("node {i} exceeded its deadline and was killed"),
-                    ));
-                }
-                None => std::thread::sleep(Duration::from_millis(20)),
-            }
-        }
-        let mut stdout = String::new();
-        if let Some(mut pipe) = child.stdout.take() {
-            let _ = pipe.read_to_string(&mut stdout);
-        }
-        let report = stdout
-            .lines()
-            .find_map(|line| line.strip_prefix(NODE_REPORT_PREFIX))
-            .and_then(|hex| from_hex(hex.trim()).ok())
-            .and_then(|bytes| RunReport::from_wire_bytes(&bytes).ok())
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("node {i} exited without a parsable {NODE_REPORT_PREFIX}line"),
-                )
-            })?;
-        reports.push(report);
-    }
+    let reports = nodes
+        .into_iter()
+        .enumerate()
+        .map(|(i, node)| node.report(i, watchdog))
+        .collect::<io::Result<Vec<_>>>()?;
 
     let nodes_agree = reports.iter().all(|r| !r.round_commits.is_empty())
         && reports
@@ -217,6 +188,67 @@ pub fn run_real_net_scenario(
         sim_digest_match,
         sim_report,
     })
+}
+
+/// A spawned node process whose stdout is read on a thread of its own from
+/// the start, so a report line longer than the pipe buffer never leaves the
+/// child blocked in `write`, unable to exit.
+struct NodeProcess {
+    child: Child,
+    stdout: JoinHandle<String>,
+}
+
+impl NodeProcess {
+    /// Takes over a child spawned with a piped stdout and starts draining it.
+    fn new(mut child: Child) -> Self {
+        let pipe = child.stdout.take();
+        let stdout = std::thread::spawn(move || {
+            let mut out = String::new();
+            if let Some(mut pipe) = pipe {
+                let _ = pipe.read_to_string(&mut out);
+            }
+            out
+        });
+        NodeProcess { child, stdout }
+    }
+
+    /// Kills the node and reaps it; its pipe then closes, so the reader
+    /// ends and is joined.
+    fn kill(mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        let _ = self.stdout.join();
+    }
+
+    /// Waits for node `i` to exit, killing it at `watchdog`, and decodes the
+    /// report line it printed.
+    fn report(mut self, i: usize, watchdog: Instant) -> io::Result<RunReport> {
+        while self.child.try_wait()?.is_none() {
+            if Instant::now() >= watchdog {
+                self.kill();
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    format!("node {i} exceeded its deadline and was killed"),
+                ));
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let stdout = self
+            .stdout
+            .join()
+            .map_err(|_| io::Error::other(format!("node {i}'s stdout reader panicked")))?;
+        stdout
+            .lines()
+            .find_map(|line| line.strip_prefix(NODE_REPORT_PREFIX))
+            .and_then(|hex| from_hex(hex.trim()).ok())
+            .and_then(|bytes| RunReport::from_wire_bytes(&bytes).ok())
+            .ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("node {i} exited without a parsable {NODE_REPORT_PREFIX}line"),
+                )
+            })
+    }
 }
 
 /// `(dag, round, digest)` equality over the common prefix of two commit
@@ -267,6 +299,36 @@ mod tests {
         b[1].digest = 21;
         assert!(!prefixes_agree(&a, &b));
         assert!(prefixes_agree(&[], &a));
+    }
+
+    /// A report of ~3 000 commit samples is one stdout line well past the
+    /// 64 KiB pipe buffer; the child can finish writing it, and exit, only
+    /// because its stdout is drained while it runs.
+    #[test]
+    fn a_report_longer_than_the_pipe_buffer_is_collected() {
+        let report = RunReport {
+            label: "long".to_string(),
+            round_commits: (0..3_000)
+                .map(|i| sample(2 * i + 1, 0x0123_4567_89ab_cdef ^ i))
+                .collect(),
+            ..RunReport::default()
+        };
+        let line = format!("{NODE_REPORT_PREFIX}{}\n", to_hex(&report.to_wire_bytes()));
+        assert!(line.len() > 64 * 1024, "{} bytes", line.len());
+        let path = std::env::temp_dir().join(format!("tb-long-report-{}", std::process::id()));
+        std::fs::write(&path, line).expect("temp file written");
+        let child = Command::new("sh")
+            .arg("-c")
+            .arg("cat \"$0\"")
+            .arg(&path)
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("sh spawns");
+        let started = Instant::now();
+        let collected = NodeProcess::new(child).report(0, started + Duration::from_secs(10));
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(collected.expect("report collected"), report);
+        assert!(started.elapsed() < Duration::from_secs(5));
     }
 
     #[test]

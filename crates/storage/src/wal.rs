@@ -83,21 +83,11 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     })
 }
 
-impl Wire for CommitMarker {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_varint(self.dag);
-        w.put_varint(self.round);
-        w.put_u64_le(self.digest);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(CommitMarker {
-            dag: r.varint()?,
-            round: r.varint()?,
-            digest: r.u64_le()?,
-        })
-    }
-}
+tb_types::wire_struct!(CommitMarker {
+    dag,
+    round,
+    digest: le
+});
 
 /// One logical WAL entry. The on-disk frame around it is
 /// `[u32 payload len][u32 crc32][payload]` with the payload in the standard

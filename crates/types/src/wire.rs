@@ -3,9 +3,7 @@
 //!
 //! The workspace builds offline with no serialization framework, so this
 //! module is the one codec: the [`Wire`] trait is a compact, deterministic
-//! binary encoding with explicit enum tags and varint-prefixed collections,
-//! implemented by hand for every type that appears inside a consensus message
-//! ([`crate::vertex::Vertex`] and below).
+//! binary encoding with explicit enum tags and varint-prefixed collections.
 //!
 //! Format rules (see `docs/NET.md` for the full frame layout):
 //!
@@ -20,11 +18,10 @@
 //!   digests in commit markers and commit samples, the message envelope's
 //!   magic and version, and the hand-written TCP and WAL frame and file
 //!   headers ([`WireWriter::put_u32_le`] and friends),
-//! - enums are a `u8` tag followed by the variant fields in declaration
-//!   order,
+//! - a struct is its fields and an enum a `u8` tag and then its variant's
+//!   fields, in the order the type's wire declaration lists them, unframed,
 //! - collections (`Vec<T>`, byte strings, `String`) are a varint element
-//!   count followed by the elements,
-//! - structs are their fields in declaration order, no framing.
+//!   count followed by the elements.
 //!
 //! Decoding is strict, so every buffer that decodes re-encodes to itself:
 //! unknown tags fail with [`WireError::InvalidTag`], a varint that is
@@ -32,8 +29,28 @@
 //! fails with [`WireError::InvalidVarint`], a value too large for its field
 //! with [`WireError::OutOfRange`], a count larger than the bytes left with
 //! [`WireError::LengthOverflow`], and [`Wire::from_wire_bytes`] rejects
-//! trailing garbage. `encode → decode` is identity (pinned by proptest
-//! round-trips at the repository root).
+//! trailing garbage (pinned for every wire type by `tests/wire_roundtrip.rs`).
+//!
+//! # Declaring a wire type
+//!
+//! One macro call lists a type's fields once, and that list writes both the
+//! encoder and the decoder.
+//! - [`wire_struct!`](crate::wire_struct)`(T { a, b: le })` encodes the
+//!   fields in the order listed and decodes the struct literal
+//!   `T { a: Wire::decode(r)?, … }`, so a field left out does not compile;
+//!   a trailing `if check` names a `fn(&T) -> bool` whose `false` is
+//!   [`WireError::NonCanonical`].
+//! - [`wire_enum!`](crate::wire_enum)`(E { 0 => A { x }, 1 => B(y), 2 => C })`
+//!   writes each variant's tag, then its fields; `E: Prefix { … }` first
+//!   encodes the unit struct `Prefix` (the message envelope).
+//! - A field is its type's own [`Wire`] unless a `wire_struct!` list names
+//!   a codec for it; the one codec is `le`, a fixed-width `u64`, for the FNV
+//!   digests of commit samples and commit markers.
+//!
+//! Write an impl by hand only where the bytes are not a field list: a
+//! primitive or a container, an envelope or a file header, a decoder that
+//! must refuse what a field list cannot see (a WAL batch naming a key twice),
+//! or a shared buffer (`Value::Bytes`).
 
 use crate::block::{Block, BlockKind, BlockPayload, PreplayedTx};
 use crate::config::{
@@ -230,16 +247,6 @@ impl WireWriter {
         self.put_raw(&v.to_le_bytes());
     }
 
-    /// Appends an `f64` as its fixed-width IEEE-754 bit pattern.
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64_le(v.to_bits());
-    }
-
-    /// Appends a bool as one byte (0 or 1).
-    pub fn put_bool(&mut self, v: bool) {
-        self.put_u8(u8::from(v));
-    }
-
     /// Appends `v` as an unsigned LEB128 varint.
     #[inline]
     pub fn put_varint(&mut self, mut v: u64) {
@@ -255,11 +262,6 @@ impl WireWriter {
             v >>= 7;
         }
         self.buf.push(v as u8);
-    }
-
-    /// Appends `v` zigzag-mapped, as a varint.
-    pub fn put_zigzag(&mut self, v: i64) {
-        self.put_varint(zigzag(v));
     }
 
     /// Appends a collection's element count as a varint.
@@ -322,23 +324,6 @@ impl<'a> WireReader<'a> {
         self.array().map(u64::from_le_bytes)
     }
 
-    /// Reads an `f64` from its bit pattern.
-    pub fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64_le()?))
-    }
-
-    /// Reads a bool byte, rejecting anything but 0 or 1.
-    pub fn bool(&mut self) -> Result<bool, WireError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            tag => Err(WireError::InvalidTag {
-                type_name: "bool",
-                tag: u32::from(tag),
-            }),
-        }
-    }
-
     /// Reads an unsigned LEB128 varint in its one canonical form.
     #[inline]
     pub fn varint(&mut self) -> Result<u64, WireError> {
@@ -376,16 +361,6 @@ impl<'a> WireReader<'a> {
     fn varint_in<T: TryFrom<u64>>(&mut self, type_name: &'static str) -> Result<T, WireError> {
         let value = self.varint()?;
         T::try_from(value).map_err(|_| WireError::OutOfRange { type_name, value })
-    }
-
-    /// Reads a varint that must fit in a `u32`.
-    pub fn varint_u32(&mut self) -> Result<u32, WireError> {
-        self.varint_in("u32")
-    }
-
-    /// Reads a zigzag-mapped varint.
-    pub fn zigzag(&mut self) -> Result<i64, WireError> {
-        self.varint().map(unzigzag)
     }
 
     /// Reads a varint element count, sanity-checked against the remaining
@@ -446,6 +421,7 @@ pub trait Wire: Sized {
 macro_rules! wire_prim {
     ($ty:ty, |$w:ident, $v:ident| $put:expr, |$r:ident| $get:expr) => {
         impl Wire for $ty {
+            #[inline]
             fn encode(&self, $w: &mut WireWriter) {
                 let $v = *self;
                 $put
@@ -460,11 +436,24 @@ macro_rules! wire_prim {
 wire_prim!(u8, |w, v| w.put_u8(v), |r| r.u8());
 wire_prim!(u16, |w, v| w.put_varint(u64::from(v)), |r| r
     .varint_in("u16"));
-wire_prim!(u32, |w, v| w.put_varint(u64::from(v)), |r| r.varint_u32());
+wire_prim!(u32, |w, v| w.put_varint(u64::from(v)), |r| r
+    .varint_in("u32"));
 wire_prim!(u64, |w, v| w.put_varint(v), |r| r.varint());
-wire_prim!(i64, |w, v| w.put_zigzag(v), |r| r.zigzag());
-wire_prim!(f64, |w, v| w.put_f64(v), |r| r.f64());
-wire_prim!(bool, |w, v| w.put_bool(v), |r| r.bool());
+wire_prim!(usize, |w, v| w.put_len(v), |r| r.varint_in("usize"));
+wire_prim!(i64, |w, v| w.put_varint(zigzag(v)), |r| r
+    .varint()
+    .map(unzigzag));
+wire_prim!(f64, |w, v| w.put_u64_le(v.to_bits()), |r| r
+    .u64_le()
+    .map(f64::from_bits));
+wire_prim!(bool, |w, v| w.put_u8(u8::from(v)), |r| match r.u8()? {
+    0 => Ok(false),
+    1 => Ok(true),
+    tag => Err(WireError::InvalidTag {
+        type_name: "bool",
+        tag: u32::from(tag),
+    }),
+});
 
 impl Wire for String {
     fn encode(&self, w: &mut WireWriter) {
@@ -495,16 +484,21 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
-/// Shared content encodes as the content itself; decoding allocates the one
-/// copy every later holder shares.
-impl<T: Wire> Wire for Arc<T> {
-    fn encode(&self, w: &mut WireWriter) {
-        (**self).encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        T::decode(r).map(Arc::new)
-    }
+/// Boxed or shared content encodes as itself; decoding allocates one copy.
+macro_rules! wire_pointer {
+    ($($ptr:ident),+) => {$(
+        impl<T: Wire> Wire for $ptr<T> {
+            fn encode(&self, w: &mut WireWriter) {
+                (**self).encode(w);
+            }
+            fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+                T::decode(r).map($ptr::new)
+            }
+        }
+    )+};
 }
+
+wire_pointer!(Box, Arc);
 
 impl<T: Wire> Wire for Option<T> {
     fn encode(&self, w: &mut WireWriter) {
@@ -528,23 +522,71 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
-/// Implements [`Wire`] for a fieldless enum as the one-byte tags listed.
-/// Encoding matches every variant, so a variant without a tag does not
-/// compile; decoding an unlisted tag is [`WireError::InvalidTag`].
+/// Implements [`Wire`] for a struct as its fields in the order listed (see
+/// "Declaring a wire type" in the module doc). Decoding is a struct literal,
+/// so a field left out of the list does not compile.
 #[macro_export]
-macro_rules! wire_enum {
-    ($ty:ident { $($tag:literal => $variant:ident),+ $(,)? }) => {
+macro_rules! wire_struct {
+    (@put $w:ident, $v:expr) => { $crate::wire::Wire::encode($v, $w) };
+    (@put $w:ident, $v:expr, le) => { $w.put_u64_le(*$v) };
+    (@get $r:ident) => { $crate::wire::Wire::decode($r)? };
+    (@get $r:ident, le) => { $r.u64_le()? };
+    ($ty:ident { $($field:ident $(: $codec:ident)?),+ $(,)? } $(if $check:path)?) => {
         impl $crate::wire::Wire for $ty {
             fn encode(&self, w: &mut $crate::wire::WireWriter) {
-                w.put_u8(match self {
-                    $($ty::$variant => $tag,)+
-                });
+                $($crate::wire_struct!(@put w, &self.$field $(, $codec)?);)+
+            }
+            #[inline]
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> Result<Self, $crate::wire::WireError> {
+                let value = $ty {
+                    $($field: $crate::wire_struct!(@get r $(, $codec)?),)+
+                };
+                $(if !$check(&value) {
+                    return Err($crate::wire::WireError::NonCanonical {
+                        type_name: stringify!($ty),
+                    });
+                })?
+                Ok(value)
+            }
+        }
+    };
+}
+
+/// Implements [`Wire`] for an enum as a one-byte tag per variant followed by
+/// the variant's fields in the order listed (see "Declaring a wire type" in
+/// the module doc). Encoding matches every variant, so a variant without a
+/// tag does not compile; decoding an unlisted tag is
+/// [`WireError::InvalidTag`].
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ident $(: $prefix:ident)? { $($tag:literal => $variant:ident
+        $({ $($field:ident),+ $(,)? })?
+        $(($($item:ident),+))?
+    ),+ $(,)? }) => {
+        impl $crate::wire::Wire for $ty {
+            fn encode(&self, w: &mut $crate::wire::WireWriter) {
+                $($crate::wire::Wire::encode(&$prefix, w);)?
+                match self {
+                    $($ty::$variant $({ $($field),+ })? $(($($item),+))? => {
+                        w.put_u8($tag);
+                        $($($crate::wire::Wire::encode($field, w);)+)?
+                        $($($crate::wire::Wire::encode($item, w);)+)?
+                    })+
+                }
             }
             fn decode(
                 r: &mut $crate::wire::WireReader<'_>,
             ) -> Result<Self, $crate::wire::WireError> {
+                $(<$prefix as $crate::wire::Wire>::decode(r)?;)?
                 match r.u8()? {
-                    $($tag => Ok($ty::$variant),)+
+                    $($tag => {
+                        $($(let $item = $crate::wire::Wire::decode(r)?;)+)?
+                        Ok($ty::$variant
+                            $({ $($field: $crate::wire::Wire::decode(r)?),+ })?
+                            $(($($item),+))?)
+                    })+
                     tag => Err($crate::wire::WireError::InvalidTag {
                         type_name: stringify!($ty),
                         tag: u32::from(tag),
@@ -612,18 +654,7 @@ wire_enum!(KeySpace {
     3 => Scratch,
 });
 
-impl Wire for Key {
-    fn encode(&self, w: &mut WireWriter) {
-        self.space.encode(w);
-        w.put_varint(self.row);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Key {
-            space: KeySpace::decode(r)?,
-            row: r.varint()?,
-        })
-    }
-}
+wire_struct!(Key { space, row });
 
 impl Wire for Value {
     fn encode(&self, w: &mut WireWriter) {
@@ -631,7 +662,7 @@ impl Wire for Value {
             Value::None => w.put_u8(0),
             Value::Int(v) => {
                 w.put_u8(1);
-                w.put_zigzag(*v);
+                v.encode(w);
             }
             Value::Bytes(b) => {
                 w.put_u8(2);
@@ -643,7 +674,7 @@ impl Wire for Value {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
             0 => Ok(Value::None),
-            1 => Ok(Value::Int(r.zigzag()?)),
+            1 => Ok(Value::Int(i64::decode(r)?)),
             2 => {
                 let n = r.seq_len()?;
                 Ok(Value::Bytes(r.take(n)?.into()))
@@ -656,411 +687,122 @@ impl Wire for Value {
     }
 }
 
-impl Wire for Operation {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            Operation::Read { key } => {
-                w.put_u8(0);
-                Wire::encode(key, w);
-            }
-            Operation::Write { key, value } => {
-                w.put_u8(1);
-                Wire::encode(key, w);
-                value.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(Operation::Read {
-                key: Key::decode(r)?,
-            }),
-            1 => Ok(Operation::Write {
-                key: Key::decode(r)?,
-                value: Value::decode(r)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                type_name: "Operation",
-                tag: u32::from(tag),
-            }),
-        }
-    }
-}
+wire_enum!(Operation {
+    0 => Read { key },
+    1 => Write { key, value },
+});
+wire_struct!(AccessRecord { key, value });
 
-impl Wire for AccessRecord {
-    fn encode(&self, w: &mut WireWriter) {
-        Wire::encode(&self.key, w);
-        self.value.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(AccessRecord {
-            key: Key::decode(r)?,
-            value: Value::decode(r)?,
-        })
-    }
-}
+wire_struct!(ExecOutcome {
+    read_set,
+    write_set,
+    return_value,
+    logically_aborted,
+});
 
-impl Wire for ExecOutcome {
-    fn encode(&self, w: &mut WireWriter) {
-        self.read_set.encode(w);
-        self.write_set.encode(w);
-        self.return_value.encode(w);
-        w.put_bool(self.logically_aborted);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ExecOutcome {
-            read_set: Vec::decode(r)?,
-            write_set: Vec::decode(r)?,
-            return_value: Value::decode(r)?,
-            logically_aborted: r.bool()?,
-        })
-    }
-}
+wire_enum!(SmallBankProcedure {
+    0 => Amalgamate { from, to },
+    1 => GetBalance { account },
+    2 => DepositChecking { account, amount },
+    3 => SendPayment { from, to, amount },
+    4 => TransactSavings { account, amount },
+    5 => WriteCheck { account, amount },
+});
 
-impl Wire for SmallBankProcedure {
-    fn encode(&self, w: &mut WireWriter) {
-        match *self {
-            SmallBankProcedure::Amalgamate { from, to } => {
-                w.put_u8(0);
-                w.put_varint(from);
-                w.put_varint(to);
-            }
-            SmallBankProcedure::GetBalance { account } => {
-                w.put_u8(1);
-                w.put_varint(account);
-            }
-            SmallBankProcedure::DepositChecking { account, amount } => {
-                w.put_u8(2);
-                w.put_varint(account);
-                w.put_zigzag(amount);
-            }
-            SmallBankProcedure::SendPayment { from, to, amount } => {
-                w.put_u8(3);
-                w.put_varint(from);
-                w.put_varint(to);
-                w.put_zigzag(amount);
-            }
-            SmallBankProcedure::TransactSavings { account, amount } => {
-                w.put_u8(4);
-                w.put_varint(account);
-                w.put_zigzag(amount);
-            }
-            SmallBankProcedure::WriteCheck { account, amount } => {
-                w.put_u8(5);
-                w.put_varint(account);
-                w.put_zigzag(amount);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(SmallBankProcedure::Amalgamate {
-                from: r.varint()?,
-                to: r.varint()?,
-            }),
-            1 => Ok(SmallBankProcedure::GetBalance {
-                account: r.varint()?,
-            }),
-            2 => Ok(SmallBankProcedure::DepositChecking {
-                account: r.varint()?,
-                amount: r.zigzag()?,
-            }),
-            3 => Ok(SmallBankProcedure::SendPayment {
-                from: r.varint()?,
-                to: r.varint()?,
-                amount: r.zigzag()?,
-            }),
-            4 => Ok(SmallBankProcedure::TransactSavings {
-                account: r.varint()?,
-                amount: r.zigzag()?,
-            }),
-            5 => Ok(SmallBankProcedure::WriteCheck {
-                account: r.varint()?,
-                amount: r.zigzag()?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                type_name: "SmallBankProcedure",
-                tag: u32::from(tag),
-            }),
-        }
-    }
-}
+wire_enum!(ContractCall {
+    0 => SmallBank(procedure),
+    1 => Program { code, args, declared_keys },
+    2 => KvOps(ops),
+    3 => Noop,
+});
 
-impl Wire for ContractCall {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            ContractCall::SmallBank(p) => {
-                w.put_u8(0);
-                p.encode(w);
-            }
-            ContractCall::Program {
-                code,
-                args,
-                declared_keys,
-            } => {
-                w.put_u8(1);
-                w.put_len(code.len());
-                w.put_raw(code);
-                args.encode(w);
-                declared_keys.encode(w);
-            }
-            ContractCall::KvOps(ops) => {
-                w.put_u8(2);
-                ops.encode(w);
-            }
-            ContractCall::Noop => w.put_u8(3),
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(ContractCall::SmallBank(SmallBankProcedure::decode(r)?)),
-            1 => {
-                let n = r.seq_len()?;
-                let code = r.take(n)?.to_vec();
-                Ok(ContractCall::Program {
-                    code,
-                    args: Vec::decode(r)?,
-                    declared_keys: Vec::decode(r)?,
-                })
-            }
-            2 => Ok(ContractCall::KvOps(Vec::decode(r)?)),
-            3 => Ok(ContractCall::Noop),
-            tag => Err(WireError::InvalidTag {
-                type_name: "ContractCall",
-                tag: u32::from(tag),
-            }),
-        }
-    }
-}
-
-impl Wire for Transaction {
-    fn encode(&self, w: &mut WireWriter) {
-        self.id.encode(w);
-        self.client.encode(w);
-        self.call.encode(w);
-        self.shards.encode(w);
-        self.submitted_at.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Transaction {
-            id: TxId::decode(r)?,
-            client: ClientId::decode(r)?,
-            call: ContractCall::decode(r)?,
-            shards: Vec::decode(r)?,
-            submitted_at: SimTime::decode(r)?,
-        })
-    }
-}
-
-impl Wire for PreplayedTx {
-    fn encode(&self, w: &mut WireWriter) {
-        self.tx.encode(w);
-        self.outcome.encode(w);
-        self.order.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(PreplayedTx {
-            tx: Transaction::decode(r)?,
-            outcome: ExecOutcome::decode(r)?,
-            order: r.varint_u32()?,
-        })
-    }
-}
+wire_struct!(Transaction {
+    id,
+    client,
+    call,
+    shards,
+    submitted_at
+});
+wire_struct!(PreplayedTx { tx, outcome, order });
 
 wire_enum!(BlockKind {
     0 => Normal,
     1 => Skip,
     2 => Shift,
 });
+wire_struct!(BlockPayload {
+    single_shard,
+    cross_shard
+});
 
-impl Wire for BlockPayload {
-    fn encode(&self, w: &mut WireWriter) {
-        self.single_shard.encode(w);
-        self.cross_shard.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(BlockPayload {
-            single_shard: Vec::decode(r)?,
-            cross_shard: Vec::decode(r)?,
-        })
-    }
+wire_struct!(Block {
+    dag,
+    round,
+    author,
+    shard,
+    seq,
+    kind,
+    payload,
+    created_at
+});
+
+wire_struct!(Header {
+    dag,
+    round,
+    author,
+    block_digest,
+    parents,
+    created_at
+});
+
+wire_struct!(Certificate { header_digest, dag, round, author, signers } if signers_are_canonical);
+
+/// `Certificate::new` keeps signers sorted and distinct; a list in any other
+/// form would smuggle duplicates past `is_valid`'s distinct-signer count and
+/// would not re-encode to its own bytes.
+fn signers_are_canonical(certificate: &Certificate) -> bool {
+    certificate.signers.windows(2).all(|pair| pair[0] < pair[1])
 }
 
-impl Wire for Block {
-    fn encode(&self, w: &mut WireWriter) {
-        self.dag.encode(w);
-        self.round.encode(w);
-        self.author.encode(w);
-        self.shard.encode(w);
-        self.seq.encode(w);
-        self.kind.encode(w);
-        self.payload.encode(w);
-        self.created_at.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Block {
-            dag: DagId::decode(r)?,
-            round: Round::decode(r)?,
-            author: ReplicaId::decode(r)?,
-            shard: ShardId::decode(r)?,
-            seq: SeqNo::decode(r)?,
-            kind: BlockKind::decode(r)?,
-            payload: BlockPayload::decode(r)?,
-            created_at: SimTime::decode(r)?,
-        })
-    }
-}
+wire_struct!(Vertex {
+    header,
+    block,
+    certificate
+});
 
-impl Wire for Header {
-    fn encode(&self, w: &mut WireWriter) {
-        self.dag.encode(w);
-        self.round.encode(w);
-        self.author.encode(w);
-        self.block_digest.encode(w);
-        self.parents.encode(w);
-        self.created_at.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Header {
-            dag: DagId::decode(r)?,
-            round: Round::decode(r)?,
-            author: ReplicaId::decode(r)?,
-            block_digest: Digest::decode(r)?,
-            parents: Vec::decode(r)?,
-            created_at: SimTime::decode(r)?,
-        })
-    }
-}
+// A node's launch configuration; structs are unframed, so nesting is flat.
 
-impl Wire for Certificate {
-    fn encode(&self, w: &mut WireWriter) {
-        self.header_digest.encode(w);
-        self.dag.encode(w);
-        self.round.encode(w);
-        self.author.encode(w);
-        self.signers.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let certificate = Certificate {
-            header_digest: Digest::decode(r)?,
-            dag: DagId::decode(r)?,
-            round: Round::decode(r)?,
-            author: ReplicaId::decode(r)?,
-            signers: Vec::decode(r)?,
-        };
-        // `Certificate::new` keeps signers sorted and distinct; a list in
-        // any other form would smuggle duplicates past `is_valid`'s
-        // distinct-signer count and would not re-encode to its own bytes.
-        if certificate
-            .signers
-            .windows(2)
-            .any(|pair| pair[0] >= pair[1])
-        {
-            return Err(WireError::NonCanonical {
-                type_name: "Certificate",
-            });
-        }
-        Ok(certificate)
-    }
-}
-
-impl Wire for Vertex {
-    fn encode(&self, w: &mut WireWriter) {
-        self.header.encode(w);
-        self.block.encode(w);
-        self.certificate.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Vertex {
-            header: Header::decode(r)?,
-            block: Arc::decode(r)?,
-            certificate: Certificate::decode(r)?,
-        })
-    }
-}
-
-// The configuration a node process is launched with. Decoders are struct
-// literals, so a field added to a config type does not compile until it
-// travels too.
-
-impl Wire for LatencyModel {
-    fn encode(&self, w: &mut WireWriter) {
-        match *self {
-            LatencyModel::Instant => w.put_u8(0),
-            LatencyModel::Fixed { micros } => {
-                w.put_u8(1);
-                w.put_varint(micros);
-            }
-            LatencyModel::Jittered {
-                base_micros,
-                jitter_micros,
-            } => {
-                w.put_u8(2);
-                w.put_varint(base_micros);
-                w.put_varint(jitter_micros);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(LatencyModel::Instant),
-            1 => Ok(LatencyModel::Fixed {
-                micros: r.varint()?,
-            }),
-            2 => Ok(LatencyModel::Jittered {
-                base_micros: r.varint()?,
-                jitter_micros: r.varint()?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                type_name: "LatencyModel",
-                tag: u32::from(tag),
-            }),
-        }
-    }
-}
-
+wire_enum!(LatencyModel {
+    0 => Instant,
+    1 => Fixed { micros },
+    2 => Jittered { base_micros, jitter_micros },
+});
 wire_enum!(StorageBackend { 0 => Mem, 1 => Wal });
+wire_struct!(CeConfig {
+    executors,
+    batch_size,
+    max_retries,
+    synthetic_op_cost_ns
+});
+wire_struct!(ReconfigConfig {
+    silent_rounds_k,
+    period_k_prime
+});
+wire_struct!(StorageConfig {
+    backend,
+    data_dir,
+    compact_wal_bytes
+});
 
-impl Wire for SystemConfig {
-    fn encode(&self, w: &mut WireWriter) {
-        self.n_replicas.encode(w);
-        w.put_varint(self.ce.executors as u64);
-        w.put_varint(self.ce.batch_size as u64);
-        w.put_varint(self.ce.max_retries as u64);
-        w.put_varint(self.ce.synthetic_op_cost_ns);
-        w.put_varint(self.validators as u64);
-        w.put_varint(self.reconfig.silent_rounds_k);
-        w.put_varint(self.reconfig.period_k_prime);
-        self.latency.encode(w);
-        w.put_varint(self.max_rounds);
-        self.storage.backend.encode(w);
-        self.storage.data_dir.encode(w);
-        w.put_varint(self.storage.compact_wal_bytes);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(SystemConfig {
-            n_replicas: r.varint_u32()?,
-            ce: CeConfig {
-                executors: r.varint_in("usize")?,
-                batch_size: r.varint_in("usize")?,
-                max_retries: r.varint_in("usize")?,
-                synthetic_op_cost_ns: r.varint()?,
-            },
-            validators: r.varint_in("usize")?,
-            reconfig: ReconfigConfig {
-                silent_rounds_k: r.varint()?,
-                period_k_prime: r.varint()?,
-            },
-            latency: LatencyModel::decode(r)?,
-            max_rounds: r.varint()?,
-            storage: StorageConfig {
-                backend: StorageBackend::decode(r)?,
-                data_dir: String::decode(r)?,
-                compact_wal_bytes: r.varint()?,
-            },
-        })
-    }
-}
+wire_struct!(SystemConfig {
+    n_replicas,
+    ce,
+    validators,
+    reconfig,
+    latency,
+    max_rounds,
+    storage
+});
 
 /// Lower-case hex encoding, used to pass wire buffers through environment
 /// variables and stdout lines (node spec / node report hand-off).

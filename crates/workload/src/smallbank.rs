@@ -43,6 +43,18 @@ pub struct SmallBankConfig {
     pub seed: u64,
 }
 
+// Shipped whole to every node process of a TCP cluster.
+tb_types::wire_struct!(SmallBankConfig {
+    accounts,
+    theta,
+    pr_read,
+    cross_shard_fraction,
+    n_shards,
+    max_amount,
+    initial_balance,
+    seed,
+});
+
 /// Fixed default RNG seed so out-of-the-box runs are reproducible.
 const DEFAULT_SEED: u64 = 0xB017_5EED;
 

@@ -1,27 +1,43 @@
-//! Property tests for the wire encoding of every `tb_core::messages` type.
+//! The canonical-form property over every wire type, and the frames the
+//! cluster actually sends.
 //!
 //! The real TCP transport frames `Message::to_wire_bytes()` straight onto the
-//! socket, so `decode(encode(x)) == x` must hold for every reachable value of
-//! every type the envelope can carry — transactions, preplay outcomes, blocks
-//! of all three kinds, headers, certificates and vertices — including
-//! batch-sized payloads. `encoded_len` must also agree with the actual
-//! encoding, because the transport and the byte accounting both rely on it.
-//! The `RunReport` a node process hands back to its launcher travels in the
-//! same encoding and is round-tripped here too.
+//! socket, a node process is launched with a hex-encoded `NodeSpec` and
+//! answers with a `RunReport`, and the WAL logs `WalRecord`s. Every type
+//! with a `Wire` impl is registered once, with a generator, in
+//! [`canonical_forms!`]; each entry's test checks, over seeded values, that
+//!
+//! * `decode(encode(x)) == x`,
+//! * `encoded_len()` agrees with the encoding, which the transport and the
+//!   byte accounting both rely on, and
+//! * every seeded flip, truncation or extension of the bytes that still
+//!   decodes re-encodes to exactly those bytes: one value, one encoding.
 
 use proptest::prelude::*;
+use std::fmt::Debug;
 use std::sync::Arc;
+use thunderbolt::core::NodeSpec;
+use thunderbolt::tb_storage::{CommitMarker, WalRecord, WriteBatch};
 use thunderbolt::tb_types::wire::{Wire, WireError};
 use thunderbolt::tb_types::{
-    AccessRecord, Block, BlockKind, BlockPayload, Certificate, ClientId, ContractCall, DagId,
-    Digest, ExecOutcome, Header, Key, KeySpace, Operation, PreplayedTx, ReplicaId, Round, SeqNo,
-    ShardId, SimTime, SmallBankProcedure, Transaction, TxId, Value, Vertex,
+    AccessRecord, Block, BlockKind, BlockPayload, CeConfig, Certificate, ClientId, ContractCall,
+    DagId, Digest, ExecOutcome, Header, Key, KeySpace, LatencyModel, Operation, PreplayedTx,
+    ReconfigConfig, ReplicaId, Round, SeqNo, ShardId, SimTime, SmallBankProcedure, StorageBackend,
+    StorageConfig, SystemConfig, Transaction, TxId, Value, Vertex,
 };
-use thunderbolt::{Message, RoundCommitSample, RunReport};
+use thunderbolt::tb_workload::SmallBankConfig;
+use thunderbolt::{
+    ByzantineBehavior, ClusterConfig, ExecutionMode, Message, RoundCommitSample, RunReport,
+};
+
+/// Seeded values drawn per registered type.
+const CASES: u64 = 48;
+/// Seeded mutations of each value's encoding.
+const MUTATIONS: usize = 24;
 
 /// Encode → decode must reproduce the value exactly, consume every byte, and
-/// agree with the allocation-free `encoded_len`.
-fn roundtrips<T: Wire + PartialEq + std::fmt::Debug>(value: T) {
+/// agree with the allocation-free `encoded_len`. Returns the encoding.
+fn roundtrips<T: Wire + PartialEq + Debug>(value: &T) -> Vec<u8> {
     let bytes = value.to_wire_bytes();
     assert_eq!(
         bytes.len(),
@@ -29,7 +45,42 @@ fn roundtrips<T: Wire + PartialEq + std::fmt::Debug>(value: T) {
         "encoded_len disagrees with the actual encoding"
     );
     let decoded = T::from_wire_bytes(&bytes).expect("decoding our own encoding must succeed");
-    assert_eq!(decoded, value);
+    assert_eq!(&decoded, value);
+    bytes
+}
+
+/// One flip, truncation or extension of `bytes` at a seeded position.
+fn mutate(rng: &mut TestRng, bytes: &[u8]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    let at = (rng.next_u64() % (out.len() as u64 + 1)) as usize;
+    match rng.next_u64() % 3 {
+        0 if at < out.len() => out[at] ^= (rng.next_u64() % 255 + 1) as u8,
+        1 => out.truncate(at),
+        _ => {
+            let extra = 1 + rng.next_u64() % 8;
+            out.splice(at..at, (0..extra).map(|_| rng.next_u64() as u8));
+        }
+    }
+    out
+}
+
+/// The canonical-form property for one type, over `CASES` values drawn
+/// from `strategy`.
+fn check_canonical<T: Wire + PartialEq + Debug>(name: &str, strategy: impl Strategy<Value = T>) {
+    for case in 0..CASES {
+        let mut rng = TestRng::deterministic(case);
+        let bytes = roundtrips(&strategy.generate(&mut rng));
+        for _ in 0..MUTATIONS {
+            let mutated = mutate(&mut rng, &bytes);
+            if let Ok(decoded) = T::from_wire_bytes(&mutated) {
+                assert_eq!(
+                    decoded.to_wire_bytes(),
+                    mutated,
+                    "{name}: {decoded:?} decoded from bytes it does not encode to"
+                );
+            }
+        }
+    }
 }
 
 // --- strategies over the tb_types vocabulary -------------------------------
@@ -243,54 +294,340 @@ fn arb_message() -> impl Strategy<Value = Message> {
     ]
 }
 
+fn arb_f64() -> impl Strategy<Value = f64> {
+    // Any bit pattern but NaN, which is not equal to itself.
+    any::<u64>().prop_map(|bits| {
+        Some(f64::from_bits(bits))
+            .filter(|f| !f.is_nan())
+            .unwrap_or(0.5)
+    })
+}
+
+fn arb_string() -> impl Strategy<Value = String> {
+    prop::collection::vec(any::<u8>(), 0..12)
+        .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
+}
+
+fn arb_latency() -> impl Strategy<Value = LatencyModel> {
+    prop_oneof![
+        (0u8..1).prop_map(|_| LatencyModel::Instant),
+        any::<u64>().prop_map(|micros| LatencyModel::Fixed { micros }),
+        (any::<u64>(), any::<u64>()).prop_map(|(base_micros, jitter_micros)| {
+            LatencyModel::Jittered {
+                base_micros,
+                jitter_micros,
+            }
+        }),
+    ]
+}
+
+fn arb_backend() -> impl Strategy<Value = StorageBackend> {
+    any::<bool>().prop_map(|wal| {
+        if wal {
+            StorageBackend::Wal
+        } else {
+            StorageBackend::Mem
+        }
+    })
+}
+
+fn arb_ce_config() -> impl Strategy<Value = CeConfig> {
+    (any::<usize>(), any::<usize>(), any::<usize>(), any::<u64>()).prop_map(
+        |(executors, batch_size, max_retries, synthetic_op_cost_ns)| CeConfig {
+            executors,
+            batch_size,
+            max_retries,
+            synthetic_op_cost_ns,
+        },
+    )
+}
+
+fn arb_reconfig() -> impl Strategy<Value = ReconfigConfig> {
+    (any::<u64>(), any::<u64>()).prop_map(|(silent_rounds_k, period_k_prime)| ReconfigConfig {
+        silent_rounds_k,
+        period_k_prime,
+    })
+}
+
+fn arb_storage_config() -> impl Strategy<Value = StorageConfig> {
+    (arb_backend(), arb_string(), any::<u64>()).prop_map(
+        |(backend, data_dir, compact_wal_bytes)| StorageConfig {
+            backend,
+            data_dir,
+            compact_wal_bytes,
+        },
+    )
+}
+
+fn arb_system_config() -> impl Strategy<Value = SystemConfig> {
+    (
+        (any::<u32>(), arb_ce_config(), any::<usize>()),
+        arb_reconfig(),
+        arb_latency(),
+        any::<u64>(),
+        arb_storage_config(),
+    )
+        .prop_map(
+            |((n_replicas, ce, validators), reconfig, latency, max_rounds, storage)| SystemConfig {
+                n_replicas,
+                ce,
+                validators,
+                reconfig,
+                latency,
+                max_rounds,
+                storage,
+            },
+        )
+}
+
+fn arb_mode() -> impl Strategy<Value = ExecutionMode> {
+    (0usize..3).prop_map(|i| {
+        [
+            ExecutionMode::Thunderbolt,
+            ExecutionMode::ThunderboltOcc,
+            ExecutionMode::Tusk,
+        ][i]
+    })
+}
+
+fn arb_byzantine() -> impl Strategy<Value = ByzantineBehavior> {
+    (0usize..3).prop_map(|i| {
+        [
+            ByzantineBehavior::TamperWrites,
+            ByzantineBehavior::Equivocate,
+            ByzantineBehavior::OverfullWrongShard,
+        ][i]
+    })
+}
+
+fn arb_option<S: Strategy>(inner: S) -> impl Strategy<Value = Option<S::Value>> {
+    (any::<bool>(), inner).prop_map(|(some, value)| some.then_some(value))
+}
+
+fn arb_cluster_config() -> impl Strategy<Value = ClusterConfig> {
+    (
+        arb_system_config(),
+        arb_mode(),
+        (any::<bool>(), any::<bool>()),
+        any::<u64>(),
+        arb_option(arb_string()),
+        arb_option((any::<u32>().prop_map(ReplicaId::new), arb_byzantine())),
+    )
+        .prop_map(
+            |(system, mode, (use_skip_blocks, lockstep), seed, label, byzantine)| ClusterConfig {
+                system,
+                mode,
+                use_skip_blocks,
+                seed,
+                label,
+                byzantine,
+                lockstep,
+            },
+        )
+}
+
+fn arb_smallbank_config() -> impl Strategy<Value = SmallBankConfig> {
+    (
+        any::<u64>(),
+        (arb_f64(), arb_f64(), arb_f64()),
+        any::<u32>(),
+        (any::<i64>(), any::<i64>()),
+        any::<u64>(),
+    )
+        .prop_map(
+            |(accounts, (theta, pr_read, cross_shard_fraction), n_shards, amounts, seed)| {
+                SmallBankConfig {
+                    accounts,
+                    theta,
+                    pr_read,
+                    cross_shard_fraction,
+                    n_shards,
+                    max_amount: amounts.0,
+                    initial_balance: amounts.1,
+                    seed,
+                }
+            },
+        )
+}
+
+fn arb_node_spec() -> impl Strategy<Value = NodeSpec> {
+    (
+        any::<u32>(),
+        prop::collection::vec(any::<u16>(), 0..8),
+        any::<u64>(),
+        arb_cluster_config(),
+        arb_smallbank_config(),
+    )
+        .prop_map(
+            |(node, ports, run_deadline_millis, config, smallbank)| NodeSpec {
+                node,
+                ports,
+                run_deadline_millis,
+                config,
+                smallbank,
+            },
+        )
+}
+
+fn arb_commit_sample() -> impl Strategy<Value = RoundCommitSample> {
+    (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(dag, round, at, digest)| {
+        RoundCommitSample {
+            dag,
+            round: Round::new(round),
+            committed_at: SimTime(at),
+            digest,
+        }
+    })
+}
+
+fn arb_run_report() -> impl Strategy<Value = RunReport> {
+    let counters = || prop::collection::vec(any::<u64>(), 16..17);
+    let seconds = || prop::collection::vec(arb_f64(), 7..8);
+    (
+        (arb_string(), arb_string(), arb_string()),
+        any::<u32>(),
+        counters(),
+        seconds(),
+        prop::collection::vec(arb_commit_sample(), 0..5),
+    )
+        .prop_map(
+            |((label, workload, commit_order_digest), replicas, n, f, round_commits)| RunReport {
+                label,
+                workload,
+                replicas,
+                committed_txs: n[0],
+                single_shard_txs: n[1],
+                cross_shard_txs: n[2],
+                invalid_blocks: n[3],
+                reexecutions: n[4],
+                reconfigurations: n[5],
+                duration: SimTime(n[6]),
+                total_latency_secs: f[0],
+                latency_p50_secs: f[1],
+                latency_p99_secs: f[2],
+                validate_busy_secs: f[3],
+                apply_busy_secs: f[4],
+                execute_busy_secs: f[5],
+                coalesced_batches: n[7],
+                apply_calls: n[8],
+                commit_order_digest,
+                round_commits,
+                highest_round: Round::new(n[9]),
+                msgs_sent: n[10],
+                msgs_delivered: n[11],
+                msgs_dropped: n[12],
+                bytes_sent: n[13],
+                bytes_delivered: n[14],
+                faults_applied: n[15],
+                faults_unapplied: n[6] ^ n[15],
+                total_queue_wait_secs: f[6],
+            },
+        )
+}
+
+fn arb_commit_marker() -> impl Strategy<Value = CommitMarker> {
+    (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(dag, round, digest)| CommitMarker {
+        dag,
+        round,
+        digest,
+    })
+}
+
+fn arb_wal_record() -> impl Strategy<Value = WalRecord> {
+    let batch = prop::collection::vec((arb_key(), arb_value()), 0..6)
+        .prop_map(|writes| writes.into_iter().collect::<WriteBatch>());
+    prop_oneof![
+        prop::collection::vec(batch, 0..4).prop_map(WalRecord::Batches),
+        arb_commit_marker().prop_map(WalRecord::Commit),
+    ]
+}
+
 // --- the properties --------------------------------------------------------
+
+/// The one list of wire types. Each entry names its test, the type, and the
+/// generator its values are drawn from; the test checks the canonical-form
+/// property (module doc). A type with a `Wire` impl belongs here; the two
+/// left out are private to their modules: the message envelope, which every
+/// `Message` carries, and the WAL's snapshot record.
+macro_rules! canonical_forms {
+    ($($test:ident: $ty:ty = $strategy:expr;)+) => {$(
+        #[test]
+        fn $test() {
+            check_canonical::<$ty>(stringify!($ty), $strategy);
+        }
+    )+};
+}
+
+canonical_forms! {
+    u8_roundtrip: u8 = any::<u8>();
+    u16_roundtrip: u16 = any::<u16>();
+    u32_roundtrip: u32 = any::<u32>();
+    u64_roundtrip: u64 = any::<u64>();
+    usize_roundtrip: usize = any::<usize>();
+    i64_roundtrip: i64 = any::<i64>();
+    f64_roundtrip: f64 = arb_f64();
+    bool_roundtrip: bool = any::<bool>();
+    strings_roundtrip: String = arb_string();
+    byte_vectors_roundtrip: Vec<u8> = prop::collection::vec(any::<u8>(), 0..16);
+    options_roundtrip: Option<u64> = arb_option(any::<u64>());
+    pairs_roundtrip: (u32, i64) = (any::<u32>(), any::<i64>());
+    replica_ids_roundtrip: ReplicaId = any::<u32>().prop_map(ReplicaId::new);
+    shard_ids_roundtrip: ShardId = any::<u32>().prop_map(ShardId::new);
+    client_ids_roundtrip: ClientId = any::<u32>().prop_map(ClientId::new);
+    tx_ids_roundtrip: TxId = any::<u64>().prop_map(TxId::new);
+    seq_nos_roundtrip: SeqNo = any::<u64>().prop_map(SeqNo::new);
+    dag_ids_roundtrip: DagId = any::<u64>().prop_map(DagId::new);
+    rounds_roundtrip: Round = any::<u64>().prop_map(Round::new);
+    sim_times_roundtrip: SimTime = any::<u64>().prop_map(SimTime);
+    digests_roundtrip: Digest = arb_digest();
+    keyspaces_roundtrip: KeySpace = arb_keyspace();
+    keys_roundtrip: Key = arb_key();
+    values_roundtrip: Value = arb_value();
+    operations_roundtrip: Operation = arb_operation();
+    access_records_roundtrip: AccessRecord = arb_access_record();
+    exec_outcomes_roundtrip: ExecOutcome = arb_exec_outcome();
+    procedures_roundtrip: SmallBankProcedure = arb_procedure();
+    calls_roundtrip: ContractCall = arb_call();
+    transactions_roundtrip: Transaction = arb_transaction();
+    preplayed_txs_roundtrip: PreplayedTx = arb_preplayed();
+    block_kinds_roundtrip: BlockKind = arb_block_kind();
+    payloads_roundtrip: BlockPayload = arb_payload();
+    blocks_of_every_kind_roundtrip: Block = arb_block();
+    shared_blocks_roundtrip: Arc<Block> = arb_block().prop_map(Arc::new);
+    headers_roundtrip: Header = arb_header();
+    certificates_roundtrip: Certificate = arb_certificate();
+    vertices_roundtrip: Vertex = arb_vertex();
+    messages_of_every_variant_roundtrip: Message = arb_message();
+    latency_models_roundtrip: LatencyModel = arb_latency();
+    storage_backends_roundtrip: StorageBackend = arb_backend();
+    ce_configs_roundtrip: CeConfig = arb_ce_config();
+    reconfig_configs_roundtrip: ReconfigConfig = arb_reconfig();
+    storage_configs_roundtrip: StorageConfig = arb_storage_config();
+    system_configs_roundtrip: SystemConfig = arb_system_config();
+    execution_modes_roundtrip: ExecutionMode = arb_mode();
+    byzantine_behaviors_roundtrip: ByzantineBehavior = arb_byzantine();
+    cluster_configs_roundtrip: ClusterConfig = arb_cluster_config();
+    smallbank_configs_roundtrip: SmallBankConfig = arb_smallbank_config();
+    node_specs_roundtrip: NodeSpec = arb_node_spec();
+    round_commit_samples_roundtrip: RoundCommitSample = arb_commit_sample();
+    run_reports_roundtrip: RunReport = arb_run_report();
+    commit_markers_roundtrip: CommitMarker = arb_commit_marker();
+    wal_records_roundtrip: WalRecord = arb_wal_record();
+}
+
+/// Shared content encodes as the content itself.
+#[test]
+fn a_shared_block_encodes_as_the_block() {
+    let mut rng = TestRng::deterministic(7);
+    let block = arb_block().generate(&mut rng);
+    assert_eq!(
+        Arc::new(block.clone()).to_wire_bytes(),
+        block.to_wire_bytes()
+    );
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn transactions_roundtrip(tx in arb_transaction()) {
-        roundtrips(tx);
-    }
-
-    #[test]
-    fn exec_outcomes_roundtrip(outcome in arb_exec_outcome()) {
-        roundtrips(outcome);
-    }
-
-    #[test]
-    fn preplayed_txs_roundtrip(p in arb_preplayed()) {
-        roundtrips(p);
-    }
-
-    #[test]
-    fn blocks_of_every_kind_roundtrip(block in arb_block()) {
-        // Shared content encodes as the content itself.
-        let shared = Arc::new(block.clone());
-        prop_assert_eq!(shared.to_wire_bytes(), block.to_wire_bytes());
-        roundtrips(shared);
-        roundtrips(block);
-    }
-
-    #[test]
-    fn headers_roundtrip(header in arb_header()) {
-        roundtrips(header);
-    }
-
-    #[test]
-    fn certificates_roundtrip(cert in arb_certificate()) {
-        roundtrips(cert);
-    }
-
-    #[test]
-    fn vertices_roundtrip(vertex in arb_vertex()) {
-        roundtrips(vertex);
-    }
-
-    #[test]
-    fn messages_of_every_variant_roundtrip(msg in arb_message()) {
-        roundtrips(msg);
-    }
 
     /// The envelope stays fixed-width and positional while everything
     /// behind it is varints: magic at 0..4, version at 4..6, the variant tag
@@ -367,59 +704,7 @@ fn max_size_batch_roundtrips() {
         "a 640-transaction block should dominate a 64 KiB frame, got {} bytes",
         frame.len()
     );
-    roundtrips(msg);
-}
-
-/// The report a TCP node prints for its launcher: every field distinct and
-/// non-default, so a field written in one order and read in another (or
-/// dropped from either side) cannot round-trip.
-#[test]
-fn run_reports_roundtrip() {
-    roundtrips(RunReport {
-        label: "Thunderbolt/tcp".to_string(),
-        workload: "smallbank".to_string(),
-        replicas: 4,
-        committed_txs: 640,
-        single_shard_txs: 600,
-        cross_shard_txs: 40,
-        invalid_blocks: 1,
-        reexecutions: 17,
-        reconfigurations: 2,
-        duration: SimTime(1_500_000),
-        total_latency_secs: 12.5,
-        latency_p50_secs: 0.02,
-        latency_p99_secs: 0.08,
-        validate_busy_secs: 0.31,
-        apply_busy_secs: 0.07,
-        execute_busy_secs: 0.11,
-        coalesced_batches: 9,
-        apply_calls: 21,
-        commit_order_digest: format!("{:016x}", 0xdead_beefu64),
-        round_commits: vec![
-            RoundCommitSample {
-                dag: 0,
-                round: Round::new(1),
-                committed_at: SimTime(250_000),
-                digest: 0xfeed,
-            },
-            RoundCommitSample {
-                dag: 1,
-                round: Round::new(3),
-                committed_at: SimTime(900_000),
-                digest: 0xdead_beef,
-            },
-        ],
-        highest_round: Round::new(9),
-        msgs_sent: 100,
-        msgs_delivered: 90,
-        msgs_dropped: 3,
-        bytes_sent: 40_000,
-        bytes_delivered: 36_000,
-        faults_applied: 5,
-        faults_unapplied: 6,
-        total_queue_wait_secs: 2.25,
-    });
-    roundtrips(RunReport::default());
+    roundtrips(&msg);
 }
 
 /// The per-transaction byte budget of the two SmallBank procedures every
