@@ -9,10 +9,20 @@
 //!
 //! [`Replica::take_busy`] reports the execution work of each call, and the
 //! driver keeps, per replica, the time that work ends (`busy_until`). In the
-//! simulation this is what turns execution cost into simulated time. Over
-//! TCP, charging it is a no-op: busy time is wall-clock time spent inside
-//! `handle`, and the transport stamps the next arrival when the driver takes
-//! it, after `handle` has returned. An arrival is therefore never earlier
+//! simulation this is what turns execution cost into simulated time. Each
+//! message is handled in two steps with two emission points:
+//!
+//! 1. `handle` (or `start`), whose output — a proposal's header among it —
+//!    is emitted at the handling time plus the handler's busy time;
+//! 2. after the client queue is topped up, `Replica::preplay_ahead`, which
+//!    preplays the batch of the replica's next proposal. It emits nothing;
+//!    its busy time only moves `busy_until` on, so the replica handles its
+//!    next message that much later while its header is already on the wire.
+//!
+//! Over TCP, charging busy time is a no-op: it is wall-clock time spent in
+//! the two steps, the header is written to its sockets before the second
+//! step starts, and the transport stamps the next arrival when the driver
+//! takes it, after both have returned. An arrival is therefore never earlier
 //! than the previous arrival plus its busy time, so a node handles every
 //! message at its arrival time, and the transport ignores emission times.
 
@@ -30,12 +40,14 @@ const RECV_POLL: Duration = Duration::from_millis(50);
 /// Runs `replicas`, the replicas local to `transport`, until `stop` returns
 /// true or the transport closes.
 ///
-/// Start: every replica's client queue is topped up and every live one
-/// proposes its first block. Then, per inbound message: handle it at
-/// `max(arrival, busy_until)`, move `busy_until` past the work it took,
-/// send what it produced no earlier than `busy_until`, top the replica's
-/// queue up, and ask `stop`. `stop` is asked after a receive that timed out
-/// too, so a wall-clock deadline fires on a quiet network.
+/// Start: every replica's client queue is topped up, and every live one
+/// proposes its first block and preplays ahead. Then, per inbound message:
+/// handle it at
+/// `max(arrival, busy_until)`, send what it produced no earlier than the
+/// end of the work it took, top the replica's queue up, preplay ahead, move
+/// `busy_until` past both steps' work, and ask `stop`. `stop` is asked after
+/// a receive that timed out too, so a wall-clock deadline fires on a quiet
+/// network.
 pub fn drive<T: Transport<Message>>(
     replicas: &mut [Replica],
     feed: &mut ClientFeed,
@@ -58,8 +70,10 @@ pub fn drive<T: Transport<Message>>(
             continue;
         }
         let outbound = replicas[i].start(SimTime::ZERO);
-        busy_until[i] = after(SimTime::ZERO, replicas[i].take_busy());
-        emit(transport, id, outbound, busy_until[i]);
+        let sent = after(SimTime::ZERO, replicas[i].take_busy());
+        emit(transport, id, outbound, sent);
+        replicas[i].preplay_ahead();
+        busy_until[i] = after(sent, replicas[i].take_busy());
     }
 
     loop {
@@ -68,10 +82,12 @@ pub fn drive<T: Transport<Message>>(
                 let i = slot[inbound.to.as_inner() as usize];
                 let now = arrival.max(busy_until[i]);
                 let outbound = replicas[i].handle(inbound.from, inbound.msg, now);
-                busy_until[i] = after(now, replicas[i].take_busy());
-                emit(transport, inbound.to, outbound, busy_until[i]);
+                let sent = after(now, replicas[i].take_busy());
+                emit(transport, inbound.to, outbound, sent);
                 // Clients submit as fast as the cluster commits.
                 feed.top_up(replicas, i, now);
+                replicas[i].preplay_ahead();
+                busy_until[i] = after(sent, replicas[i].take_busy());
             }
             Err(RecvError::TimedOut) => {}
             Err(RecvError::Closed) => return,
@@ -101,5 +117,184 @@ fn emit<T: Transport<Message>>(
             Destination::Broadcast => transport.broadcast_at(from, out.msg, not_before),
             Destination::To(to) => transport.send_at(from, to, out.msg, not_before),
         };
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::{ClusterConfig, ExecutionMode};
+    use crate::scenario::ScenarioBuilder;
+    use tb_network::{NetworkStats, SimNetwork, TransportError};
+    use tb_types::{CeConfig, LatencyModel, Round, SystemConfig};
+    use tb_workload::{SmallBankConfig, Workload};
+
+    /// A simulated network that records every emission.
+    struct Recorder {
+        inner: SimNetwork<Message>,
+        /// `(sender, emission time, header round)`, the round for headers.
+        sent: Vec<(ReplicaId, SimTime, Option<Round>)>,
+    }
+
+    impl Recorder {
+        fn record(&mut self, from: ReplicaId, msg: &Message, at: SimTime) {
+            let header = matches!(msg, Message::Header { .. }).then(|| msg.round());
+            self.sent.push((from, at, header));
+        }
+    }
+
+    impl Transport<Message> for Recorder {
+        fn replicas(&self) -> u32 {
+            self.inner.size()
+        }
+
+        fn send_at(
+            &mut self,
+            from: ReplicaId,
+            to: ReplicaId,
+            msg: Message,
+            not_before: SimTime,
+        ) -> Result<(), TransportError> {
+            self.record(from, &msg, not_before);
+            self.inner.send_at(from, to, msg, not_before);
+            Ok(())
+        }
+
+        fn broadcast_at(
+            &mut self,
+            from: ReplicaId,
+            msg: Message,
+            not_before: SimTime,
+        ) -> Result<(), TransportError> {
+            self.record(from, &msg, not_before);
+            self.inner.broadcast_at(from, msg, not_before);
+            Ok(())
+        }
+
+        fn recv_stamped(
+            &mut self,
+            _timeout: Duration,
+        ) -> Result<(SimTime, tb_network::Inbound<Message>), RecvError> {
+            self.inner.next_event().ok_or(RecvError::Closed)
+        }
+
+        fn stats(&self) -> NetworkStats {
+            self.inner.stats()
+        }
+
+        fn shutdown(&mut self) {}
+    }
+
+    #[test]
+    fn preplay_ahead_runs_after_the_header_is_on_the_wire() {
+        // A 50 µs spin per state operation makes preplaying a 32-transaction
+        // batch cost at least 1.6 ms, against a 200 µs hop.
+        const OP_COST_NS: u64 = 50_000;
+        const BATCH: usize = 32;
+        const HOP_MICROS: u64 = 200;
+        let mut system = SystemConfig::with_replicas(4);
+        system.ce = CeConfig::new(1, BATCH);
+        system.ce.synthetic_op_cost_ns = OP_COST_NS;
+        system.validators = 1;
+        let config = ClusterConfig {
+            system,
+            mode: ExecutionMode::Thunderbolt,
+            use_skip_blocks: false,
+            seed: 7,
+            label: None,
+            byzantine: None,
+            lockstep: true,
+        };
+        let mut workload: Box<dyn Workload> = SmallBankConfig {
+            cross_shard_fraction: 0.0,
+            ..SmallBankConfig::default()
+        }
+        .into();
+        workload.configure_for_cluster(4, config.seed);
+        let state = workload.initial_state();
+        let mut replicas: Vec<Replica> = (0..4)
+            .map(|i| {
+                let mut replica = Replica::new(ReplicaId::new(i), config.clone());
+                replica.load_state(state.iter().cloned());
+                replica
+            })
+            .collect();
+        let mut feed = ClientFeed::new(workload, BATCH);
+        let latency = LatencyModel::Fixed { micros: HOP_MICROS };
+        let mut transport = Recorder {
+            inner: SimNetwork::new(4, latency, config.seed),
+            sent: Vec::new(),
+        };
+        drive(&mut replicas, &mut feed, &mut transport, |replicas, _| {
+            replicas[0].current_round() >= Round::new(6)
+        });
+
+        // Every header after round 0 shipped a batch preplayed ahead: those
+        // of rounds 1 to 6.
+        let metrics = replicas[0].metrics();
+        assert_eq!(metrics.batches_reused, 6);
+        assert_eq!(metrics.batches_repreplayed, 0);
+        let me = ReplicaId::new(0);
+        let emissions: Vec<&(ReplicaId, SimTime, Option<Round>)> = transport
+            .sent
+            .iter()
+            .filter(|(from, ..)| *from == me)
+            .collect();
+        let preplay_floor = SimTime::from_micros(BATCH as u64 * OP_COST_NS / 1_000);
+        let mut checked = 0;
+        for (i, (_, header_at, round)) in emissions.iter().enumerate() {
+            if !round.is_some_and(|round| round > Round::ZERO) {
+                continue;
+            }
+            // The replica's next emission comes from a later handler, which
+            // it starts no earlier than when preplaying ahead ends.
+            let Some((_, next_at, _)) = emissions[i..].iter().find(|(_, at, _)| at > header_at)
+            else {
+                continue;
+            };
+            let reaches_peer = *header_at + latency.mean();
+            assert!(
+                reaches_peer < *next_at && *header_at + preplay_floor <= *next_at,
+                "round {round:?}: header out at {header_at}, at a peer at {reaches_peer}, \
+                 the replica free again at {next_at}"
+            );
+            checked += 1;
+        }
+        assert!(checked >= 4, "{checked} headers checked");
+    }
+
+    #[test]
+    fn preplay_ahead_serves_every_lockstep_block_after_round_zero() {
+        // Shaped like the benchmark's sim-single workload.
+        let mut sim = ScenarioBuilder::new(4)
+            .smallbank(SmallBankConfig {
+                cross_shard_fraction: 0.0,
+                ..SmallBankConfig::default()
+            })
+            .latency(LatencyModel::lan())
+            .executors(1, 64)
+            .validators(2)
+            .rounds(40)
+            .seed(42)
+            .lockstep()
+            .tune(|system| system.ce = system.ce.without_synthetic_cost())
+            .build();
+        let report = sim.run();
+        assert_eq!(report.committed_txs, report.single_shard_txs);
+        for id in 0..4 {
+            let replica = sim.replica(ReplicaId::new(id));
+            let preplayed_blocks = replica
+                .dag()
+                .iter()
+                .filter(|v| v.author() == replica.id() && !v.block.payload.single_shard.is_empty())
+                .count() as u64;
+            let metrics = replica.metrics();
+            // The DAG may lack the replica's last proposal, not yet
+            // certified.
+            assert!(preplayed_blocks >= 20);
+            assert!(metrics.batches_reused + 1 >= preplayed_blocks);
+            assert!(metrics.batches_reused < preplayed_blocks + 1);
+            assert_eq!(metrics.batches_repreplayed, 0);
+        }
     }
 }

@@ -2,31 +2,42 @@
 
 use tb_types::{Round, SimTime};
 
-/// Number of power-of-two microsecond buckets in a [`LatencyHistogram`].
-const HIST_BUCKETS: usize = 64;
+/// Sub-buckets per power of two in a [`LatencyHistogram`], as a power of
+/// two: 32 sub-buckets, so a bucket spans at most 1/32 of its lower bound.
+const SUB_BUCKET_BITS: u32 = 5;
+const SUB_BUCKETS: u64 = 1 << SUB_BUCKET_BITS;
 
-/// A log₂-bucketed latency histogram over microseconds.
+/// A log-linear latency histogram over nanoseconds.
 ///
-/// Bucket `i` (for `i >= 1`) holds samples in `[2^(i-1), 2^i)` µs; bucket 0
-/// holds sub-microsecond samples. Quantiles report the bucket's upper bound,
-/// so they are conservative (never under-report) and deterministic — exactly
-/// what a CI perf gate wants. Memory is constant regardless of run length,
-/// so every committed transaction of a simulation can be recorded.
-#[derive(Clone, Debug)]
+/// Below 64 ns every nanosecond has its own bucket. Above, each power of two
+/// `[2^k, 2^(k+1))` is cut into 32 equal buckets, so a bucket's width is at
+/// most 1/32 of its lower bound. Quantiles report the bucket's upper bound:
+/// conservative (never under-reported), deterministic, and at most 1/32
+/// (3.125 %) above the exact sample, or 1 ns below 64 ns — what a CI perf
+/// gate wants. Memory is bounded (at most 1 920 counters, up to the bucket
+/// of the largest sample) regardless of run length, so every committed
+/// transaction of a simulation can be recorded.
+#[derive(Clone, Debug, Default)]
 pub struct LatencyHistogram {
-    /// Per-bucket sample counts.
+    /// Per-bucket sample counts, up to the last non-empty bucket.
     buckets: Vec<u64>,
     /// Total number of recorded samples.
     count: u64,
 }
 
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            buckets: vec![0; HIST_BUCKETS],
-            count: 0,
-        }
-    }
+/// The bucket holding `nanos`: its top `SUB_BUCKET_BITS + 1` significant
+/// bits, offset by how many bits were cut off below them.
+fn bucket_of(nanos: u64) -> usize {
+    let shift = (64 - nanos.leading_zeros()).saturating_sub(SUB_BUCKET_BITS + 1);
+    (u64::from(shift) * SUB_BUCKETS + (nanos >> shift)) as usize
+}
+
+/// The exclusive upper bound of `bucket`, in nanoseconds.
+fn upper_bound_nanos(bucket: usize) -> f64 {
+    let bucket = bucket as u64;
+    let shift = (bucket / SUB_BUCKETS).saturating_sub(1);
+    let top = bucket - shift * SUB_BUCKETS;
+    (top + 1) as f64 * (shift as f64).exp2()
 }
 
 impl LatencyHistogram {
@@ -37,12 +48,10 @@ impl LatencyHistogram {
 
     /// Records one latency sample given in seconds.
     pub fn record_secs(&mut self, secs: f64) {
-        let micros = (secs.max(0.0) * 1e6) as u64;
-        let bucket = if micros == 0 {
-            0
-        } else {
-            (64 - micros.leading_zeros() as usize).min(HIST_BUCKETS - 1)
-        };
+        let bucket = bucket_of((secs.max(0.0) * 1e9) as u64);
+        if bucket >= self.buckets.len() {
+            self.buckets.resize(bucket + 1, 0);
+        }
         self.buckets[bucket] += 1;
         self.count += 1;
     }
@@ -61,14 +70,15 @@ impl LatencyHistogram {
         }
         let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
-        for (bucket, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                let upper_micros = 1u64 << bucket;
-                return upper_micros as f64 / 1e6;
-            }
-        }
-        (1u64 << (HIST_BUCKETS - 1)) as f64 / 1e6
+        let bucket = self
+            .buckets
+            .iter()
+            .position(|&n| {
+                seen += n;
+                seen >= target
+            })
+            .expect("the last bucket holds the count-th sample");
+        upper_bound_nanos(bucket) / 1e9
     }
 }
 
@@ -360,17 +370,97 @@ mod tests {
     fn latency_histogram_quantiles_are_bucket_upper_bounds() {
         let mut hist = LatencyHistogram::new();
         for _ in 0..99 {
-            hist.record_secs(0.000_003); // 3 µs -> bucket [2, 4) µs
+            hist.record_secs(0.000_003); // 3 000 ns -> bucket [2 944, 3 008) ns
         }
         hist.record_secs(0.5); // one slow outlier
         assert_eq!(hist.count(), 100);
-        // p50 falls in the 3 µs bucket, whose upper bound is 4 µs.
-        assert!((hist.quantile_secs(0.5) - 4e-6).abs() < 1e-12);
+        // p50 falls in the 3 µs bucket, whose upper bound is 3.008 µs.
+        assert!((hist.quantile_secs(0.5) - 3.008e-6).abs() < 1e-12);
         // p99 still falls in the fast bucket (99 of 100 samples).
-        assert!((hist.quantile_secs(0.99) - 4e-6).abs() < 1e-12);
-        // p100 reports the outlier's bucket.
-        assert!(hist.quantile_secs(1.0) >= 0.5);
+        assert!((hist.quantile_secs(0.99) - 3.008e-6).abs() < 1e-12);
+        // p100 reports the outlier's bucket, within a 32nd above it.
+        let p100 = hist.quantile_secs(1.0);
+        assert!((0.5..=0.5 * 33.0 / 32.0).contains(&p100), "{p100}");
         assert!(LatencyHistogram::new().quantile_secs(0.5) == 0.0);
+        // Every nanosecond count lands in a bucket, the largest too.
+        hist.record_secs(1e12);
+        assert_eq!(
+            hist.quantile_secs(1.0),
+            upper_bound_nanos(HIST_BUCKETS - 1) / 1e9
+        );
+        assert_eq!(hist.buckets.len(), HIST_BUCKETS);
+    }
+
+    /// Buckets covering every `u64` nanosecond count: 64 exact ones below
+    /// 64 ns, then 32 per power of two.
+    const HIST_BUCKETS: usize = 1_920;
+
+    #[test]
+    fn latency_histogram_buckets_tile_the_nanoseconds() {
+        // Consecutive buckets share a bound, and a bucket holds exactly the
+        // counts from the previous bound up to its own.
+        let mut lower = 0.0;
+        for bucket in 0..HIST_BUCKETS {
+            let upper = upper_bound_nanos(bucket);
+            assert!(upper > lower, "bucket {bucket}");
+            if upper < 1e15 {
+                assert_eq!(bucket_of(lower as u64), bucket);
+                assert_eq!(bucket_of(upper as u64 - 1), bucket);
+                assert!(upper - lower <= (lower / 32.0).max(1.0), "bucket {bucket}");
+            }
+            lower = upper;
+        }
+        assert_eq!(bucket_of(u64::MAX), HIST_BUCKETS - 1);
+    }
+
+    #[test]
+    fn latency_histogram_quantiles_track_the_exact_ones_within_a_32nd() {
+        // A seeded sample spread log-uniformly over 1 µs .. 1 s.
+        let mut state = 42u64;
+        let mut samples: Vec<f64> = (0..20_000)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
+                1e-6 * 1e6f64.powf(unit)
+            })
+            .collect();
+        let mut hist = LatencyHistogram::new();
+        for &sample in &samples {
+            hist.record_secs(sample);
+        }
+        samples.sort_by(f64::total_cmp);
+        for q in [0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0] {
+            let rank = ((q * samples.len() as f64).ceil() as usize).max(1);
+            let exact = samples[rank - 1];
+            let reported = hist.quantile_secs(q);
+            assert!(
+                exact < reported && reported <= exact * (1.0 + 1.0 / 32.0),
+                "q {q}: exact {exact}, reported {reported}"
+            );
+        }
+    }
+
+    #[test]
+    fn latency_p50_and_p99_differ_on_a_single_shard_run() {
+        // Shaped like the benchmark's sim-single workload, where the old
+        // power-of-two buckets reported p50 = p99.
+        let report = crate::scenario::ScenarioBuilder::new(4)
+            .smallbank(tb_workload::SmallBankConfig {
+                cross_shard_fraction: 0.0,
+                ..tb_workload::SmallBankConfig::default()
+            })
+            .latency(tb_types::LatencyModel::lan())
+            .executors(1, 64)
+            .validators(2)
+            .rounds(40)
+            .seed(42)
+            .lockstep()
+            .tune(|system| system.ce = system.ce.without_synthetic_cost())
+            .run();
+        let (p50, p99) = (report.latency_p50_secs, report.latency_p99_secs);
+        assert!(0.0 < p50 && p50 < p99, "p50 {p50} s, p99 {p99} s");
     }
 
     #[test]

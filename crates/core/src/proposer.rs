@@ -223,6 +223,17 @@ impl ShardProposer {
         self.single_shard.drain(..n).collect()
     }
 
+    /// The batch [`take_single_batch`](Self::take_single_batch) would take
+    /// now, left at the front of the queue: what a replica preplays ahead
+    /// of its round. Nothing is removed or cloned, so the queue stays what
+    /// it would be without the look, and the batch is still the front of the
+    /// queue at the next take unless something moved the front first: a
+    /// take, a requeue or a [`reassign`](Self::reassign).
+    pub(crate) fn next_single_batch(&mut self) -> &[Transaction] {
+        let n = self.batch_size.min(self.single_shard.len());
+        &self.single_shard.make_contiguous()[..n]
+    }
+
     /// Takes the next batch of cross-shard transactions (P1: straight into
     /// the block), bounded by `limit` so that a block never carries more than
     /// one batch worth of transactions in total.
@@ -329,9 +340,17 @@ mod tests {
         for i in 0..5 {
             proposer.enqueue(tx(i, 0, 4, 4));
         }
+        // A look at the next batch is the next take, and takes nothing.
+        let next: Vec<TxId> = proposer
+            .next_single_batch()
+            .iter()
+            .map(|tx| tx.id)
+            .collect();
+        assert_eq!(proposer.pending_single(), 5);
         let batch = proposer.take_single_batch();
         assert_eq!(batch.len(), 3);
         assert_eq!(batch[0].id, TxId::new(0));
+        assert_eq!(batch.iter().map(|tx| tx.id).collect::<Vec<_>>(), next);
         assert_eq!(proposer.pending_single(), 2);
         let rest = proposer.take_single_batch();
         assert_eq!(rest.len(), 2);

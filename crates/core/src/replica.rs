@@ -12,6 +12,15 @@
 //! tests. All heavy work (preplay, validation, post-commit execution) is
 //! timed and surfaced through [`Replica::take_busy`], which the driver
 //! charges to the replica's clock.
+//!
+//! A proposer preplays each batch ahead of its round: after every handler
+//! the driver calls `Replica::preplay_ahead`, which preplays the front of
+//! the client queue once the last proposal has gone out, against committed
+//! state plus the replica's uncommitted blocks. The next proposal ships
+//! that batch if it is still the batch the queue gives and every read it
+//! declares still holds (validation's read check), and preplays afresh
+//! otherwise, so its block is the one a fresh preplay would give
+//! (`docs/PIPELINE.md`, "Preplay runs ahead of the round").
 
 use crate::cluster::{ClusterConfig, ExecutionMode};
 use crate::commit::{CommitPipeline, PostCommitExecution};
@@ -24,6 +33,7 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tb_dag::{Committer, DagError, DagStore};
+use tb_executor::validation::check_reads;
 use tb_executor::{BatchExecutor, ConcurrentExecutor, OccExecutor};
 use tb_network::NetworkStats;
 use tb_storage::{CommitMarker, KvRead, MemStore, Store, Versioned, WalOptions, WalStore};
@@ -208,6 +218,14 @@ pub struct ReplicaMetrics {
     pub invalid_blocks: u64,
     /// Preplay re-executions on this replica's own proposals.
     pub reexecutions: u64,
+    /// Proposals that shipped the batch this replica preplayed ahead of
+    /// their round: it was still the batch the queue gave, and every read it
+    /// declared still held on the proposal's view.
+    pub batches_reused: u64,
+    /// Proposals that found a batch preplayed ahead of their round unusable
+    /// and preplayed afresh: a declared read no longer held, or the queue
+    /// had grown a longer batch.
+    pub batches_repreplayed: u64,
     /// Completed DAG reconfigurations.
     pub reconfigurations: u64,
     /// Summed commit latencies in seconds.
@@ -260,6 +278,8 @@ impl Default for ReplicaMetrics {
             cross_shard_txs: 0,
             invalid_blocks: 0,
             reexecutions: 0,
+            batches_reused: 0,
+            batches_repreplayed: 0,
             reconfigurations: 0,
             total_latency_secs: 0.0,
             total_queue_wait_secs: 0.0,
@@ -321,10 +341,17 @@ pub struct Replica {
     conflicting_undelivered: HashSet<Digest>,
     future_messages: Vec<(ReplicaId, Message)>,
 
-    /// Write sets of this replica's own preplayed-but-uncommitted blocks,
-    /// newest last. Preplay reads see them on top of committed storage so
-    /// that consecutive blocks from the same shard chain correctly.
-    overlay: VecDeque<(Round, KeyMap<Value>)>,
+    /// Write sets of this replica's own preplayed-but-uncommitted blocks.
+    /// Preplay reads see them on top of committed storage so that
+    /// consecutive blocks from the same shard chain correctly.
+    overlay: Overlay,
+    /// The last proposal preplayed its batch, so the next one likely will
+    /// too: [`Replica::preplay_ahead`] may preplay that batch now.
+    last_preplayed: bool,
+    /// The front batch of the client queue, preplayed ahead of the round
+    /// that will take it. Every proposal takes it, so it is never older
+    /// than the last take from the queue.
+    ahead: Option<Preplayed>,
 
     shifted_in_dag: bool,
     rounds_proposed_in_dag: u64,
@@ -397,7 +424,9 @@ impl Replica {
             pending_vertices: Vec::new(),
             conflicting_undelivered: HashSet::new(),
             future_messages: Vec::new(),
-            overlay: VecDeque::new(),
+            overlay: Overlay::default(),
+            last_preplayed: false,
+            ahead: None,
             shifted_in_dag: false,
             rounds_proposed_in_dag: 0,
             shift_quorum_authors: HashSet::new(),
@@ -584,6 +613,10 @@ impl Replica {
         } else {
             decide(context)
         };
+        // Whatever the decision, this proposal is the last to find the batch
+        // preplayed ahead at the front of the queue.
+        let ahead = self.ahead.take();
+        self.last_preplayed = decision == ProposalDecision::Preplay;
 
         let (kind, payload) = match decision {
             ProposalDecision::Shift => {
@@ -599,7 +632,7 @@ impl Replica {
                     .batch_size
                     .saturating_sub(singles.len());
                 let cross = self.proposer.take_cross_batch(budget);
-                let preplayed = self.preplay(&singles);
+                let preplayed = self.preplay_batch(&singles, ahead);
                 (
                     BlockKind::Normal,
                     BlockPayload {
@@ -716,7 +749,7 @@ impl Replica {
                 .take_cross_batch(self.config.system.ce.batch_size),
         );
         if !extra.is_empty() {
-            let preplayed = self.preplay(&extra);
+            let preplayed = self.preplay_batch(&extra, None);
             payload.single_shard.extend(preplayed);
         }
         payload
@@ -781,30 +814,81 @@ impl Replica {
         out
     }
 
-    /// Preplays a batch of single-shard transactions against committed state
-    /// plus this replica's own uncommitted preplay results. Without an
-    /// engine (Tusk) nothing is preplayed.
-    fn preplay(&mut self, singles: &[Transaction]) -> Vec<PreplayedTx> {
+    /// The preplayed form of `singles`, the batch this round took, against
+    /// committed state plus this replica's own uncommitted preplay results;
+    /// its writes join those results. `ahead` is the batch preplayed ahead of
+    /// the round, if any: it is used when it preplayed exactly `singles` and
+    /// every read it declares holds on the current view (validation's read
+    /// check), because preplaying `singles` again would then yield the same
+    /// outcomes. Without an engine (Tusk) nothing is preplayed.
+    fn preplay_batch(
+        &mut self,
+        singles: &[Transaction],
+        ahead: Option<Preplayed>,
+    ) -> Vec<PreplayedTx> {
         let Some(executor) = self.executor.as_deref() else {
             return Vec::new();
         };
         if singles.is_empty() {
             return Vec::new();
         }
-        let base = OverlayRead {
+        let view = OverlayRead {
             store: self.store.as_ref(),
             overlay: &self.overlay,
         };
-        let result = executor.preplay(singles, &base);
-        self.metrics.reexecutions += result.reexecutions;
-        // Executors return the batch sorted by `order`, so later writes of a
-        // key overwrite earlier ones here.
-        let mut writes: KeyMap<Value> = KeyMap::default();
-        for rec in result.preplayed.iter().flat_map(|p| &p.outcome.write_set) {
-            writes.insert(rec.key, rec.value.clone());
+        // No take from the queue since `ahead` was preplayed, so a batch of
+        // its length is the one it preplayed.
+        let batch = match ahead {
+            Some(ahead)
+                if ahead.txs.len() == singles.len()
+                    && check_reads(&[&ahead.txs], &view)
+                        .into_iter()
+                        .all(|pass| pass) =>
+            {
+                debug_assert!(ahead
+                    .txs
+                    .iter()
+                    .all(|p| singles.iter().any(|tx| tx.id == p.tx.id)));
+                self.metrics.batches_reused += 1;
+                ahead
+            }
+            ahead => {
+                self.metrics.batches_repreplayed += u64::from(ahead.is_some());
+                Preplayed::new(executor, singles, &view)
+            }
+        };
+        self.metrics.reexecutions += batch.reexecutions;
+        self.overlay.push(self.current_round, batch.writes);
+        batch.txs
+    }
+
+    /// The step the driver runs after each message, once the output is sent
+    /// and the client queue topped up: if the last proposal preplayed and no
+    /// uncommitted cross-shard transaction touches this shard (P3/P4), the
+    /// batch the next proposal will take is preplayed now, against committed
+    /// state plus the uncommitted preplay results of every block proposed so
+    /// far. The next proposal then only re-checks its reads. Nothing is
+    /// taken from the queue. A batch preplayed ahead is kept until the queue
+    /// offers a longer one. The work is reported through
+    /// [`take_busy`](Self::take_busy) like a handler's.
+    pub(crate) fn preplay_ahead(&mut self) {
+        if !self.last_preplayed || !self.conflicting_undelivered.is_empty() {
+            return;
         }
-        self.overlay.push_back((self.current_round, writes));
-        result.preplayed
+        let Some(executor) = self.executor.as_deref() else {
+            return;
+        };
+        let started = Instant::now();
+        let txs = self.proposer.next_single_batch();
+        if txs.len() <= self.ahead.as_ref().map_or(0, |ahead| ahead.txs.len()) {
+            return;
+        }
+        let view = OverlayRead {
+            store: self.store.as_ref(),
+            overlay: &self.overlay,
+        };
+        self.ahead = Some(Preplayed::new(executor, txs, &view));
+        self.busy += started.elapsed();
     }
 
     fn previous_leader_present(&self) -> bool {
@@ -1217,14 +1301,7 @@ impl Replica {
             for vertex in &sub_dag.vertices {
                 self.conflicting_undelivered.remove(&vertex.id());
                 if vertex.author() == self.id {
-                    let delivered_round = vertex.round();
-                    while self
-                        .overlay
-                        .front()
-                        .is_some_and(|(round, _)| *round <= delivered_round)
-                    {
-                        self.overlay.pop_front();
-                    }
+                    self.overlay.deliver(vertex.round());
                 }
             }
             // Reconfiguration: the first committed sub-DAG whose cumulative
@@ -1254,6 +1331,8 @@ impl Replica {
         self.pending_vertices.retain(|v| v.dag() == self.dag_id);
         self.conflicting_undelivered.clear();
         self.overlay.clear();
+        // The queue may be cleared below: drop its preplayed front with it.
+        self.ahead = None;
         self.shifted_in_dag = false;
         self.rounds_proposed_in_dag = 0;
         self.shift_quorum_authors.clear();
@@ -1291,20 +1370,86 @@ impl Replica {
     }
 }
 
-/// Committed storage plus the proposer's own uncommitted preplay writes,
-/// one map per uncommitted round, oldest first.
+/// One batch's preplay: the outcomes a block ships and the writes the
+/// proposer's overlay takes for it.
+struct Preplayed {
+    /// Sorted by `order`.
+    txs: Vec<PreplayedTx>,
+    /// The last write per key.
+    writes: KeyMap<Value>,
+    reexecutions: u64,
+}
+
+impl Preplayed {
+    /// Preplays `txs` against `view`: the replica's one call of
+    /// [`BatchExecutor::preplay`].
+    fn new(executor: &dyn BatchExecutor, txs: &[Transaction], view: &OverlayRead<'_>) -> Self {
+        let result = executor.preplay(txs, view);
+        // Executors return the batch sorted by `order`, so later writes of a
+        // key overwrite earlier ones here.
+        let mut writes: KeyMap<Value> = KeyMap::default();
+        for rec in result.preplayed.iter().flat_map(|p| &p.outcome.write_set) {
+            writes.insert(rec.key, rec.value.clone());
+        }
+        Preplayed {
+            txs: result.preplayed,
+            writes,
+            reexecutions: result.reexecutions,
+        }
+    }
+}
+
+/// The write sets of a proposer's own preplayed-but-uncommitted blocks.
+#[derive(Default)]
+struct Overlay {
+    /// One write set per block, oldest first, with the block's round.
+    blocks: VecDeque<(Round, KeyMap<Value>)>,
+    /// The newest write per key in `blocks`, with its block's round, so a
+    /// read costs one lookup however many blocks are uncommitted.
+    newest: KeyMap<(Round, Value)>,
+}
+
+impl Overlay {
+    fn push(&mut self, round: Round, writes: KeyMap<Value>) {
+        for (key, value) in &writes {
+            self.newest.insert(*key, (round, value.clone()));
+        }
+        self.blocks.push_back((round, writes));
+    }
+
+    /// Drops the write sets of the blocks up to `round`, which a commit
+    /// just delivered.
+    fn deliver(&mut self, round: Round) {
+        while self.blocks.front().is_some_and(|(at, _)| *at <= round) {
+            let (at, writes) = self.blocks.pop_front().expect("a front block");
+            for key in writes.keys() {
+                if self
+                    .newest
+                    .get(key)
+                    .is_some_and(|(newest, _)| *newest <= at)
+                {
+                    self.newest.remove(key);
+                }
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        self.blocks.clear();
+        self.newest.clear();
+    }
+}
+
+/// Committed storage plus the proposer's own uncommitted preplay writes.
 struct OverlayRead<'a> {
     store: &'a dyn Store,
-    overlay: &'a VecDeque<(Round, KeyMap<Value>)>,
+    overlay: &'a Overlay,
 }
 
 impl OverlayRead<'_> {
     /// The newest uncommitted write to `key`: newer rounds shadow older ones.
     fn pending(&self, key: &Key) -> Option<&Value> {
-        self.overlay
-            .iter()
-            .rev()
-            .find_map(|(_, writes)| writes.get(key))
+        self.overlay.newest.get(key).map(|(_, value)| value)
     }
 }
 
@@ -2087,7 +2232,7 @@ mod tests {
                     .iter()
                     .map(|(k, v)| (*k, v.value.clone())),
             );
-            for (_, writes) in &replica.overlay {
+            for (_, writes) in &replica.overlay.blocks {
                 scratch.load(writes.iter().map(|(k, v)| (*k, v.clone())));
             }
             occ.execute_batch(txs, &scratch).commit_digest()
@@ -2109,11 +2254,498 @@ mod tests {
             let txs = workload.batch(48, SimTime::ZERO);
             let expected = oracle(&replica, &occ, &txs);
             let preplayed = tb_executor::BatchResult {
-                preplayed: replica.preplay(&txs),
+                preplayed: replica.preplay_batch(&txs, None),
                 ..Default::default()
             };
             assert_eq!(preplayed.commit_digest(), expected, "round {round}");
         }
-        assert_eq!(replica.overlay.len(), 6, "six chained overlay rounds");
+        assert_eq!(
+            replica.overlay.blocks.len(),
+            6,
+            "six chained overlay rounds"
+        );
+    }
+
+    #[test]
+    fn delivering_a_block_leaves_newer_overlay_writes_visible() {
+        let writes = |entries: &[(u64, i64)]| -> KeyMap<Value> {
+            entries
+                .iter()
+                .map(|&(account, v)| (Key::checking(account), Value::int(v)))
+                .collect()
+        };
+        let store = MemStore::new();
+        store.load([(Key::checking(2), Value::int(7))]);
+        let mut overlay = Overlay::default();
+        overlay.push(Round::new(1), writes(&[(0, 10), (1, 11)]));
+        overlay.push(Round::new(2), writes(&[(1, 21)]));
+        overlay.push(Round::new(3), writes(&[(2, 32)]));
+        let read = |overlay: &Overlay, account| {
+            OverlayRead {
+                store: &store,
+                overlay,
+            }
+            .get(&Key::checking(account))
+        };
+        assert_eq!(read(&overlay, 1), Value::int(21), "the newest block wins");
+        // Round 1 leaves: its write to account 0 goes, round 2's write to
+        // account 1 stays. (The store lacks round 1's writes, as if its
+        // block were invalid.)
+        overlay.deliver(Round::new(1));
+        assert_eq!(read(&overlay, 0), Value::None);
+        assert_eq!(read(&overlay, 1), Value::int(21));
+        overlay.deliver(Round::new(2));
+        assert_eq!(overlay.blocks.len(), 1);
+        assert_eq!(read(&overlay, 1), Value::None);
+        assert_eq!(read(&overlay, 2), Value::int(32));
+        overlay.deliver(Round::new(3));
+        assert_eq!(read(&overlay, 2), Value::int(7));
+        assert!(overlay.newest.is_empty());
+    }
+
+    /// Preplay ahead of the round, driven the way `driver::drive` drives it:
+    /// handle a message, top the client queue up, preplay ahead.
+    mod preplay_ahead {
+        use super::*;
+        use tb_types::TxClass;
+
+        fn cfg() -> ClusterConfig {
+            let mut cfg = config(4);
+            cfg.system.ce = CeConfig::new(2, 16).without_synthetic_cost();
+            cfg.system.reconfig = tb_types::ReconfigConfig::new(1 << 40, 1 << 41);
+            cfg
+        }
+
+        fn funded(id: u32, cfg: &ClusterConfig) -> Replica {
+            let mut replica = Replica::new(ReplicaId::new(id), cfg.clone());
+            replica.load_state(tb_workload::initial_smallbank_state(16, 1_000));
+            replica
+        }
+
+        /// The blocks of the headers `replica` proposed in `out`, in order.
+        fn proposals<'a>(replica: &Replica, out: &'a [Outbound]) -> Vec<&'a Arc<Block>> {
+            out.iter()
+                .filter_map(|o| match &o.msg {
+                    Message::Header { header, block } if header.author == replica.id => Some(block),
+                    _ => None,
+                })
+                .collect()
+        }
+
+        /// Checks that the batch each of `blocks` preplayed — the proposals
+        /// of one handler, in order, with no commit or reconfiguration
+        /// between them — equals a fresh preplay of its transactions on the
+        /// view it was proposed on: the replica's store now, under its
+        /// overlay as it stood before that proposal. Returns how many it
+        /// checked.
+        fn assert_fresh_preplays(replica: &Replica, blocks: &[&Arc<Block>]) -> u64 {
+            let engine = ConcurrentExecutor::new(replica.config.system.ce);
+            let batches: Vec<&Vec<PreplayedTx>> = blocks
+                .iter()
+                .map(|block| &block.payload.single_shard)
+                .filter(|preplayed| !preplayed.is_empty())
+                .collect();
+            let blocks = &replica.overlay.blocks;
+            let mut overlay = Overlay::default();
+            for (round, writes) in blocks.range(..blocks.len() - batches.len()) {
+                overlay.push(*round, writes.clone());
+            }
+            for preplayed in &batches {
+                let view = OverlayRead {
+                    store: replica.store.as_ref(),
+                    overlay: &overlay,
+                };
+                let txs: Vec<Transaction> = preplayed.iter().map(|p| p.tx.clone()).collect();
+                let fresh = engine.preplay(&txs, &view).preplayed;
+                assert!(
+                    fresh == **preplayed,
+                    "{}: a block is not a fresh preplay on its view",
+                    replica.id
+                );
+                // The next proposal saw this one's writes.
+                let (round, writes) = &blocks[overlay.blocks.len()];
+                overlay.push(*round, writes.clone());
+            }
+            batches.len() as u64
+        }
+
+        /// Client transactions for 16 accounts, four per shard (account `a`
+        /// lies on shard `a % 4`), under strictly increasing ids.
+        struct Clients {
+            next_id: u64,
+            /// Every this many transactions, a shard other than 0 gets a
+            /// payment between one of its accounts and one of shard 0.
+            cross_every: Option<u64>,
+        }
+
+        impl Clients {
+            /// The next transaction homed on `shard`.
+            fn next(&mut self, shard: ShardId) -> Transaction {
+                let s = u64::from(shard.as_inner());
+                loop {
+                    let id = self.next_id;
+                    self.next_id += 1;
+                    let cross = s != 0
+                        && self
+                            .cross_every
+                            .is_some_and(|every| id.is_multiple_of(every));
+                    let to = if cross {
+                        4 * (id % 4)
+                    } else {
+                        s + 4 * ((id + 1) % 4)
+                    };
+                    let tx = payment(id, s + 4 * (id % 4), to, 4);
+                    if tx.home_shard() == shard {
+                        return tx;
+                    }
+                }
+            }
+        }
+
+        /// One replica's client queue as the test expects it: the ids of
+        /// the single-shard transactions submitted to it and not yet
+        /// proposed.
+        struct Fifo {
+            shard: ShardId,
+            ids: VecDeque<TxId>,
+        }
+
+        impl Fifo {
+            /// The queue of `shard`: a replica that moves to another shard
+            /// drops the transactions of the last one.
+            fn of(&mut self, shard: ShardId) -> &mut VecDeque<TxId> {
+                if shard != self.shard {
+                    self.shard = shard;
+                    self.ids.clear();
+                }
+                &mut self.ids
+            }
+        }
+
+        /// What a run observed, summed over the replicas.
+        #[derive(Default)]
+        struct Seen {
+            /// Proposals checked by [`assert_fresh_preplays`].
+            checked: u64,
+            /// The part of `checked` that shipped a batch preplayed ahead.
+            checked_reused: u64,
+            /// Single-shard transactions proposed as cross-shard ones.
+            converted: u64,
+            skip_blocks: u64,
+        }
+
+        /// How messages are picked from the inbox.
+        #[derive(Clone, Copy)]
+        enum Delivery {
+            /// In send order.
+            Fifo,
+            /// In an order drawn from the seed, with messages to replica 0
+            /// picked one time in eight while anything else is queued.
+            SlowReceiver(u64),
+        }
+
+        /// Runs a fresh 4-replica cluster until it quiesces at `target`
+        /// (headers of `target` and later rounds are dropped), topping every
+        /// client queue up to two batches after each handler and then
+        /// preplaying ahead. Every proposal is checked on the way: its
+        /// single-shard transactions are the front of its proposer's queue,
+        /// in order, and its preplayed batch passes
+        /// [`assert_fresh_preplays`] unless the handler reconfigured.
+        fn run(
+            cfg: &ClusterConfig,
+            clients: &mut Clients,
+            target: u64,
+            delivery: Delivery,
+        ) -> (Vec<Replica>, Seen) {
+            let mut replicas: Vec<Replica> = (0..4).map(|i| funded(i, cfg)).collect();
+            let batch = cfg.system.ce.batch_size;
+            let mut seen = Seen::default();
+            let mut fifos: Vec<Fifo> = replicas
+                .iter()
+                .map(|replica| Fifo {
+                    shard: replica.current_shard(),
+                    ids: VecDeque::new(),
+                })
+                .collect();
+            let top_up = |replica: &mut Replica, fifo: &mut Fifo, clients: &mut Clients| {
+                let shard = replica.current_shard();
+                let queue = fifo.of(shard);
+                while replica.pending_client_txs() < 2 * batch {
+                    let tx = clients.next(shard);
+                    if tx.class() == TxClass::SingleShard {
+                        queue.push_back(tx.id);
+                    }
+                    assert!(replica.enqueue(tx));
+                }
+            };
+            let mut step = |replica: &mut Replica,
+                            fifo: &mut Fifo,
+                            clients: &mut Clients,
+                            handled: Option<(ReplicaId, Message)>|
+             -> Vec<Outbound> {
+                let (reused, reconfigurations) = (
+                    replica.metrics.batches_reused,
+                    replica.metrics.reconfigurations,
+                );
+                let out = match handled {
+                    None => replica.start(SimTime::ZERO),
+                    Some((from, msg)) => replica.handle(from, msg, SimTime::ZERO),
+                };
+                let blocks = proposals(replica, &out);
+                for block in &blocks {
+                    let payload = &block.payload;
+                    let converted = payload
+                        .cross_shard
+                        .iter()
+                        .filter(|tx| tx.class() == TxClass::SingleShard);
+                    seen.converted += converted.clone().count() as u64;
+                    seen.skip_blocks += u64::from(block.kind == BlockKind::Skip);
+                    let proposed: Vec<TxId> = payload
+                        .single_shard
+                        .iter()
+                        .map(|p| &p.tx)
+                        .chain(converted)
+                        .map(|tx| tx.id)
+                        .collect();
+                    let queue = fifo.of(block.shard);
+                    assert!(proposed.len() <= queue.len(), "{}: unsubmitted", replica.id);
+                    let front: Vec<TxId> = queue.drain(..proposed.len()).collect();
+                    assert_eq!(proposed, front, "{} round {}", replica.id, block.round);
+                }
+                if replica.metrics.reconfigurations == reconfigurations {
+                    seen.checked += assert_fresh_preplays(replica, &blocks);
+                    seen.checked_reused += replica.metrics.batches_reused - reused;
+                }
+                top_up(replica, fifo, clients);
+                replica.preplay_ahead();
+                out
+            };
+
+            let mut state = match delivery {
+                Delivery::Fifo => 0,
+                Delivery::SlowReceiver(seed) => seed,
+            };
+            let mut next = move || {
+                // splitmix64
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            };
+            let mut inbox: VecDeque<(ReplicaId, ReplicaId, Message)> = VecDeque::new();
+            for (replica, fifo) in replicas.iter_mut().zip(&mut fifos) {
+                top_up(replica, fifo, clients);
+                for outbound in step(replica, fifo, clients, None) {
+                    enqueue(&mut inbox, replica.id, outbound, 4);
+                }
+            }
+            while !inbox.is_empty() {
+                let pick = match delivery {
+                    Delivery::Fifo => 0,
+                    Delivery::SlowReceiver(_) => {
+                        let slow = ReplicaId::new(0);
+                        let fast: Vec<usize> =
+                            (0..inbox.len()).filter(|&i| inbox[i].1 != slow).collect();
+                        if fast.is_empty() || next() % 8 == 0 {
+                            next() as usize % inbox.len()
+                        } else {
+                            fast[next() as usize % fast.len()]
+                        }
+                    }
+                };
+                let (from, to, msg) = inbox.remove(pick).expect("index in range");
+                if matches!(&msg, Message::Header { header, .. } if header.round.as_u64() >= target)
+                {
+                    continue;
+                }
+                let i = to.as_inner() as usize;
+                for outbound in step(&mut replicas[i], &mut fifos[i], clients, Some((from, msg))) {
+                    enqueue(&mut inbox, to, outbound, 4);
+                }
+            }
+            (replicas, seen)
+        }
+
+        #[test]
+        fn preplay_ahead_batches_equal_a_fresh_preplay_on_the_proposal_view() {
+            let mut cfg = cfg();
+            cfg.lockstep = true;
+            let mut clients = Clients {
+                next_id: 0,
+                cross_every: None,
+            };
+            let (replicas, seen) = run(&cfg, &mut clients, 16, Delivery::Fifo);
+            // Every block after each replica's round-0 one shipped the batch
+            // preplayed ahead, and each equals a fresh preplay.
+            let proposed: u64 = replicas.iter().map(|r| r.rounds_proposed_in_dag).sum();
+            assert_eq!(proposed, 4 * 17);
+            assert_eq!(seen.checked, proposed);
+            assert_eq!(seen.checked_reused, proposed - 4);
+            for replica in &replicas {
+                let metrics = replica.metrics();
+                assert_eq!(metrics.batches_reused, replica.rounds_proposed_in_dag - 1);
+                assert_eq!(metrics.batches_repreplayed, 0);
+                assert_eq!(metrics.invalid_blocks, 0);
+            }
+        }
+
+        #[test]
+        fn preplay_ahead_yields_to_a_cross_shard_commit_on_its_shard() {
+            // Replica 0 is driven by hand: rounds 0–2 complete normally.
+            // In round 3 (led by replica 1) the leader's block carries a
+            // payment from account 0 of replica 0's shard, and replica 0
+            // takes it after the batch of its round-4 proposal was
+            // preplayed ahead. It then holds replica 3's round-3 vertex last,
+            // so the handler that inserts it commits round 3 — and with it
+            // the payment — and then proposes round 4.
+            let cfg = cfg();
+            let mut replica = funded(0, &cfg);
+            // Account 0 first appears in round 4's batch, so that batch
+            // reads it from the store, not from the overlay.
+            for id in 0..128 {
+                let (from, to) = if id < 64 {
+                    (4 + 4 * (id % 3), 4 + 4 * ((id + 1) % 3))
+                } else {
+                    (4 * (id % 4), 4 * ((id + 1) % 4))
+                };
+                assert!(replica.enqueue(payment(id, from, to, 4)));
+            }
+            let dag = DagId::new(0);
+            let leader = replica.committee.leader(dag, Round::new(3));
+            assert_eq!(leader, ReplicaId::new(1));
+            let start = replica.start(SimTime::ZERO);
+            replica.preplay_ahead();
+            let mut own: Vec<Arc<Block>> =
+                proposals(&replica, &start).into_iter().cloned().collect();
+            let mut deliver = |replica: &mut Replica, from: u32, msg: Message| {
+                let out = replica.handle(ReplicaId::new(from), msg, SimTime::ZERO);
+                replica.preplay_ahead();
+                for block in proposals(replica, &out) {
+                    own.push(Arc::clone(block));
+                }
+                out
+            };
+            let vertex = |author: u32, round: u64, parents: &[Digest], cross: Vec<Transaction>| {
+                let author = ReplicaId::new(author);
+                let payload = BlockPayload {
+                    single_shard: Vec::new(),
+                    cross_shard: cross,
+                };
+                let block = Block::normal(
+                    dag,
+                    Round::new(round),
+                    author,
+                    ShardId::new(author.as_inner()),
+                    SeqNo::new(round + 1),
+                    payload,
+                    SimTime::ZERO,
+                );
+                let header = Header::new(
+                    dag,
+                    Round::new(round),
+                    author,
+                    block.digest(),
+                    parents.to_vec(),
+                    SimTime::ZERO,
+                );
+                let certificate = quorum_certificate(&header);
+                Vertex::new(header, block, certificate)
+            };
+
+            let mut parents: Vec<Digest> = Vec::new();
+            for round in 0..3u64 {
+                // Its own vertex: two acknowledgements, then the
+                // certificate comes back to it.
+                let header = replica.retained[&replica.my_header.as_ref().unwrap().digest]
+                    .0
+                    .clone();
+                deliver(&mut replica, 1, ack(&header, 1));
+                let out = deliver(&mut replica, 2, ack(&header, 2));
+                let Some(Message::Certificate(certificate)) = out.first().map(|o| o.msg.clone())
+                else {
+                    panic!("round {round}: no certificate");
+                };
+                let mut ids = vec![certificate.digest()];
+                deliver(&mut replica, 0, Message::Certificate(certificate));
+                for author in 1..4 {
+                    let v = vertex(author, round, &parents, Vec::new());
+                    ids.push(v.id());
+                    deliver(&mut replica, author, Message::Vertex(Box::new(v)));
+                }
+                parents = ids;
+            }
+            assert_eq!(replica.current_round(), Round::new(3));
+            assert_eq!(replica.metrics.batches_reused, 3);
+            assert!(
+                replica.ahead.is_some(),
+                "round 4's batch is preplayed ahead"
+            );
+
+            let payment_from_shard_0 = payment(1_000, 0, 1, 4);
+            let round_3: Vec<Vertex> = (1..4)
+                .map(|author| {
+                    let cross = if author == 1 {
+                        vec![payment_from_shard_0.clone()]
+                    } else {
+                        Vec::new()
+                    };
+                    vertex(author, 3, &parents, cross)
+                })
+                .collect();
+            let ids: Vec<Digest> = round_3.iter().map(Vertex::id).collect();
+            let mut round_3 = round_3.into_iter();
+            for v in round_3.by_ref().take(2) {
+                let author = v.header.author.as_inner();
+                assert!(deliver(&mut replica, author, Message::Vertex(Box::new(v))).is_empty());
+            }
+            assert!(replica.conflicting_cross_pending());
+            for author in 1..4 {
+                let v = vertex(author, 4, &ids, Vec::new());
+                deliver(&mut replica, author, Message::Vertex(Box::new(v)));
+            }
+            assert_eq!(replica.pending_vertices.len(), 3);
+            assert_eq!(replica.metrics.cross_shard_txs, 0);
+
+            let last = round_3.next().unwrap();
+            let out = deliver(&mut replica, 3, Message::Vertex(Box::new(last)));
+            assert_eq!(replica.metrics.cross_shard_txs, 1, "the payment committed");
+            let blocks = proposals(&replica, &out);
+            let rounds: Vec<u64> = blocks.iter().map(|b| b.round.as_u64()).collect();
+            assert_eq!(rounds, vec![4, 5]);
+            assert_eq!(replica.metrics.batches_repreplayed, 1);
+            assert_eq!(replica.metrics.batches_reused, 3);
+            assert_eq!(assert_fresh_preplays(&replica, &blocks), 2);
+            // Both blocks preplayed, in queue order.
+            let ids: Vec<u64> = own
+                .iter()
+                .flat_map(|block| &block.payload.single_shard)
+                .map(|p| p.tx.id.as_inner())
+                .collect();
+            assert_eq!(ids, (0..16 * 6).collect::<Vec<_>>());
+        }
+
+        #[test]
+        fn convert_skip_and_reconfiguration_keep_the_queue_order() {
+            for use_skip_blocks in [false, true] {
+                let mut cfg = cfg();
+                cfg.use_skip_blocks = use_skip_blocks;
+                cfg.system.reconfig = tb_types::ReconfigConfig::new(5, 6);
+                let mut clients = Clients {
+                    next_id: 0,
+                    cross_every: Some(3),
+                };
+                let (replicas, seen) = run(&cfg, &mut clients, 40, Delivery::SlowReceiver(3));
+                assert!(replicas[0].metrics().reconfigurations >= 2);
+                let reused: u64 = replicas.iter().map(|r| r.metrics().batches_reused).sum();
+                assert!(reused > 0);
+                assert!(seen.checked > 0);
+                if use_skip_blocks {
+                    assert!(seen.skip_blocks > 0);
+                } else {
+                    assert!(seen.converted > 0);
+                }
+            }
+        }
     }
 }

@@ -109,7 +109,12 @@ impl ValidationReport {
 /// value of the last write declared before its position, or `base`'s value
 /// if there is none. Every transaction's writes enter the map, whether its
 /// reads passed or not, so later flags judge the run as it was declared.
-fn check_reads(blocks: &[&[PreplayedTx]], base: &(dyn KvRead + Sync)) -> Vec<bool> {
+///
+/// A proposer applies the same rule to a batch it preplayed ahead of its
+/// round: if every flag is true against the view it proposes on, preplaying
+/// the batch on that view again yields the same outcomes, by the induction
+/// in the module docs.
+pub fn check_reads(blocks: &[&[PreplayedTx]], base: &(dyn KvRead + Sync)) -> Vec<bool> {
     let run = || blocks.iter().flat_map(|preplayed| preplayed.iter());
     let writes = run().map(|p| p.outcome.write_set.len()).sum();
     let mut last_write: KeyMap<&Value> =
