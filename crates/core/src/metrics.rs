@@ -134,8 +134,10 @@ pub struct RunReport {
     pub cross_shard_txs: u64,
     /// Preplayed blocks discarded by validation.
     pub invalid_blocks: u64,
-    /// Total preplay re-executions reported by the concurrent executor /
-    /// OCC preplayer on the observer replica.
+    /// Total preplay re-executions on the observer replica. For the
+    /// concurrent executor these are repairs only: outcomes its chunk
+    /// speculation recorded that the serial pass had to re-execute, which
+    /// one worker never produces. For OCC they follow a failed verifier check.
     pub reexecutions: u64,
     /// Number of DAG reconfigurations that completed during the run.
     pub reconfigurations: u64,

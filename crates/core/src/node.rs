@@ -180,10 +180,7 @@ mod tests {
                 data_dir: "/tmp/tb-node-test".to_string(),
                 compact_wal_bytes: 12_345,
             })
-            .tune(|system| {
-                system.ce.max_retries = 11;
-                system.ce.synthetic_op_cost_ns = 250;
-            })
+            .tune(|system| system.ce.synthetic_op_cost_ns = 250)
             .build_real_net()
             .expect("scenario is launchable");
         let defaults = ClusterConfig::thunderbolt(7);
@@ -193,7 +190,6 @@ mod tests {
         assert_ne!(system.latency, default_system.latency);
         assert_ne!(system.ce.executors, default_system.ce.executors);
         assert_ne!(system.ce.batch_size, default_system.ce.batch_size);
-        assert_ne!(system.ce.max_retries, default_system.ce.max_retries);
         assert_ne!(
             system.ce.synthetic_op_cost_ns,
             default_system.ce.synthetic_op_cost_ns
@@ -255,7 +251,7 @@ mod tests {
     /// moves only when an encoding does.
     #[test]
     fn launch_and_report_golden() {
-        const GOLDEN: u64 = 0x9984_f64c_c7f5_00af;
+        const GOLDEN: u64 = 0x7507_9077_c61f_256c;
         let spec = NodeSpec {
             node: 2,
             ports: vec![7001, 7002, 7003, 65_535],
@@ -266,7 +262,6 @@ mod tests {
                     ce: tb_types::CeConfig {
                         executors: 3,
                         batch_size: 48,
-                        max_retries: 11,
                         synthetic_op_cost_ns: 250,
                     },
                     validators: 5,

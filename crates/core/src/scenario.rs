@@ -342,7 +342,7 @@ mod tests {
             .skip_blocks(true)
             .byzantine(ReplicaId::new(2), ByzantineBehavior::Equivocate)
             .storage(StorageConfig::wal("/tmp/tb-scenario-test"))
-            .tune(|system| system.ce.max_retries = 7);
+            .tune(|system| system.ce.synthetic_op_cost_ns = 7);
         let config = builder.config();
         assert_eq!(config.system.n_replicas, 7);
         assert_eq!(config.mode, ExecutionMode::Tusk);
@@ -355,7 +355,7 @@ mod tests {
         assert_eq!(config.system.validators, 5);
         assert_eq!(config.system.reconfig, ReconfigConfig::new(4, 10));
         assert!(config.use_skip_blocks);
-        assert_eq!(config.system.ce.max_retries, 7);
+        assert_eq!(config.system.ce.synthetic_op_cost_ns, 7);
         assert_eq!(
             config.byzantine,
             Some((ReplicaId::new(2), ByzantineBehavior::Equivocate))

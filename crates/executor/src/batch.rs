@@ -57,9 +57,10 @@ pub struct BatchResult {
     /// their read/write sets and results — exactly the content of a block's
     /// single-shard payload.
     pub preplayed: Vec<PreplayedTx>,
-    /// Total number of re-executions caused by concurrency-control aborts
-    /// (the paper's "# of Re-executions" metric counts the *average* per
-    /// transaction, which is `reexecutions / preplayed.len()`).
+    /// Total number of re-executions: aborts under OCC and 2PL-No-Wait,
+    /// repairs of speculative outcomes in the CE's serial pass (the paper's
+    /// "# of Re-executions" metric counts the *average* per transaction,
+    /// which is `reexecutions / preplayed.len()`).
     pub reexecutions: u64,
     /// Number of transactions whose own logic rejected them (e.g.
     /// insufficient funds). These still commit as no-ops.

@@ -1,36 +1,32 @@
 //! The Concurrent Executor (`CE`, paper Section 7).
 //!
-//! Executor workers from the shared [`pool`] pull transactions
-//! off a common queue and run their contract code against the
-//! [`ConcurrencyController`]. Reads may observe uncommitted values of other
-//! in-flight transactions; conflicts the controller cannot reschedule abort
-//! the transaction, which is put back on the queue and re-executed. The
-//! output of a batch is the block payload of the EOV path: every
-//! transaction's read/write set, result and its position in the serialized
-//! execution order.
+//! The CE preplays a batch: it executes every transaction against the read
+//! view and records what it read, what it wrote and what it returned. The
+//! output is the block payload of the EOV path: every transaction's
+//! read/write set, result and its position in the serialized execution
+//! order. Read/write sets are outputs of preplay, never declarations.
 //!
 //! # One serial pass
 //!
 //! The serialization is always **batch order**, emitted by one sequential
 //! walk (`finalize_batch`) that executes each transaction against the writes
 //! of those before it over `base`. With one effective worker that walk *is*
-//! preplay: no controller, no dependency graph, no pool job. With N, the
-//! workers first speculate through the controller, whose commit order
-//! follows arrival order and so OS scheduling; the walk then keeps a
+//! preplay: no speculation, no pool job. With N, the batch is first split
+//! into N contiguous chunks, and each pool slot runs the same serial logic
+//! over its own chunk against `base` (`speculate_chunks`). A chunk does not
+//! see the writes of the chunks before it, so the walk then keeps a
 //! speculative outcome iff its recorded reads match the walk's view
-//! (identical reads imply an identical trace) and re-executes it otherwise,
-//! re-orienting every conflict edge from lower to higher batch index. The
+//! (identical reads imply an identical trace) and re-executes it otherwise:
+//! dependencies are resolved at run time, by that read check, and only a
+//! conflict that crosses a chunk boundary costs a repair. The
 //! [`BatchResult`] is thus a pure function of `(txs, base)`, independent of
 //! worker count, core count and scheduling (`BatchResult::commit_digest`,
 //! docs/PIPELINE.md).
 
 use crate::batch::{BatchResult, ExecutorKind};
-use crate::cc::controller::{ConcurrencyController, FinishStatus};
-use crate::cc::graph::TxIdx;
-use crate::pool::{self, Backoff};
+use crate::pool;
 use crate::traits::{effective_workers, synthetic_work, BatchExecutor};
-use parking_lot::Mutex;
-use std::collections::VecDeque;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use tb_contracts::{execute_call, ExecError, StateAccess};
 use tb_storage::KvRead;
@@ -52,91 +48,48 @@ impl ConcurrentExecutor {
     pub fn config(&self) -> &CeConfig {
         &self.config
     }
+}
 
-    /// Speculation through the controller on `workers` pool slots, then
-    /// [`finalize_batch`]; latencies run from first attempt to commit.
-    fn speculate_and_finalize(
-        &self,
-        txs: &[Transaction],
-        base: &(dyn KvRead + Sync),
-        workers: usize,
-    ) -> (Vec<PreplayedTx>, u64, Vec<Duration>) {
-        let controller = ConcurrencyController::new(base);
-        controller.register_batch(txs);
-
-        let queue: Mutex<VecDeque<TxIdx>> = Mutex::new((0..txs.len()).collect());
-        // Transactions that exceeded the retry budget; they are executed
-        // serially once the parallel phase has drained, which is guaranteed
-        // to succeed because no concurrent transaction can abort them then.
-        let deferred: Mutex<Vec<TxIdx>> = Mutex::new(Vec::new());
-
-        let op_cost = self.config.synthetic_op_cost_ns;
-        let max_retries = self.config.max_retries as u64;
-
-        pool::global().run(workers, &|_slot| {
-            let mut backoff = Backoff::new();
-            loop {
-                // Bound first: a guard in the `match` scrutinee would hold
-                // the queue lock for the whole attempt.
-                let next = queue.lock().pop_front();
-                match next {
-                    Some(idx) => {
-                        backoff.reset();
-                        if controller.retries(idx) > max_retries {
-                            deferred.lock().push(idx);
-                            continue;
-                        }
-                        run_one(&controller, txs, idx, op_cost);
-                    }
-                    None => {
-                        let aborted = controller.take_aborted();
-                        if !aborted.is_empty() {
-                            backoff.reset();
-                            queue.lock().extend(aborted);
-                            continue;
-                        }
-                        let done = controller.committed_count() + deferred.lock().len();
-                        if done >= txs.len() && queue.lock().is_empty() {
-                            break;
-                        }
-                        backoff.wait();
-                    }
+/// Speculation in `chunks` contiguous chunks of the batch, one per slot of
+/// the shared pool, then [`finalize_batch`]. Each slot runs the serial logic
+/// over a chunk-local overlay against `base`, so only the first chunk sees
+/// every write it depends on; the pass keeps every outcome whose reads match
+/// batch order and repairs the rest. A transaction's latency is its time in
+/// its chunk plus its time in the pass.
+fn speculate_chunks(
+    txs: &[Transaction],
+    base: &(dyn KvRead + Sync),
+    chunks: usize,
+    op_cost: u64,
+) -> (Vec<PreplayedTx>, u64, Vec<Duration>) {
+    let speculated: Vec<OnceLock<Vec<(ExecOutcome, Duration)>>> =
+        (0..chunks).map(|_| OnceLock::new()).collect();
+    pool::global().run(chunks, &|slot| {
+        let chunk = &txs[slot * txs.len() / chunks..(slot + 1) * txs.len() / chunks];
+        let mut overlay: KeyMap<Value> = KeyMap::default();
+        let outcomes = chunk
+            .iter()
+            .map(|tx| {
+                let started = Instant::now();
+                let outcome = execute_serially(tx, &overlay, base, op_cost);
+                for rec in &outcome.write_set {
+                    overlay.insert(rec.key, rec.value.clone());
                 }
-            }
-        });
-
-        // Serial fallback for transactions that exceeded the retry budget.
-        let leftovers = std::mem::take(&mut *deferred.lock());
-        for idx in leftovers {
-            let mut attempts = 0;
-            while !run_one(&controller, txs, idx, op_cost) {
-                attempts += 1;
-                assert!(
-                    attempts < 1_000,
-                    "serial fallback must terminate: transaction {idx} keeps aborting"
-                );
-            }
-        }
-        // Any stragglers aborted by the fallback executions.
-        loop {
-            let aborted = controller.take_aborted();
-            if aborted.is_empty() {
-                break;
-            }
-            for idx in aborted {
-                let mut attempts = 0;
-                while !run_one(&controller, txs, idx, op_cost) {
-                    attempts += 1;
-                    assert!(attempts < 1_000, "serial fallback must terminate");
-                }
-            }
-        }
-        debug_assert!(controller.all_committed());
-
-        let (speculative, _, latencies) = controller.collect_speculative(txs.len());
-        let (preplayed, repairs, _) = finalize_batch(txs, speculative, base, op_cost);
-        (preplayed, controller.total_aborts() + repairs, latencies)
+                (outcome, started.elapsed())
+            })
+            .collect();
+        speculated[slot].set(outcomes).expect("each slot runs once");
+    });
+    let (outcomes, speculating): (Vec<ExecOutcome>, Vec<Duration>) = speculated
+        .into_iter()
+        .flat_map(|chunk| chunk.into_inner().expect("every slot ran"))
+        .unzip();
+    let (preplayed, repairs, mut latencies) =
+        finalize_batch(txs, outcomes.into_iter().map(Some), base, op_cost);
+    for (latency, speculating) in latencies.iter_mut().zip(speculating) {
+        *latency += speculating;
     }
+    (preplayed, repairs, latencies)
 }
 
 /// The serial pass: serializes the batch in **batch order**, the canonical
@@ -201,7 +154,8 @@ fn reads_match_serial_view(
         })
 }
 
-/// Executes `tx` against the finalized prefix view. The read/write sets are
+/// Executes `tx` against `overlay` over `base`: the finalized prefix in the
+/// pass, the chunk's own prefix in speculation. The read/write sets are
 /// sorted by key, the convention of speculative outcomes.
 fn execute_serially(
     tx: &Transaction,
@@ -225,7 +179,7 @@ fn execute_serially(
     outcome
 }
 
-/// Read view of the serial pass — own writes over the finalized prefix over
+/// Read view of the serial logic — own writes over the prefix overlay over
 /// committed storage — recording first reads and last writes as it goes.
 struct SerialView<'a> {
     base: &'a (dyn KvRead + Sync),
@@ -274,7 +228,7 @@ impl BatchExecutor for ConcurrentExecutor {
         let (preplayed, reexecutions, latencies) = if workers <= 1 {
             finalize_batch(txs, std::iter::repeat_with(|| None), base, op_cost)
         } else {
-            self.speculate_and_finalize(txs, base, workers)
+            speculate_chunks(txs, base, workers, op_cost)
         };
         let logical_rejections = preplayed
             .iter()
@@ -288,54 +242,6 @@ impl BatchExecutor for ConcurrentExecutor {
             total_latency: latencies.iter().sum(),
             latencies,
         }
-    }
-}
-
-/// Executes one attempt of transaction `idx`. Returns `true` when the attempt
-/// finished (committed or pending commit), `false` when it aborted and needs
-/// to be retried. Transactions that are not in a runnable state count as
-/// finished: another worker is (or was) responsible for them.
-fn run_one(
-    controller: &ConcurrencyController<'_>,
-    txs: &[Transaction],
-    idx: TxIdx,
-    op_cost: u64,
-) -> bool {
-    let Some(handle) = controller.begin(idx) else {
-        return true;
-    };
-    let mut session = CcSession {
-        controller,
-        handle,
-        op_cost,
-    };
-    match execute_call(&txs[idx].call, &mut session) {
-        Ok(result) => controller.finish(handle, result) != FinishStatus::Aborted,
-        Err(err) => {
-            debug_assert!(err.is_abort(), "only aborts escape execute_call: {err}");
-            false
-        }
-    }
-}
-
-/// [`StateAccess`] implementation bridging contract execution to the
-/// concurrency controller. The synthetic per-operation cost is charged
-/// *outside* the controller's critical section.
-struct CcSession<'a, 'b> {
-    controller: &'a ConcurrencyController<'b>,
-    handle: crate::cc::controller::TxHandle,
-    op_cost: u64,
-}
-
-impl StateAccess for CcSession<'_, '_> {
-    fn read(&mut self, key: Key) -> Result<Value, ExecError> {
-        synthetic_work(self.op_cost);
-        self.controller.read(self.handle, key)
-    }
-
-    fn write(&mut self, key: Key, value: Value) -> Result<(), ExecError> {
-        synthetic_work(self.op_cost);
-        self.controller.write(self.handle, key, value)
     }
 }
 
@@ -534,8 +440,8 @@ mod tests {
 
     #[test]
     fn preplay_is_deterministic_across_worker_counts() {
-        // Heavy contention so the speculative phase really does produce
-        // schedule-dependent graphs — the finalize pass must erase that.
+        // Heavy contention so speculation really does read across chunk
+        // boundaries — the finalize pass must repair that.
         let cfg = SmallBankConfig {
             accounts: 8,
             theta: 0.95,
@@ -601,150 +507,68 @@ mod tests {
         assert_eq!(rebuilt.commit_digest(), reference.commit_digest());
     }
 
-    /// One logical executor's transaction, stepped one controller operation
-    /// per turn: the contract call is re-run from the start, the operations
-    /// of earlier turns are answered from `log`, one new operation goes to
-    /// the controller and the next one yields. Contracts are deterministic,
-    /// so any call — SmallBank, raw KV, bytecode — can be interleaved at
-    /// operation grain without threads.
-    struct Stepper<'c, 'b> {
-        controller: &'c ConcurrencyController<'b>,
-        idx: TxIdx,
-        handle: crate::cc::controller::TxHandle,
-        log: Vec<Value>,
-        replayed: usize,
-        stepped: bool,
-        aborted: bool,
+    /// A raw key-value transaction that reads `reads` and then writes its id
+    /// to each of `writes`.
+    fn kv(id: u64, reads: &[u64], writes: &[u64]) -> Transaction {
+        let ops = reads
+            .iter()
+            .map(|&k| tb_types::Operation::read(Key::scratch(k)))
+            .chain(
+                writes
+                    .iter()
+                    .map(|&k| tb_types::Operation::write(Key::scratch(k), Value::int(id as i64))),
+            )
+            .collect();
+        Transaction::new(
+            TxId::new(id),
+            ClientId::new(0),
+            ContractCall::KvOps(ops),
+            1,
+            SimTime::ZERO,
+        )
     }
 
-    impl Stepper<'_, '_> {
-        fn op(
-            &mut self,
-            run: impl FnOnce(&ConcurrencyController<'_>) -> Result<Value, ExecError>,
-        ) -> Result<Value, ExecError> {
-            if let Some(value) = self.log.get(self.replayed) {
-                self.replayed += 1;
-                return Ok(value.clone());
-            }
-            if self.stepped {
-                return Err(ExecError::aborted("yield the turn"));
-            }
-            self.stepped = true;
-            match run(self.controller) {
-                Ok(value) => {
-                    self.log.push(value.clone());
-                    self.replayed += 1;
-                    Ok(value)
-                }
-                Err(err) => {
-                    self.aborted = true;
-                    Err(err)
-                }
-            }
-        }
-
-        /// Runs one turn; `Some(finished)` once the transaction is done
-        /// with this attempt, `finished` telling whether it needs a retry.
-        fn turn(&mut self, tx: &Transaction) -> Option<bool> {
-            self.replayed = 0;
-            self.stepped = false;
-            match execute_call(&tx.call, &mut *self) {
-                Ok(result) => {
-                    Some(self.controller.finish(self.handle, result) != FinishStatus::Aborted)
-                }
-                Err(_) if self.aborted => Some(false),
-                Err(_) => None,
-            }
-        }
-    }
-
-    impl StateAccess for Stepper<'_, '_> {
-        fn read(&mut self, key: Key) -> Result<Value, ExecError> {
-            let handle = self.handle;
-            self.op(|cc| cc.read(handle, key))
-        }
-
-        fn write(&mut self, key: Key, value: Value) -> Result<(), ExecError> {
-            let handle = self.handle;
-            self.op(|cc| cc.write(handle, key, value).map(|()| Value::None))
-                .map(drop)
-        }
-    }
-
-    /// Speculates `txs` through the controller under one fixed round-robin
-    /// interleaving of `slots` logical executors (the scheme of `two_pl.rs`'
-    /// interleaving test) and returns the speculative outcomes and the
-    /// speculative commit order. Like `preplay`, a transaction that keeps
-    /// losing its conflicts is deferred and run alone once the slots drain,
-    /// which breaks the abort cycles a fixed interleaving can repeat forever.
-    fn round_robin_speculation(
-        txs: &[Transaction],
-        base: &MemStore,
-        slots: usize,
-    ) -> (Vec<Option<ExecOutcome>>, Vec<TxIdx>) {
-        const RETRY_BUDGET: u64 = 4;
-        let controller = ConcurrencyController::new(base);
-        controller.register_batch(txs);
-        let start = |idx: TxIdx| {
-            controller.begin(idx).map(|handle| Stepper {
-                controller: &controller,
-                idx,
-                handle,
-                log: Vec::new(),
-                replayed: 0,
-                stepped: false,
-                aborted: false,
-            })
-        };
-        let mut queue: std::collections::VecDeque<TxIdx> = (0..txs.len()).collect();
-        let mut deferred: Vec<TxIdx> = Vec::new();
-        let mut running: Vec<Option<Stepper>> = (0..slots).map(|_| None).collect();
-        let mut turns = 0;
-        while !controller.all_committed() {
-            turns += 1;
-            assert!(turns < 100_000, "interleaved CC run did not converge");
-            for slot in running.iter_mut() {
-                if slot.is_none() && deferred.is_empty() {
-                    // `begin` refuses committed or running transactions
-                    // (stale duplicates from the abort queue).
-                    match queue.pop_front() {
-                        Some(idx) if controller.retries(idx) > RETRY_BUDGET => deferred.push(idx),
-                        Some(idx) => *slot = start(idx),
-                        None => {}
-                    }
-                }
-                let Some(stepper) = slot else {
-                    continue;
-                };
-                if let Some(finished) = stepper.turn(&txs[stepper.idx]) {
-                    if !finished {
-                        queue.push_back(stepper.idx);
-                    }
-                    *slot = None;
-                }
-            }
-            queue.extend(controller.take_aborted());
-            if running.iter().all(Option::is_none) {
-                for idx in deferred.drain(..) {
-                    while let Some(mut alone) = start(idx) {
-                        if let Some(true) =
-                            std::iter::repeat_with(|| alone.turn(&txs[idx])).find_map(|turn| turn)
-                        {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        let (speculative, _, _) = controller.collect_speculative(txs.len());
-        (speculative, controller.committed_order())
+    /// Speculates `txs` in `chunks` chunks, asserts the batch is byte-equal
+    /// to the one-worker pass and returns the repair count. The chunk count
+    /// is explicit, so this runs the N-worker path on any host.
+    fn chunked_repairs(txs: &[Transaction], store: &MemStore, chunks: usize) -> u64 {
+        use tb_types::wire::Wire;
+        let one_worker = ce(1).preplay(txs, store);
+        let (preplayed, repairs, latencies) = speculate_chunks(txs, store, chunks, 0);
+        assert_eq!(
+            preplayed.to_wire_bytes(),
+            one_worker.preplayed.to_wire_bytes(),
+            "{chunks} chunks must finalize to the one-worker pass"
+        );
+        assert_eq!(latencies.len(), txs.len());
+        repairs
     }
 
     #[test]
-    fn interleaved_speculation_finalizes_to_the_one_worker_pass() {
-        // The N-worker path checked without depending on the host's cores:
-        // with one core `preplay` never reaches the controller, so this
-        // drives it through a fixed interleaving instead.
+    fn disjoint_keys_need_no_repair_at_any_chunk_count() {
+        let txs: Vec<Transaction> = (0..12).map(|i| kv(i, &[i], &[i, 100 + i])).collect();
+        let store = MemStore::new();
+        for chunks in [2, 3, txs.len() + 5] {
+            assert_eq!(chunked_repairs(&txs, &store, chunks), 0, "{chunks} chunks");
+        }
+    }
+
+    #[test]
+    fn a_read_across_a_chunk_boundary_is_the_one_repair() {
+        // Two chunks of two: t1 (chunk 0) writes key 7, which t2 (the first
+        // transaction of chunk 1) reads before chunk 0's writes exist.
+        let txs = vec![
+            kv(0, &[0], &[0]),
+            kv(1, &[1], &[1, 7]),
+            kv(2, &[7], &[2]),
+            kv(3, &[3], &[3]),
+        ];
+        assert_eq!(chunked_repairs(&txs, &MemStore::new(), 2), 1);
+    }
+
+    #[test]
+    fn uneven_chunks_finalize_to_the_one_worker_pass() {
+        // Contended batches whose length no chunk count here divides.
         let smallbank = SmallBankWorkload::new(SmallBankConfig {
             accounts: 8,
             theta: 0.95,
@@ -752,41 +576,16 @@ mod tests {
             n_shards: 1,
             ..SmallBankConfig::default()
         })
-        .batch(96, SimTime::ZERO);
-        let kv: Vec<Transaction> = (0..64u64)
-            .map(|i| {
-                let (a, b) = (Key::scratch(i % 3), Key::scratch(i * 7 % 5));
-                let ops = vec![
-                    tb_types::Operation::read(a),
-                    tb_types::Operation::write(b, Value::int(i as i64)),
-                    tb_types::Operation::read(b),
-                    tb_types::Operation::write(a, Value::int(-(i as i64))),
-                ];
-                Transaction::new(
-                    TxId::new(i),
-                    ClientId::new(0),
-                    ContractCall::KvOps(ops),
-                    1,
-                    SimTime::ZERO,
-                )
-            })
+        .batch(97, SimTime::ZERO);
+        let keys: Vec<Transaction> = (0..64u64)
+            .map(|i| kv(i, &[i % 3, i * 7 % 5], &[i * 7 % 5, i % 3]))
             .collect();
-        for (txs, store) in [(smallbank, funded_store(8)), (kv, MemStore::new())] {
-            use tb_types::wire::Wire;
-            let one_worker = ce(1).preplay(&txs, &store);
-            let (speculative, order) = round_robin_speculation(&txs, &store, 8);
-            assert_ne!(
-                order,
-                (0..txs.len()).collect::<Vec<_>>(),
-                "the interleaving must serialize against batch order"
-            );
-            let (preplayed, repairs, _) = finalize_batch(&txs, speculative, &store, 0);
-            assert!(repairs > 0, "finalize must have had something to repair");
-            assert_eq!(
-                preplayed.to_wire_bytes(),
-                one_worker.preplayed.to_wire_bytes(),
-                "finalize must turn any interleaving into the one-worker pass"
-            );
+        for (txs, store) in [(smallbank, funded_store(8)), (keys, MemStore::new())] {
+            for chunks in [3, 5, 7] {
+                assert_ne!(txs.len() % chunks, 0);
+                let repairs = chunked_repairs(&txs, &store, chunks);
+                assert!(repairs > 0, "contention across {chunks} chunks must repair");
+            }
         }
     }
 

@@ -1,12 +1,14 @@
 //! Transaction execution engines for Thunderbolt.
 //!
 //! This crate implements the paper's **Concurrent Executor** (`CE`,
-//! Sections 7–8): a pool of executor workers that run contracts against a
-//! central **concurrency controller** (`CC`) which tracks all accesses in a
-//! runtime dependency graph, lets transactions read uncommitted data, and
-//! reschedules instead of aborting whenever a valid serialization exists.
-//! The CC needs no prior knowledge of read/write sets — they are *outputs*
-//! of the preplay, shipped in the block for later validation.
+//! Sections 7–8): executor workers on the shared [`pool`] each speculate one
+//! contiguous chunk of a batch, and one serial pass in batch order keeps
+//! every outcome whose reads match that order and re-executes the rest, so
+//! a block does not depend on the worker count. The CE needs no prior
+//! knowledge of read/write sets — they are *outputs* of the preplay,
+//! shipped in the block for later validation. Unlike the paper's CE it
+//! keeps no runtime dependency graph and reschedules nothing
+//! (docs/PIPELINE.md).
 //!
 //! It also implements the evaluation baselines (Section 11.1):
 //!
@@ -25,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod cc;
 pub mod ce;
 pub mod occ;
 #[allow(unsafe_code)]
@@ -36,10 +37,9 @@ pub mod two_pl;
 pub mod validation;
 
 pub use batch::{BatchResult, ExecutorKind};
-pub use cc::controller::{ConcurrencyController, FinishStatus};
 pub use ce::ConcurrentExecutor;
 pub use occ::OccExecutor;
-pub use pool::{Backoff, WorkerPool};
+pub use pool::WorkerPool;
 pub use serial::SerialExecutor;
 pub use traits::{available_cores, effective_workers, BatchExecutor};
 pub use two_pl::TwoPlNoWaitExecutor;

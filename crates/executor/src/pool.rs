@@ -23,9 +23,7 @@
 //!   the one place in `tb-executor` that needs `unsafe` — the crate is
 //!   otherwise `deny(unsafe_code)`.
 //! * **Parked, not spinning.** Idle helpers block on a condition variable;
-//!   they cost nothing while no stage is running. The complementary
-//!   [`Backoff`] type serves loops that must poll (the CE work queue) and
-//!   cannot park outright.
+//!   they cost nothing while no stage is running.
 //!
 //! Panics inside a task are caught per-slot and re-thrown on the submitting
 //! thread once the job completes, mirroring the propagation a scoped join
@@ -37,7 +35,6 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Duration;
 
 /// Lifetime-erased pointer to a job's task closure.
 type RawTask = *const (dyn Fn(usize) + Sync);
@@ -245,45 +242,6 @@ pub(crate) fn for_each_index(requested: usize, len: usize, task: &(dyn Fn(usize)
     });
 }
 
-/// Escalating wait for loops that poll a shared queue and cannot park
-/// outright (the CE work queue refills when in-flight transactions abort, so
-/// its workers must keep checking). The first few steps only yield — work
-/// usually arrives within a scheduling quantum — then the wait escalates
-/// through exponentially growing sleeps capped at 100 µs, so an idle worker
-/// stops burning its core while still reacting quickly when the queue
-/// refills.
-#[derive(Debug, Default)]
-pub struct Backoff {
-    step: u32,
-}
-
-impl Backoff {
-    const YIELD_LIMIT: u32 = 8;
-    const MAX_SLEEP_US: u64 = 100;
-
-    /// A fresh backoff, starting at the yield stage.
-    pub fn new() -> Self {
-        Backoff::default()
-    }
-
-    /// Resets the escalation; call after useful work was found.
-    pub fn reset(&mut self) {
-        self.step = 0;
-    }
-
-    /// Waits one escalation step.
-    pub fn wait(&mut self) {
-        if self.step < Self::YIELD_LIMIT {
-            std::thread::yield_now();
-        } else {
-            let exp = (self.step - Self::YIELD_LIMIT).min(7);
-            let sleep_us = (1u64 << exp).min(Self::MAX_SLEEP_US);
-            std::thread::sleep(Duration::from_micros(sleep_us));
-        }
-        self.step = self.step.saturating_add(1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,16 +331,5 @@ mod tests {
                 "single-slot jobs run on the caller"
             );
         });
-    }
-
-    #[test]
-    fn backoff_escalates_and_resets() {
-        let mut backoff = Backoff::new();
-        for _ in 0..32 {
-            backoff.wait();
-        }
-        assert!(backoff.step > Backoff::YIELD_LIMIT);
-        backoff.reset();
-        assert_eq!(backoff.step, 0);
     }
 }

@@ -10,15 +10,18 @@
 //! the locks are released.
 
 use crate::batch::{BatchResult, ExecutorKind};
-use crate::cc::graph::TxSet;
 use crate::pool;
 use crate::traits::{read_committed, synthetic_work, BatchExecutor};
 use parking_lot::Mutex;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use tb_contracts::{execute_call, ExecError, StateAccess, TrackingState};
 use tb_storage::{KvRead, MemStore};
-use tb_types::{CeConfig, Key, KeyMap, PreplayedTx, Transaction, Value};
+use tb_types::{CeConfig, Key, KeyHashBuilder, KeyMap, PreplayedTx, Transaction, Value};
+
+/// A set of transaction indices, hashed like the key maps beside it.
+type TxSet = HashSet<usize, KeyHashBuilder>;
 
 /// Lock modes in the central lock table.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -289,149 +292,5 @@ mod tests {
         let store = funded_store(1);
         let result = two_pl(4).execute_batch(&[], &store);
         assert_eq!(result.committed(), 0);
-    }
-
-    /// Deterministic version of the Figure 11 abort comparison.
-    ///
-    /// The wall-clock engines interleave however the OS schedules their
-    /// workers, which on a single-core machine makes abort counts depend on
-    /// preemption luck. This test removes the scheduler: it drives the same
-    /// hot-key read-modify-write workload through the concurrency controller
-    /// and through the no-wait lock table under one fixed round-robin
-    /// interleaving of 8 logical executors, and checks the paper's claim —
-    /// the CC reschedules conflicts that no-wait locking can only abort.
-    #[test]
-    fn deterministic_interleaving_ce_reschedules_where_no_wait_locking_aborts() {
-        use crate::cc::controller::{ConcurrencyController, FinishStatus};
-        use std::collections::VecDeque;
-        use tb_storage::MemStore;
-
-        const N: usize = 64;
-        const SLOTS: usize = 8;
-        let hot = Key::scratch(0);
-        // Transaction i: read-modify-write of the hot key plus of a private
-        // key — the contended SmallBank SendPayment access pattern.
-        let script = |i: usize| {
-            [
-                (false, hot),
-                (false, Key::scratch(1 + i as u64)),
-                (true, hot),
-                (true, Key::scratch(1 + i as u64)),
-            ]
-        };
-
-        // --- concurrent executor under round-robin interleaving ---
-        let store = MemStore::new();
-        let txs: Vec<Transaction> = (0..N)
-            .map(|i| {
-                Transaction::new(
-                    TxId::new(i as u64),
-                    ClientId::new(0),
-                    ContractCall::Noop,
-                    4,
-                    SimTime::ZERO,
-                )
-            })
-            .collect();
-        let cc = ConcurrencyController::new(&store);
-        cc.register_batch(&txs);
-        let mut queue: VecDeque<usize> = (0..N).collect();
-        let mut slots: Vec<Option<(usize, crate::cc::controller::TxHandle, usize)>> =
-            (0..SLOTS).map(|_| None).collect();
-        let mut steps = 0u64;
-        while !cc.all_committed() {
-            steps += 1;
-            assert!(steps < 100_000, "interleaved CC run did not converge");
-            for slot in slots.iter_mut() {
-                if slot.is_none() {
-                    if let Some(idx) = queue.pop_front() {
-                        // `begin` refuses transactions that are committed or
-                        // already running in another slot (stale duplicates
-                        // from the abort queue).
-                        if let Some(handle) = cc.begin(idx) {
-                            *slot = Some((idx, handle, 0));
-                        }
-                    }
-                }
-                let Some((idx, handle, pc)) = slot else {
-                    continue;
-                };
-                let (is_write, key) = script(*idx)[*pc];
-                let outcome = if is_write {
-                    cc.write(*handle, key, Value::int(*idx as i64)).map(|_| ())
-                } else {
-                    cc.read(*handle, key).map(|_| ())
-                };
-                match outcome {
-                    Ok(()) => {
-                        *pc += 1;
-                        if *pc == script(*idx).len() {
-                            if cc.finish(*handle, tb_contracts::CallResult::ok(Value::None))
-                                == FinishStatus::Aborted
-                            {
-                                queue.push_back(*idx);
-                            }
-                            *slot = None;
-                        }
-                    }
-                    Err(_) => {
-                        queue.push_back(*idx);
-                        *slot = None;
-                    }
-                }
-            }
-            for idx in cc.take_aborted() {
-                queue.push_back(idx);
-            }
-        }
-        let cc_aborts = cc.total_aborts();
-
-        // --- no-wait locking under the same interleaving ---
-        let table = LockTable::new();
-        let mut queue: VecDeque<usize> = (0..N).collect();
-        let mut slots: Vec<Option<(usize, usize)>> = (0..SLOTS).map(|_| None).collect();
-        let mut committed = 0usize;
-        let mut lock_aborts = 0u64;
-        let mut steps = 0u64;
-        while committed < N {
-            steps += 1;
-            assert!(steps < 100_000, "interleaved 2PL run did not converge");
-            for slot in slots.iter_mut() {
-                if slot.is_none() {
-                    if let Some(idx) = queue.pop_front() {
-                        *slot = Some((idx, 0));
-                    }
-                }
-                let Some((idx, pc)) = slot else {
-                    continue;
-                };
-                let (is_write, key) = script(*idx)[*pc];
-                let granted = if is_write {
-                    table.lock_exclusive(key, *idx)
-                } else {
-                    table.lock_shared(key, *idx)
-                };
-                if granted {
-                    *pc += 1;
-                    if *pc == script(*idx).len() {
-                        table.release_all(*idx);
-                        committed += 1;
-                        *slot = None;
-                    }
-                } else {
-                    // No-wait: drop all locks and start over later.
-                    table.release_all(*idx);
-                    lock_aborts += 1;
-                    queue.push_back(*idx);
-                    *slot = None;
-                }
-            }
-        }
-
-        assert!(
-            cc_aborts < lock_aborts,
-            "the CC must reschedule conflicts no-wait locking aborts: \
-             CC {cc_aborts} aborts vs no-wait {lock_aborts}"
-        );
     }
 }

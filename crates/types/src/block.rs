@@ -24,7 +24,7 @@ pub struct PreplayedTx {
     /// Read/write sets and results obtained during preplay.
     pub outcome: ExecOutcome,
     /// Index of the transaction in the serialized execution order chosen by
-    /// the concurrency controller (0-based within the block).
+    /// the preplay engine (0-based within the block).
     pub order: u32,
 }
 

@@ -9,19 +9,14 @@ use crate::time::SimTime;
 pub struct CeConfig {
     /// Number of executor workers executing transactions in parallel,
     /// clamped to the host's cores and to the batch size. With one worker
-    /// the concurrent executor preplays in a single serial pass, with no
-    /// concurrency controller; with more, the workers speculate through
-    /// the controller and the same serial pass then repairs what they
-    /// serialized against batch order. Both emit the identical batch.
+    /// the concurrent executor preplays in a single serial pass; with more,
+    /// each worker speculates one contiguous chunk of the batch and the same
+    /// serial pass then repairs the outcomes that read across a chunk
+    /// boundary. Both emit the identical batch.
     pub executors: usize,
     /// Number of transactions per preplay batch (the paper evaluates 300 and
     /// 500).
     pub batch_size: usize,
-    /// Upper bound on re-executions per transaction before the batch run
-    /// falls back to executing the straggler serially. The paper does not
-    /// bound re-executions; the bound only protects the test-suite from
-    /// pathological livelock and is never hit in the evaluation workloads.
-    pub max_retries: usize,
     /// Synthetic CPU cost charged per state operation, in nanoseconds.
     ///
     /// The paper executes contracts inside an EVM, so each operation carries
@@ -38,7 +33,6 @@ impl Default for CeConfig {
         CeConfig {
             executors: 16,
             batch_size: 500,
-            max_retries: 1_000,
             synthetic_op_cost_ns: 2_000,
         }
     }

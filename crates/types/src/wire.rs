@@ -781,7 +781,6 @@ wire_enum!(StorageBackend { 0 => Mem, 1 => Wal });
 wire_struct!(CeConfig {
     executors,
     batch_size,
-    max_retries,
     synthetic_op_cost_ns
 });
 wire_struct!(ReconfigConfig {

@@ -6,7 +6,7 @@
 //! ([`ContractCall::KvOps`]) over a small pool of keys selected with a
 //! *strongly* skewed Zipfian distribution. It models the hot-key regime the
 //! paper's skewed cross-shard mixes probe: a handful of keys absorb most of
-//! the traffic, so the concurrency controller's re-execution chains and the
+//! the traffic, so the concurrent executor's repairs and the
 //! cross-shard ordering path are exercised directly, without interpreter or
 //! SmallBank overhead in the way.
 //!

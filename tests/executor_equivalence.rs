@@ -62,14 +62,10 @@ fn every_engine_conserves_total_balance_under_high_contention() {
 #[test]
 fn concurrent_executor_and_two_pl_survive_contention() {
     // The qualitative claim behind Figure 11 — the CE's rescheduling produces
-    // fewer aborts than 2PL-No-Wait on a contended workload — is inherently a
-    // statement about genuinely parallel executors. The wall-clock engines
-    // interleave however the OS schedules their worker threads, so on a
-    // single-core CI box the comparison is decided by preemption luck, not by
-    // the concurrency control. The deterministic version of the comparison
-    // (fixed round-robin interleaving, no scheduler) lives in
-    // `tb_executor::two_pl::tests::deterministic_interleaving_ce_reschedules_where_no_wait_locking_aborts`;
-    // here we check both engines stay live and correct under contention.
+    // fewer aborts than 2PL-No-Wait on a contended workload — has no
+    // counterpart here: this CE speculates contiguous chunks and repairs them
+    // in one serial pass, and reschedules nothing (docs/PIPELINE.md). Here we
+    // check both engines stay live and correct under contention.
     // Re-execution counts of the threaded engines are measured by the
     // benchmark's executor probes (`benchmark/README.md`), not asserted.
     let config = CeConfig::new(8, 256).without_synthetic_cost();

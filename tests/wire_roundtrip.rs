@@ -332,11 +332,10 @@ fn arb_backend() -> impl Strategy<Value = StorageBackend> {
 }
 
 fn arb_ce_config() -> impl Strategy<Value = CeConfig> {
-    (any::<usize>(), any::<usize>(), any::<usize>(), any::<u64>()).prop_map(
-        |(executors, batch_size, max_retries, synthetic_op_cost_ns)| CeConfig {
+    (any::<usize>(), any::<usize>(), any::<u64>()).prop_map(
+        |(executors, batch_size, synthetic_op_cost_ns)| CeConfig {
             executors,
             batch_size,
-            max_retries,
             synthetic_op_cost_ns,
         },
     )
