@@ -521,8 +521,8 @@ mod tests {
     use tb_executor::{BatchExecutor, ConcurrentExecutor, SerialExecutor};
     use tb_storage::{KvRead, MemStore, Store};
     use tb_types::{
-        BlockPayload, CeConfig, ClientId, Committee, ContractCall, DagId, Key, ReplicaId, Round,
-        SmallBankProcedure,
+        Block, BlockPayload, CeConfig, ClientId, Committee, ContractCall, DagId, Key, ReplicaId,
+        Round, SmallBankProcedure,
     };
 
     fn funded_store(accounts: u64) -> MemStore {
@@ -916,7 +916,9 @@ mod tests {
         let preplayed = ce.preplay(&[single], &funded_store(8)).preplayed;
         let mut sub_dag = sub_dag_with(Committee::new(4), preplayed, vec![cross], &[]);
         for vertex in &mut sub_dag.vertices {
-            Arc::make_mut(&mut Arc::make_mut(vertex).block).created_at = SimTime::from_millis(5);
+            let mut block = Block::clone(&vertex.block);
+            block.created_at = SimTime::from_millis(5);
+            Arc::make_mut(vertex).block = Arc::new(block.seal());
         }
         for execution in [
             PostCommitExecution::Serial,

@@ -30,8 +30,8 @@
 //! broadcast.
 //!
 //! In memory a block is shared content: `Message::Header.block` and
-//! `Vertex.block` are `Arc<Block>`, so cloning a message for fan-out copies
-//! no transaction.
+//! `Vertex.block` are `Arc<SealedBlock>`, so cloning a message for fan-out
+//! copies no transaction and hashes no block again.
 //!
 //! # Wire encoding
 //!
@@ -45,7 +45,7 @@
 use std::sync::Arc;
 use tb_network::WireSized;
 use tb_types::wire::{Wire, WireError, WireReader, WireWriter};
-use tb_types::{Block, Certificate, DagId, Digest, Header, ReplicaId, Round, Vertex};
+use tb_types::{Certificate, DagId, Digest, Header, ReplicaId, Round, SealedBlock, Vertex};
 
 /// First four bytes of every encoded [`Message`]: `"TBM1"` little-endian.
 pub const WIRE_MAGIC: u32 = 0x314d_4254;
@@ -53,10 +53,11 @@ pub const WIRE_MAGIC: u32 = 0x314d_4254;
 /// Version of the message wire format. Bump on any change to the encoding of
 /// [`Message`] or the types it contains (version 2 added
 /// [`Message::Certificate`], version 3 made integers varints, version 4 added
-/// [`Message::Fetch`]);
+/// [`Message::Fetch`], version 5 made each digest the hash of an encoding: the
+/// bytes did not move, but peers that hash differently never certify);
 /// `tb_network::TCP_FRAME_VERSION` moves with it, and `tests::format_golden`
 /// pins the encoding it names.
-pub const WIRE_FORMAT_VERSION: u16 = 4;
+pub const WIRE_FORMAT_VERSION: u16 = 5;
 
 /// A protocol message exchanged between replicas.
 #[derive(Clone, Debug, PartialEq)]
@@ -66,7 +67,7 @@ pub enum Message {
         /// The header under certification.
         header: Header,
         /// The block the header commits to.
-        block: Arc<Block>,
+        block: Arc<SealedBlock>,
     },
     /// A replica acknowledges a header it considers valid (the simulated
     /// equivalent of a signature share).
@@ -157,13 +158,13 @@ impl WireSized for Message {
 mod tests {
     use super::*;
     use tb_types::{
-        BlockPayload, ClientId, Committee, ContractCall, ExecOutcome, Hashable, Key, PreplayedTx,
+        Block, BlockPayload, ClientId, Committee, ContractCall, ExecOutcome, Key, PreplayedTx,
         SeqNo, ShardId, SimTime, SmallBankProcedure, Transaction, TxId, Value,
     };
 
     #[test]
     fn message_accessors() {
-        let block = Arc::new(Block::normal(
+        let block: Arc<SealedBlock> = Block::normal(
             DagId::new(0),
             Round::new(3),
             ReplicaId::new(1),
@@ -171,7 +172,9 @@ mod tests {
             SeqNo::new(0),
             BlockPayload::empty(),
             SimTime::ZERO,
-        ));
+        )
+        .seal()
+        .into();
         let header = Header::new(
             DagId::new(0),
             Round::new(3),
@@ -243,9 +246,10 @@ mod tests {
 
         // Envelopes from older builds are refused by this one: version 1
         // (no `Certificate` message, the vertex broadcast to everyone),
-        // version 2 (fixed-width integers) and version 3 (no `Fetch`, the
-        // vertex sent to the replicas that were not signers).
-        for old in [1u8, 2, 3] {
+        // version 2 (fixed-width integers), version 3 (no `Fetch`, the
+        // vertex sent to the replicas that were not signers) and version 4
+        // (digests over hand-kept field lists).
+        for old in [1u8, 2, 3, 4] {
             bytes[4] = old;
             assert_eq!(
                 Message::from_wire_bytes(&bytes),
@@ -262,7 +266,7 @@ mod tests {
     /// pair below is then re-recorded together.
     #[test]
     fn format_golden() {
-        const GOLDEN: (u16, u64) = (4, 0xd602_0a4a_73c2_d626);
+        const GOLDEN: (u16, u64) = (5, 0xbcf3_f32a_d4e1_8f9b);
         let tx = |id: u64, call: SmallBankProcedure| {
             Transaction::new(
                 TxId::new(id),
@@ -281,7 +285,7 @@ mod tests {
         balance.record_read(Key::checking(5), Value::int(100_000));
         balance.record_read(Key::savings(5), Value::None);
         balance.return_value = Value::int(100_000);
-        let block = Arc::new(Block::normal(
+        let block: Arc<SealedBlock> = Block::normal(
             DagId::new(0),
             Round::new(9),
             ReplicaId::new(2),
@@ -310,7 +314,9 @@ mod tests {
                 cross_shard: vec![tx(9, SmallBankProcedure::Amalgamate { from: 2, to: 3 })],
             },
             SimTime::from_micros(5_000),
-        ));
+        )
+        .seal()
+        .into();
         let header = Header::new(
             DagId::new(0),
             Round::new(9),

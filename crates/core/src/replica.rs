@@ -38,8 +38,8 @@ use tb_executor::{BatchExecutor, ConcurrentExecutor, OccExecutor};
 use tb_network::NetworkStats;
 use tb_storage::{CommitMarker, KvRead, MemStore, Store, Versioned, WalOptions, WalStore};
 use tb_types::{
-    Block, BlockKind, BlockPayload, Certificate, Committee, DagId, Digest, Hashable, Header, Key,
-    KeyMap, PreplayedTx, ReplicaId, Round, SeqNo, ShardAssignment, ShardId, SimTime,
+    Block, BlockKind, BlockPayload, Certificate, Committee, DagId, Digest, Header, Key, KeyMap,
+    PreplayedTx, ReplicaId, Round, SealedBlock, SeqNo, ShardAssignment, ShardId, SimTime,
     StorageBackend, StorageConfig, Transaction, Value, Vertex,
 };
 
@@ -324,11 +324,11 @@ pub struct Replica {
     /// The `(header, block)` pairs this replica proposed or acknowledged,
     /// keyed by header digest, until the vertex arrives: a bare certificate
     /// is completed from here, a fetch for it is answered from here, and a
-    /// full vertex for a retained header reuses the block that was already
-    /// hashed. A pair leaves when its vertex is admitted; one whose header
+    /// full vertex for a retained header shares the retained block's
+    /// allocation. A pair leaves when its vertex is admitted; one whose header
     /// was abandoned leaves once its author proposes [`RETENTION_ROUNDS`]
     /// further on; reconfiguration clears the map.
-    retained: HashMap<Digest, (Header, Arc<Block>)>,
+    retained: HashMap<Digest, (Header, Arc<SealedBlock>)>,
     /// Quorum certificates whose header this replica does not hold (yet),
     /// with the fetches out for their vertices. Every replica acknowledges
     /// every header it receives, so this stays empty unless a message was
@@ -693,7 +693,7 @@ impl Replica {
             now,
         );
         block.kind = kind;
-        let block = Arc::new(block);
+        let block = Arc::new(block.seal());
         let header = Header::new(
             self.dag_id,
             self.current_round,
@@ -714,7 +714,7 @@ impl Replica {
         self.rounds_proposed_in_dag += 1;
         self.busy += started.elapsed();
         if byzantine == Some(ByzantineBehavior::Equivocate) && kind == BlockKind::Normal {
-            return self.equivocate(header, block, now);
+            return self.equivocate(header, block);
         }
         vec![Outbound::broadcast(Message::Header { header, block })]
     }
@@ -759,25 +759,24 @@ impl Replica {
     /// to itself plus the smallest quorum of peers, and a conflicting empty
     /// variant for the same round to everyone else. Only one variant can
     /// gather a certificate, so honest replicas adopt a single vertex.
-    fn equivocate(&mut self, header: Header, block: Arc<Block>, now: SimTime) -> Vec<Outbound> {
-        let mut alt_block = Block::normal(
+    fn equivocate(&mut self, header: Header, block: Arc<SealedBlock>) -> Vec<Outbound> {
+        let alt_block = Block::normal(
             self.dag_id,
             self.current_round,
             self.id,
             self.proposer.shard(),
             SeqNo::new(self.seq),
             BlockPayload::empty(),
-            now,
+            header.created_at,
         );
-        alt_block.kind = BlockKind::Normal;
-        let alt_block = Arc::new(alt_block);
+        let alt_block = Arc::new(alt_block.seal());
         let alt_header = Header::new(
             self.dag_id,
             self.current_round,
             self.id,
             alt_block.digest(),
             header.parents.clone(),
-            now,
+            header.created_at,
         );
         let quorum = self.committee.quorum_threshold();
         let mut out = vec![Outbound::to(
@@ -994,7 +993,7 @@ impl Replica {
         &mut self,
         from: ReplicaId,
         header: Header,
-        block: Arc<Block>,
+        block: Arc<SealedBlock>,
         now: SimTime,
     ) -> Vec<Outbound> {
         if header.dag > self.dag_id {
@@ -1008,13 +1007,12 @@ impl Replica {
         {
             return Vec::new();
         }
-        let header_digest = header.digest();
-        // A retained pair (this replica's own proposal coming back on the
-        // loop-back, or a duplicate) was hashed when it was first seen.
-        let known = self.retained.contains_key(&header_digest);
-        if !known && block.digest() != header.block_digest {
+        if block.digest() != header.block_digest {
             return Vec::new();
         }
+        let header_digest = header.digest();
+        // Its own proposal coming back on the loop-back, or a duplicate.
+        let known = self.retained.contains_key(&header_digest);
         self.drop_stale(header.author, header.round);
         let mut out = vec![Outbound::to(
             from,
@@ -1191,8 +1189,8 @@ impl Replica {
             return Vec::new();
         }
         match self.retained.remove(&vertex.certificate.header_digest) {
-            // The retained block was hashed against this header when it was
-            // acknowledged; use it and skip hashing the copy that arrived.
+            // The retained block was checked against this header when it was
+            // acknowledged; keeping it shares one allocation among holders.
             Some((_, block)) => vertex.block = block,
             None if vertex.block.digest() != vertex.header.block_digest => {
                 self.metrics.rejected_vertices += 1;
@@ -1573,7 +1571,7 @@ mod tests {
 
     /// Starts replica 0 of a 4-cluster and returns it with its round-0
     /// proposal.
-    fn proposer_with_header() -> (Replica, Header, Arc<Block>) {
+    fn proposer_with_header() -> (Replica, Header, Arc<SealedBlock>) {
         let mut proposer = Replica::new(ReplicaId::new(0), config(4));
         let out = proposer.start(SimTime::ZERO);
         let Message::Header { header, block } = out[0].msg.clone() else {
@@ -2040,7 +2038,7 @@ mod tests {
 
         let mut replica = Replica::new(ReplicaId::new(2), config(4));
         // Same certified header, different block.
-        let swapped_vertex = Vertex::new(header.clone(), swapped.clone(), certificate.clone());
+        let swapped_vertex = Vertex::new(header.clone(), swapped.seal(), certificate.clone());
         // An honest certificate stapled to another header.
         let foreign_certificate =
             Vertex::new(other_header, Arc::clone(&block), certificate.clone());
@@ -2059,7 +2057,7 @@ mod tests {
         assert_eq!(replica.metrics().rejected_vertices, 3);
         assert!(replica.dag().is_empty());
 
-        // A replica that acknowledged the header keeps the block it hashed:
+        // A replica that acknowledged the header keeps the block it checked:
         // the swapped copy inside a later full vertex never reaches the DAG.
         replica.handle(
             ReplicaId::new(0),
@@ -2079,6 +2077,57 @@ mod tests {
             .by_author_round(ReplicaId::new(0), Round::ZERO)
             .expect("the certified vertex is accepted");
         assert!(Arc::ptr_eq(&stored.block, &block));
+    }
+
+    /// A header commits to every byte of its block: a copy that differs
+    /// from the honest one only in a cross-shard payment's amount gets no
+    /// acknowledgement, and inside a certified vertex it is rejected.
+    #[test]
+    fn a_block_that_differs_only_in_a_cross_shard_amount_is_refused() {
+        let mut proposer = Replica::new(ReplicaId::new(0), config(4));
+        assert!(proposer.enqueue(payment(2, 0, 1, 4)));
+        let out = proposer.start(SimTime::ZERO);
+        let Message::Header { header, block } = out[0].msg.clone() else {
+            panic!("expected header");
+        };
+        assert_eq!(block.payload.cross_shard.len(), 1);
+        let mut tampered = Block::clone(&block);
+        tampered.payload.cross_shard[0].call =
+            ContractCall::SmallBank(SmallBankProcedure::SendPayment {
+                from: 0,
+                to: 1,
+                amount: 1_000,
+            });
+        let tampered = Arc::new(tampered.seal());
+
+        let mut replica = Replica::new(ReplicaId::new(2), config(4));
+        let header_message = |block| Message::Header {
+            header: header.clone(),
+            block,
+        };
+        let out = replica.handle(
+            ReplicaId::new(0),
+            header_message(Arc::clone(&tampered)),
+            SimTime::ZERO,
+        );
+        assert!(
+            out.is_empty(),
+            "acknowledged a block its header does not name"
+        );
+        let vertex = Vertex::new(header.clone(), tampered, quorum_certificate(&header));
+        let out = replica.handle(
+            ReplicaId::new(0),
+            Message::Vertex(Box::new(vertex)),
+            SimTime::ZERO,
+        );
+        assert!(out.is_empty());
+        assert_eq!(replica.metrics().rejected_vertices, 1);
+        assert!(replica.dag().is_empty());
+
+        // The honest block under the same header is acknowledged.
+        let out = replica.handle(ReplicaId::new(0), header_message(block), SimTime::ZERO);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].msg.kind(), "ack");
     }
 
     #[test]
@@ -2323,7 +2372,7 @@ mod tests {
         }
 
         /// The blocks of the headers `replica` proposed in `out`, in order.
-        fn proposals<'a>(replica: &Replica, out: &'a [Outbound]) -> Vec<&'a Arc<Block>> {
+        fn proposals<'a>(replica: &Replica, out: &'a [Outbound]) -> Vec<&'a Arc<SealedBlock>> {
             out.iter()
                 .filter_map(|o| match &o.msg {
                     Message::Header { header, block } if header.author == replica.id => Some(block),
@@ -2338,7 +2387,7 @@ mod tests {
         /// view it was proposed on: the replica's store now, under its
         /// overlay as it stood before that proposal. Returns how many it
         /// checked.
-        fn assert_fresh_preplays(replica: &Replica, blocks: &[&Arc<Block>]) -> u64 {
+        fn assert_fresh_preplays(replica: &Replica, blocks: &[&Arc<SealedBlock>]) -> u64 {
             let engine = ConcurrentExecutor::new(replica.config.system.ce);
             let batches: Vec<&Vec<PreplayedTx>> = blocks
                 .iter()
@@ -2616,7 +2665,7 @@ mod tests {
             assert_eq!(leader, ReplicaId::new(1));
             let start = replica.start(SimTime::ZERO);
             replica.preplay_ahead();
-            let mut own: Vec<Arc<Block>> =
+            let mut own: Vec<Arc<SealedBlock>> =
                 proposals(&replica, &start).into_iter().cloned().collect();
             let mut deliver = |replica: &mut Replica, from: u32, msg: Message| {
                 let out = replica.handle(ReplicaId::new(from), msg, SimTime::ZERO);
@@ -2640,7 +2689,8 @@ mod tests {
                     SeqNo::new(round + 1),
                     payload,
                     SimTime::ZERO,
-                );
+                )
+                .seal();
                 let header = Header::new(
                     dag,
                     Round::new(round),

@@ -8,8 +8,8 @@
 
 use crate::store::{DagError, DagStore};
 use tb_types::{
-    Block, BlockKind, BlockPayload, Certificate, Committee, DagId, Digest, Hashable, Header,
-    ReplicaId, Round, SeqNo, ShardAssignment, SimTime, Vertex,
+    Block, BlockKind, BlockPayload, Certificate, Committee, DagId, Digest, Header, ReplicaId,
+    Round, SeqNo, ShardAssignment, SimTime, Vertex,
 };
 
 /// Builds certified vertices and whole synthetic DAGs.
@@ -61,6 +61,7 @@ impl DagBuilder {
             SimTime::ZERO,
         );
         block.kind = kind;
+        let block = block.seal();
         let header = Header::new(
             self.dag,
             round,

@@ -425,11 +425,12 @@ mod tests {
         // A different vertex by the same author in the same round: rejected.
         let mut block = tb_types::Block::clone(&vertex.block);
         block.seq = tb_types::SeqNo::new(99);
+        let block = block.seal();
         let header = tb_types::Header::new(
             vertex.header.dag,
             vertex.header.round,
             vertex.header.author,
-            tb_types::Hashable::digest(&block),
+            block.digest(),
             vec![],
             vertex.header.created_at,
         );

@@ -13,8 +13,8 @@
 use crate::batch::{BatchResult, ExecutorKind};
 use crate::pool;
 use crate::traits::{read_committed, synthetic_work, BatchExecutor};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use tb_contracts::{execute_call, ExecError, StateAccess, TrackingState};
 use tb_storage::{KvRead, MemStore};
@@ -103,7 +103,7 @@ impl BatchExecutor for OccExecutor {
                 outcome.return_value = result.return_value;
                 outcome.logically_aborted = result.logically_aborted;
 
-                let mut log = verifier.lock();
+                let mut log = verifier.lock().expect("an OCC worker panicked");
                 let valid = session
                     .read_versions
                     .iter()
@@ -122,7 +122,8 @@ impl BatchExecutor for OccExecutor {
                 reexecutions.fetch_add(1, Ordering::Relaxed);
             }
         });
-        BatchResult::from_log(verifier.into_inner(), reexecutions.into_inner(), started)
+        let log = verifier.into_inner().expect("an OCC worker panicked");
+        BatchResult::from_log(log, reexecutions.into_inner(), started)
     }
 }
 

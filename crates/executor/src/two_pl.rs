@@ -12,9 +12,9 @@
 use crate::batch::{BatchResult, ExecutorKind};
 use crate::pool;
 use crate::traits::{read_committed, synthetic_work, BatchExecutor};
-use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use tb_contracts::{execute_call, ExecError, StateAccess, TrackingState};
 use tb_storage::{KvRead, MemStore};
@@ -45,7 +45,7 @@ impl LockTable {
 
     /// Tries to acquire a shared lock for `owner`. Returns false on conflict.
     fn lock_shared(&self, key: Key, owner: usize) -> bool {
-        let mut locks = self.locks.lock();
+        let mut locks = self.locks.lock().expect("a 2PL worker panicked");
         match locks.get_mut(&key) {
             None => {
                 locks.insert(key, LockState::Shared(TxSet::from_iter([owner])));
@@ -61,7 +61,7 @@ impl LockTable {
 
     /// Tries to acquire (or upgrade to) an exclusive lock for `owner`.
     fn lock_exclusive(&self, key: Key, owner: usize) -> bool {
-        let mut locks = self.locks.lock();
+        let mut locks = self.locks.lock().expect("a 2PL worker panicked");
         match locks.get_mut(&key) {
             None => {
                 locks.insert(key, LockState::Exclusive(owner));
@@ -81,7 +81,7 @@ impl LockTable {
 
     /// Releases every lock held by `owner`.
     fn release_all(&self, owner: usize) {
-        let mut locks = self.locks.lock();
+        let mut locks = self.locks.lock().expect("a 2PL worker panicked");
         locks.retain(|_, state| match state {
             LockState::Exclusive(holder) => *holder != owner,
             LockState::Shared(holders) => {
@@ -185,7 +185,7 @@ impl BatchExecutor for TwoPlNoWaitExecutor {
                         // numbered after it and the order replays.
                         committed.load(session.writes);
                         {
-                            let mut log = log.lock();
+                            let mut log = log.lock().expect("a 2PL worker panicked");
                             let order = log.len() as u32;
                             log.push((
                                 PreplayedTx::new(tx.clone(), outcome, order),
@@ -205,7 +205,8 @@ impl BatchExecutor for TwoPlNoWaitExecutor {
                 }
             }
         });
-        BatchResult::from_log(log.into_inner(), reexecutions.into_inner(), started)
+        let log = log.into_inner().expect("a 2PL worker panicked");
+        BatchResult::from_log(log, reexecutions.into_inner(), started)
     }
 }
 

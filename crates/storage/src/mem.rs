@@ -2,7 +2,7 @@
 
 use crate::snapshot::Snapshot;
 use crate::traits::{KvRead, Versioned};
-use parking_lot::RwLock;
+use std::sync::RwLock;
 use tb_types::{Key, KeyMap, Value};
 
 /// Aggregate statistics of a store, used by tests and benchmark reports.
@@ -43,7 +43,7 @@ impl MemStore {
 
     /// Takes a consistent point-in-time snapshot of the whole store.
     pub fn snapshot(&self) -> Snapshot {
-        let state = self.state.read();
+        let state = self.state.read().expect("a store writer panicked");
         Snapshot::from_map(state.map.iter().map(|(k, v)| (*k, v.clone())).collect())
     }
 
@@ -52,7 +52,7 @@ impl MemStore {
     /// the commit of one transaction's writes into an engine's batch-local
     /// store.
     pub fn load(&self, entries: impl IntoIterator<Item = (Key, Value)>) {
-        let mut state = self.state.write();
+        let mut state = self.state.write().expect("a store writer panicked");
         for (key, value) in entries {
             let entry = state.map.entry(key).or_default();
             entry.version += 1;
@@ -68,18 +68,20 @@ impl MemStore {
     /// the same per-key versions as the store that wrote the snapshot, not
     /// versions restarted from 1. Pair with [`MemStore::set_total_writes`].
     pub fn restore(&self, entries: impl IntoIterator<Item = (Key, Versioned)>) {
-        self.state.write().map.extend(entries);
+        let mut state = self.state.write().expect("a store writer panicked");
+        state.map.extend(entries);
     }
 
     /// Overwrites the lifetime write counter. Only crash recovery should
     /// use this, to carry [`StoreStats::total_writes`] across a restart.
     pub fn set_total_writes(&self, total: u64) {
-        self.state.write().total_writes = total;
+        let mut state = self.state.write().expect("a store writer panicked");
+        state.total_writes = total;
     }
 
     /// Returns aggregate statistics.
     pub fn stats(&self) -> StoreStats {
-        let state = self.state.read();
+        let state = self.state.read().expect("a store writer panicked");
         let mut stats = StoreStats {
             total_writes: state.total_writes,
             ..StoreStats::default()
@@ -102,7 +104,8 @@ impl KvRead for MemStore {
     }
 
     fn get_versioned(&self, key: &Key) -> Versioned {
-        self.state.read().map.get(key).cloned().unwrap_or_default()
+        let state = self.state.read().expect("a store writer panicked");
+        state.map.get(key).cloned().unwrap_or_default()
     }
 }
 

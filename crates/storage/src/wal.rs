@@ -29,10 +29,10 @@ use crate::mem::{MemStore, StoreStats};
 use crate::snapshot::Snapshot;
 use crate::store::{CommitMarker, Store};
 use crate::traits::{KvRead, Versioned};
-use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard};
 use tb_types::wire::{Wire, WireError, WireReader, WireWriter};
 use tb_types::{Key, Value};
 
@@ -454,6 +454,10 @@ impl WalStore {
         })
     }
 
+    fn state(&self) -> MutexGuard<'_, WalState> {
+        self.state.lock().expect("a WAL writer panicked")
+    }
+
     /// What [`WalStore::open`] found and did.
     pub fn recovery(&self) -> RecoveryInfo {
         self.recovery
@@ -461,19 +465,19 @@ impl WalStore {
 
     /// Completed compactions since open.
     pub fn compactions(&self) -> u64 {
-        self.state.lock().compactions
+        self.state().compactions
     }
 
     /// Current size of the WAL file in bytes (including buffered appends).
     pub fn wal_bytes(&self) -> u64 {
-        self.state.lock().wal_bytes
+        self.state().wal_bytes
     }
 
     /// Forces a compaction: writes a fresh snapshot and truncates the WAL.
     /// Normally triggered automatically at a commit boundary once the log
     /// exceeds [`WalOptions::compact_wal_bytes`].
     pub fn compact(&self) {
-        let mut state = self.state.lock();
+        let mut state = self.state();
         self.compact_locked(&mut state);
     }
 
@@ -556,7 +560,7 @@ impl Store for WalStore {
         if batches.iter().all(WriteBatch::is_empty) {
             return;
         }
-        self.append_batches(&mut self.state.lock(), batches);
+        self.append_batches(&mut self.state(), batches);
     }
 
     fn snapshot(&self) -> Snapshot {
@@ -572,7 +576,7 @@ impl Store for WalStore {
         if batch.is_empty() {
             return;
         }
-        let mut state = self.state.lock();
+        let mut state = self.state();
         self.append_batches(&mut state, std::slice::from_ref(&batch));
         // Initial state is made durable immediately: a replica that crashes
         // before its first commit must still recover its genesis state.
@@ -580,7 +584,7 @@ impl Store for WalStore {
     }
 
     fn commit_marker(&self, marker: CommitMarker) {
-        let mut state = self.state.lock();
+        let mut state = self.state();
         self.append_frame(&mut state, &encode_frame(&WalRecord::Commit(marker)));
         self.sync_locked(&mut state);
         state.last_commit = Some(marker);
@@ -590,7 +594,7 @@ impl Store for WalStore {
     }
 
     fn last_commit(&self) -> Option<CommitMarker> {
-        self.state.lock().last_commit
+        self.state().last_commit
     }
 
     fn persistent(&self) -> bool {

@@ -1,21 +1,33 @@
-//! Structural digests.
+//! Digests.
 //!
 //! A real deployment would hash block contents with SHA-2/SHA-3 and sign
 //! them with Ed25519 or BLS. The reproduction replaces cryptography with a
-//! deterministic *structural digest* (a 256-bit value derived from a
-//! SplitMix64-based mixing of the structure's fields) and replaces signatures
-//! with explicit signer sets. The quorum logic — which is all the protocol
-//! depends on — is unchanged.
+//! deterministic 256-bit hash of a value's canonical wire encoding
+//! ([`Digest::of_bytes`]) and replaces signatures with explicit signer sets.
+//! The quorum logic — which is all the protocol depends on — is unchanged.
+//!
+//! Every digest is the hash of bytes some value encodes to: a block, a
+//! header, the `(header digest, dag, round, author)` a certificate names.
+//! Decoding is strict (`tb_types::wire`), so one value has one encoding, and
+//! the field list a type's wire declaration gives is also the list of what
+//! its digest covers: there is no second list to fall out of step with it.
 
 use std::fmt;
 
-/// A 256-bit structural digest identifying a block, header or vertex.
+/// A 256-bit digest identifying a block, header or vertex.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Digest(pub [u64; 4]);
 
 impl Digest {
     /// The all-zero digest, used as a placeholder.
     pub const ZERO: Digest = Digest([0; 4]);
+
+    /// The digest of `bytes`, a canonical wire encoding.
+    pub fn of_bytes(bytes: &[u8]) -> Digest {
+        let mut hasher = StructuralHasher::new();
+        hasher.write_bytes(bytes);
+        hasher.finish()
+    }
 
     /// True if this is the placeholder digest.
     pub fn is_zero(&self) -> bool {
@@ -38,7 +50,7 @@ impl fmt::Display for Digest {
     }
 }
 
-/// Incremental structural hasher producing a [`Digest`].
+/// Incremental hasher behind [`Digest::of_bytes`].
 ///
 /// Internally this runs four independent SplitMix64 lanes seeded with
 /// different constants; each absorbed word perturbs every lane. This is not
@@ -47,7 +59,7 @@ impl fmt::Display for Digest {
 /// is deterministic across platforms and has good dispersion, so accidental
 /// collisions do not occur in practice.
 #[derive(Clone, Debug)]
-pub struct StructuralHasher {
+struct StructuralHasher {
     lanes: [u64; 4],
 }
 
@@ -66,27 +78,21 @@ fn splitmix(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-impl Default for StructuralHasher {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl StructuralHasher {
     /// Creates a hasher with the default seeds.
-    pub fn new() -> Self {
+    fn new() -> Self {
         StructuralHasher { lanes: LANE_SEEDS }
     }
 
     /// Absorbs a 64-bit word.
-    pub fn write_u64(&mut self, word: u64) {
+    fn write_u64(&mut self, word: u64) {
         for (i, lane) in self.lanes.iter_mut().enumerate() {
             *lane = splitmix(lane.wrapping_add(word).rotate_left(i as u32 * 7 + 1));
         }
     }
 
-    /// Absorbs a byte slice.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
+    /// Absorbs a byte slice, length first.
+    fn write_bytes(&mut self, bytes: &[u8]) {
         self.write_u64(bytes.len() as u64);
         for chunk in bytes.chunks(8) {
             let mut buf = [0u8; 8];
@@ -95,20 +101,8 @@ impl StructuralHasher {
         }
     }
 
-    /// Absorbs a string.
-    pub fn write_str(&mut self, s: &str) {
-        self.write_bytes(s.as_bytes());
-    }
-
-    /// Absorbs another digest.
-    pub fn write_digest(&mut self, d: &Digest) {
-        for word in d.0 {
-            self.write_u64(word);
-        }
-    }
-
     /// Finalizes into a digest.
-    pub fn finish(&self) -> Digest {
+    fn finish(&self) -> Digest {
         let mut out = self.lanes;
         // One extra mixing round so that absorbing nothing still produces a
         // seed-dependent value and the lanes are decorrelated.
@@ -116,31 +110,6 @@ impl StructuralHasher {
             *lane = splitmix(lane.wrapping_add(LANE_SEEDS[(i + 1) % 4]));
         }
         Digest(out)
-    }
-}
-
-/// Types that can compute their own structural digest.
-pub trait Hashable {
-    /// Absorbs the structure into the hasher.
-    fn absorb(&self, hasher: &mut StructuralHasher);
-
-    /// Convenience wrapper producing the digest directly.
-    fn digest(&self) -> Digest {
-        let mut h = StructuralHasher::new();
-        self.absorb(&mut h);
-        h.finish()
-    }
-}
-
-impl Hashable for u64 {
-    fn absorb(&self, hasher: &mut StructuralHasher) {
-        hasher.write_u64(*self);
-    }
-}
-
-impl Hashable for &str {
-    fn absorb(&self, hasher: &mut StructuralHasher) {
-        hasher.write_str(self);
     }
 }
 
@@ -153,9 +122,9 @@ mod tests {
         let mut a = StructuralHasher::new();
         let mut b = StructuralHasher::new();
         a.write_u64(1);
-        a.write_str("hello");
+        a.write_bytes(b"hello");
         b.write_u64(1);
-        b.write_str("hello");
+        b.write_bytes(b"hello");
         assert_eq!(a.finish(), b.finish());
     }
 
@@ -187,19 +156,23 @@ mod tests {
     }
 
     #[test]
-    fn hashable_trait_round_trip() {
-        let d1 = 42u64.digest();
-        let d2 = 42u64.digest();
-        let d3 = 43u64.digest();
-        assert_eq!(d1, d2);
-        assert_ne!(d1, d3);
-        assert_eq!("abc".digest(), "abc".digest());
-        assert_ne!("abc".digest(), "abd".digest());
+    fn of_bytes_covers_every_byte_and_the_length() {
+        let bytes = *b"seventeen bytes!!";
+        let d = Digest::of_bytes(&bytes);
+        assert_eq!(d, Digest::of_bytes(&bytes));
+        for i in 0..bytes.len() {
+            let mut flipped = bytes;
+            flipped[i] ^= 1;
+            assert_ne!(Digest::of_bytes(&flipped), d, "byte {i}");
+        }
+        // The last word is zero-padded: the length tells the two apart.
+        assert_ne!(Digest::of_bytes(b"abc"), Digest::of_bytes(b"abc\0"));
+        assert_ne!(Digest::of_bytes(b""), Digest::of_bytes(&[0]));
     }
 
     #[test]
     fn digest_display_and_short() {
-        let d = 7u64.digest();
+        let d = Digest::of_bytes(b"7");
         assert_eq!(d.to_string().len(), 64);
         assert_eq!(d.short().len(), 8);
         assert_eq!(Digest::ZERO.to_string(), "0".repeat(64));

@@ -28,12 +28,12 @@ pub mod value;
 pub mod vertex;
 pub mod wire;
 
-pub use block::{Block, BlockKind, BlockPayload, PreplayedTx};
+pub use block::{Block, BlockKind, BlockPayload, PreplayedTx, SealedBlock};
 pub use committee::{Committee, ShardAssignment};
 pub use config::{
     CeConfig, LatencyModel, ReconfigConfig, StorageBackend, StorageConfig, SystemConfig,
 };
-pub use digest::{Digest, Hashable, StructuralHasher};
+pub use digest::Digest;
 pub use ids::{ClientId, DagId, ReplicaId, Round, SeqNo, ShardId, TxId};
 pub use key::{Key, KeyHashBuilder, KeyHasher, KeyMap, KeySet, KeySpace};
 pub use ops::{AccessKind, AccessRecord, ExecOutcome, OpKind, Operation, ReadSet, WriteSet};

@@ -6,15 +6,19 @@
 //! acknowledge the header, a *certificate* is formed; certificates of round
 //! `r` become the parents of headers in round `r + 1`. A [`Vertex`] bundles a
 //! certified header with its block payload, which is what the local DAG
-//! stores. The block is immutable shared content (`Arc<Block>`): the header
-//! names it by digest, and every holder of the vertex — the proposer, the
-//! transports' fan-out, the DAG, the commit pipeline — shares one allocation.
+//! stores. Each link is the digest of an encoding ([`Digest::of_bytes`]): the
+//! header names its block, the certificate its header, and the vertex id is
+//! the digest of what the certificate names. The block is immutable shared
+//! content (`Arc<SealedBlock>`, hashed once), and every holder of the vertex —
+//! the proposer, the transports' fan-out, the DAG, the commit pipeline —
+//! shares one allocation.
 
-use crate::block::Block;
+use crate::block::SealedBlock;
 use crate::committee::Committee;
-use crate::digest::{Digest, Hashable, StructuralHasher};
+use crate::digest::Digest;
 use crate::ids::{DagId, ReplicaId, Round};
 use crate::time::SimTime;
+use crate::wire::Wire;
 use std::fmt;
 use std::sync::Arc;
 
@@ -55,18 +59,10 @@ impl Header {
             created_at,
         }
     }
-}
 
-impl Hashable for Header {
-    fn absorb(&self, h: &mut StructuralHasher) {
-        h.write_u64(self.dag.as_inner());
-        h.write_u64(self.round.as_u64());
-        h.write_u64(u64::from(self.author.as_inner()));
-        h.write_digest(&self.block_digest);
-        h.write_u64(self.parents.len() as u64);
-        for p in &self.parents {
-            h.write_digest(p);
-        }
+    /// The header's digest: the hash of its encoding.
+    pub fn digest(&self) -> Digest {
+        Digest::of_bytes(&self.to_wire_bytes())
     }
 }
 
@@ -144,6 +140,14 @@ impl Certificate {
             && self.header_digest == header.digest()
     }
 
+    /// The vertex id: the hash of the encoding of `(header_digest, dag,
+    /// round, author)`. Signers are left out, so two certificates for one
+    /// header are interchangeable parents.
+    pub fn digest(&self) -> Digest {
+        let named = ((self.header_digest, self.dag), (self.round, self.author));
+        Digest::of_bytes(&named.to_wire_bytes())
+    }
+
     /// True if the certificate carries a `2f + 1` quorum of distinct,
     /// committee-member signers.
     pub fn is_valid(&self, committee: &Committee) -> bool {
@@ -153,18 +157,6 @@ impl Certificate {
             .filter(|s| committee.contains(**s))
             .count();
         distinct_members >= committee.quorum_threshold()
-    }
-}
-
-impl Hashable for Certificate {
-    fn absorb(&self, h: &mut StructuralHasher) {
-        h.write_digest(&self.header_digest);
-        h.write_u64(self.dag.as_inner());
-        h.write_u64(self.round.as_u64());
-        h.write_u64(u64::from(self.author.as_inner()));
-        // Signer identity does not change which vertex the certificate
-        // certifies, so signers are deliberately not absorbed: two
-        // certificates for the same header are interchangeable parents.
     }
 }
 
@@ -187,18 +179,18 @@ pub struct Vertex {
     /// The vertex header.
     pub header: Header,
     /// The block carried by the vertex, shared with every other holder.
-    pub block: Arc<Block>,
+    pub block: Arc<SealedBlock>,
     /// The certificate proving `2f + 1` replicas acknowledged the header.
     pub certificate: Certificate,
 }
 
 impl Vertex {
-    /// Creates a vertex from a block it owns or already shares.
-    pub fn new(header: Header, block: impl Into<Arc<Block>>, certificate: Certificate) -> Self {
+    /// Creates a vertex from a sealed block it owns or already shares.
+    pub fn new(header: Header, block: impl Into<Arc<SealedBlock>>, cert: Certificate) -> Self {
         Vertex {
             header,
             block: block.into(),
-            certificate,
+            certificate: cert,
         }
     }
 
@@ -245,7 +237,7 @@ impl fmt::Display for Vertex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::BlockPayload;
+    use crate::block::{Block, BlockPayload};
     use crate::ids::{SeqNo, ShardId};
 
     fn committee4() -> Committee {
@@ -335,7 +327,7 @@ mod tests {
         let mut a = header(0, 3);
         let b = header(0, 3);
         assert_eq!(a.digest(), b.digest());
-        a.parents.push(42u64.digest());
+        a.parents.push(Digest([42, 0, 0, 0]));
         assert_ne!(a.digest(), b.digest());
     }
 
@@ -346,7 +338,7 @@ mod tests {
             &h,
             vec![ReplicaId::new(0), ReplicaId::new(1), ReplicaId::new(2)],
         );
-        let v = Vertex::new(h.clone(), block(2, 5), c.clone());
+        let v = Vertex::new(h.clone(), block(2, 5).seal(), c.clone());
         assert_eq!(v.round(), Round::new(5));
         assert_eq!(v.author(), ReplicaId::new(2));
         assert_eq!(v.dag(), DagId::new(0));

@@ -50,7 +50,8 @@
 //! Write an impl by hand only where the bytes are not a field list: a
 //! primitive or a container, an envelope or a file header, a decoder that
 //! must refuse what a field list cannot see (a WAL batch naming a key twice),
-//! or a shared buffer (`Value::Bytes`).
+//! a shared buffer (`Value::Bytes`), or a decoder that keeps the hash of the
+//! span it read (`SealedBlock`, in `block.rs`).
 
 use crate::block::{Block, BlockKind, BlockPayload, PreplayedTx};
 use crate::config::{
@@ -286,6 +287,12 @@ impl<'a> WireReader<'a> {
     /// Unread bytes left in the buffer.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    /// The bytes not read yet; the span a value is then decoded from is
+    /// their first `unread().len() - remaining()` bytes.
+    pub fn unread(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
     }
 
     /// Takes the next `n` raw bytes.
@@ -982,7 +989,8 @@ mod tests {
         round_trip(header.clone());
         round_trip(cert.clone());
         round_trip(Arc::new(block.clone()));
-        round_trip(Vertex::new(header, block, cert));
+        round_trip(Arc::new(block.clone().seal()));
+        round_trip(Vertex::new(header, block.seal(), cert));
     }
 
     #[test]

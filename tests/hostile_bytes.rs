@@ -20,7 +20,7 @@ use thunderbolt::prelude::*;
 use thunderbolt::tb_storage::wal::{crc32, decode_frames, encode_frame};
 use thunderbolt::tb_storage::{WalRecord, WriteBatch};
 use thunderbolt::tb_types::wire::{Wire, WireError};
-use thunderbolt::tb_types::{Hashable, PreplayedTx, Vertex};
+use thunderbolt::tb_types::{PreplayedTx, Vertex};
 
 /// Records the largest single allocation the current thread asks for.
 struct PeakAllocation;

@@ -12,6 +12,11 @@
 //!   byte accounting both rely on, and
 //! * every seeded flip, truncation or extension of the bytes that still
 //!   decodes re-encodes to exactly those bytes: one value, one encoding.
+//!
+//! For the types a digest names — a sealed block, a header — the entry also
+//! checks that the digest is `Digest::of_bytes` of the encoding, that a
+//! decoded block carries the digest a block sealed afresh from its fields
+//! gets, and that every mutation that still decodes has another digest.
 
 use proptest::prelude::*;
 use std::fmt::Debug;
@@ -22,8 +27,8 @@ use thunderbolt::tb_types::wire::{Wire, WireError};
 use thunderbolt::tb_types::{
     AccessRecord, Block, BlockKind, BlockPayload, CeConfig, Certificate, ClientId, ContractCall,
     DagId, Digest, ExecOutcome, Header, Key, KeySpace, LatencyModel, Operation, PreplayedTx,
-    ReconfigConfig, ReplicaId, Round, SeqNo, ShardId, SimTime, SmallBankProcedure, StorageBackend,
-    StorageConfig, SystemConfig, Transaction, TxId, Value, Vertex,
+    ReconfigConfig, ReplicaId, Round, SealedBlock, SeqNo, ShardId, SimTime, SmallBankProcedure,
+    StorageBackend, StorageConfig, SystemConfig, Transaction, TxId, Value, Vertex,
 };
 use thunderbolt::tb_workload::SmallBankConfig;
 use thunderbolt::{
@@ -64,12 +69,36 @@ fn mutate(rng: &mut TestRng, bytes: &[u8]) -> Vec<u8> {
     out
 }
 
+/// For a type a digest names: the digest a value carries or computes, and
+/// the digest of the same fields sealed afresh.
+type Digests<T> = fn(&T) -> (Digest, Digest);
+
+/// The digest property for a value decoded from `bytes`: both of its
+/// digests are the hash of those bytes.
+fn digest_of_bytes<T: Debug>(name: &str, value: &T, bytes: &[u8], digests: Digests<T>) -> Digest {
+    let (carried, fresh) = digests(value);
+    assert_eq!(carried, Digest::of_bytes(bytes), "{name}: {value:?}");
+    assert_eq!(carried, fresh, "{name}: {value:?} carries a stale digest");
+    carried
+}
+
 /// The canonical-form property for one type, over `CASES` values drawn
-/// from `strategy`.
-fn check_canonical<T: Wire + PartialEq + Debug>(name: &str, strategy: impl Strategy<Value = T>) {
+/// from `strategy`, and the digest property if `digests` is given.
+fn check_canonical<T: Wire + PartialEq + Debug>(
+    name: &str,
+    strategy: impl Strategy<Value = T>,
+    digests: Option<Digests<T>>,
+) {
     for case in 0..CASES {
         let mut rng = TestRng::deterministic(case);
-        let bytes = roundtrips(&strategy.generate(&mut rng));
+        let value = strategy.generate(&mut rng);
+        let bytes = roundtrips(&value);
+        let digest = digests.map(|digests| {
+            let decoded = T::from_wire_bytes(&bytes).expect("decodes, as roundtrips checked");
+            let digest = digest_of_bytes(name, &decoded, &bytes, digests);
+            assert_eq!(digests(&value).0, digest, "{name}: {value:?}");
+            digest
+        });
         for _ in 0..MUTATIONS {
             let mutated = mutate(&mut rng, &bytes);
             if let Ok(decoded) = T::from_wire_bytes(&mutated) {
@@ -78,6 +107,13 @@ fn check_canonical<T: Wire + PartialEq + Debug>(name: &str, strategy: impl Strat
                     mutated,
                     "{name}: {decoded:?} decoded from bytes it does not encode to"
                 );
+                if let (Some(digests), Some(digest)) = (digests, digest) {
+                    let moved = digest_of_bytes(name, &decoded, &mutated, digests);
+                    assert!(
+                        mutated == bytes || moved != digest,
+                        "{name}: {decoded:?} shares a digest with other bytes"
+                    );
+                }
             }
         }
     }
@@ -269,17 +305,19 @@ fn arb_certificate() -> impl Strategy<Value = Certificate> {
         })
 }
 
+fn arb_sealed_block() -> impl Strategy<Value = Arc<SealedBlock>> {
+    arb_block().prop_map(|block| Arc::new(block.seal()))
+}
+
 fn arb_vertex() -> impl Strategy<Value = Vertex> {
-    (arb_header(), arb_block(), arb_certificate())
+    (arb_header(), arb_sealed_block(), arb_certificate())
         .prop_map(|(header, block, certificate)| Vertex::new(header, block, certificate))
 }
 
 fn arb_message() -> impl Strategy<Value = Message> {
     prop_oneof![
-        (arb_header(), arb_block()).prop_map(|(header, block)| Message::Header {
-            header,
-            block: Arc::new(block)
-        }),
+        (arb_header(), arb_sealed_block())
+            .prop_map(|(header, block)| Message::Header { header, block }),
         (arb_digest(), (any::<u64>(), any::<u64>(), any::<u32>()),).prop_map(
             |(header_digest, (dag, round, signer))| Message::Ack {
                 header_digest,
@@ -544,15 +582,20 @@ fn arb_wal_record() -> impl Strategy<Value = WalRecord> {
 // --- the properties --------------------------------------------------------
 
 /// The one list of wire types. Each entry names its test, the type, and the
-/// generator its values are drawn from; the test checks the canonical-form
-/// property (module doc). A type with a `Wire` impl belongs here; the two
-/// left out are private to their modules: the message envelope, which every
-/// `Message` carries, and the WAL's snapshot record.
+/// generator its values are drawn from, and a type a digest names adds
+/// `digests` (the value's digest, and that of its fields sealed afresh); the
+/// test checks the canonical-form property and the digest property (module
+/// doc). A type with a `Wire` impl belongs here; the two left out are private
+/// to their modules: the message envelope, which every `Message` carries,
+/// and the WAL's snapshot record.
 macro_rules! canonical_forms {
-    ($($test:ident: $ty:ty = $strategy:expr;)+) => {$(
+    (@digests) => { None };
+    (@digests $digests:expr) => { Some($digests) };
+    ($($test:ident: $ty:ty = $strategy:expr $(, digests $digests:expr)?;)+) => {$(
         #[test]
         fn $test() {
-            check_canonical::<$ty>(stringify!($ty), $strategy);
+            let digests: Option<Digests<$ty>> = canonical_forms!(@digests $($digests)?);
+            check_canonical::<$ty>(stringify!($ty), $strategy, digests);
         }
     )+};
 }
@@ -592,8 +635,9 @@ canonical_forms! {
     block_kinds_roundtrip: BlockKind = arb_block_kind();
     payloads_roundtrip: BlockPayload = arb_payload();
     blocks_of_every_kind_roundtrip: Block = arb_block();
-    shared_blocks_roundtrip: Arc<Block> = arb_block().prop_map(Arc::new);
-    headers_roundtrip: Header = arb_header();
+    shared_blocks_roundtrip: Arc<SealedBlock> = arb_sealed_block(),
+        digests |block| (block.digest(), Block::clone(block).seal().digest());
+    headers_roundtrip: Header = arb_header(), digests |header| (header.digest(), header.digest());
     certificates_roundtrip: Certificate = arb_certificate();
     vertices_roundtrip: Vertex = arb_vertex();
     messages_of_every_variant_roundtrip: Message = arb_message();
@@ -614,13 +658,14 @@ canonical_forms! {
     wal_records_roundtrip: WalRecord = arb_wal_record();
 }
 
-/// Shared content encodes as the content itself.
+/// Shared content encodes as the content itself, and a sealed block as the
+/// block.
 #[test]
 fn a_shared_block_encodes_as_the_block() {
     let mut rng = TestRng::deterministic(7);
     let block = arb_block().generate(&mut rng);
     assert_eq!(
-        Arc::new(block.clone()).to_wire_bytes(),
+        Arc::new(block.clone().seal()).to_wire_bytes(),
         block.to_wire_bytes()
     );
 }
@@ -695,7 +740,7 @@ fn max_size_batch_roundtrips() {
     );
     let msg = Message::Header {
         header,
-        block: Arc::new(block),
+        block: Arc::new(block.seal()),
     };
     let frame = msg.to_wire_bytes();
     assert!(
