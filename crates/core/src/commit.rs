@@ -5,11 +5,18 @@
 //! Section 5.1):
 //!
 //! 1. **Single-shard first (G1).** The preplayed single-shard payloads of the
-//!    delivered blocks are validated in parallel against the read/write sets
-//!    they declare — all blocks of the sub-DAG in one fan-out; valid payloads
-//!    are applied to storage in their serialized order, all of them in one
-//!    storage call. Invalid blocks are discarded (their transactions are
-//!    simply not applied — a Byzantine proposer can only hurt its own shard).
+//!    delivered blocks are validated against the read/write sets they
+//!    declare; valid payloads are applied to storage in their serialized
+//!    order, all of them in one storage call. Invalid blocks are discarded
+//!    (their transactions are simply not applied — a Byzantine proposer can
+//!    only hurt its own shard). Validation's stage 2, the replay of each
+//!    transaction over its declarations, reads no state, so a replica runs
+//!    it — and builds the block's write batch — when the block's vertex
+//!    enters its DAG, in the driver's step after a handler's output is sent
+//!    (`ReplayCache`). The commit then runs only the read check, over all
+//!    blocks of the sub-DAG in one pass, joins it with the cached verdicts
+//!    and applies the cached batches; a block delivered before it was
+//!    replayed is replayed by the commit, by the same function.
 //! 2. **Cross-shard second (G2).** The cross-shard transactions of the same
 //!    delivered sub-DAG are executed deterministically in `(round, author,
 //!    position)` order against a read view — their own writes, over the G2
@@ -24,31 +31,37 @@
 //! execution at any worker count, even for a contract that touches keys it
 //! never declared.
 
-use std::sync::Mutex;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tb_contracts::{execute_call, ExecError, StateAccess};
 use tb_dag::CommittedSubDag;
 use tb_executor::traits::synthetic_work;
-use tb_executor::validation::{validate_block, validate_blocks, ValidationConfig};
+use tb_executor::validation::{replay_block, validate_block, validate_replayed, ValidationConfig};
 use tb_executor::{effective_workers, pool};
 use tb_storage::{Store, WriteBatch};
-use tb_types::{BlockKind, Key, KeyMap, PreplayedTx, ShardId, SimTime, Transaction, TxId, Value};
+use tb_types::{
+    Block, BlockKind, Digest, Key, KeyMap, PreplayedTx, SealedBlock, ShardId, SimTime, Transaction,
+    TxId, Value,
+};
 
 /// How the pipeline executes transactions after consensus.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PostCommitExecution {
-    /// Thunderbolt: preplayed single-shard results are validated in parallel
-    /// and cross-shard transactions execute with shard-level parallelism.
-    /// The variant keeps this name because the benchmark harness constructs
-    /// it by name; no two stages run at the same time. The preplayed blocks
-    /// of a committed sub-DAG go through **one** validation fan-out over the
-    /// shared worker pool and their write batches through **one**
-    /// [`Store::apply_batches`] call; a block found invalid is dropped and
-    /// the blocks after it are validated once more over the applied prefix.
-    /// No thread is created and nothing is queued. Commit order, applied
-    /// state, the commit-order digest and all commit statistics except the
-    /// stage timings, `coalesced_batches` and `apply_calls` are identical to
-    /// [`Serial`]; only the granularity of validation and apply differs.
+    /// Thunderbolt: preplayed single-shard results are validated against
+    /// their declarations and cross-shard transactions execute with
+    /// shard-level parallelism. The variant keeps this name because the
+    /// benchmark harness constructs it by name; no two stages run at the
+    /// same time. The preplayed blocks of a committed sub-DAG go through
+    /// **one** read check, joined with their replays (made ahead, or here),
+    /// and their write batches through **one** [`Store::apply_batches`]
+    /// call; a block found invalid is dropped and the blocks after it are
+    /// read-checked once more over the applied prefix. No thread is created
+    /// and nothing is queued. Commit order, applied state, the commit-order
+    /// digest and all commit statistics except the stage timings,
+    /// `coalesced_batches`, `apply_calls` and the replay counts are
+    /// identical to [`Serial`]; only the granularity of validation and apply
+    /// differs.
     /// Pinned by `crates/core/tests/pipeline_determinism.rs`.
     ///
     /// [`Serial`]: PostCommitExecution::Serial
@@ -108,6 +121,13 @@ pub struct CommitOutput {
     /// Per-transaction commit latencies in seconds of simulated time,
     /// parallel to `committed`.
     pub latency_samples_secs: Vec<f64>,
+    /// Preplayed blocks whose replay was cached when this commit delivered
+    /// them: replayed when their vertex entered the DAG.
+    pub blocks_replayed_ahead: u64,
+    /// Preplayed blocks this commit replayed itself, because it delivered
+    /// them before they were replayed ahead. Always 0 on the serial path,
+    /// which validates each block whole.
+    pub blocks_replayed_inline: u64,
 }
 
 impl CommitOutput {
@@ -121,8 +141,9 @@ impl CommitOutput {
 #[derive(Clone, Debug)]
 pub struct CommitPipeline {
     execution: PostCommitExecution,
-    /// Worker count and synthetic op cost, shared by G1's validation and
-    /// G2's execution: one worker on the serial path.
+    /// Worker count and synthetic op cost of G2's execution and of the
+    /// serial path's validation (one worker there). The pipelined path's
+    /// replays run on the calling thread, at the same op cost.
     validation: ValidationConfig,
 }
 
@@ -150,16 +171,19 @@ impl CommitPipeline {
     }
 
     /// Processes one delivered sub-DAG against `store`, applying effects and
-    /// returning the commit statistics.
+    /// returning the commit statistics. A replica's own commits find most
+    /// blocks replayed ahead, when their vertices entered its DAG; here
+    /// nothing was, so the pipelined path replays every preplayed block
+    /// itself (`blocks_replayed_inline`), with the same outcome.
     ///
     /// # Determinism
     ///
     /// For a given `(sub_dag, store, commit_time)` the committed transaction
     /// sequence, the applied state and every commit counter except the
-    /// wall-clock stage timings, `coalesced_batches` and `apply_calls` are
-    /// identical across both [`PostCommitExecution`] modes and any
-    /// worker count — the execution mode is a pure wall-clock/granularity
-    /// choice, never a semantic one.
+    /// wall-clock stage timings, `coalesced_batches`, `apply_calls` and the
+    /// replay counts are identical across both [`PostCommitExecution`] modes
+    /// and any worker count — the execution mode is a pure
+    /// wall-clock/granularity choice, never a semantic one.
     ///
     /// # Panics
     ///
@@ -173,25 +197,37 @@ impl CommitPipeline {
         store: &dyn Store,
         commit_time: SimTime,
     ) -> CommitOutput {
+        self.process_cached(sub_dag, store, commit_time, &mut ReplayCache::default())
+    }
+
+    /// [`process`](CommitPipeline::process) with the replays of the
+    /// delivered blocks taken from `replays`, which loses them: on the
+    /// pipelined path a delivered block is only read-checked and applied if
+    /// it was replayed ahead, and is replayed here otherwise. The outcome
+    /// does not depend on what `replays` holds.
+    pub(crate) fn process_cached(
+        &self,
+        sub_dag: &CommittedSubDag,
+        store: &dyn Store,
+        commit_time: SimTime,
+        replays: &mut ReplayCache,
+    ) -> CommitOutput {
         let started = Instant::now();
         let mut output = CommitOutput::default();
 
         // Gather payloads in delivery order, each preplayed block with the
         // time it was created (the end of its transactions' queue wait).
-        let mut preplayed_blocks: Vec<(&[PreplayedTx], SimTime)> = Vec::new();
+        let mut preplayed_blocks: Vec<(&SealedBlock, SimTime)> = Vec::new();
         let mut cross_shard: Vec<&Transaction> = Vec::new();
         for vertex in &sub_dag.vertices {
-            match vertex.block.kind {
-                BlockKind::Shift => {
-                    output.shift_blocks += 1;
-                    output.shift_authors.push(vertex.author());
-                    continue;
-                }
-                BlockKind::Skip | BlockKind::Normal => {}
+            if vertex.block.kind == BlockKind::Shift {
+                output.shift_blocks += 1;
+                output.shift_authors.push(vertex.author());
+                continue;
             }
             let created_at = vertex.block.created_at;
-            if !vertex.block.payload.single_shard.is_empty() {
-                preplayed_blocks.push((&vertex.block.payload.single_shard, created_at));
+            if commits_preplayed(&vertex.block) {
+                preplayed_blocks.push((&vertex.block, created_at));
             }
             // Every delivered cross-shard transaction commits below.
             let cross = &vertex.block.payload.cross_shard;
@@ -202,10 +238,29 @@ impl CommitPipeline {
         // G1: single-shard (preplayed) transactions first.
         match self.execution {
             PostCommitExecution::Pipelined { .. } => {
-                self.commit_preplayed_batched(&preplayed_blocks, store, commit_time, &mut output);
+                let validate_started = Instant::now();
+                let blocks: Vec<(&[PreplayedTx], SimTime, Replay)> = preplayed_blocks
+                    .iter()
+                    .map(|&(block, created_at)| {
+                        let (replay, ahead) =
+                            replays.take_or_replay(block, self.validation.op_cost_ns);
+                        if ahead {
+                            output.blocks_replayed_ahead += 1;
+                        } else {
+                            output.blocks_replayed_inline += 1;
+                        }
+                        (&block.payload.single_shard[..], created_at, replay)
+                    })
+                    .collect();
+                output.stage_validate += validate_started.elapsed();
+                self.commit_preplayed_batched(blocks, store, commit_time, &mut output);
             }
             PostCommitExecution::Serial => {
-                self.commit_preplayed_staged(&preplayed_blocks, store, commit_time, &mut output);
+                let blocks: Vec<_> = preplayed_blocks
+                    .iter()
+                    .map(|&(block, created_at)| (&block.payload.single_shard[..], created_at))
+                    .collect();
+                self.commit_preplayed_staged(&blocks, store, commit_time, &mut output);
             }
         }
 
@@ -248,13 +303,14 @@ impl CommitPipeline {
                 output.invalid_blocks += 1;
                 continue;
             }
-            let (batch, ordered) = ordered_write_batch(block);
+            let (batch, order) = ordered_write_batch(block);
             let apply_started = Instant::now();
             store.apply_batch(&batch);
             output.stage_apply += apply_started.elapsed();
             output.apply_calls += 1;
-            for p in ordered {
-                record_commit(output, p.tx.id, p.tx.submitted_at, commit_time);
+            for i in order {
+                let tx = &block[i].tx;
+                record_commit(output, tx.id, tx.submitted_at, commit_time);
             }
             output.total_queue_wait_secs +=
                 queue_wait_secs(block.iter().map(|p| &p.tx), created_at);
@@ -262,34 +318,41 @@ impl CommitPipeline {
         }
     }
 
-    /// The batched G1 path: one validation fan-out over all remaining blocks,
-    /// one storage call for the valid blocks in front of the first invalid
-    /// one. A report is exact only while every block before it is valid
-    /// ([`validate_blocks`]), so an invalid block is counted and dropped and
-    /// the blocks after it are validated again — the store then holds the
-    /// prefix, exactly the state the staged path would show them. Fault-free
-    /// that is one fan-out and one apply per sub-DAG; each Byzantine block
-    /// costs one more fan-out.
+    /// The batched G1 path over blocks already replayed: one read check over
+    /// all remaining blocks, joined with their replays, then one storage
+    /// call for the cached write batches of the valid blocks in front of the
+    /// first invalid one. A report is exact only while every block before it
+    /// is valid ([`validate_replayed`]), so an invalid block is counted and
+    /// dropped and the blocks after it are read-checked again — the store
+    /// then holds the prefix, exactly the state the staged path would show
+    /// them; their replays stand, since a replay reads no state. Fault-free
+    /// that is one read check and one apply per sub-DAG; each Byzantine
+    /// block costs one more read check.
     fn commit_preplayed_batched(
         &self,
-        blocks: &[(&[PreplayedTx], SimTime)],
+        mut blocks: Vec<(&[PreplayedTx], SimTime, Replay)>,
         store: &dyn Store,
         commit_time: SimTime,
         output: &mut CommitOutput,
     ) {
-        let mut remaining = blocks;
+        let mut remaining = &mut blocks[..];
         while !remaining.is_empty() {
-            let payloads: Vec<&[PreplayedTx]> = remaining.iter().map(|&(block, _)| block).collect();
+            let payloads: Vec<&[PreplayedTx]> =
+                remaining.iter().map(|(block, ..)| *block).collect();
+            let verdicts: Vec<&[bool]> = remaining
+                .iter()
+                .map(|(.., replay)| &replay.verdicts[..])
+                .collect();
             let validate_started = Instant::now();
-            let reports = validate_blocks(&payloads, store, &self.validation);
+            let reports = validate_replayed(&payloads, &verdicts, store);
             output.stage_validate += validate_started.elapsed();
             let valid = reports.iter().take_while(|r| r.is_valid()).count();
-            let (prefix, rest) = remaining.split_at(valid);
+            let (prefix, rest) = std::mem::take(&mut remaining).split_at_mut(valid);
             if !prefix.is_empty() {
-                let (batches, ordered): (Vec<_>, Vec<_>) = prefix
-                    .iter()
-                    .map(|(block, _)| ordered_write_batch(block))
-                    .unzip();
+                let batches: Vec<WriteBatch> = prefix
+                    .iter_mut()
+                    .map(|(.., replay)| std::mem::take(&mut replay.batch))
+                    .collect();
                 let apply_started = Instant::now();
                 store.apply_batches(&batches);
                 output.stage_apply += apply_started.elapsed();
@@ -297,23 +360,128 @@ impl CommitPipeline {
                 if batches.len() > 1 {
                     output.coalesced_batches += batches.len() as u64;
                 }
-                for p in ordered.into_iter().flatten() {
-                    record_commit(output, p.tx.id, p.tx.submitted_at, commit_time);
-                    output.single_shard_committed += 1;
-                }
-                for &(block, created_at) in prefix {
+                for (block, created_at, replay) in prefix.iter() {
+                    for &i in &replay.order {
+                        let tx = &block[i].tx;
+                        record_commit(output, tx.id, tx.submitted_at, commit_time);
+                    }
+                    output.single_shard_committed += block.len();
                     output.total_queue_wait_secs +=
-                        queue_wait_secs(block.iter().map(|p| &p.tx), created_at);
+                        queue_wait_secs(block.iter().map(|p| &p.tx), *created_at);
                 }
             }
             // `rest` is empty or starts with the first invalid block.
-            remaining = match rest.split_first() {
+            remaining = match rest.split_first_mut() {
                 Some((_invalid, after)) => {
                     output.invalid_blocks += 1;
                     after
                 }
-                None => rest,
+                None => &mut [],
             };
+        }
+    }
+}
+
+/// Whether a delivered block commits preplayed transactions in G1: it
+/// carries some, and it is not a Shift block, which commits nothing.
+fn commits_preplayed(block: &Block) -> bool {
+    block.kind != BlockKind::Shift && !block.payload.single_shard.is_empty()
+}
+
+/// Everything about a preplayed block's commit that does not depend on
+/// state: stage 2 of its validation and the write batch it applies if
+/// valid.
+struct Replay {
+    /// One [`replay_block`] verdict per transaction, in block order.
+    verdicts: Vec<bool>,
+    /// The block's writes in its serialized order.
+    batch: WriteBatch,
+    /// The block's transaction indices in serialized order: the order its
+    /// transactions commit in.
+    order: Vec<usize>,
+}
+
+impl Replay {
+    fn new(block: &[PreplayedTx], op_cost_ns: u64) -> Self {
+        let (batch, order) = ordered_write_batch(block);
+        Replay {
+            verdicts: replay_block(block, op_cost_ns),
+            batch,
+            order,
+        }
+    }
+}
+
+/// One replica's replays of the preplayed blocks admitted to its DAG and not
+/// yet delivered, keyed by block digest. The driver replays admitted blocks
+/// after a handler's output is sent ([`replay_admitted`]), so a commit finds
+/// them replayed and only read-checks and applies them; a block delivered
+/// before that is replayed by the commit, through the same
+/// [`take_or_replay`]. An entry leaves when its block is delivered.
+///
+/// The cache belongs to one replica: a replay is a pure function of the
+/// block, but sharing a cache through a block or vertex that several
+/// replicas hold would let one replica's replay stand in for another's.
+///
+/// [`replay_admitted`]: ReplayCache::replay_admitted
+/// [`take_or_replay`]: ReplayCache::take_or_replay
+#[derive(Default)]
+pub(crate) struct ReplayCache {
+    /// Every block admitted and not yet delivered, with its replay once it
+    /// has one.
+    replays: HashMap<Digest, Option<Replay>>,
+    /// Blocks admitted since the last [`replay_admitted`](Self::replay_admitted),
+    /// in admission order.
+    admitted: Vec<Arc<SealedBlock>>,
+}
+
+impl ReplayCache {
+    /// Notes a block whose vertex just entered the DAG undelivered, so the
+    /// next [`replay_admitted`](Self::replay_admitted) replays it. A block
+    /// with nothing preplayed has nothing to replay.
+    pub(crate) fn admit(&mut self, block: &Arc<SealedBlock>) {
+        if commits_preplayed(block) && !self.replays.contains_key(&block.digest()) {
+            self.replays.insert(block.digest(), None);
+            self.admitted.push(Arc::clone(block));
+        }
+    }
+
+    /// Replays every block admitted since the last call that is still
+    /// undelivered, on the calling thread.
+    pub(crate) fn replay_admitted(&mut self, op_cost_ns: u64) {
+        for block in std::mem::take(&mut self.admitted) {
+            if matches!(self.replays.get(&block.digest()), Some(None)) {
+                let (replay, _) = self.take_or_replay(&block, op_cost_ns);
+                self.replays.insert(block.digest(), Some(replay));
+            }
+        }
+    }
+
+    /// Number of blocks admitted and undelivered.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.replays.len()
+    }
+
+    /// Whether `block` is admitted and undelivered.
+    #[cfg(test)]
+    pub(crate) fn holds(&self, block: &SealedBlock) -> bool {
+        self.replays.contains_key(&block.digest())
+    }
+
+    /// Forgets every block: the DAG they were admitted to is gone.
+    pub(crate) fn clear(&mut self) {
+        self.replays.clear();
+        self.admitted.clear();
+    }
+
+    /// The replay of `block`, and whether it was replayed ahead: the one
+    /// this cache holds, which leaves it, or one made now. Either way the
+    /// block has no entry afterwards.
+    fn take_or_replay(&mut self, block: &SealedBlock, op_cost_ns: u64) -> (Replay, bool) {
+        match self.replays.remove(&block.digest()) {
+            Some(Some(replay)) => (replay, true),
+            _ => (Replay::new(&block.payload.single_shard, op_cost_ns), false),
         }
     }
 }
@@ -334,17 +502,18 @@ fn queue_wait_secs<'a>(txs: impl Iterator<Item = &'a Transaction>, created_at: S
         .sum()
 }
 
-/// Builds the write batch of a validated block in its serialized order
-/// (later transactions overwrite earlier ones) and returns the transactions
-/// sorted by that order.
-fn ordered_write_batch(block: &[PreplayedTx]) -> (WriteBatch, Vec<&PreplayedTx>) {
-    let mut ordered: Vec<&PreplayedTx> = block.iter().collect();
-    ordered.sort_by_key(|p| p.order);
-    let mut batch = WriteBatch::new();
-    for p in &ordered {
-        batch.extend_from_write_set(&p.outcome.write_set);
+/// Builds the write batch of a block in its serialized order (later
+/// transactions overwrite earlier ones) and returns the indices of its
+/// transactions sorted by that order.
+fn ordered_write_batch(block: &[PreplayedTx]) -> (WriteBatch, Vec<usize>) {
+    let mut order: Vec<usize> = (0..block.len()).collect();
+    order.sort_by_key(|&i| block[i].order);
+    let writes = block.iter().map(|p| p.outcome.write_set.len()).sum();
+    let mut batch = WriteBatch::with_capacity(writes);
+    for &i in &order {
+        batch.extend_from_write_set(&block[i].outcome.write_set);
     }
-    (batch, ordered)
+    (batch, order)
 }
 
 /// Groups cross-shard transactions into waves whose declared shard sets are
@@ -872,6 +1041,81 @@ mod tests {
             .snapshot()
             .diff_values(&pipelined_store.snapshot());
         assert!(diff.is_empty(), "state divergence on {diff:?}");
+    }
+
+    #[test]
+    fn a_commit_through_replays_made_ahead_equals_one_that_replays_itself() {
+        // Each block preplayed on the state the one before it declared, as
+        // its proposer's overlay would show it.
+        let ce = ConcurrentExecutor::new(CeConfig::new(1, 16).without_synthetic_cost());
+        let scratch = funded_store(8);
+        let preplay = |txs: &[Transaction], tamper: bool| {
+            let mut payload = BlockPayload {
+                single_shard: ce.preplay(txs, &scratch).preplayed,
+                cross_shard: vec![],
+            };
+            if tamper {
+                payload = crate::replica::Replica::tamper_writes(payload);
+            }
+            scratch.apply_batch(&ordered_write_batch(&payload.single_shard).0);
+            payload.single_shard
+        };
+        let blocks = vec![
+            preplay(&[payment(1, 0, 4, 10, 1), payment(2, 2, 6, 5, 1)], false),
+            // A ByzantineBehavior::TamperWrites proposer's block.
+            preplay(&[payment(3, 4, 0, 7, 1)], true),
+            // Reads both keys the tampered block wrote, one of them forged.
+            preplay(&[payment(4, 0, 4, 1, 1)], false),
+            preplay(&[payment(5, 2, 6, 1, 1)], false),
+        ];
+        let sub_dag = sub_dag_with_blocks(Committee::new(4), blocks);
+        let at = SimTime::from_secs(1);
+        let pipeline = CommitPipeline::new(PostCommitExecution::Pipelined { workers: 2 });
+
+        let serial_store = funded_store(8);
+        let serial =
+            CommitPipeline::new(PostCommitExecution::Serial).process(&sub_dag, &serial_store, at);
+        let committed: Vec<TxId> = serial.committed.iter().map(|(id, _)| *id).collect();
+        assert_eq!(committed, [1, 2, 5].map(TxId::new));
+        assert_eq!(serial.invalid_blocks, 2);
+
+        let inline_store = funded_store(8);
+        let inline = pipeline.process(&sub_dag, &inline_store, at);
+        assert_eq!(inline.blocks_replayed_inline, 4);
+        assert_eq!(inline.committed, serial.committed);
+        assert_eq!(inline.invalid_blocks, serial.invalid_blocks);
+        assert!(inline_store
+            .snapshot()
+            .diff_values(&serial_store.snapshot())
+            .is_empty());
+
+        // Every subset of the blocks replayed ahead, the rest by the commit.
+        for ahead in 0..16usize {
+            let mut replays = ReplayCache::default();
+            for (i, vertex) in sub_dag.vertices.iter().enumerate() {
+                if ahead & (1 << i) != 0 {
+                    replays.admit(&vertex.block);
+                }
+            }
+            replays.replay_admitted(0);
+            let store = funded_store(8);
+            let output = pipeline.process_cached(&sub_dag, &store, at, &mut replays);
+            assert_eq!(
+                output.blocks_replayed_ahead,
+                u64::from(ahead.count_ones()),
+                "{ahead:04b}"
+            );
+            assert_eq!(
+                output.blocks_replayed_inline,
+                4 - output.blocks_replayed_ahead
+            );
+            assert_eq!(replays.len(), 0, "delivered blocks leave the cache");
+            assert_eq!(output.committed, inline.committed, "{ahead:04b}");
+            assert_eq!(output.invalid_blocks, inline.invalid_blocks, "{ahead:04b}");
+            assert_eq!(output.apply_calls, inline.apply_calls, "{ahead:04b}");
+            let diff = store.snapshot().diff_values(&inline_store.snapshot());
+            assert!(diff.is_empty(), "{ahead:04b}: state divergence on {diff:?}");
+        }
     }
 
     #[test]

@@ -15,9 +15,12 @@
 //! 1. `handle` (or `start`), whose output — a proposal's header among it —
 //!    is emitted at the handling time plus the handler's busy time;
 //! 2. after the client queue is topped up, `Replica::preplay_ahead`, which
-//!    preplays the batch of the replica's next proposal. It emits nothing;
-//!    its busy time only moves `busy_until` on, so the replica handles its
-//!    next message that much later while its header is already on the wire.
+//!    preplays the batch of the replica's next proposal, and
+//!    `Replica::replay_admitted`, which replays the preplayed blocks whose
+//!    vertices the handler admitted to the DAG, so their commit only
+//!    read-checks and applies them. This step emits nothing; its busy time
+//!    only moves `busy_until` on, so the replica handles its next message
+//!    that much later while its header is already on the wire.
 //!
 //! Over TCP, charging busy time is a no-op: it is wall-clock time spent in
 //! the two steps, the header is written to its sockets before the second
@@ -44,8 +47,9 @@ const RECV_POLL: Duration = Duration::from_millis(50);
 /// proposes its first block and preplays ahead. Then, per inbound message:
 /// handle it at
 /// `max(arrival, busy_until)`, send what it produced no earlier than the
-/// end of the work it took, top the replica's queue up, preplay ahead, move
-/// `busy_until` past both steps' work, and ask `stop`. `stop` is asked after
+/// end of the work it took, top the replica's queue up, preplay ahead and
+/// replay the blocks the message admitted, move `busy_until` past both
+/// steps' work, and ask `stop`. `stop` is asked after
 /// a receive that timed out too, so a wall-clock deadline fires on a quiet
 /// network.
 pub fn drive<T: Transport<Message>>(
@@ -87,6 +91,7 @@ pub fn drive<T: Transport<Message>>(
                 // Clients submit as fast as the cluster commits.
                 feed.top_up(replicas, i, now);
                 replicas[i].preplay_ahead();
+                replicas[i].replay_admitted();
                 busy_until[i] = after(sent, replicas[i].take_busy());
             }
             Err(RecvError::TimedOut) => {}
@@ -129,16 +134,25 @@ mod tests {
     use tb_types::{CeConfig, LatencyModel, Round, SystemConfig};
     use tb_workload::{SmallBankConfig, Workload};
 
+    /// A header's round and creation time: the time the handler that
+    /// proposed it was called with.
+    type HeaderStamp = (Round, SimTime);
+
     /// A simulated network that records every emission.
     struct Recorder {
         inner: SimNetwork<Message>,
-        /// `(sender, emission time, header round)`, the round for headers.
-        sent: Vec<(ReplicaId, SimTime, Option<Round>)>,
+        /// `(sender, emission time, header stamp)`, the stamp for headers.
+        sent: Vec<(ReplicaId, SimTime, Option<HeaderStamp>)>,
+        /// The replica the last message received went to.
+        handled: Option<ReplicaId>,
     }
 
     impl Recorder {
         fn record(&mut self, from: ReplicaId, msg: &Message, at: SimTime) {
-            let header = matches!(msg, Message::Header { .. }).then(|| msg.round());
+            let header = match msg {
+                Message::Header { header, .. } => Some((header.round, header.created_at)),
+                _ => None,
+            };
             self.sent.push((from, at, header));
         }
     }
@@ -175,7 +189,9 @@ mod tests {
             &mut self,
             _timeout: Duration,
         ) -> Result<(SimTime, tb_network::Inbound<Message>), RecvError> {
-            self.inner.next_event().ok_or(RecvError::Closed)
+            let (arrival, inbound) = self.inner.next_event().ok_or(RecvError::Closed)?;
+            self.handled = Some(inbound.to);
+            Ok((arrival, inbound))
         }
 
         fn stats(&self) -> NetworkStats {
@@ -185,13 +201,16 @@ mod tests {
         fn shutdown(&mut self) {}
     }
 
-    #[test]
-    fn preplay_ahead_runs_after_the_header_is_on_the_wire() {
-        // A 50 µs spin per state operation makes preplaying a 32-transaction
-        // batch cost at least 1.6 ms, against a 200 µs hop.
-        const OP_COST_NS: u64 = 50_000;
-        const BATCH: usize = 32;
-        const HOP_MICROS: u64 = 200;
+    /// A 50 µs spin per state operation makes preplaying or replaying a
+    /// 32-transaction batch cost at least 1.6 ms, against a 200 µs hop.
+    const OP_COST_NS: u64 = 50_000;
+    const BATCH: usize = 32;
+    const HOP_MICROS: u64 = 200;
+
+    /// Four replicas of a lockstep, all single-shard SmallBank cluster that
+    /// spins [`OP_COST_NS`] per state operation, its feed, and a recording
+    /// network with a [`HOP_MICROS`] hop.
+    fn costly_cluster() -> (Vec<Replica>, ClientFeed, Recorder) {
         let mut system = SystemConfig::with_replicas(4);
         system.ce = CeConfig::new(1, BATCH);
         system.ce.synthetic_op_cost_ns = OP_COST_NS;
@@ -212,19 +231,27 @@ mod tests {
         .into();
         workload.configure_for_cluster(4, config.seed);
         let state = workload.initial_state();
-        let mut replicas: Vec<Replica> = (0..4)
+        let replicas: Vec<Replica> = (0..4)
             .map(|i| {
                 let mut replica = Replica::new(ReplicaId::new(i), config.clone());
                 replica.load_state(state.iter().cloned());
                 replica
             })
             .collect();
-        let mut feed = ClientFeed::new(workload, BATCH);
+        let feed = ClientFeed::new(workload, BATCH);
         let latency = LatencyModel::Fixed { micros: HOP_MICROS };
-        let mut transport = Recorder {
+        let transport = Recorder {
             inner: SimNetwork::new(4, latency, config.seed),
             sent: Vec::new(),
+            handled: None,
         };
+        (replicas, feed, transport)
+    }
+
+    #[test]
+    fn preplay_ahead_runs_after_the_header_is_on_the_wire() {
+        let (mut replicas, mut feed, mut transport) = costly_cluster();
+        let latency = LatencyModel::Fixed { micros: HOP_MICROS };
         drive(&mut replicas, &mut feed, &mut transport, |replicas, _| {
             replicas[0].current_round() >= Round::new(6)
         });
@@ -235,17 +262,17 @@ mod tests {
         assert_eq!(metrics.batches_reused, 6);
         assert_eq!(metrics.batches_repreplayed, 0);
         let me = ReplicaId::new(0);
-        let emissions: Vec<&(ReplicaId, SimTime, Option<Round>)> = transport
+        let emissions: Vec<_> = transport
             .sent
             .iter()
             .filter(|(from, ..)| *from == me)
             .collect();
         let preplay_floor = SimTime::from_micros(BATCH as u64 * OP_COST_NS / 1_000);
         let mut checked = 0;
-        for (i, (_, header_at, round)) in emissions.iter().enumerate() {
-            if !round.is_some_and(|round| round > Round::ZERO) {
+        for (i, (_, header_at, header)) in emissions.iter().enumerate() {
+            let Some((round, _)) = header.filter(|(round, _)| *round > Round::ZERO) else {
                 continue;
-            }
+            };
             // The replica's next emission comes from a later handler, which
             // it starts no earlier than when preplaying ahead ends.
             let Some((_, next_at, _)) = emissions[i..].iter().find(|(_, at, _)| at > header_at)
@@ -255,12 +282,97 @@ mod tests {
             let reaches_peer = *header_at + latency.mean();
             assert!(
                 reaches_peer < *next_at && *header_at + preplay_floor <= *next_at,
-                "round {round:?}: header out at {header_at}, at a peer at {reaches_peer}, \
+                "round {round}: header out at {header_at}, at a peer at {reaches_peer}, \
                  the replica free again at {next_at}"
             );
             checked += 1;
         }
         assert!(checked >= 4, "{checked} headers checked");
+    }
+
+    #[test]
+    fn replay_on_admission_is_charged_after_the_header_and_never_to_the_commit() {
+        let (mut replicas, mut feed, mut transport) = costly_cluster();
+        let me = ReplicaId::new(0);
+        // Per step of replica 0 that sent a header after round 0: when the
+        // handler was called (the header's creation time), when the header
+        // went out, and the least the blocks it admitted cost to replay,
+        // one spin per declared read and write.
+        let mut header_steps: Vec<(SimTime, SimTime, SimTime)> = Vec::new();
+        let mut seen_sent = 0;
+        let mut seen = std::collections::HashSet::new();
+        drive(
+            &mut replicas,
+            &mut feed,
+            &mut transport,
+            |replicas, transport| {
+                let sent = &transport.sent[seen_sent..];
+                seen_sent = transport.sent.len();
+                if transport.handled == Some(me) {
+                    let ops: usize = replicas[0]
+                        .dag()
+                        .iter()
+                        .filter(|v| seen.insert(v.id()))
+                        .flat_map(|v| &v.block.payload.single_shard)
+                        .map(|p| p.outcome.read_set.len() + p.outcome.write_set.len())
+                        .sum();
+                    let replay_floor = SimTime::from_micros(ops as u64 * OP_COST_NS / 1_000);
+                    let header = sent.iter().find_map(|(from, at, header)| match header {
+                        Some((round, handled_at)) if *from == me && *round > Round::ZERO => {
+                            Some((*handled_at, *at))
+                        }
+                        _ => None,
+                    });
+                    if let Some((handled_at, header_at)) = header {
+                        header_steps.push((handled_at, header_at, replay_floor));
+                    }
+                }
+                replicas[0].current_round() >= Round::new(6)
+            },
+        );
+
+        // No commit replayed a block: each was replayed in the step that
+        // admitted it, so a commit's own work is the read check and the
+        // apply.
+        let metrics = replicas[0].metrics();
+        assert_eq!(metrics.blocks_replayed_inline, 0);
+        assert!(metrics.blocks_replayed_ahead >= 8);
+        // The step that completes a round admits its last vertex and sends
+        // the next header. The replica replays that vertex's block and
+        // preplays its next batch after the header went out, not before:
+        // it is busy for both after the header. Had the handler replayed
+        // the block, no header could go out sooner than the replay's floor
+        // after the handler started; here headers do (all of them unless
+        // the host preempts the test).
+        let preplay_floor = SimTime::from_micros(BATCH as u64 * OP_COST_NS / 1_000);
+        let mut checked = 0;
+        let mut before_the_replay = 0;
+        for (handled_at, header_at, replay_floor) in header_steps {
+            let next_at = transport
+                .sent
+                .iter()
+                .find(|(from, at, _)| *from == me && *at > header_at)
+                .map(|(_, at, _)| *at);
+            let Some(next_at) = next_at else {
+                continue;
+            };
+            assert!(
+                replay_floor > SimTime::ZERO,
+                "the header at {header_at} admitted no block"
+            );
+            before_the_replay += usize::from(header_at < handled_at + replay_floor);
+            assert!(
+                header_at + preplay_floor + replay_floor <= next_at,
+                "header out at {header_at}, replaying at least {replay_floor}, \
+                 the replica free again at {next_at}"
+            );
+            checked += 1;
+        }
+        assert!(checked >= 4, "{checked} headers checked");
+        assert!(
+            before_the_replay > 0,
+            "none of {checked} headers went out before its handler could have replayed"
+        );
     }
 
     #[test]

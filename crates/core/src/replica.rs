@@ -20,10 +20,14 @@
 //! that batch if it is still the batch the queue gives and every read it
 //! declares still holds (validation's read check), and preplays afresh
 //! otherwise, so its block is the one a fresh preplay would give
-//! (`docs/PIPELINE.md`, "Preplay runs ahead of the round").
+//! (`docs/PIPELINE.md`, "Preplay runs ahead of the round"). In the same
+//! step, `Replica::replay_admitted` replays the preplayed blocks whose
+//! vertices the handler admitted to the DAG, so the commit that delivers
+//! them only read-checks and applies them (`docs/PIPELINE.md`,
+//! "Validation replays on admission").
 
 use crate::cluster::{ClusterConfig, ExecutionMode};
-use crate::commit::{CommitPipeline, PostCommitExecution};
+use crate::commit::{CommitPipeline, PostCommitExecution, ReplayCache};
 use crate::messages::Message;
 use crate::metrics::{LatencyHistogram, RoundCommitSample, RunReport};
 use crate::proposer::{
@@ -226,6 +230,13 @@ pub struct ReplicaMetrics {
     /// and preplayed afresh: a declared read no longer held, or the queue
     /// had grown a longer batch.
     pub batches_repreplayed: u64,
+    /// Delivered preplayed blocks the commit found replayed: replayed after
+    /// the handler that admitted their vertex, so the commit only
+    /// read-checked and applied them.
+    pub blocks_replayed_ahead: u64,
+    /// Delivered preplayed blocks the commit replayed itself: their vertex
+    /// was admitted by the handler that delivered it.
+    pub blocks_replayed_inline: u64,
     /// Completed DAG reconfigurations.
     pub reconfigurations: u64,
     /// Summed commit latencies in seconds.
@@ -280,6 +291,8 @@ impl Default for ReplicaMetrics {
             reexecutions: 0,
             batches_reused: 0,
             batches_repreplayed: 0,
+            blocks_replayed_ahead: 0,
+            blocks_replayed_inline: 0,
             reconfigurations: 0,
             total_latency_secs: 0.0,
             total_queue_wait_secs: 0.0,
@@ -339,6 +352,10 @@ pub struct Replica {
     /// Undelivered DAG vertices that carry a cross-shard transaction
     /// touching this replica's shard: the input to rules P3/P4.
     conflicting_undelivered: HashSet<Digest>,
+    /// The preplayed blocks of undelivered DAG vertices, replayed after the
+    /// handler that admitted them (`docs/PIPELINE.md`, "Validation replays
+    /// on admission"). Empty for Tusk, which preplays nothing.
+    replays: ReplayCache,
     future_messages: Vec<(ReplicaId, Message)>,
 
     /// Write sets of this replica's own preplayed-but-uncommitted blocks.
@@ -423,6 +440,7 @@ impl Replica {
             fetches: Fetches::new(id),
             pending_vertices: Vec::new(),
             conflicting_undelivered: HashSet::new(),
+            replays: ReplayCache::default(),
             future_messages: Vec::new(),
             overlay: Overlay::default(),
             last_preplayed: false,
@@ -729,7 +747,7 @@ impl Replica {
 
     /// [`ByzantineBehavior::TamperWrites`]: corrupt the first declared write
     /// so the block's declared effects no longer re-execute.
-    fn tamper_writes(mut payload: BlockPayload) -> BlockPayload {
+    pub(crate) fn tamper_writes(mut payload: BlockPayload) -> BlockPayload {
         for preplayed in payload.single_shard.iter_mut() {
             if let Some(record) = preplayed.outcome.write_set.first_mut() {
                 record.value = Value::int(i64::MIN / 2);
@@ -879,15 +897,29 @@ impl Replica {
         };
         let started = Instant::now();
         let txs = self.proposer.next_single_batch();
-        if txs.len() <= self.ahead.as_ref().map_or(0, |ahead| ahead.txs.len()) {
-            return;
+        if txs.len() > self.ahead.as_ref().map_or(0, |ahead| ahead.txs.len()) {
+            let view = OverlayRead {
+                store: self.store.as_ref(),
+                overlay: &self.overlay,
+            };
+            self.ahead = Some(Preplayed::new(executor, txs, &view));
         }
-        let view = OverlayRead {
-            store: self.store.as_ref(),
-            overlay: &self.overlay,
-        };
-        self.ahead = Some(Preplayed::new(executor, txs, &view));
         self.busy += started.elapsed();
+    }
+
+    /// The step the driver runs after each message beside
+    /// [`preplay_ahead`](Self::preplay_ahead): replays the preplayed blocks
+    /// whose vertices entered the DAG since the last call and builds their
+    /// write batches, so the commit that delivers them only read-checks and
+    /// applies them. The work counts as validation, and is reported through
+    /// [`take_busy`](Self::take_busy) like a handler's.
+    pub(crate) fn replay_admitted(&mut self) {
+        let started = Instant::now();
+        self.replays
+            .replay_admitted(self.config.system.ce.synthetic_op_cost_ns);
+        let elapsed = started.elapsed();
+        self.metrics.validate_busy += elapsed;
+        self.busy += elapsed;
     }
 
     fn previous_leader_present(&self) -> bool {
@@ -915,11 +947,15 @@ impl Replica {
         !self.conflicting_undelivered.is_empty()
     }
 
-    /// Bookkeeping for a vertex the DAG just accepted: remember it while it
-    /// is undelivered and carries a cross-shard transaction on this
-    /// replica's shard. The shard only changes on reconfiguration, which
-    /// starts a new DAG and clears the set.
+    /// Bookkeeping for a vertex the DAG just accepted, while it is
+    /// undelivered: remember it if it carries a cross-shard transaction on
+    /// this replica's shard, and queue its preplayed block for replay. The
+    /// shard only changes on reconfiguration, which starts a new DAG and
+    /// clears both.
     fn track_inserted(&mut self, id: Digest, vertex: &Vertex) {
+        if self.committer.is_delivered(&id) {
+            return;
+        }
         let my_shard = self.proposer.shard();
         let conflicts = vertex
             .block
@@ -927,8 +963,11 @@ impl Replica {
             .cross_shard
             .iter()
             .any(|tx| tx.touches_shard(my_shard));
-        if conflicts && !self.committer.is_delivered(&id) {
+        if conflicts {
             self.conflicting_undelivered.insert(id);
+        }
+        if self.executor.is_some() {
+            self.replays.admit(&vertex.block);
         }
     }
 
@@ -1257,7 +1296,9 @@ impl Replica {
     fn run_commit_loop(&mut self, now: SimTime) -> Vec<Outbound> {
         let mut out = Vec::new();
         for sub_dag in self.committer.try_commit(&self.dag) {
-            let output = self.pipeline.process(&sub_dag, self.store.as_ref(), now);
+            let output =
+                self.pipeline
+                    .process_cached(&sub_dag, self.store.as_ref(), now, &mut self.replays);
             self.busy += output.busy;
             self.metrics.committed_txs += output.committed_count() as u64;
             self.metrics.single_shard_txs += output.single_shard_committed as u64;
@@ -1270,6 +1311,8 @@ impl Replica {
             self.metrics.execute_busy += output.stage_execute;
             self.metrics.coalesced_batches += output.coalesced_batches;
             self.metrics.apply_calls += output.apply_calls;
+            self.metrics.blocks_replayed_ahead += output.blocks_replayed_ahead;
+            self.metrics.blocks_replayed_inline += output.blocks_replayed_inline;
             for latency in &output.latency_samples_secs {
                 self.metrics.latency_hist.record_secs(*latency);
             }
@@ -1328,6 +1371,7 @@ impl Replica {
         self.fetches.clear();
         self.pending_vertices.retain(|v| v.dag() == self.dag_id);
         self.conflicting_undelivered.clear();
+        self.replays.clear();
         self.overlay.clear();
         // The queue may be cleared below: drop its preplayed front with it.
         self.ahead = None;
@@ -1508,6 +1552,16 @@ mod tests {
     /// every outbound message (no latency, no faults). Returns when no more
     /// messages are produced.
     fn run_synchronously(replicas: &mut [Replica], rounds_budget: usize) {
+        run_synchronously_with(replicas, rounds_budget, |_| {});
+    }
+
+    /// [`run_synchronously`], calling `after` on each replica after it
+    /// handles a message.
+    fn run_synchronously_with(
+        replicas: &mut [Replica],
+        rounds_budget: usize,
+        mut after: impl FnMut(&mut Replica),
+    ) {
         let mut inbox: VecDeque<(ReplicaId, ReplicaId, Message)> = VecDeque::new();
         let now = SimTime::ZERO;
         let n = replicas.len();
@@ -1530,6 +1584,7 @@ mod tests {
             for outbound in replica.handle(from, msg, now) {
                 enqueue(&mut inbox, replica.id(), outbound, n);
             }
+            after(replica);
         }
     }
 
@@ -2222,14 +2277,61 @@ mod tests {
         }
     }
 
+    /// The blocks `replica` holds a replay for are exactly the preplayed
+    /// blocks of the undelivered vertices of its current DAG.
+    fn assert_replays_track_the_undelivered(replica: &Replica) {
+        let undelivered: Vec<&Arc<Vertex>> = replica
+            .dag
+            .iter()
+            .filter(|v| {
+                !replica.committer.is_delivered(&v.id()) && !v.block.payload.single_shard.is_empty()
+            })
+            .collect();
+        assert_eq!(replica.replays.len(), undelivered.len());
+        assert!(undelivered.iter().all(|v| replica.replays.holds(&v.block)));
+    }
+
     #[test]
     fn periodic_reconfiguration_rotates_shards_without_stopping() {
         let mut cfg = config(4);
         cfg.system.reconfig = tb_types::ReconfigConfig::new(3, 4);
         let mut replicas: Vec<Replica> = (0..4)
-            .map(|i| Replica::new(ReplicaId::new(i), cfg.clone()))
+            .map(|i| {
+                let mut r = Replica::new(ReplicaId::new(i), cfg.clone());
+                r.load_state(tb_workload::initial_smallbank_state(16, 1_000));
+                r
+            })
             .collect();
-        run_synchronously(&mut replicas, 20);
+        // Payments within each replica's first shard, a full batch for
+        // every round of the first DAG.
+        for (i, replica) in replicas.iter_mut().enumerate() {
+            for k in 0..1_000u64 {
+                let from = i as u64 + 4 * (k % 4);
+                assert!(replica.enqueue(payment(4 * k + i as u64, from, (from + 4) % 16, 4)));
+            }
+        }
+        // After each message a replica replays what it admitted, as the
+        // driver has it do; what it holds is checked after every step, and
+        // what it held before the step that ended its first DAG is kept.
+        let mut held = [0; 4];
+        let mut held_when_the_first_dag_ended = [None; 4];
+        run_synchronously_with(&mut replicas, 20, |replica| {
+            let i = replica.id().as_inner() as usize;
+            if replica.metrics().reconfigurations > 0 && held_when_the_first_dag_ended[i].is_none()
+            {
+                held_when_the_first_dag_ended[i] = Some(held[i]);
+            }
+            replica.preplay_ahead();
+            replica.replay_admitted();
+            assert_replays_track_the_undelivered(replica);
+            held[i] = replica.replays.len();
+        });
+        // The first DAG ended holding replays of blocks it never delivered,
+        // and none of them outlived it. (Reconfiguration empties the client
+        // queues, so later DAGs carry no preplayed blocks.)
+        for held in held_when_the_first_dag_ended {
+            assert!(held.is_some_and(|held| held > 0), "{held:?}");
+        }
         for replica in &replicas {
             assert!(
                 replica.metrics().reconfigurations >= 1,
@@ -2242,6 +2344,41 @@ mod tests {
         // assignment rotated.
         let r0 = &replicas[0];
         assert_ne!(r0.current_shard(), ShardId::new(0));
+    }
+
+    #[test]
+    fn every_block_a_lockstep_run_delivers_was_replayed_ahead() {
+        // Shaped like the benchmark's sim-single workload.
+        let mut sim = crate::scenario::ScenarioBuilder::new(4)
+            .smallbank(tb_workload::SmallBankConfig {
+                cross_shard_fraction: 0.0,
+                ..tb_workload::SmallBankConfig::default()
+            })
+            .latency(tb_types::LatencyModel::lan())
+            .executors(1, 64)
+            .validators(2)
+            .rounds(40)
+            .seed(42)
+            .lockstep()
+            .tune(|system| system.ce = system.ce.without_synthetic_cost())
+            .build();
+        sim.run();
+        for id in 0..4 {
+            let replica = sim.replica(ReplicaId::new(id));
+            assert_eq!(replica.metrics().reconfigurations, 0);
+            let delivered = replica
+                .dag
+                .iter()
+                .filter(|v| {
+                    replica.committer.is_delivered(&v.id())
+                        && !v.block.payload.single_shard.is_empty()
+                })
+                .count() as u64;
+            assert!(delivered >= 60, "{delivered} preplayed blocks delivered");
+            assert_eq!(replica.metrics().blocks_replayed_ahead, delivered);
+            assert_eq!(replica.metrics().blocks_replayed_inline, 0);
+            assert_replays_track_the_undelivered(replica);
+        }
     }
 
     #[test]

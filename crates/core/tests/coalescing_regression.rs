@@ -1,7 +1,7 @@
 //! Gate on the apply granularity of the pipelined commit path.
 //!
-//! A committed sub-DAG is the batch: the pipelined path validates all of its
-//! preplayed blocks in one fan-out and hands all of their write batches to
+//! A committed sub-DAG is the batch: the pipelined path read-checks all of
+//! its preplayed blocks in one pass and hands all of their write batches to
 //! storage in **one** [`Store::apply_batches`](tb_storage::Store) call, so
 //! `CommitOutput::apply_calls` is 1 per fault-free `process` and
 //! `coalesced_batches` is the number of valid blocks whenever there are at

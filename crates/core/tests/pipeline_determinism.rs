@@ -278,7 +278,7 @@ fn assert_pipelined_matches_serial(
 }
 
 /// Seeded random sub-DAGs of 1–12 chained blocks, 0–3 of them invalid in one
-/// of the four ways: one fan-out with restarts must discard exactly the
+/// of the four ways: one read check with restarts must discard exactly the
 /// blocks the validate-apply loop discards — the tampered ones and every
 /// later block that read a value only a discarded block wrote.
 #[test]

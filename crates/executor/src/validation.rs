@@ -30,6 +30,13 @@
 //!    verdicts are joined **in chunk order** on the caller and folded into
 //!    one [`ValidationReport`] per block.
 //!
+//! A transaction is valid iff both stages pass it, and stage 2 depends on
+//! the block alone, so the stages may run apart: [`replay_block`] runs stage
+//! 2 on one block on the calling thread, whenever the block is at hand, and
+//! [`validate_replayed`] later joins those verdicts with the read check. A
+//! replica replays a block when its vertex enters the DAG and runs only the
+//! read check when the block commits (`docs/PIPELINE.md`).
+//!
 //! # Why two stages give the verdict of one re-execution against the view
 //!
 //! A re-execution is checked as it runs. Reading a key the transaction has
@@ -224,9 +231,11 @@ pub fn validate_block(
 /// Validates a run of blocks delivered together, in delivery order, and
 /// returns one report per block. Two stages: one sequential pass checks
 /// every declared read against the last write declared before it, or
-/// `base`; then one parallel fan-out re-executes every transaction whose
-/// reads passed over its own declarations, checking while it executes that
-/// its reads, write set and result match them.
+/// `base` ([`check_reads`]); then one parallel fan-out re-executes every
+/// transaction whose reads passed over its own declarations, checking while
+/// it executes that its reads, write set and result match them (the replay
+/// [`replay_block`] runs on one block). A transaction is valid iff both
+/// stages pass it.
 ///
 /// The transaction at `(block, order)` is judged against its own writes,
 /// over the last write declared strictly before its position, over `base`.
@@ -287,16 +296,50 @@ pub fn validate_blocks(
         .zip(&reads_pass)
         .filter_map(|(p, pass)| pass.then_some(p))
         .collect();
+    // Only transactions whose reads passed went through the fan-out.
     let mut verdicts = parallel_verdicts(&txs, config).into_iter();
-    let mut reads_pass = reads_pass.into_iter();
+    join_stages(blocks, &reads_pass, |_, _| {
+        verdicts.next().expect("one verdict per re-execution")
+    })
+}
+
+/// Stage 2 on one block: the verdict of re-executing each transaction over
+/// its own declarations, in block order, on the calling thread. It reads no
+/// state, so it is a pure function of the block and may run at any time
+/// before the block is validated; [`validate_replayed`] joins it with the
+/// read check. Every transaction is replayed, whatever its reads.
+pub fn replay_block(preplayed: &[PreplayedTx], op_cost_ns: u64) -> Vec<bool> {
+    replay_all(preplayed, op_cost_ns)
+}
+
+/// [`validate_blocks`] with stage 2 done earlier: `replays[k]` is
+/// [`replay_block`] of `blocks[k]`. Runs the read check against `base` and
+/// joins it with the replays, so the reports are byte-identical to
+/// [`validate_blocks`] on the same `(blocks, base)`.
+pub fn validate_replayed(
+    blocks: &[&[PreplayedTx]],
+    replays: &[&[bool]],
+    base: &(dyn KvRead + Sync),
+) -> Vec<ValidationReport> {
+    assert_eq!(blocks.len(), replays.len(), "one replay per block");
+    let reads_pass = check_reads(blocks, base);
+    join_stages(blocks, &reads_pass, |block, tx| replays[block][tx])
+}
+
+/// Folds the two stages into one report per block. `replayed(block, tx)` is
+/// asked only for a transaction whose reads passed, in run order.
+fn join_stages(
+    blocks: &[&[PreplayedTx]],
+    reads_pass: &[bool],
+    mut replayed: impl FnMut(usize, usize) -> bool,
+) -> Vec<ValidationReport> {
+    let mut reads_pass = reads_pass.iter();
     let mut reports = Vec::with_capacity(blocks.len());
-    for preplayed in blocks {
+    for (block, preplayed) in blocks.iter().enumerate() {
         let mut mismatches = Vec::new();
-        for p in *preplayed {
-            // Only transactions whose reads passed went through the fan-out.
-            let pass = reads_pass.next().expect("one flag per transaction")
-                && verdicts.next().expect("one verdict per re-execution");
-            if !pass {
+        for (tx, p) in preplayed.iter().enumerate() {
+            let pass = *reads_pass.next().expect("one flag per transaction");
+            if !(pass && replayed(block, tx)) {
                 mismatches.push(p.tx.id);
             }
         }
@@ -309,28 +352,31 @@ pub fn validate_blocks(
     reports
 }
 
+/// Stage 2 on the caller: one session, its buffers reused across `txs`.
+fn replay_all<'a>(txs: impl IntoIterator<Item = &'a PreplayedTx>, op_cost_ns: u64) -> Vec<bool> {
+    let mut session = ReplaySession {
+        op_cost: op_cost_ns,
+        declared_reads: &[],
+        reads: Vec::new(),
+        writes: Vec::new(),
+    };
+    txs.into_iter().map(|p| session.check(p)).collect()
+}
+
 /// Stage 2, the stateless fan-out: re-executes every transaction over its
 /// own declarations and returns one verdict per transaction, in input order.
 /// Workers share only the immutable blocks, so no synchronisation is needed
 /// beyond the final join.
 fn parallel_verdicts(txs: &[&PreplayedTx], config: &ValidationConfig) -> Vec<bool> {
     let workers = crate::traits::effective_workers(config.validators).min(txs.len());
-    let revalidate_all = |chunk: &[&PreplayedTx]| -> Vec<bool> {
-        let mut session = ReplaySession {
-            op_cost: config.op_cost_ns,
-            declared_reads: &[],
-            reads: Vec::new(),
-            writes: Vec::new(),
-        };
-        chunk.iter().map(|p| session.check(p)).collect()
-    };
     if workers <= 1 {
-        return revalidate_all(txs);
+        return replay_all(txs.iter().copied(), config.op_cost_ns);
     }
     let chunks: Vec<_> = txs.chunks(txs.len().div_ceil(workers)).collect();
     let verdicts: Vec<Mutex<Vec<bool>>> = chunks.iter().map(|_| Mutex::new(Vec::new())).collect();
     crate::pool::global().run(chunks.len(), &|slot| {
-        *verdicts[slot].lock().unwrap() = revalidate_all(chunks[slot]);
+        *verdicts[slot].lock().unwrap() =
+            replay_all(chunks[slot].iter().copied(), config.op_cost_ns);
     });
     // Flattening in chunk order keeps the verdict vector in input order no
     // matter which pool worker ran which chunk.
@@ -698,6 +744,14 @@ mod tests {
         Some(&mut block[index])
     }
 
+    /// The run validated as a replica validates it: each block replayed
+    /// first, on its own, and the replays joined with the read check later.
+    fn replayed_ahead(run: &[&[PreplayedTx]], base: &MemStore) -> Vec<ValidationReport> {
+        let replays: Vec<Vec<bool>> = run.iter().map(|block| replay_block(block, 0)).collect();
+        let replays: Vec<&[bool]> = replays.iter().map(Vec::as_slice).collect();
+        validate_replayed(run, &replays, base)
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
@@ -728,6 +782,7 @@ mod tests {
                 let reports = validate_blocks(&run, &store, &ValidationConfig::new(validators));
                 proptest::prop_assert_eq!(&reports, &oracle);
             }
+            proptest::prop_assert_eq!(&replayed_ahead(&run, &store), &oracle);
         }
 
         /// Every report of the two stages equals the single-stage
@@ -812,6 +867,7 @@ mod tests {
                 let reports = validate_blocks(&run, &store, &ValidationConfig::new(validators));
                 proptest::prop_assert_eq!(&reports, &oracle);
             }
+            proptest::prop_assert_eq!(&replayed_ahead(&run, &store), &oracle);
         }
 
         /// The timeline answers every read as a scan of the declared writes
