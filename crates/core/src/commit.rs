@@ -15,8 +15,9 @@
 //!    enters its DAG, in the driver's step after a handler's output is sent
 //!    (`ReplayCache`). The commit then runs only the read check, over all
 //!    blocks of the sub-DAG in one pass, joins it with the cached verdicts
-//!    and applies the cached batches; a block delivered before it was
-//!    replayed is replayed by the commit, by the same function.
+//!    and applies the cached batches; the blocks it delivers before they
+//!    were replayed it replays itself, by the same function, in one fan-out
+//!    over the validator workers.
 //! 2. **Cross-shard second (G2).** The cross-shard transactions of the same
 //!    delivered sub-DAG are executed deterministically in `(round, author,
 //!    position)` order against a read view — their own writes, over the G2
@@ -37,7 +38,7 @@ use std::time::{Duration, Instant};
 use tb_contracts::{execute_call, ExecError, StateAccess};
 use tb_dag::CommittedSubDag;
 use tb_executor::traits::synthetic_work;
-use tb_executor::validation::{replay_block, validate_block, validate_replayed, ValidationConfig};
+use tb_executor::validation::{replay_blocks, validate_block, validate_replayed, ValidationConfig};
 use tb_executor::{effective_workers, pool};
 use tb_storage::{Store, WriteBatch};
 use tb_types::{
@@ -100,8 +101,8 @@ pub struct CommitOutput {
     /// Wall-clock time spent validating, applying and executing, which the
     /// replica driver charges to the replica's clock.
     pub busy: std::time::Duration,
-    /// Wall-clock time the validation stage was busy re-executing preplayed
-    /// blocks.
+    /// Wall-clock time the validation stage was busy: read-checking the
+    /// preplayed blocks, and replaying those not replayed ahead.
     pub stage_validate: Duration,
     /// Wall-clock time the apply stage was busy writing batches to storage.
     pub stage_apply: Duration,
@@ -141,9 +142,10 @@ impl CommitOutput {
 #[derive(Clone, Debug)]
 pub struct CommitPipeline {
     execution: PostCommitExecution,
-    /// Worker count and synthetic op cost of G2's execution and of the
-    /// serial path's validation (one worker there). The pipelined path's
-    /// replays run on the calling thread, at the same op cost.
+    /// Worker count and synthetic op cost of G2's execution, of the replay
+    /// of the blocks a pipelined commit finds unreplayed, and of the serial
+    /// path's validation (one worker there). Blocks replayed ahead were
+    /// replayed on the calling thread, at the same op cost.
     validation: ValidationConfig,
 }
 
@@ -238,21 +240,16 @@ impl CommitPipeline {
         // G1: single-shard (preplayed) transactions first.
         match self.execution {
             PostCommitExecution::Pipelined { .. } => {
-                let validate_started = Instant::now();
-                let blocks: Vec<(&[PreplayedTx], SimTime, Replay)> = preplayed_blocks
+                let delivered: Vec<&SealedBlock> =
+                    preplayed_blocks.iter().map(|&(block, _)| block).collect();
+                let taken = replays.take_or_replay(&delivered, &self.validation, &mut output);
+                let blocks = preplayed_blocks
                     .iter()
-                    .map(|&(block, created_at)| {
-                        let (replay, ahead) =
-                            replays.take_or_replay(block, self.validation.op_cost_ns);
-                        if ahead {
-                            output.blocks_replayed_ahead += 1;
-                        } else {
-                            output.blocks_replayed_inline += 1;
-                        }
+                    .zip(taken)
+                    .map(|(&(block, created_at), replay)| {
                         (&block.payload.single_shard[..], created_at, replay)
                     })
                     .collect();
-                output.stage_validate += validate_started.elapsed();
                 self.commit_preplayed_batched(blocks, store, commit_time, &mut output);
             }
             PostCommitExecution::Serial => {
@@ -392,7 +389,7 @@ fn commits_preplayed(block: &Block) -> bool {
 /// state: stage 2 of its validation and the write batch it applies if
 /// valid.
 struct Replay {
-    /// One [`replay_block`] verdict per transaction, in block order.
+    /// One [`replay_blocks`] verdict per transaction, in block order.
     verdicts: Vec<bool>,
     /// The block's writes in its serialized order.
     batch: WriteBatch,
@@ -402,22 +399,38 @@ struct Replay {
 }
 
 impl Replay {
-    fn new(block: &[PreplayedTx], op_cost_ns: u64) -> Self {
-        let (batch, order) = ordered_write_batch(block);
-        Replay {
-            verdicts: replay_block(block, op_cost_ns),
-            batch,
-            order,
-        }
+    /// Replays a run of blocks: stage 2 of all their transactions in one
+    /// [`replay_blocks`] fan-out over `config.validators` workers, then each
+    /// block's write batch. Returns the replays in run order, and the time
+    /// stage 2 took: that counts as validation, and building the batches
+    /// does not, as it did not when the commit built them.
+    fn run(blocks: &[&[PreplayedTx]], config: &ValidationConfig) -> (Vec<Replay>, Duration) {
+        let started = Instant::now();
+        let verdicts = replay_blocks(blocks, config);
+        let replayed = started.elapsed();
+        let replays = blocks
+            .iter()
+            .zip(verdicts)
+            .map(|(block, verdicts)| {
+                let (batch, order) = ordered_write_batch(block);
+                Replay {
+                    verdicts,
+                    batch,
+                    order,
+                }
+            })
+            .collect();
+        (replays, replayed)
     }
 }
 
 /// One replica's replays of the preplayed blocks admitted to its DAG and not
 /// yet delivered, keyed by block digest. The driver replays admitted blocks
 /// after a handler's output is sent ([`replay_admitted`]), so a commit finds
-/// them replayed and only read-checks and applies them; a block delivered
-/// before that is replayed by the commit, through the same
-/// [`take_or_replay`]. An entry leaves when its block is delivered.
+/// them replayed and only read-checks and applies them; the blocks a commit
+/// delivers before that are replayed by the commit ([`take_or_replay`]).
+/// Both replay through [`Replay::run`]. An entry leaves when its block is
+/// delivered.
 ///
 /// The cache belongs to one replica: a replay is a pure function of the
 /// block, but sharing a cache through a block or vertex that several
@@ -447,14 +460,25 @@ impl ReplayCache {
     }
 
     /// Replays every block admitted since the last call that is still
-    /// undelivered, on the calling thread.
-    pub(crate) fn replay_admitted(&mut self, op_cost_ns: u64) {
-        for block in std::mem::take(&mut self.admitted) {
-            if matches!(self.replays.get(&block.digest()), Some(None)) {
-                let (replay, _) = self.take_or_replay(&block, op_cost_ns);
-                self.replays.insert(block.digest(), Some(replay));
-            }
+    /// undelivered, on the calling thread: a step off the commit's path
+    /// that the pool would cost more CPU than it saves. Returns the time
+    /// stage 2 took.
+    pub(crate) fn replay_admitted(&mut self, op_cost_ns: u64) -> Duration {
+        let mut admitted = std::mem::take(&mut self.admitted);
+        admitted.retain(|block| matches!(self.replays.get(&block.digest()), Some(None)));
+        let payloads: Vec<&[PreplayedTx]> = admitted
+            .iter()
+            .map(|block| &block.payload.single_shard[..])
+            .collect();
+        let on_the_caller = ValidationConfig {
+            validators: 1,
+            op_cost_ns,
+        };
+        let (replays, replayed) = Replay::run(&payloads, &on_the_caller);
+        for (block, replay) in admitted.iter().zip(replays) {
+            self.replays.insert(block.digest(), Some(replay));
         }
+        replayed
     }
 
     /// Number of blocks admitted and undelivered.
@@ -475,14 +499,34 @@ impl ReplayCache {
         self.admitted.clear();
     }
 
-    /// The replay of `block`, and whether it was replayed ahead: the one
-    /// this cache holds, which leaves it, or one made now. Either way the
-    /// block has no entry afterwards.
-    fn take_or_replay(&mut self, block: &SealedBlock, op_cost_ns: u64) -> (Replay, bool) {
-        match self.replays.remove(&block.digest()) {
-            Some(Some(replay)) => (replay, true),
-            _ => (Replay::new(&block.payload.single_shard, op_cost_ns), false),
-        }
+    /// The replays of the blocks a commit delivers, in order: each one this
+    /// cache holds leaves it, and the others are replayed now, all in one
+    /// [`Replay::run`] over `config`'s workers. Counts both kinds and the
+    /// replay's stage-2 time in `output`. No block has an entry afterwards.
+    fn take_or_replay(
+        &mut self,
+        blocks: &[&SealedBlock],
+        config: &ValidationConfig,
+        output: &mut CommitOutput,
+    ) -> Vec<Replay> {
+        let held: Vec<Option<Replay>> = blocks
+            .iter()
+            .map(|block| self.replays.remove(&block.digest()).flatten())
+            .collect();
+        let missing: Vec<&[PreplayedTx]> = blocks
+            .iter()
+            .zip(&held)
+            .filter(|(_, replay)| replay.is_none())
+            .map(|(block, _)| &block.payload.single_shard[..])
+            .collect();
+        output.blocks_replayed_ahead += (blocks.len() - missing.len()) as u64;
+        output.blocks_replayed_inline += missing.len() as u64;
+        let (replayed, took) = Replay::run(&missing, config);
+        output.stage_validate += took;
+        let mut replayed = replayed.into_iter();
+        held.into_iter()
+            .map(|replay| replay.unwrap_or_else(|| replayed.next().expect("one replay per miss")))
+            .collect()
     }
 }
 

@@ -245,7 +245,8 @@ pub struct ReplicaMetrics {
     pub total_queue_wait_secs: f64,
     /// Histogram of per-transaction commit latencies.
     pub latency_hist: LatencyHistogram,
-    /// Wall-clock time the validation stage was busy.
+    /// Wall-clock time the validation stage was busy: replaying preplayed
+    /// blocks on admission, and the commits' read checks and replays.
     pub validate_busy: Duration,
     /// Wall-clock time the storage-apply stage was busy.
     pub apply_busy: Duration,
@@ -911,15 +912,15 @@ impl Replica {
     /// [`preplay_ahead`](Self::preplay_ahead): replays the preplayed blocks
     /// whose vertices entered the DAG since the last call and builds their
     /// write batches, so the commit that delivers them only read-checks and
-    /// applies them. The work counts as validation, and is reported through
-    /// [`take_busy`](Self::take_busy) like a handler's.
+    /// applies them. The replay counts as validation, as it did in the
+    /// commit; all of the step is reported through
+    /// [`take_busy`](Self::take_busy) like a handler's work.
     pub(crate) fn replay_admitted(&mut self) {
         let started = Instant::now();
-        self.replays
+        self.metrics.validate_busy += self
+            .replays
             .replay_admitted(self.config.system.ce.synthetic_op_cost_ns);
-        let elapsed = started.elapsed();
-        self.metrics.validate_busy += elapsed;
-        self.busy += elapsed;
+        self.busy += started.elapsed();
     }
 
     fn previous_leader_present(&self) -> bool {

@@ -21,21 +21,20 @@
 //!    then the transaction's declared writes enter the map. The per-block
 //!    sort that orders the walk also finds a repeated `order`. This is the
 //!    only stage that reads state, and it resolves each declared read once.
-//! 2. *Re-execution* (parallel). Each transaction whose reads passed runs
-//!    again with its own writes over its own declared reads as its whole
-//!    state. No worker touches a store, another transaction's writes or a
-//!    lock, so the transactions of all blocks are chunked across at most
+//! 2. *Replay* (parallel, [`replay_blocks`]). Each transaction runs again
+//!    with its own writes over its own declared reads as its whole state.
+//!    No worker touches a store, another transaction's writes or a lock, so
+//!    the transactions of all blocks are chunked across at most
 //!    [`effective_workers`](crate::traits::effective_workers)`(validators)`
 //!    slots of the shared [`pool`](crate::pool): one pool job per run. The
-//!    verdicts are joined **in chunk order** on the caller and folded into
-//!    one [`ValidationReport`] per block.
+//!    verdicts are joined **in chunk order** on the caller.
 //!
-//! A transaction is valid iff both stages pass it, and stage 2 depends on
-//! the block alone, so the stages may run apart: [`replay_block`] runs stage
-//! 2 on one block on the calling thread, whenever the block is at hand, and
-//! [`validate_replayed`] later joins those verdicts with the read check. A
-//! replica replays a block when its vertex enters the DAG and runs only the
-//! read check when the block commits (`docs/PIPELINE.md`).
+//! [`validate_replayed`] folds the two stages into one [`ValidationReport`]
+//! per block: a transaction is valid iff both pass it. Stage 2 depends on
+//! the block alone, so the stages may run apart. A replica replays a block
+//! when its vertex enters the DAG and runs only the read check when the
+//! block commits (`docs/PIPELINE.md`); [`validate_blocks`] runs both at
+//! once.
 //!
 //! # Why two stages give the verdict of one re-execution against the view
 //!
@@ -229,13 +228,13 @@ pub fn validate_block(
 }
 
 /// Validates a run of blocks delivered together, in delivery order, and
-/// returns one report per block. Two stages: one sequential pass checks
-/// every declared read against the last write declared before it, or
-/// `base` ([`check_reads`]); then one parallel fan-out re-executes every
-/// transaction whose reads passed over its own declarations, checking while
-/// it executes that its reads, write set and result match them (the replay
-/// [`replay_block`] runs on one block). A transaction is valid iff both
-/// stages pass it.
+/// returns one report per block: [`replay_blocks`], then
+/// [`validate_replayed`]. One parallel fan-out re-executes every
+/// transaction over its own declarations, checking while it executes that
+/// its reads, write set and result match them; then one sequential pass
+/// checks every declared read against the last write declared before it,
+/// or `base` ([`check_reads`]). A transaction is valid iff both stages pass
+/// it.
 ///
 /// The transaction at `(block, order)` is judged against its own writes,
 /// over the last write declared strictly before its position, over `base`.
@@ -247,7 +246,7 @@ pub fn validate_block(
 /// those blocks again once the valid prefix is in `base`.
 ///
 /// A block whose `order` values are not pairwise distinct is reported
-/// invalid, every transaction a mismatch, without being re-executed: two
+/// invalid, every transaction a mismatch, whatever its replay says: two
 /// transactions at one position would each miss the other's write and both
 /// be applied (executors emit a permutation,
 /// [`BatchResult::order_is_permutation`](crate::batch::BatchResult::order_is_permutation)).
@@ -260,11 +259,11 @@ pub fn validate_block(
 /// # Parallelism contract
 ///
 /// Only the read check reads `base`: on the calling thread, at most once per
-/// declared read that no earlier declared write shadows. The re-execution
-/// reads no state. It occupies at most `effective_workers(config.validators)`
-/// slots of the shared worker pool (clamped to the transaction count); with
-/// one effective worker — a single-core machine, or `validators: 1` — no
-/// pool job is submitted and the whole pass runs inline on the caller, so
+/// declared read that no earlier declared write shadows. The replay reads no
+/// state. It occupies at most `effective_workers(config.validators)` slots
+/// of the shared worker pool (clamped to the transaction count); with one
+/// effective worker — a single-core machine, or `validators: 1` — no pool
+/// job is submitted and the whole pass runs inline on the caller, so
 /// single-core CI measures exactly the sequential cost.
 ///
 /// # Determinism
@@ -289,57 +288,46 @@ pub fn validate_blocks(
     base: &(dyn KvRead + Sync),
     config: &ValidationConfig,
 ) -> Vec<ValidationReport> {
-    let reads_pass = check_reads(blocks, base);
-    let txs: Vec<&PreplayedTx> = blocks
-        .iter()
-        .flat_map(|preplayed| preplayed.iter())
-        .zip(&reads_pass)
-        .filter_map(|(p, pass)| pass.then_some(p))
-        .collect();
-    // Only transactions whose reads passed went through the fan-out.
+    let replays = replay_blocks(blocks, config);
+    let replays: Vec<&[bool]> = replays.iter().map(Vec::as_slice).collect();
+    validate_replayed(blocks, &replays, base)
+}
+
+/// Stage 2 on a run of blocks: the verdict of re-executing each transaction
+/// over its own declarations, one vector per block in block order, every
+/// transaction whatever its reads. It reads no state, so it is a pure
+/// function of the blocks and may run at any time before they are
+/// validated; [`validate_replayed`] joins it with the read check. The
+/// transactions of all blocks share one fan-out over at most
+/// `effective_workers(config.validators)` pool slots, and run on the caller
+/// with one.
+pub fn replay_blocks(blocks: &[&[PreplayedTx]], config: &ValidationConfig) -> Vec<Vec<bool>> {
+    let txs: Vec<&PreplayedTx> = blocks.iter().flat_map(|block| block.iter()).collect();
     let mut verdicts = parallel_verdicts(&txs, config).into_iter();
-    join_stages(blocks, &reads_pass, |_, _| {
-        verdicts.next().expect("one verdict per re-execution")
-    })
+    blocks
+        .iter()
+        .map(|block| verdicts.by_ref().take(block.len()).collect())
+        .collect()
 }
 
-/// Stage 2 on one block: the verdict of re-executing each transaction over
-/// its own declarations, in block order, on the calling thread. It reads no
-/// state, so it is a pure function of the block and may run at any time
-/// before the block is validated; [`validate_replayed`] joins it with the
-/// read check. Every transaction is replayed, whatever its reads.
-pub fn replay_block(preplayed: &[PreplayedTx], op_cost_ns: u64) -> Vec<bool> {
-    replay_all(preplayed, op_cost_ns)
-}
-
-/// [`validate_blocks`] with stage 2 done earlier: `replays[k]` is
-/// [`replay_block`] of `blocks[k]`. Runs the read check against `base` and
-/// joins it with the replays, so the reports are byte-identical to
-/// [`validate_blocks`] on the same `(blocks, base)`.
+/// The two stages joined: `replays[k]` is stage 2 of `blocks[k]`
+/// ([`replay_blocks`]), made whenever; the read check runs against `base`
+/// now. The reports are those of [`validate_blocks`] on the same
+/// `(blocks, base)`, byte for byte.
 pub fn validate_replayed(
     blocks: &[&[PreplayedTx]],
     replays: &[&[bool]],
     base: &(dyn KvRead + Sync),
 ) -> Vec<ValidationReport> {
     assert_eq!(blocks.len(), replays.len(), "one replay per block");
-    let reads_pass = check_reads(blocks, base);
-    join_stages(blocks, &reads_pass, |block, tx| replays[block][tx])
-}
-
-/// Folds the two stages into one report per block. `replayed(block, tx)` is
-/// asked only for a transaction whose reads passed, in run order.
-fn join_stages(
-    blocks: &[&[PreplayedTx]],
-    reads_pass: &[bool],
-    mut replayed: impl FnMut(usize, usize) -> bool,
-) -> Vec<ValidationReport> {
-    let mut reads_pass = reads_pass.iter();
+    let mut reads_pass = check_reads(blocks, base).into_iter();
     let mut reports = Vec::with_capacity(blocks.len());
-    for (block, preplayed) in blocks.iter().enumerate() {
+    for (preplayed, replay) in blocks.iter().zip(replays) {
+        assert_eq!(preplayed.len(), replay.len(), "one verdict per transaction");
         let mut mismatches = Vec::new();
-        for (tx, p) in preplayed.iter().enumerate() {
-            let pass = *reads_pass.next().expect("one flag per transaction");
-            if !(pass && replayed(block, tx)) {
+        for (p, replayed) in preplayed.iter().zip(*replay) {
+            let pass = reads_pass.next().expect("one flag per transaction");
+            if !(pass && *replayed) {
                 mismatches.push(p.tx.id);
             }
         }
@@ -363,8 +351,8 @@ fn replay_all<'a>(txs: impl IntoIterator<Item = &'a PreplayedTx>, op_cost_ns: u6
     txs.into_iter().map(|p| session.check(p)).collect()
 }
 
-/// Stage 2, the stateless fan-out: re-executes every transaction over its
-/// own declarations and returns one verdict per transaction, in input order.
+/// Stage 2's fan-out: re-executes every transaction over its own
+/// declarations and returns one verdict per transaction, in input order.
 /// Workers share only the immutable blocks, so no synchronisation is needed
 /// beyond the final join.
 fn parallel_verdicts(txs: &[&PreplayedTx], config: &ValidationConfig) -> Vec<bool> {
@@ -745,9 +733,23 @@ mod tests {
     }
 
     /// The run validated as a replica validates it: each block replayed
-    /// first, on its own, and the replays joined with the read check later.
-    fn replayed_ahead(run: &[&[PreplayedTx]], base: &MemStore) -> Vec<ValidationReport> {
-        let replays: Vec<Vec<bool>> = run.iter().map(|block| replay_block(block, 0)).collect();
+    /// first, on its own and on the caller, and the replays joined with the
+    /// read check later. Replaying the whole run in one fan-out over
+    /// `validators` workers, as a commit replays the blocks it finds
+    /// unreplayed, must give the same verdicts.
+    fn replayed_ahead(
+        run: &[&[PreplayedTx]],
+        base: &MemStore,
+        validators: usize,
+    ) -> Vec<ValidationReport> {
+        let replays: Vec<Vec<bool>> = run
+            .iter()
+            .flat_map(|block| replay_blocks(&[block], &ValidationConfig::new(1)))
+            .collect();
+        assert_eq!(
+            replay_blocks(run, &ValidationConfig::new(validators)),
+            replays
+        );
         let replays: Vec<&[bool]> = replays.iter().map(Vec::as_slice).collect();
         validate_replayed(run, &replays, base)
     }
@@ -782,7 +784,7 @@ mod tests {
                 let reports = validate_blocks(&run, &store, &ValidationConfig::new(validators));
                 proptest::prop_assert_eq!(&reports, &oracle);
             }
-            proptest::prop_assert_eq!(&replayed_ahead(&run, &store), &oracle);
+            proptest::prop_assert_eq!(&replayed_ahead(&run, &store, validators), &oracle);
         }
 
         /// Every report of the two stages equals the single-stage
@@ -867,7 +869,7 @@ mod tests {
                 let reports = validate_blocks(&run, &store, &ValidationConfig::new(validators));
                 proptest::prop_assert_eq!(&reports, &oracle);
             }
-            proptest::prop_assert_eq!(&replayed_ahead(&run, &store), &oracle);
+            proptest::prop_assert_eq!(&replayed_ahead(&run, &store, validators), &oracle);
         }
 
         /// The timeline answers every read as a scan of the declared writes

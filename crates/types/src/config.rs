@@ -208,8 +208,10 @@ pub struct SystemConfig {
     pub n_replicas: u32,
     /// Concurrent-executor configuration used by every shard proposer.
     pub ce: CeConfig,
-    /// Number of validator workers re-checking preplay results after
-    /// consensus (the paper uses 16).
+    /// Number of validator workers (the paper uses 16): the pool slots a
+    /// commit fans out over to replay the preplayed blocks it delivers
+    /// before they were replayed on admission, and to execute a cross-shard
+    /// wave. A replica replays a block on admission on its own thread.
     pub validators: usize,
     /// Reconfiguration parameters.
     pub reconfig: ReconfigConfig,
