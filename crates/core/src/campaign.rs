@@ -106,10 +106,11 @@ pub fn check_honest_agreement(sim: &ClusterSimulation, faulty: &[ReplicaId]) -> 
         }
     }
     // Replicas that committed the whole sequence must agree on state.
-    let reference = sim.replica(longest_id).store().snapshot();
+    let state = |id: ReplicaId| sim.replica(id).app().store().snapshot();
+    let reference = state(longest_id);
     for (id, sequence) in &sequences {
         if *id != longest_id && sequence.len() == longest.len() {
-            let diverged = sim.replica(*id).store().snapshot().diff_values(&reference);
+            let diverged = state(*id).diff_values(&reference);
             if !diverged.is_empty() {
                 return Err(format!(
                     "replicas {} and {} committed the same sequence but diverge on {} keys \
@@ -400,7 +401,7 @@ impl Invariant for DurableRecovery {
             .collect();
         for id in 0..ctx.sim.replica_count() {
             let replica = ctx.sim.replica(ReplicaId::new(id));
-            let live = replica.store();
+            let live = replica.app().store();
             if !live.persistent() {
                 return Err(format!(
                     "replica {id} runs a non-persistent store in a durable-recovery scenario"

@@ -152,7 +152,7 @@ impl ClusterSimulation {
         let mut replicas = Vec::with_capacity(n as usize);
         for i in 0..n {
             let mut replica = Replica::new(ReplicaId::new(i), config.clone());
-            replica.load_state(initial_state.iter().cloned());
+            replica.app_mut().load_state(initial_state.iter().cloned());
             replicas.push(replica);
         }
         let network = SimNetwork::new(n, config.system.latency, config.seed).with_faults(faults);

@@ -94,9 +94,8 @@ pub struct CommitOutput {
     pub single_shard_committed: usize,
     /// Number of preplayed blocks that failed validation and were discarded.
     pub invalid_blocks: usize,
-    /// Number of Shift blocks delivered (input to the reconfiguration rule).
-    pub shift_blocks: usize,
-    /// Authors of the delivered Shift blocks.
+    /// Authors of the delivered Shift blocks (input to the reconfiguration
+    /// rule).
     pub shift_authors: Vec<tb_types::ReplicaId>,
     /// Wall-clock time spent validating, applying and executing, which the
     /// replica driver charges to the replica's clock.
@@ -223,7 +222,6 @@ impl CommitPipeline {
         let mut cross_shard: Vec<&Transaction> = Vec::new();
         for vertex in &sub_dag.vertices {
             if vertex.block.kind == BlockKind::Shift {
-                output.shift_blocks += 1;
                 output.shift_authors.push(vertex.author());
                 continue;
             }
@@ -481,18 +479,6 @@ impl ReplayCache {
         replayed
     }
 
-    /// Number of blocks admitted and undelivered.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.replays.len()
-    }
-
-    /// Whether `block` is admitted and undelivered.
-    #[cfg(test)]
-    pub(crate) fn holds(&self, block: &SealedBlock) -> bool {
-        self.replays.contains_key(&block.digest())
-    }
-
     /// Forgets every block: the DAG they were admitted to is gone.
     pub(crate) fn clear(&mut self) {
         self.replays.clear();
@@ -738,6 +724,18 @@ mod tests {
         Round, SmallBankProcedure,
     };
 
+    impl ReplayCache {
+        /// Number of blocks admitted and undelivered.
+        pub(crate) fn len(&self) -> usize {
+            self.replays.len()
+        }
+
+        /// Whether `block` is admitted and undelivered.
+        pub(crate) fn holds(&self, block: &SealedBlock) -> bool {
+            self.replays.contains_key(&block.digest())
+        }
+    }
+
     fn funded_store(accounts: u64) -> MemStore {
         let store = MemStore::new();
         store.load(tb_workload::initial_smallbank_state(
@@ -969,7 +967,7 @@ mod tests {
         let sub_dag = sub_dag_with(committee, vec![], vec![], &[2, 3]);
         let pipeline = CommitPipeline::new(PostCommitExecution::Pipelined { workers: 2 });
         let output = pipeline.process(&sub_dag, &store, SimTime::ZERO);
-        assert_eq!(output.shift_blocks, 2);
+        assert_eq!(output.shift_authors.len(), 2);
         assert_eq!(output.shift_authors.len(), 2);
         assert_eq!(output.committed_count(), 0);
     }
@@ -1099,7 +1097,7 @@ mod tests {
                 cross_shard: vec![],
             };
             if tamper {
-                payload = crate::replica::Replica::tamper_writes(payload);
+                payload = crate::app::tamper_writes(payload);
             }
             scratch.apply_batch(&ordered_write_batch(&payload.single_shard).0);
             payload.single_shard

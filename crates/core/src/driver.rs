@@ -14,9 +14,11 @@
 //!
 //! 1. `handle` (or `start`), whose output — a proposal's header among it —
 //!    is emitted at the handling time plus the handler's busy time;
-//! 2. after the client queue is topped up, `Replica::preplay_ahead`, which
-//!    preplays the batch of the replica's next proposal, and
-//!    `Replica::replay_admitted`, which replays the preplayed blocks whose
+//! 2. after the client queue is topped up, `Replica::after_emission`, the
+//!    app's one after-emission step
+//!    ([`App::after_emission`](crate::app::App::after_emission)): a
+//!    [`ShardApp`](crate::app::ShardApp) preplays the batch of the
+//!    replica's next proposal and replays the preplayed blocks whose
 //!    vertices the handler admitted to the DAG, so their commit only
 //!    read-checks and applies them. This step emits nothing; its busy time
 //!    only moves `busy_until` on, so the replica handles its next message
@@ -44,14 +46,13 @@ const RECV_POLL: Duration = Duration::from_millis(50);
 /// true or the transport closes.
 ///
 /// Start: every replica's client queue is topped up, and every live one
-/// proposes its first block and preplays ahead. Then, per inbound message:
-/// handle it at
-/// `max(arrival, busy_until)`, send what it produced no earlier than the
-/// end of the work it took, top the replica's queue up, preplay ahead and
-/// replay the blocks the message admitted, move `busy_until` past both
-/// steps' work, and ask `stop`. `stop` is asked after
-/// a receive that timed out too, so a wall-clock deadline fires on a quiet
-/// network.
+/// proposes its first block and runs the after-emission step. Then, per
+/// inbound message: handle it at `max(arrival, busy_until)`, send what it
+/// produced no earlier than the end of the work it took, top the replica's
+/// queue up, run the after-emission step (preplay ahead, replay the blocks
+/// the message admitted), move `busy_until` past both steps' work, and ask
+/// `stop`. `stop` is asked after a receive that timed out too, so a
+/// wall-clock deadline fires on a quiet network.
 pub fn drive<T: Transport<Message>>(
     replicas: &mut [Replica],
     feed: &mut ClientFeed,
@@ -76,7 +77,7 @@ pub fn drive<T: Transport<Message>>(
         let outbound = replicas[i].start(SimTime::ZERO);
         let sent = after(SimTime::ZERO, replicas[i].take_busy());
         emit(transport, id, outbound, sent);
-        replicas[i].preplay_ahead();
+        replicas[i].after_emission();
         busy_until[i] = after(sent, replicas[i].take_busy());
     }
 
@@ -90,8 +91,7 @@ pub fn drive<T: Transport<Message>>(
                 emit(transport, inbound.to, outbound, sent);
                 // Clients submit as fast as the cluster commits.
                 feed.top_up(replicas, i, now);
-                replicas[i].preplay_ahead();
-                replicas[i].replay_admitted();
+                replicas[i].after_emission();
                 busy_until[i] = after(sent, replicas[i].take_busy());
             }
             Err(RecvError::TimedOut) => {}
@@ -234,7 +234,7 @@ mod tests {
         let replicas: Vec<Replica> = (0..4)
             .map(|i| {
                 let mut replica = Replica::new(ReplicaId::new(i), config.clone());
-                replica.load_state(state.iter().cloned());
+                replica.app_mut().load_state(state.iter().cloned());
                 replica
             })
             .collect();

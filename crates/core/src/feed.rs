@@ -80,7 +80,11 @@ impl ClientFeed {
     /// serves every shard, `n` times that when it serves one. Hand-overs
     /// from a script are not draws.
     pub fn top_up(&mut self, proposers: &mut [Replica], target: usize, now: SimTime) {
-        if proposers[target].pending_client_txs() >= self.batch {
+        let queued = |replica: &Replica| {
+            let queues = replica.app().queues();
+            queues.pending_single() + queues.pending_cross()
+        };
+        if queued(&proposers[target]) >= self.batch {
             return;
         }
         let goal = 2 * self.batch;
@@ -90,21 +94,21 @@ impl ClientFeed {
         }
         let home = proposers[target].current_shard();
         let script = &mut self.scripts[home.as_inner() as usize];
-        while proposers[target].pending_client_txs() < goal {
+        while queued(&proposers[target]) < goal {
             let Some(mut tx) = script.pop_front() else {
                 break;
             };
             tx.submitted_at = now;
-            proposers[target].enqueue(tx);
+            proposers[target].app_mut().queues_mut().enqueue(tx);
         }
         let cap = 8 * self.batch * shards / proposers.len();
         let mut drawn = 0;
-        while proposers[target].pending_client_txs() < goal && drawn < cap {
+        while queued(&proposers[target]) < goal && drawn < cap {
             let tx = self.workload.next_transaction(now);
             drawn += 1;
             let shard = tx.home_shard();
             if shard == home {
-                proposers[target].enqueue(tx);
+                proposers[target].app_mut().queues_mut().enqueue(tx);
             } else if proposers.iter().any(|p| p.current_shard() == shard) {
                 self.scripts[shard.as_inner() as usize].push_back(tx);
             }

@@ -16,8 +16,10 @@
 //!   decisions),
 //! * [`commit`] — the post-consensus pipeline (G1/G2 ordering, parallel
 //!   validation, deterministic cross-shard execution, storage apply),
-//! * [`replica`] — the per-replica state machine tying DAG construction,
-//!   commit and reconfiguration together,
+//! * [`replica`] — the per-replica consensus state machine: DAG
+//!   construction, vertex fetch, the commit rule and reconfiguration,
+//! * [`app`] — the shard app a replica drives: store, preplay, client
+//!   queues, validation and execution, behind the five calls of [`App`],
 //! * [`feed`] — the closed-loop client: one shared transaction stream
 //!   routed by home shard, drawn as fast as the proposers take it,
 //! * [`driver`] — the one loop that runs replicas over any transport: the
@@ -40,6 +42,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod app;
 pub mod campaign;
 pub mod cluster;
 pub mod commit;
@@ -52,6 +55,7 @@ pub mod proposer;
 pub mod replica;
 pub mod scenario;
 
+pub use app::{App, ShardApp};
 pub use campaign::{
     assert_honest_agreement, check_honest_agreement, default_campaign, run_campaign,
     validate_campaigns, CampaignProfile, CampaignScenario, Invariant, InvariantContext,

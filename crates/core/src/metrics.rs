@@ -1,5 +1,7 @@
-//! Run reports produced by a cluster run, simulated or over TCP.
+//! Run reports produced by a cluster run, simulated or over TCP, and the
+//! counters each replica accumulates for them.
 
+use std::time::Duration;
 use tb_types::{Round, SimTime};
 
 /// Sub-buckets per power of two in a [`LatencyHistogram`], as a power of
@@ -323,6 +325,81 @@ impl RunReport {
             self.reconfigurations
         )
     }
+}
+
+/// Counters accumulated by one replica over a run, each kept here only: the
+/// replica's own, the commits' it folds in, and those its app writes.
+#[derive(Clone, Debug, Default)]
+pub struct ReplicaMetrics {
+    /// Committed transactions (single-shard + cross-shard).
+    pub committed_txs: u64,
+    /// Committed single-shard (preplayed) transactions.
+    pub single_shard_txs: u64,
+    /// Committed cross-shard transactions.
+    pub cross_shard_txs: u64,
+    /// Preplayed blocks discarded by validation.
+    pub invalid_blocks: u64,
+    /// Preplay re-executions on this replica's own proposals.
+    pub reexecutions: u64,
+    /// Proposals that shipped the batch this replica preplayed ahead of
+    /// their round: it was still the batch the queue gave, and every read it
+    /// declared still held on the proposal's view.
+    pub batches_reused: u64,
+    /// Proposals that found a batch preplayed ahead of their round unusable
+    /// and preplayed afresh: a declared read no longer held, or the queue
+    /// had grown a longer batch.
+    pub batches_repreplayed: u64,
+    /// Delivered preplayed blocks the commit found replayed: replayed after
+    /// the handler that admitted their vertex, so the commit only
+    /// read-checked and applied them.
+    pub blocks_replayed_ahead: u64,
+    /// Delivered preplayed blocks the commit replayed itself: their vertex
+    /// was admitted by the handler that delivered it.
+    pub blocks_replayed_inline: u64,
+    /// Completed DAG reconfigurations.
+    pub reconfigurations: u64,
+    /// Summed commit latencies in seconds.
+    pub total_latency_secs: f64,
+    /// The part of `total_latency_secs` spent in proposer client queues.
+    pub total_queue_wait_secs: f64,
+    /// Histogram of per-transaction commit latencies.
+    pub latency_hist: LatencyHistogram,
+    /// Wall-clock time the validation stage was busy: replaying preplayed
+    /// blocks on admission, and the commits' read checks and replays.
+    pub validate_busy: Duration,
+    /// Wall-clock time the storage-apply stage was busy.
+    pub apply_busy: Duration,
+    /// Wall-clock time the cross-shard execution stage was busy.
+    pub execute_busy: Duration,
+    /// Write batches applied together with at least one other batch by the
+    /// pipelined commit path.
+    pub coalesced_batches: u64,
+    /// Storage apply calls performed by the commit path (one per valid block
+    /// when staged; one per commit, plus one per invalid block with valid
+    /// blocks after it, when pipelined).
+    pub apply_calls: u64,
+    /// FNV-1a digest over committed transaction ids in commit order, from
+    /// [`COMMIT_DIGEST_SEED`](crate::app::COMMIT_DIGEST_SEED).
+    pub commit_order_digest: u64,
+    /// Per-leader-round commit times.
+    pub round_commits: Vec<RoundCommitSample>,
+    /// Vertices and certificates dropped on receipt because certificate,
+    /// header and block did not bind together (or the certificate lacked a
+    /// quorum). Zero unless a peer is Byzantine.
+    pub rejected_vertices: u64,
+    /// `Fetch` requests sent: one when a certificate arrives without its
+    /// block, one more per retry period (300 ms) until the vertex comes.
+    pub fetches_sent: u64,
+    /// `Fetch` requests this replica answered with the vertex.
+    pub fetches_answered: u64,
+    /// `Fetch` requests dropped unanswered: a certificate of another DAG or
+    /// without a quorum, or a vertex this replica does not hold.
+    pub fetches_refused: u64,
+    /// Vertices admitted from the answer to one of this replica's fetches.
+    pub vertices_fetched: u64,
+    /// Certificates without their block dropped because two rounds' worth
+    /// were held already: vertices this replica never fetches.
+    pub certificates_dropped: u64,
 }
 
 #[cfg(test)]

@@ -103,7 +103,7 @@ pub fn run_node(spec: NodeSpec) -> io::Result<RunReport> {
     let mut replica = Replica::new(id, spec.config.clone());
     let mut workload: Box<dyn Workload> = Box::new(SmallBankWorkload::new(spec.smallbank));
     workload.configure_for_cluster(spec.config.system.n_replicas, spec.config.seed);
-    replica.load_state(workload.initial_state());
+    replica.app_mut().load_state(workload.initial_state());
     // This node's copy of the shared client stream; it serves this replica
     // alone, the other nodes enqueue the rest from theirs.
     let mut feed = ClientFeed::new(workload, spec.config.system.ce.batch_size);

@@ -39,18 +39,6 @@ pub struct ProposalContext {
     pub use_skip_blocks: bool,
 }
 
-impl ProposalContext {
-    /// A context in which nothing prevents preplaying.
-    pub fn clear() -> Self {
-        ProposalContext {
-            leader_vertex_present: true,
-            conflicting_cross_shard_pending: false,
-            should_shift: false,
-            use_skip_blocks: false,
-        }
-    }
-}
-
 /// How a Byzantine proposer deviates from the protocol.
 ///
 /// These are the adversarial proposer behaviours the chaos campaign injects.
@@ -139,8 +127,6 @@ pub struct ShardProposer {
     single_shard: VecDeque<Transaction>,
     cross_shard: VecDeque<Transaction>,
     batch_size: usize,
-    accepted: u64,
-    rejected_wrong_shard: u64,
 }
 
 impl ShardProposer {
@@ -152,8 +138,6 @@ impl ShardProposer {
             single_shard: VecDeque::new(),
             cross_shard: VecDeque::new(),
             batch_size,
-            accepted: 0,
-            rejected_wrong_shard: 0,
         }
     }
 
@@ -184,37 +168,18 @@ impl ShardProposer {
         self.cross_shard.len()
     }
 
-    /// Total transactions accepted into the queues so far.
-    pub fn accepted(&self) -> u64 {
-        self.accepted
-    }
-
-    /// Transactions rejected because they were routed to the wrong shard.
-    pub fn rejected_wrong_shard(&self) -> u64 {
-        self.rejected_wrong_shard
-    }
-
     /// Enqueues a client transaction. Transactions whose home shard is not
     /// the proposer's shard are rejected (the client must resubmit to the
     /// right proposer).
     pub fn enqueue(&mut self, tx: Transaction) -> bool {
         if tx.home_shard() != self.shard {
-            self.rejected_wrong_shard += 1;
             return false;
         }
-        self.accepted += 1;
         match tx.class() {
             TxClass::SingleShard => self.single_shard.push_back(tx),
             TxClass::CrossShard => self.cross_shard.push_back(tx),
         }
         true
-    }
-
-    /// Enqueues many transactions, returning how many were accepted.
-    pub fn enqueue_all(&mut self, txs: impl IntoIterator<Item = Transaction>) -> usize {
-        txs.into_iter()
-            .filter(|tx| self.enqueue(tx.clone()))
-            .count()
     }
 
     /// Takes the next batch of single-shard transactions for preplay.
@@ -228,7 +193,7 @@ impl ShardProposer {
     /// of its round. Nothing is removed or cloned, so the queue stays what
     /// it would be without the look, and the batch is still the front of the
     /// queue at the next take unless something moved the front first: a
-    /// take, a requeue or a [`reassign`](Self::reassign).
+    /// take or a [`reassign`](Self::reassign).
     pub(crate) fn next_single_batch(&mut self) -> &[Transaction] {
         let n = self.batch_size.min(self.single_shard.len());
         &self.single_shard.make_contiguous()[..n]
@@ -241,26 +206,24 @@ impl ShardProposer {
         let n = limit.min(self.batch_size).min(self.cross_shard.len());
         self.cross_shard.drain(..n).collect()
     }
-
-    /// Puts single-shard transactions back at the front of the queue (used
-    /// when a block was invalidated and its transactions must be retried, or
-    /// when a skip block postponed them).
-    pub fn requeue_single(&mut self, txs: Vec<Transaction>) {
-        for tx in txs.into_iter().rev() {
-            self.single_shard.push_front(tx);
-        }
-    }
-
-    /// True if both queues are empty.
-    pub fn is_drained(&self) -> bool {
-        self.single_shard.is_empty() && self.cross_shard.is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tb_types::{ClientId, ContractCall, SimTime, SmallBankProcedure, TxId};
+
+    impl ProposalContext {
+        /// A context in which nothing prevents preplaying.
+        fn clear() -> Self {
+            ProposalContext {
+                leader_vertex_present: true,
+                conflicting_cross_shard_pending: false,
+                should_shift: false,
+                use_skip_blocks: false,
+            }
+        }
+    }
 
     fn tx(id: u64, from: u64, to: u64, n_shards: u32) -> Transaction {
         Transaction::new(
@@ -329,9 +292,6 @@ mod tests {
         assert!(!proposer.enqueue(tx(3, 1, 5, 4)));
         assert_eq!(proposer.pending_single(), 1);
         assert_eq!(proposer.pending_cross(), 1);
-        assert_eq!(proposer.accepted(), 2);
-        assert_eq!(proposer.rejected_wrong_shard(), 1);
-        assert!(!proposer.is_drained());
     }
 
     #[test]
@@ -358,46 +318,23 @@ mod tests {
     }
 
     #[test]
-    fn requeue_preserves_original_order() {
-        let mut proposer = ShardProposer::new(ShardId::new(0), 10);
-        for i in 0..4 {
-            proposer.enqueue(tx(i, 0, 4, 4));
-        }
-        let batch = proposer.take_single_batch();
-        proposer.requeue_single(batch);
-        let again = proposer.take_single_batch();
-        let ids: Vec<u64> = again.iter().map(|t| t.id.as_inner()).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
     fn reassign_clears_queues_only_on_change() {
         let mut proposer = ShardProposer::new(ShardId::new(0), 10);
         proposer.enqueue(tx(1, 0, 4, 4));
+        proposer.enqueue(tx(2, 0, 1, 4));
         proposer.reassign(ShardId::new(0));
-        assert_eq!(proposer.pending_single(), 1, "same shard keeps the queue");
-        proposer.reassign(ShardId::new(2));
-        assert_eq!(proposer.shard(), ShardId::new(2));
-        assert!(proposer.is_drained());
-        // New shard accepts its own transactions now (accounts 2 and 6).
-        assert!(proposer.enqueue(tx(9, 2, 6, 4)));
-    }
-
-    #[test]
-    fn enqueue_all_counts_accepted_transactions() {
-        let mut proposer = ShardProposer::new(ShardId::new(1), 10);
-        // Shard 1 only; shard 0 only; shards {1, 2} with an even id, homed
-        // on the first of them; the same pair with an odd id, homed on 2.
-        let txs = vec![
-            tx(1, 1, 5, 4),
-            tx(2, 0, 4, 4),
-            tx(4, 1, 2, 4),
-            tx(3, 1, 2, 4),
-        ];
-        assert_eq!(proposer.enqueue_all(txs), 2);
         assert_eq!(
             (proposer.pending_single(), proposer.pending_cross()),
-            (1, 1)
+            (1, 1),
+            "same shard keeps the queues"
         );
+        proposer.reassign(ShardId::new(2));
+        assert_eq!(proposer.shard(), ShardId::new(2));
+        assert_eq!(
+            (proposer.pending_single(), proposer.pending_cross()),
+            (0, 0)
+        );
+        // New shard accepts its own transactions now (accounts 2 and 6).
+        assert!(proposer.enqueue(tx(9, 2, 6, 4)));
     }
 }

@@ -19,6 +19,12 @@ use tb_types::{
 };
 use tb_workload::{SmallBankConfig, SmallBankWorkload, Workload};
 
+/// Client transactions queued at `replica`.
+fn queued(replica: &Replica) -> usize {
+    let queues = replica.app().queues();
+    queues.pending_single() + queues.pending_cross()
+}
+
 /// One draw from the stream: the transaction, its home shard, and the time
 /// the feed drew it.
 type Draw = (TxId, ShardId, SimTime);
@@ -161,7 +167,7 @@ fn a_node_fills_its_own_queue_from_its_copy_of_the_stream() {
     let mut replica = Replica::new(ReplicaId::new(3), lockstep_config(8, batch));
 
     feed.top_up(std::slice::from_mut(&mut replica), 0, SimTime::ZERO);
-    assert_eq!(replica.pending_client_txs(), 2 * batch);
+    assert_eq!(queued(&replica), 2 * batch);
     let drawn = draws.lock().unwrap().len();
     assert!(
         (4 * batch..8 * 4 * batch).contains(&drawn),
@@ -191,7 +197,7 @@ fn every_proposer_of_a_cross_shard_workload_is_supplied_and_none_hoards() {
         "{draws} draws for {committed} committed transactions"
     );
     for replica in 0..4 {
-        let queued = sim.replica(ReplicaId::new(replica)).pending_client_txs();
+        let queued = queued(sim.replica(ReplicaId::new(replica)));
         assert!(
             queued <= 2 * batch,
             "replica {replica} ends with {queued} queued, batch {batch}"
@@ -217,7 +223,7 @@ fn no_proposer_of_a_lockstep_sim_holds_more_than_two_batches() {
         let report = sim.run();
         assert!(report.committed_txs > 0);
         for replica in 0..4 {
-            let queued = sim.replica(ReplicaId::new(replica)).pending_client_txs();
+            let queued = queued(sim.replica(ReplicaId::new(replica)));
             assert!(
                 queued <= 2 * batch,
                 "replica {replica} holds {queued} after {rounds} rounds, batch {batch}"
@@ -262,9 +268,9 @@ fn a_skewed_stream_fills_each_queue_in_stream_order_and_stamps_at_hand_over() {
     feed.top_up(&mut replicas, hoarder, handed_at);
     assert_eq!(draws.lock().unwrap().len(), drawn, "no new draws");
     for replica in &replicas {
-        assert!(replica.pending_client_txs() <= 2 * batch);
+        assert!(queued(replica) <= 2 * batch);
     }
-    assert_eq!(replicas[hoarder].pending_client_txs(), 2 * batch);
+    assert_eq!(queued(&replicas[hoarder]), 2 * batch);
 
     let draws = draws.lock().unwrap().clone();
     for (replica, submitted_at) in [(asker, asked_at), (hoarder, handed_at)] {

@@ -152,7 +152,7 @@ fn all_commit_paths_agree_on_the_fnv1a_commit_digest() {
 fn commit_digest(committed: &[(TxId, SimTime)]) -> u64 {
     committed
         .iter()
-        .fold(tb_core::replica::COMMIT_DIGEST_SEED, |digest, (id, _)| {
+        .fold(tb_core::app::COMMIT_DIGEST_SEED, |digest, (id, _)| {
             (digest ^ id.as_inner()).wrapping_mul(0x0100_0000_01b3)
         })
 }
@@ -395,7 +395,7 @@ fn run_cluster(cfg: ClusterConfig) -> Vec<Replica> {
     let mut replicas: Vec<Replica> = (0..4)
         .map(|i| {
             let mut replica = Replica::new(ReplicaId::new(i), cfg.clone());
-            replica.load_state(workload.initial_state());
+            replica.app_mut().load_state(workload.initial_state());
             replica
         })
         .collect();
@@ -406,7 +406,7 @@ fn run_cluster(cfg: ClusterConfig) -> Vec<Replica> {
         .collect();
     for tx in txs {
         let home = tx.home_shard().as_inner() as usize;
-        replicas[home].enqueue(tx);
+        replicas[home].app_mut().queues_mut().enqueue(tx);
     }
     run_synchronously(&mut replicas, 10);
     replicas
@@ -437,7 +437,11 @@ fn executor_count_does_not_change_the_committed_sequence() {
                 "replica {} committed a different order with {executors} executors",
                 a.id()
             );
-            let diff = a.store().snapshot().diff_values(&b.store().snapshot());
+            let diff = a
+                .app()
+                .store()
+                .snapshot()
+                .diff_values(&b.app().store().snapshot());
             assert!(
                 diff.is_empty(),
                 "replica {} state diverged on {diff:?} with {executors} executors",

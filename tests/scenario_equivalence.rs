@@ -90,7 +90,7 @@ fn run_cluster(initial_state: Vec<(Key, Value)>, txs: Vec<Transaction>) -> Vec<R
     let mut replicas: Vec<Replica> = (0..REPLICAS)
         .map(|i| {
             let mut replica = Replica::new(ReplicaId::new(i), cfg.clone());
-            replica.load_state(initial_state.iter().cloned());
+            replica.app_mut().load_state(initial_state.iter().cloned());
             replica
         })
         .collect();
@@ -99,7 +99,7 @@ fn run_cluster(initial_state: Vec<(Key, Value)>, txs: Vec<Transaction>) -> Vec<R
     // cluster harness applies.
     for tx in txs {
         let home = tx.home_shard().as_inner() as usize;
-        replicas[home].enqueue(tx);
+        replicas[home].app_mut().queues_mut().enqueue(tx);
     }
     run_synchronously(&mut replicas, 10);
     replicas
@@ -177,14 +177,15 @@ fn trait_path_commits_the_identical_digest_and_state() {
             legacy.id()
         );
         // Final storage stats: same number of live keys, same total balance.
-        let legacy_stats = legacy.store().stats();
-        let trait_stats = traited.store().stats();
+        let legacy_stats = legacy.app().store().stats();
+        let trait_stats = traited.app().store().stats();
         assert_eq!(legacy_stats.keys, trait_stats.keys);
         assert_eq!(legacy_stats.int_sum, trait_stats.int_sum);
         let diff = legacy
+            .app()
             .store()
             .snapshot()
-            .diff_values(&traited.store().snapshot());
+            .diff_values(&traited.app().store().snapshot());
         assert!(
             diff.is_empty(),
             "replica {} state diverged on {diff:?}",

@@ -85,7 +85,7 @@ fn restarted_replicas_recover_exact_state_without_reloading_genesis() {
                 .last()
                 .map(|s| (s.dag, s.round.as_u64(), s.digest))
                 .expect("every replica of a fault-free run commits");
-            (last, replica.store().snapshot())
+            (last, replica.app().store().snapshot())
         })
         .collect();
     drop(sim);
@@ -95,7 +95,7 @@ fn restarted_replicas_recover_exact_state_without_reloading_genesis() {
     // which a recovered store must skip.
     let restarted = wal_scenario(storage, 8).build();
     for (id, (last, snapshot)) in expected.iter().enumerate() {
-        let store = restarted.replica(ReplicaId::new(id as u32)).store();
+        let store = restarted.replica(ReplicaId::new(id as u32)).app().store();
         assert!(store.persistent());
         let marker = store.last_commit().expect("recovered commit marker");
         assert_eq!(
@@ -114,7 +114,7 @@ fn restarted_replicas_recover_exact_state_without_reloading_genesis() {
 
     // The observer's recovered digest is the run's digest: the durable
     // marker chain and the report agree bit-for-bit.
-    let observer = restarted.replica(ReplicaId::new(0)).store();
+    let observer = restarted.replica(ReplicaId::new(0)).app().store();
     let digest = observer.last_commit().expect("observer marker").digest;
     assert_eq!(
         format!("{digest:016x}"),
@@ -139,7 +139,7 @@ fn lockstep_run(storage: StorageConfig, cross_shard_fraction: f64) -> (RunReport
         })
         .build();
     let report = sim.run();
-    let observer = sim.replica(ReplicaId::new(0)).store().snapshot();
+    let observer = sim.replica(ReplicaId::new(0)).app().store().snapshot();
     (report, observer)
 }
 
