@@ -66,7 +66,7 @@ pub use commit::{CommitOutput, CommitPipeline, PostCommitExecution};
 pub use feed::ClientFeed;
 pub use messages::Message;
 pub use metrics::{LatencyHistogram, RoundCommitSample, RunReport};
-pub use node::{run_node, NodeSpec};
+pub use node::{run_node, NodeSpec, NODE_AT_TARGET_LINE, NODE_REPORT_PREFIX};
 pub use proposer::{ByzantineBehavior, ProposalDecision, ShardProposer};
 pub use replica::{Destination, Outbound, Replica};
 pub use scenario::{RealNetPlan, ScenarioBuilder, ScenarioError};

@@ -4,9 +4,28 @@
 //! The launcher (`tb-launcher`) expands a
 //! [`RealNetPlan`](crate::scenario::RealNetPlan) into one [`NodeSpec`] per
 //! replica, ships each spec to a child process (hex-encoded in an
-//! environment variable), and collects one [`RunReport`] per process from
-//! stdout. Both structs implement [`Wire`](tb_types::wire::Wire), so the
-//! whole exchange uses the same encoding as the replica-to-replica protocol.
+//! environment variable), and collects one
+//! [`RunReport`](crate::metrics::RunReport) per process from stdout. Both
+//! structs implement [`Wire`], so the whole exchange uses the same encoding
+//! as the replica-to-replica protocol.
+//!
+//! # Lifecycle: announce, release, exit
+//!
+//! A cluster stops by agreement, not by timer. A node process talks to its
+//! launcher through two stdout lines and its stdin:
+//!
+//! 1. **Announce.** When its replica has seen
+//!    [`NodeSpec::target_commits`] round commits, the node prints
+//!    [`NODE_AT_TARGET_LINE`] and keeps serving its peers, which may still
+//!    need its acks and vertices to reach the target themselves.
+//! 2. **Release.** Once every node has announced or exited, the launcher
+//!    closes every node's stdin. A node stops when it has reached the
+//!    target *and* been released, or when its deadline expires, whichever
+//!    comes first.
+//! 3. **Exit.** The node prints its report on one
+//!    [`NODE_REPORT_PREFIX`] line and ends the process without tearing its
+//!    heap down (see [`run_node`]). The launcher reaps it when its stdout
+//!    closes.
 //!
 //! # Determinism
 //!
@@ -23,18 +42,25 @@ use crate::cluster::ClusterConfig;
 use crate::driver::drive;
 use crate::feed::ClientFeed;
 use crate::messages::Message;
-use crate::metrics::RunReport;
 use crate::replica::Replica;
-use std::io;
+use std::convert::Infallible;
+use std::io::{self, Write};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tb_network::{TcpPeer, TcpTransport, Transport};
+use tb_types::wire::{to_hex, Wire};
 use tb_types::{ReplicaId, SimTime};
 use tb_workload::{SmallBankConfig, SmallBankWorkload, Workload};
 
-/// How long a node keeps serving acks and vertices after reaching its own
-/// commit target, so slower peers can finish their last rounds.
-const LINGER: Duration = Duration::from_millis(500);
+/// Prefix of the last stdout line of a node process: its
+/// [`RunReport`](crate::metrics::RunReport), hex-encoded.
+pub const NODE_REPORT_PREFIX: &str = "TB_NODE_REPORT ";
+
+/// The stdout line a node process prints when its replica reaches
+/// [`NodeSpec::target_commits`].
+pub const NODE_AT_TARGET_LINE: &str = "TB_NODE_AT_TARGET";
 
 /// Everything one node process needs to run: its identity, the full peer
 /// table, the cluster configuration every node shares, and the compact
@@ -88,16 +114,27 @@ tb_types::wire_struct!(NodeSpec {
     smallbank,
 });
 
-/// Runs one replica over real TCP to completion, per `spec`.
+/// Runs one replica over real TCP, per `spec`, as the node process it is
+/// called in, and ends that process: this is the last call a node process
+/// makes. It returns only an error met before the report is out.
 ///
 /// Binds the node's listener, dials peers lazily on first send (with the
 /// transport's connect deadline absorbing start-up skew), expands the
-/// client stream locally, and drives the replica until it has seen
-/// [`NodeSpec::target_commits`] round commits (plus a short linger for
-/// slower peers) or the wall-clock deadline expires. The returned report is
+/// client stream locally, and drives the replica. When the replica has seen
+/// [`NodeSpec::target_commits`] round commits the node prints
+/// [`NODE_AT_TARGET_LINE`] and goes on serving its peers. It stops once it
+/// has reached the target and the launcher has released it by closing its
+/// stdin, or when the wall-clock deadline expires. The report it prints is
 /// this node's own view: its replica's counters and stage timers, its
 /// transport's traffic, `duration` up to its last commit on its wall clock.
-pub fn run_node(spec: NodeSpec) -> io::Result<RunReport> {
+///
+/// After the report line the process exits without dropping its replica,
+/// feed or transport: the kernel takes back the heap of decoded blocks and
+/// closes the sockets faster than their destructors would. A durable store
+/// loses nothing it promised. Its last commit marker was fsynced when it
+/// was written, so the WAL's unflushed `BufWriter` tail is exactly what a
+/// crash at that point would lose.
+pub fn run_node(spec: NodeSpec) -> io::Result<Infallible> {
     let id = ReplicaId::new(spec.node);
     let target_commits = spec.target_commits();
     let mut replica = Replica::new(id, spec.config.clone());
@@ -111,23 +148,32 @@ pub fn run_node(spec: NodeSpec) -> io::Result<RunReport> {
     let mut transport: TcpTransport<Message> = TcpTransport::bind(id, spec.peers())?;
     let started = Instant::now();
     let deadline = started + Duration::from_millis(spec.run_deadline_millis.max(1));
-    let mut linger_until: Option<Instant> = None;
+    let released = Arc::new(AtomicBool::new(false));
+    std::thread::Builder::new()
+        .name("tb-release".to_string())
+        .spawn({
+            let released = Arc::clone(&released);
+            move || {
+                // The launcher releases the node by closing its stdin; a
+                // read error ends the pipe just as EOF does.
+                let _ = io::copy(&mut io::stdin().lock(), &mut io::sink());
+                // The flag publishes no other data.
+                released.store(true, Ordering::Relaxed);
+            }
+        })?;
+    let mut announced: Option<io::Result<()>> = None;
     drive(
         std::slice::from_mut(&mut replica),
         &mut feed,
         &mut transport,
         |replicas, _| {
-            let now = Instant::now();
-            if linger_until.is_none() && replicas[0].metrics().round_commits.len() >= target_commits
-            {
-                linger_until = Some(now + LINGER);
+            if announced.is_none() && replicas[0].metrics().round_commits.len() >= target_commits {
+                announced = Some(print_line(NODE_AT_TARGET_LINE));
             }
-            now >= deadline || linger_until.is_some_and(|until| now >= until)
+            (announced.is_some() && released.load(Ordering::Relaxed)) || Instant::now() >= deadline
         },
     );
-
-    let stats = transport.stats();
-    transport.shutdown();
+    announced.transpose()?;
 
     let duration = replica
         .metrics()
@@ -135,21 +181,34 @@ pub fn run_node(spec: NodeSpec) -> io::Result<RunReport> {
         .last()
         .map(|sample| sample.committed_at)
         .unwrap_or_else(|| SimTime::from_micros(started.elapsed().as_micros() as u64));
-    Ok(replica.report(
+    let report = replica.report(
         &spec.config.label(),
         feed.workload().name(),
         duration,
-        stats,
-    ))
+        transport.stats(),
+    );
+    print_line(&format!(
+        "{NODE_REPORT_PREFIX}{}",
+        to_hex(&report.to_wire_bytes())
+    ))?;
+    std::process::exit(0)
+}
+
+/// Writes one line to stdout and flushes it, so the launcher reads it now.
+fn print_line(line: &str) -> io::Result<()> {
+    let mut out = io::stdout().lock();
+    writeln!(out, "{line}")?;
+    out.flush()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::ExecutionMode;
+    use crate::metrics::RunReport;
     use crate::proposer::ByzantineBehavior;
     use crate::scenario::ScenarioBuilder;
-    use tb_types::wire::{Wire, WireError};
+    use tb_types::wire::WireError;
     use tb_types::{LatencyModel, ReconfigConfig, StorageBackend, StorageConfig, SystemConfig};
 
     /// Every knob of the cluster and system configuration, off its default,

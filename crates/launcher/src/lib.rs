@@ -7,8 +7,23 @@
 //! [`RunReport`] per process. Any binary can serve as the node image by
 //! calling [`maybe_run_node_from_env`] at the top of `main` — the launcher
 //! re-executes `std::env::current_exe()` with the spec hex-encoded in the
-//! [`NODE_SPEC_ENV`] environment variable, and the child answers with a
-//! single `TB_NODE_REPORT <hex>` line on stdout.
+//! [`NODE_SPEC_ENV`] environment variable.
+//!
+//! # Stopping a cluster
+//!
+//! A node's stdin and stdout are pipes to the launcher, and the run ends by
+//! agreement over them (the lifecycle in `tb_core::node`):
+//!
+//! * a node prints [`NODE_AT_TARGET_LINE`] when it reaches its commit
+//!   target, and keeps serving its peers;
+//! * once every node has printed that line or closed its stdout (exited,
+//!   say after a crash), the launcher **releases** them all by closing
+//!   their stdins, so no node leaves while a peer still needs it and a dead
+//!   node holds no one back;
+//! * a released node prints its report on one [`NODE_REPORT_PREFIX`] line
+//!   and exits; the launcher reaps it when its stdout reaches EOF.
+//!
+//! A watchdog past the nodes' own deadline kills whatever is still running.
 //!
 //! After the cluster drains, the launcher checks **cross-node agreement**
 //! (all nodes carry identical `(dag, round, digest)` commit samples on their
@@ -20,27 +35,26 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::io::{self, Read};
-use std::process::{Child, Command, Stdio};
-use std::thread::JoinHandle;
+use std::io::{self, BufRead, BufReader};
+use std::process::{Child, ChildStdout, Command, Stdio};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 use tb_core::scenario::RealNetPlan;
 use tb_core::{run_node, ClusterSimulation, NodeSpec, RoundCommitSample, RunReport};
 use tb_network::FaultPlan;
 use tb_types::wire::{from_hex, to_hex, Wire};
 
+pub use tb_core::{NODE_AT_TARGET_LINE, NODE_REPORT_PREFIX};
+
 /// Environment variable carrying the hex-encoded [`NodeSpec`] to a child
 /// process. Its presence turns any cooperating binary into a node.
 pub const NODE_SPEC_ENV: &str = "TB_NODE_SPEC";
 
-/// Prefix of the single stdout line a node process answers with.
-pub const NODE_REPORT_PREFIX: &str = "TB_NODE_REPORT ";
-
 /// Node-process dispatch hook. Call this first in `main` (and in
 /// `harness = false` test mains) of every binary that may be re-executed as
-/// a node. Returns `false` immediately when [`NODE_SPEC_ENV`] is unset;
-/// otherwise runs the node to completion, prints its report line and
-/// returns `true` so the caller can exit.
+/// a node, as `if maybe_run_node_from_env() { return; }`. Returns `false`
+/// immediately when [`NODE_SPEC_ENV`] is unset. Otherwise it does not
+/// return: the process runs as a node and ends in [`run_node`].
 ///
 /// A malformed spec or a node failure terminates the process with a nonzero
 /// exit code — the launcher surfaces the missing report.
@@ -54,16 +68,9 @@ pub fn maybe_run_node_from_env() -> bool {
             eprintln!("thunderbolt-node: bad {NODE_SPEC_ENV}: {err}");
             std::process::exit(2);
         });
-    match run_node(spec) {
-        Ok(report) => {
-            println!("{NODE_REPORT_PREFIX}{}", to_hex(&report.to_wire_bytes()));
-            true
-        }
-        Err(err) => {
-            eprintln!("thunderbolt-node: {err}");
-            std::process::exit(1);
-        }
-    }
+    let Err(err) = run_node(spec);
+    eprintln!("thunderbolt-node: {err}");
+    std::process::exit(1);
 }
 
 /// Knobs of one launcher invocation.
@@ -133,17 +140,18 @@ pub fn run_real_net_scenario(
         .map(Wire::to_wire_bytes)
         .collect();
     let exe = std::env::current_exe()?;
-    let mut nodes: Vec<NodeProcess> = Vec::with_capacity(shipped.len());
+    let mut nodes: Vec<Child> = Vec::with_capacity(shipped.len());
     for spec in &shipped {
         let child = Command::new(&exe)
             .env(NODE_SPEC_ENV, to_hex(spec))
+            .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
             .spawn();
         match child {
-            Ok(child) => nodes.push(NodeProcess::new(child)),
+            Ok(child) => nodes.push(child),
             Err(err) => {
-                nodes.into_iter().for_each(NodeProcess::kill);
+                nodes.iter_mut().for_each(kill);
                 return Err(err);
             }
         }
@@ -152,10 +160,10 @@ pub fn run_real_net_scenario(
     // Nodes self-terminate at their own deadline; the watchdog margin only
     // catches a hung child (which would otherwise hang CI).
     let watchdog = Instant::now() + options.node_deadline + Duration::from_secs(15);
-    let reports = nodes
-        .into_iter()
+    let reports = supervise(nodes, watchdog)?
+        .iter()
         .enumerate()
-        .map(|(i, node)| node.report(i, watchdog))
+        .map(|(i, stdout)| parse_report(i, stdout))
         .collect::<io::Result<Vec<_>>>()?;
 
     let nodes_agree = reports.iter().all(|r| !r.round_commits.is_empty())
@@ -190,65 +198,117 @@ pub fn run_real_net_scenario(
     })
 }
 
-/// A spawned node process whose stdout is read on a thread of its own from
-/// the start, so a report line longer than the pipe buffer never leaves the
-/// child blocked in `write`, unable to exit.
-struct NodeProcess {
-    child: Child,
-    stdout: JoinHandle<String>,
+/// What a node's stdout reader tells [`supervise`].
+enum NodeEvent {
+    /// Node `i` printed [`NODE_AT_TARGET_LINE`].
+    AtTarget(usize),
+    /// Node `i`'s stdout reached EOF; the string is all it printed.
+    Closed(usize, String),
 }
 
-impl NodeProcess {
-    /// Takes over a child spawned with a piped stdout and starts draining it.
-    fn new(mut child: Child) -> Self {
-        let pipe = child.stdout.take();
-        let stdout = std::thread::spawn(move || {
-            let mut out = String::new();
-            if let Some(mut pipe) = pipe {
-                let _ = pipe.read_to_string(&mut out);
+/// Runs the stop protocol over spawned nodes whose stdin and stdout are
+/// piped, and returns each one's stdout, in spawn order.
+///
+/// Each stdout is read on a thread of its own from the start, so a report
+/// line longer than the pipe buffer never leaves a node blocked in `write`,
+/// unable to exit. Once every node has printed [`NODE_AT_TARGET_LINE`] or
+/// closed its stdout, every stdin is closed: that releases the nodes. A
+/// node is reaped as soon as its stdout closes, which for a node process
+/// means it has exited. At `watchdog` the nodes still running are killed
+/// and the run fails.
+fn supervise(mut nodes: Vec<Child>, watchdog: Instant) -> io::Result<Vec<String>> {
+    let (events, inbox) = mpsc::channel();
+    let mut stdins = Vec::with_capacity(nodes.len());
+    let mut readers = Vec::with_capacity(nodes.len());
+    for (i, node) in nodes.iter_mut().enumerate() {
+        stdins.push(node.stdin.take());
+        let (stdout, events) = (node.stdout.take(), events.clone());
+        readers.push(std::thread::spawn(move || read_stdout(i, stdout, events)));
+    }
+    drop(events);
+
+    let mut at_target = vec![false; nodes.len()];
+    let mut stdouts: Vec<Option<String>> = vec![None; nodes.len()];
+    while stdouts.iter().any(Option::is_none) {
+        let wait = watchdog.saturating_duration_since(Instant::now());
+        match inbox.recv_timeout(wait) {
+            Ok(NodeEvent::AtTarget(i)) => at_target[i] = true,
+            Ok(NodeEvent::Closed(i, stdout)) => {
+                at_target[i] = true;
+                nodes[i].wait()?;
+                stdouts[i] = Some(stdout);
             }
-            out
-        });
-        NodeProcess { child, stdout }
-    }
-
-    /// Kills the node and reaps it; its pipe then closes, so the reader
-    /// ends and is joined.
-    fn kill(mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-        let _ = self.stdout.join();
-    }
-
-    /// Waits for node `i` to exit, killing it at `watchdog`, and decodes the
-    /// report line it printed.
-    fn report(mut self, i: usize, watchdog: Instant) -> io::Result<RunReport> {
-        while self.child.try_wait()?.is_none() {
-            if Instant::now() >= watchdog {
-                self.kill();
+            Err(_) => {
+                // The readers of the killed nodes end when their pipes close.
+                let hung: Vec<usize> = (0..nodes.len()).filter(|&i| stdouts[i].is_none()).collect();
+                for &i in &hung {
+                    kill(&mut nodes[i]);
+                }
                 return Err(io::Error::new(
                     io::ErrorKind::TimedOut,
-                    format!("node {i} exceeded its deadline and was killed"),
+                    format!("nodes {hung:?} exceeded their deadline and were killed"),
                 ));
             }
-            std::thread::sleep(Duration::from_millis(20));
         }
-        let stdout = self
-            .stdout
-            .join()
-            .map_err(|_| io::Error::other(format!("node {i}'s stdout reader panicked")))?;
-        stdout
-            .lines()
-            .find_map(|line| line.strip_prefix(NODE_REPORT_PREFIX))
-            .and_then(|hex| from_hex(hex.trim()).ok())
-            .and_then(|bytes| RunReport::from_wire_bytes(&bytes).ok())
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("node {i} exited without a parsable {NODE_REPORT_PREFIX}line"),
-                )
-            })
+        if at_target.iter().all(|&reached| reached) {
+            // Dropping a child's stdin handle closes the pipe.
+            stdins.clear();
+        }
     }
+    // Every reader has sent its last event, so these joins return at once.
+    for reader in readers {
+        reader
+            .join()
+            .map_err(|_| io::Error::other("a node's stdout reader panicked"))?;
+    }
+    Ok(stdouts.into_iter().flatten().collect())
+}
+
+/// Reads node `i`'s stdout to EOF, reporting [`NODE_AT_TARGET_LINE`] when it
+/// comes and everything read when the pipe closes.
+fn read_stdout(i: usize, stdout: Option<ChildStdout>, events: mpsc::Sender<NodeEvent>) {
+    let mut out = Vec::new();
+    if let Some(stdout) = stdout {
+        let mut stdout = BufReader::new(stdout);
+        loop {
+            let line_at = out.len();
+            match stdout.read_until(b'\n', &mut out) {
+                Ok(0) | Err(_) => break,
+                Ok(_) => {
+                    if out[line_at..].trim_ascii_end() == NODE_AT_TARGET_LINE.as_bytes() {
+                        // A send fails only once the supervisor has given
+                        // up on the run; nothing is left to tell then.
+                        let _ = events.send(NodeEvent::AtTarget(i));
+                    }
+                }
+            }
+        }
+    }
+    let _ = events.send(NodeEvent::Closed(
+        i,
+        String::from_utf8_lossy(&out).into_owned(),
+    ));
+}
+
+/// Kills a node and reaps it.
+fn kill(node: &mut Child) {
+    let _ = node.kill();
+    let _ = node.wait();
+}
+
+/// Decodes the report line node `i` printed.
+fn parse_report(i: usize, stdout: &str) -> io::Result<RunReport> {
+    stdout
+        .lines()
+        .find_map(|line| line.strip_prefix(NODE_REPORT_PREFIX))
+        .and_then(|hex| from_hex(hex.trim()).ok())
+        .and_then(|bytes| RunReport::from_wire_bytes(&bytes).ok())
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("node {i} exited without a parsable {NODE_REPORT_PREFIX}line"),
+            )
+        })
 }
 
 /// `(dag, round, digest)` equality over the common prefix of two commit
@@ -317,17 +377,115 @@ mod tests {
         assert!(line.len() > 64 * 1024, "{} bytes", line.len());
         let path = std::env::temp_dir().join(format!("tb-long-report-{}", std::process::id()));
         std::fs::write(&path, line).expect("temp file written");
-        let child = Command::new("sh")
+        let started = Instant::now();
+        let stdouts = supervise(
+            vec![sh(&format!("cat '{}'", path.display()))],
+            started + Duration::from_secs(10),
+        );
+        let _ = std::fs::remove_file(&path);
+        let collected = parse_report(0, &stdouts.expect("stdout collected")[0]);
+        assert_eq!(collected.expect("report collected"), report);
+        assert!(started.elapsed() < Duration::from_secs(5));
+    }
+
+    /// A fake node: `sh -c script`, with stdin and stdout piped as the
+    /// launcher pipes a node's.
+    fn sh(script: &str) -> Child {
+        Command::new("sh")
             .arg("-c")
-            .arg("cat \"$0\"")
-            .arg(&path)
+            .arg(script)
+            .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .spawn()
-            .expect("sh spawns");
-        let started = Instant::now();
-        let collected = NodeProcess::new(child).report(0, started + Duration::from_secs(10));
+            .expect("sh spawns")
+    }
+
+    /// Node 0 reaches its target at once, node 1 only after 300 ms and
+    /// node 2 exits without announcing. Node 0 waits on its stdin and then
+    /// looks for the file node 1 creates just before it announces: no stdin
+    /// closes before every node has announced or exited.
+    #[test]
+    fn no_node_is_released_before_every_node_announced_or_exited() {
+        let path = std::env::temp_dir().join(format!("tb-announced-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        assert_eq!(collected.expect("report collected"), report);
+        let flag = path.display();
+        let started = Instant::now();
+        let stdouts = supervise(
+            vec![
+                sh(&format!(
+                    "echo {NODE_AT_TARGET_LINE}; cat >/dev/null; \
+                     if [ -e '{flag}' ]; then echo released-after; else echo released-early; fi"
+                )),
+                sh(&format!(
+                    "sleep 0.3; touch '{flag}'; echo {NODE_AT_TARGET_LINE}; \
+                     cat >/dev/null; echo released"
+                )),
+                sh("sleep 0.1; exit 3"),
+            ],
+            started + Duration::from_secs(10),
+        )
+        .expect("every node exits");
+        let _ = std::fs::remove_file(&path);
+        assert!(stdouts[0].contains("released-after"), "{stdouts:?}");
+        assert!(stdouts[1].contains("released"), "{stdouts:?}");
+        assert!(started.elapsed() >= Duration::from_millis(300));
+    }
+
+    /// A node that exits without announcing, as a crashed node does, counts
+    /// as announced: its peer is released at once, not at the watchdog.
+    #[test]
+    fn a_node_that_exits_without_announcing_releases_the_others() {
+        let started = Instant::now();
+        let stdouts = supervise(
+            vec![
+                sh(&format!(
+                    "echo {NODE_AT_TARGET_LINE}; cat >/dev/null; echo released"
+                )),
+                sh("exit 3"),
+            ],
+            started + Duration::from_secs(30),
+        )
+        .expect("every node exits");
+        assert!(stdouts[0].contains("released"), "{stdouts:?}");
+        assert_eq!(stdouts[1], "");
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "released after {:?}",
+            started.elapsed()
+        );
+    }
+
+    /// Released nodes take 500 ms to exit; the supervisor reaps them when
+    /// their stdout closes, well within a second of the last exit.
+    #[test]
+    fn nodes_are_reaped_within_a_second_of_the_last_exit() {
+        let script = format!("echo {NODE_AT_TARGET_LINE}; cat >/dev/null; sleep 0.5");
+        let started = Instant::now();
+        let stdouts = supervise(
+            vec![sh(&script), sh(&script), sh(&script)],
+            started + Duration::from_secs(30),
+        )
+        .expect("every node exits");
+        let elapsed = started.elapsed();
+        assert_eq!(stdouts.len(), 3);
+        assert!(elapsed >= Duration::from_millis(500), "{elapsed:?}");
+        assert!(elapsed < Duration::from_millis(1_500), "{elapsed:?}");
+    }
+
+    /// A node that never announces and never exits is killed at the
+    /// watchdog, and so are its peers waiting to be released.
+    #[test]
+    fn the_watchdog_kills_a_hung_cluster() {
+        let started = Instant::now();
+        let outcome = supervise(
+            vec![
+                sh(&format!("echo {NODE_AT_TARGET_LINE}; cat >/dev/null")),
+                sh("cat >/dev/null"),
+            ],
+            started + Duration::from_millis(300),
+        );
+        let err = outcome.expect_err("the watchdog fires");
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
         assert!(started.elapsed() < Duration::from_secs(5));
     }
 

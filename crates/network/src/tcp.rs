@@ -235,8 +235,8 @@ impl<M: Wire + Send + 'static> TcpTransport<M> {
         let addr = self.peer_addr(to).ok_or(TransportError::UnknownPeer(to))?;
         for attempt in 0..2 {
             if !self.outbound.contains_key(&to) {
-                // Start-up skew is waited out on first contact only: a node
-                // lingering after its commit target must not spend the
+                // Start-up skew is waited out on first contact only: a
+                // released node that has not stopped yet must not spend the
                 // connect deadline on every peer that has already exited.
                 let patience = if self.reached.contains(&to) {
                     Duration::ZERO
