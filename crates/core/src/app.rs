@@ -25,6 +25,7 @@ use crate::proposer::{
 use std::collections::{HashSet, VecDeque};
 use std::time::{Duration, Instant};
 use tb_dag::CommittedSubDag;
+use tb_executor::batch::{fnv_fold, FNV_OFFSET};
 use tb_executor::validation::check_reads;
 use tb_executor::{BatchExecutor, ConcurrentExecutor, OccExecutor};
 use tb_storage::{CommitMarker, KvRead, MemStore, Store, Versioned, WalOptions, WalStore};
@@ -33,9 +34,9 @@ use tb_types::{
     ShardAssignment, ShardId, SimTime, StorageBackend, StorageConfig, Transaction, Value, Vertex,
 };
 
-/// FNV-1a 64-bit offset basis: the initial value of the commit-order digest
+/// The initial value of the commit-order digest: the FNV-1a offset basis
 /// (an all-zero seed would collapse zero-valued transaction ids).
-pub const COMMIT_DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+pub const COMMIT_DIGEST_SEED: u64 = FNV_OFFSET;
 
 /// What a [`Replica`](crate::replica::Replica) asks of the application it
 /// orders blocks for: the only calls the consensus core makes into it.
@@ -55,9 +56,8 @@ pub trait App {
         metrics: &mut ReplicaMetrics,
     ) -> (BlockKind, BlockPayload);
 
-    /// `vertex` entered the DAG and is not delivered yet. Called once per
-    /// such vertex, before any [`delivered`](App::delivered) that carries
-    /// it.
+    /// `vertex` is new to the DAG, so not delivered yet. Called once per
+    /// vertex, before any [`delivered`](App::delivered) that carries it.
     fn admitted(&mut self, vertex: &Vertex);
 
     /// Commits the sub-DAG the committer just delivered, at `now`.
@@ -360,8 +360,7 @@ impl App for ShardApp {
         for (tx_id, _) in &output.committed {
             // FNV-1a fold over the commit order; honest replicas agree on
             // the sequence, so they agree on the digest.
-            metrics.commit_order_digest =
-                (metrics.commit_order_digest ^ tx_id.as_inner()).wrapping_mul(0x0100_0000_01b3);
+            metrics.commit_order_digest = fnv_fold(metrics.commit_order_digest, tx_id.as_inner());
         }
         // Commit boundary: a durable backend persists the marker and fsyncs
         // everything before it, so recovery reproduces both the state and

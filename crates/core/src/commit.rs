@@ -39,7 +39,7 @@ use tb_contracts::{execute_call, ExecError, StateAccess};
 use tb_dag::CommittedSubDag;
 use tb_executor::traits::synthetic_work;
 use tb_executor::validation::{replay_blocks, validate_block, validate_replayed, ValidationConfig};
-use tb_executor::{effective_workers, pool};
+use tb_executor::{batch::ordered_write_batch, effective_workers, pool};
 use tb_storage::{Store, WriteBatch};
 use tb_types::{
     Block, BlockKind, Digest, Key, KeyMap, PreplayedTx, SealedBlock, ShardId, SimTime, Transaction,
@@ -530,20 +530,6 @@ fn record_commit(output: &mut CommitOutput, id: TxId, submitted_at: SimTime, com
 fn queue_wait_secs<'a>(txs: impl Iterator<Item = &'a Transaction>, created_at: SimTime) -> f64 {
     txs.map(|tx| created_at.saturating_since(tx.submitted_at).as_secs_f64())
         .sum()
-}
-
-/// Builds the write batch of a block in its serialized order (later
-/// transactions overwrite earlier ones) and returns the indices of its
-/// transactions sorted by that order.
-fn ordered_write_batch(block: &[PreplayedTx]) -> (WriteBatch, Vec<usize>) {
-    let mut order: Vec<usize> = (0..block.len()).collect();
-    order.sort_by_key(|&i| block[i].order);
-    let writes = block.iter().map(|p| p.outcome.write_set.len()).sum();
-    let mut batch = WriteBatch::with_capacity(writes);
-    for &i in &order {
-        batch.extend_from_write_set(&block[i].outcome.write_set);
-    }
-    (batch, order)
 }
 
 /// Groups cross-shard transactions into waves whose declared shard sets are

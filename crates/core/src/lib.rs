@@ -16,8 +16,10 @@
 //!   decisions),
 //! * [`commit`] — the post-consensus pipeline (G1/G2 ordering, parallel
 //!   validation, deterministic cross-shard execution, storage apply),
-//! * [`replica`] — the per-replica consensus state machine: DAG
-//!   construction, vertex fetch, the commit rule and reconfiguration,
+//! * [`replica`] — the per-replica consensus state machine: proposal, the
+//!   commit rule and reconfiguration,
+//! * `dissemination` (crate-private) — how vertices get into a replica's
+//!   DAG: acknowledgements, certificates, vertex fetch, waiting parents,
 //! * [`app`] — the shard app a replica drives: store, preplay, client
 //!   queues, validation and execution, behind the five calls of [`App`],
 //! * [`feed`] — the closed-loop client: one shared transaction stream
@@ -46,6 +48,7 @@ pub mod app;
 pub mod campaign;
 pub mod cluster;
 pub mod commit;
+mod dissemination;
 pub mod driver;
 pub mod feed;
 pub mod messages;

@@ -114,6 +114,16 @@ impl Message {
             Message::Vertex(vertex) => vertex.round(),
         }
     }
+
+    /// The DAG instance the message refers to.
+    pub fn dag(&self) -> DagId {
+        match self {
+            Message::Header { header, .. } => header.dag,
+            Message::Ack { dag, .. } => *dag,
+            Message::Certificate(certificate) | Message::Fetch(certificate) => certificate.dag,
+            Message::Vertex(vertex) => vertex.dag(),
+        }
+    }
 }
 
 /// The fixed-width envelope in front of every [`Message`]: [`WIRE_MAGIC`]

@@ -4,24 +4,25 @@ use std::time::{Duration, Instant};
 use tb_storage::{MemStore, Store, WriteBatch};
 use tb_types::{AccessRecord, PreplayedTx, TxId, Value};
 
-/// FNV-1a offset basis; the same seed tb-core replicas use for the
-/// commit-order digest, so the two digest families are directly comparable
-/// in reports.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit offset basis: the seed of [`BatchResult::commit_digest`]
+/// and of the commit-order digest tb-core replicas carry, so the two digest
+/// families are directly comparable in reports.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0100_0000_01b3;
 
-fn fold(digest: u64, v: u64) -> u64 {
+/// One FNV-1a step: folds `v` into `digest`.
+pub fn fnv_fold(digest: u64, v: u64) -> u64 {
     (digest ^ v).wrapping_mul(FNV_PRIME)
 }
 
 fn fold_value(digest: u64, value: &Value) -> u64 {
     match value {
-        Value::None => fold(digest, 0),
-        Value::Int(i) => fold(fold(digest, 1), *i as u64),
+        Value::None => fnv_fold(digest, 0),
+        Value::Int(i) => fnv_fold(fnv_fold(digest, 1), *i as u64),
         Value::Bytes(bytes) => bytes
             .iter()
-            .fold(fold(digest, 2), |d, byte| fold(d, u64::from(*byte))),
+            .fold(fnv_fold(digest, 2), |d, byte| fnv_fold(d, u64::from(*byte))),
     }
 }
 
@@ -132,13 +133,7 @@ impl BatchResult {
     /// The combined write batch of the serialized order (later transactions
     /// overwrite earlier ones), ready to be applied to a store.
     pub fn write_batch(&self) -> WriteBatch {
-        let mut sorted: Vec<&PreplayedTx> = self.preplayed.iter().collect();
-        sorted.sort_by_key(|p| p.order);
-        let mut batch = WriteBatch::new();
-        for p in sorted {
-            batch.extend_from_write_set(&p.outcome.write_set);
-        }
-        batch
+        ordered_write_batch(&self.preplayed).0
     }
 
     /// Applies the batch's write sets to a store in serialized order, as one
@@ -168,19 +163,19 @@ impl BatchResult {
         sorted.sort_by_key(|p| p.order);
         let mut digest = FNV_OFFSET;
         for p in sorted {
-            digest = fold(digest, u64::from(p.order));
-            digest = fold(digest, p.tx.id.as_inner());
+            digest = fnv_fold(digest, u64::from(p.order));
+            digest = fnv_fold(digest, p.tx.id.as_inner());
             for set in [&p.outcome.read_set, &p.outcome.write_set] {
                 let mut records: Vec<&AccessRecord> = set.iter().collect();
                 records.sort_by_key(|r| r.key);
-                digest = fold(digest, records.len() as u64);
+                digest = fnv_fold(digest, records.len() as u64);
                 for rec in records {
-                    digest = fold(digest, rec.key.encode());
+                    digest = fnv_fold(digest, rec.key.encode());
                     digest = fold_value(digest, &rec.value);
                 }
             }
             digest = fold_value(digest, &p.outcome.return_value);
-            digest = fold(digest, u64::from(p.outcome.logically_aborted));
+            digest = fnv_fold(digest, u64::from(p.outcome.logically_aborted));
         }
         digest
     }
@@ -198,6 +193,20 @@ impl BatchResult {
         }
         seen.into_iter().all(|s| s)
     }
+}
+
+/// Builds the write batch of preplayed transactions in their serialized
+/// order (later transactions overwrite earlier ones) and returns the indices
+/// of the transactions sorted by that order.
+pub fn ordered_write_batch(preplayed: &[PreplayedTx]) -> (WriteBatch, Vec<usize>) {
+    let mut order: Vec<usize> = (0..preplayed.len()).collect();
+    order.sort_by_key(|&i| preplayed[i].order);
+    let writes = preplayed.iter().map(|p| p.outcome.write_set.len()).sum();
+    let mut batch = WriteBatch::with_capacity(writes);
+    for &i in &order {
+        batch.extend_from_write_set(&preplayed[i].outcome.write_set);
+    }
+    (batch, order)
 }
 
 #[cfg(test)]
