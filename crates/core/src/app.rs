@@ -26,12 +26,13 @@ use std::collections::{HashSet, VecDeque};
 use std::time::{Duration, Instant};
 use tb_dag::CommittedSubDag;
 use tb_executor::batch::{fnv_fold, FNV_OFFSET};
-use tb_executor::validation::check_reads;
+use tb_executor::validation::read_holds;
 use tb_executor::{BatchExecutor, ConcurrentExecutor, OccExecutor};
 use tb_storage::{CommitMarker, KvRead, MemStore, Store, Versioned, WalOptions, WalStore};
 use tb_types::{
-    BlockKind, BlockPayload, Committee, DagId, Digest, Key, KeyMap, PreplayedTx, ReplicaId, Round,
-    ShardAssignment, ShardId, SimTime, StorageBackend, StorageConfig, Transaction, Value, Vertex,
+    AccessRecord, BlockKind, BlockPayload, Committee, DagId, Digest, Key, KeyMap, PreplayedTx,
+    ReplicaId, Round, ShardAssignment, ShardId, SimTime, StorageBackend, StorageConfig,
+    Transaction, Value, Vertex,
 };
 
 /// The initial value of the commit-order digest: the FNV-1a offset basis
@@ -188,9 +189,10 @@ impl ShardApp {
     /// committed state plus this replica's own uncommitted preplay results;
     /// its writes join those results. `ahead` is the batch preplayed ahead of
     /// the round, if any: it is used when it preplayed exactly `singles` and
-    /// every read it declares holds on the current view (validation's read
-    /// check), because preplaying `singles` again would then yield the same
-    /// outcomes. Without an engine (Tusk) nothing is preplayed.
+    /// every external read it declares holds on the current view
+    /// (validation's read check), because preplaying `singles` again would
+    /// then yield the same outcomes. Without an engine (Tusk) nothing is
+    /// preplayed.
     fn preplay_batch(
         &mut self,
         singles: &[Transaction],
@@ -209,13 +211,16 @@ impl ShardApp {
             overlay: &self.overlay,
         };
         // No take from the queue since `ahead` was preplayed, so a batch of
-        // its length is the one it preplayed.
+        // its length is the one it preplayed. It is checked against the view
+        // alone: no block comes before it.
+        let nothing_earlier = KeyMap::default();
         let batch = match ahead {
             Some(ahead)
                 if ahead.txs.len() == singles.len()
-                    && check_reads(&[&ahead.txs], &view)
-                        .into_iter()
-                        .all(|pass| pass) =>
+                    && ahead
+                        .external_reads
+                        .iter()
+                        .all(|read| read_holds(read, &nothing_earlier, &view)) =>
             {
                 debug_assert!(ahead
                     .txs
@@ -324,8 +329,8 @@ impl App for ShardApp {
             }
         };
         match self.byzantine {
-            Some(ByzantineBehavior::TamperWrites) if kind == BlockKind::Normal => {
-                payload = tamper_writes(payload);
+            Some(ByzantineBehavior::TamperReads) if kind == BlockKind::Normal => {
+                payload = tamper_reads(payload);
             }
             Some(ByzantineBehavior::OverfullWrongShard) if kind == BlockKind::Normal => {
                 self.overfill_payload(&mut payload, round, metrics);
@@ -422,11 +427,12 @@ fn open_store(id: ReplicaId, storage: &StorageConfig) -> Box<dyn Store> {
     }
 }
 
-/// [`ByzantineBehavior::TamperWrites`]: corrupt the first declared write so
-/// the block's declared effects no longer re-execute.
-pub(crate) fn tamper_writes(mut payload: BlockPayload) -> BlockPayload {
+/// [`ByzantineBehavior::TamperReads`]: corrupt the first declared read, the
+/// one input a proposer gives its block's effects, so the block's reads no
+/// longer hold.
+pub(crate) fn tamper_reads(mut payload: BlockPayload) -> BlockPayload {
     for preplayed in payload.single_shard.iter_mut() {
-        if let Some(record) = preplayed.outcome.write_set.first_mut() {
+        if let Some(record) = preplayed.outcome.read_set.first_mut() {
             record.value = Value::int(i64::MIN / 2);
             break;
         }
@@ -434,30 +440,45 @@ pub(crate) fn tamper_writes(mut payload: BlockPayload) -> BlockPayload {
     payload
 }
 
-/// One batch's preplay: the outcomes a block ships and the writes the
-/// proposer's overlay takes for it.
+/// One batch's preplay: the transactions a block ships, and what the
+/// proposer keeps of its engine's outcomes — the writes its overlay takes,
+/// and the reads a proposal re-checks if the batch was preplayed ahead.
 struct Preplayed {
     /// Sorted by `order`.
     txs: Vec<PreplayedTx>,
     /// The last write per key.
     writes: KeyMap<Value>,
+    /// The declared reads no earlier transaction of the batch wrote: what
+    /// the batch read from the view it was preplayed on.
+    external_reads: Vec<AccessRecord>,
     reexecutions: u64,
 }
 
 impl Preplayed {
     /// Preplays `txs` against `view`: the replica's one call of
-    /// [`BatchExecutor::preplay`].
+    /// [`BatchExecutor::preplay`], and the one place it reads its engine's
+    /// writes.
     fn new(engine: &dyn BatchExecutor, txs: &[Transaction], view: &OverlayRead<'_>) -> Self {
         let result = engine.preplay(txs, view);
         // Executors return the batch sorted by `order`, so later writes of a
         // key overwrite earlier ones here.
         let mut writes: KeyMap<Value> = KeyMap::default();
-        for rec in result.preplayed.iter().flat_map(|p| &p.outcome.write_set) {
-            writes.insert(rec.key, rec.value.clone());
+        let mut external_reads = Vec::new();
+        for p in &result.preplayed {
+            let external = p.outcome.read_set.iter();
+            external_reads.extend(
+                external
+                    .filter(|rec| !writes.contains_key(&rec.key))
+                    .cloned(),
+            );
+            for rec in &p.outcome.write_set {
+                writes.insert(rec.key, rec.value.clone());
+            }
         }
         Preplayed {
             txs: result.preplayed,
             writes,
+            external_reads,
             reexecutions: result.reexecutions,
         }
     }
@@ -695,8 +716,10 @@ mod tests {
                 };
                 let txs: Vec<Transaction> = preplayed.iter().map(|p| p.tx.clone()).collect();
                 let fresh = engine.preplay(&txs, &view).preplayed;
+                // A block ships each transaction's reads and position.
+                let shipped = |p: &PreplayedTx| (p.tx.id, p.outcome.read_set.clone(), p.order);
                 assert!(
-                    fresh == **preplayed,
+                    fresh.iter().map(shipped).eq(preplayed.iter().map(shipped)),
                     "{}: a block is not a fresh preplay on its view",
                     replica.id()
                 );

@@ -247,7 +247,7 @@ impl Invariant for ReconfigurationCompletes {
 }
 
 /// The observer detected and discarded invalid preplayed blocks — the
-/// expected footprint of a write-tampering Byzantine proposer.
+/// expected footprint of a read-tampering Byzantine proposer.
 pub struct InvalidBlocksDetected;
 
 impl Invariant for InvalidBlocksDetected {
@@ -771,8 +771,8 @@ pub fn default_campaign(profile: CampaignProfile) -> Vec<CampaignScenario> {
     };
     vec![
         CampaignScenario::new(
-            "byz-tamper-writes",
-            "replica 3 corrupts the declared write sets of its preplayed blocks",
+            "byz-tamper-reads",
+            "replica 3 corrupts the first declared read of its preplayed blocks",
             // Lockstep: a proposer waits for the complete previous round, so
             // whether it preplays or converts a batch no longer depends on
             // host timing and replica 3 always has preplayed blocks to
@@ -781,7 +781,7 @@ pub fn default_campaign(profile: CampaignProfile) -> Vec<CampaignScenario> {
             move || {
                 base(4, p.rounds, 11, 0.1)
                     .lockstep()
-                    .byzantine(ReplicaId::new(3), ByzantineBehavior::TamperWrites)
+                    .byzantine(ReplicaId::new(3), ByzantineBehavior::TamperReads)
             },
         )
         .faulty([3])
@@ -1059,12 +1059,12 @@ mod tests {
 
     #[test]
     fn tampering_proposer_is_detected_and_tolerated() {
-        // Lockstep, as in `byz-tamper-writes`: without it host timing can
+        // Lockstep, as in `byz-tamper-reads`: without it host timing can
         // leave replica 3 no preplayed block to tamper with (ROADMAP item 1).
-        let result = CampaignScenario::new("tamper", "byzantine writes", || {
+        let result = CampaignScenario::new("tamper", "byzantine reads", || {
             tiny(4, 8)
                 .lockstep()
-                .byzantine(ReplicaId::new(3), ByzantineBehavior::TamperWrites)
+                .byzantine(ReplicaId::new(3), ByzantineBehavior::TamperReads)
         })
         .faulty([3])
         .invariant(Liveness {
@@ -1156,7 +1156,7 @@ mod tests {
         );
         let names: Vec<&str> = scenarios.iter().map(|s| s.name()).collect();
         for expected in [
-            "byz-tamper-writes",
+            "byz-tamper-reads",
             "byz-equivocate",
             "byz-overfull-wrong-shard",
             "partition-heal",

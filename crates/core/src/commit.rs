@@ -5,19 +5,20 @@
 //! Section 5.1):
 //!
 //! 1. **Single-shard first (G1).** The preplayed single-shard payloads of the
-//!    delivered blocks are validated against the read/write sets they
-//!    declare; valid payloads are applied to storage in their serialized
-//!    order, all of them in one storage call. Invalid blocks are discarded
-//!    (their transactions are simply not applied — a Byzantine proposer can
-//!    only hurt its own shard). Validation's stage 2, the replay of each
-//!    transaction over its declarations, reads no state, so a replica runs
-//!    it — and builds the block's write batch — when the block's vertex
-//!    enters its DAG, in the driver's step after a handler's output is sent
-//!    (`ReplayCache`). The commit then runs only the read check, over all
-//!    blocks of the sub-DAG in one pass, joins it with the cached verdicts
-//!    and applies the cached batches; the blocks it delivers before they
-//!    were replayed it replays itself, by the same function, in one fan-out
-//!    over the validator workers.
+//!    delivered blocks are validated against the reads they declare; the
+//!    writes a valid payload derives from them are applied to storage in
+//!    its serialized order, those of all valid payloads in one storage call.
+//!    Invalid blocks are discarded (their transactions are simply not
+//!    applied — a Byzantine proposer can only hurt its own shard).
+//!    Validation's stage 2, the replay of each transaction over its declared
+//!    reads, reads no state, so a replica runs it — deriving the block's
+//!    write batch and its external reads — when the block's vertex enters
+//!    its DAG, in the driver's step after a handler's output is sent
+//!    (`ReplayCache`). The commit then runs only the read check of the
+//!    external reads, over all blocks of the sub-DAG in one pass, joins it
+//!    with the cached verdicts and applies the cached batches; the blocks it
+//!    delivers before they were replayed it replays itself, by the same
+//!    function, in one fan-out over the validator workers.
 //! 2. **Cross-shard second (G2).** The cross-shard transactions of the same
 //!    delivered sub-DAG are executed deterministically in `(round, author,
 //!    position)` order against a read view — their own writes, over the G2
@@ -38,8 +39,8 @@ use std::time::{Duration, Instant};
 use tb_contracts::{execute_call, ExecError, StateAccess};
 use tb_dag::CommittedSubDag;
 use tb_executor::traits::synthetic_work;
-use tb_executor::validation::{replay_blocks, validate_block, validate_replayed, ValidationConfig};
-use tb_executor::{batch::ordered_write_batch, effective_workers, pool};
+use tb_executor::validation::{replay_blocks, validate_replayed, Replay, ValidationConfig};
+use tb_executor::{effective_workers, pool};
 use tb_storage::{Store, WriteBatch};
 use tb_types::{
     Block, BlockKind, Digest, Key, KeyMap, PreplayedTx, SealedBlock, ShardId, SimTime, Transaction,
@@ -49,8 +50,8 @@ use tb_types::{
 /// How the pipeline executes transactions after consensus.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PostCommitExecution {
-    /// Thunderbolt: preplayed single-shard results are validated against
-    /// their declarations and cross-shard transactions execute with
+    /// Thunderbolt: preplayed single-shard transactions are validated
+    /// against their declared reads and cross-shard transactions execute with
     /// shard-level parallelism. The variant keeps this name because the
     /// benchmark harness constructs it by name; no two stages run at the
     /// same time. The preplayed blocks of a committed sub-DAG go through
@@ -281,8 +282,8 @@ impl CommitPipeline {
         output
     }
 
-    /// The strictly staged G1 path: validate a block, apply its write batch,
-    /// move on to the next block.
+    /// The strictly staged G1 path: validate a block, apply its derived write
+    /// batch, move on to the next block.
     fn commit_preplayed_staged(
         &self,
         blocks: &[(&[PreplayedTx], SimTime)],
@@ -292,18 +293,19 @@ impl CommitPipeline {
     ) {
         for &(block, created_at) in blocks {
             let validate_started = Instant::now();
-            let report = validate_block(block, store, &self.validation);
+            let (replays, _) = replay_run(&[block], &self.validation);
+            let replay = &replays[0];
+            let valid = validate_replayed(&[block], &[replay], store)[0].is_valid();
             output.stage_validate += validate_started.elapsed();
-            if !report.is_valid() {
+            if !valid {
                 output.invalid_blocks += 1;
                 continue;
             }
-            let (batch, order) = ordered_write_batch(block);
             let apply_started = Instant::now();
-            store.apply_batch(&batch);
+            store.apply_batch(&replay.batch);
             output.stage_apply += apply_started.elapsed();
             output.apply_calls += 1;
-            for i in order {
+            for &i in &replay.order {
                 let tx = &block[i].tx;
                 record_commit(output, tx.id, tx.submitted_at, commit_time);
             }
@@ -334,12 +336,9 @@ impl CommitPipeline {
         while !remaining.is_empty() {
             let payloads: Vec<&[PreplayedTx]> =
                 remaining.iter().map(|(block, ..)| *block).collect();
-            let verdicts: Vec<&[bool]> = remaining
-                .iter()
-                .map(|(.., replay)| &replay.verdicts[..])
-                .collect();
+            let replays: Vec<&Replay> = remaining.iter().map(|(.., replay)| replay).collect();
             let validate_started = Instant::now();
-            let reports = validate_replayed(&payloads, &verdicts, store);
+            let reports = validate_replayed(&payloads, &replays, store);
             output.stage_validate += validate_started.elapsed();
             let valid = reports.iter().take_while(|r| r.is_valid()).count();
             let (prefix, rest) = std::mem::take(&mut remaining).split_at_mut(valid);
@@ -383,43 +382,15 @@ fn commits_preplayed(block: &Block) -> bool {
     block.kind != BlockKind::Shift && !block.payload.single_shard.is_empty()
 }
 
-/// Everything about a preplayed block's commit that does not depend on
-/// state: stage 2 of its validation and the write batch it applies if
-/// valid.
-struct Replay {
-    /// One [`replay_blocks`] verdict per transaction, in block order.
-    verdicts: Vec<bool>,
-    /// The block's writes in its serialized order.
-    batch: WriteBatch,
-    /// The block's transaction indices in serialized order: the order its
-    /// transactions commit in.
-    order: Vec<usize>,
-}
-
-impl Replay {
-    /// Replays a run of blocks: stage 2 of all their transactions in one
-    /// [`replay_blocks`] fan-out over `config.validators` workers, then each
-    /// block's write batch. Returns the replays in run order, and the time
-    /// stage 2 took: that counts as validation, and building the batches
-    /// does not, as it did not when the commit built them.
-    fn run(blocks: &[&[PreplayedTx]], config: &ValidationConfig) -> (Vec<Replay>, Duration) {
-        let started = Instant::now();
-        let verdicts = replay_blocks(blocks, config);
-        let replayed = started.elapsed();
-        let replays = blocks
-            .iter()
-            .zip(verdicts)
-            .map(|(block, verdicts)| {
-                let (batch, order) = ordered_write_batch(block);
-                Replay {
-                    verdicts,
-                    batch,
-                    order,
-                }
-            })
-            .collect();
-        (replays, replayed)
-    }
+/// Replays a run of blocks ([`Replay`]): stage 2 of all their transactions
+/// in one [`replay_blocks`] fan-out over `config.validators` workers. The
+/// one place a replica replays a block, whether ahead, when its vertex enters
+/// the DAG, or in the commit that delivers it. Returns the replays in run
+/// order, and the time they took, which counts as validation.
+fn replay_run(blocks: &[&[PreplayedTx]], config: &ValidationConfig) -> (Vec<Replay>, Duration) {
+    let started = Instant::now();
+    let replays = replay_blocks(blocks, config);
+    (replays, started.elapsed())
 }
 
 /// One replica's replays of the preplayed blocks admitted to its DAG and not
@@ -427,7 +398,7 @@ impl Replay {
 /// after a handler's output is sent ([`replay_admitted`]), so a commit finds
 /// them replayed and only read-checks and applies them; the blocks a commit
 /// delivers before that are replayed by the commit ([`take_or_replay`]).
-/// Both replay through [`Replay::run`]. An entry leaves when its block is
+/// Both replay through [`replay_run`]. An entry leaves when its block is
 /// delivered.
 ///
 /// The cache belongs to one replica: a replay is a pure function of the
@@ -472,7 +443,7 @@ impl ReplayCache {
             validators: 1,
             op_cost_ns,
         };
-        let (replays, replayed) = Replay::run(&payloads, &on_the_caller);
+        let (replays, replayed) = replay_run(&payloads, &on_the_caller);
         for (block, replay) in admitted.iter().zip(replays) {
             self.replays.insert(block.digest(), Some(replay));
         }
@@ -487,7 +458,7 @@ impl ReplayCache {
 
     /// The replays of the blocks a commit delivers, in order: each one this
     /// cache holds leaves it, and the others are replayed now, all in one
-    /// [`Replay::run`] over `config`'s workers. Counts both kinds and the
+    /// [`replay_run`] over `config`'s workers. Counts both kinds and the
     /// replay's stage-2 time in `output`. No block has an entry afterwards.
     fn take_or_replay(
         &mut self,
@@ -507,7 +478,7 @@ impl ReplayCache {
             .collect();
         output.blocks_replayed_ahead += (blocks.len() - missing.len()) as u64;
         output.blocks_replayed_inline += missing.len() as u64;
-        let (replayed, took) = Replay::run(&missing, config);
+        let (replayed, took) = replay_run(&missing, config);
         output.stage_validate += took;
         let mut replayed = replayed.into_iter();
         held.into_iter()
@@ -816,7 +787,7 @@ mod tests {
         let txs = vec![payment(1, 0, 1, 10, 1)];
         let ce = ConcurrentExecutor::new(CeConfig::new(1, 16).without_synthetic_cost());
         let mut preplay = ce.preplay(&txs, &store);
-        preplay.preplayed[0].outcome.write_set[0].value = Value::int(77_777);
+        preplay.preplayed[0].outcome.read_set[0].value = Value::int(77_777);
         let sub_dag = sub_dag_with(committee, preplay.preplayed.clone(), vec![], &[]);
         let pipeline = CommitPipeline::new(PostCommitExecution::Pipelined { workers: 2 });
         let before = store.snapshot();
@@ -986,7 +957,7 @@ mod tests {
 
     /// Preplays `rounds` consecutive SmallBank payment blocks, each chained
     /// on the previous block's writes (the proposer-overlay situation the
-    /// batched validator must reproduce from the declared writes alone).
+    /// batched validator must reproduce from the declared reads alone).
     fn chained_blocks(accounts: u64, rounds: usize, per_block: usize) -> Vec<Vec<PreplayedTx>> {
         let scratch = funded_store(accounts);
         let ce = ConcurrentExecutor::new(CeConfig::new(2, 64).without_synthetic_cost());
@@ -1046,9 +1017,9 @@ mod tests {
         let committee = Committee::new(4);
         let mut blocks = chained_blocks(8, 4, 6);
         // Tamper the second block: its writes must not be applied and the
-        // later blocks (which chain on block 1's honest writes, not block
-        // 2's) keep validating exactly as in the staged path.
-        blocks[1][0].outcome.write_set[0].value = Value::int(123_456_789);
+        // later blocks (which chain on block 1's honest writes) are judged
+        // exactly as in the staged path.
+        blocks[1][0].outcome.read_set[0].value = Value::int(123_456_789);
         let staged_store = funded_store(8);
         let pipelined_store = funded_store(8);
         let staged = CommitPipeline::new(PostCommitExecution::Serial);
@@ -1078,21 +1049,22 @@ mod tests {
         let ce = ConcurrentExecutor::new(CeConfig::new(1, 16).without_synthetic_cost());
         let scratch = funded_store(8);
         let preplay = |txs: &[Transaction], tamper: bool| {
+            let result = ce.preplay(txs, &scratch);
+            scratch.apply_batch(&result.write_batch());
             let mut payload = BlockPayload {
-                single_shard: ce.preplay(txs, &scratch).preplayed,
+                single_shard: result.preplayed,
                 cross_shard: vec![],
             };
             if tamper {
-                payload = crate::app::tamper_writes(payload);
+                payload = crate::app::tamper_reads(payload);
             }
-            scratch.apply_batch(&ordered_write_batch(&payload.single_shard).0);
             payload.single_shard
         };
         let blocks = vec![
             preplay(&[payment(1, 0, 4, 10, 1), payment(2, 2, 6, 5, 1)], false),
-            // A ByzantineBehavior::TamperWrites proposer's block.
+            // A ByzantineBehavior::TamperReads proposer's block.
             preplay(&[payment(3, 4, 0, 7, 1)], true),
-            // Reads both keys the tampered block wrote, one of them forged.
+            // Reads both keys only the tampered block wrote.
             preplay(&[payment(4, 0, 4, 1, 1)], false),
             preplay(&[payment(5, 2, 6, 1, 1)], false),
         ];

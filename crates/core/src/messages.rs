@@ -54,10 +54,12 @@ pub const WIRE_MAGIC: u32 = 0x314d_4254;
 /// [`Message`] or the types it contains (version 2 added
 /// [`Message::Certificate`], version 3 made integers varints, version 4 added
 /// [`Message::Fetch`], version 5 made each digest the hash of an encoding: the
-/// bytes did not move, but peers that hash differently never certify);
+/// bytes did not move, but peers that hash differently never certify;
+/// version 6 ships a preplayed transaction's reads without the write set,
+/// result and abort flag a receiver derives from them);
 /// `tb_network::TCP_FRAME_VERSION` moves with it, and `tests::format_golden`
 /// pins the encoding it names.
-pub const WIRE_FORMAT_VERSION: u16 = 5;
+pub const WIRE_FORMAT_VERSION: u16 = 6;
 
 /// A protocol message exchanged between replicas.
 #[derive(Clone, Debug, PartialEq)]
@@ -276,7 +278,7 @@ mod tests {
     /// pair below is then re-recorded together.
     #[test]
     fn format_golden() {
-        const GOLDEN: (u16, u64) = (5, 0xbcf3_f32a_d4e1_8f9b);
+        const GOLDEN: (u16, u64) = (6, 0x6c89_048e_16d3_7850);
         let tx = |id: u64, call: SmallBankProcedure| {
             Transaction::new(
                 TxId::new(id),

@@ -43,18 +43,19 @@ pub struct ProposalContext {
 ///
 /// These are the adversarial proposer behaviours the chaos campaign injects.
 /// Each one attacks a different rule: `Equivocate` attacks certification
-/// (one header per author per round), `TamperWrites` attacks EOV (declared
-/// effects must re-execute), and `OverfullWrongShard` attacks P1 and the
+/// (one header per author per round), `TamperReads` attacks EOV (a block's
+/// declared reads must hold), and `OverfullWrongShard` attacks P1 and the
 /// batch budget (cross-shard transactions must not be preplayed, blocks
 /// carry at most one batch). Honest replicas must neither diverge nor stall
 /// under any of them as long as at most f replicas are Byzantine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ByzantineBehavior {
-    /// Corrupt the declared write set of preplayed transactions so the block
-    /// fails post-consensus validation. Every honest replica re-executes the
-    /// declared sets, detects the mismatch deterministically, and discards
-    /// the block (EOV safety).
-    TamperWrites,
+    /// Corrupt the first declared read of a preplayed block, the one input
+    /// a proposer gives the block's effects, so the block fails
+    /// post-consensus validation. Every honest replica derives the block's
+    /// writes from its reads, finds the forged read deterministically, and
+    /// discards the block (EOV safety).
+    TamperReads,
     /// Send two conflicting (header, block) pairs for the same round to
     /// disjoint subsets of the committee. At most one variant can gather a
     /// quorum of acks, so at most one vertex is certified — honest replicas
@@ -62,7 +63,7 @@ pub enum ByzantineBehavior {
     Equivocate,
     /// Violate P1 and the batch budget: preplay cross-shard transactions as
     /// if they were single-shard and stuff multiple batches into one block.
-    /// Validation has no shard check (by design — effects are what is
+    /// Validation has no shard check (by design — reads are what is
     /// checked), so the block applies *deterministically* everywhere; safety
     /// must still hold even though the proposer wrote outside its shard.
     OverfullWrongShard,
@@ -72,7 +73,7 @@ impl ByzantineBehavior {
     /// Stable label used in campaign scenario names and reports.
     pub fn label(&self) -> &'static str {
         match self {
-            ByzantineBehavior::TamperWrites => "tamper-writes",
+            ByzantineBehavior::TamperReads => "tamper-reads",
             ByzantineBehavior::Equivocate => "equivocate",
             ByzantineBehavior::OverfullWrongShard => "overfull-wrong-shard",
         }
@@ -80,7 +81,7 @@ impl ByzantineBehavior {
 }
 
 tb_types::wire_enum!(ByzantineBehavior {
-    0 => TamperWrites,
+    0 => TamperReads,
     1 => Equivocate,
     2 => OverfullWrongShard,
 });

@@ -169,7 +169,9 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the leader-round budget of the run (`SystemConfig::max_rounds`).
+    /// Sets the run's budget of DAG rounds (`SystemConfig::max_rounds`): a
+    /// run stops after `max_rounds / 2` leader commits (at least one), as a
+    /// leader is elected every second round.
     pub fn rounds(mut self, rounds: u64) -> Self {
         self.config.system.max_rounds = rounds;
         self
@@ -199,7 +201,7 @@ impl ScenarioBuilder {
     }
 
     /// Makes `replica`'s proposer Byzantine (chaos campaigns): it equivocates,
-    /// tampers with declared write sets, or violates the batching rules
+    /// tampers with declared reads, or violates the batching rules
     /// depending on `behavior`.
     pub fn byzantine(mut self, replica: ReplicaId, behavior: ByzantineBehavior) -> Self {
         self.config.byzantine = Some((replica, behavior));

@@ -14,8 +14,9 @@ use tb_dag::{CommittedSubDag, DagBuilder};
 use tb_executor::{BatchExecutor, ConcurrentExecutor};
 use tb_storage::MemStore;
 use tb_types::{
-    BlockKind, BlockPayload, CeConfig, ClientId, Committee, ContractCall, DagId, PreplayedTx,
-    ReplicaId, Round, SimTime, SmallBankProcedure, SystemConfig, Transaction, TxId, Value,
+    AccessRecord, BlockKind, BlockPayload, CeConfig, ClientId, Committee, ContractCall, DagId, Key,
+    PreplayedTx, ReplicaId, Round, SimTime, SmallBankProcedure, SystemConfig, Transaction, TxId,
+    Value,
 };
 use tb_workload::{SmallBankConfig, SmallBankWorkload};
 
@@ -115,7 +116,7 @@ fn all_commit_paths_agree_on_the_fnv1a_commit_digest() {
     let mut blocks = seeded_blocks(8, 40);
     // One tampered block: the digest agreement must also hold when the
     // paths discard a block (its transactions never enter the fold).
-    blocks[3][0].outcome.write_set[0].value = Value::int(999_999);
+    blocks[3][0].outcome.read_set[0].value = Value::int(999_999);
     let sub_dag = sub_dag_of(&blocks);
     let workload = seeded_workload(64, 7);
 
@@ -170,40 +171,32 @@ impl TestRng {
     }
 }
 
-/// The four ways a Byzantine proposer can misdeclare a preplayed block.
+/// The four ways a Byzantine proposer can misdeclare a preplayed block: a
+/// block declares reads and positions, and nothing else.
 #[derive(Clone, Copy, Debug)]
 enum Tamper {
-    Write,
     ReadValue,
-    ReturnValue,
+    ExtraRead,
+    DroppedRead,
     DuplicateOrder,
 }
 
 const TAMPERS: [Tamper; 4] = [
-    Tamper::Write,
     Tamper::ReadValue,
-    Tamper::ReturnValue,
+    Tamper::ExtraRead,
+    Tamper::DroppedRead,
     Tamper::DuplicateOrder,
 ];
 
 fn tamper(block: &mut [PreplayedTx], how: Tamper) {
+    let reads = &mut block[0].outcome.read_set;
+    assert!(!reads.is_empty(), "the hot payment reads");
     match how {
-        Tamper::Write => {
-            let victim = block
-                .iter_mut()
-                .find(|p| !p.outcome.write_set.is_empty())
-                .expect("the hot payment writes");
-            victim.outcome.write_set[0].value = Value::int(999_999);
-        }
-        Tamper::ReadValue => {
-            let victim = block
-                .iter_mut()
-                .find(|p| !p.outcome.read_set.is_empty())
-                .expect("the hot payment reads");
-            victim.outcome.read_set[0].value = Value::int(-1);
-        }
-        // No SmallBank procedure returns this, so it is wrong for any call.
-        Tamper::ReturnValue => block[0].outcome.return_value = Value::int(i64::MIN),
+        Tamper::ReadValue => reads[0].value = Value::int(-1),
+        // A key no SmallBank call reads: the replay never reads it, so the
+        // count rule fails while every write comes out honest.
+        Tamper::ExtraRead => reads.push(AccessRecord::new(Key::scratch(1 << 40), Value::None)),
+        Tamper::DroppedRead => drop(reads.remove(0)),
         Tamper::DuplicateOrder => block[1].order = block[0].order,
     }
 }
@@ -303,11 +296,11 @@ fn random_sub_dags_with_invalid_blocks_commit_like_the_serial_oracle() {
     );
 }
 
-/// The case a single fan-out gets wrong without the restart rule: block 1
-/// declares honest writes but a wrong return value, so block 2 — which read
-/// the balance of account 0 that only block 1 wrote — re-executes exactly as
-/// declared over block 1's *declared* writes. Block 1 is discarded, so block
-/// 2 must be too, and block 3 with it; block 0 commits.
+/// The case a single fan-out gets wrong without the restart rule: with an
+/// extra declared read (or a repeated position), block 1's replay derives
+/// its honest writes, so block 2 — which read the balance of account 0 that
+/// only block 1 wrote — passes a read check over block 1's batch. Block 1 is
+/// discarded, so block 2 must be too, and block 3 with it; block 0 commits.
 #[test]
 fn a_block_that_read_what_only_a_discarded_block_wrote_is_discarded_too() {
     for how in TAMPERS {

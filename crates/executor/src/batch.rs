@@ -131,9 +131,21 @@ impl BatchResult {
     }
 
     /// The combined write batch of the serialized order (later transactions
-    /// overwrite earlier ones), ready to be applied to a store.
+    /// overwrite earlier ones), ready to be applied to a store: what a
+    /// replica that replays the batch's block derives, too.
     pub fn write_batch(&self) -> WriteBatch {
-        ordered_write_batch(&self.preplayed).0
+        let mut serialized: Vec<&PreplayedTx> = self.preplayed.iter().collect();
+        serialized.sort_by_key(|p| p.order);
+        let writes = self
+            .preplayed
+            .iter()
+            .map(|p| p.outcome.write_set.len())
+            .sum();
+        let mut batch = WriteBatch::with_capacity(writes);
+        for p in serialized {
+            batch.extend_from_write_set(&p.outcome.write_set);
+        }
+        batch
     }
 
     /// Applies the batch's write sets to a store in serialized order, as one
@@ -193,20 +205,6 @@ impl BatchResult {
         }
         seen.into_iter().all(|s| s)
     }
-}
-
-/// Builds the write batch of preplayed transactions in their serialized
-/// order (later transactions overwrite earlier ones) and returns the indices
-/// of the transactions sorted by that order.
-pub fn ordered_write_batch(preplayed: &[PreplayedTx]) -> (WriteBatch, Vec<usize>) {
-    let mut order: Vec<usize> = (0..preplayed.len()).collect();
-    order.sort_by_key(|&i| preplayed[i].order);
-    let writes = preplayed.iter().map(|p| p.outcome.write_set.len()).sum();
-    let mut batch = WriteBatch::with_capacity(writes);
-    for &i in &order {
-        batch.extend_from_write_set(&preplayed[i].outcome.write_set);
-    }
-    (batch, order)
 }
 
 #[cfg(test)]

@@ -1,67 +1,93 @@
 //! Post-consensus validation of preplayed blocks (paper Section 4).
 //!
-//! When a replica receives a block through the DAG it does not trust the
-//! proposer's preplay results: it rebuilds the dependency structure from the
-//! read/write sets declared in the block and re-executes every transaction
-//! *in parallel*. The transaction at position `(block, order)` of a run of
-//! blocks must observe, for every key it reads, the last write declared
-//! strictly before its position, or committed storage if there is none. A
-//! block is valid iff its `order` values are pairwise distinct and every
-//! transaction's re-executed read set, write set and result match what the
-//! block declares. Invalid blocks are discarded.
+//! A block ships each preplayed transaction as what only its proposer
+//! knows: the call, the reads its preplay observed (key and value) and its
+//! `order`, its position in the block's serialized order. A replica does not
+//! trust those reads. It derives everything else from them — the writes, and
+//! so the block's write batch — and checks them: the transaction at position
+//! `(block, order)` of a run of blocks must have read, for every key it
+//! reads, the value of the last write before its position, or committed
+//! storage's if there is none. A block is valid iff its `order` values are
+//! pairwise distinct and every transaction's declared reads are exactly the
+//! keys its replay reads, each holding that value. Invalid blocks are
+//! discarded.
+//!
+//! # Derive, don't compare
+//!
+//! A block declares no writes, result or abort flag: replaying a
+//! transaction over its declared reads yields them, and every honest replica
+//! derives the same ones from the same call and reads — the determinism
+//! cross-shard execution already relies on. So the block digest, which
+//! covers the calls and the reads, binds the block's effects, and a
+//! Byzantine proposer's only lever is a false read, which the read check
+//! rejects.
 //!
 //! # Two stages
 //!
 //! [`validate_blocks`] takes the whole run of blocks a commit delivered:
 //!
-//! 1. *Read check* (sequential, on the caller). One pass walks the run in
-//!    position order, keeping the last declared write per key in one map
-//!    sized to the run. Every declared read is checked against that map, or
-//!    against committed storage when no earlier declared write shadows it;
-//!    then the transaction's declared writes enter the map. The per-block
-//!    sort that orders the walk also finds a repeated `order`. This is the
-//!    only stage that reads state, and it resolves each declared read once.
-//! 2. *Replay* (parallel, [`replay_blocks`]). Each transaction runs again
-//!    with its own writes over its own declared reads as its whole state.
-//!    No worker touches a store, another transaction's writes or a lock, so
-//!    the transactions of all blocks are chunked across at most
+//! 1. *Read check* (sequential, on the caller, [`validate_replayed`]). One
+//!    pass walks the run in block order with the last write per key of the
+//!    blocks before the current one in one map sized to the run; every
+//!    *external read* of the current block — a declared read that no earlier
+//!    transaction of its block wrote — is checked against that map, or
+//!    against committed storage when no earlier block wrote the key
+//!    ([`read_holds`]); then the block's write batch enters the map. This is
+//!    the only stage that reads state, and it resolves each external read
+//!    once.
+//! 2. *Replay* (no state, [`replay_blocks`]). Each transaction runs again
+//!    with its own writes over its own declared reads as its whole state. No
+//!    worker touches a store, another transaction's writes or a lock, so the
+//!    transactions of all blocks are chunked across at most
 //!    [`effective_workers`](crate::traits::effective_workers)`(validators)`
-//!    slots of the shared [`pool`](crate::pool): one pool job per run. The
-//!    verdicts are joined **in chunk order** on the caller.
+//!    slots of the shared [`pool`](crate::pool): one pool job per run. On the
+//!    caller, each block is then walked in serialized order: a declared read
+//!    that an earlier transaction of the block wrote is checked against that
+//!    derived write, every other one is kept as an external read, and the
+//!    transaction's writes join the block's write batch ([`Replay`]). The
+//!    sort that orders the walk also finds a repeated `order`.
 //!
-//! [`validate_replayed`] folds the two stages into one [`ValidationReport`]
-//! per block: a transaction is valid iff both pass it. Stage 2 depends on
-//! the block alone, so the stages may run apart. A replica replays a block
-//! when its vertex enters the DAG and runs only the read check when the
-//! block commits (`docs/PIPELINE.md`); [`validate_blocks`] runs both at
-//! once.
+//! A transaction is valid iff both stages pass it. Stage 2 depends on the
+//! block alone, so the stages may run apart: a replica replays a block when
+//! its vertex enters the DAG and runs only the read check when the block
+//! commits (`docs/PIPELINE.md`); [`validate_blocks`] runs both at once.
 //!
 //! # Why two stages give the verdict of one re-execution against the view
 //!
-//! A re-execution is checked as it runs. Reading a key the transaction has
-//! neither written nor declared ends it as invalid. On return, the number of
-//! distinct first reads must equal the number of declared reads, the write
-//! set (last value per key) must equal the declared one record for record,
-//! and the return value and abort flag must match. The count rule makes the
-//! declared read keys exactly the keys the transaction reads, once each.
+//! The single-stage validator re-executes each transaction, in position
+//! order, against the view — its own writes, over the writes of the
+//! transactions before it, over storage — and accepts it iff the keys it
+//! reads are exactly the declared ones, once each, at the declared values.
+//! A replay is checked as it runs: reading a key the transaction has
+//! neither written nor declared ends it as invalid, and on return the number
+//! of distinct first reads must equal the number of declared reads (the
+//! count rule), which makes the declared read keys exactly the keys the
+//! replay reads.
 //!
-//! * If stage 1 passes, every declared read holds the value the view holds,
-//!   so each read of the re-execution returns what a read of the view would.
-//!   By induction over its operations the two executions are identical (the
-//!   argument the CE's `finalize_batch` makes for speculative reads), and so
-//!   are their verdicts.
-//! * If stage 1 fails, some declared record disagrees with the view. A
-//!   re-execution against the view either reads that key and finds a
-//!   different value, or leaves a record unread and fails the count rule.
+//! * If every declared read of a transaction holds the view's value, each
+//!   read of the replay returns what a read of the view would, so by
+//!   induction over its operations the replay *is* the re-execution against
+//!   the view: same keys, same writes. By induction over positions, the
+//!   writes a valid prefix derives are the view's writes.
+//! * If the first failing transaction declares a read that differs from the
+//!   view, its replay reads that key (count rule) where the re-execution
+//!   sees another value, and one of the two stages fails it; if it reads an
+//!   undeclared key or leaves a declared one unread, both validators see the
+//!   same replay up to there, and both fail it.
 //!
-//! The buffers of stage 2 are reused across a chunk, so checking an honest
-//! transaction allocates nothing once they have grown. See
+//! So the verdict of a block whose predecessors in the run are valid is
+//! exact, and so is its write batch when it is valid. What stage 2 reports
+//! for the transactions after a failing one rests on writes that will never
+//! be applied; the block is invalid either way.
+//!
+//! The buffers of stage 2 are reused across a chunk, so replaying an honest
+//! transaction allocates only its share of the chunk's write list. See
 //! `docs/PIPELINE.md` for how validation slots into the commit pipeline.
 
 use crate::traits::synthetic_work;
 use std::sync::Mutex;
 use tb_contracts::{execute_call, ExecError, StateAccess};
-use tb_storage::KvRead;
+use tb_storage::{KvRead, WriteBatch};
 use tb_types::{AccessRecord, Key, KeyMap, PreplayedTx, TxId, Value};
 
 /// Configuration of the validation pass.
@@ -96,9 +122,10 @@ impl ValidationConfig {
 /// Result of validating one block.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ValidationReport {
-    /// Number of transactions re-executed.
+    /// Number of transactions replayed.
     pub checked: usize,
-    /// Transactions whose re-execution disagreed with the declared outcome.
+    /// Transactions whose replay failed or whose declared reads do not hold
+    /// the values of the state before them.
     pub mismatches: Vec<TxId>,
 }
 
@@ -109,90 +136,117 @@ impl ValidationReport {
     }
 }
 
-/// Stage 1, the read check. Returns one flag per transaction of the run, in
-/// block and then declaration order: true iff the transaction's block has
-/// pairwise distinct `order` values and every read it declares holds the
-/// value of the last write declared before its position, or `base`'s value
-/// if there is none. Every transaction's writes enter the map, whether its
-/// reads passed or not, so later flags judge the run as it was declared.
-///
-/// A proposer applies the same rule to a batch it preplayed ahead of its
-/// round: if every flag is true against the view it proposes on, preplaying
-/// the batch on that view again yields the same outcomes, by the induction
-/// in the module docs.
-pub fn check_reads(blocks: &[&[PreplayedTx]], base: &(dyn KvRead + Sync)) -> Vec<bool> {
-    let run = || blocks.iter().flat_map(|preplayed| preplayed.iter());
-    let writes = run().map(|p| p.outcome.write_set.len()).sum();
-    let mut last_write: KeyMap<&Value> =
-        KeyMap::with_capacity_and_hasher(writes, Default::default());
-    let mut reads_pass = Vec::with_capacity(run().count());
-    let mut by_position: Vec<usize> = Vec::new();
-    for preplayed in blocks {
-        by_position.clear();
-        by_position.extend(0..preplayed.len());
-        // The index breaks ties as a stable sort would: the writes a
-        // malformed block declares at one position enter in block order.
-        by_position.sort_unstable_by_key(|&i| (preplayed[i].order, i));
-        let well_ordered = by_position
-            .windows(2)
-            .all(|pair| preplayed[pair[0]].order != preplayed[pair[1]].order);
-        let first = reads_pass.len();
-        reads_pass.resize(first + preplayed.len(), false);
-        for &i in &by_position {
-            let outcome = &preplayed[i].outcome;
-            reads_pass[first + i] = well_ordered
-                && outcome
-                    .read_set
-                    .iter()
-                    .all(|rec| match last_write.get(&rec.key) {
-                        Some(value) => **value == rec.value,
-                        None => base.get(&rec.key) == rec.value,
-                    });
-            for rec in &outcome.write_set {
-                last_write.insert(rec.key, &rec.value);
-            }
-        }
+/// Everything about a preplayed block's validation and commit that does not
+/// depend on state: stage 2's product ([`replay_blocks`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Replay {
+    /// One verdict per transaction, in block order: the block's `order`
+    /// values are pairwise distinct, the transaction's replay read exactly
+    /// its declared keys, and each declared read an earlier transaction of
+    /// the block wrote holds that write.
+    pub verdicts: Vec<bool>,
+    /// The block's derived writes in its serialized order (later
+    /// transactions overwrite earlier ones): what it applies if valid.
+    pub batch: WriteBatch,
+    /// The block's transaction indices in serialized order: the order its
+    /// transactions commit in.
+    pub order: Vec<usize>,
+    /// The declared reads no earlier transaction of the block wrote, each
+    /// with the index of its transaction: what the block reads from the
+    /// state before it, and all that the read check looks at.
+    pub external_reads: Vec<(usize, AccessRecord)>,
+}
+
+/// Stage 1's check of one declared read: true iff `read` holds the value of
+/// the last write to its key in `earlier`, the writes of the blocks before
+/// its own, or `base`'s value if none of them writes it. A commit checks a
+/// block's external reads against its run's earlier batches over the store;
+/// a proposer checks the external reads of a batch it preplayed ahead of
+/// its round against the view it proposes on, with nothing earlier. If they
+/// all hold, preplaying the batch on that view again yields the same
+/// outcomes, by the induction in the module docs.
+pub fn read_holds(
+    read: &AccessRecord,
+    earlier: &KeyMap<&Value>,
+    base: &(dyn KvRead + Sync),
+) -> bool {
+    match earlier.get(&read.key) {
+        Some(value) => **value == read.value,
+        None => base.get(&read.key) == read.value,
     }
-    reads_pass
+}
+
+/// Stage 2's per-transaction product for a stretch of transactions: one
+/// verdict each, and the writes each made, in one list.
+#[derive(Default)]
+struct Replayed {
+    passed: Vec<bool>,
+    writes: Vec<AccessRecord>,
+    /// Where each transaction's writes end in `writes`.
+    ends: Vec<usize>,
+}
+
+impl Replayed {
+    /// The verdict and the writes of the `i`-th transaction.
+    fn get(&self, i: usize) -> (bool, &[AccessRecord]) {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        (self.passed[i], &self.writes[start..self.ends[i]])
+    }
+
+    /// Appends another stretch's product.
+    fn append(&mut self, mut other: Replayed) {
+        let offset = self.writes.len();
+        self.passed.append(&mut other.passed);
+        self.writes.append(&mut other.writes);
+        self.ends
+            .extend(other.ends.into_iter().map(|end| offset + end));
+    }
 }
 
 /// Stage 2's whole state for one transaction: its own writes over its own
-/// declared reads. Re-executes the transaction and checks it against its
-/// declaration as it runs.
+/// declared reads. Replays the transaction and checks its reads against its
+/// declaration as it runs. The writes of every transaction the session
+/// replayed stay in `replayed`, the current one's from `start` on.
 struct ReplaySession<'a> {
     op_cost: u64,
     declared_reads: &'a [AccessRecord],
     reads: Vec<Key>,
-    writes: Vec<AccessRecord>,
+    replayed: Replayed,
+    start: usize,
 }
 
 impl<'a> ReplaySession<'a> {
-    /// True iff re-executing `p` reproduces its declared outcome. A set
-    /// matches when it has as many records as the declaration, each with an
-    /// equal declared record, so a duplicate, extra or missing key fails.
-    fn check(&mut self, p: &'a PreplayedTx) -> bool {
-        let declared = &p.outcome;
-        self.declared_reads = &declared.read_set;
+    fn new(op_cost: u64) -> Self {
+        ReplaySession {
+            op_cost,
+            declared_reads: &[],
+            reads: Vec::new(),
+            replayed: Replayed::default(),
+            start: 0,
+        }
+    }
+
+    /// Replays `p` over its declared reads and records its verdict — it ran,
+    /// reading each declared key and no other, so its first reads number as
+    /// many as its declared ones — and the writes it made.
+    fn replay(&mut self, p: &'a PreplayedTx) {
+        self.declared_reads = &p.outcome.read_set;
         self.reads.clear();
-        self.writes.clear();
-        let Ok(result) = execute_call(&p.tx.call, &mut *self) else {
-            return false;
-        };
-        self.reads.len() == declared.read_set.len()
-            && self.writes.len() == declared.write_set.len()
-            && self
-                .writes
-                .iter()
-                .all(|rec| declared.write_set.contains(rec))
-            && result.return_value == declared.return_value
-            && result.logically_aborted == declared.logically_aborted
+        self.start = self.replayed.writes.len();
+        let ran = execute_call(&p.tx.call, &mut *self).is_ok();
+        let replayed = &mut self.replayed;
+        replayed
+            .passed
+            .push(ran && self.reads.len() == self.declared_reads.len());
+        replayed.ends.push(replayed.writes.len());
     }
 }
 
 impl StateAccess for ReplaySession<'_> {
     fn read(&mut self, key: Key) -> Result<Value, ExecError> {
         synthetic_work(self.op_cost);
-        if let Some(own) = self.writes.iter().find(|rec| rec.key == key) {
+        let own = &self.replayed.writes[self.start..];
+        if let Some(own) = own.iter().find(|rec| rec.key == key) {
             return Ok(own.value.clone());
         }
         let Some(declared) = self.declared_reads.iter().find(|rec| rec.key == key) else {
@@ -207,9 +261,10 @@ impl StateAccess for ReplaySession<'_> {
 
     fn write(&mut self, key: Key, value: Value) -> Result<(), ExecError> {
         synthetic_work(self.op_cost);
-        match self.writes.iter_mut().find(|rec| rec.key == key) {
+        let own = &mut self.replayed.writes[self.start..];
+        match own.iter_mut().find(|rec| rec.key == key) {
             Some(own) => own.value = value,
-            None => self.writes.push(AccessRecord::new(key, value)),
+            None => self.replayed.writes.push(AccessRecord::new(key, value)),
         }
         Ok(())
     }
@@ -229,21 +284,22 @@ pub fn validate_block(
 
 /// Validates a run of blocks delivered together, in delivery order, and
 /// returns one report per block: [`replay_blocks`], then
-/// [`validate_replayed`]. One parallel fan-out re-executes every
-/// transaction over its own declarations, checking while it executes that
-/// its reads, write set and result match them; then one sequential pass
-/// checks every declared read against the last write declared before it,
-/// or `base` ([`check_reads`]). A transaction is valid iff both stages pass
-/// it.
+/// [`validate_replayed`]. One parallel fan-out replays every transaction
+/// over its own declared reads, checking while it runs that it reads exactly
+/// them; a walk of each block in serialized order checks the reads an
+/// earlier transaction of the block wrote against that transaction's derived
+/// write; then one sequential pass checks every other declared read against
+/// the last write of an earlier block of the run, or `base`. A transaction
+/// is valid iff both stages pass it.
 ///
 /// The transaction at `(block, order)` is judged against its own writes,
-/// over the last write declared strictly before its position, over `base`.
-/// Report `k` is therefore exact **provided blocks `0..k` are valid**: block
-/// `k` then sees its own earlier writes over the final writes of blocks
-/// `0..k` over `base`, which is the state a validate-apply-validate loop
-/// would show it. Reports after the first invalid one were computed over
-/// writes that will never be applied; the caller discards them and validates
-/// those blocks again once the valid prefix is in `base`.
+/// over the derived writes before its position, over `base`. Report `k` is
+/// therefore exact **provided blocks `0..k` are valid**: block `k` then sees
+/// its own earlier writes over the final writes of blocks `0..k` over
+/// `base`, which is the state a validate-apply-validate loop would show it.
+/// Reports after the first invalid one were computed over writes that will
+/// never be applied; the caller discards them and validates those blocks
+/// again once the valid prefix is in `base`.
 ///
 /// A block whose `order` values are not pairwise distinct is reported
 /// invalid, every transaction a mismatch, whatever its replay says: two
@@ -259,18 +315,18 @@ pub fn validate_block(
 /// # Parallelism contract
 ///
 /// Only the read check reads `base`: on the calling thread, at most once per
-/// declared read that no earlier declared write shadows. The replay reads no
-/// state. It occupies at most `effective_workers(config.validators)` slots
-/// of the shared worker pool (clamped to the transaction count); with one
-/// effective worker — a single-core machine, or `validators: 1` — no pool
-/// job is submitted and the whole pass runs inline on the caller, so
-/// single-core CI measures exactly the sequential cost.
+/// external read. The replay reads no state. It occupies at most
+/// `effective_workers(config.validators)` slots of the shared worker pool
+/// (clamped to the transaction count); with one effective worker — a
+/// single-core machine, or `validators: 1` — no pool job is submitted and
+/// the whole pass runs inline on the caller, so single-core CI measures
+/// exactly the sequential cost.
 ///
 /// # Determinism
 ///
 /// The reports are a pure function of `(blocks, base, config)` — they do
 /// not depend on the worker count, chunk boundaries or thread scheduling.
-/// Per-chunk verdicts are joined in chunk order and `mismatches` is sorted
+/// Per-chunk replays are joined in chunk order and `mismatches` is sorted
 /// by [`TxId`], so two calls with different `validators` values return
 /// byte-identical reports (pinned by a proptest in
 /// `tests/proptest_invariants.rs`).
@@ -289,48 +345,104 @@ pub fn validate_blocks(
     config: &ValidationConfig,
 ) -> Vec<ValidationReport> {
     let replays = replay_blocks(blocks, config);
-    let replays: Vec<&[bool]> = replays.iter().map(Vec::as_slice).collect();
+    let replays: Vec<&Replay> = replays.iter().collect();
     validate_replayed(blocks, &replays, base)
 }
 
-/// Stage 2 on a run of blocks: the verdict of re-executing each transaction
-/// over its own declarations, one vector per block in block order, every
-/// transaction whatever its reads. It reads no state, so it is a pure
-/// function of the blocks and may run at any time before they are
-/// validated; [`validate_replayed`] joins it with the read check. The
-/// transactions of all blocks share one fan-out over at most
-/// `effective_workers(config.validators)` pool slots, and run on the caller
-/// with one.
-pub fn replay_blocks(blocks: &[&[PreplayedTx]], config: &ValidationConfig) -> Vec<Vec<bool>> {
+/// Stage 2 on a run of blocks: each block's [`Replay`], in block order. It
+/// reads no state, so it is a pure function of the blocks and may run at
+/// any time before they are validated; [`validate_replayed`] joins it with
+/// the read check. The transactions of all blocks share one fan-out over at
+/// most `effective_workers(config.validators)` pool slots, and run on the
+/// caller with one; each block is then walked in its serialized order on
+/// the caller.
+pub fn replay_blocks(blocks: &[&[PreplayedTx]], config: &ValidationConfig) -> Vec<Replay> {
     let txs: Vec<&PreplayedTx> = blocks.iter().flat_map(|block| block.iter()).collect();
-    let mut verdicts = parallel_verdicts(&txs, config).into_iter();
+    let replayed = parallel_replays(&txs, config);
+    let mut first = 0;
     blocks
         .iter()
-        .map(|block| verdicts.by_ref().take(block.len()).collect())
+        .map(|block| {
+            let replay = walk_block(block, &replayed, first);
+            first += block.len();
+            replay
+        })
         .collect()
+}
+
+/// Walks `block` in serialized order over its transactions' replays, which
+/// start at `first` in `replayed`: checks each declared read an earlier
+/// transaction of the block wrote against that write, keeps the others as
+/// external reads, and gathers the writes into the block's batch. A
+/// transaction's writes join the batch whatever its verdict: a block with a
+/// failing transaction is invalid anyway.
+fn walk_block(block: &[PreplayedTx], replayed: &Replayed, first: usize) -> Replay {
+    let mut order: Vec<usize> = (0..block.len()).collect();
+    // The index breaks ties as a stable sort would: the writes a malformed
+    // block makes at one position enter in block order.
+    order.sort_unstable_by_key(|&i| (block[i].order, i));
+    let well_ordered = order
+        .windows(2)
+        .all(|pair| block[pair[0]].order != block[pair[1]].order);
+    let writes = (first..first + block.len())
+        .map(|i| replayed.get(i).1.len())
+        .sum();
+    let mut replay = Replay {
+        verdicts: vec![false; block.len()],
+        batch: WriteBatch::with_capacity(writes),
+        order: Vec::new(),
+        external_reads: Vec::new(),
+    };
+    for &i in &order {
+        let (passed, writes) = replayed.get(first + i);
+        let mut holds = true;
+        for read in &block[i].outcome.read_set {
+            match replay.batch.get(&read.key) {
+                Some(written) => holds &= *written == read.value,
+                None => replay.external_reads.push((i, read.clone())),
+            }
+        }
+        replay.verdicts[i] = well_ordered && passed && holds;
+        for write in writes {
+            replay.batch.put(write.key, write.value.clone());
+        }
+    }
+    replay.order = order;
+    replay
 }
 
 /// The two stages joined: `replays[k]` is stage 2 of `blocks[k]`
 /// ([`replay_blocks`]), made whenever; the read check runs against `base`
-/// now. The reports are those of [`validate_blocks`] on the same
-/// `(blocks, base)`, byte for byte.
+/// now, over the external reads alone. The reports are those of
+/// [`validate_blocks`] on the same `(blocks, base)`, byte for byte.
 pub fn validate_replayed(
     blocks: &[&[PreplayedTx]],
-    replays: &[&[bool]],
+    replays: &[&Replay],
     base: &(dyn KvRead + Sync),
 ) -> Vec<ValidationReport> {
     assert_eq!(blocks.len(), replays.len(), "one replay per block");
-    let mut reads_pass = check_reads(blocks, base).into_iter();
+    let writes = replays.iter().map(|replay| replay.batch.len()).sum();
+    let mut earlier: KeyMap<&Value> = KeyMap::with_capacity_and_hasher(writes, Default::default());
     let mut reports = Vec::with_capacity(blocks.len());
     for (preplayed, replay) in blocks.iter().zip(replays) {
-        assert_eq!(preplayed.len(), replay.len(), "one verdict per transaction");
-        let mut mismatches = Vec::new();
-        for (p, replayed) in preplayed.iter().zip(*replay) {
-            let pass = reads_pass.next().expect("one flag per transaction");
-            if !(pass && *replayed) {
-                mismatches.push(p.tx.id);
+        assert_eq!(
+            preplayed.len(),
+            replay.verdicts.len(),
+            "one verdict per transaction"
+        );
+        let mut passed = replay.verdicts.clone();
+        for (i, read) in &replay.external_reads {
+            if passed[*i] && !read_holds(read, &earlier, base) {
+                passed[*i] = false;
             }
         }
+        earlier.extend(replay.batch.iter().map(|(key, value)| (*key, value)));
+        let mut mismatches: Vec<TxId> = preplayed
+            .iter()
+            .zip(passed)
+            .filter(|(_, passed)| !passed)
+            .map(|(p, _)| p.tx.id)
+            .collect();
         mismatches.sort_unstable();
         reports.push(ValidationReport {
             checked: preplayed.len(),
@@ -340,126 +452,62 @@ pub fn validate_replayed(
     reports
 }
 
-/// Stage 2 on the caller: one session, its buffers reused across `txs`.
-fn replay_all<'a>(txs: impl IntoIterator<Item = &'a PreplayedTx>, op_cost_ns: u64) -> Vec<bool> {
-    let mut session = ReplaySession {
-        op_cost: op_cost_ns,
-        declared_reads: &[],
-        reads: Vec::new(),
-        writes: Vec::new(),
-    };
-    txs.into_iter().map(|p| session.check(p)).collect()
+/// Stage 2's replays on the caller: one session, its buffers reused across
+/// `txs`.
+fn replay_all<'a>(txs: impl IntoIterator<Item = &'a PreplayedTx>, op_cost_ns: u64) -> Replayed {
+    let mut session = ReplaySession::new(op_cost_ns);
+    for p in txs {
+        session.replay(p);
+    }
+    session.replayed
 }
 
-/// Stage 2's fan-out: re-executes every transaction over its own
-/// declarations and returns one verdict per transaction, in input order.
-/// Workers share only the immutable blocks, so no synchronisation is needed
-/// beyond the final join.
-fn parallel_verdicts(txs: &[&PreplayedTx], config: &ValidationConfig) -> Vec<bool> {
+/// Stage 2's fan-out: replays every transaction over its own declarations
+/// and returns their verdicts and writes, in input order. Workers share only
+/// the immutable blocks, so no synchronisation is needed beyond the final
+/// join.
+fn parallel_replays(txs: &[&PreplayedTx], config: &ValidationConfig) -> Replayed {
     let workers = crate::traits::effective_workers(config.validators).min(txs.len());
     if workers <= 1 {
         return replay_all(txs.iter().copied(), config.op_cost_ns);
     }
     let chunks: Vec<_> = txs.chunks(txs.len().div_ceil(workers)).collect();
-    let verdicts: Vec<Mutex<Vec<bool>>> = chunks.iter().map(|_| Mutex::new(Vec::new())).collect();
+    let replays: Vec<Mutex<Replayed>> = chunks.iter().map(|_| Mutex::default()).collect();
     crate::pool::global().run(chunks.len(), &|slot| {
-        *verdicts[slot].lock().unwrap() =
+        *replays[slot]
+            .lock()
+            .expect("each slot locks only its own entry") =
             replay_all(chunks[slot].iter().copied(), config.op_cost_ns);
     });
-    // Flattening in chunk order keeps the verdict vector in input order no
-    // matter which pool worker ran which chunk.
-    verdicts
-        .into_iter()
-        .flat_map(|m| m.into_inner().unwrap_or_default())
-        .collect()
+    // Appending in chunk order keeps the replays in input order no matter
+    // which pool worker ran which chunk.
+    let mut replayed = Replayed::default();
+    for chunk in replays {
+        replayed.append(
+            chunk
+                .into_inner()
+                .expect("a panicked slot re-throws in `run`"),
+        );
+    }
+    replayed
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ce::ConcurrentExecutor;
+    use crate::occ::OccExecutor;
     use crate::serial::SerialExecutor;
     use crate::traits::BatchExecutor;
-    use std::ops::Range;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::thread::{self, ThreadId};
-    use tb_contracts::SMALLBANK_DEFAULT_BALANCE;
-    use tb_storage::{MemStore, Versioned};
+    use tb_contracts::{TrackingState, SMALLBANK_DEFAULT_BALANCE};
+    use tb_storage::{MemStore, Store, Versioned};
     use tb_types::{
-        CeConfig, ClientId, ContractCall, KeySet, Operation, SimTime, SmallBankProcedure,
-        Transaction,
+        Block, BlockPayload, CeConfig, ClientId, ContractCall, DagId, KeySet, Operation, ReplicaId,
+        Round, SeqNo, ShardId, SimTime, SmallBankProcedure, Transaction,
     };
     use tb_workload::{SmallBankConfig, SmallBankWorkload};
-
-    /// Where a transaction sits in a run of blocks: `(block index, order)`.
-    type Position = (usize, u32);
-
-    /// The oracle's view of the writes a run of blocks declares: one flat
-    /// list in which each written key's writes are a contiguous run sorted by
-    /// position, and an index from each key to its run. A transaction's read
-    /// of a key resolves to the latest declared write before it, or to
-    /// committed storage if there is none.
-    struct WriteTimeline<'a> {
-        writes: Vec<(Position, &'a Value)>,
-        runs: KeyMap<Range<usize>>,
-    }
-
-    impl<'a> WriteTimeline<'a> {
-        /// A counting sort by key: count each key's writes, give each key its
-        /// slice of one list, fill the slices in declaration order, then sort
-        /// each by position.
-        fn build(blocks: &[&'a [PreplayedTx]]) -> Self {
-            let declared = || {
-                blocks.iter().enumerate().flat_map(|(block, preplayed)| {
-                    preplayed.iter().flat_map(move |p| {
-                        let position = (block, p.order);
-                        p.outcome
-                            .write_set
-                            .iter()
-                            .map(move |rec| (rec.key, position, &rec.value))
-                    })
-                })
-            };
-            let Some((_, _, placeholder)) = declared().next() else {
-                return WriteTimeline {
-                    writes: Vec::new(),
-                    runs: KeyMap::default(),
-                };
-            };
-            let total = declared().count();
-            let mut runs: KeyMap<Range<usize>> = KeyMap::default();
-            for (key, _, _) in declared() {
-                runs.entry(key).or_insert(0..0).end += 1;
-            }
-            // Each run starts empty at its offset and grows as it is filled.
-            let mut offset = 0;
-            for run in runs.values_mut() {
-                let len = run.end;
-                *run = offset..offset;
-                offset += len;
-            }
-            let mut writes = vec![((0, 0), placeholder); total];
-            for (key, position, value) in declared() {
-                let run = runs.get_mut(&key).expect("every declared key was counted");
-                writes[run.end] = (position, value);
-                run.end += 1;
-            }
-            // Stable: writes a malformed block declares twice at one position
-            // keep their declaration order.
-            for run in runs.values() {
-                writes[run.clone()].sort_by_key(|(position, _)| *position);
-            }
-            WriteTimeline { writes, runs }
-        }
-
-        /// The value the transaction at `position` should observe for `key`,
-        /// if any transaction before it wrote the key.
-        fn value_before(&self, key: &Key, position: Position) -> Option<&'a Value> {
-            let run = &self.writes[self.runs.get(key)?.clone()];
-            let earlier = run.partition_point(|(p, _)| *p < position);
-            earlier.checked_sub(1).map(|last| run[last].1)
-        }
-    }
 
     fn orders_are_distinct(preplayed: &[PreplayedTx]) -> bool {
         let mut orders: Vec<u32> = preplayed.iter().map(|p| p.order).collect();
@@ -467,106 +515,23 @@ mod tests {
         orders.windows(2).all(|pair| pair[0] != pair[1])
     }
 
-    /// The single-stage validator as an oracle: re-executes the transaction
-    /// at `position` against its own writes, over the declared writes before
-    /// it, over committed storage, and checks each first read against the
-    /// declared read set as it runs.
-    struct CheckSession<'a> {
-        base: &'a (dyn KvRead + Sync),
-        timeline: &'a WriteTimeline<'a>,
-        position: Position,
-        declared_reads: &'a [AccessRecord],
-        reads: Vec<Key>,
-        writes: Vec<AccessRecord>,
+    /// The single-stage validator's view of one transaction: its own
+    /// writes, over the writes of its block's earlier transactions, over the
+    /// store holding the valid blocks before its own.
+    struct OracleView<'a> {
+        store: &'a MemStore,
+        block_writes: &'a WriteBatch,
     }
 
-    impl StateAccess for CheckSession<'_> {
+    impl StateAccess for OracleView<'_> {
         fn read(&mut self, key: Key) -> Result<Value, ExecError> {
-            if let Some(own) = self.writes.iter().find(|rec| rec.key == key) {
-                return Ok(own.value.clone());
-            }
-            let value = match self.timeline.value_before(&key, self.position) {
-                Some(value) => value.clone(),
-                None => self.base.get(&key),
-            };
-            if !self.reads.contains(&key) {
-                if !self
-                    .declared_reads
-                    .iter()
-                    .any(|r| r.key == key && r.value == value)
-                {
-                    return Err(ExecError::aborted("read differs from the declaration"));
-                }
-                self.reads.push(key);
-            }
-            Ok(value)
+            let earlier = self.block_writes.get(&key).cloned();
+            Ok(earlier.unwrap_or_else(|| self.store.get(&key)))
         }
 
-        fn write(&mut self, key: Key, value: Value) -> Result<(), ExecError> {
-            match self.writes.iter_mut().find(|rec| rec.key == key) {
-                Some(own) => own.value = value,
-                None => self.writes.push(AccessRecord::new(key, value)),
-            }
+        fn write(&mut self, _: Key, _: Value) -> Result<(), ExecError> {
             Ok(())
         }
-    }
-
-    /// One transaction's verdict from an oracle.
-    type Verdict = fn(&PreplayedTx, usize, &(dyn KvRead + Sync), &WriteTimeline<'_>) -> bool;
-
-    /// The verdict of the single-stage check-while-executing validator.
-    fn check_while_executing_verdict(
-        p: &PreplayedTx,
-        block: usize,
-        base: &(dyn KvRead + Sync),
-        timeline: &WriteTimeline<'_>,
-    ) -> bool {
-        let declared = &p.outcome;
-        let mut session = CheckSession {
-            base,
-            timeline,
-            position: (block, p.order),
-            declared_reads: &declared.read_set,
-            reads: Vec::new(),
-            writes: Vec::new(),
-        };
-        let Ok(result) = execute_call(&p.tx.call, &mut session) else {
-            return false;
-        };
-        session.reads.len() == declared.read_set.len()
-            && session.writes.len() == declared.write_set.len()
-            && session
-                .writes
-                .iter()
-                .all(|rec| declared.write_set.contains(rec))
-            && result.return_value == declared.return_value
-            && result.logically_aborted == declared.logically_aborted
-    }
-
-    /// The recording verdict: record the re-execution's whole outcome
-    /// through `TrackingState` over the same view, then compare it with the
-    /// declaration, order-insensitively.
-    fn recording_verdict(
-        p: &PreplayedTx,
-        block: usize,
-        base: &(dyn KvRead + Sync),
-        timeline: &WriteTimeline<'_>,
-    ) -> bool {
-        let session = OracleSession {
-            base,
-            timeline,
-            position: (block, p.order),
-            local_writes: KeyMap::default(),
-        };
-        let mut tracking = tb_contracts::TrackingState::new(session);
-        let Ok(result) = execute_call(&p.tx.call, &mut tracking) else {
-            return false;
-        };
-        let (outcome, _) = tracking.finish();
-        same_access_set(&outcome.read_set, &p.outcome.read_set)
-            && same_access_set(&outcome.write_set, &p.outcome.write_set)
-            && result.return_value == p.outcome.return_value
-            && result.logically_aborted == p.outcome.logically_aborted
     }
 
     fn same_access_set(a: &[AccessRecord], b: &[AccessRecord]) -> bool {
@@ -577,57 +542,55 @@ mod tests {
             })
     }
 
-    /// The recording oracle's read view: own writes, over the declared
-    /// writes before `position`, over committed storage.
-    struct OracleSession<'a> {
-        base: &'a (dyn KvRead + Sync),
-        timeline: &'a WriteTimeline<'a>,
-        position: Position,
-        local_writes: KeyMap<Value>,
+    /// The single-stage validator as an oracle, run as a validate-apply
+    /// loop: each block in turn, each transaction in position order
+    /// re-executed against the view while recording its outcome, valid iff
+    /// the reads it recorded are its declared ones; a valid block's writes
+    /// are applied before the next block is judged. Returns one entry per
+    /// block up to and including the first invalid one: the block's write
+    /// batch if it is valid, `None` if not.
+    fn oracle_prefix(blocks: &[&[PreplayedTx]], base: &MemStore) -> Vec<Option<WriteBatch>> {
+        let store = MemStore::new();
+        store.load(base.snapshot().iter().map(|(k, v)| (*k, v.value.clone())));
+        let mut prefix = Vec::new();
+        for block in blocks {
+            let mut by_position: Vec<&PreplayedTx> = block.iter().collect();
+            by_position.sort_by_key(|p| p.order);
+            let mut block_writes = WriteBatch::new();
+            let valid = orders_are_distinct(block)
+                && by_position.iter().all(|p| {
+                    let mut tracking = TrackingState::new(OracleView {
+                        store: &store,
+                        block_writes: &block_writes,
+                    });
+                    let ran = execute_call(&p.tx.call, &mut tracking).is_ok();
+                    let (outcome, _) = tracking.finish();
+                    block_writes.extend_from_write_set(&outcome.write_set);
+                    ran && same_access_set(&outcome.read_set, &p.outcome.read_set)
+                });
+            if !valid {
+                prefix.push(None);
+                break;
+            }
+            store.apply_batch(&block_writes);
+            prefix.push(Some(block_writes));
+        }
+        prefix
     }
 
-    impl StateAccess for OracleSession<'_> {
-        fn read(&mut self, key: Key) -> Result<Value, ExecError> {
-            if let Some(local) = self.local_writes.get(&key) {
-                return Ok(local.clone());
+    /// What the two stages say about the same blocks, in the oracle's form.
+    fn two_stage_prefix(blocks: &[&[PreplayedTx]], base: &MemStore) -> Vec<Option<WriteBatch>> {
+        let reports = validate_blocks(blocks, base, &ValidationConfig::new(1));
+        let replays = replay_blocks(blocks, &ValidationConfig::new(1));
+        let mut prefix = Vec::new();
+        for (report, replay) in reports.iter().zip(replays) {
+            if !report.is_valid() {
+                prefix.push(None);
+                break;
             }
-            if let Some(value) = self.timeline.value_before(&key, self.position) {
-                return Ok(value.clone());
-            }
-            Ok(self.base.get(&key))
+            prefix.push(Some(replay.batch));
         }
-
-        fn write(&mut self, key: Key, value: Value) -> Result<(), ExecError> {
-            self.local_writes.insert(key, value);
-            Ok(())
-        }
-    }
-
-    /// [`validate_blocks`] as an oracle computes it, one transaction at a
-    /// time.
-    fn oracle_reports(
-        blocks: &[&[PreplayedTx]],
-        base: &MemStore,
-        verdict: Verdict,
-    ) -> Vec<ValidationReport> {
-        let timeline = WriteTimeline::build(blocks);
-        blocks
-            .iter()
-            .enumerate()
-            .map(|(block, preplayed)| {
-                let well_ordered = orders_are_distinct(preplayed);
-                let mut mismatches: Vec<TxId> = preplayed
-                    .iter()
-                    .filter(|p| !(well_ordered && verdict(p, block, base, &timeline)))
-                    .map(|p| p.tx.id)
-                    .collect();
-                mismatches.sort_unstable();
-                ValidationReport {
-                    checked: preplayed.len(),
-                    mismatches,
-                }
-            })
-            .collect()
+        prefix
     }
 
     /// A batch of one of the three call kinds — SmallBank, raw KV,
@@ -673,6 +636,24 @@ mod tests {
         (txs, store)
     }
 
+    /// The preplayed transactions of `preplayed` as a block ships them: the
+    /// payload of the sealed block.
+    fn shipped(preplayed: Vec<PreplayedTx>) -> Vec<PreplayedTx> {
+        let block = Block::normal(
+            DagId::new(0),
+            Round::new(1),
+            ReplicaId::new(0),
+            ShardId::new(0),
+            SeqNo::new(0),
+            BlockPayload {
+                single_shard: preplayed,
+                cross_shard: Vec::new(),
+            },
+            SimTime::ZERO,
+        );
+        Block::clone(&block.seal()).payload.single_shard
+    }
+
     /// Preplays each chunk with the one-worker CE on a copy of `store`, each
     /// chunk chained on the state the previous one left behind.
     fn preplay_chained(chunks: &[Vec<Transaction>], store: &MemStore) -> Vec<Vec<PreplayedTx>> {
@@ -689,32 +670,20 @@ mod tests {
             .collect()
     }
 
-    /// Changes one declared field of `p`: a read value; an extra, missing or
-    /// duplicate read key; a write value; an extra or missing write; the
-    /// return value; the abort flag.
+    /// Changes the declared reads of `p`, the one thing a block declares
+    /// about a preplayed transaction: every read value; an extra, missing or
+    /// duplicate read key.
     fn tamper(p: &mut PreplayedTx, field: usize, forged: i64) {
-        let outcome = &mut p.outcome;
-        let stranger = AccessRecord::new(Key::scratch(1 << 40), Value::int(forged));
+        let reads = &mut p.outcome.read_set;
         match field {
-            0 => outcome
-                .read_set
-                .iter_mut()
-                .for_each(|r| r.value = Value::int(forged)),
-            1 => outcome.read_set.push(stranger),
-            2 => drop(outcome.read_set.pop()),
-            3 => {
-                if let Some(first) = outcome.read_set.first().cloned() {
-                    outcome.read_set.push(first);
+            0 => reads.iter_mut().for_each(|r| r.value = Value::int(forged)),
+            1 => reads.push(AccessRecord::new(Key::scratch(1 << 40), Value::int(forged))),
+            2 => drop(reads.pop()),
+            _ => {
+                if let Some(first) = reads.first().cloned() {
+                    reads.push(first);
                 }
             }
-            4 => outcome
-                .write_set
-                .iter_mut()
-                .for_each(|r| r.value = Value::int(forged)),
-            5 => outcome.write_set.push(stranger),
-            6 => drop(outcome.write_set.pop()),
-            7 => outcome.return_value = Value::int(forged),
-            _ => outcome.logically_aborted = !outcome.logically_aborted,
         }
     }
 
@@ -736,13 +705,13 @@ mod tests {
     /// first, on its own and on the caller, and the replays joined with the
     /// read check later. Replaying the whole run in one fan-out over
     /// `validators` workers, as a commit replays the blocks it finds
-    /// unreplayed, must give the same verdicts.
+    /// unreplayed, must give the same replays.
     fn replayed_ahead(
         run: &[&[PreplayedTx]],
         base: &MemStore,
         validators: usize,
     ) -> Vec<ValidationReport> {
-        let replays: Vec<Vec<bool>> = run
+        let replays: Vec<Replay> = run
             .iter()
             .flat_map(|block| replay_blocks(&[block], &ValidationConfig::new(1)))
             .collect();
@@ -750,22 +719,36 @@ mod tests {
             replay_blocks(run, &ValidationConfig::new(validators)),
             replays
         );
-        let replays: Vec<&[bool]> = replays.iter().map(Vec::as_slice).collect();
+        let replays: Vec<&Replay> = replays.iter().collect();
         validate_replayed(run, &replays, base)
+    }
+
+    /// The checks every proptest below makes of a run: the two stages judge
+    /// the valid prefix and its batches as the oracle does, and give the
+    /// same reports at one validator, at several, and replayed ahead.
+    fn check_run(run: &[&[PreplayedTx]], store: &MemStore, validators: usize) {
+        assert_eq!(two_stage_prefix(run, store), oracle_prefix(run, store));
+        let reports = validate_blocks(run, store, &ValidationConfig::new(1));
+        assert_eq!(
+            validate_blocks(run, store, &ValidationConfig::new(validators)),
+            reports
+        );
+        assert_eq!(replayed_ahead(run, store, validators), reports);
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
-        /// Checking while executing reaches the recording oracle's verdict
-        /// on two chained blocks with one tampered declaration, for every
-        /// call kind and tampered field, at one validator and at several.
+        /// On two chained blocks with one tampered read declaration, for
+        /// every call kind and tampered field, the two stages find the valid
+        /// prefix and derive its write batches as the single-stage oracle
+        /// does, at one validator and at several.
         #[test]
-        fn check_while_executing_matches_the_recording_oracle(
+        fn two_stages_match_the_single_stage_oracle_on_tampered_reads(
             kind in 0usize..3,
             seed in 0u64..1_000,
             len in 2usize..40,
-            field in 0usize..9,
+            field in 0usize..4,
             victim in 0usize..64,
             forged in -3i64..3,
             validators in 2usize..9,
@@ -773,34 +756,26 @@ mod tests {
             let (txs, store) = contended_batch(kind, seed, len);
             let chunks: Vec<Vec<Transaction>> =
                 txs.chunks(len.div_ceil(2)).map(<[Transaction]>::to_vec).collect();
-            let mut blocks = preplay_chained(&chunks, &store);
+            let mut blocks: Vec<Vec<PreplayedTx>> =
+                preplay_chained(&chunks, &store).into_iter().map(shipped).collect();
             let victim = victim % len;
             let (block, index) = (victim / len.div_ceil(2), victim % len.div_ceil(2));
             tamper(&mut blocks[block][index], field, forged);
 
             let run: Vec<&[PreplayedTx]> = blocks.iter().map(Vec::as_slice).collect();
-            let oracle = oracle_reports(&run, &store, recording_verdict);
-            for validators in [1, validators] {
-                let reports = validate_blocks(&run, &store, &ValidationConfig::new(validators));
-                proptest::prop_assert_eq!(&reports, &oracle);
-            }
-            proptest::prop_assert_eq!(&replayed_ahead(&run, &store, validators), &oracle);
+            check_run(&run, &store, validators);
         }
 
-        /// Every report of the two stages equals the single-stage
-        /// check-while-executing oracle's, and the recording oracle's, on
-        /// three chained blocks with any mix of: an ill-ordered middle
-        /// block; a key written twice by one transaction (same value or
-        /// another); a read key declared twice; a forged read value; and a
-        /// transaction that reads a key after writing it, honestly declared
-        /// or with that read declared at the value the view holds.
+        /// The same on three chained blocks with any mix of: an ill-ordered
+        /// middle block; a read key declared twice; a forged read value; and
+        /// a transaction that reads a key after writing it, honestly
+        /// declared or with that read declared at the value the view holds.
         #[test]
         fn two_stages_match_the_single_stage_oracle_on_malformed_runs(
             kind in 0usize..3,
             seed in 0u64..1_000,
             len in 2usize..24,
             ill_ordered in 0usize..2,
-            write_twice in 0usize..3,
             read_twice in 0usize..2,
             forge_read in 0usize..2,
             read_after_write in 0usize..3,
@@ -825,25 +800,21 @@ mod tests {
                 ]);
                 chunks[target].insert(at, Transaction::new(rereader, ClientId::new(0), call, 1, SimTime::ZERO));
             }
-            let mut blocks = preplay_chained(&chunks, &store);
+            let blocks = preplay_chained(&chunks, &store);
+            // The value the view holds for `reread` at the rereader's
+            // position: executors emit their batches in serialized order.
+            let order = blocks[target].iter().find(|p| p.tx.id == rereader).map(|p| p.order);
+            let seen = blocks[..target]
+                .iter()
+                .flatten()
+                .chain(blocks[target].iter().filter(|p| Some(p.order) < order))
+                .flat_map(|p| &p.outcome.write_set)
+                .rfind(|rec| rec.key == reread)
+                .map_or_else(|| store.get(&reread), |rec| rec.value.clone());
+            let mut blocks: Vec<Vec<PreplayedTx>> = blocks.into_iter().map(shipped).collect();
             if read_after_write == 2 {
-                let run: Vec<&[PreplayedTx]> = blocks.iter().map(Vec::as_slice).collect();
-                let order = run[target].iter().find(|p| p.tx.id == rereader).expect("inserted").order;
-                let seen = WriteTimeline::build(&run)
-                    .value_before(&reread, (target, order))
-                    .cloned()
-                    .unwrap_or_else(|| store.get(&reread));
                 let p = pick(&mut blocks[target], 0, |p| p.tx.id == rereader).expect("inserted");
                 p.outcome.read_set.push(AccessRecord::new(reread, seen));
-            }
-            if write_twice > 0 {
-                if let Some(p) = pick(&mut blocks[(target + 1) % 3], at, |p| !p.outcome.write_set.is_empty()) {
-                    let mut again = p.outcome.write_set[0].clone();
-                    if write_twice == 2 {
-                        again.value = Value::int(-7);
-                    }
-                    p.outcome.write_set.push(again);
-                }
             }
             if read_twice == 1 {
                 if let Some(p) = pick(&mut blocks[(target + 2) % 3], at, |p| !p.outcome.read_set.is_empty()) {
@@ -863,64 +834,7 @@ mod tests {
             }
 
             let run: Vec<&[PreplayedTx]> = blocks.iter().map(Vec::as_slice).collect();
-            let oracle = oracle_reports(&run, &store, check_while_executing_verdict);
-            proptest::prop_assert_eq!(&oracle, &oracle_reports(&run, &store, recording_verdict));
-            for validators in [1, validators] {
-                let reports = validate_blocks(&run, &store, &ValidationConfig::new(validators));
-                proptest::prop_assert_eq!(&reports, &oracle);
-            }
-            proptest::prop_assert_eq!(&replayed_ahead(&run, &store, validators), &oracle);
-        }
-
-        /// The timeline answers every read as a scan of the declared writes
-        /// would, malformed declarations included: positions repeated within
-        /// a block, and a key written twice at one position (the later
-        /// declaration wins, as it does in the write set).
-        #[test]
-        fn write_timeline_matches_a_scan_of_the_declared_writes(
-            seed in 0u64..1_000,
-            len in 1usize..40,
-            n_blocks in 1usize..4,
-        ) {
-            let (txs, store) = contended_batch(1, seed, len * n_blocks);
-            let ce = ConcurrentExecutor::new(CeConfig::new(1, len).without_synthetic_cost());
-            let mut blocks: Vec<Vec<PreplayedTx>> =
-                txs.chunks(len).map(|chunk| ce.preplay(chunk, &store).preplayed).collect();
-            let mut mix = seed;
-            for (i, p) in blocks.iter_mut().flatten().enumerate() {
-                mix = mix.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(i as u64);
-                p.order = (mix >> 60) as u32 % 5;
-                if let Some(first) = p.outcome.write_set.first().cloned() {
-                    if mix % 3 == 0 {
-                        p.outcome.write_set.push(AccessRecord::new(first.key, Value::int(-(i as i64))));
-                    }
-                }
-            }
-            let run: Vec<&[PreplayedTx]> = blocks.iter().map(Vec::as_slice).collect();
-            let declared: Vec<(Key, Position, &Value)> = run
-                .iter()
-                .enumerate()
-                .flat_map(|(b, preplayed)| preplayed.iter().map(move |p| (b, p)))
-                .flat_map(|(b, p)| p.outcome.write_set.iter().map(move |r| (r.key, (b, p.order), &r.value)))
-                .collect();
-            let timeline = WriteTimeline::build(&run);
-            let mut keys: Vec<Key> = declared.iter().map(|(key, _, _)| *key).collect();
-            keys.push(Key::scratch(1 << 40));
-            for key in keys {
-                for position in (0..=n_blocks).flat_map(|b| (0..6).map(move |o| (b, o))) {
-                    let scan = declared
-                        .iter()
-                        .filter(|(k, at, _)| *k == key && *at < position)
-                        .fold(None, |best: Option<(Position, &Value)>, &(_, at, value)| {
-                            match best {
-                                Some((seen, _)) if seen > at => best,
-                                _ => Some((at, value)),
-                            }
-                        })
-                        .map(|(_, value)| value);
-                    proptest::prop_assert_eq!(timeline.value_before(&key, position), scan);
-                }
-            }
+            check_run(&run, &store, validators);
         }
     }
 
@@ -971,14 +885,14 @@ mod tests {
         assert!(reports.iter().all(|r| r.is_valid()));
         assert_eq!(counting.elsewhere.load(Ordering::Relaxed), 0);
 
-        // The declared reads no earlier declared write shadows.
-        let mut written = KeySet::default();
-        let mut unshadowed = 0;
+        // The declared reads no earlier transaction of their block wrote.
+        let mut external = 0;
         for block in &blocks {
+            let mut written = KeySet::default();
             let mut by_position: Vec<&PreplayedTx> = block.iter().collect();
             by_position.sort_by_key(|p| p.order);
             for p in by_position {
-                unshadowed += p
+                external += p
                     .outcome
                     .read_set
                     .iter()
@@ -989,8 +903,8 @@ mod tests {
         }
         let on_caller = counting.on_caller.load(Ordering::Relaxed);
         assert!(
-            on_caller <= unshadowed,
-            "{on_caller} reads on the caller, {unshadowed} unshadowed declared reads"
+            on_caller <= external,
+            "{on_caller} reads on the caller, {external} external reads"
         );
     }
 
@@ -1014,6 +928,12 @@ mod tests {
         SmallBankWorkload::new(cfg).batch(n, SimTime::ZERO)
     }
 
+    fn sorted(batch: &WriteBatch) -> Vec<(Key, Value)> {
+        let mut writes = batch.clone().into_writes();
+        writes.sort_by_key(|(key, _)| *key);
+        writes
+    }
+
     #[test]
     fn empty_block_is_trivially_valid() {
         let store = MemStore::new();
@@ -1022,44 +942,58 @@ mod tests {
         assert_eq!(report.checked, 0);
     }
 
+    /// A receiver gets a block's reads, not its effects, and derives from
+    /// them the very writes the proposer's engine produced: for honest
+    /// batches of the CE, OCC and Serial, the replayed batch of the shipped
+    /// block holds what `BatchResult::write_batch` holds, and the block
+    /// validates.
     #[test]
-    fn honest_preplay_from_the_concurrent_executor_validates() {
-        let store = funded_store(32);
-        let txs = smallbank_batch(32, 120);
-        let ce = ConcurrentExecutor::new(CeConfig::new(8, 512).without_synthetic_cost());
-        let result = ce.preplay(&txs, &store);
-        let report = validate_block(&result.preplayed, &store, &ValidationConfig::new(8));
-        assert!(report.is_valid(), "mismatches: {:?}", report.mismatches);
-        assert_eq!(report.checked, txs.len());
+    fn a_receiver_derives_the_write_batch_the_proposer_applies() {
+        let engines: [Box<dyn BatchExecutor>; 3] = [
+            Box::new(ConcurrentExecutor::new(
+                CeConfig::new(4, 512).without_synthetic_cost(),
+            )),
+            Box::new(OccExecutor::new(
+                CeConfig::new(4, 512).without_synthetic_cost(),
+            )),
+            Box::new(SerialExecutor::new()),
+        ];
+        for engine in &engines {
+            let store = funded_store(32);
+            let result = engine.preplay(&smallbank_batch(32, 120), &store);
+            let block = shipped(result.preplayed.clone());
+            assert!(block.iter().all(|p| p.outcome.write_set.is_empty()));
+            let replay = replay_blocks(&[&block], &ValidationConfig::new(4)).remove(0);
+            assert_eq!(
+                sorted(&replay.batch),
+                sorted(&result.write_batch()),
+                "{:?}",
+                engine.kind()
+            );
+            let report = validate_block(&block, &store, &ValidationConfig::new(4));
+            assert!(report.is_valid(), "{:?}: {:?}", engine.kind(), report);
+            assert_eq!(report.checked, 120);
+        }
     }
 
+    /// Nothing but the reads is taken from a block: a write set, result or
+    /// abort flag it carries anyway is neither compared nor applied.
     #[test]
-    fn honest_serial_execution_validates() {
-        let store = funded_store(16);
-        let exec_store = funded_store(16);
-        let txs = smallbank_batch(16, 60);
-        let result = SerialExecutor::new().execute_batch(&txs, &exec_store);
-        let report = validate_block(&result.preplayed, &store, &ValidationConfig::new(4));
-        assert!(report.is_valid());
-    }
-
-    #[test]
-    fn tampered_write_set_is_detected() {
+    fn declared_effects_are_ignored() {
         let store = funded_store(8);
-        let txs = smallbank_batch(8, 30);
-        let ce = ConcurrentExecutor::new(CeConfig::new(4, 512).without_synthetic_cost());
-        let mut result = ce.preplay(&txs, &store);
-        // A malicious proposer inflates one balance.
-        let victim = result
-            .preplayed
-            .iter_mut()
-            .find(|p| !p.outcome.write_set.is_empty())
-            .expect("some transaction writes");
-        victim.outcome.write_set[0].value = Value::int(9_999_999);
-        let tampered_id = victim.tx.id;
-        let report = validate_block(&result.preplayed, &store, &ValidationConfig::new(4));
-        assert!(!report.is_valid());
-        assert!(report.mismatches.contains(&tampered_id));
+        let ce = ConcurrentExecutor::new(CeConfig::new(1, 64).without_synthetic_cost());
+        let honest = ce.preplay(&smallbank_batch(8, 30), &store);
+        let mut claimed = honest.preplayed.clone();
+        for p in &mut claimed {
+            for rec in &mut p.outcome.write_set {
+                rec.value = Value::int(9_999_999);
+            }
+            p.outcome.return_value = Value::int(123);
+            p.outcome.logically_aborted = !p.outcome.logically_aborted;
+        }
+        assert!(validate_block(&claimed, &store, &ValidationConfig::new(2)).is_valid());
+        let replay = replay_blocks(&[&claimed], &ValidationConfig::new(2)).remove(0);
+        assert_eq!(replay.batch, honest.write_batch());
     }
 
     #[test]
@@ -1067,34 +1001,50 @@ mod tests {
         let store = funded_store(8);
         let txs = smallbank_batch(8, 30);
         let ce = ConcurrentExecutor::new(CeConfig::new(4, 512).without_synthetic_cost());
-        let mut result = ce.preplay(&txs, &store);
-        let victim = result
-            .preplayed
+        let mut block = shipped(ce.preplay(&txs, &store).preplayed);
+        let victim = block
             .iter_mut()
             .find(|p| !p.outcome.read_set.is_empty())
             .expect("some transaction reads");
         victim.outcome.read_set[0].value = Value::int(-1);
         let tampered_id = victim.tx.id;
-        let report = validate_block(&result.preplayed, &store, &ValidationConfig::new(4));
+        let report = validate_block(&block, &store, &ValidationConfig::new(4));
         assert!(!report.is_valid());
         assert!(report.mismatches.contains(&tampered_id));
     }
 
+    /// A forged read inside a block — of a key an earlier transaction of
+    /// the block wrote — is caught by the replay itself, before any state is
+    /// read.
     #[test]
-    fn fabricated_return_value_is_detected() {
+    fn a_read_of_an_earlier_write_in_the_block_is_checked_against_it() {
         let store = funded_store(4);
-        let tx = Transaction::new(
-            TxId::new(1),
-            ClientId::new(0),
-            ContractCall::SmallBank(SmallBankProcedure::GetBalance { account: 0 }),
-            1,
-            SimTime::ZERO,
-        );
         let ce = ConcurrentExecutor::new(CeConfig::new(1, 8).without_synthetic_cost());
-        let mut result = ce.preplay(std::slice::from_ref(&tx), &store);
-        result.preplayed[0].outcome.return_value = Value::int(123);
-        let report = validate_block(&result.preplayed, &store, &ValidationConfig::new(1));
-        assert!(!report.is_valid());
+        let txs = [payment(1, 1, 2, 10), payment(2, 1, 3, 10)];
+        let mut block = shipped(ce.preplay(&txs, &store).preplayed);
+        let second = block
+            .iter()
+            .position(|p| p.order == 1)
+            .expect("two transactions");
+        let replay = replay_blocks(&[&block], &ValidationConfig::new(1)).remove(0);
+        assert!(replay.verdicts.iter().all(|v| *v));
+        // The second payment's read of account 1 is the first one's write,
+        // so it is not an external read.
+        let payer = Key::checking(1);
+        assert!(!replay
+            .external_reads
+            .iter()
+            .any(|(i, read)| *i == second && read.key == payer));
+        let read = block[second]
+            .outcome
+            .read_set
+            .iter_mut()
+            .find(|rec| rec.key == payer)
+            .expect("reads the payer");
+        read.value = Value::int(SMALLBANK_DEFAULT_BALANCE);
+        let replay = replay_blocks(&[&block], &ValidationConfig::new(1)).remove(0);
+        assert!(!replay.verdicts[second]);
+        assert!(!validate_block(&block, &store, &ValidationConfig::new(1)).is_valid());
     }
 
     fn payment(id: u64, from: u64, to: u64, amount: i64) -> Transaction {
@@ -1111,13 +1061,13 @@ mod tests {
     fn duplicate_order_values_make_the_block_invalid() {
         // Two payments out of account 1, each preplayed alone against the
         // same state and both shipped at position 0: neither sees the
-        // other's write, so each re-executes exactly as declared, and
-        // applying both would pay out of one balance twice.
+        // other's write, so each replays exactly as declared, and applying
+        // both would pay out of one balance twice.
         let store = funded_store(4);
         let ce = ConcurrentExecutor::new(CeConfig::new(1, 8).without_synthetic_cost());
         let mut block = Vec::new();
         for tx in [payment(1, 1, 2, 10), payment(2, 1, 3, 10)] {
-            let alone = ce.preplay(std::slice::from_ref(&tx), &store).preplayed;
+            let alone = shipped(ce.preplay(std::slice::from_ref(&tx), &store).preplayed);
             assert!(validate_block(&alone, &store, &ValidationConfig::new(1)).is_valid());
             block.extend(alone);
         }
@@ -1152,7 +1102,8 @@ mod tests {
             .collect()
     }
 
-    /// The oracle: validate a block, apply it if valid, move to the next.
+    /// The oracle: validate a block, apply its derived writes if valid, move
+    /// to the next.
     fn validate_apply_loop(
         blocks: &[Vec<PreplayedTx>],
         store: &MemStore,
@@ -1162,14 +1113,7 @@ mod tests {
         for block in blocks {
             let report = validate_block(block, store, config);
             if report.is_valid() {
-                let mut ordered: Vec<&PreplayedTx> = block.iter().collect();
-                ordered.sort_by_key(|p| p.order);
-                store.load(
-                    ordered
-                        .iter()
-                        .flat_map(|p| &p.outcome.write_set)
-                        .map(|rec| (rec.key, rec.value.clone())),
-                );
+                store.apply_batch(&replay_blocks(&[block], config).remove(0).batch);
             }
             reports.push(report);
         }
@@ -1179,7 +1123,8 @@ mod tests {
     #[test]
     fn a_run_of_blocks_validates_like_a_validate_apply_loop() {
         let config = ValidationConfig::new(3);
-        let mut blocks = chained_blocks(5);
+        let mut blocks: Vec<Vec<PreplayedTx>> =
+            chained_blocks(5).into_iter().map(shipped).collect();
         let as_run = |blocks: &[Vec<PreplayedTx>]| {
             let run: Vec<&[PreplayedTx]> = blocks.iter().map(Vec::as_slice).collect();
             validate_blocks(&run, &funded_store(8), &config)
@@ -1197,9 +1142,9 @@ mod tests {
         // again.
         let victim = blocks[2]
             .iter_mut()
-            .find(|p| !p.outcome.write_set.is_empty())
-            .expect("some transaction writes");
-        victim.outcome.write_set[0].value = Value::int(-1);
+            .find(|p| !p.outcome.read_set.is_empty())
+            .expect("some transaction reads");
+        victim.outcome.read_set[0].value = Value::int(-1);
         let reports = as_run(&blocks);
         let oracle = validate_apply_loop(&blocks, &funded_store(8), &config);
         assert!(reports[0].is_valid() && reports[1].is_valid() && !reports[2].is_valid());
@@ -1211,14 +1156,13 @@ mod tests {
         let store = funded_store(16);
         let txs = smallbank_batch(16, 80);
         let ce = ConcurrentExecutor::new(CeConfig::new(4, 512).without_synthetic_cost());
-        let result = ce.preplay(&txs, &store);
+        let block = shipped(ce.preplay(&txs, &store).preplayed);
+        let replay = replay_blocks(&[&block], &ValidationConfig::new(1));
         for validators in [1, 2, 7, 32] {
-            let report = validate_block(
-                &result.preplayed,
-                &store,
-                &ValidationConfig::new(validators),
-            );
+            let config = ValidationConfig::new(validators);
+            let report = validate_block(&block, &store, &config);
             assert!(report.is_valid(), "failed with {validators} validators");
+            assert_eq!(replay_blocks(&[&block], &config), replay);
         }
     }
 
@@ -1227,25 +1171,21 @@ mod tests {
         let store = funded_store(16);
         let txs = smallbank_batch(16, 80);
         let ce = ConcurrentExecutor::new(CeConfig::new(4, 512).without_synthetic_cost());
-        let mut result = ce.preplay(&txs, &store);
+        let mut block = shipped(ce.preplay(&txs, &store).preplayed);
         // Tamper several transactions spread across the block so mismatches
         // land in different worker chunks for every fan-out width.
         let mut tampered = 0;
-        for p in result.preplayed.iter_mut().step_by(11) {
-            if let Some(rec) = p.outcome.write_set.first_mut() {
+        for p in block.iter_mut().step_by(11) {
+            if let Some(rec) = p.outcome.read_set.first_mut() {
                 rec.value = Value::int(-424_242);
                 tampered += 1;
             }
         }
         assert!(tampered >= 3, "need several tampered transactions");
-        let sequential = validate_block(&result.preplayed, &store, &ValidationConfig::new(1));
+        let sequential = validate_block(&block, &store, &ValidationConfig::new(1));
         assert!(!sequential.is_valid());
         for validators in [2, 3, 8, 32] {
-            let parallel = validate_block(
-                &result.preplayed,
-                &store,
-                &ValidationConfig::new(validators),
-            );
+            let parallel = validate_block(&block, &store, &ValidationConfig::new(validators));
             assert_eq!(
                 sequential, parallel,
                 "verdicts diverged with {validators} validators"

@@ -1,8 +1,11 @@
 //! Blocks proposed by shard proposers.
 //!
-//! A block is the payload of one DAG vertex. In the EOV path it carries the
-//! *preplay outcomes* of a batch of single-shard transactions (their
-//! read/write sets, results and scheduled order, Figure 3). Cross-shard
+//! A block is the payload of one DAG vertex. In the EOV path it carries a
+//! batch of preplayed single-shard transactions (Figure 3), each with what
+//! only its proposer knows: the reads its preplay observed and its place in
+//! the serialized order. Everything else about the preplay — write set,
+//! result, abort flag — every replica derives by replaying the transaction
+//! over those reads, so a sealed block does not carry it. Cross-shard
 //! transactions ride in the same block but without preplay results (OE path,
 //! rule P1). Skip blocks and Shift blocks are special block kinds used for
 //! preplay recovery (Section 5.4) and non-blocking reconfiguration
@@ -19,11 +22,17 @@ use std::ops::Deref;
 
 /// A single-shard transaction together with its preplay outcome and its
 /// position in the serialized order produced by the concurrent executor.
+///
+/// An engine fills the whole outcome. A block ships the read set alone
+/// (`wire_struct!(PreplayedTx { tx, outcome: reads, order })`), and
+/// [`Block::seal`] drops the rest, so a sealed block held in memory equals
+/// its decoded copy.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PreplayedTx {
     /// The original transaction.
     pub tx: Transaction,
-    /// Read/write sets and results obtained during preplay.
+    /// Read/write sets and results obtained during preplay; only the read
+    /// set survives [`Block::seal`].
     pub outcome: ExecOutcome,
     /// Index of the transaction in the serialized execution order chosen by
     /// the preplay engine (0-based within the block).
@@ -208,8 +217,17 @@ pub struct SealedBlock {
 }
 
 impl Block {
-    /// Seals the block: hashes its encoding once, for every later holder.
-    pub fn seal(self) -> SealedBlock {
+    /// Seals the block: keeps of each preplayed transaction's outcome only
+    /// the read set the block ships, and hashes its encoding once, for every
+    /// later holder.
+    pub fn seal(mut self) -> SealedBlock {
+        for preplayed in &mut self.payload.single_shard {
+            let read_set = std::mem::take(&mut preplayed.outcome.read_set);
+            preplayed.outcome = ExecOutcome {
+                read_set,
+                ..Default::default()
+            };
+        }
         SealedBlock {
             digest: Digest::of_bytes(&self.to_wire_bytes()),
             block: self,
@@ -319,9 +337,12 @@ mod tests {
     }
 
     /// Every field a block encodes moves its digest, down to the ones a
-    /// hand-kept field list once left out: a cross-shard call's arguments,
-    /// the client, the shards, a preplayed result and abort flag, a byte
-    /// value past its eighth byte, the creation time.
+    /// hand-kept field list once left out: a call's arguments, the client,
+    /// the shards, a declared read's key and value, a byte value past its
+    /// eighth byte, the order, the submission and creation times. What a
+    /// receiver derives from a preplayed transaction's reads — its writes,
+    /// result and abort flag — is not shipped, so editing it before sealing
+    /// moves nothing.
     #[test]
     fn digest_depends_on_contents() {
         fn payment(amount: i64) -> ContractCall {
@@ -348,6 +369,8 @@ mod tests {
             };
             let mut outcome = ExecOutcome::empty();
             outcome.record_read(Key::checking(1), bytes(7));
+            outcome.record_write(Key::checking(1), Value::int(3));
+            outcome.return_value = Value::int(3);
             let mut block = sample_block(BlockKind::Normal);
             block
                 .payload
@@ -359,7 +382,7 @@ mod tests {
         let digest = block().seal().digest();
         assert_eq!(block().seal().digest(), digest);
         type Edit = (&'static str, fn(&mut Block));
-        let edits: [Edit; 9] = [
+        let moves: [Edit; 12] = [
             ("kind", |b| b.kind = BlockKind::Skip),
             ("one more transaction", |b| {
                 b.payload.cross_shard.push(sample_tx(1))
@@ -367,11 +390,40 @@ mod tests {
             ("cross-shard amount", |b| {
                 b.payload.cross_shard[0].call = payment(6)
             }),
+            ("preplayed call", |b| {
+                b.payload.single_shard[0].tx.call = payment(6)
+            }),
             ("client", |b| {
                 b.payload.cross_shard[0].client = ClientId::new(2)
             }),
             ("shards", |b| {
                 b.payload.cross_shard[0].shards.push(ShardId::new(3))
+            }),
+            ("read key", |b| {
+                b.payload.single_shard[0].outcome.read_set[0].key = Key::savings(1)
+            }),
+            ("bytes past the eighth", |b| {
+                b.payload.single_shard[0].outcome.read_set[0].value = bytes(8)
+            }),
+            ("order", |b| b.payload.single_shard[0].order = 1),
+            ("submitted at", |b| {
+                b.payload.single_shard[0].tx.submitted_at = SimTime::from_micros(1)
+            }),
+            ("created at", |b| b.created_at = SimTime::from_micros(1)),
+            ("one more read", |b| {
+                b.payload.single_shard[0]
+                    .outcome
+                    .record_read(Key::checking(2), Value::int(0))
+            }),
+        ];
+        for (field, edit) in moves {
+            let mut edited = block();
+            edit(&mut edited);
+            assert_ne!(edited.seal().digest(), digest, "{field}");
+        }
+        let derived: [Edit; 3] = [
+            ("write set", |b| {
+                b.payload.single_shard[0].outcome.write_set[0].value = Value::int(4)
             }),
             ("return value", |b| {
                 b.payload.single_shard[0].outcome.return_value = Value::int(1)
@@ -379,16 +431,35 @@ mod tests {
             ("logically aborted", |b| {
                 b.payload.single_shard[0].outcome.logically_aborted = true
             }),
-            ("bytes past the eighth", |b| {
-                b.payload.single_shard[0].outcome.read_set[0].value = bytes(8)
-            }),
-            ("created at", |b| b.created_at = SimTime::from_micros(1)),
         ];
-        for (field, edit) in edits {
+        for (field, edit) in derived {
             let mut edited = block();
             edit(&mut edited);
-            assert_ne!(edited.seal().digest(), digest, "{field}");
+            assert_eq!(edited.seal().digest(), digest, "{field}");
         }
+    }
+
+    /// A sealed block keeps exactly what it ships: it equals the block its
+    /// encoding decodes to, digest included.
+    #[test]
+    fn a_sealed_block_equals_its_decoded_copy() {
+        let mut outcome = ExecOutcome::empty();
+        outcome.record_read(Key::checking(1), Value::int(10));
+        outcome.record_write(Key::checking(1), Value::int(5));
+        outcome.return_value = Value::int(5);
+        outcome.logically_aborted = true;
+        let mut block = sample_block(BlockKind::Normal);
+        block
+            .payload
+            .single_shard
+            .push(PreplayedTx::new(sample_tx(1), outcome, 0));
+        let sealed = block.seal();
+        let outcome = &sealed.payload.single_shard[0].outcome;
+        assert_eq!(outcome.read_set.len(), 1);
+        assert!(outcome.write_set.is_empty() && !outcome.logically_aborted);
+        assert_eq!(outcome.return_value, Value::None);
+        let decoded = SealedBlock::from_wire_bytes(&sealed.to_wire_bytes()).expect("decodes");
+        assert_eq!(decoded, sealed);
     }
 
     #[test]

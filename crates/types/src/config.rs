@@ -217,7 +217,9 @@ pub struct SystemConfig {
     pub reconfig: ReconfigConfig,
     /// Network latency model.
     pub latency: LatencyModel,
-    /// Maximum number of rounds an experiment runs for.
+    /// DAG rounds an experiment runs for: a run stops after
+    /// `max_rounds / 2` leader commits (at least one), as a leader is
+    /// elected every second round.
     pub max_rounds: u64,
     /// Storage backend every replica keeps its committed state in.
     pub storage: StorageConfig,

@@ -44,8 +44,10 @@
 //!   writes each variant's tag, then its fields; `E: Prefix { … }` first
 //!   encodes the unit struct `Prefix` (the message envelope).
 //! - A field is its type's own [`Wire`] unless a `wire_struct!` list names
-//!   a codec for it; the one codec is `le`, a fixed-width `u64`, for the FNV
-//!   digests of commit samples and commit markers.
+//!   a codec for it: `le`, a fixed-width `u64`, for the FNV digests of
+//!   commit samples and commit markers, and `reads`, an [`ExecOutcome`]'s
+//!   read set alone, for a preplayed transaction, which ships the reads its
+//!   proposer observed and nothing a receiver derives from them (`block.rs`).
 //!
 //! Write an impl by hand only where the bytes are not a field list: a
 //! primitive or a container, an envelope or a file header, a decoder that
@@ -536,8 +538,15 @@ impl<T: Wire> Wire for Option<T> {
 macro_rules! wire_struct {
     (@put $w:ident, $v:expr) => { $crate::wire::Wire::encode($v, $w) };
     (@put $w:ident, $v:expr, le) => { $w.put_u64_le(*$v) };
+    (@put $w:ident, $v:expr, reads) => { $crate::wire::Wire::encode(&$v.read_set, $w) };
     (@get $r:ident) => { $crate::wire::Wire::decode($r)? };
     (@get $r:ident, le) => { $r.u64_le()? };
+    (@get $r:ident, reads) => {
+        $crate::ExecOutcome {
+            read_set: $crate::wire::Wire::decode($r)?,
+            ..Default::default()
+        }
+    };
     ($ty:ident { $($field:ident $(: $codec:ident)?),+ $(,)? } $(if $check:path)?) => {
         impl $crate::wire::Wire for $ty {
             fn encode(&self, w: &mut $crate::wire::WireWriter) {
@@ -730,7 +739,11 @@ wire_struct!(Transaction {
     shards,
     submitted_at
 });
-wire_struct!(PreplayedTx { tx, outcome, order });
+wire_struct!(PreplayedTx {
+    tx,
+    outcome: reads,
+    order
+});
 
 wire_enum!(BlockKind {
     0 => Normal,

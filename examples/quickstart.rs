@@ -41,8 +41,8 @@ fn main() {
     );
 
     // 3. Validate the preplay results exactly like every other replica does
-    //    after consensus (parallel re-execution against the declared
-    //    read/write sets).
+    //    after consensus (parallel re-execution over the declared reads,
+    //    which are checked against the store).
     let report = validate_block(&result.preplayed, &store, &ValidationConfig::new(8));
     println!(
         "validation: {} transactions checked, valid = {}",

@@ -17,6 +17,7 @@ use proptest::prelude::TestRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use thunderbolt::prelude::*;
+use thunderbolt::tb_executor::validation::replay_blocks;
 use thunderbolt::tb_storage::wal::{crc32, decode_frames, encode_frame};
 use thunderbolt::tb_storage::{WalRecord, WriteBatch};
 use thunderbolt::tb_types::wire::{Wire, WireError};
@@ -227,10 +228,12 @@ fn mutated_messages_never_panic_over_allocate_or_decode_to_other_bytes() {
 #[test]
 fn mutated_wal_frames_never_panic_over_allocate_or_decode_to_other_bytes() {
     let vertex = real_vertex();
-    let mut batch = WriteBatch::new();
-    for preplayed in &vertex.block.payload.single_shard {
-        batch.extend_from_write_set(&preplayed.outcome.write_set);
-    }
+    // The block's write batch, as every replica derives it from the reads
+    // the block ships.
+    let preplayed = &vertex.block.payload.single_shard[..];
+    let replays = replay_blocks(&[preplayed], &ValidationConfig::new(1));
+    let batch = replays[0].batch.clone();
+    assert!(!batch.is_empty());
     let records = [
         WalRecord::Batches(vec![batch, WriteBatch::new()]),
         WalRecord::Batches(vec![[(Key::savings(7), Value::int(-250))]

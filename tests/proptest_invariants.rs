@@ -178,10 +178,13 @@ proptest! {
     }
 
     /// Parallel block validation is a pure function of the block: for any
-    /// random batch — honest or with randomly tampered declarations — every
-    /// worker count returns the exact same [`ValidationReport`] as the
-    /// sequential (one-worker) pass: same verdict, same mismatch list, in
-    /// the same order.
+    /// random batch — honest or with randomly tampered declared reads, the
+    /// one input a block gives its effects — every worker count returns the
+    /// exact same [`ValidationReport`] as the sequential (one-worker) pass:
+    /// same verdict, same mismatch list, in the same order. And a block is
+    /// valid exactly when no declared read was changed: a changed read of a
+    /// key the block wrote earlier fails the replay, any other fails the
+    /// read check against the store.
     #[test]
     fn parallel_validation_matches_sequential_verdicts(
         txs in batch(6, 60),
@@ -191,16 +194,19 @@ proptest! {
         let store = funded_store(6);
         let ce = ConcurrentExecutor::new(CeConfig::new(4, 128).without_synthetic_cost());
         let mut result = ce.preplay(&txs, &store);
-        // Tamper a random subset of declared write sets so mismatch paths
-        // (not just all-valid blocks) are exercised.
+        // Tamper a random subset of declared reads so mismatch paths (not
+        // just all-valid blocks) are exercised.
+        let honest = result.preplayed.clone();
         for (index, forged) in &tamper {
             let p = &mut result.preplayed[index % txs.len()];
-            if let Some(rec) = p.outcome.write_set.first_mut() {
+            if let Some(rec) = p.outcome.read_set.first_mut() {
                 rec.value = Value::int(*forged);
             }
         }
+        let changed = result.preplayed != honest;
         let sequential = validate_block(&result.preplayed, &store, &ValidationConfig::new(1));
         let parallel = validate_block(&result.preplayed, &store, &ValidationConfig::new(validators));
+        prop_assert_eq!(sequential.is_valid(), !changed);
         prop_assert_eq!(sequential, parallel);
     }
 
