@@ -127,12 +127,9 @@ impl ShardApp {
             ExecutionMode::ThunderboltOcc => Some(Box::new(OccExecutor::new(system.ce))),
             ExecutionMode::Tusk => None,
         };
-        let execution = match engine {
-            Some(_) => PostCommitExecution::Pipelined {
-                workers: system.validators,
-            },
-            None => PostCommitExecution::Serial,
-        };
+        // Tusk executes after consensus, serially and in commit order.
+        let workers = engine.as_ref().map_or(1, |_| system.validators);
+        let execution = PostCommitExecution::Pipelined { workers };
         let op_cost_ns = system.ce.synthetic_op_cost_ns;
         let assignment = ShardAssignment::new(Committee::new(system.n_replicas), DagId::new(0));
         ShardApp {
@@ -268,7 +265,8 @@ impl ShardApp {
 
     /// [`ByzantineBehavior::OverfullWrongShard`]: stuff a second single-shard
     /// batch *and* preplayed cross-shard transactions (a P1 violation: their
-    /// writes land outside this proposer's shard) into the block.
+    /// writes land outside this proposer's shard) into the block, ordered
+    /// after the block's own batch.
     fn overfill_payload(
         &mut self,
         payload: &mut BlockPayload,
@@ -278,7 +276,9 @@ impl ShardApp {
         let mut extra = self.queues.take_single_batch();
         extra.extend(self.queues.take_cross_batch(self.batch_size));
         if !extra.is_empty() {
-            let preplayed = self.preplay_batch(&extra, None, round, metrics);
+            let after = u32::try_from(payload.single_shard.len()).expect("a block fits u32");
+            let mut preplayed = self.preplay_batch(&extra, None, round, metrics);
+            preplayed.iter_mut().for_each(|p| p.order += after);
             payload.single_shard.extend(preplayed);
         }
     }
@@ -619,6 +619,40 @@ mod tests {
             assert_eq!(preplayed.commit_digest(), expected, "round {round}");
         }
         assert_eq!(app.overlay.blocks.len(), 6, "six chained overlay rounds");
+    }
+
+    #[test]
+    fn an_overfull_block_is_well_ordered_and_replays_valid() {
+        let mut cfg = config(4);
+        cfg.system.ce = CeConfig::new(1, 8).without_synthetic_cost();
+        cfg.byzantine = Some((ReplicaId::new(0), ByzantineBehavior::OverfullWrongShard));
+        let genesis = || tb_workload::initial_smallbank_state(16, 1_000);
+        let mut app = ShardApp::new(ReplicaId::new(0), &cfg);
+        app.load_state(genesis());
+        // Shard 0 holds the accounts divisible by 4: 16 single-shard
+        // payments, two batches, then 4 payments into shard 1 (an even id
+        // homes a payment between shards 0 and 1 on shard 0).
+        for id in 0..16 {
+            let tx = payment(id, 4 * (id % 4), 4 * ((id + 1) % 4), 4);
+            assert!(app.queues_mut().enqueue(tx));
+        }
+        for id in (16..24).step_by(2) {
+            assert!(app.queues_mut().enqueue(payment(id, 4 * (id % 4), 1, 4)));
+        }
+        let mut metrics = ReplicaMetrics::default();
+        let (kind, payload) = app.propose(Round::ZERO, true, false, &mut metrics);
+        assert_eq!(kind, BlockKind::Normal);
+        let block = &payload.single_shard;
+        assert_eq!(block.len(), 20, "its own batch of 8, then 8 + 4 more");
+        let mut orders: Vec<u32> = block.iter().map(|p| p.order).collect();
+        orders.sort_unstable();
+        assert_eq!(orders, (0..20).collect::<Vec<u32>>());
+
+        let honest = MemStore::new();
+        honest.load(genesis());
+        let config = tb_executor::validation::ValidationConfig::new(1);
+        let report = tb_executor::validation::validate_block(block, &honest, &config);
+        assert!(report.is_valid(), "{report:?}");
     }
 
     #[test]

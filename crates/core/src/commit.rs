@@ -32,6 +32,10 @@
 //! Only [`Store::apply_batches`] writes the store, so G2 equals serial
 //! execution at any worker count, even for a contract that touches keys it
 //! never declared.
+//!
+//! Every engine commits through this one pipeline. Tusk preplays nothing, so
+//! its G1 is empty, and it runs the pipeline at one worker: its G2 executes
+//! serially, in commit order.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -47,34 +51,27 @@ use tb_types::{
     TxId, Value,
 };
 
-/// How the pipeline executes transactions after consensus.
+/// How many workers the pipeline validates and executes on after consensus.
+///
+/// There is one commit path; this enum survives with its one variant only
+/// because `benchmark/src/walk.rs` builds it by name. ROADMAP item 15
+/// retires it together with the benchmark's own commit walk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PostCommitExecution {
-    /// Thunderbolt: preplayed single-shard transactions are validated
-    /// against their declared reads and cross-shard transactions execute with
-    /// shard-level parallelism. The variant keeps this name because the
-    /// benchmark harness constructs it by name; no two stages run at the
-    /// same time. The preplayed blocks of a committed sub-DAG go through
+    /// Validate and apply the preplayed blocks of a committed sub-DAG in
     /// **one** read check, joined with their replays (made ahead, or here),
-    /// and their write batches through **one** [`Store::apply_batches`]
-    /// call; a block found invalid is dropped and the blocks after it are
-    /// read-checked once more over the applied prefix. No thread is created
-    /// and nothing is queued. Commit order, applied state, the commit-order
-    /// digest and all commit statistics except the stage timings,
-    /// `coalesced_batches`, `apply_calls` and the replay counts are
-    /// identical to [`Serial`]; only the granularity of validation and apply
-    /// differs.
-    /// Pinned by `crates/core/tests/pipeline_determinism.rs`.
-    ///
-    /// [`Serial`]: PostCommitExecution::Serial
+    /// and **one** [`Store::apply_batches`] call — a block found invalid is
+    /// dropped and the blocks after it are read-checked again over the
+    /// applied prefix — then execute the cross-shard transactions in
+    /// shard-disjoint waves. No thread is created and nothing is queued.
+    /// Thunderbolt runs it at `validators` workers, Tusk at one. The worker
+    /// count moves only the stage timings, and the committed sequence and
+    /// state equal those of committing each preplayed block as a sub-DAG of
+    /// its own (`crates/core/tests/pipeline_determinism.rs`).
     Pipelined {
         /// Number of validator / executor workers.
         workers: usize,
     },
-    /// Tusk baseline, and the oracle the pipelined path is tested against:
-    /// every block is validated and applied before the next block is looked
-    /// at, and everything executes on one worker in commit order.
-    Serial,
 }
 
 /// Statistics and effects of committing one batch of sub-DAGs.
@@ -110,14 +107,12 @@ pub struct CommitOutput {
     pub stage_execute: Duration,
     /// Number of write batches that went to storage in one
     /// [`Store::apply_batches`] call together with at least one other batch:
-    /// on the pipelined path, every valid block of a commit that has two or
-    /// more. Always 0 on the serial path, which applies one batch at a time.
+    /// every valid block of a commit that has two or more.
     pub coalesced_batches: u64,
-    /// Number of storage apply calls the commit path performed: one
-    /// [`Store::apply_batch`] per valid block on the serial path; on the
-    /// pipelined path one [`Store::apply_batches`] per commit, plus one per
-    /// invalid block that has valid blocks after it. Either path adds one
-    /// for a sub-DAG whose cross-shard transactions write anything.
+    /// Number of storage apply calls the commit performed: one
+    /// [`Store::apply_batches`] for its preplayed blocks, plus one per
+    /// invalid block that has valid blocks after it, plus one for a sub-DAG
+    /// whose cross-shard transactions write anything.
     pub apply_calls: u64,
     /// Per-transaction commit latencies in seconds of simulated time,
     /// parallel to `committed`.
@@ -126,8 +121,7 @@ pub struct CommitOutput {
     /// them: replayed when their vertex entered the DAG.
     pub blocks_replayed_ahead: u64,
     /// Preplayed blocks this commit replayed itself, because it delivered
-    /// them before they were replayed ahead. Always 0 on the serial path,
-    /// which validates each block whole.
+    /// them before they were replayed ahead.
     pub blocks_replayed_inline: u64,
 }
 
@@ -141,11 +135,9 @@ impl CommitOutput {
 /// The commit pipeline of one replica.
 #[derive(Clone, Debug)]
 pub struct CommitPipeline {
-    execution: PostCommitExecution,
-    /// Worker count and synthetic op cost of G2's execution, of the replay
-    /// of the blocks a pipelined commit finds unreplayed, and of the serial
-    /// path's validation (one worker there). Blocks replayed ahead were
-    /// replayed on the calling thread, at the same op cost.
+    /// Worker count and synthetic op cost of G2's execution and of the
+    /// replay of the blocks a commit finds unreplayed. Blocks replayed ahead
+    /// were replayed on the calling thread, at the same op cost.
     validation: ValidationConfig,
 }
 
@@ -159,33 +151,26 @@ impl CommitPipeline {
     /// state operation during validation and post-consensus execution,
     /// matching the cost model used during preplay.
     pub fn with_op_cost(execution: PostCommitExecution, op_cost_ns: u64) -> Self {
-        let mut validation = match execution {
-            PostCommitExecution::Pipelined { workers } => {
-                ValidationConfig::new(effective_workers(workers))
-            }
-            PostCommitExecution::Serial => ValidationConfig::new(1),
-        };
+        let PostCommitExecution::Pipelined { workers } = execution;
+        let mut validation = ValidationConfig::new(effective_workers(workers));
         validation.op_cost_ns = op_cost_ns;
-        CommitPipeline {
-            execution,
-            validation,
-        }
+        CommitPipeline { validation }
     }
 
     /// Processes one delivered sub-DAG against `store`, applying effects and
     /// returning the commit statistics. A replica's own commits find most
     /// blocks replayed ahead, when their vertices entered its DAG; here
-    /// nothing was, so the pipelined path replays every preplayed block
-    /// itself (`blocks_replayed_inline`), with the same outcome.
+    /// nothing was, so the commit replays every preplayed block itself
+    /// (`blocks_replayed_inline`), with the same outcome.
     ///
     /// # Determinism
     ///
     /// For a given `(sub_dag, store, commit_time)` the committed transaction
     /// sequence, the applied state and every commit counter except the
-    /// wall-clock stage timings, `coalesced_batches`, `apply_calls` and the
-    /// replay counts are identical across both [`PostCommitExecution`] modes
-    /// and any worker count — the execution mode is a pure
-    /// wall-clock/granularity choice, never a semantic one.
+    /// wall-clock stage timings are identical at any worker count: the
+    /// worker count is a wall-clock choice, never a semantic one. They are
+    /// also what committing each preplayed block as a sub-DAG of its own
+    /// gives, except `coalesced_batches` and `apply_calls`.
     ///
     /// # Panics
     ///
@@ -203,10 +188,10 @@ impl CommitPipeline {
     }
 
     /// [`process`](CommitPipeline::process) with the replays of the
-    /// delivered blocks taken from `replays`, which loses them: on the
-    /// pipelined path a delivered block is only read-checked and applied if
-    /// it was replayed ahead, and is replayed here otherwise. The outcome
-    /// does not depend on what `replays` holds.
+    /// delivered blocks taken from `replays`, which loses them: a delivered
+    /// block is only read-checked and applied if it was replayed ahead, and
+    /// is replayed here otherwise. The outcome does not depend on what
+    /// `replays` holds.
     pub(crate) fn process_cached(
         &self,
         sub_dag: &CommittedSubDag,
@@ -237,28 +222,17 @@ impl CommitPipeline {
         }
 
         // G1: single-shard (preplayed) transactions first.
-        match self.execution {
-            PostCommitExecution::Pipelined { .. } => {
-                let delivered: Vec<&SealedBlock> =
-                    preplayed_blocks.iter().map(|&(block, _)| block).collect();
-                let taken = replays.take_or_replay(&delivered, &self.validation, &mut output);
-                let blocks = preplayed_blocks
-                    .iter()
-                    .zip(taken)
-                    .map(|(&(block, created_at), replay)| {
-                        (&block.payload.single_shard[..], created_at, replay)
-                    })
-                    .collect();
-                self.commit_preplayed_batched(blocks, store, commit_time, &mut output);
-            }
-            PostCommitExecution::Serial => {
-                let blocks: Vec<_> = preplayed_blocks
-                    .iter()
-                    .map(|&(block, created_at)| (&block.payload.single_shard[..], created_at))
-                    .collect();
-                self.commit_preplayed_staged(&blocks, store, commit_time, &mut output);
-            }
-        }
+        let delivered: Vec<&SealedBlock> =
+            preplayed_blocks.iter().map(|&(block, _)| block).collect();
+        let taken = replays.take_or_replay(&delivered, &self.validation, &mut output);
+        let blocks = preplayed_blocks
+            .iter()
+            .zip(taken)
+            .map(|(&(block, created_at), replay)| {
+                (&block.payload.single_shard[..], created_at, replay)
+            })
+            .collect();
+        self.commit_preplayed_batched(blocks, store, commit_time, &mut output);
 
         // G2: cross-shard transactions afterwards, in a deterministic order,
         // their writes collected into one batch and applied in one call.
@@ -282,49 +256,16 @@ impl CommitPipeline {
         output
     }
 
-    /// The strictly staged G1 path: validate a block, apply its derived write
-    /// batch, move on to the next block.
-    fn commit_preplayed_staged(
-        &self,
-        blocks: &[(&[PreplayedTx], SimTime)],
-        store: &dyn Store,
-        commit_time: SimTime,
-        output: &mut CommitOutput,
-    ) {
-        for &(block, created_at) in blocks {
-            let validate_started = Instant::now();
-            let (replays, _) = replay_run(&[block], &self.validation);
-            let replay = &replays[0];
-            let valid = validate_replayed(&[block], &[replay], store)[0].is_valid();
-            output.stage_validate += validate_started.elapsed();
-            if !valid {
-                output.invalid_blocks += 1;
-                continue;
-            }
-            let apply_started = Instant::now();
-            store.apply_batch(&replay.batch);
-            output.stage_apply += apply_started.elapsed();
-            output.apply_calls += 1;
-            for &i in &replay.order {
-                let tx = &block[i].tx;
-                record_commit(output, tx.id, tx.submitted_at, commit_time);
-            }
-            output.total_queue_wait_secs +=
-                queue_wait_secs(block.iter().map(|p| &p.tx), created_at);
-            output.single_shard_committed += block.len();
-        }
-    }
-
     /// The batched G1 path over blocks already replayed: one read check over
     /// all remaining blocks, joined with their replays, then one storage
     /// call for the cached write batches of the valid blocks in front of the
     /// first invalid one. A report is exact only while every block before it
     /// is valid ([`validate_replayed`]), so an invalid block is counted and
     /// dropped and the blocks after it are read-checked again — the store
-    /// then holds the prefix, exactly the state the staged path would show
-    /// them; their replays stand, since a replay reads no state. Fault-free
-    /// that is one read check and one apply per sub-DAG; each Byzantine
-    /// block costs one more read check.
+    /// then holds the prefix, exactly the state a commit of each block on
+    /// its own would show them; their replays stand, since a replay reads no
+    /// state. Fault-free that is one read check and one apply per sub-DAG;
+    /// each Byzantine block costs one more read check.
     fn commit_preplayed_batched(
         &self,
         mut blocks: Vec<(&[PreplayedTx], SimTime, Replay)>,
@@ -825,28 +766,29 @@ mod tests {
     }
 
     #[test]
-    fn serial_mode_produces_the_same_state_as_pipelined_mode() {
+    fn g2_at_any_worker_count_produces_the_state_of_serial_execution() {
         // At zero op cost every wave runs on the calling thread; at 20 µs
         // per operation a two-transaction wave is worth two threads.
+        let cross: Vec<Transaction> = (0..20)
+            .map(|i| payment(i, i % 16, (i + 5) % 16, 7, 4))
+            .collect();
+        let oracle = funded_store(16);
+        oracle.apply_batch(&SerialExecutor::new().preplay(&cross, &oracle).write_batch());
+        let sub_dag = sub_dag_with(Committee::new(4), vec![], cross, &[]);
         for op_cost_ns in [0, 20_000] {
-            let committee = Committee::new(4);
-            let store_pipelined = funded_store(16);
-            let store_serial = funded_store(16);
-            let cross: Vec<Transaction> = (0..20)
-                .map(|i| payment(i, i % 16, (i + 5) % 16, 7, 4))
-                .collect();
-            let sub_dag = sub_dag_with(committee, vec![], cross, &[]);
-            let pipelined = CommitPipeline::with_op_cost(
-                PostCommitExecution::Pipelined { workers: 4 },
-                op_cost_ns,
-            );
-            let serial = CommitPipeline::with_op_cost(PostCommitExecution::Serial, op_cost_ns);
-            pipelined.process(&sub_dag, &store_pipelined, SimTime::ZERO);
-            serial.process(&sub_dag, &store_serial, SimTime::ZERO);
-            let diff = store_pipelined
-                .snapshot()
-                .diff_values(&store_serial.snapshot());
-            assert!(diff.is_empty(), "pipelined and serial disagree on {diff:?}");
+            for workers in [1, 4] {
+                let store = funded_store(16);
+                CommitPipeline::with_op_cost(
+                    PostCommitExecution::Pipelined { workers },
+                    op_cost_ns,
+                )
+                .process(&sub_dag, &store, SimTime::ZERO);
+                let diff = store.snapshot().diff_values(&oracle.snapshot());
+                assert!(
+                    diff.is_empty(),
+                    "{workers} workers at {op_cost_ns} ns disagree with serial execution on {diff:?}"
+                );
+            }
         }
     }
 
@@ -893,16 +835,9 @@ mod tests {
         let sub_dag = sub_dag_with(Committee::new(4), vec![], txs.clone(), &[]);
         let op_cost_ns = 20_000;
 
-        let serial = genesis();
-        CommitPipeline::with_op_cost(PostCommitExecution::Serial, op_cost_ns).process(
-            &sub_dag,
-            &serial,
-            SimTime::ZERO,
-        );
         let oracle = genesis();
         oracle.apply_batch(&SerialExecutor::new().preplay(&txs, &oracle).write_batch());
         assert_eq!(oracle.get(&Key::contract(target)), Value::int(106));
-        assert!(serial.snapshot().diff_values(&oracle.snapshot()).is_empty());
 
         let pipelined =
             CommitPipeline::with_op_cost(PostCommitExecution::Pipelined { workers: 2 }, op_cost_ns);
@@ -955,6 +890,32 @@ mod tests {
         }
     }
 
+    /// The oracle the batched G1 path is checked against: each block of
+    /// `sub_dag`, which carries no cross-shard transaction, committed as a
+    /// sub-DAG of its own, in delivery order, through the pipeline at one
+    /// worker. The outputs are summed.
+    fn commit_block_by_block(
+        sub_dag: &CommittedSubDag,
+        store: &dyn Store,
+        commit_time: SimTime,
+    ) -> CommitOutput {
+        let pipeline = CommitPipeline::new(PostCommitExecution::Pipelined { workers: 1 });
+        let mut total = CommitOutput::default();
+        for vertex in &sub_dag.vertices {
+            assert!(vertex.block.payload.cross_shard.is_empty());
+            let alone = CommittedSubDag {
+                leader: vertex.clone(),
+                leader_round: sub_dag.leader_round,
+                vertices: vec![vertex.clone()],
+            };
+            let output = pipeline.process(&alone, store, commit_time);
+            total.committed.extend(output.committed);
+            total.invalid_blocks += output.invalid_blocks;
+            total.single_shard_committed += output.single_shard_committed;
+        }
+        total
+    }
+
     /// Preplays `rounds` consecutive SmallBank payment blocks, each chained
     /// on the previous block's writes (the proposer-overlay situation the
     /// batched validator must reproduce from the declared reads alone).
@@ -980,65 +941,45 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_path_matches_serial_path_exactly() {
-        let committee = Committee::new(4);
+    fn one_commit_of_a_sub_dag_matches_block_by_block_commits_exactly() {
         let blocks = chained_blocks(8, 6, 10);
-        let staged_store = funded_store(8);
-        let pipelined_store = funded_store(8);
-        let sub_dag_staged = sub_dag_with_blocks(committee, blocks.clone());
-        let sub_dag_pipelined = sub_dag_with_blocks(committee, blocks);
+        let sub_dag = sub_dag_with_blocks(Committee::new(4), blocks);
+        let oracle_store = funded_store(8);
+        let oracle = commit_block_by_block(&sub_dag, &oracle_store, SimTime::from_secs(1));
+        let store = funded_store(8);
+        let pipeline = CommitPipeline::new(PostCommitExecution::Pipelined { workers: 2 });
+        let output = pipeline.process(&sub_dag, &store, SimTime::from_secs(1));
 
-        let staged = CommitPipeline::new(PostCommitExecution::Serial);
-        let pipelined = CommitPipeline::new(PostCommitExecution::Pipelined { workers: 2 });
-        let staged_out = staged.process(&sub_dag_staged, &staged_store, SimTime::from_secs(1));
-        let pipelined_out =
-            pipelined.process(&sub_dag_pipelined, &pipelined_store, SimTime::from_secs(1));
-
-        assert_eq!(staged_out.invalid_blocks, 0);
-        assert_eq!(pipelined_out.invalid_blocks, 0);
+        assert_eq!(oracle.invalid_blocks, 0);
+        assert_eq!(output.invalid_blocks, 0);
         // Same transactions, in the same commit order.
-        assert_eq!(staged_out.committed, pipelined_out.committed);
-        assert_eq!(
-            staged_out.single_shard_committed,
-            pipelined_out.single_shard_committed
-        );
+        assert_eq!(oracle.committed, output.committed);
+        assert_eq!(oracle.single_shard_committed, output.single_shard_committed);
         // Same applied state.
-        let diff = staged_store
-            .snapshot()
-            .diff_values(&pipelined_store.snapshot());
+        let diff = oracle_store.snapshot().diff_values(&store.snapshot());
         assert!(diff.is_empty(), "state divergence on {diff:?}");
-        // The pipelined run measured both stages.
-        assert!(pipelined_out.stage_validate > std::time::Duration::ZERO);
-        assert!(pipelined_out.stage_apply > std::time::Duration::ZERO);
+        // The commit measured both stages.
+        assert!(output.stage_validate > std::time::Duration::ZERO);
+        assert!(output.stage_apply > std::time::Duration::ZERO);
     }
 
     #[test]
-    fn pipelined_path_discards_tampered_blocks_and_keeps_the_rest() {
-        let committee = Committee::new(4);
+    fn one_commit_of_a_sub_dag_discards_tampered_blocks_and_keeps_the_rest() {
         let mut blocks = chained_blocks(8, 4, 6);
         // Tamper the second block: its writes must not be applied and the
         // later blocks (which chain on block 1's honest writes) are judged
-        // exactly as in the staged path.
+        // exactly as in block-by-block commits.
         blocks[1][0].outcome.read_set[0].value = Value::int(123_456_789);
-        let staged_store = funded_store(8);
-        let pipelined_store = funded_store(8);
-        let staged = CommitPipeline::new(PostCommitExecution::Serial);
-        let pipelined = CommitPipeline::new(PostCommitExecution::Pipelined { workers: 2 });
-        let staged_out = staged.process(
-            &sub_dag_with_blocks(committee, blocks.clone()),
-            &staged_store,
-            SimTime::from_secs(1),
-        );
-        let pipelined_out = pipelined.process(
-            &sub_dag_with_blocks(committee, blocks),
-            &pipelined_store,
-            SimTime::from_secs(1),
-        );
-        assert_eq!(staged_out.invalid_blocks, pipelined_out.invalid_blocks);
-        assert_eq!(staged_out.committed, pipelined_out.committed);
-        let diff = staged_store
-            .snapshot()
-            .diff_values(&pipelined_store.snapshot());
+        let sub_dag = sub_dag_with_blocks(Committee::new(4), blocks);
+        let oracle_store = funded_store(8);
+        let oracle = commit_block_by_block(&sub_dag, &oracle_store, SimTime::from_secs(1));
+        let store = funded_store(8);
+        let pipeline = CommitPipeline::new(PostCommitExecution::Pipelined { workers: 2 });
+        let output = pipeline.process(&sub_dag, &store, SimTime::from_secs(1));
+        assert!(oracle.invalid_blocks >= 1);
+        assert_eq!(oracle.invalid_blocks, output.invalid_blocks);
+        assert_eq!(oracle.committed, output.committed);
+        let diff = oracle_store.snapshot().diff_values(&store.snapshot());
         assert!(diff.is_empty(), "state divergence on {diff:?}");
     }
 
@@ -1072,21 +1013,20 @@ mod tests {
         let at = SimTime::from_secs(1);
         let pipeline = CommitPipeline::new(PostCommitExecution::Pipelined { workers: 2 });
 
-        let serial_store = funded_store(8);
-        let serial =
-            CommitPipeline::new(PostCommitExecution::Serial).process(&sub_dag, &serial_store, at);
-        let committed: Vec<TxId> = serial.committed.iter().map(|(id, _)| *id).collect();
+        let oracle_store = funded_store(8);
+        let oracle = commit_block_by_block(&sub_dag, &oracle_store, at);
+        let committed: Vec<TxId> = oracle.committed.iter().map(|(id, _)| *id).collect();
         assert_eq!(committed, [1, 2, 5].map(TxId::new));
-        assert_eq!(serial.invalid_blocks, 2);
+        assert_eq!(oracle.invalid_blocks, 2);
 
         let inline_store = funded_store(8);
         let inline = pipeline.process(&sub_dag, &inline_store, at);
         assert_eq!(inline.blocks_replayed_inline, 4);
-        assert_eq!(inline.committed, serial.committed);
-        assert_eq!(inline.invalid_blocks, serial.invalid_blocks);
+        assert_eq!(inline.committed, oracle.committed);
+        assert_eq!(inline.invalid_blocks, oracle.invalid_blocks);
         assert!(inline_store
             .snapshot()
-            .diff_values(&serial_store.snapshot())
+            .diff_values(&oracle_store.snapshot())
             .is_empty());
 
         // Every subset of the blocks replayed ahead, the rest by the commit.
@@ -1133,20 +1073,22 @@ mod tests {
             .collect();
         assert!(double_spend.iter().all(|p| p.order == 0));
         let honest = ce.preplay(&[payment(3, 0, 2, 5, 1)], &genesis).preplayed;
-        for execution in [
-            PostCommitExecution::Serial,
-            PostCommitExecution::Pipelined { workers: 2 },
-        ] {
+        let sub_dag = sub_dag_with_blocks(Committee::new(4), vec![double_spend, honest]);
+        for workers in [1, 2] {
             let store = funded_store(4);
-            let sub_dag = sub_dag_with_blocks(
-                Committee::new(4),
-                vec![double_spend.clone(), honest.clone()],
+            let output = CommitPipeline::new(PostCommitExecution::Pipelined { workers }).process(
+                &sub_dag,
+                &store,
+                SimTime::ZERO,
             );
-            let output = CommitPipeline::new(execution).process(&sub_dag, &store, SimTime::ZERO);
-            assert_eq!(output.invalid_blocks, 1, "{execution:?}");
-            assert_eq!(output.single_shard_committed, 1, "{execution:?}");
+            assert_eq!(output.invalid_blocks, 1, "{workers} workers");
+            assert_eq!(output.single_shard_committed, 1, "{workers} workers");
             assert_eq!(output.committed, vec![(TxId::new(3), SimTime::ZERO)]);
-            assert_eq!(store.stats().int_sum, total, "{execution:?} minted money");
+            assert_eq!(
+                store.stats().int_sum,
+                total,
+                "{workers} workers minted money"
+            );
         }
     }
 
@@ -1164,24 +1106,21 @@ mod tests {
             block.created_at = SimTime::from_millis(5);
             Arc::make_mut(vertex).block = Arc::new(block.seal());
         }
-        for execution in [
-            PostCommitExecution::Serial,
-            PostCommitExecution::Pipelined { workers: 2 },
-        ] {
-            let output = CommitPipeline::new(execution).process(
+        for workers in [1, 2] {
+            let output = CommitPipeline::new(PostCommitExecution::Pipelined { workers }).process(
                 &sub_dag,
                 &funded_store(8),
                 SimTime::from_millis(10),
             );
-            assert_eq!(output.committed_count(), 2, "{execution:?}");
+            assert_eq!(output.committed_count(), 2, "{workers} workers");
             // Queued 4 + 3 ms of the 9 + 8 ms from submission to commit.
             assert!(
                 (output.total_queue_wait_secs - 0.007).abs() < 1e-9,
-                "{execution:?}"
+                "{workers} workers"
             );
             assert!(
                 (output.total_latency_secs - 0.017).abs() < 1e-9,
-                "{execution:?}"
+                "{workers} workers"
             );
         }
     }

@@ -159,13 +159,13 @@ pub struct RunReport {
     /// Wall-clock seconds the observer's cross-shard execution stage was
     /// busy.
     pub execute_busy_secs: f64,
-    /// Write batches the pipelined commit path applied together with at
-    /// least one other batch (0 on the serial path).
+    /// Write batches the observer's commit path applied together with at
+    /// least one other batch.
     pub coalesced_batches: u64,
     /// Storage apply calls the observer's commit path performed: one per
-    /// valid block on the serial path; on the pipelined path one per commit,
-    /// plus one per invalid block with valid blocks after it (see
-    /// `docs/PIPELINE.md`).
+    /// commit with single-shard writes, plus one per invalid block with
+    /// valid blocks after it, plus one per commit with cross-shard writes
+    /// (see `docs/PIPELINE.md`).
     pub apply_calls: u64,
     /// FNV-1a digest over the committed transaction ids in commit order,
     /// as a 16-hex-digit string (a string so JSON consumers never round it
@@ -372,11 +372,11 @@ pub struct ReplicaMetrics {
     /// Wall-clock time the cross-shard execution stage was busy.
     pub execute_busy: Duration,
     /// Write batches applied together with at least one other batch by the
-    /// pipelined commit path.
+    /// commit path.
     pub coalesced_batches: u64,
-    /// Storage apply calls performed by the commit path (one per valid block
-    /// when staged; one per commit, plus one per invalid block with valid
-    /// blocks after it, when pipelined).
+    /// Storage apply calls performed by the commit path: one per commit with
+    /// single-shard writes, plus one per invalid block with valid blocks
+    /// after it, plus one per commit with cross-shard writes.
     pub apply_calls: u64,
     /// FNV-1a digest over committed transaction ids in commit order, from
     /// [`COMMIT_DIGEST_SEED`](crate::app::COMMIT_DIGEST_SEED).

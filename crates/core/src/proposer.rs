@@ -62,10 +62,10 @@ pub enum ByzantineBehavior {
     /// all adopt that single vertex.
     Equivocate,
     /// Violate P1 and the batch budget: preplay cross-shard transactions as
-    /// if they were single-shard and stuff multiple batches into one block.
-    /// Validation has no shard check (by design — reads are what is
-    /// checked), so the block applies *deterministically* everywhere; safety
-    /// must still hold even though the proposer wrote outside its shard.
+    /// if they were single-shard and stuff a second batch into one block. No
+    /// receiver checks the shard or the budget (ROADMAP item 22): every
+    /// replica applies the block, writes outside the shard included, when
+    /// its declared reads hold at commit, and discards it otherwise.
     OverfullWrongShard,
 }
 
@@ -148,9 +148,9 @@ impl ShardProposer {
     }
 
     /// Re-targets the proposer to a new shard after a reconfiguration.
-    /// Queued transactions for the old shard are dropped — their clients
-    /// resubmit them to the new proposer of that shard (Section 6,
-    /// "Uncommitted Transactions").
+    /// Queued transactions for the old shard are dropped and lost: nothing
+    /// resubmits them to that shard's new proposer, as Section 6
+    /// ("Uncommitted Transactions") has their clients do (ROADMAP item 20).
     pub fn reassign(&mut self, shard: ShardId) {
         if shard != self.shard {
             self.shard = shard;

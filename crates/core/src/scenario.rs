@@ -252,7 +252,7 @@ impl ScenarioBuilder {
     }
 
     /// Escape hatch for every remaining [`SystemConfig`] knob (synthetic op
-    /// cost, pipelined commit, …) without leaving the fluent chain.
+    /// cost in `ce`, say) without leaving the fluent chain.
     pub fn tune(mut self, f: impl FnOnce(&mut SystemConfig)) -> Self {
         f(&mut self.config.system);
         self

@@ -1,7 +1,7 @@
-//! Gate on the apply granularity of the pipelined commit path.
+//! Gate on the apply granularity of the commit pipeline.
 //!
-//! A committed sub-DAG is the batch: the pipelined path read-checks all of
-//! its preplayed blocks in one pass and hands all of their write batches to
+//! A committed sub-DAG is the batch: the pipeline read-checks all of its
+//! preplayed blocks in one pass and hands all of their write batches to
 //! storage in **one** [`Store::apply_batches`](tb_storage::Store) call, so
 //! `CommitOutput::apply_calls` is 1 per fault-free `process` and
 //! `coalesced_batches` is the number of valid blocks whenever there are at
@@ -9,14 +9,12 @@
 //! scheduling, so they can be asserted exactly. This file pins the structure
 //! from both sides:
 //!
-//! * the accounting stays exclusive to the pipelined path (the serial path
-//!   applies one batch per block and never reports coalescing), and a deep
-//!   backlog commits identically on both paths;
-//! * a backlogged pipelined commit coalesces all of its blocks into one
-//!   storage call.
+//! * a deep backlog commits in one storage call, and identically to
+//!   committing each of its blocks as a sub-DAG of its own;
+//! * a longer backlog coalesces all of its blocks into one storage call.
 
 use std::sync::Arc;
-use tb_core::commit::{CommitPipeline, PostCommitExecution};
+use tb_core::commit::{CommitOutput, CommitPipeline, PostCommitExecution};
 use tb_dag::{CommittedSubDag, DagBuilder};
 use tb_executor::{BatchExecutor, ConcurrentExecutor};
 use tb_storage::MemStore;
@@ -46,7 +44,7 @@ fn payment(id: u64, from: u64, to: u64, amount: i64) -> Transaction {
 
 /// Preplays `rounds` consecutive SmallBank payment blocks, each chained on
 /// the previous block's writes, and wraps them in one committed sub-DAG —
-/// the shape the pipelined G1 path batches.
+/// the shape the G1 path batches.
 fn backlogged_sub_dag(accounts: u64, rounds: usize, per_block: usize) -> CommittedSubDag {
     let scratch = funded_store(accounts);
     let ce = ConcurrentExecutor::new(CeConfig::new(2, 64).without_synthetic_cost());
@@ -88,56 +86,62 @@ fn backlogged_sub_dag(accounts: u64, rounds: usize, per_block: usize) -> Committ
     }
 }
 
-/// `coalesced_batches` is an exclusive property of the pipelined path (the
-/// serial path always reports zero), and a deep backlog of chained blocks
-/// commits identically on both paths — the same transactions in the same
-/// order ending in the same state — at either apply granularity.
+/// The oracle: each vertex of `sub_dag` committed to `store` as a sub-DAG of
+/// its own, in delivery order, at one worker. The outputs are summed.
+fn commit_block_by_block(sub_dag: &CommittedSubDag, store: &MemStore) -> CommitOutput {
+    let pipeline = CommitPipeline::new(PostCommitExecution::Pipelined { workers: 1 });
+    let mut total = CommitOutput::default();
+    for vertex in &sub_dag.vertices {
+        let alone = CommittedSubDag {
+            leader: vertex.clone(),
+            leader_round: sub_dag.leader_round,
+            vertices: vec![vertex.clone()],
+        };
+        let output = pipeline.process(&alone, store, SimTime::from_secs(1));
+        total.committed.extend(output.committed);
+        total.invalid_blocks += output.invalid_blocks;
+        total.single_shard_committed += output.single_shard_committed;
+    }
+    total
+}
+
+/// A deep backlog of chained blocks goes to storage in one call, all of its
+/// blocks coalesced, and commits exactly what committing its blocks one by
+/// one commits — the same transactions in the same order ending in the same
+/// state.
 #[test]
-fn coalescing_accounting_is_pipelined_only_and_backlogs_stay_correct() {
+fn a_backlog_coalesces_and_commits_like_block_by_block_commits() {
     let sub_dag = backlogged_sub_dag(16, 40, 8);
 
-    let staged_store = funded_store(16);
-    let staged = CommitPipeline::new(PostCommitExecution::Serial);
-    let staged_out = staged.process(&sub_dag, &staged_store, SimTime::from_secs(1));
-    assert_eq!(
-        staged_out.coalesced_batches, 0,
-        "the serial path applies block by block, so it must never coalesce"
-    );
-    assert_eq!(staged_out.invalid_blocks, 0);
+    let oracle_store = funded_store(16);
+    let oracle = commit_block_by_block(&sub_dag, &oracle_store);
+    assert_eq!(oracle.invalid_blocks, 0);
 
-    // The serial path applies one batch per valid block.
-    assert_eq!(staged_out.apply_calls, 40);
-
-    let pipelined_store = funded_store(16);
-    let pipelined = CommitPipeline::new(PostCommitExecution::Pipelined { workers: 2 });
-    let pipelined_out = pipelined.process(&sub_dag, &pipelined_store, SimTime::from_secs(1));
-    assert_eq!(pipelined_out.invalid_blocks, 0);
-    // The pipelined path needs strictly fewer apply calls than there are
-    // blocks — fault-free, exactly one for the whole sub-DAG.
+    let store = funded_store(16);
+    let pipeline = CommitPipeline::new(PostCommitExecution::Pipelined { workers: 2 });
+    let output = pipeline.process(&sub_dag, &store, SimTime::from_secs(1));
+    assert_eq!(output.invalid_blocks, 0);
+    // Strictly fewer apply calls than there are blocks — fault-free,
+    // exactly one for the whole sub-DAG.
     assert!(
-        pipelined_out.apply_calls < 40,
-        "pipelined path made {} apply calls for 40 blocks — no coalescing",
-        pipelined_out.apply_calls
+        output.apply_calls < 40,
+        "{} apply calls for 40 blocks — no coalescing",
+        output.apply_calls
     );
-    assert_eq!(pipelined_out.apply_calls, 1);
-    assert_eq!(pipelined_out.coalesced_batches, 40);
+    assert_eq!(output.apply_calls, 1);
+    assert_eq!(output.coalesced_batches, 40);
 
     // Identical commit sequence and state regardless of coalescing.
-    assert_eq!(staged_out.committed, pipelined_out.committed);
-    assert_eq!(
-        staged_out.single_shard_committed,
-        pipelined_out.single_shard_committed
-    );
-    let diff = staged_store
-        .snapshot()
-        .diff_values(&pipelined_store.snapshot());
+    assert_eq!(oracle.committed, output.committed);
+    assert_eq!(oracle.single_shard_committed, output.single_shard_committed);
+    let diff = oracle_store.snapshot().diff_values(&store.snapshot());
     assert!(diff.is_empty(), "state divergence on {diff:?}");
 }
 
-/// A pipelined commit of 160 chained blocks must coalesce — all of them,
-/// into one storage call, on any scheduler.
+/// A commit of 160 chained blocks must coalesce — all of them, into one
+/// storage call, on any scheduler.
 #[test]
-fn backlogged_pipelined_path_actually_coalesces() {
+fn a_backlogged_commit_actually_coalesces() {
     let sub_dag = backlogged_sub_dag(16, 160, 4);
     let store = funded_store(16);
     let pipeline = CommitPipeline::new(PostCommitExecution::Pipelined { workers: 2 });
@@ -145,8 +149,8 @@ fn backlogged_pipelined_path_actually_coalesces() {
     assert_eq!(output.invalid_blocks, 0);
     assert!(
         output.coalesced_batches > 0,
-        "160 back-to-back blocks never coalesced: the pipelined path went \
-         back to one storage call per block (the coalesced_batches:0 pathology)"
+        "160 back-to-back blocks never coalesced: the commit went back to \
+         one storage call per block (the coalesced_batches:0 pathology)"
     );
     assert!(
         output.apply_calls <= 81,

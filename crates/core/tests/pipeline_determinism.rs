@@ -1,14 +1,14 @@
-//! The pipelined commit path (one validation fan-out and one storage apply
-//! per sub-DAG) must be a pure granularity choice: commit order and applied
-//! state are identical between it and the serial oracle (validate a block,
-//! apply it, look at the next), at any validation-worker and
-//! preplay-executor count, with honest and with invalid blocks. How much
-//! faster it is is measured by `benchmark/` (see `benchmark/README.md`), not
-//! asserted here.
+//! The commit pipeline's batching (one read check and one storage apply per
+//! sub-DAG) must be a pure granularity choice: commit order and applied
+//! state are identical between one commit of a sub-DAG and the oracle that
+//! commits each of its blocks as a sub-DAG of its own, one after the other
+//! at one worker, at any validation-worker and preplay-executor count, with
+//! honest and with invalid blocks. How much faster it is is measured by
+//! `benchmark/` (see `benchmark/README.md`), not asserted here.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use tb_core::commit::{CommitPipeline, PostCommitExecution};
+use tb_core::commit::{CommitOutput, CommitPipeline, PostCommitExecution};
 use tb_core::{ClusterConfig, ExecutionMode, Message, Replica};
 use tb_dag::{CommittedSubDag, DagBuilder};
 use tb_executor::{BatchExecutor, ConcurrentExecutor};
@@ -77,42 +77,51 @@ fn sub_dag_of(blocks: &[Vec<PreplayedTx>]) -> CommittedSubDag {
     }
 }
 
+/// The oracle the batched commit is checked against: each of `blocks`
+/// committed to `store` as a sub-DAG of its own, in order, through the
+/// pipeline at one worker. The outputs are summed.
+fn commit_block_by_block(blocks: &[Vec<PreplayedTx>], store: &MemStore) -> CommitOutput {
+    let pipeline = CommitPipeline::new(PostCommitExecution::Pipelined { workers: 1 });
+    let mut total = CommitOutput::default();
+    for block in blocks {
+        let sub_dag = sub_dag_of(std::slice::from_ref(block));
+        let output = pipeline.process(&sub_dag, store, SimTime::from_secs(1));
+        total.committed.extend(output.committed);
+        total.invalid_blocks += output.invalid_blocks;
+        total.single_shard_committed += output.single_shard_committed;
+    }
+    total
+}
+
 /// A seeded 20-block SmallBank sub-DAG commits the identical sequence and
-/// final storage state on the pipelined path and on the sequential oracle
-/// (`PostCommitExecution::Serial`: one validation worker, one block at a
-/// time — the Tusk-style baseline).
+/// final storage state in one commit at eight workers and block by block.
 #[test]
-fn pipelined_path_matches_the_sequential_path_on_twenty_blocks() {
+fn one_commit_matches_block_by_block_commits_on_twenty_blocks() {
     let blocks = seeded_blocks(20, 100);
-    let sub_dag = sub_dag_of(&blocks);
     let workload = seeded_workload(64, 7);
 
-    let run = |execution: PostCommitExecution| {
-        let store = funded_store(&workload);
-        let output =
-            CommitPipeline::new(execution).process(&sub_dag, &store, SimTime::from_secs(1));
-        (store, output)
-    };
+    let oracle_store = funded_store(&workload);
+    let oracle = commit_block_by_block(&blocks, &oracle_store);
+    let store = funded_store(&workload);
+    let output = CommitPipeline::new(PostCommitExecution::Pipelined { workers: 8 }).process(
+        &sub_dag_of(&blocks),
+        &store,
+        SimTime::from_secs(1),
+    );
 
-    let (serial_store, serial_out) = run(PostCommitExecution::Serial);
-    let (pipelined_store, pipelined_out) = run(PostCommitExecution::Pipelined { workers: 8 });
-
-    assert_eq!(serial_out.invalid_blocks, 0, "honest blocks must validate");
-    assert_eq!(pipelined_out.invalid_blocks, 0);
-    assert_eq!(serial_out.committed, pipelined_out.committed);
-    let diff = serial_store
-        .snapshot()
-        .diff_values(&pipelined_store.snapshot());
+    assert_eq!(oracle.invalid_blocks, 0, "honest blocks must validate");
+    assert_eq!(output.invalid_blocks, 0);
+    assert_eq!(oracle.committed, output.committed);
+    let diff = oracle_store.snapshot().diff_values(&store.snapshot());
     assert!(diff.is_empty(), "state divergence on {diff:?}");
 }
 
-/// Both post-commit execution paths — pipelined and serial — must commit
+/// One commit at any worker count and block-by-block commits must commit
 /// byte-identical sequences: the FNV-1a fold over the committed transaction
 /// ids (the same digest replicas and run reports carry) is pinned equal
-/// across both modes and worker counts, for honest and tampered inputs
-/// alike.
+/// across them, for honest and tampered inputs alike.
 #[test]
-fn all_commit_paths_agree_on_the_fnv1a_commit_digest() {
+fn all_worker_counts_agree_with_block_by_block_commits_on_the_fnv1a_digest() {
     let mut blocks = seeded_blocks(8, 40);
     // One tampered block: the digest agreement must also hold when the
     // paths discard a block (its transactions never enter the fold).
@@ -120,31 +129,32 @@ fn all_commit_paths_agree_on_the_fnv1a_commit_digest() {
     let sub_dag = sub_dag_of(&blocks);
     let workload = seeded_workload(64, 7);
 
-    let run = |execution: PostCommitExecution| {
+    let oracle_store = funded_store(&workload);
+    let oracle = commit_block_by_block(&blocks, &oracle_store);
+    let oracle_digest = commit_digest(&oracle.committed);
+    let oracle_state = oracle_store.snapshot();
+    assert!(
+        oracle.invalid_blocks >= 1,
+        "the tampered block must be discarded"
+    );
+    for workers in [1, 2, 8] {
         let store = funded_store(&workload);
-        let pipeline = CommitPipeline::new(execution);
+        let pipeline = CommitPipeline::new(PostCommitExecution::Pipelined { workers });
         let output = pipeline.process(&sub_dag, &store, SimTime::from_secs(1));
-        (
-            commit_digest(&output.committed),
-            output.invalid_blocks,
-            store.snapshot(),
-        )
-    };
-
-    let (serial_digest, serial_invalid, serial_state) = run(PostCommitExecution::Serial);
-    assert!(serial_invalid >= 1, "the tampered block must be discarded");
-    for execution in [
-        PostCommitExecution::Pipelined { workers: 2 },
-        PostCommitExecution::Pipelined { workers: 8 },
-    ] {
-        let (digest, invalid, state) = run(execution);
-        assert_eq!(invalid, serial_invalid, "{execution:?} discard divergence");
         assert_eq!(
-            digest, serial_digest,
-            "{execution:?} committed a different order than Serial"
+            output.invalid_blocks, oracle.invalid_blocks,
+            "{workers} workers: discard divergence"
         );
-        let diff = state.diff_values(&serial_state);
-        assert!(diff.is_empty(), "{execution:?} state diverged on {diff:?}");
+        assert_eq!(
+            commit_digest(&output.committed),
+            oracle_digest,
+            "{workers} workers committed a different order than block by block"
+        );
+        let diff = store.snapshot().diff_values(&oracle_state);
+        assert!(
+            diff.is_empty(),
+            "{workers} workers: state diverged on {diff:?}"
+        );
     }
 }
 
@@ -230,52 +240,50 @@ fn hot_chained_blocks(seed: u64, rounds: usize, per_block: usize) -> Vec<Vec<Pre
         .collect()
 }
 
-/// What a commit of `blocks` over 16 funded accounts leaves behind under
-/// `execution`.
-fn commit_blocks(
-    blocks: &[Vec<PreplayedTx>],
-    execution: PostCommitExecution,
-) -> (tb_core::commit::CommitOutput, tb_storage::Snapshot) {
-    let store = funded_store(&seeded_workload(16, 0));
-    let output =
-        CommitPipeline::new(execution).process(&sub_dag_of(blocks), &store, SimTime::from_secs(1));
-    (output, store.snapshot())
-}
-
-/// Asserts that every pipelined worker count commits `blocks` exactly as the
-/// serial oracle does, and returns the oracle's output.
-fn assert_pipelined_matches_serial(
+/// Asserts that one commit of `blocks` over 16 funded accounts, at every
+/// worker count, commits exactly as block-by-block commits do, and returns
+/// the oracle's output.
+fn assert_one_commit_matches_block_by_block(
     blocks: &[Vec<PreplayedTx>],
     case: &str,
-) -> tb_core::commit::CommitOutput {
-    let (serial, serial_state) = commit_blocks(blocks, PostCommitExecution::Serial);
+) -> CommitOutput {
+    let funded = || funded_store(&seeded_workload(16, 0));
+    let oracle_store = funded();
+    let oracle = commit_block_by_block(blocks, &oracle_store);
+    let oracle_state = oracle_store.snapshot();
     for workers in [1, 2, 4] {
         let what = format!("{case}, {workers} workers");
-        let (out, state) = commit_blocks(blocks, PostCommitExecution::Pipelined { workers });
-        assert_eq!(out.committed, serial.committed, "{what}");
-        assert_eq!(out.invalid_blocks, serial.invalid_blocks, "{what}");
+        let store = funded();
+        let out = CommitPipeline::new(PostCommitExecution::Pipelined { workers }).process(
+            &sub_dag_of(blocks),
+            &store,
+            SimTime::from_secs(1),
+        );
+        let state = store.snapshot();
+        assert_eq!(out.committed, oracle.committed, "{what}");
+        assert_eq!(out.invalid_blocks, oracle.invalid_blocks, "{what}");
         assert_eq!(
-            out.single_shard_committed, serial.single_shard_committed,
+            out.single_shard_committed, oracle.single_shard_committed,
             "{what}"
         );
         assert_eq!(
             commit_digest(&out.committed),
-            commit_digest(&serial.committed),
+            commit_digest(&oracle.committed),
             "{what}"
         );
-        let diff = state.diff_values(&serial_state);
+        let diff = state.diff_values(&oracle_state);
         assert!(diff.is_empty(), "{what}: state diverged on {diff:?}");
-        assert_eq!(state.len(), serial_state.len(), "{what}");
+        assert_eq!(state.len(), oracle_state.len(), "{what}");
     }
-    serial
+    oracle
 }
 
 /// Seeded random sub-DAGs of 1–12 chained blocks, 0–3 of them invalid in one
 /// of the four ways: one read check with restarts must discard exactly the
-/// blocks the validate-apply loop discards — the tampered ones and every
+/// blocks that block-by-block commits discard — the tampered ones and every
 /// later block that read a value only a discarded block wrote.
 #[test]
-fn random_sub_dags_with_invalid_blocks_commit_like_the_serial_oracle() {
+fn random_sub_dags_with_invalid_blocks_commit_like_block_by_block_commits() {
     let mut discarded = 0;
     for seed in 0..40u64 {
         let mut rng = TestRng(seed);
@@ -286,9 +294,9 @@ fn random_sub_dags_with_invalid_blocks_commit_like_the_serial_oracle() {
             let position = rng.below(rounds);
             tamper(&mut blocks[position], TAMPERS[rng.below(TAMPERS.len())]);
         }
-        let serial = assert_pipelined_matches_serial(&blocks, &format!("seed {seed}"));
-        assert!(invalid == 0 || serial.invalid_blocks >= 1, "seed {seed}");
-        discarded += serial.invalid_blocks;
+        let oracle = assert_one_commit_matches_block_by_block(&blocks, &format!("seed {seed}"));
+        assert!(invalid == 0 || oracle.invalid_blocks >= 1, "seed {seed}");
+        discarded += oracle.invalid_blocks;
     }
     assert!(
         discarded >= 20,
@@ -306,9 +314,9 @@ fn a_block_that_read_what_only_a_discarded_block_wrote_is_discarded_too() {
     for how in TAMPERS {
         let mut blocks = hot_chained_blocks(3, 4, 12);
         tamper(&mut blocks[1], how);
-        let serial = assert_pipelined_matches_serial(&blocks, &format!("{how:?}"));
-        assert_eq!(serial.invalid_blocks, 3, "{how:?}");
-        assert_eq!(serial.single_shard_committed, 12, "{how:?}");
+        let oracle = assert_one_commit_matches_block_by_block(&blocks, &format!("{how:?}"));
+        assert_eq!(oracle.invalid_blocks, 3, "{how:?}");
+        assert_eq!(oracle.single_shard_committed, 12, "{how:?}");
     }
 }
 

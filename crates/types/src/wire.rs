@@ -45,9 +45,10 @@
 //!   encodes the unit struct `Prefix` (the message envelope).
 //! - A field is its type's own [`Wire`] unless a `wire_struct!` list names
 //!   a codec for it: `le`, a fixed-width `u64`, for the FNV digests of
-//!   commit samples and commit markers, and `reads`, an [`ExecOutcome`]'s
-//!   read set alone, for a preplayed transaction, which ships the reads its
-//!   proposer observed and nothing a receiver derives from them (`block.rs`).
+//!   commit samples and commit markers, and `reads`, the read set of an
+//!   [`ExecOutcome`](crate::ExecOutcome) alone, for a preplayed
+//!   transaction, which ships the reads its proposer observed and nothing a
+//!   receiver derives from them (`block.rs`).
 //!
 //! Write an impl by hand only where the bytes are not a field list: a
 //! primitive or a container, an envelope or a file header, a decoder that
@@ -62,7 +63,7 @@ use crate::config::{
 use crate::digest::Digest;
 use crate::ids::{ClientId, DagId, ReplicaId, Round, SeqNo, ShardId, TxId};
 use crate::key::{Key, KeySpace};
-use crate::ops::{AccessRecord, ExecOutcome, Operation};
+use crate::ops::{AccessRecord, Operation};
 use crate::time::SimTime;
 use crate::transaction::{ContractCall, SmallBankProcedure, Transaction};
 use crate::value::Value;
@@ -709,13 +710,6 @@ wire_enum!(Operation {
 });
 wire_struct!(AccessRecord { key, value });
 
-wire_struct!(ExecOutcome {
-    read_set,
-    write_set,
-    return_value,
-    logically_aborted,
-});
-
 wire_enum!(SmallBankProcedure {
     0 => Amalgamate { from, to },
     1 => GetBalance { account },
@@ -857,6 +851,7 @@ pub fn from_hex(s: &str) -> Result<Vec<u8>, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExecOutcome;
 
     fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(value: T) {
         let bytes = value.to_wire_bytes();
@@ -951,11 +946,7 @@ mod tests {
         round_trip(Key::checking(42));
         round_trip(Operation::read(Key::savings(1)));
         round_trip(Operation::write(Key::scratch(2), Value::int(9)));
-        let mut outcome = ExecOutcome::empty();
-        outcome.record_read(Key::checking(1), Value::int(10));
-        outcome.record_write(Key::checking(1), Value::int(5));
-        outcome.logically_aborted = true;
-        round_trip(outcome);
+        round_trip(AccessRecord::new(Key::checking(1), Value::int(10)));
     }
 
     #[test]

@@ -216,3 +216,29 @@ fn a_labelled_seeded_run_reports_its_label_and_workload() {
     assert_eq!(report.label, "shim");
     assert_eq!(report.workload, "smallbank");
 }
+
+/// Tusk commits a lockstep run the same way whatever path its commits take:
+/// every block is ordered first and executed after consensus, serially and
+/// in commit order, so the commit order is a function of the client stream.
+/// Pinned at P = 0 only: at P > 0 the single/cross split of a block depends
+/// on host timing even in lockstep (ROADMAP item 1).
+#[test]
+fn a_lockstep_tusk_run_commits_a_pinned_sequence() {
+    let report = ScenarioBuilder::new(4)
+        .engine(ExecutionMode::Tusk)
+        .lockstep()
+        .smallbank(SmallBankConfig {
+            accounts: 1_000,
+            cross_shard_fraction: 0.0,
+            ..SmallBankConfig::default()
+        })
+        .executors(1, 200)
+        .validators(2)
+        .rounds(40)
+        .seed(42)
+        .tune(|system| system.ce = system.ce.without_synthetic_cost())
+        .run();
+    assert_eq!(report.commit_order_digest, "5f65927375333723");
+    assert_eq!(report.committed_txs, 31_400);
+    assert_eq!(report.round_commits.len(), 20);
+}

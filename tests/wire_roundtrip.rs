@@ -148,23 +148,6 @@ fn arb_access_record() -> impl Strategy<Value = AccessRecord> {
     (arb_key(), arb_value()).prop_map(|(k, v)| AccessRecord::new(k, v))
 }
 
-fn arb_exec_outcome() -> impl Strategy<Value = ExecOutcome> {
-    (
-        prop::collection::vec(arb_access_record(), 0..6),
-        prop::collection::vec(arb_access_record(), 0..6),
-        arb_value(),
-        any::<bool>(),
-    )
-        .prop_map(
-            |(read_set, write_set, return_value, logically_aborted)| ExecOutcome {
-                read_set,
-                write_set,
-                return_value,
-                logically_aborted,
-            },
-        )
-}
-
 fn arb_procedure() -> impl Strategy<Value = SmallBankProcedure> {
     prop_oneof![
         (any::<u64>(), any::<u64>())
@@ -639,7 +622,6 @@ canonical_forms! {
     values_roundtrip: Value = arb_value();
     operations_roundtrip: Operation = arb_operation();
     access_records_roundtrip: AccessRecord = arb_access_record();
-    exec_outcomes_roundtrip: ExecOutcome = arb_exec_outcome();
     procedures_roundtrip: SmallBankProcedure = arb_procedure();
     calls_roundtrip: ContractCall = arb_call();
     transactions_roundtrip: Transaction = arb_transaction();
