@@ -1052,6 +1052,7 @@ mod tests {
                     Round::new(round),
                     author,
                     ShardId::new(author.as_inner()),
+                    4,
                     SeqNo::new(round + 1),
                     payload,
                     SimTime::ZERO,

@@ -295,9 +295,8 @@ impl CommitPipeline {
                 if batches.len() > 1 {
                     output.coalesced_batches += batches.len() as u64;
                 }
-                for (block, created_at, replay) in prefix.iter() {
-                    for &i in &replay.order {
-                        let tx = &block[i].tx;
+                for (block, created_at, _) in prefix.iter() {
+                    for tx in block.iter().map(|p| &p.tx) {
                         record_commit(output, tx.id, tx.submitted_at, commit_time);
                     }
                     output.single_shard_committed += block.len();
@@ -617,9 +616,10 @@ mod tests {
     use tb_dag::DagBuilder;
     use tb_executor::{BatchExecutor, ConcurrentExecutor, SerialExecutor};
     use tb_storage::{KvRead, MemStore, Store};
+    use tb_types::wire::Wire;
     use tb_types::{
         Block, BlockPayload, CeConfig, ClientId, Committee, ContractCall, DagId, Key, ReplicaId,
-        Round, SmallBankProcedure,
+        Round, ShardId, SmallBankProcedure, Vertex,
     };
 
     impl ReplayCache {
@@ -1058,12 +1058,73 @@ mod tests {
         }
     }
 
+    /// A Byzantine proposer's in-memory block may claim shard sets that
+    /// disagree with its calls and repeat `order` values. The seal derives
+    /// both, so the block the simulation shares and the block a receiver
+    /// decodes from the wire are one block, and they commit identically:
+    /// the same transactions, in the same order, to the same state.
+    #[test]
+    fn a_block_with_false_shards_and_repeated_orders_commits_the_same_after_a_wire_round_trip() {
+        let ce = ConcurrentExecutor::new(CeConfig::new(1, 8).without_synthetic_cost());
+        let genesis = funded_store(12);
+        // Accounts 0, 4 and 8 lie on shard 0 of 4; 1 and 2 on shards 1, 2.
+        let txs = [
+            payment(1, 0, 4, 10, 4),
+            payment(2, 4, 8, 10, 4),
+            payment(3, 0, 8, 5, 4),
+        ];
+        let mut preplayed = ce.preplay(&txs, &genesis).preplayed;
+        for p in &mut preplayed {
+            p.order = 0;
+            p.tx.shards = vec![ShardId::new(3)];
+        }
+        let mut cross = payment(4, 1, 2, 3, 4);
+        cross.shards = vec![ShardId::new(0)];
+        let sim = sub_dag_with(Committee::new(4), preplayed, vec![cross], &[]);
+        let block = &sim.vertices[0].block;
+        assert!(block
+            .payload
+            .single_shard
+            .iter()
+            .enumerate()
+            .all(|(i, p)| p.order as usize == i && p.tx.shards == [ShardId::new(0)]));
+        assert_eq!(
+            sim.vertices[1].block.payload.cross_shard[0].shards,
+            [ShardId::new(1), ShardId::new(2)]
+        );
+        let wire = CommittedSubDag {
+            vertices: sim
+                .vertices
+                .iter()
+                .map(|vertex| {
+                    let decoded =
+                        Vertex::from_wire_bytes(&vertex.to_wire_bytes()).expect("decodes");
+                    assert_eq!(&decoded, vertex.as_ref());
+                    Arc::new(decoded)
+                })
+                .collect(),
+            ..sim.clone()
+        };
+        let pipeline = CommitPipeline::new(PostCommitExecution::Pipelined { workers: 2 });
+        let (sim_store, wire_store) = (funded_store(12), funded_store(12));
+        let sim_output = pipeline.process(&sim, &sim_store, SimTime::ZERO);
+        let wire_output = pipeline.process(&wire, &wire_store, SimTime::ZERO);
+        assert_eq!(sim_output.invalid_blocks, 0);
+        assert_eq!(sim_output.committed_count(), 4);
+        assert_eq!(wire_output.committed, sim_output.committed);
+        assert_eq!(wire_output.invalid_blocks, sim_output.invalid_blocks);
+        let diff = wire_store.snapshot().diff_values(&sim_store.snapshot());
+        assert!(diff.is_empty(), "state divergence on {diff:?}");
+    }
+
     #[test]
     fn a_block_with_duplicate_order_values_is_discarded_and_money_is_conserved() {
         // Two payments out of account 1, each preplayed alone against the
-        // same state and shipped together at position 0. Each re-executes
-        // as declared; applying both would debit one balance once and
-        // credit two accounts.
+        // same state, so both claim position 0. Applying both as declared
+        // would debit one balance once and credit two accounts. The seal
+        // puts them at positions 0 and 1, where the second one's declared
+        // read of the payer's balance misses the first one's debit: the
+        // read check discards the block.
         let ce = ConcurrentExecutor::new(CeConfig::new(1, 8).without_synthetic_cost());
         let genesis = funded_store(4);
         let total = genesis.stats().int_sum;

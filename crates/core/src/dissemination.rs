@@ -217,6 +217,10 @@ impl Dissemination {
         {
             return Vec::new();
         }
+        if !self.counts_our_shards(&block) {
+            metrics.rejected_vertices += 1;
+            return Vec::new();
+        }
         let header_digest = header.digest();
         // Its own proposal coming back on the loop-back, or a duplicate.
         let known = self.retained.contains_key(&header_digest);
@@ -397,7 +401,9 @@ impl Dissemination {
             // The retained block was checked against this header when it was
             // acknowledged; keeping it shares one allocation among holders.
             Some((_, block)) => vertex.block = block,
-            None if vertex.block.digest() != vertex.header.block_digest => {
+            None if vertex.block.digest() != vertex.header.block_digest
+                || !self.counts_our_shards(&vertex.block) =>
+            {
                 metrics.rejected_vertices += 1;
                 return Vec::new();
             }
@@ -408,6 +414,14 @@ impl Dissemination {
         }
         self.insert(vertex);
         Vec::new()
+    }
+
+    /// Whether `block` derives its transactions' shard sets from this
+    /// committee's shard count. Under any other count a receiver would derive
+    /// sets that place the calls' keys on other shards, so such a block is
+    /// neither acknowledged nor admitted.
+    fn counts_our_shards(&self, block: &SealedBlock) -> bool {
+        block.n_shards == self.dag.committee().n_shards()
     }
 
     /// Inserts a vertex whose certificate, header and block are known to
@@ -1020,6 +1034,62 @@ pub(crate) mod tests {
 
         // The honest block under the same header is acknowledged.
         let out = replica.handle(ReplicaId::new(0), header_message(block), SimTime::ZERO);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].msg.kind(), "ack");
+    }
+
+    /// A block derives its transactions' shard sets from the shard count it
+    /// ships, so one claiming another count than the committee's is neither
+    /// acknowledged as a header nor admitted inside a vertex, and each
+    /// refusal is counted.
+    #[test]
+    fn a_block_with_another_shard_count_is_refused_and_counted() {
+        let mut proposer = Replica::new(ReplicaId::new(0), config(4));
+        assert!(proposer.app_mut().queues_mut().enqueue(payment(2, 0, 2, 4)));
+        let out = proposer.start(SimTime::ZERO);
+        let Message::Header { header, block } = out[0].msg.clone() else {
+            panic!("expected header");
+        };
+        assert_eq!(block.n_shards, 4);
+        let mut recounted = Block::clone(&block);
+        recounted.n_shards = 2;
+        let recounted = Arc::new(recounted.seal());
+        // Accounts 0 and 2 lie on two of four shards, but on one of two.
+        assert_eq!(block.payload.cross_shard[0].shards.len(), 2);
+        assert_eq!(recounted.payload.cross_shard[0].shards.len(), 1);
+        let mut forged = header.clone();
+        forged.block_digest = recounted.digest();
+
+        let mut replica = Replica::new(ReplicaId::new(2), config(4));
+        let out = replica.handle(
+            ReplicaId::new(0),
+            Message::Header {
+                header: forged.clone(),
+                block: Arc::clone(&recounted),
+            },
+            SimTime::ZERO,
+        );
+        assert!(
+            out.is_empty(),
+            "acknowledged a block of another shard count"
+        );
+        assert_eq!(replica.metrics().rejected_vertices, 1);
+        let vertex = Vertex::new(forged.clone(), recounted, quorum_certificate(&forged));
+        let out = replica.handle(
+            ReplicaId::new(0),
+            Message::Vertex(Box::new(vertex)),
+            SimTime::ZERO,
+        );
+        assert!(out.is_empty());
+        assert_eq!(replica.metrics().rejected_vertices, 2);
+        assert!(replica.dag().is_empty());
+
+        // The honest block is acknowledged.
+        let out = replica.handle(
+            ReplicaId::new(0),
+            Message::Header { header, block },
+            SimTime::ZERO,
+        );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].msg.kind(), "ack");
     }

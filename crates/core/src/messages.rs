@@ -56,10 +56,13 @@ pub const WIRE_MAGIC: u32 = 0x314d_4254;
 /// [`Message::Fetch`], version 5 made each digest the hash of an encoding: the
 /// bytes did not move, but peers that hash differently never certify;
 /// version 6 ships a preplayed transaction's reads without the write set,
-/// result and abort flag a receiver derives from them);
+/// result and abort flag a receiver derives from them; version 7 ships the
+/// shard count once per block instead of a shard set per transaction, and
+/// a preplayed transaction's place in the serialized order as its position
+/// instead of an `order` field);
 /// `tb_network::TCP_FRAME_VERSION` moves with it, and `tests::format_golden`
 /// pins the encoding it names.
-pub const WIRE_FORMAT_VERSION: u16 = 6;
+pub const WIRE_FORMAT_VERSION: u16 = 7;
 
 /// A protocol message exchanged between replicas.
 #[derive(Clone, Debug, PartialEq)]
@@ -181,6 +184,7 @@ mod tests {
             Round::new(3),
             ReplicaId::new(1),
             ShardId::new(1),
+            4,
             SeqNo::new(0),
             BlockPayload::empty(),
             SimTime::ZERO,
@@ -259,9 +263,11 @@ mod tests {
         // Envelopes from older builds are refused by this one: version 1
         // (no `Certificate` message, the vertex broadcast to everyone),
         // version 2 (fixed-width integers), version 3 (no `Fetch`, the
-        // vertex sent to the replicas that were not signers) and version 4
-        // (digests over hand-kept field lists).
-        for old in [1u8, 2, 3, 4] {
+        // vertex sent to the replicas that were not signers), version 4
+        // (digests over hand-kept field lists), version 5 (write sets on
+        // the wire) and version 6 (a shard set and an order per
+        // transaction).
+        for old in [1u8, 2, 3, 4, 5, 6] {
             bytes[4] = old;
             assert_eq!(
                 Message::from_wire_bytes(&bytes),
@@ -278,7 +284,7 @@ mod tests {
     /// pair below is then re-recorded together.
     #[test]
     fn format_golden() {
-        const GOLDEN: (u16, u64) = (6, 0x6c89_048e_16d3_7850);
+        const GOLDEN: (u16, u64) = (7, 0x7d15_5016_9fe0_f501);
         let tx = |id: u64, call: SmallBankProcedure| {
             Transaction::new(
                 TxId::new(id),
@@ -302,6 +308,7 @@ mod tests {
             Round::new(9),
             ReplicaId::new(2),
             ShardId::new(2),
+            4,
             SeqNo::new(4),
             BlockPayload {
                 single_shard: vec![

@@ -304,6 +304,7 @@ impl<A: App> Replica<A> {
             self.current_round,
             self.id,
             self.current_shard(),
+            self.committee.n_shards(),
             SeqNo::new(self.seq),
             payload,
             now,
@@ -637,6 +638,7 @@ pub(crate) mod tests {
                 round,
                 author,
                 ShardId::new(0),
+                4,
                 SeqNo::new(1),
                 BlockPayload::empty(),
                 SimTime::ZERO,

@@ -182,23 +182,28 @@ impl TestRng {
 }
 
 /// The four ways a Byzantine proposer can misdeclare a preplayed block: a
-/// block declares reads and positions, and nothing else.
+/// block declares reads, and positions by where it puts its transactions,
+/// and nothing else.
 #[derive(Clone, Copy, Debug)]
 enum Tamper {
     ReadValue,
     ExtraRead,
     DroppedRead,
-    DuplicateOrder,
+    /// Two transactions preplayed at one position: the block's first
+    /// transaction again right behind it, declaring the reads it made
+    /// before the first one's write.
+    SamePosition,
 }
 
 const TAMPERS: [Tamper; 4] = [
     Tamper::ReadValue,
     Tamper::ExtraRead,
     Tamper::DroppedRead,
-    Tamper::DuplicateOrder,
+    Tamper::SamePosition,
 ];
 
-fn tamper(block: &mut [PreplayedTx], how: Tamper) {
+fn tamper(block: &mut Vec<PreplayedTx>, how: Tamper) {
+    let again = block[0].clone();
     let reads = &mut block[0].outcome.read_set;
     assert!(!reads.is_empty(), "the hot payment reads");
     match how {
@@ -207,7 +212,7 @@ fn tamper(block: &mut [PreplayedTx], how: Tamper) {
         // count rule fails while every write comes out honest.
         Tamper::ExtraRead => reads.push(AccessRecord::new(Key::scratch(1 << 40), Value::None)),
         Tamper::DroppedRead => drop(reads.remove(0)),
-        Tamper::DuplicateOrder => block[1].order = block[0].order,
+        Tamper::SamePosition => block.insert(1, again),
     }
 }
 
@@ -305,10 +310,11 @@ fn random_sub_dags_with_invalid_blocks_commit_like_block_by_block_commits() {
 }
 
 /// The case a single fan-out gets wrong without the restart rule: with an
-/// extra declared read (or a repeated position), block 1's replay derives
-/// its honest writes, so block 2 — which read the balance of account 0 that
-/// only block 1 wrote — passes a read check over block 1's batch. Block 1 is
-/// discarded, so block 2 must be too, and block 3 with it; block 0 commits.
+/// extra declared read (or a transaction repeated at one position), block 1's
+/// replay derives its honest writes, so block 2 — which read the balance of
+/// account 0 that only block 1 wrote — passes a read check over block 1's
+/// batch. Block 1 is discarded, so block 2 must be too, and block 3 with it;
+/// block 0 commits.
 #[test]
 fn a_block_that_read_what_only_a_discarded_block_wrote_is_discarded_too() {
     for how in TAMPERS {

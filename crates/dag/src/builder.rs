@@ -56,6 +56,7 @@ impl DagBuilder {
             round,
             author,
             shard,
+            self.committee.n_shards(),
             SeqNo::new(self.seq),
             payload,
             SimTime::ZERO,

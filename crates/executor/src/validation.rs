@@ -1,16 +1,16 @@
 //! Post-consensus validation of preplayed blocks (paper Section 4).
 //!
-//! A block ships each preplayed transaction as what only its proposer
-//! knows: the call, the reads its preplay observed (key and value) and its
-//! `order`, its position in the block's serialized order. A replica does not
-//! trust those reads. It derives everything else from them — the writes, and
-//! so the block's write batch — and checks them: the transaction at position
-//! `(block, order)` of a run of blocks must have read, for every key it
-//! reads, the value of the last write before its position, or committed
-//! storage's if there is none. A block is valid iff its `order` values are
-//! pairwise distinct and every transaction's declared reads are exactly the
-//! keys its replay reads, each holding that value. Invalid blocks are
-//! discarded.
+//! A block ships its preplayed transactions in their serialized order, each
+//! as what only its proposer knows: the call and the reads its preplay
+//! observed (key and value). A transaction's place in the serialized order
+//! is its position in the block, so there is no order to police. A replica
+//! does not trust the reads. It derives everything else from them — the
+//! writes, and so the block's write batch — and checks them: the
+//! transaction at position `(block, i)` of a run of blocks must have read,
+//! for every key it reads, the value of the last write before its
+//! position, or committed storage's if there is none. A block is valid iff
+//! every transaction's declared reads are exactly the keys its replay
+//! reads, each holding that value. Invalid blocks are discarded.
 //!
 //! # Derive, don't compare
 //!
@@ -41,11 +41,10 @@
 //!    transactions of all blocks are chunked across at most
 //!    [`effective_workers`](crate::traits::effective_workers)`(validators)`
 //!    slots of the shared [`pool`](crate::pool): one pool job per run. On the
-//!    caller, each block is then walked in serialized order: a declared read
-//!    that an earlier transaction of the block wrote is checked against that
+//!    caller, each block is then walked by position: a declared read that
+//!    an earlier transaction of the block wrote is checked against that
 //!    derived write, every other one is kept as an external read, and the
-//!    transaction's writes join the block's write batch ([`Replay`]). The
-//!    sort that orders the walk also finds a repeated `order`.
+//!    transaction's writes join the block's write batch ([`Replay`]).
 //!
 //! A transaction is valid iff both stages pass it. Stage 2 depends on the
 //! block alone, so the stages may run apart: a replica replays a block when
@@ -140,17 +139,14 @@ impl ValidationReport {
 /// depend on state: stage 2's product ([`replay_blocks`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Replay {
-    /// One verdict per transaction, in block order: the block's `order`
-    /// values are pairwise distinct, the transaction's replay read exactly
-    /// its declared keys, and each declared read an earlier transaction of
-    /// the block wrote holds that write.
+    /// One verdict per transaction, in block order: the transaction's replay
+    /// read exactly its declared keys, and each declared read an earlier
+    /// transaction of the block wrote holds that write.
     pub verdicts: Vec<bool>,
-    /// The block's derived writes in its serialized order (later
-    /// transactions overwrite earlier ones): what it applies if valid.
+    /// The block's derived writes in block order, which is its serialized
+    /// order (later transactions overwrite earlier ones): what it applies
+    /// if valid.
     pub batch: WriteBatch,
-    /// The block's transaction indices in serialized order: the order its
-    /// transactions commit in.
-    pub order: Vec<usize>,
     /// The declared reads no earlier transaction of the block wrote, each
     /// with the index of its transaction: what the block reads from the
     /// state before it, and all that the read check looks at.
@@ -286,13 +282,13 @@ pub fn validate_block(
 /// returns one report per block: [`replay_blocks`], then
 /// [`validate_replayed`]. One parallel fan-out replays every transaction
 /// over its own declared reads, checking while it runs that it reads exactly
-/// them; a walk of each block in serialized order checks the reads an
-/// earlier transaction of the block wrote against that transaction's derived
-/// write; then one sequential pass checks every other declared read against
-/// the last write of an earlier block of the run, or `base`. A transaction
-/// is valid iff both stages pass it.
+/// them; a walk of each block by position checks the reads an earlier
+/// transaction of the block wrote against that transaction's derived write;
+/// then one sequential pass checks every other declared read against the
+/// last write of an earlier block of the run, or `base`. A transaction is
+/// valid iff both stages pass it.
 ///
-/// The transaction at `(block, order)` is judged against its own writes,
+/// The transaction at `(block, i)` is judged against its own writes,
 /// over the derived writes before its position, over `base`. Report `k` is
 /// therefore exact **provided blocks `0..k` are valid**: block `k` then sees
 /// its own earlier writes over the final writes of blocks `0..k` over
@@ -301,11 +297,9 @@ pub fn validate_block(
 /// never be applied; the caller discards them and validates those blocks
 /// again once the valid prefix is in `base`.
 ///
-/// A block whose `order` values are not pairwise distinct is reported
-/// invalid, every transaction a mismatch, whatever its replay says: two
-/// transactions at one position would each miss the other's write and both
-/// be applied (executors emit a permutation,
-/// [`BatchResult::order_is_permutation`](crate::batch::BatchResult::order_is_permutation)).
+/// A block's serialized order is its position order: a sealed or decoded
+/// block numbers each preplayed transaction's `order` by its position
+/// (`Block::seal`), and validation reads positions alone.
 ///
 /// The two stages reach the verdicts of re-executing every transaction
 /// against that view; the module documentation gives the argument, and a
@@ -354,8 +348,7 @@ pub fn validate_blocks(
 /// any time before they are validated; [`validate_replayed`] joins it with
 /// the read check. The transactions of all blocks share one fan-out over at
 /// most `effective_workers(config.validators)` pool slots, and run on the
-/// caller with one; each block is then walked in its serialized order on
-/// the caller.
+/// caller with one; each block is then walked by position on the caller.
 pub fn replay_blocks(blocks: &[&[PreplayedTx]], config: &ValidationConfig) -> Vec<Replay> {
     let txs: Vec<&PreplayedTx> = blocks.iter().flat_map(|block| block.iter()).collect();
     let replayed = parallel_replays(&txs, config);
@@ -370,44 +363,35 @@ pub fn replay_blocks(blocks: &[&[PreplayedTx]], config: &ValidationConfig) -> Ve
         .collect()
 }
 
-/// Walks `block` in serialized order over its transactions' replays, which
-/// start at `first` in `replayed`: checks each declared read an earlier
-/// transaction of the block wrote against that write, keeps the others as
-/// external reads, and gathers the writes into the block's batch. A
-/// transaction's writes join the batch whatever its verdict: a block with a
-/// failing transaction is invalid anyway.
+/// Walks `block` by position, its serialized order, over its transactions'
+/// replays, which start at `first` in `replayed`: checks each declared read
+/// an earlier transaction of the block wrote against that write, keeps the
+/// others as external reads, and gathers the writes into the block's batch.
+/// A transaction's writes join the batch whatever its verdict: a block with
+/// a failing transaction is invalid anyway.
 fn walk_block(block: &[PreplayedTx], replayed: &Replayed, first: usize) -> Replay {
-    let mut order: Vec<usize> = (0..block.len()).collect();
-    // The index breaks ties as a stable sort would: the writes a malformed
-    // block makes at one position enter in block order.
-    order.sort_unstable_by_key(|&i| (block[i].order, i));
-    let well_ordered = order
-        .windows(2)
-        .all(|pair| block[pair[0]].order != block[pair[1]].order);
     let writes = (first..first + block.len())
         .map(|i| replayed.get(i).1.len())
         .sum();
     let mut replay = Replay {
-        verdicts: vec![false; block.len()],
+        verdicts: Vec::with_capacity(block.len()),
         batch: WriteBatch::with_capacity(writes),
-        order: Vec::new(),
         external_reads: Vec::new(),
     };
-    for &i in &order {
+    for (i, preplayed) in block.iter().enumerate() {
         let (passed, writes) = replayed.get(first + i);
         let mut holds = true;
-        for read in &block[i].outcome.read_set {
+        for read in &preplayed.outcome.read_set {
             match replay.batch.get(&read.key) {
                 Some(written) => holds &= *written == read.value,
                 None => replay.external_reads.push((i, read.clone())),
             }
         }
-        replay.verdicts[i] = well_ordered && passed && holds;
+        replay.verdicts.push(passed && holds);
         for write in writes {
             replay.batch.put(write.key, write.value.clone());
         }
     }
-    replay.order = order;
     replay
 }
 
@@ -509,12 +493,6 @@ mod tests {
     };
     use tb_workload::{SmallBankConfig, SmallBankWorkload};
 
-    fn orders_are_distinct(preplayed: &[PreplayedTx]) -> bool {
-        let mut orders: Vec<u32> = preplayed.iter().map(|p| p.order).collect();
-        orders.sort_unstable();
-        orders.windows(2).all(|pair| pair[0] != pair[1])
-    }
-
     /// The single-stage validator's view of one transaction: its own
     /// writes, over the writes of its block's earlier transactions, over the
     /// store holding the valid blocks before its own.
@@ -554,20 +532,17 @@ mod tests {
         store.load(base.snapshot().iter().map(|(k, v)| (*k, v.value.clone())));
         let mut prefix = Vec::new();
         for block in blocks {
-            let mut by_position: Vec<&PreplayedTx> = block.iter().collect();
-            by_position.sort_by_key(|p| p.order);
             let mut block_writes = WriteBatch::new();
-            let valid = orders_are_distinct(block)
-                && by_position.iter().all(|p| {
-                    let mut tracking = TrackingState::new(OracleView {
-                        store: &store,
-                        block_writes: &block_writes,
-                    });
-                    let ran = execute_call(&p.tx.call, &mut tracking).is_ok();
-                    let (outcome, _) = tracking.finish();
-                    block_writes.extend_from_write_set(&outcome.write_set);
-                    ran && same_access_set(&outcome.read_set, &p.outcome.read_set)
+            let valid = block.iter().all(|p| {
+                let mut tracking = TrackingState::new(OracleView {
+                    store: &store,
+                    block_writes: &block_writes,
                 });
+                let ran = execute_call(&p.tx.call, &mut tracking).is_ok();
+                let (outcome, _) = tracking.finish();
+                block_writes.extend_from_write_set(&outcome.write_set);
+                ran && same_access_set(&outcome.read_set, &p.outcome.read_set)
+            });
             if !valid {
                 prefix.push(None);
                 break;
@@ -644,6 +619,7 @@ mod tests {
             Round::new(1),
             ReplicaId::new(0),
             ShardId::new(0),
+            1,
             SeqNo::new(0),
             BlockPayload {
                 single_shard: preplayed,
@@ -766,8 +742,9 @@ mod tests {
             check_run(&run, &store, validators);
         }
 
-        /// The same on three chained blocks with any mix of: an ill-ordered
-        /// middle block; a read key declared twice; a forged read value; and
+        /// The same on three chained blocks with any mix of: a middle block
+        /// with two transactions swapped out of their serialized order; a
+        /// read key declared twice; a forged read value; and
         /// a transaction that reads a key after writing it, honestly
         /// declared or with that read declared at the value the view holds.
         #[test]
@@ -775,7 +752,7 @@ mod tests {
             kind in 0usize..3,
             seed in 0u64..1_000,
             len in 2usize..24,
-            ill_ordered in 0usize..2,
+            swapped in 0usize..2,
             read_twice in 0usize..2,
             forge_read in 0usize..2,
             read_after_write in 0usize..3,
@@ -802,12 +779,12 @@ mod tests {
             }
             let blocks = preplay_chained(&chunks, &store);
             // The value the view holds for `reread` at the rereader's
-            // position: executors emit their batches in serialized order.
-            let order = blocks[target].iter().find(|p| p.tx.id == rereader).map(|p| p.order);
+            // position: the CE emits its batches in serialized order.
+            let position = blocks[target].iter().position(|p| p.tx.id == rereader);
             let seen = blocks[..target]
                 .iter()
                 .flatten()
-                .chain(blocks[target].iter().filter(|p| Some(p.order) < order))
+                .chain(blocks[target].iter().take(position.unwrap_or(0)))
                 .flat_map(|p| &p.outcome.write_set)
                 .rfind(|rec| rec.key == reread)
                 .map_or_else(|| store.get(&reread), |rec| rec.value.clone());
@@ -827,10 +804,9 @@ mod tests {
                     p.outcome.read_set[0].value = Value::int(-424_242);
                 }
             }
-            if ill_ordered == 1 {
-                let middle = &mut blocks[1];
-                let (a, b) = (at % middle.len(), (at + 1) % middle.len());
-                middle[a].order = middle[b].order;
+            if swapped == 1 {
+                let len = blocks[1].len();
+                blocks[1].swap(at % len, (at + 1) % len);
             }
 
             let run: Vec<&[PreplayedTx]> = blocks.iter().map(Vec::as_slice).collect();
@@ -889,9 +865,7 @@ mod tests {
         let mut external = 0;
         for block in &blocks {
             let mut written = KeySet::default();
-            let mut by_position: Vec<&PreplayedTx> = block.iter().collect();
-            by_position.sort_by_key(|p| p.order);
-            for p in by_position {
+            for p in block {
                 external += p
                     .outcome
                     .read_set
@@ -1022,10 +996,7 @@ mod tests {
         let ce = ConcurrentExecutor::new(CeConfig::new(1, 8).without_synthetic_cost());
         let txs = [payment(1, 1, 2, 10), payment(2, 1, 3, 10)];
         let mut block = shipped(ce.preplay(&txs, &store).preplayed);
-        let second = block
-            .iter()
-            .position(|p| p.order == 1)
-            .expect("two transactions");
+        let second = 1;
         let replay = replay_blocks(&[&block], &ValidationConfig::new(1)).remove(0);
         assert!(replay.verdicts.iter().all(|v| *v));
         // The second payment's read of account 1 is the first one's write,
@@ -1060,26 +1031,25 @@ mod tests {
     #[test]
     fn duplicate_order_values_make_the_block_invalid() {
         // Two payments out of account 1, each preplayed alone against the
-        // same state and both shipped at position 0: neither sees the
-        // other's write, so each replays exactly as declared, and applying
-        // both would pay out of one balance twice.
+        // same state, so both claim position 0. Neither saw the other's
+        // write; a block puts them at positions 0 and 1, where the second
+        // one's declared read of the payer's balance misses the first one's
+        // debit, so the read check rejects it and the block with it.
         let store = funded_store(4);
         let ce = ConcurrentExecutor::new(CeConfig::new(1, 8).without_synthetic_cost());
-        let mut block = Vec::new();
+        let mut preplayed = Vec::new();
         for tx in [payment(1, 1, 2, 10), payment(2, 1, 3, 10)] {
-            let alone = shipped(ce.preplay(std::slice::from_ref(&tx), &store).preplayed);
+            let alone = ce.preplay(std::slice::from_ref(&tx), &store).preplayed;
             assert!(validate_block(&alone, &store, &ValidationConfig::new(1)).is_valid());
-            block.extend(alone);
+            preplayed.extend(alone);
         }
-        assert!(block.iter().all(|p| p.order == 0));
+        assert!(preplayed.iter().all(|p| p.order == 0));
+        let block = shipped(preplayed);
+        assert_eq!(block.iter().map(|p| p.order).collect::<Vec<_>>(), [0, 1]);
         let report = validate_block(&block, &store, &ValidationConfig::new(2));
         assert!(!report.is_valid());
         assert_eq!(report.checked, 2);
-        assert_eq!(report.mismatches, vec![TxId::new(1), TxId::new(2)]);
-        // The same two transactions at distinct positions do not validate
-        // either: the second now sees the first one's debit.
-        block[1].order = 1;
-        assert!(!validate_block(&block, &store, &ValidationConfig::new(2)).is_valid());
+        assert_eq!(report.mismatches, vec![TxId::new(2)]);
     }
 
     /// Preplays `rounds` blocks over 8 funded accounts, each chained on the

@@ -51,7 +51,7 @@ use tb_types::{ReplicaId, SimTime};
 pub const TCP_MAGIC: u32 = 0x314e_4254;
 /// Version of the framing layer (bumped together with the message wire
 /// format, see `tb_core::messages::WIRE_FORMAT_VERSION`).
-pub const TCP_FRAME_VERSION: u16 = 6;
+pub const TCP_FRAME_VERSION: u16 = 7;
 /// Upper bound on a single frame's payload, far above any real block.
 pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 /// How long the first dial of a peer keeps retrying before the peer counts

@@ -1,15 +1,18 @@
 //! Blocks proposed by shard proposers.
 //!
 //! A block is the payload of one DAG vertex. In the EOV path it carries a
-//! batch of preplayed single-shard transactions (Figure 3), each with what
-//! only its proposer knows: the reads its preplay observed and its place in
-//! the serialized order. Everything else about the preplay — write set,
-//! result, abort flag — every replica derives by replaying the transaction
-//! over those reads, so a sealed block does not carry it. Cross-shard
-//! transactions ride in the same block but without preplay results (OE path,
-//! rule P1). Skip blocks and Shift blocks are special block kinds used for
-//! preplay recovery (Section 5.4) and non-blocking reconfiguration
-//! (Section 6) respectively.
+//! batch of preplayed single-shard transactions (Figure 3), in their
+//! serialized order, each with what only its proposer knows: the reads its
+//! preplay observed. Everything else about the preplay — write set, result,
+//! abort flag — every replica derives by replaying the transaction over
+//! those reads, so a sealed block does not carry it. Nor does it carry what
+//! a receiver derives from the call: each transaction's shard set follows
+//! from the call and the block's shard count, and a preplayed transaction's
+//! place in the serialized order is its position. Cross-shard transactions
+//! ride in the same block but without preplay results (OE path, rule P1).
+//! Skip blocks and Shift blocks are special block kinds used for preplay
+//! recovery (Section 5.4) and non-blocking reconfiguration (Section 6)
+//! respectively.
 
 use crate::digest::Digest;
 use crate::ids::{DagId, ReplicaId, Round, SeqNo, ShardId};
@@ -21,12 +24,14 @@ use std::fmt;
 use std::ops::Deref;
 
 /// A single-shard transaction together with its preplay outcome and its
-/// position in the serialized order produced by the concurrent executor.
+/// place in the serialized order produced by the preplay engine.
 ///
-/// An engine fills the whole outcome. A block ships the read set alone
-/// (`wire_struct!(PreplayedTx { tx, outcome: reads, order })`), and
-/// [`Block::seal`] drops the rest, so a sealed block held in memory equals
-/// its decoded copy.
+/// An engine fills the whole outcome and the order. A block ships the
+/// transaction and the read set alone
+/// (`wire_struct!(PreplayedTx { tx, outcome: reads } derives { order })`):
+/// [`Block::seal`] puts the batch in serialized order, numbers `order` by
+/// position and drops the rest of the outcome, and the decoder numbers it
+/// the same way, so a sealed block held in memory equals its decoded copy.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PreplayedTx {
     /// The original transaction.
@@ -35,7 +40,12 @@ pub struct PreplayedTx {
     /// set survives [`Block::seal`].
     pub outcome: ExecOutcome,
     /// Index of the transaction in the serialized execution order chosen by
-    /// the preplay engine (0-based within the block).
+    /// the preplay engine (0-based within the batch). It is the engine's
+    /// output, and stays in memory for whoever reads a batch before it is
+    /// sealed — the CE's serial pass emits its batch in this order, OCC
+    /// numbers transactions by commit, and the benchmark's layer walk sorts
+    /// by it. In a sealed or decoded block it equals the position, which is
+    /// what validation walks; it is not shipped.
     pub order: u32,
 }
 
@@ -109,6 +119,11 @@ pub struct Block {
     pub author: ReplicaId,
     /// The shard the author was serving when it proposed the block.
     pub shard: ShardId,
+    /// The system's shard count (`Committee::n_shards`): every transaction's
+    /// [`shards`](Transaction::shards) is derived from its call and this
+    /// count, by the decoder and by [`Block::seal`]. Admission refuses a
+    /// block whose count is not the committee's.
+    pub n_shards: u32,
     /// Per-author monotone sequence number (used for client deduplication).
     pub seq: SeqNo,
     /// What kind of block this is.
@@ -120,12 +135,15 @@ pub struct Block {
 }
 
 impl Block {
-    /// Creates a normal block.
+    /// Creates a normal block by `author`, serving shard `shard` of
+    /// `n_shards`.
+    #[allow(clippy::too_many_arguments)]
     pub fn normal(
         dag: DagId,
         round: Round,
         author: ReplicaId,
         shard: ShardId,
+        n_shards: u32,
         seq: SeqNo,
         payload: BlockPayload,
         created_at: SimTime,
@@ -135,56 +153,10 @@ impl Block {
             round,
             author,
             shard,
+            n_shards,
             seq,
             kind: BlockKind::Normal,
             payload,
-            created_at,
-        }
-    }
-
-    /// Creates a skip block (optionally still carrying cross-shard
-    /// transactions, which never need preplay).
-    pub fn skip(
-        dag: DagId,
-        round: Round,
-        author: ReplicaId,
-        shard: ShardId,
-        seq: SeqNo,
-        cross_shard: Vec<Transaction>,
-        created_at: SimTime,
-    ) -> Self {
-        Block {
-            dag,
-            round,
-            author,
-            shard,
-            seq,
-            kind: BlockKind::Skip,
-            payload: BlockPayload {
-                single_shard: Vec::new(),
-                cross_shard,
-            },
-            created_at,
-        }
-    }
-
-    /// Creates a Shift block.
-    pub fn shift(
-        dag: DagId,
-        round: Round,
-        author: ReplicaId,
-        shard: ShardId,
-        seq: SeqNo,
-        created_at: SimTime,
-    ) -> Self {
-        Block {
-            dag,
-            round,
-            author,
-            shard,
-            seq,
-            kind: BlockKind::Shift,
-            payload: BlockPayload::empty(),
             created_at,
         }
     }
@@ -217,10 +189,19 @@ pub struct SealedBlock {
 }
 
 impl Block {
-    /// Seals the block: keeps of each preplayed transaction's outcome only
-    /// the read set the block ships, and hashes its encoding once, for every
-    /// later holder.
+    /// Seals the block: puts the preplayed batch in serialized order (a
+    /// stable sort by `order`, so transactions that claim one place keep
+    /// their batch order), keeps of each preplayed transaction's outcome
+    /// only the read set the block ships, derives what a receiver derives
+    /// (each `order` from its position, each shard set from its call and
+    /// [`n_shards`](Block::n_shards)), and hashes the encoding once, for every
+    /// later holder. A sealed block therefore equals its decoded copy,
+    /// whatever shard sets and order values it was built with.
     pub fn seal(mut self) -> SealedBlock {
+        // Every engine emits its batch in serialized order already.
+        if !self.payload.single_shard.is_sorted_by_key(|p| p.order) {
+            self.payload.single_shard.sort_by_key(|p| p.order);
+        }
         for preplayed in &mut self.payload.single_shard {
             let read_set = std::mem::take(&mut preplayed.outcome.read_set);
             preplayed.outcome = ExecOutcome {
@@ -228,10 +209,42 @@ impl Block {
                 ..Default::default()
             };
         }
+        self.derive();
         SealedBlock {
             digest: Digest::of_bytes(&self.to_wire_bytes()),
             block: self,
         }
+    }
+
+    /// Derives the fields a block does not ship: each preplayed
+    /// transaction's `order` is its position, and each transaction's
+    /// `shards` comes from its call and [`n_shards`](Block::n_shards)
+    /// ([`ContractCall::shards`](crate::ContractCall::shards), the function
+    /// [`Transaction::new`] uses).
+    fn derive(&mut self) {
+        let n_shards = self.n_shards;
+        for (position, preplayed) in self.payload.single_shard.iter_mut().enumerate() {
+            preplayed.order = u32::try_from(position).expect("a block fits u32 positions");
+            let tx = &mut preplayed.tx;
+            tx.call.shards_into(n_shards, &mut tx.shards);
+        }
+        for tx in &mut self.payload.cross_shard {
+            tx.call.shards_into(n_shards, &mut tx.shards);
+        }
+    }
+
+    /// The decoder's last step (`wire_struct!(Block { … } then
+    /// Block::received)`): refuses a shard count of zero, which no call's
+    /// keys can be placed in, and derives what the block does not ship.
+    pub(crate) fn received(&mut self) -> Result<(), WireError> {
+        if self.n_shards == 0 {
+            return Err(WireError::OutOfRange {
+                type_name: "Block::n_shards",
+                value: 0,
+            });
+        }
+        self.derive();
+        Ok(())
     }
 }
 
@@ -301,6 +314,7 @@ mod tests {
             Round::new(1),
             ReplicaId::new(2),
             ShardId::new(2),
+            4,
             SeqNo::new(7),
             BlockPayload::empty(),
             SimTime::ZERO,
@@ -310,39 +324,22 @@ mod tests {
     }
 
     #[test]
-    fn constructors_set_kinds() {
+    fn kinds_are_told_apart() {
         let n = sample_block(BlockKind::Normal);
         assert!(!n.is_shift() && !n.is_skip());
-        let s = Block::skip(
-            DagId::new(0),
-            Round::new(2),
-            ReplicaId::new(1),
-            ShardId::new(1),
-            SeqNo::new(0),
-            vec![sample_tx(5)],
-            SimTime::ZERO,
-        );
-        assert!(s.is_skip());
-        assert_eq!(s.tx_count(), 1);
-        let sh = Block::shift(
-            DagId::new(0),
-            Round::new(3),
-            ReplicaId::new(1),
-            ShardId::new(1),
-            SeqNo::new(0),
-            SimTime::ZERO,
-        );
-        assert!(sh.is_shift());
-        assert_eq!(sh.tx_count(), 0);
+        assert!(sample_block(BlockKind::Skip).is_skip());
+        assert!(sample_block(BlockKind::Shift).is_shift());
+        assert_eq!(n.tx_count(), 0);
     }
 
     /// Every field a block encodes moves its digest, down to the ones a
     /// hand-kept field list once left out: a call's arguments, the client,
-    /// the shards, a declared read's key and value, a byte value past its
-    /// eighth byte, the order, the submission and creation times. What a
-    /// receiver derives from a preplayed transaction's reads — its writes,
-    /// result and abort flag — is not shipped, so editing it before sealing
-    /// moves nothing.
+    /// the shard count, a declared read's key and value, a byte value past
+    /// its eighth byte, the submission and creation times. What a receiver
+    /// derives — a preplayed transaction's writes, result and abort flag
+    /// from its reads, its order from its position, every shard set from
+    /// the call — is not shipped, so editing it before sealing moves
+    /// nothing.
     #[test]
     fn digest_depends_on_contents() {
         fn payment(amount: i64) -> ContractCall {
@@ -382,7 +379,7 @@ mod tests {
         let digest = block().seal().digest();
         assert_eq!(block().seal().digest(), digest);
         type Edit = (&'static str, fn(&mut Block));
-        let moves: [Edit; 12] = [
+        let moves: [Edit; 11] = [
             ("kind", |b| b.kind = BlockKind::Skip),
             ("one more transaction", |b| {
                 b.payload.cross_shard.push(sample_tx(1))
@@ -396,16 +393,13 @@ mod tests {
             ("client", |b| {
                 b.payload.cross_shard[0].client = ClientId::new(2)
             }),
-            ("shards", |b| {
-                b.payload.cross_shard[0].shards.push(ShardId::new(3))
-            }),
+            ("shard count", |b| b.n_shards = 5),
             ("read key", |b| {
                 b.payload.single_shard[0].outcome.read_set[0].key = Key::savings(1)
             }),
             ("bytes past the eighth", |b| {
                 b.payload.single_shard[0].outcome.read_set[0].value = bytes(8)
             }),
-            ("order", |b| b.payload.single_shard[0].order = 1),
             ("submitted at", |b| {
                 b.payload.single_shard[0].tx.submitted_at = SimTime::from_micros(1)
             }),
@@ -421,7 +415,7 @@ mod tests {
             edit(&mut edited);
             assert_ne!(edited.seal().digest(), digest, "{field}");
         }
-        let derived: [Edit; 3] = [
+        let derived: [Edit; 5] = [
             ("write set", |b| {
                 b.payload.single_shard[0].outcome.write_set[0].value = Value::int(4)
             }),
@@ -431,6 +425,10 @@ mod tests {
             ("logically aborted", |b| {
                 b.payload.single_shard[0].outcome.logically_aborted = true
             }),
+            ("shards", |b| {
+                b.payload.cross_shard[0].shards.push(ShardId::new(3))
+            }),
+            ("order", |b| b.payload.single_shard[0].order = 1),
         ];
         for (field, edit) in derived {
             let mut edited = block();
@@ -460,6 +458,64 @@ mod tests {
         assert_eq!(outcome.return_value, Value::None);
         let decoded = SealedBlock::from_wire_bytes(&sealed.to_wire_bytes()).expect("decodes");
         assert_eq!(decoded, sealed);
+    }
+
+    /// A proposer's in-memory block may claim anything about what receivers
+    /// derive: shard sets that disagree with the calls, repeated or
+    /// scattered order values. Sealing keeps the claimed serialized order
+    /// (ties in batch order), numbers it by position and derives every
+    /// shard set, so the sealed block, its encoding and its decoded copy
+    /// are one block.
+    #[test]
+    fn derived_fields_are_rebuilt_by_the_seal_and_the_decoder() {
+        let preplayed = |id, order| {
+            let mut tx = sample_tx(id);
+            tx.call = ContractCall::SmallBank(SmallBankProcedure::GetBalance { account: id });
+            tx.shards = vec![ShardId::new(3), ShardId::new(9)];
+            PreplayedTx::new(tx, ExecOutcome::empty(), order)
+        };
+        let mut block = sample_block(BlockKind::Normal);
+        block.payload.single_shard = vec![preplayed(1, 7), preplayed(2, 0), preplayed(3, 7)];
+        let mut cross = sample_tx(4);
+        cross.call = ContractCall::SmallBank(SmallBankProcedure::SendPayment {
+            from: 1,
+            to: 2,
+            amount: 1,
+        });
+        cross.shards = Vec::new();
+        block.payload.cross_shard.push(cross);
+
+        let sealed = block.seal();
+        let single = &sealed.payload.single_shard;
+        let ids: Vec<u64> = single.iter().map(|p| p.tx.id.as_inner()).collect();
+        assert_eq!(ids, [2, 1, 3], "serialized order, ties in batch order");
+        assert!(single
+            .iter()
+            .enumerate()
+            .all(|(i, p)| p.order as usize == i));
+        for p in single {
+            assert_eq!(p.tx.shards, p.tx.call.shards(4));
+        }
+        assert_eq!(
+            sealed.payload.cross_shard[0].shards,
+            [ShardId::new(1), ShardId::new(2)]
+        );
+        let bytes = sealed.to_wire_bytes();
+        let decoded = SealedBlock::from_wire_bytes(&bytes).expect("decodes");
+        assert_eq!(decoded, sealed);
+        assert_eq!(decoded.to_wire_bytes(), bytes);
+    }
+
+    /// A shard count of zero places no call's keys: the decoder refuses it
+    /// rather than reach `Key::shard`'s assertion.
+    #[test]
+    fn a_block_claiming_zero_shards_does_not_decode() {
+        let mut block = sample_block(BlockKind::Normal);
+        block.n_shards = 0;
+        assert!(matches!(
+            Block::from_wire_bytes(&block.to_wire_bytes()),
+            Err(WireError::OutOfRange { .. })
+        ));
     }
 
     #[test]

@@ -159,6 +159,41 @@ impl ContractCall {
         }
     }
 
+    /// The shards the call's declared keys live in, sorted and
+    /// deduplicated: a transaction's [`shards`](Transaction::shards). Every
+    /// replica knows the shard count, so this is derived wherever it is
+    /// needed — by [`Transaction::new`] and by the decoder of the block that
+    /// carries the call — and never shipped.
+    pub fn shards(&self, n_shards: u32) -> Vec<ShardId> {
+        let mut shards = Vec::new();
+        self.shards_into(n_shards, &mut shards);
+        shards
+    }
+
+    /// [`shards`](ContractCall::shards) written over `shards`, reusing its
+    /// allocation.
+    pub(crate) fn shards_into(&self, n_shards: u32, shards: &mut Vec<ShardId>) {
+        shards.clear();
+        match self {
+            // Both balances of an account live in one shard, so a SmallBank
+            // call's shards come straight from its one or two accounts.
+            ContractCall::SmallBank(procedure) => {
+                let (first, second) = procedure.account_pair();
+                let a = Key::checking(first).shard(n_shards);
+                let b = Key::checking(second).shard(n_shards);
+                shards.push(a.min(b));
+                if a != b {
+                    shards.push(a.max(b));
+                }
+            }
+            _ => {
+                shards.extend(self.declared_keys().iter().map(|k| k.shard(n_shards)));
+                shards.sort_unstable();
+                shards.dedup();
+            }
+        }
+    }
+
     /// True if the call is known to be read-only from its declaration alone.
     pub fn declared_read_only(&self) -> bool {
         match self {
@@ -200,7 +235,12 @@ pub struct Transaction {
     pub client: ClientId,
     /// The contract call to execute.
     pub call: ContractCall,
-    /// Shards associated with the call parameters, sorted and deduplicated.
+    /// Shards associated with the call parameters, sorted and deduplicated:
+    /// [`ContractCall::shards`] of `call` and the system's shard count. A
+    /// block does not ship it; its decoder derives it from the call and the
+    /// block's shard count, and [`Block::seal`](crate::Block::seal) derives
+    /// it again on the proposer, so no replica acts on a list that
+    /// disagrees with the call.
     pub shards: Vec<ShardId>,
     /// Simulated submission time, used for end-to-end latency accounting.
     pub submitted_at: SimTime,
@@ -208,7 +248,8 @@ pub struct Transaction {
 
 impl Transaction {
     /// Builds a transaction, deriving the associated shards from the declared
-    /// keys of the call and the total number of shards in the system.
+    /// keys of the call and the total number of shards in the system
+    /// ([`ContractCall::shards`]).
     pub fn new(
         id: TxId,
         client: ClientId,
@@ -216,31 +257,7 @@ impl Transaction {
         n_shards: u32,
         submitted_at: SimTime,
     ) -> Self {
-        let shards = match &call {
-            // Both balances of an account live in one shard, so a SmallBank
-            // call's shards come straight from its one or two accounts: one
-            // allocation, the result.
-            ContractCall::SmallBank(procedure) => {
-                let (first, second) = procedure.account_pair();
-                let a = Key::checking(first).shard(n_shards);
-                let b = Key::checking(second).shard(n_shards);
-                if a == b {
-                    vec![a]
-                } else {
-                    vec![a.min(b), a.max(b)]
-                }
-            }
-            _ => {
-                let mut shards: Vec<ShardId> = call
-                    .declared_keys()
-                    .iter()
-                    .map(|k| k.shard(n_shards))
-                    .collect();
-                shards.sort_unstable();
-                shards.dedup();
-                shards
-            }
-        };
+        let shards = call.shards(n_shards);
         Transaction {
             id,
             client,

@@ -261,6 +261,7 @@ mod tests {
             Round::new(round),
             ReplicaId::new(author),
             ShardId::new(author),
+            4,
             SeqNo::new(0),
             BlockPayload::empty(),
             SimTime::ZERO,

@@ -40,6 +40,12 @@
 //!   `T { a: Wire::decode(r)?, … }`, so a field left out does not compile;
 //!   a trailing `if check` names a `fn(&T) -> bool` whose `false` is
 //!   [`WireError::NonCanonical`].
+//! - A field a receiver derives is not shipped: `T { a, b } derives { c }`
+//!   decodes `c` as its `Default`, and a trailing `then finish` names a
+//!   `fn(&mut T) -> Result<(), WireError>` that runs last, where the
+//!   enclosing value derives it. A block ships its shard count once; its
+//!   `finish` numbers each preplayed transaction's `order` by position and
+//!   derives every transaction's `shards` from its call and that count.
 //! - [`wire_enum!`](crate::wire_enum)`(E { 0 => A { x }, 1 => B(y), 2 => C })`
 //!   writes each variant's tag, then its fields; `E: Prefix { … }` first
 //!   encodes the unit struct `Prefix` (the message envelope).
@@ -548,7 +554,10 @@ macro_rules! wire_struct {
             ..Default::default()
         }
     };
-    ($ty:ident { $($field:ident $(: $codec:ident)?),+ $(,)? } $(if $check:path)?) => {
+    ($ty:ident { $($field:ident $(: $codec:ident)?),+ $(,)? }
+        $(derives { $($derived:ident),+ $(,)? })?
+        $(if $check:ident)?
+        $(then $finish:path)?) => {
         impl $crate::wire::Wire for $ty {
             fn encode(&self, w: &mut $crate::wire::WireWriter) {
                 $($crate::wire_struct!(@put w, &self.$field $(, $codec)?);)+
@@ -559,12 +568,15 @@ macro_rules! wire_struct {
             ) -> Result<Self, $crate::wire::WireError> {
                 let value = $ty {
                     $($field: $crate::wire_struct!(@get r $(, $codec)?),)+
+                    $($($derived: Default::default(),)+)?
                 };
                 $(if !$check(&value) {
                     return Err($crate::wire::WireError::NonCanonical {
                         type_name: stringify!($ty),
                     });
                 })?
+                $(let mut value = value;
+                $finish(&mut value)?;)?
                 Ok(value)
             }
         }
@@ -726,18 +738,10 @@ wire_enum!(ContractCall {
     3 => Noop,
 });
 
-wire_struct!(Transaction {
-    id,
-    client,
-    call,
-    shards,
-    submitted_at
-});
-wire_struct!(PreplayedTx {
-    tx,
-    outcome: reads,
-    order
-});
+// A transaction and a preplayed transaction travel only inside a block, whose
+// decoder derives what they do not ship (`Block::received`).
+wire_struct!(Transaction { id, client, call, submitted_at } derives { shards });
+wire_struct!(PreplayedTx { tx, outcome: reads } derives { order });
 
 wire_enum!(BlockKind {
     0 => Normal,
@@ -754,11 +758,12 @@ wire_struct!(Block {
     round,
     author,
     shard,
+    n_shards,
     seq,
     kind,
     payload,
     created_at
-});
+} then Block::received);
 
 wire_struct!(Header {
     dag,
@@ -962,13 +967,24 @@ mod tests {
             4,
             SimTime::from_micros(10),
         );
-        round_trip(tx.clone());
+        // Alone, a transaction decodes without the shard set only the block
+        // carrying it can derive; inside one it decodes whole.
+        let bare = Transaction::from_wire_bytes(&tx.to_wire_bytes()).expect("decodes");
+        assert!(bare.shards.is_empty());
+        assert_eq!(
+            Transaction {
+                shards: tx.shards.clone(),
+                ..bare
+            },
+            tx
+        );
 
         let block = Block::normal(
             DagId::new(0),
             Round::new(2),
             ReplicaId::new(1),
             ShardId::new(1),
+            4,
             SeqNo::new(4),
             BlockPayload {
                 single_shard: vec![PreplayedTx::new(tx.clone(), ExecOutcome::empty(), 0)],

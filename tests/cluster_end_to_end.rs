@@ -242,3 +242,34 @@ fn a_lockstep_tusk_run_commits_a_pinned_sequence() {
     assert_eq!(report.committed_txs, 31_400);
     assert_eq!(report.round_commits.len(), 20);
 }
+
+/// ThunderboltOcc preplays with OCC, which numbers each transaction by its
+/// commit in the verifier's log rather than by its place in the batch. A
+/// lockstep run at P = 0 with one OCC worker preplays every transaction and
+/// commits a pinned sequence (the same ids in the same order as the Tusk
+/// run above: at P = 0 every block commits its own batch in stream order).
+#[test]
+fn a_lockstep_thunderbolt_occ_run_commits_a_pinned_sequence() {
+    let report = ScenarioBuilder::new(4)
+        .engine(ExecutionMode::ThunderboltOcc)
+        .lockstep()
+        .smallbank(SmallBankConfig {
+            accounts: 1_000,
+            cross_shard_fraction: 0.0,
+            ..SmallBankConfig::default()
+        })
+        .executors(1, 200)
+        .validators(2)
+        .rounds(40)
+        .seed(42)
+        .tune(|system| system.ce = system.ce.without_synthetic_cost())
+        .run();
+    assert_eq!(report.commit_order_digest, "5f65927375333723");
+    assert_eq!(report.committed_txs, 31_400);
+    assert_eq!(
+        report.single_shard_txs, 31_400,
+        "every transaction preplayed"
+    );
+    assert_eq!(report.invalid_blocks, 0);
+    assert_eq!(report.round_commits.len(), 20);
+}

@@ -12,6 +12,9 @@
 //! * makes no allocation larger than the remaining buffer's worth of
 //!   elements, so no length prefix can size one, and
 //! * re-encodes whatever it accepts to exactly the bytes it read.
+//!
+//! One field is rewritten on purpose as well: the shard count a block ships,
+//! which every transaction's shard set is derived from on receipt.
 
 use proptest::prelude::TestRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -21,7 +24,7 @@ use thunderbolt::tb_executor::validation::replay_blocks;
 use thunderbolt::tb_storage::wal::{crc32, decode_frames, encode_frame};
 use thunderbolt::tb_storage::{WalRecord, WriteBatch};
 use thunderbolt::tb_types::wire::{Wire, WireError};
-use thunderbolt::tb_types::{PreplayedTx, Vertex};
+use thunderbolt::tb_types::{Block, PreplayedTx, Vertex};
 
 /// Records the largest single allocation the current thread asks for.
 struct PeakAllocation;
@@ -275,4 +278,62 @@ fn mutated_wal_frames_never_panic_over_allocate_or_decode_to_other_bytes() {
     }
     assert!(tally.accepted > 0 && tally.rejected > 0);
     assert!(tally.invalid_varints > 0);
+}
+
+/// A block ships the shard count its transactions' shard sets are derived
+/// from. A count of zero places no key, so decoding refuses it rather than
+/// reach `Key::shard`'s assertion. Any other count decodes, with every set
+/// derived under it, and a replica of a committee with another count
+/// neither acknowledges nor admits the block, and counts the refusal.
+#[test]
+fn a_block_claiming_zero_or_another_count_of_shards_is_refused() {
+    let vertex = real_vertex();
+    let honest = Message::Header {
+        header: vertex.header.clone(),
+        block: vertex.block.clone(),
+    }
+    .to_wire_bytes();
+    // The block is the message's last field.
+    let with_block = |block: &Block| {
+        let mut bytes = honest[..honest.len() - vertex.block.encoded_len()].to_vec();
+        bytes.extend(block.to_wire_bytes());
+        bytes
+    };
+    assert_eq!(with_block(&vertex.block), honest);
+
+    let mut zero = Block::clone(&vertex.block);
+    zero.n_shards = 0;
+    let (decoded, peak) = with_peak(|| Message::from_wire_bytes(&with_block(&zero)));
+    assert_eq!(
+        decoded,
+        Err(WireError::OutOfRange {
+            type_name: "Block::n_shards",
+            value: 0
+        })
+    );
+    assert!(peak <= honest.len() * per_byte());
+
+    let mut two = Block::clone(&vertex.block);
+    two.n_shards = 2;
+    let Ok(Message::Header { block, .. }) = Message::from_wire_bytes(&with_block(&two)) else {
+        panic!("a block of two shards decodes");
+    };
+    assert!(block
+        .payload
+        .single_shard
+        .iter()
+        .all(|p| p.tx.shards == p.tx.call.shards(2)));
+    let mut header = vertex.header.clone();
+    header.block_digest = block.digest();
+    let mut replica = Replica::new(ReplicaId::new(1), ClusterConfig::thunderbolt(4));
+    let out = replica.handle(
+        vertex.header.author,
+        Message::Header { header, block },
+        SimTime::ZERO,
+    );
+    assert!(
+        out.is_empty(),
+        "acknowledged a block of another shard count"
+    );
+    assert_eq!(replica.metrics().rejected_vertices, 1);
 }

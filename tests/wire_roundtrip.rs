@@ -182,6 +182,8 @@ fn arb_call() -> impl Strategy<Value = ContractCall> {
     ]
 }
 
+/// A transaction as a client submits it, over any call: SmallBank,
+/// `Program` or `KvOps`.
 fn arb_transaction() -> impl Strategy<Value = Transaction> {
     (
         any::<u64>(),
@@ -201,8 +203,17 @@ fn arb_transaction() -> impl Strategy<Value = Transaction> {
         })
 }
 
-/// A preplayed transaction in the form a block ships it: its outcome is its
-/// read set alone.
+/// A transaction as it decodes outside a block: without the shard set that
+/// only the block carrying it can derive.
+fn arb_bare_transaction() -> impl Strategy<Value = Transaction> {
+    arb_transaction().prop_map(|tx| Transaction {
+        shards: Vec::new(),
+        ..tx
+    })
+}
+
+/// A preplayed transaction as an engine may leave it: its outcome the read
+/// set alone, at any claimed place in the serialized order.
 fn arb_preplayed() -> impl Strategy<Value = PreplayedTx> {
     (
         arb_transaction(),
@@ -215,6 +226,27 @@ fn arb_preplayed() -> impl Strategy<Value = PreplayedTx> {
                 ..Default::default()
             };
             PreplayedTx::new(tx, outcome, order)
+        })
+}
+
+/// A preplayed transaction as it decodes outside a block: bare, at place 0.
+fn arb_bare_preplayed() -> impl Strategy<Value = PreplayedTx> {
+    (arb_bare_transaction(), arb_preplayed()).prop_map(|(tx, preplayed)| PreplayedTx {
+        tx,
+        order: 0,
+        ..preplayed
+    })
+}
+
+/// A payload as it decodes outside a block: bare transactions.
+fn arb_bare_payload() -> impl Strategy<Value = BlockPayload> {
+    (
+        prop::collection::vec(arb_bare_preplayed(), 0..4),
+        prop::collection::vec(arb_bare_transaction(), 0..4),
+    )
+        .prop_map(|(single_shard, cross_shard)| BlockPayload {
+            single_shard,
+            cross_shard,
         })
 }
 
@@ -237,24 +269,31 @@ fn arb_block_kind() -> impl Strategy<Value = BlockKind> {
     ]
 }
 
+/// A block as its proposer seals it and a receiver decodes it: the
+/// preplayed batch in serialized order and numbered by position, every
+/// shard set derived from its call and the block's shard count.
 fn arb_block() -> impl Strategy<Value = Block> {
     (
         (any::<u64>(), any::<u64>(), any::<u32>(), any::<u32>()),
-        any::<u64>(),
+        (1u32..8, any::<u64>()),
         arb_block_kind(),
         arb_payload(),
         any::<u64>(),
     )
         .prop_map(
-            |((dag, round, author, shard), seq, kind, payload, at)| Block {
-                dag: DagId::new(dag),
-                round: Round::new(round),
-                author: ReplicaId::new(author),
-                shard: ShardId::new(shard),
-                seq: SeqNo::new(seq),
-                kind,
-                payload,
-                created_at: SimTime(at),
+            |((dag, round, author, shard), (n_shards, seq), kind, payload, at)| {
+                let block = Block {
+                    dag: DagId::new(dag),
+                    round: Round::new(round),
+                    author: ReplicaId::new(author),
+                    shard: ShardId::new(shard),
+                    n_shards,
+                    seq: SeqNo::new(seq),
+                    kind,
+                    payload,
+                    created_at: SimTime(at),
+                };
+                Block::clone(&block.seal())
             },
         )
 }
@@ -624,10 +663,10 @@ canonical_forms! {
     access_records_roundtrip: AccessRecord = arb_access_record();
     procedures_roundtrip: SmallBankProcedure = arb_procedure();
     calls_roundtrip: ContractCall = arb_call();
-    transactions_roundtrip: Transaction = arb_transaction();
-    preplayed_txs_roundtrip: PreplayedTx = arb_preplayed();
+    transactions_roundtrip: Transaction = arb_bare_transaction();
+    preplayed_txs_roundtrip: PreplayedTx = arb_bare_preplayed();
     block_kinds_roundtrip: BlockKind = arb_block_kind();
-    payloads_roundtrip: BlockPayload = arb_payload();
+    payloads_roundtrip: BlockPayload = arb_bare_payload();
     blocks_of_every_kind_roundtrip: Block = arb_block();
     shared_blocks_roundtrip: Arc<SealedBlock> = arb_sealed_block(),
         digests |block| (block.digest(), Block::clone(block).seal().digest());
@@ -720,6 +759,7 @@ fn max_size_batch_roundtrips() {
         Round::new(9),
         ReplicaId::new(2),
         ShardId::new(2),
+        4,
         SeqNo::new(41),
         payload,
         SimTime(123_456),
@@ -747,19 +787,20 @@ fn max_size_batch_roundtrips() {
 
 /// The per-transaction byte budget of the two SmallBank procedures every
 /// proposer preplays: a `SendPayment` and a `GetBalance` with their read
-/// set and position, as they ride in a `Header` block to each of the
-/// `n − 1` peers. Measured on the blocks of a short run of the benchmark's
-/// cluster (1 000 accounts, θ 0.85, half reads, batches of 200), where they
-/// average 30.6 and 27.4 bytes; the ceilings leave room for the longer
-/// transaction ids and times of a full-length run. With the write set,
-/// result and abort flag that format version 5 also shipped they cost 49.9
-/// and 32.9 bytes, and with fixed-width integers 148 and 96.
+/// set, as they ride in a `Header` block to each of the `n − 1` peers.
+/// Measured on the blocks of a short run of the benchmark's cluster (1 000
+/// accounts, θ 0.85, half reads, batches of 200), where they average 26.8
+/// and 23.5 bytes; the ceilings leave room for the longer transaction ids
+/// and times of a full-length run. With the shard set and `order` that
+/// format version 6 also shipped they cost 30.1 and 26.9 bytes, with the
+/// write set, result and abort flag of version 5 49.9 and 32.9, and with
+/// fixed-width integers 148 and 96.
 #[test]
 fn preplayed_smallbank_transactions_fit_the_byte_budget() {
     use thunderbolt::prelude::*;
 
-    const SEND_PAYMENT_CEILING: f64 = 33.5;
-    const GET_BALANCE_CEILING: f64 = 30.5;
+    const SEND_PAYMENT_CEILING: f64 = 29.5;
+    const GET_BALANCE_CEILING: f64 = 26.5;
 
     let mut sim = ScenarioBuilder::new(4)
         .engine(ExecutionMode::Thunderbolt)
