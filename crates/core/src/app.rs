@@ -563,7 +563,7 @@ mod tests {
     use crate::replica::tests::{ack, config, enqueue, payment, quorum_certificate};
     use crate::replica::{Outbound, Replica};
     use std::sync::Arc;
-    use tb_types::{Block, CeConfig, Header, SealedBlock, SeqNo, TxId};
+    use tb_types::{Block, CeConfig, Header, SealedBlock, TxId};
 
     impl ShardApp {
         /// The replays of the undelivered preplayed blocks.
@@ -714,11 +714,14 @@ mod tests {
         }
 
         /// The blocks of the headers `replica` proposed in `out`, in order.
-        fn proposals<'a>(replica: &Replica, out: &'a [Outbound]) -> Vec<&'a Arc<SealedBlock>> {
+        fn proposals<'a>(
+            replica: &Replica,
+            out: &'a [Outbound],
+        ) -> Vec<(&'a Header, &'a Arc<SealedBlock>)> {
             out.iter()
                 .filter_map(|o| match &o.msg {
                     Message::Header { header, block } if header.author == replica.id() => {
-                        Some(block)
+                        Some((header, block))
                     }
                     _ => None,
                 })
@@ -731,11 +734,14 @@ mod tests {
         /// view it was proposed on: the replica's store now, under its
         /// overlay as it stood before that proposal. Returns how many it
         /// checked.
-        fn assert_fresh_preplays(replica: &Replica, blocks: &[&Arc<SealedBlock>]) -> u64 {
+        fn assert_fresh_preplays(
+            replica: &Replica,
+            blocks: &[(&Header, &Arc<SealedBlock>)],
+        ) -> u64 {
             let engine = ConcurrentExecutor::new(cfg().system.ce);
             let batches: Vec<&Vec<PreplayedTx>> = blocks
                 .iter()
-                .map(|block| &block.payload.single_shard)
+                .map(|(_, block)| &block.payload.single_shard)
                 .filter(|preplayed| !preplayed.is_empty())
                 .collect();
             let blocks = &replica.app().overlay.blocks;
@@ -890,7 +896,7 @@ mod tests {
                 };
                 let blocks = proposals(replica, &out);
                 seen.proposed[replica.id().as_inner() as usize] += blocks.len() as u64;
-                for block in &blocks {
+                for (header, block) in &blocks {
                     let payload = &block.payload;
                     let converted = payload
                         .cross_shard
@@ -905,14 +911,15 @@ mod tests {
                         .chain(converted)
                         .map(|tx| tx.id)
                         .collect();
-                    let queue = fifo.of(block.shard);
+                    let assignment = ShardAssignment::new(Committee::new(4), header.dag);
+                    let queue = fifo.of(assignment.shard_of(header.author));
                     assert!(
                         proposed.len() <= queue.len(),
                         "{}: unsubmitted",
                         replica.id()
                     );
                     let front: Vec<TxId> = queue.drain(..proposed.len()).collect();
-                    assert_eq!(proposed, front, "{} round {}", replica.id(), block.round);
+                    assert_eq!(proposed, front, "{} round {}", replica.id(), header.round);
                 }
                 if replica.metrics().reconfigurations == reconfigurations {
                     seen.checked += assert_fresh_preplays(replica, &blocks);
@@ -1031,12 +1038,14 @@ mod tests {
             let start = replica.start(SimTime::ZERO);
             replica.after_emission();
             let mut header = own_header(&start).expect("a round-0 header");
-            let mut own: Vec<Arc<SealedBlock>> =
-                proposals(&replica, &start).into_iter().cloned().collect();
+            let mut own: Vec<Arc<SealedBlock>> = proposals(&replica, &start)
+                .into_iter()
+                .map(|(_, block)| Arc::clone(block))
+                .collect();
             let mut deliver = |replica: &mut Replica, from: u32, msg: Message| {
                 let out = replica.handle(ReplicaId::new(from), msg, SimTime::ZERO);
                 replica.after_emission();
-                for block in proposals(replica, &out) {
+                for (_, block) in proposals(replica, &out) {
                     own.push(Arc::clone(block));
                 }
                 out
@@ -1047,17 +1056,7 @@ mod tests {
                     single_shard: Vec::new(),
                     cross_shard: cross,
                 };
-                let block = Block::normal(
-                    dag,
-                    Round::new(round),
-                    author,
-                    ShardId::new(author.as_inner()),
-                    4,
-                    SeqNo::new(round + 1),
-                    payload,
-                    SimTime::ZERO,
-                )
-                .seal();
+                let block = Block::new(BlockKind::Normal, 4, payload).seal();
                 let header = Header::new(
                     dag,
                     Round::new(round),
@@ -1137,7 +1136,7 @@ mod tests {
                 "the payment committed"
             );
             let blocks = proposals(&replica, &out);
-            let rounds: Vec<u64> = blocks.iter().map(|b| b.round.as_u64()).collect();
+            let rounds: Vec<u64> = blocks.iter().map(|(h, _)| h.round.as_u64()).collect();
             assert_eq!(rounds, vec![4, 5]);
             assert_eq!(replica.metrics().batches_repreplayed, 1);
             assert_eq!(replica.metrics().batches_reused, 3);

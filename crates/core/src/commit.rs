@@ -84,7 +84,7 @@ pub struct CommitOutput {
     pub total_latency_secs: f64,
     /// The part of `total_latency_secs` the committed transactions spent in
     /// their proposer's client queue: the summed time from submission to the
-    /// creation of the block that carries them.
+    /// creation of the vertex that carries them (its header's `created_at`).
     pub total_queue_wait_secs: f64,
     /// Number of committed cross-shard transactions.
     pub cross_shard_committed: usize,
@@ -202,8 +202,8 @@ impl CommitPipeline {
         let started = Instant::now();
         let mut output = CommitOutput::default();
 
-        // Gather payloads in delivery order, each preplayed block with the
-        // time it was created (the end of its transactions' queue wait).
+        // Gather payloads in delivery order, each preplayed block with its
+        // header's creation time (the end of its transactions' queue wait).
         let mut preplayed_blocks: Vec<(&SealedBlock, SimTime)> = Vec::new();
         let mut cross_shard: Vec<&Transaction> = Vec::new();
         for vertex in &sub_dag.vertices {
@@ -211,7 +211,7 @@ impl CommitPipeline {
                 output.shift_authors.push(vertex.author());
                 continue;
             }
-            let created_at = vertex.block.created_at;
+            let created_at = vertex.header.created_at;
             if commits_preplayed(&vertex.block) {
                 preplayed_blocks.push((&vertex.block, created_at));
             }
@@ -437,7 +437,8 @@ fn record_commit(output: &mut CommitOutput, id: TxId, submitted_at: SimTime, com
 }
 
 /// Summed time `txs` waited in their proposer's client queue before the
-/// block carrying them was created at `created_at`, in seconds.
+/// vertex carrying them was created at `created_at` (its header's time), in
+/// seconds.
 fn queue_wait_secs<'a>(txs: impl Iterator<Item = &'a Transaction>, created_at: SimTime) -> f64 {
     txs.map(|tx| created_at.saturating_since(tx.submitted_at).as_secs_f64())
         .sum()
@@ -618,8 +619,8 @@ mod tests {
     use tb_storage::{KvRead, MemStore, Store};
     use tb_types::wire::Wire;
     use tb_types::{
-        Block, BlockPayload, CeConfig, ClientId, Committee, ContractCall, DagId, Key, ReplicaId,
-        Round, ShardId, SmallBankProcedure, Vertex,
+        BlockPayload, CeConfig, ClientId, Committee, ContractCall, DagId, Key, ReplicaId, Round,
+        ShardId, SmallBankProcedure, Vertex,
     };
 
     impl ReplayCache {
@@ -1058,6 +1059,53 @@ mod tests {
         }
     }
 
+    /// A block names no vertex, so two vertices may carry byte-identical
+    /// blocks under one digest, the key of the replay cache. Both commit,
+    /// each with the replay a fresh commit makes: a replay is a function of
+    /// the block alone.
+    #[test]
+    fn two_vertices_with_one_block_digest_both_commit_through_the_cache() {
+        let ce = ConcurrentExecutor::new(CeConfig::new(1, 16).without_synthetic_cost());
+        let balance = Transaction::new(
+            TxId::new(1),
+            ClientId::new(0),
+            ContractCall::SmallBank(SmallBankProcedure::GetBalance { account: 3 }),
+            1,
+            SimTime::ZERO,
+        );
+        let block = ce.preplay(&[balance], &funded_store(8)).preplayed;
+        let sub_dag = sub_dag_with_blocks(Committee::new(4), vec![block.clone(), block]);
+        let [first, second] = &sub_dag.vertices[..] else {
+            panic!("two vertices");
+        };
+        assert_eq!(first.block.digest(), second.block.digest());
+        assert_ne!(first.id(), second.id());
+
+        let at = SimTime::from_secs(1);
+        let pipeline = CommitPipeline::new(PostCommitExecution::Pipelined { workers: 2 });
+        let fresh_store = funded_store(8);
+        let fresh = pipeline.process(&sub_dag, &fresh_store, at);
+        assert_eq!(fresh.committed, [(TxId::new(1), at); 2]);
+
+        let mut replays = ReplayCache::default();
+        for vertex in &sub_dag.vertices {
+            replays.admit(&vertex.block);
+        }
+        replays.replay_admitted(0);
+        let store = funded_store(8);
+        let output = pipeline.process_cached(&sub_dag, &store, at, &mut replays);
+        assert_eq!(
+            output.blocks_replayed_ahead + output.blocks_replayed_inline,
+            2
+        );
+        assert_eq!(replays.len(), 0, "delivered blocks leave the cache");
+        assert_eq!(output.committed, fresh.committed);
+        assert_eq!(output.invalid_blocks, 0);
+        assert_eq!(output.single_shard_committed, 2);
+        let diff = store.snapshot().diff_values(&fresh_store.snapshot());
+        assert!(diff.is_empty(), "state divergence on {diff:?}");
+    }
+
     /// A Byzantine proposer's in-memory block may claim shard sets that
     /// disagree with its calls and repeat `order` values. The seal derives
     /// both, so the block the simulation shares and the block a receiver
@@ -1154,7 +1202,7 @@ mod tests {
     }
 
     #[test]
-    fn queue_wait_runs_from_submission_to_block_creation() {
+    fn queue_wait_runs_from_submission_to_header_creation() {
         let ce = ConcurrentExecutor::new(CeConfig::new(1, 8).without_synthetic_cost());
         let mut single = payment(1, 0, 4, 10, 1);
         single.submitted_at = SimTime::from_millis(1);
@@ -1163,9 +1211,7 @@ mod tests {
         let preplayed = ce.preplay(&[single], &funded_store(8)).preplayed;
         let mut sub_dag = sub_dag_with(Committee::new(4), preplayed, vec![cross], &[]);
         for vertex in &mut sub_dag.vertices {
-            let mut block = Block::clone(&vertex.block);
-            block.created_at = SimTime::from_millis(5);
-            Arc::make_mut(vertex).block = Arc::new(block.seal());
+            Arc::make_mut(vertex).header.created_at = SimTime::from_millis(5);
         }
         for workers in [1, 2] {
             let output = CommitPipeline::new(PostCommitExecution::Pipelined { workers }).process(

@@ -211,13 +211,13 @@ impl Dissemination {
         block: Arc<SealedBlock>,
         metrics: &mut ReplicaMetrics,
     ) -> Vec<Outbound> {
-        if header.author != from
-            || header.round < self.dag.start_round()
-            || block.digest() != header.block_digest
-        {
+        if header.round < self.dag.start_round() {
             return Vec::new();
         }
-        if !self.counts_our_shards(&block) {
+        if header.author != from
+            || block.digest() != header.block_digest
+            || !self.counts_our_shards(&block)
+        {
             metrics.rejected_vertices += 1;
             return Vec::new();
         }
@@ -476,7 +476,7 @@ pub(crate) mod tests {
     };
     use crate::replica::{Destination, Replica};
     use std::collections::VecDeque;
-    use tb_types::{Block, ContractCall, SeqNo, SmallBankProcedure};
+    use tb_types::{Block, BlockKind, ContractCall, SmallBankProcedure};
 
     /// Starts replica 0 of a 4-cluster and returns it with its round-0
     /// proposal.
@@ -940,7 +940,7 @@ pub(crate) mod tests {
         let (_, header, block) = proposer_with_header();
         let certificate = quorum_certificate(&header);
         let mut swapped = Block::clone(&block);
-        swapped.seq = SeqNo::new(99);
+        swapped.kind = BlockKind::Skip;
         let mut other_header = header.clone();
         other_header.round = Round::new(1);
 
@@ -989,7 +989,9 @@ pub(crate) mod tests {
 
     /// A header commits to every byte of its block: a copy that differs
     /// from the honest one only in a cross-shard payment's amount gets no
-    /// acknowledgement, and inside a certified vertex it is rejected.
+    /// acknowledgement, and inside a certified vertex it is rejected. A
+    /// header speaks for its author alone: the honest pair sent by another
+    /// replica gets no acknowledgement either. Each refusal is counted.
     #[test]
     fn a_block_that_differs_only_in_a_cross_shard_amount_is_refused() {
         let mut proposer = Replica::new(ReplicaId::new(0), config(4));
@@ -1029,8 +1031,18 @@ pub(crate) mod tests {
             SimTime::ZERO,
         );
         assert!(out.is_empty());
-        assert_eq!(replica.metrics().rejected_vertices, 1);
+        assert_eq!(replica.metrics().rejected_vertices, 2);
         assert!(replica.dag().is_empty());
+        let out = replica.handle(
+            ReplicaId::new(1),
+            header_message(Arc::clone(&block)),
+            SimTime::ZERO,
+        );
+        assert!(
+            out.is_empty(),
+            "acknowledged a header its author did not send"
+        );
+        assert_eq!(replica.metrics().rejected_vertices, 3);
 
         // The honest block under the same header is acknowledged.
         let out = replica.handle(ReplicaId::new(0), header_message(block), SimTime::ZERO);

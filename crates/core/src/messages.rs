@@ -59,10 +59,12 @@ pub const WIRE_MAGIC: u32 = 0x314d_4254;
 /// result and abort flag a receiver derives from them; version 7 ships the
 /// shard count once per block instead of a shard set per transaction, and
 /// a preplayed transaction's place in the serialized order as its position
-/// instead of an `order` field);
+/// instead of an `order` field; version 8 ships a block as kind, shard count
+/// and payload, leaving its DAG, round, author and creation time to the
+/// header);
 /// `tb_network::TCP_FRAME_VERSION` moves with it, and `tests::format_golden`
 /// pins the encoding it names.
-pub const WIRE_FORMAT_VERSION: u16 = 7;
+pub const WIRE_FORMAT_VERSION: u16 = 8;
 
 /// A protocol message exchanged between replicas.
 #[derive(Clone, Debug, PartialEq)]
@@ -173,24 +175,15 @@ impl WireSized for Message {
 mod tests {
     use super::*;
     use tb_types::{
-        Block, BlockPayload, ClientId, Committee, ContractCall, ExecOutcome, Key, PreplayedTx,
-        SeqNo, ShardId, SimTime, SmallBankProcedure, Transaction, TxId, Value,
+        Block, BlockKind, BlockPayload, ClientId, Committee, ContractCall, ExecOutcome, Key,
+        PreplayedTx, SimTime, SmallBankProcedure, Transaction, TxId, Value,
     };
 
     #[test]
     fn message_accessors() {
-        let block: Arc<SealedBlock> = Block::normal(
-            DagId::new(0),
-            Round::new(3),
-            ReplicaId::new(1),
-            ShardId::new(1),
-            4,
-            SeqNo::new(0),
-            BlockPayload::empty(),
-            SimTime::ZERO,
-        )
-        .seal()
-        .into();
+        let block: Arc<SealedBlock> = Block::new(BlockKind::Normal, 4, BlockPayload::empty())
+            .seal()
+            .into();
         let header = Header::new(
             DagId::new(0),
             Round::new(3),
@@ -265,9 +258,9 @@ mod tests {
         // version 2 (fixed-width integers), version 3 (no `Fetch`, the
         // vertex sent to the replicas that were not signers), version 4
         // (digests over hand-kept field lists), version 5 (write sets on
-        // the wire) and version 6 (a shard set and an order per
-        // transaction).
-        for old in [1u8, 2, 3, 4, 5, 6] {
+        // the wire), version 6 (a shard set and an order per transaction)
+        // and version 7 (a block repeating its header's fields).
+        for old in [1u8, 2, 3, 4, 5, 6, 7] {
             bytes[4] = old;
             assert_eq!(
                 Message::from_wire_bytes(&bytes),
@@ -284,7 +277,7 @@ mod tests {
     /// pair below is then re-recorded together.
     #[test]
     fn format_golden() {
-        const GOLDEN: (u16, u64) = (7, 0x7d15_5016_9fe0_f501);
+        const GOLDEN: (u16, u64) = (8, 0x37cf_865c_72f9_190e);
         let tx = |id: u64, call: SmallBankProcedure| {
             Transaction::new(
                 TxId::new(id),
@@ -303,13 +296,9 @@ mod tests {
         balance.record_read(Key::checking(5), Value::int(100_000));
         balance.record_read(Key::savings(5), Value::None);
         balance.return_value = Value::int(100_000);
-        let block: Arc<SealedBlock> = Block::normal(
-            DagId::new(0),
-            Round::new(9),
-            ReplicaId::new(2),
-            ShardId::new(2),
+        let block: Arc<SealedBlock> = Block::new(
+            BlockKind::Normal,
             4,
-            SeqNo::new(4),
             BlockPayload {
                 single_shard: vec![
                     PreplayedTx::new(
@@ -332,7 +321,6 @@ mod tests {
                 ],
                 cross_shard: vec![tx(9, SmallBankProcedure::Amalgamate { from: 2, to: 3 })],
             },
-            SimTime::from_micros(5_000),
         )
         .seal()
         .into();

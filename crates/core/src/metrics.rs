@@ -198,7 +198,8 @@ pub struct RunReport {
     /// scenario did not test what it claimed to.
     pub faults_unapplied: u64,
     /// The part of `total_latency_secs` the committed transactions spent in
-    /// their proposer's client queue (submission to block creation); the
+    /// their proposer's client queue (submission to the creation of the
+    /// vertex's header); the
     /// rest is propose to commit.
     pub total_queue_wait_secs: f64,
 }
@@ -383,9 +384,11 @@ pub struct ReplicaMetrics {
     pub commit_order_digest: u64,
     /// Per-leader-round commit times.
     pub round_commits: Vec<RoundCommitSample>,
-    /// Vertices and certificates dropped on receipt because certificate,
-    /// header and block did not bind together (or the certificate lacked a
-    /// quorum). Zero unless a peer is Byzantine.
+    /// Headers, vertices and certificates dropped on receipt because
+    /// certificate, header and block did not bind together, the header or
+    /// certificate came from someone other than its author, the certificate
+    /// lacked a quorum, or the block counted another number of shards than
+    /// the committee. Zero unless a peer is Byzantine.
     pub rejected_vertices: u64,
     /// `Fetch` requests sent: one when a certificate arrives without its
     /// block, one more per retry period (300 ms) until the vertex comes.

@@ -27,7 +27,7 @@ use tb_dag::{Committer, DagStore};
 use tb_network::NetworkStats;
 use tb_types::{
     Block, BlockKind, BlockPayload, Committee, DagId, Digest, Header, ReplicaId, Round,
-    SealedBlock, SeqNo, ShardAssignment, ShardId, SimTime,
+    SealedBlock, ShardAssignment, ShardId, SimTime,
 };
 
 /// Where an outbound message should go.
@@ -79,7 +79,6 @@ pub struct Replica<A = ShardApp> {
     committer: Committer,
     current_round: Round,
     proposed_current: bool,
-    seq: u64,
 
     shifted_in_dag: bool,
     rounds_proposed_in_dag: u64,
@@ -115,7 +114,6 @@ impl<A: App> Replica<A> {
             committer: Committer::new(committee, dag_id, Round::ZERO),
             current_round: Round::ZERO,
             proposed_current: false,
-            seq: 0,
             shifted_in_dag: false,
             rounds_proposed_in_dag: 0,
             shift_quorum_authors: HashSet::new(),
@@ -273,7 +271,6 @@ impl<A: App> Replica<A> {
         } else {
             self.dag().certificates_at_round(self.current_round.prev())
         };
-        self.seq += 1;
         let (header, block) = self.seal(kind, payload, parents, now);
         self.dissemination
             .proposed(header.clone(), Arc::clone(&block));
@@ -299,18 +296,7 @@ impl<A: App> Replica<A> {
         parents: Vec<Digest>,
         now: SimTime,
     ) -> (Header, Arc<SealedBlock>) {
-        let mut block = Block::normal(
-            self.current_dag(),
-            self.current_round,
-            self.id,
-            self.current_shard(),
-            self.committee.n_shards(),
-            SeqNo::new(self.seq),
-            payload,
-            now,
-        );
-        block.kind = kind;
-        let block = Arc::new(block.seal());
+        let block = Arc::new(Block::new(kind, self.committee.n_shards(), payload).seal());
         let header = Header::new(
             self.current_dag(),
             self.current_round,
@@ -633,16 +619,7 @@ pub(crate) mod tests {
         let (dag, round) = (DagId::new(1), Round::new(5));
         let pair = |author: u32| {
             let author = ReplicaId::new(author);
-            let block = Block::normal(
-                dag,
-                round,
-                author,
-                ShardId::new(0),
-                4,
-                SeqNo::new(1),
-                BlockPayload::empty(),
-                SimTime::ZERO,
-            );
+            let block = Block::new(BlockKind::Normal, 4, BlockPayload::empty());
             let block = Arc::new(block.seal());
             let header = Header::new(dag, round, author, block.digest(), vec![], SimTime::ZERO);
             (header, block)

@@ -9,7 +9,7 @@
 use crate::store::{DagError, DagStore};
 use tb_types::{
     Block, BlockKind, BlockPayload, Certificate, Committee, DagId, Digest, Header, ReplicaId,
-    Round, SeqNo, ShardAssignment, SimTime, Vertex,
+    Round, SimTime, Vertex,
 };
 
 /// Builds certified vertices and whole synthetic DAGs.
@@ -18,7 +18,6 @@ pub struct DagBuilder {
     committee: Committee,
     dag: DagId,
     start_round: Round,
-    seq: u64,
 }
 
 impl DagBuilder {
@@ -28,7 +27,6 @@ impl DagBuilder {
             committee,
             dag,
             start_round,
-            seq: 0,
         }
     }
 
@@ -48,21 +46,7 @@ impl DagBuilder {
         payload: BlockPayload,
         parents: Vec<Digest>,
     ) -> Vertex {
-        let assignment = ShardAssignment::new(self.committee, self.dag);
-        let shard = assignment.shard_of(author);
-        self.seq += 1;
-        let mut block = Block::normal(
-            self.dag,
-            round,
-            author,
-            shard,
-            self.committee.n_shards(),
-            SeqNo::new(self.seq),
-            payload,
-            SimTime::ZERO,
-        );
-        block.kind = kind;
-        let block = block.seal();
+        let block = Block::new(kind, self.committee.n_shards(), payload).seal();
         let header = Header::new(
             self.dag,
             round,

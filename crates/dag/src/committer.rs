@@ -50,15 +50,10 @@ pub struct Committer {
 impl Committer {
     /// Creates a committer for DAG `dag` starting at `start_round`.
     pub fn new(committee: Committee, dag: DagId, start_round: Round) -> Self {
-        let next_leader_round = if start_round.is_leader_round() {
-            start_round
-        } else {
-            start_round.next()
-        };
         Committer {
             committee,
             dag,
-            next_leader_round,
+            next_leader_round: committee.leader_round_for(start_round),
             last_committed_leader_round: None,
             delivered: HashSet::new(),
             walk_steps: 0,
@@ -138,10 +133,10 @@ impl Committer {
         // commit chain (indirect commitment).
         let mut current = leader_vertex.id();
         let mut chain = vec![(leader_round, leader_vertex)];
+        let first = self.committee.leader_round_for(store.start_round());
         let lower_bound = self
             .last_committed_leader_round
-            .map(|r| r.as_u64() + 2)
-            .unwrap_or_else(|| self.first_leader_round(store).as_u64());
+            .map_or(first.as_u64(), |r| r.as_u64() + 2);
         let mut plr = leader_round.as_u64();
         while plr >= 2 && plr - 2 >= lower_bound {
             plr -= 2;
@@ -168,15 +163,6 @@ impl Committer {
                 }
             })
             .collect()
-    }
-
-    fn first_leader_round(&self, store: &DagStore) -> Round {
-        let start = store.start_round();
-        if start.is_leader_round() {
-            start
-        } else {
-            start.next()
-        }
     }
 }
 

@@ -424,7 +424,7 @@ mod tests {
         copy.insert(vertex.clone()).unwrap();
         // A different vertex by the same author in the same round: rejected.
         let mut block = tb_types::Block::clone(&vertex.block);
-        block.seq = tb_types::SeqNo::new(99);
+        block.kind = BlockKind::Skip;
         let block = block.seal();
         let header = tb_types::Header::new(
             vertex.header.dag,

@@ -488,8 +488,8 @@ mod tests {
     use tb_contracts::{TrackingState, SMALLBANK_DEFAULT_BALANCE};
     use tb_storage::{MemStore, Store, Versioned};
     use tb_types::{
-        Block, BlockPayload, CeConfig, ClientId, ContractCall, DagId, KeySet, Operation, ReplicaId,
-        Round, SeqNo, ShardId, SimTime, SmallBankProcedure, Transaction,
+        Block, BlockKind, BlockPayload, CeConfig, ClientId, ContractCall, KeySet, Operation,
+        SimTime, SmallBankProcedure, Transaction,
     };
     use tb_workload::{SmallBankConfig, SmallBankWorkload};
 
@@ -614,18 +614,13 @@ mod tests {
     /// The preplayed transactions of `preplayed` as a block ships them: the
     /// payload of the sealed block.
     fn shipped(preplayed: Vec<PreplayedTx>) -> Vec<PreplayedTx> {
-        let block = Block::normal(
-            DagId::new(0),
-            Round::new(1),
-            ReplicaId::new(0),
-            ShardId::new(0),
+        let block = Block::new(
+            BlockKind::Normal,
             1,
-            SeqNo::new(0),
             BlockPayload {
                 single_shard: preplayed,
                 cross_shard: Vec::new(),
             },
-            SimTime::ZERO,
         );
         Block::clone(&block.seal()).payload.single_shard
     }

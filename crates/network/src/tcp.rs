@@ -51,7 +51,7 @@ use tb_types::{ReplicaId, SimTime};
 pub const TCP_MAGIC: u32 = 0x314e_4254;
 /// Version of the framing layer (bumped together with the message wire
 /// format, see `tb_core::messages::WIRE_FORMAT_VERSION`).
-pub const TCP_FRAME_VERSION: u16 = 7;
+pub const TCP_FRAME_VERSION: u16 = 8;
 /// Upper bound on a single frame's payload, far above any real block.
 pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 /// How long the first dial of a peer keeps retrying before the peer counts
@@ -607,10 +607,22 @@ mod tests {
     /// Dials `addr` by hand and sends a hello claiming `sender`, then one
     /// frame carrying `msg`.
     fn dial_claiming(addr: SocketAddr, sender: u32, msg: u64) -> TcpStream {
+        dial_with_hello(addr, TCP_MAGIC, TCP_FRAME_VERSION, sender, msg)
+    }
+
+    /// Dials `addr` by hand and sends a hello of `magic`, `version` and
+    /// `sender`, then one frame carrying `msg`.
+    fn dial_with_hello(
+        addr: SocketAddr,
+        magic: u32,
+        version: u16,
+        sender: u32,
+        msg: u64,
+    ) -> TcpStream {
         let mut stream = TcpStream::connect(addr).expect("dial");
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(&TCP_MAGIC.to_le_bytes());
-        bytes.extend_from_slice(&TCP_FRAME_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&magic.to_le_bytes());
+        bytes.extend_from_slice(&version.to_le_bytes());
         bytes.extend_from_slice(&sender.to_le_bytes());
         let payload = msg.to_wire_bytes();
         bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -637,6 +649,31 @@ mod tests {
         let _peer = dial_claiming(addr, 0, 3);
         let inbound = b.recv_timeout(Duration::from_secs(5)).expect("deliver");
         assert_eq!((inbound.from, inbound.msg), (ReplicaId::new(0), 3));
+        assert_eq!(b.stats().delivered, 1);
+        b.shutdown();
+    }
+
+    /// A peer built with another framing version, or speaking another
+    /// protocol, is refused at the hello: none of its frames is read, even
+    /// from a committee peer.
+    #[test]
+    fn a_hello_of_another_version_or_magic_is_dropped() {
+        let peers = peers_for(2);
+        let mut b: TcpTransport<u64> =
+            TcpTransport::bind(ReplicaId::new(1), peers.clone()).expect("bind b");
+        let addr = peers[1].addr;
+        let _older = dial_with_hello(addr, TCP_MAGIC, TCP_FRAME_VERSION - 1, 0, 1);
+        let _newer = dial_with_hello(addr, TCP_MAGIC, TCP_FRAME_VERSION + 1, 0, 2);
+        let _foreign = dial_with_hello(addr, TCP_MAGIC ^ 1, TCP_FRAME_VERSION, 0, 3);
+        assert_eq!(
+            b.recv_timeout(Duration::from_millis(300)),
+            Err(RecvError::TimedOut),
+            "a frame behind a foreign hello was delivered"
+        );
+        // The same peer with this build's hello is delivered.
+        let _peer = dial_claiming(addr, 0, 4);
+        let inbound = b.recv_timeout(Duration::from_secs(5)).expect("deliver");
+        assert_eq!((inbound.from, inbound.msg), (ReplicaId::new(0), 4));
         assert_eq!(b.stats().delivered, 1);
         b.shutdown();
     }

@@ -1,23 +1,29 @@
 //! Blocks proposed by shard proposers.
 //!
-//! A block is the payload of one DAG vertex. In the EOV path it carries a
-//! batch of preplayed single-shard transactions (Figure 3), in their
-//! serialized order, each with what only its proposer knows: the reads its
-//! preplay observed. Everything else about the preplay — write set, result,
-//! abort flag — every replica derives by replaying the transaction over
-//! those reads, so a sealed block does not carry it. Nor does it carry what
-//! a receiver derives from the call: each transaction's shard set follows
-//! from the call and the block's shard count, and a preplayed transaction's
-//! place in the serialized order is its position. Cross-shard transactions
-//! ride in the same block but without preplay results (OE path, rule P1).
-//! Skip blocks and Shift blocks are special block kinds used for preplay
-//! recovery (Section 5.4) and non-blocking reconfiguration (Section 6)
-//! respectively.
+//! A block is the payload of one DAG vertex and nothing else: its kind, the
+//! system's shard count and its transactions. Which vertex it belongs to —
+//! DAG, round, author — and when it was created, the vertex's
+//! [`Header`](crate::Header) says, and names the block by digest; the shard
+//! its author serves follows from the header through
+//! [`ShardAssignment::shard_of`](crate::ShardAssignment::shard_of). So two
+//! vertices may carry byte-identical blocks (two empty blocks, say) and stay
+//! two vertices.
+//!
+//! In the EOV path a block carries a batch of preplayed single-shard
+//! transactions (Figure 3), in their serialized order, each with what only
+//! its proposer knows: the reads its preplay observed. Everything else about
+//! the preplay — write set, result, abort flag — every replica derives by
+//! replaying the transaction over those reads, so a sealed block does not
+//! carry it. Nor does it carry what a receiver derives from the call: each
+//! transaction's shard set follows from the call and the block's shard
+//! count, and a preplayed transaction's place in the serialized order is its
+//! position. Cross-shard transactions ride in the same block but without
+//! preplay results (OE path, rule P1). Skip blocks and Shift blocks are
+//! special block kinds used for preplay recovery (Section 5.4) and
+//! non-blocking reconfiguration (Section 6) respectively.
 
 use crate::digest::Digest;
-use crate::ids::{DagId, ReplicaId, Round, SeqNo, ShardId};
 use crate::ops::ExecOutcome;
-use crate::time::SimTime;
 use crate::transaction::Transaction;
 use crate::wire::{Wire, WireError, WireReader, WireWriter};
 use std::fmt;
@@ -108,56 +114,28 @@ impl BlockPayload {
     }
 }
 
-/// A block produced by a shard proposer for one DAG round.
+/// A block produced by a shard proposer for one DAG round. The vertex's
+/// header names the round, the DAG, the author and the creation time.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Block {
-    /// The DAG instance this block belongs to.
-    pub dag: DagId,
-    /// The round the block was proposed in.
-    pub round: Round,
-    /// The replica that authored the block.
-    pub author: ReplicaId,
-    /// The shard the author was serving when it proposed the block.
-    pub shard: ShardId,
+    /// What kind of block this is.
+    pub kind: BlockKind,
     /// The system's shard count (`Committee::n_shards`): every transaction's
     /// [`shards`](Transaction::shards) is derived from its call and this
     /// count, by the decoder and by [`Block::seal`]. Admission refuses a
     /// block whose count is not the committee's.
     pub n_shards: u32,
-    /// Per-author monotone sequence number (used for client deduplication).
-    pub seq: SeqNo,
-    /// What kind of block this is.
-    pub kind: BlockKind,
     /// The transactions carried by the block.
     pub payload: BlockPayload,
-    /// Simulated creation time.
-    pub created_at: SimTime,
 }
 
 impl Block {
-    /// Creates a normal block by `author`, serving shard `shard` of
-    /// `n_shards`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn normal(
-        dag: DagId,
-        round: Round,
-        author: ReplicaId,
-        shard: ShardId,
-        n_shards: u32,
-        seq: SeqNo,
-        payload: BlockPayload,
-        created_at: SimTime,
-    ) -> Self {
+    /// Creates a block of `kind` for a system of `n_shards` shards.
+    pub fn new(kind: BlockKind, n_shards: u32, payload: BlockPayload) -> Self {
         Block {
-            dag,
-            round,
-            author,
-            shard,
+            kind,
             n_shards,
-            seq,
-            kind: BlockKind::Normal,
             payload,
-            created_at,
         }
     }
 
@@ -277,26 +255,19 @@ impl Wire for SealedBlock {
 
 impl fmt::Display for Block {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "Block[{} {} {} {} kind={} txs={}]",
-            self.dag,
-            self.round,
-            self.author,
-            self.shard,
-            self.kind,
-            self.tx_count()
-        )
+        write!(f, "Block[kind={} txs={}]", self.kind, self.tx_count())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{ClientId, TxId};
+    use crate::ids::{ClientId, DagId, ReplicaId, Round, ShardId, TxId};
     use crate::key::Key;
+    use crate::time::SimTime;
     use crate::transaction::{ContractCall, SmallBankProcedure};
     use crate::value::Value;
+    use crate::vertex::Header;
 
     fn sample_tx(id: u64) -> Transaction {
         Transaction::new(
@@ -309,18 +280,7 @@ mod tests {
     }
 
     fn sample_block(kind: BlockKind) -> Block {
-        let mut block = Block::normal(
-            DagId::new(0),
-            Round::new(1),
-            ReplicaId::new(2),
-            ShardId::new(2),
-            4,
-            SeqNo::new(7),
-            BlockPayload::empty(),
-            SimTime::ZERO,
-        );
-        block.kind = kind;
-        block
+        Block::new(kind, 4, BlockPayload::empty())
     }
 
     #[test]
@@ -335,11 +295,13 @@ mod tests {
     /// Every field a block encodes moves its digest, down to the ones a
     /// hand-kept field list once left out: a call's arguments, the client,
     /// the shard count, a declared read's key and value, a byte value past
-    /// its eighth byte, the submission and creation times. What a receiver
-    /// derives — a preplayed transaction's writes, result and abort flag
-    /// from its reads, its order from its position, every shard set from
-    /// the call — is not shipped, so editing it before sealing moves
-    /// nothing.
+    /// its eighth byte, the submission time. What a receiver derives — a
+    /// preplayed transaction's writes, result and abort flag from its reads,
+    /// its order from its position, every shard set from the call — is not
+    /// shipped, so editing it before sealing moves nothing. Which vertex the
+    /// block belongs to, and when it was made, is the header's: the DAG,
+    /// round, author and creation time move the header's digest, and only
+    /// kind, shard count and payload move the block's.
     #[test]
     fn digest_depends_on_contents() {
         fn payment(amount: i64) -> ContractCall {
@@ -379,7 +341,7 @@ mod tests {
         let digest = block().seal().digest();
         assert_eq!(block().seal().digest(), digest);
         type Edit = (&'static str, fn(&mut Block));
-        let moves: [Edit; 11] = [
+        let moves: [Edit; 10] = [
             ("kind", |b| b.kind = BlockKind::Skip),
             ("one more transaction", |b| {
                 b.payload.cross_shard.push(sample_tx(1))
@@ -403,7 +365,6 @@ mod tests {
             ("submitted at", |b| {
                 b.payload.single_shard[0].tx.submitted_at = SimTime::from_micros(1)
             }),
-            ("created at", |b| b.created_at = SimTime::from_micros(1)),
             ("one more read", |b| {
                 b.payload.single_shard[0]
                     .outcome
@@ -434,6 +395,27 @@ mod tests {
             let mut edited = block();
             edit(&mut edited);
             assert_eq!(edited.seal().digest(), digest, "{field}");
+        }
+
+        let header = Header::new(
+            DagId::new(0),
+            Round::new(1),
+            ReplicaId::new(2),
+            digest,
+            vec![],
+            SimTime::ZERO,
+        );
+        type HeaderEdit = (&'static str, fn(&mut Header));
+        let identity: [HeaderEdit; 4] = [
+            ("dag", |h| h.dag = DagId::new(1)),
+            ("round", |h| h.round = Round::new(2)),
+            ("author", |h| h.author = ReplicaId::new(3)),
+            ("created at", |h| h.created_at = SimTime::from_micros(1)),
+        ];
+        for (field, edit) in identity {
+            let mut edited = header.clone();
+            edit(&mut edited);
+            assert_ne!(edited.digest(), header.digest(), "{field}");
         }
     }
 
@@ -530,10 +512,9 @@ mod tests {
     }
 
     #[test]
-    fn display_mentions_round_and_kind() {
-        let b = sample_block(BlockKind::Normal);
-        let s = b.to_string();
-        assert!(s.contains("r1"));
+    fn display_mentions_kind_and_count() {
+        let s = sample_block(BlockKind::Normal).to_string();
         assert!(s.contains("normal"));
+        assert!(s.contains("txs=0"));
     }
 }

@@ -76,13 +76,6 @@ id_type!(
 );
 
 id_type!(
-    /// Monotonically increasing sequence number (per proposer or per client).
-    SeqNo,
-    u64,
-    "#"
-);
-
-id_type!(
     /// Identifier of one DAG instance. A new DAG (with a new `DagId`) is
     /// started on every non-blocking reconfiguration (paper Section 6).
     DagId,

@@ -34,7 +34,7 @@ pub use config::{
     CeConfig, LatencyModel, ReconfigConfig, StorageBackend, StorageConfig, SystemConfig,
 };
 pub use digest::Digest;
-pub use ids::{ClientId, DagId, ReplicaId, Round, SeqNo, ShardId, TxId};
+pub use ids::{ClientId, DagId, ReplicaId, Round, ShardId, TxId};
 pub use key::{Key, KeyHashBuilder, KeyHasher, KeyMap, KeySet, KeySpace};
 pub use ops::{AccessKind, AccessRecord, ExecOutcome, OpKind, Operation, ReadSet, WriteSet};
 pub use time::SimTime;

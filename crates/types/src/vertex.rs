@@ -36,7 +36,8 @@ pub struct Header {
     /// Digests of the parent certificates from round `round - 1`
     /// (empty only in the first round of a DAG).
     pub parents: Vec<Digest>,
-    /// Simulated creation time.
+    /// Simulated creation time of the vertex and its block: where the queue
+    /// wait of the block's transactions ends.
     pub created_at: SimTime,
 }
 
@@ -237,8 +238,7 @@ impl fmt::Display for Vertex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::{Block, BlockPayload};
-    use crate::ids::{SeqNo, ShardId};
+    use crate::block::{Block, BlockKind, BlockPayload};
 
     fn committee4() -> Committee {
         Committee::new(4)
@@ -251,19 +251,6 @@ mod tests {
             ReplicaId::new(author),
             Digest::ZERO,
             vec![],
-            SimTime::ZERO,
-        )
-    }
-
-    fn block(author: u32, round: u64) -> Block {
-        Block::normal(
-            DagId::new(0),
-            Round::new(round),
-            ReplicaId::new(author),
-            ShardId::new(author),
-            4,
-            SeqNo::new(0),
-            BlockPayload::empty(),
             SimTime::ZERO,
         )
     }
@@ -339,7 +326,8 @@ mod tests {
             &h,
             vec![ReplicaId::new(0), ReplicaId::new(1), ReplicaId::new(2)],
         );
-        let v = Vertex::new(h.clone(), block(2, 5).seal(), c.clone());
+        let block = Block::new(BlockKind::Normal, 4, BlockPayload::empty());
+        let v = Vertex::new(h.clone(), block.seal(), c.clone());
         assert_eq!(v.round(), Round::new(5));
         assert_eq!(v.author(), ReplicaId::new(2));
         assert_eq!(v.dag(), DagId::new(0));

@@ -7,7 +7,7 @@
 //!
 //! Format rules (see `docs/NET.md` for the full frame layout):
 //!
-//! - every value-like integer — ids, rounds, times, sequence numbers,
+//! - every value-like integer — ids, rounds, times, shard counts,
 //!   collection lengths, key rows, balances, configuration fields — is an
 //!   unsigned LEB128 varint: seven bits per byte, least significant group
 //!   first, the high bit set on every byte but the last; `i64` is zigzag
@@ -67,7 +67,7 @@ use crate::config::{
     CeConfig, LatencyModel, ReconfigConfig, StorageBackend, StorageConfig, SystemConfig,
 };
 use crate::digest::Digest;
-use crate::ids::{ClientId, DagId, ReplicaId, Round, SeqNo, ShardId, TxId};
+use crate::ids::{ClientId, DagId, ReplicaId, Round, ShardId, TxId};
 use crate::key::{Key, KeySpace};
 use crate::ops::{AccessRecord, Operation};
 use crate::time::SimTime;
@@ -655,7 +655,6 @@ wire_newtype!(ReplicaId, |v| v.as_inner(), ReplicaId::new);
 wire_newtype!(ShardId, |v| v.as_inner(), ShardId::new);
 wire_newtype!(ClientId, |v| v.as_inner(), ClientId::new);
 wire_newtype!(TxId, |v| v.as_inner(), TxId::new);
-wire_newtype!(SeqNo, |v| v.as_inner(), SeqNo::new);
 wire_newtype!(DagId, |v| v.as_inner(), DagId::new);
 wire_newtype!(Round, |v| v.as_u64(), Round::new);
 wire_newtype!(SimTime, |v| v.as_micros(), SimTime::from_micros);
@@ -753,17 +752,7 @@ wire_struct!(BlockPayload {
     cross_shard
 });
 
-wire_struct!(Block {
-    dag,
-    round,
-    author,
-    shard,
-    n_shards,
-    seq,
-    kind,
-    payload,
-    created_at
-} then Block::received);
+wire_struct!(Block { kind, n_shards, payload } then Block::received);
 
 wire_struct!(Header {
     dag,
@@ -936,7 +925,6 @@ mod tests {
         round_trip(ShardId::new(9));
         round_trip(ClientId::new(1));
         round_trip(TxId::new(u64::MAX));
-        round_trip(SeqNo::new(12));
         round_trip(DagId::new(2));
         round_trip(Round::new(77));
         round_trip(SimTime::from_micros(123_456));
@@ -979,18 +967,13 @@ mod tests {
             tx
         );
 
-        let block = Block::normal(
-            DagId::new(0),
-            Round::new(2),
-            ReplicaId::new(1),
-            ShardId::new(1),
+        let block = Block::new(
+            BlockKind::Normal,
             4,
-            SeqNo::new(4),
             BlockPayload {
                 single_shard: vec![PreplayedTx::new(tx.clone(), ExecOutcome::empty(), 0)],
                 cross_shard: vec![tx],
             },
-            SimTime::ZERO,
         );
         round_trip(block.clone());
 

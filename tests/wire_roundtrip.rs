@@ -27,7 +27,7 @@ use thunderbolt::tb_types::wire::{Wire, WireError};
 use thunderbolt::tb_types::{
     AccessRecord, Block, BlockKind, BlockPayload, CeConfig, Certificate, ClientId, ContractCall,
     DagId, Digest, ExecOutcome, Header, Key, KeySpace, LatencyModel, Operation, PreplayedTx,
-    ReconfigConfig, ReplicaId, Round, SealedBlock, SeqNo, ShardId, SimTime, SmallBankProcedure,
+    ReconfigConfig, ReplicaId, Round, SealedBlock, ShardId, SimTime, SmallBankProcedure,
     StorageBackend, StorageConfig, SystemConfig, Transaction, TxId, Value, Vertex,
 };
 use thunderbolt::tb_workload::SmallBankConfig;
@@ -273,29 +273,9 @@ fn arb_block_kind() -> impl Strategy<Value = BlockKind> {
 /// preplayed batch in serialized order and numbered by position, every
 /// shard set derived from its call and the block's shard count.
 fn arb_block() -> impl Strategy<Value = Block> {
-    (
-        (any::<u64>(), any::<u64>(), any::<u32>(), any::<u32>()),
-        (1u32..8, any::<u64>()),
-        arb_block_kind(),
-        arb_payload(),
-        any::<u64>(),
-    )
-        .prop_map(
-            |((dag, round, author, shard), (n_shards, seq), kind, payload, at)| {
-                let block = Block {
-                    dag: DagId::new(dag),
-                    round: Round::new(round),
-                    author: ReplicaId::new(author),
-                    shard: ShardId::new(shard),
-                    n_shards,
-                    seq: SeqNo::new(seq),
-                    kind,
-                    payload,
-                    created_at: SimTime(at),
-                };
-                Block::clone(&block.seal())
-            },
-        )
+    (arb_block_kind(), 1u32..8, arb_payload()).prop_map(|(kind, n_shards, payload)| {
+        Block::clone(&Block::new(kind, n_shards, payload).seal())
+    })
 }
 
 fn arb_digest() -> impl Strategy<Value = Digest> {
@@ -651,7 +631,6 @@ canonical_forms! {
     shard_ids_roundtrip: ShardId = any::<u32>().prop_map(ShardId::new);
     client_ids_roundtrip: ClientId = any::<u32>().prop_map(ClientId::new);
     tx_ids_roundtrip: TxId = any::<u64>().prop_map(TxId::new);
-    seq_nos_roundtrip: SeqNo = any::<u64>().prop_map(SeqNo::new);
     dag_ids_roundtrip: DagId = any::<u64>().prop_map(DagId::new);
     rounds_roundtrip: Round = any::<u64>().prop_map(Round::new);
     sim_times_roundtrip: SimTime = any::<u64>().prop_map(SimTime);
@@ -754,16 +733,7 @@ fn max_size_batch_roundtrips() {
             .collect(),
         cross_shard: (0..128).map(|_| tx_strategy.generate(&mut rng)).collect(),
     };
-    let block = Block::normal(
-        DagId::new(1),
-        Round::new(9),
-        ReplicaId::new(2),
-        ShardId::new(2),
-        4,
-        SeqNo::new(41),
-        payload,
-        SimTime(123_456),
-    );
+    let block = Block::new(BlockKind::Normal, 4, payload);
     let header = Header::new(
         DagId::new(1),
         Round::new(9),
