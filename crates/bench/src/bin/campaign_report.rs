@@ -9,34 +9,31 @@
 //! a long soak — with machine-checked safety/liveness invariants after each
 //! run, and writes `CAMPAIGN_report.json` (or the given path):
 //! `{"scale": …, "campaigns": [one `ScenarioResult` row per scenario]}`.
-//! Scale is controlled by `TB_BENCH_SMOKE=1` (CI chaos-smoke) or left at the
-//! quick profile. The scenarios and the rows are documented in
+//! `TB_BENCH_SMOKE=1` (CI chaos-smoke) selects the smoke profile, anything
+//! else the quick one. The scenarios and the rows are documented in
 //! `docs/CHAOS.md`.
 //!
 //! Exits non-zero if the campaign fails `validate_campaigns`, so CI gates on
 //! a broken safety or liveness property.
 
-use tb_bench::Scale;
+use tb_bench::env_flag;
 use tb_core::campaign::{default_campaign, run_campaign, validate_campaigns, CampaignProfile};
 
 fn main() {
-    let scale = Scale::from_env();
+    let profile = if env_flag("TB_BENCH_SMOKE") {
+        CampaignProfile::smoke()
+    } else {
+        CampaignProfile::quick()
+    };
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "CAMPAIGN_report.json".to_string());
     eprintln!(
         "campaign_report: scale={} cores={} -> {out_path}",
-        scale.label(),
+        profile.label(),
         tb_executor::available_cores()
     );
 
-    // `tb-core` cannot depend on `tb-bench`, so the campaign defines its own
-    // scale knobs and the bench scale is mapped onto them here.
-    let profile = if scale == Scale::smoke() {
-        CampaignProfile::smoke()
-    } else {
-        CampaignProfile::quick()
-    };
     let campaigns = run_campaign(default_campaign(profile));
 
     let rows: Vec<String> = campaigns
@@ -45,7 +42,7 @@ fn main() {
         .collect();
     let json = format!(
         "{{\n  \"scale\": \"{}\",\n  \"campaigns\": [\n{}\n  ]\n}}\n",
-        scale.label(),
+        profile.label(),
         rows.join(",\n")
     );
     if let Err(err) = std::fs::write(&out_path, json) {
@@ -71,14 +68,14 @@ fn main() {
             "{:<26} {:<6} {:>10} {:>9} {:>9} {:>9} {:>9} {:>5}/{:<2} {:>12.0}",
             row.scenario,
             if row.passed { "ok" } else { "FAIL" },
-            row.committed_txs,
-            row.invalid_blocks,
-            row.msgs_dropped,
-            row.reconfigurations,
+            row.report.committed_txs,
+            row.report.invalid_blocks,
+            row.report.msgs_dropped,
+            row.report.reconfigurations,
             row.vertices_fetched,
-            row.faults_applied,
-            row.faults_unapplied,
-            row.throughput_tps,
+            row.report.faults_applied,
+            row.report.faults_unapplied,
+            row.report.throughput_tps(),
         );
         for failure in &row.failures {
             println!("    FAILED: {failure}");

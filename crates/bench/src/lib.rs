@@ -74,44 +74,21 @@ impl Scale {
         }
     }
 
-    /// Minimal parameters for the CI `chaos-smoke` job (set
-    /// `TB_BENCH_SMOKE=1`): every scenario still runs, but with batch counts
-    /// sized for a shared single- or dual-core runner.
-    pub fn smoke() -> Self {
-        Scale {
-            executor_accounts: 512,
-            executor_txs: 512,
-            system_accounts: 128,
-            system_rounds: 8,
-            system_batch: 64,
-            system_executors: 2,
-            op_cost_ns: 2_000,
-        }
-    }
-
-    /// Reads the scale from the environment: `TB_BENCH_SMOKE=1` wins over
-    /// `TB_BENCH_FULL=1`; the default is [`Scale::quick`].
+    /// Reads the scale from the environment: [`Scale::full`] under
+    /// `TB_BENCH_FULL=1`, [`Scale::quick`] otherwise.
     pub fn from_env() -> Self {
-        let set = |name: &str| std::env::var(name).is_ok_and(|v| v != "0" && !v.is_empty());
-        if set("TB_BENCH_SMOKE") {
-            Scale::smoke()
-        } else if set("TB_BENCH_FULL") {
+        if env_flag("TB_BENCH_FULL") {
             Scale::full()
         } else {
             Scale::quick()
         }
     }
+}
 
-    /// The label recorded in `CAMPAIGN_report.json`.
-    pub fn label(&self) -> &'static str {
-        if *self == Scale::smoke() {
-            "smoke"
-        } else if *self == Scale::full() {
-            "full"
-        } else {
-            "quick"
-        }
-    }
+/// Whether the environment variable `name` is set to something other than
+/// empty or `0`.
+pub fn env_flag(name: &str) -> bool {
+    std::env::var(name).is_ok_and(|v| v != "0" && !v.is_empty())
 }
 
 /// One row of an executor experiment (Figures 11 and 12).

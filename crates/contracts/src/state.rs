@@ -213,11 +213,6 @@ impl<S: StateAccess> TrackingState<S> {
     pub fn outcome(&self) -> &ExecOutcome {
         &self.outcome
     }
-
-    /// Mutable access to the inner state.
-    pub fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
 }
 
 impl<S: StateAccess> StateAccess for TrackingState<S> {

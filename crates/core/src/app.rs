@@ -18,7 +18,7 @@
 
 use crate::cluster::{ClusterConfig, ExecutionMode};
 use crate::commit::{CommitOutput, CommitPipeline, PostCommitExecution, ReplayCache};
-use crate::metrics::ReplicaMetrics;
+use crate::metrics::RunReport;
 use crate::proposer::{
     decide, ByzantineBehavior, ProposalContext, ProposalDecision, ShardProposer,
 };
@@ -41,7 +41,7 @@ pub const COMMIT_DIGEST_SEED: u64 = FNV_OFFSET;
 
 /// What a [`Replica`](crate::replica::Replica) asks of the application it
 /// orders blocks for: the only calls the consensus core makes into it.
-/// Counters go to the replica's [`ReplicaMetrics`]. The replica is busy for
+/// Counters go to the replica's [`RunReport`]. The replica is busy for
 /// the whole of [`propose`](App::propose), for [`CommitOutput::busy`] and
 /// for what [`after_emission`](App::after_emission) returns.
 pub trait App {
@@ -54,7 +54,7 @@ pub trait App {
         round: Round,
         leader_present: bool,
         should_shift: bool,
-        metrics: &mut ReplicaMetrics,
+        metrics: &mut RunReport,
     ) -> (BlockKind, BlockPayload);
 
     /// `vertex` is new to the DAG, so not delivered yet. Called once per
@@ -66,14 +66,14 @@ pub trait App {
         &mut self,
         sub_dag: &CommittedSubDag,
         now: SimTime,
-        metrics: &mut ReplicaMetrics,
+        metrics: &mut RunReport,
     ) -> CommitOutput;
 
     /// The step the driver runs after each handler, once the handler's
     /// output is on the wire and the client queue topped up. Returns the
     /// wall-clock time its work took, which the replica is charged after
     /// the emission.
-    fn after_emission(&mut self, metrics: &mut ReplicaMetrics) -> Duration;
+    fn after_emission(&mut self, metrics: &mut RunReport) -> Duration;
 
     /// The replica serves `shard` in a new DAG instance; the undelivered
     /// vertices of the old one will never be delivered.
@@ -195,7 +195,7 @@ impl ShardApp {
         singles: &[Transaction],
         ahead: Option<Preplayed>,
         round: Round,
-        metrics: &mut ReplicaMetrics,
+        metrics: &mut RunReport,
     ) -> Vec<PreplayedTx> {
         let Some(engine) = self.engine.as_deref() else {
             return Vec::new();
@@ -271,7 +271,7 @@ impl ShardApp {
         &mut self,
         payload: &mut BlockPayload,
         round: Round,
-        metrics: &mut ReplicaMetrics,
+        metrics: &mut RunReport,
     ) {
         let mut extra = self.queues.take_single_batch();
         extra.extend(self.queues.take_cross_batch(self.batch_size));
@@ -290,7 +290,7 @@ impl App for ShardApp {
         round: Round,
         leader_present: bool,
         should_shift: bool,
-        metrics: &mut ReplicaMetrics,
+        metrics: &mut RunReport,
     ) -> (BlockKind, BlockPayload) {
         let decision = decide(ProposalContext {
             // Tusk has no preplay path: everything is ordered first and
@@ -357,7 +357,7 @@ impl App for ShardApp {
         &mut self,
         sub_dag: &CommittedSubDag,
         now: SimTime,
-        metrics: &mut ReplicaMetrics,
+        metrics: &mut RunReport,
     ) -> CommitOutput {
         let output =
             self.pipeline
@@ -390,10 +390,10 @@ impl App for ShardApp {
     /// whose vertices entered the DAG since the last call and builds their
     /// write batches, so the commit that delivers them only read-checks and
     /// applies them. The replay counts as validation, as it did in the commit.
-    fn after_emission(&mut self, metrics: &mut ReplicaMetrics) -> Duration {
+    fn after_emission(&mut self, metrics: &mut RunReport) -> Duration {
         let preplayed = self.preplay_ahead();
         let started = Instant::now();
-        metrics.validate_busy += self.replays.replay_admitted(self.op_cost_ns);
+        metrics.validate_busy_secs += self.replays.replay_admitted(self.op_cost_ns).as_secs_f64();
         preplayed + started.elapsed()
     }
 
@@ -601,7 +601,7 @@ mod tests {
         let occ = OccExecutor::new(cfg.system.ce);
         let mut app = ShardApp::new(ReplicaId::new(0), &cfg);
         app.load_state(tb_workload::initial_smallbank_state(16, 1_000));
-        let mut metrics = ReplicaMetrics::default();
+        let mut metrics = RunReport::default();
         // Hot accounts, so every round reads what earlier rounds wrote.
         let mut workload = tb_workload::SmallBankWorkload::new(tb_workload::SmallBankConfig {
             accounts: 16,
@@ -639,7 +639,7 @@ mod tests {
         for id in (16..24).step_by(2) {
             assert!(app.queues_mut().enqueue(payment(id, 4 * (id % 4), 1, 4)));
         }
-        let mut metrics = ReplicaMetrics::default();
+        let mut metrics = RunReport::default();
         let (kind, payload) = app.propose(Round::ZERO, true, false, &mut metrics);
         assert_eq!(kind, BlockKind::Normal);
         let block = &payload.single_shard;

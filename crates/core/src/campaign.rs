@@ -462,9 +462,9 @@ impl Invariant for DurableRecovery {
     }
 }
 
-/// Scale knobs of the default campaign. `tb-core` cannot see `tb-bench`'s
-/// `Scale`, so the campaign carries its own profile; the bench crate maps
-/// one onto the other.
+/// Scale knobs of the default campaign: [`smoke`](Self::smoke) for CI,
+/// [`quick`](Self::quick) for the committed report. The `campaign_report`
+/// binary picks one by `TB_BENCH_SMOKE`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CampaignProfile {
     /// Leader-round budget of most scenarios.
@@ -506,6 +506,15 @@ impl CampaignProfile {
             accounts: 256,
         }
     }
+
+    /// The profile's name, recorded as `"scale"` in `CAMPAIGN_report.json`.
+    pub fn label(&self) -> &'static str {
+        match *self {
+            p if p == Self::smoke() => "smoke",
+            p if p == Self::quick() => "quick",
+            _ => "custom",
+        }
+    }
 }
 
 /// One adversarial scenario: a builder recipe, the replicas it corrupts, and
@@ -520,8 +529,10 @@ pub struct CampaignScenario {
 
 impl CampaignScenario {
     /// Creates a scenario from a name, a one-line description and a builder
-    /// recipe. Every scenario checks [`HonestAgreement`] — it is the campaign's
-    /// reason to exist — so it is pre-installed here.
+    /// recipe. Every scenario checks [`HonestAgreement`] — it is the
+    /// campaign's reason to exist — [`EveryCertifiedVertexEverywhere`] and
+    /// [`FaultsAllApplied`], which holds trivially without faults, so they
+    /// are pre-installed here.
     pub fn new(
         name: impl Into<String>,
         description: impl Into<String>,
@@ -532,7 +543,11 @@ impl CampaignScenario {
             description: description.into(),
             faulty: Vec::new(),
             builder: Box::new(builder),
-            invariants: vec![Box::new(HonestAgreement)],
+            invariants: vec![
+                Box::new(HonestAgreement),
+                Box::new(EveryCertifiedVertexEverywhere),
+                Box::new(FaultsAllApplied),
+            ],
         }
     }
 
@@ -581,19 +596,10 @@ impl CampaignScenario {
             passed: failures.is_empty(),
             failures,
             invariants,
-            committed_txs: report.committed_txs,
-            invalid_blocks: report.invalid_blocks,
-            reconfigurations: report.reconfigurations,
             vertices_fetched: (0..sim.replica_count())
                 .map(|id| sim.replica(ReplicaId::new(id)).metrics().vertices_fetched)
                 .sum(),
-            msgs_sent: report.msgs_sent,
-            msgs_delivered: report.msgs_delivered,
-            msgs_dropped: report.msgs_dropped,
-            faults_applied: report.faults_applied,
-            faults_unapplied: report.faults_unapplied,
-            throughput_tps: report.throughput_tps(),
-            commit_order_digest: report.commit_order_digest.clone(),
+            report,
         }
     }
 }
@@ -612,36 +618,18 @@ pub struct ScenarioResult {
     pub failures: Vec<String>,
     /// Names of the invariants that were checked.
     pub invariants: Vec<String>,
-    /// Transactions the observer committed.
-    pub committed_txs: u64,
-    /// Preplayed blocks validation discarded.
-    pub invalid_blocks: u64,
-    /// Completed reconfigurations.
-    pub reconfigurations: u64,
     /// Vertices admitted from the answer to a fetch, summed over all
     /// replicas: certificates that arrived without their block.
     pub vertices_fetched: u64,
-    /// Messages handed to the network.
-    pub msgs_sent: u64,
-    /// Messages delivered.
-    pub msgs_delivered: u64,
-    /// Messages dropped by faults (the campaign's loss metric).
-    pub msgs_dropped: u64,
-    /// Scheduled faults that fired.
-    pub faults_applied: u64,
-    /// Scheduled faults the run never reached (must be 0 in a passing
-    /// scenario that checks [`FaultsAllApplied`]).
-    pub faults_unapplied: u64,
-    /// Committed transactions per simulated second.
-    pub throughput_tps: f64,
-    /// The observer's FNV-1a commit-order digest.
-    pub commit_order_digest: String,
+    /// The observer's run report.
+    pub report: RunReport,
 }
 
 impl ScenarioResult {
     /// The row as one JSON object — the only JSON the workspace emits, so it
     /// is written by hand rather than through a serialization framework.
     pub fn to_json(&self) -> String {
+        let report = &self.report;
         let strings = |items: &[String]| {
             let quoted: Vec<String> = items.iter().map(|s| json_string(s)).collect();
             format!("[{}]", quoted.join(", "))
@@ -652,22 +640,22 @@ impl ScenarioResult {
             ("passed", self.passed.to_string()),
             ("failures", strings(&self.failures)),
             ("invariants", strings(&self.invariants)),
-            ("committed_txs", self.committed_txs.to_string()),
-            ("invalid_blocks", self.invalid_blocks.to_string()),
-            ("reconfigurations", self.reconfigurations.to_string()),
+            ("committed_txs", report.committed_txs.to_string()),
+            ("invalid_blocks", report.invalid_blocks.to_string()),
+            ("reconfigurations", report.reconfigurations.to_string()),
             ("vertices_fetched", self.vertices_fetched.to_string()),
-            ("msgs_sent", self.msgs_sent.to_string()),
-            ("msgs_delivered", self.msgs_delivered.to_string()),
-            ("msgs_dropped", self.msgs_dropped.to_string()),
-            ("faults_applied", self.faults_applied.to_string()),
-            ("faults_unapplied", self.faults_unapplied.to_string()),
+            ("msgs_sent", report.msgs_sent.to_string()),
+            ("msgs_delivered", report.msgs_delivered.to_string()),
+            ("msgs_dropped", report.msgs_dropped.to_string()),
+            ("faults_applied", report.faults_applied.to_string()),
+            ("faults_unapplied", report.faults_unapplied.to_string()),
             // Finite by construction (`RunReport::throughput_tps`), and
             // `f64`'s `Display` never prints an exponent, so this is a
             // valid JSON number.
-            ("throughput_tps", self.throughput_tps.to_string()),
+            ("throughput_tps", report.throughput_tps().to_string()),
             (
                 "commit_order_digest",
-                json_string(&self.commit_order_digest),
+                format!("\"{:016x}\"", report.commit_order_digest),
             ),
         ];
         let body: Vec<String> = fields
@@ -696,8 +684,9 @@ fn json_string(s: &str) -> String {
 
 /// The gate on a finished campaign, shared by the `campaign_report` binary
 /// (CI `chaos-smoke`) and `tests/chaos_campaign.rs`: at least six scenarios,
-/// every one passed, committed transactions and fired all of its scheduled
-/// faults, and the campaign as a whole exercised real adversity — some
+/// every one passed (which covers firing all of its scheduled faults,
+/// [`FaultsAllApplied`]) and committed transactions, and the campaign as a
+/// whole exercised real adversity — some
 /// scenario lost messages, some detected invalid (Byzantine) blocks, some
 /// completed a reconfiguration, and some replica fetched a vertex it was
 /// missing.
@@ -716,24 +705,18 @@ pub fn validate_campaigns(campaigns: &[ScenarioResult]) -> Result<(), String> {
                 row.failures.join("; ")
             ));
         }
-        if row.committed_txs == 0 {
+        if row.report.committed_txs == 0 {
             return Err(format!(
                 "campaign scenario {} committed nothing",
                 row.scenario
             ));
         }
-        if row.faults_unapplied > 0 {
-            return Err(format!(
-                "campaign scenario {}: {} scheduled faults never applied",
-                row.scenario, row.faults_unapplied
-            ));
-        }
     }
     type Probe = fn(&ScenarioResult) -> u64;
     let adversity: [(&str, Probe); 4] = [
-        ("msgs_dropped", |r| r.msgs_dropped),
-        ("invalid_blocks", |r| r.invalid_blocks),
-        ("reconfigurations", |r| r.reconfigurations),
+        ("msgs_dropped", |r| r.report.msgs_dropped),
+        ("invalid_blocks", |r| r.report.invalid_blocks),
+        ("reconfigurations", |r| r.report.reconfigurations),
         ("vertices_fetched", |r| r.vertices_fetched),
     ];
     for (counter, probe) in adversity {
@@ -750,8 +733,9 @@ pub fn run_campaign(scenarios: Vec<CampaignScenario>) -> Vec<ScenarioResult> {
 }
 
 /// The standard adversarial scenario list at the given profile. Every
-/// scenario asserts honest-replica agreement; each adds the liveness and
-/// fault-specific invariants that make its adversary meaningful.
+/// scenario checks the invariants [`CampaignScenario::new`] pre-installs;
+/// each adds the liveness and fault-specific invariants that make its
+/// adversary meaningful.
 pub fn default_campaign(profile: CampaignProfile) -> Vec<CampaignScenario> {
     let p = profile;
     let base = move |n: u32, rounds: u64, seed: u64, cross: f64| {
@@ -788,7 +772,6 @@ pub fn default_campaign(profile: CampaignProfile) -> Vec<CampaignScenario> {
         .invariant(Liveness {
             min_round_commits: 1,
         })
-        .invariant(EveryCertifiedVertexEverywhere)
         .invariant(InvalidBlocksDetected),
         CampaignScenario::new(
             "byz-equivocate",
@@ -801,8 +784,7 @@ pub fn default_campaign(profile: CampaignProfile) -> Vec<CampaignScenario> {
         .faulty([3])
         .invariant(Liveness {
             min_round_commits: 1,
-        })
-        .invariant(EveryCertifiedVertexEverywhere),
+        }),
         CampaignScenario::new(
             "byz-overfull-wrong-shard",
             "replica 3 preplays cross-shard transactions and overfills its blocks (P1 violation)",
@@ -814,8 +796,7 @@ pub fn default_campaign(profile: CampaignProfile) -> Vec<CampaignScenario> {
         .faulty([3])
         .invariant(Liveness {
             min_round_commits: 1,
-        })
-        .invariant(EveryCertifiedVertexEverywhere),
+        }),
         CampaignScenario::new(
             "partition-heal",
             "replica 2's outbound links to replicas 0 and 1 are cut from the start and heal mid-run",
@@ -836,9 +817,7 @@ pub fn default_campaign(profile: CampaignProfile) -> Vec<CampaignScenario> {
         .invariant(Liveness {
             min_round_commits: 1,
         })
-        .invariant(EveryCertifiedVertexEverywhere)
-        .invariant(MessageLossObserved)
-        .invariant(FaultsAllApplied),
+        .invariant(MessageLossObserved),
         CampaignScenario::new(
             "wan-tail",
             "cross-continent base latency with a heavy jitter tail",
@@ -851,8 +830,7 @@ pub fn default_campaign(profile: CampaignProfile) -> Vec<CampaignScenario> {
         )
         .invariant(Liveness {
             min_round_commits: 1,
-        })
-        .invariant(EveryCertifiedVertexEverywhere),
+        }),
         CampaignScenario::new(
             "crash-two-of-seven",
             "two of seven replicas (f = 2) crash at the start",
@@ -864,9 +842,7 @@ pub fn default_campaign(profile: CampaignProfile) -> Vec<CampaignScenario> {
         .invariant(Liveness {
             min_round_commits: 1,
         })
-        .invariant(EveryCertifiedVertexEverywhere)
-        .invariant(MessageLossObserved)
-        .invariant(FaultsAllApplied),
+        .invariant(MessageLossObserved),
         CampaignScenario::new(
             "censor-reconfig",
             "replica 2 censors from the start; the K-silence rule must rotate shards",
@@ -880,10 +856,8 @@ pub fn default_campaign(profile: CampaignProfile) -> Vec<CampaignScenario> {
         .invariant(Liveness {
             min_round_commits: 1,
         })
-        .invariant(EveryCertifiedVertexEverywhere)
         .invariant(ReconfigurationCompletes { min: 1 })
-        .invariant(MessageLossObserved)
-        .invariant(FaultsAllApplied),
+        .invariant(MessageLossObserved),
         CampaignScenario::new(
             "crash-under-reconfig",
             "periodic K' rotation under load while replica 3 crashes mid-run",
@@ -902,9 +876,7 @@ pub fn default_campaign(profile: CampaignProfile) -> Vec<CampaignScenario> {
         .invariant(Liveness {
             min_round_commits: 1,
         })
-        .invariant(EveryCertifiedVertexEverywhere)
-        .invariant(ReconfigurationCompletes { min: 1 })
-        .invariant(FaultsAllApplied),
+        .invariant(ReconfigurationCompletes { min: 1 }),
         CampaignScenario::new(
             "soak-open-loop",
             "long fault-free open-loop run under LAN jitter",
@@ -912,8 +884,7 @@ pub fn default_campaign(profile: CampaignProfile) -> Vec<CampaignScenario> {
         )
         .invariant(Liveness {
             min_round_commits: (p.soak_rounds / 4).max(1) as usize,
-        })
-        .invariant(EveryCertifiedVertexEverywhere),
+        }),
         {
             let data_dir = Arc::new(
                 TempDir::new("campaign-durable")
@@ -968,8 +939,6 @@ pub fn default_campaign(profile: CampaignProfile) -> Vec<CampaignScenario> {
             .invariant(Liveness {
                 min_round_commits: 1,
             })
-            .invariant(EveryCertifiedVertexEverywhere)
-            .invariant(FaultsAllApplied)
             .invariant(DurableRecovery { data_dir, storage })
         },
     ]
@@ -1004,12 +973,17 @@ mod tests {
             })
             .run();
         assert!(result.passed, "failures: {:?}", result.failures);
-        assert!(result.committed_txs > 0);
-        assert_eq!(result.faults_unapplied, 0);
+        assert!(result.report.committed_txs > 0);
+        assert_eq!(result.report.faults_unapplied, 0);
         assert_eq!(
             result.invariants,
-            vec!["honest-agreement", "liveness"],
-            "agreement is pre-installed, liveness added"
+            vec![
+                "honest-agreement",
+                "every-certified-vertex-everywhere",
+                "faults-all-applied",
+                "liveness"
+            ],
+            "three are pre-installed, liveness added"
         );
     }
 
@@ -1043,10 +1017,9 @@ mod tests {
             CampaignScenario::new("outlived", "fault schedule outlives the run", move || {
                 tiny(4, 8).faults(faults)
             })
-            .invariant(FaultsAllApplied)
             .run();
         assert!(!result.passed);
-        assert_eq!(result.faults_unapplied, 1);
+        assert_eq!(result.report.faults_unapplied, 1);
         assert!(
             result
                 .failures
@@ -1073,7 +1046,7 @@ mod tests {
         .invariant(InvalidBlocksDetected)
         .run();
         assert!(result.passed, "failures: {:?}", result.failures);
-        assert!(result.invalid_blocks > 0);
+        assert!(result.report.invalid_blocks > 0);
     }
 
     fn passing_row(name: &str) -> ScenarioResult {
@@ -1083,17 +1056,18 @@ mod tests {
             passed: true,
             failures: Vec::new(),
             invariants: vec!["honest-agreement".to_string()],
-            committed_txs: 10,
-            invalid_blocks: 1,
-            reconfigurations: 1,
             vertices_fetched: 1,
-            msgs_sent: 5,
-            msgs_delivered: 4,
-            msgs_dropped: 1,
-            faults_applied: 0,
-            faults_unapplied: 0,
-            throughput_tps: 1250.5,
-            commit_order_digest: "00000000deadbeef".to_string(),
+            report: RunReport {
+                committed_txs: 10_001,
+                invalid_blocks: 1,
+                reconfigurations: 1,
+                duration: SimTime::from_secs(8),
+                msgs_sent: 5,
+                msgs_delivered: 4,
+                msgs_dropped: 1,
+                commit_order_digest: 0xdead_beef,
+                ..RunReport::default()
+            },
         }
     }
 
@@ -1104,10 +1078,9 @@ mod tests {
         assert!(validate_campaigns(&rows[..5]).is_err(), "too few scenarios");
 
         type Break = fn(&mut ScenarioResult);
-        let per_row: [(Break, &str); 3] = [
+        let per_row: [(Break, &str); 2] = [
             (|r| r.passed = false, "failed"),
-            (|r| r.committed_txs = 0, "committed nothing"),
-            (|r| r.faults_unapplied = 2, "never applied"),
+            (|r| r.report.committed_txs = 0, "committed nothing"),
         ];
         for (break_row, expected) in per_row {
             let mut broken = rows.clone();
@@ -1117,9 +1090,9 @@ mod tests {
         }
 
         let campaign_wide: [(Break, &str); 4] = [
-            (|r| r.msgs_dropped = 0, "msgs_dropped"),
-            (|r| r.invalid_blocks = 0, "invalid_blocks"),
-            (|r| r.reconfigurations = 0, "reconfigurations"),
+            (|r| r.report.msgs_dropped = 0, "msgs_dropped"),
+            (|r| r.report.invalid_blocks = 0, "invalid_blocks"),
+            (|r| r.report.reconfigurations = 0, "reconfigurations"),
             (|r| r.vertices_fetched = 0, "vertices_fetched"),
         ];
         for (zero, counter) in campaign_wide {
@@ -1139,10 +1112,10 @@ mod tests {
             row.to_json(),
             "{\"scenario\": \"byz \\\"quoted\\\"\", \"description\": \"\", \"passed\": false, \
              \"failures\": [\"liveness: path C:\\\\tmp\\u000aline two\"], \
-             \"invariants\": [\"honest-agreement\"], \"committed_txs\": 10, \
+             \"invariants\": [\"honest-agreement\"], \"committed_txs\": 10001, \
              \"invalid_blocks\": 1, \"reconfigurations\": 1, \"vertices_fetched\": 1, \
              \"msgs_sent\": 5, \"msgs_delivered\": 4, \"msgs_dropped\": 1, \"faults_applied\": 0, \
-             \"faults_unapplied\": 0, \"throughput_tps\": 1250.5, \
+             \"faults_unapplied\": 0, \"throughput_tps\": 1250.125, \
              \"commit_order_digest\": \"00000000deadbeef\"}"
         );
     }

@@ -11,7 +11,7 @@
 //! its app before it runs the commit rule.
 
 use crate::messages::Message;
-use crate::metrics::ReplicaMetrics;
+use crate::metrics::RunReport;
 use crate::replica::Outbound;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -148,7 +148,7 @@ impl Dissemination {
         from: ReplicaId,
         msg: Message,
         now: SimTime,
-        metrics: &mut ReplicaMetrics,
+        metrics: &mut RunReport,
     ) -> (Vec<Outbound>, Vec<Arc<Vertex>>) {
         let current = self.dag.dag_id();
         let out = match msg {
@@ -175,7 +175,7 @@ impl Dissemination {
 
     /// Asks the next signer for every held vertex whose last request went
     /// out [`FETCH_RETRY`] or more before `now`.
-    pub(crate) fn retries(&mut self, now: SimTime, metrics: &mut ReplicaMetrics) -> Vec<Outbound> {
+    pub(crate) fn retries(&mut self, now: SimTime, metrics: &mut RunReport) -> Vec<Outbound> {
         let mut out = Vec::new();
         for entry in self.held.values_mut() {
             if now < entry.asked_at + FETCH_RETRY {
@@ -209,7 +209,7 @@ impl Dissemination {
         from: ReplicaId,
         header: Header,
         block: Arc<SealedBlock>,
-        metrics: &mut ReplicaMetrics,
+        metrics: &mut RunReport,
     ) -> Vec<Outbound> {
         if header.round < self.dag.start_round() {
             return Vec::new();
@@ -297,7 +297,7 @@ impl Dissemination {
         from: ReplicaId,
         certificate: Certificate,
         now: SimTime,
-        metrics: &mut ReplicaMetrics,
+        metrics: &mut RunReport,
     ) -> Vec<Outbound> {
         if certificate.author != from || !certificate.is_valid(&self.dag.committee()) {
             metrics.rejected_vertices += 1;
@@ -327,7 +327,7 @@ impl Dissemination {
         &mut self,
         certificate: Certificate,
         now: SimTime,
-        metrics: &mut ReplicaMetrics,
+        metrics: &mut RunReport,
     ) -> Vec<Outbound> {
         if self.held.contains_key(&certificate.header_digest)
             || self.dag.contains(&certificate.digest())
@@ -359,7 +359,7 @@ impl Dissemination {
         &self,
         from: ReplicaId,
         certificate: Certificate,
-        metrics: &mut ReplicaMetrics,
+        metrics: &mut RunReport,
     ) -> Vec<Outbound> {
         let vertex = if certificate.dag != self.dag.dag_id()
             || !certificate.is_valid(&self.dag.committee())
@@ -389,7 +389,7 @@ impl Dissemination {
     /// from the certificate alone, so before it may enter the DAG the
     /// certificate must carry a quorum and certify exactly this header, and
     /// the block must be the one the header commits to.
-    fn on_vertex(&mut self, mut vertex: Vertex, metrics: &mut ReplicaMetrics) -> Vec<Outbound> {
+    fn on_vertex(&mut self, mut vertex: Vertex, metrics: &mut RunReport) -> Vec<Outbound> {
         if !vertex.certificate.is_valid(&self.dag.committee())
             || !vertex.certificate.certifies(&vertex.header)
         {
@@ -452,7 +452,7 @@ impl Dissemination {
 }
 
 /// A request to `to` for the vertex `certificate` names.
-fn fetch(to: ReplicaId, certificate: Certificate, metrics: &mut ReplicaMetrics) -> Outbound {
+fn fetch(to: ReplicaId, certificate: Certificate, metrics: &mut RunReport) -> Outbound {
     metrics.fetches_sent += 1;
     Outbound::to(to, Message::Fetch(certificate))
 }

@@ -1,7 +1,6 @@
-//! Run reports produced by a cluster run, simulated or over TCP, and the
-//! counters each replica accumulates for them.
+//! Run reports produced by a cluster run, simulated or over TCP: the one
+//! record each replica counts into as it runs.
 
-use std::time::Duration;
 use tb_types::{Round, SimTime};
 
 /// Sub-buckets per power of two in a [`LatencyHistogram`], as a power of
@@ -19,7 +18,7 @@ const SUB_BUCKETS: u64 = 1 << SUB_BUCKET_BITS;
 /// gate wants. Memory is bounded (at most 1 920 counters, up to the bucket
 /// of the largest sample) regardless of run length, so every committed
 /// transaction of a simulation can be recorded.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LatencyHistogram {
     /// Per-bucket sample counts, up to the last non-empty bucket.
     buckets: Vec<u64>,
@@ -108,12 +107,19 @@ tb_types::wire_struct!(RoundCommitSample {
     digest: le
 });
 
-/// Aggregated result of one run, measured on the observer replica (replica 0
-/// unless it is crashed). Honest replicas commit identical sequences, so any
-/// observer yields the same counts. A node process of a TCP cluster reports
-/// itself in the same shape (its [`Wire`](tb_types::wire::Wire) encoding is
-/// what travels back to the launcher), with `duration` and commit times on
-/// its wall clock.
+/// What one replica counted over a run, and the report built from it.
+///
+/// A [`Replica`](crate::replica::Replica) counts into its own `RunReport`
+/// as it runs: the consensus role's counters, the commits it folds in and
+/// those its app writes, each declared here once.
+/// [`Replica::report`](crate::replica::Replica::report) then fills in what
+/// only its owner knows (label, workload, duration, traffic) and the latency
+/// quantiles. A cluster run reports its observer replica (replica 0 unless
+/// it is crashed); honest replicas commit identical sequences, so any
+/// observer yields the same commit counts. A node process of a TCP cluster
+/// reports itself in the same shape (its [`Wire`](tb_types::wire::Wire)
+/// encoding is what travels back to the launcher), with `duration` and
+/// commit times on its wall clock.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunReport {
     /// Human-readable label of the system variant (Thunderbolt,
@@ -136,44 +142,65 @@ pub struct RunReport {
     pub cross_shard_txs: u64,
     /// Preplayed blocks discarded by validation.
     pub invalid_blocks: u64,
-    /// Total preplay re-executions on the observer replica. For the
+    /// Preplay re-executions on this replica's own proposals. For the
     /// concurrent executor these are repairs only: outcomes its chunk
     /// speculation recorded that the serial pass had to re-execute, which
     /// one worker never produces. For OCC they follow a failed verifier check.
     pub reexecutions: u64,
+    /// Proposals that shipped the batch this replica preplayed ahead of
+    /// their round: it was still the batch the queue gave, and every read it
+    /// declared still held on the proposal's view.
+    pub batches_reused: u64,
+    /// Proposals that found a batch preplayed ahead of their round unusable
+    /// and preplayed afresh: a declared read no longer held, or the queue
+    /// had grown a longer batch.
+    pub batches_repreplayed: u64,
     /// Number of DAG reconfigurations that completed during the run.
     pub reconfigurations: u64,
     /// Total simulated duration of the run.
     pub duration: SimTime,
     /// Sum of per-transaction latencies (commit − submission) in seconds.
     pub total_latency_secs: f64,
-    /// Median per-transaction commit latency in seconds (log₂-bucket upper
+    /// Median per-transaction commit latency in seconds (bucket upper
     /// bound, see [`LatencyHistogram`]).
     pub latency_p50_secs: f64,
     /// 99th-percentile per-transaction commit latency in seconds.
     pub latency_p99_secs: f64,
-    /// Wall-clock seconds the observer's validation stage was busy.
+    /// Per-transaction commit latencies, from which
+    /// [`Replica::report`](crate::replica::Replica::report) reads the two
+    /// quantiles above. Not shipped: a decoded report holds an empty one.
+    pub latency_hist: LatencyHistogram,
+    /// Wall-clock seconds the validation stage was busy: replaying
+    /// preplayed blocks on admission, and the commits' read checks and
+    /// replays.
     pub validate_busy_secs: f64,
-    /// Wall-clock seconds the observer's storage-apply stage was busy.
+    /// Wall-clock seconds the storage-apply stage was busy.
     pub apply_busy_secs: f64,
-    /// Wall-clock seconds the observer's cross-shard execution stage was
-    /// busy.
+    /// Wall-clock seconds the cross-shard execution stage was busy.
     pub execute_busy_secs: f64,
-    /// Write batches the observer's commit path applied together with at
-    /// least one other batch.
+    /// Write batches the commit path applied together with at least one
+    /// other batch.
     pub coalesced_batches: u64,
-    /// Storage apply calls the observer's commit path performed: one per
-    /// commit with single-shard writes, plus one per invalid block with
-    /// valid blocks after it, plus one per commit with cross-shard writes
-    /// (see `docs/PIPELINE.md`).
+    /// Storage apply calls the commit path performed: one per commit with
+    /// single-shard writes, plus one per invalid block with valid blocks
+    /// after it, plus one per commit with cross-shard writes (see
+    /// `docs/PIPELINE.md`).
     pub apply_calls: u64,
+    /// Delivered preplayed blocks the commit found replayed: replayed after
+    /// the handler that admitted their vertex, so the commit only
+    /// read-checked and applied them.
+    pub blocks_replayed_ahead: u64,
+    /// Delivered preplayed blocks the commit replayed itself: their vertex
+    /// was admitted by the handler that delivered it.
+    pub blocks_replayed_inline: u64,
     /// FNV-1a digest over the committed transaction ids in commit order,
-    /// as a 16-hex-digit string (a string so JSON consumers never round it
-    /// to a 53-bit double). Two runs that committed the same transactions
-    /// in the same order have the same digest. The converse needs care:
-    /// outside lockstep, simulation schedules are timing-dependent, so
-    /// digests from two independent runs of one scenario normally differ.
-    pub commit_order_digest: String,
+    /// from [`COMMIT_DIGEST_SEED`](crate::app::COMMIT_DIGEST_SEED); shown as
+    /// 16 hex digits, and as a string in JSON so no consumer rounds it to a
+    /// 53-bit double. Two runs that committed the same transactions in the
+    /// same order have the same digest. The converse needs care: outside
+    /// lockstep, simulation schedules are timing-dependent, so digests from
+    /// two independent runs of one scenario normally differ.
+    pub commit_order_digest: u64,
     /// Commit-time samples per leader round (for Figure 16).
     pub round_commits: Vec<RoundCommitSample>,
     /// Highest round reached on the observer replica.
@@ -191,6 +218,25 @@ pub struct RunReport {
     pub bytes_sent: u64,
     /// Wire-encoded payload bytes the transport actually delivered.
     pub bytes_delivered: u64,
+    /// Headers, vertices and certificates dropped on receipt because
+    /// certificate, header and block did not bind together, the header or
+    /// certificate came from someone other than its author, the certificate
+    /// lacked a quorum, or the block counted another number of shards than
+    /// the committee. Zero unless a peer is Byzantine.
+    pub rejected_vertices: u64,
+    /// `Fetch` requests sent: one when a certificate arrives without its
+    /// block, one more per retry period (300 ms) until the vertex comes.
+    pub fetches_sent: u64,
+    /// `Fetch` requests this replica answered with the vertex.
+    pub fetches_answered: u64,
+    /// `Fetch` requests dropped unanswered: a certificate of another DAG or
+    /// without a quorum, or a vertex this replica does not hold.
+    pub fetches_refused: u64,
+    /// Vertices admitted from the answer to one of this replica's fetches.
+    pub vertices_fetched: u64,
+    /// Certificates without their block dropped because two rounds' worth
+    /// were held already: vertices this replica never fetches.
+    pub certificates_dropped: u64,
     /// Scheduled faults the driver applied before the run ended.
     pub faults_applied: u64,
     /// Scheduled faults whose activation time the run never reached. A
@@ -199,8 +245,7 @@ pub struct RunReport {
     pub faults_unapplied: u64,
     /// The part of `total_latency_secs` the committed transactions spent in
     /// their proposer's client queue (submission to the creation of the
-    /// vertex's header); the
-    /// rest is propose to commit.
+    /// vertex's header); the rest is propose to commit.
     pub total_queue_wait_secs: f64,
 }
 
@@ -213,6 +258,8 @@ tb_types::wire_struct!(RunReport {
     cross_shard_txs,
     invalid_blocks,
     reexecutions,
+    batches_reused,
+    batches_repreplayed,
     reconfigurations,
     duration,
     total_latency_secs,
@@ -223,7 +270,9 @@ tb_types::wire_struct!(RunReport {
     execute_busy_secs,
     coalesced_batches,
     apply_calls,
-    commit_order_digest,
+    blocks_replayed_ahead,
+    blocks_replayed_inline,
+    commit_order_digest: le,
     round_commits,
     highest_round,
     msgs_sent,
@@ -231,10 +280,16 @@ tb_types::wire_struct!(RunReport {
     msgs_dropped,
     bytes_sent,
     bytes_delivered,
+    rejected_vertices,
+    fetches_sent,
+    fetches_answered,
+    fetches_refused,
+    vertices_fetched,
+    certificates_dropped,
     faults_applied,
     faults_unapplied,
     total_queue_wait_secs,
-});
+} derives { latency_hist });
 
 impl RunReport {
     /// Throughput in transactions per second of simulated time.
@@ -291,21 +346,6 @@ impl RunReport {
             .collect()
     }
 
-    /// The share of measured stage time spent in each commit stage, as
-    /// `(validate, apply, execute)` fractions summing to 1 (all zero when
-    /// nothing was measured).
-    pub fn stage_occupancy(&self) -> (f64, f64, f64) {
-        let total = self.validate_busy_secs + self.apply_busy_secs + self.execute_busy_secs;
-        if total <= 0.0 {
-            return (0.0, 0.0, 0.0);
-        }
-        (
-            self.validate_busy_secs / total,
-            self.apply_busy_secs / total,
-            self.execute_busy_secs / total,
-        )
-    }
-
     /// One-line summary used by the examples and the benchmark binaries.
     pub fn summary(&self) -> String {
         let scenario = if self.workload.is_empty() {
@@ -326,83 +366,6 @@ impl RunReport {
             self.reconfigurations
         )
     }
-}
-
-/// Counters accumulated by one replica over a run, each kept here only: the
-/// replica's own, the commits' it folds in, and those its app writes.
-#[derive(Clone, Debug, Default)]
-pub struct ReplicaMetrics {
-    /// Committed transactions (single-shard + cross-shard).
-    pub committed_txs: u64,
-    /// Committed single-shard (preplayed) transactions.
-    pub single_shard_txs: u64,
-    /// Committed cross-shard transactions.
-    pub cross_shard_txs: u64,
-    /// Preplayed blocks discarded by validation.
-    pub invalid_blocks: u64,
-    /// Preplay re-executions on this replica's own proposals.
-    pub reexecutions: u64,
-    /// Proposals that shipped the batch this replica preplayed ahead of
-    /// their round: it was still the batch the queue gave, and every read it
-    /// declared still held on the proposal's view.
-    pub batches_reused: u64,
-    /// Proposals that found a batch preplayed ahead of their round unusable
-    /// and preplayed afresh: a declared read no longer held, or the queue
-    /// had grown a longer batch.
-    pub batches_repreplayed: u64,
-    /// Delivered preplayed blocks the commit found replayed: replayed after
-    /// the handler that admitted their vertex, so the commit only
-    /// read-checked and applied them.
-    pub blocks_replayed_ahead: u64,
-    /// Delivered preplayed blocks the commit replayed itself: their vertex
-    /// was admitted by the handler that delivered it.
-    pub blocks_replayed_inline: u64,
-    /// Completed DAG reconfigurations.
-    pub reconfigurations: u64,
-    /// Summed commit latencies in seconds.
-    pub total_latency_secs: f64,
-    /// The part of `total_latency_secs` spent in proposer client queues.
-    pub total_queue_wait_secs: f64,
-    /// Histogram of per-transaction commit latencies.
-    pub latency_hist: LatencyHistogram,
-    /// Wall-clock time the validation stage was busy: replaying preplayed
-    /// blocks on admission, and the commits' read checks and replays.
-    pub validate_busy: Duration,
-    /// Wall-clock time the storage-apply stage was busy.
-    pub apply_busy: Duration,
-    /// Wall-clock time the cross-shard execution stage was busy.
-    pub execute_busy: Duration,
-    /// Write batches applied together with at least one other batch by the
-    /// commit path.
-    pub coalesced_batches: u64,
-    /// Storage apply calls performed by the commit path: one per commit with
-    /// single-shard writes, plus one per invalid block with valid blocks
-    /// after it, plus one per commit with cross-shard writes.
-    pub apply_calls: u64,
-    /// FNV-1a digest over committed transaction ids in commit order, from
-    /// [`COMMIT_DIGEST_SEED`](crate::app::COMMIT_DIGEST_SEED).
-    pub commit_order_digest: u64,
-    /// Per-leader-round commit times.
-    pub round_commits: Vec<RoundCommitSample>,
-    /// Headers, vertices and certificates dropped on receipt because
-    /// certificate, header and block did not bind together, the header or
-    /// certificate came from someone other than its author, the certificate
-    /// lacked a quorum, or the block counted another number of shards than
-    /// the committee. Zero unless a peer is Byzantine.
-    pub rejected_vertices: u64,
-    /// `Fetch` requests sent: one when a certificate arrives without its
-    /// block, one more per retry period (300 ms) until the vertex comes.
-    pub fetches_sent: u64,
-    /// `Fetch` requests this replica answered with the vertex.
-    pub fetches_answered: u64,
-    /// `Fetch` requests dropped unanswered: a certificate of another DAG or
-    /// without a quorum, or a vertex this replica does not hold.
-    pub fetches_refused: u64,
-    /// Vertices admitted from the answer to one of this replica's fetches.
-    pub vertices_fetched: u64,
-    /// Certificates without their block dropped because two rounds' worth
-    /// were held already: vertices this replica never fetches.
-    pub certificates_dropped: u64,
 }
 
 #[cfg(test)]
@@ -543,21 +506,6 @@ mod tests {
             .run();
         let (p50, p99) = (report.latency_p50_secs, report.latency_p99_secs);
         assert!(0.0 < p50 && p50 < p99, "p50 {p50} s, p99 {p99} s");
-    }
-
-    #[test]
-    fn stage_occupancy_normalizes_to_shares() {
-        let report = RunReport {
-            validate_busy_secs: 3.0,
-            apply_busy_secs: 1.0,
-            execute_busy_secs: 0.0,
-            ..RunReport::default()
-        };
-        let (validate, apply, execute) = report.stage_occupancy();
-        assert!((validate - 0.75).abs() < 1e-9);
-        assert!((apply - 0.25).abs() < 1e-9);
-        assert_eq!(execute, 0.0);
-        assert_eq!(RunReport::default().stage_occupancy(), (0.0, 0.0, 0.0));
     }
 
     #[test]

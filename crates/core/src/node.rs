@@ -310,7 +310,7 @@ mod tests {
     /// moves only when an encoding does.
     #[test]
     fn launch_and_report_golden() {
-        const GOLDEN: u64 = 0x7507_9077_c61f_256c;
+        const GOLDEN: u64 = 0x6c74_1b6b_46b0_91ec;
         let spec = NodeSpec {
             node: 2,
             ports: vec![7001, 7002, 7003, 65_535],
@@ -363,17 +363,23 @@ mod tests {
             cross_shard_txs: 1_000,
             invalid_blocks: 3,
             reexecutions: 41,
+            batches_reused: 17,
+            batches_repreplayed: 5,
             reconfigurations: 2,
             duration: SimTime::from_micros(2_500_000),
             total_latency_secs: 45.5,
             latency_p50_secs: 0.004,
             latency_p99_secs: 0.016,
+            // Not shipped: a decoded report's histogram is empty.
+            latency_hist: Default::default(),
             validate_busy_secs: 0.3,
             apply_busy_secs: 0.07,
             execute_busy_secs: 0.11,
             coalesced_batches: 12,
             apply_calls: 30,
-            commit_order_digest: "00c0ffee00c0ffee".to_string(),
+            blocks_replayed_ahead: 88,
+            blocks_replayed_inline: 6,
+            commit_order_digest: 0x00c0_ffee_00c0_ffee,
             round_commits: (1..=3)
                 .map(|i| crate::metrics::RoundCommitSample {
                     dag: i / 2,
@@ -388,6 +394,12 @@ mod tests {
             msgs_dropped: 10,
             bytes_sent: 400_000,
             bytes_delivered: 390_000,
+            rejected_vertices: 8,
+            fetches_sent: 9,
+            fetches_answered: 7,
+            fetches_refused: 2,
+            vertices_fetched: 11,
+            certificates_dropped: 1,
             faults_applied: 4,
             faults_unapplied: 1,
             total_queue_wait_secs: 9.25,

@@ -18,7 +18,7 @@ use crate::app::{App, ShardApp, COMMIT_DIGEST_SEED};
 use crate::cluster::ClusterConfig;
 use crate::dissemination::Dissemination;
 use crate::messages::Message;
-use crate::metrics::{ReplicaMetrics, RoundCommitSample, RunReport};
+use crate::metrics::{RoundCommitSample, RunReport};
 use crate::proposer::ByzantineBehavior;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -84,7 +84,8 @@ pub struct Replica<A = ShardApp> {
     rounds_proposed_in_dag: u64,
     shift_quorum_authors: HashSet<ReplicaId>,
 
-    metrics: ReplicaMetrics,
+    /// Everything counted so far, by the replica and by its app.
+    metrics: RunReport,
     busy: Duration,
 }
 
@@ -117,9 +118,10 @@ impl<A: App> Replica<A> {
             shifted_in_dag: false,
             rounds_proposed_in_dag: 0,
             shift_quorum_authors: HashSet::new(),
-            metrics: ReplicaMetrics {
+            metrics: RunReport {
+                replicas: committee.size(),
                 commit_order_digest: COMMIT_DIGEST_SEED,
-                ..ReplicaMetrics::default()
+                ..RunReport::default()
             },
             busy: Duration::ZERO,
         }
@@ -166,8 +168,10 @@ impl<A: App> Replica<A> {
         self.dissemination.awaits_vertex(header_digest)
     }
 
-    /// Accumulated metrics.
-    pub fn metrics(&self) -> &ReplicaMetrics {
+    /// The counters so far. The owner's fields (label, workload, duration,
+    /// traffic) and the latency quantiles are filled in by
+    /// [`report`](Self::report).
+    pub fn metrics(&self) -> &RunReport {
         &self.metrics
     }
 
@@ -186,11 +190,11 @@ impl<A: App> Replica<A> {
         self.busy += self.app.after_emission(&mut self.metrics);
     }
 
-    /// Builds the run report from this replica's point of view. The replica
-    /// does not know what generated its traffic or what the transport
-    /// carried, so its owner (the cluster simulation or a node process)
-    /// supplies the workload name and the network statistics; fault
-    /// accounting is left at zero for a driver that injects faults to fill.
+    /// Builds the run report from this replica's point of view: its
+    /// counters, plus what only its owner (the cluster simulation or a node
+    /// process) knows, the workload name, the duration and the network
+    /// statistics, and the latency quantiles. Fault accounting is left at
+    /// zero for a driver that injects faults to fill.
     pub fn report(
         &self,
         label: &str,
@@ -201,33 +205,16 @@ impl<A: App> Replica<A> {
         RunReport {
             label: label.to_string(),
             workload: workload.to_string(),
-            replicas: self.committee.size(),
-            committed_txs: self.metrics.committed_txs,
-            single_shard_txs: self.metrics.single_shard_txs,
-            cross_shard_txs: self.metrics.cross_shard_txs,
-            invalid_blocks: self.metrics.invalid_blocks,
-            reexecutions: self.metrics.reexecutions,
-            reconfigurations: self.metrics.reconfigurations,
             duration,
-            total_latency_secs: self.metrics.total_latency_secs,
-            total_queue_wait_secs: self.metrics.total_queue_wait_secs,
             latency_p50_secs: self.metrics.latency_hist.quantile_secs(0.5),
             latency_p99_secs: self.metrics.latency_hist.quantile_secs(0.99),
-            validate_busy_secs: self.metrics.validate_busy.as_secs_f64(),
-            apply_busy_secs: self.metrics.apply_busy.as_secs_f64(),
-            execute_busy_secs: self.metrics.execute_busy.as_secs_f64(),
-            coalesced_batches: self.metrics.coalesced_batches,
-            apply_calls: self.metrics.apply_calls,
-            commit_order_digest: format!("{:016x}", self.metrics.commit_order_digest),
-            round_commits: self.metrics.round_commits.clone(),
             highest_round: self.dag().highest_round(),
             msgs_sent: net.sent,
             msgs_delivered: net.delivered,
             msgs_dropped: net.dropped,
             bytes_sent: net.bytes_sent,
             bytes_delivered: net.bytes_delivered,
-            faults_applied: 0,
-            faults_unapplied: 0,
+            ..self.metrics.clone()
         }
     }
 
@@ -411,9 +398,9 @@ impl<A: App> Replica<A> {
             self.metrics.invalid_blocks += output.invalid_blocks as u64;
             self.metrics.total_latency_secs += output.total_latency_secs;
             self.metrics.total_queue_wait_secs += output.total_queue_wait_secs;
-            self.metrics.validate_busy += output.stage_validate;
-            self.metrics.apply_busy += output.stage_apply;
-            self.metrics.execute_busy += output.stage_execute;
+            self.metrics.validate_busy_secs += output.stage_validate.as_secs_f64();
+            self.metrics.apply_busy_secs += output.stage_apply.as_secs_f64();
+            self.metrics.execute_busy_secs += output.stage_execute.as_secs_f64();
             self.metrics.coalesced_batches += output.coalesced_batches;
             self.metrics.apply_calls += output.apply_calls;
             self.metrics.blocks_replayed_ahead += output.blocks_replayed_ahead;
@@ -966,7 +953,7 @@ pub(crate) mod tests {
             round: Round,
             _leader_present: bool,
             should_shift: bool,
-            _metrics: &mut ReplicaMetrics,
+            _metrics: &mut RunReport,
         ) -> (BlockKind, BlockPayload) {
             self.calls.push(Call::Propose(round));
             let kind = if should_shift {
@@ -985,14 +972,14 @@ pub(crate) mod tests {
             &mut self,
             sub_dag: &CommittedSubDag,
             _now: SimTime,
-            _metrics: &mut ReplicaMetrics,
+            _metrics: &mut RunReport,
         ) -> CommitOutput {
             let ids = sub_dag.vertices.iter().map(|vertex| vertex.id()).collect();
             self.calls.push(Call::Delivered(ids));
             CommitOutput::default()
         }
 
-        fn after_emission(&mut self, _metrics: &mut ReplicaMetrics) -> Duration {
+        fn after_emission(&mut self, _metrics: &mut RunReport) -> Duration {
             Duration::ZERO
         }
 

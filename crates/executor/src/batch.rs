@@ -26,31 +26,6 @@ fn fold_value(digest: u64, value: &Value) -> u64 {
     }
 }
 
-/// Which engine produced a result (used in benchmark reports).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ExecutorKind {
-    /// The Thunderbolt concurrent executor.
-    ConcurrentExecutor,
-    /// Optimistic concurrency control.
-    Occ,
-    /// Two-phase locking, no-wait variant.
-    TwoPlNoWait,
-    /// Serial in-order execution.
-    Serial,
-}
-
-impl ExecutorKind {
-    /// Short display name matching the paper's figures.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ExecutorKind::ConcurrentExecutor => "Thunderbolt",
-            ExecutorKind::Occ => "OCC",
-            ExecutorKind::TwoPlNoWait => "2PL-No-Wait",
-            ExecutorKind::Serial => "Serial",
-        }
-    }
-}
-
 /// The outcome of executing (or preplaying) one batch of transactions.
 #[derive(Clone, Debug, Default)]
 pub struct BatchResult {
@@ -316,13 +291,5 @@ mod tests {
         let mut renamed = base.clone();
         renamed.preplayed[0].tx.id = TxId::new(9);
         assert_ne!(base.commit_digest(), renamed.commit_digest());
-    }
-
-    #[test]
-    fn executor_kind_labels() {
-        assert_eq!(ExecutorKind::ConcurrentExecutor.label(), "Thunderbolt");
-        assert_eq!(ExecutorKind::Occ.label(), "OCC");
-        assert_eq!(ExecutorKind::TwoPlNoWait.label(), "2PL-No-Wait");
-        assert_eq!(ExecutorKind::Serial.label(), "Serial");
     }
 }

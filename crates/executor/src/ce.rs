@@ -23,7 +23,7 @@
 //! worker count, core count and scheduling (`BatchResult::commit_digest`,
 //! docs/PIPELINE.md).
 
-use crate::batch::{BatchResult, ExecutorKind};
+use crate::batch::BatchResult;
 use crate::pool;
 use crate::traits::{effective_workers, synthetic_work, BatchExecutor};
 use std::sync::OnceLock;
@@ -217,10 +217,6 @@ impl Default for ConcurrentExecutor {
 }
 
 impl BatchExecutor for ConcurrentExecutor {
-    fn kind(&self) -> ExecutorKind {
-        ExecutorKind::ConcurrentExecutor
-    }
-
     fn preplay(&self, txs: &[Transaction], base: &(dyn KvRead + Sync)) -> BatchResult {
         let started = Instant::now();
         let workers = effective_workers(self.config.executors).min(txs.len());

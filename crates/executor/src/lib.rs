@@ -36,7 +36,7 @@ pub mod traits;
 pub mod two_pl;
 pub mod validation;
 
-pub use batch::{BatchResult, ExecutorKind};
+pub use batch::BatchResult;
 pub use ce::ConcurrentExecutor;
 pub use occ::OccExecutor;
 pub use pool::WorkerPool;

@@ -10,7 +10,7 @@
 //! store while still holding the verifier lock, which is what makes commits
 //! atomic; the read view itself is never written.
 
-use crate::batch::{BatchResult, ExecutorKind};
+use crate::batch::BatchResult;
 use crate::pool;
 use crate::traits::{read_committed, synthetic_work, BatchExecutor};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,10 +72,6 @@ impl StateAccess for OccSession<'_> {
 }
 
 impl BatchExecutor for OccExecutor {
-    fn kind(&self) -> ExecutorKind {
-        ExecutorKind::Occ
-    }
-
     fn preplay(&self, txs: &[Transaction], base: &(dyn KvRead + Sync)) -> BatchResult {
         let started = Instant::now();
         let committed = MemStore::new();

@@ -5,7 +5,7 @@
 //! the other in their consensus order. It also serves as the reference
 //! implementation the property tests compare the concurrent engines against.
 
-use crate::batch::{BatchResult, ExecutorKind};
+use crate::batch::BatchResult;
 use crate::traits::{synthetic_work, BatchExecutor};
 use std::time::Instant;
 use tb_contracts::{execute_call, ExecError, StateAccess, TrackingState};
@@ -62,10 +62,6 @@ impl StateAccess for SerialSession<'_> {
 }
 
 impl BatchExecutor for SerialExecutor {
-    fn kind(&self) -> ExecutorKind {
-        ExecutorKind::Serial
-    }
-
     fn preplay(&self, txs: &[Transaction], base: &(dyn KvRead + Sync)) -> BatchResult {
         let started = Instant::now();
         let mut overlay = KeyMap::default();

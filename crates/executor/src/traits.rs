@@ -1,6 +1,6 @@
 //! The common interface of all batch executors.
 
-use crate::batch::{BatchResult, ExecutorKind};
+use crate::batch::BatchResult;
 use std::sync::OnceLock;
 use tb_storage::{KvRead, MemStore, Versioned};
 use tb_types::{Key, Transaction};
@@ -14,9 +14,6 @@ use tb_types::{Key, Transaction};
 /// method, [`BatchExecutor::preplay`], returns the batch's effects instead
 /// of writing them, and only a commit path writes a store.
 pub trait BatchExecutor: Send + Sync {
-    /// Which engine this is (used for labelling results).
-    fn kind(&self) -> ExecutorKind;
-
     /// Preplays the batch against the read view `base` **without** writing
     /// anything: the serialized order, read/write sets and results live only
     /// in the returned [`BatchResult`], exactly like the preplay outcomes a
@@ -30,11 +27,6 @@ pub trait BatchExecutor: Send + Sync {
         let result = self.preplay(txs, store);
         result.apply_to(store);
         result
-    }
-
-    /// Human-readable engine label.
-    fn label(&self) -> &'static str {
-        self.kind().label()
     }
 }
 

@@ -9,7 +9,7 @@
 //! store, and the commit takes its place in the serialized order, before
 //! the locks are released.
 
-use crate::batch::{BatchResult, ExecutorKind};
+use crate::batch::BatchResult;
 use crate::pool;
 use crate::traits::{read_committed, synthetic_work, BatchExecutor};
 use std::collections::HashSet;
@@ -149,10 +149,6 @@ impl StateAccess for TwoPlSession<'_> {
 }
 
 impl BatchExecutor for TwoPlNoWaitExecutor {
-    fn kind(&self) -> ExecutorKind {
-        ExecutorKind::TwoPlNoWait
-    }
-
     fn preplay(&self, txs: &[Transaction], base: &(dyn KvRead + Sync)) -> BatchResult {
         let started = Instant::now();
         let committed = MemStore::new();

@@ -918,16 +918,22 @@ mod tests {
     /// validates.
     #[test]
     fn a_receiver_derives_the_write_batch_the_proposer_applies() {
-        let engines: [Box<dyn BatchExecutor>; 3] = [
-            Box::new(ConcurrentExecutor::new(
-                CeConfig::new(4, 512).without_synthetic_cost(),
-            )),
-            Box::new(OccExecutor::new(
-                CeConfig::new(4, 512).without_synthetic_cost(),
-            )),
-            Box::new(SerialExecutor::new()),
+        let engines: [(&str, Box<dyn BatchExecutor>); 3] = [
+            (
+                "CE",
+                Box::new(ConcurrentExecutor::new(
+                    CeConfig::new(4, 512).without_synthetic_cost(),
+                )),
+            ),
+            (
+                "OCC",
+                Box::new(OccExecutor::new(
+                    CeConfig::new(4, 512).without_synthetic_cost(),
+                )),
+            ),
+            ("Serial", Box::new(SerialExecutor::new())),
         ];
-        for engine in &engines {
+        for (name, engine) in &engines {
             let store = funded_store(32);
             let result = engine.preplay(&smallbank_batch(32, 120), &store);
             let block = shipped(result.preplayed.clone());
@@ -936,11 +942,10 @@ mod tests {
             assert_eq!(
                 sorted(&replay.batch),
                 sorted(&result.write_batch()),
-                "{:?}",
-                engine.kind()
+                "{name}"
             );
             let report = validate_block(&block, &store, &ValidationConfig::new(4));
-            assert!(report.is_valid(), "{:?}: {:?}", engine.kind(), report);
+            assert!(report.is_valid(), "{name}: {report:?}");
             assert_eq!(report.checked, 120);
         }
     }

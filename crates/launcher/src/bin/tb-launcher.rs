@@ -61,7 +61,7 @@ fn main() {
     for (node, report) in outcome.reports.iter().enumerate() {
         println!(
             "  node {node}: {} txs committed, {} rounds, {} msgs sent / {} delivered, \
-             {} B sent, digest {}",
+             {} B sent, digest {:016x}",
             report.committed_txs,
             report.round_commits.len(),
             report.msgs_sent,
@@ -76,7 +76,7 @@ fn main() {
     );
     if let Some(sim) = &outcome.sim_report {
         println!(
-            "  sim twin: {} txs committed, digest {} -> {}",
+            "  sim twin: {} txs committed, digest {:016x} -> {}",
             sim.committed_txs,
             sim.commit_order_digest,
             if outcome.sim_digest_match {

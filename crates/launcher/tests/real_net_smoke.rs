@@ -61,6 +61,13 @@ fn main() {
         assert!(report.bytes_sent > 0, "byte accounting must be wired up");
         assert!(report.msgs_delivered > 0);
         assert_eq!(report.workload, "smallbank");
+        // A node's report carries the counters its replica keeps for
+        // itself too: every block it committed here was preplayed, so the
+        // commit found it replayed ahead or replayed it inline.
+        assert!(
+            report.blocks_replayed_ahead + report.blocks_replayed_inline > 0,
+            "node {node} reported no replayed blocks"
+        );
     }
     // A node reports its replica's own commit-path counters, not zeros: on
     // this all-single-shard scenario every committed block went through the
@@ -76,7 +83,7 @@ fn main() {
         outcome
             .reports
             .iter()
-            .map(|r| &r.commit_order_digest)
+            .map(|r| format!("{:016x}", r.commit_order_digest))
             .collect::<Vec<_>>()
     );
     assert!(outcome.sim_digest_checked);

@@ -67,18 +67,6 @@ impl KvWorkloadConfig {
         self.seed = seed;
         self
     }
-
-    /// Overrides the skew parameter.
-    pub fn with_theta(mut self, theta: f64) -> Self {
-        self.theta = theta;
-        self
-    }
-
-    /// Overrides the cross-shard fraction.
-    pub fn with_cross_shard(mut self, fraction: f64) -> Self {
-        self.cross_shard_fraction = fraction;
-        self
-    }
 }
 
 /// A deterministic hot-key KV transaction generator.

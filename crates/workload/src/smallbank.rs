@@ -99,12 +99,6 @@ impl SmallBankConfig {
         self.seed = seed;
         self
     }
-
-    /// Overrides the skew parameter.
-    pub fn with_theta(mut self, theta: f64) -> Self {
-        self.theta = theta;
-        self
-    }
 }
 
 /// The initial state the workload expects: every account's checking and

@@ -27,7 +27,11 @@ fn default_campaign_passes_at_smoke_scale() {
     assert!(equivocate.vertices_fetched > 0);
     for result in &results {
         assert!(!result.invariants.is_empty());
-        assert_eq!(result.commit_order_digest.len(), 16, "16-hex-digit digest");
+        let digest = format!(
+            "\"commit_order_digest\": \"{:016x}\"",
+            result.report.commit_order_digest
+        );
+        assert!(result.to_json().contains(&digest), "16-hex-digit digest");
     }
 }
 

@@ -24,37 +24,40 @@ fn workload(accounts: u64, pr_read: f64, theta: f64, seed: u64) -> SmallBankWork
 
 #[test]
 fn every_engine_conserves_total_balance_under_high_contention() {
-    let engines: Vec<Box<dyn BatchExecutor>> = vec![
-        Box::new(ConcurrentExecutor::new(
-            CeConfig::new(8, 256).without_synthetic_cost(),
-        )),
-        Box::new(OccExecutor::new(
-            CeConfig::new(8, 256).without_synthetic_cost(),
-        )),
-        Box::new(TwoPlNoWaitExecutor::new(
-            CeConfig::new(8, 256).without_synthetic_cost(),
-        )),
-        Box::new(SerialExecutor::new()),
+    let engines: Vec<(&str, Box<dyn BatchExecutor>)> = vec![
+        (
+            "Thunderbolt",
+            Box::new(ConcurrentExecutor::new(
+                CeConfig::new(8, 256).without_synthetic_cost(),
+            )),
+        ),
+        (
+            "OCC",
+            Box::new(OccExecutor::new(
+                CeConfig::new(8, 256).without_synthetic_cost(),
+            )),
+        ),
+        (
+            "2PL-No-Wait",
+            Box::new(TwoPlNoWaitExecutor::new(
+                CeConfig::new(8, 256).without_synthetic_cost(),
+            )),
+        ),
+        ("Serial", Box::new(SerialExecutor::new())),
     ];
-    for engine in engines {
+    for (name, engine) in engines {
         let store = funded_store(32);
         let expected_total = store.stats().int_sum;
         let mut generator = workload(32, 0.2, 0.9, 11);
         for _ in 0..3 {
             let batch = generator.batch(128, SimTime::ZERO);
             let result = engine.execute_batch(&batch, &store);
-            assert_eq!(
-                result.committed(),
-                batch.len(),
-                "{} lost transactions",
-                engine.label()
-            );
+            assert_eq!(result.committed(), batch.len(), "{name} lost transactions");
         }
         assert_eq!(
             store.stats().int_sum,
             expected_total,
-            "{} does not conserve money",
-            engine.label()
+            "{name} does not conserve money"
         );
     }
 }

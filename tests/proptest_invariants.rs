@@ -121,7 +121,7 @@ proptest! {
                 (tracking.outcome().clone(), returned)
             };
             replay.load(outcome.write_set.iter().map(|r| (r.key, r.value.clone())));
-            let label = executor.label();
+            let label = ["CE", "OCC", "2PL-No-Wait", "Serial"][engine];
             prop_assert_eq!(sorted(p.outcome.read_set.clone()), sorted(outcome.read_set), "{}", label);
             prop_assert_eq!(sorted(p.outcome.write_set.clone()), sorted(outcome.write_set), "{}", label);
             prop_assert_eq!(&p.outcome.return_value, &returned.return_value, "{}", label);

@@ -54,13 +54,13 @@ fn crash_recover_durable_scenario_passes_at_smoke_scale() {
         "crash-recover-durable violated {:?}",
         result.failures
     );
-    assert!(result.committed_txs > 0);
+    assert!(result.report.committed_txs > 0);
     assert!(
         result.invariants.iter().any(|i| i == "durable-recovery"),
         "the durable-recovery invariant must be machine-checked, got {:?}",
         result.invariants
     );
-    assert_eq!(result.faults_unapplied, 0);
+    assert_eq!(result.report.faults_unapplied, 0);
 }
 
 /// Whole-cluster restart: run a WAL-backed simulation to completion, drop it
@@ -117,8 +117,7 @@ fn restarted_replicas_recover_exact_state_without_reloading_genesis() {
     let observer = restarted.replica(ReplicaId::new(0)).app().store();
     let digest = observer.last_commit().expect("observer marker").digest;
     assert_eq!(
-        format!("{digest:016x}"),
-        report.commit_order_digest,
+        digest, report.commit_order_digest,
         "recovered digest must equal the reported commit-order digest"
     );
 }

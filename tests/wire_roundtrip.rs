@@ -32,7 +32,8 @@ use thunderbolt::tb_types::{
 };
 use thunderbolt::tb_workload::SmallBankConfig;
 use thunderbolt::{
-    ByzantineBehavior, ClusterConfig, ExecutionMode, Message, RoundCommitSample, RunReport,
+    ByzantineBehavior, ClusterConfig, ExecutionMode, LatencyHistogram, Message, RoundCommitSample,
+    RunReport,
 };
 
 /// Seeded values drawn per registered type.
@@ -532,17 +533,17 @@ fn arb_commit_sample() -> impl Strategy<Value = RoundCommitSample> {
 }
 
 fn arb_run_report() -> impl Strategy<Value = RunReport> {
-    let counters = || prop::collection::vec(any::<u64>(), 16..17);
+    let counters = || prop::collection::vec(any::<u64>(), 27..28);
     let seconds = || prop::collection::vec(arb_f64(), 7..8);
     (
-        (arb_string(), arb_string(), arb_string()),
+        (arb_string(), arb_string()),
         any::<u32>(),
         counters(),
         seconds(),
         prop::collection::vec(arb_commit_sample(), 0..5),
     )
         .prop_map(
-            |((label, workload, commit_order_digest), replicas, n, f, round_commits)| RunReport {
+            |((label, workload), replicas, n, f, round_commits)| RunReport {
                 label,
                 workload,
                 replicas,
@@ -551,17 +552,23 @@ fn arb_run_report() -> impl Strategy<Value = RunReport> {
                 cross_shard_txs: n[2],
                 invalid_blocks: n[3],
                 reexecutions: n[4],
+                batches_reused: n[16],
+                batches_repreplayed: n[17],
                 reconfigurations: n[5],
                 duration: SimTime(n[6]),
                 total_latency_secs: f[0],
                 latency_p50_secs: f[1],
                 latency_p99_secs: f[2],
+                // Not shipped: the decoder leaves it empty.
+                latency_hist: LatencyHistogram::default(),
                 validate_busy_secs: f[3],
                 apply_busy_secs: f[4],
                 execute_busy_secs: f[5],
                 coalesced_batches: n[7],
                 apply_calls: n[8],
-                commit_order_digest,
+                blocks_replayed_ahead: n[18],
+                blocks_replayed_inline: n[19],
+                commit_order_digest: n[20],
                 round_commits,
                 highest_round: Round::new(n[9]),
                 msgs_sent: n[10],
@@ -569,6 +576,12 @@ fn arb_run_report() -> impl Strategy<Value = RunReport> {
                 msgs_dropped: n[12],
                 bytes_sent: n[13],
                 bytes_delivered: n[14],
+                rejected_vertices: n[21],
+                fetches_sent: n[22],
+                fetches_answered: n[23],
+                fetches_refused: n[24],
+                vertices_fetched: n[25],
+                certificates_dropped: n[26],
                 faults_applied: n[15],
                 faults_unapplied: n[6] ^ n[15],
                 total_queue_wait_secs: f[6],
