@@ -15,6 +15,11 @@
 //! step it replays the preplayed blocks whose vertices the handler
 //! admitted, so the commit that delivers them only read-checks and applies
 //! them (`docs/PIPELINE.md`, "Validation replays on admission").
+//!
+//! The app also times its own transactions: a proposal notes when each
+//! transaction it takes was submitted and proposed, and the commit that
+//! delivers it records its latency, all on this replica's clock
+//! (`docs/PIPELINE.md`, "Queue wait"). Blocks carry no submission time.
 
 use crate::cluster::{ClusterConfig, ExecutionMode};
 use crate::commit::{CommitOutput, CommitPipeline, PostCommitExecution, ReplayCache};
@@ -22,7 +27,7 @@ use crate::metrics::RunReport;
 use crate::proposer::{
     decide, ByzantineBehavior, ProposalContext, ProposalDecision, ShardProposer,
 };
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
 use tb_dag::CommittedSubDag;
 use tb_executor::batch::{fnv_fold, FNV_OFFSET};
@@ -30,9 +35,9 @@ use tb_executor::validation::read_holds;
 use tb_executor::{BatchExecutor, ConcurrentExecutor, OccExecutor};
 use tb_storage::{CommitMarker, KvRead, MemStore, Store, Versioned, WalOptions, WalStore};
 use tb_types::{
-    AccessRecord, BlockKind, BlockPayload, Committee, DagId, Digest, Key, KeyMap, PreplayedTx,
-    ReplicaId, Round, ShardAssignment, ShardId, SimTime, StorageBackend, StorageConfig,
-    Transaction, Value, Vertex,
+    AccessRecord, BlockKind, BlockPayload, Committee, DagId, Digest, Key, KeyHashBuilder, KeyMap,
+    PreplayedTx, ReplicaId, Round, ShardAssignment, ShardId, SimTime, StorageBackend,
+    StorageConfig, Transaction, TxId, Value, Vertex,
 };
 
 /// The initial value of the commit-order digest: the FNV-1a offset basis
@@ -45,15 +50,16 @@ pub const COMMIT_DIGEST_SEED: u64 = FNV_OFFSET;
 /// the whole of [`propose`](App::propose), for [`CommitOutput::busy`] and
 /// for what [`after_emission`](App::after_emission) returns.
 pub trait App {
-    /// The kind and payload of this replica's block for `round`.
-    /// `leader_present` says whether the previous leader's vertex is in the
-    /// DAG (rule P6), `should_shift` whether this replica votes to
+    /// The kind and payload of this replica's block for `round`, proposed
+    /// at `now`. `leader_present` says whether the previous leader's vertex
+    /// is in the DAG (rule P6), `should_shift` whether this replica votes to
     /// reconfigure now (Section 6).
     fn propose(
         &mut self,
         round: Round,
         leader_present: bool,
         should_shift: bool,
+        now: SimTime,
         metrics: &mut RunReport,
     ) -> (BlockKind, BlockPayload);
 
@@ -114,6 +120,10 @@ pub struct ShardApp {
     /// that will take it. Every proposal takes it, so it is never older
     /// than the last take from the queue.
     ahead: Option<Preplayed>,
+    /// The transactions this replica proposed and has not seen commit, each
+    /// with when it was submitted and when it was proposed, on this
+    /// replica's clock. A commit times those it delivers.
+    proposed: HashMap<TxId, (SimTime, SimTime), KeyHashBuilder>,
 }
 
 impl ShardApp {
@@ -150,6 +160,7 @@ impl ShardApp {
             overlay: Overlay::default(),
             last_preplayed: false,
             ahead: None,
+            proposed: HashMap::default(),
         }
     }
 
@@ -290,6 +301,7 @@ impl App for ShardApp {
         round: Round,
         leader_present: bool,
         should_shift: bool,
+        now: SimTime,
         metrics: &mut RunReport,
     ) -> (BlockKind, BlockPayload) {
         let decision = decide(ProposalContext {
@@ -337,6 +349,11 @@ impl App for ShardApp {
             }
             _ => {}
         }
+        // The block will not carry the submission times: keep them here.
+        let txs = payload.single_shard.iter().map(|p| &p.tx);
+        for tx in txs.chain(&payload.cross_shard) {
+            self.proposed.insert(tx.id, (tx.submitted_at, now));
+        }
         (kind, payload)
     }
 
@@ -366,6 +383,10 @@ impl App for ShardApp {
             // FNV-1a fold over the commit order; honest replicas agree on
             // the sequence, so they agree on the digest.
             metrics.commit_order_digest = fnv_fold(metrics.commit_order_digest, tx_id.as_inner());
+            // This replica times the transactions it proposed, once each.
+            if let Some((submitted_at, proposed_at)) = self.proposed.remove(tx_id) {
+                metrics.time_commit(submitted_at, proposed_at, now);
+            }
         }
         // Commit boundary: a durable backend persists the marker and fsyncs
         // everything before it, so recovery reproduces both the state and
@@ -376,11 +397,18 @@ impl App for ShardApp {
             digest: metrics.commit_order_digest,
         });
         // Delivered vertices no longer hold back preplay (P3/P4), and this
-        // replica's own delivered blocks leave the overlay.
+        // replica's own delivered blocks leave the overlay. The preplayed
+        // transactions of an own block found invalid never commit: their
+        // times go too.
         for vertex in &sub_dag.vertices {
             self.conflicting_undelivered.remove(&vertex.id());
             if vertex.author() == self.id {
                 self.overlay.deliver(vertex.round());
+                if output.invalid_blocks > 0 {
+                    for p in &vertex.block.payload.single_shard {
+                        self.proposed.remove(&p.tx.id);
+                    }
+                }
             }
         }
         output
@@ -401,6 +429,8 @@ impl App for ShardApp {
         self.conflicting_undelivered.clear();
         self.replays.clear();
         self.overlay.clear();
+        // The old DAG's undelivered blocks never commit.
+        self.proposed.clear();
         // The queue may be cleared below: drop its preplayed front with it.
         self.ahead = None;
         self.queues.reassign(shard);
@@ -640,7 +670,7 @@ mod tests {
             assert!(app.queues_mut().enqueue(payment(id, 4 * (id % 4), 1, 4)));
         }
         let mut metrics = RunReport::default();
-        let (kind, payload) = app.propose(Round::ZERO, true, false, &mut metrics);
+        let (kind, payload) = app.propose(Round::ZERO, true, false, SimTime::ZERO, &mut metrics);
         assert_eq!(kind, BlockKind::Normal);
         let block = &payload.single_shard;
         assert_eq!(block.len(), 20, "its own batch of 8, then 8 + 4 more");
@@ -653,6 +683,72 @@ mod tests {
         let config = tb_executor::validation::ValidationConfig::new(1);
         let report = tb_executor::validation::validate_block(block, &honest, &config);
         assert!(report.is_valid(), "{report:?}");
+    }
+
+    /// A replica times each transaction it proposed on its own clock:
+    /// queued from its submission to the proposal that took it, then on to
+    /// the commit that delivered it. The block it proposed carries no
+    /// submission time, so nothing here reads one off the block.
+    #[test]
+    fn queue_wait_runs_from_submission_to_the_proposal() {
+        for validators in [1, 2] {
+            let mut cfg = config(4);
+            cfg.system.ce = CeConfig::new(1, 8).without_synthetic_cost();
+            cfg.system.validators = validators;
+            let mut app = ShardApp::new(ReplicaId::new(0), &cfg);
+            app.load_state(tb_workload::initial_smallbank_state(8, 1_000));
+            // Accounts 0 and 4 lie on shard 0 of 4, account 1 on shard 1.
+            let mut single = payment(1, 0, 4, 4);
+            single.submitted_at = SimTime::from_millis(1);
+            let mut cross = payment(2, 0, 1, 4);
+            cross.submitted_at = SimTime::from_millis(2);
+            assert!(app.queues_mut().enqueue(single));
+            assert!(app.queues_mut().enqueue(cross));
+
+            let mut metrics = RunReport::default();
+            let proposed_at = SimTime::from_millis(5);
+            let (kind, payload) = app.propose(Round::ZERO, true, false, proposed_at, &mut metrics);
+            assert_eq!(payload.single_shard.len(), 1, "{validators} validators");
+            assert_eq!(payload.cross_shard.len(), 1, "{validators} validators");
+            let block = Block::new(kind, 4, payload).seal();
+            let txs = block.payload.single_shard.iter().map(|p| &p.tx);
+            assert!(txs
+                .chain(&block.payload.cross_shard)
+                .all(|tx| tx.submitted_at == SimTime::ZERO));
+            let header = Header::new(
+                DagId::new(0),
+                Round::ZERO,
+                ReplicaId::new(0),
+                block.digest(),
+                Vec::new(),
+                proposed_at,
+            );
+            let certificate = quorum_certificate(&header);
+            let vertex = Arc::new(Vertex::new(header, block, certificate));
+            app.admitted(&vertex);
+            let sub_dag = CommittedSubDag {
+                leader: Arc::clone(&vertex),
+                leader_round: Round::ZERO,
+                vertices: vec![vertex],
+            };
+
+            let output = app.delivered(&sub_dag, SimTime::from_millis(10), &mut metrics);
+            assert_eq!(output.committed_count(), 2, "{validators} validators");
+            assert_eq!(metrics.timed_txs, 2, "{validators} validators");
+            assert_eq!(metrics.latency_hist.count(), 2, "{validators} validators");
+            // Queued 4 + 3 ms of the 9 + 8 ms from submission to commit.
+            assert!(
+                (metrics.total_queue_wait_secs - 0.007).abs() < 1e-9,
+                "{validators} validators"
+            );
+            assert!(
+                (metrics.total_latency_secs - 0.017).abs() < 1e-9,
+                "{validators} validators"
+            );
+            // A transaction is timed once.
+            app.delivered(&sub_dag, SimTime::from_millis(20), &mut metrics);
+            assert_eq!(metrics.timed_txs, 2, "{validators} validators");
+        }
     }
 
     #[test]

@@ -682,12 +682,17 @@ fn json_string(s: &str) -> String {
     out
 }
 
+/// The scenario whose Byzantine replica tampers with its blocks' declared
+/// reads: the one row that must report invalid blocks.
+const TAMPER_SCENARIO: &str = "byz-tamper-reads";
+
 /// The gate on a finished campaign, shared by the `campaign_report` binary
 /// (CI `chaos-smoke`) and `tests/chaos_campaign.rs`: at least six scenarios,
 /// every one passed (which covers firing all of its scheduled faults,
-/// [`FaultsAllApplied`]) and committed transactions, and the campaign as a
-/// whole exercised real adversity — some
-/// scenario lost messages, some detected invalid (Byzantine) blocks, some
+/// [`FaultsAllApplied`]) and committed transactions, the `byz-tamper-reads`
+/// row itself detected invalid blocks (another scenario's invalid blocks
+/// say nothing about whether tampered reads are caught), and the campaign
+/// as a whole exercised real adversity — some scenario lost messages, some
 /// completed a reconfiguration, and some replica fetched a vertex it was
 /// missing.
 pub fn validate_campaigns(campaigns: &[ScenarioResult]) -> Result<(), String> {
@@ -712,10 +717,15 @@ pub fn validate_campaigns(campaigns: &[ScenarioResult]) -> Result<(), String> {
             ));
         }
     }
+    let tamper = campaigns.iter().find(|row| row.scenario == TAMPER_SCENARIO);
+    if tamper.is_none_or(|row| row.report.invalid_blocks == 0) {
+        return Err(format!(
+            "campaign scenario {TAMPER_SCENARIO} is missing or reported no invalid_blocks"
+        ));
+    }
     type Probe = fn(&ScenarioResult) -> u64;
-    let adversity: [(&str, Probe); 4] = [
+    let adversity: [(&str, Probe); 3] = [
         ("msgs_dropped", |r| r.report.msgs_dropped),
-        ("invalid_blocks", |r| r.report.invalid_blocks),
         ("reconfigurations", |r| r.report.reconfigurations),
         ("vertices_fetched", |r| r.vertices_fetched),
     ];
@@ -755,7 +765,7 @@ pub fn default_campaign(profile: CampaignProfile) -> Vec<CampaignScenario> {
     };
     vec![
         CampaignScenario::new(
-            "byz-tamper-reads",
+            TAMPER_SCENARIO,
             "replica 3 corrupts the first declared read of its preplayed blocks",
             // Lockstep: a proposer waits for the complete previous round, so
             // whether it preplays or converts a batch no longer depends on
@@ -1073,9 +1083,10 @@ mod tests {
 
     #[test]
     fn validate_campaigns_gates_rows_and_campaign_wide_adversity() {
-        let rows: Vec<ScenarioResult> = (0..6).map(|i| passing_row(&format!("s{i}"))).collect();
+        let mut rows: Vec<ScenarioResult> = (0..6).map(|i| passing_row(&format!("s{i}"))).collect();
+        rows[0].scenario = TAMPER_SCENARIO.to_string();
         assert_eq!(validate_campaigns(&rows), Ok(()));
-        assert!(validate_campaigns(&rows[..5]).is_err(), "too few scenarios");
+        assert!(validate_campaigns(&rows[1..]).is_err(), "too few scenarios");
 
         type Break = fn(&mut ScenarioResult);
         let per_row: [(Break, &str); 2] = [
@@ -1089,9 +1100,8 @@ mod tests {
             assert!(err.contains("s3") && err.contains(expected), "{err}");
         }
 
-        let campaign_wide: [(Break, &str); 4] = [
+        let campaign_wide: [(Break, &str); 3] = [
             (|r| r.report.msgs_dropped = 0, "msgs_dropped"),
-            (|r| r.report.invalid_blocks = 0, "invalid_blocks"),
             (|r| r.report.reconfigurations = 0, "reconfigurations"),
             (|r| r.vertices_fetched = 0, "vertices_fetched"),
         ];
@@ -1101,6 +1111,39 @@ mod tests {
             let err = validate_campaigns(&quiet).expect_err(counter);
             assert!(err.contains(counter), "{err}");
         }
+    }
+
+    /// Invalid blocks are the tamper scenario's evidence: other rows that
+    /// report some (an equivocator's or a partition's) cannot stand in for
+    /// it.
+    #[test]
+    fn validate_campaigns_requires_invalid_blocks_on_the_tamper_row_itself() {
+        let mut rows: Vec<ScenarioResult> = (0..6).map(|i| passing_row(&format!("s{i}"))).collect();
+        rows[2].scenario = TAMPER_SCENARIO.to_string();
+        assert_eq!(validate_campaigns(&rows), Ok(()));
+
+        let mut quiet_tamper = rows.clone();
+        quiet_tamper[2].report.invalid_blocks = 0;
+        assert!(quiet_tamper.iter().any(|r| r.report.invalid_blocks > 0));
+        let err = validate_campaigns(&quiet_tamper).expect_err("a quiet tamper row");
+        assert!(
+            err.contains(TAMPER_SCENARIO) && err.contains("invalid_blocks"),
+            "{err}"
+        );
+
+        let mut no_tamper = rows.clone();
+        no_tamper[2].scenario = "s2".to_string();
+        let err = validate_campaigns(&no_tamper).expect_err("no tamper row");
+        assert!(err.contains(TAMPER_SCENARIO), "{err}");
+
+        // Only the tamper row needs invalid blocks.
+        let mut only_tamper = rows;
+        for (i, row) in only_tamper.iter_mut().enumerate() {
+            if i != 2 {
+                row.report.invalid_blocks = 0;
+            }
+        }
+        assert_eq!(validate_campaigns(&only_tamper), Ok(()));
     }
 
     #[test]

@@ -210,6 +210,8 @@ impl ClusterSimulation {
             duration,
             self.network.stats(),
         );
+        // Each replica timed the transactions it proposed.
+        report.pool_latency(self.replicas.iter().map(Replica::metrics));
         let faults = self.network.faults();
         report.faults_applied = faults.applied() as u64;
         report.faults_unapplied = faults.remaining() as u64;

@@ -77,15 +77,10 @@ pub enum PostCommitExecution {
 /// Statistics and effects of committing one batch of sub-DAGs.
 #[derive(Clone, Debug, Default)]
 pub struct CommitOutput {
-    /// Transactions whose effects were applied, with their commit time.
+    /// Transactions whose effects were applied, in commit order, with their
+    /// commit time. Their latency is their proposers' to time: a block does
+    /// not carry submission times.
     pub committed: Vec<(TxId, SimTime)>,
-    /// Summed latency (commit time − submission time) over the committed
-    /// transactions, in seconds of simulated time.
-    pub total_latency_secs: f64,
-    /// The part of `total_latency_secs` the committed transactions spent in
-    /// their proposer's client queue: the summed time from submission to the
-    /// creation of the vertex that carries them (its header's `created_at`).
-    pub total_queue_wait_secs: f64,
     /// Number of committed cross-shard transactions.
     pub cross_shard_committed: usize,
     /// Number of committed single-shard (preplayed) transactions.
@@ -114,9 +109,6 @@ pub struct CommitOutput {
     /// invalid block that has valid blocks after it, plus one for a sub-DAG
     /// whose cross-shard transactions write anything.
     pub apply_calls: u64,
-    /// Per-transaction commit latencies in seconds of simulated time,
-    /// parallel to `committed`.
-    pub latency_samples_secs: Vec<f64>,
     /// Preplayed blocks whose replay was cached when this commit delivered
     /// them: replayed when their vertex entered the DAG.
     pub blocks_replayed_ahead: u64,
@@ -202,35 +194,27 @@ impl CommitPipeline {
         let started = Instant::now();
         let mut output = CommitOutput::default();
 
-        // Gather payloads in delivery order, each preplayed block with its
-        // header's creation time (the end of its transactions' queue wait).
-        let mut preplayed_blocks: Vec<(&SealedBlock, SimTime)> = Vec::new();
+        // Gather payloads in delivery order.
+        let mut preplayed_blocks: Vec<&SealedBlock> = Vec::new();
         let mut cross_shard: Vec<&Transaction> = Vec::new();
         for vertex in &sub_dag.vertices {
             if vertex.block.kind == BlockKind::Shift {
                 output.shift_authors.push(vertex.author());
                 continue;
             }
-            let created_at = vertex.header.created_at;
             if commits_preplayed(&vertex.block) {
-                preplayed_blocks.push((&vertex.block, created_at));
+                preplayed_blocks.push(&vertex.block);
             }
             // Every delivered cross-shard transaction commits below.
-            let cross = &vertex.block.payload.cross_shard;
-            output.total_queue_wait_secs += queue_wait_secs(cross.iter(), created_at);
-            cross_shard.extend(cross.iter());
+            cross_shard.extend(&vertex.block.payload.cross_shard);
         }
 
         // G1: single-shard (preplayed) transactions first.
-        let delivered: Vec<&SealedBlock> =
-            preplayed_blocks.iter().map(|&(block, _)| block).collect();
-        let taken = replays.take_or_replay(&delivered, &self.validation, &mut output);
+        let taken = replays.take_or_replay(&preplayed_blocks, &self.validation, &mut output);
         let blocks = preplayed_blocks
             .iter()
             .zip(taken)
-            .map(|(&(block, created_at), replay)| {
-                (&block.payload.single_shard[..], created_at, replay)
-            })
+            .map(|(block, replay)| (&block.payload.single_shard[..], replay))
             .collect();
         self.commit_preplayed_batched(blocks, store, commit_time, &mut output);
 
@@ -240,9 +224,9 @@ impl CommitPipeline {
         let mut g2 = WriteBatch::new();
         for wave in shard_disjoint_waves(&cross_shard) {
             execute_wave(wave, store, &mut g2, &self.validation);
-            for tx in wave {
-                record_commit(&mut output, tx.id, tx.submitted_at, commit_time);
-            }
+            output
+                .committed
+                .extend(wave.iter().map(|tx| (tx.id, commit_time)));
         }
         output.stage_execute += execute_started.elapsed();
         if !g2.is_empty() {
@@ -268,16 +252,15 @@ impl CommitPipeline {
     /// each Byzantine block costs one more read check.
     fn commit_preplayed_batched(
         &self,
-        mut blocks: Vec<(&[PreplayedTx], SimTime, Replay)>,
+        mut blocks: Vec<(&[PreplayedTx], Replay)>,
         store: &dyn Store,
         commit_time: SimTime,
         output: &mut CommitOutput,
     ) {
         let mut remaining = &mut blocks[..];
         while !remaining.is_empty() {
-            let payloads: Vec<&[PreplayedTx]> =
-                remaining.iter().map(|(block, ..)| *block).collect();
-            let replays: Vec<&Replay> = remaining.iter().map(|(.., replay)| replay).collect();
+            let payloads: Vec<&[PreplayedTx]> = remaining.iter().map(|(block, _)| *block).collect();
+            let replays: Vec<&Replay> = remaining.iter().map(|(_, replay)| replay).collect();
             let validate_started = Instant::now();
             let reports = validate_replayed(&payloads, &replays, store);
             output.stage_validate += validate_started.elapsed();
@@ -286,7 +269,7 @@ impl CommitPipeline {
             if !prefix.is_empty() {
                 let batches: Vec<WriteBatch> = prefix
                     .iter_mut()
-                    .map(|(.., replay)| std::mem::take(&mut replay.batch))
+                    .map(|(_, replay)| std::mem::take(&mut replay.batch))
                     .collect();
                 let apply_started = Instant::now();
                 store.apply_batches(&batches);
@@ -295,13 +278,10 @@ impl CommitPipeline {
                 if batches.len() > 1 {
                     output.coalesced_batches += batches.len() as u64;
                 }
-                for (block, created_at, _) in prefix.iter() {
-                    for tx in block.iter().map(|p| &p.tx) {
-                        record_commit(output, tx.id, tx.submitted_at, commit_time);
-                    }
+                for (block, _) in prefix.iter() {
+                    let ids = block.iter().map(|p| (p.tx.id, commit_time));
+                    output.committed.extend(ids);
                     output.single_shard_committed += block.len();
-                    output.total_queue_wait_secs +=
-                        queue_wait_secs(block.iter().map(|p| &p.tx), *created_at);
                 }
             }
             // `rest` is empty or starts with the first invalid block.
@@ -425,23 +405,6 @@ impl ReplayCache {
             .map(|replay| replay.unwrap_or_else(|| replayed.next().expect("one replay per miss")))
             .collect()
     }
-}
-
-/// Records one committed transaction in the output: commit entry, summed
-/// latency, per-transaction latency sample.
-fn record_commit(output: &mut CommitOutput, id: TxId, submitted_at: SimTime, commit_time: SimTime) {
-    let latency = commit_time.saturating_since(submitted_at).as_secs_f64();
-    output.committed.push((id, commit_time));
-    output.total_latency_secs += latency;
-    output.latency_samples_secs.push(latency);
-}
-
-/// Summed time `txs` waited in their proposer's client queue before the
-/// vertex carrying them was created at `created_at` (its header's time), in
-/// seconds.
-fn queue_wait_secs<'a>(txs: impl Iterator<Item = &'a Transaction>, created_at: SimTime) -> f64 {
-    txs.map(|tx| created_at.saturating_since(tx.submitted_at).as_secs_f64())
-        .sum()
 }
 
 /// Groups cross-shard transactions into waves whose declared shard sets are
@@ -711,7 +674,10 @@ mod tests {
         assert_eq!(output.single_shard_committed, 2);
         assert_eq!(output.invalid_blocks, 0);
         assert_eq!(output.committed_count(), 2);
-        assert!(output.total_latency_secs > 0.0);
+        assert!(output
+            .committed
+            .iter()
+            .all(|&(_, at)| at == SimTime::from_secs(2)));
         assert_eq!(
             store.get(&Key::checking(0)),
             Value::int(SMALLBANK_DEFAULT_BALANCE - 10 + 3)
@@ -1197,37 +1163,6 @@ mod tests {
                 store.stats().int_sum,
                 total,
                 "{workers} workers minted money"
-            );
-        }
-    }
-
-    #[test]
-    fn queue_wait_runs_from_submission_to_header_creation() {
-        let ce = ConcurrentExecutor::new(CeConfig::new(1, 8).without_synthetic_cost());
-        let mut single = payment(1, 0, 4, 10, 1);
-        single.submitted_at = SimTime::from_millis(1);
-        let mut cross = payment(2, 0, 1, 5, 4);
-        cross.submitted_at = SimTime::from_millis(2);
-        let preplayed = ce.preplay(&[single], &funded_store(8)).preplayed;
-        let mut sub_dag = sub_dag_with(Committee::new(4), preplayed, vec![cross], &[]);
-        for vertex in &mut sub_dag.vertices {
-            Arc::make_mut(vertex).header.created_at = SimTime::from_millis(5);
-        }
-        for workers in [1, 2] {
-            let output = CommitPipeline::new(PostCommitExecution::Pipelined { workers }).process(
-                &sub_dag,
-                &funded_store(8),
-                SimTime::from_millis(10),
-            );
-            assert_eq!(output.committed_count(), 2, "{workers} workers");
-            // Queued 4 + 3 ms of the 9 + 8 ms from submission to commit.
-            assert!(
-                (output.total_queue_wait_secs - 0.007).abs() < 1e-9,
-                "{workers} workers"
-            );
-            assert!(
-                (output.total_latency_secs - 0.017).abs() < 1e-9,
-                "{workers} workers"
             );
         }
     }

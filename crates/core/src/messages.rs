@@ -61,10 +61,11 @@ pub const WIRE_MAGIC: u32 = 0x314d_4254;
 /// a preplayed transaction's place in the serialized order as its position
 /// instead of an `order` field; version 8 ships a block as kind, shard count
 /// and payload, leaving its DAG, round, author and creation time to the
-/// header);
+/// header; version 9 ships a transaction as id, client and call, without the
+/// submission time only its proposer reads);
 /// `tb_network::TCP_FRAME_VERSION` moves with it, and `tests::format_golden`
 /// pins the encoding it names.
-pub const WIRE_FORMAT_VERSION: u16 = 8;
+pub const WIRE_FORMAT_VERSION: u16 = 9;
 
 /// A protocol message exchanged between replicas.
 #[derive(Clone, Debug, PartialEq)]
@@ -277,7 +278,7 @@ mod tests {
     /// pair below is then re-recorded together.
     #[test]
     fn format_golden() {
-        const GOLDEN: (u16, u64) = (8, 0x37cf_865c_72f9_190e);
+        const GOLDEN: (u16, u64) = (9, 0xff69_1fa5_ea32_650d);
         let tx = |id: u64, call: SmallBankProcedure| {
             Transaction::new(
                 TxId::new(id),

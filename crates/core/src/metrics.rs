@@ -62,6 +62,17 @@ impl LatencyHistogram {
         self.count
     }
 
+    /// Adds every sample of `other` to this histogram.
+    pub fn merge(&mut self, other: &LatencyHistogram) {
+        if other.buckets.len() > self.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
+        }
+        self.count += other.count;
+    }
+
     /// The `q`-quantile (`0.0 ..= 1.0`) in seconds: the upper bound of the
     /// bucket containing the `ceil(q * count)`-th sample. Returns 0 with no
     /// samples.
@@ -116,10 +127,13 @@ tb_types::wire_struct!(RoundCommitSample {
 /// only its owner knows (label, workload, duration, traffic) and the latency
 /// quantiles. A cluster run reports its observer replica (replica 0 unless
 /// it is crashed); honest replicas commit identical sequences, so any
-/// observer yields the same commit counts. A node process of a TCP cluster
-/// reports itself in the same shape (its [`Wire`](tb_types::wire::Wire)
-/// encoding is what travels back to the launcher), with `duration` and
-/// commit times on its wall clock.
+/// observer yields the same commit counts. Latency is the exception: a
+/// replica times only the transactions it proposed, on its own clock, so a
+/// cluster's report pools the latency figures of all its replicas
+/// ([`pool_latency`](RunReport::pool_latency)). A node process of a TCP
+/// cluster reports itself in the same shape (its
+/// [`Wire`](tb_types::wire::Wire) encoding is what travels back to the
+/// launcher), with `duration` and commit times on its wall clock.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunReport {
     /// Human-readable label of the system variant (Thunderbolt,
@@ -159,16 +173,22 @@ pub struct RunReport {
     pub reconfigurations: u64,
     /// Total simulated duration of the run.
     pub duration: SimTime,
-    /// Sum of per-transaction latencies (commit − submission) in seconds.
+    /// Sum of per-transaction latencies (commit − submission) in seconds,
+    /// over the `timed_txs` transactions timed.
     pub total_latency_secs: f64,
+    /// Committed transactions whose latency this report sums: a replica's
+    /// own proposals, each timed once, on its own clock, when it commits
+    /// them; a cluster's report pools all its replicas'.
+    pub timed_txs: u64,
     /// Median per-transaction commit latency in seconds (bucket upper
     /// bound, see [`LatencyHistogram`]).
     pub latency_p50_secs: f64,
     /// 99th-percentile per-transaction commit latency in seconds.
     pub latency_p99_secs: f64,
-    /// Per-transaction commit latencies, from which
-    /// [`Replica::report`](crate::replica::Replica::report) reads the two
-    /// quantiles above. Not shipped: a decoded report holds an empty one.
+    /// Per-transaction commit latencies of the `timed_txs` transactions,
+    /// from which [`Replica::report`](crate::replica::Replica::report) and
+    /// [`pool_latency`](RunReport::pool_latency) read the two quantiles
+    /// above. Not shipped: a decoded report holds an empty one.
     pub latency_hist: LatencyHistogram,
     /// Wall-clock seconds the validation stage was busy: replaying
     /// preplayed blocks on admission, and the commits' read checks and
@@ -243,9 +263,10 @@ pub struct RunReport {
     /// non-zero value means the fault schedule outlived the run — the
     /// scenario did not test what it claimed to.
     pub faults_unapplied: u64,
-    /// The part of `total_latency_secs` the committed transactions spent in
-    /// their proposer's client queue (submission to the creation of the
-    /// vertex's header); the rest is propose to commit.
+    /// The part of `total_latency_secs` the timed transactions spent in
+    /// their proposer's client queue (submission to the proposal that took
+    /// them, which created the vertex's header); the rest is propose to
+    /// commit.
     pub total_queue_wait_secs: f64,
 }
 
@@ -263,6 +284,7 @@ tb_types::wire_struct!(RunReport {
     reconfigurations,
     duration,
     total_latency_secs,
+    timed_txs,
     latency_p50_secs,
     latency_p99_secs,
     validate_busy_secs,
@@ -301,23 +323,63 @@ impl RunReport {
         self.committed_txs as f64 / secs
     }
 
-    /// Average end-to-end transaction latency in seconds.
+    /// Average end-to-end latency of the timed transactions, in seconds.
     pub fn avg_latency_secs(&self) -> f64 {
-        if self.committed_txs == 0 {
+        if self.timed_txs == 0 {
             return 0.0;
         }
-        self.total_latency_secs / self.committed_txs as f64
+        self.total_latency_secs / self.timed_txs as f64
     }
 
-    /// Average time a committed transaction waited in its proposer's client
+    /// Average time a timed transaction waited in its proposer's client
     /// queue, in seconds: the first part of [`avg_latency_secs`].
     ///
     /// [`avg_latency_secs`]: RunReport::avg_latency_secs
     pub fn avg_queue_wait_secs(&self) -> f64 {
-        if self.committed_txs == 0 {
+        if self.timed_txs == 0 {
             return 0.0;
         }
-        self.total_queue_wait_secs / self.committed_txs as f64
+        self.total_queue_wait_secs / self.timed_txs as f64
+    }
+
+    /// Times one committed transaction this replica proposed, all three
+    /// times on its own clock: submitted to its queue, proposed in a block,
+    /// committed.
+    pub(crate) fn time_commit(
+        &mut self,
+        submitted_at: SimTime,
+        proposed_at: SimTime,
+        committed_at: SimTime,
+    ) {
+        let latency = committed_at.saturating_since(submitted_at).as_secs_f64();
+        self.total_latency_secs += latency;
+        self.total_queue_wait_secs += proposed_at.saturating_since(submitted_at).as_secs_f64();
+        self.timed_txs += 1;
+        self.latency_hist.record_secs(latency);
+    }
+
+    /// Replaces this report's latency figures with those of a whole
+    /// cluster: the sums over `replicas`' reports, each of which timed the
+    /// transactions its replica proposed, so every timed transaction counts
+    /// once and on the clock that stamped it. The quantiles come from the
+    /// merged histograms; reports decoded from the wire carry none, and then
+    /// this report keeps its own quantiles.
+    pub fn pool_latency<'a>(&mut self, replicas: impl IntoIterator<Item = &'a RunReport>) {
+        let mut hist = LatencyHistogram::new();
+        self.total_latency_secs = 0.0;
+        self.total_queue_wait_secs = 0.0;
+        self.timed_txs = 0;
+        for report in replicas {
+            self.total_latency_secs += report.total_latency_secs;
+            self.total_queue_wait_secs += report.total_queue_wait_secs;
+            self.timed_txs += report.timed_txs;
+            hist.merge(&report.latency_hist);
+        }
+        if hist.count() > 0 {
+            self.latency_p50_secs = hist.quantile_secs(0.5);
+            self.latency_p99_secs = hist.quantile_secs(0.99);
+        }
+        self.latency_hist = hist;
     }
 
     /// Average commit-to-commit runtime per leader round, over windows of
@@ -377,6 +439,7 @@ mod tests {
             label: "Thunderbolt".to_string(),
             replicas: 4,
             committed_txs: 1_000,
+            timed_txs: 1_000,
             duration: SimTime::from_secs(2),
             total_latency_secs: 500.0,
             total_queue_wait_secs: 100.0,
@@ -400,6 +463,39 @@ mod tests {
         assert!((report.avg_queue_wait_secs() - 0.1).abs() < 1e-9);
         assert!(report.summary().contains("500 tps"));
         assert!(report.summary().contains("0.500s of which 0.100s queued"));
+    }
+
+    #[test]
+    fn pooled_latency_sums_every_replica_and_merges_their_histograms() {
+        let replica = |timed: &[f64]| {
+            let mut report = RunReport::default();
+            for &latency in timed {
+                let committed = SimTime::from_micros((latency * 1e6) as u64);
+                report.time_commit(SimTime::ZERO, SimTime::from_micros(100), committed);
+            }
+            report
+        };
+        let replicas = [replica(&[0.001, 0.002]), replica(&[]), replica(&[0.009])];
+        let mut report = replicas[1].clone();
+        report.committed_txs = 3;
+        report.pool_latency(&replicas);
+        assert_eq!(report.timed_txs, 3);
+        assert_eq!(report.latency_hist.count(), 3);
+        assert!((report.avg_latency_secs() - 0.004).abs() < 1e-9);
+        assert!((report.avg_queue_wait_secs() - 0.0001).abs() < 1e-9);
+        assert!((0.002..0.0021).contains(&report.latency_p50_secs));
+        assert!((0.009..0.0093).contains(&report.latency_p99_secs));
+        // Decoded reports carry no histogram: the quantiles stay this
+        // report's own.
+        let mut decoded = replicas.clone().map(|mut r| {
+            r.latency_hist = LatencyHistogram::default();
+            r
+        });
+        decoded[0].latency_p50_secs = 0.5;
+        let mut observer = decoded[0].clone();
+        observer.pool_latency(&decoded);
+        assert_eq!(observer.timed_txs, 3);
+        assert_eq!(observer.latency_p50_secs, 0.5);
     }
 
     #[test]

@@ -310,7 +310,7 @@ mod tests {
     /// moves only when an encoding does.
     #[test]
     fn launch_and_report_golden() {
-        const GOLDEN: u64 = 0x6c74_1b6b_46b0_91ec;
+        const GOLDEN: u64 = 0xd417_5ca0_d844_3dc6;
         let spec = NodeSpec {
             node: 2,
             ports: vec![7001, 7002, 7003, 65_535],
@@ -368,6 +368,7 @@ mod tests {
             reconfigurations: 2,
             duration: SimTime::from_micros(2_500_000),
             total_latency_secs: 45.5,
+            timed_txs: 8_750,
             latency_p50_secs: 0.004,
             latency_p99_secs: 0.016,
             // Not shipped: a decoded report's histogram is empty.

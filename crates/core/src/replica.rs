@@ -251,7 +251,9 @@ impl<A: App> Replica<A> {
         let round = self.current_round;
         let leader = self.previous_leader_present();
         let shift = self.should_shift();
-        let (kind, payload) = self.app.propose(round, leader, shift, &mut self.metrics);
+        let (kind, payload) = self
+            .app
+            .propose(round, leader, shift, now, &mut self.metrics);
         self.shifted_in_dag |= kind == BlockKind::Shift;
         let parents = if self.current_round == self.dag().start_round() {
             Vec::new()
@@ -396,8 +398,6 @@ impl<A: App> Replica<A> {
             self.metrics.single_shard_txs += output.single_shard_committed as u64;
             self.metrics.cross_shard_txs += output.cross_shard_committed as u64;
             self.metrics.invalid_blocks += output.invalid_blocks as u64;
-            self.metrics.total_latency_secs += output.total_latency_secs;
-            self.metrics.total_queue_wait_secs += output.total_queue_wait_secs;
             self.metrics.validate_busy_secs += output.stage_validate.as_secs_f64();
             self.metrics.apply_busy_secs += output.stage_apply.as_secs_f64();
             self.metrics.execute_busy_secs += output.stage_execute.as_secs_f64();
@@ -405,9 +405,6 @@ impl<A: App> Replica<A> {
             self.metrics.apply_calls += output.apply_calls;
             self.metrics.blocks_replayed_ahead += output.blocks_replayed_ahead;
             self.metrics.blocks_replayed_inline += output.blocks_replayed_inline;
-            for latency in &output.latency_samples_secs {
-                self.metrics.latency_hist.record_secs(*latency);
-            }
             self.metrics.round_commits.push(RoundCommitSample {
                 dag: self.current_dag().as_inner(),
                 round: sub_dag.leader_round,
@@ -902,6 +899,55 @@ pub(crate) mod tests {
         }
     }
 
+    /// A replica times the committed transactions it proposed, each once,
+    /// on its own clock, and no other; a cluster's report pools them all.
+    #[test]
+    fn each_replica_times_exactly_the_committed_transactions_it_proposed() {
+        let mut sim = crate::scenario::ScenarioBuilder::new(4)
+            .smallbank(tb_workload::SmallBankConfig {
+                cross_shard_fraction: 0.2,
+                ..tb_workload::SmallBankConfig::default()
+            })
+            .latency(tb_types::LatencyModel::lan())
+            .executors(1, 64)
+            .validators(2)
+            .rounds(40)
+            .seed(42)
+            .lockstep()
+            .tune(|system| system.ce = system.ce.without_synthetic_cost())
+            .build();
+        let report = sim.run();
+        let mut timed = 0;
+        for id in 0..4 {
+            let replica = sim.replica(ReplicaId::new(id));
+            let metrics = replica.metrics();
+            assert_eq!(metrics.reconfigurations, 0);
+            assert_eq!(metrics.invalid_blocks, 0);
+            let own_committed: u64 = replica
+                .dag()
+                .iter()
+                .filter(|v| v.author() == replica.id() && replica.committer.is_delivered(&v.id()))
+                .map(|v| v.block.tx_count() as u64)
+                .sum();
+            assert!(own_committed > 0, "{}", replica.id());
+            assert_eq!(metrics.timed_txs, own_committed, "{}", replica.id());
+            assert_eq!(
+                metrics.latency_hist.count(),
+                own_committed,
+                "{}",
+                replica.id()
+            );
+            assert!(metrics.total_queue_wait_secs > 0.0);
+            assert!(metrics.total_latency_secs > metrics.total_queue_wait_secs);
+            timed += metrics.timed_txs;
+        }
+        assert_eq!(report.timed_txs, timed);
+        assert_eq!(report.latency_hist.count(), timed);
+        let observer = sim.replica(ReplicaId::new(0)).metrics();
+        assert!(report.timed_txs > observer.timed_txs);
+        assert!(report.latency_p50_secs > 0.0);
+    }
+
     #[test]
     fn overlay_lets_consecutive_blocks_chain_on_hot_keys() {
         // Two consecutive batches touching the same account must both
@@ -953,6 +999,7 @@ pub(crate) mod tests {
             round: Round,
             _leader_present: bool,
             should_shift: bool,
+            _now: SimTime,
             _metrics: &mut RunReport,
         ) -> (BlockKind, BlockPayload) {
             self.calls.push(Call::Propose(round));

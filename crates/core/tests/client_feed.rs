@@ -275,6 +275,11 @@ fn a_skewed_stream_fills_each_queue_in_stream_order_and_stamps_at_hand_over() {
     let draws = draws.lock().unwrap().clone();
     for (replica, submitted_at) in [(asker, asked_at), (hoarder, handed_at)] {
         let shard = replicas[replica].current_shard();
+        // The stamps stay in the queue: a block does not ship them.
+        let mut queue = replicas[replica].app().queues().clone();
+        for tx in queue.take_cross_batch(batch) {
+            assert_eq!(tx.submitted_at, submitted_at, "{shard}: {}", tx.id);
+        }
         let block = first_block(&mut replicas[replica], SimTime::from_millis(3));
         assert_eq!(block.len(), batch);
         let ids: Vec<TxId> = block.iter().map(|tx| tx.id).collect();
@@ -285,9 +290,6 @@ fn a_skewed_stream_fills_each_queue_in_stream_order_and_stamps_at_hand_over() {
             .take(batch)
             .collect();
         assert_eq!(ids, stream, "{shard}: the home-filtered stream, in order");
-        for tx in &block {
-            assert_eq!(tx.submitted_at, submitted_at, "{shard}: {}", tx.id);
-        }
     }
     // Every transaction shard 0 proposed was drawn at the first request and
     // held until the second.

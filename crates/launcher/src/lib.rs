@@ -99,7 +99,9 @@ impl Default for LaunchOptions {
 pub struct RealNetOutcome {
     /// One report per node, indexed by replica id.
     pub reports: Vec<RunReport>,
-    /// Node 0's report.
+    /// Node 0's report, with the latency figures of every node pooled
+    /// ([`RunReport::pool_latency`]): the mean covers every node's timed
+    /// transactions, the quantiles are node 0's.
     pub observer: RunReport,
     /// All nodes carry identical `(dag, round, digest)` samples on the
     /// common prefix of their commit sequences, and every node committed
@@ -171,7 +173,10 @@ pub fn run_real_net_scenario(
             .windows(2)
             .all(|pair| prefixes_agree(&pair[0].round_commits, &pair[1].round_commits));
 
-    let observer = reports[0].clone();
+    // Each node timed the transactions it proposed, on its own clock. Its
+    // histogram is not shipped, so the quantiles stay node 0's.
+    let mut observer = reports[0].clone();
+    observer.pool_latency(&reports);
 
     let (sim_digest_checked, sim_digest_match, sim_report) = if options.check_sim_digest {
         // The twin runs what node 0 decoded, not `plan` directly, so a knob

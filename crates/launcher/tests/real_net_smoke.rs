@@ -68,7 +68,18 @@ fn main() {
             report.blocks_replayed_ahead + report.blocks_replayed_inline > 0,
             "node {node} reported no replayed blocks"
         );
+        // Each node times the transactions it proposed, on its own clock.
+        assert!(report.timed_txs > 0, "node {node} timed nothing");
+        assert!(
+            report.avg_latency_secs() > 0.0,
+            "node {node} timed its transactions at zero latency"
+        );
     }
+    // The observer's latency covers every node's timed transactions.
+    assert_eq!(
+        outcome.observer.timed_txs,
+        outcome.reports.iter().map(|r| r.timed_txs).sum::<u64>()
+    );
     // A node reports its replica's own commit-path counters, not zeros: on
     // this all-single-shard scenario every committed block went through the
     // storage apply stage.

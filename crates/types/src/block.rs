@@ -17,13 +17,16 @@
 //! carry it. Nor does it carry what a receiver derives from the call: each
 //! transaction's shard set follows from the call and the block's shard
 //! count, and a preplayed transaction's place in the serialized order is its
-//! position. Cross-shard transactions ride in the same block but without
-//! preplay results (OE path, rule P1). Skip blocks and Shift blocks are
+//! position. Nor does it carry a transaction's submission time, which only
+//! its proposer reads: the proposer keeps it beside the transaction and
+//! times the transaction on its own clock. Cross-shard transactions ride in
+//! the same block but without preplay results (OE path, rule P1). Skip blocks and Shift blocks are
 //! special block kinds used for preplay recovery (Section 5.4) and
 //! non-blocking reconfiguration (Section 6) respectively.
 
 use crate::digest::Digest;
 use crate::ops::ExecOutcome;
+use crate::time::SimTime;
 use crate::transaction::Transaction;
 use crate::wire::{Wire, WireError, WireReader, WireWriter};
 use std::fmt;
@@ -172,9 +175,10 @@ impl Block {
     /// their batch order), keeps of each preplayed transaction's outcome
     /// only the read set the block ships, derives what a receiver derives
     /// (each `order` from its position, each shard set from its call and
-    /// [`n_shards`](Block::n_shards)), and hashes the encoding once, for every
-    /// later holder. A sealed block therefore equals its decoded copy,
-    /// whatever shard sets and order values it was built with.
+    /// [`n_shards`](Block::n_shards), each submission time zero), and hashes
+    /// the encoding once, for every later holder. A sealed block therefore
+    /// equals its decoded copy, whatever shard sets, order values and
+    /// submission times it was built with.
     pub fn seal(mut self) -> SealedBlock {
         // Every engine emits its batch in serialized order already.
         if !self.payload.single_shard.is_sorted_by_key(|p| p.order) {
@@ -195,20 +199,22 @@ impl Block {
     }
 
     /// Derives the fields a block does not ship: each preplayed
-    /// transaction's `order` is its position, and each transaction's
-    /// `shards` comes from its call and [`n_shards`](Block::n_shards)
+    /// transaction's `order` is its position, each transaction's `shards`
+    /// comes from its call and [`n_shards`](Block::n_shards)
     /// ([`ContractCall::shards`](crate::ContractCall::shards), the function
-    /// [`Transaction::new`] uses).
+    /// [`Transaction::new`] uses), and each `submitted_at` is zero, since
+    /// only the proposer, which keeps its own, reads it.
     fn derive(&mut self) {
         let n_shards = self.n_shards;
+        let derive_tx = |tx: &mut Transaction| {
+            tx.call.shards_into(n_shards, &mut tx.shards);
+            tx.submitted_at = SimTime::ZERO;
+        };
         for (position, preplayed) in self.payload.single_shard.iter_mut().enumerate() {
             preplayed.order = u32::try_from(position).expect("a block fits u32 positions");
-            let tx = &mut preplayed.tx;
-            tx.call.shards_into(n_shards, &mut tx.shards);
+            derive_tx(&mut preplayed.tx);
         }
-        for tx in &mut self.payload.cross_shard {
-            tx.call.shards_into(n_shards, &mut tx.shards);
-        }
+        self.payload.cross_shard.iter_mut().for_each(derive_tx);
     }
 
     /// The decoder's last step (`wire_struct!(Block { … } then
@@ -264,7 +270,6 @@ mod tests {
     use super::*;
     use crate::ids::{ClientId, DagId, ReplicaId, Round, ShardId, TxId};
     use crate::key::Key;
-    use crate::time::SimTime;
     use crate::transaction::{ContractCall, SmallBankProcedure};
     use crate::value::Value;
     use crate::vertex::Header;
@@ -295,10 +300,11 @@ mod tests {
     /// Every field a block encodes moves its digest, down to the ones a
     /// hand-kept field list once left out: a call's arguments, the client,
     /// the shard count, a declared read's key and value, a byte value past
-    /// its eighth byte, the submission time. What a receiver derives — a
-    /// preplayed transaction's writes, result and abort flag from its reads,
-    /// its order from its position, every shard set from the call — is not
-    /// shipped, so editing it before sealing moves nothing. Which vertex the
+    /// its eighth byte. What a receiver derives — a preplayed transaction's
+    /// writes, result and abort flag from its reads, its order from its
+    /// position, every shard set from the call — and the submission time,
+    /// which only the proposer reads, are not shipped, so editing them
+    /// before sealing moves nothing. Which vertex the
     /// block belongs to, and when it was made, is the header's: the DAG,
     /// round, author and creation time move the header's digest, and only
     /// kind, shard count and payload move the block's.
@@ -341,7 +347,7 @@ mod tests {
         let digest = block().seal().digest();
         assert_eq!(block().seal().digest(), digest);
         type Edit = (&'static str, fn(&mut Block));
-        let moves: [Edit; 10] = [
+        let moves: [Edit; 9] = [
             ("kind", |b| b.kind = BlockKind::Skip),
             ("one more transaction", |b| {
                 b.payload.cross_shard.push(sample_tx(1))
@@ -362,9 +368,6 @@ mod tests {
             ("bytes past the eighth", |b| {
                 b.payload.single_shard[0].outcome.read_set[0].value = bytes(8)
             }),
-            ("submitted at", |b| {
-                b.payload.single_shard[0].tx.submitted_at = SimTime::from_micros(1)
-            }),
             ("one more read", |b| {
                 b.payload.single_shard[0]
                     .outcome
@@ -376,7 +379,7 @@ mod tests {
             edit(&mut edited);
             assert_ne!(edited.seal().digest(), digest, "{field}");
         }
-        let derived: [Edit; 5] = [
+        let derived: [Edit; 7] = [
             ("write set", |b| {
                 b.payload.single_shard[0].outcome.write_set[0].value = Value::int(4)
             }),
@@ -390,6 +393,12 @@ mod tests {
                 b.payload.cross_shard[0].shards.push(ShardId::new(3))
             }),
             ("order", |b| b.payload.single_shard[0].order = 1),
+            ("preplayed submitted at", |b| {
+                b.payload.single_shard[0].tx.submitted_at = SimTime::from_micros(1)
+            }),
+            ("cross-shard submitted at", |b| {
+                b.payload.cross_shard[0].submitted_at = SimTime::from_micros(2)
+            }),
         ];
         for (field, edit) in derived {
             let mut edited = block();
@@ -420,7 +429,8 @@ mod tests {
     }
 
     /// A sealed block keeps exactly what it ships: it equals the block its
-    /// encoding decodes to, digest included.
+    /// encoding decodes to, digest included. The submission times its
+    /// proposer stamped are not shipped, so the seal zeroes them.
     #[test]
     fn a_sealed_block_equals_its_decoded_copy() {
         let mut outcome = ExecOutcome::empty();
@@ -428,16 +438,26 @@ mod tests {
         outcome.record_write(Key::checking(1), Value::int(5));
         outcome.return_value = Value::int(5);
         outcome.logically_aborted = true;
+        let stamped = |id| Transaction {
+            submitted_at: SimTime::from_millis(id),
+            ..sample_tx(id)
+        };
         let mut block = sample_block(BlockKind::Normal);
         block
             .payload
             .single_shard
-            .push(PreplayedTx::new(sample_tx(1), outcome, 0));
+            .push(PreplayedTx::new(stamped(1), outcome, 0));
+        block.payload.cross_shard.push(stamped(2));
         let sealed = block.seal();
         let outcome = &sealed.payload.single_shard[0].outcome;
         assert_eq!(outcome.read_set.len(), 1);
         assert!(outcome.write_set.is_empty() && !outcome.logically_aborted);
         assert_eq!(outcome.return_value, Value::None);
+        let payload = &sealed.payload;
+        let txs = payload.single_shard.iter().map(|p| &p.tx);
+        assert!(txs
+            .chain(&payload.cross_shard)
+            .all(|tx| tx.submitted_at == SimTime::ZERO));
         let decoded = SealedBlock::from_wire_bytes(&sealed.to_wire_bytes()).expect("decodes");
         assert_eq!(decoded, sealed);
     }

@@ -242,7 +242,11 @@ pub struct Transaction {
     /// it again on the proposer, so no replica acts on a list that
     /// disagrees with the call.
     pub shards: Vec<ShardId>,
-    /// Simulated submission time, used for end-to-end latency accounting.
+    /// When the client submitted the transaction to its proposer, on the
+    /// proposer's clock. Only the proposer reads it: it keeps the time of
+    /// every transaction it proposes and times the transaction's latency on
+    /// commit. A block does not ship it, so a sealed or decoded copy holds
+    /// zero.
     pub submitted_at: SimTime,
 }
 

@@ -45,7 +45,9 @@
 //!   `fn(&mut T) -> Result<(), WireError>` that runs last, where the
 //!   enclosing value derives it. A block ships its shard count once; its
 //!   `finish` numbers each preplayed transaction's `order` by position and
-//!   derives every transaction's `shards` from its call and that count.
+//!   derives every transaction's `shards` from its call and that count. A
+//!   transaction's `submitted_at` is not shipped at all: only its proposer
+//!   reads it, and a receiver's copy holds zero.
 //! - [`wire_enum!`](crate::wire_enum)`(E { 0 => A { x }, 1 => B(y), 2 => C })`
 //!   writes each variant's tag, then its fields; `E: Prefix { … }` first
 //!   encodes the unit struct `Prefix` (the message envelope).
@@ -738,8 +740,9 @@ wire_enum!(ContractCall {
 });
 
 // A transaction and a preplayed transaction travel only inside a block, whose
-// decoder derives what they do not ship (`Block::received`).
-wire_struct!(Transaction { id, client, call, submitted_at } derives { shards });
+// decoder derives what they do not ship (`Block::received`). The submission
+// time stays with the proposer, which times its own transactions.
+wire_struct!(Transaction { id, client, call } derives { shards, submitted_at });
 wire_struct!(PreplayedTx { tx, outcome: reads } derives { order });
 
 wire_enum!(BlockKind {
@@ -956,16 +959,23 @@ mod tests {
             SimTime::from_micros(10),
         );
         // Alone, a transaction decodes without the shard set only the block
-        // carrying it can derive; inside one it decodes whole.
+        // carrying it can derive; inside one it decodes with it. Neither
+        // carries the submission time, which stays with the proposer.
         let bare = Transaction::from_wire_bytes(&tx.to_wire_bytes()).expect("decodes");
         assert!(bare.shards.is_empty());
+        assert_eq!(bare.submitted_at, SimTime::ZERO);
         assert_eq!(
             Transaction {
                 shards: tx.shards.clone(),
+                submitted_at: tx.submitted_at,
                 ..bare
             },
             tx
         );
+        let tx = Transaction {
+            submitted_at: SimTime::ZERO,
+            ..tx
+        };
 
         let block = Block::new(
             BlockKind::Normal,

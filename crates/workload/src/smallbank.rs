@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tb_contracts::SMALLBANK_DEFAULT_BALANCE;
 use tb_types::{
-    ClientId, ContractCall, Key, ShardId, SimTime, SmallBankProcedure, Transaction, TxId, Value,
+    ClientId, ContractCall, Key, SimTime, SmallBankProcedure, Transaction, TxId, Value,
 };
 
 /// Configuration of the SmallBank workload.
@@ -231,27 +231,6 @@ impl SmallBankWorkload {
             .map(|_| self.next_transaction(submitted_at))
             .collect()
     }
-
-    /// Generates a batch of transactions that all belong to `shard`
-    /// (single-shard transactions for that shard). Used by shard proposers
-    /// that pull from a per-shard client queue.
-    pub fn batch_for_shard(
-        &mut self,
-        shard: ShardId,
-        size: usize,
-        submitted_at: SimTime,
-    ) -> Vec<Transaction> {
-        let mut out = Vec::with_capacity(size);
-        let mut guard = 0usize;
-        while out.len() < size && guard < size * 1_000 {
-            guard += 1;
-            let tx = self.next_transaction(submitted_at);
-            if tx.shards.len() == 1 && tx.home_shard() == shard {
-                out.push(tx);
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -343,19 +322,6 @@ mod tests {
         let b = w.next_transaction(SimTime::ZERO);
         assert!(a.id < b.id);
         assert_eq!(w.generated(), 2);
-    }
-
-    #[test]
-    fn batch_for_shard_only_returns_matching_single_shard_txs() {
-        let cfg = SmallBankConfig::system_eval(4, 0.0);
-        let mut w = workload(cfg);
-        let shard = ShardId::new(2);
-        let batch = w.batch_for_shard(shard, 50, SimTime::ZERO);
-        assert_eq!(batch.len(), 50);
-        for tx in batch {
-            assert_eq!(tx.class(), TxClass::SingleShard);
-            assert_eq!(tx.home_shard(), shard);
-        }
     }
 
     #[test]
