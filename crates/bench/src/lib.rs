@@ -25,7 +25,7 @@ use tb_executor::{BatchExecutor, ConcurrentExecutor, OccExecutor, TwoPlNoWaitExe
 use tb_network::FaultPlan;
 use tb_storage::MemStore;
 use tb_types::{CeConfig, LatencyModel, ReconfigConfig, SimTime};
-use tb_workload::{SmallBankConfig, SmallBankWorkload};
+use tb_workload::{SmallBankConfig, SmallBankWorkload, Workload};
 
 /// Scaling profile of the harness.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

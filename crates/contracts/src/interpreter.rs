@@ -160,11 +160,6 @@ impl Program {
         Program { code }
     }
 
-    /// The raw bytecode.
-    pub fn bytes(&self) -> &[u8] {
-        &self.code
-    }
-
     /// Consumes the program and returns the bytecode.
     pub fn into_bytes(self) -> Vec<u8> {
         self.code
@@ -417,35 +412,6 @@ impl ProgramBuilder {
             Instr::Ret,
         ])
     }
-
-    /// `range_sum`: `args = [start_slot, count]`; sums `count` consecutive
-    /// contract slots starting at `start_slot` and returns the sum. The
-    /// number of reads depends on a runtime argument.
-    pub fn range_sum() -> Program {
-        // Stack registers: [acc, i] with the loop counter on top.
-        Program::assemble(&[
-            Instr::Push(0), // 0: acc
-            Instr::Push(0), // 1: i
-            // loop head (2): if i == count goto exit(6), else goto body(8)
-            Instr::Dup,    // 2: acc i i
-            Instr::Arg(1), // 3: acc i i count
-            Instr::Eq,     // 4: acc i eq
-            Instr::Jz(8),  // 5: not yet done -> body
-            Instr::Pop,    // 6: acc
-            Instr::Ret,    // 7: return acc
-            // body (8): acc += load(start + i); i += 1
-            Instr::Dup,     // 8: acc i i
-            Instr::Arg(0),  // 9: acc i i start
-            Instr::Add,     // 10: acc i (start+i)
-            Instr::Load,    // 11: acc i v
-            Instr::Rot,     // 12: i v acc
-            Instr::Add,     // 13: i acc'
-            Instr::Swap,    // 14: acc' i
-            Instr::Push(1), // 15: acc' i 1
-            Instr::Add,     // 16: acc' (i+1)
-            Instr::Jmp(2),  // 17: loop
-        ])
-    }
 }
 
 #[cfg(test)]
@@ -466,7 +432,7 @@ mod tests {
         ];
         let program = Program::assemble(&instrs);
         assert_eq!(program.instructions().unwrap(), instrs);
-        assert_eq!(program.bytes().len(), instrs.len() * 9);
+        assert_eq!(program.code.len(), instrs.len() * 9);
         let rebuilt = Program::from_bytes(program.clone().into_bytes());
         assert_eq!(rebuilt, program);
     }
@@ -589,9 +555,38 @@ mod tests {
         assert_eq!(state.peek(&Key::contract(7)), Value::int(111));
     }
 
+    /// `range_sum`: `args = [start_slot, count]`; sums `count` consecutive
+    /// contract slots starting at `start_slot` and returns the sum. The
+    /// number of reads depends on a runtime argument.
+    fn range_sum() -> Program {
+        // Stack registers: [acc, i] with the loop counter on top.
+        Program::assemble(&[
+            Instr::Push(0), // 0: acc
+            Instr::Push(0), // 1: i
+            // loop head (2): if i == count goto exit(6), else goto body(8)
+            Instr::Dup,    // 2: acc i i
+            Instr::Arg(1), // 3: acc i i count
+            Instr::Eq,     // 4: acc i eq
+            Instr::Jz(8),  // 5: not yet done -> body
+            Instr::Pop,    // 6: acc
+            Instr::Ret,    // 7: return acc
+            // body (8): acc += load(start + i); i += 1
+            Instr::Dup,     // 8: acc i i
+            Instr::Arg(0),  // 9: acc i i start
+            Instr::Add,     // 10: acc i (start+i)
+            Instr::Load,    // 11: acc i v
+            Instr::Rot,     // 12: i v acc
+            Instr::Add,     // 13: i acc'
+            Instr::Swap,    // 14: acc' i
+            Instr::Push(1), // 15: acc' i 1
+            Instr::Add,     // 16: acc' (i+1)
+            Instr::Jmp(2),  // 17: loop
+        ])
+    }
+
     #[test]
     fn range_sum_loops_a_runtime_determined_number_of_times() {
-        let p = ProgramBuilder::range_sum();
+        let p = range_sum();
         let mut state = MapState::with_entries(
             (0..5u64).map(|i| (Key::contract(10 + i), Value::int(i as i64 + 1))),
         );

@@ -27,5 +27,5 @@ pub mod state;
 
 pub use interpreter::{Instr, Program, ProgramBuilder};
 pub use runner::{execute_call, execute_ops};
-pub use smallbank::{smallbank_initial_balance, SMALLBANK_DEFAULT_BALANCE};
+pub use smallbank::SMALLBANK_DEFAULT_BALANCE;
 pub use state::{CallResult, ExecError, MapState, StateAccess, TrackingState};

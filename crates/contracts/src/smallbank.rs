@@ -19,14 +19,6 @@ use tb_types::{Key, SmallBankProcedure, Value};
 /// the paper's setup.
 pub const SMALLBANK_DEFAULT_BALANCE: i64 = 100_000;
 
-/// The balance a fresh account starts with in each of its two balances.
-pub fn smallbank_initial_balance() -> (Value, Value) {
-    (
-        Value::int(SMALLBANK_DEFAULT_BALANCE),
-        Value::int(SMALLBANK_DEFAULT_BALANCE),
-    )
-}
-
 /// Executes one SmallBank procedure against `state`.
 pub fn execute_smallbank<S: StateAccess + ?Sized>(
     proc_: &SmallBankProcedure,

@@ -162,11 +162,6 @@ impl<'a> MapState<'a> {
         }
     }
 
-    /// The locally written entries (the overlay), in arbitrary order.
-    pub fn written(&self) -> impl Iterator<Item = (&Key, &Value)> {
-        self.local.iter()
-    }
-
     /// Reads without recording, used by assertions in tests.
     pub fn peek(&self, key: &Key) -> Value {
         self.local
@@ -251,7 +246,7 @@ mod tests {
         assert_eq!(s.read(Key::scratch(2)).unwrap(), Value::None);
         s.write(Key::scratch(1), Value::int(9)).unwrap();
         assert_eq!(s.read(Key::scratch(1)).unwrap(), Value::int(9));
-        assert_eq!(s.written().count(), 1);
+        assert_eq!(s.local.len(), 1);
     }
 
     #[test]
@@ -271,8 +266,10 @@ mod tests {
         // Read-after-own-write is not added to the read set.
         assert_eq!(t.read(Key::scratch(1)).unwrap(), Value::int(5));
         let (outcome, _) = t.finish();
-        assert_eq!(outcome.read_set.len(), 1);
-        assert_eq!(outcome.read_value(&Key::scratch(1)), Some(&Value::int(3)));
+        assert_eq!(
+            outcome.read_set,
+            vec![tb_types::AccessRecord::new(Key::scratch(1), Value::int(3))]
+        );
         assert_eq!(
             outcome.written_value(&Key::scratch(1)),
             Some(&Value::int(5))

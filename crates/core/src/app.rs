@@ -594,6 +594,7 @@ mod tests {
     use crate::replica::{Outbound, Replica};
     use std::sync::Arc;
     use tb_types::{Block, CeConfig, Header, SealedBlock, TxId};
+    use tb_workload::Workload;
 
     impl ShardApp {
         /// The replays of the undelivered preplayed blocks.

@@ -251,7 +251,6 @@ mod tests {
     #[test]
     fn preplay_ahead_runs_after_the_header_is_on_the_wire() {
         let (mut replicas, mut feed, mut transport) = costly_cluster();
-        let latency = LatencyModel::Fixed { micros: HOP_MICROS };
         drive(&mut replicas, &mut feed, &mut transport, |replicas, _| {
             replicas[0].current_round() >= Round::new(6)
         });
@@ -279,7 +278,7 @@ mod tests {
             else {
                 continue;
             };
-            let reaches_peer = *header_at + latency.mean();
+            let reaches_peer = *header_at + SimTime::from_micros(HOP_MICROS);
             assert!(
                 reaches_peer < *next_at && *header_at + preplay_floor <= *next_at,
                 "round {round}: header out at {header_at}, at a peer at {reaches_peer}, \

@@ -113,16 +113,6 @@ impl Message {
         }
     }
 
-    /// The round the message refers to.
-    pub fn round(&self) -> Round {
-        match self {
-            Message::Header { header, .. } => header.round,
-            Message::Ack { round, .. } => *round,
-            Message::Certificate(certificate) | Message::Fetch(certificate) => certificate.round,
-            Message::Vertex(vertex) => vertex.round(),
-        }
-    }
-
     /// The DAG instance the message refers to.
     pub fn dag(&self) -> DagId {
         match self {
@@ -169,6 +159,19 @@ tb_types::wire_enum!(Message: Envelope {
 impl WireSized for Message {
     fn wire_size(&self) -> usize {
         self.encoded_len()
+    }
+}
+
+#[cfg(test)]
+impl Message {
+    /// The round the message refers to.
+    pub(crate) fn round(&self) -> Round {
+        match self {
+            Message::Header { header, .. } => header.round,
+            Message::Ack { round, .. } => *round,
+            Message::Certificate(certificate) | Message::Fetch(certificate) => certificate.round,
+            Message::Vertex(vertex) => vertex.round(),
+        }
     }
 }
 

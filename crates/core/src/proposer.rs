@@ -69,17 +69,6 @@ pub enum ByzantineBehavior {
     OverfullWrongShard,
 }
 
-impl ByzantineBehavior {
-    /// Stable label used in campaign scenario names and reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ByzantineBehavior::TamperReads => "tamper-reads",
-            ByzantineBehavior::Equivocate => "equivocate",
-            ByzantineBehavior::OverfullWrongShard => "overfull-wrong-shard",
-        }
-    }
-}
-
 tb_types::wire_enum!(ByzantineBehavior {
     0 => TamperReads,
     1 => Equivocate,

@@ -473,10 +473,10 @@ pub(crate) mod tests {
     use super::*;
     use crate::cluster::ExecutionMode;
     use crate::commit::CommitOutput;
-    use std::collections::{HashMap, VecDeque};
+    use std::collections::{HashMap, HashSet, VecDeque};
     use tb_dag::CommittedSubDag;
     use tb_types::{
-        CeConfig, Certificate, ClientId, ContractCall, Key, ShardId, SmallBankProcedure,
+        CeConfig, Certificate, ClientId, ContractCall, Digest, Key, ShardId, SmallBankProcedure,
         SystemConfig, Transaction, TxId, Value, Vertex,
     };
 
@@ -789,15 +789,35 @@ pub(crate) mod tests {
         }
     }
 
+    /// The vertices `replica` has delivered in its current DAG: the stored
+    /// history of every leader it committed there, walked as its committer
+    /// walks it.
+    fn delivered(replica: &Replica) -> HashSet<Digest> {
+        let dag = replica.current_dag();
+        let mut delivered = HashSet::new();
+        for sample in &replica.metrics().round_commits {
+            if sample.dag != dag.as_inner() {
+                continue;
+            }
+            let leader = replica
+                .dag()
+                .by_author_round(replica.committee.leader(dag, sample.round), sample.round)
+                .expect("a committed leader is stored");
+            replica
+                .dag()
+                .causal_history(&leader.id(), &mut delivered, &mut 0);
+        }
+        delivered
+    }
+
     /// The blocks `replica` holds a replay for are exactly the preplayed
     /// blocks of the undelivered vertices of its current DAG.
     fn assert_replays_track_the_undelivered(replica: &Replica) {
+        let delivered = delivered(replica);
         let undelivered: Vec<&Arc<Vertex>> = replica
             .dag()
             .iter()
-            .filter(|v| {
-                !replica.committer.is_delivered(&v.id()) && !v.block.payload.single_shard.is_empty()
-            })
+            .filter(|v| !delivered.contains(&v.id()) && !v.block.payload.single_shard.is_empty())
             .collect();
         let replays = replica.app().replays();
         assert_eq!(replays.len(), undelivered.len());
@@ -884,13 +904,11 @@ pub(crate) mod tests {
         for id in 0..4 {
             let replica = sim.replica(ReplicaId::new(id));
             assert_eq!(replica.metrics().reconfigurations, 0);
+            let ids = delivered(replica);
             let delivered = replica
                 .dag()
                 .iter()
-                .filter(|v| {
-                    replica.committer.is_delivered(&v.id())
-                        && !v.block.payload.single_shard.is_empty()
-                })
+                .filter(|v| ids.contains(&v.id()) && !v.block.payload.single_shard.is_empty())
                 .count() as u64;
             assert!(delivered >= 60, "{delivered} preplayed blocks delivered");
             assert_eq!(replica.metrics().blocks_replayed_ahead, delivered);
@@ -923,10 +941,11 @@ pub(crate) mod tests {
             let metrics = replica.metrics();
             assert_eq!(metrics.reconfigurations, 0);
             assert_eq!(metrics.invalid_blocks, 0);
+            let delivered = delivered(replica);
             let own_committed: u64 = replica
                 .dag()
                 .iter()
-                .filter(|v| v.author() == replica.id() && replica.committer.is_delivered(&v.id()))
+                .filter(|v| v.author() == replica.id() && delivered.contains(&v.id()))
                 .map(|v| v.block.tx_count() as u64)
                 .sum();
             assert!(own_committed > 0, "{}", replica.id());

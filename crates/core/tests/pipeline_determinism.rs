@@ -18,7 +18,7 @@ use tb_types::{
     PreplayedTx, ReplicaId, Round, SimTime, SmallBankProcedure, SystemConfig, Transaction, TxId,
     Value,
 };
-use tb_workload::{SmallBankConfig, SmallBankWorkload};
+use tb_workload::{SmallBankConfig, SmallBankWorkload, Workload};
 
 fn seeded_workload(accounts: u64, seed: u64) -> SmallBankWorkload {
     SmallBankWorkload::new(SmallBankConfig {

@@ -1,22 +1,25 @@
 //! Construction helpers for DAGs.
 //!
-//! [`DagBuilder`] produces fully-certified DAGs round by round. It serves two
-//! purposes: the protocol tests and property tests of the commit rule build
-//! synthetic DAGs with it (complete DAGs, DAGs with silent replicas, DAGs
-//! with Shift blocks), and the `thunderbolt` replica uses the same primitive
-//! (`make_vertex`) to certify the vertices it assembles from network traffic.
+//! [`DagBuilder`] certifies vertices with a full quorum of signers. It is
+//! test support: the tests of the commit rule build whole synthetic DAGs
+//! with it round by round (complete DAGs, DAGs with silent replicas, DAGs
+//! with Shift blocks), and tb-core's commit tests certify vertices with
+//! [`DagBuilder::make_vertex`]. No replica calls it; it is public only
+//! because the benchmark's walk (`benchmark/src/walk.rs`) builds its
+//! vertices with it.
 
-use crate::store::{DagError, DagStore};
 use tb_types::{
     Block, BlockKind, BlockPayload, Certificate, Committee, DagId, Digest, Header, ReplicaId,
     Round, SimTime, Vertex,
 };
 
-/// Builds certified vertices and whole synthetic DAGs.
+/// Builds certified vertices (and, in tests, whole synthetic DAGs).
 #[derive(Clone, Debug)]
 pub struct DagBuilder {
     committee: Committee,
     dag: DagId,
+    /// The DAG's first round: `make_vertex` certifies nothing below it, and
+    /// the test builders start their DAGs there.
     start_round: Round,
 }
 
@@ -30,11 +33,6 @@ impl DagBuilder {
         }
     }
 
-    /// The committee the builder signs certificates with.
-    pub fn committee(&self) -> Committee {
-        self.committee
-    }
-
     /// Creates a certified vertex for `author` in `round` with the given
     /// block kind and parent certificates. The certificate is signed by the
     /// first `2f + 1` replicas (a full quorum).
@@ -46,6 +44,10 @@ impl DagBuilder {
         payload: BlockPayload,
         parents: Vec<Digest>,
     ) -> Vertex {
+        debug_assert!(
+            round >= self.start_round,
+            "{round} precedes the DAG's start"
+        );
         let block = Block::new(kind, self.committee.n_shards(), payload).seal();
         let header = Header::new(
             self.dag,
@@ -63,29 +65,30 @@ impl DagBuilder {
         let certificate = Certificate::for_header(&header, signers);
         Vertex::new(header, block, certificate)
     }
+}
 
+#[cfg(test)]
+use crate::store::{DagError, DagStore};
+
+#[cfg(test)]
+impl DagBuilder {
     /// Builds a DAG with `rounds` complete rounds (every replica proposes,
     /// every vertex references every certificate of the previous round). The
     /// block kind of each vertex is chosen by `kind_of(round, author)`.
-    pub fn build_rounds(
+    pub(crate) fn build_rounds(
         &mut self,
         rounds: u64,
         kind_of: impl Fn(Round, ReplicaId) -> BlockKind,
     ) -> DagStore {
-        self.extend_rounds(
-            DagStore::new(self.committee, self.dag, self.start_round),
-            rounds,
-            |_, _| true,
-            kind_of,
-        )
-        .expect("complete DAGs always insert cleanly")
+        self.build_partial(rounds, |_, _| true, kind_of)
+            .expect("complete DAGs always insert cleanly")
     }
 
     /// Builds a DAG where `participates(round, author)` controls which
     /// replicas propose in each round (silent replicas model crashed or
     /// censoring proposers). Vertices reference every certificate of the
     /// previous round.
-    pub fn build_partial(
+    pub(crate) fn build_partial(
         &mut self,
         rounds: u64,
         participates: impl Fn(Round, ReplicaId) -> bool,
@@ -100,7 +103,7 @@ impl DagBuilder {
     }
 
     /// Extends an existing store by `rounds` additional rounds.
-    pub fn extend_rounds(
+    pub(crate) fn extend_rounds(
         &mut self,
         mut store: DagStore,
         rounds: u64,

@@ -27,13 +27,6 @@ pub struct CommittedSubDag {
     pub vertices: Vec<Arc<Vertex>>,
 }
 
-impl CommittedSubDag {
-    /// Total number of transactions across the delivered vertices.
-    pub fn tx_count(&self) -> usize {
-        self.vertices.iter().map(|v| v.block.tx_count()).sum()
-    }
-}
-
 /// Tracks commit progress over one DAG instance.
 #[derive(Clone, Debug)]
 pub struct Committer {
@@ -44,6 +37,10 @@ pub struct Committer {
     /// Closed under ancestry: a vertex enters only together with its whole
     /// undelivered history, which is what lets history walks stop here.
     delivered: HashSet<Digest>,
+    /// References the history walks have followed so far, counted inside
+    /// [`DagStore::causal_history`]. A walk enters only what it delivers, so
+    /// this grows with the sub-DAGs delivered (a vertex and its parent
+    /// references each), not with the depth of the DAG under them.
     walk_steps: u64,
 }
 
@@ -58,34 +55,6 @@ impl Committer {
             delivered: HashSet::new(),
             walk_steps: 0,
         }
-    }
-
-    /// The next leader round that has not been decided yet.
-    pub fn next_leader_round(&self) -> Round {
-        self.next_leader_round
-    }
-
-    /// The most recent leader round that committed (directly or indirectly).
-    pub fn last_committed_leader_round(&self) -> Option<Round> {
-        self.last_committed_leader_round
-    }
-
-    /// Number of vertices delivered so far.
-    pub fn delivered_count(&self) -> usize {
-        self.delivered.len()
-    }
-
-    /// References the history walks have followed so far, counted inside
-    /// [`DagStore::causal_history`]. A walk enters only what it delivers, so
-    /// this grows with the sub-DAGs delivered (a vertex and its parent
-    /// references each), not with the depth of the DAG under them.
-    pub fn walk_steps(&self) -> u64 {
-        self.walk_steps
-    }
-
-    /// True if the vertex has already been delivered.
-    pub fn is_delivered(&self, id: &Digest) -> bool {
-        self.delivered.contains(id)
     }
 
     /// Runs the commit rule against the current local DAG and returns every
@@ -200,8 +169,8 @@ mod tests {
         // other round-5 vertices are delivered by the next leader).
         let delivered: usize = committed.iter().map(|c| c.vertices.len()).sum();
         assert_eq!(delivered, 4 * 5 + 1);
-        assert_eq!(committer.delivered_count(), 21);
-        assert_eq!(committer.next_leader_round(), Round::new(7));
+        assert_eq!(committer.delivered.len(), 21);
+        assert_eq!(committer.next_leader_round, Round::new(7));
         // Delivery shares the store's vertices (and so their blocks): no
         // copy is made on the way to the commit pipeline.
         for sub_dag in &committed {
@@ -315,7 +284,7 @@ mod tests {
             committer.try_commit(&store).is_empty(),
             "leader 1 lacks f+1 support and round 3 does not exist yet"
         );
-        assert_eq!(committer.next_leader_round(), Round::new(3));
+        assert_eq!(committer.next_leader_round, Round::new(3));
 
         // Rounds 3 and 4: complete; the leader of round 3 (replica 1) commits
         // and, because replica 1's round-2 vertex references the round-1
@@ -332,7 +301,7 @@ mod tests {
         );
         let total: usize = committed.iter().map(|c| c.vertices.len()).sum();
         assert_eq!(
-            committer.delivered_count(),
+            committer.delivered.len(),
             total,
             "no vertex is delivered twice"
         );
@@ -344,7 +313,7 @@ mod tests {
         let mut builder = DagBuilder::new(committee(), DagId::new(1), start);
         let store = builder.build_rounds(4, |_, _| BlockKind::Normal); // rounds 6..=9
         let mut committer = Committer::new(committee(), DagId::new(1), start);
-        assert_eq!(committer.next_leader_round(), Round::new(7));
+        assert_eq!(committer.next_leader_round, Round::new(7));
         let committed = committer.try_commit(&store);
         assert_eq!(committed.len(), 1);
         assert_eq!(committed[0].leader_round, Round::new(7));
@@ -357,7 +326,10 @@ mod tests {
         // The leader's causal history — all of round 6 plus the leader — is
         // delivered.
         assert_eq!(committed[0].vertices.len(), 5);
-        assert_eq!(committed[0].tx_count(), 0);
+        assert!(committed[0]
+            .vertices
+            .iter()
+            .all(|v| v.block.tx_count() == 0));
     }
 
     #[test]
@@ -476,7 +448,7 @@ mod tests {
                     assert_eq!(got.last(), Some(&sub_dag.leader.id()));
                     delivered.extend(got);
                 }
-                assert_eq!(committer.delivered_count(), delivered.len());
+                assert_eq!(committer.delivered.len(), delivered.len());
             }
             // The full history is the empty-set case of the same walk.
             let tip = store.at_round(Round::new(39))[0].id();
@@ -486,13 +458,13 @@ mod tests {
                 .map(|v| v.id())
                 .collect();
             assert_eq!(full, reachable(&store, tip));
-            let decided = (committer.next_leader_round().as_u64() - 1) / 2;
+            let decided = (committer.next_leader_round.as_u64() - 1) / 2;
             let leaders = (0..decided)
                 .map(|i| Round::new(2 * i + 1))
                 .filter(|r| {
                     store
                         .by_author_round(committee.leader(DagId::new(0), *r), *r)
-                        .is_some_and(|v| committer.is_delivered(&v.id()))
+                        .is_some_and(|v| committer.delivered.contains(&v.id()))
                 })
                 .count() as u64;
             skipped += decided - leaders;
@@ -523,9 +495,9 @@ mod tests {
         // filtering afterwards takes some 64 000 000 steps here.
         let n = u64::from(committee().size());
         assert!(
-            committer.walk_steps() <= (n + 1) * delivered,
+            committer.walk_steps <= (n + 1) * delivered,
             "{} walk steps to deliver {delivered} vertices",
-            committer.walk_steps()
+            committer.walk_steps
         );
     }
 }

@@ -2,7 +2,7 @@
 
 use std::time::{Duration, Instant};
 use tb_storage::{MemStore, Store, WriteBatch};
-use tb_types::{AccessRecord, PreplayedTx, TxId, Value};
+use tb_types::{AccessRecord, PreplayedTx, Value};
 
 /// FNV-1a 64-bit offset basis: the seed of [`BatchResult::commit_digest`]
 /// and of the commit-order digest tb-core replicas carry, so the two digest
@@ -89,22 +89,6 @@ impl BatchResult {
         self.committed() as f64 / self.elapsed.as_secs_f64()
     }
 
-    /// Average per-transaction latency in seconds.
-    pub fn avg_latency_secs(&self) -> f64 {
-        if self.preplayed.is_empty() {
-            return 0.0;
-        }
-        self.total_latency.as_secs_f64() / self.preplayed.len() as f64
-    }
-
-    /// Average number of re-executions per transaction.
-    pub fn avg_reexecutions(&self) -> f64 {
-        if self.preplayed.is_empty() {
-            return 0.0;
-        }
-        self.reexecutions as f64 / self.preplayed.len() as f64
-    }
-
     /// The combined write batch of the serialized order (later transactions
     /// overwrite earlier ones), ready to be applied to a store: what a
     /// replica that replays the batch's block derives, too.
@@ -127,15 +111,6 @@ impl BatchResult {
     /// [`Store::apply_batch`] of [`BatchResult::write_batch`].
     pub fn apply_to(&self, store: &MemStore) {
         store.apply_batch(&self.write_batch());
-    }
-
-    /// The return value recorded for a transaction, if it committed in this
-    /// batch.
-    pub fn return_value(&self, tx: TxId) -> Option<&Value> {
-        self.preplayed
-            .iter()
-            .find(|p| p.tx.id == tx)
-            .map(|p| &p.outcome.return_value)
     }
 
     /// Folds the serialized execution order and every transaction's id,
@@ -166,27 +141,13 @@ impl BatchResult {
         }
         digest
     }
-
-    /// True if the serialized order indices form a permutation of
-    /// `0..committed()` (a structural sanity check used by tests).
-    pub fn order_is_permutation(&self) -> bool {
-        let mut seen = vec![false; self.preplayed.len()];
-        for p in &self.preplayed {
-            let idx = p.order as usize;
-            if idx >= seen.len() || seen[idx] {
-                return false;
-            }
-            seen[idx] = true;
-        }
-        seen.into_iter().all(|s| s)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tb_storage::KvRead;
-    use tb_types::{AccessRecord, ClientId, ContractCall, ExecOutcome, Key, SimTime, Transaction};
+    use tb_types::{ClientId, ContractCall, ExecOutcome, Key, SimTime, Transaction, TxId};
 
     fn preplayed(id: u64, order: u32, writes: &[(Key, i64)]) -> PreplayedTx {
         let tx = Transaction::new(
@@ -210,9 +171,6 @@ mod tests {
         let r = BatchResult::default();
         assert_eq!(r.committed(), 0);
         assert_eq!(r.throughput_tps(), 0.0);
-        assert_eq!(r.avg_latency_secs(), 0.0);
-        assert_eq!(r.avg_reexecutions(), 0.0);
-        assert!(r.order_is_permutation());
     }
 
     #[test]
@@ -228,38 +186,17 @@ mod tests {
         let store = MemStore::new();
         r.apply_to(&store);
         assert_eq!(store.get(&Key::scratch(1)), Value::int(20));
-        assert!(r.order_is_permutation());
-    }
-
-    #[test]
-    fn order_permutation_detects_gaps_and_duplicates() {
-        let dup = BatchResult {
-            preplayed: vec![preplayed(1, 0, &[]), preplayed(2, 0, &[])],
-            ..BatchResult::default()
-        };
-        assert!(!dup.order_is_permutation());
-        let gap = BatchResult {
-            preplayed: vec![preplayed(1, 0, &[]), preplayed(2, 2, &[])],
-            ..BatchResult::default()
-        };
-        assert!(!gap.order_is_permutation());
     }
 
     #[test]
     fn metrics_are_computed_from_counts() {
         let r = BatchResult {
             preplayed: vec![preplayed(1, 0, &[]), preplayed(2, 1, &[])],
-            reexecutions: 3,
             elapsed: Duration::from_millis(10),
-            total_latency: Duration::from_millis(4),
             ..BatchResult::default()
         };
         assert_eq!(r.committed(), 2);
         assert!((r.throughput_tps() - 200.0).abs() < 1.0);
-        assert!((r.avg_latency_secs() - 0.002).abs() < 1e-9);
-        assert!((r.avg_reexecutions() - 1.5).abs() < 1e-9);
-        assert!(r.return_value(TxId::new(1)).is_some());
-        assert!(r.return_value(TxId::new(9)).is_none());
     }
 
     #[test]

@@ -43,11 +43,6 @@ impl ConcurrentExecutor {
     pub fn new(config: CeConfig) -> Self {
         ConcurrentExecutor { config }
     }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &CeConfig {
-        &self.config
-    }
 }
 
 /// Speculation in `chunks` contiguous chunks of the batch, one per slot of
@@ -247,7 +242,7 @@ mod tests {
     use tb_contracts::SMALLBANK_DEFAULT_BALANCE;
     use tb_storage::MemStore;
     use tb_types::{ClientId, ContractCall, SimTime, SmallBankProcedure, TxId};
-    use tb_workload::{SmallBankConfig, SmallBankWorkload};
+    use tb_workload::{SmallBankConfig, SmallBankWorkload, Workload};
 
     fn send_payment(id: u64, from: u64, to: u64, amount: i64) -> Transaction {
         Transaction::new(
@@ -308,7 +303,9 @@ mod tests {
             .collect();
         let result = ce(8).preplay(&txs, &store);
         assert_eq!(result.committed(), 64);
-        assert!(result.order_is_permutation());
+        let mut order: Vec<u32> = result.preplayed.iter().map(|p| p.order).collect();
+        order.sort_unstable();
+        assert!(order.into_iter().eq(0..64), "the order is a permutation");
         result.apply_to(&store);
         assert_eq!(
             store.get(&Key::checking(0)),
@@ -415,8 +412,9 @@ mod tests {
         let result = ce(8).preplay(&txs, &store);
         assert_eq!(result.committed(), 50);
         assert_eq!(result.reexecutions, 0);
+        let first = result.preplayed.iter().find(|p| p.tx.id == TxId::new(0));
         assert_eq!(
-            result.return_value(TxId::new(0)),
+            first.map(|p| &p.outcome.return_value),
             Some(&Value::int(2 * SMALLBANK_DEFAULT_BALANCE))
         );
     }

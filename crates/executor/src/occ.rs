@@ -31,11 +31,6 @@ impl OccExecutor {
     pub fn new(config: CeConfig) -> Self {
         OccExecutor { config }
     }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &CeConfig {
-        &self.config
-    }
 }
 
 impl Default for OccExecutor {
@@ -161,7 +156,9 @@ mod tests {
             .collect();
         let result = occ(8).execute_batch(&txs, &store);
         assert_eq!(result.committed(), 100);
-        assert!(result.order_is_permutation());
+        let mut order: Vec<u32> = result.preplayed.iter().map(|p| p.order).collect();
+        order.sort_unstable();
+        assert!(order.into_iter().eq(0..100), "the order is a permutation");
         assert_eq!(store.stats().int_sum, initial);
     }
 

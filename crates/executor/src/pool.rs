@@ -130,12 +130,6 @@ impl WorkerPool {
         WorkerPool { shared, helpers }
     }
 
-    /// Number of helper threads; the submitting thread always works too, so
-    /// a job saturates `helpers + 1` cores.
-    pub fn helpers(&self) -> usize {
-        self.helpers
-    }
-
     /// Runs `task(slot)` once for every `slot` in `0..slots`, in parallel
     /// across the pool's helpers and the calling thread, and returns once
     /// every slot has finished. With `slots <= 1` or a helper-less pool the
@@ -261,7 +255,7 @@ mod tests {
     #[test]
     fn jobs_with_more_slots_than_threads_complete() {
         let total = AtomicUsize::new(0);
-        let slots = (global().helpers() + 1) * 4 + 3;
+        let slots = (global().helpers + 1) * 4 + 3;
         global().run(slots, &|_| {
             total.fetch_add(1, Ordering::SeqCst);
         });

@@ -91,7 +91,7 @@ impl BatchExecutor for SerialExecutor {
 mod tests {
     use super::*;
     use tb_storage::MemStore;
-    use tb_types::{ClientId, ContractCall, SimTime, SmallBankProcedure, TxId};
+    use tb_types::{AccessRecord, ClientId, ContractCall, SimTime, SmallBankProcedure, TxId};
 
     fn payment(id: u64, from: u64, to: u64, amount: i64) -> Transaction {
         Transaction::new(
@@ -127,7 +127,9 @@ mod tests {
         let txs = vec![payment(1, 3, 4, 5)];
         let result = SerialExecutor::new().execute_batch(&txs, &store);
         let outcome = &result.preplayed[0].outcome;
-        assert_eq!(outcome.read_value(&Key::checking(3)), Some(&Value::int(10)));
+        assert!(outcome
+            .read_set
+            .contains(&AccessRecord::new(Key::checking(3), Value::int(10))));
         assert_eq!(
             outcome.written_value(&Key::checking(3)),
             Some(&Value::int(5))

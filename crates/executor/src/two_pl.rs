@@ -103,11 +103,6 @@ impl TwoPlNoWaitExecutor {
     pub fn new(config: CeConfig) -> Self {
         TwoPlNoWaitExecutor { config }
     }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &CeConfig {
-        &self.config
-    }
 }
 
 impl Default for TwoPlNoWaitExecutor {

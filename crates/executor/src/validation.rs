@@ -491,7 +491,7 @@ mod tests {
         Block, BlockKind, BlockPayload, CeConfig, ClientId, ContractCall, KeySet, Operation,
         SimTime, SmallBankProcedure, Transaction,
     };
-    use tb_workload::{SmallBankConfig, SmallBankWorkload};
+    use tb_workload::{SmallBankConfig, SmallBankWorkload, Workload};
 
     /// The single-stage validator's view of one transaction: its own
     /// writes, over the writes of its block's earlier transactions, over the

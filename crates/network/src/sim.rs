@@ -217,24 +217,9 @@ impl<M> SimNetwork<M> {
         }
         None
     }
-
-    /// True if no events are pending.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Number of pending events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
 }
 
 impl<M: WireSized> SimNetwork<M> {
-    /// Sends a message from `from` to `to`, applying faults and latency.
-    pub fn send(&mut self, from: ReplicaId, to: ReplicaId, msg: M) {
-        self.send_at(from, to, msg, SimTime::ZERO);
-    }
-
     /// Sends a message emitted at `not_before` or now, whichever is later;
     /// it arrives one sampled latency after emission. A sender that was busy
     /// executing transactions when it produced the message emits it when
@@ -282,13 +267,10 @@ impl<M: WireSized> SimNetwork<M> {
 }
 
 impl<M: Clone + WireSized> SimNetwork<M> {
-    /// Broadcasts a message from `from` to every replica (including itself,
-    /// which models the local loop-back delivery DAG protocols rely on).
-    pub fn broadcast(&mut self, from: ReplicaId, msg: M) {
-        self.broadcast_at(from, msg, SimTime::ZERO);
-    }
-
-    /// Broadcasts with an earliest emission time (see [`Self::send_at`]).
+    /// Broadcasts a message emitted at `not_before` or now, whichever is
+    /// later, from `from` to every replica (including itself, which models
+    /// the local loop-back delivery DAG protocols rely on); see
+    /// [`Self::send_at`].
     pub fn broadcast_at(&mut self, from: ReplicaId, msg: M, not_before: SimTime) {
         // The payload is measured once; every per-recipient clone has the
         // same wire size.
@@ -296,6 +278,24 @@ impl<M: Clone + WireSized> SimNetwork<M> {
         for to in 0..self.n {
             self.send_sized(from, ReplicaId::new(to), msg.clone(), not_before, size);
         }
+    }
+}
+
+#[cfg(test)]
+impl<M: Clone + WireSized> SimNetwork<M> {
+    /// Sends a message from `from` to `to` now, applying faults and latency.
+    pub(crate) fn send(&mut self, from: ReplicaId, to: ReplicaId, msg: M) {
+        self.send_at(from, to, msg, SimTime::ZERO);
+    }
+
+    /// Broadcasts a message from `from` to every replica now.
+    pub(crate) fn broadcast(&mut self, from: ReplicaId, msg: M) {
+        self.broadcast_at(from, msg, SimTime::ZERO);
+    }
+
+    /// Number of pending events.
+    pub(crate) fn pending(&self) -> usize {
+        self.queue.len()
     }
 }
 
@@ -332,7 +332,7 @@ mod tests {
                 (SimTime::from_millis(5), "late"),
             ]
         );
-        assert!(net.is_idle());
+        assert_eq!(net.pending(), 0);
     }
 
     #[test]

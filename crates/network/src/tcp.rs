@@ -166,11 +166,6 @@ impl<M: Wire + Send + 'static> TcpTransport<M> {
         })
     }
 
-    /// The local replica id.
-    pub fn local(&self) -> ReplicaId {
-        self.local
-    }
-
     fn peer_addr(&self, id: ReplicaId) -> Option<SocketAddr> {
         self.peers.iter().find(|p| p.id == id).map(|p| p.addr)
     }
@@ -387,6 +382,15 @@ impl<M: Wire + Send + 'static> Transport<M> for TcpTransport<M> {
     }
 
     fn shutdown(&mut self) {
+        self.close();
+    }
+}
+
+impl<M> TcpTransport<M> {
+    /// Stops the accept loop and closes every outbound stream, once. Both
+    /// [`Transport::shutdown`] and dropping the transport come here; `Drop`
+    /// cannot call the trait method, whose impl needs `M: Wire + Send`.
+    fn close(&mut self) {
         if self.shut_down {
             return;
         }
@@ -402,12 +406,7 @@ impl<M: Wire + Send + 'static> Transport<M> for TcpTransport<M> {
 
 impl<M> Drop for TcpTransport<M> {
     fn drop(&mut self) {
-        self.shut_down = true;
-        self.stop.store(true, Ordering::SeqCst);
-        self.outbound.clear();
-        if let Some(handle) = self.listener_thread.take() {
-            let _ = handle.join();
-        }
+        self.close();
     }
 }
 

@@ -306,6 +306,6 @@ mod tests {
         let mut net = sim();
         net.broadcast(ReplicaId::new(0), "pending");
         Transport::shutdown(&mut net);
-        assert!(net.is_idle());
+        assert_eq!(net.pending(), 0);
     }
 }

@@ -463,22 +463,9 @@ impl WalStore {
         self.recovery
     }
 
-    /// Completed compactions since open.
-    pub fn compactions(&self) -> u64 {
-        self.state().compactions
-    }
-
     /// Current size of the WAL file in bytes (including buffered appends).
     pub fn wal_bytes(&self) -> u64 {
         self.state().wal_bytes
-    }
-
-    /// Forces a compaction: writes a fresh snapshot and truncates the WAL.
-    /// Normally triggered automatically at a commit boundary once the log
-    /// exceeds [`WalOptions::compact_wal_bytes`].
-    pub fn compact(&self) {
-        let mut state = self.state();
-        self.compact_locked(&mut state);
     }
 
     fn append_frame(&self, state: &mut WalState, frame: &[u8]) {
@@ -799,7 +786,11 @@ mod tests {
                     digest: round,
                 });
             }
-            assert_eq!(store.compactions(), 2, "threshold must have triggered");
+            assert_eq!(
+                store.state().compactions,
+                2,
+                "threshold must have triggered"
+            );
             assert_eq!(store.wal_bytes(), (WAL_HEADER_LEN + 2 * (15 + 19)) as u64);
         }
         let recovered = WalStore::open(dir.path(), options).unwrap();

@@ -147,11 +147,6 @@ impl Block {
         self.kind == BlockKind::Shift
     }
 
-    /// True if this is a skip block.
-    pub fn is_skip(&self) -> bool {
-        self.kind == BlockKind::Skip
-    }
-
     /// Number of transactions carried.
     pub fn tx_count(&self) -> usize {
         self.payload.len()
@@ -291,8 +286,8 @@ mod tests {
     #[test]
     fn kinds_are_told_apart() {
         let n = sample_block(BlockKind::Normal);
-        assert!(!n.is_shift() && !n.is_skip());
-        assert!(sample_block(BlockKind::Skip).is_skip());
+        assert!(!n.is_shift());
+        assert!(!sample_block(BlockKind::Skip).is_shift());
         assert!(sample_block(BlockKind::Shift).is_shift());
         assert_eq!(n.tx_count(), 0);
     }

@@ -58,11 +58,6 @@ impl Committee {
         (0..self.n).map(ReplicaId::new)
     }
 
-    /// Iterator over all shard ids.
-    pub fn shards(&self) -> impl Iterator<Item = ShardId> {
-        (0..self.n).map(ShardId::new)
-    }
-
     /// True if `replica` is a member of the committee.
     pub fn contains(&self, replica: ReplicaId) -> bool {
         replica.as_inner() < self.n
@@ -101,37 +96,14 @@ impl ShardAssignment {
         ShardAssignment { committee, dag }
     }
 
-    /// The committee the assignment refers to.
-    pub fn committee(&self) -> Committee {
-        self.committee
-    }
-
-    /// The DAG instance the assignment is valid for.
-    pub fn dag(&self) -> DagId {
-        self.dag
-    }
-
-    /// The replica currently serving `shard`.
+    /// The shard currently served by `replica`.
     ///
-    /// In DAG 0 shard `i` is served by replica `i`; every reconfiguration
-    /// shifts the assignment by one replica.
-    pub fn proposer_of(&self, shard: ShardId) -> ReplicaId {
-        let n = u64::from(self.committee.size());
-        let idx = (u64::from(shard.as_inner()) + self.dag.as_inner()) % n;
-        ReplicaId::new(idx as u32)
-    }
-
-    /// The shard currently served by `replica` (inverse of
-    /// [`Self::proposer_of`]).
+    /// In DAG 0 replica `i` serves shard `i`; every reconfiguration shifts
+    /// the assignment by one replica.
     pub fn shard_of(&self, replica: ReplicaId) -> ShardId {
         let n = u64::from(self.committee.size());
         let idx = (u64::from(replica.as_inner()) + n - (self.dag.as_inner() % n)) % n;
         ShardId::new(idx as u32)
-    }
-
-    /// The assignment of the next DAG instance.
-    pub fn next(&self) -> ShardAssignment {
-        ShardAssignment::new(self.committee, DagId::new(self.dag.as_inner() + 1))
     }
 }
 
@@ -170,7 +142,6 @@ mod tests {
         assert!(c.contains(ReplicaId::new(3)));
         assert!(!c.contains(ReplicaId::new(4)));
         assert_eq!(c.replicas().count(), 4);
-        assert_eq!(c.shards().count(), 4);
     }
 
     #[test]
@@ -199,13 +170,9 @@ mod tests {
         let c = Committee::new(4);
         let a0 = ShardAssignment::new(c, DagId::new(0));
         for i in 0..4 {
-            assert_eq!(a0.proposer_of(ShardId::new(i)), ReplicaId::new(i));
             assert_eq!(a0.shard_of(ReplicaId::new(i)), ShardId::new(i));
         }
-        let a1 = a0.next();
-        assert_eq!(a1.dag(), DagId::new(1));
-        assert_eq!(a1.proposer_of(ShardId::new(0)), ReplicaId::new(1));
-        assert_eq!(a1.proposer_of(ShardId::new(3)), ReplicaId::new(0));
+        let a1 = ShardAssignment::new(c, DagId::new(1));
         assert_eq!(a1.shard_of(ReplicaId::new(1)), ShardId::new(0));
         assert_eq!(a1.shard_of(ReplicaId::new(0)), ShardId::new(3));
     }
@@ -216,13 +183,12 @@ mod tests {
         for dag in 0..20u64 {
             let a = ShardAssignment::new(c, DagId::new(dag));
             let mut seen = vec![false; 7];
-            for shard in c.shards() {
-                let r = a.proposer_of(shard);
-                assert!(!seen[r.as_inner() as usize], "proposer assigned twice");
-                seen[r.as_inner() as usize] = true;
-                assert_eq!(a.shard_of(r), shard, "inverse mapping must agree");
+            for replica in c.replicas() {
+                let shard = a.shard_of(replica);
+                assert!(!seen[shard.as_inner() as usize], "shard assigned twice");
+                seen[shard.as_inner() as usize] = true;
             }
-            assert!(seen.into_iter().all(|s| s));
+            assert!(seen.into_iter().all(|s| s), "a shard has no proposer");
         }
     }
 }

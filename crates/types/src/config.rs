@@ -1,8 +1,6 @@
 //! Configuration for the concurrent executor, the protocol and the network
 //! simulation.
 
-use crate::time::SimTime;
-
 /// Configuration of the concurrent executor (paper Section 7) and of the
 /// baseline executors.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -137,15 +135,6 @@ impl LatencyModel {
             jitter_micros: 15_000,
         }
     }
-
-    /// The mean one-way delay of the model.
-    pub fn mean(&self) -> SimTime {
-        match self {
-            LatencyModel::Instant => SimTime::ZERO,
-            LatencyModel::Fixed { micros } => SimTime::from_micros(*micros),
-            LatencyModel::Jittered { base_micros, .. } => SimTime::from_micros(*base_micros),
-        }
-    }
 }
 
 /// Which storage backend a replica keeps its committed state in.
@@ -272,16 +261,6 @@ mod tests {
         let r = ReconfigConfig::new(2, 6);
         assert_eq!(r.silent_rounds_k, 2);
         assert_eq!(r.period_k_prime, 6);
-    }
-
-    #[test]
-    fn latency_models_expose_their_mean() {
-        assert_eq!(LatencyModel::Instant.mean(), SimTime::ZERO);
-        assert_eq!(
-            LatencyModel::Fixed { micros: 42 }.mean(),
-            SimTime::from_micros(42)
-        );
-        assert!(LatencyModel::wan().mean() > LatencyModel::lan().mean());
     }
 
     #[test]

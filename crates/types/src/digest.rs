@@ -29,11 +29,6 @@ impl Digest {
         hasher.finish()
     }
 
-    /// True if this is the placeholder digest.
-    pub fn is_zero(&self) -> bool {
-        self.0 == [0; 4]
-    }
-
     /// A short human-readable prefix of the digest, for logs.
     pub fn short(&self) -> String {
         format!("{:08x}", self.0[0] >> 32)
@@ -151,7 +146,6 @@ mod tests {
     #[test]
     fn empty_hasher_is_not_zero() {
         let d = StructuralHasher::new().finish();
-        assert!(!d.is_zero());
         assert_ne!(d, Digest::ZERO);
     }
 

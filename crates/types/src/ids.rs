@@ -118,11 +118,6 @@ impl Round {
     pub const fn is_leader_round(self) -> bool {
         self.0 % 2 == 1
     }
-
-    /// Distance (in rounds) to an earlier round; zero if `earlier` is newer.
-    pub fn saturating_distance(self, earlier: Round) -> u64 {
-        self.0.saturating_sub(earlier.0)
-    }
 }
 
 impl fmt::Display for Round {
@@ -156,8 +151,6 @@ mod tests {
         assert_eq!(r.next(), Round::new(5));
         assert_eq!(r.prev(), Round::new(3));
         assert_eq!(Round::ZERO.prev(), Round::ZERO);
-        assert_eq!(r.saturating_distance(Round::new(1)), 3);
-        assert_eq!(Round::new(1).saturating_distance(r), 0);
     }
 
     #[test]

@@ -163,57 +163,12 @@ impl ExecOutcome {
         }
     }
 
-    /// The value read for `key`, if any.
-    pub fn read_value(&self, key: &Key) -> Option<&Value> {
-        self.read_set
-            .iter()
-            .find(|r| r.key == *key)
-            .map(|r| &r.value)
-    }
-
     /// The value written to `key`, if any.
     pub fn written_value(&self, key: &Key) -> Option<&Value> {
         self.write_set
             .iter()
             .find(|r| r.key == *key)
             .map(|r| &r.value)
-    }
-
-    /// Every key touched by the transaction (reads and writes, deduplicated).
-    pub fn touched_keys(&self) -> Vec<Key> {
-        let mut keys: Vec<Key> = self
-            .read_set
-            .iter()
-            .chain(self.write_set.iter())
-            .map(|r| r.key)
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        keys
-    }
-
-    /// Returns true if the outcome writes to `key`.
-    pub fn writes(&self, key: &Key) -> bool {
-        self.write_set.iter().any(|r| r.key == *key)
-    }
-
-    /// Returns true if the outcome reads `key`.
-    pub fn reads(&self, key: &Key) -> bool {
-        self.read_set.iter().any(|r| r.key == *key)
-    }
-
-    /// True when two outcomes conflict: they touch a common key and at least
-    /// one of the two accesses is a write.
-    pub fn conflicts_with(&self, other: &ExecOutcome) -> bool {
-        for key in self.touched_keys() {
-            let self_writes = self.writes(&key);
-            let other_writes = other.writes(&key);
-            let other_touches = other_writes || other.reads(&key);
-            if other_touches && (self_writes || other_writes) {
-                return true;
-            }
-        }
-        false
     }
 }
 
@@ -244,37 +199,9 @@ mod tests {
         out.record_read(k(1), Value::int(99));
         out.record_write(k(1), Value::int(4));
         out.record_write(k(1), Value::int(5));
-        assert_eq!(out.read_value(&k(1)), Some(&Value::int(3)));
+        assert_eq!(out.read_set, vec![AccessRecord::new(k(1), Value::int(3))]);
         assert_eq!(out.written_value(&k(1)), Some(&Value::int(5)));
-        assert_eq!(out.read_set.len(), 1);
         assert_eq!(out.write_set.len(), 1);
-    }
-
-    #[test]
-    fn touched_keys_deduplicates() {
-        let mut out = ExecOutcome::empty();
-        out.record_read(k(1), Value::int(0));
-        out.record_write(k(1), Value::int(1));
-        out.record_write(k(2), Value::int(2));
-        assert_eq!(out.touched_keys(), vec![k(1), k(2)]);
-    }
-
-    #[test]
-    fn conflict_requires_a_write_on_a_shared_key() {
-        let mut read_only_a = ExecOutcome::empty();
-        read_only_a.record_read(k(1), Value::int(0));
-        let mut read_only_b = ExecOutcome::empty();
-        read_only_b.record_read(k(1), Value::int(0));
-        assert!(!read_only_a.conflicts_with(&read_only_b));
-
-        let mut writer = ExecOutcome::empty();
-        writer.record_write(k(1), Value::int(9));
-        assert!(read_only_a.conflicts_with(&writer));
-        assert!(writer.conflicts_with(&read_only_a));
-
-        let mut disjoint = ExecOutcome::empty();
-        disjoint.record_write(k(7), Value::int(1));
-        assert!(!disjoint.conflicts_with(&writer));
     }
 
     #[test]

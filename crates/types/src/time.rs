@@ -32,11 +32,6 @@ impl SimTime {
         SimTime(s * 1_000_000)
     }
 
-    /// Creates a timestamp from a fractional number of seconds.
-    pub fn from_secs_f64(s: f64) -> Self {
-        SimTime((s.max(0.0) * 1_000_000.0).round() as u64)
-    }
-
     /// Microseconds since the origin.
     pub const fn as_micros(self) -> u64 {
         self.0
@@ -108,8 +103,6 @@ mod tests {
         assert_eq!(SimTime::from_millis(2).as_micros(), 2_000);
         assert_eq!(SimTime::from_secs(3).as_micros(), 3_000_000);
         assert!((SimTime::from_secs(1).as_secs_f64() - 1.0).abs() < 1e-9);
-        assert_eq!(SimTime::from_secs_f64(0.0015).as_micros(), 1_500);
-        assert_eq!(SimTime::from_secs_f64(-1.0), SimTime::ZERO);
     }
 
     #[test]

@@ -88,11 +88,6 @@ impl SmallBankProcedure {
         }
     }
 
-    /// True for the read-only `GetBalance` procedure.
-    pub fn is_read_only(&self) -> bool {
-        matches!(self, SmallBankProcedure::GetBalance { .. })
-    }
-
     /// Short name used in logs and benchmark output.
     pub fn name(&self) -> &'static str {
         match self {
@@ -191,16 +186,6 @@ impl ContractCall {
                 shards.sort_unstable();
                 shards.dedup();
             }
-        }
-    }
-
-    /// True if the call is known to be read-only from its declaration alone.
-    pub fn declared_read_only(&self) -> bool {
-        match self {
-            ContractCall::SmallBank(p) => p.is_read_only(),
-            ContractCall::KvOps(ops) => ops.iter().all(|o| matches!(o, Operation::Read { .. })),
-            ContractCall::Program { .. } => false,
-            ContractCall::Noop => true,
         }
     }
 }
@@ -354,9 +339,8 @@ mod tests {
     }
 
     #[test]
-    fn get_balance_is_single_shard_and_read_only() {
+    fn get_balance_is_single_shard() {
         let call = ContractCall::SmallBank(SmallBankProcedure::GetBalance { account: 7 });
-        assert!(call.declared_read_only());
         let t = tx(call, 4);
         assert_eq!(t.class(), TxClass::SingleShard);
         assert_eq!(t.shards, vec![ShardId::new(3)]);
@@ -370,7 +354,6 @@ mod tests {
             Operation::write(Key::scratch(9), Value::int(3)),
         ]);
         assert_eq!(call.declared_keys(), vec![Key::scratch(1), Key::scratch(9)]);
-        assert!(!call.declared_read_only());
     }
 
     #[test]
@@ -431,6 +414,5 @@ mod tests {
             amount: 10,
         };
         assert_eq!(q.accounts(), vec![2]);
-        assert!(!q.is_read_only());
     }
 }

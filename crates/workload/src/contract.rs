@@ -143,18 +143,12 @@ impl ContractWorkload {
             submitted_at,
         )
     }
-
-    /// Generates a batch of transactions.
-    pub fn batch(&mut self, size: usize, submitted_at: SimTime) -> Vec<Transaction> {
-        (0..size)
-            .map(|_| self.next_transaction(submitted_at))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Workload;
 
     #[test]
     fn mix_fractions_are_respected() {

@@ -61,14 +61,6 @@ impl Default for KvWorkloadConfig {
     }
 }
 
-impl KvWorkloadConfig {
-    /// Overrides the RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-}
-
 /// A deterministic hot-key KV transaction generator.
 #[derive(Clone, Debug)]
 pub struct KvWorkload {
@@ -92,11 +84,6 @@ impl KvWorkload {
     /// The configuration the generator was built with.
     pub fn config(&self) -> &KvWorkloadConfig {
         &self.config
-    }
-
-    /// Number of transactions generated so far.
-    pub fn generated(&self) -> u64 {
-        self.next_tx
     }
 
     /// Initial state: every key holds the configured integer value.
@@ -188,27 +175,24 @@ impl KvWorkload {
             submitted_at,
         )
     }
-
-    /// Generates a batch of transactions with the same submission time.
-    pub fn batch(&mut self, size: usize, submitted_at: SimTime) -> Vec<Transaction> {
-        (0..size)
-            .map(|_| self.next_transaction(submitted_at))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tb_types::TxClass;
+    use crate::Workload;
+    use tb_types::{OpKind, TxClass};
 
     #[test]
     fn streams_are_deterministic_per_seed() {
-        let config = KvWorkloadConfig::default().with_seed(11);
+        let config = KvWorkloadConfig {
+            seed: 11,
+            ..KvWorkloadConfig::default()
+        };
         let mut a = KvWorkload::new(config);
         let mut b = KvWorkload::new(config);
         assert_eq!(a.batch(200, SimTime::ZERO), b.batch(200, SimTime::ZERO));
-        assert_eq!(a.generated(), 200);
+        assert_eq!(a.next_tx, 200);
     }
 
     #[test]
@@ -219,7 +203,10 @@ mod tests {
         });
         let total = 4_000;
         let read_only = (0..total)
-            .filter(|_| workload.next_call().declared_read_only())
+            .filter(|_| match workload.next_call() {
+                ContractCall::KvOps(ops) => ops.iter().all(|op| op.kind() == OpKind::Read),
+                other => panic!("unexpected call {other:?}"),
+            })
             .count();
         let fraction = read_only as f64 / total as f64;
         assert!(

@@ -74,15 +74,6 @@ impl Default for SmallBankConfig {
 }
 
 impl SmallBankConfig {
-    /// The executor-evaluation configuration (Section 11): 10 000 accounts,
-    /// `θ = 0.85`.
-    pub fn executor_eval(pr_read: f64) -> Self {
-        SmallBankConfig {
-            pr_read,
-            ..SmallBankConfig::default()
-        }
-    }
-
     /// The system-evaluation configuration (Section 12): 1 000 accounts,
     /// `θ = 0.85`, `Pr = 0.5`.
     pub fn system_eval(n_shards: u32, cross_shard_fraction: f64) -> Self {
@@ -92,12 +83,6 @@ impl SmallBankConfig {
             cross_shard_fraction,
             ..SmallBankConfig::default()
         }
-    }
-
-    /// Overrides the RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 }
 
@@ -143,11 +128,6 @@ impl SmallBankWorkload {
     /// The configuration the generator was built with.
     pub fn config(&self) -> &SmallBankConfig {
         &self.config
-    }
-
-    /// Number of transactions generated so far.
-    pub fn generated(&self) -> u64 {
-        self.next_tx
     }
 
     /// The initial store contents for this workload.
@@ -224,18 +204,12 @@ impl SmallBankWorkload {
         let client = ClientId::new((id.as_inner() % 64) as u32);
         Transaction::new(id, client, call, self.config.n_shards, submitted_at)
     }
-
-    /// Generates a batch of transactions with the same submission time.
-    pub fn batch(&mut self, size: usize, submitted_at: SimTime) -> Vec<Transaction> {
-        (0..size)
-            .map(|_| self.next_transaction(submitted_at))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Workload;
     use tb_types::TxClass;
 
     fn workload(cfg: SmallBankConfig) -> SmallBankWorkload {
@@ -321,7 +295,7 @@ mod tests {
         let a = w.next_transaction(SimTime::ZERO);
         let b = w.next_transaction(SimTime::ZERO);
         assert!(a.id < b.id);
-        assert_eq!(w.generated(), 2);
+        assert_eq!(w.next_tx, 2);
     }
 
     #[test]
@@ -345,7 +319,10 @@ mod tests {
 
     #[test]
     fn deterministic_for_equal_seeds() {
-        let cfg = SmallBankConfig::default().with_seed(7);
+        let cfg = SmallBankConfig {
+            seed: 7,
+            ..SmallBankConfig::default()
+        };
         let mut a = workload(cfg);
         let mut b = workload(cfg);
         for _ in 0..100 {
@@ -362,7 +339,8 @@ mod tests {
 
     #[test]
     fn executor_and_system_presets_match_the_paper() {
-        let exec = SmallBankConfig::executor_eval(0.5);
+        // The default is the executor evaluation's setup (Section 11).
+        let exec = SmallBankConfig::default();
         assert_eq!(exec.accounts, 10_000);
         assert!((exec.theta - 0.85).abs() < 1e-12);
         let sys = SmallBankConfig::system_eval(64, 0.08);

@@ -13,7 +13,6 @@ use rand::Rng;
 #[derive(Clone, Debug)]
 pub struct ZipfianGenerator {
     n: u64,
-    theta: f64,
     alpha: f64,
     zetan: f64,
     eta: f64,
@@ -24,14 +23,10 @@ pub struct ZipfianGenerator {
 }
 
 impl ZipfianGenerator {
-    /// Creates a generator over `0..n` with skew `theta` (`0 <= theta < 1`).
-    /// Higher `theta` means more skew; `theta = 0` degenerates to uniform.
-    pub fn new(n: u64, theta: f64) -> Self {
-        Self::build(n, theta, false)
-    }
-
-    /// Creates a *scrambled* generator: ranks are hashed so the most popular
-    /// items are spread over the whole domain instead of clustering at 0.
+    /// Creates a generator over `0..n` with skew `theta` (`0 <= theta < 1`;
+    /// higher `theta` means more skew, `theta = 0` is uniform). It is
+    /// *scrambled*: ranks are hashed so the most popular items are spread
+    /// over the whole domain instead of clustering at 0.
     pub fn scrambled(n: u64, theta: f64) -> Self {
         Self::build(n, theta, true)
     }
@@ -48,7 +43,6 @@ impl ZipfianGenerator {
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
         ZipfianGenerator {
             n,
-            theta,
             alpha,
             zetan,
             eta,
@@ -59,16 +53,6 @@ impl ZipfianGenerator {
 
     fn zeta(n: u64, theta: f64) -> f64 {
         (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
-    }
-
-    /// The domain size.
-    pub fn domain(&self) -> u64 {
-        self.n
-    }
-
-    /// The skew parameter.
-    pub fn theta(&self) -> f64 {
-        self.theta
     }
 
     /// Samples the next value in `0..n`.
@@ -109,9 +93,15 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// A generator over `0..n` with skew `theta` whose ranks are not
+    /// scrambled, so rank `i` is value `i`.
+    fn unscrambled(n: u64, theta: f64) -> ZipfianGenerator {
+        ZipfianGenerator::build(n, theta, false)
+    }
+
     fn histogram(gen: &ZipfianGenerator, samples: usize, seed: u64) -> Vec<u64> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut counts = vec![0u64; gen.domain() as usize];
+        let mut counts = vec![0u64; gen.n as usize];
         for _ in 0..samples {
             counts[gen.next(&mut rng) as usize] += 1;
         }
@@ -120,19 +110,18 @@ mod tests {
 
     #[test]
     fn samples_stay_in_domain() {
-        let gen = ZipfianGenerator::new(100, 0.85);
+        let gen = unscrambled(100, 0.85);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..10_000 {
             assert!(gen.next(&mut rng) < 100);
         }
-        assert_eq!(gen.domain(), 100);
-        assert!((gen.theta() - 0.85).abs() < 1e-12);
+        assert_eq!(gen.n, 100);
     }
 
     #[test]
     fn higher_theta_concentrates_mass_on_the_hottest_item() {
-        let low = ZipfianGenerator::new(1_000, 0.5);
-        let high = ZipfianGenerator::new(1_000, 0.9);
+        let low = unscrambled(1_000, 0.5);
+        let high = unscrambled(1_000, 0.9);
         let low_hist = histogram(&low, 50_000, 7);
         let high_hist = histogram(&high, 50_000, 7);
         let low_top = *low_hist.iter().max().unwrap();
@@ -145,7 +134,7 @@ mod tests {
 
     #[test]
     fn theta_zero_is_roughly_uniform() {
-        let gen = ZipfianGenerator::new(10, 0.0);
+        let gen = unscrambled(10, 0.0);
         let hist = histogram(&gen, 100_000, 3);
         let max = *hist.iter().max().unwrap() as f64;
         let min = *hist.iter().min().unwrap() as f64;
@@ -154,7 +143,7 @@ mod tests {
 
     #[test]
     fn unscrambled_zipfian_prefers_low_ranks() {
-        let gen = ZipfianGenerator::new(1_000, 0.85);
+        let gen = unscrambled(1_000, 0.85);
         let hist = histogram(&gen, 50_000, 11);
         let first_ten: u64 = hist[..10].iter().sum();
         let total: u64 = hist.iter().sum();
@@ -178,13 +167,14 @@ mod tests {
         assert!(max > (total as f64 / 1_000.0) * 5.0);
     }
 
-    /// `next` as it was before the rank-1 bound was hoisted out of it.
-    fn next_recomputing_the_bound(gen: &ZipfianGenerator, rng: &mut StdRng) -> u64 {
+    /// `next` as it was before the rank-1 bound was hoisted out of it, for a
+    /// generator of skew `theta`.
+    fn next_recomputing_the_bound(gen: &ZipfianGenerator, theta: f64, rng: &mut StdRng) -> u64 {
         let u: f64 = rng.gen();
         let uz = u * gen.zetan;
         let rank = if uz < 1.0 {
             0
-        } else if uz < 1.0 + 0.5f64.powf(gen.theta) {
+        } else if uz < 1.0 + 0.5f64.powf(theta) {
             1
         } else {
             ((gen.n as f64) * (gen.eta * u - gen.eta + 1.0).powf(gen.alpha)) as u64
@@ -200,16 +190,13 @@ mod tests {
     #[test]
     fn hoisted_rank1_bound_draws_what_the_per_draw_formula_drew() {
         for n in [1_000, 10_000] {
-            for gen in [
-                ZipfianGenerator::new(n, 0.85),
-                ZipfianGenerator::scrambled(n, 0.85),
-            ] {
+            for gen in [unscrambled(n, 0.85), ZipfianGenerator::scrambled(n, 0.85)] {
                 let mut a = StdRng::seed_from_u64(n);
                 let mut b = StdRng::seed_from_u64(n);
                 for draw in 0..10_000 {
                     assert_eq!(
                         gen.next(&mut a),
-                        next_recomputing_the_bound(&gen, &mut b),
+                        next_recomputing_the_bound(&gen, 0.85, &mut b),
                         "draw {draw} of {gen:?}"
                     );
                 }
@@ -219,7 +206,7 @@ mod tests {
 
     #[test]
     fn deterministic_for_a_fixed_seed() {
-        let gen = ZipfianGenerator::new(500, 0.8);
+        let gen = unscrambled(500, 0.8);
         let mut a = StdRng::seed_from_u64(42);
         let mut b = StdRng::seed_from_u64(42);
         let xs: Vec<u64> = (0..100).map(|_| gen.next(&mut a)).collect();
@@ -230,12 +217,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "domain must be non-empty")]
     fn empty_domain_is_rejected() {
-        let _ = ZipfianGenerator::new(0, 0.5);
+        let _ = unscrambled(0, 0.5);
     }
 
     #[test]
     #[should_panic(expected = "theta must be in [0, 1)")]
     fn theta_one_is_rejected() {
-        let _ = ZipfianGenerator::new(10, 1.0);
+        let _ = unscrambled(10, 1.0);
     }
 }

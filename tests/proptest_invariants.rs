@@ -102,13 +102,14 @@ proptest! {
         let store = funded_store(6);
         let result = executor.preplay(&txs, &store);
         prop_assert_eq!(result.committed(), txs.len());
-        prop_assert!(result.order_is_permutation());
         prop_assert!(store.snapshot().diff_values(&funded_store(6).snapshot()).is_empty());
 
-        // Serial replay in the emitted order.
+        // Serial replay in the emitted order, which is a permutation of the
+        // batch's positions.
         let replay = funded_store(6);
         let mut ordered = result.preplayed.clone();
         ordered.sort_by_key(|p| p.order);
+        prop_assert!(ordered.iter().map(|p| p.order as usize).eq(0..txs.len()));
         let sorted = |mut records: Vec<thunderbolt::tb_types::AccessRecord>| {
             records.sort_by_key(|r| r.key);
             records
