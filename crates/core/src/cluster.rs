@@ -14,7 +14,7 @@
 //! The harness is workload-agnostic: it accepts anything convertible into a
 //! `Box<dyn Workload>` (a workload config, a ready generator, or a custom
 //! implementation) and only relies on the trait — the stable scenario name,
-//! the initial state, and the shard-tagged transaction stream. Most callers
+//! the initial state, and the per-shard transaction streams. Most callers
 //! should not construct it directly but go through the fluent
 //! [`ScenarioBuilder`](crate::scenario::ScenarioBuilder).
 
@@ -139,7 +139,7 @@ impl ClusterSimulation {
     /// config (`SmallBankConfig`, `ContractWorkloadConfig`,
     /// `KvWorkloadConfig`), a ready generator, or `Box<dyn Workload>`. The
     /// workload is retargeted to the committee's shard count and the
-    /// cluster seed is folded into its stream before the run.
+    /// cluster seed is folded into its streams before the run.
     pub fn new(
         config: ClusterConfig,
         workload: impl Into<Box<dyn Workload>>,

@@ -69,7 +69,7 @@ pub fn drive<T: Transport<Message>>(
     for i in 0..replicas.len() {
         // A replica crashed from time zero is handed its first client
         // requests like the others (they are lost with it) but never starts.
-        feed.top_up(replicas, i, SimTime::ZERO);
+        feed.top_up(&mut replicas[i], SimTime::ZERO);
         let id = replicas[i].id();
         if transport.is_crashed(id) {
             continue;
@@ -90,7 +90,7 @@ pub fn drive<T: Transport<Message>>(
                 let sent = after(now, replicas[i].take_busy());
                 emit(transport, inbound.to, outbound, sent);
                 // Clients submit as fast as the cluster commits.
-                feed.top_up(replicas, i, now);
+                feed.top_up(&mut replicas[i], now);
                 replicas[i].after_emission();
                 busy_until[i] = after(sent, replicas[i].take_busy());
             }

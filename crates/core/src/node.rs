@@ -29,14 +29,14 @@
 //!
 //! # Determinism
 //!
-//! A node does not receive client transactions from anywhere: it expands the
-//! SmallBank spec into the *shared* client stream locally, through the same
-//! [`ClientFeed`] the sim harness runs, and enqueues the transactions whose
-//! home shard it currently serves. Under lockstep (complete rounds) with full batches,
-//! block `r` of shard `i` contains positions `[r·b, (r+1)·b)` of the
-//! shard-`i` subsequence of that stream regardless of wall-clock timing —
-//! which is why a TCP run and a sim run of the same scenario commit the same
-//! order (see `docs/NET.md`).
+//! A node does not receive client transactions from anywhere: it builds the
+//! SmallBank workload from its spec and draws the client stream of the shard
+//! it serves, and only that stream, through the same [`ClientFeed`] the sim
+//! harness runs. Shard `i`'s stream is a pure function of the seed and `i`,
+//! so under lockstep (complete rounds) with full batches, block `r` of
+//! shard `i` contains positions `[r·b, (r+1)·b)` of that stream regardless
+//! of wall-clock timing — which is why a TCP run and a sim run of the same
+//! scenario commit the same order (see `docs/NET.md`).
 
 use crate::cluster::ClusterConfig;
 use crate::driver::drive;
@@ -64,7 +64,7 @@ pub const NODE_AT_TARGET_LINE: &str = "TB_NODE_AT_TARGET";
 
 /// Everything one node process needs to run: its identity, the full peer
 /// table, the cluster configuration every node shares, and the compact
-/// SmallBank spec it expands into the shared client stream.
+/// SmallBank spec it draws its shard's client stream from.
 ///
 /// The configuration travels whole; the launcher's in-process sim twin runs
 /// the one it decodes from node 0's spec, so the two paths cannot run
@@ -119,8 +119,8 @@ tb_types::wire_struct!(NodeSpec {
 /// makes. It returns only an error met before the report is out.
 ///
 /// Binds the node's listener, dials peers lazily on first send (with the
-/// transport's connect deadline absorbing start-up skew), expands the
-/// client stream locally, and drives the replica. When the replica has seen
+/// transport's connect deadline absorbing start-up skew), draws its
+/// shard's client stream locally, and drives the replica. When the replica has seen
 /// [`NodeSpec::target_commits`] round commits the node prints
 /// [`NODE_AT_TARGET_LINE`] and goes on serving its peers. It stops once it
 /// has reached the target and the launcher has released it by closing its
@@ -141,8 +141,8 @@ pub fn run_node(spec: NodeSpec) -> io::Result<Infallible> {
     let mut workload: Box<dyn Workload> = Box::new(SmallBankWorkload::new(spec.smallbank));
     workload.configure_for_cluster(spec.config.system.n_replicas, spec.config.seed);
     replica.app_mut().load_state(workload.initial_state());
-    // This node's copy of the shared client stream; it serves this replica
-    // alone, the other nodes enqueue the rest from theirs.
+    // This node's feed serves this replica alone, from its shard's stream;
+    // the other nodes draw the other shards' streams.
     let mut feed = ClientFeed::new(workload, spec.config.system.ce.batch_size);
 
     let mut transport: TcpTransport<Message> = TcpTransport::bind(id, spec.peers())?;
@@ -233,7 +233,6 @@ mod tests {
             .validators(5)
             .rounds(12)
             .lockstep()
-            .reconfig(ReconfigConfig::new(3, 9))
             .storage(StorageConfig {
                 backend: StorageBackend::Wal,
                 data_dir: "/tmp/tb-node-test".to_string(),
@@ -254,7 +253,6 @@ mod tests {
             default_system.ce.synthetic_op_cost_ns
         );
         assert_ne!(system.validators, default_system.validators);
-        assert_ne!(system.reconfig, default_system.reconfig);
         let (storage, default_storage) = (&system.storage, StorageConfig::default());
         assert_ne!(storage.backend, default_storage.backend);
         assert_ne!(storage.data_dir, default_storage.data_dir);
@@ -275,12 +273,14 @@ mod tests {
         assert_eq!(spec.peers()[2].id, ReplicaId::new(2));
         assert_eq!(spec.peers()[2].addr.port(), 9003);
 
-        // The one knob a launchable plan cannot carry travels too.
-        let mut byzantine = plan.config.clone();
-        byzantine.byzantine = Some((ReplicaId::new(2), ByzantineBehavior::Equivocate));
+        // The knobs a launchable plan cannot carry travel too.
+        let mut unlaunchable = plan.config.clone();
+        unlaunchable.byzantine = Some((ReplicaId::new(2), ByzantineBehavior::Equivocate));
+        unlaunchable.system.reconfig = ReconfigConfig::new(3, 9);
+        assert_ne!(unlaunchable.system.reconfig, default_system.reconfig);
         assert_eq!(
-            ClusterConfig::from_wire_bytes(&byzantine.to_wire_bytes()),
-            Ok(byzantine)
+            ClusterConfig::from_wire_bytes(&unlaunchable.to_wire_bytes()),
+            Ok(unlaunchable)
         );
 
         // An unknown engine or storage backend tag is a decode error.

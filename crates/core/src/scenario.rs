@@ -63,6 +63,12 @@ pub enum ScenarioError {
     /// Byzantine proposer behaviour is driven by the simulation harness and
     /// is not available out-of-process.
     ByzantineUnsupported,
+    /// The scenario reconfigures (its `reconfig` is not the default). A
+    /// node that changes shard starts the new shard's client stream at its
+    /// beginning and re-submits what that shard's earlier proposer already
+    /// committed, so the run would diverge from its sim twin. ROADMAP item
+    /// 20's hand-over lifts this.
+    ReconfigUnsupported,
 }
 
 impl fmt::Display for ScenarioError {
@@ -84,6 +90,11 @@ impl fmt::Display for ScenarioError {
                 "byzantine proposer behaviour is simulation-only and cannot \
                  run out-of-process"
             ),
+            ScenarioError::ReconfigUnsupported => write!(
+                f,
+                "a TCP node cannot hand a shard over yet; drop the reconfig \
+                 or use the sim transport"
+            ),
         }
     }
 }
@@ -92,14 +103,14 @@ impl std::error::Error for ScenarioError {}
 
 /// Everything a launcher needs to run a scenario as N OS processes over
 /// localhost TCP: the per-replica cluster configuration plus the compact
-/// workload spec each node process expands into the shared client stream.
+/// workload spec each node process draws its shard's client stream from.
 ///
 /// Built by [`ScenarioBuilder::build_real_net`]; consumed by `tb-launcher`.
 #[derive(Clone, Debug)]
 pub struct RealNetPlan {
     /// Per-replica configuration (engine, system knobs, seed, lockstep).
     pub config: ClusterConfig,
-    /// The SmallBank spec every node re-generates the client stream from.
+    /// The SmallBank spec every node draws its shard's client stream from.
     pub smallbank: SmallBankConfig,
 }
 
@@ -278,10 +289,10 @@ impl ScenarioBuilder {
     /// [`RealNetPlan`] a launcher expands into N OS processes.
     ///
     /// Errors instead of warning: capabilities the real transport lacks —
-    /// simulated fault injection, byzantine proposers, opaque workloads —
-    /// reject the scenario at build time rather than silently testing
-    /// something else (contrast the sim path's `faults_unapplied` stderr
-    /// warning, which fires only *after* a run).
+    /// simulated fault injection, byzantine proposers, reconfiguration,
+    /// opaque workloads — reject the scenario at build time rather than
+    /// silently testing something else (contrast the sim path's
+    /// `faults_unapplied` stderr warning, which fires only *after* a run).
     pub fn build_real_net(self) -> Result<RealNetPlan, ScenarioError> {
         if !self.faults.is_empty() {
             return Err(ScenarioError::FaultsUnsupported {
@@ -291,6 +302,9 @@ impl ScenarioBuilder {
         if self.config.byzantine.is_some() {
             return Err(ScenarioError::ByzantineUnsupported);
         }
+        if self.config.system.reconfig != ReconfigConfig::default() {
+            return Err(ScenarioError::ReconfigUnsupported);
+        }
         let Some(smallbank) = self.smallbank else {
             return Err(ScenarioError::WorkloadUnsupported {
                 name: self.workload.name().to_string(),
@@ -298,7 +312,7 @@ impl ScenarioBuilder {
         };
         // The spec ships untransformed: every node applies the same
         // `configure_for_cluster(n, seed)` retargeting the sim harness does,
-        // so both paths expand the identical client stream.
+        // so both paths draw identical per-shard client streams.
         Ok(RealNetPlan {
             config: self.config,
             smallbank,
@@ -398,6 +412,13 @@ mod tests {
             .build_real_net()
             .unwrap_err();
         assert_eq!(err, ScenarioError::ByzantineUnsupported);
+
+        let err = ScenarioBuilder::new(4)
+            .reconfig(ReconfigConfig::new(10, 20))
+            .build_real_net()
+            .unwrap_err();
+        assert_eq!(err, ScenarioError::ReconfigUnsupported);
+        assert!(err.to_string().contains("cannot hand a shard over"));
 
         let err = ScenarioBuilder::new(4)
             .workload(ContractWorkloadConfig::default())

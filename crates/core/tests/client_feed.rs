@@ -1,23 +1,20 @@
 //! The closed-loop client ([`ClientFeed`]) on both of its uses: the sim
 //! driver, where one feed serves every proposer, and the node-style use,
-//! where a feed serves one replica and only that replica's requests advance
-//! the stream.
+//! where a feed serves one replica and draws its shard's stream alone.
 //!
-//! What is pinned here: on the repository's workloads the stream is drawn
-//! about once per committed transaction; every proposer's queue is the
-//! home-filtered stream, held to two batches, however unevenly the stream
-//! supplies the shards; a transaction is submitted when it is handed to its
+//! What is pinned here: a feed draws exactly what it queues, so the streams
+//! are drawn about once per committed transaction; every proposer's queue
+//! is its shard's stream in order, held to two batches; a node's feed hands
+//! its proposer exactly what the sim's feed hands the same proposer, at any
+//! request schedule; a transaction is submitted when it is drawn for its
 //! proposer, so latency does not grow with the length of the run.
 
 use std::sync::{Arc, Mutex};
 use tb_core::{
     ClientFeed, ClusterConfig, ClusterSimulation, Message, Replica, RunReport, ScenarioBuilder,
 };
-use tb_types::{
-    ClientId, ContractCall, Key, LatencyModel, ReplicaId, ShardId, SimTime, SmallBankProcedure,
-    Transaction, TxId, Value,
-};
-use tb_workload::{SmallBankConfig, SmallBankWorkload, Workload};
+use tb_types::{Key, LatencyModel, ReplicaId, ShardId, SimTime, Transaction, TxId, Value};
+use tb_workload::{KvWorkloadConfig, SmallBankConfig, SmallBankWorkload, Workload};
 
 /// Client transactions queued at `replica`.
 fn queued(replica: &Replica) -> usize {
@@ -59,56 +56,11 @@ impl<W: Workload> Workload for Recorded<W> {
     fn initial_state(&self) -> Vec<(Key, Value)> {
         self.inner.initial_state()
     }
-    fn next_transaction(&mut self, submitted_at: SimTime) -> Transaction {
-        let tx = self.inner.next_transaction(submitted_at);
-        let draw = (tx.id, tx.home_shard(), submitted_at);
-        self.draws.lock().unwrap().push(draw);
+    fn next_transaction(&mut self, home: ShardId, submitted_at: SimTime) -> Transaction {
+        let tx = self.inner.next_transaction(home, submitted_at);
+        assert_eq!(tx.home_shard(), home, "{tx}");
+        self.draws.lock().unwrap().push((tx.id, home, submitted_at));
         tx
-    }
-}
-
-/// Cross-shard payments over four shards, homed on shard 0 half of the time
-/// and on each other shard a sixth of the time.
-#[derive(Default)]
-struct Skewed {
-    next: u64,
-}
-
-impl Workload for Skewed {
-    fn name(&self) -> &str {
-        "skewed"
-    }
-    fn n_shards(&self) -> u32 {
-        4
-    }
-    fn configure_for_cluster(&mut self, n_shards: u32, _cluster_seed: u64) {
-        assert_eq!(n_shards, 4);
-    }
-    fn initial_state(&self) -> Vec<(Key, Value)> {
-        Vec::new()
-    }
-    fn next_transaction(&mut self, submitted_at: SimTime) -> Transaction {
-        let id = self.next;
-        self.next += 1;
-        // Shards {0, other}: an even id homes on shard 0, an odd id on the
-        // other one (`Transaction::home_shard`).
-        let other = if id.is_multiple_of(2) {
-            1
-        } else {
-            1 + (id / 2) % 3
-        };
-        let call = SmallBankProcedure::SendPayment {
-            from: 4 * (id % 64),
-            to: 4 * (id % 64) + other,
-            amount: 1,
-        };
-        Transaction::new(
-            TxId::new(id),
-            ClientId::new(0),
-            ContractCall::SmallBank(call),
-            4,
-            submitted_at,
-        )
     }
 }
 
@@ -157,25 +109,24 @@ fn first_block(replica: &mut Replica, now: SimTime) -> Vec<Transaction> {
 }
 
 #[test]
-fn a_node_fills_its_own_queue_from_its_copy_of_the_stream() {
-    // Node-style: the feed serves replica 3 alone and drops what is homed
-    // elsewhere, so it draws about n transactions per one it queues.
+fn a_node_draws_its_own_shard_and_exactly_what_it_queues() {
+    // Node-style: the feed serves replica 3 alone, so it draws from shard
+    // 3's stream only, one transaction per one it queues.
     let batch = 32;
     let (mut workload, draws) = Recorded::boxed(SmallBankWorkload::new(SmallBankConfig::default()));
     workload.configure_for_cluster(4, 7);
     let mut feed = ClientFeed::new(workload, batch);
     let mut replica = Replica::new(ReplicaId::new(3), lockstep_config(8, batch));
+    let shard = replica.current_shard();
 
-    feed.top_up(std::slice::from_mut(&mut replica), 0, SimTime::ZERO);
+    feed.top_up(&mut replica, SimTime::ZERO);
     assert_eq!(queued(&replica), 2 * batch);
-    let drawn = draws.lock().unwrap().len();
-    assert!(
-        (4 * batch..8 * 4 * batch).contains(&drawn),
-        "{drawn} draws for two batches of one shard in four"
-    );
+    let drawn = draws.lock().unwrap().clone();
+    assert_eq!(drawn.len(), 2 * batch, "draws for two batches");
+    assert!(drawn.iter().all(|(_, home, _)| *home == shard));
     // Above one batch the feed leaves the stream alone.
-    feed.top_up(std::slice::from_mut(&mut replica), 0, SimTime::ZERO);
-    assert_eq!(draws.lock().unwrap().len(), drawn);
+    feed.top_up(&mut replica, SimTime::ZERO);
+    assert_eq!(draws.lock().unwrap().len(), drawn.len());
 }
 
 #[test]
@@ -233,9 +184,13 @@ fn no_proposer_of_a_lockstep_sim_holds_more_than_two_batches() {
 }
 
 #[test]
-fn a_skewed_stream_fills_each_queue_in_stream_order_and_stamps_at_hand_over() {
+fn each_queue_is_its_shards_stream_in_order_stamped_when_asked() {
     let batch = 10;
-    let (workload, draws) = Recorded::boxed(Skewed::default());
+    let (mut workload, draws) = Recorded::boxed(SmallBankWorkload::new(SmallBankConfig {
+        cross_shard_fraction: 1.0,
+        ..zipf_single_shard()
+    }));
+    workload.configure_for_cluster(4, 3);
     let mut feed = ClientFeed::new(workload, batch);
     let mut replicas: Vec<Replica> = (0..4)
         .map(|i| Replica::new(ReplicaId::new(i), lockstep_config(8, batch)))
@@ -246,34 +201,23 @@ fn a_skewed_stream_fills_each_queue_in_stream_order_and_stamps_at_hand_over() {
             .position(|r| r.current_shard() == ShardId::new(shard))
             .expect("every shard is served")
     };
-    let (asker, hoarder) = (serving(&replicas, 1), serving(&replicas, 0));
+    let (first, second) = (serving(&replicas, 1), serving(&replicas, 0));
 
-    // Shard 1 asks first. Its proposer gets only a sixth of the draws, so
-    // the draws for it leave shard 0 more than two batches.
-    let asked_at = SimTime::from_millis(1);
-    feed.top_up(&mut replicas, asker, asked_at);
-    let drawn = draws.lock().unwrap().len();
-    let for_shard_0 = draws
-        .lock()
-        .unwrap()
-        .iter()
-        .filter(|(_, home, _)| *home == ShardId::new(0))
-        .count();
-    assert!(
-        for_shard_0 > 2 * batch,
-        "{for_shard_0} of {drawn} for shard 0"
-    );
-    // Shard 0 asks later and is served from what was drawn for shard 1.
-    let handed_at = SimTime::from_millis(2);
-    feed.top_up(&mut replicas, hoarder, handed_at);
-    assert_eq!(draws.lock().unwrap().len(), drawn, "no new draws");
+    // Shard 1 asks first and is drawn two batches of its own stream; shard
+    // 0's stream is not touched until shard 0 asks.
+    let first_at = SimTime::from_millis(1);
+    feed.top_up(&mut replicas[first], first_at);
+    assert_eq!(draws.lock().unwrap().len(), 2 * batch);
+    let second_at = SimTime::from_millis(2);
+    feed.top_up(&mut replicas[second], second_at);
+    assert_eq!(draws.lock().unwrap().len(), 4 * batch);
     for replica in &replicas {
         assert!(queued(replica) <= 2 * batch);
     }
-    assert_eq!(queued(&replicas[hoarder]), 2 * batch);
+    assert_eq!(queued(&replicas[second]), 2 * batch);
 
     let draws = draws.lock().unwrap().clone();
-    for (replica, submitted_at) in [(asker, asked_at), (hoarder, handed_at)] {
+    for (replica, submitted_at) in [(first, first_at), (second, second_at)] {
         let shard = replicas[replica].current_shard();
         // The stamps stay in the queue: a block does not ship them.
         let mut queue = replicas[replica].app().queues().clone();
@@ -289,11 +233,119 @@ fn a_skewed_stream_fills_each_queue_in_stream_order_and_stamps_at_hand_over() {
             .map(|(id, _, _)| *id)
             .take(batch)
             .collect();
-        assert_eq!(ids, stream, "{shard}: the home-filtered stream, in order");
+        assert_eq!(ids, stream, "{shard}: its stream, in order");
+        assert!(draws
+            .iter()
+            .filter(|(_, home, _)| *home == shard)
+            .all(|(_, _, at)| *at == submitted_at));
     }
-    // Every transaction shard 0 proposed was drawn at the first request and
-    // held until the second.
-    assert!(draws.iter().all(|(_, _, at)| *at == asked_at));
+}
+
+/// What one proposer was handed, in order: each transaction's id, call and
+/// submission time.
+type Handed = Vec<(TxId, tb_types::ContractCall, SimTime)>;
+
+/// Takes one block's worth of `replica`'s queue into `handed`, as a
+/// proposal of `batch` transactions does: singles first, then cross-shard
+/// transactions up to the batch.
+fn propose(replica: &mut Replica, batch: usize, handed: &mut Handed) {
+    let queues = replica.app_mut().queues_mut();
+    let mut taken = queues.take_single_batch();
+    taken.extend(queues.take_cross_batch(batch - taken.len()));
+    handed.extend(
+        taken
+            .into_iter()
+            .map(|tx| (tx.id, tx.call, tx.submitted_at)),
+    );
+}
+
+/// Drives the sim's all-shard feed and one node-style feed per shard with
+/// one random request schedule, and returns what each side handed each
+/// proposer.
+fn handed_under_a_random_schedule(
+    workload: impl Fn() -> Box<dyn Workload>,
+    seed: u64,
+) -> [Vec<Handed>; 2] {
+    let batch = 8;
+    let config = lockstep_config(8, batch);
+    let replicas = || -> Vec<Replica> {
+        (0..4)
+            .map(|i| Replica::new(ReplicaId::new(i), config.clone()))
+            .collect()
+    };
+    let configured = || {
+        let mut w = workload();
+        w.configure_for_cluster(4, seed);
+        w
+    };
+    let mut sim = (ClientFeed::new(configured(), batch), replicas());
+    let mut nodes: Vec<ClientFeed> = (0..4)
+        .map(|_| ClientFeed::new(configured(), batch))
+        .collect();
+    let mut node_replicas = replicas();
+    let (mut sim_handed, mut node_handed) = (vec![Handed::new(); 4], vec![Handed::new(); 4]);
+
+    // SplitMix64 over the seed: which proposer asks, and whether a
+    // proposal took a block from its queue first.
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    for step in 0..60 {
+        let (r, roll) = (next() as usize % 4, next());
+        let now = SimTime::from_micros(step);
+        if roll % 3 != 0 {
+            propose(&mut sim.1[r], batch, &mut sim_handed[r]);
+            propose(&mut node_replicas[r], batch, &mut node_handed[r]);
+        }
+        sim.0.top_up(&mut sim.1[r], now);
+        nodes[r].top_up(&mut node_replicas[r], now);
+    }
+    // What is still queued was handed over too.
+    for r in 0..4 {
+        for _ in 0..4 {
+            propose(&mut sim.1[r], batch, &mut sim_handed[r]);
+            propose(&mut node_replicas[r], batch, &mut node_handed[r]);
+        }
+        assert_eq!(queued(&sim.1[r]), 0);
+    }
+    [sim_handed, node_handed]
+}
+
+#[test]
+fn a_node_feed_hands_its_proposer_what_the_sim_feed_does_at_any_schedule() {
+    let smallbank = || -> Box<dyn Workload> {
+        SmallBankConfig {
+            cross_shard_fraction: 0.2,
+            ..zipf_single_shard()
+        }
+        .into()
+    };
+    let kv = || -> Box<dyn Workload> {
+        KvWorkloadConfig {
+            cross_shard_fraction: 0.2,
+            ..KvWorkloadConfig::default()
+        }
+        .into()
+    };
+    for seed in 0..100 {
+        for (name, [sim, node]) in [
+            ("smallbank", handed_under_a_random_schedule(smallbank, seed)),
+            ("kv", handed_under_a_random_schedule(kv, seed)),
+        ] {
+            for (r, (sim, node)) in sim.iter().zip(&node).enumerate() {
+                assert!(
+                    !sim.is_empty(),
+                    "{name}, seed {seed}: replica {r} was never asked"
+                );
+                assert_eq!(sim, node, "{name}, seed {seed}: replica {r}");
+            }
+        }
+    }
 }
 
 #[test]

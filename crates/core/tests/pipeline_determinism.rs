@@ -408,10 +408,7 @@ fn run_cluster(cfg: ClusterConfig) -> Vec<Replica> {
         .collect();
     // Route a seeded stream of transactions to the replica serving each
     // transaction's home shard (replica i serves shard i in DAG 0).
-    let txs: Vec<Transaction> = (0..400)
-        .map(|_| workload.next_transaction(SimTime::ZERO))
-        .collect();
-    for tx in txs {
+    for tx in workload.batch(400, SimTime::ZERO) {
         let home = tx.home_shard().as_inner() as usize;
         replicas[home].app_mut().queues_mut().enqueue(tx);
     }

@@ -133,9 +133,9 @@ pub enum ContractCall {
 
 impl ContractCall {
     /// The keys the caller *declares* up front — i.e. the keys derivable from
-    /// the call parameters without executing the contract. This drives shard
-    /// routing; the actual read/write set may be larger and is only known
-    /// after (pre)play.
+    /// the call parameters without executing the contract — in the order the
+    /// call names them, without repeats. This drives shard routing; the
+    /// actual read/write set may be larger and is only known after (pre)play.
     pub fn declared_keys(&self) -> Vec<Key> {
         match self {
             ContractCall::SmallBank(proc_) => proc_
@@ -145,20 +145,25 @@ impl ContractCall {
                 .collect(),
             ContractCall::Program { declared_keys, .. } => declared_keys.clone(),
             ContractCall::KvOps(ops) => {
-                let mut keys: Vec<Key> = ops.iter().map(|o| o.key()).collect();
-                keys.sort_unstable();
-                keys.dedup();
+                let mut keys: Vec<Key> = Vec::with_capacity(ops.len());
+                for key in ops.iter().map(Operation::key) {
+                    if !keys.contains(&key) {
+                        keys.push(key);
+                    }
+                }
                 keys
             }
             ContractCall::Noop => Vec::new(),
         }
     }
 
-    /// The shards the call's declared keys live in, sorted and
-    /// deduplicated: a transaction's [`shards`](Transaction::shards). Every
-    /// replica knows the shard count, so this is derived wherever it is
-    /// needed — by [`Transaction::new`] and by the decoder of the block that
-    /// carries the call — and never shipped.
+    /// The shards the call's declared keys live in, in the order the call
+    /// names them and without repeats, so the first is the home shard (that
+    /// of the call's first key). This is a transaction's
+    /// [`shards`](Transaction::shards). Every replica knows the shard count,
+    /// so this is derived wherever it is needed — by [`Transaction::new`]
+    /// and by the decoder of the block that carries the call — and never
+    /// shipped.
     pub fn shards(&self, n_shards: u32) -> Vec<ShardId> {
         let mut shards = Vec::new();
         self.shards_into(n_shards, &mut shards);
@@ -176,15 +181,17 @@ impl ContractCall {
                 let (first, second) = procedure.account_pair();
                 let a = Key::checking(first).shard(n_shards);
                 let b = Key::checking(second).shard(n_shards);
-                shards.push(a.min(b));
-                if a != b {
-                    shards.push(a.max(b));
+                shards.push(a);
+                if b != a {
+                    shards.push(b);
                 }
             }
             _ => {
-                shards.extend(self.declared_keys().iter().map(|k| k.shard(n_shards)));
-                shards.sort_unstable();
-                shards.dedup();
+                for shard in self.declared_keys().iter().map(|k| k.shard(n_shards)) {
+                    if !shards.contains(&shard) {
+                        shards.push(shard);
+                    }
+                }
             }
         }
     }
@@ -220,7 +227,7 @@ pub struct Transaction {
     pub client: ClientId,
     /// The contract call to execute.
     pub call: ContractCall,
-    /// Shards associated with the call parameters, sorted and deduplicated:
+    /// Shards associated with the call parameters, the home shard first:
     /// [`ContractCall::shards`] of `call` and the system's shard count. A
     /// block does not ship it; its decoder derives it from the call and the
     /// block's shard count, and [`Block::seal`](crate::Block::seal) derives
@@ -265,17 +272,14 @@ impl Transaction {
         }
     }
 
-    /// The shard whose proposer the transaction is routed to: its only shard
-    /// when single-shard, otherwise `shards[id % shards.len()]`. The paper
-    /// routes a cross-shard transaction to *any* involved proposer; picking
-    /// by id keeps that choice deterministic and spreads cross-shard traffic
-    /// evenly over the involved shards, so no proposer is left without
-    /// supply (always picking the lowest shard starves the highest one).
+    /// The shard whose proposer the transaction is submitted to: the shard
+    /// of the call's first account or declared key, `shards[0]`. A
+    /// workload draws each shard's stream with its first key on that shard,
+    /// so a transaction's home is the stream that drew it, and a function
+    /// of the call alone. The paper routes a cross-shard transaction to
+    /// *any* involved proposer. A call without keys homes on shard 0.
     pub fn home_shard(&self) -> ShardId {
-        match self.shards.len() {
-            0 => ShardId::new(0),
-            len => self.shards[(self.id.as_inner() % len as u64) as usize],
-        }
+        self.shards.first().copied().unwrap_or(ShardId::new(0))
     }
 
     /// True if the transaction touches the given shard.
@@ -316,13 +320,19 @@ mod tests {
         let t = tx(call, 4);
         assert_eq!(t.class(), TxClass::CrossShard);
         assert_eq!(t.shards, vec![ShardId::new(0), ShardId::new(1)]);
-        // Id 1 of two shards: the second one. The next id goes to the first.
-        assert_eq!(t.home_shard(), ShardId::new(1));
-        let next = Transaction {
+        // The paying account's shard is the home, whatever the id.
+        assert_eq!(t.home_shard(), ShardId::new(0));
+        let back = ContractCall::SmallBank(SmallBankProcedure::SendPayment {
+            from: 1,
+            to: 0,
+            amount: 5,
+        });
+        let back = Transaction {
             id: TxId::new(2),
-            ..t
+            ..tx(back, 4)
         };
-        assert_eq!(next.home_shard(), ShardId::new(0));
+        assert_eq!(back.shards, vec![ShardId::new(1), ShardId::new(0)]);
+        assert_eq!(back.home_shard(), ShardId::new(1));
     }
 
     #[test]
@@ -344,6 +354,28 @@ mod tests {
         let t = tx(call, 4);
         assert_eq!(t.class(), TxClass::SingleShard);
         assert_eq!(t.shards, vec![ShardId::new(3)]);
+    }
+
+    #[test]
+    fn the_first_key_of_a_generic_call_is_its_home() {
+        // The home is the first op's key's shard; the others follow in the
+        // order the ops name them.
+        let call = ContractCall::KvOps(vec![
+            Operation::read(Key::scratch(6)),
+            Operation::read(Key::scratch(1)),
+            Operation::read(Key::scratch(3)),
+            Operation::read(Key::scratch(5)),
+        ]);
+        let t = tx(call, 4);
+        let shards: Vec<u32> = t.shards.iter().map(|s| s.as_inner()).collect();
+        assert_eq!(shards, vec![2, 1, 3]);
+        assert_eq!(t.home_shard(), ShardId::new(2));
+        let call = ContractCall::Program {
+            code: Vec::new(),
+            args: Vec::new(),
+            declared_keys: vec![Key::contract(7), Key::contract(4)],
+        };
+        assert_eq!(tx(call, 4).home_shard(), ShardId::new(3));
     }
 
     #[test]
@@ -391,13 +423,13 @@ mod tests {
                 ];
                 for procedure in procedures {
                     let call = ContractCall::SmallBank(procedure);
-                    let mut derived: Vec<ShardId> = call
-                        .declared_keys()
-                        .iter()
-                        .map(|k| k.shard(n_shards))
-                        .collect();
-                    derived.sort_unstable();
-                    derived.dedup();
+                    // The declared keys' shards in order, without repeats.
+                    let mut derived: Vec<ShardId> = Vec::new();
+                    for key in call.declared_keys() {
+                        if !derived.contains(&key.shard(n_shards)) {
+                            derived.push(key.shard(n_shards));
+                        }
+                    }
                     assert_eq!(tx(call, n_shards).shards, derived, "{n_shards} shards");
                 }
             }

@@ -8,11 +8,12 @@
 //! write set. It is used by the `cross_shard_contention` example and the
 //! extension benchmarks.
 
-use crate::zipf::ZipfianGenerator;
+use crate::traits::ShardStreams;
+use crate::zipf::ShardedZipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tb_contracts::ProgramBuilder;
-use tb_types::{ClientId, ContractCall, Key, SimTime, Transaction, TxId, Value};
+use tb_types::{ContractCall, Key, ShardId, SimTime, Transaction, Value};
 
 /// Configuration of the contract workload.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -47,13 +48,19 @@ impl Default for ContractWorkloadConfig {
     }
 }
 
-/// Generator of interpreter-program transactions.
+/// Generator of interpreter-program transactions: one client stream per
+/// home shard, whose transactions declare one of the shard's keys first.
 #[derive(Clone, Debug)]
 pub struct ContractWorkload {
+    streams: ShardStreams,
+    calls: Calls,
+}
+
+/// What the workload's calls are drawn from.
+#[derive(Clone, Debug)]
+struct Calls {
     config: ContractWorkloadConfig,
-    zipf: ZipfianGenerator,
-    rng: StdRng,
-    next_tx: u64,
+    zipf: ShardedZipf,
     transfer_code: Vec<u8>,
     counter_code: Vec<u8>,
     indirect_code: Vec<u8>,
@@ -63,85 +70,92 @@ impl ContractWorkload {
     /// Creates a generator.
     pub fn new(config: ContractWorkloadConfig) -> Self {
         ContractWorkload {
-            zipf: ZipfianGenerator::scrambled(config.slots, config.theta),
-            rng: StdRng::seed_from_u64(config.seed),
-            next_tx: 0,
-            transfer_code: ProgramBuilder::token_transfer().into_bytes(),
-            counter_code: ProgramBuilder::counter_add().into_bytes(),
-            indirect_code: ProgramBuilder::indirect_touch().into_bytes(),
-            config,
+            streams: ShardStreams::new(config.seed, config.n_shards),
+            calls: Calls {
+                zipf: ShardedZipf::new(config.slots, config.n_shards, config.theta),
+                transfer_code: ProgramBuilder::token_transfer().into_bytes(),
+                counter_code: ProgramBuilder::counter_add().into_bytes(),
+                indirect_code: ProgramBuilder::indirect_touch().into_bytes(),
+                config,
+            },
         }
     }
 
     /// The configuration.
     pub fn config(&self) -> &ContractWorkloadConfig {
-        &self.config
+        &self.calls.config
     }
 
     /// Initial state: every slot holds the initial balance and every pointer
     /// slot (`slots..2*slots`) points at a random slot.
     pub fn initial_state(&self) -> Vec<(Key, Value)> {
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xFFFF);
-        let mut out = Vec::with_capacity(self.config.slots as usize * 2);
-        for slot in 0..self.config.slots {
-            out.push((Key::contract(slot), Value::int(self.config.initial_balance)));
+        let config = self.config();
+        let mut rng = StdRng::seed_from_u64(config.seed ^ 0xFFFF);
+        let mut out = Vec::with_capacity(config.slots as usize * 2);
+        for slot in 0..config.slots {
+            out.push((Key::contract(slot), Value::int(config.initial_balance)));
         }
-        for pointer in self.config.slots..self.config.slots * 2 {
-            let target = rng.gen_range(0..self.config.slots);
+        for pointer in config.slots..config.slots * 2 {
+            let target = rng.gen_range(0..config.slots);
             out.push((Key::contract(pointer), Value::int(target as i64)));
         }
         out
     }
 
-    fn pick_slot(&mut self) -> u64 {
-        self.zipf.next(&mut self.rng)
+    /// The call of shard 0's next transaction. Kept for the benchmark's
+    /// interpreter probe (ROADMAP item 15).
+    pub fn next_call(&mut self) -> ContractCall {
+        self.next_transaction(ShardId::new(0), SimTime::ZERO).call
     }
 
-    /// Generates the next contract call.
-    pub fn next_call(&mut self) -> ContractCall {
-        let roll: f64 = self.rng.gen();
-        if roll < self.config.indirect_fraction {
-            let pointer = self.config.slots + self.pick_slot();
-            let delta = self.rng.gen_range(1..=10);
+    /// Generates the next transaction of `home`'s stream.
+    pub fn next_transaction(&mut self, home: ShardId, submitted_at: SimTime) -> Transaction {
+        let calls = &self.calls;
+        self.streams
+            .draw(home, 16, submitted_at, |rng| calls.draw(home, rng))
+    }
+}
+
+impl Calls {
+    /// A call of `home`'s stream, drawn from `rng`. Its first declared key
+    /// is one of `home`'s. A transfer pays a slot of a uniformly chosen
+    /// shard, never the paying slot itself.
+    fn draw(&self, home: ShardId, rng: &mut StdRng) -> ContractCall {
+        let (config, zipf) = (&self.config, &self.zipf);
+        let roll: f64 = rng.gen();
+        if roll < config.indirect_fraction {
+            // Pointer slot `slots + i` lies on `home` when slot `i` lies
+            // `slots` shards before it.
+            let n = u64::from(config.n_shards);
+            let shard = (u64::from(home.as_inner()) + n - config.slots % n) % n;
+            let pointer = config.slots + zipf.next(ShardId::new(shard as u32), rng);
+            let delta = rng.gen_range(1..=10);
             ContractCall::Program {
                 code: self.indirect_code.clone(),
                 args: vec![pointer as i64, delta],
                 declared_keys: vec![Key::contract(pointer)],
             }
-        } else if roll < self.config.indirect_fraction + self.config.counter_fraction {
-            let slot = self.pick_slot();
+        } else if roll < config.indirect_fraction + config.counter_fraction {
+            let slot = zipf.next(home, rng);
             ContractCall::Program {
                 code: self.counter_code.clone(),
                 args: vec![slot as i64, 1],
                 declared_keys: vec![Key::contract(slot)],
             }
         } else {
-            let from = self.pick_slot();
-            let mut to = self.pick_slot();
-            if to == from {
-                to = (to + 1) % self.config.slots;
-            }
-            let amount = self.rng.gen_range(1..=10);
+            let from = zipf.next(home, rng);
+            let to = if rng.gen_range(0..config.n_shards) == 0 {
+                zipf.partner(from, rng)
+            } else {
+                zipf.elsewhere(home, rng)
+            };
+            let amount = rng.gen_range(1..=10);
             ContractCall::Program {
                 code: self.transfer_code.clone(),
                 args: vec![from as i64, to as i64, amount],
                 declared_keys: vec![Key::contract(from), Key::contract(to)],
             }
         }
-    }
-
-    /// Generates the next transaction.
-    pub fn next_transaction(&mut self, submitted_at: SimTime) -> Transaction {
-        let call = self.next_call();
-        let id = TxId::new(self.next_tx);
-        self.next_tx += 1;
-        Transaction::new(
-            id,
-            ClientId::new((id.as_inner() % 16) as u32),
-            call,
-            self.config.n_shards,
-            submitted_at,
-        )
     }
 }
 
@@ -195,6 +209,34 @@ mod tests {
             assert!(k.row >= 10);
             assert!((0..10).contains(&v.as_int()));
         }
+    }
+
+    #[test]
+    fn every_shard_stream_keeps_its_home_and_unique_ids() {
+        let draws = 10_000;
+        let mut w = ContractWorkload::new(ContractWorkloadConfig::default());
+        let mut ids = std::collections::HashSet::new();
+        let mut same_shard_transfers = 0;
+        for s in 0..4 {
+            let home = ShardId::new(s);
+            for _ in 0..draws {
+                let tx = w.next_transaction(home, SimTime::ZERO);
+                assert_eq!(tx.home_shard(), home, "{tx}");
+                assert!(ids.insert(tx.id), "{} drawn twice", tx.id);
+                let ContractCall::Program { declared_keys, .. } = &tx.call else {
+                    panic!("the contract workload emitted {tx}");
+                };
+                assert!(declared_keys.iter().all(|k| k.row < 2_000));
+                if let [from, to] = declared_keys[..] {
+                    if tx.class() == tb_types::TxClass::SingleShard {
+                        assert_ne!(from, to, "{tx}: a same-shard partner is the first slot");
+                        same_shard_transfers += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(ids.len(), 4 * draws);
+        assert!(same_shard_transfers > 0);
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //! A `cross_shard_fraction` of transactions select their keys from at least
 //! two different shards, mirroring the SmallBank generator's `P` parameter.
 
-use crate::zipf::ZipfianGenerator;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use tb_types::{ClientId, ContractCall, Key, Operation, SimTime, Transaction, TxId, Value};
+use crate::traits::ShardStreams;
+use crate::zipf::ShardedZipf;
+use rand::Rng;
+use tb_types::{ContractCall, Key, Operation, ShardId, SimTime, Transaction, Value};
 
 /// Configuration of the hot-key KV workload.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -61,22 +61,21 @@ impl Default for KvWorkloadConfig {
     }
 }
 
-/// A deterministic hot-key KV transaction generator.
+/// A deterministic hot-key KV transaction generator: one client stream per
+/// home shard, whose transactions name one of the shard's keys first.
 #[derive(Clone, Debug)]
 pub struct KvWorkload {
     config: KvWorkloadConfig,
-    zipf: ZipfianGenerator,
-    rng: StdRng,
-    next_tx: u64,
+    zipf: ShardedZipf,
+    streams: ShardStreams,
 }
 
 impl KvWorkload {
     /// Creates a generator.
     pub fn new(config: KvWorkloadConfig) -> Self {
         KvWorkload {
-            zipf: ZipfianGenerator::scrambled(config.keys.max(1), config.theta),
-            rng: StdRng::seed_from_u64(config.seed),
-            next_tx: 0,
+            zipf: ShardedZipf::new(config.keys, config.n_shards, config.theta),
+            streams: ShardStreams::new(config.seed, config.n_shards),
             config,
         }
     }
@@ -93,87 +92,44 @@ impl KvWorkload {
             .collect()
     }
 
-    fn shard_of(&self, key: u64) -> u32 {
-        Key::scratch(key)
-            .shard(self.config.n_shards.max(1))
-            .as_inner()
-    }
-
-    /// Picks a key whose shard relation to `anchor` is `cross` (different
-    /// shard when `true`, same shard when `false`), keeping the Zipfian skew
-    /// by rejection sampling with a deterministic fallback.
-    fn pick_relative(&mut self, anchor: u64, cross: bool) -> u64 {
-        let anchor_shard = self.shard_of(anchor);
-        for _ in 0..64 {
-            let candidate = self.zipf.next(&mut self.rng);
-            if candidate == anchor {
-                continue;
-            }
-            if (self.shard_of(candidate) != anchor_shard) == cross {
-                return candidate;
-            }
-        }
-        // Deterministic fallback: walk the pool until the shard relation
-        // holds. A fixed stride of `n_shards` would break on wrap-around
-        // whenever `keys % n_shards != 0` (shard is `row % n_shards`), so
-        // every candidate is checked. Falls back to the anchor itself when
-        // the pool cannot satisfy the relation (e.g. a same-shard partner
-        // in a shard holding a single key) — a duplicate key keeps the
-        // transaction's class intact, which is the guarantee that matters.
-        let keys = self.config.keys.max(1);
-        for step in 1..keys {
-            let candidate = (anchor + step) % keys;
-            if (self.shard_of(candidate) != anchor_shard) == cross {
-                return candidate;
-            }
-        }
-        anchor
-    }
-
-    /// Generates the next operation list according to the configured mix.
-    pub fn next_call(&mut self) -> ContractCall {
-        let cross = self.config.cross_shard_fraction > 0.0
-            && self.config.n_shards > 1
-            && self.rng.gen::<f64>() < self.config.cross_shard_fraction;
-        let read_only = self.rng.gen::<f64>() < self.config.read_fraction;
-
-        let per_tx = self.config.ops_per_tx.max(1);
-        let mut keys = Vec::with_capacity(per_tx);
-        let anchor = self.zipf.next(&mut self.rng);
-        keys.push(anchor);
-        for i in 1..per_tx {
-            // The second key decides the transaction class: cross-shard
-            // transactions place it in a different shard, single-shard
-            // transactions keep every key in the anchor's shard.
-            let want_cross = cross && i == 1;
-            keys.push(self.pick_relative(anchor, want_cross));
-        }
-
-        let mut ops = Vec::with_capacity(per_tx * 2);
-        for key in keys {
-            let key = Key::scratch(key);
-            ops.push(Operation::read(key));
-            if !read_only {
-                let value = self.rng.gen_range(0..1_000);
-                ops.push(Operation::write(key, Value::int(value)));
-            }
-        }
-        ContractCall::KvOps(ops)
-    }
-
-    /// Generates the next transaction, stamping it with a fresh id and the
+    /// Generates the next transaction of `home`'s stream, stamped with the
     /// given submission time.
-    pub fn next_transaction(&mut self, submitted_at: SimTime) -> Transaction {
-        let call = self.next_call();
-        let id = TxId::new(self.next_tx);
-        self.next_tx += 1;
-        Transaction::new(
-            id,
-            ClientId::new((id.as_inner() % 32) as u32),
-            call,
-            self.config.n_shards,
-            submitted_at,
-        )
+    ///
+    /// The first key is one of `home`'s. The second decides the class: a
+    /// cross-shard transaction takes it from another shard, a single-shard
+    /// one from `home`. Every further key is another of `home`'s, so a
+    /// single-shard transaction repeats a key only when `home` has one.
+    pub fn next_transaction(&mut self, home: ShardId, submitted_at: SimTime) -> Transaction {
+        let (config, zipf) = (&self.config, &self.zipf);
+        self.streams.draw(home, 32, submitted_at, |rng| {
+            let cross = config.cross_shard_fraction > 0.0
+                && config.n_shards > 1
+                && rng.gen::<f64>() < config.cross_shard_fraction;
+            let read_only = rng.gen::<f64>() < config.read_fraction;
+
+            let per_tx = config.ops_per_tx.max(1);
+            let anchor = zipf.next(home, rng);
+            let mut keys = Vec::with_capacity(per_tx);
+            keys.push(anchor);
+            for i in 1..per_tx {
+                keys.push(if cross && i == 1 {
+                    zipf.elsewhere(home, rng)
+                } else {
+                    zipf.partner(anchor, rng)
+                });
+            }
+
+            let mut ops = Vec::with_capacity(per_tx * 2);
+            for key in keys {
+                let key = Key::scratch(key);
+                ops.push(Operation::read(key));
+                if !read_only {
+                    let value = rng.gen_range(0..1_000);
+                    ops.push(Operation::write(key, Value::int(value)));
+                }
+            }
+            ContractCall::KvOps(ops)
+        })
     }
 }
 
@@ -181,7 +137,19 @@ impl KvWorkload {
 mod tests {
     use super::*;
     use crate::Workload;
+    use std::collections::HashSet;
     use tb_types::{OpKind, TxClass};
+
+    /// The operations of the next transaction of shard 0's stream.
+    fn next_ops(workload: &mut KvWorkload) -> Vec<Operation> {
+        match workload
+            .next_transaction(ShardId::new(0), SimTime::ZERO)
+            .call
+        {
+            ContractCall::KvOps(ops) => ops,
+            other => panic!("KV workload must emit KvOps, got {other:?}"),
+        }
+    }
 
     #[test]
     fn streams_are_deterministic_per_seed() {
@@ -191,8 +159,10 @@ mod tests {
         };
         let mut a = KvWorkload::new(config);
         let mut b = KvWorkload::new(config);
-        assert_eq!(a.batch(200, SimTime::ZERO), b.batch(200, SimTime::ZERO));
-        assert_eq!(a.next_tx, 200);
+        let batch = a.batch(200, SimTime::ZERO);
+        assert_eq!(batch, b.batch(200, SimTime::ZERO));
+        // Fifty of each of the four streams: ids 0..200.
+        assert_eq!(batch.iter().map(|tx| tx.id.as_inner()).max(), Some(199));
     }
 
     #[test]
@@ -203,9 +173,10 @@ mod tests {
         });
         let total = 4_000;
         let read_only = (0..total)
-            .filter(|_| match workload.next_call() {
-                ContractCall::KvOps(ops) => ops.iter().all(|op| op.kind() == OpKind::Read),
-                other => panic!("unexpected call {other:?}"),
+            .filter(|_| {
+                next_ops(&mut workload)
+                    .iter()
+                    .all(|op| op.kind() == OpKind::Read)
             })
             .count();
         let fraction = read_only as f64 / total as f64;
@@ -223,8 +194,10 @@ mod tests {
             ..KvWorkloadConfig::default()
         });
         let total = 4_000;
-        let cross = (0..total)
-            .filter(|_| workload.next_transaction(SimTime::ZERO).class() == TxClass::CrossShard)
+        let cross = workload
+            .batch(total, SimTime::ZERO)
+            .iter()
+            .filter(|tx| tx.class() == TxClass::CrossShard)
             .count();
         let fraction = cross as f64 / total as f64;
         assert!(
@@ -241,18 +214,15 @@ mod tests {
             ops_per_tx: 3,
             ..KvWorkloadConfig::default()
         });
-        for _ in 0..1_000 {
-            let tx = workload.next_transaction(SimTime::ZERO);
+        for tx in workload.batch(1_000, SimTime::ZERO) {
             assert_eq!(tx.class(), TxClass::SingleShard, "tx {tx} spans shards");
         }
     }
 
     #[test]
     fn single_shard_guarantee_survives_awkward_pool_sizes() {
-        // The deterministic fallback must respect the shard relation even
-        // when the pool does not divide evenly into shards (shard is
-        // `row % n_shards`, so a fixed stride breaks on wrap-around) and in
-        // the degenerate one-key-per-shard pool.
+        // Pools that do not divide evenly into shards (shard is
+        // `row % n_shards`), and the degenerate one-key-per-shard pool.
         for (keys, n_shards) in [(100, 8), (13, 4), (8, 8)] {
             let mut workload = KvWorkload::new(KvWorkloadConfig {
                 keys,
@@ -262,8 +232,7 @@ mod tests {
                 theta: 0.99,
                 ..KvWorkloadConfig::default()
             });
-            for _ in 0..2_000 {
-                let tx = workload.next_transaction(SimTime::ZERO);
+            for tx in workload.batch(2_000, SimTime::ZERO) {
                 assert_eq!(
                     tx.class(),
                     TxClass::SingleShard,
@@ -274,14 +243,39 @@ mod tests {
     }
 
     #[test]
+    fn every_shard_stream_keeps_its_home_and_unique_ids() {
+        let draws = 10_000;
+        let mut workload = KvWorkload::new(KvWorkloadConfig {
+            cross_shard_fraction: 0.3,
+            ..KvWorkloadConfig::default()
+        });
+        let mut ids = HashSet::new();
+        for s in 0..4 {
+            let home = ShardId::new(s);
+            for _ in 0..draws {
+                let tx = workload.next_transaction(home, SimTime::ZERO);
+                assert_eq!(tx.home_shard(), home, "{tx}");
+                assert!(ids.insert(tx.id), "{} drawn twice", tx.id);
+                let ContractCall::KvOps(ops) = &tx.call else {
+                    panic!("KV workload emitted {tx}");
+                };
+                let (first, second) = (ops[0].key(), ops.last().unwrap().key());
+                assert!(first.row < 1_000 && second.row < 1_000);
+                if tx.class() == TxClass::SingleShard {
+                    assert_ne!(first, second, "{tx}: a same-shard partner is the first key");
+                }
+            }
+        }
+        assert_eq!(ids.len(), 4 * draws as usize);
+    }
+
+    #[test]
     fn skew_concentrates_traffic_on_few_keys() {
         let mut workload = KvWorkload::new(KvWorkloadConfig::default());
         let mut hits = std::collections::HashMap::new();
         for _ in 0..4_000 {
-            if let ContractCall::KvOps(ops) = workload.next_call() {
-                for op in ops {
-                    *hits.entry(op.key()).or_insert(0u64) += 1;
-                }
+            for op in next_ops(&mut workload) {
+                *hits.entry(op.key()).or_insert(0u64) += 1;
             }
         }
         let total: u64 = hits.values().sum();
@@ -316,9 +310,7 @@ mod tests {
             ..KvWorkloadConfig::default()
         });
         for _ in 0..200 {
-            let ContractCall::KvOps(ops) = workload.next_call() else {
-                panic!("KV workload must emit KvOps");
-            };
+            let ops = next_ops(&mut workload);
             for pair in ops.chunks(2) {
                 assert_eq!(pair.len(), 2);
                 assert!(matches!(pair[0], Operation::Read { .. }));

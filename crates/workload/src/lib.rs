@@ -7,10 +7,11 @@
 //! as cross-shard (Sections 11.2 and 12). This crate provides:
 //!
 //! * [`Workload`] — the scenario-facing trait every generator implements:
-//!   a stable report name, the initial state, and a deterministic
-//!   transaction stream with shard tagging,
-//! * [`ZipfianGenerator`] — the YCSB-style Zipfian sampler (optionally
-//!   scrambled so the hottest keys spread over all shards),
+//!   a stable report name, the initial state, and one deterministic
+//!   transaction stream per home shard, with shard tagging,
+//! * [`ZipfianGenerator`] — the YCSB-style Zipfian sampler, scrambled so
+//!   the hottest keys spread over the domain (each workload confines it to
+//!   one shard's rows per stream),
 //! * [`SmallBankWorkload`] — a deterministic, seedable generator of SmallBank
 //!   transactions following the paper's parameters,
 //! * [`ContractWorkload`] — a mixed interpreter-program workload used by the

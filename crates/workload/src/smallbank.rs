@@ -4,21 +4,20 @@
 //!
 //! * a pool of accounts (10 000 for the executor experiments, 1 000 for the
 //!   system experiments), each starting with a fixed balance,
-//! * accounts selected with a Zipfian distribution of skew `θ`,
+//! * accounts selected with a Zipfian distribution of skew `θ` (here within
+//!   each shard: a shard's clients draw its accounts under that skew),
 //! * `GetBalance` chosen with probability `Pr`, `SendPayment` otherwise,
 //! * a fraction `P` of transactions designated cross-shard (a `SendPayment`
 //!   whose two accounts live in different shards).
 //!
-//! The generator is deterministic for a fixed seed so experiments are
-//! reproducible.
+//! The generator yields one stream per home shard, each deterministic for a
+//! fixed seed so experiments are reproducible.
 
-use crate::zipf::ZipfianGenerator;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::traits::ShardStreams;
+use crate::zipf::ShardedZipf;
+use rand::Rng;
 use tb_contracts::SMALLBANK_DEFAULT_BALANCE;
-use tb_types::{
-    ClientId, ContractCall, Key, SimTime, SmallBankProcedure, Transaction, TxId, Value,
-};
+use tb_types::{ContractCall, Key, ShardId, SimTime, SmallBankProcedure, Transaction, Value};
 
 /// Configuration of the SmallBank workload.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -100,13 +99,17 @@ pub fn initial_smallbank_state(
     })
 }
 
-/// A deterministic SmallBank transaction generator.
+/// A deterministic SmallBank transaction generator: one client stream per
+/// home shard.
+///
+/// Shard `s`'s stream draws its first (or only) account from `s`'s
+/// accounts. A same-shard `SendPayment` pays another account of `s`, a
+/// cross-shard one an account of another shard.
 #[derive(Clone, Debug)]
 pub struct SmallBankWorkload {
     config: SmallBankConfig,
-    zipf: ZipfianGenerator,
-    rng: StdRng,
-    next_tx: u64,
+    zipf: ShardedZipf,
+    streams: ShardStreams,
 }
 
 impl SmallBankWorkload {
@@ -118,9 +121,8 @@ impl SmallBankWorkload {
             config.seed
         };
         SmallBankWorkload {
-            zipf: ZipfianGenerator::scrambled(config.accounts, config.theta),
-            rng: StdRng::seed_from_u64(seed),
-            next_tx: 0,
+            zipf: ShardedZipf::new(config.accounts, config.n_shards, config.theta),
+            streams: ShardStreams::new(seed, config.n_shards),
             config,
         }
     }
@@ -135,74 +137,30 @@ impl SmallBankWorkload {
         initial_smallbank_state(self.config.accounts, self.config.initial_balance)
     }
 
-    fn pick_account(&mut self) -> u64 {
-        self.zipf.next(&mut self.rng)
-    }
-
-    /// Picks a second account whose shard relation to `from` is `cross`
-    /// (different shard when `true`, same shard when `false`).
-    fn pick_partner(&mut self, from: u64, cross: bool) -> u64 {
-        let n_shards = self.config.n_shards.max(1);
-        let from_shard = Key::checking(from).shard(n_shards);
-        // Rejection-sample from the Zipfian distribution so the partner
-        // account keeps the configured skew; fall back to a deterministic
-        // shift if the pool is too small to satisfy the constraint.
-        for _ in 0..64 {
-            let candidate = self.pick_account();
-            if candidate == from {
-                continue;
-            }
-            let candidate_shard = Key::checking(candidate).shard(n_shards);
-            if (candidate_shard != from_shard) == cross {
-                return candidate;
-            }
-        }
-        let shift = if cross {
-            // Next account in a different shard.
-            1
-        } else {
-            // Same shard: jump a whole stripe of shards.
-            u64::from(n_shards)
-        };
-        let candidate = (from + shift) % self.config.accounts;
-        if candidate == from {
-            (from + 1) % self.config.accounts
-        } else {
-            candidate
-        }
-    }
-
-    /// Generates the next contract call according to the configured mix.
-    pub fn next_call(&mut self) -> ContractCall {
-        let cross = self.config.cross_shard_fraction > 0.0
-            && self.rng.gen::<f64>() < self.config.cross_shard_fraction
-            && self.config.n_shards > 1;
-        if cross {
-            // Cross-shard transactions are SendPayments between shards.
-            let from = self.pick_account();
-            let to = self.pick_partner(from, true);
-            let amount = self.rng.gen_range(1..=self.config.max_amount);
-            return ContractCall::SmallBank(SmallBankProcedure::SendPayment { from, to, amount });
-        }
-        if self.rng.gen::<f64>() < self.config.pr_read {
-            let account = self.pick_account();
-            ContractCall::SmallBank(SmallBankProcedure::GetBalance { account })
-        } else {
-            let from = self.pick_account();
-            let to = self.pick_partner(from, false);
-            let amount = self.rng.gen_range(1..=self.config.max_amount);
-            ContractCall::SmallBank(SmallBankProcedure::SendPayment { from, to, amount })
-        }
-    }
-
-    /// Generates the next transaction, stamping it with a fresh id and the
+    /// Generates the next transaction of `home`'s stream, stamped with the
     /// given submission time.
-    pub fn next_transaction(&mut self, submitted_at: SimTime) -> Transaction {
-        let call = self.next_call();
-        let id = TxId::new(self.next_tx);
-        self.next_tx += 1;
-        let client = ClientId::new((id.as_inner() % 64) as u32);
-        Transaction::new(id, client, call, self.config.n_shards, submitted_at)
+    pub fn next_transaction(&mut self, home: ShardId, submitted_at: SimTime) -> Transaction {
+        let (config, zipf) = (&self.config, &self.zipf);
+        self.streams.draw(home, 64, submitted_at, |rng| {
+            let cross = config.cross_shard_fraction > 0.0
+                && rng.gen::<f64>() < config.cross_shard_fraction
+                && config.n_shards > 1;
+            let procedure = if cross {
+                let from = zipf.next(home, rng);
+                let to = zipf.elsewhere(home, rng);
+                let amount = rng.gen_range(1..=config.max_amount);
+                SmallBankProcedure::SendPayment { from, to, amount }
+            } else if rng.gen::<f64>() < config.pr_read {
+                let account = zipf.next(home, rng);
+                SmallBankProcedure::GetBalance { account }
+            } else {
+                let from = zipf.next(home, rng);
+                let to = zipf.partner(from, rng);
+                let amount = rng.gen_range(1..=config.max_amount);
+                SmallBankProcedure::SendPayment { from, to, amount }
+            };
+            ContractCall::SmallBank(procedure)
+        })
     }
 }
 
@@ -210,10 +168,19 @@ impl SmallBankWorkload {
 mod tests {
     use super::*;
     use crate::Workload;
-    use tb_types::TxClass;
+    use std::collections::HashSet;
+    use tb_types::{TxClass, TxId};
 
     fn workload(cfg: SmallBankConfig) -> SmallBankWorkload {
         SmallBankWorkload::new(cfg)
+    }
+
+    /// The procedure of the next transaction of shard 0's stream.
+    fn next_procedure(w: &mut SmallBankWorkload) -> SmallBankProcedure {
+        match w.next_transaction(ShardId::new(0), SimTime::ZERO).call {
+            ContractCall::SmallBank(procedure) => procedure,
+            other => panic!("SmallBank emitted {other:?}"),
+        }
     }
 
     #[test]
@@ -227,8 +194,8 @@ mod tests {
         let reads = (0..total)
             .filter(|_| {
                 matches!(
-                    w.next_call(),
-                    ContractCall::SmallBank(SmallBankProcedure::GetBalance { .. })
+                    next_procedure(&mut w),
+                    SmallBankProcedure::GetBalance { .. }
                 )
             })
             .count();
@@ -248,8 +215,8 @@ mod tests {
         });
         for _ in 0..500 {
             assert!(matches!(
-                w.next_call(),
-                ContractCall::SmallBank(SmallBankProcedure::SendPayment { .. })
+                next_procedure(&mut w),
+                SmallBankProcedure::SendPayment { .. }
             ));
         }
     }
@@ -259,8 +226,10 @@ mod tests {
         let cfg = SmallBankConfig::system_eval(16, 0.6);
         let mut w = workload(cfg);
         let total = 4_000;
-        let cross = (0..total)
-            .filter(|_| w.next_transaction(SimTime::ZERO).class() == TxClass::CrossShard)
+        let cross = w
+            .batch(total, SimTime::ZERO)
+            .iter()
+            .filter(|tx| tx.class() == TxClass::CrossShard)
             .count();
         let fraction = cross as f64 / total as f64;
         assert!(
@@ -273,8 +242,7 @@ mod tests {
     fn zero_cross_shard_fraction_yields_only_single_shard() {
         let cfg = SmallBankConfig::system_eval(8, 0.0);
         let mut w = workload(cfg);
-        for _ in 0..1_000 {
-            let tx = w.next_transaction(SimTime::ZERO);
+        for tx in w.batch(1_000, SimTime::ZERO) {
             assert_eq!(tx.class(), TxClass::SingleShard, "tx {tx} spans shards");
         }
     }
@@ -283,8 +251,7 @@ mod tests {
     fn full_cross_shard_fraction_yields_only_cross_shard() {
         let cfg = SmallBankConfig::system_eval(16, 1.0);
         let mut w = workload(cfg);
-        for _ in 0..1_000 {
-            let tx = w.next_transaction(SimTime::ZERO);
+        for tx in w.batch(1_000, SimTime::ZERO) {
             assert_eq!(tx.class(), TxClass::CrossShard);
         }
     }
@@ -292,10 +259,78 @@ mod tests {
     #[test]
     fn transactions_get_unique_increasing_ids() {
         let mut w = workload(SmallBankConfig::default());
-        let a = w.next_transaction(SimTime::ZERO);
-        let b = w.next_transaction(SimTime::ZERO);
+        let home = ShardId::new(1);
+        let a = w.next_transaction(home, SimTime::ZERO);
+        let b = w.next_transaction(home, SimTime::ZERO);
         assert!(a.id < b.id);
-        assert_eq!(w.next_tx, 2);
+        // The second transaction of shard 1's stream, of four shards.
+        assert_eq!(b.id, TxId::new(4 + 1));
+    }
+
+    #[test]
+    fn every_shard_stream_keeps_its_home_its_mix_and_unique_ids() {
+        let draws = 10_000;
+        let (p, pr_read) = (0.3, 0.5);
+        let mut w = workload(SmallBankConfig {
+            pr_read,
+            ..SmallBankConfig::system_eval(4, p)
+        });
+        let mut ids = HashSet::new();
+        for s in 0..4 {
+            let home = ShardId::new(s);
+            let (mut cross, mut reads) = (0, 0);
+            for _ in 0..draws {
+                let tx = w.next_transaction(home, SimTime::ZERO);
+                assert_eq!(tx.home_shard(), home, "{tx}");
+                assert!(ids.insert(tx.id), "{} drawn twice", tx.id);
+                let ContractCall::SmallBank(procedure) = &tx.call else {
+                    panic!("SmallBank emitted {tx}");
+                };
+                match *procedure {
+                    SmallBankProcedure::GetBalance { .. } => reads += 1,
+                    SmallBankProcedure::SendPayment { from, to, .. } => {
+                        assert_ne!(from, to, "{tx} pays itself");
+                        assert!(to < 1_000);
+                        if tx.class() == TxClass::CrossShard {
+                            cross += 1;
+                        }
+                    }
+                    ref other => panic!("unexpected {other}"),
+                }
+            }
+            // A read is drawn only for a transaction that is not cross-shard.
+            let cross_share = cross as f64 / draws as f64;
+            let read_share = reads as f64 / (draws - cross) as f64;
+            assert!(
+                (cross_share - p).abs() < 0.02,
+                "{home}: cross {cross_share}"
+            );
+            assert!(
+                (read_share - pr_read).abs() < 0.02,
+                "{home}: reads {read_share}"
+            );
+        }
+        // Four streams of 10 000 ids cover exactly 0..40 000.
+        assert_eq!(
+            ids.iter().map(|id| id.as_inner()).max(),
+            Some(4 * draws - 1)
+        );
+    }
+
+    #[test]
+    fn a_shard_stream_does_not_depend_on_the_other_streams() {
+        let cfg = SmallBankConfig::system_eval(4, 0.2);
+        let mut alone = workload(cfg);
+        let mut mixed = workload(cfg);
+        let home = ShardId::new(2);
+        for i in 0..500 {
+            let other = ShardId::new((3 + i % 3) % 4);
+            let _ = mixed.next_transaction(other, SimTime::ZERO);
+            assert_eq!(
+                alone.next_transaction(home, SimTime::ZERO),
+                mixed.next_transaction(home, SimTime::ZERO)
+            );
+        }
     }
 
     #[test]
@@ -326,7 +361,7 @@ mod tests {
         let mut a = workload(cfg);
         let mut b = workload(cfg);
         for _ in 0..100 {
-            assert_eq!(a.next_call(), b.next_call());
+            assert_eq!(next_procedure(&mut a), next_procedure(&mut b));
         }
     }
 

@@ -3,10 +3,10 @@
 //! The cluster simulation (and any other driver) talks to workloads through
 //! this trait instead of naming a concrete benchmark: a workload knows its
 //! stable report name, the initial store contents it expects, and how to
-//! produce the next transaction of a deterministic, seedable stream. Shard
-//! tagging happens inside the generator — every produced [`Transaction`]
-//! carries the shards derived from its declared keys, so the driver can
-//! route it without knowing what benchmark it came from.
+//! produce the next transaction of each shard's deterministic, seedable
+//! client stream. Shard tagging happens inside the generator — every
+//! produced [`Transaction`] carries the shards derived from its declared
+//! keys, and its home shard is the one whose stream drew it.
 //!
 //! Concrete workloads ([`SmallBankWorkload`], [`ContractWorkload`],
 //! [`KvWorkload`]) implement the trait, and their config structs convert
@@ -14,25 +14,31 @@
 //! or just its configuration:
 //!
 //! ```
+//! use tb_types::{ShardId, SimTime};
 //! use tb_workload::{SmallBankConfig, Workload};
 //!
 //! let mut workload: Box<dyn Workload> = SmallBankConfig::default().into();
 //! workload.configure_for_cluster(4, 42);
-//! let tx = workload.next_transaction(tb_types::SimTime::ZERO);
-//! assert!(!tx.shards.is_empty());
+//! let tx = workload.next_transaction(ShardId::new(2), SimTime::ZERO);
+//! assert_eq!(tx.home_shard(), ShardId::new(2));
 //! ```
 
 use crate::contract::{ContractWorkload, ContractWorkloadConfig};
 use crate::kv::{KvWorkload, KvWorkloadConfig};
 use crate::smallbank::{SmallBankConfig, SmallBankWorkload};
-use tb_types::{Key, SimTime, Transaction, Value};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use tb_types::{ClientId, ContractCall, Key, ShardId, SimTime, Transaction, TxId, Value};
 
-/// A deterministic, seedable transaction generator a scenario can run.
+/// A deterministic, seedable transaction generator a scenario can run: one
+/// client stream per home shard.
 ///
 /// Implementations must be deterministic for a fixed configuration: two
-/// generators built from the same config produce identical streams. This is
-/// what makes scenario reports comparable run over run and what the
-/// SmallBank digest-equivalence test pins down.
+/// generators built from the same config produce identical streams, and
+/// shard `s`'s stream does not depend on what is drawn from the others.
+/// This is what makes scenario reports comparable run over run, and what
+/// lets a TCP node draw its own shard's stream alone and still propose
+/// what its sim twin proposes (`docs/NET.md`).
 pub trait Workload: Send {
     /// Stable name recorded in run reports (`RunReport::workload`).
     fn name(&self) -> &str;
@@ -44,21 +50,61 @@ pub trait Workload: Send {
     /// `n_shards` shards and `cluster_seed` is folded into the workload's
     /// own seed (so two clusters with different seeds see different
     /// streams). Called once by the simulation before the run starts;
-    /// implementations reset their stream.
+    /// implementations reset their streams.
     fn configure_for_cluster(&mut self, n_shards: u32, cluster_seed: u64);
 
     /// The initial store contents every replica loads before the run.
     fn initial_state(&self) -> Vec<(Key, Value)>;
 
-    /// Generates the next transaction, stamped with the given submission
-    /// time.
-    fn next_transaction(&mut self, submitted_at: SimTime) -> Transaction;
+    /// Generates the next transaction of `home`'s stream, stamped with the
+    /// given submission time. Its home shard
+    /// ([`Transaction::home_shard`]) is `home`.
+    fn next_transaction(&mut self, home: ShardId, submitted_at: SimTime) -> Transaction;
 
-    /// Generates a batch of transactions with the same submission time.
+    /// Generates `size` transactions with the same submission time, the
+    /// `i`-th from shard `i mod S`'s stream. Kept for the benchmark's layer
+    /// walk and probes (ROADMAP item 15) and for tests.
     fn batch(&mut self, size: usize, submitted_at: SimTime) -> Vec<Transaction> {
+        let shards = self.n_shards() as usize;
         (0..size)
-            .map(|_| self.next_transaction(submitted_at))
+            .map(|i| self.next_transaction(ShardId::new((i % shards) as u32), submitted_at))
             .collect()
+    }
+}
+
+/// The state every workload keeps per home shard (the index): the RNG of
+/// its stream, seeded from `(seed, shard)`, and its next sequence number.
+/// A draw on one stream leaves the others untouched. The `seq`-th
+/// transaction of shard `s`, of `S`, has id `seq · S + s`: unique across the
+/// streams, and as large as one cluster-wide sequence of the same length.
+#[derive(Clone, Debug)]
+pub(crate) struct ShardStreams(Vec<(StdRng, u64)>);
+
+impl ShardStreams {
+    pub(crate) fn new(seed: u64, n_shards: u32) -> Self {
+        let seeded = |s: u32| seed ^ u64::from(s).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        ShardStreams(
+            (0..n_shards)
+                .map(|s| (StdRng::seed_from_u64(seeded(s)), 0))
+                .collect(),
+        )
+    }
+
+    /// The next transaction of `home`'s stream: `call` draws its call from
+    /// the stream's RNG, and its client is one of `clients` by id.
+    pub(crate) fn draw(
+        &mut self,
+        home: ShardId,
+        clients: u64,
+        submitted_at: SimTime,
+        call: impl FnOnce(&mut StdRng) -> ContractCall,
+    ) -> Transaction {
+        let n_shards = self.0.len() as u32;
+        let (rng, seq) = &mut self.0[home.as_inner() as usize];
+        let id = *seq * u64::from(n_shards) + u64::from(home.as_inner());
+        *seq += 1;
+        let client = ClientId::new((id % clients) as u32);
+        Transaction::new(TxId::new(id), client, call(rng), n_shards, submitted_at)
     }
 }
 
@@ -85,8 +131,8 @@ impl Workload for SmallBankWorkload {
         SmallBankWorkload::initial_state(self).collect()
     }
 
-    fn next_transaction(&mut self, submitted_at: SimTime) -> Transaction {
-        SmallBankWorkload::next_transaction(self, submitted_at)
+    fn next_transaction(&mut self, home: ShardId, submitted_at: SimTime) -> Transaction {
+        SmallBankWorkload::next_transaction(self, home, submitted_at)
     }
 }
 
@@ -110,8 +156,8 @@ impl Workload for ContractWorkload {
         ContractWorkload::initial_state(self)
     }
 
-    fn next_transaction(&mut self, submitted_at: SimTime) -> Transaction {
-        ContractWorkload::next_transaction(self, submitted_at)
+    fn next_transaction(&mut self, home: ShardId, submitted_at: SimTime) -> Transaction {
+        ContractWorkload::next_transaction(self, home, submitted_at)
     }
 }
 
@@ -135,8 +181,8 @@ impl Workload for KvWorkload {
         KvWorkload::initial_state(self)
     }
 
-    fn next_transaction(&mut self, submitted_at: SimTime) -> Transaction {
-        KvWorkload::next_transaction(self, submitted_at)
+    fn next_transaction(&mut self, home: ShardId, submitted_at: SimTime) -> Transaction {
+        KvWorkload::next_transaction(self, home, submitted_at)
     }
 }
 
@@ -196,10 +242,11 @@ mod tests {
         let mut boxed: Box<dyn Workload> = base.into();
         boxed.configure_for_cluster(4, 42);
 
-        for _ in 0..500 {
+        for i in 0..500 {
+            let home = ShardId::new(i % 4);
             assert_eq!(
-                SmallBankWorkload::next_transaction(&mut legacy, SimTime::ZERO),
-                boxed.next_transaction(SimTime::ZERO)
+                SmallBankWorkload::next_transaction(&mut legacy, home, SimTime::ZERO),
+                boxed.next_transaction(home, SimTime::ZERO)
             );
         }
     }

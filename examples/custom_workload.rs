@@ -6,7 +6,10 @@
 //! DAG consensus, validation, commit, reporting — runs it unchanged. The
 //! workload here is a "ping-pong" stress: every transaction moves a token
 //! between the two ends of a fixed key pair, so consecutive blocks chain on
-//! the same keys and the proposer's preplay overlay does real work.
+//! the same keys and the proposer's preplay overlay does real work. Like
+//! every workload, it yields one stream per home shard: shard `s`'s
+//! proposer asks for `s`'s next transaction, which pays between two of its
+//! accounts.
 //!
 //! Run with: `cargo run --release --example custom_workload`
 
@@ -17,7 +20,8 @@ use thunderbolt::prelude::*;
 struct PingPong {
     pairs: u64,
     n_shards: u32,
-    next_tx: u64,
+    /// How many transactions each shard's stream has yielded.
+    drawn: Vec<u64>,
 }
 
 impl PingPong {
@@ -25,7 +29,7 @@ impl PingPong {
         PingPong {
             pairs,
             n_shards: 1,
-            next_tx: 0,
+            drawn: vec![0],
         }
     }
 
@@ -52,7 +56,7 @@ impl Workload for PingPong {
         // This generator is a round-robin, not RNG-driven, so the cluster
         // seed has nothing to perturb; only the shard tagging changes.
         self.n_shards = n_shards;
-        self.next_tx = 0;
+        self.drawn = vec![0; n_shards as usize];
     }
 
     fn initial_state(&self) -> Vec<(Key, Value)> {
@@ -67,16 +71,22 @@ impl Workload for PingPong {
         entries
     }
 
-    fn next_transaction(&mut self, submitted_at: SimTime) -> Transaction {
-        let id = self.next_tx;
-        self.next_tx += 1;
-        let (a, b) = self.accounts(id % self.pairs);
-        // Even transactions ping a -> b, odd ones pong b -> a.
-        let (from, to) = if (id / self.pairs).is_multiple_of(2) {
+    fn next_transaction(&mut self, home: ShardId, submitted_at: SimTime) -> Transaction {
+        // Shard s owns the pairs p = s, s + n, s + 2n, ... below `pairs`,
+        // and its stream walks them in turn.
+        let (s, n) = (u64::from(home.as_inner()), u64::from(self.n_shards));
+        let own = (self.pairs - s).div_ceil(n);
+        let seq = self.drawn[s as usize];
+        self.drawn[s as usize] += 1;
+        let (a, b) = self.accounts(s + n * (seq % own));
+        // Each pass over the shard's pairs pings a -> b, the next pongs back.
+        let (from, to) = if (seq / own).is_multiple_of(2) {
             (a, b)
         } else {
             (b, a)
         };
+        // Ids stay unique across the shards' streams.
+        let id = seq * n + s;
         Transaction::new(
             TxId::new(id),
             ClientId::new((id % 8) as u32),
