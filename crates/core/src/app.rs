@@ -28,6 +28,7 @@ use crate::proposer::{
     decide, ByzantineBehavior, ProposalContext, ProposalDecision, ShardProposer,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::BuildHasher;
 use std::time::{Duration, Instant};
 use tb_dag::CommittedSubDag;
 use tb_executor::batch::{fnv_fold, FNV_OFFSET};
@@ -275,9 +276,9 @@ impl ShardApp {
     }
 
     /// [`ByzantineBehavior::OverfullWrongShard`]: stuff a second single-shard
-    /// batch *and* preplayed cross-shard transactions (a P1 violation: their
-    /// writes land outside this proposer's shard) into the block, ordered
-    /// after the block's own batch.
+    /// batch *and* the block's cross-shard transactions, preplayed (a P1
+    /// violation: their writes land outside this proposer's shard), into the
+    /// block, ordered after the block's own batch.
     fn overfill_payload(
         &mut self,
         payload: &mut BlockPayload,
@@ -285,7 +286,7 @@ impl ShardApp {
         metrics: &mut RunReport,
     ) {
         let mut extra = self.queues.take_single_batch();
-        extra.extend(self.queues.take_cross_batch(self.batch_size));
+        extra.append(&mut payload.cross_shard);
         if !extra.is_empty() {
             let after = u32::try_from(payload.single_shard.len()).expect("a block fits u32");
             let mut preplayed = self.preplay_batch(&extra, None, round, metrics);
@@ -322,9 +323,8 @@ impl App for ShardApp {
         let kind = match decision {
             ProposalDecision::Shift => BlockKind::Shift,
             ProposalDecision::Preplay => {
-                let singles = self.queues.take_single_batch();
-                let budget = self.batch_size.saturating_sub(singles.len());
-                payload.cross_shard = self.queues.take_cross_batch(budget);
+                let (singles, cross) = self.queues.take_preplay_batch();
+                payload.cross_shard = cross;
                 payload.single_shard = self.preplay_batch(&singles, ahead, round, metrics);
                 BlockKind::Normal
             }
@@ -379,15 +379,26 @@ impl App for ShardApp {
         let output =
             self.pipeline
                 .process_cached(sub_dag, self.store.as_ref(), now, &mut self.replays);
+        // FNV-1a fold over every delivered call, block by block, then the
+        // committed ids in commit order: what was ordered, not only where in
+        // the streams. Honest replicas agree on both.
+        let calls = KeyHashBuilder::with_seed(COMMIT_DIGEST_SEED);
+        let mut digest = metrics.commit_order_digest;
+        for vertex in &sub_dag.vertices {
+            let payload = &vertex.block.payload;
+            let txs = payload.single_shard.iter().map(|p| &p.tx);
+            for tx in txs.chain(&payload.cross_shard) {
+                digest = fnv_fold(digest, calls.hash_one(&tx.call));
+            }
+        }
         for (tx_id, _) in &output.committed {
-            // FNV-1a fold over the commit order; honest replicas agree on
-            // the sequence, so they agree on the digest.
-            metrics.commit_order_digest = fnv_fold(metrics.commit_order_digest, tx_id.as_inner());
+            digest = fnv_fold(digest, tx_id.as_inner());
             // This replica times the transactions it proposed, once each.
             if let Some((submitted_at, proposed_at)) = self.proposed.remove(tx_id) {
                 metrics.time_commit(submitted_at, proposed_at, now);
             }
         }
+        metrics.commit_order_digest = digest;
         // Commit boundary: a durable backend persists the marker and fsyncs
         // everything before it, so recovery reproduces both the state and
         // the digest the replica had reached here.
@@ -661,8 +672,8 @@ mod tests {
         let mut app = ShardApp::new(ReplicaId::new(0), &cfg);
         app.load_state(genesis());
         // Shard 0 holds the accounts divisible by 4: 16 single-shard
-        // payments, two batches, then 4 payments into shard 1 (an even id
-        // homes a payment between shards 0 and 1 on shard 0).
+        // payments, two batches, then 4 payments from shard 0 into shard 1,
+        // homed on the payer's shard 0.
         for id in 0..16 {
             let tx = payment(id, 4 * (id % 4), 4 * ((id + 1) % 4), 4);
             assert!(app.queues_mut().enqueue(tx));
@@ -674,10 +685,15 @@ mod tests {
         let (kind, payload) = app.propose(Round::ZERO, true, false, SimTime::ZERO, &mut metrics);
         assert_eq!(kind, BlockKind::Normal);
         let block = &payload.single_shard;
-        assert_eq!(block.len(), 20, "its own batch of 8, then 8 + 4 more");
+        assert_eq!(
+            block.len(),
+            16,
+            "its own 4 in the room its 4 cross-shard payments left, then 8 + those 4"
+        );
+        assert!(payload.cross_shard.is_empty(), "every payment is preplayed");
         let mut orders: Vec<u32> = block.iter().map(|p| p.order).collect();
         orders.sort_unstable();
-        assert_eq!(orders, (0..20).collect::<Vec<u32>>());
+        assert_eq!(orders, (0..16).collect::<Vec<u32>>());
 
         let honest = MemStore::new();
         honest.load(genesis());

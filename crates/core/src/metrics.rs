@@ -213,13 +213,16 @@ pub struct RunReport {
     /// Delivered preplayed blocks the commit replayed itself: their vertex
     /// was admitted by the handler that delivered it.
     pub blocks_replayed_inline: u64,
-    /// FNV-1a digest over the committed transaction ids in commit order,
-    /// from [`COMMIT_DIGEST_SEED`](crate::app::COMMIT_DIGEST_SEED); shown as
-    /// 16 hex digits, and as a string in JSON so no consumer rounds it to a
-    /// 53-bit double. Two runs that committed the same transactions in the
-    /// same order have the same digest. The converse needs care: outside
-    /// lockstep, simulation schedules are timing-dependent, so digests from
-    /// two independent runs of one scenario normally differ.
+    /// FNV-1a digest, from
+    /// [`COMMIT_DIGEST_SEED`](crate::app::COMMIT_DIGEST_SEED), over each
+    /// commit's delivered calls, block by block, then its committed
+    /// transaction ids in commit order; shown as 16 hex digits, and as a
+    /// string in JSON so no consumer rounds it to a 53-bit double. Two runs
+    /// that delivered the same calls in the same blocks and committed the
+    /// same transactions in the same order have the same digest. The
+    /// converse needs care: outside lockstep, simulation schedules are
+    /// timing-dependent, so digests from two independent runs of one
+    /// scenario normally differ.
     pub commit_order_digest: u64,
     /// Commit-time samples per leader round (for Figure 16).
     pub round_commits: Vec<RoundCommitSample>,

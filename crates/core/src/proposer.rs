@@ -80,9 +80,9 @@ tb_types::wire_enum!(ByzantineBehavior {
 pub enum ProposalDecision {
     /// Emit a Shift block (reconfiguration vote).
     Shift,
-    /// Preplay the pending single-shard batch with the concurrent executor
-    /// and attach the pending cross-shard transactions (the normal EOV + OE
-    /// block).
+    /// Ship the pending cross-shard transactions and preplay single-shard
+    /// ones, in the room they leave, with the concurrent executor (the
+    /// normal EOV + OE block).
     Preplay,
     /// Convert the pending single-shard transactions to cross-shard ones and
     /// submit everything through the OE path (rules P3/P4/P6).
@@ -172,20 +172,33 @@ impl ShardProposer {
         true
     }
 
-    /// Takes the next batch of single-shard transactions for preplay.
+    /// Takes the next batch of single-shard transactions: what a block that
+    /// converts (P3/P4/P6) takes first.
     pub fn take_single_batch(&mut self) -> Vec<Transaction> {
         let n = self.batch_size.min(self.single_shard.len());
         self.single_shard.drain(..n).collect()
     }
 
-    /// The batch [`take_single_batch`](Self::take_single_batch) would take
-    /// now, left at the front of the queue: what a replica preplays ahead
-    /// of its round. Nothing is removed or cloned, so the queue stays what
-    /// it would be without the look, and the batch is still the front of the
-    /// queue at the next take unless something moved the front first: a
-    /// take or a [`reassign`](Self::reassign).
+    /// Takes the transactions of a block that preplays, as
+    /// `(single_shard, cross_shard)`: the queued cross-shard transactions
+    /// first, up to a batch (P1: straight into the block), so that rules
+    /// P3/P4 of every proposer they touch see them in the next round; then
+    /// the single-shard ones to preplay, in the room they leave.
+    pub(crate) fn take_preplay_batch(&mut self) -> (Vec<Transaction>, Vec<Transaction>) {
+        let n = self.next_single_batch().len();
+        let cross = self.take_cross_batch(self.batch_size);
+        (self.single_shard.drain(..n).collect(), cross)
+    }
+
+    /// The single-shard transactions
+    /// [`take_preplay_batch`](Self::take_preplay_batch) would take now, left
+    /// in place at the front of the queue: what a replica preplays ahead of
+    /// its round. They stay the front until a take or a
+    /// [`reassign`](Self::reassign); cross-shard transactions queued in
+    /// between can shorten them.
     pub(crate) fn next_single_batch(&mut self) -> &[Transaction] {
-        let n = self.batch_size.min(self.single_shard.len());
+        let room = self.batch_size - self.cross_shard.len().min(self.batch_size);
+        let n = room.min(self.single_shard.len());
         &self.single_shard.make_contiguous()[..n]
     }
 
@@ -276,7 +289,7 @@ mod tests {
         let mut proposer = ShardProposer::new(ShardId::new(0), 10);
         // Single-shard for shard 0 (accounts 0 and 4 both map to shard 0).
         assert!(proposer.enqueue(tx(1, 0, 4, 4)));
-        // Cross-shard between shards 0 and 1; the even id homes it on 0.
+        // Cross-shard between shards 0 and 1, homed on the payer's shard 0.
         assert!(proposer.enqueue(tx(2, 0, 1, 4)));
         // Wrong shard: home shard of accounts {1, 5} is shard 1.
         assert!(!proposer.enqueue(tx(3, 1, 5, 4)));
@@ -297,7 +310,8 @@ mod tests {
             .map(|tx| tx.id)
             .collect();
         assert_eq!(proposer.pending_single(), 5);
-        let batch = proposer.take_single_batch();
+        let (batch, cross) = proposer.take_preplay_batch();
+        assert!(cross.is_empty());
         assert_eq!(batch.len(), 3);
         assert_eq!(batch[0].id, TxId::new(0));
         assert_eq!(batch.iter().map(|tx| tx.id).collect::<Vec<_>>(), next);
@@ -305,6 +319,40 @@ mod tests {
         let rest = proposer.take_single_batch();
         assert_eq!(rest.len(), 2);
         assert!(proposer.take_single_batch().is_empty());
+    }
+
+    #[test]
+    fn a_preplayed_block_takes_cross_shard_transactions_first() {
+        let mut proposer = ShardProposer::new(ShardId::new(0), 3);
+        for i in 0..3 {
+            proposer.enqueue(tx(i, 0, 4, 4));
+        }
+        proposer.enqueue(tx(10, 0, 1, 4));
+        // The queued cross-shard transaction leaves room for two.
+        let next: Vec<TxId> = proposer
+            .next_single_batch()
+            .iter()
+            .map(|tx| tx.id)
+            .collect();
+        assert_eq!(next, [TxId::new(0), TxId::new(1)]);
+        let (singles, cross) = proposer.take_preplay_batch();
+        assert_eq!(singles.iter().map(|tx| tx.id).collect::<Vec<_>>(), next);
+        assert_eq!(
+            cross.iter().map(|tx| tx.id).collect::<Vec<_>>(),
+            [TxId::new(10)]
+        );
+        // A full batch of cross-shard transactions leaves no room.
+        for i in 20..24 {
+            proposer.enqueue(tx(i, 0, 1, 4));
+        }
+        assert!(proposer.next_single_batch().is_empty());
+        let (singles, cross) = proposer.take_preplay_batch();
+        assert!(singles.is_empty());
+        assert_eq!(cross.len(), 3);
+        assert_eq!(
+            (proposer.pending_single(), proposer.pending_cross()),
+            (1, 1)
+        );
     }
 
     #[test]

@@ -63,11 +63,9 @@ pub enum ScenarioError {
     /// Byzantine proposer behaviour is driven by the simulation harness and
     /// is not available out-of-process.
     ByzantineUnsupported,
-    /// The scenario reconfigures (its `reconfig` is not the default). A
-    /// node that changes shard starts the new shard's client stream at its
-    /// beginning and re-submits what that shard's earlier proposer already
-    /// committed, so the run would diverge from its sim twin. ROADMAP item
-    /// 20's hand-over lifts this.
+    /// The scenario reconfigures. A node that changes shard would restart
+    /// the new shard's client stream and re-submit what the shard already
+    /// committed (until ROADMAP item 20's hand-over).
     ReconfigUnsupported,
 }
 
@@ -90,11 +88,9 @@ impl fmt::Display for ScenarioError {
                 "byzantine proposer behaviour is simulation-only and cannot \
                  run out-of-process"
             ),
-            ScenarioError::ReconfigUnsupported => write!(
-                f,
-                "a TCP node cannot hand a shard over yet; drop the reconfig \
-                 or use the sim transport"
-            ),
+            ScenarioError::ReconfigUnsupported => {
+                f.write_str("a TCP node cannot hand a shard over yet; use the sim transport")
+            }
         }
     }
 }

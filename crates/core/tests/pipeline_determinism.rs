@@ -118,8 +118,8 @@ fn one_commit_matches_block_by_block_commits_on_twenty_blocks() {
 
 /// One commit at any worker count and block-by-block commits must commit
 /// byte-identical sequences: the FNV-1a fold over the committed transaction
-/// ids (the same digest replicas and run reports carry) is pinned equal
-/// across them, for honest and tampered inputs alike.
+/// ids (the commit-order part of the digest replicas and run reports carry)
+/// is pinned equal across them, for honest and tampered inputs alike.
 #[test]
 fn all_worker_counts_agree_with_block_by_block_commits_on_the_fnv1a_digest() {
     let mut blocks = seeded_blocks(8, 40);
@@ -158,8 +158,8 @@ fn all_worker_counts_agree_with_block_by_block_commits_on_the_fnv1a_digest() {
     }
 }
 
-/// The FNV-1a fold over the committed transaction ids: the digest replicas
-/// and run reports carry.
+/// The FNV-1a fold over the committed transaction ids, the commit-order
+/// part of the digest replicas and run reports carry.
 fn commit_digest(committed: &[(TxId, SimTime)]) -> u64 {
     committed
         .iter()

@@ -178,7 +178,9 @@ pub struct KeyHashBuilder {
 }
 
 impl KeyHashBuilder {
-    /// A builder with an explicit seed, for tests that need repeatable hashes.
+    /// A builder with an explicit seed, for hashes that must repeat across
+    /// runs and processes: tests, and the calls a replica's commit-order
+    /// digest folds.
     pub const fn with_seed(seed: u64) -> Self {
         KeyHashBuilder { seed }
     }

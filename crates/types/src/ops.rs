@@ -30,7 +30,7 @@ impl fmt::Display for OpKind {
 }
 
 /// A single state operation issued by an executing contract.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Operation {
     /// Read the value stored under `key`.
     Read {

@@ -109,7 +109,7 @@ impl fmt::Display for SmallBankProcedure {
 
 /// The payload of a transaction: which contract to run and with which
 /// arguments. The interpretation of the payload lives in `tb-contracts`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum ContractCall {
     /// One of the native SmallBank procedures.
     SmallBank(SmallBankProcedure),

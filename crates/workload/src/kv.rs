@@ -109,8 +109,7 @@ impl KvWorkload {
 
             let per_tx = config.ops_per_tx.max(1);
             let anchor = zipf.next(home, rng);
-            let mut keys = Vec::with_capacity(per_tx);
-            keys.push(anchor);
+            let mut keys = vec![anchor];
             for i in 1..per_tx {
                 keys.push(if cross && i == 1 {
                     zipf.elsewhere(home, rng)
@@ -124,8 +123,7 @@ impl KvWorkload {
                 let key = Key::scratch(key);
                 ops.push(Operation::read(key));
                 if !read_only {
-                    let value = rng.gen_range(0..1_000);
-                    ops.push(Operation::write(key, Value::int(value)));
+                    ops.push(Operation::write(key, Value::int(rng.gen_range(0..1_000))));
                 }
             }
             ContractCall::KvOps(ops)

@@ -82,12 +82,9 @@ pub(crate) struct ShardStreams(Vec<(StdRng, u64)>);
 
 impl ShardStreams {
     pub(crate) fn new(seed: u64, n_shards: u32) -> Self {
-        let seeded = |s: u32| seed ^ u64::from(s).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ShardStreams(
-            (0..n_shards)
-                .map(|s| (StdRng::seed_from_u64(seeded(s)), 0))
-                .collect(),
-        )
+        let rng =
+            |s: u32| StdRng::seed_from_u64(seed ^ u64::from(s).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        ShardStreams((0..n_shards).map(|s| (rng(s), 0)).collect())
     }
 
     /// The next transaction of `home`'s stream: `call` draws its call from

@@ -238,7 +238,7 @@ fn a_lockstep_tusk_run_commits_a_pinned_sequence() {
         .seed(42)
         .tune(|system| system.ce = system.ce.without_synthetic_cost())
         .run();
-    assert_eq!(report.commit_order_digest, 0x207a_1a2f_9445_667d);
+    assert_eq!(report.commit_order_digest, 0x1638_0e57_fe66_9fad);
     assert_eq!(report.committed_txs, 31_400);
     assert_eq!(report.round_commits.len(), 20);
 }
@@ -264,7 +264,7 @@ fn a_lockstep_thunderbolt_occ_run_commits_a_pinned_sequence() {
         .seed(42)
         .tune(|system| system.ce = system.ce.without_synthetic_cost())
         .run();
-    assert_eq!(report.commit_order_digest, 0x207a_1a2f_9445_667d);
+    assert_eq!(report.commit_order_digest, 0x1638_0e57_fe66_9fad);
     assert_eq!(report.committed_txs, 31_400);
     assert_eq!(
         report.single_shard_txs, 31_400,
