@@ -183,8 +183,8 @@ impl StateAccess for MapState<'_> {
 }
 
 /// Wraps any [`StateAccess`] and records the read/write sets into an
-/// [`ExecOutcome`] (first read / last write per key), which is exactly the
-/// information a shard proposer ships in its block.
+/// [`ExecOutcome`] (first read / last write per key, in execution order):
+/// the reads a shard proposer ships in its block, and the writes it applies.
 pub struct TrackingState<S> {
     inner: S,
     outcome: ExecOutcome,
@@ -195,18 +195,13 @@ impl<S: StateAccess> TrackingState<S> {
     pub fn new(inner: S) -> Self {
         TrackingState {
             inner,
-            outcome: ExecOutcome::empty(),
+            outcome: ExecOutcome::default(),
         }
     }
 
     /// Returns the recorded outcome and the inner state.
     pub fn finish(self) -> (ExecOutcome, S) {
         (self.outcome, self.inner)
-    }
-
-    /// The outcome recorded so far.
-    pub fn outcome(&self) -> &ExecOutcome {
-        &self.outcome
     }
 }
 
@@ -281,8 +276,9 @@ mod tests {
         let mut t = TrackingState::new(MapState::new());
         t.write(Key::scratch(2), Value::int(1)).unwrap();
         let _ = t.read(Key::scratch(2)).unwrap();
-        assert!(t.outcome().read_set.is_empty());
-        assert_eq!(t.outcome().write_set.len(), 1);
+        let (outcome, _) = t.finish();
+        assert!(outcome.read_set.is_empty());
+        assert_eq!(outcome.write_set.len(), 1);
     }
 
     #[test]

@@ -740,7 +740,11 @@ mod tests {
             .map(|i| payment(i, i % 16, (i + 5) % 16, 7, 4))
             .collect();
         let oracle = funded_store(16);
-        oracle.apply_batch(&SerialExecutor::new().preplay(&cross, &oracle).write_batch());
+        oracle.apply_batch(
+            &SerialExecutor::default()
+                .preplay(&cross, &oracle)
+                .write_batch(),
+        );
         let sub_dag = sub_dag_with(Committee::new(4), vec![], cross, &[]);
         for op_cost_ns in [0, 20_000] {
             for workers in [1, 4] {
@@ -803,7 +807,11 @@ mod tests {
         let op_cost_ns = 20_000;
 
         let oracle = genesis();
-        oracle.apply_batch(&SerialExecutor::new().preplay(&txs, &oracle).write_batch());
+        oracle.apply_batch(
+            &SerialExecutor::default()
+                .preplay(&txs, &oracle)
+                .write_batch(),
+        );
         assert_eq!(oracle.get(&Key::contract(target)), Value::int(106));
 
         let pipelined =

@@ -291,15 +291,14 @@ mod tests {
                 SimTime::from_micros(1_000 + id),
             )
         };
-        let mut send = ExecOutcome::empty();
+        let mut send = ExecOutcome::default();
         send.record_read(Key::checking(17), Value::int(100_000));
         send.record_read(Key::checking(401), Value::int(-3));
         send.record_write(Key::checking(17), Value::int(99_990));
         send.record_write(Key::checking(401), Value::int(7));
-        let mut balance = ExecOutcome::empty();
+        let mut balance = ExecOutcome::default();
         balance.record_read(Key::checking(5), Value::int(100_000));
         balance.record_read(Key::savings(5), Value::None);
-        balance.return_value = Value::int(100_000);
         let block: Arc<SealedBlock> = Block::new(
             BlockKind::Normal,
             4,

@@ -243,7 +243,7 @@ impl ScenarioBuilder {
     }
 
     /// Selects the storage backend every replica keeps its committed state
-    /// in: [`StorageConfig::mem`] (the default) or [`StorageConfig::wal`]
+    /// in: [`StorageConfig::default`] (in memory) or [`StorageConfig::wal`]
     /// for a durable cluster whose replicas can be killed and recovered
     /// from disk (see `docs/STORAGE.md`).
     pub fn storage(mut self, storage: StorageConfig) -> Self {

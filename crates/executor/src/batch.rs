@@ -2,7 +2,7 @@
 
 use std::time::{Duration, Instant};
 use tb_storage::{MemStore, Store, WriteBatch};
-use tb_types::{AccessRecord, PreplayedTx, Value};
+use tb_types::{ExecOutcome, PreplayedTx, Transaction, Value};
 
 /// FNV-1a 64-bit offset basis: the seed of [`BatchResult::commit_digest`]
 /// and of the commit-order digest tb-core replicas carry, so the two digest
@@ -30,52 +30,61 @@ fn fold_value(digest: u64, value: &Value) -> u64 {
 #[derive(Clone, Debug, Default)]
 pub struct BatchResult {
     /// The transactions in their serialized execution order, together with
-    /// their read/write sets and results — exactly the content of a block's
-    /// single-shard payload.
+    /// the reads and writes each made, in execution order: the reads are a
+    /// block's single-shard payload, the writes what the proposer applies.
     pub preplayed: Vec<PreplayedTx>,
     /// Total number of re-executions: aborts under OCC and 2PL-No-Wait,
     /// repairs of speculative outcomes in the CE's serial pass (the paper's
     /// "# of Re-executions" metric counts the *average* per transaction,
     /// which is `reexecutions / preplayed.len()`).
     pub reexecutions: u64,
-    /// Number of transactions whose own logic rejected them (e.g.
-    /// insufficient funds). These still commit as no-ops.
-    pub logical_rejections: u64,
     /// Wall-clock time spent executing the batch.
     pub elapsed: Duration,
     /// Sum over transactions of the time between first execution attempt and
     /// commit; divided by the batch size this is the average transaction
     /// latency reported in Figures 11 and 12.
     pub total_latency: Duration,
-    /// Per-transaction latency samples (first execution attempt to commit),
-    /// in no particular order. The perf-regression harness computes p50/p99
-    /// from these; they sum to [`BatchResult::total_latency`].
-    pub latencies: Vec<Duration>,
 }
 
-impl BatchResult {
-    /// The result of an engine that emitted `log` — each transaction in
-    /// serialized order with its time from first attempt to commit — after
-    /// `reexecutions` re-executions, in a batch that began at `started`.
-    pub(crate) fn from_log(
-        log: Vec<(PreplayedTx, Duration)>,
-        reexecutions: u64,
-        started: Instant,
-    ) -> Self {
-        let (preplayed, latencies): (Vec<PreplayedTx>, Vec<Duration>) = log.into_iter().unzip();
-        BatchResult {
-            logical_rejections: preplayed
-                .iter()
-                .filter(|p| p.outcome.logically_aborted)
-                .count() as u64,
-            total_latency: latencies.iter().sum(),
-            preplayed,
-            reexecutions,
-            elapsed: started.elapsed(),
-            latencies,
+/// The commit log of an engine that numbers transactions as they commit:
+/// the batch so far in serialized order, and the sum of its transactions'
+/// times from first attempt to commit.
+pub(crate) struct CommitLog {
+    preplayed: Vec<PreplayedTx>,
+    total_latency: Duration,
+}
+
+impl CommitLog {
+    /// An empty log for a batch of `txs` transactions.
+    pub(crate) fn with_capacity(txs: usize) -> Self {
+        CommitLog {
+            preplayed: Vec::with_capacity(txs),
+            total_latency: Duration::ZERO,
         }
     }
 
+    /// Commits `tx` with `outcome` at the next place of the order, `latency`
+    /// after its first attempt began.
+    pub(crate) fn commit(&mut self, tx: &Transaction, outcome: ExecOutcome, latency: Duration) {
+        let order = self.preplayed.len() as u32;
+        self.preplayed
+            .push(PreplayedTx::new(tx.clone(), outcome, order));
+        self.total_latency += latency;
+    }
+
+    /// The result of the batch that began at `started`, after
+    /// `reexecutions` re-executions.
+    pub(crate) fn finish(self, reexecutions: u64, started: Instant) -> BatchResult {
+        BatchResult {
+            preplayed: self.preplayed,
+            reexecutions,
+            elapsed: started.elapsed(),
+            total_latency: self.total_latency,
+        }
+    }
+}
+
+impl BatchResult {
     /// Number of committed transactions.
     pub fn committed(&self) -> usize {
         self.preplayed.len()
@@ -114,12 +123,12 @@ impl BatchResult {
     }
 
     /// Folds the serialized execution order and every transaction's id,
-    /// read set, write set and result into a 64-bit FNV-1a digest. Records
-    /// are canonicalized (walked in serialized order, access sets sorted by
-    /// key), so two runs of the same batch produce the same digest iff they
-    /// agree on the order and on every declared outcome — digest equality
-    /// across worker counts is the machine-checked determinism proof that
-    /// multi-worker preplay serializes to one order.
+    /// read set and write set, as recorded, into a 64-bit FNV-1a digest. The
+    /// transactions are walked in serialized order, and every engine records
+    /// accesses in execution order, so two runs of the same batch produce
+    /// the same digest iff they agree on the order and on every access —
+    /// digest equality across worker counts is the machine-checked
+    /// determinism proof that multi-worker preplay serializes to one order.
     pub fn commit_digest(&self) -> u64 {
         let mut sorted: Vec<&PreplayedTx> = self.preplayed.iter().collect();
         sorted.sort_by_key(|p| p.order);
@@ -128,16 +137,12 @@ impl BatchResult {
             digest = fnv_fold(digest, u64::from(p.order));
             digest = fnv_fold(digest, p.tx.id.as_inner());
             for set in [&p.outcome.read_set, &p.outcome.write_set] {
-                let mut records: Vec<&AccessRecord> = set.iter().collect();
-                records.sort_by_key(|r| r.key);
-                digest = fnv_fold(digest, records.len() as u64);
-                for rec in records {
+                digest = fnv_fold(digest, set.len() as u64);
+                for rec in set {
                     digest = fnv_fold(digest, rec.key.encode());
                     digest = fold_value(digest, &rec.value);
                 }
             }
-            digest = fold_value(digest, &p.outcome.return_value);
-            digest = fnv_fold(digest, u64::from(p.outcome.logically_aborted));
         }
         digest
     }
@@ -147,7 +152,7 @@ impl BatchResult {
 mod tests {
     use super::*;
     use tb_storage::KvRead;
-    use tb_types::{ClientId, ContractCall, ExecOutcome, Key, SimTime, Transaction, TxId};
+    use tb_types::{AccessRecord, ClientId, ContractCall, Key, SimTime, TxId};
 
     fn preplayed(id: u64, order: u32, writes: &[(Key, i64)]) -> PreplayedTx {
         let tx = Transaction::new(
@@ -157,7 +162,7 @@ mod tests {
             4,
             SimTime::ZERO,
         );
-        let mut outcome = ExecOutcome::empty();
+        let mut outcome = ExecOutcome::default();
         for (k, v) in writes {
             outcome
                 .write_set

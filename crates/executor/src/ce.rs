@@ -1,10 +1,10 @@
 //! The Concurrent Executor (`CE`, paper Section 7).
 //!
 //! The CE preplays a batch: it executes every transaction against the read
-//! view and records what it read, what it wrote and what it returned. The
+//! view and records what it read and what it wrote, in execution order. The
 //! output is the block payload of the EOV path: every transaction's
-//! read/write set, result and its position in the serialized execution
-//! order. Read/write sets are outputs of preplay, never declarations.
+//! read/write set and its position in the serialized execution order.
+//! Read/write sets are outputs of preplay, never declarations.
 //!
 //! # One serial pass
 //!
@@ -50,41 +50,42 @@ impl ConcurrentExecutor {
 /// over a chunk-local overlay against `base`, so only the first chunk sees
 /// every write it depends on; the pass keeps every outcome whose reads match
 /// batch order and repairs the rest. A transaction's latency is its time in
-/// its chunk plus its time in the pass.
+/// its chunk plus its time in the pass, so their sum, the third element, is
+/// the chunks' times plus the pass's.
 fn speculate_chunks(
     txs: &[Transaction],
     base: &(dyn KvRead + Sync),
     chunks: usize,
     op_cost: u64,
-) -> (Vec<PreplayedTx>, u64, Vec<Duration>) {
-    let speculated: Vec<OnceLock<Vec<(ExecOutcome, Duration)>>> =
+) -> (Vec<PreplayedTx>, u64, Duration) {
+    let speculated: Vec<OnceLock<(Vec<ExecOutcome>, Duration)>> =
         (0..chunks).map(|_| OnceLock::new()).collect();
     pool::global().run(chunks, &|slot| {
+        let started = Instant::now();
         let chunk = &txs[slot * txs.len() / chunks..(slot + 1) * txs.len() / chunks];
         let mut overlay: KeyMap<Value> = KeyMap::default();
         let outcomes = chunk
             .iter()
             .map(|tx| {
-                let started = Instant::now();
                 let outcome = execute_serially(tx, &overlay, base, op_cost);
                 for rec in &outcome.write_set {
                     overlay.insert(rec.key, rec.value.clone());
                 }
-                (outcome, started.elapsed())
+                outcome
             })
             .collect();
-        speculated[slot].set(outcomes).expect("each slot runs once");
+        speculated[slot]
+            .set((outcomes, started.elapsed()))
+            .expect("each slot runs once");
     });
-    let (outcomes, speculating): (Vec<ExecOutcome>, Vec<Duration>) = speculated
+    let speculated: Vec<(Vec<ExecOutcome>, Duration)> = speculated
         .into_iter()
-        .flat_map(|chunk| chunk.into_inner().expect("every slot ran"))
-        .unzip();
-    let (preplayed, repairs, mut latencies) =
-        finalize_batch(txs, outcomes.into_iter().map(Some), base, op_cost);
-    for (latency, speculating) in latencies.iter_mut().zip(speculating) {
-        *latency += speculating;
-    }
-    (preplayed, repairs, latencies)
+        .map(|chunk| chunk.into_inner().expect("every slot ran"))
+        .collect();
+    let speculating: Duration = speculated.iter().map(|(_, chunk_time)| *chunk_time).sum();
+    let outcomes = speculated.into_iter().flat_map(|(outcomes, _)| outcomes);
+    let (preplayed, repairs, pass) = finalize_batch(txs, outcomes.map(Some), base, op_cost);
+    (preplayed, repairs, speculating + pass)
 }
 
 /// The serial pass: serializes the batch in **batch order**, the canonical
@@ -95,20 +96,19 @@ fn speculate_chunks(
 /// before it over committed storage): matching reads imply the speculative
 /// trace is the serial one. A mismatch is re-executed against that view and
 /// counted as a repair; a transaction without an outcome — every one on one
-/// worker — is just executed. Returns the batch, the repair count and each
-/// transaction's time in the pass. `tests/proptest_invariants.rs` pins
-/// `executors(N) ≡ executors(1)`.
+/// worker — is just executed. Returns the batch, the repair count and the
+/// pass's time, which is the sum of each transaction's time in the pass.
+/// `tests/proptest_invariants.rs` pins `executors(N) ≡ executors(1)`.
 fn finalize_batch(
     txs: &[Transaction],
     speculative: impl IntoIterator<Item = Option<ExecOutcome>>,
     base: &(dyn KvRead + Sync),
     op_cost: u64,
-) -> (Vec<PreplayedTx>, u64, Vec<Duration>) {
+) -> (Vec<PreplayedTx>, u64, Duration) {
+    let started = Instant::now();
     let mut overlay: KeyMap<Value> = KeyMap::default();
     let mut preplayed = Vec::with_capacity(txs.len());
-    let mut latencies = Vec::with_capacity(txs.len());
     let mut repairs = 0u64;
-    let mut tx_started = Instant::now();
     for (idx, (tx, outcome)) in txs.iter().zip(speculative).enumerate() {
         let outcome = match outcome {
             Some(outcome) if reads_match_serial_view(&outcome, &overlay, base) => outcome,
@@ -121,12 +121,8 @@ fn finalize_batch(
             overlay.insert(rec.key, rec.value.clone());
         }
         preplayed.push(PreplayedTx::new(tx.clone(), outcome, idx as u32));
-        // One clock read per transaction: its end is the next one's start.
-        let tx_done = Instant::now();
-        latencies.push(tx_done - tx_started);
-        tx_started = tx_done;
     }
-    (preplayed, repairs, latencies)
+    (preplayed, repairs, started.elapsed())
 }
 
 /// True if every read the speculative attempt recorded observes exactly the
@@ -134,7 +130,7 @@ fn finalize_batch(
 /// reads and reads-after-own-write are served from the transaction's own
 /// records during preplay, so checking the recorded first-reads is
 /// sufficient: identical read values make the whole execution trace — and
-/// with it the write set and result — identical by induction.
+/// with it the write set — identical by induction.
 fn reads_match_serial_view(
     outcome: &ExecOutcome,
     overlay: &KeyMap<Value>,
@@ -150,8 +146,8 @@ fn reads_match_serial_view(
 }
 
 /// Executes `tx` against `overlay` over `base`: the finalized prefix in the
-/// pass, the chunk's own prefix in speculation. The read/write sets are
-/// sorted by key, the convention of speculative outcomes.
+/// pass, the chunk's own prefix in speculation. The read/write sets are in
+/// execution order, as every engine and the admission replay record them.
 fn execute_serially(
     tx: &Transaction,
     overlay: &KeyMap<Value>,
@@ -161,17 +157,12 @@ fn execute_serially(
     let mut view = SerialView {
         base,
         overlay,
-        outcome: ExecOutcome::empty(),
+        outcome: ExecOutcome::default(),
         op_cost,
     };
-    let result = execute_call(&tx.call, &mut view)
+    execute_call(&tx.call, &mut view)
         .expect("serial execution over a plain overlay never conflicts");
-    let mut outcome = view.outcome;
-    outcome.read_set.sort_by_key(|r| r.key);
-    outcome.write_set.sort_by_key(|r| r.key);
-    outcome.return_value = result.return_value;
-    outcome.logically_aborted = result.logically_aborted;
-    outcome
+    view.outcome
 }
 
 /// Read view of the serial logic — own writes over the prefix overlay over
@@ -216,22 +207,16 @@ impl BatchExecutor for ConcurrentExecutor {
         let started = Instant::now();
         let workers = effective_workers(self.config.executors).min(txs.len());
         let op_cost = self.config.synthetic_op_cost_ns;
-        let (preplayed, reexecutions, latencies) = if workers <= 1 {
+        let (preplayed, reexecutions, total_latency) = if workers <= 1 {
             finalize_batch(txs, std::iter::repeat_with(|| None), base, op_cost)
         } else {
             speculate_chunks(txs, base, workers, op_cost)
         };
-        let logical_rejections = preplayed
-            .iter()
-            .filter(|p| p.outcome.logically_aborted)
-            .count() as u64;
         BatchResult {
             preplayed,
             reexecutions,
-            logical_rejections,
             elapsed: started.elapsed(),
-            total_latency: latencies.iter().sum(),
-            latencies,
+            total_latency,
         }
     }
 }
@@ -336,31 +321,18 @@ mod tests {
         ordered.sort_by_key(|p| p.order);
         for p in &ordered {
             let mut state = tb_contracts::MapState::over(|k| replay_store.get(k));
-            let outcome = {
-                let mut tracking = tb_contracts::TrackingState::new(&mut state);
-                execute_call(&p.tx.call, &mut tracking).unwrap();
-                tracking.outcome().clone()
-            };
+            let mut tracking = tb_contracts::TrackingState::new(&mut state);
+            execute_call(&p.tx.call, &mut tracking).unwrap();
+            let (outcome, _) = tracking.finish();
             replay_store.load(
                 outcome
                     .write_set
                     .iter()
                     .map(|rec| (rec.key, rec.value.clone())),
             );
-            let sort = |mut set: Vec<tb_types::AccessRecord>| {
-                set.sort_by_key(|r| r.key);
-                set
-            };
             assert_eq!(
-                sort(outcome.write_set.clone()),
-                sort(p.outcome.write_set.clone()),
-                "write set of {} must match a serial replay",
-                p.tx.id
-            );
-            assert_eq!(
-                sort(outcome.read_set.clone()),
-                sort(p.outcome.read_set.clone()),
-                "read set of {} must match a serial replay",
+                outcome, p.outcome,
+                "read and write sets of {} must match a serial replay, in order",
                 p.tx.id
             );
         }
@@ -412,11 +384,13 @@ mod tests {
         let result = ce(8).preplay(&txs, &store);
         assert_eq!(result.committed(), 50);
         assert_eq!(result.reexecutions, 0);
-        let first = result.preplayed.iter().find(|p| p.tx.id == TxId::new(0));
+        let first = &result.preplayed[0].outcome;
         assert_eq!(
-            first.map(|p| &p.outcome.return_value),
-            Some(&Value::int(2 * SMALLBANK_DEFAULT_BALANCE))
+            first.read_set,
+            [Key::checking(0), Key::savings(0)]
+                .map(|key| tb_types::AccessRecord::new(key, Value::int(SMALLBANK_DEFAULT_BALANCE)))
         );
+        assert!(first.write_set.is_empty());
     }
 
     #[test]
@@ -528,13 +502,12 @@ mod tests {
     fn chunked_repairs(txs: &[Transaction], store: &MemStore, chunks: usize) -> u64 {
         use tb_types::wire::Wire;
         let one_worker = ce(1).preplay(txs, store);
-        let (preplayed, repairs, latencies) = speculate_chunks(txs, store, chunks, 0);
+        let (preplayed, repairs, _) = speculate_chunks(txs, store, chunks, 0);
         assert_eq!(
             preplayed.to_wire_bytes(),
             one_worker.preplayed.to_wire_bytes(),
             "{chunks} chunks must finalize to the one-worker pass"
         );
-        assert_eq!(latencies.len(), txs.len());
         repairs
     }
 
@@ -584,11 +557,14 @@ mod tests {
     }
 
     #[test]
-    fn logical_rejections_are_counted_but_still_commit() {
+    fn logical_rejections_still_commit() {
         let store = MemStore::new(); // empty accounts: every payment is rejected
         let txs = vec![send_payment(1, 0, 1, 10), send_payment(2, 1, 2, 5)];
         let result = ce(2).preplay(&txs, &store);
         assert_eq!(result.committed(), 2);
-        assert_eq!(result.logical_rejections, 2);
+        assert!(result
+            .preplayed
+            .iter()
+            .all(|p| p.outcome.write_set.is_empty()));
     }
 }

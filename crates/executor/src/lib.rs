@@ -5,8 +5,8 @@
 //! contiguous chunk of a batch, and one serial pass in batch order keeps
 //! every outcome whose reads match that order and re-executes the rest, so
 //! a block does not depend on the worker count. The CE needs no prior
-//! knowledge of read/write sets — they are *outputs* of the preplay,
-//! shipped in the block for later validation. Unlike the paper's CE it
+//! knowledge of read/write sets — they are *outputs* of the preplay, and
+//! the block ships the reads for later validation. Unlike the paper's CE it
 //! keeps no runtime dependency graph and reschedules nothing
 //! (docs/PIPELINE.md).
 //!
@@ -16,9 +16,10 @@
 //! * [`two_pl`] — 2PL-No-Wait with a central lock table,
 //! * [`serial`] — in-order execution (what Tusk does after consensus),
 //!
-//! and the post-consensus [`validation`] pass that rebuilds a dependency
-//! graph from the read/write sets declared in a block and re-executes the
-//! transactions in parallel to check the preplay results (Section 4).
+//! and the post-consensus [`validation`] pass (Section 4), which replays
+//! each transaction of a block over the reads it declares, in parallel,
+//! derives its writes, and checks the declared reads against the state
+//! before it.
 
 // `deny` rather than `forbid`: the worker pool is the single sanctioned
 // exception (lifetime erasure for borrowed tasks, like any scoped pool);

@@ -10,15 +10,15 @@
 //! store while still holding the verifier lock, which is what makes commits
 //! atomic; the read view itself is never written.
 
-use crate::batch::BatchResult;
+use crate::batch::{BatchResult, CommitLog};
 use crate::pool;
 use crate::traits::{read_committed, synthetic_work, BatchExecutor};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use tb_contracts::{execute_call, ExecError, StateAccess, TrackingState};
 use tb_storage::{KvRead, MemStore};
-use tb_types::{CeConfig, Key, KeyMap, PreplayedTx, Transaction, Value};
+use tb_types::{CeConfig, Key, KeyMap, Transaction, Value};
 
 /// The OCC baseline executor.
 #[derive(Clone, Debug)]
@@ -72,8 +72,7 @@ impl BatchExecutor for OccExecutor {
         let committed = MemStore::new();
         // The central verifier: validation and commit happen under this
         // lock, and the log's length is the next commit's order.
-        let verifier: Mutex<Vec<(PreplayedTx, Duration)>> =
-            Mutex::new(Vec::with_capacity(txs.len()));
+        let verifier = Mutex::new(CommitLog::with_capacity(txs.len()));
         let reexecutions = AtomicU64::new(0);
         let op_cost = self.config.synthetic_op_cost_ns;
 
@@ -88,11 +87,9 @@ impl BatchExecutor for OccExecutor {
                     writes: KeyMap::default(),
                     op_cost,
                 });
-                let result = execute_call(&tx.call, &mut tracking)
+                execute_call(&tx.call, &mut tracking)
                     .expect("the OCC session never aborts mid-execution");
-                let (mut outcome, session) = tracking.finish();
-                outcome.return_value = result.return_value;
-                outcome.logically_aborted = result.logically_aborted;
+                let (outcome, session) = tracking.finish();
 
                 let mut log = verifier.lock().expect("an OCC worker panicked");
                 let valid = session
@@ -101,11 +98,7 @@ impl BatchExecutor for OccExecutor {
                     .all(|(key, version)| committed.get_versioned(key).version == *version);
                 if valid {
                     committed.load(session.writes);
-                    let order = log.len() as u32;
-                    log.push((
-                        PreplayedTx::new(tx.clone(), outcome, order),
-                        tx_started.elapsed(),
-                    ));
+                    log.commit(tx, outcome, tx_started.elapsed());
                     return;
                 }
                 drop(log);
@@ -114,7 +107,7 @@ impl BatchExecutor for OccExecutor {
             }
         });
         let log = verifier.into_inner().expect("an OCC worker panicked");
-        BatchResult::from_log(log, reexecutions.into_inner(), started)
+        log.finish(reexecutions.into_inner(), started)
     }
 }
 

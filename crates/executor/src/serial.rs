@@ -5,12 +5,12 @@
 //! the other in their consensus order. It also serves as the reference
 //! implementation the property tests compare the concurrent engines against.
 
-use crate::batch::BatchResult;
+use crate::batch::{BatchResult, CommitLog};
 use crate::traits::{synthetic_work, BatchExecutor};
 use std::time::Instant;
 use tb_contracts::{execute_call, ExecError, StateAccess, TrackingState};
 use tb_storage::KvRead;
-use tb_types::{CeConfig, Key, KeyMap, PreplayedTx, Transaction, Value};
+use tb_types::{CeConfig, Key, KeyMap, Transaction, Value};
 
 /// Executes transactions serially, each one seeing the writes of those
 /// before it.
@@ -22,11 +22,6 @@ pub struct SerialExecutor {
 }
 
 impl SerialExecutor {
-    /// Creates a serial executor with no synthetic per-operation cost.
-    pub fn new() -> Self {
-        SerialExecutor { op_cost_ns: 0 }
-    }
-
     /// Creates a serial executor matching the costs of a [`CeConfig`].
     pub fn from_config(config: &CeConfig) -> Self {
         SerialExecutor {
@@ -65,25 +60,18 @@ impl BatchExecutor for SerialExecutor {
     fn preplay(&self, txs: &[Transaction], base: &(dyn KvRead + Sync)) -> BatchResult {
         let started = Instant::now();
         let mut overlay = KeyMap::default();
-        let mut log = Vec::with_capacity(txs.len());
-        for (order, tx) in txs.iter().enumerate() {
+        let mut log = CommitLog::with_capacity(txs.len());
+        for tx in txs {
             let tx_started = Instant::now();
             let mut tracking = TrackingState::new(SerialSession {
                 base,
                 overlay: &mut overlay,
                 op_cost: self.op_cost_ns,
             });
-            let result =
-                execute_call(&tx.call, &mut tracking).expect("serial execution never aborts");
-            let (mut outcome, _) = tracking.finish();
-            outcome.return_value = result.return_value;
-            outcome.logically_aborted = result.logically_aborted;
-            log.push((
-                PreplayedTx::new(tx.clone(), outcome, order as u32),
-                tx_started.elapsed(),
-            ));
+            execute_call(&tx.call, &mut tracking).expect("serial execution never aborts");
+            log.commit(tx, tracking.finish().0, tx_started.elapsed());
         }
-        BatchResult::from_log(log, 0, started)
+        log.finish(0, started)
     }
 }
 
@@ -109,10 +97,11 @@ mod tests {
         store.load([(Key::checking(0), Value::int(100))]);
         store.load([(Key::checking(1), Value::int(0))]);
         let txs = vec![payment(1, 0, 1, 60), payment(2, 0, 1, 60)];
-        let result = SerialExecutor::new().execute_batch(&txs, &store);
+        let result = SerialExecutor::default().execute_batch(&txs, &store);
         assert_eq!(result.committed(), 2);
-        // The second payment sees only 40 left and is rejected.
-        assert_eq!(result.logical_rejections, 1);
+        // The second payment sees only 40 left and is rejected: it writes
+        // nothing.
+        assert!(result.preplayed[1].outcome.write_set.is_empty());
         assert_eq!(store.get(&Key::checking(0)), Value::int(40));
         assert_eq!(store.get(&Key::checking(1)), Value::int(60));
         assert_eq!(result.preplayed[0].order, 0);
@@ -125,7 +114,7 @@ mod tests {
         let store = MemStore::new();
         store.load([(Key::checking(3), Value::int(10))]);
         let txs = vec![payment(1, 3, 4, 5)];
-        let result = SerialExecutor::new().execute_batch(&txs, &store);
+        let result = SerialExecutor::default().execute_batch(&txs, &store);
         let outcome = &result.preplayed[0].outcome;
         assert!(outcome
             .read_set

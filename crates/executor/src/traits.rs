@@ -15,9 +15,9 @@ use tb_types::{Key, Transaction};
 /// of writing them, and only a commit path writes a store.
 pub trait BatchExecutor: Send + Sync {
     /// Preplays the batch against the read view `base` **without** writing
-    /// anything: the serialized order, read/write sets and results live only
-    /// in the returned [`BatchResult`], exactly like the preplay outcomes a
-    /// shard proposer ships inside its block (Figure 3, step 1). `base` must
+    /// anything: the serialized order and read/write sets live only in the
+    /// returned [`BatchResult`], the preplay outcomes whose reads a shard
+    /// proposer ships inside its block (Figure 3, step 1). `base` must
     /// not change while the call runs.
     fn preplay(&self, txs: &[Transaction], base: &(dyn KvRead + Sync)) -> BatchResult;
 

@@ -9,16 +9,16 @@
 //! store, and the commit takes its place in the serialized order, before
 //! the locks are released.
 
-use crate::batch::BatchResult;
+use crate::batch::{BatchResult, CommitLog};
 use crate::pool;
 use crate::traits::{read_committed, synthetic_work, BatchExecutor};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use tb_contracts::{execute_call, ExecError, StateAccess, TrackingState};
 use tb_storage::{KvRead, MemStore};
-use tb_types::{CeConfig, Key, KeyHashBuilder, KeyMap, PreplayedTx, Transaction, Value};
+use tb_types::{CeConfig, Key, KeyHashBuilder, KeyMap, Transaction, Value};
 
 /// A set of transaction indices, hashed like the key maps beside it.
 type TxSet = HashSet<usize, KeyHashBuilder>;
@@ -149,7 +149,7 @@ impl BatchExecutor for TwoPlNoWaitExecutor {
         let committed = MemStore::new();
         let table = LockTable::new();
         // The commit log: its length is the next commit's order.
-        let log: Mutex<Vec<(PreplayedTx, Duration)>> = Mutex::new(Vec::with_capacity(txs.len()));
+        let log = Mutex::new(CommitLog::with_capacity(txs.len()));
         let reexecutions = AtomicU64::new(0);
         let op_cost = self.config.synthetic_op_cost_ns;
 
@@ -166,23 +166,18 @@ impl BatchExecutor for TwoPlNoWaitExecutor {
                     op_cost,
                 });
                 match execute_call(&tx.call, &mut tracking) {
-                    Ok(result) => {
-                        let (mut outcome, session) = tracking.finish();
-                        outcome.return_value = result.return_value;
-                        outcome.logically_aborted = result.logically_aborted;
+                    Ok(_) => {
+                        let (outcome, session) = tracking.finish();
                         // Commit and take the order while every lock is
                         // still held: a transaction that read this one's
                         // writes cannot have locked them yet, so it is
                         // numbered after it and the order replays.
                         committed.load(session.writes);
-                        {
-                            let mut log = log.lock().expect("a 2PL worker panicked");
-                            let order = log.len() as u32;
-                            log.push((
-                                PreplayedTx::new(tx.clone(), outcome, order),
-                                tx_started.elapsed(),
-                            ));
-                        }
+                        log.lock().expect("a 2PL worker panicked").commit(
+                            tx,
+                            outcome,
+                            tx_started.elapsed(),
+                        );
                         table.release_all(idx);
                         return;
                     }
@@ -197,7 +192,7 @@ impl BatchExecutor for TwoPlNoWaitExecutor {
             }
         });
         let log = log.into_inner().expect("a 2PL worker panicked");
-        BatchResult::from_log(log, reexecutions.into_inner(), started)
+        log.finish(reexecutions.into_inner(), started)
     }
 }
 

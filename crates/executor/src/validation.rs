@@ -483,6 +483,7 @@ mod tests {
     use crate::occ::OccExecutor;
     use crate::serial::SerialExecutor;
     use crate::traits::BatchExecutor;
+    use crate::two_pl::TwoPlNoWaitExecutor;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::thread::{self, ThreadId};
     use tb_contracts::{TrackingState, SMALLBANK_DEFAULT_BALANCE};
@@ -897,12 +898,6 @@ mod tests {
         SmallBankWorkload::new(cfg).batch(n, SimTime::ZERO)
     }
 
-    fn sorted(batch: &WriteBatch) -> Vec<(Key, Value)> {
-        let mut writes = batch.clone().into_writes();
-        writes.sort_by_key(|(key, _)| *key);
-        writes
-    }
-
     #[test]
     fn empty_block_is_trivially_valid() {
         let store = MemStore::new();
@@ -913,45 +908,57 @@ mod tests {
 
     /// A receiver gets a block's reads, not its effects, and derives from
     /// them the very writes the proposer's engine produced: for honest
-    /// batches of the CE, OCC and Serial, the replayed batch of the shipped
-    /// block holds what `BatchResult::write_batch` holds, and the block
-    /// validates.
+    /// batches of every engine, the replayed batch of the shipped block is
+    /// `BatchResult::write_batch`, the same list, and the block validates.
+    /// Engines and the replay both record accesses in execution order, so
+    /// a payment to a lower-numbered account writes its payer first.
     #[test]
     fn a_receiver_derives_the_write_batch_the_proposer_applies() {
-        let engines: [(&str, Box<dyn BatchExecutor>); 3] = [
+        let config = CeConfig::new(4, 512).without_synthetic_cost();
+        let engines: [(&str, Box<dyn BatchExecutor>); 5] = [
             (
-                "CE",
+                "CE, 1 worker",
                 Box::new(ConcurrentExecutor::new(
-                    CeConfig::new(4, 512).without_synthetic_cost(),
+                    CeConfig::new(1, 512).without_synthetic_cost(),
                 )),
             ),
-            (
-                "OCC",
-                Box::new(OccExecutor::new(
-                    CeConfig::new(4, 512).without_synthetic_cost(),
-                )),
-            ),
-            ("Serial", Box::new(SerialExecutor::new())),
+            ("CE, 4 workers", Box::new(ConcurrentExecutor::new(config))),
+            ("OCC", Box::new(OccExecutor::new(config))),
+            ("2PL-No-Wait", Box::new(TwoPlNoWaitExecutor::new(config))),
+            ("Serial", Box::new(SerialExecutor::default())),
         ];
+        let downhill = (0..40).map(|i| payment(1_000 + i, 8 + i % 24, i % 8, 5));
+        let txs: Vec<Transaction> = smallbank_batch(32, 80)
+            .into_iter()
+            .chain(downhill)
+            .collect();
         for (name, engine) in &engines {
             let store = funded_store(32);
-            let result = engine.preplay(&smallbank_batch(32, 120), &store);
+            let result = engine.preplay(&txs, &store);
+            let first_downhill = result
+                .preplayed
+                .iter()
+                .find(|p| p.tx.id == TxId::new(1_000))
+                .expect("every transaction commits");
+            let written: Vec<Key> = first_downhill
+                .outcome
+                .write_set
+                .iter()
+                .map(|w| w.key)
+                .collect();
+            assert_eq!(written, [Key::checking(8), Key::checking(0)], "{name}");
             let block = shipped(result.preplayed.clone());
             assert!(block.iter().all(|p| p.outcome.write_set.is_empty()));
             let replay = replay_blocks(&[&block], &ValidationConfig::new(4)).remove(0);
-            assert_eq!(
-                sorted(&replay.batch),
-                sorted(&result.write_batch()),
-                "{name}"
-            );
+            assert_eq!(replay.batch, result.write_batch(), "{name}");
             let report = validate_block(&block, &store, &ValidationConfig::new(4));
             assert!(report.is_valid(), "{name}: {report:?}");
-            assert_eq!(report.checked, 120);
+            assert_eq!(report.checked, txs.len());
         }
     }
 
-    /// Nothing but the reads is taken from a block: a write set, result or
-    /// abort flag it carries anyway is neither compared nor applied.
+    /// Nothing but the reads is taken from a block: a write set it carries
+    /// anyway is neither compared nor applied.
     #[test]
     fn declared_effects_are_ignored() {
         let store = funded_store(8);
@@ -962,15 +969,10 @@ mod tests {
             for rec in &mut p.outcome.write_set {
                 rec.value = Value::int(9_999_999);
             }
-            p.outcome.return_value = Value::int(123);
-            p.outcome.logically_aborted = !p.outcome.logically_aborted;
         }
         assert!(validate_block(&claimed, &store, &ValidationConfig::new(2)).is_valid());
         let replay = replay_blocks(&[&claimed], &ValidationConfig::new(2)).remove(0);
-        // Preplay records a transaction's writes by key, the replay in
-        // execution order, so the two batches list the same writes in
-        // different orders.
-        assert_eq!(sorted(&replay.batch), sorted(&honest.write_batch()));
+        assert_eq!(replay.batch, honest.write_batch());
     }
 
     #[test]

@@ -65,11 +65,11 @@ pub fn maybe_run_node_from_env() -> bool {
     let spec = from_hex(&hex)
         .and_then(|bytes| NodeSpec::from_wire_bytes(&bytes))
         .unwrap_or_else(|err| {
-            eprintln!("thunderbolt-node: bad {NODE_SPEC_ENV}: {err}");
+            eprintln!("node process: bad {NODE_SPEC_ENV}: {err}");
             std::process::exit(2);
         });
     let Err(err) = run_node(spec);
-    eprintln!("thunderbolt-node: {err}");
+    eprintln!("node process: {err}");
     std::process::exit(1);
 }
 

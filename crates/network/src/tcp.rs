@@ -1,8 +1,7 @@
 //! A threaded, std-only TCP transport: one `std::net::TcpStream` per peer.
 //!
-//! This is the second [`Transport`] implementation, used by the
-//! `thunderbolt-node` binary to run a cluster as N OS processes. The design
-//! is deliberately boring:
+//! This is the second [`Transport`] implementation, used by a node process
+//! to run a cluster as N OS processes. The design is deliberately boring:
 //!
 //! - **Outbound**: one lazily-dialed `TcpStream` per peer, used only for
 //!   writing. The first dial of a peer retries with backoff until

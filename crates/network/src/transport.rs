@@ -8,8 +8,8 @@
 //!   in-process scenario runs on (latency models, fault injection,
 //!   deterministic under a seed), and
 //! - [`crate::tcp::TcpTransport`] — a threaded `std::net::TcpStream`-per-peer
-//!   transport with length-prefixed frames, used by the `thunderbolt-node`
-//!   binary to run a cluster as N OS processes on localhost.
+//!   transport with length-prefixed frames, used by a node process to run
+//!   a cluster as N OS processes on localhost.
 //!
 //! The trait is deliberately small and object-safe so a node runtime can hold
 //! a `Box<dyn Transport<Message>>`. Fault injection is *not* part of the

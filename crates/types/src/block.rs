@@ -11,10 +11,9 @@
 //!
 //! In the EOV path a block carries a batch of preplayed single-shard
 //! transactions (Figure 3), in their serialized order, each with what only
-//! its proposer knows: the reads its preplay observed. Everything else about
-//! the preplay — write set, result, abort flag — every replica derives by
-//! replaying the transaction over those reads, so a sealed block does not
-//! carry it. Nor does it carry what a receiver derives from the call: each
+//! its proposer knows: the reads its preplay observed. The preplay's writes
+//! every replica derives by replaying the transaction over those reads, so
+//! a sealed block does not carry them. Nor does it carry what a receiver derives from the call: each
 //! transaction's shard set follows from the call and the block's shard
 //! count, and a preplayed transaction's place in the serialized order is its
 //! position. Nor does it carry a transaction's submission time, which only
@@ -35,18 +34,18 @@ use std::ops::Deref;
 /// A single-shard transaction together with its preplay outcome and its
 /// place in the serialized order produced by the preplay engine.
 ///
-/// An engine fills the whole outcome and the order. A block ships the
+/// An engine fills the outcome and the order. A block ships the
 /// transaction and the read set alone
 /// (`wire_struct!(PreplayedTx { tx, outcome: reads } derives { order })`):
 /// [`Block::seal`] puts the batch in serialized order, numbers `order` by
-/// position and drops the rest of the outcome, and the decoder numbers it
+/// position and drops the write set, and the decoder numbers it
 /// the same way, so a sealed block held in memory equals its decoded copy.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PreplayedTx {
     /// The original transaction.
     pub tx: Transaction,
-    /// Read/write sets and results obtained during preplay; only the read
-    /// set survives [`Block::seal`].
+    /// Read and write sets obtained during preplay; only the read set
+    /// survives [`Block::seal`].
     pub outcome: ExecOutcome,
     /// Index of the transaction in the serialized execution order chosen by
     /// the preplay engine (0-based within the batch). It is the engine's
@@ -167,8 +166,8 @@ pub struct SealedBlock {
 impl Block {
     /// Seals the block: puts the preplayed batch in serialized order (a
     /// stable sort by `order`, so transactions that claim one place keep
-    /// their batch order), keeps of each preplayed transaction's outcome
-    /// only the read set the block ships, derives what a receiver derives
+    /// their batch order), drops each preplayed transaction's write set,
+    /// which the block does not ship, derives what a receiver derives
     /// (each `order` from its position, each shard set from its call and
     /// [`n_shards`](Block::n_shards), each submission time zero), and hashes
     /// the encoding once, for every later holder. A sealed block therefore
@@ -180,11 +179,7 @@ impl Block {
             self.payload.single_shard.sort_by_key(|p| p.order);
         }
         for preplayed in &mut self.payload.single_shard {
-            let read_set = std::mem::take(&mut preplayed.outcome.read_set);
-            preplayed.outcome = ExecOutcome {
-                read_set,
-                ..Default::default()
-            };
+            preplayed.outcome.write_set = Vec::new();
         }
         self.derive();
         SealedBlock {
@@ -296,7 +291,7 @@ mod tests {
     /// hand-kept field list once left out: a call's arguments, the client,
     /// the shard count, a declared read's key and value, a byte value past
     /// its eighth byte. What a receiver derives — a preplayed transaction's
-    /// writes, result and abort flag from its reads, its order from its
+    /// writes from its reads, its order from its
     /// position, every shard set from the call — and the submission time,
     /// which only the proposer reads, are not shipped, so editing them
     /// before sealing moves nothing. Which vertex the
@@ -327,10 +322,9 @@ mod tests {
                     SimTime::ZERO,
                 )
             };
-            let mut outcome = ExecOutcome::empty();
+            let mut outcome = ExecOutcome::default();
             outcome.record_read(Key::checking(1), bytes(7));
             outcome.record_write(Key::checking(1), Value::int(3));
-            outcome.return_value = Value::int(3);
             let mut block = sample_block(BlockKind::Normal);
             block
                 .payload
@@ -374,15 +368,9 @@ mod tests {
             edit(&mut edited);
             assert_ne!(edited.seal().digest(), digest, "{field}");
         }
-        let derived: [Edit; 7] = [
+        let derived: [Edit; 5] = [
             ("write set", |b| {
                 b.payload.single_shard[0].outcome.write_set[0].value = Value::int(4)
-            }),
-            ("return value", |b| {
-                b.payload.single_shard[0].outcome.return_value = Value::int(1)
-            }),
-            ("logically aborted", |b| {
-                b.payload.single_shard[0].outcome.logically_aborted = true
             }),
             ("shards", |b| {
                 b.payload.cross_shard[0].shards.push(ShardId::new(3))
@@ -428,11 +416,9 @@ mod tests {
     /// proposer stamped are not shipped, so the seal zeroes them.
     #[test]
     fn a_sealed_block_equals_its_decoded_copy() {
-        let mut outcome = ExecOutcome::empty();
+        let mut outcome = ExecOutcome::default();
         outcome.record_read(Key::checking(1), Value::int(10));
         outcome.record_write(Key::checking(1), Value::int(5));
-        outcome.return_value = Value::int(5);
-        outcome.logically_aborted = true;
         let stamped = |id| Transaction {
             submitted_at: SimTime::from_millis(id),
             ..sample_tx(id)
@@ -446,8 +432,7 @@ mod tests {
         let sealed = block.seal();
         let outcome = &sealed.payload.single_shard[0].outcome;
         assert_eq!(outcome.read_set.len(), 1);
-        assert!(outcome.write_set.is_empty() && !outcome.logically_aborted);
-        assert_eq!(outcome.return_value, Value::None);
+        assert!(outcome.write_set.is_empty());
         let payload = &sealed.payload;
         let txs = payload.single_shard.iter().map(|p| &p.tx);
         assert!(txs
@@ -469,7 +454,7 @@ mod tests {
             let mut tx = sample_tx(id);
             tx.call = ContractCall::SmallBank(SmallBankProcedure::GetBalance { account: id });
             tx.shards = vec![ShardId::new(3), ShardId::new(9)];
-            PreplayedTx::new(tx, ExecOutcome::empty(), order)
+            PreplayedTx::new(tx, ExecOutcome::default(), order)
         };
         let mut block = sample_block(BlockKind::Normal);
         block.payload.single_shard = vec![preplayed(1, 7), preplayed(2, 0), preplayed(3, 7)];
@@ -521,7 +506,7 @@ mod tests {
         assert!(p.is_empty());
         p.cross_shard.push(sample_tx(1));
         p.single_shard
-            .push(PreplayedTx::new(sample_tx(2), ExecOutcome::empty(), 0));
+            .push(PreplayedTx::new(sample_tx(2), ExecOutcome::default(), 0));
         assert_eq!(p.len(), 2);
         assert!(!p.is_empty());
     }

@@ -175,11 +175,6 @@ impl Default for StorageConfig {
 }
 
 impl StorageConfig {
-    /// The volatile in-memory backend (the default).
-    pub fn mem() -> Self {
-        StorageConfig::default()
-    }
-
     /// The durable WAL backend rooted at `data_dir`.
     pub fn wal(data_dir: impl Into<String>) -> Self {
         StorageConfig {
@@ -268,12 +263,12 @@ mod tests {
         let cfg = SystemConfig::with_replicas(16);
         assert_eq!(cfg.n_replicas, 16);
         assert_eq!(cfg.ce, CeConfig::default());
-        assert_eq!(cfg.storage, StorageConfig::mem());
+        assert_eq!(cfg.storage, StorageConfig::default());
     }
 
     #[test]
     fn storage_config_constructors() {
-        assert_eq!(StorageConfig::mem().backend, StorageBackend::Mem);
+        assert_eq!(StorageConfig::default().backend, StorageBackend::Mem);
         let wal = StorageConfig::wal("/tmp/tb-data");
         assert_eq!(wal.backend, StorageBackend::Wal);
         assert_eq!(wal.data_dir, "/tmp/tb-data");

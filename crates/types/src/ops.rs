@@ -1,11 +1,12 @@
 //! Operations, access records and execution outcomes.
 //!
 //! A contract interacts with the state through `<Read, K>` and
-//! `<Write, K, V>` operations (paper Section 3.1). Executing a transaction
-//! produces an [`ExecOutcome`]: the read set (with the values observed), the
-//! write set (with the values produced) and an optional return value. The
-//! outcome is exactly what a shard proposer ships inside a block so that the
-//! other replicas can validate the preplay (paper Section 4, "Validation").
+//! `<Write, K, V>` operations (paper Section 3.1). Preplaying a transaction
+//! produces an [`ExecOutcome`]: the read set (with the values observed) and
+//! the write set (with the values produced), each in the order the
+//! transaction first touched its keys. A shard proposer ships the read set
+//! inside its block, and every replica derives the write set from it (paper
+//! Section 4, "Validation").
 
 use crate::key::Key;
 use crate::value::Value;
@@ -114,37 +115,27 @@ impl fmt::Display for AccessRecord {
     }
 }
 
-/// Read set of a transaction: each key read exactly once, with the value the
-/// preplay observed for it (the *first* read per key, matching the dependency
-/// graph's "first read" rule in Section 8.1).
+/// Read set of a transaction: each key it read before writing it, once,
+/// with the value its *first* read observed, in the order of those first
+/// reads.
 pub type ReadSet = Vec<AccessRecord>;
 
-/// Write set of a transaction: the *final* value written per key.
+/// Write set of a transaction: the *final* value written per key, in the
+/// order of the first write to each key.
 pub type WriteSet = Vec<AccessRecord>;
 
-/// The result of executing (or preplaying) one transaction.
+/// What preplaying one transaction yields: the reads a block ships, and the
+/// writes the proposer's overlay takes. Nothing reads a contract's return
+/// value or abort flag, so an outcome does not keep them.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecOutcome {
     /// Keys read and the values observed.
     pub read_set: ReadSet,
     /// Keys written and the final values produced.
     pub write_set: WriteSet,
-    /// Optional return value of the contract (e.g. the balance returned by
-    /// SmallBank's `GetBalance`).
-    pub return_value: Value,
-    /// Whether the contract logic itself decided to abort (e.g. insufficient
-    /// funds). Such transactions still commit as no-ops so that every
-    /// submitted transaction receives a response (liveness), mirroring how
-    /// the paper's SmallBank workload treats application-level aborts.
-    pub logically_aborted: bool,
 }
 
 impl ExecOutcome {
-    /// Creates an empty outcome (no accesses, `None` return value).
-    pub fn empty() -> Self {
-        ExecOutcome::default()
-    }
-
     /// Records a read of `key` observing `value`, keeping only the first read
     /// per key.
     pub fn record_read(&mut self, key: Key, value: Value) {
@@ -194,7 +185,7 @@ mod tests {
 
     #[test]
     fn outcome_keeps_first_read_and_last_write() {
-        let mut out = ExecOutcome::empty();
+        let mut out = ExecOutcome::default();
         out.record_read(k(1), Value::int(3));
         out.record_read(k(1), Value::int(99));
         out.record_write(k(1), Value::int(4));

@@ -981,7 +981,7 @@ mod tests {
             BlockKind::Normal,
             4,
             BlockPayload {
-                single_shard: vec![PreplayedTx::new(tx.clone(), ExecOutcome::empty(), 0)],
+                single_shard: vec![PreplayedTx::new(tx.clone(), ExecOutcome::default(), 0)],
                 cross_shard: vec![tx],
             },
         );

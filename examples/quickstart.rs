@@ -32,12 +32,11 @@ fn main() {
     let batch = workload.batch(500, SimTime::ZERO);
     let result = ce.preplay(&batch, &store);
     println!(
-        "preplayed {} transactions in {:?} ({:.0} tps, {} re-executions, {} logical rejections)",
+        "preplayed {} transactions in {:?} ({:.0} tps, {} re-executions)",
         result.committed(),
         result.elapsed,
         result.throughput_tps(),
         result.reexecutions,
-        result.logical_rejections,
     );
 
     // 3. Validate the preplay results exactly like every other replica does

@@ -43,7 +43,7 @@ fn every_engine_conserves_total_balance_under_high_contention() {
                 CeConfig::new(8, 256).without_synthetic_cost(),
             )),
         ),
-        ("Serial", Box::new(SerialExecutor::new())),
+        ("Serial", Box::new(SerialExecutor::default())),
     ];
     for (name, engine) in engines {
         let store = funded_store(32);
@@ -108,7 +108,7 @@ fn ce_and_serial_agree_on_final_state_for_the_same_batch() {
     let serial_store = funded_store(24);
     ConcurrentExecutor::new(CeConfig::new(6, 256).without_synthetic_cost())
         .execute_batch(&batch, &ce_store);
-    SerialExecutor::new().execute_batch(&batch, &serial_store);
+    SerialExecutor::default().execute_batch(&batch, &serial_store);
     // The CE may serialize the batch in a different order than arrival, so
     // individual balances may differ — but the total must match and both
     // must validate as a serial execution of *some* order. Sum conservation

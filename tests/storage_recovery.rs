@@ -150,7 +150,7 @@ fn lockstep_run(storage: StorageConfig, cross_shard_fraction: f64) -> (RunReport
 fn mem_and_wal_backends_commit_the_identical_order() {
     for cross_shard_fraction in [0.0, 1.0] {
         let dir = TempDir::new("storage-backend-equivalence").expect("scoped temp dir");
-        let (mem, mem_observer) = lockstep_run(StorageConfig::mem(), cross_shard_fraction);
+        let (mem, mem_observer) = lockstep_run(StorageConfig::default(), cross_shard_fraction);
         let (wal, _) = lockstep_run(wal_config(&dir), cross_shard_fraction);
         assert!(mem.committed_txs > 0, "the scenario must commit");
         assert_eq!(mem.committed_txs, wal.committed_txs);
