@@ -5,7 +5,7 @@
 //! (EOV for single-shard transactions, OE for cross-shard ones), which is
 //! [`ShardApp`]. The app owns the store, the preplay engine, the client
 //! queues and the commit pipeline (`commit.rs`); the replica reaches it
-//! through the five calls of [`App`] only.
+//! through the six calls of [`App`] only.
 //!
 //! In the driver's step after each handler ([`App::after_emission`]) the
 //! app preplays the front of its client queue ahead of the round; the next
@@ -29,6 +29,7 @@ use crate::proposer::{
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::BuildHasher;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tb_dag::CommittedSubDag;
 use tb_executor::batch::{fnv_fold, FNV_OFFSET};
@@ -81,6 +82,12 @@ pub trait App {
     /// wall-clock time its work took, which the replica is charged after
     /// the emission.
     fn after_emission(&mut self, metrics: &mut RunReport) -> Duration;
+
+    /// `undelivered` left the DAG below the replica's collection horizon
+    /// before the committer delivered them: they will never be delivered.
+    /// Called after [`after_emission`](App::after_emission), off the
+    /// critical path like it.
+    fn collected(&mut self, undelivered: &[Arc<Vertex>]);
 
     /// The replica serves `shard` in a new DAG instance; the undelivered
     /// vertices of the old one will never be delivered.
@@ -436,6 +443,25 @@ impl App for ShardApp {
         preplayed + started.elapsed()
     }
 
+    /// Forgets what the collected vertices left behind: their P3/P4 entries
+    /// and replays, and, for this replica's own blocks, their overlay
+    /// writes and the times of their transactions, which never commit.
+    fn collected(&mut self, undelivered: &[Arc<Vertex>]) {
+        for vertex in undelivered {
+            self.conflicting_undelivered.remove(&vertex.id());
+            self.replays.forget(&vertex.block);
+            if vertex.author() == self.id {
+                // Every own block up to this round is delivered or collected.
+                self.overlay.deliver(vertex.round());
+                let payload = &vertex.block.payload;
+                let txs = payload.single_shard.iter().map(|p| &p.tx);
+                for tx in txs.chain(&payload.cross_shard) {
+                    self.proposed.remove(&tx.id);
+                }
+            }
+        }
+    }
+
     fn reconfigure(&mut self, shard: ShardId) {
         self.conflicting_undelivered.clear();
         self.replays.clear();
@@ -603,7 +629,6 @@ mod tests {
     use crate::messages::Message;
     use crate::replica::tests::{ack, config, enqueue, payment, quorum_certificate};
     use crate::replica::{Outbound, Replica};
-    use std::sync::Arc;
     use tb_types::{Block, CeConfig, Header, SealedBlock, TxId};
     use tb_workload::Workload;
 
@@ -611,6 +636,11 @@ mod tests {
         /// The replays of the undelivered preplayed blocks.
         pub(crate) fn replays(&self) -> &ReplayCache {
             &self.replays
+        }
+
+        /// The undelivered vertices that hold back preplay (P3/P4).
+        pub(crate) fn conflicting_undelivered(&self) -> &HashSet<Digest> {
+            &self.conflicting_undelivered
         }
     }
 

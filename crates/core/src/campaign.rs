@@ -264,9 +264,10 @@ impl Invariant for InvalidBlocksDetected {
 }
 
 /// Honest replicas hold the same certified vertices: for every round the
-/// most advanced of them has passed, minus the round in flight, their DAGs
-/// hold the same vertex ids. Replicas are compared with the others in the
-/// same DAG instance (a reconfiguration starts an empty DAG). A certificate
+/// most advanced of them has passed, minus the round in flight, and none of
+/// them has collected yet (the highest of their horizons and up), their
+/// DAGs hold the same vertex ids. Replicas are compared with the others in
+/// the same DAG instance (a reconfiguration starts an empty DAG). A certificate
 /// that reaches a replica without its block leaves a hole here unless the
 /// replica fetches the vertex, and so does a replica stuck behind a parent
 /// it lacks. The observer's commits do not show either: the others commit
@@ -302,13 +303,21 @@ impl Invariant for EveryCertifiedVertexEverywhere {
                 .max()
                 .unwrap_or(0)
                 .saturating_sub(1);
+            // Below this round one replica may have collected what another
+            // still holds.
+            let horizon = replicas
+                .iter()
+                .map(|replica| replica.dag().horizon().as_u64())
+                .max()
+                .unwrap_or(0);
+            let compared = horizon..settled;
             // Each vertex by (author, round): its id, and its header digest
             // to ask a replica that lacks it whether it awaits it.
             let held = |replica: &Replica| -> BTreeMap<(u32, u64), (Digest, Digest)> {
                 replica
                     .dag()
                     .iter()
-                    .filter(|vertex| vertex.round().as_u64() < settled)
+                    .filter(|vertex| compared.contains(&vertex.round().as_u64()))
                     .map(|vertex| {
                         let key = (vertex.author().as_inner(), vertex.round().as_u64());
                         (key, (vertex.id(), vertex.certificate.header_digest))
@@ -332,8 +341,8 @@ impl Invariant for EveryCertifiedVertexEverywhere {
                         .collect();
                     if !missing.is_empty() {
                         return Err(format!(
-                            "replica {} lacks {} vertices replica {} holds below round \
-                             {settled}: {}",
+                            "replica {} lacks {} vertices replica {} holds in rounds \
+                             {compared:?}: {}",
                             lacker.id().as_inner(),
                             missing.len(),
                             holder.id().as_inner(),

@@ -176,6 +176,13 @@ impl ClusterSimulation {
     /// execution engines and reconfiguration periods commit a comparable
     /// amount of work, which is what the throughput figures compare.
     pub fn run(&mut self) -> RunReport {
+        self.run_with(|_| {})
+    }
+
+    /// [`run`](Self::run), showing `observe` every replica after each
+    /// message: what a replica held during the run, which its DAG no longer
+    /// shows afterwards once its early rounds are collected.
+    pub(crate) fn run_with(&mut self, mut observe: impl FnMut(&[Replica])) -> RunReport {
         let max_rounds = self.config.system.max_rounds;
         let target_commits = (max_rounds / 2).max(1) as usize;
         let mut events = 0u64;
@@ -184,6 +191,7 @@ impl ClusterSimulation {
             &mut self.feed,
             &mut self.network,
             |replicas, network| {
+                observe(replicas);
                 events += 1;
                 let observer = observer(replicas, network);
                 events >= EVENT_BUDGET
@@ -251,6 +259,13 @@ mod tests {
     use tb_types::wire::Wire;
     use tb_types::{LatencyModel, SimTime};
     use tb_workload::{ContractWorkloadConfig, KvWorkloadConfig, SmallBankConfig};
+
+    impl ClusterSimulation {
+        /// A replica, for tests to hand messages to after a run.
+        pub(crate) fn replica_mut(&mut self, id: ReplicaId) -> &mut Replica {
+            &mut self.replicas[id.as_inner() as usize]
+        }
+    }
 
     fn small(mode: ExecutionMode, n: u32, rounds: u64) -> ScenarioBuilder {
         ScenarioBuilder::new(n)
@@ -390,7 +405,9 @@ mod tests {
     /// exists once however many replicas hold it.
     #[test]
     fn a_block_is_shipped_n_times_and_held_once() {
+        use std::collections::BTreeMap;
         use std::sync::Arc;
+        use tb_types::{Round, Vertex};
 
         let mut sim = small(ExecutionMode::Thunderbolt, 4, 20)
             .lockstep()
@@ -401,11 +418,23 @@ mod tests {
                 ..workload(4, 0.0)
             })
             .build();
-        let report = sim.run();
+        // Every vertex each replica admitted, as it admitted it: the run is
+        // longer than the collection depth, so the DAGs lose their first
+        // rounds before it ends.
+        let mut held: Vec<BTreeMap<(Round, ReplicaId), Arc<Vertex>>> = vec![BTreeMap::new(); 4];
+        let report = sim.run_with(|replicas| {
+            for (held, replica) in held.iter_mut().zip(replicas) {
+                for vertex in replica.dag().iter() {
+                    let key = (vertex.round(), vertex.author());
+                    held.entry(key).or_insert_with(|| Arc::clone(vertex));
+                }
+            }
+        });
         assert!(report.committed_txs > 0);
+        assert!(report.vertices_collected > 0);
 
-        let observer = sim.replica(ReplicaId::new(0)).dag();
-        let block_bytes: usize = observer.iter().map(|v| v.block.encoded_len()).sum();
+        let observer = &held[0];
+        let block_bytes: usize = observer.values().map(|v| v.block.encoded_len()).sum();
         let copies = report.bytes_sent as f64 / block_bytes as f64;
         assert!(
             (4.0..5.0).contains(&copies),
@@ -417,10 +446,9 @@ mod tests {
         }
 
         let mut compared = 0;
-        for vertex in observer.iter() {
-            for peer in 1..4 {
-                let peer_dag = sim.replica(ReplicaId::new(peer)).dag();
-                if let Some(theirs) = peer_dag.by_author_round(vertex.author(), vertex.round()) {
+        for (key, vertex) in observer {
+            for peer in &held[1..] {
+                if let Some(theirs) = peer.get(key) {
                     assert!(Arc::ptr_eq(&vertex.block, &theirs.block));
                     compared += 1;
                 }

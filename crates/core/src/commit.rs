@@ -319,7 +319,9 @@ fn replay_run(blocks: &[&[PreplayedTx]], config: &ValidationConfig) -> (Vec<Repl
 /// them replayed and only read-checks and applies them; the blocks a commit
 /// delivers before that are replayed by the commit ([`take_or_replay`]).
 /// Both replay through [`replay_run`]. An entry leaves when its block is
-/// delivered.
+/// delivered, or when its vertex is collected undelivered ([`forget`]).
+/// So the cache holds at most the blocks of the rounds the replica's DAG
+/// still holds.
 ///
 /// The cache belongs to one replica: a replay is a pure function of the
 /// block, but sharing a cache through a block or vertex that several
@@ -327,6 +329,7 @@ fn replay_run(blocks: &[&[PreplayedTx]], config: &ValidationConfig) -> (Vec<Repl
 ///
 /// [`replay_admitted`]: ReplayCache::replay_admitted
 /// [`take_or_replay`]: ReplayCache::take_or_replay
+/// [`forget`]: ReplayCache::forget
 #[derive(Default)]
 pub(crate) struct ReplayCache {
     /// Every block admitted and not yet delivered, with its replay once it
@@ -368,6 +371,12 @@ impl ReplayCache {
             self.replays.insert(block.digest(), Some(replay));
         }
         replayed
+    }
+
+    /// Forgets `block`: its vertex left the DAG undelivered, so no commit
+    /// will take its replay.
+    pub(crate) fn forget(&mut self, block: &SealedBlock) {
+        self.replays.remove(&block.digest());
     }
 
     /// Forgets every block: the DAG they were admitted to is gone.

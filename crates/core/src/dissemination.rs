@@ -9,6 +9,12 @@
 //! ([`crate::messages`], `docs/NET.md`). Besides the messages to send, its
 //! only output is the vertices new to the DAG, which the replica hands to
 //! its app before it runs the commit rule.
+//!
+//! Everything it keeps is bounded by the replica's collection horizon
+//! ([`Committer::horizon`](tb_dag::Committer::horizon)): when the replica
+//! collects the DAG below it ([`Dissemination::collect_below`]), the pairs,
+//! held certificates and waiting vertices of those rounds go too, and a
+//! header that arrives below it is acknowledged but not kept.
 
 use crate::messages::Message;
 use crate::metrics::RunReport;
@@ -19,15 +25,6 @@ use tb_dag::{DagError, DagStore};
 use tb_types::{
     Certificate, DagId, Digest, Header, ReplicaId, Round, SealedBlock, SimTime, Vertex,
 };
-
-/// How many of its author's later rounds an unclaimed `(header, block)` pair
-/// (or a certificate without its header) is kept for. Only a certificate
-/// from the author can claim a pair, and the author sends it before it
-/// proposes again, so on an ordered link one round would do; the slack is
-/// for transports that reorder one sender's messages. Measured against the
-/// author's own headers, not this replica's commit frontier, so a slow
-/// sender's late certificates still find their pairs.
-const RETENTION_ROUNDS: u64 = 32;
 
 /// How long a replica waits for the signer it asked for a vertex before it
 /// asks the next one. Measured on the `now` the handlers are called with and
@@ -66,8 +63,8 @@ pub(crate) struct Dissemination {
     /// is completed from here, a fetch for it is answered from here, and a
     /// full vertex for a retained header shares the retained block's
     /// allocation. A pair leaves when its vertex is admitted; one whose header
-    /// was abandoned leaves once its author proposes [`RETENTION_ROUNDS`]
-    /// further on; reconfiguration clears the map.
+    /// was abandoned leaves when its round is collected; reconfiguration
+    /// clears the map.
     retained: HashMap<Digest, (Header, Arc<SealedBlock>)>,
     /// Quorum certificates whose header this replica does not hold (yet),
     /// each with a request for its vertex out to one of its signers. Every
@@ -75,10 +72,10 @@ pub(crate) struct Dissemination {
     /// unless a message was lost or a peer misbehaves. Capped at two rounds'
     /// worth and ordered by digest, so retries leave in the same order on
     /// every run. An entry leaves when its header lands, when the vertex
-    /// arrives, when its author moves [`RETENTION_ROUNDS`] on, or on
-    /// reconfiguration.
+    /// arrives, when its round is collected, or on reconfiguration.
     held: BTreeMap<Digest, HeldCertificate>,
-    /// Vertices waiting for a parent to be inserted under.
+    /// Vertices waiting for a parent to be inserted under, until their round
+    /// is collected.
     pending_vertices: Vec<Arc<Vertex>>,
     /// Headers, certificates and vertices of a later DAG instance, in
     /// arrival order, handled again on reconfiguration.
@@ -190,18 +187,17 @@ impl Dissemination {
         out
     }
 
-    /// A header for `round` shows how far `author` has come: its pairs and
-    /// held certificates from more than [`RETENTION_ROUNDS`] earlier were
-    /// certified or abandoned long ago, and everything the author sent about
-    /// them has arrived.
-    fn drop_stale(&mut self, author: ReplicaId, round: Round) {
-        let stale = |of: ReplicaId, at: Round| {
-            of == author && at.as_u64() + RETENTION_ROUNDS < round.as_u64()
-        };
+    /// Collects the DAG below `horizon` and returns the vertices it held
+    /// there. The pairs, held certificates and waiting vertices of those
+    /// rounds go too: nothing below the horizon can enter the DAG any more.
+    pub(crate) fn collect_below(&mut self, horizon: Round) -> Vec<Arc<Vertex>> {
         self.retained
-            .retain(|_, (header, _)| !stale(header.author, header.round));
+            .retain(|_, (header, _)| header.round >= horizon);
         self.held
-            .retain(|_, entry| !stale(entry.certificate.author, entry.certificate.round));
+            .retain(|_, entry| entry.certificate.round >= horizon);
+        self.pending_vertices
+            .retain(|vertex| vertex.round() >= horizon);
+        self.dag.collect_below(horizon)
     }
 
     fn on_header(
@@ -222,9 +218,10 @@ impl Dissemination {
             return Vec::new();
         }
         let header_digest = header.digest();
-        // Its own proposal coming back on the loop-back, or a duplicate.
-        let known = self.retained.contains_key(&header_digest);
-        self.drop_stale(header.author, header.round);
+        // Its own proposal coming back on the loop-back, a duplicate, or a
+        // header of a collected round, which its author may still need
+        // acknowledged but which can no longer enter the DAG.
+        let known = self.retained.contains_key(&header_digest) || header.round < self.dag.horizon();
         let ack = vec![Outbound::to(
             from,
             Message::Ack {
@@ -323,6 +320,8 @@ impl Dissemination {
     /// replica missing one vertex holds up everyone's next round, so waiting
     /// for a later message to ask could wait forever. The first request goes
     /// to the signer after this replica in signer order, if there is one.
+    /// A certificate of a collected round is not held: no answer could enter
+    /// the DAG.
     fn hold(
         &mut self,
         certificate: Certificate,
@@ -331,6 +330,7 @@ impl Dissemination {
     ) -> Vec<Outbound> {
         if self.held.contains_key(&certificate.header_digest)
             || self.dag.contains(&certificate.digest())
+            || certificate.round < self.dag.horizon()
         {
             return Vec::new();
         }
@@ -353,8 +353,8 @@ impl Dissemination {
 
     /// A request for the vertex `certificate` names. It is answered when the
     /// certificate is a valid one of the current DAG and this replica holds
-    /// the vertex, admitted or as the pair it acknowledged; anything else is
-    /// dropped and counted.
+    /// the vertex, admitted or as the pair it acknowledged; anything else,
+    /// a vertex of a collected round among it, is dropped and counted.
     fn on_fetch(
         &self,
         from: ReplicaId,
@@ -475,8 +475,11 @@ pub(crate) mod tests {
         ack, config, enqueue, payment, quorum_certificate, run_synchronously,
     };
     use crate::replica::{Destination, Replica};
+    use crate::scenario::ScenarioBuilder;
     use std::collections::VecDeque;
-    use tb_types::{Block, BlockKind, ContractCall, SmallBankProcedure};
+    use tb_dag::COLLECTION_DEPTH;
+    use tb_types::{Block, BlockKind, ContractCall, LatencyModel, SmallBankProcedure};
+    use tb_workload::SmallBankConfig;
 
     /// Starts replica 0 of a 4-cluster and returns it with its round-0
     /// proposal.
@@ -649,9 +652,11 @@ pub(crate) mod tests {
     /// Delivers every message eventually, in an order drawn from `seed`,
     /// with replica 0's sends picked only one time in eight while anything
     /// else is queued (a slow sender whose headers, certificates and
-    /// vertices all arrive late and out of order). Headers for `target` and
-    /// later rounds are dropped so the run quiesces with every replica at
-    /// `target`. Returns `false` if the inbox drained before that.
+    /// vertices all arrive late and out of order), and runs the driver's
+    /// after-emission step, which collects the DAG, after each. Headers for
+    /// `target` and later rounds are dropped so the run quiesces with every
+    /// replica at `target`. Returns `false` if the inbox drained before
+    /// that.
     fn run_reordered(replicas: &mut [Replica], target: u64, seed: u64) -> bool {
         let mut state = seed;
         let mut next = move || {
@@ -686,6 +691,7 @@ pub(crate) mod tests {
             for outbound in replica.handle(from, msg, now) {
                 enqueue(&mut inbox, replica.id(), outbound, n);
             }
+            replica.after_emission();
         }
         replicas
             .iter()
@@ -694,7 +700,8 @@ pub(crate) mod tests {
 
     /// Runs a fresh 4-replica cluster through [`run_reordered`] and checks
     /// that it reached `target` with nothing stuck, every certified vertex
-    /// on every replica, and one committed sequence.
+    /// every replica still holds on every replica, and one committed
+    /// sequence.
     fn reordered_cluster(cfg: &ClusterConfig, target: u64, seed: u64) -> Vec<Replica> {
         let mut replicas: Vec<Replica> = (0..4)
             .map(|i| Replica::new(ReplicaId::new(i), cfg.clone()))
@@ -714,8 +721,12 @@ pub(crate) mod tests {
         );
         assert_eq!(pending, vec![0; 4], "seed {seed}: vertices stuck");
 
+        // The rounds every replica still holds.
+        let horizon = replicas.iter().map(|r| r.dag().horizon()).max();
         let ids = |replica: &Replica| -> Vec<Digest> {
-            replica.dag().iter().map(|vertex| vertex.id()).collect()
+            let held = replica.dag().iter();
+            let kept = held.filter(|vertex| Some(vertex.round()) >= horizon);
+            kept.map(|vertex| vertex.id()).collect()
         };
         let reference = ids(&replicas[0]);
         let observer = replicas[0].metrics();
@@ -762,10 +773,12 @@ pub(crate) mod tests {
             let replicas = reordered_cluster(&cfg, 120, seed);
             // The slow sender abandoned nearly every one of its 120 headers
             // and all four replicas acknowledged each of them.
-            assert!(replicas[0].dag().len() < 3 * 120 + 10);
+            let observer = &replicas[0];
+            let admitted = observer.dag().len() as u64 + observer.metrics().vertices_collected;
+            assert!(admitted < 3 * 120 + 10);
             for replica in &replicas {
                 assert!(
-                    replica.dissemination().retained.len() < 2 * RETENTION_ROUNDS as usize,
+                    replica.dissemination().retained.len() < RETAINED_BOUND,
                     "seed {seed}: replica {} retains {} pairs",
                     replica.id(),
                     replica.dissemination().retained.len()
@@ -773,6 +786,84 @@ pub(crate) mod tests {
                 assert_eq!(replica.dissemination().held.len(), 0);
             }
         }
+    }
+
+    /// What a replica of a 4-cluster may retain in the reordered runs: the
+    /// pairs of the rounds above its horizon, which sits
+    /// [`COLLECTION_DEPTH`] below its last committed leader, a few rounds
+    /// below the one in flight.
+    const RETAINED_BOUND: usize = 4 * (COLLECTION_DEPTH as usize + 6);
+
+    #[test]
+    fn collection_bounds_what_a_replica_keeps_over_2000_lockstep_rounds() {
+        // Small batches with cross-shard traffic, so P3/P4 entries and
+        // replays come and go all through the run.
+        let mut sim = ScenarioBuilder::new(4)
+            .lockstep()
+            .executors(1, 8)
+            .validators(1)
+            .rounds(2_000)
+            .latency(LatencyModel::Fixed { micros: 100 })
+            .smallbank(SmallBankConfig {
+                accounts: 256,
+                cross_shard_fraction: 0.2,
+                ..SmallBankConfig::default()
+            })
+            .tune(|system| system.ce = system.ce.without_synthetic_cost())
+            .build();
+        // At every commit of every replica, each thing it keeps per vertex
+        // holds at most (depth + 4) rounds' worth.
+        let bound = 4 * (COLLECTION_DEPTH as usize + 4);
+        let mut commits = [0; 4];
+        let mut first_certificate = None;
+        let report = sim.run_with(|replicas| {
+            for replica in replicas {
+                let seen = &mut commits[replica.id().as_inner() as usize];
+                if replica.metrics().round_commits.len() == *seen {
+                    continue;
+                }
+                *seen = replica.metrics().round_commits.len();
+                let first = replica.dag().at_round(Round::ZERO);
+                if let Some(vertex) = first.first().filter(|_| first_certificate.is_none()) {
+                    first_certificate = Some(vertex.certificate.clone());
+                }
+                let state = replica.dissemination();
+                let app = replica.app();
+                let kept = [
+                    ("vertices", replica.dag().len()),
+                    ("delivered", replica.committer().delivered_len()),
+                    ("retained", state.retained.len()),
+                    ("held", state.held.len()),
+                    ("pending", state.pending_vertices.len()),
+                    ("conflicting", app.conflicting_undelivered().len()),
+                    ("replays", app.replays().len()),
+                ];
+                for (what, len) in kept {
+                    assert!(
+                        len <= bound,
+                        "replica {} at commit {seen}: {len} {what}",
+                        replica.id()
+                    );
+                }
+            }
+        });
+        assert_eq!(report.round_commits.len(), 1_000);
+        assert!(report.cross_shard_txs > 0);
+        for id in (0..4).map(ReplicaId::new) {
+            let metrics = sim.replica(id).metrics();
+            assert!(metrics.vertices_collected > 3_900, "{id}");
+            assert_eq!(metrics.vertices_collected_undelivered, 0, "{id}");
+        }
+
+        // Round 0 is long gone: a fetch for one of its vertices is refused
+        // and counted.
+        let fetch = Message::Fetch(first_certificate.expect("round 0 was held"));
+        let responder = sim.replica_mut(ReplicaId::new(1));
+        let refused = responder.metrics().fetches_refused;
+        assert!(responder
+            .handle(ReplicaId::new(2), fetch, SimTime::ZERO)
+            .is_empty());
+        assert_eq!(responder.metrics().fetches_refused, refused + 1);
     }
 
     /// Delivers every message in send order, dropping the headers of
@@ -827,8 +918,12 @@ pub(crate) mod tests {
         // It asks the signer after itself, wrapping to replica 0, the
         // author, which answers.
         assert_eq!(fetches, vec![(0, 1, 0), (0, 0, 0), (0, 0, 0), (1, 0, 1)]);
+        // The rounds every replica still holds.
+        let horizon = replicas.iter().map(|r| r.dag().horizon()).max();
         let ids = |replica: &Replica| -> Vec<Digest> {
-            replica.dag().iter().map(|vertex| vertex.id()).collect()
+            let held = replica.dag().iter();
+            let kept = held.filter(|vertex| Some(vertex.round()) >= horizon);
+            kept.map(|vertex| vertex.id()).collect()
         };
         let reference = ids(&replicas[0]);
         assert_eq!(reference.len(), 4 * 8, "every round up to the target");

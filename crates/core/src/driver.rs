@@ -391,16 +391,24 @@ mod tests {
             .lockstep()
             .tune(|system| system.ce = system.ce.without_synthetic_cost())
             .build();
-        let report = sim.run();
+        // Each replica's own preplayed blocks, counted as they enter its
+        // DAG: the run outlasts the collection depth.
+        let mut preplayed_rounds = vec![std::collections::BTreeSet::new(); 4];
+        let report = sim.run_with(|replicas| {
+            for (rounds, replica) in preplayed_rounds.iter_mut().zip(replicas) {
+                let own = replica.dag().iter().filter(|v| v.author() == replica.id());
+                let preplayed = own.filter(|v| !v.block.payload.single_shard.is_empty());
+                rounds.extend(preplayed.map(|v| v.round()));
+            }
+        });
         assert_eq!(report.committed_txs, report.single_shard_txs);
         for id in 0..4 {
             let replica = sim.replica(ReplicaId::new(id));
-            let preplayed_blocks = replica
-                .dag()
-                .iter()
-                .filter(|v| v.author() == replica.id() && !v.block.payload.single_shard.is_empty())
-                .count() as u64;
+            let preplayed_blocks = preplayed_rounds[id as usize].len() as u64;
             let metrics = replica.metrics();
+            // Every vertex is delivered before its round is collected.
+            assert!(metrics.vertices_collected > 0);
+            assert_eq!(metrics.vertices_collected_undelivered, 0);
             // The DAG may lack the replica's last proposal, not yet
             // certified.
             assert!(preplayed_blocks >= 20);

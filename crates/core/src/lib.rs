@@ -21,7 +21,7 @@
 //! * `dissemination` (crate-private) — how vertices get into a replica's
 //!   DAG: acknowledgements, certificates, vertex fetch, waiting parents,
 //! * [`app`] — the shard app a replica drives: store, preplay, client
-//!   queues, validation and execution, behind the five calls of [`App`],
+//!   queues, validation and execution, behind the six calls of [`App`],
 //! * [`feed`] — the closed-loop client: one shared transaction stream
 //!   routed by home shard, drawn as fast as the proposers take it,
 //! * [`driver`] — the one loop that runs replicas over any transport: the

@@ -260,6 +260,15 @@ pub struct RunReport {
     /// Certificates without their block dropped because two rounds' worth
     /// were held already: vertices this replica never fetches.
     pub certificates_dropped: u64,
+    /// Vertices this replica collected from its DAG: every round more than
+    /// [`COLLECTION_DEPTH`](tb_dag::COLLECTION_DEPTH) below its last
+    /// committed leader leaves ([`Committer::horizon`](tb_dag::Committer::horizon)).
+    pub vertices_collected: u64,
+    /// The part of `vertices_collected` the committer never delivered:
+    /// vertices no later vertex referenced in time, whose transactions will
+    /// never commit. Zero in a lockstep run, where every vertex of a round
+    /// is referenced by every vertex of the next.
+    pub vertices_collected_undelivered: u64,
     /// Scheduled faults the driver applied before the run ended.
     pub faults_applied: u64,
     /// Scheduled faults whose activation time the run never reached. A
@@ -311,6 +320,8 @@ tb_types::wire_struct!(RunReport {
     fetches_refused,
     vertices_fetched,
     certificates_dropped,
+    vertices_collected,
+    vertices_collected_undelivered,
     faults_applied,
     faults_unapplied,
     total_queue_wait_secs,

@@ -128,10 +128,14 @@ tb_types::wire_struct!(NodeSpec {
 /// this node's own view: its replica's counters and stage timers, its
 /// transport's traffic, `duration` up to its last commit on its wall clock.
 ///
-/// After the report line the process exits without dropping its replica,
-/// feed or transport: the kernel takes back the heap of decoded blocks and
-/// closes the sockets faster than their destructors would. A durable store
-/// loses nothing it promised. Its last commit marker was fsynced when it
+/// The heap is bounded: the replica keeps only the rounds above its
+/// collection horizon ([`COLLECTION_DEPTH`](tb_dag::COLLECTION_DEPTH) below
+/// its last committed leader), so a node holds some megabytes however long
+/// it runs, and the kernel tears its address space down in a few
+/// milliseconds once it exits. After the report line the process still
+/// exits without dropping its replica, feed or transport: the kernel takes
+/// back what is left and closes the sockets faster than their destructors
+/// would. A durable store loses nothing it promised. Its last commit marker was fsynced when it
 /// was written, so the WAL's unflushed `BufWriter` tail is exactly what a
 /// crash at that point would lose.
 pub fn run_node(spec: NodeSpec) -> io::Result<Infallible> {
@@ -310,7 +314,7 @@ mod tests {
     /// moves only when an encoding does.
     #[test]
     fn launch_and_report_golden() {
-        const GOLDEN: u64 = 0xd417_5ca0_d844_3dc6;
+        const GOLDEN: u64 = 0x46cb_ef88_af58_213d;
         let spec = NodeSpec {
             node: 2,
             ports: vec![7001, 7002, 7003, 65_535],
@@ -401,6 +405,8 @@ mod tests {
             fetches_refused: 2,
             vertices_fetched: 11,
             certificates_dropped: 1,
+            vertices_collected: 1_580,
+            vertices_collected_undelivered: 3,
             faults_applied: 4,
             faults_unapplied: 1,
             total_queue_wait_secs: 9.25,

@@ -184,10 +184,30 @@ impl<A: App> Replica<A> {
 
     /// The step the driver runs after each message, once the output is sent
     /// and the client queue topped up: the app's
-    /// [`after_emission`](App::after_emission), whose work is reported
-    /// through [`take_busy`](Self::take_busy) like a handler's.
+    /// [`after_emission`](App::after_emission), then collection of the DAG
+    /// below the committer's horizon. Both are reported through
+    /// [`take_busy`](Self::take_busy) like a handler's work.
     pub(crate) fn after_emission(&mut self) {
         self.busy += self.app.after_emission(&mut self.metrics);
+        if self.committer.horizon() > self.dag().horizon() {
+            let started = Instant::now();
+            self.collect();
+            self.busy += started.elapsed();
+        }
+    }
+
+    /// Drops every round below the committer's horizon, and everything on
+    /// its way into those rounds. The committer forgets the vertices it
+    /// delivered, and the app those it never did: they never will be.
+    fn collect(&mut self) {
+        let collected = self.dissemination.collect_below(self.committer.horizon());
+        self.metrics.vertices_collected += collected.len() as u64;
+        let undelivered = self.committer.collected(collected);
+        debug_assert!(self.committer.delivered_len() <= self.dag().len());
+        if !undelivered.is_empty() {
+            self.metrics.vertices_collected_undelivered += undelivered.len() as u64;
+            self.app.collected(&undelivered);
+        }
     }
 
     /// Builds the run report from this replica's point of view: its
@@ -357,14 +377,23 @@ impl<A: App> Replica<A> {
         }
         let current = self.current_round.as_u64();
         let start = self.dag().start_round().as_u64();
-        // Condition 1: some proposer has been silent for K rounds.
+        // Condition 1: some proposer has been silent for K rounds. The
+        // window may reach below the DAG's horizon; every collected round
+        // lies below the current one, so a collected vertex of the author's
+        // falls in the window exactly when its last one does.
         if current >= start + reconfig.silent_rounds_k {
+            let window = current - reconfig.silent_rounds_k..current;
             for author in self.committee.replicas() {
                 if author == self.id {
                     continue;
                 }
-                let seen = (current - reconfig.silent_rounds_k..current)
-                    .any(|r| self.dag().by_author_round(author, Round::new(r)).is_some());
+                let seen = self
+                    .dag()
+                    .last_collected(author)
+                    .is_some_and(|round| window.contains(&round.as_u64()))
+                    || window
+                        .clone()
+                        .any(|r| self.dag().by_author_round(author, Round::new(r)).is_some());
                 if !seen {
                     return true;
                 }
@@ -484,6 +513,11 @@ pub(crate) mod tests {
         /// The replica's dissemination state, for tests to read.
         pub(crate) fn dissemination(&self) -> &Dissemination {
             &self.dissemination
+        }
+
+        /// The replica's committer, for tests to read.
+        pub(crate) fn committer(&self) -> &Committer {
+            &self.committer
         }
     }
 
@@ -789,9 +823,10 @@ pub(crate) mod tests {
         }
     }
 
-    /// The vertices `replica` has delivered in its current DAG: the stored
-    /// history of every leader it committed there, walked as its committer
-    /// walks it.
+    /// The vertices `replica` has delivered in its current DAG and still
+    /// holds: the stored history of every leader it committed there and
+    /// still holds, walked as its committer walks it. A collected leader's
+    /// history lies below the horizon.
     fn delivered(replica: &Replica) -> HashSet<Digest> {
         let dag = replica.current_dag();
         let mut delivered = HashSet::new();
@@ -799,15 +834,35 @@ pub(crate) mod tests {
             if sample.dag != dag.as_inner() {
                 continue;
             }
-            let leader = replica
-                .dag()
-                .by_author_round(replica.committee.leader(dag, sample.round), sample.round)
-                .expect("a committed leader is stored");
+            let leader = replica.committee.leader(dag, sample.round);
+            let Some(leader) = replica.dag().by_author_round(leader, sample.round) else {
+                continue;
+            };
+            let floor = replica.dag().horizon();
             replica
                 .dag()
-                .causal_history(&leader.id(), &mut delivered, &mut 0);
+                .causal_history(&leader.id(), &mut delivered, floor, &mut 0);
         }
         delivered
+    }
+
+    /// Runs `sim` and returns its report and, per replica, every vertex it
+    /// delivered, as its DAG held it at the time: the runs below outlast the
+    /// collection depth, so a DAG no longer shows its first rounds
+    /// afterwards.
+    fn run_keeping_the_delivered(
+        sim: &mut crate::cluster::ClusterSimulation,
+    ) -> (RunReport, Vec<HashMap<Digest, Arc<Vertex>>>) {
+        let mut kept = vec![HashMap::new(); sim.replica_count() as usize];
+        let report = sim.run_with(|replicas| {
+            for (kept, replica) in kept.iter_mut().zip(replicas) {
+                for id in delivered(replica) {
+                    let vertex = replica.dag().get(&id).expect("delivered from the DAG");
+                    kept.entry(id).or_insert_with(|| Arc::clone(vertex));
+                }
+            }
+        });
+        (report, kept)
     }
 
     /// The blocks `replica` holds a replay for are exactly the preplayed
@@ -900,15 +955,13 @@ pub(crate) mod tests {
             .lockstep()
             .tune(|system| system.ce = system.ce.without_synthetic_cost())
             .build();
-        sim.run();
+        let (_, kept) = run_keeping_the_delivered(&mut sim);
         for id in 0..4 {
             let replica = sim.replica(ReplicaId::new(id));
             assert_eq!(replica.metrics().reconfigurations, 0);
-            let ids = delivered(replica);
-            let delivered = replica
-                .dag()
-                .iter()
-                .filter(|v| ids.contains(&v.id()) && !v.block.payload.single_shard.is_empty())
+            let delivered = kept[id as usize]
+                .values()
+                .filter(|v| !v.block.payload.single_shard.is_empty())
                 .count() as u64;
             assert!(delivered >= 60, "{delivered} preplayed blocks delivered");
             assert_eq!(replica.metrics().blocks_replayed_ahead, delivered);
@@ -934,18 +987,16 @@ pub(crate) mod tests {
             .lockstep()
             .tune(|system| system.ce = system.ce.without_synthetic_cost())
             .build();
-        let report = sim.run();
+        let (report, kept) = run_keeping_the_delivered(&mut sim);
         let mut timed = 0;
         for id in 0..4 {
             let replica = sim.replica(ReplicaId::new(id));
             let metrics = replica.metrics();
             assert_eq!(metrics.reconfigurations, 0);
             assert_eq!(metrics.invalid_blocks, 0);
-            let delivered = delivered(replica);
-            let own_committed: u64 = replica
-                .dag()
-                .iter()
-                .filter(|v| v.author() == replica.id() && delivered.contains(&v.id()))
+            let own_committed: u64 = kept[id as usize]
+                .values()
+                .filter(|v| v.author() == replica.id())
                 .map(|v| v.block.tx_count() as u64)
                 .sum();
             assert!(own_committed > 0, "{}", replica.id());
@@ -1003,6 +1054,7 @@ pub(crate) mod tests {
         Propose(Round),
         Admitted(Digest),
         Delivered(Vec<Digest>),
+        Collected(Vec<Digest>),
     }
 
     /// An app that proposes empty blocks, or Shift blocks when asked to,
@@ -1049,19 +1101,28 @@ pub(crate) mod tests {
             Duration::ZERO
         }
 
+        fn collected(&mut self, undelivered: &[Arc<Vertex>]) {
+            let ids = undelivered.iter().map(|vertex| vertex.id()).collect();
+            self.calls.push(Call::Collected(ids));
+        }
+
         fn reconfigure(&mut self, _shard: ShardId) {}
     }
 
     #[test]
-    fn consensus_drives_a_recording_app_through_the_five_calls() {
-        // Lockstep: every round is complete, so every leader has its votes.
+    fn consensus_drives_a_recording_app_through_the_six_calls() {
+        // Lockstep: every round is complete, so every leader has its votes,
+        // and every vertex is delivered before its round is collected.
         let mut cfg = config(4);
         cfg.lockstep = true;
         cfg.system.reconfig = tb_types::ReconfigConfig::new(1 << 40, 1 << 41);
         let mut replicas: Vec<Replica<Recording>> = (0..4)
             .map(|i| Replica::with_app(ReplicaId::new(i), cfg.clone(), Recording::default()))
             .collect();
-        run_synchronously(&mut replicas, 12);
+        let rounds = 2 * tb_dag::COLLECTION_DEPTH + 12;
+        run_synchronously_with(&mut replicas, rounds as usize, |replica| {
+            replica.after_emission()
+        });
         for replica in &replicas {
             let id = replica.id();
             let calls = &replica.app().calls;
@@ -1073,7 +1134,7 @@ pub(crate) mod tests {
                     _ => None,
                 })
                 .collect();
-            assert_eq!(proposed, (0..=12).collect::<Vec<_>>(), "{id}");
+            assert_eq!(proposed, (0..=rounds).collect::<Vec<_>>(), "{id}");
             // Every vertex of the DAG is admitted once, each delivered one
             // was admitted before, and none is delivered twice.
             let mut admitted: HashMap<Digest, usize> = HashMap::new();
@@ -1094,10 +1155,16 @@ pub(crate) mod tests {
                             assert!(delivered.insert(*vertex), "{id}: delivered twice");
                         }
                     }
+                    Call::Collected(vertices) => panic!("{id}: collected {vertices:?} undelivered"),
                     Call::Propose(_) => {}
                 }
             }
-            assert_eq!(admitted.len(), replica.dag().len(), "{id}");
+            let collected = replica.metrics().vertices_collected;
+            assert!(collected > 0, "{id}");
+            assert_eq!(
+                admitted.len() as u64,
+                replica.dag().len() as u64 + collected
+            );
             assert!(replica.dag().iter().all(|v| admitted.contains_key(&v.id())));
             // Every leader round commits, one sample per delivered sub-DAG.
             let committed: Vec<u64> = replica
@@ -1106,7 +1173,8 @@ pub(crate) mod tests {
                 .iter()
                 .map(|sample| sample.round.as_u64())
                 .collect();
-            assert_eq!(committed, vec![1, 3, 5, 7, 9], "{id}");
+            let leaders: Vec<u64> = (1..rounds - 2).step_by(2).collect();
+            assert_eq!(committed, leaders, "{id}");
             assert_eq!(commits, committed.len(), "{id}");
         }
     }

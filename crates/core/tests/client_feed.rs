@@ -153,7 +153,15 @@ fn every_proposer_of_a_cross_shard_workload_is_supplied_and_none_hoards() {
             queued <= 2 * batch,
             "replica {replica} ends with {queued} queued, batch {batch}"
         );
-        let blocks = proposed_by(&sim, replica, 10..100);
+        // The rounds the observer still holds: the run outlasts the
+        // collection depth.
+        let held = sim.replica(ReplicaId::new(0)).dag().horizon().as_u64()..u64::MAX;
+        let blocks = proposed_by(&sim, replica, held);
+        assert!(
+            blocks.len() >= 4,
+            "replica {replica}: {} blocks",
+            blocks.len()
+        );
         let mean = blocks.iter().sum::<usize>() as f64 / blocks.len() as f64;
         assert!(
             mean >= 0.5 * batch as f64,

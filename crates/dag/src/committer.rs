@@ -8,11 +8,29 @@
 //! history is committed first. Committing a leader delivers its whole
 //! undelivered causal history in `(round, author)` order, so all honest
 //! replicas deliver the same sequence.
+//!
+//! Nothing more than [`COLLECTION_DEPTH`] rounds below the last committed
+//! leader is delivered any more ([`Committer::horizon`]), so a replica may
+//! collect those rounds ([`DagStore::collect_below`]) whenever it likes
+//! without changing what it delivers.
 
 use crate::store::DagStore;
 use std::collections::HashSet;
 use std::sync::Arc;
 use tb_types::{Committee, DagId, Digest, Round, Vertex};
+
+/// How many rounds below the last committed leader a replica keeps: the
+/// [horizon](Committer::horizon) is that leader's round minus this depth
+/// (Narwhal's `gc_depth`). A vertex below it is never delivered, and a
+/// replica that lags further behind its peers than this cannot fetch what
+/// they collected.
+///
+/// Chosen as the smallest depth between 8 and Narwhal's 50 with which the
+/// full and smoke chaos campaigns (`campaign_report`, quick and
+/// `TB_BENCH_SMOKE=1`) and the reordered-delivery tests with a slow sender
+/// (`tb-core`'s `dissemination.rs`) pass. They pass at 2 and 4 as well, so
+/// 8 leaves the lagging replicas they make some slack.
+pub const COLLECTION_DEPTH: u64 = 8;
 
 /// One committed leader together with the undelivered part of its causal
 /// history (the leader itself is the last element). The vertices are the
@@ -32,10 +50,13 @@ pub struct CommittedSubDag {
 pub struct Committer {
     committee: Committee,
     dag: DagId,
+    start_round: Round,
     next_leader_round: Round,
     last_committed_leader_round: Option<Round>,
-    /// Closed under ancestry: a vertex enters only together with its whole
-    /// undelivered history, which is what lets history walks stop here.
+    /// Closed under ancestry down to the horizon: a vertex enters only
+    /// together with its whole undelivered history above it, which is what
+    /// lets history walks stop here. Holds nothing the store does not: a
+    /// collected vertex leaves ([`collected`](Self::collected)).
     delivered: HashSet<Digest>,
     /// References the history walks have followed so far, counted inside
     /// [`DagStore::causal_history`]. A walk enters only what it delivers, so
@@ -50,11 +71,39 @@ impl Committer {
         Committer {
             committee,
             dag,
+            start_round,
             next_leader_round: committee.leader_round_for(start_round),
             last_committed_leader_round: None,
             delivered: HashSet::new(),
             walk_steps: 0,
         }
+    }
+
+    /// The collection horizon: the last committed leader's round minus
+    /// [`COLLECTION_DEPTH`], and the start round before the first commit.
+    /// The history walks enter nothing below it, so a store collected up to
+    /// it delivers what the full store would.
+    pub fn horizon(&self) -> Round {
+        self.last_committed_leader_round
+            .map_or(self.start_round, |leader| {
+                Round::new(leader.as_u64().saturating_sub(COLLECTION_DEPTH))
+            })
+            .max(self.start_round)
+    }
+
+    /// Number of vertices delivered and still held by the store.
+    pub fn delivered_len(&self) -> usize {
+        self.delivered.len()
+    }
+
+    /// `vertices` left the store ([`DagStore::collect_below`]): the
+    /// delivered set forgets them. Returns those it never delivered, which
+    /// it never will.
+    pub fn collected(&mut self, vertices: Vec<Arc<Vertex>>) -> Vec<Arc<Vertex>> {
+        vertices
+            .into_iter()
+            .filter(|vertex| !self.delivered.remove(&vertex.id()))
+            .collect()
     }
 
     /// Runs the commit rule against the current local DAG and returns every
@@ -78,10 +127,7 @@ impl Committer {
                 .cloned();
 
             if let Some(leader_vertex) = direct_leader {
-                for sub_dag in self.commit_chain(store, leader_vertex, leader_round) {
-                    out.push(sub_dag);
-                }
-                self.last_committed_leader_round = Some(leader_round);
+                out.extend(self.commit_chain(store, leader_vertex, leader_round));
             }
             // Decided (committed or skipped): move to the next leader round.
             self.next_leader_round = Round::new(leader_round.as_u64() + 2);
@@ -90,7 +136,8 @@ impl Committer {
     }
 
     /// Commits `leader_vertex` plus every undecided earlier leader found in
-    /// its causal history, oldest first.
+    /// its causal history, oldest first. Each one's history is walked down
+    /// to the horizon the commit before it left.
     fn commit_chain(
         &mut self,
         store: &DagStore,
@@ -123,8 +170,14 @@ impl Committer {
         chain
             .into_iter()
             .map(|(leader_round, leader)| {
-                let vertices =
-                    store.causal_history(&leader.id(), &mut self.delivered, &mut self.walk_steps);
+                let floor = self.horizon();
+                let vertices = store.causal_history(
+                    &leader.id(),
+                    &mut self.delivered,
+                    floor,
+                    &mut self.walk_steps,
+                );
+                self.last_committed_leader_round = Some(leader_round);
                 CommittedSubDag {
                     leader,
                     leader_round,
@@ -380,13 +433,53 @@ mod tests {
         seen
     }
 
+    /// The vertices of `round` in a DAG with holes over seven replicas: a
+    /// replica may sit the round out, and a vertex references a random
+    /// quorum of the previous round as `store` holds it, so leaders go
+    /// missing, lack support, are skipped and are committed indirectly.
+    fn random_round(
+        builder: &mut DagBuilder,
+        store: &DagStore,
+        round: Round,
+        rng: &mut u64,
+    ) -> Vec<Vertex> {
+        let committee = store.committee();
+        let quorum = committee.quorum_threshold();
+        let previous = if round == Round::ZERO {
+            Vec::new()
+        } else {
+            store.certificates_at_round(round.prev())
+        };
+        let mut authors: Vec<ReplicaId> = committee.replicas().collect();
+        while authors.len() > quorum && one_in(3, rng) {
+            authors.swap_remove(next_u64(rng) as usize % authors.len());
+        }
+        // Every other support round shuns its leader: most vertices leave it
+        // out, so it misses f + 1 support and can only be committed through
+        // a later leader, if at all.
+        let shunned = store
+            .by_author_round(committee.leader(DagId::new(0), round.prev()), round.prev())
+            .map(|v| v.id())
+            .filter(|_| round.prev().is_leader_round() && one_in(2, rng));
+        authors
+            .into_iter()
+            .map(|author| {
+                let mut parents = previous.clone();
+                if parents.len() > quorum && !one_in(4, rng) {
+                    parents.retain(|p| Some(*p) != shunned);
+                }
+                while parents.len() > quorum && one_in(2, rng) {
+                    parents.swap_remove(next_u64(rng) as usize % parents.len());
+                }
+                let kind = BlockKind::Normal;
+                builder.make_vertex(author, round, kind, Default::default(), parents)
+            })
+            .collect()
+    }
+
     #[test]
     fn pruned_delivery_matches_full_history_minus_delivered_on_random_dags() {
-        // DAGs with holes: a replica may sit a round out, and a vertex
-        // references a random quorum of the previous round, so leaders go
-        // missing, lack support, are skipped and are committed indirectly.
         let committee = Committee::new(7);
-        let quorum = committee.quorum_threshold();
         let (mut indirect, mut skipped) = (0, 0);
         for seed in 0..20u64 {
             let mut rng = seed;
@@ -396,37 +489,7 @@ mod tests {
             let mut delivered: HashSet<Digest> = HashSet::new();
             for round in 0..40 {
                 let round = Round::new(round);
-                let previous = if round == Round::ZERO {
-                    Vec::new()
-                } else {
-                    store.certificates_at_round(round.prev())
-                };
-                let mut authors: Vec<ReplicaId> = committee.replicas().collect();
-                while authors.len() > quorum && one_in(3, &mut rng) {
-                    authors.swap_remove(next_u64(&mut rng) as usize % authors.len());
-                }
-                // Every other support round shuns its leader: most vertices
-                // leave it out, so it misses f + 1 support and can only be
-                // committed through a later leader, if at all.
-                let shunned = store
-                    .by_author_round(committee.leader(DagId::new(0), round.prev()), round.prev())
-                    .map(|v| v.id())
-                    .filter(|_| round.prev().is_leader_round() && one_in(2, &mut rng));
-                for author in authors {
-                    let mut parents = previous.clone();
-                    if parents.len() > quorum && !one_in(4, &mut rng) {
-                        parents.retain(|p| Some(*p) != shunned);
-                    }
-                    while parents.len() > quorum && one_in(2, &mut rng) {
-                        parents.swap_remove(next_u64(&mut rng) as usize % parents.len());
-                    }
-                    let vertex = builder.make_vertex(
-                        author,
-                        round,
-                        BlockKind::Normal,
-                        Default::default(),
-                        parents,
-                    );
+                for vertex in random_round(&mut builder, &store, round, &mut rng) {
                     store.insert(vertex).unwrap();
                 }
 
@@ -453,7 +516,7 @@ mod tests {
             // The full history is the empty-set case of the same walk.
             let tip = store.at_round(Round::new(39))[0].id();
             let full: HashSet<Digest> = store
-                .causal_history(&tip, &mut HashSet::new(), &mut 0)
+                .causal_history(&tip, &mut HashSet::new(), Round::ZERO, &mut 0)
                 .iter()
                 .map(|v| v.id())
                 .collect();
@@ -471,6 +534,51 @@ mod tests {
         }
         assert!(indirect > 0, "no seed produced an indirect commit");
         assert!(skipped > 0, "no seed skipped a leader for good");
+    }
+
+    #[test]
+    fn a_store_collected_to_the_horizon_delivers_what_the_full_store_delivers() {
+        let committee = Committee::new(7);
+        let dag = DagId::new(0);
+        let leaders = |sub_dags: Vec<CommittedSubDag>| -> Vec<(Round, Vec<Digest>)> {
+            let ids = |s: &CommittedSubDag| s.vertices.iter().map(|v| v.id()).collect();
+            sub_dags.iter().map(|s| (s.leader_round, ids(s))).collect()
+        };
+        let (mut collected_delivered, mut collected_undelivered) = (0, 0);
+        for seed in 0..20u64 {
+            let mut rng = seed;
+            let mut builder = DagBuilder::new(committee, dag, Round::ZERO);
+            let mut full = DagStore::new(committee, dag, Round::ZERO);
+            let mut collected = DagStore::new(committee, dag, Round::ZERO);
+            let mut over_full = Committer::new(committee, dag, Round::ZERO);
+            let mut over_collected = Committer::new(committee, dag, Round::ZERO);
+            for round in 0..80 {
+                for vertex in random_round(&mut builder, &full, Round::new(round), &mut rng) {
+                    let vertex = Arc::new(vertex);
+                    full.insert(Arc::clone(&vertex)).unwrap();
+                    collected.insert(vertex).unwrap();
+                }
+                assert_eq!(
+                    leaders(over_collected.try_commit(&collected)),
+                    leaders(over_full.try_commit(&full)),
+                    "seed {seed}, round {round}"
+                );
+                let horizon = over_collected.horizon();
+                let gone = collected.collect_below(horizon);
+                assert!(gone.iter().all(|v| v.round() < horizon));
+                let total = gone.len();
+                let undelivered = over_collected.collected(gone).len();
+                collected_delivered += total - undelivered;
+                collected_undelivered += undelivered;
+                assert_eq!(collected.horizon(), horizon);
+                assert!(over_collected.delivered.len() <= collected.len());
+            }
+            assert!(collected.len() < full.len() / 2, "seed {seed}");
+        }
+        assert!(collected_delivered > 0);
+        // A vertex no later vertex references is never delivered: this is
+        // where collection lets it go.
+        assert!(collected_undelivered > 0);
     }
 
     #[test]

@@ -32,6 +32,19 @@
 //! round when the answer is no — which is the answer for every skipped
 //! leader.
 //!
+//! # What a replica keeps
+//!
+//! Nothing below the [horizon](Committer::horizon) — the last committed
+//! leader's round minus [`COLLECTION_DEPTH`] — is delivered: the history
+//! walks take it as their floor. A replica may therefore drop those rounds
+//! ([`DagStore::collect_below`]) whenever it likes, and the committer
+//! forgets the collected vertices it delivered ([`Committer::collected`]);
+//! both stay bounded by the depth, not by the length of the run. The
+//! delivered set stays closed under ancestry down to the floor, which is all
+//! a walk needs. The store refuses a vertex below its horizon and takes one
+//! at it whose parents it collected (Narwhal's garbage collection, Danezis
+//! et al., EuroSys 2022).
+//!
 //! This crate contains the *local* DAG machinery — the store, the commit
 //! rule and test builders. Message exchange (broadcasting headers, collecting
 //! acknowledgements, fetching missing vertices) lives in the `thunderbolt`
@@ -45,5 +58,5 @@ pub mod committer;
 pub mod store;
 
 pub use builder::DagBuilder;
-pub use committer::{CommittedSubDag, Committer};
+pub use committer::{CommittedSubDag, Committer, COLLECTION_DEPTH};
 pub use store::{DagError, DagStore};

@@ -25,6 +25,15 @@ pub enum DagError {
         /// Round carried by the vertex.
         got: Round,
     },
+    /// The vertex's round lies below the store's collection horizon
+    /// ([`DagStore::collect_below`]): its round was collected, and with it
+    /// whatever the vertex could still have been delivered with.
+    BelowHorizon {
+        /// The lowest round the store still holds.
+        horizon: Round,
+        /// Round carried by the vertex.
+        got: Round,
+    },
     /// A parent certificate is unknown; the caller must fetch and insert the
     /// causal history first (the validity property of Section 2).
     MissingParent {
@@ -61,6 +70,9 @@ impl std::fmt::Display for DagError {
             DagError::BeforeStart { start, got } => {
                 write!(f, "vertex round {got} precedes DAG start {start}")
             }
+            DagError::BelowHorizon { horizon, got } => {
+                write!(f, "vertex round {got} lies below the collected {horizon}")
+            }
             DagError::MissingParent { parent } => {
                 write!(f, "missing parent certificate {}", parent.short())
             }
@@ -91,6 +103,13 @@ pub struct DagStore {
     /// Per round, the vertex of each author — ordered by author, so every
     /// `(round, author)`-ordered read is a plain walk of the slot.
     by_round: BTreeMap<Round, BTreeMap<ReplicaId, Digest>>,
+    /// The lowest round the store holds: every round below it was
+    /// collected ([`collect_below`](Self::collect_below)). The start round
+    /// until the first collection.
+    horizon: Round,
+    /// Per author, the highest round of a vertex of theirs that was
+    /// collected.
+    last_collected: BTreeMap<ReplicaId, Round>,
 }
 
 impl DagStore {
@@ -102,6 +121,8 @@ impl DagStore {
             start_round,
             vertices: HashMap::new(),
             by_round: BTreeMap::new(),
+            horizon: start_round,
+            last_collected: BTreeMap::new(),
         }
     }
 
@@ -120,6 +141,11 @@ impl DagStore {
         self.start_round
     }
 
+    /// The lowest round the store holds; everything below it was collected.
+    pub fn horizon(&self) -> Round {
+        self.horizon
+    }
+
     /// Number of vertices stored.
     pub fn len(&self) -> usize {
         self.vertices.len()
@@ -132,6 +158,11 @@ impl DagStore {
 
     /// Inserts a certified vertex after validating it against the local view.
     /// Takes an owned [`Vertex`] or an already shared `Arc<Vertex>`.
+    ///
+    /// A vertex below the [horizon](Self::horizon) is refused. One at the
+    /// horizon may name parents the store no longer holds: they lie below
+    /// it, so they were delivered or abandoned before they were collected
+    /// (Narwhal's rule). Above the horizon every parent must be held.
     pub fn insert(&mut self, vertex: impl Into<Arc<Vertex>>) -> Result<Digest, DagError> {
         let vertex: Arc<Vertex> = vertex.into();
         if vertex.dag() != self.dag {
@@ -146,17 +177,26 @@ impl DagStore {
                 got: vertex.round(),
             });
         }
+        if vertex.round() < self.horizon {
+            return Err(DagError::BelowHorizon {
+                horizon: self.horizon,
+                got: vertex.round(),
+            });
+        }
         if !vertex.certificate.is_valid(&self.committee) {
             return Err(DagError::InvalidCertificate);
         }
         // Every parent must be a certificate we already hold (validity
         // property) of an earlier round — what lets `is_ancestor` stop at the
-        // ancestor's round. The first round of a DAG has nothing before it,
-        // so its vertices carry no parents at all.
+        // ancestor's round — unless it lies below the horizon. The first
+        // round of a DAG has nothing before it, so its vertices carry no
+        // parents at all.
+        let after_start = vertex.round() > self.start_round;
         for parent in vertex.parents() {
             match self.vertices.get(parent) {
                 Some(p) if p.round() < vertex.round() => {}
-                None if vertex.round() > self.start_round => {
+                None if after_start && vertex.round() == self.horizon => {}
+                None if after_start => {
                     return Err(DagError::MissingParent { parent: *parent });
                 }
                 _ => {
@@ -181,6 +221,35 @@ impl DagStore {
         slot.insert(vertex.author(), id);
         self.vertices.insert(id, vertex);
         Ok(id)
+    }
+
+    /// Removes every round below `horizon` and returns its vertices in
+    /// `(round, author)` order; from now on [`insert`](Self::insert) refuses
+    /// them. A horizon at or below the current one collects nothing.
+    pub fn collect_below(&mut self, horizon: Round) -> Vec<Arc<Vertex>> {
+        if horizon <= self.horizon {
+            return Vec::new();
+        }
+        self.horizon = horizon;
+        let kept = self.by_round.split_off(&horizon);
+        let mut collected = Vec::new();
+        for (round, slot) in std::mem::replace(&mut self.by_round, kept) {
+            for (author, id) in slot {
+                self.last_collected.insert(author, round);
+                collected.push(
+                    self.vertices
+                        .remove(&id)
+                        .expect("a slot names a stored vertex"),
+                );
+            }
+        }
+        collected
+    }
+
+    /// The highest round of a vertex by `author` that was collected: the
+    /// record a collected round leaves of who proposed in it.
+    pub fn last_collected(&self, author: ReplicaId) -> Option<Round> {
+        self.last_collected.get(&author).copied()
     }
 
     /// Looks a vertex up by digest.
@@ -248,16 +317,19 @@ impl DagStore {
             .count()
     }
 
-    /// The part of `from`'s causal history (`from` included) that `delivered`
-    /// does not hold yet, sorted by `(round, author)` — the deterministic
-    /// delivery order used at commit time. Every returned vertex is added to
-    /// `delivered`.
+    /// The part of `from`'s causal history (`from` included) at or above
+    /// round `floor` that `delivered` does not hold yet, sorted by `(round,
+    /// author)` — the deterministic delivery order used at commit time.
+    /// Every returned vertex is added to `delivered`.
     ///
     /// The walk never enters a vertex that is already in `delivered`, so it
     /// expands exactly the vertices it returns. Nothing is missed as long as
     /// `delivered` is closed under ancestry — it holds the stored history of
-    /// every vertex it holds — which this call preserves; see the
-    /// [crate docs](crate). With an empty set the result is the full history.
+    /// every vertex it holds, down to the floor — which this call preserves;
+    /// see the [crate docs](crate). Nor does it enter a vertex below `floor`,
+    /// so whether the store still holds such a vertex does not change what
+    /// is returned. With an empty set and the start round as the floor the
+    /// result is the full history.
     ///
     /// `steps` is advanced once per reference the walk follows (`from`
     /// counts as one): the cost of the call, whatever it returns.
@@ -265,6 +337,7 @@ impl DagStore {
         &self,
         from: &Digest,
         delivered: &mut HashSet<Digest>,
+        floor: Round,
         steps: &mut u64,
     ) -> Vec<Arc<Vertex>> {
         let mut history = Vec::new();
@@ -274,7 +347,7 @@ impl DagStore {
             if delivered.contains(&id) {
                 continue;
             }
-            let Some(vertex) = self.vertices.get(&id) else {
+            let Some(vertex) = self.vertices.get(&id).filter(|v| v.round() >= floor) else {
                 continue;
             };
             delivered.insert(id);
@@ -468,7 +541,7 @@ mod tests {
             .unwrap()
             .id();
         let mut delivered = HashSet::new();
-        let history = store.causal_history(&tip, &mut delivered, &mut 0);
+        let history = store.causal_history(&tip, &mut delivered, Round::ZERO, &mut 0);
         // Full DAG up to round 1 plus the tip itself.
         assert_eq!(history.len(), 9);
         assert_eq!(delivered.len(), 9);
@@ -482,11 +555,11 @@ mod tests {
         let sibling = store
             .by_author_round(ReplicaId::new(2), Round::new(2))
             .unwrap();
-        let rest = store.causal_history(&sibling.id(), &mut delivered, &mut 0);
+        let rest = store.causal_history(&sibling.id(), &mut delivered, Round::ZERO, &mut 0);
         assert_eq!(rest.len(), 1);
         assert!(Arc::ptr_eq(&rest[0], sibling));
         assert!(store
-            .causal_history(&tip, &mut delivered, &mut 0)
+            .causal_history(&tip, &mut delivered, Round::ZERO, &mut 0)
             .is_empty());
         // Ancestor checks agree with the history.
         let ancestor = store
@@ -500,6 +573,52 @@ mod tests {
         // round rather than walking to round 0.
         assert!(!store.is_ancestor(&sibling.id(), &tip));
         assert!(!store.is_ancestor(&Digest::ZERO, &tip));
+    }
+
+    #[test]
+    fn insert_refuses_collected_rounds_and_takes_the_horizon_without_its_parents() {
+        let mut builder = DagBuilder::new(committee(), DagId::new(0), Round::ZERO);
+        let full = builder.build_rounds(4, |_, _| BlockKind::Normal);
+        let round = |r: u64| full.at_round(Round::new(r));
+        let mut store = DagStore::new(committee(), DagId::new(0), Round::ZERO);
+        for vertex in round(0).into_iter().chain(round(1)) {
+            store.insert(Arc::clone(vertex)).unwrap();
+        }
+
+        let gone = store.collect_below(Round::new(2));
+        let order: Vec<(u64, u32)> = gone
+            .iter()
+            .map(|v| (v.round().as_u64(), v.author().as_inner()))
+            .collect();
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!((order.len(), order), (8, sorted));
+        assert!(store.is_empty());
+        assert_eq!(store.horizon(), Round::new(2));
+        assert_eq!(store.last_collected(ReplicaId::new(3)), Some(Round::new(1)));
+        assert!(store.collect_below(Round::new(1)).is_empty());
+        assert_eq!(store.horizon(), Round::new(2));
+
+        // Below the horizon: refused, however complete.
+        assert_eq!(
+            store.insert(Arc::clone(round(1)[0])),
+            Err(DagError::BelowHorizon {
+                horizon: Round::new(2),
+                got: Round::new(1)
+            })
+        );
+        // At the horizon: its parents were collected, and it is taken.
+        store.insert(Arc::clone(round(2)[0])).unwrap();
+        // Above it every parent must be held.
+        assert!(matches!(
+            store.insert(Arc::clone(round(3)[0])),
+            Err(DagError::MissingParent { .. })
+        ));
+        for vertex in &round(2)[1..] {
+            store.insert(Arc::clone(vertex)).unwrap();
+        }
+        store.insert(Arc::clone(round(3)[0])).unwrap();
+        assert_eq!(store.len(), 5);
     }
 
     #[test]

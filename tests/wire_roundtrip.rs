@@ -535,7 +535,7 @@ fn arb_commit_sample() -> impl Strategy<Value = RoundCommitSample> {
 }
 
 fn arb_run_report() -> impl Strategy<Value = RunReport> {
-    let counters = || prop::collection::vec(any::<u64>(), 28..29);
+    let counters = || prop::collection::vec(any::<u64>(), 30..31);
     let seconds = || prop::collection::vec(arb_f64(), 7..8);
     (
         (arb_string(), arb_string()),
@@ -585,6 +585,8 @@ fn arb_run_report() -> impl Strategy<Value = RunReport> {
                 fetches_refused: n[24],
                 vertices_fetched: n[25],
                 certificates_dropped: n[26],
+                vertices_collected: n[28],
+                vertices_collected_undelivered: n[29],
                 faults_applied: n[15],
                 faults_unapplied: n[6] ^ n[15],
                 total_queue_wait_secs: f[6],
