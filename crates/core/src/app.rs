@@ -732,6 +732,59 @@ mod tests {
         assert!(report.is_valid(), "{report:?}");
     }
 
+    #[test]
+    fn a_vertex_collected_undelivered_leaves_nothing_behind_in_the_app() {
+        let mut cfg = config(4);
+        cfg.system.ce = CeConfig::new(1, 8).without_synthetic_cost();
+        let genesis = || tb_workload::initial_smallbank_state(16, 1_000);
+        let app = || {
+            let mut app = ShardApp::new(ReplicaId::new(0), &cfg);
+            app.load_state(genesis());
+            app
+        };
+        let vertex = |author: u32, kind, payload| {
+            let block = Block::new(kind, 4, payload).seal();
+            let (dag, round, author) = (DagId::new(0), Round::ZERO, ReplicaId::new(author));
+            let header = Header::new(dag, round, author, block.digest(), vec![], SimTime::ZERO);
+            let certificate = quorum_certificate(&header);
+            Arc::new(Vertex::new(header, block, certificate))
+        };
+        let mut metrics = RunReport::default();
+        // Its own preplayed block (accounts 0 and 4 lie on shard 0), and
+        // replica 1's block with a payment into shard 0 (P3/P4).
+        let mut collecting = app();
+        assert!(collecting.queues_mut().enqueue(payment(1, 0, 4, 4)));
+        let (kind, payload) =
+            collecting.propose(Round::ZERO, true, false, SimTime::ZERO, &mut metrics);
+        assert_eq!(payload.single_shard.len(), 1);
+        let own = vertex(0, kind, payload);
+        let mut into_shard = BlockPayload::empty();
+        into_shard.cross_shard.push(payment(2, 1, 0, 4));
+        let other = vertex(1, BlockKind::Normal, into_shard);
+        for vertex in [&own, &other] {
+            collecting.admitted(vertex);
+        }
+        assert_eq!(collecting.replays().len(), 1);
+        assert_eq!(collecting.conflicting_undelivered().len(), 1);
+        assert_eq!(collecting.overlay.blocks.len(), 1);
+        assert!(collecting.proposed.contains_key(&TxId::new(1)));
+
+        collecting.collected(&[own, other]);
+        assert_eq!(collecting.replays().len(), 0);
+        assert!(collecting.conflicting_undelivered().is_empty());
+        assert!(collecting.overlay.blocks.is_empty() && collecting.overlay.newest.is_empty());
+        assert!(collecting.proposed.is_empty());
+        // A payment from the same account now preplays against committed
+        // state, as on a replica that never proposed the collected block.
+        let next = [payment(3, 0, 8, 4)];
+        let mut reads = |app: &mut ShardApp| {
+            let preplayed = app.preplay_batch(&next, None, Round::new(2), &mut metrics);
+            preplayed[0].outcome.read_set.clone()
+        };
+        let fresh = reads(&mut app());
+        assert_eq!(reads(&mut collecting), fresh);
+    }
+
     /// A replica times each transaction it proposed on its own clock:
     /// queued from its submission to the proposal that took it, then on to
     /// the commit that delivered it. The block it proposed carries no

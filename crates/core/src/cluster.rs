@@ -182,7 +182,7 @@ impl ClusterSimulation {
     /// [`run`](Self::run), showing `observe` every replica after each
     /// message: what a replica held during the run, which its DAG no longer
     /// shows afterwards once its early rounds are collected.
-    pub(crate) fn run_with(&mut self, mut observe: impl FnMut(&[Replica])) -> RunReport {
+    pub fn run_with(&mut self, mut observe: impl FnMut(&[Replica])) -> RunReport {
         let max_rounds = self.config.system.max_rounds;
         let target_commits = (max_rounds / 2).max(1) as usize;
         let mut events = 0u64;

@@ -77,6 +77,10 @@ pub(crate) struct Dissemination {
     /// Vertices waiting for a parent to be inserted under, until their round
     /// is collected.
     pending_vertices: Vec<Arc<Vertex>>,
+    /// A collection raised the horizon to the round of a waiting vertex,
+    /// which no longer needs the parents it waited for: the next message
+    /// handled inserts it.
+    retry_pending: bool,
     /// Headers, certificates and vertices of a later DAG instance, in
     /// arrival order, handled again on reconfiguration.
     future_messages: Vec<(ReplicaId, Message)>,
@@ -94,6 +98,7 @@ impl Dissemination {
             retained: HashMap::new(),
             held: BTreeMap::new(),
             pending_vertices: Vec::new(),
+            retry_pending: false,
             future_messages: Vec::new(),
             admitted: Vec::new(),
         }
@@ -139,7 +144,8 @@ impl Dissemination {
     /// the vertices new to the DAG, in insertion order. A header,
     /// certificate or vertex of a later DAG instance is buffered, and one of
     /// an earlier instance dropped; an acknowledgement or a fetch of another
-    /// instance is dropped or refused by its handler.
+    /// instance is dropped or refused by its handler. Waiting vertices a
+    /// collection unblocked go in first.
     pub(crate) fn handle(
         &mut self,
         from: ReplicaId,
@@ -147,6 +153,10 @@ impl Dissemination {
         now: SimTime,
         metrics: &mut RunReport,
     ) -> (Vec<Outbound>, Vec<Arc<Vertex>>) {
+        if std::mem::take(&mut self.retry_pending) {
+            let pending = std::mem::take(&mut self.pending_vertices);
+            self.insert_all(pending);
+        }
         let current = self.dag.dag_id();
         let out = match msg {
             Message::Ack {
@@ -190,6 +200,8 @@ impl Dissemination {
     /// Collects the DAG below `horizon` and returns the vertices it held
     /// there. The pairs, held certificates and waiting vertices of those
     /// rounds go too: nothing below the horizon can enter the DAG any more.
+    /// A vertex waiting at the horizon itself may have waited for a parent
+    /// that is now collected: the next message retries it.
     pub(crate) fn collect_below(&mut self, horizon: Round) -> Vec<Arc<Vertex>> {
         self.retained
             .retain(|_, (header, _)| header.round >= horizon);
@@ -197,7 +209,12 @@ impl Dissemination {
             .retain(|_, entry| entry.certificate.round >= horizon);
         self.pending_vertices
             .retain(|vertex| vertex.round() >= horizon);
-        self.dag.collect_below(horizon)
+        let collected = self.dag.collect_below(horizon);
+        self.retry_pending |= self
+            .pending_vertices
+            .iter()
+            .any(|vertex| vertex.round() == self.dag.horizon());
+        collected
     }
 
     fn on_header(
@@ -425,12 +442,16 @@ impl Dissemination {
     }
 
     /// Inserts a vertex whose certificate, header and block are known to
-    /// bind together, then every waiting vertex the insert unblocks, until
+    /// bind together, then every waiting vertex the insert unblocks.
+    fn insert(&mut self, vertex: Vertex) {
+        self.insert_all(vec![Arc::new(vertex)]);
+    }
+
+    /// Inserts `batch`, then every waiting vertex an insert unblocks, until
     /// a pass inserts nothing. The vertices new to the DAG are admitted in
     /// insertion order: one the DAG already holds is not admitted again,
     /// and one whose parent is missing waits.
-    fn insert(&mut self, vertex: Vertex) {
-        let mut batch = vec![Arc::new(vertex)];
+    fn insert_all(&mut self, mut batch: Vec<Arc<Vertex>>) {
         loop {
             let before = self.admitted.len();
             for vertex in batch {
@@ -478,7 +499,7 @@ pub(crate) mod tests {
     use crate::scenario::ScenarioBuilder;
     use std::collections::VecDeque;
     use tb_dag::COLLECTION_DEPTH;
-    use tb_types::{Block, BlockKind, ContractCall, LatencyModel, SmallBankProcedure};
+    use tb_types::{Block, BlockKind, CeConfig, ContractCall, LatencyModel, SmallBankProcedure};
     use tb_workload::SmallBankConfig;
 
     /// Starts replica 0 of a 4-cluster and returns it with its round-0
@@ -788,6 +809,123 @@ pub(crate) mod tests {
         }
     }
 
+    #[test]
+    fn a_vertex_waiting_at_the_new_horizon_enters_with_the_next_message() {
+        let committee = tb_types::Committee::new(4);
+        let dag = DagId::new(0);
+        let mut builder = tb_dag::DagBuilder::new(committee, dag, Round::ZERO);
+        let mut make = |author: u32, round: u64, parents: Vec<Digest>| {
+            let (author, round) = (ReplicaId::new(author), Round::new(round));
+            let kind = BlockKind::Normal;
+            builder.make_vertex(author, round, kind, Default::default(), parents)
+        };
+        let first: Vec<Vertex> = (0..4).map(|author| make(author, 0, vec![])).collect();
+        let parents: Vec<Digest> = first.iter().map(Vertex::id).collect();
+        let second: Vec<Vertex> = (0..4)
+            .map(|author| make(author, 1, parents.clone()))
+            .collect();
+        let parents: Vec<Digest> = second.iter().map(Vertex::id).collect();
+        let waiting = make(0, 2, parents);
+
+        let mut state = Dissemination::new(
+            ReplicaId::new(1),
+            DagStore::new(committee, dag, Round::ZERO),
+        );
+        let mut metrics = RunReport::default();
+        let mut deliver = |state: &mut Dissemination, vertex: &Vertex| {
+            let from = vertex.author();
+            let msg = Message::Vertex(Box::new(vertex.clone()));
+            state.handle(from, msg, SimTime::ZERO, &mut metrics).1
+        };
+        // Round 1 lacks replica 3's vertex, so round 2's waits for it.
+        for vertex in first.iter().chain(&second[..3]) {
+            assert_eq!(deliver(&mut state, vertex).len(), 1);
+        }
+        assert!(deliver(&mut state, &waiting).is_empty());
+        assert!(state.awaits_vertex(&waiting.certificate.header_digest));
+
+        // The horizon rises to round 2: the missing parent is collected,
+        // and the waiting vertex no longer needs it.
+        assert_eq!(state.collect_below(Round::new(2)).len(), 7);
+        let admitted = deliver(&mut state, &second[3]);
+        let ids: Vec<Digest> = admitted.iter().map(|vertex| vertex.id()).collect();
+        assert_eq!(ids, vec![waiting.id()]);
+        assert!(!state.awaits_vertex(&waiting.certificate.header_digest));
+        assert!(state.pending_vertices.is_empty());
+        assert_eq!(state.dag().len(), 1);
+    }
+
+    #[test]
+    fn vertices_certified_too_late_to_be_referenced_leave_the_app_when_collected() {
+        // Replica 3's certificates reach each peer only once the peer has
+        // proposed the next round, so no vertex but replica 3's own next one
+        // references its vertices: no leader delivers them, and each is
+        // collected undelivered. Its own undelivered blocks keep its P3/P4
+        // set non-empty, so it converts every batch, and each of its
+        // vertices leaves a P3/P4 entry at every replica until collected:
+        // kept until reconfiguration, they would pile up one a round.
+        let mut cfg = config(4);
+        cfg.system.ce = CeConfig::new(2, 8).without_synthetic_cost();
+        cfg.system.reconfig = tb_types::ReconfigConfig::new(1 << 40, 1 << 41);
+        let mut workload: Box<dyn tb_workload::Workload> = SmallBankConfig {
+            accounts: 256,
+            cross_shard_fraction: 0.2,
+            ..SmallBankConfig::default()
+        }
+        .into();
+        workload.configure_for_cluster(4, 7);
+        let mut replicas: Vec<Replica> = (0..4)
+            .map(|i| Replica::new(ReplicaId::new(i), cfg.clone()))
+            .collect();
+        let mut feed = crate::ClientFeed::new(workload, 8);
+        for replica in &mut replicas {
+            replica
+                .app_mut()
+                .load_state(feed.workload().initial_state());
+            feed.top_up(replica, SimTime::ZERO);
+        }
+        let late = ReplicaId::new(3);
+        let (mut conflicting, mut replays) = (0, 0);
+        run_fifo_with(
+            &mut replicas,
+            120,
+            |replicas, from, to, msg| match msg {
+                Message::Certificate(certificate)
+                    if from == late
+                        && to != late
+                        && replicas[to.as_inner() as usize].current_round()
+                            <= certificate.round =>
+                {
+                    Fate::Defer
+                }
+                _ => Fate::Deliver,
+            },
+            |replica| {
+                feed.top_up(replica, SimTime::ZERO);
+                replica.after_emission();
+                conflicting = conflicting.max(replica.app().conflicting_undelivered().len());
+                replays = replays.max(replica.app().replays().len());
+            },
+        );
+
+        let observer = replicas[0].metrics();
+        assert!(observer.committed_txs > 0);
+        for replica in &replicas {
+            let (id, metrics) = (replica.id(), replica.metrics());
+            assert_eq!(replica.current_round(), Round::new(120), "{id}");
+            // One of replica 3's vertices a round, bar the last few.
+            assert!(metrics.vertices_collected_undelivered > 100, "{id}");
+            // As many as a build without collection finds on this run.
+            assert_eq!(metrics.invalid_blocks, 0, "{id}");
+            assert_eq!(metrics.round_commits.len(), observer.round_commits.len());
+            assert_eq!(metrics.commit_order_digest, observer.commit_order_digest);
+        }
+        // What any replica held at any point: (depth + 4) rounds' worth.
+        let bound = 4 * (COLLECTION_DEPTH as usize + 4);
+        assert!(conflicting <= bound, "{conflicting} P3/P4 entries");
+        assert!(replays <= bound, "{replays} replays");
+    }
+
     /// What a replica of a 4-cluster may retain in the reordered runs: the
     /// pairs of the rounds above its horizon, which sits
     /// [`COLLECTION_DEPTH`] below its last committed leader, a few rounds
@@ -866,13 +1004,26 @@ pub(crate) mod tests {
         assert_eq!(responder.metrics().fetches_refused, refused + 1);
     }
 
-    /// Delivers every message in send order, dropping the headers of
-    /// `target` and later rounds (so the run quiesces with every replica at
-    /// `target`) and every message `lost` picks.
-    fn run_fifo(
+    /// What [`run_fifo_with`] does with a message.
+    enum Fate {
+        Deliver,
+        Lose,
+        /// Hold it back, in send order with the others held back, until
+        /// `fate` lets it through or nothing else is left to deliver.
+        Defer,
+    }
+
+    /// Takes messages in send order, dropping the headers of `target` and
+    /// later rounds (so the run quiesces with every replica at `target`),
+    /// and delivers, drops or holds back each as `fate`, shown the
+    /// replicas, says. A message held back is delivered before anything
+    /// new once `fate` says so, and the oldest one is once nothing new is
+    /// left. Runs `step` on a replica after it handles a message.
+    fn run_fifo_with(
         replicas: &mut [Replica],
         target: u64,
-        lost: impl Fn(ReplicaId, ReplicaId, &Message) -> bool,
+        mut fate: impl FnMut(&[Replica], ReplicaId, ReplicaId, &Message) -> Fate,
+        mut step: impl FnMut(&mut Replica),
     ) {
         let n = replicas.len();
         let now = SimTime::ZERO;
@@ -882,16 +1033,36 @@ pub(crate) mod tests {
                 enqueue(&mut inbox, replica.id(), outbound, n);
             }
         }
-        while let Some((from, to, msg)) = inbox.pop_front() {
-            if lost(from, to, &msg)
-                || matches!(&msg, Message::Header { header, .. } if header.round.as_u64() >= target)
-            {
-                continue;
-            }
+        let mut deferred: VecDeque<(ReplicaId, ReplicaId, Message)> = VecDeque::new();
+        loop {
+            let ready = deferred.iter().position(|(from, to, msg)| {
+                matches!(fate(replicas, *from, *to, msg), Fate::Deliver)
+            });
+            let (from, to, msg) = if let Some(ready) = ready {
+                deferred.remove(ready).expect("a position in range")
+            } else if let Some((from, to, msg)) = inbox.pop_front() {
+                if matches!(&msg, Message::Header { header, .. } if header.round.as_u64() >= target)
+                {
+                    continue;
+                }
+                match fate(replicas, from, to, &msg) {
+                    Fate::Deliver => (from, to, msg),
+                    Fate::Lose => continue,
+                    Fate::Defer => {
+                        deferred.push_back((from, to, msg));
+                        continue;
+                    }
+                }
+            } else if let Some(oldest) = deferred.pop_front() {
+                oldest
+            } else {
+                return;
+            };
             let replica = &mut replicas[to.as_inner() as usize];
             for outbound in replica.handle(from, msg, now) {
                 enqueue(&mut inbox, replica.id(), outbound, n);
             }
+            step(replica);
         }
     }
 
@@ -903,11 +1074,17 @@ pub(crate) mod tests {
         // Replica 0's round-2 header never reaches replica 3, so replica 3
         // cannot acknowledge it and receives a certificate it cannot
         // complete.
-        run_fifo(&mut replicas, 8, |from, to, msg| {
-            from == ReplicaId::new(0)
+        let fate = |_: &[Replica], from, to, msg: &Message| {
+            let lost = from == ReplicaId::new(0)
                 && to == ReplicaId::new(3)
-                && matches!(msg, Message::Header { header, .. } if header.round == Round::new(2))
-        });
+                && matches!(msg, Message::Header { header, .. } if header.round == Round::new(2));
+            if lost {
+                Fate::Lose
+            } else {
+                Fate::Deliver
+            }
+        };
+        run_fifo_with(&mut replicas, 8, fate, |_| {});
         let fetches: Vec<(u64, u64, u64)> = replicas
             .iter()
             .map(|r| {
@@ -934,6 +1111,72 @@ pub(crate) mod tests {
             assert!(replica.dissemination().pending_vertices.is_empty());
             assert_eq!(replica.metrics().fetches_refused, 0);
             assert_eq!(replica.metrics().rejected_vertices, 0);
+        }
+    }
+
+    /// Runs a 4-cluster through [`run_fifo_with`] to round `lag + 8` with
+    /// replica 3 hearing nothing until the others reach round `lag`, and
+    /// replica 0's round-1 header, which it must then fetch, lost on its way
+    /// to replica 3. Returns the replicas.
+    fn run_with_a_lagging_replica(lag: u64) -> Vec<Replica> {
+        let mut replicas: Vec<Replica> = (0..4)
+            .map(|i| Replica::new(ReplicaId::new(i), config(4)))
+            .collect();
+        let laggard = ReplicaId::new(3);
+        run_fifo_with(
+            &mut replicas,
+            lag + 8,
+            |replicas, from, to, msg| {
+                let lagging = replicas[..3]
+                    .iter()
+                    .any(|r| r.current_round().as_u64() < lag);
+                match msg {
+                    Message::Header { header, .. }
+                        if from == ReplicaId::new(0)
+                            && to == laggard
+                            && header.round == Round::new(1) =>
+                    {
+                        Fate::Lose
+                    }
+                    _ if to == laggard && from != laggard && lagging => Fate::Defer,
+                    _ => Fate::Deliver,
+                }
+            },
+            Replica::after_emission,
+        );
+        replicas
+    }
+
+    #[test]
+    fn a_replica_lagging_up_to_four_rounds_past_the_depth_catches_up() {
+        // The laggard must fetch a round-1 vertex from peers that have
+        // moved `lag` rounds on. A peer's horizon trails its round by the
+        // depth plus the rounds a commit trails the round, so up to
+        // `COLLECTION_DEPTH + 4` rounds of lag the answer comes and the
+        // laggard catches up; one round more and every peer has collected
+        // round 1, refuses, and the laggard stalls behind the vertex.
+        let caught_up = COLLECTION_DEPTH + 4;
+        for lag in 1..=caught_up + 1 {
+            let replicas = run_with_a_lagging_replica(lag);
+            let (laggard, observer) = (&replicas[3], replicas[0].metrics());
+            let metrics = laggard.metrics();
+            let refused: u64 = replicas.iter().map(|r| r.metrics().fetches_refused).sum();
+            assert_eq!(metrics.fetches_sent, 1, "lag {lag}");
+            if lag > caught_up {
+                assert_eq!(refused, 1, "lag {lag}");
+                assert_eq!(laggard.current_round(), Round::new(2), "lag {lag}");
+                assert!(metrics.round_commits.is_empty(), "lag {lag}");
+                continue;
+            }
+            assert_eq!((refused, metrics.vertices_fetched), (0, 1), "lag {lag}");
+            assert_eq!(laggard.current_round(), Round::new(lag + 8), "lag {lag}");
+            assert_eq!(metrics.round_commits.len(), observer.round_commits.len());
+            assert_eq!(metrics.commit_order_digest, observer.commit_order_digest);
+            assert!(laggard.dissemination().held.is_empty(), "lag {lag}");
+            assert!(
+                laggard.dissemination().pending_vertices.is_empty(),
+                "lag {lag}"
+            );
         }
     }
 

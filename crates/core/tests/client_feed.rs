@@ -9,6 +9,7 @@
 //! request schedule; a transaction is submitted when it is drawn for its
 //! proposer, so latency does not grow with the length of the run.
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use tb_core::{
     ClientFeed, ClusterConfig, ClusterSimulation, Message, Replica, RunReport, ScenarioBuilder,
@@ -88,15 +89,19 @@ fn zipf_single_shard() -> SmallBankConfig {
     }
 }
 
-/// Transactions in the blocks `author` proposed in rounds `rounds`, as the
-/// observer's DAG holds them.
-fn proposed_by(sim: &ClusterSimulation, author: u32, rounds: std::ops::Range<u64>) -> Vec<usize> {
-    sim.replica(ReplicaId::new(0))
-        .dag()
-        .iter()
-        .filter(|v| v.author() == ReplicaId::new(author) && rounds.contains(&v.round().as_u64()))
-        .map(|v| v.block.tx_count())
-        .collect()
+/// Runs `sim` and returns its report and the transactions in each block
+/// the observer (replica 0) admitted, by `(round, author)`: the run outlasts
+/// the collection depth, so its DAG no longer holds the early rounds at the
+/// end.
+fn run_counting_blocks(sim: &mut ClusterSimulation) -> (RunReport, BTreeMap<(u64, u32), usize>) {
+    let mut blocks = BTreeMap::new();
+    let report = sim.run_with(|replicas| {
+        for vertex in replicas[0].dag().iter() {
+            let key = (vertex.round().as_u64(), vertex.author().as_inner());
+            blocks.entry(key).or_insert_with(|| vertex.block.tx_count());
+        }
+    });
+    (report, blocks)
 }
 
 /// The cross-shard transactions of the block `replica` proposes first.
@@ -138,7 +143,7 @@ fn every_proposer_of_a_cross_shard_workload_is_supplied_and_none_hoards() {
         ..zipf_single_shard()
     }));
     let mut sim = lockstep(120, batch).workload(workload).build();
-    let report = sim.run();
+    let (report, blocks) = run_counting_blocks(&mut sim);
     assert_eq!(report.cross_shard_txs, report.committed_txs);
 
     let draws = draws.lock().unwrap().len() as f64;
@@ -153,16 +158,13 @@ fn every_proposer_of_a_cross_shard_workload_is_supplied_and_none_hoards() {
             queued <= 2 * batch,
             "replica {replica} ends with {queued} queued, batch {batch}"
         );
-        // The rounds the observer still holds: the run outlasts the
-        // collection depth.
-        let held = sim.replica(ReplicaId::new(0)).dag().horizon().as_u64()..u64::MAX;
-        let blocks = proposed_by(&sim, replica, held);
-        assert!(
-            blocks.len() >= 4,
-            "replica {replica}: {} blocks",
-            blocks.len()
-        );
-        let mean = blocks.iter().sum::<usize>() as f64 / blocks.len() as f64;
+        let proposed: Vec<usize> = blocks
+            .iter()
+            .filter(|((round, author), _)| (10..100).contains(round) && *author == replica)
+            .map(|(_, txs)| *txs)
+            .collect();
+        assert_eq!(proposed.len(), 90, "replica {replica}: one block a round");
+        let mean = proposed.iter().sum::<usize>() as f64 / proposed.len() as f64;
         assert!(
             mean >= 0.5 * batch as f64,
             "replica {replica} proposes {mean:.0} transactions per block"

@@ -21,15 +21,19 @@ use tb_types::{Committee, DagId, Digest, Round, Vertex};
 
 /// How many rounds below the last committed leader a replica keeps: the
 /// [horizon](Committer::horizon) is that leader's round minus this depth
-/// (Narwhal's `gc_depth`). A vertex below it is never delivered, and a
-/// replica that lags further behind its peers than this cannot fetch what
-/// they collected.
+/// (Narwhal's `gc_depth`). A vertex below it is never delivered, even if a
+/// later leader reaches it, and a replica that lags so far behind its
+/// peers that it must fetch a vertex they collected cannot catch up. In
+/// the lagging-replica test of `tb-core`'s `dissemination.rs`, a replica
+/// of a 4-cluster that must fetch a vertex `depth + 4` rounds behind its
+/// peers' round catches up, and one a round further behind stalls.
 ///
 /// Chosen as the smallest depth between 8 and Narwhal's 50 with which the
 /// full and smoke chaos campaigns (`campaign_report`, quick and
 /// `TB_BENCH_SMOKE=1`) and the reordered-delivery tests with a slow sender
-/// (`tb-core`'s `dissemination.rs`) pass. They pass at 2 and 4 as well, so
-/// 8 leaves the lagging replicas they make some slack.
+/// (`tb-core`'s `dissemination.rs`) pass. They pass at 2 and 4 as well;
+/// 8, the bottom of the range, gives a lagging replica the slack measured
+/// above.
 pub const COLLECTION_DEPTH: u64 = 8;
 
 /// One committed leader together with the undelivered part of its causal
