@@ -262,8 +262,8 @@ mod tests {
         assert_eq!(t.read(Key::scratch(1)).unwrap(), Value::int(5));
         let (outcome, _) = t.finish();
         assert_eq!(
-            outcome.read_set,
-            vec![tb_types::AccessRecord::new(Key::scratch(1), Value::int(3))]
+            *outcome.read_set,
+            [tb_types::AccessRecord::new(Key::scratch(1), Value::int(3))]
         );
         assert_eq!(
             outcome.written_value(&Key::scratch(1)),

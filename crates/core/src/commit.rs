@@ -1107,10 +1107,10 @@ mod tests {
         let mut preplayed = ce.preplay(&txs, &genesis).preplayed;
         for p in &mut preplayed {
             p.order = 0;
-            p.tx.shards = vec![ShardId::new(3)];
+            p.tx.shards = vec![ShardId::new(3)].into();
         }
         let mut cross = payment(4, 1, 2, 3, 4);
-        cross.shards = vec![ShardId::new(0)];
+        cross.shards = vec![ShardId::new(0)].into();
         let sim = sub_dag_with(Committee::new(4), preplayed, vec![cross], &[]);
         let block = &sim.vertices[0].block;
         assert!(block
@@ -1118,9 +1118,9 @@ mod tests {
             .single_shard
             .iter()
             .enumerate()
-            .all(|(i, p)| p.order as usize == i && p.tx.shards == [ShardId::new(0)]));
+            .all(|(i, p)| p.order as usize == i && *p.tx.shards == [ShardId::new(0)]));
         assert_eq!(
-            sim.vertices[1].block.payload.cross_shard[0].shards,
+            *sim.vertices[1].block.payload.cross_shard[0].shards,
             [ShardId::new(1), ShardId::new(2)]
         );
         let wire = CommittedSubDag {

@@ -211,7 +211,7 @@ fn tamper(block: &mut Vec<PreplayedTx>, how: Tamper) {
         // A key no SmallBank call reads: the replay never reads it, so the
         // count rule fails while every write comes out honest.
         Tamper::ExtraRead => reads.push(AccessRecord::new(Key::scratch(1 << 40), Value::None)),
-        Tamper::DroppedRead => drop(reads.remove(0)),
+        Tamper::DroppedRead => *reads = reads[1..].to_vec().into(),
         Tamper::SamePosition => block.insert(1, again),
     }
 }

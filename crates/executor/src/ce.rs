@@ -386,7 +386,7 @@ mod tests {
         assert_eq!(result.reexecutions, 0);
         let first = &result.preplayed[0].outcome;
         assert_eq!(
-            first.read_set,
+            *first.read_set,
             [Key::checking(0), Key::savings(0)]
                 .map(|key| tb_types::AccessRecord::new(key, Value::int(SMALLBANK_DEFAULT_BALANCE)))
         );

@@ -650,7 +650,7 @@ mod tests {
         match field {
             0 => reads.iter_mut().for_each(|r| r.value = Value::int(forged)),
             1 => reads.push(AccessRecord::new(Key::scratch(1 << 40), Value::int(forged))),
-            2 => drop(reads.pop()),
+            2 => *reads = reads[..reads.len().saturating_sub(1)].to_vec().into(),
             _ => {
                 if let Some(first) = reads.first().cloned() {
                     reads.push(first);

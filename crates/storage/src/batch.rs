@@ -123,7 +123,8 @@ mod tests {
         let ws = vec![
             AccessRecord::new(Key::scratch(1), Value::int(10)),
             AccessRecord::new(Key::scratch(2), Value::int(20)),
-        ];
+        ]
+        .into();
         let mut b = WriteBatch::with_capacity(2);
         b.extend_from_write_set(&ws);
         assert_eq!(b.len(), 2);

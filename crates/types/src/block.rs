@@ -24,7 +24,7 @@
 //! non-blocking reconfiguration (Section 6) respectively.
 
 use crate::digest::Digest;
-use crate::ops::ExecOutcome;
+use crate::ops::{ExecOutcome, WriteSet};
 use crate::time::SimTime;
 use crate::transaction::Transaction;
 use crate::wire::{Wire, WireError, WireReader, WireWriter};
@@ -179,7 +179,7 @@ impl Block {
             self.payload.single_shard.sort_by_key(|p| p.order);
         }
         for preplayed in &mut self.payload.single_shard {
-            preplayed.outcome.write_set = Vec::new();
+            preplayed.outcome.write_set = WriteSet::new();
         }
         self.derive();
         SealedBlock {
@@ -260,7 +260,7 @@ mod tests {
     use super::*;
     use crate::ids::{ClientId, DagId, ReplicaId, Round, ShardId, TxId};
     use crate::key::Key;
-    use crate::transaction::{ContractCall, SmallBankProcedure};
+    use crate::transaction::{ContractCall, ShardSet, SmallBankProcedure};
     use crate::value::Value;
     use crate::vertex::Header;
 
@@ -453,7 +453,7 @@ mod tests {
         let preplayed = |id, order| {
             let mut tx = sample_tx(id);
             tx.call = ContractCall::SmallBank(SmallBankProcedure::GetBalance { account: id });
-            tx.shards = vec![ShardId::new(3), ShardId::new(9)];
+            tx.shards = vec![ShardId::new(3), ShardId::new(9)].into();
             PreplayedTx::new(tx, ExecOutcome::default(), order)
         };
         let mut block = sample_block(BlockKind::Normal);
@@ -464,7 +464,7 @@ mod tests {
             to: 2,
             amount: 1,
         });
-        cross.shards = Vec::new();
+        cross.shards = ShardSet::new();
         block.payload.cross_shard.push(cross);
 
         let sealed = block.seal();
@@ -479,7 +479,7 @@ mod tests {
             assert_eq!(p.tx.shards, p.tx.call.shards(4));
         }
         assert_eq!(
-            sealed.payload.cross_shard[0].shards,
+            *sealed.payload.cross_shard[0].shards,
             [ShardId::new(1), ShardId::new(2)]
         );
         let bytes = sealed.to_wire_bytes();

@@ -20,6 +20,7 @@ pub mod committee;
 pub mod config;
 pub mod digest;
 pub mod ids;
+pub mod inline_vec;
 pub mod key;
 pub mod ops;
 pub mod time;
@@ -35,10 +36,11 @@ pub use config::{
 };
 pub use digest::Digest;
 pub use ids::{ClientId, DagId, ReplicaId, Round, ShardId, TxId};
+pub use inline_vec::InlineVec;
 pub use key::{Key, KeyHashBuilder, KeyHasher, KeyMap, KeySet, KeySpace};
 pub use ops::{AccessKind, AccessRecord, ExecOutcome, OpKind, Operation, ReadSet, WriteSet};
 pub use time::SimTime;
-pub use transaction::{ContractCall, SmallBankProcedure, Transaction, TxClass};
+pub use transaction::{ContractCall, ShardSet, SmallBankProcedure, Transaction, TxClass};
 pub use value::Value;
 pub use vertex::{Certificate, Header, Vertex};
 pub use wire::{Wire, WireError, WireReader, WireWriter};

@@ -8,6 +8,7 @@
 //! inside its block, and every replica derives the write set from it (paper
 //! Section 4, "Validation").
 
+use crate::inline_vec::InlineVec;
 use crate::key::Key;
 use crate::value::Value;
 use std::fmt;
@@ -93,8 +94,9 @@ pub enum AccessKind {
 }
 
 /// One entry of a read or write set: the key together with the value that was
-/// observed (reads) or produced (writes) during preplay.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// observed (reads) or produced (writes) during preplay. The default is the
+/// filler of an unused slot of a [`ReadSet`] or [`WriteSet`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AccessRecord {
     /// The accessed key.
     pub key: Key,
@@ -115,14 +117,28 @@ impl fmt::Display for AccessRecord {
     }
 }
 
+/// How many accesses a read or write set holds in place. SmallBank's
+/// widest call, `Amalgamate`, reads and writes three keys, so no SmallBank
+/// transaction's sets leave the transaction, and a block of them, decoded,
+/// replayed or dropped, costs a constant number of allocations rather than
+/// one or two per transaction: on `tcp-durable` at seed 42 a committed
+/// transaction cost 11.6 allocations, summed over the 4 nodes, with the
+/// sets as `Vec`s, and 2.0 with three slots. A fourth slot holds nothing
+/// for SmallBank and makes every outcome 80 bytes larger; it raised
+/// `tcp-durable`'s `cpu_us_per_tx` from 3.48 to 3.66 µs at seed 42 (medians
+/// of 6 alternating pairs, slower in 5, 2 vCPUs). A contract program that
+/// touches more keys spills to the heap.
+pub const INLINE_ACCESSES: usize = 3;
+
 /// Read set of a transaction: each key it read before writing it, once,
 /// with the value its *first* read observed, in the order of those first
-/// reads.
-pub type ReadSet = Vec<AccessRecord>;
+/// reads. Up to [`INLINE_ACCESSES`] records live in place.
+pub type ReadSet = InlineVec<AccessRecord, INLINE_ACCESSES>;
 
 /// Write set of a transaction: the *final* value written per key, in the
-/// order of the first write to each key.
-pub type WriteSet = Vec<AccessRecord>;
+/// order of the first write to each key. Up to [`INLINE_ACCESSES`] records
+/// live in place.
+pub type WriteSet = InlineVec<AccessRecord, INLINE_ACCESSES>;
 
 /// What preplaying one transaction yields: the reads a block ships, and the
 /// writes the proposer's overlay takes. Nothing reads a contract's return
@@ -190,7 +206,7 @@ mod tests {
         out.record_read(k(1), Value::int(99));
         out.record_write(k(1), Value::int(4));
         out.record_write(k(1), Value::int(5));
-        assert_eq!(out.read_set, vec![AccessRecord::new(k(1), Value::int(3))]);
+        assert_eq!(*out.read_set, [AccessRecord::new(k(1), Value::int(3))]);
         assert_eq!(out.written_value(&k(1)), Some(&Value::int(5)));
         assert_eq!(out.write_set.len(), 1);
     }

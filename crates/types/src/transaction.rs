@@ -8,6 +8,7 @@
 //! single-shard (EOV path) or cross-shard (OE path).
 
 use crate::ids::{ClientId, ShardId, TxId};
+use crate::inline_vec::InlineVec;
 use crate::key::Key;
 use crate::ops::Operation;
 use crate::time::SimTime;
@@ -164,15 +165,14 @@ impl ContractCall {
     /// so this is derived wherever it is needed — by [`Transaction::new`]
     /// and by the decoder of the block that carries the call — and never
     /// shipped.
-    pub fn shards(&self, n_shards: u32) -> Vec<ShardId> {
-        let mut shards = Vec::new();
+    pub fn shards(&self, n_shards: u32) -> ShardSet {
+        let mut shards = ShardSet::new();
         self.shards_into(n_shards, &mut shards);
         shards
     }
 
-    /// [`shards`](ContractCall::shards) written over `shards`, reusing its
-    /// allocation.
-    pub(crate) fn shards_into(&self, n_shards: u32, shards: &mut Vec<ShardId>) {
+    /// [`shards`](ContractCall::shards) written over `shards`.
+    pub(crate) fn shards_into(&self, n_shards: u32, shards: &mut ShardSet) {
         shards.clear();
         match self {
             // Both balances of an account live in one shard, so a SmallBank
@@ -196,6 +196,16 @@ impl ContractCall {
         }
     }
 }
+
+/// The shards a transaction's call names, the home shard first
+/// ([`ContractCall::shards`]). A SmallBank call names at most two accounts,
+/// so two slots hold every SmallBank set and a transaction owns no heap
+/// allocation for it: building or decoding one allocates nothing. As a
+/// `Vec`, the set cost every decoded transaction an allocation, half of the
+/// 6.1 per committed transaction that `tcp-durable`'s reader threads made,
+/// summed over its 4 nodes (the read set made the other half). A contract
+/// program whose declared keys span more shards spills to the heap.
+pub type ShardSet = InlineVec<ShardId, 2>;
 
 /// Classification of a transaction with respect to the shard map.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -232,8 +242,8 @@ pub struct Transaction {
     /// block does not ship it; its decoder derives it from the call and the
     /// block's shard count, and [`Block::seal`](crate::Block::seal) derives
     /// it again on the proposer, so no replica acts on a list that
-    /// disagrees with the call.
-    pub shards: Vec<ShardId>,
+    /// disagrees with the call. Two shards live in place ([`ShardSet`]).
+    pub shards: ShardSet,
     /// When the client submitted the transaction to its proposer, on the
     /// proposer's clock. Only the proposer reads it: it keeps the time of
     /// every transaction it proposes and times the transaction's latency on
@@ -319,7 +329,7 @@ mod tests {
         });
         let t = tx(call, 4);
         assert_eq!(t.class(), TxClass::CrossShard);
-        assert_eq!(t.shards, vec![ShardId::new(0), ShardId::new(1)]);
+        assert_eq!(*t.shards, [ShardId::new(0), ShardId::new(1)]);
         // The paying account's shard is the home, whatever the id.
         assert_eq!(t.home_shard(), ShardId::new(0));
         let back = ContractCall::SmallBank(SmallBankProcedure::SendPayment {
@@ -331,7 +341,7 @@ mod tests {
             id: TxId::new(2),
             ..tx(back, 4)
         };
-        assert_eq!(back.shards, vec![ShardId::new(1), ShardId::new(0)]);
+        assert_eq!(*back.shards, [ShardId::new(1), ShardId::new(0)]);
         assert_eq!(back.home_shard(), ShardId::new(1));
     }
 
@@ -345,7 +355,7 @@ mod tests {
         });
         let t = tx(call, 4);
         assert_eq!(t.class(), TxClass::SingleShard);
-        assert_eq!(t.shards, vec![ShardId::new(0)]);
+        assert_eq!(*t.shards, [ShardId::new(0)]);
     }
 
     #[test]
@@ -353,7 +363,7 @@ mod tests {
         let call = ContractCall::SmallBank(SmallBankProcedure::GetBalance { account: 7 });
         let t = tx(call, 4);
         assert_eq!(t.class(), TxClass::SingleShard);
-        assert_eq!(t.shards, vec![ShardId::new(3)]);
+        assert_eq!(*t.shards, [ShardId::new(3)]);
     }
 
     #[test]
@@ -430,7 +440,7 @@ mod tests {
                             derived.push(key.shard(n_shards));
                         }
                     }
-                    assert_eq!(tx(call, n_shards).shards, derived, "{n_shards} shards");
+                    assert_eq!(*tx(call, n_shards).shards, derived, "{n_shards} shards");
                 }
             }
         }

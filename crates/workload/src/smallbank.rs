@@ -348,7 +348,7 @@ mod tests {
 
         let mut w = workload(SmallBankConfig::system_eval(4, 0.0));
         for tx in w.batch(total, SimTime::ZERO) {
-            assert_eq!(tx.shards, vec![tx.home_shard()]);
+            assert_eq!(*tx.shards, [tx.home_shard()]);
         }
     }
 

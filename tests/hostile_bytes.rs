@@ -15,37 +15,54 @@
 //!
 //! One field is rewritten on purpose as well: the shard count a block ships,
 //! which every transaction's shard set is derived from on receipt.
+//!
+//! The same allocator counts allocations and frees, which pins what a
+//! transaction costs the heap: nothing. Its shard set and its read and write
+//! sets live in place (`tb_types::InlineVec`), so a decoded block is a
+//! constant number of allocations however many transactions it carries.
 
 use proptest::prelude::TestRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 use thunderbolt::prelude::*;
 use thunderbolt::tb_executor::validation::replay_blocks;
 use thunderbolt::tb_storage::wal::{crc32, decode_frames, encode_frame};
 use thunderbolt::tb_storage::{WalRecord, WriteBatch};
+use thunderbolt::tb_types::ops::INLINE_ACCESSES;
 use thunderbolt::tb_types::wire::{Wire, WireError};
-use thunderbolt::tb_types::{Block, PreplayedTx, Vertex};
+use thunderbolt::tb_types::{Block, Header, PreplayedTx, Vertex};
 
-/// Records the largest single allocation the current thread asks for.
-struct PeakAllocation;
+/// Records, per thread, the largest single allocation asked for and how
+/// many allocations (a `realloc` counts as one) and frees were made.
+struct CountingAllocator;
 
 thread_local! {
     static PEAK: Cell<usize> = const { Cell::new(0) };
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+    static FREES: Cell<usize> = const { Cell::new(0) };
 }
 
 fn note(size: usize) {
     let _ = PEAK.try_with(|peak| peak.set(peak.get().max(size)));
+    let _ = ALLOCS.try_with(|allocs| allocs.set(allocs.get() + 1));
+}
+
+fn note_free() {
+    let _ = FREES.try_with(|frees| frees.set(frees.get() + 1));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the wrapper only reads sizes, and
-// `note` touches a const-initialised thread-local that never allocates.
-unsafe impl GlobalAlloc for PeakAllocation {
+// `note` and `note_free` touch const-initialised thread-locals that never
+// allocate.
+unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_free();
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -55,7 +72,7 @@ unsafe impl GlobalAlloc for PeakAllocation {
 }
 
 #[global_allocator]
-static ALLOCATOR: PeakAllocation = PeakAllocation;
+static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// Runs `f`, returning its result and the largest allocation it made.
 fn with_peak<T>(f: impl FnOnce() -> T) -> (T, usize) {
@@ -64,9 +81,22 @@ fn with_peak<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, PEAK.with(Cell::get))
 }
 
+/// Runs `f`, returning its result and the allocations and frees it made on
+/// this thread.
+fn counting<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+    let (allocs, frees) = (ALLOCS.with(Cell::get), FREES.with(Cell::get));
+    let out = f();
+    (
+        out,
+        ALLOCS.with(Cell::get) - allocs,
+        FREES.with(Cell::get) - frees,
+    )
+}
+
 /// Heap bytes one buffer byte may account for: a decoded collection holds at
 /// most one element per remaining byte, and the largest element is a
-/// `PreplayedTx` (a WAL batch's key index costs well under 64 bytes a slot).
+/// `PreplayedTx`, read and write sets in place (a WAL batch's key index
+/// costs well under 64 bytes a slot).
 fn per_byte() -> usize {
     std::mem::size_of::<PreplayedTx>().max(64)
 }
@@ -336,4 +366,67 @@ fn a_block_claiming_zero_or_another_count_of_shards_is_refused() {
         "acknowledged a block of another shard count"
     );
     assert_eq!(replica.metrics().rejected_vertices, 1);
+}
+
+/// A SmallBank transaction owns no heap allocation: building one allocates
+/// nothing, and a block of them decodes to, and drops from, the same number
+/// of allocations and frees whether it carries 200 transactions or 20.
+#[test]
+fn a_transaction_allocates_nothing_and_a_block_costs_the_heap_the_same_at_any_size() {
+    let call = ContractCall::SmallBank(SmallBankProcedure::Amalgamate { from: 1, to: 2 });
+    let (tx, allocs, _) =
+        counting(|| Transaction::new(TxId::new(1), ClientId::new(0), call, 4, SimTime::ZERO));
+    assert_eq!(tx.shards.len(), 2);
+    assert_eq!(allocs, 0, "Transaction::new of a SmallBank call allocated");
+
+    let vertex = real_vertex();
+    let header_message = |block: Block| {
+        let block = block.seal();
+        let header = Header {
+            block_digest: block.digest(),
+            ..vertex.header.clone()
+        };
+        Message::Header {
+            header,
+            block: Arc::new(block),
+        }
+        .to_wire_bytes()
+    };
+    let mut small = Block::clone(&vertex.block);
+    let cross = small.payload.cross_shard.len().min(2);
+    small.payload.single_shard.truncate(20 - cross);
+    small.payload.cross_shard.truncate(cross);
+    let (large, small) = (
+        header_message(Block::clone(&vertex.block)),
+        header_message(small),
+    );
+    let heap = |bytes: &[u8]| {
+        let (message, decoded, _) =
+            counting(|| Message::from_wire_bytes(bytes).expect("an honest message decodes"));
+        let Message::Header { block, .. } = &message else {
+            unreachable!("encoded as a header")
+        };
+        assert!(block
+            .payload
+            .single_shard
+            .iter()
+            .all(|p| p.outcome.read_set.len() <= INLINE_ACCESSES));
+        let count = block.tx_count();
+        let ((), _, dropped) = counting(|| drop(message));
+        (count, decoded, dropped)
+    };
+    let (large, small) = (heap(&large), heap(&small));
+    assert_eq!((large.0, small.0), (vertex.block.tx_count(), 20));
+    assert!(large.0 >= 200);
+    assert_eq!(
+        large.1, small.1,
+        "allocations to decode {} and 20 transactions",
+        large.0
+    );
+    assert_eq!(
+        large.2, small.2,
+        "frees to drop {} and 20 transactions",
+        large.0
+    );
+    assert!(large.1 <= 8 && large.2 == large.1, "{large:?}");
 }

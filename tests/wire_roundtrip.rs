@@ -209,7 +209,7 @@ fn arb_transaction() -> impl Strategy<Value = Transaction> {
 /// which no copy on the wire carries.
 fn arb_bare_transaction() -> impl Strategy<Value = Transaction> {
     arb_transaction().prop_map(|tx| Transaction {
-        shards: Vec::new(),
+        shards: Vec::new().into(),
         submitted_at: SimTime::ZERO,
         ..tx
     })
@@ -225,7 +225,7 @@ fn arb_preplayed() -> impl Strategy<Value = PreplayedTx> {
     )
         .prop_map(|(tx, read_set, order)| {
             let outcome = ExecOutcome {
-                read_set,
+                read_set: read_set.into(),
                 ..Default::default()
             };
             PreplayedTx::new(tx, outcome, order)
